@@ -18,16 +18,16 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
-echo "==> telemetry unit tests"
-cargo test -q --offline -p unicore-telemetry
+echo "==> gridbench builds and smokes against the product crates (it is its own package, outside cargo test)"
+cargo test -q --offline --manifest-path gridbench/Cargo.toml
+
+echo "==> golden journal: WAL segments + outcomes byte-identical to the pre-wake-set full scan"
+cargo test -q --offline -p unicore-integration-tests --test golden golden_journal
 
 echo "==> monitoring plane tests"
 cargo test -q --offline -p unicore-integration-tests --test monitor_grid
 cargo test -q --offline -p unicore-client monitor
 cargo test -q --offline -p unicore --test prop_protocol
-
-echo "==> grid aggregation plane: tree/delta/push unit suites"
-cargo test -q --offline -p unicore --lib grid
 
 echo "==> snapshot algebra proptests (merge/delta laws)"
 cargo test -q --offline -p unicore-telemetry --test prop_aggregate

@@ -112,6 +112,9 @@ pub struct BatchSystem {
     queue: Vec<QueuedEntry>,
     running: Vec<RunningEntry>,
     statuses: HashMap<BatchJobId, BatchStatus>,
+    /// Ids whose status changed since the last [`BatchSystem::drain_changes`],
+    /// in change order (an id appears once per change).
+    changed: Vec<BatchJobId>,
     accounting: Vec<AccountingRecord>,
     busy_node_ticks: u128,
     last_advance: SimTime,
@@ -154,6 +157,7 @@ impl BatchSystem {
             queue: Vec::new(),
             running: Vec::new(),
             statuses: HashMap::new(),
+            changed: Vec::new(),
             accounting: Vec::new(),
             busy_node_ticks: 0,
             last_advance: 0,
@@ -246,7 +250,7 @@ impl BatchSystem {
         self.advance_to(now);
         let id = BatchJobId(self.next_id);
         self.next_id += 1;
-        self.statuses.insert(id, BatchStatus::Queued);
+        self.set_status(id, BatchStatus::Queued);
         let seq = id.0;
         let entry = QueuedEntry {
             id,
@@ -265,6 +269,20 @@ impl BatchSystem {
         self.metrics.submitted.inc();
         self.schedule(now);
         Ok(id)
+    }
+
+    /// The one writer of `statuses`: every transition (submit, start,
+    /// completion, cancel, hold, release) also lands in the change log.
+    fn set_status(&mut self, id: BatchJobId, status: BatchStatus) {
+        self.statuses.insert(id, status);
+        self.changed.push(id);
+    }
+
+    /// Drains the ids whose [`BatchStatus`] changed since the last call,
+    /// in change order. A supervisor that polls only these ids sees every
+    /// transition without scanning the jobs it holds.
+    pub fn drain_changes(&mut self) -> std::vec::Drain<'_, BatchJobId> {
+        self.changed.drain(..)
     }
 
     /// Current status of a job (`None` for unknown ids).
@@ -384,8 +402,7 @@ impl BatchSystem {
             ended_at: entry.ends_at,
             exit_code,
         });
-        self.statuses
-            .insert(entry.id, BatchStatus::Completed(completed));
+        self.set_status(entry.id, BatchStatus::Completed(completed));
     }
 
     fn start(&mut self, entry: QueuedEntry, now: SimTime) {
@@ -394,8 +411,7 @@ impl BatchSystem {
         let timed_out = actual > limit;
         let runtime = actual.min(limit);
         self.free_nodes -= entry.spec.processors;
-        self.statuses
-            .insert(entry.id, BatchStatus::Running { since: now });
+        self.set_status(entry.id, BatchStatus::Running { since: now });
         self.running.push(RunningEntry {
             id: entry.id,
             processors: entry.spec.processors,
@@ -486,7 +502,7 @@ impl BatchSystem {
         self.advance_to(now);
         if let Some(pos) = self.queue.iter().position(|q| q.id == id) {
             self.queue.remove(pos);
-            self.statuses.insert(id, BatchStatus::Cancelled);
+            self.set_status(id, BatchStatus::Cancelled);
             self.schedule(now);
             return true;
         }
@@ -528,7 +544,7 @@ impl BatchSystem {
     pub fn hold(&mut self, id: BatchJobId) -> bool {
         if let Some(q) = self.queue.iter_mut().find(|q| q.id == id) {
             q.held = true;
-            self.statuses.insert(id, BatchStatus::Held);
+            self.set_status(id, BatchStatus::Held);
             true
         } else {
             false
@@ -539,7 +555,7 @@ impl BatchSystem {
     pub fn release(&mut self, id: BatchJobId, now: SimTime) -> bool {
         if let Some(q) = self.queue.iter_mut().find(|q| q.id == id && q.held) {
             q.held = false;
-            self.statuses.insert(id, BatchStatus::Queued);
+            self.set_status(id, BatchStatus::Queued);
             self.schedule(now);
             true
         } else {

@@ -22,7 +22,7 @@
 use crate::grid::{AggregationTree, PlaneNode};
 use crate::protocol::{Body, Envelope, Request, Response};
 use crate::server::UnicoreServer;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use unicore_ajo::{
     AbstractJob, ControlOp, DetailLevel, GridView, JobId, JobOutcome, ServiceOutcome, SiteHealth,
     SiteStatus, UnreachableReason,
@@ -316,7 +316,7 @@ pub struct Federation {
     /// Gateway node → owning Usite (for circuit bookkeeping on receive).
     node_sites: HashMap<NodeId, String>,
     /// Scheduled site-level faults, ascending by time.
-    fault_events: Vec<(SimTime, FaultEvent)>,
+    fault_events: VecDeque<(SimTime, FaultEvent)>,
     /// Per-site journal backends (one per NJS shard), once
     /// [`Federation::attach_stores`] ran.
     backends: HashMap<String, Vec<MemoryBackend>>,
@@ -494,7 +494,7 @@ impl Federation {
             recv_seq: HashMap::new(),
             peer_health: HashMap::new(),
             node_sites,
-            fault_events: Vec::new(),
+            fault_events: VecDeque::new(),
             backends: HashMap::new(),
             crashed: HashSet::new(),
             partitioned: HashSet::new(),
@@ -684,21 +684,21 @@ impl Federation {
         self.net.install_link_faults(plan.links.clone(), plan.seed);
         for p in &plan.partitions {
             self.fault_events
-                .push((p.from, FaultEvent::PartitionStart(p.site.clone())));
+                .push_back((p.from, FaultEvent::PartitionStart(p.site.clone())));
             if p.until != SimTime::MAX {
                 self.fault_events
-                    .push((p.until, FaultEvent::PartitionEnd(p.site.clone())));
+                    .push_back((p.until, FaultEvent::PartitionEnd(p.site.clone())));
             }
         }
         for c in &plan.crashes {
             self.fault_events
-                .push((c.at, FaultEvent::Crash(c.site.clone())));
+                .push_back((c.at, FaultEvent::Crash(c.site.clone())));
             if c.restart_at != SimTime::MAX {
                 self.fault_events
-                    .push((c.restart_at, FaultEvent::Restart(c.site.clone())));
+                    .push_back((c.restart_at, FaultEvent::Restart(c.site.clone())));
             }
         }
-        self.fault_events.sort_by_key(|(t, _)| *t);
+        self.fault_events.make_contiguous().sort_by_key(|(t, _)| *t);
     }
 
     /// Gives every site's server a write-ahead journal (an in-memory
@@ -706,8 +706,8 @@ impl Federation {
     /// [`Federation::crash_site`] / [`Federation::restart_site`] — can
     /// kill a server and bring it back with only its journal surviving.
     pub fn attach_stores(&mut self) {
-        for site in self.site_order.clone() {
-            let server = self.servers.get_mut(&site).expect("known site");
+        for site in &self.site_order {
+            let server = self.servers.get_mut(site).expect("known site");
             let shards = server.njs().shard_count();
             let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
             let stores = mems
@@ -715,7 +715,7 @@ impl Federation {
                 .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
                 .collect();
             server.njs_mut().attach_stores(stores);
-            self.backends.insert(site, mems);
+            self.backends.insert(site.clone(), mems);
         }
     }
 
@@ -1127,7 +1127,7 @@ impl Federation {
         for f in self.inflight.values() {
             next = min_opt(next, Some(f.deadline));
         }
-        if let Some((t, _)) = self.fault_events.first() {
+        if let Some((t, _)) = self.fault_events.front() {
             next = min_opt(next, Some(*t));
         }
         if include_plane && self.telemetry_seed.is_some() {
@@ -1169,8 +1169,8 @@ impl Federation {
         self.now = t;
 
         // Enact scheduled site-level faults whose time has come.
-        while self.fault_events.first().is_some_and(|(at, _)| *at <= t) {
-            let (_, event) = self.fault_events.remove(0);
+        while self.fault_events.front().is_some_and(|(at, _)| *at <= t) {
+            let (_, event) = self.fault_events.pop_front().expect("front checked");
             match event {
                 FaultEvent::PartitionStart(site) => self.set_partitioned(&site, true),
                 FaultEvent::PartitionEnd(site) => self.set_partitioned(&site, false),
@@ -1197,8 +1197,9 @@ impl Federation {
                 }
             }
         }
-        for site in self.site_order.clone() {
-            let nodes = &self.sites[&site];
+        for i in 0..self.site_order.len() {
+            let site = &self.site_order[i];
+            let nodes = &self.sites[site];
             let (gw, njs_node, split) = (nodes.gateway, nodes.njs, nodes.split);
             // Gateway inbox.
             for (_, msg) in self.net.drain_inbox(gw) {
@@ -1221,11 +1222,15 @@ impl Federation {
 
         // Step servers; route their outbound requests. Crashed sites are
         // simply absent from the map: they neither step nor send.
-        for site in self.site_order.clone() {
-            let Some(server) = self.servers.get_mut(&site) else {
+        for i in 0..self.site_order.len() {
+            let Some(server) = self.servers.get_mut(&self.site_order[i]) else {
                 continue;
             };
             let outbound = server.step(t);
+            if outbound.is_empty() {
+                continue;
+            }
+            let site = self.site_order[i].clone();
             for req in outbound {
                 if !self.sites.contains_key(&req.dest) {
                     // Unknown destination Usite: fail immediately.
@@ -1414,13 +1419,15 @@ impl Federation {
         if self.plane.values().all(|n| t < n.next_push_at) {
             return;
         }
-        for site in self.site_order.clone() {
-            if !self.servers.contains_key(&site) {
+        for i in 0..self.site_order.len() {
+            let site = &self.site_order[i];
+            if !self.servers.contains_key(site) {
                 continue; // crashed: no process, no heartbeat
             }
-            if self.plane.get(&site).is_none_or(|n| t < n.next_push_at) {
+            if self.plane.get(site).is_none_or(|n| t < n.next_push_at) {
                 continue;
             }
+            let site = site.clone();
             let report = self.servers[&site].monitor_report(t);
             let node = self.plane.get_mut(&site).expect("plane node");
             node.next_push_at = t + self.push_interval;

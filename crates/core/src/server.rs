@@ -1107,12 +1107,8 @@ impl UnicoreServer {
         // tick instead of one per job. Jobs sort by id and origins by
         // name, so the batch contents are deterministic regardless of
         // map iteration order.
-        let mut finished: Vec<JobId> = self
-            .foreign
-            .iter()
-            .filter(|(job, f)| !f.delivered && self.njs.is_done(**job))
-            .map(|(job, _)| *job)
-            .collect();
+        let mut finished: Vec<JobId> = self.njs.take_newly_done();
+        finished.retain(|job| self.foreign.get(job).is_some_and(|f| !f.delivered));
         finished.sort();
         let mut batches: BTreeMap<String, (Vec<OutcomeDelivery>, Option<SpanContext>)> =
             BTreeMap::new();

@@ -18,7 +18,8 @@ use crate::shard::CrossShardItem;
 use crate::translation::TranslationTable;
 use crossbeam::channel::Sender;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionId, ActionStatus, ControlOp, DataLocation, DependencyIndex, DetailLevel,
@@ -50,6 +51,10 @@ pub struct VsiteRuntime {
     pub table: TranslationTable,
     /// Published resource page.
     pub page: ResourcePage,
+    /// Owner index: which job each in-flight batch job belongs to, so a
+    /// drained [`BatchSystem`] status change wakes exactly that job.
+    /// Entries live from submit until the node goes terminal.
+    batch_owner: HashMap<BatchJobId, JobId>,
 }
 
 /// Work the NJS needs the federation layer to carry to a peer Usite.
@@ -197,7 +202,16 @@ pub struct Njs {
     vsites: HashMap<String, VsiteRuntime>,
     vsite_order: Vec<String>,
     jobs: HashMap<JobId, JobRuntime>,
+    /// Live jobs in consign order — which is ascending id order, since
+    /// ids are allocated monotonically (and replayed in journal order).
     job_order: Vec<JobId>,
+    /// The wake set: jobs that may have work. `step` visits only these
+    /// (see its doc for the wake sources that keep this complete).
+    wake: BTreeSet<JobId>,
+    /// Jobs that finished since the last [`Njs::take_newly_done`].
+    newly_done: Vec<JobId>,
+    /// Jobs visited by the step loop so far (metrics).
+    job_visits: u64,
     next_job: u64,
     oracle: Box<dyn WorkOracle>,
     outbox: Vec<OutgoingItem>,
@@ -307,6 +321,9 @@ impl Njs {
             vsite_order: Vec::new(),
             jobs: HashMap::new(),
             job_order: Vec::new(),
+            wake: BTreeSet::new(),
+            newly_done: Vec::new(),
+            job_visits: 0,
             next_job: 1,
             oracle,
             outbox: Vec::new(),
@@ -673,6 +690,7 @@ impl Njs {
                 vspace: Vspace::new(),
                 table,
                 page,
+                batch_owner: HashMap::new(),
             },
         );
         self.batch_gen.push(0);
@@ -689,18 +707,24 @@ impl Njs {
     pub fn vsite_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
         // External mutation can change the batch timeline; re-key this
         // Vsite in the next-event heap on the next step.
-        if let Some(idx) = self.vsite_order.iter().position(|n| n == name) {
+        if let Some(idx) = self.vsite_index(name) {
             self.batch_dirty.push(idx);
         }
         self.vsites.get_mut(name)
     }
 
-    /// Marks a Vsite's next-event heap entry stale after its batch
-    /// state changed (submit, cancel).
-    fn mark_batch_dirty(&mut self, name: &str) {
-        if let Some(idx) = self.vsite_order.iter().position(|n| n == name) {
-            self.batch_dirty.push(idx);
-        }
+    /// A Vsite's position in registration order (its index in the batch
+    /// heap bookkeeping).
+    fn vsite_index(&self, name: &str) -> Option<usize> {
+        self.vsite_order.iter().position(|n| n == name)
+    }
+
+    /// After this NJS changed Vsite `idx`'s batch state (submit, cancel):
+    /// marks its next-event heap entry stale and wakes the jobs whose
+    /// batch jobs changed status as a result.
+    fn batch_touched(&mut self, idx: usize) {
+        self.batch_dirty.push(idx);
+        self.wake_batch_changes(idx);
     }
 
     /// Read access to a Vsite's runtime.
@@ -940,7 +964,12 @@ impl Njs {
                 trace,
             },
         );
+        debug_assert!(
+            self.job_order.last().is_none_or(|last| *last < id),
+            "job_order must stay in ascending id order"
+        );
         self.job_order.push(id);
+        self.wake.insert(id);
         Ok(id)
     }
 
@@ -981,6 +1010,9 @@ impl Njs {
         };
         // (child, parent job, parent node) links to re-wire afterwards.
         let mut links: Vec<(JobId, JobId, ActionId)> = Vec::new();
+        // Purged ids, dropped from the order and the report in one pass
+        // at the end (ids are never reused, so deferring is exact).
+        let mut purged: Vec<JobId> = Vec::new();
 
         let result = (|| -> Result<(), NjsError> {
             for event in &replay.events {
@@ -1179,16 +1211,22 @@ impl Njs {
                             if let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) {
                                 let _ = v.vspace.destroy_uspace(*job);
                             }
-                            self.job_order.retain(|j| j != job);
                         }
-                        report.jobs.retain(|j| j != job);
-                        report.idem.retain(|(_, j)| j != job);
-                        report.foreign.retain(|(j, _)| j != job);
+                        purged.push(*job);
                     }
                 }
             }
             Ok(())
         })();
+
+        if !purged.is_empty() {
+            purged.sort_unstable();
+            let gone = |j: &JobId| purged.binary_search(j).is_ok();
+            self.job_order.retain(|j| !gone(j));
+            report.jobs.retain(|j| !gone(j));
+            report.idem.retain(|(_, j)| !gone(j));
+            report.foreign.retain(|(j, _)| !gone(j));
+        }
 
         // Re-wire surviving parent→child links so the parents poll their
         // children instead of re-consigning them.
@@ -1212,6 +1250,17 @@ impl Njs {
             orig_next.max(max_job + self.job_stride)
         };
         self.recovering = false;
+        // Every unfinished job may have work (in-flight nodes reset to
+        // `Waiting`); finished ones are announced once more so the layers
+        // above re-deliver what a crash may have swallowed.
+        self.wake.clear();
+        for id in &self.job_order {
+            if self.jobs[id].done {
+                self.newly_done.push(*id);
+            } else {
+                self.wake.insert(*id);
+            }
+        }
         result?;
         Ok(report)
     }
@@ -1232,6 +1281,9 @@ impl Njs {
     fn advance_batches(&mut self, now: SimTime) {
         // Re-key Vsites whose batch state changed since the last step.
         while let Some(idx) = self.batch_dirty.pop() {
+            // Whatever dirtied it (an external `vsite_mut` caller, say)
+            // may have changed statuses too.
+            self.wake_batch_changes(idx);
             let name = &self.vsite_order[idx];
             let batch = &self.vsites[name].batch;
             self.batch_gen[idx] += 1;
@@ -1256,28 +1308,136 @@ impl Njs {
                 self.batch_heap
                     .push(Reverse((next, idx, self.batch_gen[idx])));
             }
+            self.wake_batch_changes(idx);
         }
     }
 
+    /// Drains Vsite `idx`'s batch change log into the wake set: every
+    /// batch job whose status changed wakes the job that owns it. Called
+    /// after anything that can move the batch tier — `advance_to`,
+    /// `submit`, `cancel`, or an external mutation through `vsite_mut`.
+    fn wake_batch_changes(&mut self, idx: usize) {
+        let v = self
+            .vsites
+            .get_mut(&self.vsite_order[idx])
+            .expect("known vsite");
+        for id in v.batch.drain_changes() {
+            if let Some(job) = v.batch_owner.get(&id) {
+                self.wake.insert(*job);
+            }
+        }
+    }
+
+    /// Marks `job` as possibly having work, together with the local
+    /// parent that mirrors its outcome (`poll_child_node`).
+    fn wake(&mut self, job: JobId) {
+        let Some(rt) = self.jobs.get(&job) else {
+            return;
+        };
+        self.wake.insert(job);
+        if let Some((parent, _)) = rt.parent {
+            if self.jobs.contains_key(&parent) {
+                self.wake.insert(parent);
+            }
+        }
+    }
+
+    /// The one writer of node state outside `step_job`: records the
+    /// transition and wakes the job, so a call site cannot forget to.
+    fn set_state(&mut self, job: JobId, node: ActionId, state: NodeState) {
+        if let Some(rt) = self.jobs.get_mut(&job) {
+            rt.states.insert(node, state);
+            self.wake(job);
+        }
+    }
+
+    /// Marks `job` finished at `now` and announces it to the layers above.
+    fn mark_done(&mut self, job: JobId, now: SimTime) {
+        let rt = self.jobs.get_mut(&job).expect("job exists");
+        rt.done = true;
+        rt.finished_at = Some(now);
+        self.newly_done.push(job);
+    }
+
+    /// Jobs that finished (by stepping, abort, or journal replay) since
+    /// the last call, in finish order. The sharded facade and the server
+    /// consume this instead of scanning their link / foreign-job tables.
+    pub(crate) fn take_newly_done(&mut self) -> Vec<JobId> {
+        std::mem::take(&mut self.newly_done)
+    }
+
+    /// The `(parent job, parent node)` a job was consigned on behalf of.
+    pub(crate) fn parent_of(&self, job: JobId) -> Option<(JobId, ActionId)> {
+        self.jobs.get(&job).and_then(|rt| rt.parent)
+    }
+
+    /// Jobs visited by the step loop so far. An idle step — empty wake
+    /// set, no batch event due — adds nothing.
+    pub fn job_visits(&self) -> u64 {
+        self.job_visits
+    }
+
     /// Drives all jobs forward to `now`. Call repeatedly as time advances.
+    ///
+    /// The loop is event-driven: it visits only the jobs in the wake set,
+    /// so an idle step is O(1) and a busy one O(jobs that change). Woken
+    /// jobs are visited in passes, each in consign order over the jobs
+    /// that existed when the pass started; a job woken behind the cursor
+    /// (or consigned mid-pass) waits for the next pass — exactly the
+    /// order a scan of every job to a fixpoint would produce, which is
+    /// what keeps journal bytes independent of how the set was reached.
+    ///
+    /// **Invariant — the wake sources.** A job's `step_job` can only make
+    /// progress after one of these, and each of them wakes it:
+    /// * consign, and `recover` (every unfinished job);
+    /// * its own progress in `step_job` (re-woken for the next pass), which
+    ///   also wakes the local parent mirroring its outcome;
+    /// * every write to `JobRuntime::states` outside `step_job`, all routed
+    ///   through `set_state`: remote/cross-shard node completion
+    ///   (`complete_remote_node_with_files`, `finish_file_node`,
+    ///   `finish_import`, `fail_subjob_node`), `mark_node_remote`, `abort`;
+    /// * `control` Hold/Resume (`held`) and `note_transfer_progress`;
+    /// * a [`BatchStatus`] change of one of its batch jobs (start,
+    ///   completion, cancel, hold/release), drained from the batch change
+    ///   log after every `advance_to` / `submit` / `cancel` and for Vsites
+    ///   handed out by `vsite_mut`, mapped back through the owner index.
+    ///
+    /// Code that changes what `step_job` would see must wake the job. In
+    /// debug builds every step ends by asserting that one more scan of
+    /// every job finds nothing to do, so a forgotten wake fails tier-1.
     pub fn step(&mut self, now: SimTime) {
         self.clock = self.clock.max(now);
         self.advance_batches(now);
         // Instantaneous operations (staging, dispatch of freed nodes) can
-        // cascade; iterate to a fixpoint. Each pass covers the jobs that
-        // existed when it started (children consigned mid-pass are picked
-        // up by the next pass, as before), indexed to avoid cloning the
-        // whole order every iteration.
+        // cascade; iterate passes until nothing is left awake.
         loop {
-            let mut progressed = false;
-            let jobs_at_start = self.job_order.len();
-            for i in 0..jobs_at_start {
-                let id = self.job_order[i];
-                progressed |= self.step_job(id, now);
+            // Ids are allocated upwards, so a child consigned during this
+            // pass lands at or above `end` and waits for the next one.
+            let end = JobId(self.next_job);
+            let mut cursor = match self.wake.first() {
+                Some(&first) if first < end => first,
+                _ => break,
+            };
+            loop {
+                self.wake.remove(&cursor);
+                self.job_visits += 1;
+                if self.step_job(cursor, now) {
+                    self.wake(cursor);
+                }
+                let ahead = (Bound::Excluded(cursor), Bound::Excluded(end));
+                match self.wake.range(ahead).next() {
+                    Some(&next) => cursor = next,
+                    None => break,
+                }
             }
-            if !progressed {
-                break;
-            }
+        }
+        #[cfg(debug_assertions)]
+        for i in 0..self.job_order.len() {
+            let id = self.job_order[i];
+            assert!(
+                !self.step_job(id, now),
+                "lost wake-up: job {id} had work after step({now}) went quiet"
+            );
         }
         self.flush_events();
     }
@@ -1402,10 +1562,9 @@ impl Njs {
             rt.outcome.aggregate_status();
             let finished = !rt.done && rt.states.values().all(|s| *s == NodeState::Terminal);
             if finished {
-                rt.done = true;
-                rt.finished_at = Some(now);
                 let consigned_at = rt.consigned_at;
                 let span = rt.span.take();
+                self.mark_done(id, now);
                 progressed = true;
                 self.log_job_done(id);
                 self.metrics.completed.inc();
@@ -1552,7 +1711,9 @@ impl Njs {
                 // Deposit output files into the job's Uspace.
                 let journal = self.store.is_some() && !self.recovering;
                 let mut deposited: Vec<(String, Vec<u8>)> = Vec::new();
-                let vspace = &mut self.vsites.get_mut(vsite).expect("known vsite").vspace;
+                let v = self.vsites.get_mut(vsite).expect("known vsite");
+                v.batch_owner.remove(&batch_id);
+                let vspace = &mut v.vspace;
                 for (name, data) in c.output_files {
                     let keep = journal.then(|| data.clone());
                     // Quota overflow turns the task's result into failure.
@@ -1593,6 +1754,8 @@ impl Njs {
                     },
                 );
                 rt.states.insert(node, NodeState::Terminal);
+                let v = self.vsites.get_mut(vsite).expect("known vsite");
+                v.batch_owner.remove(&batch_id);
                 self.log_terminal(job, node, Vec::new());
                 true
             }
@@ -1677,7 +1840,7 @@ impl Njs {
                     let mut ispan = tel.span("njs.incarnate", trace, now);
                     ispan.attr("task", &task.name);
                     ispan.attr("vsite", &vsite_name);
-                    let vsite_idx = self.vsite_order.iter().position(|n| n == &vsite_name);
+                    let vsite_idx = self.vsite_index(&vsite_name);
                     let v = self.vsites.get_mut(&vsite_name).expect("known vsite");
                     let time_limit = unicore_sim::secs(task.resources.run_time_secs);
                     // Standard site policy: short jobs go express — unless
@@ -1713,6 +1876,7 @@ impl Njs {
                     let queue_name = spec.queue.name();
                     match v.batch.submit(spec, now) {
                         Ok(batch_id) => {
+                            v.batch_owner.insert(batch_id, job);
                             let target = format!("{vsite_name}:{queue_name}");
                             self.flight.record(
                                 job.0,
@@ -1749,10 +1913,10 @@ impl Njs {
                             self.log_terminal(job, node, Vec::new());
                         }
                     }
-                    // The submit changed this Vsite's batch timeline;
-                    // re-key it in the next-event heap.
+                    // The submit changed this Vsite's batch timeline (and
+                    // may have started other queued jobs by backfill).
                     if let Some(idx) = vsite_idx {
-                        self.batch_dirty.push(idx);
+                        self.batch_touched(idx);
                     }
                     // Incarnation is instantaneous in simulated time; the
                     // span's wall-clock side still measures translation
@@ -2203,7 +2367,8 @@ impl Njs {
         if let Some(slot) = rt.outcome.child_mut(node) {
             *slot = outcome;
         }
-        rt.states.insert(node, NodeState::Terminal);
+        self.set_state(job, node, NodeState::Terminal);
+        let rt = self.jobs.get_mut(&job).expect("checked above");
         // Re-aggregate eagerly: `step` only re-aggregates jobs that make
         // progress, so an externally completed node must fold its status
         // into the tree here for clients polling before the next step.
@@ -2275,7 +2440,7 @@ impl Njs {
                 j.status = ActionStatus::Consigned;
             }
         }
-        rt.states.insert(node, NodeState::Remote);
+        self.set_state(job, node, NodeState::Remote);
     }
 
     /// `(child, parent job, parent node)` for every job consigned on
@@ -2337,7 +2502,8 @@ impl Njs {
         }
         let rt = self.jobs.get_mut(&job).expect("checked above");
         rt.set_task_outcome(node, outcome);
-        rt.states.insert(node, NodeState::Terminal);
+        self.set_state(job, node, NodeState::Terminal);
+        let rt = self.jobs.get_mut(&job).expect("checked above");
         // Eager re-aggregation, like `complete_remote_node_with_files`:
         // this runs between steps, so clients polling before the next
         // step must already see the folded status.
@@ -2359,7 +2525,8 @@ impl Njs {
         if let Some(OutcomeNode::Job(j)) = rt.outcome.child_mut(node) {
             j.status = ActionStatus::NotSuccessful;
         }
-        rt.states.insert(node, NodeState::Terminal);
+        self.set_state(job, node, NodeState::Terminal);
+        let rt = self.jobs.get_mut(&job).expect("checked above");
         rt.outcome.aggregate_status();
         self.log_terminal(job, node, Vec::new());
         self.flush_events();
@@ -2657,6 +2824,9 @@ impl Njs {
                 ..Default::default()
             },
         );
+        // The node stays `Remote`, but a parent mirroring this job's
+        // outcome has something new to copy.
+        self.wake(job);
     }
 
     /// Times an incoming offer resumed from a non-zero journaled
@@ -2725,6 +2895,7 @@ impl Njs {
                     return Ok(false);
                 }
                 rt.held = true;
+                self.wake(job);
                 Ok(true)
             }
             ControlOp::Resume => {
@@ -2733,6 +2904,7 @@ impl Njs {
                     return Ok(false);
                 }
                 rt.held = false;
+                self.wake(job);
                 Ok(true)
             }
             ControlOp::Abort => Ok(self.abort(job, now)),
@@ -2752,12 +2924,12 @@ impl Njs {
             let state = self.jobs[&job].states[&nid].clone();
             match state {
                 NodeState::InBatch { vsite, batch_id } => {
-                    self.vsites
-                        .get_mut(vsite.as_ref())
-                        .expect("known vsite")
-                        .batch
-                        .cancel(batch_id, now);
-                    self.mark_batch_dirty(vsite.as_ref());
+                    let v = self.vsites.get_mut(vsite.as_ref()).expect("known vsite");
+                    v.batch.cancel(batch_id, now);
+                    v.batch_owner.remove(&batch_id);
+                    if let Some(idx) = self.vsite_index(&vsite) {
+                        self.batch_touched(idx);
+                    }
                     let rt = self.jobs.get_mut(&job).expect("job exists");
                     rt.set_task_outcome(
                         nid,
@@ -2767,7 +2939,7 @@ impl Njs {
                             ..Default::default()
                         },
                     );
-                    rt.states.insert(nid, NodeState::Terminal);
+                    self.set_state(job, nid, NodeState::Terminal);
                 }
                 NodeState::ChildJob { child } => children.push((nid, child)),
                 NodeState::Waiting | NodeState::Remote => {
@@ -2780,8 +2952,7 @@ impl Njs {
                         Some(OutcomeNode::Job(j)) => j.status = ActionStatus::Killed,
                         None => {}
                     }
-                    let rt = self.jobs.get_mut(&job).expect("job exists");
-                    rt.states.insert(nid, NodeState::Terminal);
+                    self.set_state(job, nid, NodeState::Terminal);
                 }
                 NodeState::Terminal => {}
             }
@@ -2793,15 +2964,17 @@ impl Njs {
             if let Some(slot) = rt.outcome.child_mut(nid) {
                 *slot = OutcomeNode::Job(child_outcome);
             }
-            rt.states.insert(nid, NodeState::Terminal);
+            self.set_state(job, nid, NodeState::Terminal);
         }
         let rt = self.jobs.get_mut(&job).expect("job exists");
         rt.outcome.aggregate_status();
         if rt.outcome.status == ActionStatus::Successful {
             rt.outcome.status = ActionStatus::Killed;
         }
-        rt.done = true;
-        rt.finished_at = Some(now);
+        self.mark_done(job, now);
+        // The outcome changed even if no node state did (every node was
+        // already terminal): a parent mirroring it must look again.
+        self.wake(job);
         self.clock = self.clock.max(now);
         self.log_job_done(job);
         self.flush_events();
@@ -2863,19 +3036,26 @@ impl Njs {
             }
         }
         let mut freed = 0;
+        let mut purged: Vec<JobId> = Vec::with_capacity(to_purge.len());
         for id in to_purge {
             self.flight.forget(id.0);
             if let Some(rt) = self.jobs.remove(&id) {
                 if let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) {
                     freed += v.vspace.destroy_uspace(id).unwrap_or(0);
                 }
-                self.job_order.retain(|j| *j != id);
+                // A finished job holds no batch-owner entries: its nodes
+                // all went terminal, which is where entries are dropped.
+                self.wake.remove(&id);
+                purged.push(id);
                 self.log_event(StoreEvent::JobPurged {
                     job: id,
                     at: self.clock,
                 });
             }
         }
+        // One pass over the order however many descendants went with it.
+        purged.sort_unstable();
+        self.job_order.retain(|j| purged.binary_search(j).is_err());
         self.flush_events();
         Ok(freed)
     }

@@ -189,6 +189,9 @@ pub struct ShardedNjs {
     /// Cross-shard parent→child links, sorted by key for deterministic
     /// merge iteration.
     links: BTreeMap<(JobId, ActionId), Link>,
+    /// Jobs (on any shard) that finished since the last
+    /// [`ShardedNjs::take_newly_done`].
+    newly_done: Vec<JobId>,
     rx: Receiver<CrossShardItem>,
     workers: usize,
 }
@@ -215,6 +218,7 @@ impl ShardedNjs {
             vsite_shard: HashMap::new(),
             vsite_order: Vec::new(),
             links: BTreeMap::new(),
+            newly_done: Vec::new(),
             rx,
             workers: workers.max(1),
         }
@@ -492,16 +496,22 @@ impl ShardedNjs {
             }
         }
 
-        // Complete parent nodes whose cross-shard children finished.
-        // BTreeMap iteration keeps this in (parent job, node) order.
-        let due: Vec<(JobId, ActionId)> = self
-            .links
-            .iter()
-            .filter(|(_, link)| {
-                !link.delivered && self.shards[link.child_shard].is_done(link.child)
-            })
-            .map(|(key, _)| *key)
-            .collect();
+        // Complete parent nodes whose cross-shard children finished:
+        // each shard names the jobs that just finished, and a finished
+        // child names its own link. Sorted, so this runs in the same
+        // (parent job, node) order a walk of the registry would.
+        let mut due: Vec<(JobId, ActionId)> = Vec::new();
+        for shard in &mut self.shards {
+            for job in shard.take_newly_done() {
+                if let Some(key) = shard.parent_of(job) {
+                    if self.links.get(&key).is_some_and(|l| !l.delivered) {
+                        due.push(key);
+                    }
+                }
+                self.newly_done.push(job);
+            }
+        }
+        due.sort_unstable();
         for (pjob, pnode) in due {
             let link = self.links.get(&(pjob, pnode)).expect("collected above");
             let (child, child_shard, parent_shard) =
@@ -525,6 +535,13 @@ impl ShardedNjs {
             progressed = true;
         }
         progressed
+    }
+
+    /// Jobs that finished — by stepping, abort, or journal replay — since
+    /// the last call. The server reports finished foreign jobs from this
+    /// list instead of scanning every job it is owed.
+    pub fn take_newly_done(&mut self) -> Vec<JobId> {
+        std::mem::take(&mut self.newly_done)
     }
 
     /// Earliest future event across every shard's Vsites.
@@ -623,6 +640,13 @@ impl ShardedNjs {
         }
     }
 
+    /// The cross-shard links under `parent`, in node order — a range of
+    /// the registry, not a walk over every link the site holds.
+    fn links_of(&self, parent: JobId) -> impl Iterator<Item = (&(JobId, ActionId), &Link)> {
+        self.links
+            .range((parent, ActionId(0))..=(parent, ActionId(u64::MAX)))
+    }
+
     // ---- routed job operations ---------------------------------------
 
     /// The Query service (ownership enforced by DN).
@@ -645,9 +669,8 @@ impl ShardedNjs {
             let mut stack = vec![job];
             while let Some(parent) = stack.pop() {
                 let children: Vec<(JobId, usize)> = self
-                    .links
-                    .iter()
-                    .filter(|((pj, _), link)| *pj == parent && !link.delivered)
+                    .links_of(parent)
+                    .filter(|(_, link)| !link.delivered)
                     .map(|(_, link)| (link.child, link.child_shard))
                     .collect();
                 for (child, shard) in children {
@@ -667,9 +690,7 @@ impl ShardedNjs {
         let mut stack = vec![job];
         while let Some(parent) = stack.pop() {
             let children: Vec<((JobId, ActionId), JobId, usize)> = self
-                .links
-                .iter()
-                .filter(|((pj, _), _)| *pj == parent)
+                .links_of(parent)
                 .map(|(key, link)| (*key, link.child, link.child_shard))
                 .collect();
             for (key, child, shard) in children {
@@ -976,6 +997,7 @@ impl From<Njs> for ShardedNjs {
             vsite_shard,
             vsite_order,
             links: BTreeMap::new(),
+            newly_done: Vec::new(),
             rx,
             workers: 1,
         }
