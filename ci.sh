@@ -9,6 +9,13 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> unsafe containment: forbid(unsafe_code) in every crate; unicore-crypto denies it outside sha256/x86.rs (offenders are listed)"
+if grep -rnE 'unsafe[[:space:]]*(\{|fn|impl|extern)|allow\(unsafe_code\)' crates/*/src | grep -v '^crates/crypto/src/sha256/x86\.rs:' ||
+    grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | grep -v '^crates/crypto/src/lib\.rs$' ||
+    ! grep -q '^#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs; then
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -17,6 +24,9 @@ cargo build --release --offline
 
 echo "==> cargo test"
 cargo test -q --offline
+
+echo "==> crypto: SHA-256/HMAC/HKDF known answers on the dispatched and the scalar path; SHA-NI kernel == scalar differential"
+cargo test -q --offline -p unicore-crypto --test kat --test prop_sha256
 
 echo "==> gridbench builds and smokes against the product crates (it is its own package, outside cargo test)"
 cargo test -q --offline --manifest-path gridbench/Cargo.toml
@@ -44,9 +54,6 @@ cargo test -q --offline -p unicore-codec --test prop_encode_equiv
 echo "==> chaos soak suite (seeds 1, 7, 23 x every fault class)"
 cargo test -q --offline -p unicore-integration-tests --test chaos
 
-echo "==> data plane: unit + property suites"
-cargo test -q --offline -p unicore-dataplane
-
 echo "==> data plane: chunked transfers resume byte-identical under chaos"
 cargo test -q --offline -p unicore-integration-tests --test chaos dataplane
 
@@ -57,8 +64,7 @@ echo "==> retry-counter gate (telemetry must account for every retry)"
 cargo test -q --offline -p unicore --test federation_tests backoff_bounds_time_to_unreachable_verdict
 cargo test -q --offline -p unicore --test federation_tests dead_peer_is_quarantined_then_probed_back_in
 
-echo "==> broker: unit + property suites"
-cargo test -q --offline -p unicore-broker
+echo "==> broker + resource page property suites"
 cargo test -q --offline -p unicore-broker --test prop_broker
 cargo test -q --offline -p unicore-resources --test prop_page
 
@@ -68,12 +74,8 @@ cargo test -q --offline -p unicore-integration-tests --test broker
 echo "==> sharded NJS: determinism suite (byte-identity across shard/worker counts, WAL replay, crash mid-step, chaos seeds)"
 cargo test -q --offline -p unicore-integration-tests --test sharded
 
-echo "==> transport resumption: handshake + ticket/cache property suites"
-cargo test -q --offline -p unicore-transport
+echo "==> transport resumption ticket/cache properties; gateway front door: resumption, rate limiting, revocation, mux"
 cargo test -q --offline -p unicore-transport --test prop_resumption
-
-echo "==> gateway front door: resumption, rate limiting, revocation, mux"
-cargo test -q --offline -p unicore-gateway
 cargo test -q --offline -p unicore-gateway --test front_door_tests
 
 echo "==> churn/abuse soak (seeds 1, 7, 23: reconnect storms, expiry, revocation, rate limits)"
@@ -84,9 +86,7 @@ cargo bench --offline --no-run
 
 echo "==> e12 gates: sharded throughput >= 10k jobs/sec, no federated regression, telemetry overhead < 5% under sharding"
 cargo bench -q --offline -p unicore-bench --bench e12_throughput -- skip_micro_benches
-grep -q '"verdict_sharded": "PASS"' BENCH_e12_throughput.json
-grep -q '"verdict_federated": "PASS"' BENCH_e12_throughput.json
-grep -q '"verdict_telemetry": "PASS"' BENCH_e12_throughput.json
+for gate in sharded federated telemetry; do grep -q "\"verdict_$gate\": \"PASS\"" BENCH_e12_throughput.json; done
 
 echo "==> e17 gate: resumed handshake >= 5x faster than full at p50 (bench exits nonzero on FAIL)"
 cargo bench -q --offline -p unicore-bench --bench e17_churn -- skip_micro_benches

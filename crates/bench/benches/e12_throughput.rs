@@ -37,8 +37,10 @@ use unicore_transport::record::{RecordKeys, RecordType};
 
 /// Jobs per burst, alternating between the two sites.
 const JOBS: usize = 32;
-/// Timed rounds (min-of-3 each).
+/// Timed rounds.
 const ROUNDS: u64 = 6;
+/// Runs per arm (telemetry off / on) in a round; each arm reports its minimum.
+const ARM_RUNS: usize = 5;
 
 /// Pre-sharding numbers, re-measured by this same bench on the tree
 /// just before E18 (the previously pinned pre-E13 values — 1366.6 µs,
@@ -144,10 +146,17 @@ fn run_burst(seed: u64, telemetry: bool) -> Duration {
     t.elapsed()
 }
 
-/// Minimum of three timed runs — the robust estimator for CPU cost on a
-/// shared machine (noise only ever adds time).
-fn min_of_3(seed: u64, telemetry: bool) -> Duration {
-    (0..3).map(|_| run_burst(seed, telemetry)).min().unwrap()
+/// Minimum of [`ARM_RUNS`] timed runs per arm (telemetry off, on) — the
+/// robust estimator for CPU cost on a shared machine (noise only ever
+/// adds time). The arms alternate run by run, so a noise episode lands
+/// on both instead of biasing whichever arm it happened to cover.
+fn interleaved_mins(seed: u64) -> (Duration, Duration) {
+    let (mut off, mut on) = (Duration::MAX, Duration::MAX);
+    for _ in 0..ARM_RUNS {
+        off = off.min(run_burst(seed, false));
+        on = on.min(run_burst(seed, true));
+    }
+    (off, on)
 }
 
 /// A sharded NJS with `CORE_VSITES` Vsites and one WAL segment per
@@ -212,8 +221,9 @@ fn print_tables() -> BenchReport {
     let mut total = Duration::ZERO;
     let mut total_tel = Duration::ZERO;
     for i in 0..ROUNDS {
-        total += min_of_3(i, false);
-        total_tel += min_of_3(i, true);
+        let (off, on) = interleaved_mins(i);
+        total += off;
+        total_tel += on;
     }
     let round = total.as_secs_f64() / ROUNDS as f64;
     let per_job_us = round * 1e6 / JOBS as f64;
@@ -222,7 +232,7 @@ fn print_tables() -> BenchReport {
     let tel_overhead = (round_tel - round) / round * 100.0;
     let tel_verdict = if tel_overhead < 5.0 { "PASS" } else { "FAIL" };
 
-    println!("two-site federated burst, {JOBS} jobs per round, {ROUNDS} rounds (min of 3 each):");
+    println!("two-site federated burst, {JOBS} jobs per round, {ROUNDS} rounds (min of {ARM_RUNS} per arm, arms interleaved):");
     println!("  burst round: {:?}", Duration::from_secs_f64(round));
     println!("  per job:     {per_job_us:.1} µs");
     println!("  throughput:  {jobs_per_sec:.0} jobs/sec");

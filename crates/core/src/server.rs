@@ -17,7 +17,7 @@ use unicore_broker::{
     LoadSnapshot, RankedOffer,
 };
 use unicore_codec::DerCodec;
-use unicore_crypto::sha256;
+use unicore_crypto::Sha256;
 use unicore_dataplane::{SenderState, TransferManifest, DEFAULT_CHUNK_SIZE, DEFAULT_WINDOW};
 use unicore_gateway::{AuthDecision, Gateway};
 use unicore_njs::{ConsignMeta, NjsError, OutgoingItem, RecoveryReport, ShardedNjs};
@@ -170,11 +170,10 @@ pub struct UnicoreServer {
     peer_servers: HashSet<String>,
     /// Jobs running here on behalf of a remote parent.
     foreign: HashMap<JobId, ForeignJob>,
-    /// Idempotency index: consign-request key → the job it created.
     /// A re-delivered Consign (client retry after a lost reply, or a
     /// peer re-forwarding after a crash) maps to the existing job
     /// instead of being submitted twice.
-    idem: HashMap<Vec<u8>, JobId>,
+    idem: IdemIndex,
     pending: HashMap<u64, Pending>,
     next_corr: u64,
     telemetry: Telemetry,
@@ -249,24 +248,56 @@ fn decision_label(decision: &AuthDecision) -> &'static str {
     }
 }
 
-/// Idempotency key for a user Consign: who sent it and the exact AJO.
+/// Idempotency index: consign-request key → the job it created, and
+/// back, so forgetting a purged job's key is two removals instead of a
+/// scan over every live job's entry.
+#[derive(Default)]
+struct IdemIndex {
+    by_key: HashMap<Vec<u8>, JobId>,
+    by_job: HashMap<JobId, Vec<u8>>,
+}
+
+impl IdemIndex {
+    fn get(&self, key: &[u8]) -> Option<JobId> {
+        self.by_key.get(key).copied()
+    }
+
+    fn insert(&mut self, key: Vec<u8>, job: JobId) {
+        self.by_job.insert(job, key.clone());
+        self.by_key.insert(key, job);
+    }
+
+    /// Forgets the key that maps to `job`. A key since re-consigned (its
+    /// job vanished without a purge) maps to the newer job and stays.
+    fn forget(&mut self, job: JobId) {
+        if let Some(key) = self.by_job.remove(&job) {
+            if self.by_key.get(&key) == Some(&job) {
+                self.by_key.remove(&key);
+            }
+        }
+    }
+}
+
+/// Idempotency key for a user Consign: who sent it and the exact AJO —
+/// SHA-256 of `dn ‖ 0x00 ‖ ajo_der`.
 fn consign_key(from_dn: &str, ajo_der: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(from_dn.len() + 1 + ajo_der.len());
-    buf.extend_from_slice(from_dn.as_bytes());
-    buf.push(0);
-    buf.extend_from_slice(ajo_der);
-    sha256(&buf).to_vec()
+    let mut h = Sha256::new();
+    h.update(from_dn.as_bytes());
+    h.update(&[0]);
+    h.update(ajo_der);
+    h.finalize().to_vec()
 }
 
 /// Idempotency key for a peer ConsignSubJob: the sub-job's identity at
-/// its origin (origin server, parent job, node) is unique for all time.
+/// its origin (origin server, parent job, node) is unique for all time —
+/// SHA-256 of `origin ‖ 0x00 ‖ parent ‖ node` (big-endian ids).
 fn subjob_key(origin: &str, parent: JobId, node: ActionId) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(origin.len() + 17);
-    buf.extend_from_slice(origin.as_bytes());
-    buf.push(0);
-    buf.extend_from_slice(&parent.0.to_be_bytes());
-    buf.extend_from_slice(&node.0.to_be_bytes());
-    sha256(&buf).to_vec()
+    let mut h = Sha256::new();
+    h.update(origin.as_bytes());
+    h.update(&[0]);
+    h.update(&parent.0.to_be_bytes());
+    h.update(&node.0.to_be_bytes());
+    h.finalize().to_vec()
 }
 
 impl UnicoreServer {
@@ -290,7 +321,7 @@ impl UnicoreServer {
             resources,
             peer_servers: HashSet::new(),
             foreign: HashMap::new(),
-            idem: HashMap::new(),
+            idem: IdemIndex::default(),
             pending: HashMap::new(),
             next_corr: 1,
             telemetry: Telemetry::disabled(),
@@ -538,7 +569,7 @@ impl UnicoreServer {
                 // request from the same DN maps to the job it already
                 // created, and is never submitted to batch a second time.
                 let idem_key = consign_key(from_dn, &ajo.to_der());
-                if let Some(&existing) = self.idem.get(&idem_key) {
+                if let Some(existing) = self.idem.get(&idem_key) {
                     if self.njs.outcome(existing).is_some() {
                         return Response::Consigned { job: existing };
                     }
@@ -634,7 +665,7 @@ impl UnicoreServer {
                 Ok(bytes) => {
                     // A purged job's consign may legitimately be re-sent
                     // (a rerun of the same AJO): forget its dedup key.
-                    self.idem.retain(|_, j| *j != job);
+                    self.idem.forget(job);
                     self.foreign.remove(&job);
                     Response::Purged { bytes }
                 }
@@ -672,7 +703,7 @@ impl UnicoreServer {
                 // after our Consigned reply was lost, or restarted and
                 // re-dispatched the node — return the job already running.
                 let idem_key = subjob_key(&origin, parent_job, node);
-                if let Some(&existing) = self.idem.get(&idem_key) {
+                if let Some(existing) = self.idem.get(&idem_key) {
                     if self.njs.outcome(existing).is_some() {
                         return Response::Consigned { job: existing };
                     }
@@ -1285,5 +1316,103 @@ impl UnicoreServer {
     /// Convenience: query the outcome tree as the owner would.
     pub fn query(&self, job: JobId, dn: &str, detail: DetailLevel) -> Option<JobOutcome> {
         self.njs.query(job, dn, detail).ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Federation, FederationConfig};
+    use unicore_ajo::{
+        AbstractJob, AbstractTask, ExecuteKind, GraphNode, ResourceRequest, TaskKind,
+        UserAttributes, VsiteAddress,
+    };
+    use unicore_crypto::sha256;
+    use unicore_sim::{HOUR, MINUTE};
+
+    const DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=alice";
+
+    fn job(name: &str) -> AbstractJob {
+        let mut job = AbstractJob::new(
+            name,
+            VsiteAddress::new("FZJ", "T3E"),
+            UserAttributes::new(DN, "users"),
+        );
+        job.nodes.push((
+            ActionId(1),
+            GraphNode::Task(AbstractTask {
+                name: "hello".into(),
+                resources: ResourceRequest::minimal().with_run_time(3_600),
+                kind: TaskKind::Execute(ExecuteKind::Script {
+                    script: "echo hi\nsleep 20\n".into(),
+                }),
+            }),
+        ));
+        job
+    }
+
+    fn consign(server: &mut UnicoreServer, ajo: &AbstractJob, now: SimTime) -> JobId {
+        match server.handle_request(DN, Request::Consign { ajo: ajo.clone() }, now) {
+            Response::Consigned { job } => job,
+            other => panic!("consign refused: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn streamed_keys_equal_the_digest_of_the_concatenation() {
+        let der = job("keyed").to_der();
+        let concatenated = [DN.as_bytes(), &[0], &der].concat();
+        assert_eq!(consign_key(DN, &der), sha256(&concatenated));
+
+        let (parent, node) = (JobId(0x0102_0304_0506_0708), ActionId(9));
+        let mut concatenated = b"RUS\0".to_vec();
+        concatenated.extend_from_slice(&parent.0.to_be_bytes());
+        concatenated.extend_from_slice(&node.0.to_be_bytes());
+        assert_eq!(subjob_key("RUS", parent, node), sha256(&concatenated));
+    }
+
+    #[test]
+    fn purge_forgets_one_key_and_keeps_the_rest() {
+        let mut fed = Federation::german_deployment(FederationConfig::default());
+        fed.register_user(DN, "alice");
+        let ajos: Vec<AbstractJob> = (0..8).map(|i| job(&format!("job-{i}"))).collect();
+        let server = fed
+            .server_mut("FZJ")
+            .expect("FZJ is in the German deployment");
+        let ids: Vec<JobId> = ajos.iter().map(|ajo| consign(server, ajo, 1)).collect();
+        // Consigned behind the federation's back: its first advance steps
+        // the server (the jobs start), the second runs them to completion.
+        fed.run_until(MINUTE);
+        fed.run_until(HOUR);
+        let now = fed.now();
+        let server = fed
+            .server_mut("FZJ")
+            .expect("FZJ is in the German deployment");
+
+        let purged = 3;
+        let response = server.handle_request(DN, Request::Purge { job: ids[purged] }, now);
+        assert!(matches!(response, Response::Purged { .. }), "{response:?}");
+
+        // The other seven keys still resolve: a re-sent Consign is
+        // answered with the job it already created.
+        for (i, ajo) in ajos.iter().enumerate() {
+            let key = consign_key(DN, &ajo.to_der());
+            if i == purged {
+                assert_eq!(server.idem.get(&key), None);
+            } else {
+                assert_eq!(server.idem.get(&key), Some(ids[i]));
+                assert_eq!(consign(server, ajo, now), ids[i]);
+            }
+        }
+        assert_eq!(server.idem.by_key.len(), ajos.len() - 1);
+        assert_eq!(server.idem.by_job.len(), ajos.len() - 1);
+
+        // The purged AJO, re-sent, is a rerun: a new job.
+        let rerun = consign(server, &ajos[purged], now);
+        assert!(!ids.contains(&rerun), "purged job id {rerun:?} reused");
+        assert_eq!(
+            server.idem.get(&consign_key(DN, &ajos[purged].to_der())),
+            Some(rerun)
+        );
     }
 }

@@ -17,13 +17,19 @@
 //! - [`prime`] — Miller–Rabin and prime generation
 //! - [`rsa`] — key generation, PKCS#1-style sign/verify
 //! - [`dh`] — classic Diffie-Hellman (Oakley Group 2)
-//! - [`mod@sha256`], [`hmac`] — digest, MAC, HKDF
+//! - [`mod@sha256`], [`hmac`] — digest, MAC, HKDF. The digest's compression
+//!   function is chosen once per process from the CPU's reported features:
+//!   the SHA-NI kernel in the private `sha256::x86` module on x86-64 CPUs
+//!   with `sha` + `sse4.1` + `ssse3`, the portable scalar function
+//!   everywhere else (and as the tests' reference)
 //! - [`chacha20`] — stream cipher for record protection
 //! - [`rng`] — deterministic ChaCha-based CSPRNG
 //! - [`ct`] — constant-time comparison
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not the workspace's usual `forbid`: `sha256::x86` — the hardware
+// kernel, the one module allowed `unsafe` — opts out with an inner `allow`.
+#![deny(unsafe_code)]
 
 pub mod bignum;
 pub mod chacha20;

@@ -3,6 +3,29 @@
 //! Supports incremental hashing via [`Sha256`] and a one-shot helper
 //! [`sha256`]. This is the only digest used throughout the workspace (cert
 //! signatures, HMAC, transcript hashes, file checksums).
+//!
+//! # Which compression function runs
+//!
+//! [`Sha256`] splits its input into 64-byte blocks and hands every run of
+//! whole blocks, straight from the caller's slice, to [`compress_blocks`].
+//! That function is resolved once per process, from what the CPU reports:
+//!
+//! - on x86-64 with the `sha`, `sse4.1` and `ssse3` features (run-time
+//!   `is_x86_feature_detected!`), the SHA-NI kernel in the private `x86`
+//!   module — the crate's only `unsafe` code;
+//! - everywhere else (other architectures, older x86-64 CPUs), the portable
+//!   [`compress_blocks_scalar`].
+//!
+//! Both produce identical states for identical input; [`kernel_name`] says
+//! which one this process uses. There is no feature flag, environment
+//! variable or build setting that selects a path. The scalar function is
+//! also the reference the tests compare the kernel against
+//! (`tests/kat.rs`, `tests/prop_sha256.rs`), through [`sha256_scalar`].
+
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -60,96 +83,144 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK_LEN {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while input.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&input[..BLOCK_LEN]);
-            self.compress(&block);
-            input = &input[BLOCK_LEN..];
+        // Every whole block goes to the kernel in one call, uncopied; only
+        // the sub-block tail is buffered.
+        let (blocks, tail) = input.split_at(input.len() - input.len() % BLOCK_LEN);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // update() adjusted total_len; the length word must reflect the
-        // pre-padding length, so we captured it first.
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = bit_len; // not read again, but keep consistent
-        let block_tail = bit_len.to_be_bytes();
-        // Write the length directly: update() would recurse into padding.
-        self.buffer[56..64].copy_from_slice(&block_tail);
-        let block = self.buffer;
-        self.compress(&block);
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        finish(
+            self.state,
+            self.buffer,
+            self.buffered,
+            self.total_len,
+            kernel().0,
+        )
+    }
+}
 
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+/// Pads the partial block `buffer[..buffered]` of a `total_len`-byte
+/// message in place — `0x80`, zeros, 64-bit big-endian bit length, spilling
+/// into a second block when fewer than 8 bytes are left after the marker —
+/// compresses it and serialises the state.
+fn finish(
+    mut state: [u32; 8],
+    mut buffer: [u8; BLOCK_LEN],
+    buffered: usize,
+    total_len: u64,
+    compress: CompressFn,
+) -> [u8; DIGEST_LEN] {
+    buffer[buffered] = 0x80;
+    buffer[buffered + 1..].fill(0);
+    if buffered >= BLOCK_LEN - 8 {
+        compress(&mut state, &buffer);
+        buffer.fill(0);
+    }
+    buffer[BLOCK_LEN - 8..].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    compress(&mut state, &buffer);
+
+    let mut out = [0u8; DIGEST_LEN];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// A compression function over whole blocks: folds `blocks` (a multiple
+/// of [`BLOCK_LEN`] bytes) into `state`.
+type CompressFn = fn(&mut [u32; 8], &[u8]);
+
+/// The compression function this process uses, resolved on first call
+/// from the CPU's reported features and never again.
+fn kernel() -> (CompressFn, &'static str) {
+    static KERNEL: OnceLock<(CompressFn, &'static str)> = OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(sha_ni) = x86::kernel() {
+            return (sha_ni, "sha-ni");
         }
-        out
+        (compress_blocks_scalar, "scalar")
+    })
+}
+
+/// Name of the compression function [`compress_blocks`] dispatches to in
+/// this process: `"sha-ni"` or `"scalar"`.
+pub fn kernel_name() -> &'static str {
+    kernel().1
+}
+
+/// Folds `blocks` into `state` with the fastest compression function the
+/// CPU supports (see the module docs); same result as
+/// [`compress_blocks_scalar`].
+///
+/// # Panics
+/// Panics if `blocks.len()` is not a multiple of [`BLOCK_LEN`].
+pub fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % BLOCK_LEN, 0, "partial SHA-256 block");
+    (kernel().0)(state, blocks);
+}
+
+/// Portable compression function: the fallback on CPUs without SHA
+/// extensions and the reference the hardware kernel is tested against.
+///
+/// # Panics
+/// Panics if `blocks.len()` is not a multiple of [`BLOCK_LEN`].
+pub fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % BLOCK_LEN, 0, "partial SHA-256 block");
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        compress_scalar(state, block);
+    }
+}
+
+fn compress_scalar(state: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -158,6 +229,23 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// One-shot SHA-256 on [`compress_blocks_scalar`] whatever the CPU: the
+/// reference digest the dispatched path must reproduce.
+pub fn sha256_scalar(data: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut state = H0;
+    let (blocks, tail) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+    compress_blocks_scalar(&mut state, blocks);
+    let mut buffer = [0u8; BLOCK_LEN];
+    buffer[..tail.len()].copy_from_slice(tail);
+    finish(
+        state,
+        buffer,
+        tail.len(),
+        data.len() as u64,
+        compress_blocks_scalar,
+    )
 }
 
 #[cfg(test)]
