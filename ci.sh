@@ -48,8 +48,22 @@ cargo test -q --offline -p unicore-integration-tests --test gridscale
 echo "==> SLO alert log: chaos replays byte-identical (seeds 1, 7, 23)"
 cargo test -q --offline -p unicore-integration-tests --test chaos chaos_replays_alert_log_byte_identical
 
-echo "==> codec single-pass/recursive DER equivalence"
+echo "==> codec: encode(&Value) over DerWriter == the recursive reference encoder, byte for byte"
 cargo test -q --offline -p unicore-codec --test prop_encode_equiv
+
+echo "==> codec: DerWriter/DerReader == reference encoder/decoder across length boundaries and on damaged input"
+cargo test -q --offline -p unicore-codec --test prop_stream_equiv
+
+echo "==> codec golden: DER of every wire/WAL type pinned to the pre-streaming encoder's bytes"
+cargo test -q --offline -p unicore-integration-tests --test codec_golden
+
+echo "==> hostile bytes: every DerCodec decoder fails closed (prefixes, bit flips, noise, terabyte length claims)"
+cargo test -q --offline -p unicore-integration-tests --test hostile_bytes
+
+echo "==> no DerCodec type goes through the Value tree (offenders are listed)"
+if grep -rnE 'fn (to|from)_value' crates/*/src | grep -v '^crates/codec/'; then
+    exit 1
+fi
 
 echo "==> chaos soak suite (seeds 1, 7, 23 x every fault class)"
 cargo test -q --offline -p unicore-integration-tests --test chaos

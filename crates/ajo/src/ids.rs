@@ -1,7 +1,7 @@
 //! Identifiers used throughout the AJO and the UNICORE protocol.
 
 use core::fmt;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// Identifies one action (task, sub-job, or service) within an AJO tree.
 ///
@@ -53,16 +53,20 @@ impl fmt::Display for VsiteAddress {
 }
 
 impl DerCodec for VsiteAddress {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![Value::string(&self.usite), Value::string(&self.vsite)])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.usite);
+            w.str(&self.vsite);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "VsiteAddress")?;
-        let usite = f.next_string()?;
-        let vsite = f.next_string()?;
-        f.finish()?;
-        Ok(VsiteAddress { usite, vsite })
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("VsiteAddress", |f| {
+            Ok(VsiteAddress {
+                usite: f.next_string()?,
+                vsite: f.next_string()?,
+            })
+        })
     }
 }
 
@@ -91,31 +95,23 @@ impl UserAttributes {
 }
 
 impl DerCodec for UserAttributes {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![Value::string(&self.dn), Value::string(&self.account_group)];
-        if let Some(sec) = &self.site_security {
-            fields.push(Value::tagged(0, Value::bytes(sec.clone())));
-        }
-        Value::Sequence(fields)
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.dn);
+            w.str(&self.account_group);
+            if let Some(sec) = &self.site_security {
+                w.tagged(0, |w| w.bytes(sec));
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "UserAttributes")?;
-        let dn = f.next_string()?;
-        let account_group = f.next_string()?;
-        let site_security = match f.optional_tagged(0) {
-            Some(v) => Some(
-                v.as_bytes()
-                    .ok_or(CodecError::BadValue("site security"))?
-                    .to_vec(),
-            ),
-            None => None,
-        };
-        f.finish()?;
-        Ok(UserAttributes {
-            dn,
-            account_group,
-            site_security,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("UserAttributes", |f| {
+            Ok(UserAttributes {
+                dn: f.next_string()?,
+                account_group: f.next_string()?,
+                site_security: f.optional_tagged(0, |t| Ok(t.next_bytes()?.to_vec()))?,
+            })
         })
     }
 }

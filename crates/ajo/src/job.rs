@@ -12,7 +12,7 @@ use crate::error::AjoError;
 use crate::ids::{ActionId, UserAttributes, VsiteAddress};
 use crate::task::{AbstractTask, DataLocation, FileKind, TaskKind};
 use std::collections::{HashMap, HashSet, VecDeque};
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// A file carried inside the AJO from the user's workstation (§5.6).
 ///
@@ -369,125 +369,91 @@ impl DependencyIndex {
 }
 
 impl DerCodec for Dependency {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::Integer(self.from.0 as i64),
-            Value::Integer(self.to.0 as i64),
-            Value::Sequence(self.files.iter().map(Value::string).collect()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.u64(self.from.0);
+            w.u64(self.to.0);
+            w.sequence_of(&self.files, |w, f| w.str(f));
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "Dependency")?;
-        let from = ActionId(f.next_u64()?);
-        let to = ActionId(f.next_u64()?);
-        let files = f
-            .next_sequence()?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or(CodecError::BadValue("dependency file"))
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("Dependency", |f| {
+            Ok(Dependency {
+                from: ActionId(f.next_u64()?),
+                to: ActionId(f.next_u64()?),
+                files: f.sequence_of("dependency files", |r| r.next_string())?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        f.finish()?;
-        Ok(Dependency { from, to, files })
+        })
     }
 }
 
 impl DerCodec for GraphNode {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            GraphNode::Task(t) => Value::tagged(0, t.to_value()),
-            GraphNode::SubJob(j) => Value::tagged(1, j.to_value()),
+            GraphNode::Task(t) => w.tagged(0, |w| t.write_der(w)),
+            GraphNode::SubJob(j) => w.tagged(1, |w| j.write_der(w)),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("GraphNode tag"))?;
-        match tag {
-            0 => Ok(GraphNode::Task(AbstractTask::from_value(inner)?)),
-            1 => Ok(GraphNode::SubJob(AbstractJob::from_value(inner)?)),
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
+            0 => Ok(GraphNode::Task(AbstractTask::read_der(t)?)),
+            1 => Ok(GraphNode::SubJob(AbstractJob::read_der(t)?)),
             _ => Err(CodecError::BadValue("GraphNode variant")),
-        }
+        })
     }
 }
 
 impl DerCodec for AbstractJob {
-    fn to_value(&self) -> Value {
-        let mut items = vec![
-            Value::string(&self.name),
-            self.vsite.to_value(),
-            self.user.to_value(),
-            Value::Sequence(
-                self.nodes
-                    .iter()
-                    .map(|(id, node)| {
-                        Value::Sequence(vec![Value::Integer(id.0 as i64), node.to_value()])
-                    })
-                    .collect(),
-            ),
-            Value::Sequence(self.dependencies.iter().map(|d| d.to_value()).collect()),
-            Value::Sequence(
-                self.portfolio
-                    .iter()
-                    .map(|p| {
-                        Value::Sequence(vec![Value::string(&p.name), Value::bytes(p.data.to_vec())])
-                    })
-                    .collect(),
-            ),
-        ];
-        // Trailing tagged optional: absent on hand-targeted jobs, so
-        // their encoding matches the pre-broker format byte for byte.
-        if let Some(req) = &self.abstract_request {
-            items.push(Value::tagged(0, req.to_value()));
-        }
-        Value::Sequence(items)
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.name);
+            self.vsite.write_der(w);
+            self.user.write_der(w);
+            w.sequence_of(&self.nodes, |w, (id, node)| {
+                w.sequence(|w| {
+                    w.u64(id.0);
+                    node.write_der(w);
+                })
+            });
+            w.sequence_of(&self.dependencies, |w, d| d.write_der(w));
+            w.sequence_of(&self.portfolio, |w, p| {
+                w.sequence(|w| {
+                    w.str(&p.name);
+                    w.bytes(&p.data);
+                })
+            });
+            // Trailing tagged optional: absent on hand-targeted jobs, so
+            // their encoding matches the pre-broker format byte for byte.
+            if let Some(req) = &self.abstract_request {
+                w.tagged(0, |w| req.write_der(w));
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "AbstractJob")?;
-        let name = f.next_string()?;
-        let vsite = VsiteAddress::from_value(f.next_value()?)?;
-        let user = UserAttributes::from_value(f.next_value()?)?;
-        let node_items = f.next_sequence()?;
-        let mut nodes = Vec::with_capacity(node_items.len());
-        for item in node_items {
-            let mut nf = Fields::open(item, "graph node entry")?;
-            let id = ActionId(nf.next_u64()?);
-            let node = GraphNode::from_value(nf.next_value()?)?;
-            nf.finish()?;
-            nodes.push((id, node));
-        }
-        let dep_items = f.next_sequence()?;
-        let dependencies = dep_items
-            .iter()
-            .map(Dependency::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let pf_items = f.next_sequence()?;
-        let mut portfolio = Vec::with_capacity(pf_items.len());
-        for item in pf_items {
-            let mut pf = Fields::open(item, "portfolio entry")?;
-            let name = pf.next_string()?;
-            let data: std::sync::Arc<[u8]> = pf.next_bytes()?.into();
-            pf.finish()?;
-            portfolio.push(PortfolioFile { name, data });
-        }
-        let abstract_request = match f.optional_tagged(0) {
-            Some(v) => Some(crate::ResourceRequest::from_value(v)?),
-            None => None,
-        };
-        f.finish()?;
-        Ok(AbstractJob {
-            name,
-            vsite,
-            user,
-            nodes,
-            dependencies,
-            portfolio,
-            abstract_request,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("AbstractJob", |f| {
+            Ok(AbstractJob {
+                name: f.next_string()?,
+                vsite: VsiteAddress::read_der(f)?,
+                user: UserAttributes::read_der(f)?,
+                nodes: f.sequence_of("graph nodes", |n| {
+                    n.sequence("graph node entry", |nf| {
+                        Ok((ActionId(nf.next_u64()?), GraphNode::read_der(nf)?))
+                    })
+                })?,
+                dependencies: f.sequence_of("dependencies", Dependency::read_der)?,
+                portfolio: f.sequence_of("portfolio", |p| {
+                    p.sequence("portfolio entry", |pf| {
+                        Ok(PortfolioFile {
+                            name: pf.next_string()?,
+                            data: pf.next_bytes()?.into(),
+                        })
+                    })
+                })?,
+                abstract_request: f.optional_tagged(0, crate::ResourceRequest::read_der)?,
+            })
         })
     }
 }
@@ -497,6 +463,7 @@ mod tests {
     use super::*;
     use crate::resources::ResourceRequest;
     use crate::task::ExecuteKind;
+    use unicore_codec::Value;
 
     fn user() -> UserAttributes {
         UserAttributes::new("C=DE, O=FZJ, OU=ZAM, CN=alice", "proj1")
@@ -770,7 +737,7 @@ mod tests {
         let job = chain_job();
         assert!(job.abstract_request.is_none());
         let der = job.to_der();
-        let old = Value::Sequence(match job.to_value() {
+        let old = Value::Sequence(match unicore_codec::decode(&der).unwrap() {
             Value::Sequence(items) => items.into_iter().take(6).collect(),
             _ => unreachable!(),
         });

@@ -5,7 +5,7 @@
 //! each subclass of AbstractAction" (§5.3).
 
 use crate::ids::{ActionId, JobId};
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_telemetry::{ActiveAlert, FlightEvent, MetricsSnapshot, SpanSummary};
 
 /// Status of an action, colour-coded by the JMC ("the icons are colored to
@@ -406,188 +406,138 @@ pub enum ServiceOutcome {
 }
 
 impl DerCodec for TaskOutcome {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            Value::Enumerated(self.status.to_enum()),
-            Value::bytes(self.stdout.clone()),
-            Value::bytes(self.stderr.clone()),
-            Value::Integer(self.bytes_staged as i64),
-            Value::string(&self.message),
-        ];
-        if let Some(code) = self.exit_code {
-            fields.push(Value::tagged(0, Value::Integer(code as i64)));
-        }
-        if !self.flight.is_empty() {
-            fields.push(Value::tagged(
-                1,
-                Value::Sequence(self.flight.iter().map(|e| e.to_value()).collect()),
-            ));
-        }
-        Value::Sequence(fields)
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.enumerated(self.status.to_enum());
+            w.bytes(&self.stdout);
+            w.bytes(&self.stderr);
+            w.u64(self.bytes_staged);
+            w.str(&self.message);
+            if let Some(code) = self.exit_code {
+                w.tagged(0, |w| w.int(code as i64));
+            }
+            if !self.flight.is_empty() {
+                w.tagged(1, |w| w.sequence_of(&self.flight, |w, e| e.write_der(w)));
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "TaskOutcome")?;
-        let status = ActionStatus::from_enum(f.next_enum()?)?;
-        let stdout = f.next_bytes()?.to_vec();
-        let stderr = f.next_bytes()?.to_vec();
-        let bytes_staged = f.next_u64()?;
-        let message = f.next_string()?;
-        let exit_code = match f.optional_tagged(0) {
-            Some(v) => Some(
-                i32::try_from(v.as_i64().ok_or(CodecError::BadValue("exit code"))?)
-                    .map_err(|_| CodecError::IntegerOverflow)?,
-            ),
-            None => None,
-        };
-        let flight = match f.optional_tagged(1) {
-            Some(v) => {
-                let items = v
-                    .as_sequence()
-                    .ok_or(CodecError::BadValue("flight trace"))?;
-                items
-                    .iter()
-                    .map(FlightEvent::from_value)
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-            None => Vec::new(),
-        };
-        f.finish()?;
-        Ok(TaskOutcome {
-            status,
-            exit_code,
-            stdout,
-            stderr,
-            bytes_staged,
-            message,
-            flight,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("TaskOutcome", |f| {
+            Ok(TaskOutcome {
+                status: ActionStatus::from_enum(f.next_enum()?)?,
+                stdout: f.next_bytes()?.to_vec(),
+                stderr: f.next_bytes()?.to_vec(),
+                bytes_staged: f.next_u64()?,
+                message: f.next_string()?,
+                exit_code: f.optional_tagged(0, |t| {
+                    i32::try_from(t.next_i64()?).map_err(|_| CodecError::IntegerOverflow)
+                })?,
+                flight: match f
+                    .optional_tagged(1, |t| t.sequence_of("flight trace", FlightEvent::read_der))?
+                {
+                    // An empty trace is encoded by omission.
+                    Some(events) if events.is_empty() => {
+                        return Err(CodecError::BadValue("empty flight trace"))
+                    }
+                    Some(events) => events,
+                    None => Vec::new(),
+                },
+            })
         })
     }
 }
 
 impl DerCodec for OutcomeNode {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            OutcomeNode::Task(t) => Value::tagged(0, t.to_value()),
-            OutcomeNode::Job(j) => Value::tagged(1, j.to_value()),
+            OutcomeNode::Task(t) => w.tagged(0, |w| t.write_der(w)),
+            OutcomeNode::Job(j) => w.tagged(1, |w| j.write_der(w)),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("OutcomeNode tag"))?;
-        match tag {
-            0 => Ok(OutcomeNode::Task(TaskOutcome::from_value(inner)?)),
-            1 => Ok(OutcomeNode::Job(JobOutcome::from_value(inner)?)),
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
+            0 => Ok(OutcomeNode::Task(TaskOutcome::read_der(t)?)),
+            1 => Ok(OutcomeNode::Job(JobOutcome::read_der(t)?)),
             _ => Err(CodecError::BadValue("OutcomeNode variant")),
-        }
+        })
     }
 }
 
 impl DerCodec for JobOutcome {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::Enumerated(self.status.to_enum()),
-            Value::Sequence(
-                self.children
-                    .iter()
-                    .map(|(id, node)| {
-                        Value::Sequence(vec![Value::Integer(id.0 as i64), node.to_value()])
-                    })
-                    .collect(),
-            ),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.enumerated(self.status.to_enum());
+            w.sequence_of(&self.children, |w, (id, node)| {
+                w.sequence(|w| {
+                    w.u64(id.0);
+                    node.write_der(w);
+                })
+            });
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "JobOutcome")?;
-        let status = ActionStatus::from_enum(f.next_enum()?)?;
-        let child_items = f.next_sequence()?;
-        let mut children = Vec::with_capacity(child_items.len());
-        for item in child_items {
-            let mut cf = Fields::open(item, "outcome child")?;
-            let id = ActionId(cf.next_u64()?);
-            let node = OutcomeNode::from_value(cf.next_value()?)?;
-            cf.finish()?;
-            children.push((id, node));
-        }
-        f.finish()?;
-        Ok(JobOutcome { status, children })
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("JobOutcome", |f| {
+            Ok(JobOutcome {
+                status: ActionStatus::from_enum(f.next_enum()?)?,
+                children: f.sequence_of("outcome children", |c| {
+                    c.sequence("outcome child", |cf| {
+                        Ok((ActionId(cf.next_u64()?), OutcomeNode::read_der(cf)?))
+                    })
+                })?,
+            })
+        })
     }
 }
 
 impl DerCodec for VsiteHealth {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.vsite),
-            Value::Integer(self.free_nodes),
-            Value::Integer(self.queue_length),
-            Value::Integer(self.running),
-            Value::Integer(self.stuck_jobs),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.vsite);
+            w.int(self.free_nodes);
+            w.int(self.queue_length);
+            w.int(self.running);
+            w.int(self.stuck_jobs);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "VsiteHealth")?;
-        let vsite = f.next_string()?;
-        let free_nodes = f.next_i64()?;
-        let queue_length = f.next_i64()?;
-        let running = f.next_i64()?;
-        let stuck_jobs = f.next_i64()?;
-        f.finish()?;
-        Ok(VsiteHealth {
-            vsite,
-            free_nodes,
-            queue_length,
-            running,
-            stuck_jobs,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("VsiteHealth", |f| {
+            Ok(VsiteHealth {
+                vsite: f.next_string()?,
+                free_nodes: f.next_i64()?,
+                queue_length: f.next_i64()?,
+                running: f.next_i64()?,
+                stuck_jobs: f.next_i64()?,
+            })
         })
     }
 }
 
 impl DerCodec for MonitorReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            Value::string(&self.usite),
-            self.metrics.to_value(),
-            Value::Sequence(self.spans.iter().map(|s| s.to_value()).collect()),
-            Value::Sequence(self.vsites.iter().map(|v| v.to_value()).collect()),
-        ];
-        if let Some(epoch) = self.epoch {
-            fields.push(Value::tagged(0, Value::Integer(epoch as i64)));
-        }
-        Value::Sequence(fields)
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.usite);
+            self.metrics.write_der(w);
+            w.sequence_of(&self.spans, |w, s| s.write_der(w));
+            w.sequence_of(&self.vsites, |w, v| v.write_der(w));
+            if let Some(epoch) = self.epoch {
+                w.tagged(0, |w| w.u64(epoch));
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "MonitorReport")?;
-        let usite = f.next_string()?;
-        let metrics = MetricsSnapshot::from_value(f.next_value()?)?;
-        let spans = f
-            .next_sequence()?
-            .iter()
-            .map(SpanSummary::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let vsites = f
-            .next_sequence()?
-            .iter()
-            .map(VsiteHealth::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let epoch = match f.optional_tagged(0) {
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or(CodecError::BadValue("monitor report epoch"))?,
-            ),
-            None => None,
-        };
-        f.finish()?;
-        Ok(MonitorReport {
-            usite,
-            metrics,
-            spans,
-            vsites,
-            epoch,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("MonitorReport", |f| {
+            Ok(MonitorReport {
+                usite: f.next_string()?,
+                metrics: MetricsSnapshot::read_der(f)?,
+                spans: f.sequence_of("span summaries", SpanSummary::read_der)?,
+                vsites: f.sequence_of("vsite health", VsiteHealth::read_der)?,
+                epoch: f.optional_tagged(0, |t| t.next_u64())?,
+            })
         })
     }
 }
@@ -616,172 +566,127 @@ impl SiteHealth {
 }
 
 impl DerCodec for SiteStatus {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.usite),
-            Value::Integer(self.epoch as i64),
-            Value::Integer(self.updated_at as i64),
-            Value::Enumerated(self.health.to_enum()),
-            Value::Sequence(self.vsites.iter().map(|v| v.to_value()).collect()),
-            Value::Sequence(
-                self.headline
-                    .iter()
-                    .map(|(k, v)| {
-                        Value::Sequence(vec![Value::string(k), Value::Integer(*v as i64)])
-                    })
-                    .collect(),
-            ),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.usite);
+            w.u64(self.epoch);
+            w.u64(self.updated_at);
+            w.enumerated(self.health.to_enum());
+            w.sequence_of(&self.vsites, |w, v| v.write_der(w));
+            w.sequence_of(&self.headline, |w, (k, v)| {
+                w.sequence(|w| {
+                    w.str(k);
+                    w.u64(*v);
+                })
+            });
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "SiteStatus")?;
-        let usite = f.next_string()?;
-        let epoch = f.next_u64()?;
-        let updated_at = f.next_u64()?;
-        let health = SiteHealth::from_enum(f.next_enum()?)?;
-        let vsites = f
-            .next_sequence()?
-            .iter()
-            .map(VsiteHealth::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut headline = Vec::new();
-        for item in f.next_sequence()? {
-            let mut hf = Fields::open(item, "headline counter")?;
-            headline.push((hf.next_string()?, hf.next_u64()?));
-            hf.finish()?;
-        }
-        f.finish()?;
-        Ok(SiteStatus {
-            usite,
-            epoch,
-            updated_at,
-            health,
-            vsites,
-            headline,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("SiteStatus", |f| {
+            Ok(SiteStatus {
+                usite: f.next_string()?,
+                epoch: f.next_u64()?,
+                updated_at: f.next_u64()?,
+                health: SiteHealth::from_enum(f.next_enum()?)?,
+                vsites: f.sequence_of("vsite health", VsiteHealth::read_der)?,
+                headline: f.sequence_of("headline counters", |h| {
+                    h.sequence("headline counter", |hf| {
+                        Ok((hf.next_string()?, hf.next_u64()?))
+                    })
+                })?,
+            })
         })
     }
 }
 
 impl DerCodec for GridView {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.root),
-            Value::Integer(self.at as i64),
-            Value::Sequence(self.sites.iter().map(|s| s.to_value()).collect()),
-            self.merged.to_value(),
-            Value::Sequence(self.alerts.iter().map(|a| a.to_value()).collect()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.root);
+            w.u64(self.at);
+            w.sequence_of(&self.sites, |w, s| s.write_der(w));
+            self.merged.write_der(w);
+            w.sequence_of(&self.alerts, |w, a| a.write_der(w));
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "GridView")?;
-        let root = f.next_string()?;
-        let at = f.next_u64()?;
-        let sites = f
-            .next_sequence()?
-            .iter()
-            .map(SiteStatus::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let merged = MetricsSnapshot::from_value(f.next_value()?)?;
-        let alerts = f
-            .next_sequence()?
-            .iter()
-            .map(ActiveAlert::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        f.finish()?;
-        Ok(GridView {
-            root,
-            at,
-            sites,
-            merged,
-            alerts,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("GridView", |f| {
+            Ok(GridView {
+                root: f.next_string()?,
+                at: f.next_u64()?,
+                sites: f.sequence_of("site rows", SiteStatus::read_der)?,
+                merged: MetricsSnapshot::read_der(f)?,
+                alerts: f.sequence_of("active alerts", ActiveAlert::read_der)?,
+            })
         })
     }
 }
 
 impl DerCodec for ServiceOutcome {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            ServiceOutcome::Control { applied, message } => Value::tagged(
-                0,
-                Value::Sequence(vec![Value::Boolean(*applied), Value::string(message)]),
-            ),
-            ServiceOutcome::List { jobs } => Value::tagged(
-                1,
-                Value::Sequence(
-                    jobs.iter()
-                        .map(|j| {
-                            Value::Sequence(vec![
-                                Value::Integer(j.job.0 as i64),
-                                Value::string(&j.name),
-                                Value::Enumerated(j.status.to_enum()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ServiceOutcome::Query { outcome } => Value::tagged(2, outcome.to_value()),
-            ServiceOutcome::Monitor { sites } => Value::tagged(
-                3,
-                Value::Sequence(sites.iter().map(|s| s.to_value()).collect()),
-            ),
-            ServiceOutcome::Grid { view } => Value::tagged(4, view.to_value()),
+            ServiceOutcome::Control { applied, message } => w.tagged(0, |w| {
+                w.sequence(|w| {
+                    w.bool(*applied);
+                    w.str(message);
+                })
+            }),
+            ServiceOutcome::List { jobs } => w.tagged(1, |w| {
+                w.sequence_of(jobs, |w, j| {
+                    w.sequence(|w| {
+                        w.u64(j.job.0);
+                        w.str(&j.name);
+                        w.enumerated(j.status.to_enum());
+                    })
+                })
+            }),
+            ServiceOutcome::Query { outcome } => w.tagged(2, |w| outcome.write_der(w)),
+            ServiceOutcome::Monitor { sites } => {
+                w.tagged(3, |w| w.sequence_of(sites, |w, s| s.write_der(w)))
+            }
+            ServiceOutcome::Grid { view } => w.tagged(4, |w| view.write_der(w)),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("ServiceOutcome tag"))?;
-        match tag {
-            0 => {
-                let mut f = Fields::open(inner, "ControlOutcome")?;
-                let applied = f.next_bool()?;
-                let message = f.next_string()?;
-                f.finish()?;
-                Ok(ServiceOutcome::Control { applied, message })
-            }
-            1 => {
-                let items = inner
-                    .as_sequence()
-                    .ok_or(CodecError::BadValue("job list"))?;
-                let mut jobs = Vec::with_capacity(items.len());
-                for item in items {
-                    let mut f = Fields::open(item, "job summary")?;
-                    jobs.push(JobSummary {
-                        job: JobId(f.next_u64()?),
-                        name: f.next_string()?,
-                        status: ActionStatus::from_enum(f.next_enum()?)?,
-                    });
-                    f.finish()?;
-                }
-                Ok(ServiceOutcome::List { jobs })
-            }
-            2 => Ok(ServiceOutcome::Query {
-                outcome: JobOutcome::from_value(inner)?,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
+            0 => t.sequence("ControlOutcome", |f| {
+                Ok(ServiceOutcome::Control {
+                    applied: f.next_bool()?,
+                    message: f.next_string()?,
+                })
             }),
-            3 => {
-                let items = inner
-                    .as_sequence()
-                    .ok_or(CodecError::BadValue("monitor reports"))?;
-                let sites = items
-                    .iter()
-                    .map(MonitorReport::from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ServiceOutcome::Monitor { sites })
-            }
+            1 => Ok(ServiceOutcome::List {
+                jobs: t.sequence_of("job list", |j| {
+                    j.sequence("job summary", |f| {
+                        Ok(JobSummary {
+                            job: JobId(f.next_u64()?),
+                            name: f.next_string()?,
+                            status: ActionStatus::from_enum(f.next_enum()?)?,
+                        })
+                    })
+                })?,
+            }),
+            2 => Ok(ServiceOutcome::Query {
+                outcome: JobOutcome::read_der(t)?,
+            }),
+            3 => Ok(ServiceOutcome::Monitor {
+                sites: t.sequence_of("monitor reports", MonitorReport::read_der)?,
+            }),
             4 => Ok(ServiceOutcome::Grid {
-                view: GridView::from_value(inner)?,
+                view: GridView::read_der(t)?,
             }),
             _ => Err(CodecError::BadValue("ServiceOutcome variant")),
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unicore_codec::Value;
     use unicore_telemetry::FlightEvent;
 
     #[test]
@@ -977,7 +882,7 @@ mod tests {
         // The historical wire form, constructed field by field.
         let legacy = unicore_codec::encode(&Value::Sequence(vec![
             Value::string("FZJ"),
-            MetricsSnapshot::default().to_value(),
+            unicore_codec::decode(&MetricsSnapshot::default().to_der()).unwrap(),
             Value::Sequence(vec![]),
             Value::Sequence(vec![]),
         ]));
@@ -1035,6 +940,18 @@ mod tests {
             t.status = ActionStatus::Successful;
         }
         assert!(j.child(ActionId(5)).unwrap().status().is_success());
+    }
+
+    #[test]
+    fn empty_flight_trace_is_encoded_by_omission_only() {
+        let t = TaskOutcome::failure("boom");
+        let Value::Sequence(mut items) = unicore_codec::decode(&t.to_der()).unwrap() else {
+            unreachable!()
+        };
+        assert!(items.iter().all(|v| !matches!(v, Value::Tagged(1, _))));
+        items.push(Value::tagged(1, Value::Sequence(vec![])));
+        let der = unicore_codec::encode(&Value::Sequence(items));
+        assert!(TaskOutcome::from_der(&der).is_err());
     }
 
     #[test]

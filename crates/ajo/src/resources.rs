@@ -4,7 +4,7 @@
 //! elements), the amount of execution time, the amount of memory, and the
 //! amount of disk space needed, both permanent and temporary" (paper §5.4).
 
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// The abstract (system-independent) resource request attached to a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,27 +71,26 @@ impl ResourceRequest {
 }
 
 impl DerCodec for ResourceRequest {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::Integer(self.processors as i64),
-            Value::Integer(self.run_time_secs as i64),
-            Value::Integer(self.memory_mb as i64),
-            Value::Integer(self.disk_permanent_mb as i64),
-            Value::Integer(self.disk_temporary_mb as i64),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.u64(self.processors as u64);
+            w.u64(self.run_time_secs);
+            w.u64(self.memory_mb);
+            w.u64(self.disk_permanent_mb);
+            w.u64(self.disk_temporary_mb);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "ResourceRequest")?;
-        let r = ResourceRequest {
-            processors: f.next_u32()?,
-            run_time_secs: f.next_u64()?,
-            memory_mb: f.next_u64()?,
-            disk_permanent_mb: f.next_u64()?,
-            disk_temporary_mb: f.next_u64()?,
-        };
-        f.finish()?;
-        Ok(r)
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("ResourceRequest", |f| {
+            Ok(ResourceRequest {
+                processors: f.next_u32()?,
+                run_time_secs: f.next_u64()?,
+                memory_mb: f.next_u64()?,
+                disk_permanent_mb: f.next_u64()?,
+                disk_temporary_mb: f.next_u64()?,
+            })
+        })
     }
 }
 

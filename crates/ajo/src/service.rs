@@ -1,7 +1,7 @@
 //! Abstract services — job monitoring and control (Figure 3, right branch).
 
 use crate::ids::JobId;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// Control operations a user may apply to a consigned job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,7 +15,8 @@ pub enum ControlOp {
 }
 
 impl ControlOp {
-    fn to_enum(self) -> u32 {
+    /// The wire discriminant (ENUMERATED value).
+    pub fn to_enum(self) -> u32 {
         match self {
             ControlOp::Abort => 0,
             ControlOp::Hold => 1,
@@ -23,7 +24,8 @@ impl ControlOp {
         }
     }
 
-    fn from_enum(v: u32) -> Result<Self, CodecError> {
+    /// Parses a wire discriminant.
+    pub fn from_enum(v: u32) -> Result<Self, CodecError> {
         match v {
             0 => Ok(ControlOp::Abort),
             1 => Ok(ControlOp::Hold),
@@ -45,7 +47,8 @@ pub enum DetailLevel {
 }
 
 impl DetailLevel {
-    fn to_enum(self) -> u32 {
+    /// The wire discriminant (ENUMERATED value).
+    pub fn to_enum(self) -> u32 {
         match self {
             DetailLevel::JobOnly => 0,
             DetailLevel::Groups => 1,
@@ -53,7 +56,8 @@ impl DetailLevel {
         }
     }
 
-    fn from_enum(v: u32) -> Result<Self, CodecError> {
+    /// Parses a wire discriminant.
+    pub fn from_enum(v: u32) -> Result<Self, CodecError> {
         match v {
             0 => Ok(DetailLevel::JobOnly),
             1 => Ok(DetailLevel::Groups),
@@ -93,60 +97,52 @@ pub enum AbstractService {
 }
 
 impl DerCodec for AbstractService {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            AbstractService::Control { job, op } => Value::tagged(
-                0,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Enumerated(op.to_enum()),
-                ]),
-            ),
-            AbstractService::List => Value::tagged(1, Value::Null),
-            AbstractService::Query { job, detail } => Value::tagged(
-                2,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Enumerated(detail.to_enum()),
-                ]),
-            ),
-            AbstractService::Monitor { grid } => Value::tagged(3, Value::Boolean(*grid)),
+            AbstractService::Control { job, op } => w.tagged(0, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.enumerated(op.to_enum());
+                })
+            }),
+            AbstractService::List => w.tagged(1, |w| w.null()),
+            AbstractService::Query { job, detail } => w.tagged(2, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.enumerated(detail.to_enum());
+                })
+            }),
+            AbstractService::Monitor { grid } => w.tagged(3, |w| w.bool(*grid)),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("AbstractService tag"))?;
-        match tag {
-            0 => {
-                let mut f = Fields::open(inner, "ControlService")?;
-                let job = JobId(f.next_u64()?);
-                let op = ControlOp::from_enum(f.next_enum()?)?;
-                f.finish()?;
-                Ok(AbstractService::Control { job, op })
-            }
-            1 => Ok(AbstractService::List),
-            2 => {
-                let mut f = Fields::open(inner, "QueryService")?;
-                let job = JobId(f.next_u64()?);
-                let detail = DetailLevel::from_enum(f.next_enum()?)?;
-                f.finish()?;
-                Ok(AbstractService::Query { job, detail })
-            }
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
+            0 => t.sequence("ControlService", |f| {
+                Ok(AbstractService::Control {
+                    job: JobId(f.next_u64()?),
+                    op: ControlOp::from_enum(f.next_enum()?)?,
+                })
+            }),
+            1 => t.next_null().map(|()| AbstractService::List),
+            2 => t.sequence("QueryService", |f| {
+                Ok(AbstractService::Query {
+                    job: JobId(f.next_u64()?),
+                    detail: DetailLevel::from_enum(f.next_enum()?)?,
+                })
+            }),
             3 => Ok(AbstractService::Monitor {
-                grid: inner
-                    .as_bool()
-                    .ok_or(CodecError::BadValue("Monitor grid flag"))?,
+                grid: t.next_bool()?,
             }),
             _ => Err(CodecError::BadValue("AbstractService variant")),
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unicore_codec::Value;
 
     #[test]
     fn round_trips() {
@@ -180,11 +176,20 @@ mod tests {
     }
 
     #[test]
+    fn list_has_one_spelling() {
+        // `[1]` carries NULL and nothing else.
+        for inner in [Value::Sequence(vec![]), Value::Boolean(true)] {
+            let der = unicore_codec::encode(&Value::tagged(1, inner));
+            assert!(AbstractService::from_der(&der).is_err());
+        }
+    }
+
+    #[test]
     fn bad_enum_rejected() {
         let v = Value::tagged(
             0,
             Value::Sequence(vec![Value::Integer(1), Value::Enumerated(99)]),
         );
-        assert!(AbstractService::from_value(&v).is_err());
+        assert!(AbstractService::from_der(&unicore_codec::encode(&v)).is_err());
     }
 }

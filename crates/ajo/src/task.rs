@@ -7,7 +7,7 @@
 
 use crate::ids::VsiteAddress;
 use crate::resources::ResourceRequest;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// Where data outside a Uspace lives (paper's data model, §4).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,36 +29,31 @@ pub enum DataLocation {
 }
 
 impl DerCodec for DataLocation {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            DataLocation::Workstation { path } => Value::tagged(0, Value::string(path)),
-            DataLocation::Xspace { vsite, path } => Value::tagged(
-                1,
-                Value::Sequence(vec![vsite.to_value(), Value::string(path)]),
-            ),
+            DataLocation::Workstation { path } => w.tagged(0, |w| w.str(path)),
+            DataLocation::Xspace { vsite, path } => w.tagged(1, |w| {
+                w.sequence(|w| {
+                    vsite.write_der(w);
+                    w.str(path);
+                })
+            }),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("DataLocation tag"))?;
-        match tag {
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
             0 => Ok(DataLocation::Workstation {
-                path: inner
-                    .as_str()
-                    .ok_or(CodecError::BadValue("workstation path"))?
-                    .to_owned(),
+                path: t.next_string()?,
             }),
-            1 => {
-                let mut f = Fields::open(inner, "DataLocation::Xspace")?;
-                let vsite = VsiteAddress::from_value(f.next_value()?)?;
-                let path = f.next_string()?;
-                f.finish()?;
-                Ok(DataLocation::Xspace { vsite, path })
-            }
+            1 => t.sequence("DataLocation::Xspace", |f| {
+                Ok(DataLocation::Xspace {
+                    vsite: VsiteAddress::read_der(f)?,
+                    path: f.next_string()?,
+                })
+            }),
             _ => Err(CodecError::BadValue("DataLocation variant")),
-        }
+        })
     }
 }
 
@@ -156,208 +151,156 @@ impl AbstractTask {
     }
 }
 
-fn strings_value(items: &[String]) -> Value {
-    Value::Sequence(items.iter().map(Value::string).collect())
+fn write_strings(w: &mut DerWriter, items: &[String]) {
+    w.sequence_of(items, |w, s| w.str(s));
 }
 
-fn strings_from(value: &Value, what: &'static str) -> Result<Vec<String>, CodecError> {
-    value
-        .as_sequence()
-        .ok_or(CodecError::BadValue(what))?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_owned)
-                .ok_or(CodecError::BadValue(what))
-        })
-        .collect()
+fn read_strings(r: &mut DerReader<'_>, what: &'static str) -> Result<Vec<String>, CodecError> {
+    r.sequence_of(what, |r| r.next_string())
 }
 
 impl DerCodec for TaskKind {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
             TaskKind::Execute(ExecuteKind::User {
                 executable,
                 arguments,
                 environment,
-            }) => Value::tagged(
-                0,
-                Value::Sequence(vec![
-                    Value::string(executable),
-                    strings_value(arguments),
-                    Value::Sequence(
-                        environment
-                            .iter()
-                            .map(|(k, v)| Value::Sequence(vec![Value::string(k), Value::string(v)]))
-                            .collect(),
-                    ),
-                ]),
-            ),
-            TaskKind::Execute(ExecuteKind::Script { script }) => {
-                Value::tagged(1, Value::string(script))
-            }
+            }) => w.tagged(0, |w| {
+                w.sequence(|w| {
+                    w.str(executable);
+                    write_strings(w, arguments);
+                    w.sequence_of(environment, |w, (k, v)| {
+                        w.sequence(|w| {
+                            w.str(k);
+                            w.str(v);
+                        })
+                    });
+                })
+            }),
+            TaskKind::Execute(ExecuteKind::Script { script }) => w.tagged(1, |w| w.str(script)),
             TaskKind::Execute(ExecuteKind::Compile {
                 sources,
                 options,
                 output,
-            }) => Value::tagged(
-                2,
-                Value::Sequence(vec![
-                    strings_value(sources),
-                    strings_value(options),
-                    Value::string(output),
-                ]),
-            ),
+            }) => w.tagged(2, |w| {
+                w.sequence(|w| {
+                    write_strings(w, sources);
+                    write_strings(w, options);
+                    w.str(output);
+                })
+            }),
             TaskKind::Execute(ExecuteKind::Link {
                 objects,
                 libraries,
                 output,
-            }) => Value::tagged(
-                3,
-                Value::Sequence(vec![
-                    strings_value(objects),
-                    strings_value(libraries),
-                    Value::string(output),
-                ]),
-            ),
+            }) => w.tagged(3, |w| {
+                w.sequence(|w| {
+                    write_strings(w, objects);
+                    write_strings(w, libraries);
+                    w.str(output);
+                })
+            }),
             TaskKind::File(FileKind::Import {
                 source,
                 uspace_name,
-            }) => Value::tagged(
-                4,
-                Value::Sequence(vec![source.to_value(), Value::string(uspace_name)]),
-            ),
+            }) => w.tagged(4, |w| {
+                w.sequence(|w| {
+                    source.write_der(w);
+                    w.str(uspace_name);
+                })
+            }),
             TaskKind::File(FileKind::Export {
                 uspace_name,
                 destination,
-            }) => Value::tagged(
-                5,
-                Value::Sequence(vec![Value::string(uspace_name), destination.to_value()]),
-            ),
+            }) => w.tagged(5, |w| {
+                w.sequence(|w| {
+                    w.str(uspace_name);
+                    destination.write_der(w);
+                })
+            }),
             TaskKind::File(FileKind::Transfer {
                 uspace_name,
                 to_vsite,
                 dest_name,
-            }) => Value::tagged(
-                6,
-                Value::Sequence(vec![
-                    Value::string(uspace_name),
-                    to_vsite.to_value(),
-                    Value::string(dest_name),
-                ]),
-            ),
+            }) => w.tagged(6, |w| {
+                w.sequence(|w| {
+                    w.str(uspace_name);
+                    to_vsite.write_der(w);
+                    w.str(dest_name);
+                })
+            }),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("TaskKind tag"))?;
-        match tag {
-            0 => {
-                let mut f = Fields::open(inner, "UserTask")?;
-                let executable = f.next_string()?;
-                let arguments = strings_from(f.next_value()?, "arguments")?;
-                let env_items = f.next_sequence()?;
-                let mut environment = Vec::with_capacity(env_items.len());
-                for item in env_items {
-                    let mut ef = Fields::open(item, "env entry")?;
-                    environment.push((ef.next_string()?, ef.next_string()?));
-                    ef.finish()?;
-                }
-                f.finish()?;
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
+            0 => t.sequence("UserTask", |f| {
                 Ok(TaskKind::Execute(ExecuteKind::User {
-                    executable,
-                    arguments,
-                    environment,
+                    executable: f.next_string()?,
+                    arguments: read_strings(f, "arguments")?,
+                    environment: f.sequence_of("environment", |e| {
+                        e.sequence("env entry", |ef| Ok((ef.next_string()?, ef.next_string()?)))
+                    })?,
                 }))
-            }
+            }),
             1 => Ok(TaskKind::Execute(ExecuteKind::Script {
-                script: inner
-                    .as_str()
-                    .ok_or(CodecError::BadValue("script"))?
-                    .to_owned(),
+                script: t.next_string()?,
             })),
-            2 => {
-                let mut f = Fields::open(inner, "CompileTask")?;
-                let sources = strings_from(f.next_value()?, "sources")?;
-                let options = strings_from(f.next_value()?, "options")?;
-                let output = f.next_string()?;
-                f.finish()?;
+            2 => t.sequence("CompileTask", |f| {
                 Ok(TaskKind::Execute(ExecuteKind::Compile {
-                    sources,
-                    options,
-                    output,
+                    sources: read_strings(f, "sources")?,
+                    options: read_strings(f, "options")?,
+                    output: f.next_string()?,
                 }))
-            }
-            3 => {
-                let mut f = Fields::open(inner, "LinkTask")?;
-                let objects = strings_from(f.next_value()?, "objects")?;
-                let libraries = strings_from(f.next_value()?, "libraries")?;
-                let output = f.next_string()?;
-                f.finish()?;
+            }),
+            3 => t.sequence("LinkTask", |f| {
                 Ok(TaskKind::Execute(ExecuteKind::Link {
-                    objects,
-                    libraries,
-                    output,
+                    objects: read_strings(f, "objects")?,
+                    libraries: read_strings(f, "libraries")?,
+                    output: f.next_string()?,
                 }))
-            }
-            4 => {
-                let mut f = Fields::open(inner, "ImportTask")?;
-                let source = DataLocation::from_value(f.next_value()?)?;
-                let uspace_name = f.next_string()?;
-                f.finish()?;
+            }),
+            4 => t.sequence("ImportTask", |f| {
                 Ok(TaskKind::File(FileKind::Import {
-                    source,
-                    uspace_name,
+                    source: DataLocation::read_der(f)?,
+                    uspace_name: f.next_string()?,
                 }))
-            }
-            5 => {
-                let mut f = Fields::open(inner, "ExportTask")?;
-                let uspace_name = f.next_string()?;
-                let destination = DataLocation::from_value(f.next_value()?)?;
-                f.finish()?;
+            }),
+            5 => t.sequence("ExportTask", |f| {
                 Ok(TaskKind::File(FileKind::Export {
-                    uspace_name,
-                    destination,
+                    uspace_name: f.next_string()?,
+                    destination: DataLocation::read_der(f)?,
                 }))
-            }
-            6 => {
-                let mut f = Fields::open(inner, "TransferTask")?;
-                let uspace_name = f.next_string()?;
-                let to_vsite = VsiteAddress::from_value(f.next_value()?)?;
-                let dest_name = f.next_string()?;
-                f.finish()?;
+            }),
+            6 => t.sequence("TransferTask", |f| {
                 Ok(TaskKind::File(FileKind::Transfer {
-                    uspace_name,
-                    to_vsite,
-                    dest_name,
+                    uspace_name: f.next_string()?,
+                    to_vsite: VsiteAddress::read_der(f)?,
+                    dest_name: f.next_string()?,
                 }))
-            }
+            }),
             _ => Err(CodecError::BadValue("TaskKind variant")),
-        }
+        })
     }
 }
 
 impl DerCodec for AbstractTask {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.name),
-            self.resources.to_value(),
-            self.kind.to_value(),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.name);
+            self.resources.write_der(w);
+            self.kind.write_der(w);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "AbstractTask")?;
-        let name = f.next_string()?;
-        let resources = ResourceRequest::from_value(f.next_value()?)?;
-        let kind = TaskKind::from_value(f.next_value()?)?;
-        f.finish()?;
-        Ok(AbstractTask {
-            name,
-            resources,
-            kind,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("AbstractTask", |f| {
+            Ok(AbstractTask {
+                name: f.next_string()?,
+                resources: ResourceRequest::read_der(f)?,
+                kind: TaskKind::read_der(f)?,
+            })
         })
     }
 }

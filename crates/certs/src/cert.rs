@@ -3,7 +3,7 @@
 
 use crate::dn::DistinguishedName;
 use crate::error::CertError;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_crypto::bignum::BigUint;
 use unicore_crypto::rsa::RsaPublicKey;
 
@@ -66,13 +66,16 @@ impl KeyUsage {
             | (self.code_sign as u32) << 3
     }
 
-    fn from_bits(bits: u32) -> Self {
-        KeyUsage {
+    fn from_bits(bits: u32) -> Result<Self, CodecError> {
+        if bits >= 16 {
+            return Err(CodecError::BadValue("unknown key usage bits"));
+        }
+        Ok(KeyUsage {
             cert_sign: bits & 1 != 0,
             server_auth: bits & 2 != 0,
             client_auth: bits & 4 != 0,
             code_sign: bits & 8 != 0,
-        }
+        })
     }
 }
 
@@ -153,59 +156,65 @@ impl Certificate {
     }
 }
 
+/// Reads an unsigned big integer carried as OCTET STRING: big-endian with
+/// no leading zero octet, the one form `to_bytes_be` writes.
+fn read_biguint(r: &mut DerReader<'_>) -> Result<BigUint, CodecError> {
+    let bytes = r.next_bytes()?;
+    if bytes.first() == Some(&0) {
+        return Err(CodecError::BadValue("leading zero in big integer"));
+    }
+    Ok(BigUint::from_bytes_be(bytes))
+}
+
 impl DerCodec for TbsCertificate {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::Integer(self.serial as i64),
-            self.issuer.to_value(),
-            self.subject.to_value(),
-            Value::Integer(self.validity.not_before as i64),
-            Value::Integer(self.validity.not_after as i64),
-            Value::bytes(self.public_key.n.to_bytes_be()),
-            Value::bytes(self.public_key.e.to_bytes_be()),
-            Value::Enumerated(self.usage.bits()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.u64(self.serial);
+            self.issuer.write_der(w);
+            self.subject.write_der(w);
+            w.u64(self.validity.not_before);
+            w.u64(self.validity.not_after);
+            w.bytes(&self.public_key.n.to_bytes_be());
+            w.bytes(&self.public_key.e.to_bytes_be());
+            w.enumerated(self.usage.bits());
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "TbsCertificate")?;
-        let serial = f.next_u64()?;
-        let issuer = DistinguishedName::from_value(f.next_value()?)?;
-        let subject = DistinguishedName::from_value(f.next_value()?)?;
-        let not_before = f.next_u64()?;
-        let not_after = f.next_u64()?;
-        let n = BigUint::from_bytes_be(f.next_bytes()?);
-        let e = BigUint::from_bytes_be(f.next_bytes()?);
-        let usage = KeyUsage::from_bits(f.next_enum()?);
-        f.finish()?;
-        Ok(TbsCertificate {
-            serial,
-            issuer,
-            subject,
-            validity: Validity {
-                not_before,
-                not_after,
-            },
-            public_key: RsaPublicKey { n, e },
-            usage,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("TbsCertificate", |f| {
+            Ok(TbsCertificate {
+                serial: f.next_u64()?,
+                issuer: DistinguishedName::read_der(f)?,
+                subject: DistinguishedName::read_der(f)?,
+                validity: Validity {
+                    not_before: f.next_u64()?,
+                    not_after: f.next_u64()?,
+                },
+                public_key: RsaPublicKey {
+                    n: read_biguint(f)?,
+                    e: read_biguint(f)?,
+                },
+                usage: KeyUsage::from_bits(f.next_enum()?)?,
+            })
         })
     }
 }
 
 impl DerCodec for Certificate {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            self.tbs.to_value(),
-            Value::bytes(self.signature.clone()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            self.tbs.write_der(w);
+            w.bytes(&self.signature);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "Certificate")?;
-        let tbs = TbsCertificate::from_value(f.next_value()?)?;
-        let signature = f.next_bytes()?.to_vec();
-        f.finish()?;
-        Ok(Certificate { tbs, signature })
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("Certificate", |f| {
+            Ok(Certificate {
+                tbs: TbsCertificate::read_der(f)?,
+                signature: f.next_bytes()?.to_vec(),
+            })
+        })
     }
 }
 
@@ -241,8 +250,28 @@ mod tests {
             KeyUsage::software(),
             KeyUsage::default(),
         ] {
-            assert_eq!(KeyUsage::from_bits(usage.bits()), usage);
+            assert_eq!(KeyUsage::from_bits(usage.bits()), Ok(usage));
         }
+    }
+
+    #[test]
+    fn key_and_usage_have_one_spelling() {
+        use unicore_codec::{decode, encode, Value};
+        let kp = RsaKeyPair::generate(512, &mut CryptoRng::from_u64(11));
+        let tbs = make_cert(&kp, &kp.public).tbs;
+        let Value::Sequence(fields) = decode(&tbs.to_der()).unwrap() else {
+            unreachable!()
+        };
+        // Field 5 is the modulus, field 7 the usage bits.
+        let mut padded = fields.clone();
+        let Value::OctetString(n) = &mut padded[5] else {
+            unreachable!()
+        };
+        n.insert(0, 0);
+        assert!(TbsCertificate::from_der(&encode(&Value::Sequence(padded))).is_err());
+        let mut unknown_bit = fields;
+        unknown_bit[7] = Value::Enumerated(16);
+        assert!(TbsCertificate::from_der(&encode(&Value::Sequence(unknown_bit))).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::dn::DistinguishedName;
 use crate::error::CertError;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 
 /// A signed snapshot of revoked serial numbers from one issuer.
@@ -40,19 +40,18 @@ impl CertificateRevocationList {
         crl
     }
 
+    /// The signed fields, in wire order.
+    fn write_body(&self, w: &mut DerWriter) {
+        self.issuer.write_der(w);
+        w.u64(self.sequence);
+        w.u64(self.issued_at);
+        w.sequence_of(&self.revoked_serials, |w, &s| w.u64(s));
+    }
+
     fn body_der(&self) -> Vec<u8> {
-        let body = Value::Sequence(vec![
-            self.issuer.to_value(),
-            Value::Integer(self.sequence as i64),
-            Value::Integer(self.issued_at as i64),
-            Value::Sequence(
-                self.revoked_serials
-                    .iter()
-                    .map(|&s| Value::Integer(s as i64))
-                    .collect(),
-            ),
-        ]);
-        unicore_codec::encode(&body)
+        let mut w = DerWriter::new();
+        w.sequence(|w| self.write_body(w));
+        w.into_vec()
     }
 
     /// Verifies the CA signature.
@@ -70,39 +69,22 @@ impl CertificateRevocationList {
 }
 
 impl DerCodec for CertificateRevocationList {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            self.issuer.to_value(),
-            Value::Integer(self.sequence as i64),
-            Value::Integer(self.issued_at as i64),
-            Value::Sequence(
-                self.revoked_serials
-                    .iter()
-                    .map(|&s| Value::Integer(s as i64))
-                    .collect(),
-            ),
-            Value::bytes(self.signature.clone()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            self.write_body(w);
+            w.bytes(&self.signature);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "CertificateRevocationList")?;
-        let issuer = DistinguishedName::from_value(f.next_value()?)?;
-        let sequence = f.next_u64()?;
-        let issued_at = f.next_u64()?;
-        let serial_values = f.next_sequence()?;
-        let mut revoked_serials = Vec::with_capacity(serial_values.len());
-        for v in serial_values {
-            revoked_serials.push(v.as_u64().ok_or(CodecError::BadValue("revoked serial"))?);
-        }
-        let signature = f.next_bytes()?.to_vec();
-        f.finish()?;
-        Ok(CertificateRevocationList {
-            issuer,
-            sequence,
-            issued_at,
-            revoked_serials,
-            signature,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("CertificateRevocationList", |f| {
+            Ok(CertificateRevocationList {
+                issuer: DistinguishedName::read_der(f)?,
+                sequence: f.next_u64()?,
+                issued_at: f.next_u64()?,
+                revoked_serials: f.sequence_of("revoked serials", |s| s.next_u64())?,
+                signature: f.next_bytes()?.to_vec(),
+            })
         })
     }
 }

@@ -5,7 +5,7 @@
 //! stable canonical string form suitable as a database key.
 
 use core::fmt;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// A distinguished name with the attribute set UNICORE uses.
 ///
@@ -97,40 +97,27 @@ impl fmt::Display for DistinguishedName {
 }
 
 impl DerCodec for DistinguishedName {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            Value::string(&self.country),
-            Value::string(&self.organization),
-            Value::string(&self.unit),
-            Value::string(&self.common_name),
-        ];
-        if let Some(email) = &self.email {
-            fields.push(Value::tagged(0, Value::string(email)));
-        }
-        Value::Sequence(fields)
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.country);
+            w.str(&self.organization);
+            w.str(&self.unit);
+            w.str(&self.common_name);
+            if let Some(email) = &self.email {
+                w.tagged(0, |w| w.str(email));
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "DistinguishedName")?;
-        let country = f.next_string()?;
-        let organization = f.next_string()?;
-        let unit = f.next_string()?;
-        let common_name = f.next_string()?;
-        let email = match f.optional_tagged(0) {
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or(CodecError::BadValue("email attribute"))?
-                    .to_owned(),
-            ),
-            None => None,
-        };
-        f.finish()?;
-        Ok(DistinguishedName {
-            country,
-            organization,
-            unit,
-            common_name,
-            email,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("DistinguishedName", |f| {
+            Ok(DistinguishedName {
+                country: f.next_string()?,
+                organization: f.next_string()?,
+                unit: f.next_string()?,
+                common_name: f.next_string()?,
+                email: f.optional_tagged(0, |t| t.next_string())?,
+            })
         })
     }
 }

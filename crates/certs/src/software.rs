@@ -8,7 +8,7 @@
 use crate::cert::Certificate;
 use crate::chain::{RequiredUsage, TrustStore};
 use crate::error::CertError;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_crypto::rsa::RsaPrivateKey;
 
 /// A software bundle with a code-signing signature.
@@ -49,11 +49,13 @@ impl SignedSoftware {
     }
 
     fn signed_body(name: &str, version: &str, payload: &[u8]) -> Vec<u8> {
-        unicore_codec::encode(&Value::Sequence(vec![
-            Value::string(name),
-            Value::string(version),
-            Value::bytes(payload.to_vec()),
-        ]))
+        let mut w = DerWriter::new();
+        w.sequence(|w| {
+            w.str(name);
+            w.str(version);
+            w.bytes(payload);
+        });
+        w.into_vec()
     }
 
     /// Full verification: the signer chain must validate for code signing
@@ -76,30 +78,25 @@ impl SignedSoftware {
 }
 
 impl DerCodec for SignedSoftware {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.name),
-            Value::string(&self.version),
-            Value::bytes(self.payload.clone()),
-            Value::bytes(self.signature.clone()),
-            self.signer.to_value(),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.name);
+            w.str(&self.version);
+            w.bytes(&self.payload);
+            w.bytes(&self.signature);
+            self.signer.write_der(w);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "SignedSoftware")?;
-        let name = f.next_string()?;
-        let version = f.next_string()?;
-        let payload = f.next_bytes()?.to_vec();
-        let signature = f.next_bytes()?.to_vec();
-        let signer = Certificate::from_value(f.next_value()?)?;
-        f.finish()?;
-        Ok(SignedSoftware {
-            name,
-            version,
-            payload,
-            signature,
-            signer,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("SignedSoftware", |f| {
+            Ok(SignedSoftware {
+                name: f.next_string()?,
+                version: f.next_string()?,
+                payload: f.next_bytes()?.to_vec(),
+                signature: f.next_bytes()?.to_vec(),
+                signer: Certificate::read_der(f)?,
+            })
         })
     }
 }

@@ -1,171 +1,46 @@
-//! DER decoding with depth and size limits.
+//! Decoding into the dynamic [`Value`] model: a generic walk over
+//! [`DerReader`], which applies every TLV rule.
 
 use crate::error::CodecError;
+use crate::reader::DerReader;
 use crate::value::{tag, Value};
 
-/// Maximum nesting depth accepted by the decoder (AJOs are recursive; this
-/// bounds hostile input while being far above any real job tree).
-pub const MAX_DEPTH: usize = 128;
+pub use crate::reader::MAX_DEPTH;
 
 /// Decodes exactly one value; trailing bytes are an error.
 pub fn decode(input: &[u8]) -> Result<Value, CodecError> {
-    let mut r = Reader::new(input);
-    let v = r.read_value(0)?;
-    if !r.is_empty() {
-        return Err(CodecError::TrailingBytes(r.remaining()));
-    }
+    let mut r = DerReader::new(input);
+    let v = read_value(&mut r)?;
+    r.finish()?;
     Ok(v)
 }
 
-/// Decodes one value from the front of `input`, returning it and the number
-/// of bytes consumed (for streaming framings).
-pub fn decode_prefix(input: &[u8]) -> Result<(Value, usize), CodecError> {
-    let mut r = Reader::new(input);
-    let v = r.read_value(0)?;
-    Ok((v, input.len() - r.remaining()))
-}
-
-struct Reader<'a> {
-    input: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(input: &'a [u8]) -> Self {
-        Reader { input, pos: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos >= self.input.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.input.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let s = &self.input[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn read_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn read_len(&mut self) -> Result<usize, CodecError> {
-        let first = self.read_u8()?;
-        if first < 0x80 {
-            return Ok(first as usize);
-        }
-        let n = (first & 0x7f) as usize;
-        if n == 0 || n > 8 {
-            return Err(CodecError::BadLength);
-        }
-        let bytes = self.take(n)?;
-        if bytes[0] == 0 {
-            // Non-minimal length encoding is not canonical DER.
-            return Err(CodecError::BadLength);
-        }
-        let mut len = 0u64;
-        for &b in bytes {
-            len = (len << 8) | b as u64;
-        }
-        if len < 0x80 {
-            return Err(CodecError::BadLength);
-        }
-        usize::try_from(len).map_err(|_| CodecError::BadLength)
-    }
-
-    fn read_value(&mut self, depth: usize) -> Result<Value, CodecError> {
-        if depth > MAX_DEPTH {
-            return Err(CodecError::DepthExceeded);
-        }
-        let t = self.read_u8()?;
-        let len = self.read_len()?;
-        let content = self.take(len)?;
-        match t {
-            tag::BOOLEAN => {
-                if content.len() != 1 {
-                    return Err(CodecError::BadValue("boolean length"));
-                }
-                match content[0] {
-                    0x00 => Ok(Value::Boolean(false)),
-                    0xff => Ok(Value::Boolean(true)),
-                    _ => Err(CodecError::BadValue("boolean content")),
-                }
+fn read_value(r: &mut DerReader<'_>) -> Result<Value, CodecError> {
+    let t = r.peek_tag().ok_or(CodecError::UnexpectedEof)?;
+    match t {
+        tag::BOOLEAN => r.next_bool().map(Value::Boolean),
+        tag::INTEGER => r.next_i64().map(Value::Integer),
+        tag::ENUMERATED => r.next_enum().map(Value::Enumerated),
+        tag::OCTET_STRING => r.next_bytes().map(Value::bytes),
+        tag::UTF8_STRING => r.next_string().map(Value::Utf8String),
+        tag::NULL => r.next_null().map(|()| Value::Null),
+        tag::SEQUENCE | tag::SET => {
+            let mut inner = r.constructed(t, "value")?;
+            let mut items = Vec::new();
+            while !inner.is_empty() {
+                items.push(read_value(&mut inner)?);
             }
-            tag::INTEGER => Ok(Value::Integer(parse_int(content)?)),
-            tag::ENUMERATED => {
-                let v = parse_int(content)?;
-                u32::try_from(v)
-                    .map(Value::Enumerated)
-                    .map_err(|_| CodecError::BadValue("enumerated range"))
-            }
-            tag::OCTET_STRING => Ok(Value::OctetString(content.to_vec())),
-            tag::UTF8_STRING => String::from_utf8(content.to_vec())
-                .map(Value::Utf8String)
-                .map_err(|_| CodecError::BadValue("utf8 content")),
-            tag::NULL => {
-                if content.is_empty() {
-                    Ok(Value::Null)
-                } else {
-                    Err(CodecError::BadValue("null with content"))
-                }
-            }
-            tag::SEQUENCE | tag::SET => {
-                let mut inner = Reader::new(content);
-                let mut items = Vec::new();
-                while !inner.is_empty() {
-                    items.push(inner.read_value(depth + 1)?);
-                }
-                if t == tag::SEQUENCE {
-                    Ok(Value::Sequence(items))
-                } else {
-                    Ok(Value::Set(items))
-                }
-            }
-            t if t & 0xe0 == tag::CONTEXT_CONSTRUCTED => {
-                let n = t & 0x1f;
-                if n >= 31 {
-                    return Err(CodecError::UnknownTag(t));
-                }
-                let mut inner = Reader::new(content);
-                let v = inner.read_value(depth + 1)?;
-                if !inner.is_empty() {
-                    return Err(CodecError::BadValue("multiple values in context tag"));
-                }
-                Ok(Value::Tagged(n, Box::new(v)))
-            }
-            other => Err(CodecError::UnknownTag(other)),
+            Ok(if t == tag::SEQUENCE {
+                Value::Sequence(items)
+            } else {
+                Value::Set(items)
+            })
         }
-    }
-}
-
-/// Parses canonical two's-complement content octets into an `i64`.
-fn parse_int(content: &[u8]) -> Result<i64, CodecError> {
-    if content.is_empty() {
-        return Err(CodecError::BadValue("empty integer"));
-    }
-    if content.len() > 1 {
-        let redundant = (content[0] == 0x00 && content[1] & 0x80 == 0)
-            || (content[0] == 0xff && content[1] & 0x80 != 0);
-        if redundant {
-            return Err(CodecError::BadValue("non-minimal integer"));
+        t if t & 0xe0 == tag::CONTEXT_CONSTRUCTED => {
+            r.tagged(|n, inner| Ok(Value::Tagged(n, Box::new(read_value(inner)?))))
         }
+        other => Err(CodecError::UnknownTag(other)),
     }
-    if content.len() > 8 {
-        return Err(CodecError::IntegerOverflow);
-    }
-    let negative = content[0] & 0x80 != 0;
-    let mut acc: u64 = if negative { u64::MAX } else { 0 };
-    for &b in content {
-        acc = (acc << 8) | b as u64;
-    }
-    Ok(acc as i64)
 }
 
 #[cfg(test)]
@@ -215,16 +90,6 @@ mod tests {
         let mut enc = encode(&Value::Null);
         enc.push(0x00);
         assert_eq!(decode(&enc), Err(CodecError::TrailingBytes(1)));
-    }
-
-    #[test]
-    fn decode_prefix_reports_consumed() {
-        let mut enc = encode(&Value::Integer(7));
-        let len = enc.len();
-        enc.extend_from_slice(&[1, 2, 3]);
-        let (v, used) = decode_prefix(&enc).unwrap();
-        assert_eq!(v, Value::Integer(7));
-        assert_eq!(used, len);
     }
 
     #[test]

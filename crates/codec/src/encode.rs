@@ -1,195 +1,51 @@
-//! Canonical DER encoding.
-//!
-//! Encoding is two passes over the value tree: a sizing pass
-//! ([`encoded_len`]) that computes every definite length arithmetically,
-//! then an emit pass that writes tag, length and content octets straight
-//! into one preallocated output buffer. Constructed values (`Sequence`,
-//! `Tagged`) never materialise their body in a temporary — the recursive
-//! encoder this replaced copied a depth-d subtree O(d) times.
+//! Encoding the dynamic [`Value`] model: a generic walk over
+//! [`DerWriter`], which owns every TLV rule and emits in one pass.
 
-use crate::value::{tag, Value};
+use crate::value::Value;
+use crate::writer::{int_content, DerWriter};
 
 /// Encodes a value to canonical DER bytes.
 pub fn encode(value: &Value) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_len(value));
-    emit(value, &mut out);
-    out
+    let mut w = DerWriter::new();
+    write_value(&mut w, value);
+    w.into_vec()
 }
 
-/// Encodes into an existing buffer (appends; avoids reallocation in hot
-/// paths that assemble framed messages).
-pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
-    out.reserve(encoded_len(value));
-    emit(value, out);
-}
-
-/// Encodes into `out`, clearing it first — callers that encode in a loop
-/// amortise one buffer across all iterations.
-pub fn encode_reusing(value: &Value, out: &mut Vec<u8>) {
-    out.clear();
-    encode_into(value, out);
-}
-
-/// Total encoded size of `value` in bytes (tag + length + content).
-pub fn encoded_len(value: &Value) -> usize {
-    let content = content_len(value);
-    1 + len_octets(content) + content
-}
-
-/// Size of the content octets alone.
-fn content_len(value: &Value) -> usize {
+fn write_value(w: &mut DerWriter, value: &Value) {
     match value {
+        Value::Boolean(b) => w.bool(*b),
+        Value::Integer(v) => w.int(*v),
+        Value::OctetString(b) => w.bytes(b),
+        Value::Utf8String(s) => w.str(s),
+        Value::Null => w.null(),
+        Value::Enumerated(e) => w.enumerated(*e),
+        Value::Sequence(items) => w.sequence_of(items, write_value),
+        Value::Set(items) => w.set_of(items, write_value),
+        Value::Tagged(n, inner) => w.tagged(*n, |w| write_value(w, inner)),
+    }
+}
+
+/// Total encoded size of `value` in bytes (tag + length + content),
+/// computed arithmetically without encoding.
+pub fn encoded_len(value: &Value) -> usize {
+    let content = match value {
         Value::Boolean(_) => 1,
-        Value::Integer(v) => int_content_len(*v),
+        Value::Integer(v) => 8 - int_content(*v).1,
         Value::OctetString(b) => b.len(),
         Value::Utf8String(s) => s.len(),
         Value::Null => 0,
-        Value::Enumerated(e) => int_content_len(*e as i64),
+        Value::Enumerated(e) => 8 - int_content(*e as i64).1,
         // Sorting a SET-OF permutes its elements but not their bytes, so
         // the size is order-independent.
         Value::Sequence(items) | Value::Set(items) => items.iter().map(encoded_len).sum(),
         Value::Tagged(_, inner) => encoded_len(inner),
-    }
-}
-
-fn emit(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Boolean(b) => {
-            out.push(tag::BOOLEAN);
-            out.push(1);
-            out.push(if *b { 0xff } else { 0x00 });
-        }
-        Value::Integer(v) => {
-            let (bytes, start) = int_content(*v);
-            out.push(tag::INTEGER);
-            push_len(out, 8 - start);
-            out.extend_from_slice(&bytes[start..]);
-        }
-        Value::OctetString(b) => {
-            out.push(tag::OCTET_STRING);
-            push_len(out, b.len());
-            out.extend_from_slice(b);
-        }
-        Value::Utf8String(s) => {
-            out.push(tag::UTF8_STRING);
-            push_len(out, s.len());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Null => {
-            out.push(tag::NULL);
-            out.push(0);
-        }
-        Value::Enumerated(e) => {
-            let (bytes, start) = int_content(*e as i64);
-            out.push(tag::ENUMERATED);
-            push_len(out, 8 - start);
-            out.extend_from_slice(&bytes[start..]);
-        }
-        Value::Sequence(items) => {
-            out.push(tag::SEQUENCE);
-            push_len(out, items.iter().map(encoded_len).sum());
-            for item in items {
-                emit(item, out);
-            }
-        }
-        Value::Set(items) => {
-            out.push(tag::SET);
-            push_len(out, items.iter().map(encoded_len).sum());
-            let body_start = out.len();
-            let mut ends = Vec::with_capacity(items.len());
-            for item in items {
-                emit(item, out);
-                ends.push(out.len());
-            }
-            sort_set_body(out, body_start, &ends);
-        }
-        Value::Tagged(n, inner) => {
-            debug_assert!(*n < 31, "high tag numbers unsupported");
-            out.push(tag::CONTEXT_CONSTRUCTED | n);
-            push_len(out, encoded_len(inner));
-            emit(inner, out);
-        }
-    }
-}
-
-/// Canonical DER: SET-OF elements sorted by encoded bytes. Elements are
-/// emitted in declaration order at `out[body_start..]` with element
-/// boundaries at `ends`; reorder them in place if they are not already
-/// sorted (the common case pays only the comparison scan).
-fn sort_set_body(out: &mut Vec<u8>, body_start: usize, ends: &[usize]) {
-    let range = |i: usize| (if i == 0 { body_start } else { ends[i - 1] }, ends[i]);
-    let sorted = (1..ends.len()).all(|i| {
-        let (ps, pe) = range(i - 1);
-        let (s, e) = range(i);
-        out[ps..pe] <= out[s..e]
-    });
-    if sorted {
-        return;
-    }
-    let body = out[body_start..].to_vec();
-    let mut order: Vec<usize> = (0..ends.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (sa, ea) = range(a);
-        let (sb, eb) = range(b);
-        body[sa - body_start..ea - body_start].cmp(&body[sb - body_start..eb - body_start])
-    });
-    out.truncate(body_start);
-    for i in order {
-        let (s, e) = range(i);
-        out.extend_from_slice(&body[s - body_start..e - body_start]);
-    }
-}
-
-/// Minimal two's-complement content octets for an integer: the big-endian
-/// bytes of `v` and the index its minimal encoding starts at.
-fn int_content(v: i64) -> ([u8; 8], usize) {
-    let bytes = v.to_be_bytes();
-    // Strip redundant leading bytes: 0x00 followed by a byte with the top
-    // bit clear, or 0xff followed by a byte with the top bit set.
-    let mut start = 0;
-    while start < 7 {
-        let cur = bytes[start];
-        let next = bytes[start + 1];
-        let redundant = (cur == 0x00 && next & 0x80 == 0) || (cur == 0xff && next & 0x80 != 0);
-        if redundant {
-            start += 1;
-        } else {
-            break;
-        }
-    }
-    (bytes, start)
-}
-
-fn int_content_len(v: i64) -> usize {
-    let (_, start) = int_content(v);
-    8 - start
-}
-
-/// Number of length octets DER uses for a content length.
-fn len_octets(len: usize) -> usize {
-    if len < 0x80 {
+    };
+    let len_octets = if content < 0x80 {
         1
     } else {
-        let skip = (len as u64)
-            .to_be_bytes()
-            .iter()
-            .take_while(|&&b| b == 0)
-            .count();
-        1 + (8 - skip)
-    }
-}
-
-/// DER definite-length encoding.
-fn push_len(out: &mut Vec<u8>, len: usize) {
-    if len < 0x80 {
-        out.push(len as u8);
-    } else {
-        let bytes = (len as u64).to_be_bytes();
-        let skip = bytes.iter().take_while(|&&b| b == 0).count();
-        let n = 8 - skip;
-        out.push(0x80 | n as u8);
-        out.extend_from_slice(&bytes[skip..]);
-    }
+        1 + 8 - (content as u64).leading_zeros() as usize / 8
+    };
+    1 + len_octets + content
 }
 
 #[cfg(test)]
@@ -267,18 +123,6 @@ mod tests {
             Value::Null,
         ]);
         assert_eq!(encoded_len(&v), encode(&v).len());
-    }
-
-    #[test]
-    fn encode_reusing_clears_and_matches() {
-        let v = Value::Sequence(vec![Value::Integer(42), Value::string("x")]);
-        let mut buf = vec![0xde, 0xad];
-        encode_reusing(&v, &mut buf);
-        assert_eq!(buf, encode(&v));
-        // Second use of the same buffer produces identical bytes.
-        let prev = buf.clone();
-        encode_reusing(&v, &mut buf);
-        assert_eq!(buf, prev);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! context-specific constructed tags — everything the certificate format,
 //! resource pages and AJO wire form need.
 //!
+//! Layering: [`DerWriter`] (one-pass emitter) and [`DerReader`] (borrowing
+//! cursor) own every TLV rule. [`DerCodec`] types write and read themselves
+//! through them directly; [`Value`] with [`encode()`]/[`decode()`] is the
+//! dynamic model for hand-built structures and tests, a generic walk over
+//! the same two primitives.
+//!
 //! Strictness matters here: the decoder rejects non-minimal integers and
 //! lengths, trailing bytes, and over-deep nesting, so a byte stream has
 //! exactly one accepted encoding (required for signing certificate bodies).
@@ -20,11 +26,15 @@
 pub mod decode;
 pub mod encode;
 pub mod error;
+pub mod reader;
 pub mod structure;
 pub mod value;
+pub mod writer;
 
-pub use decode::{decode, decode_prefix, MAX_DEPTH};
-pub use encode::{encode, encode_into, encode_reusing, encoded_len};
+pub use decode::{decode, MAX_DEPTH};
+pub use encode::{encode, encoded_len};
 pub use error::CodecError;
-pub use structure::{DerCodec, Fields};
+pub use reader::{require_ascending, DerReader};
+pub use structure::DerCodec;
 pub use value::{tag, Value};
+pub use writer::DerWriter;

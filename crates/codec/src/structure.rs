@@ -1,175 +1,40 @@
-//! Ergonomic destructuring of decoded sequences, plus the `DerCodec` trait
-//! implemented by every wire-transferable UNICORE structure.
+//! The [`DerCodec`] trait implemented by every wire-transferable UNICORE
+//! structure.
 
-use crate::decode::decode;
-use crate::encode::encode;
 use crate::error::CodecError;
-use crate::value::Value;
-
-/// A cursor over the fields of a SEQUENCE, yielding typed fields in order.
-pub struct Fields<'a> {
-    items: &'a [Value],
-    pos: usize,
-    context: &'static str,
-}
-
-impl<'a> Fields<'a> {
-    /// Opens `value` as a SEQUENCE named `context` (for error messages).
-    pub fn open(value: &'a Value, context: &'static str) -> Result<Self, CodecError> {
-        match value.as_sequence() {
-            Some(items) => Ok(Fields {
-                items,
-                pos: 0,
-                context,
-            }),
-            None => Err(CodecError::Structure(format!(
-                "{context}: expected SEQUENCE"
-            ))),
-        }
-    }
-
-    fn missing(&self, what: &str) -> CodecError {
-        CodecError::Structure(format!(
-            "{}: missing or mistyped field #{} ({what})",
-            self.context, self.pos
-        ))
-    }
-
-    /// Next raw value.
-    pub fn next_value(&mut self) -> Result<&'a Value, CodecError> {
-        let v = self
-            .items
-            .get(self.pos)
-            .ok_or_else(|| self.missing("value"))?;
-        self.pos += 1;
-        Ok(v)
-    }
-
-    /// Next field as `&str`.
-    pub fn next_str(&mut self) -> Result<&'a str, CodecError> {
-        let pos = self.pos;
-        let v = self.next_value()?;
-        v.as_str().ok_or_else(|| {
-            CodecError::Structure(format!("{}: field #{pos} not UTF8String", self.context))
-        })
-    }
-
-    /// Next field as owned `String`.
-    pub fn next_string(&mut self) -> Result<String, CodecError> {
-        Ok(self.next_str()?.to_owned())
-    }
-
-    /// Next field as `i64`.
-    pub fn next_i64(&mut self) -> Result<i64, CodecError> {
-        let pos = self.pos;
-        let v = self.next_value()?;
-        v.as_i64().ok_or_else(|| {
-            CodecError::Structure(format!("{}: field #{pos} not INTEGER", self.context))
-        })
-    }
-
-    /// Next field as `u64`.
-    pub fn next_u64(&mut self) -> Result<u64, CodecError> {
-        let pos = self.pos;
-        let v = self.next_value()?;
-        v.as_u64().ok_or_else(|| {
-            CodecError::Structure(format!(
-                "{}: field #{pos} not non-negative INTEGER",
-                self.context
-            ))
-        })
-    }
-
-    /// Next field as `u32`.
-    pub fn next_u32(&mut self) -> Result<u32, CodecError> {
-        u32::try_from(self.next_u64()?).map_err(|_| CodecError::IntegerOverflow)
-    }
-
-    /// Next field as `bool`.
-    pub fn next_bool(&mut self) -> Result<bool, CodecError> {
-        let pos = self.pos;
-        let v = self.next_value()?;
-        v.as_bool().ok_or_else(|| {
-            CodecError::Structure(format!("{}: field #{pos} not BOOLEAN", self.context))
-        })
-    }
-
-    /// Next field as bytes.
-    pub fn next_bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        let pos = self.pos;
-        let v = self.next_value()?;
-        v.as_bytes().ok_or_else(|| {
-            CodecError::Structure(format!("{}: field #{pos} not OCTET STRING", self.context))
-        })
-    }
-
-    /// Next field as an ENUMERATED discriminant.
-    pub fn next_enum(&mut self) -> Result<u32, CodecError> {
-        let pos = self.pos;
-        let v = self.next_value()?;
-        v.as_enum().ok_or_else(|| {
-            CodecError::Structure(format!("{}: field #{pos} not ENUMERATED", self.context))
-        })
-    }
-
-    /// Next field as a nested SEQUENCE's items.
-    pub fn next_sequence(&mut self) -> Result<&'a [Value], CodecError> {
-        let pos = self.pos;
-        let v = self.next_value()?;
-        v.as_sequence().ok_or_else(|| {
-            CodecError::Structure(format!("{}: field #{pos} not SEQUENCE", self.context))
-        })
-    }
-
-    /// If the next field is `[n]`-tagged, consumes and returns its inner
-    /// value; otherwise leaves the cursor alone and returns `None`.
-    pub fn optional_tagged(&mut self, n: u8) -> Option<&'a Value> {
-        if let Some(Value::Tagged(t, inner)) = self.items.get(self.pos) {
-            if *t == n {
-                self.pos += 1;
-                return Some(inner);
-            }
-        }
-        None
-    }
-
-    /// Asserts all fields were consumed.
-    pub fn finish(self) -> Result<(), CodecError> {
-        if self.pos == self.items.len() {
-            Ok(())
-        } else {
-            Err(CodecError::Structure(format!(
-                "{}: {} unconsumed trailing fields",
-                self.context,
-                self.items.len() - self.pos
-            )))
-        }
-    }
-
-    /// Remaining (unconsumed) values, consuming the cursor.
-    pub fn rest(self) -> &'a [Value] {
-        &self.items[self.pos..]
-    }
-}
+use crate::reader::DerReader;
+use crate::writer::DerWriter;
 
 /// Types with a canonical DER wire form.
 ///
 /// Everything UNICORE puts on the network or on disk (certificates, resource
-/// pages, AJOs, outcomes) implements this.
+/// pages, AJOs, outcomes) implements this. A type writes itself as exactly
+/// one TLV and reads itself back from the next element of a reader.
 pub trait DerCodec: Sized {
-    /// Converts to the DER value model.
-    fn to_value(&self) -> Value;
-    /// Parses from the DER value model.
-    fn from_value(value: &Value) -> Result<Self, CodecError>;
+    /// Appends this value's one TLV to `w`.
+    fn write_der(&self, w: &mut DerWriter);
+
+    /// Reads one value from the next element of `r`.
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError>;
 
     /// Serialises to DER bytes.
     fn to_der(&self) -> Vec<u8> {
-        encode(&self.to_value())
+        let mut w = DerWriter::new();
+        self.write_der(&mut w);
+        w.into_vec()
     }
 
-    /// Parses from DER bytes.
+    /// Appends the DER bytes to `out`, so a caller can reuse one buffer or
+    /// encode behind a header it has already written.
+    fn to_der_into(&self, out: &mut Vec<u8>) {
+        DerWriter::append_to(out, |w| self.write_der(w));
+    }
+
+    /// Parses from DER bytes; trailing bytes are an error.
     fn from_der(bytes: &[u8]) -> Result<Self, CodecError> {
-        Self::from_value(&decode(bytes)?)
+        let mut r = DerReader::new(bytes);
+        let outcome = Self::read_der(&mut r);
+        r.finished_after(outcome)
     }
 }
 
@@ -177,88 +42,48 @@ pub trait DerCodec: Sized {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fields_consume_in_order() {
-        let v = Value::Sequence(vec![
-            Value::string("name"),
-            Value::Integer(42),
-            Value::Boolean(true),
-            Value::bytes(vec![1, 2]),
-            Value::Enumerated(7),
-        ]);
-        let mut f = Fields::open(&v, "test").unwrap();
-        assert_eq!(f.next_str().unwrap(), "name");
-        assert_eq!(f.next_u64().unwrap(), 42);
-        assert!(f.next_bool().unwrap());
-        assert_eq!(f.next_bytes().unwrap(), &[1, 2]);
-        assert_eq!(f.next_enum().unwrap(), 7);
-        f.finish().unwrap();
+    #[derive(Debug, PartialEq)]
+    struct Point {
+        x: i64,
+        y: i64,
     }
 
-    #[test]
-    fn finish_rejects_leftovers() {
-        let v = Value::Sequence(vec![Value::Null]);
-        let f = Fields::open(&v, "test").unwrap();
-        assert!(f.finish().is_err());
-    }
-
-    #[test]
-    fn type_mismatch_reported() {
-        let v = Value::Sequence(vec![Value::Integer(1)]);
-        let mut f = Fields::open(&v, "ctx").unwrap();
-        let err = f.next_str().unwrap_err();
-        assert!(matches!(err, CodecError::Structure(_)));
-    }
-
-    #[test]
-    fn eof_reported() {
-        let v = Value::Sequence(vec![]);
-        let mut f = Fields::open(&v, "ctx").unwrap();
-        assert!(f.next_i64().is_err());
-    }
-
-    #[test]
-    fn optional_tagged_consumes_only_matches() {
-        let v = Value::Sequence(vec![
-            Value::tagged(1, Value::Integer(5)),
-            Value::string("after"),
-        ]);
-        let mut f = Fields::open(&v, "ctx").unwrap();
-        assert!(f.optional_tagged(0).is_none());
-        let inner = f.optional_tagged(1).unwrap();
-        assert_eq!(inner.as_i64(), Some(5));
-        assert_eq!(f.next_str().unwrap(), "after");
-        f.finish().unwrap();
-    }
-
-    #[test]
-    fn non_sequence_rejected() {
-        assert!(Fields::open(&Value::Null, "ctx").is_err());
+    impl DerCodec for Point {
+        fn write_der(&self, w: &mut DerWriter) {
+            w.sequence(|w| {
+                w.int(self.x);
+                w.int(self.y);
+            });
+        }
+        fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+            r.sequence("Point", |f| {
+                Ok(Point {
+                    x: f.next_i64()?,
+                    y: f.next_i64()?,
+                })
+            })
+        }
     }
 
     #[test]
     fn der_codec_round_trip() {
-        struct Point {
-            x: i64,
-            y: i64,
-        }
-        impl DerCodec for Point {
-            fn to_value(&self) -> Value {
-                Value::Sequence(vec![Value::Integer(self.x), Value::Integer(self.y)])
-            }
-            fn from_value(value: &Value) -> Result<Self, CodecError> {
-                let mut f = Fields::open(value, "Point")?;
-                let p = Point {
-                    x: f.next_i64()?,
-                    y: f.next_i64()?,
-                };
-                f.finish()?;
-                Ok(p)
-            }
-        }
         let p = Point { x: -3, y: 900 };
-        let back = Point::from_der(&p.to_der()).unwrap();
-        assert_eq!(back.x, -3);
-        assert_eq!(back.y, 900);
+        assert_eq!(Point::from_der(&p.to_der()).unwrap(), p);
+    }
+
+    #[test]
+    fn to_der_into_appends() {
+        let p = Point { x: 1, y: 2 };
+        let mut buf = vec![0xaa];
+        p.to_der_into(&mut buf);
+        assert_eq!(buf[0], 0xaa);
+        assert_eq!(&buf[1..], &p.to_der()[..]);
+    }
+
+    #[test]
+    fn from_der_rejects_trailing_bytes() {
+        let mut der = Point { x: 1, y: 2 }.to_der();
+        der.push(0);
+        assert_eq!(Point::from_der(&der), Err(CodecError::TrailingBytes(1)));
     }
 }

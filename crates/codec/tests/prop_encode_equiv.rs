@@ -1,117 +1,17 @@
-//! Property tests: the single-pass sizer+emit encoder is byte-identical
-//! to the recursive nested-temp-buffer encoder it replaced.
+//! Property tests: `encode` is byte-identical to the recursive
+//! nested-temp-buffer encoder the codec started from.
 //!
-//! The reference implementation below is the pre-optimization encoder,
-//! kept verbatim as the oracle: every constructed value body is encoded
-//! into its own temporary `Vec` and copied into the parent. The wire
-//! format is pinned by signatures and idempotency keys, so the fast
-//! encoder must agree on every byte — including the canonical SET-OF
-//! element ordering, which this strategy (unlike `prop_roundtrip`'s)
-//! generates.
+//! The oracle in `reference/` is that first encoder, kept verbatim: every
+//! constructed value body is encoded into its own temporary `Vec` and
+//! copied into the parent. The wire format is pinned by signatures and
+//! idempotency keys, so the encoder must agree on every byte — including
+//! the canonical SET-OF element ordering, which this strategy (unlike
+//! `prop_roundtrip`'s) generates.
 
 use proptest::prelude::*;
-use unicore_codec::{decode, encode, encode_reusing, encoded_len, tag, Value};
+use unicore_codec::{decode, encode, encoded_len, Value};
 
-/// The old recursive encoder, preserved as the equivalence oracle.
-mod reference {
-    use super::tag;
-    use super::Value;
-
-    pub fn encode(value: &Value) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        encode_into(value, &mut out);
-        out
-    }
-
-    fn encode_into(value: &Value, out: &mut Vec<u8>) {
-        match value {
-            Value::Boolean(b) => {
-                out.push(tag::BOOLEAN);
-                out.push(1);
-                out.push(if *b { 0xff } else { 0x00 });
-            }
-            Value::Integer(v) => {
-                let content = int_content(*v);
-                out.push(tag::INTEGER);
-                push_len(out, content.len());
-                out.extend_from_slice(&content);
-            }
-            Value::OctetString(b) => {
-                out.push(tag::OCTET_STRING);
-                push_len(out, b.len());
-                out.extend_from_slice(b);
-            }
-            Value::Utf8String(s) => {
-                out.push(tag::UTF8_STRING);
-                push_len(out, s.len());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Null => {
-                out.push(tag::NULL);
-                out.push(0);
-            }
-            Value::Enumerated(e) => {
-                let content = int_content(*e as i64);
-                out.push(tag::ENUMERATED);
-                push_len(out, content.len());
-                out.extend_from_slice(&content);
-            }
-            Value::Sequence(items) => {
-                let mut body = Vec::with_capacity(items.len() * 8);
-                for item in items {
-                    encode_into(item, &mut body);
-                }
-                out.push(tag::SEQUENCE);
-                push_len(out, body.len());
-                out.extend_from_slice(&body);
-            }
-            Value::Set(items) => {
-                let mut encoded: Vec<Vec<u8>> = items.iter().map(encode).collect();
-                encoded.sort();
-                let body_len: usize = encoded.iter().map(Vec::len).sum();
-                out.push(tag::SET);
-                push_len(out, body_len);
-                for e in encoded {
-                    out.extend_from_slice(&e);
-                }
-            }
-            Value::Tagged(n, inner) => {
-                let body = encode(inner);
-                out.push(tag::CONTEXT_CONSTRUCTED | n);
-                push_len(out, body.len());
-                out.extend_from_slice(&body);
-            }
-        }
-    }
-
-    fn int_content(v: i64) -> Vec<u8> {
-        let bytes = v.to_be_bytes();
-        let mut start = 0;
-        while start < 7 {
-            let cur = bytes[start];
-            let next = bytes[start + 1];
-            let redundant = (cur == 0x00 && next & 0x80 == 0) || (cur == 0xff && next & 0x80 != 0);
-            if redundant {
-                start += 1;
-            } else {
-                break;
-            }
-        }
-        bytes[start..].to_vec()
-    }
-
-    fn push_len(out: &mut Vec<u8>, len: usize) {
-        if len < 0x80 {
-            out.push(len as u8);
-        } else {
-            let bytes = (len as u64).to_be_bytes();
-            let skip = bytes.iter().take_while(|&&b| b == 0).count();
-            let n = 8 - skip;
-            out.push(0x80 | n as u8);
-            out.extend_from_slice(&bytes[skip..]);
-        }
-    }
-}
+mod reference;
 
 /// Arbitrary value trees including SET-OF nodes (whose canonical element
 /// sorting is the subtle part of the emit pass) and strings long enough
@@ -145,14 +45,6 @@ proptest! {
     #[test]
     fn encoded_len_is_exact(v in value_strategy()) {
         prop_assert_eq!(encoded_len(&v), encode(&v).len());
-    }
-
-    /// Buffer reuse is invisible: a dirty buffer yields the same bytes.
-    #[test]
-    fn encode_reusing_matches(v in value_strategy(), junk in proptest::collection::vec(any::<u8>(), 0..32)) {
-        let mut buf = junk;
-        encode_reusing(&v, &mut buf);
-        prop_assert_eq!(buf, reference::encode(&v));
     }
 
     /// Set-bearing trees still round-trip (Sets decode in sorted order,

@@ -1,7 +1,7 @@
 //! Property tests: encode/decode round-trip over arbitrary value trees.
 
 use proptest::prelude::*;
-use unicore_codec::{decode, decode_prefix, encode, Value};
+use unicore_codec::{decode, encode, DerReader, Value};
 
 /// Strategy for arbitrary DER value trees of bounded depth/size.
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -33,9 +33,9 @@ proptest! {
         let mut enc = encode(&v);
         let expect_used = enc.len();
         enc.extend_from_slice(&tail);
-        let (dec, used) = decode_prefix(&enc).unwrap();
-        prop_assert_eq!(dec, v);
-        prop_assert_eq!(used, expect_used);
+        let raw = DerReader::new(&enc).next_raw().unwrap();
+        prop_assert_eq!(raw.len(), expect_used);
+        prop_assert_eq!(decode(raw).unwrap(), v);
     }
 
     #[test]
@@ -61,11 +61,11 @@ proptest! {
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode(&bytes);
-        let _ = decode_prefix(&bytes);
+        let _ = DerReader::new(&bytes).next_raw();
     }
 
     /// A valid encoding with arbitrary extra bytes appended still decodes
-    /// the same value via decode_prefix.
+    /// the same value once `next_raw` has cut it off the front.
     #[test]
     fn prefix_decode_ignores_suffix_garbage(
         v in value_strategy(),
@@ -74,8 +74,8 @@ proptest! {
         let mut enc = encode(&v);
         let len = enc.len();
         enc.extend_from_slice(&garbage);
-        let (dec, used) = decode_prefix(&enc).unwrap();
-        prop_assert_eq!(dec, v);
-        prop_assert_eq!(used, len);
+        let raw = DerReader::new(&enc).next_raw().unwrap();
+        prop_assert_eq!(raw.len(), len);
+        prop_assert_eq!(decode(raw).unwrap(), v);
     }
 }

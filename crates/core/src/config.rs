@@ -9,14 +9,14 @@
 //! version-controlled, shipped, and booted reproducibly.
 
 use crate::server::UnicoreServer;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 // TranslationTable's DerCodec impl lives in `unicore-njs` (orphan rule).
 use unicore_gateway::{Gateway, Uudb};
 use unicore_njs::{Njs, TranslationTable};
 use unicore_resources::ResourcePage;
 
 /// One Vsite's configured environment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VsiteConfig {
     /// The published resource page (also sizes the batch system).
     pub page: ResourcePage,
@@ -25,7 +25,7 @@ pub struct VsiteConfig {
 }
 
 /// A whole Usite's configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteConfig {
     /// The Usite name.
     pub usite: String,
@@ -58,48 +58,35 @@ impl SiteConfig {
 }
 
 impl DerCodec for SiteConfig {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.usite),
-            Value::Sequence(
-                self.vsites
-                    .iter()
-                    .map(|v| Value::Sequence(vec![v.page.to_value(), v.table.to_value()]))
-                    .collect(),
-            ),
-            self.uudb.to_value(),
-            Value::Sequence(self.peer_servers.iter().map(Value::string).collect()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.usite);
+            w.sequence_of(&self.vsites, |w, v| {
+                w.sequence(|w| {
+                    v.page.write_der(w);
+                    v.table.write_der(w);
+                })
+            });
+            self.uudb.write_der(w);
+            w.sequence_of(&self.peer_servers, |w, dn| w.str(dn));
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "SiteConfig")?;
-        let usite = f.next_string()?;
-        let mut vsites = Vec::new();
-        for item in f.next_sequence()? {
-            let mut vf = Fields::open(item, "VsiteConfig")?;
-            vsites.push(VsiteConfig {
-                page: ResourcePage::from_value(vf.next_value()?)?,
-                table: TranslationTable::from_value(vf.next_value()?)?,
-            });
-            vf.finish()?;
-        }
-        let uudb = Uudb::from_value(f.next_value()?)?;
-        let peer_servers = f
-            .next_sequence()?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or(CodecError::BadValue("peer server DN"))
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("SiteConfig", |f| {
+            Ok(SiteConfig {
+                usite: f.next_string()?,
+                vsites: f.sequence_of("vsites", |v| {
+                    v.sequence("VsiteConfig", |vf| {
+                        Ok(VsiteConfig {
+                            page: ResourcePage::read_der(vf)?,
+                            table: TranslationTable::read_der(vf)?,
+                        })
+                    })
+                })?,
+                uudb: Uudb::read_der(f)?,
+                peer_servers: f.sequence_of("peer servers", |p| p.next_string())?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        f.finish()?;
-        Ok(SiteConfig {
-            usite,
-            vsites,
-            uudb,
-            peer_servers,
         })
     }
 }

@@ -860,7 +860,7 @@ impl Federation {
 
     fn frame(origin: NodeId, envelope: &Envelope) -> Vec<u8> {
         let mut payload = origin.0.to_be_bytes().to_vec();
-        payload.extend_from_slice(&envelope.to_der());
+        envelope.to_der_into(&mut payload);
         payload
     }
 

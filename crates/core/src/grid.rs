@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use unicore_ajo::{SiteHealth, SiteStatus, VsiteHealth, HEADLINE_COUNTERS};
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_sim::SimTime;
 use unicore_telemetry::aggregate::{SnapshotDelta, SnapshotPayload};
 use unicore_telemetry::MetricsSnapshot;
@@ -152,45 +152,27 @@ pub struct GridPush {
 }
 
 impl DerCodec for GridPush {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.origin),
-            Value::Integer(self.base_epoch as i64),
-            Value::Integer(self.to_epoch as i64),
-            Value::Sequence(self.rows.iter().map(|r| r.to_value()).collect()),
-            self.merged.to_value(),
-            Value::Sequence(self.stale.iter().map(Value::string).collect()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.origin);
+            w.u64(self.base_epoch);
+            w.u64(self.to_epoch);
+            w.sequence_of(&self.rows, |w, r| r.write_der(w));
+            self.merged.write_der(w);
+            w.sequence_of(&self.stale, |w, s| w.str(s));
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "GridPush")?;
-        let origin = f.next_string()?;
-        let base_epoch = f.next_u64()?;
-        let to_epoch = f.next_u64()?;
-        let rows = f
-            .next_sequence()?
-            .iter()
-            .map(SiteStatus::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let merged = SnapshotPayload::from_value(f.next_value()?)?;
-        let stale = f
-            .next_sequence()?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or(CodecError::BadValue("stale site name"))
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("GridPush", |f| {
+            Ok(GridPush {
+                origin: f.next_string()?,
+                base_epoch: f.next_u64()?,
+                to_epoch: f.next_u64()?,
+                rows: f.sequence_of("site rows", SiteStatus::read_der)?,
+                merged: SnapshotPayload::read_der(f)?,
+                stale: f.sequence_of("stale sites", |s| s.next_string())?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        f.finish()?;
-        Ok(GridPush {
-            origin,
-            base_epoch,
-            to_epoch,
-            rows,
-            merged,
-            stale,
         })
     }
 }

@@ -16,7 +16,7 @@ use unicore_ajo::{
     AbstractJob, ActionId, ControlOp, DetailLevel, GridView, JobId, JobOutcome, JobSummary,
     MonitorReport, OutcomeNode, ResourceRequest, ServiceOutcome, VsiteAddress,
 };
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_dataplane::TransferManifest;
 use unicore_resources::ResourceDirectory;
 use unicore_telemetry::{SpanContext, SpanId, TraceId};
@@ -207,29 +207,28 @@ impl From<&unicore_broker::RankedOffer> for PlacementOffer {
 }
 
 impl DerCodec for PlacementOffer {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            self.vsite.to_value(),
-            Value::Integer(self.score as i64),
-            Value::Boolean(self.immediate),
-            Value::Integer(self.queue_length as i64),
-            Value::Integer(self.utilization_milli as i64),
-            Value::Integer(self.price_per_node_hour_milli as i64),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            self.vsite.write_der(w);
+            w.u64(self.score);
+            w.bool(self.immediate);
+            w.u64(self.queue_length);
+            w.u64(self.utilization_milli);
+            w.u64(self.price_per_node_hour_milli);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "PlacementOffer")?;
-        let offer = PlacementOffer {
-            vsite: VsiteAddress::from_value(f.next_value()?)?,
-            score: f.next_u64()?,
-            immediate: f.next_bool()?,
-            queue_length: f.next_u64()?,
-            utilization_milli: f.next_u64()?,
-            price_per_node_hour_milli: f.next_u64()?,
-        };
-        f.finish()?;
-        Ok(offer)
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("PlacementOffer", |f| {
+            Ok(PlacementOffer {
+                vsite: VsiteAddress::read_der(f)?,
+                score: f.next_u64()?,
+                immediate: f.next_bool()?,
+                queue_length: f.next_u64()?,
+                utilization_milli: f.next_u64()?,
+                price_per_node_hour_milli: f.next_u64()?,
+            })
+        })
     }
 }
 
@@ -330,78 +329,102 @@ pub enum Body {
     Response(Response),
 }
 
+/// Files returned with a sub-job outcome: `(name, contents)` pairs.
+fn write_returned_files(w: &mut DerWriter, files: &[(String, Vec<u8>)]) {
+    w.sequence_of(files, |w, (name, data)| {
+        w.sequence(|w| {
+            w.str(name);
+            w.bytes(data);
+        })
+    });
+}
+
+fn read_returned_files(r: &mut DerReader<'_>) -> Result<Vec<(String, Vec<u8>)>, CodecError> {
+    r.sequence_of("returned files", |e| {
+        e.sequence("returned file", |f| {
+            Ok((f.next_string()?, f.next_bytes()?.to_vec()))
+        })
+    })
+}
+
+/// The four fields shared by a single delivery and a batched entry.
+fn write_delivery(
+    w: &mut DerWriter,
+    parent: JobId,
+    node: ActionId,
+    outcome: &OutcomeNode,
+    files: &[(String, Vec<u8>)],
+) {
+    w.sequence(|w| {
+        w.u64(parent.0);
+        w.u64(node.0);
+        outcome.write_der(w);
+        write_returned_files(w, files);
+    });
+}
+
+fn read_delivery(
+    r: &mut DerReader<'_>,
+    context: &'static str,
+) -> Result<OutcomeDelivery, CodecError> {
+    r.sequence(context, |f| {
+        Ok(OutcomeDelivery {
+            parent: JobId(f.next_u64()?),
+            node: ActionId(f.next_u64()?),
+            outcome: OutcomeNode::read_der(f)?,
+            files: read_returned_files(f)?,
+        })
+    })
+}
+
 impl DerCodec for Request {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            Request::Consign { ajo } => Value::tagged(0, ajo.to_value()),
-            Request::Poll { job, detail } => Value::tagged(
-                1,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Enumerated(match detail {
-                        DetailLevel::JobOnly => 0,
-                        DetailLevel::Groups => 1,
-                        DetailLevel::Tasks => 2,
-                    }),
-                ]),
-            ),
-            Request::Control { job, op } => Value::tagged(
-                2,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Enumerated(match op {
-                        ControlOp::Abort => 0,
-                        ControlOp::Hold => 1,
-                        ControlOp::Resume => 2,
-                    }),
-                ]),
-            ),
-            Request::List => Value::tagged(3, Value::Null),
-            Request::FetchFile { job, name } => Value::tagged(
-                4,
-                Value::Sequence(vec![Value::Integer(job.0 as i64), Value::string(name)]),
-            ),
-            Request::Purge { job } => Value::tagged(8, Value::Integer(job.0 as i64)),
-            Request::ListFiles { job } => Value::tagged(9, Value::Integer(job.0 as i64)),
-            Request::GetResources => Value::tagged(10, Value::Null),
-            Request::Monitor { grid } => Value::tagged(11, Value::Boolean(*grid)),
+            Request::Consign { ajo } => w.tagged(0, |w| ajo.write_der(w)),
+            Request::Poll { job, detail } => w.tagged(1, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.enumerated(detail.to_enum());
+                })
+            }),
+            Request::Control { job, op } => w.tagged(2, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.enumerated(op.to_enum());
+                })
+            }),
+            Request::List => w.tagged(3, |w| w.null()),
+            Request::FetchFile { job, name } => w.tagged(4, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.str(name);
+                })
+            }),
+            Request::Purge { job } => w.tagged(8, |w| w.u64(job.0)),
+            Request::ListFiles { job } => w.tagged(9, |w| w.u64(job.0)),
+            Request::GetResources => w.tagged(10, |w| w.null()),
+            Request::Monitor { grid } => w.tagged(11, |w| w.bool(*grid)),
             Request::ConsignSubJob {
                 ajo,
                 origin,
                 parent,
                 node,
                 return_files,
-            } => Value::tagged(
-                5,
-                Value::Sequence(vec![
-                    ajo.to_value(),
-                    Value::string(origin),
-                    Value::Integer(parent.0 as i64),
-                    Value::Integer(node.0 as i64),
-                    Value::Sequence(return_files.iter().map(Value::string).collect()),
-                ]),
-            ),
+            } => w.tagged(5, |w| {
+                w.sequence(|w| {
+                    ajo.write_der(w);
+                    w.str(origin);
+                    w.u64(parent.0);
+                    w.u64(node.0);
+                    w.sequence_of(return_files, |w, f| w.str(f));
+                })
+            }),
             Request::DeliverOutcome {
                 parent,
                 node,
                 outcome,
                 files,
-            } => Value::tagged(
-                6,
-                Value::Sequence(vec![
-                    Value::Integer(parent.0 as i64),
-                    Value::Integer(node.0 as i64),
-                    outcome.to_value(),
-                    Value::Sequence(
-                        files
-                            .iter()
-                            .map(|(n, d)| {
-                                Value::Sequence(vec![Value::string(n), Value::bytes(d.clone())])
-                            })
-                            .collect(),
-                    ),
-                ]),
-            ),
+            } => w.tagged(6, |w| write_delivery(w, *parent, *node, outcome, files)),
             Request::PushFile {
                 to_vsite,
                 dest_name,
@@ -409,333 +432,197 @@ impl DerCodec for Request {
                 origin_job,
                 origin_node,
                 user_dn,
-            } => Value::tagged(
-                7,
-                Value::Sequence(vec![
-                    to_vsite.to_value(),
-                    Value::string(dest_name),
-                    Value::bytes(data.clone()),
-                    Value::Integer(origin_job.0 as i64),
-                    Value::Integer(origin_node.0 as i64),
-                    Value::string(user_dn),
-                ]),
-            ),
-            Request::TransferOffer { manifest } => Value::tagged(12, manifest.to_value()),
+            } => w.tagged(7, |w| {
+                w.sequence(|w| {
+                    to_vsite.write_der(w);
+                    w.str(dest_name);
+                    w.bytes(data);
+                    w.u64(origin_job.0);
+                    w.u64(origin_node.0);
+                    w.str(user_dn);
+                })
+            }),
+            Request::TransferOffer { manifest } => w.tagged(12, |w| manifest.write_der(w)),
             Request::TransferChunk {
                 origin,
                 origin_job,
                 origin_node,
                 index,
                 data,
-            } => Value::tagged(
-                13,
-                Value::Sequence(vec![
-                    Value::string(origin),
-                    Value::Integer(origin_job.0 as i64),
-                    Value::Integer(origin_node.0 as i64),
-                    Value::Integer(*index as i64),
-                    Value::bytes(data.clone()),
-                ]),
-            ),
-            Request::Broker { request } => Value::tagged(14, request.to_value()),
-            Request::DeliverOutcomes { deliveries } => Value::tagged(
-                15,
-                Value::Sequence(
-                    deliveries
-                        .iter()
-                        .map(|d| {
-                            Value::Sequence(vec![
-                                Value::Integer(d.parent.0 as i64),
-                                Value::Integer(d.node.0 as i64),
-                                d.outcome.to_value(),
-                                Value::Sequence(
-                                    d.files
-                                        .iter()
-                                        .map(|(n, bytes)| {
-                                            Value::Sequence(vec![
-                                                Value::string(n),
-                                                Value::bytes(bytes.clone()),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            Request::MonitorPush { push } => Value::tagged(16, push.to_value()),
+            } => w.tagged(13, |w| {
+                w.sequence(|w| {
+                    w.str(origin);
+                    w.u64(origin_job.0);
+                    w.u64(origin_node.0);
+                    w.u64(*index);
+                    w.bytes(data);
+                })
+            }),
+            Request::Broker { request } => w.tagged(14, |w| request.write_der(w)),
+            Request::DeliverOutcomes { deliveries } => w.tagged(15, |w| {
+                w.sequence_of(deliveries, |w, d| {
+                    write_delivery(w, d.parent, d.node, &d.outcome, &d.files)
+                })
+            }),
+            Request::MonitorPush { push } => w.tagged(16, |w| push.write_der(w)),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("Request tag"))?;
-        match tag {
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
             0 => Ok(Request::Consign {
-                ajo: AbstractJob::from_value(inner)?,
+                ajo: AbstractJob::read_der(t)?,
             }),
-            1 => {
-                let mut f = Fields::open(inner, "Poll")?;
-                let job = JobId(f.next_u64()?);
-                let detail = match f.next_enum()? {
-                    0 => DetailLevel::JobOnly,
-                    1 => DetailLevel::Groups,
-                    2 => DetailLevel::Tasks,
-                    _ => return Err(CodecError::BadValue("detail")),
-                };
-                f.finish()?;
-                Ok(Request::Poll { job, detail })
-            }
-            2 => {
-                let mut f = Fields::open(inner, "Control")?;
-                let job = JobId(f.next_u64()?);
-                let op = match f.next_enum()? {
-                    0 => ControlOp::Abort,
-                    1 => ControlOp::Hold,
-                    2 => ControlOp::Resume,
-                    _ => return Err(CodecError::BadValue("op")),
-                };
-                f.finish()?;
-                Ok(Request::Control { job, op })
-            }
-            3 => Ok(Request::List),
-            4 => {
-                let mut f = Fields::open(inner, "FetchFile")?;
-                let job = JobId(f.next_u64()?);
-                let name = f.next_string()?;
-                f.finish()?;
-                Ok(Request::FetchFile { job, name })
-            }
-            5 => {
-                let mut f = Fields::open(inner, "ConsignSubJob")?;
-                let ajo = AbstractJob::from_value(f.next_value()?)?;
-                let origin = f.next_string()?;
-                let parent = JobId(f.next_u64()?);
-                let node = ActionId(f.next_u64()?);
-                let return_files = f
-                    .next_sequence()?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_owned)
-                            .ok_or(CodecError::BadValue("return file"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                f.finish()?;
+            1 => t.sequence("Poll", |f| {
+                Ok(Request::Poll {
+                    job: JobId(f.next_u64()?),
+                    detail: DetailLevel::from_enum(f.next_enum()?)?,
+                })
+            }),
+            2 => t.sequence("Control", |f| {
+                Ok(Request::Control {
+                    job: JobId(f.next_u64()?),
+                    op: ControlOp::from_enum(f.next_enum()?)?,
+                })
+            }),
+            3 => t.next_null().map(|()| Request::List),
+            4 => t.sequence("FetchFile", |f| {
+                Ok(Request::FetchFile {
+                    job: JobId(f.next_u64()?),
+                    name: f.next_string()?,
+                })
+            }),
+            5 => t.sequence("ConsignSubJob", |f| {
                 Ok(Request::ConsignSubJob {
-                    ajo,
-                    origin,
-                    parent,
-                    node,
-                    return_files,
+                    ajo: AbstractJob::read_der(f)?,
+                    origin: f.next_string()?,
+                    parent: JobId(f.next_u64()?),
+                    node: ActionId(f.next_u64()?),
+                    return_files: f.sequence_of("return files", |n| n.next_string())?,
                 })
-            }
+            }),
             6 => {
-                let mut f = Fields::open(inner, "DeliverOutcome")?;
-                let parent = JobId(f.next_u64()?);
-                let node = ActionId(f.next_u64()?);
-                let outcome = OutcomeNode::from_value(f.next_value()?)?;
-                let mut files = Vec::new();
-                for item in f.next_sequence()? {
-                    let mut ff = Fields::open(item, "returned file")?;
-                    files.push((ff.next_string()?, ff.next_bytes()?.to_vec()));
-                    ff.finish()?;
-                }
-                f.finish()?;
+                let d = read_delivery(t, "DeliverOutcome")?;
                 Ok(Request::DeliverOutcome {
-                    parent,
-                    node,
-                    outcome,
-                    files,
+                    parent: d.parent,
+                    node: d.node,
+                    outcome: d.outcome,
+                    files: d.files,
                 })
             }
-            7 => {
-                let mut f = Fields::open(inner, "PushFile")?;
-                let to_vsite = VsiteAddress::from_value(f.next_value()?)?;
-                let dest_name = f.next_string()?;
-                let data = f.next_bytes()?.to_vec();
-                let origin_job = JobId(f.next_u64()?);
-                let origin_node = ActionId(f.next_u64()?);
-                let user_dn = f.next_string()?;
-                f.finish()?;
+            7 => t.sequence("PushFile", |f| {
                 Ok(Request::PushFile {
-                    to_vsite,
-                    dest_name,
-                    data,
-                    origin_job,
-                    origin_node,
-                    user_dn,
+                    to_vsite: VsiteAddress::read_der(f)?,
+                    dest_name: f.next_string()?,
+                    data: f.next_bytes()?.to_vec(),
+                    origin_job: JobId(f.next_u64()?),
+                    origin_node: ActionId(f.next_u64()?),
+                    user_dn: f.next_string()?,
                 })
-            }
+            }),
             8 => Ok(Request::Purge {
-                job: JobId(inner.as_u64().ok_or(CodecError::BadValue("job id"))?),
+                job: JobId(t.next_u64()?),
             }),
             9 => Ok(Request::ListFiles {
-                job: JobId(inner.as_u64().ok_or(CodecError::BadValue("job id"))?),
+                job: JobId(t.next_u64()?),
             }),
-            10 => Ok(Request::GetResources),
+            10 => t.next_null().map(|()| Request::GetResources),
             11 => Ok(Request::Monitor {
-                grid: inner
-                    .as_bool()
-                    .ok_or(CodecError::BadValue("Monitor grid flag"))?,
+                grid: t.next_bool()?,
             }),
             12 => Ok(Request::TransferOffer {
-                manifest: TransferManifest::from_value(inner)?,
+                manifest: TransferManifest::read_der(t)?,
             }),
-            13 => {
-                let mut f = Fields::open(inner, "TransferChunk")?;
-                let origin = f.next_string()?;
-                let origin_job = JobId(f.next_u64()?);
-                let origin_node = ActionId(f.next_u64()?);
-                let index = f.next_u64()?;
-                let data = f.next_bytes()?.to_vec();
-                f.finish()?;
+            13 => t.sequence("TransferChunk", |f| {
                 Ok(Request::TransferChunk {
-                    origin,
-                    origin_job,
-                    origin_node,
-                    index,
-                    data,
+                    origin: f.next_string()?,
+                    origin_job: JobId(f.next_u64()?),
+                    origin_node: ActionId(f.next_u64()?),
+                    index: f.next_u64()?,
+                    data: f.next_bytes()?.to_vec(),
                 })
-            }
-            14 => Ok(Request::Broker {
-                request: ResourceRequest::from_value(inner)?,
             }),
-            15 => {
-                let mut deliveries = Vec::new();
-                for item in inner
-                    .as_sequence()
-                    .ok_or(CodecError::BadValue("DeliverOutcomes"))?
-                {
-                    let mut df = Fields::open(item, "OutcomeDelivery")?;
-                    let parent = JobId(df.next_u64()?);
-                    let node = ActionId(df.next_u64()?);
-                    let outcome = OutcomeNode::from_value(df.next_value()?)?;
-                    let mut files = Vec::new();
-                    for entry in df.next_sequence()? {
-                        let mut ff = Fields::open(entry, "returned file")?;
-                        files.push((ff.next_string()?, ff.next_bytes()?.to_vec()));
-                        ff.finish()?;
-                    }
-                    df.finish()?;
-                    deliveries.push(OutcomeDelivery {
-                        parent,
-                        node,
-                        outcome,
-                        files,
-                    });
-                }
-                Ok(Request::DeliverOutcomes { deliveries })
-            }
+            14 => Ok(Request::Broker {
+                request: ResourceRequest::read_der(t)?,
+            }),
+            15 => Ok(Request::DeliverOutcomes {
+                deliveries: t
+                    .sequence_of("DeliverOutcomes", |d| read_delivery(d, "OutcomeDelivery"))?,
+            }),
             16 => Ok(Request::MonitorPush {
-                push: GridPush::from_value(inner)?,
+                push: GridPush::read_der(t)?,
             }),
             _ => Err(CodecError::BadValue("Request variant")),
-        }
+        })
     }
 }
 
 impl DerCodec for Response {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            Response::Consigned { job } => Value::tagged(0, Value::Integer(job.0 as i64)),
-            Response::Service(s) => Value::tagged(1, s.to_value()),
-            Response::FileData(d) => Value::tagged(2, Value::bytes(d.clone())),
-            Response::Ack => Value::tagged(3, Value::Null),
-            Response::Purged { bytes } => Value::tagged(5, Value::Integer(*bytes as i64)),
-            Response::FileNames(names) => Value::tagged(
-                6,
-                Value::Sequence(names.iter().map(Value::string).collect()),
-            ),
-            Response::Resources(dir) => Value::tagged(7, dir.to_value()),
-            Response::Error(msg) => Value::tagged(4, Value::string(msg)),
-            Response::TransferGo { resume_from } => {
-                Value::tagged(8, Value::Integer(*resume_from as i64))
+            Response::Consigned { job } => w.tagged(0, |w| w.u64(job.0)),
+            Response::Service(s) => w.tagged(1, |w| s.write_der(w)),
+            Response::FileData(d) => w.tagged(2, |w| w.bytes(d)),
+            Response::Ack => w.tagged(3, |w| w.null()),
+            Response::Purged { bytes } => w.tagged(5, |w| w.u64(*bytes)),
+            Response::FileNames(names) => w.tagged(6, |w| w.sequence_of(names, |w, n| w.str(n))),
+            Response::Resources(dir) => w.tagged(7, |w| dir.write_der(w)),
+            Response::Error(msg) => w.tagged(4, |w| w.str(msg)),
+            Response::TransferGo { resume_from } => w.tagged(8, |w| w.u64(*resume_from)),
+            Response::ChunkAck { upto, done } => w.tagged(9, |w| {
+                w.sequence(|w| {
+                    w.u64(*upto);
+                    w.bool(*done);
+                })
+            }),
+            Response::BrokerOffer { offers } => {
+                w.tagged(10, |w| w.sequence_of(offers, |w, o| o.write_der(w)))
             }
-            Response::ChunkAck { upto, done } => Value::tagged(
-                9,
-                Value::Sequence(vec![Value::Integer(*upto as i64), Value::Boolean(*done)]),
-            ),
-            Response::BrokerOffer { offers } => Value::tagged(
-                10,
-                Value::Sequence(offers.iter().map(|o| o.to_value()).collect()),
-            ),
-            Response::GridAck { epoch, resync } => Value::tagged(
-                11,
-                Value::Sequence(vec![Value::Integer(*epoch as i64), Value::Boolean(*resync)]),
-            ),
+            Response::GridAck { epoch, resync } => w.tagged(11, |w| {
+                w.sequence(|w| {
+                    w.u64(*epoch);
+                    w.bool(*resync);
+                })
+            }),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let (tag, inner) = value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("Response tag"))?;
-        match tag {
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
             0 => Ok(Response::Consigned {
-                job: JobId(inner.as_u64().ok_or(CodecError::BadValue("job id"))?),
+                job: JobId(t.next_u64()?),
             }),
-            1 => Ok(Response::Service(ServiceOutcome::from_value(inner)?)),
-            2 => Ok(Response::FileData(
-                inner
-                    .as_bytes()
-                    .ok_or(CodecError::BadValue("file data"))?
-                    .to_vec(),
-            )),
-            3 => Ok(Response::Ack),
-            4 => Ok(Response::Error(
-                inner
-                    .as_str()
-                    .ok_or(CodecError::BadValue("error message"))?
-                    .to_owned(),
-            )),
+            1 => Ok(Response::Service(ServiceOutcome::read_der(t)?)),
+            2 => Ok(Response::FileData(t.next_bytes()?.to_vec())),
+            3 => t.next_null().map(|()| Response::Ack),
+            4 => Ok(Response::Error(t.next_string()?)),
             5 => Ok(Response::Purged {
-                bytes: inner.as_u64().ok_or(CodecError::BadValue("bytes"))?,
+                bytes: t.next_u64()?,
             }),
-            6 => {
-                let names = inner
-                    .as_sequence()
-                    .ok_or(CodecError::BadValue("file names"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_owned)
-                            .ok_or(CodecError::BadValue("file name"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::FileNames(names))
-            }
-            7 => Ok(Response::Resources(ResourceDirectory::from_value(inner)?)),
+            6 => Ok(Response::FileNames(
+                t.sequence_of("file names", |n| n.next_string())?,
+            )),
+            7 => Ok(Response::Resources(ResourceDirectory::read_der(t)?)),
             8 => Ok(Response::TransferGo {
-                resume_from: inner.as_u64().ok_or(CodecError::BadValue("resume point"))?,
+                resume_from: t.next_u64()?,
             }),
-            9 => {
-                let mut f = Fields::open(inner, "ChunkAck")?;
-                let upto = f.next_u64()?;
-                let done = f.next_bool()?;
-                f.finish()?;
-                Ok(Response::ChunkAck { upto, done })
-            }
-            10 => {
-                let offers = inner
-                    .as_sequence()
-                    .ok_or(CodecError::BadValue("broker offers"))?
-                    .iter()
-                    .map(PlacementOffer::from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::BrokerOffer { offers })
-            }
-            11 => {
-                let mut f = Fields::open(inner, "GridAck")?;
-                let epoch = f.next_u64()?;
-                let resync = f.next_bool()?;
-                f.finish()?;
-                Ok(Response::GridAck { epoch, resync })
-            }
+            9 => t.sequence("ChunkAck", |f| {
+                Ok(Response::ChunkAck {
+                    upto: f.next_u64()?,
+                    done: f.next_bool()?,
+                })
+            }),
+            10 => Ok(Response::BrokerOffer {
+                offers: t.sequence_of("broker offers", PlacementOffer::read_der)?,
+            }),
+            11 => t.sequence("GridAck", |f| {
+                Ok(Response::GridAck {
+                    epoch: f.next_u64()?,
+                    resync: f.next_bool()?,
+                })
+            }),
             _ => Err(CodecError::BadValue("Response variant")),
-        }
+        })
     }
 }
 
@@ -746,91 +633,65 @@ const SEQ_TAG: u8 = 3;
 /// Tag of the optional trailing cumulative-ack element of an [`Envelope`].
 const ACK_TAG: u8 = 4;
 
-fn trace_to_value(ctx: &SpanContext) -> Value {
-    Value::tagged(
-        TRACE_TAG,
-        Value::Sequence(vec![
-            Value::bytes(ctx.trace.as_bytes().to_vec()),
-            Value::bytes(ctx.span.0.to_be_bytes().to_vec()),
-        ]),
-    )
-}
-
-fn trace_from_value(inner: &Value) -> Result<SpanContext, CodecError> {
-    let mut f = Fields::open(inner, "TraceContext")?;
-    let trace: [u8; 16] = f
-        .next_bytes()?
-        .try_into()
-        .map_err(|_| CodecError::BadValue("trace id length"))?;
-    let span: [u8; 8] = f
-        .next_bytes()?
-        .try_into()
-        .map_err(|_| CodecError::BadValue("span id length"))?;
-    f.finish()?;
-    Ok(SpanContext {
-        trace: TraceId(trace),
-        span: SpanId(u64::from_be_bytes(span)),
+fn read_trace(r: &mut DerReader<'_>) -> Result<SpanContext, CodecError> {
+    r.sequence("TraceContext", |f| {
+        let trace: [u8; 16] = f
+            .next_bytes()?
+            .try_into()
+            .map_err(|_| CodecError::BadValue("trace id length"))?;
+        let span: [u8; 8] = f
+            .next_bytes()?
+            .try_into()
+            .map_err(|_| CodecError::BadValue("span id length"))?;
+        Ok(SpanContext {
+            trace: TraceId(trace),
+            span: SpanId(u64::from_be_bytes(span)),
+        })
     })
 }
 
 impl DerCodec for Envelope {
-    fn to_value(&self) -> Value {
-        let body = match &self.body {
-            Body::Request(r) => Value::tagged(0, r.to_value()),
-            Body::Response(r) => Value::tagged(1, r.to_value()),
-        };
-        let mut fields = vec![
-            Value::Integer(self.corr as i64),
-            Value::string(&self.from_dn),
-            body,
-        ];
-        if let Some(ctx) = &self.trace {
-            fields.push(trace_to_value(ctx));
-        }
-        // Optional trailing fields must appear in ascending tag order:
-        // Fields::optional_tagged consumes sequentially.
-        if let Some(seq) = self.seq {
-            fields.push(Value::tagged(SEQ_TAG, Value::Integer(seq as i64)));
-        }
-        if let Some(ack) = self.ack {
-            fields.push(Value::tagged(ACK_TAG, Value::Integer(ack as i64)));
-        }
-        Value::Sequence(fields)
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.u64(self.corr);
+            w.str(&self.from_dn);
+            match &self.body {
+                Body::Request(r) => w.tagged(0, |w| r.write_der(w)),
+                Body::Response(r) => w.tagged(1, |w| r.write_der(w)),
+            }
+            // Optional trailing fields must appear in ascending tag order:
+            // the reader's optional_tagged consumes sequentially.
+            if let Some(ctx) = &self.trace {
+                w.tagged(TRACE_TAG, |w| {
+                    w.sequence(|w| {
+                        w.bytes(ctx.trace.as_bytes());
+                        w.bytes(&ctx.span.0.to_be_bytes());
+                    })
+                });
+            }
+            if let Some(seq) = self.seq {
+                w.tagged(SEQ_TAG, |w| w.u64(seq));
+            }
+            if let Some(ack) = self.ack {
+                w.tagged(ACK_TAG, |w| w.u64(ack));
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "Envelope")?;
-        let corr = f.next_u64()?;
-        let from_dn = f.next_string()?;
-        let body_value = f.next_value()?;
-        let trace = f
-            .optional_tagged(TRACE_TAG)
-            .map(trace_from_value)
-            .transpose()?;
-        let seq = f
-            .optional_tagged(SEQ_TAG)
-            .map(|v| v.as_u64().ok_or(CodecError::BadValue("envelope seq")))
-            .transpose()?;
-        let ack = f
-            .optional_tagged(ACK_TAG)
-            .map(|v| v.as_u64().ok_or(CodecError::BadValue("envelope ack")))
-            .transpose()?;
-        f.finish()?;
-        let (tag, inner) = body_value
-            .as_tagged()
-            .ok_or(CodecError::BadValue("Body tag"))?;
-        let body = match tag {
-            0 => Body::Request(Request::from_value(inner)?),
-            1 => Body::Response(Response::from_value(inner)?),
-            _ => return Err(CodecError::BadValue("Body variant")),
-        };
-        Ok(Envelope {
-            corr,
-            from_dn,
-            body,
-            trace,
-            seq,
-            ack,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("Envelope", |f| {
+            Ok(Envelope {
+                corr: f.next_u64()?,
+                from_dn: f.next_string()?,
+                body: f.tagged(|tag, t| match tag {
+                    0 => Ok(Body::Request(Request::read_der(t)?)),
+                    1 => Ok(Body::Response(Response::read_der(t)?)),
+                    _ => Err(CodecError::BadValue("Body variant")),
+                })?,
+                trace: f.optional_tagged(TRACE_TAG, read_trace)?,
+                seq: f.optional_tagged(SEQ_TAG, |t| t.next_u64())?,
+                ack: f.optional_tagged(ACK_TAG, |t| t.next_u64())?,
+            })
         })
     }
 }
@@ -879,6 +740,7 @@ pub fn broker_offers_of(response: &Response) -> Option<&[PlacementOffer]> {
 mod tests {
     use super::*;
     use unicore_ajo::UserAttributes;
+    use unicore_codec::Value;
 
     fn sample_job() -> AbstractJob {
         AbstractJob::new(
@@ -1112,7 +974,7 @@ mod tests {
         let old = unicore_codec::encode(&Value::Sequence(vec![
             Value::Integer(9),
             Value::string("CN=old-peer"),
-            Value::tagged(0, Request::List.to_value()),
+            Value::tagged(0, unicore_codec::decode(&Request::List.to_der()).unwrap()),
         ]));
         let env = Envelope::from_der(&old).unwrap();
         assert_eq!(env.corr, 9);
@@ -1165,6 +1027,30 @@ mod tests {
             ack: Some(41),
         };
         assert_eq!(Envelope::from_der(&env.to_der()).unwrap(), env);
+    }
+
+    #[test]
+    fn bodiless_variants_have_one_spelling() {
+        // List, GetResources and Ack carry NULL inside their tag; the
+        // bare variants decode, anything else in there is refused.
+        for (tag, is_request) in [(3, true), (10, true), (3, false)] {
+            for inner in [Value::Sequence(vec![]), Value::Integer(0)] {
+                let der = unicore_codec::encode(&Value::tagged(tag, inner));
+                if is_request {
+                    assert!(Request::from_der(&der).is_err(), "request [{tag}]");
+                } else {
+                    assert!(Response::from_der(&der).is_err(), "response [{tag}]");
+                }
+            }
+        }
+        assert_eq!(
+            Request::from_der(&Request::List.to_der()),
+            Ok(Request::List)
+        );
+        assert_eq!(
+            Response::from_der(&Response::Ack.to_der()),
+            Ok(Response::Ack)
+        );
     }
 
     #[test]

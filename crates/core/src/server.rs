@@ -568,7 +568,8 @@ impl UnicoreServer {
                 // lost reply, or replays after a crash): the identical
                 // request from the same DN maps to the job it already
                 // created, and is never submitted to batch a second time.
-                let idem_key = consign_key(from_dn, &ajo.to_der());
+                let ajo_der = ajo.to_der();
+                let idem_key = consign_key(from_dn, &ajo_der);
                 if let Some(existing) = self.idem.get(&idem_key) {
                     if self.njs.outcome(existing).is_some() {
                         return Response::Consigned { job: existing };
@@ -586,8 +587,9 @@ impl UnicoreServer {
                 // A job destined for another Usite is wrapped in a local
                 // routing job whose single node is the remote job group;
                 // the existing NJS–NJS forwarding carries it onward and
-                // the user polls it here.
-                let ajo = if ajo.vsite.usite != self.usite {
+                // the user polls it here. The journal reuses `ajo_der` only
+                // when the job consigned is the one those bytes encode.
+                let (ajo, ajo_der) = if ajo.vsite.usite != self.usite {
                     let Some(host_vsite) = self.njs.vsite_names().first().cloned() else {
                         return Response::Error(format!(
                             "Usite {} has no Vsites to host routed jobs",
@@ -605,9 +607,9 @@ impl UnicoreServer {
                     wrapper
                         .nodes
                         .push((ActionId(1), unicore_ajo::GraphNode::SubJob(inner)));
-                    wrapper
+                    (wrapper, None)
                 } else {
-                    ajo
+                    (ajo, Some(ajo_der))
                 };
                 let mut auth_span = if parent.is_some() {
                     self.telemetry.span("gateway.authorize", parent, now)
@@ -630,6 +632,7 @@ impl UnicoreServer {
                     idem_key: idem_key.clone(),
                     foreign: None,
                     trace: parent,
+                    ajo_der,
                 };
                 let cost = job_cost(&ajo);
                 match self.njs.consign_with_meta(ajo, mapped, now, meta) {
@@ -735,6 +738,7 @@ impl UnicoreServer {
                         return_files: return_files.clone(),
                     }),
                     trace: parent,
+                    ajo_der: None,
                 };
                 match self.njs.consign_from_peer_with_meta(ajo, mapped, now, meta) {
                     Ok(job) => {

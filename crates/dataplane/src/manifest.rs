@@ -3,7 +3,7 @@
 
 use std::ops::Range;
 use unicore_ajo::{ActionId, JobId, VsiteAddress};
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_crypto::sha256;
 
 /// Default chunk size: 64 KiB keeps per-record memory bounded while still
@@ -127,62 +127,38 @@ fn sum_from(bytes: &[u8]) -> Result<[u8; 32], CodecError> {
 }
 
 impl DerCodec for TransferManifest {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.origin),
-            Value::Integer(self.origin_job.0 as i64),
-            Value::Integer(self.origin_node.0 as i64),
-            self.to_vsite.to_value(),
-            Value::string(&self.dest_name),
-            Value::string(&self.user_dn),
-            Value::Integer(self.total_len as i64),
-            Value::Integer(self.chunk_size as i64),
-            Value::Sequence(
-                self.chunk_sums
-                    .iter()
-                    .map(|s| Value::bytes(s.to_vec()))
-                    .collect(),
-            ),
-            Value::bytes(self.file_sum.to_vec()),
-            Value::Boolean(self.world_readable),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.origin);
+            w.u64(self.origin_job.0);
+            w.u64(self.origin_node.0);
+            self.to_vsite.write_der(w);
+            w.str(&self.dest_name);
+            w.str(&self.user_dn);
+            w.u64(self.total_len);
+            w.u64(self.chunk_size as u64);
+            w.sequence_of(&self.chunk_sums, |w, s| w.bytes(s));
+            w.bytes(&self.file_sum);
+            w.bool(self.world_readable);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "TransferManifest")?;
-        let origin = f.next_string()?;
-        let origin_job = JobId(f.next_u64()?);
-        let origin_node = ActionId(f.next_u64()?);
-        let to_vsite = VsiteAddress::from_value(f.next_value()?)?;
-        let dest_name = f.next_string()?;
-        let user_dn = f.next_string()?;
-        let total_len = f.next_u64()?;
-        let chunk_size = f.next_u32()?;
-        let chunk_sums = f
-            .next_sequence()?
-            .iter()
-            .map(|v| {
-                v.as_bytes()
-                    .ok_or(CodecError::BadValue("chunk checksum"))
-                    .and_then(sum_from)
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        let m = r.sequence("TransferManifest", |f| {
+            Ok(TransferManifest {
+                origin: f.next_string()?,
+                origin_job: JobId(f.next_u64()?),
+                origin_node: ActionId(f.next_u64()?),
+                to_vsite: VsiteAddress::read_der(f)?,
+                dest_name: f.next_string()?,
+                user_dn: f.next_string()?,
+                total_len: f.next_u64()?,
+                chunk_size: f.next_u32()?,
+                chunk_sums: f.sequence_of("chunk checksums", |s| sum_from(s.next_bytes()?))?,
+                file_sum: sum_from(f.next_bytes()?)?,
+                world_readable: f.next_bool()?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let file_sum = sum_from(f.next_bytes()?)?;
-        let world_readable = f.next_bool()?;
-        f.finish()?;
-        let m = TransferManifest {
-            origin,
-            origin_job,
-            origin_node,
-            to_vsite,
-            dest_name,
-            user_dn,
-            total_len,
-            chunk_size,
-            chunk_sums,
-            file_sum,
-            world_readable,
-        };
+        })?;
         if !m.well_formed() {
             return Err(CodecError::BadValue("manifest chunk count mismatch"));
         }

@@ -8,7 +8,7 @@
 //! send_frames`), and the responses come back tagged with the same flow
 //! ids so the client can fan them back out to per-job state.
 
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// One multiplexed frame: a logical-channel id plus an opaque payload
 /// (typically a DER-encoded Envelope).
@@ -28,19 +28,20 @@ impl MuxFrame {
 }
 
 impl DerCodec for MuxFrame {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::Integer(self.flow as i64),
-            Value::bytes(self.payload.clone()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.u64(self.flow);
+            w.bytes(&self.payload);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "MuxFrame")?;
-        let flow = f.next_u64()?;
-        let payload = f.next_bytes()?.to_vec();
-        f.finish()?;
-        Ok(MuxFrame { flow, payload })
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("MuxFrame", |f| {
+            Ok(MuxFrame {
+                flow: f.next_u64()?,
+                payload: f.next_bytes()?.to_vec(),
+            })
+        })
     }
 }
 

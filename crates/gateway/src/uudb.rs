@@ -11,7 +11,7 @@
 //! map to `romberg` at FZJ and `mr042` at RUS.
 
 use std::collections::HashMap;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{require_ascending, CodecError, DerCodec, DerReader, DerWriter};
 
 /// One user's entry at a Usite.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,69 +181,51 @@ pub struct MappedUser {
 }
 
 impl DerCodec for Uudb {
-    fn to_value(&self) -> Value {
-        let mut dns: Vec<&String> = self.entries.keys().collect();
-        dns.sort();
-        Value::Sequence(
-            dns.into_iter()
-                .map(|dn| {
-                    let e = &self.entries[dn];
-                    let mut vsites: Vec<(&String, &String)> = e.vsite_logins.iter().collect();
-                    vsites.sort();
-                    Value::Sequence(vec![
-                        Value::string(dn),
-                        Value::string(&e.default_login),
-                        Value::Sequence(
-                            vsites
-                                .into_iter()
-                                .map(|(v, l)| {
-                                    Value::Sequence(vec![Value::string(v), Value::string(l)])
-                                })
-                                .collect(),
-                        ),
-                        Value::Sequence(e.account_groups.iter().map(Value::string).collect()),
-                        Value::Boolean(e.enabled),
-                    ])
-                })
-                .collect(),
-        )
+    fn write_der(&self, w: &mut DerWriter) {
+        let mut entries: Vec<(&String, &UserEntry)> = self.entries.iter().collect();
+        entries.sort_by_key(|(dn, _)| *dn);
+        w.sequence_of(entries, |w, (dn, e)| {
+            let mut vsites: Vec<(&String, &String)> = e.vsite_logins.iter().collect();
+            vsites.sort();
+            w.sequence(|w| {
+                w.str(dn);
+                w.str(&e.default_login);
+                w.sequence_of(vsites, |w, (v, l)| {
+                    w.sequence(|w| {
+                        w.str(v);
+                        w.str(l);
+                    })
+                });
+                w.sequence_of(&e.account_groups, |w, g| w.str(g));
+                w.bool(e.enabled);
+            })
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let items = value.as_sequence().ok_or(CodecError::BadValue("Uudb"))?;
-        let mut db = Uudb::new();
-        for item in items {
-            let mut f = Fields::open(item, "UudbEntry")?;
-            let dn = f.next_string()?;
-            let default_login = f.next_string()?;
-            let mut vsite_logins = HashMap::new();
-            for pair in f.next_sequence()? {
-                let mut pf = Fields::open(pair, "vsite login")?;
-                vsite_logins.insert(pf.next_string()?, pf.next_string()?);
-                pf.finish()?;
-            }
-            let account_groups = f
-                .next_sequence()?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_owned)
-                        .ok_or(CodecError::BadValue("account group"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let enabled = f.next_bool()?;
-            f.finish()?;
-            db.add(
-                dn,
-                UserEntry {
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        let entries = r.sequence_of("Uudb", |e| {
+            e.sequence("UudbEntry", |f| {
+                let dn = f.next_string()?;
+                let default_login = f.next_string()?;
+                let vsite_logins = f.sequence_of("vsite logins", |p| {
+                    p.sequence("vsite login", |pf| {
+                        Ok((pf.next_string()?, pf.next_string()?))
+                    })
+                })?;
+                require_ascending(&vsite_logins, |(vsite, _)| vsite)?;
+                let entry = UserEntry {
                     default_login,
-                    vsite_logins,
-                    account_groups,
-                    enabled,
-                },
-            );
-        }
-        Ok(db)
+                    vsite_logins: vsite_logins.into_iter().collect(),
+                    account_groups: f.sequence_of("account groups", |g| g.next_string())?,
+                    enabled: f.next_bool()?,
+                };
+                Ok((dn, entry))
+            })
+        })?;
+        require_ascending(&entries, |(dn, _)| dn)?;
+        Ok(Uudb {
+            entries: entries.into_iter().collect(),
+        })
     }
 }
 
@@ -260,6 +242,38 @@ mod tests {
             UserEntry::new("romberg", "zam").with_vsite_login("SP2", "mrom01"),
         );
         db
+    }
+
+    #[test]
+    fn der_keys_must_ascend() {
+        use unicore_codec::{decode, encode, Value};
+        let mut db = Uudb::new();
+        db.add(
+            "CN=a",
+            UserEntry::new("a", "g")
+                .with_vsite_login("SP2", "a1")
+                .with_vsite_login("T3E", "a2"),
+        );
+        db.add("CN=b", UserEntry::new("b", "g"));
+        let der = db.to_der();
+        assert_eq!(Uudb::from_der(&der).unwrap().to_der(), der);
+        let Value::Sequence(entries) = decode(&der).unwrap() else {
+            unreachable!()
+        };
+        // Entries out of DN order.
+        let mut swapped = entries.clone();
+        swapped.swap(0, 1);
+        assert!(Uudb::from_der(&encode(&Value::Sequence(swapped))).is_err());
+        // Vsite logins of one entry out of Vsite order.
+        let mut inner = entries;
+        let Value::Sequence(fields) = &mut inner[0] else {
+            unreachable!()
+        };
+        let Value::Sequence(logins) = &mut fields[2] else {
+            unreachable!()
+        };
+        logins.swap(0, 1);
+        assert!(Uudb::from_der(&encode(&Value::Sequence(inner))).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use unicore_dataplane::{ReceiverState, TransferKey, TransferManifest};
 use unicore_gateway::MappedUser;
 use unicore_resources::{check_request, ResourcePage};
 use unicore_sim::SimTime;
-use unicore_store::{EventStore, ForeignOrigin, OwnerRecord, StoreError, StoreEvent};
+use unicore_store::{EventBatch, EventStore, ForeignOrigin, OwnerRecord, StoreError, StoreEvent};
 use unicore_telemetry::{
     ActiveSpan, Counter, FlightRecorder, Histogram, SpanContext, Telemetry, DEFAULT_FLIGHT_CAPACITY,
 };
@@ -120,6 +120,10 @@ pub struct ConsignMeta {
     /// job's span tree hangs off the caller's trace. Not journalled:
     /// a recovered job starts a fresh trace.
     pub trace: Option<SpanContext>,
+    /// Canonical DER of exactly the job being consigned, when the caller
+    /// already holds it (the server encodes the AJO for its idempotency
+    /// key); the journal record reuses it instead of encoding again.
+    pub ajo_der: Option<Vec<u8>>,
 }
 
 /// What [`Njs::recover`] rebuilt from the journal.
@@ -224,7 +228,7 @@ pub struct Njs {
     /// the end of the operation that produced them (`step`, abort,
     /// purge, remote completion); consign flushes synchronously because
     /// its record is the strict write-ahead one.
-    pending: Vec<StoreEvent>,
+    pending: EventBatch,
     /// Per-step scratch (in-flight nodes to poll), kept on the NJS so
     /// steady-state stepping allocates nothing.
     poll_scratch: Vec<(ActionId, PollTarget)>,
@@ -329,7 +333,7 @@ impl Njs {
             outbox: Vec::new(),
             incarnations: 0,
             store: None,
-            pending: Vec::new(),
+            pending: EventBatch::new(),
             poll_scratch: Vec::new(),
             waiting_scratch: Vec::new(),
             recovering: false,
@@ -535,20 +539,16 @@ impl Njs {
         if self.recovering || self.store.is_none() {
             return;
         }
-        self.pending.push(event);
+        self.pending.push(&event);
     }
 
     /// Group commits every buffered event as one durable backend write.
     /// Called at the end of each event-producing operation; best-effort
     /// like the individual appends it replaces.
     fn flush_events(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
         if let Some(store) = self.store.as_mut() {
-            let _ = store.append_batch(&self.pending);
+            let _ = store.commit(&mut self.pending);
         }
-        self.pending.clear();
     }
 
     /// Journals a broker placement decision for a sub-job node and
@@ -585,14 +585,9 @@ impl Njs {
         let Some(outcome) = rt.outcome.child(node) else {
             return;
         };
-        let event = StoreEvent::TaskStateChanged {
-            job,
-            node,
-            outcome_der: outcome.to_der(),
-            files,
-            at: self.clock,
-        };
-        self.log_event(event);
+        let at = self.clock;
+        self.pending
+            .push_task_state_changed(job, node, outcome, &files, at);
     }
 
     /// Journals a finished job's outcome tree and full uspace manifest.
@@ -604,13 +599,9 @@ impl Njs {
         let Some(rt) = self.jobs.get(&job) else {
             return;
         };
-        let event = StoreEvent::OutcomeStored {
-            job,
-            outcome_der: rt.outcome.to_der(),
-            manifest,
-            at: self.clock,
-        };
-        self.log_event(event);
+        let at = self.clock;
+        self.pending
+            .push_outcome_stored(job, &rt.outcome, &manifest, at);
     }
 
     /// What a just-finished file task deposited into the job's Uspace
@@ -881,9 +872,15 @@ impl Njs {
         // the same group commit, keeping the journal in program order.
         let recovering = self.recovering;
         if let Some(store) = self.store.as_mut().filter(|_| !recovering) {
+            let ajo_der = meta.ajo_der.unwrap_or_else(|| job.to_der());
+            debug_assert_eq!(
+                ajo_der,
+                job.to_der(),
+                "carried AJO bytes must encode this job"
+            );
             let event = StoreEvent::JobConsigned {
                 job: id,
-                ajo_der: job.to_der(),
+                ajo_der,
                 user: OwnerRecord {
                     dn: user.dn.clone(),
                     login: user.login.clone(),
@@ -895,10 +892,8 @@ impl Njs {
                 foreign: meta.foreign,
                 at: now,
             };
-            self.pending.push(event);
-            let result = store.append_batch(&self.pending);
-            self.pending.clear();
-            if let Err(e) = result {
+            self.pending.push(&event);
+            if let Err(e) = store.commit(&mut self.pending) {
                 if let Some(v) = self.vsites.get_mut(&job.vsite.vsite) {
                     let _ = v.vspace.destroy_uspace(id);
                 }

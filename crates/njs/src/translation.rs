@@ -10,11 +10,11 @@
 use std::collections::HashMap;
 use unicore_ajo::{ExecuteKind, ResourceRequest};
 use unicore_batch::script::{memory_directive, processors_directive, time_directive};
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{require_ascending, CodecError, DerCodec, DerReader, DerWriter};
 use unicore_resources::Architecture;
 
 /// Per-Vsite translation configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TranslationTable {
     /// Target architecture (selects the directive dialect).
     pub arch: Architecture,
@@ -199,53 +199,48 @@ pub fn incarnate_execute_in_queue(
     script
 }
 
+/// Writes a name → native-spelling map as key-sorted pairs.
+fn write_pairs(w: &mut DerWriter, map: &HashMap<String, String>) {
+    let mut pairs: Vec<(&String, &String)> = map.iter().collect();
+    pairs.sort();
+    w.sequence_of(pairs, |w, (k, v)| {
+        w.sequence(|w| {
+            w.str(k);
+            w.str(v);
+        })
+    });
+}
+
+fn read_pairs(r: &mut DerReader<'_>) -> Result<HashMap<String, String>, CodecError> {
+    let pairs = r.sequence_of("translation pairs", |p| {
+        p.sequence("translation pair", |pf| {
+            Ok((pf.next_string()?, pf.next_string()?))
+        })
+    })?;
+    require_ascending(&pairs, |(k, _)| k)?;
+    Ok(pairs.into_iter().collect())
+}
+
 impl DerCodec for TranslationTable {
-    fn to_value(&self) -> Value {
-        let mut options: Vec<(&String, &String)> = self.compiler_options.iter().collect();
-        options.sort();
-        let mut libraries: Vec<(&String, &String)> = self.libraries.iter().collect();
-        libraries.sort();
-        let pair_seq = |pairs: Vec<(&String, &String)>| {
-            Value::Sequence(
-                pairs
-                    .into_iter()
-                    .map(|(k, v)| Value::Sequence(vec![Value::string(k), Value::string(v)]))
-                    .collect(),
-            )
-        };
-        Value::Sequence(vec![
-            self.arch.to_value(),
-            Value::string(&self.queue),
-            pair_seq(options),
-            pair_seq(libraries),
-            Value::string(&self.workdir_template),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            self.arch.write_der(w);
+            w.str(&self.queue);
+            write_pairs(w, &self.compiler_options);
+            write_pairs(w, &self.libraries);
+            w.str(&self.workdir_template);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "TranslationTable")?;
-        let arch = Architecture::from_value(f.next_value()?)?;
-        let queue = f.next_string()?;
-        let read_pairs =
-            |items: &[Value]| -> Result<std::collections::HashMap<String, String>, CodecError> {
-                let mut map = std::collections::HashMap::new();
-                for item in items {
-                    let mut pf = Fields::open(item, "translation pair")?;
-                    map.insert(pf.next_string()?, pf.next_string()?);
-                    pf.finish()?;
-                }
-                Ok(map)
-            };
-        let compiler_options = read_pairs(f.next_sequence()?)?;
-        let libraries = read_pairs(f.next_sequence()?)?;
-        let workdir_template = f.next_string()?;
-        f.finish()?;
-        Ok(TranslationTable {
-            arch,
-            queue,
-            compiler_options,
-            libraries,
-            workdir_template,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("TranslationTable", |f| {
+            Ok(TranslationTable {
+                arch: Architecture::read_der(f)?,
+                queue: f.next_string()?,
+                compiler_options: read_pairs(f)?,
+                libraries: read_pairs(f)?,
+                workdir_template: f.next_string()?,
+            })
         })
     }
 }
@@ -388,6 +383,24 @@ mod tests {
         let t = TranslationTable::for_architecture(Architecture::Generic);
         assert_eq!(t.option("fastmath"), "-fastmath");
         assert_eq!(t.library("hdf5"), "-lhdf5");
+    }
+
+    #[test]
+    fn der_pairs_must_ascend() {
+        use unicore_codec::{decode, encode, Value};
+        let t = TranslationTable::for_architecture(Architecture::CrayT3e);
+        let der = t.to_der();
+        assert_eq!(TranslationTable::from_der(&der).unwrap().to_der(), der);
+        let Value::Sequence(mut fields) = decode(&der).unwrap() else {
+            unreachable!()
+        };
+        // Field 2 is the compiler-option map.
+        let Value::Sequence(pairs) = &mut fields[2] else {
+            unreachable!()
+        };
+        assert!(pairs.len() >= 2);
+        pairs.swap(0, 1);
+        assert!(TranslationTable::from_der(&encode(&Value::Sequence(fields))).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! SX-4" (§5.7). Each architecture has its own batch-directive dialect and
 //! nomenclature, which is exactly what the NJS translation tables hide.
 
-use unicore_codec::{CodecError, DerCodec, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// A destination system architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,16 +87,12 @@ impl Architecture {
 }
 
 impl DerCodec for Architecture {
-    fn to_value(&self) -> Value {
-        Value::Enumerated(self.to_enum())
+    fn write_der(&self, w: &mut DerWriter) {
+        w.enumerated(self.to_enum());
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        Architecture::from_enum(
-            value
-                .as_enum()
-                .ok_or(CodecError::BadValue("Architecture"))?,
-        )
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        Architecture::from_enum(r.next_enum()?)
     }
 }
 

@@ -9,7 +9,7 @@ use crate::arch::Architecture;
 use crate::page::{PerformanceInfo, ResourceLimits, ResourcePage, SoftwareEntry, SoftwareKind};
 use std::collections::BTreeMap;
 use unicore_ajo::VsiteAddress;
-use unicore_codec::{CodecError, DerCodec, Value};
+use unicore_codec::{require_ascending, CodecError, DerCodec, DerReader, DerWriter};
 
 /// Errors from the editor's validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,19 +170,19 @@ impl ResourceDirectory {
 }
 
 impl DerCodec for ResourceDirectory {
-    fn to_value(&self) -> Value {
-        Value::Sequence(self.pages.values().map(|p| p.to_value()).collect())
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence_of(self.pages.values(), |w, p| p.write_der(w));
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let items = value
-            .as_sequence()
-            .ok_or(CodecError::BadValue("ResourceDirectory"))?;
-        let mut dir = ResourceDirectory::new();
-        for item in items {
-            dir.publish(ResourcePage::from_value(item)?);
-        }
-        Ok(dir)
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        let pages = r.sequence_of("ResourceDirectory", |p| {
+            let page = ResourcePage::read_der(p)?;
+            Ok((page.vsite.to_string(), page))
+        })?;
+        require_ascending(&pages, |(name, _)| name)?;
+        Ok(ResourceDirectory {
+            pages: pages.into_iter().collect(),
+        })
     }
 }
 
@@ -286,5 +286,18 @@ mod tests {
         dir.publish(deployment_page("DWD", "SX4", Architecture::NecSx4));
         let back = ResourceDirectory::from_der(&dir.to_der()).unwrap();
         assert_eq!(back, dir);
+    }
+
+    #[test]
+    fn directory_pages_must_ascend_by_name() {
+        use unicore_codec::{decode, encode, Value};
+        let mut dir = ResourceDirectory::new();
+        dir.publish(deployment_page("LRZ", "SP2", Architecture::IbmSp2));
+        dir.publish(deployment_page("DWD", "SX4", Architecture::NecSx4));
+        let Value::Sequence(mut pages) = decode(&dir.to_der()).unwrap() else {
+            unreachable!()
+        };
+        pages.swap(0, 1);
+        assert!(ResourceDirectory::from_der(&encode(&Value::Sequence(pages))).is_err());
     }
 }

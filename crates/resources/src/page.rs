@@ -9,7 +9,7 @@
 
 use crate::arch::Architecture;
 use unicore_ajo::VsiteAddress;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// Minimum/maximum bounds for batch submission at a Vsite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,117 +139,94 @@ impl SoftwareKind {
 }
 
 impl DerCodec for ResourcePage {
-    fn to_value(&self) -> Value {
-        let mut items = vec![
-            self.vsite.to_value(),
-            self.architecture.to_value(),
-            Value::string(&self.operating_system),
-            // Performance: gflops ×1000 as integer to stay in DER integers.
-            Value::Sequence(vec![
-                Value::Integer((self.performance.peak_gflops * 1000.0).round() as i64),
-                Value::Integer(self.performance.memory_per_node_mb as i64),
-                Value::Integer(self.performance.nodes as i64),
-            ]),
-            Value::Sequence(vec![
-                Value::Integer(self.limits.min_processors as i64),
-                Value::Integer(self.limits.max_processors as i64),
-                Value::Integer(self.limits.min_run_time_secs as i64),
-                Value::Integer(self.limits.max_run_time_secs as i64),
-                Value::Integer(self.limits.max_memory_mb as i64),
-                Value::Integer(self.limits.max_disk_permanent_mb as i64),
-                Value::Integer(self.limits.max_disk_temporary_mb as i64),
-            ]),
-            Value::Sequence(
-                self.software
-                    .iter()
-                    .map(|s| {
-                        Value::Sequence(vec![
-                            Value::Enumerated(s.kind.to_enum()),
-                            Value::string(&s.name),
-                            Value::string(&s.version),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ];
-        // Broker fields ride as trailing tagged optionals in ascending
-        // tag order; a page that advertises neither encodes
-        // byte-identically to the pre-broker format.
-        if self.price_per_node_hour_milli != 0 {
-            items.push(Value::tagged(
-                0,
-                Value::Integer(self.price_per_node_hour_milli as i64),
-            ));
-        }
-        if self.advertised_load_pct != 0 {
-            items.push(Value::tagged(
-                1,
-                Value::Integer(self.advertised_load_pct as i64),
-            ));
-        }
-        Value::Sequence(items)
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            self.vsite.write_der(w);
+            self.architecture.write_der(w);
+            w.str(&self.operating_system);
+            w.sequence(|w| {
+                // gflops ×1000 as integer to stay in DER integers.
+                w.int((self.performance.peak_gflops * 1000.0).round() as i64);
+                w.u64(self.performance.memory_per_node_mb);
+                w.u64(self.performance.nodes as u64);
+            });
+            w.sequence(|w| {
+                w.u64(self.limits.min_processors as u64);
+                w.u64(self.limits.max_processors as u64);
+                w.u64(self.limits.min_run_time_secs);
+                w.u64(self.limits.max_run_time_secs);
+                w.u64(self.limits.max_memory_mb);
+                w.u64(self.limits.max_disk_permanent_mb);
+                w.u64(self.limits.max_disk_temporary_mb);
+            });
+            w.sequence_of(&self.software, |w, s| {
+                w.sequence(|w| {
+                    w.enumerated(s.kind.to_enum());
+                    w.str(&s.name);
+                    w.str(&s.version);
+                })
+            });
+            // Broker fields ride as trailing tagged optionals in ascending
+            // tag order; a page that advertises neither encodes
+            // byte-identically to the pre-broker format.
+            if self.price_per_node_hour_milli != 0 {
+                w.tagged(0, |w| w.u64(self.price_per_node_hour_milli));
+            }
+            // The field is public; only the setters clamp. Never emit a
+            // percentage `read_der` refuses.
+            let load_pct = self.advertised_load_pct.min(100);
+            if load_pct != 0 {
+                w.tagged(1, |w| w.u64(load_pct as u64));
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "ResourcePage")?;
-        let vsite = VsiteAddress::from_value(f.next_value()?)?;
-        let architecture = Architecture::from_value(f.next_value()?)?;
-        let operating_system = f.next_string()?;
-
-        let mut pf = Fields::open(f.next_value()?, "PerformanceInfo")?;
-        let performance = PerformanceInfo {
-            peak_gflops: pf.next_u64()? as f64 / 1000.0,
-            memory_per_node_mb: pf.next_u64()?,
-            nodes: pf.next_u32()?,
-        };
-        pf.finish()?;
-
-        let mut lf = Fields::open(f.next_value()?, "ResourceLimits")?;
-        let limits = ResourceLimits {
-            min_processors: lf.next_u32()?,
-            max_processors: lf.next_u32()?,
-            min_run_time_secs: lf.next_u64()?,
-            max_run_time_secs: lf.next_u64()?,
-            max_memory_mb: lf.next_u64()?,
-            max_disk_permanent_mb: lf.next_u64()?,
-            max_disk_temporary_mb: lf.next_u64()?,
-        };
-        lf.finish()?;
-
-        let sw_items = f.next_sequence()?;
-        let mut software = Vec::with_capacity(sw_items.len());
-        for item in sw_items {
-            let mut sf = Fields::open(item, "SoftwareEntry")?;
-            software.push(SoftwareEntry {
-                kind: SoftwareKind::from_enum(sf.next_enum()?)?,
-                name: sf.next_string()?,
-                version: sf.next_string()?,
-            });
-            sf.finish()?;
-        }
-        let price_per_node_hour_milli = match f.optional_tagged(0) {
-            Some(v) => v
-                .as_u64()
-                .ok_or(CodecError::BadValue("ResourcePage price"))?,
-            None => 0,
-        };
-        let advertised_load_pct = match f.optional_tagged(1) {
-            Some(v) => v
-                .as_u64()
-                .ok_or(CodecError::BadValue("ResourcePage load"))?
-                .min(100) as u32,
-            None => 0,
-        };
-        f.finish()?;
-        Ok(ResourcePage {
-            vsite,
-            architecture,
-            operating_system,
-            performance,
-            limits,
-            software,
-            price_per_node_hour_milli,
-            advertised_load_pct,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("ResourcePage", |f| {
+            Ok(ResourcePage {
+                vsite: VsiteAddress::read_der(f)?,
+                architecture: Architecture::read_der(f)?,
+                operating_system: f.next_string()?,
+                performance: f.sequence("PerformanceInfo", |pf| {
+                    Ok(PerformanceInfo {
+                        peak_gflops: pf.next_u64()? as f64 / 1000.0,
+                        memory_per_node_mb: pf.next_u64()?,
+                        nodes: pf.next_u32()?,
+                    })
+                })?,
+                limits: f.sequence("ResourceLimits", |lf| {
+                    Ok(ResourceLimits {
+                        min_processors: lf.next_u32()?,
+                        max_processors: lf.next_u32()?,
+                        min_run_time_secs: lf.next_u64()?,
+                        max_run_time_secs: lf.next_u64()?,
+                        max_memory_mb: lf.next_u64()?,
+                        max_disk_permanent_mb: lf.next_u64()?,
+                        max_disk_temporary_mb: lf.next_u64()?,
+                    })
+                })?,
+                software: f.sequence_of("software", |s| {
+                    s.sequence("SoftwareEntry", |sf| {
+                        Ok(SoftwareEntry {
+                            kind: SoftwareKind::from_enum(sf.next_enum()?)?,
+                            name: sf.next_string()?,
+                            version: sf.next_string()?,
+                        })
+                    })
+                })?,
+                // "Not advertised" is encoded by omission, never as an
+                // explicit zero; the load hint is a percentage.
+                price_per_node_hour_milli: match f.optional_tagged(0, |t| t.next_u64())? {
+                    Some(0) => return Err(CodecError::BadValue("ResourcePage price")),
+                    price => price.unwrap_or(0),
+                },
+                advertised_load_pct: match f.optional_tagged(1, |t| t.next_u32())? {
+                    Some(pct) if pct == 0 || pct > 100 => {
+                        return Err(CodecError::BadValue("ResourcePage load"))
+                    }
+                    pct => pct.unwrap_or(0),
+                },
+            })
         })
     }
 }
@@ -318,6 +295,7 @@ pub fn deployment_page(usite: &str, vsite: &str, architecture: Architecture) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unicore_codec::Value;
 
     #[test]
     fn deployment_pages_are_consistent() {
@@ -365,7 +343,7 @@ mod tests {
         page.advertised_load_pct = 0;
         let der = page.to_der();
         // Re-encode the old six-field shape by hand and compare bytes.
-        let old = Value::Sequence(match page.to_value() {
+        let old = Value::Sequence(match unicore_codec::decode(&der).unwrap() {
             Value::Sequence(items) => items.into_iter().take(6).collect(),
             _ => unreachable!(),
         });
@@ -374,6 +352,43 @@ mod tests {
         assert_eq!(back.price_per_node_hour_milli, 0);
         assert_eq!(back.advertised_load_pct, 0);
         assert_eq!(back, page);
+    }
+
+    #[test]
+    fn broker_fields_have_one_spelling() {
+        // "Not advertised" is omission: an explicit zero, or a load past
+        // 100 %, is a second spelling of a page and is refused.
+        let bare = {
+            let mut p = deployment_page("FZJ", "T3E", Architecture::CrayT3e);
+            p.price_per_node_hour_milli = 0;
+            p
+        };
+        let with_trailer = |trailer: Vec<Value>| {
+            let Value::Sequence(mut items) = unicore_codec::decode(&bare.to_der()).unwrap() else {
+                unreachable!()
+            };
+            items.extend(trailer);
+            unicore_codec::encode(&Value::Sequence(items))
+        };
+        let ok = with_trailer(vec![
+            Value::tagged(0, Value::Integer(5)),
+            Value::tagged(1, Value::Integer(100)),
+        ]);
+        assert_eq!(ResourcePage::from_der(&ok).unwrap().to_der(), ok);
+        for trailer in [
+            vec![Value::tagged(0, Value::Integer(0))],
+            vec![Value::tagged(1, Value::Integer(0))],
+            vec![Value::tagged(1, Value::Integer(101))],
+        ] {
+            let der = with_trailer(trailer.clone());
+            assert!(ResourcePage::from_der(&der).is_err(), "{trailer:?}");
+        }
+        // A field set past 100 behind the setters' back is clamped on the
+        // way out, so what a page encodes to always decodes.
+        let mut over = bare.clone();
+        over.advertised_load_pct = 250;
+        let back = ResourcePage::from_der(&over.to_der()).unwrap();
+        assert_eq!(back.advertised_load_pct, 100);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! event kinds can be added without renumbering.
 
 use unicore_ajo::{ActionId, JobId};
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// The authenticated owner of a consigned job, as resolved by the UUDB at
 /// consign time. Persisted so recovery does not need to re-consult the
@@ -21,23 +21,22 @@ pub struct OwnerRecord {
 }
 
 impl DerCodec for OwnerRecord {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.dn),
-            Value::string(&self.login),
-            Value::string(&self.account_group),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.dn);
+            w.str(&self.login);
+            w.str(&self.account_group);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "OwnerRecord")?;
-        let rec = OwnerRecord {
-            dn: f.next_string()?,
-            login: f.next_string()?,
-            account_group: f.next_string()?,
-        };
-        f.finish()?;
-        Ok(rec)
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("OwnerRecord", |f| {
+            Ok(OwnerRecord {
+                dn: f.next_string()?,
+                login: f.next_string()?,
+                account_group: f.next_string()?,
+            })
+        })
     }
 }
 
@@ -56,64 +55,42 @@ pub struct ForeignOrigin {
 }
 
 impl DerCodec for ForeignOrigin {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.origin),
-            Value::Integer(self.parent.0 as i64),
-            Value::Integer(self.node.0 as i64),
-            Value::Sequence(self.return_files.iter().map(Value::string).collect()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.origin);
+            w.u64(self.parent.0);
+            w.u64(self.node.0);
+            w.sequence_of(&self.return_files, |w, f| w.str(f));
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "ForeignOrigin")?;
-        let origin = f.next_string()?;
-        let parent = JobId(f.next_u64()?);
-        let node = ActionId(f.next_u64()?);
-        let return_files = f
-            .next_sequence()?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or(CodecError::BadValue("return file name"))
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("ForeignOrigin", |f| {
+            Ok(ForeignOrigin {
+                origin: f.next_string()?,
+                parent: JobId(f.next_u64()?),
+                node: ActionId(f.next_u64()?),
+                return_files: f.sequence_of("return files", |n| n.next_string())?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        f.finish()?;
-        Ok(ForeignOrigin {
-            origin,
-            parent,
-            node,
-            return_files,
         })
     }
 }
 
-fn files_value(files: &[(String, Vec<u8>)]) -> Value {
-    Value::Sequence(
-        files
-            .iter()
-            .map(|(name, data)| {
-                Value::Sequence(vec![Value::string(name), Value::bytes(data.clone())])
-            })
-            .collect(),
-    )
+fn write_files(w: &mut DerWriter, files: &[(String, Vec<u8>)]) {
+    w.sequence_of(files, |w, (name, data)| {
+        w.sequence(|w| {
+            w.str(name);
+            w.bytes(data);
+        })
+    });
 }
 
-fn files_from(value: &Value) -> Result<Vec<(String, Vec<u8>)>, CodecError> {
-    let items = value
-        .as_sequence()
-        .ok_or(CodecError::BadValue("file list"))?;
-    items
-        .iter()
-        .map(|item| {
-            let mut f = Fields::open(item, "file entry")?;
-            let name = f.next_string()?;
-            let data = f.next_bytes()?.to_vec();
-            f.finish()?;
-            Ok((name, data))
+fn read_files(r: &mut DerReader<'_>) -> Result<Vec<(String, Vec<u8>)>, CodecError> {
+    r.sequence_of("file list", |e| {
+        e.sequence("file entry", |f| {
+            Ok((f.next_string()?, f.next_bytes()?.to_vec()))
         })
-        .collect()
+    })
 }
 
 /// One durable fact about a job's lifecycle.
@@ -274,8 +251,48 @@ const TAG_TRANSFER_OPENED: u8 = 5;
 const TAG_TRANSFER_CHUNK: u8 = 6;
 const TAG_PLACEMENT: u8 = 7;
 
+/// Body of a `TaskStateChanged` record; `outcome` writes the OCTET STRING
+/// holding the node's outcome DER.
+pub(crate) fn write_task_state(
+    w: &mut DerWriter,
+    job: JobId,
+    node: ActionId,
+    outcome: impl FnOnce(&mut DerWriter),
+    files: &[(String, Vec<u8>)],
+    at: u64,
+) {
+    w.tagged(TAG_TASK_STATE, |w| {
+        w.sequence(|w| {
+            w.u64(job.0);
+            w.u64(node.0);
+            outcome(w);
+            write_files(w, files);
+            w.u64(at);
+        })
+    });
+}
+
+/// Body of an `OutcomeStored` record; `outcome` writes the OCTET STRING
+/// holding the job outcome DER.
+pub(crate) fn write_outcome_stored(
+    w: &mut DerWriter,
+    job: JobId,
+    outcome: impl FnOnce(&mut DerWriter),
+    manifest: &[(String, Vec<u8>)],
+    at: u64,
+) {
+    w.tagged(TAG_OUTCOME, |w| {
+        w.sequence(|w| {
+            w.u64(job.0);
+            outcome(w);
+            write_files(w, manifest);
+            w.u64(at);
+        })
+    });
+}
+
 impl DerCodec for StoreEvent {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
             StoreEvent::JobConsigned {
                 job,
@@ -286,80 +303,59 @@ impl DerCodec for StoreEvent {
                 parent,
                 foreign,
                 at,
-            } => {
-                let mut fields = vec![
-                    Value::Integer(job.0 as i64),
-                    Value::bytes(ajo_der.clone()),
-                    user.to_value(),
-                    files_value(staged),
-                    Value::bytes(idem_key.clone()),
-                    Value::Integer(*at as i64),
-                ];
-                if let Some((pjob, pnode)) = parent {
-                    fields.push(Value::tagged(
-                        1,
-                        Value::Sequence(vec![
-                            Value::Integer(pjob.0 as i64),
-                            Value::Integer(pnode.0 as i64),
-                        ]),
-                    ));
-                }
-                if let Some(origin) = foreign {
-                    fields.push(Value::tagged(0, origin.to_value()));
-                }
-                Value::tagged(TAG_CONSIGNED, Value::Sequence(fields))
-            }
+            } => w.tagged(TAG_CONSIGNED, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.bytes(ajo_der);
+                    user.write_der(w);
+                    write_files(w, staged);
+                    w.bytes(idem_key);
+                    w.u64(*at);
+                    if let Some((pjob, pnode)) = parent {
+                        w.tagged(1, |w| {
+                            w.sequence(|w| {
+                                w.u64(pjob.0);
+                                w.u64(pnode.0);
+                            })
+                        });
+                    }
+                    if let Some(origin) = foreign {
+                        w.tagged(0, |w| origin.write_der(w));
+                    }
+                })
+            }),
             StoreEvent::JobIncarnated {
                 job,
                 node,
                 target,
                 at,
-            } => Value::tagged(
-                TAG_INCARNATED,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Integer(node.0 as i64),
-                    Value::string(target),
-                    Value::Integer(*at as i64),
-                ]),
-            ),
+            } => w.tagged(TAG_INCARNATED, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.u64(node.0);
+                    w.str(target);
+                    w.u64(*at);
+                })
+            }),
             StoreEvent::TaskStateChanged {
                 job,
                 node,
                 outcome_der,
                 files,
                 at,
-            } => Value::tagged(
-                TAG_TASK_STATE,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Integer(node.0 as i64),
-                    Value::bytes(outcome_der.clone()),
-                    files_value(files),
-                    Value::Integer(*at as i64),
-                ]),
-            ),
+            } => write_task_state(w, *job, *node, |w| w.bytes(outcome_der), files, *at),
             StoreEvent::OutcomeStored {
                 job,
                 outcome_der,
                 manifest,
                 at,
-            } => Value::tagged(
-                TAG_OUTCOME,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::bytes(outcome_der.clone()),
-                    files_value(manifest),
-                    Value::Integer(*at as i64),
-                ]),
-            ),
-            StoreEvent::JobPurged { job, at } => Value::tagged(
-                TAG_PURGED,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Integer(*at as i64),
-                ]),
-            ),
+            } => write_outcome_stored(w, *job, |w| w.bytes(outcome_der), manifest, *at),
+            StoreEvent::JobPurged { job, at } => w.tagged(TAG_PURGED, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.u64(*at);
+                })
+            }),
             StoreEvent::TransferOpened {
                 origin,
                 origin_job,
@@ -367,17 +363,16 @@ impl DerCodec for StoreEvent {
                 manifest_der,
                 login,
                 at,
-            } => Value::tagged(
-                TAG_TRANSFER_OPENED,
-                Value::Sequence(vec![
-                    Value::string(origin),
-                    Value::Integer(origin_job.0 as i64),
-                    Value::Integer(origin_node.0 as i64),
-                    Value::bytes(manifest_der.clone()),
-                    Value::string(login),
-                    Value::Integer(*at as i64),
-                ]),
-            ),
+            } => w.tagged(TAG_TRANSFER_OPENED, |w| {
+                w.sequence(|w| {
+                    w.str(origin);
+                    w.u64(origin_job.0);
+                    w.u64(origin_node.0);
+                    w.bytes(manifest_der);
+                    w.str(login);
+                    w.u64(*at);
+                })
+            }),
             StoreEvent::PlacementDecided {
                 job,
                 node,
@@ -385,17 +380,16 @@ impl DerCodec for StoreEvent {
                 excluded,
                 attempt,
                 at,
-            } => Value::tagged(
-                TAG_PLACEMENT,
-                Value::Sequence(vec![
-                    Value::Integer(job.0 as i64),
-                    Value::Integer(node.0 as i64),
-                    Value::string(chosen),
-                    Value::Sequence(excluded.iter().map(Value::string).collect()),
-                    Value::Integer(*attempt as i64),
-                    Value::Integer(*at as i64),
-                ]),
-            ),
+            } => w.tagged(TAG_PLACEMENT, |w| {
+                w.sequence(|w| {
+                    w.u64(job.0);
+                    w.u64(node.0);
+                    w.str(chosen);
+                    w.sequence_of(excluded, |w, u| w.str(u));
+                    w.u64(*attempt as u64);
+                    w.u64(*at);
+                })
+            }),
             StoreEvent::TransferChunkStored {
                 origin,
                 origin_job,
@@ -403,169 +397,107 @@ impl DerCodec for StoreEvent {
                 index,
                 data,
                 at,
-            } => Value::tagged(
-                TAG_TRANSFER_CHUNK,
-                Value::Sequence(vec![
-                    Value::string(origin),
-                    Value::Integer(origin_job.0 as i64),
-                    Value::Integer(origin_node.0 as i64),
-                    Value::Integer(*index as i64),
-                    Value::bytes(data.clone()),
-                    Value::Integer(*at as i64),
-                ]),
-            ),
+            } => w.tagged(TAG_TRANSFER_CHUNK, |w| {
+                w.sequence(|w| {
+                    w.str(origin);
+                    w.u64(origin_job.0);
+                    w.u64(origin_node.0);
+                    w.u64(*index);
+                    w.bytes(data);
+                    w.u64(*at);
+                })
+            }),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let Value::Tagged(tag, inner) = value else {
-            return Err(CodecError::BadValue("store event: expected tagged value"));
-        };
-        match *tag {
-            TAG_CONSIGNED => {
-                let mut f = Fields::open(inner, "JobConsigned")?;
-                let job = JobId(f.next_u64()?);
-                let ajo_der = f.next_bytes()?.to_vec();
-                let user = OwnerRecord::from_value(f.next_value()?)?;
-                let staged = files_from(f.next_value()?)?;
-                let idem_key = f.next_bytes()?.to_vec();
-                let at = f.next_u64()?;
-                let parent = match f.optional_tagged(1) {
-                    Some(v) => {
-                        let mut p = Fields::open(v, "JobConsigned.parent")?;
-                        let pjob = JobId(p.next_u64()?);
-                        let pnode = ActionId(p.next_u64()?);
-                        p.finish()?;
-                        Some((pjob, pnode))
-                    }
-                    None => None,
-                };
-                let foreign = match f.optional_tagged(0) {
-                    Some(v) => Some(ForeignOrigin::from_value(v)?),
-                    None => None,
-                };
-                f.finish()?;
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
+            TAG_CONSIGNED => t.sequence("JobConsigned", |f| {
                 Ok(StoreEvent::JobConsigned {
-                    job,
-                    ajo_der,
-                    user,
-                    staged,
-                    idem_key,
-                    parent,
-                    foreign,
-                    at,
+                    job: JobId(f.next_u64()?),
+                    ajo_der: f.next_bytes()?.to_vec(),
+                    user: OwnerRecord::read_der(f)?,
+                    staged: read_files(f)?,
+                    idem_key: f.next_bytes()?.to_vec(),
+                    at: f.next_u64()?,
+                    parent: f.optional_tagged(1, |p| {
+                        p.sequence("JobConsigned.parent", |pf| {
+                            Ok((JobId(pf.next_u64()?), ActionId(pf.next_u64()?)))
+                        })
+                    })?,
+                    foreign: f.optional_tagged(0, ForeignOrigin::read_der)?,
                 })
-            }
-            TAG_INCARNATED => {
-                let mut f = Fields::open(inner, "JobIncarnated")?;
-                let ev = StoreEvent::JobIncarnated {
+            }),
+            TAG_INCARNATED => t.sequence("JobIncarnated", |f| {
+                Ok(StoreEvent::JobIncarnated {
                     job: JobId(f.next_u64()?),
                     node: ActionId(f.next_u64()?),
                     target: f.next_string()?,
                     at: f.next_u64()?,
-                };
-                f.finish()?;
-                Ok(ev)
-            }
-            TAG_TASK_STATE => {
-                let mut f = Fields::open(inner, "TaskStateChanged")?;
-                let job = JobId(f.next_u64()?);
-                let node = ActionId(f.next_u64()?);
-                let outcome_der = f.next_bytes()?.to_vec();
-                let files = files_from(f.next_value()?)?;
-                let at = f.next_u64()?;
-                f.finish()?;
+                })
+            }),
+            TAG_TASK_STATE => t.sequence("TaskStateChanged", |f| {
                 Ok(StoreEvent::TaskStateChanged {
-                    job,
-                    node,
-                    outcome_der,
-                    files,
-                    at,
+                    job: JobId(f.next_u64()?),
+                    node: ActionId(f.next_u64()?),
+                    outcome_der: f.next_bytes()?.to_vec(),
+                    files: read_files(f)?,
+                    at: f.next_u64()?,
                 })
-            }
-            TAG_OUTCOME => {
-                let mut f = Fields::open(inner, "OutcomeStored")?;
-                let job = JobId(f.next_u64()?);
-                let outcome_der = f.next_bytes()?.to_vec();
-                let manifest = files_from(f.next_value()?)?;
-                let at = f.next_u64()?;
-                f.finish()?;
+            }),
+            TAG_OUTCOME => t.sequence("OutcomeStored", |f| {
                 Ok(StoreEvent::OutcomeStored {
-                    job,
-                    outcome_der,
-                    manifest,
-                    at,
+                    job: JobId(f.next_u64()?),
+                    outcome_der: f.next_bytes()?.to_vec(),
+                    manifest: read_files(f)?,
+                    at: f.next_u64()?,
                 })
-            }
-            TAG_PURGED => {
-                let mut f = Fields::open(inner, "JobPurged")?;
-                let ev = StoreEvent::JobPurged {
+            }),
+            TAG_PURGED => t.sequence("JobPurged", |f| {
+                Ok(StoreEvent::JobPurged {
                     job: JobId(f.next_u64()?),
                     at: f.next_u64()?,
-                };
-                f.finish()?;
-                Ok(ev)
-            }
-            TAG_TRANSFER_OPENED => {
-                let mut f = Fields::open(inner, "TransferOpened")?;
-                let ev = StoreEvent::TransferOpened {
+                })
+            }),
+            TAG_TRANSFER_OPENED => t.sequence("TransferOpened", |f| {
+                Ok(StoreEvent::TransferOpened {
                     origin: f.next_string()?,
                     origin_job: JobId(f.next_u64()?),
                     origin_node: ActionId(f.next_u64()?),
                     manifest_der: f.next_bytes()?.to_vec(),
                     login: f.next_string()?,
                     at: f.next_u64()?,
-                };
-                f.finish()?;
-                Ok(ev)
-            }
-            TAG_PLACEMENT => {
-                let mut f = Fields::open(inner, "PlacementDecided")?;
-                let job = JobId(f.next_u64()?);
-                let node = ActionId(f.next_u64()?);
-                let chosen = f.next_string()?;
-                let excluded = f
-                    .next_sequence()?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_owned)
-                            .ok_or(CodecError::BadValue("excluded Usite name"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let attempt = f.next_u32()?;
-                let at = f.next_u64()?;
-                f.finish()?;
-                Ok(StoreEvent::PlacementDecided {
-                    job,
-                    node,
-                    chosen,
-                    excluded,
-                    attempt,
-                    at,
                 })
-            }
-            TAG_TRANSFER_CHUNK => {
-                let mut f = Fields::open(inner, "TransferChunkStored")?;
-                let ev = StoreEvent::TransferChunkStored {
+            }),
+            TAG_PLACEMENT => t.sequence("PlacementDecided", |f| {
+                Ok(StoreEvent::PlacementDecided {
+                    job: JobId(f.next_u64()?),
+                    node: ActionId(f.next_u64()?),
+                    chosen: f.next_string()?,
+                    excluded: f.sequence_of("excluded Usites", |u| u.next_string())?,
+                    attempt: f.next_u32()?,
+                    at: f.next_u64()?,
+                })
+            }),
+            TAG_TRANSFER_CHUNK => t.sequence("TransferChunkStored", |f| {
+                Ok(StoreEvent::TransferChunkStored {
                     origin: f.next_string()?,
                     origin_job: JobId(f.next_u64()?),
                     origin_node: ActionId(f.next_u64()?),
                     index: f.next_u64()?,
                     data: f.next_bytes()?.to_vec(),
                     at: f.next_u64()?,
-                };
-                f.finish()?;
-                Ok(ev)
-            }
+                })
+            }),
             _ => Err(CodecError::BadValue("store event: unknown tag")),
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unicore_codec::Value;
 
     fn sample_owner() -> OwnerRecord {
         OwnerRecord {
@@ -661,6 +593,6 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         let bogus = Value::tagged(9, Value::Sequence(vec![]));
-        assert!(StoreEvent::from_value(&bogus).is_err());
+        assert!(StoreEvent::from_der(&unicore_codec::encode(&bogus)).is_err());
     }
 }

@@ -37,5 +37,7 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use error::StoreError;
 pub use events::{ForeignOrigin, OwnerRecord, StoreEvent};
-pub use store::{events_by_job, CompactionStats, EventStore, Replay, DEFAULT_ROTATE_AT};
+pub use store::{
+    events_by_job, CompactionStats, EventBatch, EventStore, Replay, DEFAULT_ROTATE_AT,
+};
 pub use wal::{decode_record, encode_record, Decoded, RECORD_HEADER_LEN};

@@ -2,13 +2,14 @@
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
-use crate::events::StoreEvent;
+use crate::events::{write_outcome_stored, write_task_state, StoreEvent};
 use crate::wal::{
-    encode_record, encode_record_into, parse_segment_name, parse_snapshot_name, scan_segment,
+    encode_record, encode_record_with, parse_segment_name, parse_snapshot_name, scan_segment,
     segment_name, snapshot_name,
 };
 use std::collections::{HashMap, HashSet};
-use unicore_codec::DerCodec;
+use unicore_ajo::{ActionId, JobId};
+use unicore_codec::{DerCodec, DerWriter};
 use unicore_telemetry::{Counter, Telemetry};
 
 /// Default segment rotation threshold (bytes).
@@ -36,6 +37,66 @@ pub struct CompactionStats {
     pub bytes_after: u64,
     /// Log segments deleted.
     pub segments_removed: usize,
+}
+
+/// A group commit being assembled: the framed records of every event
+/// pushed so far, each encoded in place behind its record header.
+/// [`EventStore::commit`] hands them to the backend in one write.
+#[derive(Debug, Default)]
+pub struct EventBatch {
+    frames: Vec<u8>,
+    events: u64,
+}
+
+impl EventBatch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether no event has been pushed since the last commit.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+    }
+
+    /// Frames `event` as the next record.
+    pub fn push(&mut self, event: &StoreEvent) {
+        self.push_with(|w| event.write_der(w));
+    }
+
+    /// Frames a [`StoreEvent::TaskStateChanged`] record with the outcome
+    /// encoded in place — the same bytes as pushing the event built with
+    /// `outcome_der: outcome.to_der()`, without that buffer.
+    pub fn push_task_state_changed(
+        &mut self,
+        job: JobId,
+        node: ActionId,
+        outcome: &impl DerCodec,
+        files: &[(String, Vec<u8>)],
+        at: u64,
+    ) {
+        let outcome = |w: &mut DerWriter| w.octets_of(|w| outcome.write_der(w));
+        self.push_with(|w| write_task_state(w, job, node, outcome, files, at));
+    }
+
+    /// Frames a [`StoreEvent::OutcomeStored`] record with the outcome
+    /// encoded in place (see [`Self::push_task_state_changed`]).
+    pub fn push_outcome_stored(
+        &mut self,
+        job: JobId,
+        outcome: &impl DerCodec,
+        manifest: &[(String, Vec<u8>)],
+        at: u64,
+    ) {
+        let outcome = |w: &mut DerWriter| w.octets_of(|w| outcome.write_der(w));
+        self.push_with(|w| write_outcome_stored(w, job, outcome, manifest, at));
+    }
+
+    /// Frames the next record from the one event TLV `write` emits.
+    fn push_with(&mut self, write: impl FnOnce(&mut DerWriter)) {
+        encode_record_with(&mut self.frames, |out| DerWriter::append_to(out, write));
+        self.events += 1;
+    }
 }
 
 /// A write-ahead event log over a [`StorageBackend`].
@@ -178,51 +239,49 @@ impl EventStore {
     /// Appends one event durably. Returns only once the record is on
     /// storage; rotates to a fresh segment past the size threshold.
     pub fn append(&mut self, event: &StoreEvent) -> Result<(), StoreError> {
-        let frame = encode_record(&event.to_der());
-        if self.current_bytes > 0 && self.current_bytes + frame.len() > self.rotate_at {
-            self.current_seq += 1;
-            self.current_bytes = 0;
-            self.metrics.rotations.inc();
-        }
-        self.backend
-            .append(&segment_name(self.current_seq), &frame)?;
-        self.current_bytes += frame.len();
-        self.metrics.appends.inc();
-        self.metrics.bytes.add(frame.len() as u64);
-        Ok(())
+        self.append_batch(std::slice::from_ref(event))
     }
 
     /// Appends a batch of events with **one** durable backend write
-    /// (group commit): every event is framed into a single buffer and
-    /// handed to the backend in one `append` call, so a burst of events
-    /// on the consign path pays one fsync instead of one per event.
+    /// (group commit): see [`EventStore::commit`].
+    pub fn append_batch(&mut self, events: &[StoreEvent]) -> Result<(), StoreError> {
+        let mut batch = EventBatch::new();
+        for event in events {
+            batch.push(event);
+        }
+        self.commit(&mut batch)
+    }
+
+    /// Writes a batch with **one** durable backend write (group commit):
+    /// every event was framed into a single buffer as it was pushed, so a
+    /// burst of events on the consign path pays one fsync instead of one
+    /// per event. The batch is left empty whether or not the write
+    /// succeeded.
     ///
     /// Crash semantics are unchanged from frame-at-a-time appends: the
     /// durable unit is the backend write, so a crash mid-batch leaves an
     /// all-or-prefix torn tail that replay repairs at open — exactly the
     /// residue `scan_segment` already expects.
-    pub fn append_batch(&mut self, events: &[StoreEvent]) -> Result<(), StoreError> {
-        if events.is_empty() {
+    pub fn commit(&mut self, batch: &mut EventBatch) -> Result<(), StoreError> {
+        if batch.is_empty() {
             return Ok(());
         }
-        let mut batch = Vec::new();
-        let mut der = Vec::new();
-        for event in events {
-            unicore_codec::encode_reusing(&event.to_value(), &mut der);
-            encode_record_into(&der, &mut batch);
-        }
+        // The buffer is given back either way: a batch may have carried
+        // megabytes of file content.
+        let EventBatch { frames, events } = std::mem::take(batch);
+        let bytes = frames.len();
         // One rotation decision for the whole batch keeps it in one
         // segment — the single-write guarantee above.
-        if self.current_bytes > 0 && self.current_bytes + batch.len() > self.rotate_at {
+        if self.current_bytes > 0 && self.current_bytes + bytes > self.rotate_at {
             self.current_seq += 1;
             self.current_bytes = 0;
             self.metrics.rotations.inc();
         }
         self.backend
-            .append(&segment_name(self.current_seq), &batch)?;
-        self.current_bytes += batch.len();
-        self.metrics.appends.add(events.len() as u64);
-        self.metrics.bytes.add(batch.len() as u64);
+            .append(&segment_name(self.current_seq), &frames)?;
+        self.current_bytes += bytes;
+        self.metrics.appends.add(events);
+        self.metrics.bytes.add(bytes as u64);
         Ok(())
     }
 
@@ -369,7 +428,6 @@ mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
     use crate::events::OwnerRecord;
-    use unicore_ajo::{ActionId, JobId};
 
     fn owner() -> OwnerRecord {
         OwnerRecord {
@@ -390,6 +448,31 @@ mod tests {
             foreign: None,
             at: job,
         }
+    }
+
+    #[test]
+    fn in_place_outcome_pushes_frame_the_owned_events() {
+        let outcome = owner(); // any DerCodec value stands in for an outcome
+        let files = vec![("stdout".to_owned(), b"hello".to_vec())];
+        let mut in_place = EventBatch::new();
+        in_place.push_task_state_changed(JobId(7), ActionId(1), &outcome, &files, 4);
+        in_place.push_outcome_stored(JobId(7), &outcome, &files, 5);
+        let mut owned = EventBatch::new();
+        owned.push(&StoreEvent::TaskStateChanged {
+            job: JobId(7),
+            node: ActionId(1),
+            outcome_der: outcome.to_der(),
+            files: files.clone(),
+            at: 4,
+        });
+        owned.push(&StoreEvent::OutcomeStored {
+            job: JobId(7),
+            outcome_der: outcome.to_der(),
+            manifest: files,
+            at: 5,
+        });
+        assert_eq!(in_place.frames, owned.frames);
+        assert_eq!(in_place.events, 2);
     }
 
     fn incarnated(job: u64) -> StoreEvent {

@@ -22,17 +22,22 @@ pub const RECORD_HEADER_LEN: usize = 8;
 /// Frames `payload` as one WAL record.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    encode_record_into(payload, &mut out);
+    encode_record_with(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
-/// Frames `payload` appending to `out` — a group-committed batch
-/// accumulates all its frames in one buffer for one backend write.
-pub fn encode_record_into(payload: &[u8], out: &mut Vec<u8>) {
-    out.reserve(RECORD_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
+/// Frames one record at the end of `out` whose payload `write` appends in
+/// place: the header is reserved first and its length and CRC filled in
+/// over the finished payload, so the payload is never copied — a
+/// group-committed batch accumulates all its frames in one buffer for one
+/// backend write.
+pub fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    write(out);
+    let (head, payload) = out[header..].split_at_mut(RECORD_HEADER_LEN);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_be_bytes());
 }
 
 /// What decoding one record frame yielded.

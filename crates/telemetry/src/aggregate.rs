@@ -12,7 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use crate::wire::{read_buckets, write_buckets};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 
@@ -235,93 +236,57 @@ impl SnapshotDelta {
 }
 
 impl DerCodec for HistogramDelta {
-    fn to_value(&self) -> Value {
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|&(bound, n)| {
-                Value::Sequence(vec![Value::Integer(bound as i64), Value::Integer(n as i64)])
-            })
-            .collect();
-        Value::Sequence(vec![
-            Value::string(&self.name),
-            Value::Integer(self.count as i64),
-            Value::Integer(self.sum as i64),
-            Value::Sequence(buckets),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.name);
+            w.u64(self.count);
+            w.u64(self.sum);
+            write_buckets(w, &self.buckets);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "HistogramDelta")?;
-        let name = f.next_string()?;
-        let count = f.next_u64()?;
-        let sum = f.next_u64()?;
-        let raw = f.next_sequence()?;
-        let mut buckets = Vec::with_capacity(raw.len());
-        for pair in raw {
-            let mut pf = Fields::open(pair, "bucket")?;
-            let bound = pf.next_u64()?;
-            let n = pf.next_u64()?;
-            pf.finish()?;
-            buckets.push((bound, n));
-        }
-        f.finish()?;
-        Ok(HistogramDelta {
-            name,
-            count,
-            sum,
-            buckets,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("HistogramDelta", |f| {
+            Ok(HistogramDelta {
+                name: f.next_string()?,
+                count: f.next_u64()?,
+                sum: f.next_u64()?,
+                buckets: read_buckets(f)?,
+            })
         })
     }
 }
 
 impl DerCodec for SnapshotDelta {
-    fn to_value(&self) -> Value {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| Value::Sequence(vec![Value::string(k), Value::Integer(*v as i64)]))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, v)| Value::Sequence(vec![Value::string(k), Value::Integer(*v)]))
-            .collect();
-        let histograms = self.histograms.iter().map(|h| h.to_value()).collect();
-        Value::Sequence(vec![
-            Value::Sequence(counters),
-            Value::Sequence(gauges),
-            Value::Sequence(histograms),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.sequence_of(&self.counters, |w, (k, v)| {
+                w.sequence(|w| {
+                    w.str(k);
+                    w.u64(*v);
+                })
+            });
+            w.sequence_of(&self.gauges, |w, (k, v)| {
+                w.sequence(|w| {
+                    w.str(k);
+                    w.int(*v);
+                })
+            });
+            w.sequence_of(&self.histograms, |w, h| h.write_der(w));
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "SnapshotDelta")?;
-        let mut counters = Vec::new();
-        for pair in f.next_sequence()? {
-            let mut pf = Fields::open(pair, "counter")?;
-            let k = pf.next_string()?;
-            let v = pf.next_u64()?;
-            pf.finish()?;
-            counters.push((k, v));
-        }
-        let mut gauges = Vec::new();
-        for pair in f.next_sequence()? {
-            let mut pf = Fields::open(pair, "gauge")?;
-            let k = pf.next_string()?;
-            let v = pf.next_i64()?;
-            pf.finish()?;
-            gauges.push((k, v));
-        }
-        let mut histograms = Vec::new();
-        for raw in f.next_sequence()? {
-            histograms.push(HistogramDelta::from_value(raw)?);
-        }
-        f.finish()?;
-        Ok(SnapshotDelta {
-            counters,
-            gauges,
-            histograms,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("SnapshotDelta", |f| {
+            Ok(SnapshotDelta {
+                counters: f.sequence_of("counters", |c| {
+                    c.sequence("counter", |pf| Ok((pf.next_string()?, pf.next_u64()?)))
+                })?,
+                gauges: f.sequence_of("gauges", |g| {
+                    g.sequence("gauge", |pf| Ok((pf.next_string()?, pf.next_i64()?)))
+                })?,
+                histograms: f.sequence_of("histograms", HistogramDelta::read_der)?,
+            })
         })
     }
 }
@@ -344,25 +309,19 @@ impl SnapshotPayload {
 }
 
 impl DerCodec for SnapshotPayload {
-    fn to_value(&self) -> Value {
+    fn write_der(&self, w: &mut DerWriter) {
         match self {
-            SnapshotPayload::Full(s) => Value::tagged(0, s.to_value()),
-            SnapshotPayload::Delta(d) => Value::tagged(1, d.to_value()),
+            SnapshotPayload::Full(s) => w.tagged(0, |w| s.write_der(w)),
+            SnapshotPayload::Delta(d) => w.tagged(1, |w| d.write_der(w)),
         }
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        match value {
-            Value::Tagged(0, inner) => {
-                Ok(SnapshotPayload::Full(MetricsSnapshot::from_value(inner)?))
-            }
-            Value::Tagged(1, inner) => {
-                Ok(SnapshotPayload::Delta(SnapshotDelta::from_value(inner)?))
-            }
-            other => Err(CodecError::Structure(format!(
-                "SnapshotPayload: unexpected value {other:?}"
-            ))),
-        }
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.tagged(|tag, t| match tag {
+            0 => Ok(SnapshotPayload::Full(MetricsSnapshot::read_der(t)?)),
+            1 => Ok(SnapshotPayload::Delta(SnapshotDelta::read_der(t)?)),
+            _ => Err(CodecError::BadValue("SnapshotPayload variant")),
+        })
     }
 }
 

@@ -12,7 +12,7 @@
 //! fires, and the condition must stay healthy for `clear_duration`
 //! before it clears, so one noisy evaluation cannot flap an alert.
 
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_sim::{SimTime, HOUR, MINUTE};
 
 use crate::metrics::MetricsSnapshot;
@@ -79,27 +79,23 @@ pub struct AlertEvent {
 }
 
 impl DerCodec for AlertEvent {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::Integer(self.at as i64),
-            Value::string(&self.rule),
-            Value::Boolean(self.firing),
-            Value::Integer(self.value_milli as i64),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.u64(self.at);
+            w.str(&self.rule);
+            w.bool(self.firing);
+            w.u64(self.value_milli);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "AlertEvent")?;
-        let at = f.next_u64()?;
-        let rule = f.next_string()?;
-        let firing = f.next_bool()?;
-        let value_milli = f.next_u64()?;
-        f.finish()?;
-        Ok(AlertEvent {
-            at,
-            rule,
-            firing,
-            value_milli,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("AlertEvent", |f| {
+            Ok(AlertEvent {
+                at: f.next_u64()?,
+                rule: f.next_string()?,
+                firing: f.next_bool()?,
+                value_milli: f.next_u64()?,
+            })
         })
     }
 }
@@ -116,24 +112,21 @@ pub struct ActiveAlert {
 }
 
 impl DerCodec for ActiveAlert {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.rule),
-            Value::Integer(self.since as i64),
-            Value::Integer(self.value_milli as i64),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.rule);
+            w.u64(self.since);
+            w.u64(self.value_milli);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "ActiveAlert")?;
-        let rule = f.next_string()?;
-        let since = f.next_u64()?;
-        let value_milli = f.next_u64()?;
-        f.finish()?;
-        Ok(ActiveAlert {
-            rule,
-            since,
-            value_milli,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("ActiveAlert", |f| {
+            Ok(ActiveAlert {
+                rule: f.next_string()?,
+                since: f.next_u64()?,
+                value_milli: f.next_u64()?,
+            })
         })
     }
 }
@@ -284,9 +277,9 @@ impl AlertEngine {
     /// Canonical DER encoding of the full decision log — the byte
     /// string two same-seed replays must agree on exactly.
     pub fn log_der(&self) -> Vec<u8> {
-        unicore_codec::encode(&Value::Sequence(
-            self.log.iter().map(|e| e.to_value()).collect(),
-        ))
+        let mut w = DerWriter::new();
+        w.sequence_of(&self.log, |w, e| e.write_der(w));
+        w.into_vec()
     }
 }
 

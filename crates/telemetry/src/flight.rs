@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// Default ring capacity per job: enough for a multi-task job's full
 /// lifecycle without letting a pathological retry loop grow unbounded.
@@ -27,21 +27,22 @@ pub struct FlightEvent {
 }
 
 impl DerCodec for FlightEvent {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::Integer(self.at as i64),
-            Value::string(&self.what),
-            Value::string(&self.detail),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.u64(self.at);
+            w.str(&self.what);
+            w.str(&self.detail);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "FlightEvent")?;
-        let at = f.next_u64()?;
-        let what = f.next_string()?;
-        let detail = f.next_string()?;
-        f.finish()?;
-        Ok(FlightEvent { at, what, detail })
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("FlightEvent", |f| {
+            Ok(FlightEvent {
+                at: f.next_u64()?,
+                what: f.next_string()?,
+                detail: f.next_string()?,
+            })
+        })
     }
 }
 

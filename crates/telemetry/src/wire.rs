@@ -10,119 +10,110 @@
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::telemetry::SpanSummary;
 use std::collections::BTreeMap;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{require_ascending, CodecError, DerCodec, DerReader, DerWriter};
+
+/// Writes `(integer, integer)` pairs — histogram buckets — as a SEQUENCE
+/// OF two-element SEQUENCEs.
+pub(crate) fn write_buckets(w: &mut DerWriter, buckets: &[(u64, u64)]) {
+    w.sequence_of(buckets, |w, &(bound, n)| {
+        w.sequence(|w| {
+            w.u64(bound);
+            w.u64(n);
+        })
+    });
+}
+
+pub(crate) fn read_buckets(r: &mut DerReader<'_>) -> Result<Vec<(u64, u64)>, CodecError> {
+    r.sequence_of("histogram buckets", |b| {
+        b.sequence("histogram bucket", |bf| {
+            Ok((bf.next_u64()?, bf.next_u64()?))
+        })
+    })
+}
+
+/// Reads a name-keyed map, written in ascending key order.
+fn read_map<V>(
+    r: &mut DerReader<'_>,
+    context: &'static str,
+    mut value: impl FnMut(&mut DerReader<'_>) -> Result<V, CodecError>,
+) -> Result<BTreeMap<String, V>, CodecError> {
+    let entries = r.sequence_of(context, |e| {
+        e.sequence(context, |ef| Ok((ef.next_string()?, value(ef)?)))
+    })?;
+    require_ascending(&entries, |e| &e.0)?;
+    Ok(entries.into_iter().collect())
+}
 
 impl DerCodec for HistogramSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.name),
-            Value::Integer(self.count as i64),
-            Value::Integer(self.sum as i64),
-            Value::Sequence(
-                self.buckets
-                    .iter()
-                    .map(|(le, cum)| {
-                        Value::Sequence(vec![
-                            Value::Integer(*le as i64),
-                            Value::Integer(*cum as i64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.name);
+            w.u64(self.count);
+            w.u64(self.sum);
+            write_buckets(w, &self.buckets);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "HistogramSnapshot")?;
-        let name = f.next_string()?;
-        let count = f.next_u64()?;
-        let sum = f.next_u64()?;
-        let items = f.next_sequence()?;
-        let mut buckets = Vec::with_capacity(items.len());
-        for item in items {
-            let mut bf = Fields::open(item, "histogram bucket")?;
-            buckets.push((bf.next_u64()?, bf.next_u64()?));
-            bf.finish()?;
-        }
-        f.finish()?;
-        Ok(HistogramSnapshot {
-            name,
-            count,
-            sum,
-            buckets,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("HistogramSnapshot", |f| {
+            Ok(HistogramSnapshot {
+                name: f.next_string()?,
+                count: f.next_u64()?,
+                sum: f.next_u64()?,
+                buckets: read_buckets(f)?,
+            })
         })
     }
 }
 
 impl DerCodec for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        let pair = |k: &String, v: i64| Value::Sequence(vec![Value::string(k), Value::Integer(v)]);
-        Value::Sequence(vec![
-            Value::Sequence(
-                self.counters
-                    .iter()
-                    .map(|(k, v)| pair(k, *v as i64))
-                    .collect(),
-            ),
-            Value::Sequence(self.gauges.iter().map(|(k, v)| pair(k, *v)).collect()),
-            Value::Sequence(self.histograms.iter().map(|h| h.to_value()).collect()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.sequence_of(&self.counters, |w, (k, v)| {
+                w.sequence(|w| {
+                    w.str(k);
+                    w.u64(*v);
+                })
+            });
+            w.sequence_of(&self.gauges, |w, (k, v)| {
+                w.sequence(|w| {
+                    w.str(k);
+                    w.int(*v);
+                })
+            });
+            w.sequence_of(&self.histograms, |w, h| h.write_der(w));
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "MetricsSnapshot")?;
-        let mut counters = BTreeMap::new();
-        for item in f.next_sequence()? {
-            let mut cf = Fields::open(item, "counter")?;
-            let name = cf.next_string()?;
-            let v = cf.next_u64()?;
-            cf.finish()?;
-            counters.insert(name, v);
-        }
-        let mut gauges = BTreeMap::new();
-        for item in f.next_sequence()? {
-            let mut gf = Fields::open(item, "gauge")?;
-            let name = gf.next_string()?;
-            let v = gf.next_i64()?;
-            gf.finish()?;
-            gauges.insert(name, v);
-        }
-        let items = f.next_sequence()?;
-        let mut histograms = Vec::with_capacity(items.len());
-        for item in items {
-            histograms.push(HistogramSnapshot::from_value(item)?);
-        }
-        f.finish()?;
-        Ok(MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("MetricsSnapshot", |f| {
+            Ok(MetricsSnapshot {
+                counters: read_map(f, "counter", |e| e.next_u64())?,
+                gauges: read_map(f, "gauge", |e| e.next_i64())?,
+                histograms: f.sequence_of("histograms", HistogramSnapshot::read_der)?,
+            })
         })
     }
 }
 
 impl DerCodec for SpanSummary {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::string(&self.name),
-            Value::Integer(self.count as i64),
-            Value::Integer(self.clock_total as i64),
-            Value::Integer(self.wall_ns_total as i64),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(&self.name);
+            w.u64(self.count);
+            w.u64(self.clock_total);
+            w.u64(self.wall_ns_total);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "SpanSummary")?;
-        let name = f.next_string()?;
-        let count = f.next_u64()?;
-        let clock_total = f.next_u64()?;
-        let wall_ns_total = f.next_u64()?;
-        f.finish()?;
-        Ok(SpanSummary {
-            name,
-            count,
-            clock_total,
-            wall_ns_total,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("SpanSummary", |f| {
+            Ok(SpanSummary {
+                name: f.next_string()?,
+                count: f.next_u64()?,
+                clock_total: f.next_u64()?,
+                wall_ns_total: f.next_u64()?,
+            })
         })
     }
 }
@@ -145,6 +136,31 @@ mod tests {
         let snap = reg.snapshot();
         let back = MetricsSnapshot::from_der(&snap.to_der()).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn map_keys_must_ascend() {
+        use unicore_codec::{decode, encode, Value};
+        let reg = MetricsRegistry::new();
+        reg.counter("a").add(1);
+        reg.counter("b").add(2);
+        let der = reg.snapshot().to_der();
+        let Value::Sequence(mut fields) = decode(&der).unwrap() else {
+            unreachable!()
+        };
+        let Value::Sequence(counters) = &mut fields[0] else {
+            unreachable!()
+        };
+        // "b" before "a", and "a" twice: both are second spellings.
+        counters.swap(0, 1);
+        let swapped = encode(&Value::Sequence(fields.clone()));
+        assert!(MetricsSnapshot::from_der(&swapped).is_err());
+        let Value::Sequence(counters) = &mut fields[0] else {
+            unreachable!()
+        };
+        counters[0] = counters[1].clone();
+        let doubled = encode(&Value::Sequence(fields));
+        assert!(MetricsSnapshot::from_der(&doubled).is_err());
     }
 
     #[test]

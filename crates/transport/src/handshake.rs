@@ -199,7 +199,7 @@ fn client_signed_content(
 ) -> Vec<u8> {
     let mut v = hello_transcript.clone().finalize().to_vec();
     v.extend_from_slice(dh_public);
-    v.extend_from_slice(&cert.to_der());
+    cert.to_der_into(&mut v);
     v
 }
 

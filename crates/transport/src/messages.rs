@@ -3,7 +3,7 @@
 use crate::error::TransportError;
 use crate::ticket::ResumptionTicket;
 use unicore_certs::Certificate;
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// Length of hello randoms.
 pub const RANDOM_LEN: usize = 32;
@@ -76,33 +76,30 @@ impl HandshakeMessage {
     }
 }
 
-fn chain_value(chain: &[Certificate]) -> Value {
-    Value::Sequence(chain.iter().map(|c| c.to_value()).collect())
+fn write_chain(w: &mut DerWriter, chain: &[Certificate]) {
+    w.sequence_of(chain, |w, c| c.write_der(w));
 }
 
-fn chain_from(value: &Value) -> Result<Vec<Certificate>, CodecError> {
-    let items = value
-        .as_sequence()
-        .ok_or(CodecError::BadValue("certificate chain"))?;
-    items.iter().map(Certificate::from_value).collect()
+fn read_chain(r: &mut DerReader<'_>) -> Result<Vec<Certificate>, CodecError> {
+    r.sequence_of("certificate chain", Certificate::read_der)
 }
 
 impl DerCodec for HandshakeMessage {
-    fn to_value(&self) -> Value {
-        match self {
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| match self {
             HandshakeMessage::ClientHello {
                 random,
                 session_id,
                 ticket,
             } => {
-                let mut fields = vec![Value::Enumerated(1), Value::bytes(random.clone())];
+                w.enumerated(1);
+                w.bytes(random);
                 if let Some(sid) = session_id {
-                    fields.push(Value::tagged(0, Value::bytes(sid.clone())));
+                    w.tagged(0, |w| w.bytes(sid));
                 }
                 if let Some(t) = ticket {
-                    fields.push(Value::tagged(1, t.to_value()));
+                    w.tagged(1, |w| t.write_der(w));
                 }
-                Value::Sequence(fields)
             }
             HandshakeMessage::ServerHello {
                 random,
@@ -111,82 +108,64 @@ impl DerCodec for HandshakeMessage {
                 cert_chain,
                 dh_public,
                 signature,
-            } => Value::Sequence(vec![
-                Value::Enumerated(2),
-                Value::bytes(random.clone()),
-                Value::bytes(session_id.clone()),
-                Value::Boolean(*resumed),
-                chain_value(cert_chain),
-                Value::bytes(dh_public.clone()),
-                Value::bytes(signature.clone()),
-            ]),
+            } => {
+                w.enumerated(2);
+                w.bytes(random);
+                w.bytes(session_id);
+                w.bool(*resumed);
+                write_chain(w, cert_chain);
+                w.bytes(dh_public);
+                w.bytes(signature);
+            }
             HandshakeMessage::ClientAuth {
                 cert_chain,
                 dh_public,
                 signature,
-            } => Value::Sequence(vec![
-                Value::Enumerated(3),
-                chain_value(cert_chain),
-                Value::bytes(dh_public.clone()),
-                Value::bytes(signature.clone()),
-            ]),
-            HandshakeMessage::Finished { verify_data } => Value::Sequence(vec![
-                Value::Enumerated(4),
-                Value::bytes(verify_data.clone()),
-            ]),
-            HandshakeMessage::Alert { reason } => {
-                Value::Sequence(vec![Value::Enumerated(5), Value::string(reason)])
+            } => {
+                w.enumerated(3);
+                write_chain(w, cert_chain);
+                w.bytes(dh_public);
+                w.bytes(signature);
             }
-        }
+            HandshakeMessage::Finished { verify_data } => {
+                w.enumerated(4);
+                w.bytes(verify_data);
+            }
+            HandshakeMessage::Alert { reason } => {
+                w.enumerated(5);
+                w.str(reason);
+            }
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "HandshakeMessage")?;
-        let kind = f.next_enum()?;
-        let msg = match kind {
-            1 => {
-                let random = f.next_bytes()?.to_vec();
-                let session_id = match f.optional_tagged(0) {
-                    Some(v) => Some(
-                        v.as_bytes()
-                            .ok_or(CodecError::BadValue("session id"))?
-                            .to_vec(),
-                    ),
-                    None => None,
-                };
-                let ticket = match f.optional_tagged(1) {
-                    Some(v) => Some(ResumptionTicket::from_value(v)?),
-                    None => None,
-                };
-                HandshakeMessage::ClientHello {
-                    random,
-                    session_id,
-                    ticket,
-                }
-            }
-            2 => HandshakeMessage::ServerHello {
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("HandshakeMessage", |f| match f.next_enum()? {
+            1 => Ok(HandshakeMessage::ClientHello {
+                random: f.next_bytes()?.to_vec(),
+                session_id: f.optional_tagged(0, |t| Ok(t.next_bytes()?.to_vec()))?,
+                ticket: f.optional_tagged(1, ResumptionTicket::read_der)?,
+            }),
+            2 => Ok(HandshakeMessage::ServerHello {
                 random: f.next_bytes()?.to_vec(),
                 session_id: f.next_bytes()?.to_vec(),
                 resumed: f.next_bool()?,
-                cert_chain: chain_from(f.next_value()?)?,
+                cert_chain: read_chain(f)?,
                 dh_public: f.next_bytes()?.to_vec(),
                 signature: f.next_bytes()?.to_vec(),
-            },
-            3 => HandshakeMessage::ClientAuth {
-                cert_chain: chain_from(f.next_value()?)?,
+            }),
+            3 => Ok(HandshakeMessage::ClientAuth {
+                cert_chain: read_chain(f)?,
                 dh_public: f.next_bytes()?.to_vec(),
                 signature: f.next_bytes()?.to_vec(),
-            },
-            4 => HandshakeMessage::Finished {
+            }),
+            4 => Ok(HandshakeMessage::Finished {
                 verify_data: f.next_bytes()?.to_vec(),
-            },
-            5 => HandshakeMessage::Alert {
+            }),
+            5 => Ok(HandshakeMessage::Alert {
                 reason: f.next_string()?,
-            },
-            _ => return Err(CodecError::BadValue("handshake message kind")),
-        };
-        f.finish()?;
-        Ok(msg)
+            }),
+            _ => Err(CodecError::BadValue("handshake message kind")),
+        })
     }
 }
 
@@ -194,6 +173,7 @@ impl DerCodec for HandshakeMessage {
 mod tests {
     use super::*;
     use unicore_certs::{CertificateAuthority, DistinguishedName, KeyUsage, Validity};
+    use unicore_codec::Value;
     use unicore_crypto::CryptoRng;
 
     fn sample_cert() -> Certificate {

@@ -12,7 +12,7 @@
 //! tampered bytes, expired window, stale epoch, different certificate —
 //! silently falls back to the full handshake.
 
-use unicore_codec::{CodecError, DerCodec, Fields, Value};
+use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_crypto::ct::ct_eq;
 use unicore_crypto::hmac::hmac_sha256;
 
@@ -64,16 +64,20 @@ pub struct ResumptionTicket {
 }
 
 impl ResumptionTicket {
+    /// The fields the binder covers, in wire order.
+    fn write_body(&self, w: &mut DerWriter) {
+        w.bytes(&self.session_id);
+        w.str(&self.fingerprint);
+        w.u64(self.issued_at);
+        w.u64(self.ttl);
+        w.u64(self.epoch);
+    }
+
     /// The unsigned body, DER-encoded — the exact bytes the binder MACs.
     fn body_der(&self) -> Vec<u8> {
-        let body = Value::Sequence(vec![
-            Value::bytes(self.session_id.clone()),
-            Value::string(&self.fingerprint),
-            Value::Integer(self.issued_at as i64),
-            Value::Integer(self.ttl as i64),
-            Value::Integer(self.epoch as i64),
-        ]);
-        unicore_codec::encode(&body)
+        let mut w = DerWriter::new();
+        w.sequence(|w| self.write_body(w));
+        w.into_vec()
     }
 
     /// Mints a ticket bound to `master` for the session/certificate pair.
@@ -133,33 +137,23 @@ impl ResumptionTicket {
 }
 
 impl DerCodec for ResumptionTicket {
-    fn to_value(&self) -> Value {
-        Value::Sequence(vec![
-            Value::bytes(self.session_id.clone()),
-            Value::string(&self.fingerprint),
-            Value::Integer(self.issued_at as i64),
-            Value::Integer(self.ttl as i64),
-            Value::Integer(self.epoch as i64),
-            Value::bytes(self.binder.clone()),
-        ])
+    fn write_der(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            self.write_body(w);
+            w.bytes(&self.binder);
+        });
     }
 
-    fn from_value(value: &Value) -> Result<Self, CodecError> {
-        let mut f = Fields::open(value, "ResumptionTicket")?;
-        let session_id = f.next_bytes()?.to_vec();
-        let fingerprint = f.next_string()?;
-        let issued_at = f.next_u64()?;
-        let ttl = f.next_u64()?;
-        let epoch = f.next_u64()?;
-        let binder = f.next_bytes()?.to_vec();
-        f.finish()?;
-        Ok(ResumptionTicket {
-            session_id,
-            fingerprint,
-            issued_at,
-            ttl,
-            epoch,
-            binder,
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("ResumptionTicket", |f| {
+            Ok(ResumptionTicket {
+                session_id: f.next_bytes()?.to_vec(),
+                fingerprint: f.next_string()?,
+                issued_at: f.next_u64()?,
+                ttl: f.next_u64()?,
+                epoch: f.next_u64()?,
+                binder: f.next_bytes()?.to_vec(),
+            })
         })
     }
 }

@@ -1,0 +1,151 @@
+//! Fail closed: no decoder panics, over-allocates or accepts a second
+//! spelling of a value, whatever bytes it is handed.
+//!
+//! One generic harness, [`hostile`], runs against every `DerCodec` type
+//! in the workspace through the shared [`codec_corpus`]. For each value it
+//! attacks the valid encoding — every proper prefix, every single-bit
+//! flip, random overwrites, a length field claiming a terabyte — and
+//! feeds the decoder plain noise. Each input must come back `Err`, or
+//! decode to a value that re-encodes to exactly the input bytes: an
+//! accepted message is always the canonical one, so signatures,
+//! idempotency keys and journal replay never see two forms of one value.
+
+mod codec_corpus;
+
+use codec_corpus::Visitor;
+use std::fmt::Debug;
+use unicore_codec::DerCodec;
+
+/// Encodings up to this size are attacked at every byte; longer ones
+/// (bulk file payloads) in full at both ends and at a stride between.
+const EXHAUSTIVE_BELOW: usize = 4_096;
+
+/// The byte offsets of `len` the harness attacks.
+fn attack_offsets(len: usize) -> Vec<usize> {
+    if len <= EXHAUSTIVE_BELOW {
+        return (0..len).collect();
+    }
+    let head = 0..2_048;
+    let tail = len - 512..len;
+    let between = (head.end..tail.start).step_by(97);
+    head.chain(between).chain(tail).collect()
+}
+
+/// Either rejected, or the one canonical spelling of what it decoded to.
+fn rejected_or_canonical<T: DerCodec>(name: &str, what: std::fmt::Arguments<'_>, input: &[u8]) {
+    if let Ok(value) = T::from_der(input) {
+        assert!(
+            value.to_der() == input,
+            "{name}: {what} was accepted but is not the canonical encoding of what it decoded to"
+        );
+    }
+}
+
+/// xorshift64*: a fixed-seed byte source, so a failure reproduces.
+struct Noise(u64);
+
+impl Noise {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len).map(|_| self.next() as u8).collect()
+    }
+}
+
+fn hostile<T: DerCodec + PartialEq + Debug>(name: &str, value: &T, noise: &mut Noise) {
+    let der = value.to_der();
+    assert_eq!(
+        T::from_der(&der).as_ref(),
+        Ok(value),
+        "{name}: valid encoding must round-trip"
+    );
+
+    // Every proper prefix is a truncated TLV.
+    for cut in attack_offsets(der.len()) {
+        assert!(
+            T::from_der(&der[..cut]).is_err(),
+            "{name}: prefix of {cut} bytes accepted"
+        );
+    }
+
+    // Every single-bit flip.
+    let mut mutated = der.clone();
+    for at in attack_offsets(der.len()) {
+        for bit in 0..8 {
+            mutated[at] ^= 1 << bit;
+            rejected_or_canonical::<T>(
+                name,
+                format_args!("bit {bit} of byte {at} flipped"),
+                &mutated,
+            );
+            mutated[at] ^= 1 << bit;
+        }
+    }
+
+    // Random windows of the valid encoding overwritten with noise.
+    for _ in 0..128 {
+        let mut mutated = der.clone();
+        let at = noise.below(der.len());
+        let len = 1 + noise.below(8.min(der.len() - at));
+        mutated[at..at + len].copy_from_slice(&noise.bytes(len));
+        rejected_or_canonical::<T>(name, format_args!("{len} noise bytes at {at}"), &mutated);
+    }
+
+    // Plain noise, half of it behind the type's own leading tag so the
+    // decoder gets past its first check.
+    for round in 0..128 {
+        let len = noise.below(48);
+        let mut input = noise.bytes(len);
+        if round % 2 == 0 && !input.is_empty() {
+            input[0] = der[0];
+        }
+        rejected_or_canonical::<T>(name, format_args!("noise"), &input);
+    }
+
+    // Nine bytes claiming a 2^40-byte body: refused from the header alone,
+    // before anything is allocated for it — as the type's outer element
+    // and as a bare OCTET STRING.
+    for tag in [der[0], 0x04] {
+        let claim = [tag, 0x86, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xaa];
+        assert!(
+            T::from_der(&claim).is_err(),
+            "{name}: terabyte length claim under tag {tag:#04x} accepted"
+        );
+    }
+    assert!(T::from_der(&[]).is_err(), "{name}: empty input accepted");
+}
+
+struct Attack {
+    noise: Noise,
+    attacked: usize,
+}
+
+impl Visitor for Attack {
+    fn visit<T: DerCodec + PartialEq + Debug>(&mut self, name: &str, value: &T) {
+        hostile(name, value, &mut self.noise);
+        self.attacked += 1;
+    }
+}
+
+#[test]
+fn every_decoder_fails_closed() {
+    let mut attack = Attack {
+        noise: Noise(0x9e37_79b9_7f4a_7c15),
+        attacked: 0,
+    };
+    codec_corpus::visit_all(&mut attack);
+    assert!(
+        attack.attacked > 150,
+        "corpus shrank to {}",
+        attack.attacked
+    );
+}
