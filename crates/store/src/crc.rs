@@ -1,7 +1,29 @@
-//! CRC-32 (IEEE 802.3 polynomial), table-driven, eight bytes per step.
+//! CRC-32 (IEEE 802.3 polynomial) behind a run-time kernel choice.
 //!
 //! Guards every WAL record against torn writes and bit rot. Kept local so
 //! the store has no external dependencies.
+//!
+//! [`crc32`] resolves one update function per process, from the CPU's
+//! reported features and never again:
+//!
+//! - on x86-64 CPUs with `pclmulqdq` + `sse4.1`, the carry-less-multiply
+//!   folding kernel in the private `x86` module (64 bytes per step);
+//! - everywhere else the slicing-by-8 table code, [`crc32_table`].
+//!
+//! Both produce the same checksum for the same bytes; [`kernel_name`] says
+//! which one this process uses. There is no feature flag, environment
+//! variable or build setting that selects a path. The table code is also
+//! the reference the tests compare the kernel against
+//! (`tests/prop_crc32.rs`), and what the kernel itself runs on inputs
+//! shorter than one 64-byte fold and on the last few bytes of longer ones.
+
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+mod x86;
+
+#[cfg(target_arch = "x86_64")]
+pub use x86::{FoldConstants, FOLD};
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xedb8_8320;
@@ -40,9 +62,43 @@ const TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// The CRC-32 of `data`.
+/// Advances the running (pre-inversion) CRC `state` over `data`.
+type UpdateFn = fn(u32, &[u8]) -> u32;
+
+/// The update function [`crc32`] dispatches to, with its name. Resolved
+/// once per process.
+fn kernel() -> (UpdateFn, &'static str) {
+    static KERNEL: OnceLock<(UpdateFn, &'static str)> = OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(clmul) = x86::kernel() {
+            return (clmul, "pclmulqdq");
+        }
+        (update_table, "table")
+    })
+}
+
+/// Name of the update function [`crc32`] dispatches to in this process:
+/// `"pclmulqdq"` or `"table"`.
+pub fn kernel_name() -> &'static str {
+    kernel().1
+}
+
+/// The CRC-32 of `data`, through the fastest update function the CPU
+/// supports (see the module docs); same result as [`crc32_table`].
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
+    !(kernel().0)(u32::MAX, data)
+}
+
+/// The CRC-32 of `data` by the portable table code: the fallback on CPUs
+/// without carry-less multiply and the reference the kernel is tested
+/// against.
+pub fn crc32_table(data: &[u8]) -> u32 {
+    !update_table(u32::MAX, data)
+}
+
+/// Slicing-by-8 update: eight bytes per step, then byte at a time.
+fn update_table(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
@@ -59,7 +115,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]
@@ -106,7 +162,7 @@ mod tests {
             // (and the buffer's alignment) relative to the same bytes.
             for skip in 0..8.min(data.len() + 1) {
                 let slice = &data[skip..];
-                prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+                prop_assert_eq!(crc32_table(slice), crc32_bytewise(slice));
             }
         }
     }
