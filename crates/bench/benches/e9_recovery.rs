@@ -15,7 +15,7 @@ use unicore_bench::{chain_job, fmt_bytes, BENCH_DN};
 use unicore_gateway::{Gateway, UserEntry, Uudb};
 use unicore_njs::{Njs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
-use unicore_store::{EventStore, MemoryBackend, OwnerRecord, StoreEvent};
+use unicore_store::{EventStore, ManifestEntry, MemoryBackend, OwnerRecord, StoreEvent};
 
 /// A representative consign record: a small AJO plus one staged input.
 fn consign_event(job: u64) -> StoreEvent {
@@ -49,7 +49,10 @@ fn outcome_event(job: u64) -> StoreEvent {
     StoreEvent::OutcomeStored {
         job: JobId(job),
         outcome_der: vec![0x30; 192],
-        manifest: vec![("out.bin".into(), vec![3u8; 512])],
+        manifest: vec![ManifestEntry::Stored {
+            name: "out.bin".into(),
+            len: 512,
+        }],
         at: job,
     }
 }

@@ -32,7 +32,9 @@ use unicore_dataplane::{ReceiverState, TransferKey, TransferManifest};
 use unicore_gateway::MappedUser;
 use unicore_resources::{check_request, ResourcePage};
 use unicore_sim::SimTime;
-use unicore_store::{EventBatch, EventStore, ForeignOrigin, OwnerRecord, StoreError, StoreEvent};
+use unicore_store::{
+    EventBatch, EventStore, ForeignOrigin, ManifestEntry, OwnerRecord, StoreError, StoreEvent,
+};
 use unicore_telemetry::{
     ActiveSpan, Counter, FlightRecorder, Histogram, SpanContext, Telemetry, DEFAULT_FLIGHT_CAPACITY,
 };
@@ -536,10 +538,15 @@ impl Njs {
     /// recovery then sees the same prefix a crash mid-write would leave,
     /// and re-dispatches the in-flight work.
     fn log_event(&mut self, event: StoreEvent) {
-        if self.recovering || self.store.is_none() {
-            return;
+        if self.journalling() {
+            self.pending.push(&event);
         }
-        self.pending.push(&event);
+    }
+
+    /// Whether events are being journalled: a store is attached and this
+    /// is not its own replay.
+    fn journalling(&self) -> bool {
+        self.store.is_some() && !self.recovering
     }
 
     /// Group commits every buffered event as one durable backend write.
@@ -574,9 +581,11 @@ impl Njs {
         self.flush_events();
     }
 
-    /// Journals a node's terminal outcome plus the files it deposited.
-    fn log_terminal(&mut self, job: JobId, node: ActionId, files: Vec<(String, Vec<u8>)>) {
-        if self.recovering || self.store.is_none() {
+    /// Journals a node's terminal outcome plus the files it deposited:
+    /// `deposited` names files the caller has just written into the job's
+    /// Uspace, and the record borrows their bytes from there.
+    fn log_terminal(&mut self, job: JobId, node: ActionId, deposited: &[String]) {
+        if !self.journalling() {
             return;
         }
         let Some(rt) = self.jobs.get(&job) else {
@@ -585,32 +594,46 @@ impl Njs {
         let Some(outcome) = rt.outcome.child(node) else {
             return;
         };
-        let at = self.clock;
+        let uspace = self
+            .vsites
+            .get(&rt.job.vsite.vsite)
+            .and_then(|v| v.vspace.uspace(job).ok());
+        let files = deposited.iter().filter_map(|name| {
+            let entry = uspace?.read(name, &rt.user.login).ok()?;
+            Some((name.as_str(), entry.data.as_slice()))
+        });
         self.pending
-            .push_task_state_changed(job, node, outcome, &files, at);
+            .push_task_state_changed(job, node, outcome, files, self.clock);
     }
 
-    /// Journals a finished job's outcome tree and full uspace manifest.
+    /// Journals a finished job's outcome tree and the manifest of its
+    /// Uspace: names and lengths — the contents are already in the job's
+    /// consign and task records.
     fn log_job_done(&mut self, job: JobId) {
-        if self.recovering || self.store.is_none() {
+        if !self.journalling() {
             return;
         }
-        let manifest = self.uspace_manifest(job);
         let Some(rt) = self.jobs.get(&job) else {
             return;
         };
-        let at = self.clock;
+        let uspace = self
+            .vsites
+            .get(&rt.job.vsite.vsite)
+            .and_then(|v| v.vspace.uspace(job).ok());
+        let manifest = uspace.iter().flat_map(|fs| {
+            fs.list("").into_iter().filter_map(|name| {
+                let entry = fs.read(name, &rt.user.login).ok()?;
+                Some((name, entry.data.len() as u64))
+            })
+        });
         self.pending
-            .push_outcome_stored(job, &rt.outcome, &manifest, at);
+            .push_outcome_stored(job, &rt.outcome, manifest, self.clock);
     }
 
     /// What a just-finished file task deposited into the job's Uspace
     /// (successful Imports put one file there; Exports and Transfers
     /// write elsewhere).
-    fn deposited_by_file_task(&self, job: JobId, node: ActionId) -> Vec<(String, Vec<u8>)> {
-        if self.store.is_none() || self.recovering {
-            return Vec::new();
-        }
+    fn deposited_by_file_task(&self, job: JobId, node: ActionId) -> Vec<String> {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
         };
@@ -623,35 +646,7 @@ impl Njs {
         if !rt.node_status(node).is_success() {
             return Vec::new();
         }
-        let Some(v) = self.vsites.get(&rt.job.vsite.vsite) else {
-            return Vec::new();
-        };
-        match v.vspace.read_for_transfer(job, uspace_name, &rt.user.login) {
-            Ok(data) => vec![(uspace_name.clone(), data)],
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Everything currently in the job's Uspace (name, contents).
-    fn uspace_manifest(&self, job: JobId) -> Vec<(String, Vec<u8>)> {
-        let Some(rt) = self.jobs.get(&job) else {
-            return Vec::new();
-        };
-        let Some(v) = self.vsites.get(&rt.job.vsite.vsite) else {
-            return Vec::new();
-        };
-        let Ok(fs) = v.vspace.uspace(job) else {
-            return Vec::new();
-        };
-        fs.list("")
-            .into_iter()
-            .filter_map(|name| {
-                v.vspace
-                    .read_for_transfer(job, name, &rt.user.login)
-                    .ok()
-                    .map(|d| (name.to_owned(), d))
-            })
-            .collect()
+        vec![uspace_name.clone()]
     }
 
     /// This NJS's Usite name.
@@ -1124,16 +1119,45 @@ impl Njs {
                             }
                             rt.done = true;
                             rt.finished_at = Some(*at);
-                            let (vsite, login) =
-                                (rt.job.vsite.vsite.clone(), rt.user.login.clone());
-                            if let Some(v) = self.vsites.get_mut(&vsite) {
-                                for (name, data) in manifest {
-                                    let _ = v.vspace.write_uspace_file(
-                                        *job,
-                                        name,
-                                        data.clone(),
-                                        &login,
-                                    );
+                            let login = &rt.user.login;
+                            let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) else {
+                                continue;
+                            };
+                            for entry in manifest {
+                                match entry {
+                                    // Journals from before the by-reference
+                                    // form carry the contents themselves.
+                                    ManifestEntry::Inline { name, data } => {
+                                        let _ = v.vspace.write_uspace_file(
+                                            *job,
+                                            name,
+                                            data.clone(),
+                                            login,
+                                        );
+                                    }
+                                    // The job's earlier records have just
+                                    // rebuilt the Uspace; a file that is not
+                                    // there as stated means the journal lost
+                                    // bytes, and a silently empty or stale
+                                    // file must not be served in their place.
+                                    ManifestEntry::Stored { name, len } => {
+                                        let found = v
+                                            .vspace
+                                            .uspace(*job)
+                                            .ok()
+                                            .and_then(|fs| fs.read(name, login).ok())
+                                            .map(|f| f.data.len() as u64);
+                                        if found != Some(*len) {
+                                            return Err(NjsError::Store(
+                                                StoreError::ManifestMismatch {
+                                                    job: *job,
+                                                    name: name.clone(),
+                                                    expected: *len,
+                                                    found,
+                                                },
+                                            ));
+                                        }
+                                    }
                                 }
                             }
                         }
@@ -1537,7 +1561,7 @@ impl Njs {
                         Some(OutcomeNode::Job(j)) => j.status = ActionStatus::Killed,
                         None => {}
                     }
-                    self.log_terminal(id, nid, Vec::new());
+                    self.log_terminal(id, nid, &[]);
                     progressed = true;
                 } else {
                     progressed |= self.dispatch_node(id, nid, now);
@@ -1704,13 +1728,11 @@ impl Njs {
                 rt.set_task_outcome(node, outcome);
                 rt.states.insert(node, NodeState::Terminal);
                 // Deposit output files into the job's Uspace.
-                let journal = self.store.is_some() && !self.recovering;
-                let mut deposited: Vec<(String, Vec<u8>)> = Vec::new();
+                let mut deposited: Vec<String> = Vec::new();
                 let v = self.vsites.get_mut(vsite).expect("known vsite");
                 v.batch_owner.remove(&batch_id);
                 let vspace = &mut v.vspace;
                 for (name, data) in c.output_files {
-                    let keep = journal.then(|| data.clone());
                     // Quota overflow turns the task's result into failure.
                     if vspace.write_uspace_file(job, &name, data, &login).is_err() {
                         self.flight.record(
@@ -1725,11 +1747,11 @@ impl Njs {
                             t.message = "output exceeded job disk quota".into();
                             t.flight = self.flight.trace(job.0);
                         }
-                    } else if let Some(data) = keep {
-                        deposited.push((name, data));
+                    } else {
+                        deposited.push(name);
                     }
                 }
-                self.log_terminal(job, node, deposited);
+                self.log_terminal(job, node, &deposited);
                 true
             }
             Some(BatchStatus::Cancelled) => {
@@ -1751,7 +1773,7 @@ impl Njs {
                 rt.states.insert(node, NodeState::Terminal);
                 let v = self.vsites.get_mut(vsite).expect("known vsite");
                 v.batch_owner.remove(&batch_id);
-                self.log_terminal(job, node, Vec::new());
+                self.log_terminal(job, node, &[]);
                 true
             }
             None => false,
@@ -1790,7 +1812,7 @@ impl Njs {
                     }
                 }
             }
-            let mut pulled: Vec<(String, Vec<u8>)> = Vec::new();
+            let mut pulled: Vec<String> = Vec::new();
             if !wanted.is_empty() {
                 let parent_vsite = rt.job.vsite.vsite.clone();
                 let login = rt.user.login.clone();
@@ -1806,17 +1828,14 @@ impl Njs {
                         .and_then(|v| v.vspace.read_for_transfer(child, &name, &login).ok());
                     if let Some(data) = data {
                         if let Some(v) = self.vsites.get_mut(&parent_vsite) {
-                            if v.vspace
-                                .write_uspace_file(job, &name, data.clone(), &login)
-                                .is_ok()
-                            {
-                                pulled.push((name, data));
+                            if v.vspace.write_uspace_file(job, &name, data, &login).is_ok() {
+                                pulled.push(name);
                             }
                         }
                     }
                 }
             }
-            self.log_terminal(job, node, pulled);
+            self.log_terminal(job, node, &pulled);
             return true;
         }
         changed
@@ -1905,7 +1924,7 @@ impl Njs {
                             let rt = self.jobs.get_mut(&job).expect("job exists");
                             rt.set_task_outcome(node, failed);
                             rt.states.insert(node, NodeState::Terminal);
-                            self.log_terminal(job, node, Vec::new());
+                            self.log_terminal(job, node, &[]);
                         }
                     }
                     // The submit changed this Vsite's batch timeline (and
@@ -1936,7 +1955,7 @@ impl Njs {
                             rt.set_task_outcome(node, o);
                             rt.states.insert(node, NodeState::Terminal);
                             let deposited = self.deposited_by_file_task(job, node);
-                            self.log_terminal(job, node, deposited);
+                            self.log_terminal(job, node, &deposited);
                         }
                         FileTaskResult::Remote => {
                             let rt = self.jobs.get_mut(&job).expect("job exists");
@@ -2036,7 +2055,7 @@ impl Njs {
                         j.status = ActionStatus::NotSuccessful;
                     }
                     rt.states.insert(node, NodeState::Terminal);
-                    self.log_terminal(job, node, Vec::new());
+                    self.log_terminal(job, node, &[]);
                     let _ = e;
                 }
             }
@@ -2368,13 +2387,16 @@ impl Njs {
         // progress, so an externally completed node must fold its status
         // into the tree here for clients polling before the next step.
         rt.outcome.aggregate_status();
-        let (vsite, login) = (rt.job.vsite.vsite.clone(), rt.user.login.clone());
-        if let Some(v) = self.vsites.get_mut(&vsite) {
-            for (name, data) in &files {
-                let _ = v.vspace.write_uspace_file(job, name, data.clone(), &login);
+        let mut deposited: Vec<String> = Vec::new();
+        if let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) {
+            for (name, data) in files {
+                let written = v.vspace.write_uspace_file(job, &name, data, &rt.user.login);
+                if written.is_ok() {
+                    deposited.push(name);
+                }
             }
         }
-        self.log_terminal(job, node, files);
+        self.log_terminal(job, node, &deposited);
         self.flush_events();
     }
 
@@ -2504,7 +2526,7 @@ impl Njs {
         // step must already see the folded status.
         rt.outcome.aggregate_status();
         let deposited = self.deposited_by_file_task(job, node);
-        self.log_terminal(job, node, deposited);
+        self.log_terminal(job, node, &deposited);
         self.flush_events();
     }
 
@@ -2523,7 +2545,7 @@ impl Njs {
         self.set_state(job, node, NodeState::Terminal);
         let rt = self.jobs.get_mut(&job).expect("checked above");
         rt.outcome.aggregate_status();
-        self.log_terminal(job, node, Vec::new());
+        self.log_terminal(job, node, &[]);
         self.flush_events();
     }
 
@@ -2721,7 +2743,10 @@ impl Njs {
             origin_job,
             origin_node,
         };
-        let entry = self.incoming.get(&key).ok_or(NjsError::UnknownTransfer)?;
+        let entry = self
+            .incoming
+            .get_mut(&key)
+            .ok_or(NjsError::UnknownTransfer)?;
         if entry.state.is_received(index) {
             return Ok((entry.state.watermark(), entry.state.is_complete()));
         }
@@ -2730,16 +2755,14 @@ impl Njs {
             return Err(NjsError::CorruptChunk { index });
         }
         let offset = m.chunk_range(index).start as u64;
-        let (vsite, path, login) = (entry.vsite.clone(), entry.path.clone(), entry.login.clone());
         // Store before marking: a quota failure must leave the chunk
         // unheld so a later retry (after the user frees space) can land.
         self.vsites
-            .get_mut(&vsite)
+            .get_mut(&entry.vsite)
             .expect("vsite checked at offer")
             .vspace
             .xspace()
-            .write_partial(&path, offset, data, &login)?;
-        let entry = self.incoming.get_mut(&key).expect("still present");
+            .write_partial(&entry.path, offset, data, &entry.login)?;
         entry.state.mark_received(index);
         let (upto, done) = (entry.state.watermark(), entry.state.is_complete());
         self.metrics.transfer_chunks.inc();
@@ -2747,14 +2770,16 @@ impl Njs {
         // The journal holds the delivered bytes themselves — Xspace
         // contents are not otherwise durable, so chunk events are the
         // file's write-ahead copy and are retained through compaction.
-        self.log_event(StoreEvent::TransferChunkStored {
-            origin: key.origin.clone(),
-            origin_job,
-            origin_node,
-            index,
-            data: data.to_vec(),
-            at: self.clock,
-        });
+        if self.journalling() {
+            self.pending.push_transfer_chunk_stored(
+                origin,
+                origin_job,
+                origin_node,
+                index,
+                data,
+                self.clock,
+            );
+        }
         if done {
             self.finalize_incoming(&key)?;
             self.metrics.transfers_received.inc();

@@ -585,3 +585,89 @@ fn consign_shares_portfolio_payloads_without_copying() {
     let fetched = njs.fetch_uspace_file(id, "input.bin", DN).unwrap();
     assert_eq!(fetched.as_slice(), &data[..], "byte identity lost");
 }
+
+/// A well-formed offer can claim any length (9 chunk sums at
+/// `chunk_size = u32::MAX` is over 32 GiB). One that exceeds the
+/// destination space's whole quota is refused before the staging buffer
+/// is allocated, journals nothing and leaves no receiver state; an offer
+/// that fits is admitted as before.
+#[test]
+fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
+    use unicore_dataplane::TransferManifest;
+    use unicore_njs::NjsError;
+    use unicore_store::{EventStore, MemoryBackend};
+    use unicore_uspace::{SpaceError, VirtualFs};
+
+    let mem = MemoryBackend::new();
+    let mut njs = fzj();
+    njs.attach_store(EventStore::open(Box::new(mem.clone())).unwrap());
+    *njs.vsite_mut("T3E").unwrap().vspace.xspace() = VirtualFs::with_quota(1 << 20);
+
+    let hostile = TransferManifest {
+        origin: "RUS".into(),
+        origin_job: JobId(9),
+        origin_node: ActionId(1),
+        to_vsite: VsiteAddress::new("FZJ", "T3E"),
+        dest_name: "huge.bin".into(),
+        user_dn: DN.into(),
+        total_len: 9 * u64::from(u32::MAX),
+        chunk_size: u32::MAX,
+        chunk_sums: vec![[0; 32]; 9],
+        file_sum: [0; 32],
+        world_readable: false,
+    };
+    assert!(hostile.well_formed(), "the manifest check alone admits it");
+    match njs.transfer_offer(hostile, "alice1") {
+        Err(NjsError::Space(SpaceError::QuotaExceeded { needed, quota })) => {
+            assert_eq!((needed, quota), (9 * u64::from(u32::MAX), 1 << 20));
+        }
+        other => panic!("hostile offer: {other:?}"),
+    }
+    assert_eq!(mem.append_count(), 0, "a refused offer journals nothing");
+    assert!(njs
+        .incoming_progress("RUS", JobId(9), ActionId(1))
+        .is_none());
+    let path = format!("{INCOMING_PREFIX}huge.bin");
+    assert!(!njs
+        .vsite("T3E")
+        .unwrap()
+        .vspace
+        .xspace_ref()
+        .has_partial(&path));
+
+    // The same sender's honest offer is admitted, chunk by chunk.
+    let data = vec![0x42u8; 100_000];
+    let honest = TransferManifest::for_bytes(
+        "RUS",
+        JobId(9),
+        ActionId(1),
+        VsiteAddress::new("FZJ", "T3E"),
+        "huge.bin",
+        DN,
+        false,
+        &data,
+        65_536,
+    );
+    assert_eq!(njs.transfer_offer(honest, "alice1").unwrap(), 0);
+    assert_eq!(mem.append_count(), 1, "TransferOpened");
+    assert_eq!(
+        njs.transfer_chunk("RUS", JobId(9), ActionId(1), 0, &data[..65_536])
+            .unwrap(),
+        (1, false)
+    );
+    assert_eq!(
+        njs.transfer_chunk("RUS", JobId(9), ActionId(1), 1, &data[65_536..])
+            .unwrap(),
+        (2, true)
+    );
+    assert_eq!(
+        njs.vsite("T3E")
+            .unwrap()
+            .vspace
+            .xspace_ref()
+            .read(&path, "alice1")
+            .unwrap()
+            .data,
+        data
+    );
+}

@@ -1,6 +1,7 @@
 //! Store errors.
 
 use core::fmt;
+use unicore_ajo::JobId;
 use unicore_codec::CodecError;
 
 /// Errors from the write-ahead log and event store.
@@ -19,6 +20,19 @@ pub enum StoreError {
     },
     /// The storage backend failed (I/O error, or an injected crash).
     Backend(String),
+    /// A finished job's manifest names a file that replaying the job's
+    /// earlier records did not leave in its Uspace with that length: the
+    /// journal has lost the record that carried the bytes.
+    ManifestMismatch {
+        /// The finished job.
+        job: JobId,
+        /// The file the manifest names.
+        name: String,
+        /// The length the manifest states.
+        expected: u64,
+        /// The length found in the rebuilt Uspace, if the file is there.
+        found: Option<u64>,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -36,6 +50,18 @@ impl fmt::Display for StoreError {
                 )
             }
             StoreError::Backend(msg) => write!(f, "storage backend error: {msg}"),
+            StoreError::ManifestMismatch {
+                job,
+                name,
+                expected,
+                found,
+            } => {
+                write!(f, "job {job}: manifest lists {name} ({expected} bytes), ")?;
+                match found {
+                    Some(len) => write!(f, "replay rebuilt it with {len} bytes"),
+                    None => write!(f, "replay rebuilt no such file"),
+                }
+            }
         }
     }
 }

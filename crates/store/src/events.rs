@@ -5,7 +5,7 @@
 //! event kinds can be added without renumbering.
 
 use unicore_ajo::{ActionId, JobId};
-use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
+use unicore_codec::{tag, CodecError, DerCodec, DerReader, DerWriter};
 
 /// The authenticated owner of a consigned job, as resolved by the UUDB at
 /// consign time. Persisted so recovery does not need to re-consult the
@@ -76,7 +76,12 @@ impl DerCodec for ForeignOrigin {
     }
 }
 
-fn write_files(w: &mut DerWriter, files: &[(String, Vec<u8>)]) {
+/// SEQUENCE OF `(name, contents)`; the contents are written straight from
+/// wherever the caller holds them (an owned event, or the Uspace itself).
+pub(crate) fn write_files<'a>(
+    w: &mut DerWriter,
+    files: impl IntoIterator<Item = (&'a str, &'a [u8])>,
+) {
     w.sequence_of(files, |w, (name, data)| {
         w.sequence(|w| {
             w.str(name);
@@ -85,12 +90,77 @@ fn write_files(w: &mut DerWriter, files: &[(String, Vec<u8>)]) {
     });
 }
 
+fn owned_files(files: &[(String, Vec<u8>)]) -> impl Iterator<Item = (&str, &[u8])> {
+    files.iter().map(|(n, d)| (n.as_str(), d.as_slice()))
+}
+
 fn read_files(r: &mut DerReader<'_>) -> Result<Vec<(String, Vec<u8>)>, CodecError> {
     r.sequence_of("file list", |e| {
         e.sequence("file entry", |f| {
             Ok((f.next_string()?, f.next_bytes()?.to_vec()))
         })
     })
+}
+
+/// One file of an [`StoreEvent::OutcomeStored`] manifest.
+///
+/// On the wire both forms are `SEQUENCE { name, x }`; the second element's
+/// type — INTEGER or OCTET STRING — tells them apart, so journals written
+/// before and after the by-reference form need no version marker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ManifestEntry {
+    /// The file by reference: its bytes are in the same job's earlier
+    /// `JobConsigned.staged` / `TaskStateChanged.files` records, which
+    /// replay has already put back into the Uspace; the manifest only
+    /// states what must be there. The form every new record uses.
+    Stored {
+        /// File name within the job's Uspace.
+        name: String,
+        /// Length in bytes.
+        len: u64,
+    },
+    /// The file's contents inline, as journals written before the
+    /// by-reference form carry them. Decoded (and kept as it is by
+    /// compaction), never produced for a new record.
+    Inline {
+        /// File name within the job's Uspace.
+        name: String,
+        /// The contents.
+        data: Vec<u8>,
+    },
+}
+
+/// A by-reference manifest entry.
+pub(crate) fn write_stored_entry(w: &mut DerWriter, name: &str, len: u64) {
+    w.sequence(|w| {
+        w.str(name);
+        w.u64(len);
+    });
+}
+
+impl DerCodec for ManifestEntry {
+    fn write_der(&self, w: &mut DerWriter) {
+        match self {
+            ManifestEntry::Stored { name, len } => write_stored_entry(w, name, *len),
+            ManifestEntry::Inline { name, data } => w.sequence(|w| {
+                w.str(name);
+                w.bytes(data);
+            }),
+        }
+    }
+
+    fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        r.sequence("manifest entry", |f| {
+            let name = f.next_string()?;
+            if f.peek_tag() == Some(tag::INTEGER) {
+                let len = f.next_u64()?;
+                Ok(ManifestEntry::Stored { name, len })
+            } else {
+                let data = f.next_bytes()?.to_vec();
+                Ok(ManifestEntry::Inline { name, data })
+            }
+        })
+    }
 }
 
 /// One durable fact about a job's lifecycle.
@@ -154,8 +224,10 @@ pub enum StoreEvent {
         job: JobId,
         /// Canonical DER of the assembled `JobOutcome` tree.
         outcome_der: Vec<u8>,
-        /// Full uspace manifest at completion (name, contents).
-        manifest: Vec<(String, Vec<u8>)>,
+        /// Every Uspace file at completion, by reference (see
+        /// [`ManifestEntry`]): replay checks the Uspace it rebuilt from
+        /// the job's earlier records against this list.
+        manifest: Vec<ManifestEntry>,
         /// Simulation timestamp.
         at: u64,
     },
@@ -253,12 +325,12 @@ const TAG_PLACEMENT: u8 = 7;
 
 /// Body of a `TaskStateChanged` record; `outcome` writes the OCTET STRING
 /// holding the node's outcome DER.
-pub(crate) fn write_task_state(
+pub(crate) fn write_task_state<'a>(
     w: &mut DerWriter,
     job: JobId,
     node: ActionId,
     outcome: impl FnOnce(&mut DerWriter),
-    files: &[(String, Vec<u8>)],
+    files: impl IntoIterator<Item = (&'a str, &'a [u8])>,
     at: u64,
 ) {
     w.tagged(TAG_TASK_STATE, |w| {
@@ -273,19 +345,42 @@ pub(crate) fn write_task_state(
 }
 
 /// Body of an `OutcomeStored` record; `outcome` writes the OCTET STRING
-/// holding the job outcome DER.
-pub(crate) fn write_outcome_stored(
+/// holding the job outcome DER, `entry` one manifest entry.
+pub(crate) fn write_outcome_stored<T>(
     w: &mut DerWriter,
     job: JobId,
     outcome: impl FnOnce(&mut DerWriter),
-    manifest: &[(String, Vec<u8>)],
+    manifest: impl IntoIterator<Item = T>,
+    entry: impl FnMut(&mut DerWriter, T),
     at: u64,
 ) {
     w.tagged(TAG_OUTCOME, |w| {
         w.sequence(|w| {
             w.u64(job.0);
             outcome(w);
-            write_files(w, manifest);
+            w.sequence_of(manifest, entry);
+            w.u64(at);
+        })
+    });
+}
+
+/// Body of a `TransferChunkStored` record.
+pub(crate) fn write_transfer_chunk(
+    w: &mut DerWriter,
+    origin: &str,
+    origin_job: JobId,
+    origin_node: ActionId,
+    index: u64,
+    data: &[u8],
+    at: u64,
+) {
+    w.tagged(TAG_TRANSFER_CHUNK, |w| {
+        w.sequence(|w| {
+            w.str(origin);
+            w.u64(origin_job.0);
+            w.u64(origin_node.0);
+            w.u64(index);
+            w.bytes(data);
             w.u64(at);
         })
     });
@@ -308,7 +403,7 @@ impl DerCodec for StoreEvent {
                     w.u64(job.0);
                     w.bytes(ajo_der);
                     user.write_der(w);
-                    write_files(w, staged);
+                    write_files(w, owned_files(staged));
                     w.bytes(idem_key);
                     w.u64(*at);
                     if let Some((pjob, pnode)) = parent {
@@ -343,13 +438,27 @@ impl DerCodec for StoreEvent {
                 outcome_der,
                 files,
                 at,
-            } => write_task_state(w, *job, *node, |w| w.bytes(outcome_der), files, *at),
+            } => write_task_state(
+                w,
+                *job,
+                *node,
+                |w| w.bytes(outcome_der),
+                owned_files(files),
+                *at,
+            ),
             StoreEvent::OutcomeStored {
                 job,
                 outcome_der,
                 manifest,
                 at,
-            } => write_outcome_stored(w, *job, |w| w.bytes(outcome_der), manifest, *at),
+            } => write_outcome_stored(
+                w,
+                *job,
+                |w| w.bytes(outcome_der),
+                manifest,
+                |w, e| e.write_der(w),
+                *at,
+            ),
             StoreEvent::JobPurged { job, at } => w.tagged(TAG_PURGED, |w| {
                 w.sequence(|w| {
                     w.u64(job.0);
@@ -397,16 +506,7 @@ impl DerCodec for StoreEvent {
                 index,
                 data,
                 at,
-            } => w.tagged(TAG_TRANSFER_CHUNK, |w| {
-                w.sequence(|w| {
-                    w.str(origin);
-                    w.u64(origin_job.0);
-                    w.u64(origin_node.0);
-                    w.u64(*index);
-                    w.bytes(data);
-                    w.u64(*at);
-                })
-            }),
+            } => write_transfer_chunk(w, origin, *origin_job, *origin_node, *index, data, *at),
         }
     }
 
@@ -449,7 +549,7 @@ impl DerCodec for StoreEvent {
                 Ok(StoreEvent::OutcomeStored {
                     job: JobId(f.next_u64()?),
                     outcome_der: f.next_bytes()?.to_vec(),
-                    manifest: read_files(f)?,
+                    manifest: f.sequence_of("manifest", ManifestEntry::read_der)?,
                     at: f.next_u64()?,
                 })
             }),
@@ -551,7 +651,25 @@ mod tests {
             StoreEvent::OutcomeStored {
                 job: JobId(7),
                 outcome_der: vec![0x30, 0x00],
-                manifest: vec![("stdout".into(), b"hello".to_vec())],
+                manifest: vec![
+                    ManifestEntry::Stored {
+                        name: "stdout".into(),
+                        len: 5,
+                    },
+                    ManifestEntry::Inline {
+                        name: "old.dat".into(),
+                        data: b"hello".to_vec(),
+                    },
+                    // An empty file stays distinguishable in both forms.
+                    ManifestEntry::Stored {
+                        name: "empty".into(),
+                        len: 0,
+                    },
+                    ManifestEntry::Inline {
+                        name: "empty-old".into(),
+                        data: Vec::new(),
+                    },
+                ],
                 at: 5,
             },
             StoreEvent::JobPurged {
@@ -588,6 +706,44 @@ mod tests {
             assert_eq!(back, ev);
             assert_eq!(back.job(), ev.job());
         }
+    }
+
+    /// The inline manifest form is byte for byte what `OutcomeStored`
+    /// carried before entries went by reference: a `(name, contents)`
+    /// file list, as `TaskStateChanged.files` still is.
+    #[test]
+    fn inline_manifest_entries_encode_as_the_old_file_list() {
+        let files = vec![
+            ("a".to_owned(), vec![1u8, 2, 3]),
+            ("b".to_owned(), Vec::new()),
+        ];
+        let mut old = DerWriter::new();
+        write_files(&mut old, owned_files(&files));
+        let mut new = DerWriter::new();
+        new.sequence_of(&files, |w, (name, data)| {
+            ManifestEntry::Inline {
+                name: name.clone(),
+                data: data.clone(),
+            }
+            .write_der(w)
+        });
+        assert_eq!(old.into_vec(), new.into_vec());
+    }
+
+    #[test]
+    fn manifest_entry_with_any_other_second_element_is_rejected() {
+        let mut w = DerWriter::new();
+        w.sequence(|w| {
+            w.str("name");
+            w.bool(true);
+        });
+        assert!(ManifestEntry::from_der(&w.into_vec()).is_err());
+        let mut w = DerWriter::new();
+        w.sequence(|w| {
+            w.str("name");
+            w.int(-1);
+        });
+        assert!(ManifestEntry::from_der(&w.into_vec()).is_err());
     }
 
     #[test]

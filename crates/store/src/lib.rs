@@ -39,7 +39,7 @@ pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use error::StoreError;
-pub use events::{ForeignOrigin, OwnerRecord, StoreEvent};
+pub use events::{ForeignOrigin, ManifestEntry, OwnerRecord, StoreEvent};
 pub use store::{
     events_by_job, CompactionStats, EventBatch, EventStore, Replay, DEFAULT_ROTATE_AT,
 };

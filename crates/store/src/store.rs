@@ -2,7 +2,9 @@
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
-use crate::events::{write_outcome_stored, write_task_state, StoreEvent};
+use crate::events::{
+    write_outcome_stored, write_stored_entry, write_task_state, write_transfer_chunk, StoreEvent,
+};
 use crate::wal::{
     encode_record, encode_record_with, parse_segment_name, parse_snapshot_name, scan_segment,
     segment_name, snapshot_name,
@@ -65,14 +67,16 @@ impl EventBatch {
     }
 
     /// Frames a [`StoreEvent::TaskStateChanged`] record with the outcome
-    /// encoded in place — the same bytes as pushing the event built with
-    /// `outcome_der: outcome.to_der()`, without that buffer.
-    pub fn push_task_state_changed(
+    /// encoded in place and each file's contents written from where the
+    /// caller holds them — the same bytes as pushing the event built with
+    /// `outcome_der: outcome.to_der()` and owned copies of `files`,
+    /// without those buffers.
+    pub fn push_task_state_changed<'a>(
         &mut self,
         job: JobId,
         node: ActionId,
         outcome: &impl DerCodec,
-        files: &[(String, Vec<u8>)],
+        files: impl IntoIterator<Item = (&'a str, &'a [u8])>,
         at: u64,
     ) {
         let outcome = |w: &mut DerWriter| w.octets_of(|w| outcome.write_der(w));
@@ -80,16 +84,36 @@ impl EventBatch {
     }
 
     /// Frames a [`StoreEvent::OutcomeStored`] record with the outcome
-    /// encoded in place (see [`Self::push_task_state_changed`]).
-    pub fn push_outcome_stored(
+    /// encoded in place (see [`Self::push_task_state_changed`]) and every
+    /// manifest entry by reference: `(name, length)` of a file the job's
+    /// earlier records already carry.
+    pub fn push_outcome_stored<'a>(
         &mut self,
         job: JobId,
         outcome: &impl DerCodec,
-        manifest: &[(String, Vec<u8>)],
+        manifest: impl IntoIterator<Item = (&'a str, u64)>,
         at: u64,
     ) {
         let outcome = |w: &mut DerWriter| w.octets_of(|w| outcome.write_der(w));
-        self.push_with(|w| write_outcome_stored(w, job, outcome, manifest, at));
+        let entry = |w: &mut DerWriter, (name, len)| write_stored_entry(w, name, len);
+        self.push_with(|w| write_outcome_stored(w, job, outcome, manifest, entry, at));
+    }
+
+    /// Frames a [`StoreEvent::TransferChunkStored`] record straight from
+    /// the borrowed chunk — the same bytes as pushing the event built
+    /// with `data: data.to_vec()`, without that copy.
+    pub fn push_transfer_chunk_stored(
+        &mut self,
+        origin: &str,
+        origin_job: JobId,
+        origin_node: ActionId,
+        index: u64,
+        data: &[u8],
+        at: u64,
+    ) {
+        self.push_with(|w| {
+            write_transfer_chunk(w, origin, origin_job, origin_node, index, data, at)
+        });
     }
 
     /// Frames the next record from the one event TLV `write` emits.
@@ -327,8 +351,10 @@ impl EventStore {
     ///
     /// The fold keeps the minimal event sequence that replays to the same
     /// state: purged jobs vanish entirely; finished jobs collapse to
-    /// their `JobConsigned` + `OutcomeStored` pair; jobs still in flight
-    /// keep their full history.
+    /// their `JobConsigned`, the `TaskStateChanged` records that carry
+    /// files (the only copy of those bytes: the manifest refers to them)
+    /// and their `OutcomeStored`; jobs still in flight keep their full
+    /// history.
     pub fn compact(&mut self) -> Result<CompactionStats, StoreError> {
         let replay = self.replay()?;
         let bytes_before = self.total_bytes()?;
@@ -356,20 +382,22 @@ impl EventStore {
                 if purged.contains(&id) {
                     false
                 } else if done.contains(&id) {
-                    matches!(
-                        ev,
-                        StoreEvent::JobConsigned { .. } | StoreEvent::OutcomeStored { .. }
-                    )
+                    match ev {
+                        StoreEvent::JobConsigned { .. } | StoreEvent::OutcomeStored { .. } => true,
+                        StoreEvent::TaskStateChanged { files, .. } => !files.is_empty(),
+                        _ => false,
+                    }
                 } else {
                     true
                 }
             })
             .collect();
 
-        let mut snapshot = Vec::new();
+        let mut snapshot = EventBatch::new();
         for ev in &kept {
-            snapshot.extend(encode_record(&ev.to_der()));
+            snapshot.push(ev);
         }
+        let snapshot = snapshot.frames;
         let new_seq = self.current_seq + 1;
         self.backend
             .write_atomic(&snapshot_name(new_seq), &snapshot)?;
@@ -427,7 +455,7 @@ pub fn events_by_job(events: &[StoreEvent]) -> HashMap<u64, Vec<&StoreEvent>> {
 mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
-    use crate::events::OwnerRecord;
+    use crate::events::{ManifestEntry, OwnerRecord};
 
     fn owner() -> OwnerRecord {
         OwnerRecord {
@@ -451,28 +479,46 @@ mod tests {
     }
 
     #[test]
-    fn in_place_outcome_pushes_frame_the_owned_events() {
+    fn in_place_pushes_frame_the_owned_events() {
         let outcome = owner(); // any DerCodec value stands in for an outcome
         let files = vec![("stdout".to_owned(), b"hello".to_vec())];
         let mut in_place = EventBatch::new();
-        in_place.push_task_state_changed(JobId(7), ActionId(1), &outcome, &files, 4);
-        in_place.push_outcome_stored(JobId(7), &outcome, &files, 5);
+        in_place.push_task_state_changed(
+            JobId(7),
+            ActionId(1),
+            &outcome,
+            [("stdout", &b"hello"[..])],
+            4,
+        );
+        in_place.push_outcome_stored(JobId(7), &outcome, [("stdout", 5)], 5);
+        in_place.push_transfer_chunk_stored("FZJ", JobId(7), ActionId(2), 3, &[0xcd; 17], 6);
         let mut owned = EventBatch::new();
         owned.push(&StoreEvent::TaskStateChanged {
             job: JobId(7),
             node: ActionId(1),
             outcome_der: outcome.to_der(),
-            files: files.clone(),
+            files,
             at: 4,
         });
         owned.push(&StoreEvent::OutcomeStored {
             job: JobId(7),
             outcome_der: outcome.to_der(),
-            manifest: files,
+            manifest: vec![ManifestEntry::Stored {
+                name: "stdout".into(),
+                len: 5,
+            }],
             at: 5,
         });
+        owned.push(&StoreEvent::TransferChunkStored {
+            origin: "FZJ".into(),
+            origin_job: JobId(7),
+            origin_node: ActionId(2),
+            index: 3,
+            data: vec![0xcd; 17],
+            at: 6,
+        });
         assert_eq!(in_place.frames, owned.frames);
-        assert_eq!(in_place.events, 2);
+        assert_eq!(in_place.events, 3);
     }
 
     fn incarnated(job: u64) -> StoreEvent {
@@ -737,6 +783,53 @@ mod tests {
         let replay = store.replay().unwrap();
         assert_eq!(replay.events.len(), 5);
         assert_eq!(replay.events[4], outcome(3));
+    }
+
+    /// A finished job's manifest names its files; their bytes live in the
+    /// `TaskStateChanged` records that deposited them, which compaction
+    /// must therefore keep (and only those).
+    #[test]
+    fn compaction_keeps_the_records_a_manifest_refers_to() {
+        let task = |node: u64, files: Vec<(String, Vec<u8>)>| StoreEvent::TaskStateChanged {
+            job: JobId(1),
+            node: ActionId(node),
+            outcome_der: vec![0x30, 0x00],
+            files,
+            at: node,
+        };
+        let done = StoreEvent::OutcomeStored {
+            job: JobId(1),
+            outcome_der: vec![0x30, 0x00],
+            manifest: vec![ManifestEntry::Stored {
+                name: "out".into(),
+                len: 3,
+            }],
+            at: 9,
+        };
+        let events = vec![
+            consigned(1),
+            incarnated(1),
+            task(1, vec![("out".into(), vec![1, 2, 3, 4])]),
+            task(2, vec![]),
+            task(3, vec![("out".into(), vec![5, 6, 7])]),
+            done,
+        ];
+        let mut store = EventStore::open(Box::new(MemoryBackend::new())).unwrap();
+        store.append_batch(&events).unwrap();
+        let stats = store.compact().unwrap();
+        assert_eq!(stats.events_after, 4);
+        let kept = store.replay().unwrap().events;
+        // Both writers of `out` survive, in order: the last one wins at
+        // replay exactly as it did live.
+        assert_eq!(
+            kept,
+            vec![
+                events[0].clone(),
+                events[2].clone(),
+                events[4].clone(),
+                events[5].clone()
+            ]
+        );
     }
 
     #[test]

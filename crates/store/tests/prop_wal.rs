@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 use unicore_ajo::{ActionId, JobId};
 use unicore_codec::DerCodec;
 use unicore_store::{
-    decode_record, encode_record, Decoded, EventStore, ForeignOrigin, MemoryBackend, OwnerRecord,
-    StoreEvent, RECORD_HEADER_LEN,
+    decode_record, encode_record, Decoded, EventStore, ForeignOrigin, ManifestEntry, MemoryBackend,
+    OwnerRecord, StoreEvent, RECORD_HEADER_LEN,
 };
 
 fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -21,11 +21,22 @@ fn id() -> impl Strategy<Value = u64> {
     0u64..(1 << 62)
 }
 
-/// A named-file manifest, as carried by task and outcome events.
+/// Named files with their contents, as carried by consign and task events.
 type Files = Vec<(String, Vec<u8>)>;
 
 fn files() -> impl Strategy<Value = Files> {
     proptest::collection::vec(("[a-z0-9._-]{1,12}", bytes(24)), 0..4)
+}
+
+/// An outcome manifest in either spelling: by reference (what is written
+/// today) or inline (what older journals hold).
+fn manifest() -> impl Strategy<Value = Vec<ManifestEntry>> {
+    let entry = prop_oneof![
+        ("[a-z0-9._-]{1,12}", id()).prop_map(|(name, len)| ManifestEntry::Stored { name, len }),
+        ("[a-z0-9._-]{1,12}", bytes(24))
+            .prop_map(|(name, data)| ManifestEntry::Inline { name, data }),
+    ];
+    proptest::collection::vec(entry, 0..4)
 }
 
 fn owner() -> impl Strategy<Value = OwnerRecord> {
@@ -97,7 +108,7 @@ fn event() -> impl Strategy<Value = StoreEvent> {
                 at,
             }
         }),
-        (id(), bytes(40), files(), id()).prop_map(|(job, outcome_der, manifest, at)| {
+        (id(), bytes(40), manifest(), id()).prop_map(|(job, outcome_der, manifest, at)| {
             StoreEvent::OutcomeStored {
                 job: JobId(job),
                 outcome_der,
@@ -227,7 +238,7 @@ proptest! {
 struct Spec {
     ajo: Vec<u8>,
     mids: Vec<Mid>,
-    outcome: Option<(Vec<u8>, Files)>,
+    outcome: Option<(Vec<u8>, Vec<ManifestEntry>)>,
     purge: bool,
 }
 
@@ -248,7 +259,7 @@ fn spec() -> impl Strategy<Value = Spec> {
     (
         bytes(32),
         proptest::collection::vec(mid(), 0..5),
-        proptest::option::of((bytes(24), files())),
+        proptest::option::of((bytes(24), manifest())),
         any::<bool>(),
     )
         .prop_map(|(ajo, mids, outcome, purge)| Spec {
@@ -311,8 +322,12 @@ fn materialise(job: u64, spec: &Spec) -> Vec<StoreEvent> {
 struct Fold {
     ajo: Option<Vec<u8>>,
     outcome: Option<Vec<u8>>,
-    manifest: Files,
-    nodes: BTreeMap<u64, (Vec<u8>, Files)>,
+    /// The Uspace: staged files, task deposits and inline manifest
+    /// entries applied in log order, the last writer of a name winning.
+    uspace: BTreeMap<String, Vec<u8>>,
+    /// What the manifest's by-reference entries claim is in the Uspace.
+    claimed: Vec<(String, u64)>,
+    nodes: BTreeMap<u64, Vec<u8>>,
     done: bool,
 }
 
@@ -320,8 +335,15 @@ fn fold(events: &[StoreEvent]) -> BTreeMap<u64, Fold> {
     let mut map: BTreeMap<u64, Fold> = BTreeMap::new();
     for ev in events {
         match ev {
-            StoreEvent::JobConsigned { job, ajo_der, .. } => {
-                map.entry(job.0).or_default().ajo = Some(ajo_der.clone());
+            StoreEvent::JobConsigned {
+                job,
+                ajo_der,
+                staged,
+                ..
+            } => {
+                let f = map.entry(job.0).or_default();
+                f.ajo = Some(ajo_der.clone());
+                f.uspace.extend(staged.iter().cloned());
             }
             // Incarnations and placements are informational at replay.
             StoreEvent::JobIncarnated { .. } | StoreEvent::PlacementDecided { .. } => {}
@@ -332,10 +354,9 @@ fn fold(events: &[StoreEvent]) -> BTreeMap<u64, Fold> {
                 files,
                 ..
             } => {
-                map.entry(job.0)
-                    .or_default()
-                    .nodes
-                    .insert(node.0, (outcome_der.clone(), files.clone()));
+                let f = map.entry(job.0).or_default();
+                f.nodes.insert(node.0, outcome_der.clone());
+                f.uspace.extend(files.iter().cloned());
             }
             StoreEvent::OutcomeStored {
                 job,
@@ -345,7 +366,14 @@ fn fold(events: &[StoreEvent]) -> BTreeMap<u64, Fold> {
             } => {
                 let f = map.entry(job.0).or_default();
                 f.outcome = Some(outcome_der.clone());
-                f.manifest = manifest.clone();
+                for entry in manifest {
+                    match entry {
+                        ManifestEntry::Stored { name, len } => f.claimed.push((name.clone(), *len)),
+                        ManifestEntry::Inline { name, data } => {
+                            f.uspace.insert(name.clone(), data.clone());
+                        }
+                    }
+                }
                 f.done = true;
             }
             StoreEvent::JobPurged { job, .. } => {
@@ -355,8 +383,8 @@ fn fold(events: &[StoreEvent]) -> BTreeMap<u64, Fold> {
             StoreEvent::TransferOpened { .. } | StoreEvent::TransferChunkStored { .. } => {}
         }
     }
-    // A finished job is restored wholly from its stored outcome; the
-    // per-node detail is superseded.
+    // A finished job's outcome tree is restored wholly from its stored
+    // outcome; the per-node outcomes are superseded. Its files are not.
     for f in map.values_mut() {
         if f.done {
             f.nodes.clear();

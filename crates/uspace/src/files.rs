@@ -144,10 +144,13 @@ impl VirtualFs {
     /// filled by [`write_partial`] and made visible by [`commit_partial`].
     ///
     /// Nothing is charged against the quota yet: the data plane pays for
-    /// bytes chunk by chunk as they land, not at admission. Reopening an
-    /// existing partial with the same length and owner is a no-op (a
-    /// resuming transfer keeps its progress); a different length discards
-    /// the old partial and starts over.
+    /// bytes chunk by chunk as they land, not at admission. A `total_len`
+    /// beyond the space's whole quota is refused outright, before the
+    /// staging buffer is allocated: such a file could never commit, and
+    /// the length is a claim from outside (a peer's transfer offer).
+    /// Reopening an existing partial with the same length and owner is a
+    /// no-op (a resuming transfer keeps its progress); a different length
+    /// discards the old partial and starts over.
     ///
     /// [`write_partial`]: VirtualFs::write_partial
     /// [`commit_partial`]: VirtualFs::commit_partial
@@ -158,8 +161,17 @@ impl VirtualFs {
         owner: &str,
     ) -> Result<(), SpaceError> {
         Self::check_path(path)?;
+        let len = match usize::try_from(total_len) {
+            Ok(len) if total_len <= self.quota => len,
+            _ => {
+                return Err(SpaceError::QuotaExceeded {
+                    needed: total_len,
+                    quota: self.quota,
+                })
+            }
+        };
         if let Some(p) = self.partials.get(path) {
-            if p.data.len() as u64 == total_len && p.owner == owner {
+            if p.data.len() == len && p.owner == owner {
                 return Ok(());
             }
             self.abort_partial(path)?;
@@ -167,7 +179,7 @@ impl VirtualFs {
         self.partials.insert(
             path.to_owned(),
             PartialFile {
-                data: vec![0; total_len as usize],
+                data: vec![0; len],
                 covered: BTreeMap::new(),
                 covered_bytes: 0,
                 owner: owner.to_owned(),
@@ -507,26 +519,59 @@ mod tests {
 
     #[test]
     fn partial_quota_charged_per_chunk_not_admission() {
-        let mut fs = VirtualFs::with_quota(8);
-        // Admission of a 100-byte partial succeeds: nothing charged yet.
-        fs.begin_partial("/big", 100, "u").unwrap();
-        assert_eq!(fs.used_bytes(), 0);
+        let mut fs = VirtualFs::with_quota(16);
+        fs.write("/other", vec![0; 8], "u").unwrap();
+        // A 12-byte partial fits the quota on its own but not beside
+        // `/other`; admission still succeeds: nothing is charged yet.
+        fs.begin_partial("/big", 12, "u").unwrap();
+        assert_eq!(fs.used_bytes(), 8);
         fs.write_partial("/big", 0, &[0; 6], "u").unwrap();
-        assert_eq!(fs.used_bytes(), 6);
+        assert_eq!(fs.used_bytes(), 14);
         // The chunk that crosses the quota line is the one refused.
         assert!(matches!(
             fs.write_partial("/big", 6, &[0; 6], "u"),
             Err(SpaceError::QuotaExceeded {
-                needed: 12,
-                quota: 8
+                needed: 20,
+                quota: 16
             })
         ));
         // Rewriting covered bytes is free.
         fs.write_partial("/big", 2, &[9; 4], "u").unwrap();
-        assert_eq!(fs.used_bytes(), 6);
+        assert_eq!(fs.used_bytes(), 14);
         // Abort refunds exactly what was charged.
         assert_eq!(fs.abort_partial("/big").unwrap(), 6);
-        assert_eq!(fs.used_bytes(), 0);
+        assert_eq!(fs.used_bytes(), 8);
+    }
+
+    /// A length claim beyond the whole quota is refused before anything
+    /// is allocated or disturbed; one that could fit is still admitted
+    /// with nothing charged.
+    #[test]
+    fn partial_beyond_the_whole_quota_is_refused_before_allocating() {
+        let mut fs = VirtualFs::with_quota(1 << 20);
+        // 9 chunks of u32::MAX bytes: what a hostile offer can claim.
+        let claimed = 9 * u64::from(u32::MAX);
+        assert_eq!(
+            fs.begin_partial("/in/huge", claimed, "u"),
+            Err(SpaceError::QuotaExceeded {
+                needed: claimed,
+                quota: 1 << 20
+            })
+        );
+        assert!(!fs.has_partial("/in/huge"));
+        assert_eq!(
+            fs.begin_partial("/in/huge", (1 << 20) + 1, "u"),
+            Err(SpaceError::QuotaExceeded {
+                needed: (1 << 20) + 1,
+                quota: 1 << 20
+            })
+        );
+        // A refused re-offer leaves an open partial at the path alone.
+        fs.begin_partial("/in/ok", 1 << 20, "u").unwrap();
+        fs.write_partial("/in/ok", 0, &[1; 16], "u").unwrap();
+        assert!(fs.begin_partial("/in/ok", claimed, "u").is_err());
+        assert_eq!(fs.partial_covered("/in/ok"), Some(16));
+        assert_eq!(fs.used_bytes(), 16);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use unicore_dataplane::TransferManifest;
 use unicore_gateway::{MuxFrame, UserEntry, Uudb};
 use unicore_njs::TranslationTable;
 use unicore_resources::{deployment_page, Architecture, ResourceDirectory, ResourcePage};
-use unicore_store::{ForeignOrigin, OwnerRecord, StoreEvent};
+use unicore_store::{ForeignOrigin, ManifestEntry, OwnerRecord, StoreEvent};
 use unicore_telemetry::{
     ActiveAlert, AlertEvent, FlightEvent, HistogramDelta, HistogramSnapshot, MetricsSnapshot,
     SnapshotDelta, SnapshotPayload, SpanContext, SpanId, SpanSummary, TraceId,
@@ -665,7 +665,10 @@ fn store_events() -> Vec<(&'static str, StoreEvent)> {
             StoreEvent::OutcomeStored {
                 job: JobId(7),
                 outcome_der: job_outcome().to_der(),
-                manifest: vec![("stdout".into(), b"hello".to_vec())],
+                manifest: vec![ManifestEntry::Inline {
+                    name: "stdout".into(),
+                    data: b"hello".to_vec(),
+                }],
                 at: 5,
             },
         ),
@@ -710,6 +713,26 @@ fn store_events() -> Vec<(&'static str, StoreEvent)> {
             },
         ),
     ]
+}
+
+/// `OutcomeStored` as it is written today: every manifest entry by
+/// reference, an empty file included.
+fn outcome_by_reference() -> StoreEvent {
+    StoreEvent::OutcomeStored {
+        job: JobId(7),
+        outcome_der: job_outcome().to_der(),
+        manifest: vec![
+            ManifestEntry::Stored {
+                name: "empty.log".into(),
+                len: 0,
+            },
+            ManifestEntry::Stored {
+                name: "stdout".into(),
+                len: 5,
+            },
+        ],
+        at: 5,
+    }
 }
 
 struct Pki {
@@ -1024,4 +1047,22 @@ pub fn visit_all(v: &mut impl Visitor) {
         },
     );
     v.visit("telemetry/active_alert", &active_alert());
+
+    // Entries added after the first pinning go last: `codec_golden`
+    // matches by position, and the earlier digests must not move.
+    v.visit("store/outcome_stored_by_reference", &outcome_by_reference());
+    v.visit(
+        "store/manifest_entry_stored",
+        &ManifestEntry::Stored {
+            name: "result.nc".into(),
+            len: 4_194_304,
+        },
+    );
+    v.visit(
+        "store/manifest_entry_inline",
+        &ManifestEntry::Inline {
+            name: "result.nc".into(),
+            data: vec![9u8; 40],
+        },
+    );
 }

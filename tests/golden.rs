@@ -24,13 +24,17 @@ const DN: &str = "C=DE, O=HUB, OU=ZAM, CN=golden";
 const HUB_DN: &str = "C=DE, O=HUB, CN=unicore-server";
 const PEER_DN: &str = "C=DE, O=PEER, CN=unicore-server";
 
-/// Digests produced by commit 17b855a (full-scan step loop), in the
-/// order [`run`] returns them: HUB shard 0, HUB shard 1, PEER shard
-/// 0, sorted terminal outcomes.
+/// Digests in the order [`run`] returns them: HUB shard 0, HUB shard 1,
+/// PEER shard 0, sorted terminal outcomes. The outcome digest is the one
+/// commit 17b855a (full-scan step loop) produced. The three segment
+/// digests were re-pinned once, when `OutcomeStored` manifests went from
+/// inline contents to `(name, length)` references: the segments decode to
+/// the events 17b855a wrote (31, 61 and 4 of them) with those 13 manifest
+/// entries as the only difference.
 const GOLDEN: [&str; 4] = [
-    "48baf529a95494aa7664227b41830c27a9487c3c67bedc555fd4b7ea715047be",
-    "4ee51758f14add2a196cb4a1e6dd9ff7a32e1f329bc57e0ccb655e0960bc8a90",
-    "f18419aed69012fb9db5e87505a52b2f6a9a20ec45eff8cfa8d9219aad79f9f5",
+    "6a250abf4d33e105b819fa7deb5a031cdccb2a979c85f557e1f17cdddd68537e",
+    "c92101a932e060a85343d254f9b8fb45314fea76e974dfed53dcc21da863ab7e",
+    "ec1b639b6a6127cf4a3eb7f366387f95e48df617d7d7459cedcd04cb30fcb91e",
     "bfca2497007f39d8304934523f82870a0f153f800f5db1115eb5cf0577829424",
 ];
 
