@@ -34,8 +34,8 @@ cargo test -q --offline -p unicore-store --test prop_crc32
 echo "==> gridbench builds and smokes against the product crates (it is its own package, outside cargo test)"
 cargo test -q --offline --manifest-path gridbench/Cargo.toml
 
-echo "==> golden journal: WAL segments + outcomes byte-identical to the pre-wake-set full scan"
-cargo test -q --offline -p unicore-integration-tests --test golden golden_journal
+echo "==> golden journal: WAL segments + outcomes pinned; journal format: a checked-in pre-by-reference journal recovers and compacts, compaction == replay, manifest mismatches fail closed"
+cargo test -q --offline -p unicore-integration-tests --test golden --test journal_format
 
 echo "==> monitoring plane tests"
 cargo test -q --offline -p unicore-integration-tests --test monitor_grid
@@ -51,11 +51,8 @@ cargo test -q --offline -p unicore-integration-tests --test gridscale
 echo "==> SLO alert log: chaos replays byte-identical (seeds 1, 7, 23)"
 cargo test -q --offline -p unicore-integration-tests --test chaos chaos_replays_alert_log_byte_identical
 
-echo "==> codec: encode(&Value) over DerWriter == the recursive reference encoder, byte for byte"
-cargo test -q --offline -p unicore-codec --test prop_encode_equiv
-
-echo "==> codec: DerWriter/DerReader == reference encoder/decoder across length boundaries and on damaged input"
-cargo test -q --offline -p unicore-codec --test prop_stream_equiv
+echo "==> codec: DerWriter == the recursive reference encoder byte for byte; DerWriter/DerReader == reference across length boundaries and on damaged input"
+for suite in prop_encode_equiv prop_stream_equiv; do cargo test -q --offline -p unicore-codec --test "$suite"; done
 
 echo "==> codec golden: DER of every wire/WAL type pinned to the pre-streaming encoder's bytes"
 cargo test -q --offline -p unicore-integration-tests --test codec_golden

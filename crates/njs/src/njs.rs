@@ -594,12 +594,9 @@ impl Njs {
         let Some(outcome) = rt.outcome.child(node) else {
             return;
         };
-        let uspace = self
-            .vsites
-            .get(&rt.job.vsite.vsite)
-            .and_then(|v| v.vspace.uspace(job).ok());
         let files = deposited.iter().filter_map(|name| {
-            let entry = uspace?.read(name, &rt.user.login).ok()?;
+            let vspace = &self.vsites.get(&rt.job.vsite.vsite)?.vspace;
+            let entry = vspace.uspace(job).ok()?.read(name, &rt.user.login).ok()?;
             Some((name.as_str(), entry.data.as_slice()))
         });
         self.pending
@@ -633,20 +630,17 @@ impl Njs {
     /// What a just-finished file task deposited into the job's Uspace
     /// (successful Imports put one file there; Exports and Transfers
     /// write elsewhere).
-    fn deposited_by_file_task(&self, job: JobId, node: ActionId) -> Vec<String> {
-        let Some(rt) = self.jobs.get(&job) else {
-            return Vec::new();
-        };
-        let Some(GraphNode::Task(task)) = rt.job.node(node) else {
-            return Vec::new();
+    fn deposited_by_file_task(&self, job: JobId, node: ActionId) -> Option<String> {
+        let rt = self.jobs.get(&job)?;
+        let GraphNode::Task(task) = rt.job.node(node)? else {
+            return None;
         };
         let TaskKind::File(FileKind::Import { uspace_name, .. }) = &task.kind else {
-            return Vec::new();
+            return None;
         };
-        if !rt.node_status(node).is_success() {
-            return Vec::new();
-        }
-        vec![uspace_name.clone()]
+        rt.node_status(node)
+            .is_success()
+            .then(|| uspace_name.clone())
     }
 
     /// This NJS's Usite name.
@@ -1955,7 +1949,7 @@ impl Njs {
                             rt.set_task_outcome(node, o);
                             rt.states.insert(node, NodeState::Terminal);
                             let deposited = self.deposited_by_file_task(job, node);
-                            self.log_terminal(job, node, &deposited);
+                            self.log_terminal(job, node, deposited.as_slice());
                         }
                         FileTaskResult::Remote => {
                             let rt = self.jobs.get_mut(&job).expect("job exists");
@@ -2526,7 +2520,7 @@ impl Njs {
         // step must already see the folded status.
         rt.outcome.aggregate_status();
         let deposited = self.deposited_by_file_task(job, node);
-        self.log_terminal(job, node, &deposited);
+        self.log_terminal(job, node, deposited.as_slice());
         self.flush_events();
     }
 

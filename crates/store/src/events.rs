@@ -82,11 +82,14 @@ pub(crate) fn write_files<'a>(
     w: &mut DerWriter,
     files: impl IntoIterator<Item = (&'a str, &'a [u8])>,
 ) {
-    w.sequence_of(files, |w, (name, data)| {
-        w.sequence(|w| {
-            w.str(name);
-            w.bytes(data);
-        })
+    w.sequence_of(files, |w, (name, data)| write_file_entry(w, name, data));
+}
+
+/// `SEQUENCE { name, contents }`.
+fn write_file_entry(w: &mut DerWriter, name: &str, data: &[u8]) {
+    w.sequence(|w| {
+        w.str(name);
+        w.bytes(data);
     });
 }
 
@@ -142,10 +145,7 @@ impl DerCodec for ManifestEntry {
     fn write_der(&self, w: &mut DerWriter) {
         match self {
             ManifestEntry::Stored { name, len } => write_stored_entry(w, name, *len),
-            ManifestEntry::Inline { name, data } => w.sequence(|w| {
-                w.str(name);
-                w.bytes(data);
-            }),
+            ManifestEntry::Inline { name, data } => write_file_entry(w, name, data),
         }
     }
 

@@ -479,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn in_place_pushes_frame_the_owned_events() {
+    fn in_place_outcome_pushes_frame_the_owned_events() {
         let outcome = owner(); // any DerCodec value stands in for an outcome
         let files = vec![("stdout".to_owned(), b"hello".to_vec())];
         let mut in_place = EventBatch::new();

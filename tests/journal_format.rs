@@ -16,7 +16,7 @@ use unicore_ajo::*;
 use unicore_codec::DerCodec;
 use unicore_crypto::sha256;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, NjsError, ShardedNjs, TranslationTable};
+use unicore_njs::{NjsError, ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, SEC};
 use unicore_store::{
@@ -37,15 +37,25 @@ fn t3e() -> VsiteAddress {
     VsiteAddress::new("FZJ", "T3E")
 }
 
-/// A one-Vsite FZJ journaling to (a clone of) `mem`; rebuilding it on the
-/// same backend is a reboot with the disk intact.
-fn site(mem: &MemoryBackend) -> Njs {
-    let mut njs = Njs::new("FZJ");
-    njs.add_vsite(
-        deployment_page("FZJ", "T3E", Architecture::CrayT3e),
-        TranslationTable::for_architecture(Architecture::CrayT3e),
+/// FZJ with a T3E and an SP2 Vsite over one journal per shard (T3E on
+/// shard 0; SP2 on shard 1 when there are two). Rebuilding it on the same
+/// backends is a reboot with the disks intact.
+fn site(mems: &[MemoryBackend]) -> ShardedNjs {
+    let mut njs = ShardedNjs::new("FZJ", mems.len(), mems.len());
+    for (vsite, arch) in [
+        ("T3E", Architecture::CrayT3e),
+        ("SP2", Architecture::IbmSp2),
+    ] {
+        njs.add_vsite(
+            deployment_page("FZJ", vsite, arch),
+            TranslationTable::for_architecture(arch),
+        );
+    }
+    njs.attach_stores(
+        mems.iter()
+            .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
+            .collect(),
     );
-    njs.attach_store(EventStore::open(Box::new(mem.clone())).expect("open journal"));
     njs
 }
 
@@ -82,10 +92,10 @@ fn staged_job(name: &str) -> AbstractJob {
     job
 }
 
-fn run_until_done(njs: &mut Njs, job: JobId, mut now: SimTime) -> SimTime {
+fn run_until_done(njs: &mut ShardedNjs, jobs: &[JobId], mut now: SimTime) -> SimTime {
     njs.step(now);
-    while !njs.is_done(job) {
-        assert!(now < HOUR, "job {job} stalled");
+    while !jobs.iter().all(|&j| njs.is_done(j)) {
+        assert!(now < HOUR, "jobs {jobs:?} stalled");
         now = njs.next_event_time().unwrap_or(now + SEC).max(now + 1);
         njs.step(now);
     }
@@ -125,7 +135,7 @@ impl Observed {
     }
 }
 
-fn observe(njs: &Njs, job: JobId) -> Observed {
+fn observe(njs: &ShardedNjs, job: JobId) -> Observed {
     assert!(njs.is_done(job), "job {job} not restored as finished");
     let files = njs
         .list_uspace_files(job, DN)
@@ -224,7 +234,7 @@ fn v1_journal_recovers_stays_writable_and_compacts() {
     );
 
     // Recover: both jobs finished, files and outcomes as they were.
-    let mut njs = site(&mem);
+    let mut njs = site(std::slice::from_ref(&mem));
     let report = njs.recover(30 * SEC).expect("v1 journal recovers");
     assert_eq!(report.jobs, [JobId(1), JobId(2)]);
     assert!(!report.torn_tail);
@@ -251,7 +261,7 @@ fn v1_journal_recovers_stays_writable_and_compacts() {
         .consign_from_peer(staged_job("v2-c"), user(), 30 * SEC)
         .expect("consign on a v1 journal");
     assert_eq!(c, JobId(3));
-    let now = run_until_done(&mut njs, c, 30 * SEC);
+    let now = run_until_done(&mut njs, &[c], 30 * SEC);
     assert_eq!(
         observe(&njs, c).files,
         before[0].files,
@@ -265,7 +275,7 @@ fn v1_journal_recovers_stays_writable_and_compacts() {
     // c: consign + two file-carrying task records + outcome.
     assert_eq!(stats.events_after, 2 + 4 + 4);
     drop(njs);
-    let mut njs = site(&mem);
+    let mut njs = site(std::slice::from_ref(&mem));
     njs.recover(now).expect("compacted v1 journal recovers");
     let after: Vec<Observed> = [JobId(1), JobId(2)].map(|j| observe(&njs, j)).to_vec();
     assert_eq!(after, before);
@@ -274,26 +284,6 @@ fn v1_journal_recovers_stays_writable_and_compacts() {
 }
 
 // ---- compact() then replay == replay ---------------------------------------
-
-/// Two shards: T3E on shard 0, SP2 on shard 1.
-fn sharded_site(mems: &[MemoryBackend]) -> ShardedNjs {
-    let mut njs = ShardedNjs::new("FZJ", 2, 2);
-    for (vsite, arch) in [
-        ("T3E", Architecture::CrayT3e),
-        ("SP2", Architecture::IbmSp2),
-    ] {
-        njs.add_vsite(
-            deployment_page("FZJ", vsite, arch),
-            TranslationTable::for_architecture(arch),
-        );
-    }
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
-            .collect(),
-    );
-    njs
-}
 
 /// A T3E job whose first task imports from the SP2 Vsite's Xspace — a
 /// read on the other shard — and whose second overwrites the import.
@@ -326,31 +316,10 @@ fn cross_shard_import_job() -> AbstractJob {
     job
 }
 
-fn observe_sharded(njs: &ShardedNjs, jobs: &[JobId]) -> Vec<Observed> {
-    jobs.iter()
-        .map(|&job| {
-            assert!(njs.is_done(job), "job {job} not finished");
-            let files = njs
-                .list_uspace_files(job, DN)
-                .expect("list uspace")
-                .into_iter()
-                .map(|name| {
-                    let data = njs.fetch_uspace_file(job, &name, DN).expect("fetch");
-                    (name, data)
-                })
-                .collect();
-            Observed {
-                files,
-                outcome_der: njs.outcome(job).expect("outcome").to_der(),
-            }
-        })
-        .collect()
-}
-
 #[test]
 fn compaction_does_not_change_what_replay_rebuilds() {
     let mems = [MemoryBackend::new(), MemoryBackend::new()];
-    let mut njs = sharded_site(&mems);
+    let mut njs = site(&mems);
     njs.vsite_mut("SP2")
         .unwrap()
         .vspace
@@ -365,14 +334,9 @@ fn compaction_does_not_change_what_replay_rebuilds() {
         njs.consign(cross_shard_import_job(), user(), 0).unwrap(),
         njs.consign_from_peer(sp2_job, user(), 0).unwrap(),
     ];
-    let mut now: SimTime = 0;
-    njs.step(now);
-    while !jobs.iter().all(|&j| njs.is_done(j)) {
-        assert!(now < HOUR, "jobs stalled");
-        now = njs.next_event_time().unwrap_or(now + SEC).max(now + 1);
-        njs.step(now);
-    }
-    let live = observe_sharded(&njs, &jobs);
+    let now = run_until_done(&mut njs, &jobs, 0);
+    let observe_all = |njs: &ShardedNjs| jobs.map(|j| observe(njs, j));
+    let live = observe_all(&njs);
     // The scenario holds what it claims to: an overwritten staged file,
     // an overwritten cross-shard import, a plain deposit.
     assert_eq!(
@@ -390,9 +354,9 @@ fn compaction_does_not_change_what_replay_rebuilds() {
     drop(njs);
 
     // Replay of the full history.
-    let mut njs = sharded_site(&mems);
+    let mut njs = site(&mems);
     njs.recover(now).expect("recover full history");
-    assert_eq!(observe_sharded(&njs, &jobs), live);
+    assert_eq!(observe_all(&njs), live);
 
     // Compact every shard (twice: a snapshot must fold like a segment),
     // reboot, replay the snapshots.
@@ -402,9 +366,9 @@ fn compaction_does_not_change_what_replay_rebuilds() {
             assert!(stats.events_after <= stats.events_before, "round {round}");
         }
         drop(njs);
-        njs = sharded_site(&mems);
+        njs = site(&mems);
         njs.recover(now).expect("recover compacted history");
-        assert_eq!(observe_sharded(&njs, &jobs), live, "round {round}");
+        assert_eq!(observe_all(&njs), live, "round {round}");
     }
 }
 
@@ -418,11 +382,11 @@ fn compaction_does_not_change_what_replay_rebuilds() {
 #[test]
 fn kill_at_every_append_across_a_file_carrying_job() {
     let mem = MemoryBackend::new();
-    let mut njs = site(&mem);
+    let mut njs = site(std::slice::from_ref(&mem));
     let id = njs
         .consign_from_peer(staged_job("victim"), user(), 0)
         .unwrap();
-    run_until_done(&mut njs, id, 0);
+    run_until_done(&mut njs, &[id], 0);
     let baseline = observe(&njs, id);
     let total = mem.append_count();
     assert!(total >= 4, "consign, two task commits, outcome: {total}");
@@ -432,7 +396,7 @@ fn kill_at_every_append_across_a_file_carrying_job() {
         let torn = (k as usize * 5) % 11;
         let mem = MemoryBackend::new();
         mem.crash_after_appends(k, torn);
-        let mut njs = site(&mem);
+        let mut njs = site(std::slice::from_ref(&mem));
         let consigned = njs.consign_from_peer(staged_job("victim"), user(), 0).ok();
         let mut now: SimTime = 0;
         if let Some(id) = consigned {
@@ -447,7 +411,7 @@ fn kill_at_every_append_across_a_file_carrying_job() {
         drop(njs);
 
         mem.reboot();
-        let mut njs = site(&mem);
+        let mut njs = site(std::slice::from_ref(&mem));
         let report = njs.recover(now).expect("recovery");
         // Write-ahead: an accepted consign is never lost; a refused one
         // left nothing behind and is simply sent again.
@@ -462,7 +426,7 @@ fn kill_at_every_append_across_a_file_carrying_job() {
                     .expect("retry after reboot")
             }
         };
-        let end = run_until_done(&mut njs, id, now);
+        let end = run_until_done(&mut njs, &[id], now);
         assert_eq!(observe(&njs, id).files, baseline.files, "crash point {k}");
         assert!(
             njs.outcome(id).unwrap().status.is_success(),
@@ -473,7 +437,7 @@ fn kill_at_every_append_across_a_file_carrying_job() {
 
         // Reboot once more: now the whole job comes back from its
         // records, the manifest checked against the rebuilt Uspace.
-        let mut njs = site(&mem);
+        let mut njs = site(std::slice::from_ref(&mem));
         njs.recover(end).expect("second recovery");
         assert_eq!(
             observe(&njs, id),
@@ -498,7 +462,7 @@ fn owner_record() -> OwnerRecord {
 fn recover_with(
     files: Vec<(String, Vec<u8>)>,
     manifest: Vec<ManifestEntry>,
-) -> Result<Njs, NjsError> {
+) -> Result<ShardedNjs, NjsError> {
     let mut plain = staged_job("hand-written");
     plain.portfolio.clear();
     let mem = MemoryBackend::new();
@@ -535,7 +499,7 @@ fn recover_with(
         ])
         .unwrap();
     drop(store);
-    let mut njs = site(&mem);
+    let mut njs = site(std::slice::from_ref(&mem));
     njs.recover(3).map(|_| njs)
 }
 
