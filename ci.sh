@@ -16,6 +16,11 @@ if grep -rnE 'unsafe[[:space:]]*(\{|fn|impl|extern)|allow\(unsafe_code\)' crates
     exit 1
 fi
 
+echo "==> one NJS engine on one thread: no crossbeam and no thread::scope in product code, shims or the workspace manifest (offenders are listed)"
+if grep -rnE 'crossbeam|thread::scope' crates/*/src shims Cargo.toml; then
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -85,7 +90,7 @@ cargo test -q --offline -p unicore-resources --test prop_page
 echo "==> broker: chaos retarget soak (seeds 1, 7, 23 x quarantined/dark)"
 cargo test -q --offline -p unicore-integration-tests --test broker
 
-echo "==> sharded NJS: determinism suite (byte-identity across shard/worker counts, WAL replay, crash mid-step, chaos seeds)"
+echo "==> sharded NJS: determinism suite (byte-identity across shard counts 1/2/3/4/8, WAL replay, crash mid-step, chaos seeds)"
 cargo test -q --offline -p unicore-integration-tests --test sharded
 
 echo "==> transport resumption ticket/cache properties; gateway front door: resumption, rate limiting, revocation, mux"

@@ -18,8 +18,7 @@
 //! E18 adds the *sharded core burst*: the same consign→terminal work
 //! driven directly through a [`ShardedNjs`] (per-shard WAL segments
 //! attached) without the federation's transport/crypto wrapping — the
-//! step-loop throughput the sharding targets — plus a worker-count
-//! scaling curve (1/2/4/8) over the work-stealing step loop.
+//! step-loop throughput the sharding targets — on 1 shard and on 8.
 
 use criterion::Criterion;
 use std::hint::black_box;
@@ -161,8 +160,8 @@ fn interleaved_mins(seed: u64) -> (Duration, Duration) {
 
 /// A sharded NJS with `CORE_VSITES` Vsites and one WAL segment per
 /// shard — the E18 production shape, minus the federation wrapping.
-fn build_core(shards: usize, workers: usize) -> ShardedNjs {
-    let mut njs = ShardedNjs::new("HUB", shards, workers);
+fn build_core(shards: usize) -> ShardedNjs {
+    let mut njs = ShardedNjs::new("HUB", shards, 1);
     for i in 0..CORE_VSITES {
         njs.add_vsite(
             deployment_page("HUB", &format!("V{i}"), Architecture::Generic),
@@ -179,8 +178,8 @@ fn build_core(shards: usize, workers: usize) -> ShardedNjs {
 /// Consigns `CORE_JOBS` three-task chains round-robin across the
 /// Vsites, then steps the sharded fixpoint loop until every job is
 /// terminal. Returns the real CPU time of the whole burst.
-fn run_core_burst(shards: usize, workers: usize) -> Duration {
-    let mut njs = build_core(shards, workers);
+fn run_core_burst(shards: usize) -> Duration {
+    let mut njs = build_core(shards);
     let user = MappedUser {
         dn: BENCH_DN.to_owned(),
         login: "bench".to_owned(),
@@ -207,11 +206,8 @@ fn run_core_burst(shards: usize, workers: usize) -> Duration {
     t.elapsed()
 }
 
-fn core_jobs_per_sec(shards: usize, workers: usize) -> f64 {
-    let best = (0..3)
-        .map(|_| run_core_burst(shards, workers))
-        .min()
-        .unwrap();
+fn core_jobs_per_sec(shards: usize) -> f64 {
+    let best = (0..3).map(|_| run_core_burst(shards)).min().unwrap();
     CORE_JOBS as f64 / best.as_secs_f64()
 }
 
@@ -281,31 +277,25 @@ fn print_tables() -> BenchReport {
         println!("  (baseline capture run: no pre-PR numbers pinned yet)\n");
     }
 
-    // E18 — the sharded core burst and its worker-scaling curve.
+    // E18 — the sharded core burst, one shard against one per Vsite.
     println!(
         "sharded core burst, {CORE_JOBS} jobs over {CORE_VSITES} Vsites, per-shard WAL (min of 3):"
     );
-    let single = core_jobs_per_sec(1, 1);
-    println!(
-        "  1 shard  / 1 worker:  {single:.0} jobs/sec (fresh single-thread step-loop baseline)"
-    );
-    report.metric("sharded.singlethread_jobs_per_sec", single);
-    let mut best = single;
-    for workers in [1usize, 2, 4, 8] {
-        let jps = core_jobs_per_sec(CORE_VSITES, workers);
-        println!("  {CORE_VSITES} shards / {workers} worker(s): {jps:.0} jobs/sec");
-        report.metric(&format!("sharded.jobs_per_sec.workers_{workers}"), jps);
-        best = best.max(jps);
-    }
+    let single = core_jobs_per_sec(1);
+    println!("  1 shard:  {single:.0} jobs/sec");
+    let sharded = core_jobs_per_sec(CORE_VSITES);
+    println!("  {CORE_VSITES} shards: {sharded:.0} jobs/sec");
+    let best = single.max(sharded);
     let verdict = if best >= TARGET_JOBS_PER_SEC || best >= 5.0 * single {
         "PASS"
     } else {
         "FAIL"
     };
     println!(
-        "  best: {best:.0} jobs/sec — target >= {TARGET_JOBS_PER_SEC:.0} (or 5x single-thread): {verdict}\n"
+        "  best: {best:.0} jobs/sec — target >= {TARGET_JOBS_PER_SEC:.0} (or 5x one shard): {verdict}\n"
     );
     report
+        .metric("sharded.one_shard_jobs_per_sec", single)
         .metric("sharded.jobs_per_sec", best)
         .metric("sharded.target_jobs_per_sec", TARGET_JOBS_PER_SEC)
         .metric("sharded.core_jobs", CORE_JOBS as f64)
@@ -313,7 +303,7 @@ fn print_tables() -> BenchReport {
         .note("verdict_sharded", verdict)
         .note(
             "sharded_workload",
-            "direct ShardedNjs step loop, 8 shards, per-shard WAL segments, 512 three-task chains; scaling curve over 1/2/4/8 work-stealing workers",
+            "direct ShardedNjs step loop on one thread, 1 shard vs 8 shards, per-shard WAL segments, 512 three-task chains",
         );
     report
 }

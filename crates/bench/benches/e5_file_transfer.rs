@@ -15,23 +15,29 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Duration;
 use unicore::{Federation, FederationConfig, SiteSpec};
 use unicore_ajo::{
-    AbstractJob, AbstractTask, ActionId, Dependency, ExecuteKind, FileKind, GraphNode,
+    AbstractJob, AbstractTask, ActionId, Dependency, ExecuteKind, FileKind, GraphNode, JobId,
     ResourceRequest, TaskKind, VsiteAddress,
 };
 use unicore_bench::{bench_user_attrs, fmt_bytes, BenchReport, BENCH_DN};
 use unicore_certs::{CertificateAuthority, DistinguishedName, KeyUsage, TrustStore, Validity};
 use unicore_codec::DerCodec;
-use unicore_crypto::CryptoRng;
+use unicore_crypto::{sha256, CryptoRng};
+use unicore_dataplane::{
+    ChunkDisposition, ReceiverState, SenderState, TransferManifest, DEFAULT_CHUNK_SIZE,
+    DEFAULT_WINDOW,
+};
 use unicore_njs::INCOMING_PREFIX;
 use unicore_resources::Architecture;
 use unicore_sim::{format_time, SimTime, HOUR, SEC};
 use unicore_simnet::wire_pair;
 use unicore_simnet::LinkParams;
 use unicore_transport::{
-    client_handshake, recv_stream, send_stream, server_handshake, Endpoint, RecordKeys, RecordType,
-    SecureChannel, SessionCache,
+    client_handshake, server_handshake, Endpoint, RecordKeys, RecordType, SecureChannel,
+    SessionCache,
 };
 
 /// A job at S0 that produces `size` bytes and transfers them to S1.
@@ -149,6 +155,53 @@ fn relay_cpu_path(tx: &mut RecordKeys, rx: &mut RecordKeys, data: &[u8]) -> usiz
     decoded.node_count()
 }
 
+/// One data-plane transfer of `data` from `a` to `b`, as two servers run
+/// it: the manifest as the offer, then a window of 64 KiB chunks at a
+/// time, each verified against its manifest checksum and acked by the
+/// receiver's cumulative watermark, and the whole-file checksum over the
+/// staged bytes as the commit gate.
+fn dataplane_transfer(a: &mut SecureChannel, b: &mut SecureChannel, data: &Arc<[u8]>) -> Vec<u8> {
+    let timeout = Duration::from_secs(10);
+    let manifest = TransferManifest::for_bytes(
+        "S0",
+        JobId(1),
+        ActionId(2),
+        VsiteAddress::new("S1", "V"),
+        "big.dat",
+        BENCH_DN,
+        false,
+        data,
+        DEFAULT_CHUNK_SIZE,
+    );
+    a.send(&manifest.to_der()).unwrap();
+    let offer = TransferManifest::from_der(&b.recv(timeout).unwrap()).unwrap();
+    let mut staged = vec![0u8; offer.total_len as usize];
+    let mut rx = ReceiverState::new(offer);
+    let mut tx = SenderState::new(manifest, data.clone(), DEFAULT_WINDOW);
+    let mut due = tx.begin(0);
+    let mut record = Vec::new();
+    while !tx.is_complete() {
+        for &index in &due {
+            record.clear();
+            record.extend_from_slice(&index.to_be_bytes());
+            record.extend_from_slice(&tx.chunk_payload(index));
+            a.send(&record).unwrap();
+        }
+        for _ in &due {
+            b.recv_into(timeout, &mut record).unwrap();
+            let (index, payload) = record.split_at(8);
+            let index = u64::from_be_bytes(index.try_into().unwrap());
+            assert_eq!(rx.accept_chunk(index, payload), ChunkDisposition::Fresh);
+            staged[rx.manifest().chunk_range(index)].copy_from_slice(payload);
+        }
+        b.send(&rx.watermark().to_be_bytes()).unwrap();
+        let ack = a.recv(timeout).unwrap();
+        due = tx.on_ack(u64::from_be_bytes(ack.as_slice().try_into().unwrap()));
+    }
+    assert_eq!(sha256(&staged), rx.manifest().file_sum);
+    staged
+}
+
 fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_transfer_cpu");
     group.sample_size(20);
@@ -178,23 +231,19 @@ fn benches(c: &mut Criterion) {
     }
     group.finish();
 
-    // The §5.6 "alternative": chunked streaming over a live secure channel
-    // vs one giant record, both with real crypto between threads.
+    // The §5.6 "alternative": the data plane's chunked, checksummed,
+    // windowed transfer over a live secure channel vs one giant record,
+    // both through the real record crypto.
     let mut group = c.benchmark_group("e5_streaming_alternative");
     group.sample_size(10);
     let (mut a, mut b) = live_channel_pair();
     for size in [1usize << 20, 8 << 20] {
-        let data = vec![0x42u8; size];
+        let data: Arc<[u8]> = vec![0x42u8; size].into();
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(
-            BenchmarkId::new("stream_64k_chunks", size),
+            BenchmarkId::new("dataplane_64k_chunks", size),
             &data,
-            |bch, data| {
-                bch.iter(|| {
-                    send_stream(&mut a, data).unwrap();
-                    black_box(recv_stream(&mut b, std::time::Duration::from_secs(10)).unwrap())
-                })
-            },
+            |bch, data| bch.iter(|| black_box(dataplane_transfer(&mut a, &mut b, data))),
         );
         group.bench_with_input(
             BenchmarkId::new("single_record", size),
@@ -202,7 +251,7 @@ fn benches(c: &mut Criterion) {
             |bch, data| {
                 bch.iter(|| {
                     a.send(data).unwrap();
-                    black_box(b.recv(std::time::Duration::from_secs(10)).unwrap())
+                    black_box(b.recv(Duration::from_secs(10)).unwrap())
                 })
             },
         );

@@ -112,8 +112,6 @@ pub struct FederationConfig {
     /// NJS shards per site (E18): >1 splits each server's job state by
     /// Vsite into independent shards with per-shard WAL segments.
     pub njs_shards: usize,
-    /// Work-stealing step workers per site's sharded NJS.
-    pub njs_workers: usize,
     /// WAN link profile.
     pub wan: LinkParams,
 }
@@ -133,7 +131,6 @@ impl Default for FederationConfig {
             stale_after: 90 * SEC,
             tree_fanout: 4,
             njs_shards: 1,
-            njs_workers: 1,
             wan: LinkParams::wan_1999(),
         }
     }
@@ -263,7 +260,6 @@ pub struct Federation {
     handshake_bytes: usize,
     seed: u64,
     njs_shards: usize,
-    njs_workers: usize,
     retry_timeout: SimTime,
     max_retries: u32,
     backoff_cap: SimTime,
@@ -361,11 +357,7 @@ impl Federation {
             );
             site_order.push(spec.name.clone());
 
-            let mut njs = ShardedNjs::new(
-                spec.name.clone(),
-                config.njs_shards.max(1),
-                config.njs_workers.max(1),
-            );
+            let mut njs = ShardedNjs::new(spec.name.clone(), config.njs_shards.max(1), 1);
             for (vsite, arch) in &spec.vsites {
                 njs.add_vsite(
                     deployment_page(&spec.name, vsite, *arch),
@@ -460,7 +452,6 @@ impl Federation {
             handshake_bytes: config.handshake_bytes,
             seed: config.seed,
             njs_shards: config.njs_shards.max(1),
-            njs_workers: config.njs_workers.max(1),
             retry_timeout: config.retry_timeout,
             max_retries: config.max_retries,
             backoff_cap: config.backoff_cap,
@@ -762,7 +753,7 @@ impl Federation {
             mem.reboot();
         }
         let spec = self.specs.get(usite).expect("known site").clone();
-        let mut njs = ShardedNjs::new(spec.name.clone(), self.njs_shards, self.njs_workers);
+        let mut njs = ShardedNjs::new(spec.name.clone(), self.njs_shards, 1);
         for (vsite, arch) in &spec.vsites {
             njs.add_vsite(
                 deployment_page(&spec.name, vsite, *arch),

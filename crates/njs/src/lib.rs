@@ -11,8 +11,9 @@
 //! - [`oracle`] — the deterministic work model that stands in for real
 //!   computation in the simulated batch systems
 //! - [`njs`] — the engine itself
-//! - [`shard`] — the multi-core facade: N independent shards stepped by
-//!   work-stealing workers with a deterministic cross-shard merge phase
+//! - [`shard`] — the sharded facade: N independent shards stepped in
+//!   index order on one thread, with cross-shard effects applied between
+//!   rounds in `sort_key` order
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -16,7 +16,6 @@ use crate::error::NjsError;
 use crate::oracle::{DeterministicOracle, WorkOracle};
 use crate::shard::CrossShardItem;
 use crate::translation::TranslationTable;
-use crossbeam::channel::Sender;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::ops::Bound;
@@ -266,11 +265,11 @@ pub struct Njs {
     /// Vsites owned by *sibling shards* of the same sharded NJS, mapped
     /// to the owning shard index. Work addressed to one of these is not
     /// remote (same Usite) but must cross a shard boundary, so it is
-    /// emitted on `cross_tx` instead of being applied in place.
+    /// queued on `cross_out` instead of being applied in place.
     siblings: HashMap<String, usize>,
-    /// Channel to the sharded facade's merge phase. `None` when this
-    /// NJS runs standalone.
-    cross_tx: Option<Sender<CrossShardItem>>,
+    /// Cross-shard effects awaiting the sharded facade's merge phase.
+    /// Always empty on a standalone NJS, which has no siblings.
+    cross_out: Vec<CrossShardItem>,
     /// Next-event heap over Vsite batch systems: `(next event time,
     /// vsite index, generation)`. `step` only advances Vsites whose
     /// next event is due, so idle Vsites cost nothing per tick.
@@ -348,7 +347,7 @@ impl Njs {
             transfer_resumes: 0,
             job_stride: 1,
             siblings: HashMap::new(),
-            cross_tx: None,
+            cross_out: Vec::new(),
             batch_heap: BinaryHeap::new(),
             batch_gen: Vec::new(),
             batch_dirty: Vec::new(),
@@ -366,22 +365,20 @@ impl Njs {
     }
 
     /// Registers a Vsite owned by a sibling shard, so work addressed to
-    /// it is routed over the cross-shard channel instead of failing as
+    /// it is queued for the facade's merge phase instead of failing as
     /// an unknown Vsite.
     pub(crate) fn register_sibling(&mut self, vsite: impl Into<String>, shard: usize) {
         self.siblings.insert(vsite.into(), shard);
     }
 
-    /// Wires the cross-shard effect channel to the sharded facade.
-    pub(crate) fn set_cross_shard(&mut self, tx: Sender<CrossShardItem>) {
-        self.cross_tx = Some(tx);
+    /// Queues a cross-shard effect for the facade's merge phase.
+    fn cross_send(&mut self, item: CrossShardItem) {
+        self.cross_out.push(item);
     }
 
-    /// Emits a cross-shard effect for the facade's merge phase.
-    fn cross_send(&self, item: CrossShardItem) {
-        if let Some(tx) = &self.cross_tx {
-            let _ = tx.send(item);
-        }
+    /// Moves the queued cross-shard effects onto the end of `into`.
+    pub(crate) fn drain_cross_shard(&mut self, into: &mut Vec<CrossShardItem>) {
+        into.append(&mut self.cross_out);
     }
 
     /// Replaces the flight recorder. The sharded facade points every
@@ -522,11 +519,6 @@ impl Njs {
     /// The attached event store, for compaction and inspection.
     pub fn store_mut(&mut self) -> Option<&mut EventStore> {
         self.store.as_mut()
-    }
-
-    /// Whether a store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
     }
 
     /// Journals an event (best-effort: a dead backend means the machine
@@ -2000,8 +1992,8 @@ impl Njs {
         if sub.vsite.usite == self.usite {
             if let Some(&shard) = self.siblings.get(&sub.vsite.vsite) {
                 // A sibling shard of the same Usite owns the target
-                // Vsite: hand the child over on the cross-shard channel;
-                // the facade's merge phase consigns it there and wires
+                // Vsite: queue the child as a cross-shard item; the
+                // facade's merge phase consigns it there and wires
                 // the parent link back deterministically.
                 self.flight.record(
                     job.0,
@@ -2246,8 +2238,8 @@ impl Njs {
                             let len = d.len() as u64;
                             if let Some(&shard) = self.siblings.get(&vsite.vsite) {
                                 // Destination Vsite is on a sibling shard:
-                                // ship the bytes over the channel; the
-                                // merge phase lands them in that Xspace.
+                                // queue the bytes; the merge phase
+                                // lands them in that Xspace.
                                 self.cross_send(CrossShardItem::DeliverXspace {
                                     job,
                                     node,
@@ -2418,7 +2410,7 @@ impl Njs {
     // ---- Cross-shard merge-phase helpers (crate-internal) -------------
     //
     // The sharded facade applies queued [`CrossShardItem`]s between
-    // parallel step rounds using these entry points. They mirror the
+    // step rounds using these entry points. They mirror the
     // corresponding in-shard code paths exactly so terminal outcomes are
     // byte-identical whether a job's neighbours live on the same shard
     // or not.

@@ -1,26 +1,23 @@
-//! Sharded multi-core NJS (E18).
+//! Sharded NJS (E18).
 //!
 //! [`ShardedNjs`] splits one Usite's job state by Vsite into N
 //! independent [`Njs`] shards, each owning its jobs' runtimes, scratch
 //! vectors, and (optionally) its own WAL segment that still group-commits
-//! once per step. The fixpoint step loop runs across shards with
-//! work-stealing workers built on the crossbeam shim's `deque` module;
-//! consign intake routes straight to the owning shard without any global
-//! lock.
+//! once per step. One thread steps the shards in index order to a
+//! cross-shard fixpoint; consign intake routes straight to the owning
+//! shard.
 //!
 //! ## Determinism contract
 //!
-//! Cross-shard effects — parent→child sub-job consigns, cross-Vsite
-//! Import/Export/Transfer staging — are never applied from inside a
-//! worker. A shard that needs to touch a sibling's state emits a typed
-//! `CrossShardItem` on a channel instead; between parallel rounds the
-//! facade drains the channel and applies every item single-threaded, in
-//! an order keyed by `(target shard, job id, node id)` that does not
-//! depend on thread interleaving. Job ids are strided per shard (shard k
-//! of N allocates `k+1, k+1+N, …`), so id allocation is also independent
-//! of scheduling. Terminal [`JobOutcome`] DER
-//! contains neither ids nor timestamps, so terminal outcomes are
-//! byte-identical to the single-threaded run for every shard and worker
+//! Shards step in index order, and cross-shard effects — parent→child
+//! sub-job consigns, cross-Vsite Import/Export/Transfer staging — are
+//! never applied from inside a shard's step. A shard that needs to touch
+//! a sibling's state queues a typed `CrossShardItem` instead; between
+//! rounds the facade collects every shard's queue and applies the items
+//! in `sort_key` order, `(target shard, job id, node id)`. Job ids are
+//! strided per shard (shard k of N allocates `k+1, k+1+N, …`). Terminal
+//! [`JobOutcome`] DER contains neither ids nor timestamps, so terminal
+//! outcomes are byte-identical to the one-shard run for every shard
 //! count — the same contract the chaos and broker soaks gate on.
 //!
 //! ## Behavioural notes
@@ -38,8 +35,6 @@ use crate::accounting::{usage_report, UsageReport, UsageRow};
 use crate::error::NjsError;
 use crate::njs::{ConsignMeta, Njs, OutgoingItem, RecoveryReport, VsiteRuntime};
 use crate::translation::TranslationTable;
-use crossbeam::channel::{unbounded, Receiver};
-use crossbeam::deque::{Stealer, Worker};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
@@ -140,8 +135,7 @@ pub(crate) enum CrossShardItem {
 impl CrossShardItem {
     /// Deterministic application order: `(target shard, job, node,
     /// variant)`. Every `(job, node)` emits at most one item per
-    /// lifetime, so this key is total regardless of which worker thread
-    /// enqueued first.
+    /// lifetime, so this key is total.
     fn sort_key(&self) -> (usize, u64, u64, u8) {
         match self {
             CrossShardItem::ConsignChild {
@@ -192,23 +186,19 @@ pub struct ShardedNjs {
     /// Jobs (on any shard) that finished since the last
     /// [`ShardedNjs::take_newly_done`].
     newly_done: Vec<JobId>,
-    rx: Receiver<CrossShardItem>,
-    workers: usize,
 }
 
 impl ShardedNjs {
-    /// A sharded NJS for `usite` with `shards` shards stepped by up to
-    /// `workers` work-stealing workers. Both are clamped to at least 1;
-    /// `(1, 1)` behaves exactly like a bare [`Njs`].
-    pub fn new(usite: impl Into<String>, shards: usize, workers: usize) -> Self {
+    /// A sharded NJS for `usite` with `shards` shards (clamped to at
+    /// least 1; one shard behaves exactly like a bare [`Njs`]).
+    /// `_workers` is accepted and ignored: one thread steps every shard.
+    pub fn new(usite: impl Into<String>, shards: usize, _workers: usize) -> Self {
         let usite = usite.into();
         let n = shards.max(1);
-        let (tx, rx) = unbounded();
         let shards: Vec<Njs> = (0..n)
             .map(|k| {
                 let mut shard = Njs::new(usite.clone());
                 shard.set_id_allocation(k as u64 + 1, n as u64);
-                shard.set_cross_shard(tx.clone());
                 shard
             })
             .collect();
@@ -219,24 +209,12 @@ impl ShardedNjs {
             vsite_order: Vec::new(),
             links: BTreeMap::new(),
             newly_done: Vec::new(),
-            rx,
-            workers: workers.max(1),
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Number of step workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
-    /// Changes the worker count used by subsequent steps.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// This Usite's name.
@@ -276,7 +254,7 @@ impl ShardedNjs {
         self.vsite_shard.get(vsite).copied().unwrap_or(0)
     }
 
-    // ---- consign intake (lock-free: routed, never serialised) --------
+    // ---- consign intake (routed to the owning shard) ------------------
 
     /// Consigns a top-level AJO, routed to the shard owning its Vsite.
     pub fn consign(
@@ -326,64 +304,30 @@ impl ShardedNjs {
 
     // ---- the sharded step loop ---------------------------------------
 
-    /// Drives all shards forward to `now`, iterating parallel step
-    /// rounds and deterministic merge phases to a cross-shard fixpoint.
+    /// Drives all shards forward to `now`: rounds in which every shard
+    /// steps once, in index order, alternate with merge phases until a
+    /// cross-shard fixpoint.
     pub fn step(&mut self, now: SimTime) {
         loop {
-            self.step_round(now);
+            for shard in &mut self.shards {
+                shard.step(now);
+            }
             if !self.merge(now) {
                 break;
             }
         }
     }
 
-    /// One step round: every shard steps to `now` exactly once. With
-    /// multiple shards and workers, shards are dealt round-robin into
-    /// per-worker deques and idle workers steal from busy ones.
-    fn step_round(&mut self, now: SimTime) {
-        let worker_count = self.workers.min(self.shards.len());
-        if worker_count <= 1 {
-            for shard in &mut self.shards {
-                shard.step(now);
-            }
-            return;
-        }
-        // Each shard index appears in exactly one deque, so each shard
-        // is stepped exactly once; the mutex per shard is uncontended
-        // unless stolen, and `&mut self` guarantees exclusive access.
-        let shard_slots: Vec<std::sync::Mutex<&mut Njs>> =
-            self.shards.iter_mut().map(std::sync::Mutex::new).collect();
-        let locals: Vec<Worker<usize>> = (0..worker_count).map(|_| Worker::new_fifo()).collect();
-        for idx in 0..shard_slots.len() {
-            locals[idx % worker_count].push(idx);
-        }
-        let stealers: Vec<Stealer<usize>> = locals.iter().map(|w| w.stealer()).collect();
-        std::thread::scope(|scope| {
-            for local in &locals {
-                let (slots, stealers) = (&shard_slots, &stealers);
-                scope.spawn(move || loop {
-                    let task = local
-                        .pop()
-                        .or_else(|| stealers.iter().find_map(|s| s.steal().success()));
-                    match task {
-                        Some(idx) => slots[idx].lock().expect("worker panicked").step(now),
-                        None => break,
-                    }
-                });
-            }
-        });
-    }
-
-    /// The merge phase: drains queued cross-shard items, applies them
-    /// in `(shard, job, node)` order, then completes parent nodes whose
-    /// cross-shard children finished. Returns whether anything changed
-    /// (the step loop then runs another round).
+    /// The merge phase: drains every shard's queued cross-shard items,
+    /// applies them in `(shard, job, node)` order, then completes parent
+    /// nodes whose cross-shard children finished. Returns whether
+    /// anything changed (the step loop then runs another round).
     fn merge(&mut self, now: SimTime) -> bool {
         let mut progressed = false;
 
         let mut items: Vec<CrossShardItem> = Vec::new();
-        while let Ok(item) = self.rx.try_recv() {
-            items.push(item);
+        for shard in &mut self.shards {
+            shard.drain_cross_shard(&mut items);
         }
         items.sort_by_key(|i| i.sort_key());
         for item in items {
@@ -561,10 +505,13 @@ impl ShardedNjs {
         }
     }
 
-    /// Single-segment compatibility: attaches `store` to shard 0. Only
-    /// meaningful on a single-shard facade (asserted in debug builds).
+    /// Single-segment compatibility: attaches `store` to the only shard.
+    ///
+    /// # Panics
+    /// Panics on a facade with more than one shard — journalling shard 0
+    /// alone would lose every other shard's jobs at the next crash.
     pub fn attach_store(&mut self, store: EventStore) {
-        debug_assert_eq!(self.shards.len(), 1, "use attach_stores with >1 shard");
+        assert_eq!(self.shards.len(), 1, "use attach_stores with >1 shard");
         self.shards[0].attach_store(store);
     }
 
@@ -576,11 +523,6 @@ impl ShardedNjs {
     /// A specific shard's event store.
     pub fn shard_store_mut(&mut self, shard: usize) -> Option<&mut EventStore> {
         self.shards.get_mut(shard).and_then(|s| s.store_mut())
-    }
-
-    /// Whether shard 0 has a store attached.
-    pub fn has_store(&self) -> bool {
-        self.shards[0].has_store()
     }
 
     /// Replays every shard's journal, merges the recovery reports, and
@@ -990,7 +932,6 @@ impl From<Njs> for ShardedNjs {
         let usite = njs.usite().to_owned();
         let vsite_order = njs.vsite_names().to_vec();
         let vsite_shard = vsite_order.iter().map(|n| (n.clone(), 0)).collect();
-        let (_tx, rx) = unbounded();
         ShardedNjs {
             usite,
             shards: vec![njs],
@@ -998,8 +939,6 @@ impl From<Njs> for ShardedNjs {
             vsite_order,
             links: BTreeMap::new(),
             newly_done: Vec::new(),
-            rx,
-            workers: 1,
         }
     }
 }

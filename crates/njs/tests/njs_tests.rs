@@ -671,3 +671,15 @@ fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
         data
     );
 }
+
+/// One store on a two-shard facade would journal shard 0 and lose every
+/// other shard's jobs at the next crash: refused in release builds too.
+#[test]
+#[should_panic(expected = "use attach_stores with >1 shard")]
+fn attach_store_on_a_multi_shard_facade_panics() {
+    use unicore_njs::ShardedNjs;
+    use unicore_store::{EventStore, MemoryBackend};
+
+    let mut njs = ShardedNjs::new("FZJ", 2, 1);
+    njs.attach_store(EventStore::open(Box::new(MemoryBackend::new())).unwrap());
+}

@@ -7,8 +7,8 @@
 //! is how the E4 security benchmarks measure genuine cryptographic cost.
 
 use crate::error::NetError;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,8 +38,8 @@ pub struct WireFaultPlan {
 
 /// Creates a connected pair of wire endpoints.
 pub fn wire_pair() -> (WireEnd, WireEnd) {
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
+    let (tx_ab, rx_ab) = channel();
+    let (tx_ba, rx_ba) = channel();
     let a = WireEnd {
         tx: tx_ab,
         rx: rx_ba,

@@ -29,7 +29,6 @@ pub mod handshake;
 pub mod messages;
 pub mod record;
 pub mod session;
-pub mod stream;
 pub mod ticket;
 
 pub use channel::SecureChannel;
@@ -38,5 +37,4 @@ pub use handshake::{client_handshake, server_handshake, Endpoint, DEFAULT_TICKET
 pub use messages::HandshakeMessage;
 pub use record::{RecordKeys, RecordType};
 pub use session::{CachedSession, SessionCache};
-pub use stream::{recv_stream, send_stream, STREAM_CHUNK};
 pub use ticket::{ResumptionTicket, TicketReject};

@@ -1,10 +1,9 @@
-//! E18 — sharded multi-core NJS determinism suite.
+//! E18 — sharded NJS determinism suite.
 //!
 //! The contract under test: splitting one Usite's NJS into N shards
-//! stepped by W work-stealing workers changes *nothing observable*. For
-//! every (shards, workers) combination — and across crash-restart with
-//! per-shard WAL segments, and under federated chaos — the terminal job
-//! outcomes must be DER-byte-identical to the plain single-threaded
+//! changes *nothing observable*. For every shard count — and across
+//! crash-restart with per-shard WAL segments, and under federated chaos
+//! — the terminal job outcomes must be DER-byte-identical to the plain
 //! [`Njs`] run.
 
 use proptest::prelude::*;
@@ -23,7 +22,7 @@ const USITE: &str = "HUB";
 const DN: &str = "C=DE, O=HUB, OU=ZAM, CN=shard";
 
 /// Four Vsites on one Usite; with 2 shards they split 2+2, with 4 every
-/// Vsite gets its own shard.
+/// Vsite gets its own shard, with 8 four shards own no Vsite.
 const VSITES: [(&str, Architecture); 4] = [
     ("V0", Architecture::CrayT3e),
     ("V1", Architecture::FujitsuVpp700),
@@ -184,8 +183,8 @@ fn workload() -> Vec<AbstractJob> {
 }
 
 /// Builds a sharded NJS with the four Vsites and V2's Xspace seeded.
-fn build(shards: usize, workers: usize) -> ShardedNjs {
-    let mut njs = ShardedNjs::new(USITE, shards, workers);
+fn build(shards: usize) -> ShardedNjs {
+    let mut njs = ShardedNjs::new(USITE, shards, 1);
     for (vsite, arch) in VSITES {
         njs.add_vsite(
             deployment_page(USITE, vsite, arch),
@@ -227,7 +226,7 @@ fn run(njs: &mut ShardedNjs) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The single-threaded reference run on a plain [`Njs`].
+/// The reference run on a plain [`Njs`].
 fn baseline() -> Vec<Vec<u8>> {
     let mut njs = Njs::new(USITE);
     for (vsite, arch) in VSITES {
@@ -247,7 +246,7 @@ fn baseline() -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn outcomes_byte_identical_across_shard_and_worker_counts() {
+fn outcomes_byte_identical_across_shard_counts() {
     let reference = baseline();
     // The doomed job must fail, the rest succeed — in every variant.
     let statuses: Vec<bool> = reference
@@ -255,19 +254,20 @@ fn outcomes_byte_identical_across_shard_and_worker_counts() {
         .map(|der| JobOutcome::from_der(der).unwrap().status.is_success())
         .collect();
     assert_eq!(statuses, [true, true, true, true, true, false]);
-    for (shards, workers) in [(1, 1), (2, 1), (2, 2), (3, 2), (4, 1), (4, 4), (4, 8)] {
-        let mut njs = build(shards, workers);
+    // 8 is the shape gridbench's `core_step` runs.
+    for shards in [1, 2, 3, 4, 8] {
+        let mut njs = build(shards);
         let outcomes = run(&mut njs);
         assert_eq!(
             reference, outcomes,
-            "outcomes diverged with {shards} shards / {workers} workers"
+            "outcomes diverged with {shards} shards"
         );
     }
 }
 
 #[test]
 fn cross_shard_files_really_land() {
-    let mut njs = build(4, 4);
+    let mut njs = build(4);
     let ids: Vec<JobId> = workload()
         .into_iter()
         .map(|ajo| njs.consign(ajo, user(), 0).expect("consign"))
@@ -305,7 +305,7 @@ fn wal_replay_is_byte_identical_per_segment() {
     let reference = baseline();
     let shards = 2;
     let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-    let mut njs = build(shards, 2);
+    let mut njs = build(shards);
     njs.attach_stores(
         mems.iter()
             .map(|m| EventStore::open(Box::new(m.clone())).expect("open"))
@@ -328,7 +328,7 @@ fn wal_replay_is_byte_identical_per_segment() {
     for mem in &mems {
         mem.reboot();
     }
-    let mut njs = build(shards, 2);
+    let mut njs = build(shards);
     njs.attach_stores(
         mems.iter()
             .map(|m| EventStore::open(Box::new(m.clone())).expect("reopen"))
@@ -354,7 +354,7 @@ fn crash_restart_mid_step_converges_to_identical_outcomes() {
     for crash_at in [10 * SEC, 40 * SEC, 90 * SEC, 3 * MINUTE] {
         let shards = 4;
         let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-        let mut njs = build(shards, 4);
+        let mut njs = build(shards);
         njs.attach_stores(
             mems.iter()
                 .map(|m| EventStore::open(Box::new(m.clone())).expect("open"))
@@ -374,7 +374,7 @@ fn crash_restart_mid_step_converges_to_identical_outcomes() {
         for mem in &mems {
             mem.reboot();
         }
-        let mut njs = build(shards, 4);
+        let mut njs = build(shards);
         njs.attach_stores(
             mems.iter()
                 .map(|m| EventStore::open(Box::new(m.clone())).expect("reopen"))
@@ -429,7 +429,6 @@ proptest! {
     fn prop_sharded_outcomes_match_single_threaded(
         jobs in proptest::collection::vec(arb_job(), 1..6),
         shards in 1usize..5,
-        workers in 1usize..5,
     ) {
         let run_with = |njs: &mut ShardedNjs| -> Vec<Vec<u8>> {
             let ids: Vec<JobId> = jobs
@@ -439,16 +438,16 @@ proptest! {
             drive(njs, &ids, 0);
             ids.iter().map(|&id| njs.outcome(id).unwrap().to_der()).collect()
         };
-        let mut single = build(1, 1);
+        let mut single = build(1);
         let reference = run_with(&mut single);
-        let mut sharded = build(shards, workers);
+        let mut sharded = build(shards);
         let outcomes = run_with(&mut sharded);
         prop_assert_eq!(reference, outcomes);
     }
 }
 
 // --------------------------------------------------------------------
-// Federated chaos soak: every site's NJS runs 2 shards / 2 workers, the
+// Federated chaos soak: every site's NJS runs 2 shards, the
 // fault plan kills and reboots a site mid-workload, and the terminal
 // outcomes must still match the single-shard fault-free run bytes.
 
@@ -488,7 +487,6 @@ fn run_fed(seed: u64, shards: usize, plan: Option<&FaultPlan>) -> Vec<Vec<u8>> {
     let mut fed = Federation::german_deployment(FederationConfig {
         seed,
         njs_shards: shards,
-        njs_workers: shards,
         ..FederationConfig::default()
     });
     fed.register_user(FED_DN, "alice");
