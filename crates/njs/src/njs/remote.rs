@@ -1,0 +1,102 @@
+//! Work that happens at a peer Usite: the outbox the federation layer
+//! drains and the completions it brings back.
+
+use super::{Njs, NodeState, OutgoingItem};
+use unicore_ajo::{ActionId, ActionStatus, JobId, OutcomeNode, TaskOutcome};
+
+impl Njs {
+    /// Takes everything waiting for the federation layer.
+    pub fn take_outbox(&mut self) -> Vec<OutgoingItem> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Completes a node whose work happened at a peer Usite.
+    pub fn complete_remote_node(&mut self, job: JobId, node: ActionId, outcome: OutcomeNode) {
+        self.complete_remote_node_with_files(job, node, outcome, Vec::new());
+    }
+
+    /// Completes a remote node, depositing edge files returned by the peer
+    /// into the parent job's Uspace so successors can consume them.
+    pub fn complete_remote_node_with_files(
+        &mut self,
+        job: JobId,
+        node: ActionId,
+        outcome: OutcomeNode,
+        files: Vec<(String, Vec<u8>)>,
+    ) {
+        let Some(rt) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        // A node can only terminate once: a late delivery for a node
+        // already completed (aborted locally, or a duplicate/replayed
+        // completion) must not overwrite its recorded outcome.
+        if rt.states.get(&node) == Some(&NodeState::Terminal) {
+            return;
+        }
+        if let Some(slot) = rt.outcome.child_mut(node) {
+            *slot = outcome;
+        }
+        self.set_state(job, node, NodeState::Terminal);
+        let rt = self.jobs.get_mut(&job).expect("checked above");
+        // Re-aggregate eagerly: `step` only re-aggregates jobs that make
+        // progress, so an externally completed node must fold its status
+        // into the tree here for clients polling before the next step.
+        rt.outcome.aggregate_status();
+        let mut deposited: Vec<String> = Vec::new();
+        if let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) {
+            for (name, data) in files {
+                let written = v.vspace.write_uspace_file(job, &name, data, &rt.user.login);
+                if written.is_ok() {
+                    deposited.push(name);
+                }
+            }
+        }
+        self.log_terminal(job, node, &deposited);
+        self.flush_events();
+    }
+
+    /// Reads edge-result files from a (foreign) job's Uspace for return to
+    /// the origin site. Missing files are skipped — the origin's successor
+    /// tasks will then fail with file-not-found, mirroring reality.
+    pub fn collect_return_files(&self, job: JobId, names: &[String]) -> Vec<(String, Vec<u8>)> {
+        let Some(rt) = self.jobs.get(&job) else {
+            return Vec::new();
+        };
+        let Some(v) = self.vsites.get(&rt.job.vsite.vsite) else {
+            return Vec::new();
+        };
+        names
+            .iter()
+            .filter_map(|n| {
+                v.vspace
+                    .read_for_transfer(job, n, &rt.user.login)
+                    .ok()
+                    .map(|d| (n.clone(), d))
+            })
+            .collect()
+    }
+
+    /// Sender-side progress note: records streamed bytes on a `Remote`
+    /// transfer node so JMC status polls show the data plane moving
+    /// before the task completes.
+    pub fn note_transfer_progress(&mut self, job: JobId, node: ActionId, bytes: u64, total: u64) {
+        let Some(rt) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        if rt.states.get(&node) != Some(&NodeState::Remote) {
+            return;
+        }
+        rt.set_task_outcome(
+            node,
+            TaskOutcome {
+                status: ActionStatus::Running,
+                bytes_staged: bytes,
+                message: format!("streaming {bytes}/{total} bytes"),
+                ..Default::default()
+            },
+        );
+        // The node stays `Remote`, but a parent mirroring this job's
+        // outcome has something new to copy.
+        self.wake(job);
+    }
+}

@@ -33,10 +33,10 @@
 
 use crate::accounting::{usage_report, UsageReport, UsageRow};
 use crate::error::NjsError;
+use crate::njs::cross::CrossShardItem;
 use crate::njs::{ConsignMeta, Njs, OutgoingItem, RecoveryReport, VsiteRuntime};
 use crate::translation::TranslationTable;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionId, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, MonitorReport,
     OutcomeNode, TaskOutcome,
@@ -47,115 +47,6 @@ use unicore_resources::ResourcePage;
 use unicore_sim::SimTime;
 use unicore_store::EventStore;
 use unicore_telemetry::{FlightRecorder, SpanContext, Telemetry};
-
-/// A typed cross-shard effect, produced by a shard during a step round
-/// and applied by the facade's deterministic merge phase.
-pub(crate) enum CrossShardItem {
-    /// A sub-job whose target Vsite is owned by `shard`: consign it
-    /// there on behalf of `(parent, node)`.
-    ConsignChild {
-        /// The parent job (on the emitting shard).
-        parent: JobId,
-        /// The parent's sub-job node.
-        node: ActionId,
-        /// Owning shard of the child's Vsite.
-        shard: usize,
-        /// The extracted child AJO (boxed: it dwarfs the other variants).
-        ajo: Box<AbstractJob>,
-        /// Edge files staged from the parent's Uspace.
-        staged: Vec<(String, Vec<u8>)>,
-        /// The consigning user.
-        user: MappedUser,
-        /// The parent's portfolio, shared by refcount.
-        portfolio: Arc<HashMap<String, Arc<[u8]>>>,
-        /// Parent trace context, so the child's span hangs off it.
-        trace: Option<SpanContext>,
-    },
-    /// A cross-Vsite Import whose source Xspace is owned by `shard`:
-    /// read it there, stage into `job`'s Uspace on the owning shard.
-    ImportXspace {
-        /// The importing job.
-        job: JobId,
-        /// Its Import node.
-        node: ActionId,
-        /// Owning shard of the source Vsite.
-        shard: usize,
-        /// Source Vsite name.
-        src_vsite: String,
-        /// Source Xspace path.
-        path: String,
-        /// Destination Uspace name.
-        uspace_name: String,
-        /// Login performing the read.
-        login: String,
-    },
-    /// A cross-Vsite Export whose destination Xspace is owned by
-    /// `shard`: write the bytes there, then finish the node.
-    DeliverXspace {
-        /// The exporting job.
-        job: JobId,
-        /// Its Export node.
-        node: ActionId,
-        /// Owning shard of the destination Vsite.
-        shard: usize,
-        /// Destination Vsite name.
-        to_vsite: String,
-        /// Destination Xspace path.
-        path: String,
-        /// File contents.
-        data: Vec<u8>,
-        /// Byte count for the task outcome.
-        bytes: u64,
-        /// Login performing the write.
-        login: String,
-    },
-    /// A same-Usite Transfer whose destination Vsite is owned by
-    /// `shard`: land the bytes in its incoming area, then finish the
-    /// node.
-    DeliverIncoming {
-        /// The transferring job.
-        job: JobId,
-        /// Its Transfer node.
-        node: ActionId,
-        /// Owning shard of the destination Vsite.
-        shard: usize,
-        /// Destination Vsite name.
-        to_vsite: String,
-        /// Name at the destination.
-        dest_name: String,
-        /// File contents.
-        data: Vec<u8>,
-        /// Byte count for the task outcome.
-        bytes: u64,
-        /// Login performing the write.
-        login: String,
-    },
-}
-
-impl CrossShardItem {
-    /// Deterministic application order: `(target shard, job, node,
-    /// variant)`. Every `(job, node)` emits at most one item per
-    /// lifetime, so this key is total.
-    fn sort_key(&self) -> (usize, u64, u64, u8) {
-        match self {
-            CrossShardItem::ConsignChild {
-                shard,
-                parent,
-                node,
-                ..
-            } => (*shard, parent.0, node.0, 0),
-            CrossShardItem::ImportXspace {
-                shard, job, node, ..
-            } => (*shard, job.0, node.0, 1),
-            CrossShardItem::DeliverXspace {
-                shard, job, node, ..
-            } => (*shard, job.0, node.0, 2),
-            CrossShardItem::DeliverIncoming {
-                shard, job, node, ..
-            } => (*shard, job.0, node.0, 3),
-        }
-    }
-}
 
 /// A cross-shard parent→child link, keyed by `(parent job, parent
 /// node)` in the facade's registry. The merge phase polls the child's
