@@ -265,7 +265,6 @@ fn benches(c: &mut Criterion) {
         b.iter(|| black_box(relay_time(1 << 20)))
     });
     group.finish();
-    let _ = AbstractJob::to_der; // keep DerCodec import alive
 }
 
 /// A live mutually-authenticated channel pair for streaming benches.
