@@ -36,6 +36,9 @@ cargo test -q --offline -p unicore-crypto --test kat --test prop_sha256
 echo "==> store: dispatched CRC-32 (PCLMULQDQ kernel where the CPU has one) == table reference; fold constants re-derived from the polynomial"
 cargo test -q --offline -p unicore-store --test prop_crc32
 
+echo "==> byte-identity pins: DH public value + agreement and the client cache's master + ticket DER after a full and a resumed handshake, seeds 1, 7, 23"
+cargo test -q --offline -p unicore-transport --test byte_identity
+
 echo "==> gridbench builds and smokes against the product crates (it is its own package, outside cargo test)"
 cargo test -q --offline --manifest-path gridbench/Cargo.toml
 
