@@ -5,7 +5,9 @@
 //! operations provided are exactly those required by the RSA / Diffie-Hellman
 //! implementations in this crate: schoolbook and Karatsuba multiplication,
 //! Knuth Algorithm D division, Montgomery modular exponentiation for odd
-//! moduli, and the extended Euclidean algorithm for modular inverses.
+//! moduli ([`Montgomery`]: in place on limb slices, one allocation per
+//! exponentiation), and the extended Euclidean algorithm for modular
+//! inverses.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -524,17 +526,29 @@ impl BigUint {
 
     /// Modular exponentiation `self^exp mod modulus`.
     ///
-    /// Uses Montgomery exponentiation for odd moduli and plain
-    /// square-and-multiply otherwise.
+    /// Uses Montgomery exponentiation ([`Montgomery::modpow`]) for odd
+    /// moduli and [`modpow_plain`](Self::modpow_plain) otherwise.
     pub fn modpow(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow: zero modulus");
         if modulus.is_one() {
             return BigUint::zero();
         }
-        if !modulus.is_even() {
-            return montgomery_modpow(self, exp, modulus);
+        if modulus.is_even() {
+            return self.modpow_plain(exp, modulus);
         }
-        // Generic path (rare in this codebase; used only for even moduli).
+        Montgomery::new(modulus).modpow(self, exp)
+    }
+
+    /// Modular exponentiation by plain right-to-left square-and-multiply
+    /// over [`mul_mod`](Self::mul_mod) (full product, then division).
+    ///
+    /// The path for even moduli (rare in this codebase), and the reference
+    /// the tests hold the Montgomery kernel to.
+    pub fn modpow_plain(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
+        assert!(!modulus.is_zero(), "modpow: zero modulus");
+        if modulus.is_one() {
+            return BigUint::zero();
+        }
         let mut base = self.rem(modulus);
         let mut result = BigUint::one();
         for i in 0..exp.bit_len() {
@@ -625,148 +639,252 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
     }
 }
 
-/// Montgomery context for a fixed odd modulus.
-struct Montgomery<'a> {
-    n: &'a BigUint,
-    n_limbs: usize,
-    /// -n^{-1} mod 2^64
+/// Montgomery arithmetic for one fixed odd modulus `n` of `s` limbs, with
+/// `R = 2^(64·s)`.
+///
+/// Values in Montgomery form are plain `s`-limb little-endian slices, always
+/// fully reduced (`< n`). Every operation works in place on caller-provided
+/// slices and a `2·s`-limb scratch buffer, so an exponentiation allocates
+/// once, not once per product. Portable `u128` arithmetic only.
+///
+/// A product is formed in full in the scratch buffer and then reduced
+/// (separated operand scanning), which lets multiplication and the cheaper
+/// dedicated squaring share one reduction and lets the result overwrite an
+/// operand.
+pub struct Montgomery {
+    modulus: BigUint,
+    /// `-n⁻¹ mod 2^64`.
     n_prime: u64,
-    /// R^2 mod n, with R = 2^(64 * n_limbs)
-    r2: BigUint,
+    /// `R² mod n`, `s` limbs.
+    r2: Vec<u64>,
 }
 
-impl<'a> Montgomery<'a> {
-    fn new(n: &'a BigUint) -> Self {
-        debug_assert!(!n.is_even() && !n.is_zero());
-        let n0 = n.limbs[0];
+impl Montgomery {
+    /// Builds the context: the inverse of the low limb and `R² mod n` (one
+    /// `2s`-by-`s`-limb division — worth keeping the context for a modulus
+    /// that is used more than once).
+    ///
+    /// # Panics
+    /// Panics when `modulus` is even (which includes zero) or one.
+    pub fn new(modulus: &BigUint) -> Self {
+        assert!(
+            !modulus.is_even() && !modulus.is_one(),
+            "Montgomery: modulus must be odd and above one"
+        );
+        let n0 = modulus.limbs[0];
         // Newton iteration for the inverse of n0 mod 2^64.
         let mut inv = n0; // correct mod 2^3
         for _ in 0..5 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n_prime = inv.wrapping_neg();
-        let n_limbs = n.limbs.len();
-        // R^2 mod n computed as 2^(2 * 64 * n_limbs) mod n.
-        let r2 = BigUint::one().shl(2 * 64 * n_limbs).rem(n);
+        let s = modulus.limbs.len();
+        let mut r2 = BigUint::one().shl(2 * 64 * s).rem(modulus).limbs;
+        r2.resize(s, 0);
         Montgomery {
-            n,
-            n_limbs,
-            n_prime,
+            modulus: modulus.clone(),
+            n_prime: inv.wrapping_neg(),
             r2,
         }
     }
 
-    /// Montgomery product: `a * b * R^{-1} mod n` (CIOS method).
-    #[allow(clippy::needless_range_loop)] // indices shift between t[j] and t[j-1]
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let s = self.n_limbs;
-        let n = &self.n.limbs;
-        let mut t = vec![0u64; s + 2];
-        for i in 0..s {
-            let ai = a.get(i).copied().unwrap_or(0);
-            // t += ai * b
-            let mut carry = 0u128;
-            for j in 0..s {
-                let bj = b.get(j).copied().unwrap_or(0);
-                let cur = t[j] as u128 + ai as u128 * bj as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[s] as u128 + carry;
-            t[s] = cur as u64;
-            t[s + 1] = t[s + 1].wrapping_add((cur >> 64) as u64);
-
-            // m = t[0] * n' mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let cur = t[0] as u128 + m as u128 * n[0] as u128;
-            let mut carry = cur >> 64;
-            for j in 1..s {
-                let cur = t[j] as u128 + m as u128 * n[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[s] as u128 + carry;
-            t[s - 1] = cur as u64;
-            let cur2 = t[s + 1] as u128 + (cur >> 64);
-            t[s] = cur2 as u64;
-            t[s + 1] = (cur2 >> 64) as u64;
-        }
-        t.truncate(s + 1);
-        // Conditional final subtraction.
-        let mut res = BigUint { limbs: t };
-        res.normalize();
-        if res.cmp_big(self.n) != Ordering::Less {
-            res = res.sub(self.n);
-        }
-        let mut limbs = res.limbs;
-        limbs.resize(s, 0);
-        limbs
+    /// The modulus.
+    pub fn modulus(&self) -> &BigUint {
+        &self.modulus
     }
 
-    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        let mut r2 = self.r2.limbs.clone();
-        r2.resize(self.n_limbs, 0);
-        let mut al = a.limbs.clone();
-        al.resize(self.n_limbs, 0);
-        self.mont_mul(&al, &r2)
+    /// `s`: the limb count of the modulus and of every Montgomery-form value.
+    pub fn limbs(&self) -> usize {
+        self.modulus.limbs.len()
     }
 
+    /// Limbs of scratch every operation needs (`2·s`, a full product).
+    pub fn scratch_len(&self) -> usize {
+        2 * self.limbs()
+    }
+
+    /// `a ← a · b · R⁻¹ mod n`. `a`, `b` are `s` limbs and `< n`; `t` is
+    /// scratch of at least [`scratch_len`](Self::scratch_len) limbs.
+    pub fn mont_mul(&self, a: &mut [u64], b: &[u64], t: &mut [u64]) {
+        let s = self.limbs();
+        let t = &mut t[..2 * s];
+        mul_wide(t, &a[..s], &b[..s]);
+        self.reduce(t, a);
+    }
+
+    /// `a ← a² · R⁻¹ mod n` — [`mont_mul`](Self::mont_mul)`(a, a)` with each
+    /// cross product `aᵢ·aⱼ` computed once and doubled.
+    pub fn mont_sqr(&self, a: &mut [u64], t: &mut [u64]) {
+        let s = self.limbs();
+        let t = &mut t[..2 * s];
+        sqr_wide(t, &a[..s]);
+        self.reduce(t, a);
+    }
+
+    /// Writes `a · R mod n` (the Montgomery form of `a`) to `out`.
+    ///
+    /// # Panics
+    /// Panics when `a` is not below the modulus.
+    pub fn to_mont(&self, a: &BigUint, out: &mut [u64], t: &mut [u64]) {
+        assert!(
+            a.cmp_big(&self.modulus) == Ordering::Less,
+            "to_mont: value not reduced"
+        );
+        let out = &mut out[..self.limbs()];
+        out[..a.limbs.len()].copy_from_slice(&a.limbs);
+        out[a.limbs.len()..].fill(0);
+        self.mont_mul(out, &self.r2, t);
+    }
+
+    /// Converts `a` out of Montgomery form (`a · R⁻¹ mod n`): a reduction
+    /// with no product in front of it.
     #[allow(clippy::wrong_self_convention)] // converts *out of* Montgomery form
-    fn from_mont(&self, a: &[u64]) -> BigUint {
-        let one = {
-            let mut v = vec![0u64; self.n_limbs];
-            v[0] = 1;
-            v
+    pub fn from_mont(&self, a: &[u64], t: &mut [u64]) -> BigUint {
+        let s = self.limbs();
+        let t = &mut t[..2 * s];
+        t[..s].copy_from_slice(&a[..s]);
+        t[s..].fill(0);
+        let mut out = BigUint {
+            limbs: vec![0u64; s],
         };
-        let limbs = self.mont_mul(a, &one);
-        let mut n = BigUint { limbs };
-        n.normalize();
-        n
+        self.reduce(t, &mut out.limbs);
+        out.normalize();
+        out
+    }
+
+    /// Montgomery reduction: `out ← t · R⁻¹ mod n` for the `2s`-limb value
+    /// `t < n · R` (which every product of two reduced values is), the
+    /// final conditional subtraction included. Clobbers `t`.
+    fn reduce(&self, t: &mut [u64], out: &mut [u64]) {
+        let n = &self.modulus.limbs[..];
+        let s = n.len();
+        let out = &mut out[..s];
+        // Carry out of limb `i + s` of the previous round.
+        let mut top = 0u64;
+        for i in 0..s {
+            // m makes limb i of t + m·n zero; the sum's limbs above i stay.
+            let m = t[i].wrapping_mul(self.n_prime);
+            let carry = mul_add_row(&mut t[i..i + s], n, m);
+            let cur = t[i + s] as u128 + carry as u128 + top as u128;
+            t[i + s] = cur as u64;
+            top = (cur >> 64) as u64;
+        }
+        // The value is top·R + t[s..] < 2n: subtract n at most once.
+        let hi = &t[s..];
+        let below_n = top == 0
+            && hi
+                .iter()
+                .rev()
+                .zip(n.iter().rev())
+                .find_map(|(h, m)| (h != m).then_some(h < m))
+                .unwrap_or(false);
+        if below_n {
+            out.copy_from_slice(hi);
+        } else {
+            let mut borrow = false;
+            for ((o, &h), &m) in out.iter_mut().zip(hi).zip(n) {
+                let (d1, b1) = h.overflowing_sub(m);
+                let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                *o = d2;
+                borrow = b1 | b2;
+            }
+            debug_assert_eq!(borrow, top != 0);
+        }
+    }
+
+    /// `base^exp mod n`: 4-bit fixed-window exponentiation in Montgomery
+    /// form. One allocation holds the scratch, the accumulator and the
+    /// flat 16-entry window table.
+    pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        if exp.is_zero() {
+            return BigUint::one().rem(&self.modulus);
+        }
+        let s = self.limbs();
+        let mut buf = vec![0u64; (2 + 1 + 16) * s];
+        let (t, rest) = buf.split_at_mut(2 * s);
+        let (acc, table) = rest.split_at_mut(s);
+
+        // table[k] = base^k in Montgomery form.
+        {
+            let (one, base_m) = table.split_at_mut(s);
+            self.to_mont(&BigUint::one(), one, t);
+            if base.cmp_big(&self.modulus) == Ordering::Less {
+                self.to_mont(base, base_m, t);
+            } else {
+                self.to_mont(&base.rem(&self.modulus), base_m, t);
+            }
+        }
+        for k in 2..16 {
+            let (lower, entry) = table.split_at_mut(k * s);
+            let entry = &mut entry[..s];
+            entry.copy_from_slice(&lower[(k - 1) * s..]);
+            self.mont_mul(entry, &lower[s..2 * s], t);
+        }
+
+        // A window never straddles a limb: 4 divides 64.
+        let window = |w: usize| ((exp.limbs[w / 16] >> (4 * (w % 16))) & 0xf) as usize;
+        let top = exp.bit_len().div_ceil(4) - 1;
+        let idx = window(top); // holds the top bit, so never zero
+        acc.copy_from_slice(&table[idx * s..(idx + 1) * s]);
+        for w in (0..top).rev() {
+            for _ in 0..4 {
+                self.mont_sqr(acc, t);
+            }
+            let idx = window(w);
+            if idx != 0 {
+                self.mont_mul(acc, &table[idx * s..(idx + 1) * s], t);
+            }
+        }
+        self.from_mont(acc, t)
     }
 }
 
-/// 4-bit fixed-window Montgomery exponentiation for odd moduli.
-fn montgomery_modpow(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
-    if exp.is_zero() {
-        return BigUint::one().rem(modulus);
+/// `t[..b.len()] += m · b`; returns the carry out of the top limb. The one
+/// inner loop of every product and reduction here.
+#[inline]
+fn mul_add_row(t: &mut [u64], b: &[u64], m: u64) -> u64 {
+    let mut carry = 0u64;
+    for (tj, &bj) in t.iter_mut().zip(b) {
+        // Cannot overflow: (2^64−1) + (2^64−1)² + (2^64−1) = 2^128 − 1.
+        let cur = *tj as u128 + m as u128 * bj as u128 + carry as u128;
+        *tj = cur as u64;
+        carry = (cur >> 64) as u64;
     }
-    let ctx = Montgomery::new(modulus);
-    let base_red = base.rem(modulus);
-    let bm = ctx.to_mont(&base_red);
+    carry
+}
 
-    // Precompute bm^0 .. bm^15 in Montgomery form.
-    let one_m = ctx.to_mont(&BigUint::one());
-    let mut table = Vec::with_capacity(16);
-    table.push(one_m.clone());
-    table.push(bm.clone());
-    for i in 2..16 {
-        let prev: &Vec<u64> = &table[i - 1];
-        table.push(ctx.mont_mul(prev, &bm));
+/// `t ← a · b` in full: `t` is `2·s` limbs, `a` and `b` are `s`.
+fn mul_wide(t: &mut [u64], a: &[u64], b: &[u64]) {
+    let s = b.len();
+    t[..s].fill(0);
+    // Row i adds into limbs the rows before it wrote; limb i + s is new.
+    for (i, &ai) in a.iter().enumerate() {
+        t[i + s] = mul_add_row(&mut t[i..i + s], b, ai);
     }
+}
 
-    let bits = exp.bit_len();
-    let windows = bits.div_ceil(4);
-    let mut acc = one_m;
-    for w in (0..windows).rev() {
-        if w != windows - 1 {
-            for _ in 0..4 {
-                acc = ctx.mont_mul(&acc, &acc);
-            }
-        }
-        let mut idx = 0usize;
-        for b in 0..4 {
-            let bit_index = w * 4 + (3 - b);
-            idx <<= 1;
-            if exp.bit(bit_index) {
-                idx |= 1;
-            }
-        }
-        if idx != 0 {
-            acc = ctx.mont_mul(&acc, &table[idx]);
-        }
+/// `t ← a²` in full: the `s·(s−1)/2` cross products once, then one pass
+/// that doubles them and adds the `s` squares on the diagonal.
+fn sqr_wide(t: &mut [u64], a: &[u64]) {
+    let s = a.len();
+    t[..s].fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        t[i + s] = mul_add_row(&mut t[2 * i + 1..i + s], &a[i + 1..], ai);
     }
-    ctx.from_mont(&acc)
+    let mut shifted_out = 0u64;
+    let mut carry = 0u64;
+    for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+        let sq = ai as u128 * ai as u128;
+        let lo = (pair[0] << 1) | shifted_out;
+        let hi = (pair[1] << 1) | (pair[0] >> 63);
+        shifted_out = pair[1] >> 63;
+        let cur = lo as u128 + (sq as u64) as u128 + carry as u128;
+        pair[0] = cur as u64;
+        let cur = hi as u128 + (sq >> 64) + (cur >> 64);
+        pair[1] = cur as u64;
+        carry = (cur >> 64) as u64;
+    }
+    debug_assert_eq!((shifted_out, carry), (0, 0));
 }
 
 #[cfg(test)]

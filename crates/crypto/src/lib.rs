@@ -13,7 +13,8 @@
 //! reproduction, not a security product.
 //!
 //! Module map:
-//! - [`bignum`] — `BigUint` with Knuth division and Montgomery modpow
+//! - [`bignum`] — `BigUint` with Knuth division, and the in-place
+//!   `Montgomery` kernel under `modpow`
 //! - [`prime`] — Miller–Rabin and prime generation
 //! - [`rsa`] — key generation, PKCS#1-style sign/verify
 //! - [`dh`] — classic Diffie-Hellman (Oakley Group 2)

@@ -1,0 +1,116 @@
+//! The Montgomery kernel against the plain reference.
+//!
+//! `BigUint::modpow` on an odd modulus runs `bignum::Montgomery` — products
+//! formed in place on limb slices, a dedicated squaring, a flat window
+//! table. `BigUint::modpow_plain` is square-and-multiply over a full product
+//! and a Knuth division per step: slow, allocation-heavy and sharing none of
+//! that code. Both must give the same value for every modulus shape, base
+//! and exponent.
+
+use proptest::prelude::*;
+use unicore_crypto::bignum::{BigUint, Montgomery};
+
+const MAX_LIMBS: usize = 40;
+
+/// An odd modulus of exactly `limbs` limbs from `bytes`, with the top bit
+/// of the top limb set (the shape `R − n` is small for) or clear.
+fn modulus(bytes: &[u8], limbs: usize, top_bit: bool) -> BigUint {
+    let mut bytes = bytes[..8 * limbs].to_vec();
+    if top_bit {
+        bytes[0] |= 0x80;
+    } else {
+        bytes[0] = (bytes[0] & 0x7f) | 0x01; // top limb stays non-zero
+    }
+    *bytes.last_mut().unwrap() |= 1;
+    let m = BigUint::from_bytes_be(&bytes);
+    assert_eq!(m.limb_count(), limbs);
+    if m.is_one() {
+        BigUint::from_u64(3)
+    } else {
+        m
+    }
+}
+
+fn ones(bits: usize) -> BigUint {
+    BigUint::one().shl(bits).sub(&BigUint::one())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Bases shorter than, equal to and at or above the modulus; exponents
+    /// 0, 1, a power of two, all ones and random.
+    #[test]
+    fn modpow_equals_plain_square_and_multiply(
+        bytes in proptest::collection::vec(any::<u8>(), 8 * MAX_LIMBS),
+        limbs in 1usize..=MAX_LIMBS,
+        top_bit in any::<bool>(),
+        base_bytes in proptest::collection::vec(any::<u8>(), 0..8 * MAX_LIMBS + 9),
+        exp_bytes in proptest::collection::vec(any::<u8>(), 0..8 * MAX_LIMBS),
+        k in 0usize..64 * MAX_LIMBS,
+    ) {
+        let m = modulus(&bytes, limbs, top_bit);
+        let random = BigUint::from_bytes_be(&base_bytes);
+        let bases = [
+            random.rem(&m).shr(64 * (limbs / 2)), // shorter than the modulus
+            random.rem(&m),
+            m.sub(&BigUint::one()),
+            m.clone(), // ≡ 0
+            m.add(&random), // at or above, up to a limb longer
+            BigUint::zero(),
+        ];
+        let k = k % (64 * limbs);
+        let random_exp = BigUint::from_bytes_be(&exp_bytes[..exp_bytes.len().min(8 * limbs)]);
+        let exps = [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::one().shl(k),
+            ones(k + 1),
+            random_exp.clone(),
+        ];
+        let check = |base: &BigUint, exp: &BigUint| {
+            prop_assert_eq!(
+                base.modpow(exp, &m),
+                base.modpow_plain(exp, &m),
+                "base {} exp {} mod {}", base, exp, m
+            );
+        };
+        // Every exponent shape at full length on one base; every base shape
+        // (it only matters on the way into Montgomery form) on the cheap
+        // exponents — the plain reference is cubic in the modulus length.
+        for exp in &exps {
+            check(&bases[1], exp);
+        }
+        let short_exp = random_exp.shr(random_exp.bit_len().saturating_sub(100));
+        for base in &bases {
+            for exp in [&exps[0], &exps[1], &short_exp] {
+                check(base, exp);
+            }
+        }
+    }
+
+    /// The dedicated squaring is the product of a value with itself, on
+    /// the Montgomery-form limbs and after conversion back.
+    #[test]
+    fn mont_sqr_equals_mont_mul_by_self(
+        bytes in proptest::collection::vec(any::<u8>(), 8 * MAX_LIMBS),
+        limbs in 1usize..=MAX_LIMBS,
+        top_bit in any::<bool>(),
+        a_bytes in proptest::collection::vec(any::<u8>(), 0..8 * MAX_LIMBS),
+    ) {
+        let m = modulus(&bytes, limbs, top_bit);
+        let ctx = Montgomery::new(&m);
+        let mut t = vec![0u64; ctx.scratch_len()];
+        let random = BigUint::from_bytes_be(&a_bytes).rem(&m);
+        for a in [random, BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())] {
+            let mut a_m = vec![0u64; ctx.limbs()];
+            ctx.to_mont(&a, &mut a_m, &mut t);
+            let mut squared = a_m.clone();
+            ctx.mont_sqr(&mut squared, &mut t);
+            let mut product = a_m.clone();
+            ctx.mont_mul(&mut product, &a_m, &mut t);
+            prop_assert_eq!(&squared, &product, "a {} mod {}", a, m);
+            prop_assert_eq!(ctx.from_mont(&squared, &mut t), a.mul_mod(&a, &m));
+        }
+    }
+}
