@@ -33,7 +33,7 @@ cargo test -q --offline
 echo "==> crypto: SHA-256/HMAC/HKDF known answers on the dispatched and the scalar path; SHA-NI kernel == scalar differential"
 cargo test -q --offline -p unicore-crypto --test kat --test prop_sha256
 
-echo "==> crypto: Montgomery modpow == plain square-and-multiply (moduli of 1-40 limbs, every base and exponent shape); mont_sqr == mont_mul by self"
+echo "==> crypto: Montgomery modpow == plain square-and-multiply (moduli of 1-40 limbs, every base and exponent shape); mont_sqr == mont_mul by self; Oakley group 2 fixed-base public_value == general modpow"
 cargo test -q --offline -p unicore-crypto --test prop_modpow
 
 echo "==> store: dispatched CRC-32 (PCLMULQDQ kernel where the CPU has one) == table reference; fold constants re-derived from the polynomial"

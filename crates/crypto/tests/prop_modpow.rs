@@ -6,9 +6,14 @@
 //! and a Knuth division per step: slow, allocation-heavy and sharing none of
 //! that code. Both must give the same value for every modulus shape, base
 //! and exponent.
+//!
+//! Oakley group 2's `public_value` goes further from the reference — a
+//! fixed-base comb over a precomputed table — and is held to the general
+//! `modpow` on the same group.
 
 use proptest::prelude::*;
 use unicore_crypto::bignum::{BigUint, Montgomery};
+use unicore_crypto::DhGroup;
 
 const MAX_LIMBS: usize = 40;
 
@@ -35,8 +40,57 @@ fn ones(bits: usize) -> BigUint {
     BigUint::one().shl(bits).sub(&BigUint::one())
 }
 
+/// The comb reads a 1024-bit exponent as 8 rows of 128 columns.
+const COMB_ROWS: usize = 8;
+const COMB_COLUMNS: usize = 128;
+
+fn check_public_value(group: &DhGroup, x: &BigUint) {
+    assert_eq!(
+        group.public_value(x),
+        group.g.modpow(x, &group.p),
+        "x = {x}"
+    );
+}
+
+#[test]
+fn fixed_base_public_value_equals_general_modpow_on_edge_exponents() {
+    let group = DhGroup::oakley_group2();
+    let one = BigUint::one();
+    let two = BigUint::from_u64(2);
+    for x in [
+        BigUint::zero(),
+        one.clone(),
+        two.clone(),
+        group.p.sub(&two),
+        group.p.sub(&one),
+        ones(COMB_ROWS * COMB_COLUMNS),
+        // Longer than the comb covers: the general path.
+        one.shl(COMB_ROWS * COMB_COLUMNS),
+        group.p.add(&two),
+    ] {
+        check_public_value(&group, &x);
+    }
+    // A single bit in every column (rows in rotation), and in the first
+    // and last column of every row.
+    for column in 0..COMB_COLUMNS {
+        let row = column % COMB_ROWS;
+        check_public_value(&group, &one.shl(row * COMB_COLUMNS + column));
+    }
+    for row in 0..COMB_ROWS {
+        check_public_value(&group, &one.shl(row * COMB_COLUMNS));
+        check_public_value(&group, &one.shl(row * COMB_COLUMNS + COMB_COLUMNS - 1));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn fixed_base_public_value_equals_general_modpow(
+        x in proptest::collection::vec(any::<u8>(), 0..=128),
+    ) {
+        check_public_value(&DhGroup::oakley_group2(), &BigUint::from_bytes_be(&x));
+    }
 
     /// Bases shorter than, equal to and at or above the modulus; exponents
     /// 0, 1, a power of two, all ones and random.
