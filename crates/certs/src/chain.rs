@@ -4,12 +4,21 @@
 //! validity windows at the evaluation time, CA usage on intermediates, the
 //! required end-entity usage, and revocation against the freshest CRL known
 //! per issuer.
+//!
+//! A successful validation returns a [`ValidatedCertificate`]: the end
+//! entity together with the key its signature verified under. Holders that
+//! must check the same certificate again later (a session cache on every
+//! reconnect) hand it to [`TrustStore::revalidate`], which repeats every
+//! check that depends on the time or on the store and skips only the RSA
+//! verification of bytes that cannot have changed, under a key that has not.
 
 use crate::cert::Certificate;
 use crate::crl::CertificateRevocationList;
 use crate::dn::DistinguishedName;
 use crate::error::CertError;
 use std::collections::HashMap;
+use std::sync::Arc;
+use unicore_crypto::rsa::RsaPublicKey;
 
 /// What the verifier requires the end-entity key to be allowed to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +31,41 @@ pub enum RequiredUsage {
     CodeSign,
     /// No usage requirement.
     Any,
+}
+
+/// An end-entity certificate that [`TrustStore::validate`] accepted.
+///
+/// Immutable, cheap to clone (one `Arc`), and only ever built by a
+/// successful `validate` — there is no constructor from a bare
+/// [`Certificate`]. It proves one thing that stays true: the certificate's
+/// signature verifies under the recorded issuer key (the next chain
+/// element's, or the anchor's when the end entity was presented alone).
+/// Whether that key is still an anchor, the validity windows, revocation and
+/// usage are *not* proven for any later moment or any other store:
+/// [`TrustStore::revalidate`] checks them every time.
+///
+/// ```compile_fail
+/// use unicore_certs::{Certificate, ValidatedCertificate};
+/// // The field is private: only `TrustStore::validate` makes one.
+/// fn forge(certificate: Certificate) -> ValidatedCertificate {
+///     ValidatedCertificate(certificate.into())
+/// }
+/// ```
+#[derive(Clone, Debug)]
+pub struct ValidatedCertificate(Arc<Proof>);
+
+#[derive(Debug)]
+struct Proof {
+    certificate: Certificate,
+    /// The key `certificate.signature` was verified under.
+    issuer_key: RsaPublicKey,
+}
+
+impl ValidatedCertificate {
+    /// The validated end-entity certificate.
+    pub fn certificate(&self) -> &Certificate {
+        &self.0.certificate
+    }
 }
 
 /// A set of trust anchors plus CRLs, shared by gateways and clients.
@@ -84,16 +128,61 @@ impl TrustStore {
     }
 
     /// Validates `chain` (end entity first, then intermediates toward the
-    /// root) at time `now` for `usage`.
+    /// root) at time `now` for `usage`, verifying every signature link.
     ///
     /// The chain may omit the anchor itself; the last element's issuer must
-    /// match an installed anchor.
+    /// match an installed anchor. Returns the end entity as a
+    /// [`ValidatedCertificate`].
     pub fn validate(
         &self,
         chain: &[Certificate],
         now: u64,
         usage: RequiredUsage,
+    ) -> Result<ValidatedCertificate, CertError> {
+        let issuer_key = self.check(chain, now, usage, None)?;
+        Ok(ValidatedCertificate(Arc::new(Proof {
+            certificate: chain[0].clone(),
+            issuer_key: issuer_key.clone(),
+        })))
+    }
+
+    /// Checks a certificate some `validate` accepted earlier — possibly on
+    /// another store — against *this* store at `now`, as a chain of one.
+    ///
+    /// Everything `validate` checks is checked again — usage, the validity
+    /// window of the certificate and of its anchor, the issuer's CRL, the
+    /// issuer being an anchor here — except that the signature is not
+    /// verified a second time when the anchor's key is the key it verified
+    /// under before. An anchor with another key under the same name gets the
+    /// full verification (and fails it).
+    pub fn revalidate(
+        &self,
+        validated: &ValidatedCertificate,
+        now: u64,
+        usage: RequiredUsage,
     ) -> Result<(), CertError> {
+        let proof = &*validated.0;
+        self.check(
+            std::slice::from_ref(&proof.certificate),
+            now,
+            usage,
+            Some(&proof.issuer_key),
+        )
+        .map(|_| ())
+    }
+
+    /// The checks behind [`validate`](Self::validate) and
+    /// [`revalidate`](Self::revalidate). `end_verified_under` is the key the
+    /// end entity's signature is already known to verify under; that one
+    /// RSA operation is skipped when the issuer found for it has that key.
+    /// Returns the key of the end entity's issuer.
+    fn check<'a>(
+        &'a self,
+        chain: &'a [Certificate],
+        now: u64,
+        usage: RequiredUsage,
+        end_verified_under: Option<&RsaPublicKey>,
+    ) -> Result<&'a RsaPublicKey, CertError> {
         let end = chain.first().ok_or(CertError::EmptyChain)?;
 
         // End-entity usage.
@@ -115,6 +204,7 @@ impl TrustStore {
             });
         }
 
+        let mut end_issuer_key = None;
         for (i, cert) in chain.iter().enumerate() {
             // Validity window.
             if !cert.tbs.validity.contains(now) {
@@ -157,7 +247,13 @@ impl TrustStore {
                         })?
                 }
             };
-            cert.verify_signature(&issuer_cert.tbs.public_key)?;
+            let issuer_key = &issuer_cert.tbs.public_key;
+            if i == 0 {
+                end_issuer_key = Some(issuer_key);
+            }
+            if i > 0 || end_verified_under != Some(issuer_key) {
+                cert.verify_signature(issuer_key)?;
+            }
         }
 
         // The anchor linking the top of the chain must itself be in window.
@@ -171,7 +267,7 @@ impl TrustStore {
                 }
             }
         }
-        Ok(())
+        Ok(end_issuer_key.expect("the chain is not empty"))
     }
 }
 
@@ -521,6 +617,169 @@ mod tests {
         fx.store
             .validate(&[id.cert], 10, RequiredUsage::ClientAuth)
             .unwrap();
+    }
+
+    /// What `revalidate` must still refuse although the signature is taken
+    /// as read: every check that depends on the time or on the store.
+    #[test]
+    fn revalidate_repeats_every_time_and_store_dependent_check() {
+        let mut fx = fixture(44);
+        let id = fx
+            .ca
+            .issue_identity(
+                dn("alice"),
+                KeyUsage::user(),
+                Validity::starting_at(10, 90),
+                &mut fx.rng,
+            )
+            .unwrap();
+        let proof = fx
+            .store
+            .validate(
+                std::slice::from_ref(&id.cert),
+                50,
+                RequiredUsage::ClientAuth,
+            )
+            .unwrap();
+        assert_eq!(proof.certificate(), &id.cert);
+        fx.store
+            .revalidate(&proof, 50, RequiredUsage::ClientAuth)
+            .unwrap();
+        fx.store
+            .revalidate(&proof, 100, RequiredUsage::Any)
+            .unwrap();
+
+        // Window of the certificate, on both sides.
+        for now in [9, 101] {
+            assert!(matches!(
+                fx.store.revalidate(&proof, now, RequiredUsage::Any),
+                Err(CertError::Expired { .. })
+            ));
+        }
+        // Usage.
+        assert!(matches!(
+            fx.store.revalidate(&proof, 50, RequiredUsage::ServerAuth),
+            Err(CertError::UsageViolation { .. })
+        ));
+        // Revocation that landed after the validation.
+        let mut revoking = fx.store.clone();
+        fx.ca.revoke(id.cert.tbs.serial);
+        revoking.install_crl(fx.ca.publish_crl(60)).unwrap();
+        assert!(matches!(
+            revoking.revalidate(&proof, 70, RequiredUsage::Any),
+            Err(CertError::Revoked { .. })
+        ));
+        // Window of the anchor: same key, shorter life.
+        let mut short_rng = CryptoRng::from_u64(44);
+        let short_lived = CertificateAuthority::new_root(
+            dn("UNICORE CA"),
+            Validity::starting_at(0, 60),
+            512,
+            &mut short_rng,
+        );
+        assert_eq!(
+            short_lived.certificate().tbs.public_key,
+            fx.ca.certificate().tbs.public_key
+        );
+        let mut aging = TrustStore::new();
+        aging.add_anchor(short_lived.certificate().clone()).unwrap();
+        aging.revalidate(&proof, 60, RequiredUsage::Any).unwrap();
+        assert!(matches!(
+            aging.revalidate(&proof, 61, RequiredUsage::Any),
+            Err(CertError::Expired { .. })
+        ));
+    }
+
+    /// A proof says which key the signature verified under, not that any
+    /// store trusts that key: a store that never saw the certificate decides
+    /// from its own anchors.
+    #[test]
+    fn proof_from_one_store_does_not_satisfy_another() {
+        let mut fx = fixture(45);
+        let id = fx
+            .ca
+            .issue_identity(
+                dn("alice"),
+                KeyUsage::user(),
+                Validity::starting_at(0, 100),
+                &mut fx.rng,
+            )
+            .unwrap();
+        let proof = fx
+            .store
+            .validate(&[id.cert], 50, RequiredUsage::ClientAuth)
+            .unwrap();
+
+        // No anchor for the issuer at all.
+        assert!(matches!(
+            TrustStore::new().revalidate(&proof, 50, RequiredUsage::Any),
+            Err(CertError::UnknownIssuer { .. })
+        ));
+        // An anchor of the same name with another key: the signature is
+        // verified in full under that key, and does not hold.
+        let impostor = CertificateAuthority::new_root(
+            dn("UNICORE CA"),
+            Validity::starting_at(0, 10_000),
+            512,
+            &mut CryptoRng::from_u64(4500),
+        );
+        assert_ne!(
+            impostor.certificate().tbs.public_key,
+            fx.ca.certificate().tbs.public_key
+        );
+        let mut other = TrustStore::new();
+        other.add_anchor(impostor.certificate().clone()).unwrap();
+        assert!(matches!(
+            other.revalidate(&proof, 50, RequiredUsage::Any),
+            Err(CertError::BadSignature { .. })
+        ));
+        // The same anchor in another store is the same trust decision
+        // `validate` would reach there.
+        let mut same = TrustStore::new();
+        same.add_anchor(fx.ca.certificate().clone()).unwrap();
+        same.revalidate(&proof, 50, RequiredUsage::Any).unwrap();
+    }
+
+    /// Behind an intermediate, the end entity's signature was verified under
+    /// the intermediate's key. Revalidated as the chain of one it is cached
+    /// as, its issuer is no anchor — exactly what `validate` says of it.
+    #[test]
+    fn proof_through_an_intermediate_revalidates_like_the_bare_end_entity() {
+        let mut fx = fixture(46);
+        let mut inter = fx
+            .ca
+            .issue_intermediate(
+                dn("Site CA"),
+                Validity::starting_at(0, 5_000),
+                512,
+                &mut fx.rng,
+            )
+            .unwrap();
+        let leaf = inter
+            .issue_identity(
+                dn("bob"),
+                KeyUsage::user(),
+                Validity::starting_at(0, 100),
+                &mut fx.rng,
+            )
+            .unwrap();
+        let proof = fx
+            .store
+            .validate(
+                &[leaf.cert.clone(), inter.certificate().clone()],
+                50,
+                RequiredUsage::ClientAuth,
+            )
+            .unwrap();
+        assert_eq!(proof.certificate(), &leaf.cert);
+        assert!(matches!(
+            fx.store.validate(&[leaf.cert], 50, RequiredUsage::Any),
+            Err(CertError::UnknownIssuer { .. })
+        ));
+        assert!(matches!(
+            fx.store.revalidate(&proof, 50, RequiredUsage::Any),
+            Err(CertError::UnknownIssuer { .. })
+        ));
     }
 
     #[test]

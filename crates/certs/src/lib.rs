@@ -27,7 +27,7 @@ pub mod software;
 
 pub use ca::{CertificateAuthority, Identity, DEFAULT_KEY_BITS};
 pub use cert::{Certificate, KeyUsage, TbsCertificate, Validity};
-pub use chain::{RequiredUsage, TrustStore};
+pub use chain::{RequiredUsage, TrustStore, ValidatedCertificate};
 pub use crl::CertificateRevocationList;
 pub use dn::DistinguishedName;
 pub use error::CertError;

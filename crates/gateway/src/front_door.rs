@@ -285,7 +285,7 @@ impl FrontDoor {
 
         let invalidated = self
             .cache
-            .invalidate_matching(|s| crl.is_revoked(s.peer.tbs.serial));
+            .invalidate_matching(|s| crl.is_revoked(s.peer.certificate().tbs.serial));
         self.metrics.invalidated.add(invalidated as u64);
 
         let mut killed = 0usize;

@@ -3,7 +3,7 @@
 use crate::error::TransportError;
 use crate::record::{RecordKeys, RecordType};
 use std::time::Duration;
-use unicore_certs::Certificate;
+use unicore_certs::{Certificate, ValidatedCertificate};
 use unicore_simnet::WireEnd;
 use unicore_telemetry::{Counter, Telemetry};
 
@@ -16,7 +16,7 @@ pub struct SecureChannel {
     wire: WireEnd,
     tx: RecordKeys,
     rx: RecordKeys,
-    peer: Certificate,
+    peer: ValidatedCertificate,
     resumed: bool,
     session_id: Vec<u8>,
     closed: bool,
@@ -31,7 +31,7 @@ impl SecureChannel {
         wire: WireEnd,
         c2s: RecordKeys,
         s2c: RecordKeys,
-        peer: Certificate,
+        peer: ValidatedCertificate,
         resumed: bool,
         session_id: Vec<u8>,
         is_client: bool,
@@ -61,7 +61,7 @@ impl SecureChannel {
 
     /// The peer's authenticated end-entity certificate.
     pub fn peer(&self) -> &Certificate {
-        &self.peer
+        self.peer.certificate()
     }
 
     /// Whether this connection resumed a cached session.

@@ -103,8 +103,9 @@ impl Endpoint {
 }
 
 /// Books a completed handshake: full-vs-resumed counter, wall-clock
-/// latency, and the channel's record counters. Handshakes are rare, so
-/// the registry lookups here stay off the per-record hot path.
+/// latency, and the channel's record counters. The registry lookups
+/// happen here, once per connect — which on a churning front door is the
+/// hot path, but still not once per record.
 fn record_handshake(ep: &Endpoint, resumed: bool, started: Instant, chan: &mut SecureChannel) {
     chan.attach_telemetry(&ep.telemetry);
     let name = if resumed {
@@ -226,7 +227,7 @@ fn validate_resumption(
     if ticket
         .verify(
             &session.master,
-            &session.peer.fingerprint(),
+            &session.peer.certificate().fingerprint(),
             ep.now,
             cache.epoch(),
         )
@@ -237,15 +238,12 @@ fn validate_resumption(
             .inc();
         return None;
     }
-    // Live revocation check: the cert was valid when cached, but a CRL
-    // may have landed since. A revoked cert must not skip the front door.
+    // Live trust check: the cert was valid when cached, but a CRL may have
+    // landed, a window closed or an anchor changed since. A revoked cert
+    // must not skip the front door. Only the signature is taken as read.
     if ep
         .trust
-        .validate(
-            std::slice::from_ref(&session.peer),
-            ep.now,
-            RequiredUsage::Any,
-        )
+        .revalidate(&session.peer, ep.now, RequiredUsage::Any)
         .is_err()
     {
         cache.invalidate(&session.session_id);
@@ -349,16 +347,19 @@ pub fn client_handshake(
     }
 
     // Full handshake: validate the server's chain, then its signature.
-    if let Err(e) = ep
+    let server_cert = match ep
         .trust
         .validate(&cert_chain, ep.now, RequiredUsage::ServerAuth)
     {
-        abort(&mut wire, "server certificate rejected");
-        return Err(e.into());
-    }
-    let server_cert = cert_chain[0].clone();
+        Ok(validated) => validated,
+        Err(e) => {
+            abort(&mut wire, "server certificate rejected");
+            return Err(e.into());
+        }
+    };
     let signed = server_signed_content(&c_random, &s_random, &dh_public);
     if server_cert
+        .certificate()
         .tbs
         .public_key
         .verify(&signed, &signature)
@@ -491,7 +492,7 @@ pub fn server_handshake(
         let next = ResumptionTicket::mint(
             &session.master,
             &session.session_id,
-            &session.peer.fingerprint(),
+            &session.peer.certificate().fingerprint(),
             ep.now,
             ep.ticket_ttl,
             cache.epoch(),
@@ -536,19 +537,22 @@ pub fn server_handshake(
         return Err(TransportError::Protocol("expected ClientAuth"));
     };
 
-    if let Err(e) = ep
+    let client = match ep
         .trust
         .validate(&cert_chain, ep.now, RequiredUsage::ClientAuth)
     {
-        abort(&mut wire, "client certificate rejected");
-        return Err(e.into());
-    }
-    let client_cert = cert_chain[0].clone();
+        Ok(validated) => validated,
+        Err(e) => {
+            abort(&mut wire, "client certificate rejected");
+            return Err(e.into());
+        }
+    };
+    let client_cert = client.certificate();
     if client_cert
         .tbs
         .public_key
         .verify(
-            &client_signed_content(&hello_transcript, &dh_c, &client_cert),
+            &client_signed_content(&hello_transcript, &dh_c, client_cert),
             &sig_c,
         )
         .is_err()
@@ -566,7 +570,7 @@ pub fn server_handshake(
         wire,
         c2s,
         s2c,
-        client_cert.clone(),
+        client.clone(),
         false,
         session_id.clone(),
         false,
@@ -597,7 +601,7 @@ pub fn server_handshake(
         CachedSession {
             session_id,
             master,
-            peer: client_cert,
+            peer: client,
             ticket: None,
         },
         &ep.trust,

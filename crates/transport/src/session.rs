@@ -4,7 +4,7 @@ use crate::ticket::ResumptionTicket;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use unicore_certs::{Certificate, RequiredUsage, TrustStore};
+use unicore_certs::{RequiredUsage, TrustStore, ValidatedCertificate};
 
 /// A cached session: master secret plus the authenticated peer.
 #[derive(Clone)]
@@ -13,8 +13,12 @@ pub struct CachedSession {
     pub session_id: Vec<u8>,
     /// The negotiated master secret.
     pub master: Vec<u8>,
-    /// The peer's validated end-entity certificate.
-    pub peer: Certificate,
+    /// The peer's end-entity certificate as the trust store validated it:
+    /// every later check ([`SessionCache::store_validated`],
+    /// [`SessionCache::retain_valid`], the resumption offer) re-validates
+    /// it without verifying its signature again, and looking a session up
+    /// shares it instead of copying it.
+    pub peer: ValidatedCertificate,
     /// The resumption ticket covering this session (client side; servers
     /// cache sessions without one and validate the client's offer).
     pub ticket: Option<ResumptionTicket>,
@@ -146,7 +150,7 @@ impl SessionCache {
         now: u64,
     ) -> bool {
         if trust
-            .validate(std::slice::from_ref(&session.peer), now, RequiredUsage::Any)
+            .revalidate(&session.peer, now, RequiredUsage::Any)
             .is_err()
         {
             return false;
@@ -197,11 +201,7 @@ impl SessionCache {
     /// `trust` at `now` — the CRL-refresh sweep. Returns how many were
     /// dropped.
     pub fn retain_valid(&self, trust: &TrustStore, now: u64) -> usize {
-        self.invalidate_matching(|s| {
-            trust
-                .validate(std::slice::from_ref(&s.peer), now, RequiredUsage::Any)
-                .is_err()
-        })
+        self.invalidate_matching(|s| trust.revalidate(&s.peer, now, RequiredUsage::Any).is_err())
     }
 
     /// Number of cached sessions.
@@ -221,7 +221,8 @@ mod tests {
     use unicore_certs::{CertificateAuthority, DistinguishedName, KeyUsage, Validity};
     use unicore_crypto::CryptoRng;
 
-    fn cert(cn: &str) -> Certificate {
+    /// A server certificate as its CA's own trust store validated it.
+    fn cert(cn: &str) -> ValidatedCertificate {
         let mut rng = CryptoRng::from_u64(80);
         let mut ca = CertificateAuthority::new_root(
             DistinguishedName::new("DE", "T", "T", "CA"),
@@ -229,14 +230,18 @@ mod tests {
             512,
             &mut rng,
         );
-        ca.issue_identity(
-            DistinguishedName::new("DE", "T", "T", cn),
-            KeyUsage::server(),
-            Validity::starting_at(0, 100),
-            &mut rng,
-        )
-        .unwrap()
-        .cert
+        let cert = ca
+            .issue_identity(
+                DistinguishedName::new("DE", "T", "T", cn),
+                KeyUsage::server(),
+                Validity::starting_at(0, 100),
+                &mut rng,
+            )
+            .unwrap()
+            .cert;
+        let mut trust = TrustStore::new();
+        trust.add_anchor(ca.certificate().clone()).unwrap();
+        trust.validate(&[cert], 10, RequiredUsage::Any).unwrap()
     }
 
     fn session(id: u8) -> CachedSession {

@@ -3,7 +3,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 use unicore_certs::{
-    CertificateAuthority, DistinguishedName, Identity, KeyUsage, TrustStore, Validity,
+    CertificateAuthority, DistinguishedName, Identity, KeyUsage, RequiredUsage, TrustStore,
+    Validity,
 };
 use unicore_crypto::CryptoRng;
 use unicore_simnet::{wire_pair, WireFaultPlan};
@@ -327,7 +328,14 @@ fn unknown_session_offer_falls_back_to_full_handshake() {
         unicore_transport::CachedSession {
             session_id: vec![0xde, 0xad],
             master: fake_master,
-            peer: sep.identity.cert.clone(),
+            peer: w
+                .trust
+                .validate(
+                    std::slice::from_ref(&sep.identity.cert),
+                    100,
+                    RequiredUsage::ServerAuth,
+                )
+                .unwrap(),
             ticket: Some(ticket),
         },
     );
@@ -439,7 +447,11 @@ fn store_rejects_certificate_already_on_crl() {
         unicore_transport::CachedSession {
             session_id: vec![1, 2, 3],
             master: vec![9u8; 32],
-            peer: user_cert,
+            // Authenticated by a store the CRL has not reached.
+            peer: w
+                .trust
+                .validate(&[user_cert], 100, RequiredUsage::ClientAuth)
+                .unwrap(),
             ticket: None,
         },
         &trust,
@@ -476,5 +488,86 @@ fn revocation_kills_resumption_of_cached_session() {
     assert!(matches!(server, Err(TransportError::Cert(_))));
     assert!(client.is_err());
     // The poisoned session is gone from the server cache.
+    assert!(sc.is_empty());
+}
+
+#[test]
+fn certificate_expired_since_caching_does_not_resume() {
+    // The session cache holds the peer certificate as validated; what
+    // that spares a reconnect is the signature check, not the calendar.
+    let mut w = world(18);
+    let user =
+        w.ca.issue_identity(
+            dn("alice"),
+            KeyUsage::user(),
+            Validity::starting_at(0, 500),
+            &mut w.rng,
+        )
+        .unwrap();
+    let server = identity(&mut w, "fzj-gateway", KeyUsage::server());
+    let mut cep = Endpoint::new(user, w.trust.clone(), 100);
+    let mut sep = Endpoint::new(server, w.trust.clone(), 100);
+    let cc = SessionCache::new(8);
+    let sc = SessionCache::new(8);
+    let (c1, s1) = run_handshake(&cep, &sep, &cc, &sc, 50);
+    c1.unwrap();
+    s1.unwrap();
+
+    // Still inside the certificate's window and the ticket's: resumes.
+    cep.now = 500;
+    sep.now = 500;
+    let (c2, s2) = run_handshake(&cep, &sep, &cc, &sc, 51);
+    assert!(c2.unwrap().resumed());
+    assert!(s2.unwrap().resumed());
+    assert_eq!(sc.len(), 1);
+
+    // One second past it, with the rotated ticket good for another hour:
+    // the offer is refused, the fallback rejects the expired chain, and
+    // the session is gone.
+    cep.now = 501;
+    sep.now = 501;
+    let (client, server) = run_handshake(&cep, &sep, &cc, &sc, 52);
+    assert!(matches!(server, Err(TransportError::Cert(_))));
+    assert!(client.is_err());
+    assert!(sc.is_empty());
+}
+
+#[test]
+fn anchor_replaced_by_another_key_under_the_same_name_does_not_resume() {
+    let mut w = world(19);
+    let (cep, mut sep) = endpoints(&mut w);
+    let cc = SessionCache::new(8);
+    let sc = SessionCache::new(8);
+    let (c1, s1) = run_handshake(&cep, &sep, &cc, &sc, 53);
+    let session_id = c1.unwrap().session_id().to_vec();
+    s1.unwrap();
+    let cached = sc.lookup_id(&session_id).unwrap();
+
+    // The site replaces its CA: same distinguished name, new key. The
+    // cached certificate's signature was verified under the old one.
+    let replacement = CertificateAuthority::new_root(
+        dn("UNICORE CA"),
+        Validity::starting_at(0, 100_000),
+        512,
+        &mut CryptoRng::from_u64(1900),
+    );
+    assert_ne!(
+        replacement.certificate().tbs.public_key,
+        w.ca.certificate().tbs.public_key
+    );
+    let mut trust = TrustStore::new();
+    trust.add_anchor(replacement.certificate().clone()).unwrap();
+    let trust = Arc::new(trust);
+    sep.trust = trust.clone();
+
+    let (client, server) = run_handshake(&cep, &sep, &cc, &sc, 54);
+    assert!(matches!(server, Err(TransportError::Cert(_))));
+    assert!(client.is_err());
+    assert!(sc.is_empty(), "the session must be dropped");
+    // Nor does it get back in, by the store path or past a sweep.
+    assert!(!sc.store_validated("alice", cached.clone(), &trust, 100));
+    assert!(sc.is_empty());
+    sc.store("alice", cached);
+    assert_eq!(sc.retain_valid(&trust, 100), 1);
     assert!(sc.is_empty());
 }

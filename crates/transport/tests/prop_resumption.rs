@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use unicore_certs::{Certificate, CertificateAuthority, DistinguishedName, KeyUsage, Validity};
+use unicore_certs::{
+    CertificateAuthority, DistinguishedName, KeyUsage, RequiredUsage, TrustStore,
+    ValidatedCertificate, Validity,
+};
 use unicore_codec::DerCodec;
 use unicore_crypto::CryptoRng;
 use unicore_transport::{CachedSession, ResumptionTicket, SessionCache};
@@ -84,11 +87,11 @@ proptest! {
     }
 }
 
-/// One real certificate, minted once — RSA keygen is far too slow to run
-/// per proptest case, and the cache invariants do not depend on *which*
-/// certificate a session carries.
-fn test_cert() -> &'static Certificate {
-    static CERT: OnceLock<Certificate> = OnceLock::new();
+/// One real certificate, minted and validated once — RSA keygen is far too
+/// slow to run per proptest case, and the cache invariants do not depend
+/// on *which* certificate a session carries.
+fn test_cert() -> &'static ValidatedCertificate {
+    static CERT: OnceLock<ValidatedCertificate> = OnceLock::new();
     CERT.get_or_init(|| {
         let mut rng = CryptoRng::from_u64(4242);
         let mut ca = CertificateAuthority::new_root(
@@ -97,14 +100,18 @@ fn test_cert() -> &'static Certificate {
             512,
             &mut rng,
         );
-        ca.issue_identity(
-            DistinguishedName::new("DE", "FZJ", "ZAM", "prop user"),
-            KeyUsage::user(),
-            Validity::starting_at(0, 1_000_000),
-            &mut rng,
-        )
-        .unwrap()
-        .cert
+        let cert = ca
+            .issue_identity(
+                DistinguishedName::new("DE", "FZJ", "ZAM", "prop user"),
+                KeyUsage::user(),
+                Validity::starting_at(0, 1_000_000),
+                &mut rng,
+            )
+            .unwrap()
+            .cert;
+        let mut trust = TrustStore::new();
+        trust.add_anchor(ca.certificate().clone()).unwrap();
+        trust.validate(&[cert], 0, RequiredUsage::Any).unwrap()
     })
 }
 
