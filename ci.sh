@@ -30,7 +30,7 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
-echo "==> crypto: SHA-256/HMAC/HKDF known answers on the dispatched and the scalar path; SHA-NI kernel == scalar differential"
+echo "==> crypto: SHA-256/HMAC/HKDF known answers on the dispatched and the scalar path; RSA PKCS#1 v1.5 signatures pinned for a fixed 512- and 1024-bit key; SHA-NI kernel == scalar differential"
 cargo test -q --offline -p unicore-crypto --test kat --test prop_sha256
 
 echo "==> crypto: Montgomery modpow == plain square-and-multiply (moduli of 1-40 limbs, every base and exponent shape); mont_sqr == mont_mul by self; Oakley group 2 fixed-base public_value == general modpow"

@@ -1,8 +1,8 @@
 //! E4 — the security architecture, measured for real.
 //!
 //! Full vs resumed handshake latency (the paper's https + session reuse),
-//! record-protection throughput, RSA sign/verify cost, and UUDB mapping
-//! throughput. The simulated table also covers E9, the firewall-split
+//! the Diffie-Hellman half of the full one, record-protection throughput,
+//! RSA sign/verify cost, and UUDB mapping throughput. The simulated table also covers E9, the firewall-split
 //! deployment overhead.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
@@ -13,7 +13,7 @@ use unicore::{Federation, FederationConfig, SiteSpec};
 use unicore_ajo::VsiteAddress;
 use unicore_bench::{bench_user_attrs, BENCH_DN};
 use unicore_certs::{CertificateAuthority, DistinguishedName, KeyUsage, TrustStore, Validity};
-use unicore_crypto::{CryptoRng, RsaKeyPair};
+use unicore_crypto::{CryptoRng, DhEphemeral, DhGroup, RsaKeyPair};
 use unicore_gateway::{UserEntry, Uudb};
 use unicore_resources::Architecture;
 use unicore_sim::{format_time, SEC};
@@ -147,8 +147,21 @@ fn print_tables() {
     );
     println!("abbreviated handshake (session resumption):          {resumed_time:?} (resumed={resumed_second})");
     println!(
-        "resumption speedup: {:.0}x\n",
+        "resumption speedup: {:.0}x",
         full.as_secs_f64() / resumed_time.as_secs_f64().max(1e-9)
+    );
+    // What each end of a full handshake spends on key agreement: one
+    // fixed-base public value, one general modexp against the peer's.
+    let mut rng = CryptoRng::from_u64(5);
+    let peer = DhEphemeral::generate(DhGroup::oakley_group2(), &mut rng);
+    let t = Instant::now();
+    let mine = DhEphemeral::generate(DhGroup::oakley_group2(), &mut rng);
+    let generate = t.elapsed();
+    let t = Instant::now();
+    black_box(mine.agree(&peer.public).unwrap());
+    println!(
+        "1024-bit DH per end: public value {generate:?}, agreement {:?}\n",
+        t.elapsed()
     );
     split_overhead_table();
 }
@@ -186,6 +199,20 @@ fn benches(c: &mut Criterion) {
             }
             total
         })
+    });
+    group.finish();
+
+    // The key agreement alone (each end of a full handshake does both).
+    let mut group = c.benchmark_group("e4_dh");
+    group.sample_size(20);
+    let mut rng = CryptoRng::from_u64(5);
+    let peer = DhEphemeral::generate(DhGroup::oakley_group2(), &mut rng);
+    group.bench_function("public_value", |b| {
+        b.iter(|| black_box(DhEphemeral::generate(DhGroup::oakley_group2(), &mut rng).public))
+    });
+    let mine = DhEphemeral::generate(DhGroup::oakley_group2(), &mut rng);
+    group.bench_function("agree", |b| {
+        b.iter(|| black_box(mine.agree(&peer.public).unwrap()))
     });
     group.finish();
 

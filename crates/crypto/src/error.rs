@@ -8,8 +8,6 @@ pub enum CryptoError {
     /// A signature failed verification (wrong key, tampered data, or
     /// malformed encoding — deliberately not distinguished).
     BadSignature,
-    /// An RSA operation was attempted on a value not below the modulus.
-    MessageTooLong,
     /// The key is too small for the requested padding.
     KeyTooSmall,
     /// A Diffie-Hellman peer value was degenerate or out of range.
@@ -24,7 +22,6 @@ impl fmt::Display for CryptoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CryptoError::BadSignature => write!(f, "signature verification failed"),
-            CryptoError::MessageTooLong => write!(f, "message representative out of range"),
             CryptoError::KeyTooSmall => write!(f, "key too small for padding"),
             CryptoError::InvalidDhPublic => write!(f, "invalid Diffie-Hellman public value"),
             CryptoError::BadMac => write!(f, "message authentication check failed"),

@@ -61,37 +61,45 @@ impl RsaKeyPair {
     pub fn generate(modulus_bits: usize, rng: &mut CryptoRng) -> Self {
         assert!(modulus_bits >= 128, "RSA modulus too small");
         let half = modulus_bits / 2;
-        let e = BigUint::from_u64(PUBLIC_EXPONENT);
         loop {
             let p = generate_prime(half, rng);
             let q = generate_prime(modulus_bits - half, rng);
-            if p == q {
-                continue;
+            match Self::from_primes(p, q) {
+                Some(pair) if pair.public.n.bit_len() == modulus_bits => return pair,
+                _ => continue,
             }
-            let n = p.mul(&q);
-            if n.bit_len() != modulus_bits {
-                continue;
-            }
-            let one = BigUint::one();
-            let phi = p.sub(&one).mul(&q.sub(&one));
-            let Some(d) = e.modinv(&phi) else { continue };
-            let d_p = d.rem(&p.sub(&one));
-            let d_q = d.rem(&q.sub(&one));
-            let Some(q_inv) = q.modinv(&p) else { continue };
-            let public = RsaPublicKey { n, e: e.clone() };
-            return RsaKeyPair {
-                public: public.clone(),
-                private: RsaPrivateKey {
-                    public,
-                    d,
-                    p,
-                    q,
-                    d_p,
-                    d_q,
-                    q_inv,
-                },
-            };
         }
+    }
+
+    /// The key pair over `n = p · q` with public exponent F4, CRT parameters
+    /// included. `None` when `p == q` or 65537 has no inverse modulo
+    /// `(p − 1)(q − 1)`. The primality of `p` and `q` is the caller's word:
+    /// key generation draws them from [`generate_prime`]; known-answer tests
+    /// write a fixed key out.
+    pub fn from_primes(p: BigUint, q: BigUint) -> Option<Self> {
+        if p == q {
+            return None;
+        }
+        let e = BigUint::from_u64(PUBLIC_EXPONENT);
+        let one = BigUint::one();
+        let phi = p.sub(&one).mul(&q.sub(&one));
+        let d = e.modinv(&phi)?;
+        let d_p = d.rem(&p.sub(&one));
+        let d_q = d.rem(&q.sub(&one));
+        let q_inv = q.modinv(&p)?;
+        let public = RsaPublicKey { n: p.mul(&q), e };
+        Some(RsaKeyPair {
+            public: public.clone(),
+            private: RsaPrivateKey {
+                public,
+                d,
+                p,
+                q,
+                d_p,
+                d_q,
+                q_inv,
+            },
+        })
     }
 }
 
@@ -122,15 +130,6 @@ impl RsaPublicKey {
             Err(CryptoError::BadSignature)
         }
     }
-
-    /// Raw public-key operation (used by the transport handshake to encrypt
-    /// the pre-master secret in RSA-key-exchange mode).
-    pub fn raw_encrypt(&self, m: &BigUint) -> Result<BigUint, CryptoError> {
-        if m.cmp_big(&self.n) != core::cmp::Ordering::Less {
-            return Err(CryptoError::MessageTooLong);
-        }
-        Ok(m.modpow(&self.e, &self.n))
-    }
 }
 
 impl RsaPrivateKey {
@@ -144,13 +143,6 @@ impl RsaPrivateKey {
     }
 
     /// Raw private-key operation with CRT acceleration.
-    pub fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, CryptoError> {
-        if c.cmp_big(&self.public.n) != core::cmp::Ordering::Less {
-            return Err(CryptoError::MessageTooLong);
-        }
-        Ok(self.private_op(c))
-    }
-
     fn private_op(&self, m: &BigUint) -> BigUint {
         // CRT: m1 = m^dP mod p, m2 = m^dQ mod q,
         //      h = qInv (m1 - m2) mod p, result = m2 + h q.
@@ -238,22 +230,6 @@ mod tests {
         let kp = keypair();
         let sig = kp.private.sign(b"payload").unwrap();
         assert!(kp.public.verify(b"payload", &sig[..sig.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn raw_encrypt_decrypt_round_trip() {
-        let kp = keypair();
-        let m = BigUint::from_hex("123456789abcdef0fedcba987654321").unwrap();
-        let c = kp.public.raw_encrypt(&m).unwrap();
-        assert_ne!(c, m);
-        assert_eq!(kp.private.raw_decrypt(&c).unwrap(), m);
-    }
-
-    #[test]
-    fn raw_encrypt_rejects_oversized_message() {
-        let kp = keypair();
-        let too_big = kp.public.n.add(&BigUint::one());
-        assert!(kp.public.raw_encrypt(&too_big).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Known-answer tests for the digest, MAC and KDF.
+//! Known-answer tests for the digest, MAC, KDF and RSA signatures.
 //!
 //! Every SHA-256 and HMAC vector runs twice: through the dispatched path
 //! (`sha256` / `hmac_sha256`, the SHA-NI kernel where the CPU has one) and
@@ -17,9 +17,15 @@
 //! implementations (coreutils `sha256sum`, OpenSSL via Python `hashlib`)
 //! and agree. HMAC: RFC 4231 §4.2–4.8. HKDF: RFC 5869 A.1. The ChaCha20
 //! RFC 8439 vectors live next to the cipher in `src/chacha20.rs`.
+//!
+//! RSA: RSASSA-PKCS1-v1_5 over SHA-256 is deterministic, so one fixed
+//! 512-bit and one fixed 1024-bit key (primes written out below, e = 65537)
+//! pin the signature bytes of three messages each. The primes, moduli and
+//! signatures were computed outside this crate — Python integers, `pow`
+//! and `hashlib` — from the RFC 8017 §9.2 encoding.
 
 use unicore_crypto::sha256::{sha256_scalar, BLOCK_LEN, DIGEST_LEN};
-use unicore_crypto::{hkdf_expand, hkdf_extract, hmac_sha256, sha256, Sha256};
+use unicore_crypto::{hkdf_expand, hkdf_extract, hmac_sha256, sha256, BigUint, RsaKeyPair, Sha256};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -262,5 +268,76 @@ fn hkdf_rfc5869_case_1() {
         hex(&hkdf_expand(&prk, &info, 42)),
         "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
          34007208d5b887185865"
+    );
+}
+
+const RSA_MESSAGES: [&[u8]; 3] = [
+    b"",
+    b"abc",
+    b"The UNICORE Architecture: Seamless Access to Distributed Resources",
+];
+
+/// Builds the key from its primes, checks the modulus, and checks each
+/// message's signature byte for byte, that it verifies, and that neither a
+/// flipped signature bit nor another message does.
+fn check_rsa(p: &str, q: &str, n: &str, signatures: [&str; 3]) {
+    let from_hex = |h: &str| BigUint::from_hex(h).unwrap();
+    let key = RsaKeyPair::from_primes(from_hex(p), from_hex(q)).unwrap();
+    assert_eq!(key.public.n.to_hex(), n);
+    assert_eq!(key.public.e, BigUint::from_u64(65537));
+    for (msg, expected) in RSA_MESSAGES.iter().zip(signatures) {
+        let signature = key.private.sign(msg).unwrap();
+        assert_eq!(hex(&signature), expected, "message {msg:?}");
+        key.public.verify(msg, &signature).unwrap();
+        let mut flipped = signature.clone();
+        flipped[signature.len() / 2] ^= 0x04;
+        assert!(key.public.verify(msg, &flipped).is_err());
+        assert!(key.public.verify(b"another message", &signature).is_err());
+    }
+}
+
+#[test]
+fn rsa_pkcs1_v15_sha256_512_bit_key() {
+    check_rsa(
+        "e8deb2858dd3a756ce8e19d74dd389af61d49e6f0f79659c57b8406d43175a81",
+        "e37fbc980ceee7b5011e66817391910bcafe45ab58ff6deaa5f920e3d10a6773",
+        "cef1aa54d81bdf0376269cb28fe10ca37b11d9a1295e494f41478b395571b7c1\
+         b84430eeb918bbe0448d03a125b613e8e8e9c8211177258dd739f74362f18ef3",
+        [
+            "3603ba967a13e8fd47ae9c6b51a798620f11feca59dbbe0161982f52c5d90756\
+             c2623c1761b5ec7910952052f1a19534fb450f96178bc5d8483702419d896bf8",
+            "1bb6c5cb69f47de34d3b200a887633573421889b7d55bfcd49c4e73610dec3be\
+             55fa9394e947bb1acfa7c09637b073296fec561212be5d59c0600abe3b3f3534",
+            "583ce957418e1fb425f34634e755f3c29767a9e955cddee8100314f75f357394\
+             f166e9b4b583cb751ef330bcdbb51c0188d04b41e13ef27845f27f4d5fe9bdb1",
+        ],
+    );
+}
+
+#[test]
+fn rsa_pkcs1_v15_sha256_1024_bit_key() {
+    check_rsa(
+        "e66a836fd6ccfdee47154dc7945231fd1477923650e2095120d7d703335f17e3\
+         8aed4b8e1c5243a48248c6f935e000ddc2ef7701bb83944c3fa1698eedd1bc6d",
+        "d512add449d1319e0171b5d37e2ea630fbe100231b79c270f64cd64465902910\
+         a83dbd3306a9e7fc9ea3c3982c639f770e691eb9a65a71c7f909b2026dba799f",
+        "bfc76f4e590dbf90520324a9f910f90fa29de9701f029a14836e4cc1e7ac208b\
+         6a468aa2315be7aaf45f7c58061681a762271153af59796061adbb661f97c376\
+         5a841bc294eb56c24a373da39dc06f359fdf1cf799132849c6c3f0f89b873bc4\
+         f51a1c042d25993e714e2c3f21daf57ffaac1a66b2d64181b2bc78a527858cb3",
+        [
+            "7a4d15e296193eed9c09be8cddb3428d7e6b6606804beb936d5ed3e8bcfdd573\
+             226432838191ccc20716218bad34b0e0fbea5318f040b3ae2b92e9123217725d\
+             7cd0591efe237937801326ddfb57bbaae16082c11a0c3a89efa6ea75039eb625\
+             ee0360a01dfed729629d4f377f40f8f2f7ae01061d1b6c66bd8cc891272b60ed",
+            "3e51b95b3db6054c39896a1299e09fbd9f9f8a917376f8378e90ffe42a4425bd\
+             24088d6c970f82273ca52fe67fd12de609cd4a43c780a032290ceed1fafccab1\
+             4a351b462d6a46f99a1e0a343305ccb93025edfcbee959598ca0e7a210c24f5c\
+             8b9763ca93a3729feb0094fe287f378eb83e74f601de682fbc6c4c080d7dac59",
+            "08a277dbdc69092ca247b6f2bc7da15dcb5ad66191f671d7c6a37cbb55ede3c5\
+             ded20e2d523dee7ed538599a738c8318e739d021d37a9b87fda484b90613b0cf\
+             10557deda98727fcfceb20f26b796356e997e35674b4c95df7ca74bb40a74ef2\
+             4b5d8c9f08d4d1df9dc8375be74999a3fb2b5fa6aa8a5f3d6b35215bc382255b",
+        ],
     );
 }
