@@ -2,8 +2,8 @@
 //!
 //! Full vs resumed handshake latency (the paper's https + session reuse),
 //! the Diffie-Hellman half of the full one, record-protection throughput,
-//! RSA sign/verify cost, and UUDB mapping throughput. The simulated table also covers E9, the firewall-split
-//! deployment overhead.
+//! RSA sign/verify cost, and UUDB mapping throughput. The simulated table
+//! also covers E9, the firewall-split deployment overhead.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

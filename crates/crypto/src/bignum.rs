@@ -688,11 +688,6 @@ impl Montgomery {
         }
     }
 
-    /// The modulus.
-    pub fn modulus(&self) -> &BigUint {
-        &self.modulus
-    }
-
     /// `s`: the limb count of the modulus and of every Montgomery-form value.
     pub fn limbs(&self) -> usize {
         self.modulus.limbs.len()

@@ -69,8 +69,8 @@ impl Oakley2 {
         let mut t = vec![0u64; mont.scratch_len()];
         let mut comb = vec![0u64; (1 << COMB_TEETH) * s];
         mont.to_mont(&BigUint::one(), &mut comb[..s], &mut t);
-        // Row i's base is row i−1's squared COMB_COLUMNS times; every other
-        // entry is a smaller entry times the base of its lowest set row.
+        // Row i's base is row i−1's squared COMB_COLUMNS times; an entry
+        // whose highest row is i is the entry of its lower rows times that.
         let mut base = vec![0u64; s];
         mont.to_mont(&group.g, &mut base, &mut t);
         for i in 0..COMB_TEETH {
