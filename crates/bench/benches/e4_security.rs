@@ -1,7 +1,8 @@
 //! E4 — the security architecture, measured for real.
 //!
 //! Full vs resumed handshake latency (the paper's https + session reuse),
-//! the Diffie-Hellman half of the full one, record-protection throughput,
+//! the Diffie-Hellman half of the full one, a certificate's first validation
+//! vs its re-validation from a session cache, record-protection throughput,
 //! RSA sign/verify cost, and UUDB mapping throughput. The simulated table
 //! also covers E9, the firewall-split deployment overhead.
 
@@ -12,7 +13,9 @@ use std::time::{Duration, Instant};
 use unicore::{Federation, FederationConfig, SiteSpec};
 use unicore_ajo::VsiteAddress;
 use unicore_bench::{bench_user_attrs, BENCH_DN};
-use unicore_certs::{CertificateAuthority, DistinguishedName, KeyUsage, TrustStore, Validity};
+use unicore_certs::{
+    CertificateAuthority, DistinguishedName, KeyUsage, RequiredUsage, TrustStore, Validity,
+};
 use unicore_crypto::{CryptoRng, DhEphemeral, DhGroup, RsaKeyPair};
 use unicore_gateway::{UserEntry, Uudb};
 use unicore_resources::Architecture;
@@ -213,6 +216,33 @@ fn benches(c: &mut Criterion) {
     let mine = DhEphemeral::generate(DhGroup::oakley_group2(), &mut rng);
     group.bench_function("agree", |b| {
         b.iter(|| black_box(mine.agree(&peer.public).unwrap()))
+    });
+    group.finish();
+
+    // What a chain check costs the first time (one RSA verification per
+    // link) and every time after for a certificate a session cache holds
+    // as validated (every check but that one).
+    let mut group = c.benchmark_group("e4_chain");
+    let chain = [p.user_ep.identity.cert.clone()];
+    let trust = &p.server_ep.trust;
+    group.bench_function("validate", |b| {
+        b.iter(|| {
+            black_box(
+                trust
+                    .validate(&chain, 10, RequiredUsage::ClientAuth)
+                    .unwrap(),
+            )
+        })
+    });
+    let validated = trust
+        .validate(&chain, 10, RequiredUsage::ClientAuth)
+        .unwrap();
+    group.bench_function("revalidate", |b| {
+        b.iter(|| {
+            trust
+                .revalidate(black_box(&validated), 10, RequiredUsage::Any)
+                .unwrap()
+        })
     });
     group.finish();
 
