@@ -48,6 +48,16 @@ cargo test -q --offline --manifest-path gridbench/Cargo.toml
 echo "==> golden journal: WAL segments + outcomes pinned; journal format: a checked-in pre-by-reference journal recovers and compacts, compaction == replay, manifest mismatches fail closed"
 cargo test -q --offline -p unicore-integration-tests --test golden --test journal_format
 
+echo "==> incarnation golden: script text pinned for 5 architectures x 5 execute bodies x 2 queues, directive lines == the dialect module's spelling, every script matches its own dialect only"
+cargo test -q --offline -p unicore-njs --test incarnation_golden
+
+echo "==> flight identity: what/detail of every event the NJS records, a failed outcome's DER with its ring, no formatting while the recorder is off"
+cargo test -q --offline -p unicore-njs --test flight_identity
+cargo test -q --offline -p unicore-telemetry flight
+
+echo "==> step.rs seam: sparse unordered ActionIds == dense ones, unknown node ids refused, job_visits pinned for chain3/fan16, half-finished fan16 recovers to the uncrashed bytes"
+cargo test -q --offline -p unicore-njs --test step_seam
+
 echo "==> monitoring plane tests"
 cargo test -q --offline -p unicore-integration-tests --test monitor_grid
 cargo test -q --offline -p unicore-client monitor
