@@ -7,6 +7,7 @@
 //! batch simulator can *validate* that a submitted script matches the
 //! machine it was sent to.
 
+use std::fmt::Write as _;
 use unicore_resources::Architecture;
 
 /// The directive prefix each dialect uses (start of a directive line).
@@ -20,43 +21,67 @@ pub fn directive_prefix(arch: Architecture) -> &'static str {
     }
 }
 
-/// How the dialect spells a processor request (format hook used by the
-/// NJS translation tables).
-pub fn processors_directive(arch: Architecture, n: u32) -> String {
-    match arch {
-        Architecture::CrayT3e => format!("#QSUB -l mpp_p={n}"),
-        Architecture::FujitsuVpp700 => format!("#@$-q vpp -eo -lP {n}"),
-        Architecture::IbmSp2 => format!("#@ node = {n}"),
-        Architecture::NecSx4 => format!("#PBS -l cpunum_job={n}"),
-        Architecture::Generic => format!("#$ -pe mpi {n}"),
-    }
+/// Writes the dialect's processor request for `n` processor elements
+/// onto the end of `out` (one line, no newline). The NJS translation
+/// tables incarnate through these writers; the `*_directive` functions
+/// return the same text as a fresh `String`.
+pub fn write_processors_directive(out: &mut String, arch: Architecture, n: u32) {
+    // Writing to a `String` cannot fail.
+    let _ = match arch {
+        Architecture::CrayT3e => write!(out, "#QSUB -l mpp_p={n}"),
+        Architecture::FujitsuVpp700 => write!(out, "#@$-q vpp -eo -lP {n}"),
+        Architecture::IbmSp2 => write!(out, "#@ node = {n}"),
+        Architecture::NecSx4 => write!(out, "#PBS -l cpunum_job={n}"),
+        Architecture::Generic => write!(out, "#$ -pe mpi {n}"),
+    };
 }
 
-/// How the dialect spells a wall-clock limit in seconds.
-pub fn time_directive(arch: Architecture, secs: u64) -> String {
-    match arch {
-        Architecture::CrayT3e => format!("#QSUB -l mpp_t={secs}"),
-        Architecture::FujitsuVpp700 => format!("#@$-lT {secs}"),
+/// Writes the dialect's wall-clock limit of `secs` seconds onto `out`.
+pub fn write_time_directive(out: &mut String, arch: Architecture, secs: u64) {
+    let _ = match arch {
+        Architecture::CrayT3e => write!(out, "#QSUB -l mpp_t={secs}"),
+        Architecture::FujitsuVpp700 => write!(out, "#@$-lT {secs}"),
         Architecture::IbmSp2 => {
             let h = secs / 3600;
             let m = (secs % 3600) / 60;
             let s = secs % 60;
-            format!("#@ wall_clock_limit = {h:02}:{m:02}:{s:02}")
+            write!(out, "#@ wall_clock_limit = {h:02}:{m:02}:{s:02}")
         }
-        Architecture::NecSx4 => format!("#PBS -l elapstim_req={secs}"),
-        Architecture::Generic => format!("#$ -l h_rt={secs}"),
-    }
+        Architecture::NecSx4 => write!(out, "#PBS -l elapstim_req={secs}"),
+        Architecture::Generic => write!(out, "#$ -l h_rt={secs}"),
+    };
+}
+
+/// Writes the dialect's memory request of `mb` MB onto `out`.
+pub fn write_memory_directive(out: &mut String, arch: Architecture, mb: u64) {
+    let _ = match arch {
+        Architecture::CrayT3e => write!(out, "#QSUB -l mpp_m={mb}mw"),
+        Architecture::FujitsuVpp700 => write!(out, "#@$-lM {mb}mb"),
+        Architecture::IbmSp2 => write!(out, "#@ requirements = (Memory >= {mb})"),
+        Architecture::NecSx4 => write!(out, "#PBS -l memsz_job={mb}mb"),
+        Architecture::Generic => write!(out, "#$ -l mem_free={mb}M"),
+    };
+}
+
+/// How the dialect spells a processor request.
+pub fn processors_directive(arch: Architecture, n: u32) -> String {
+    let mut line = String::new();
+    write_processors_directive(&mut line, arch, n);
+    line
+}
+
+/// How the dialect spells a wall-clock limit in seconds.
+pub fn time_directive(arch: Architecture, secs: u64) -> String {
+    let mut line = String::new();
+    write_time_directive(&mut line, arch, secs);
+    line
 }
 
 /// How the dialect spells a memory request in MB.
 pub fn memory_directive(arch: Architecture, mb: u64) -> String {
-    match arch {
-        Architecture::CrayT3e => format!("#QSUB -l mpp_m={mb}mw"),
-        Architecture::FujitsuVpp700 => format!("#@$-lM {mb}mb"),
-        Architecture::IbmSp2 => format!("#@ requirements = (Memory >= {mb})"),
-        Architecture::NecSx4 => format!("#PBS -l memsz_job={mb}mb"),
-        Architecture::Generic => format!("#$ -l mem_free={mb}M"),
-    }
+    let mut line = String::new();
+    write_memory_directive(&mut line, arch, mb);
+    line
 }
 
 /// Checks that `script` plausibly targets `arch`: it must contain at least

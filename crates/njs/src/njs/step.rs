@@ -572,19 +572,17 @@ impl Njs {
 
     fn dispatch_node(&mut self, job: JobId, node: ActionId, now: SimTime) -> bool {
         let rt = self.jobs.get(&job).expect("job exists");
-        let graph_node = rt.job.node(node).expect("node exists").clone();
-        match graph_node {
+        // The node is read where it lies in the job: only a sub-job (which
+        // becomes a job of its own) and a file task's few names are copied.
+        match rt.job.node(node).expect("node exists") {
             GraphNode::Task(task) => match &task.kind {
                 TaskKind::Execute(kind) => {
-                    let vsite_name = rt.job.vsite.vsite.clone();
-                    let login = rt.user.login.clone();
-                    let trace = rt.trace;
-                    let tel = self.telemetry.clone();
-                    let mut ispan = tel.span("njs.incarnate", trace, now);
+                    let vsite_name = &rt.job.vsite.vsite;
+                    let mut ispan = self.telemetry.span("njs.incarnate", rt.trace, now);
                     ispan.attr("task", &task.name);
-                    ispan.attr("vsite", &vsite_name);
-                    let vsite_idx = self.vsite_index(&vsite_name);
-                    let v = self.vsites.get_mut(&vsite_name).expect("known vsite");
+                    ispan.attr("vsite", vsite_name);
+                    let vsite_idx = self.vsite_order.iter().position(|n| n == vsite_name);
+                    let v = self.vsites.get_mut(vsite_name).expect("known vsite");
                     let time_limit = unicore_sim::secs(task.resources.run_time_secs);
                     // Standard site policy: short jobs go express — unless
                     // they are too wide for the express class's width cap.
@@ -599,28 +597,30 @@ impl Njs {
                         &v.table,
                         kind,
                         &task.resources,
-                        &login,
-                        &job.to_string(),
+                        &rt.user.login,
+                        job,
                         queue.name(),
                     );
                     self.incarnations += 1;
                     self.metrics.incarnations.inc();
-                    let work = self.oracle.work_for(&task, &task.resources);
                     let spec = BatchJobSpec {
                         name: task.name.clone(),
-                        owner: login,
+                        owner: rt.user.login.clone(),
                         script,
                         processors: task.resources.processors,
                         time_limit,
                         memory_mb: task.resources.memory_mb,
                         queue,
-                        work,
+                        work: self.oracle.work_for(task, &task.resources),
                     };
-                    let queue_name = spec.queue.name();
                     match v.batch.submit(spec, now) {
                         Ok(batch_id) => {
                             v.batch_owner.insert(batch_id, job);
-                            let target = format!("{vsite_name}:{queue_name}");
+                            let state = NodeState::InBatch {
+                                vsite: vsite_name.as_str().into(),
+                                batch_id,
+                            };
+                            let target = format!("{vsite_name}:{}", queue.name());
                             self.flight.record(
                                 job.0,
                                 now,
@@ -628,13 +628,7 @@ impl Njs {
                                 format!("node {} -> {target}", node.0),
                             );
                             let rt = self.jobs.get_mut(&job).expect("job exists");
-                            rt.states.insert(
-                                node,
-                                NodeState::InBatch {
-                                    vsite: vsite_name.into(),
-                                    batch_id,
-                                },
-                            );
+                            rt.states.insert(node, state);
                             if let Some(OutcomeNode::Task(t)) = rt.outcome.child_mut(node) {
                                 t.status = ActionStatus::Queued;
                             }
@@ -664,11 +658,12 @@ impl Njs {
                     // Incarnation is instantaneous in simulated time; the
                     // span's wall-clock side still measures translation
                     // plus submission cost.
-                    tel.end(ispan, now);
+                    self.telemetry.end(ispan, now);
                     true
                 }
                 TaskKind::File(file_kind) => {
-                    let outcome = self.run_file_task(job, node, file_kind);
+                    let file_kind = file_kind.clone();
+                    let outcome = self.run_file_task(job, node, &file_kind);
                     match outcome {
                         FileTaskResult::Done(mut o) => {
                             if !o.status.is_success() {
@@ -698,6 +693,7 @@ impl Njs {
                 }
             },
             GraphNode::SubJob(sub) => {
+                let sub = sub.clone();
                 self.dispatch_subjob(job, node, sub, now);
                 true
             }

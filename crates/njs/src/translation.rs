@@ -8,8 +8,11 @@
 //! applies them to produce a vendor submit script.
 
 use std::collections::HashMap;
+use std::fmt::{Display, Write as _};
 use unicore_ajo::{ExecuteKind, ResourceRequest};
-use unicore_batch::script::{memory_directive, processors_directive, time_directive};
+use unicore_batch::script::{
+    write_memory_directive, write_processors_directive, write_time_directive,
+};
 use unicore_codec::{require_ascending, CodecError, DerCodec, DerReader, DerWriter};
 use unicore_resources::Architecture;
 
@@ -84,23 +87,47 @@ impl TranslationTable {
     /// Translates an abstract compiler option (unknown options pass
     /// through prefixed with `-`, the common convention).
     pub fn option(&self, abstract_name: &str) -> String {
-        self.compiler_options
-            .get(abstract_name)
-            .cloned()
-            .unwrap_or_else(|| format!("-{abstract_name}"))
+        let mut flag = String::new();
+        write_translated(&mut flag, &self.compiler_options, "-", abstract_name);
+        flag
     }
 
     /// Translates an abstract library name.
     pub fn library(&self, abstract_name: &str) -> String {
-        self.libraries
-            .get(abstract_name)
-            .cloned()
-            .unwrap_or_else(|| format!("-l{abstract_name}"))
+        let mut flag = String::new();
+        write_translated(&mut flag, &self.libraries, "-l", abstract_name);
+        flag
     }
 
     /// The working directory for a job.
     pub fn workdir(&self, job: &str) -> String {
-        self.workdir_template.replace("{job}", job)
+        let mut dir = String::new();
+        self.write_workdir(&mut dir, job);
+        dir
+    }
+
+    /// Writes the job's working directory onto `out`: the template with
+    /// every `{job}` replaced by `job` (what `job` prints as is never
+    /// looked at again, so a job name may itself contain `{job}`).
+    fn write_workdir(&self, out: &mut String, job: impl Display) {
+        let mut pieces = self.workdir_template.split("{job}");
+        out.push_str(pieces.next().unwrap_or(""));
+        for piece in pieces {
+            let _ = write!(out, "{job}");
+            out.push_str(piece);
+        }
+    }
+}
+
+/// Writes `name`'s native spelling from `map` onto `out`; a name the
+/// table does not know passes through behind `prefix`.
+fn write_translated(out: &mut String, map: &HashMap<String, String>, prefix: &str, name: &str) {
+    match map.get(name) {
+        Some(native) => out.push_str(native),
+        None => {
+            out.push_str(prefix);
+            out.push_str(name);
+        }
     }
 }
 
@@ -113,32 +140,38 @@ pub fn incarnate_execute(
     kind: &ExecuteKind,
     resources: &ResourceRequest,
     login: &str,
-    job_name: &str,
+    job_name: impl Display,
 ) -> String {
     incarnate_execute_in_queue(table, kind, resources, login, job_name, &table.queue)
 }
 
 /// Like [`incarnate_execute`], with an explicit destination queue name
 /// (the NJS passes the queue class it selected).
+///
+/// Every line is written straight into the one script buffer; the
+/// directive lines come from the dialect module's own writers, so the
+/// batch tier's `script_matches_dialect` check and this function cannot
+/// drift apart.
 pub fn incarnate_execute_in_queue(
     table: &TranslationTable,
     kind: &ExecuteKind,
     resources: &ResourceRequest,
     login: &str,
-    job_name: &str,
+    job_name: impl Display,
     queue: &str,
 ) -> String {
     let arch = table.arch;
     let mut script = String::with_capacity(512);
     script.push_str("#!/bin/sh\n");
-    script.push_str(&processors_directive(arch, resources.processors));
+    write_processors_directive(&mut script, arch, resources.processors);
     script.push('\n');
-    script.push_str(&time_directive(arch, resources.run_time_secs));
+    write_time_directive(&mut script, arch, resources.run_time_secs);
     script.push('\n');
-    script.push_str(&memory_directive(arch, resources.memory_mb));
+    write_memory_directive(&mut script, arch, resources.memory_mb);
+    // Writing to a `String` cannot fail.
+    let _ = write!(script, "\n# queue: {queue}  user: {login}\ncd ");
+    table.write_workdir(&mut script, job_name);
     script.push('\n');
-    script.push_str(&format!("# queue: {queue}  user: {login}\n"));
-    script.push_str(&format!("cd {}\n", table.workdir(job_name)));
 
     match kind {
         ExecuteKind::User {
@@ -147,9 +180,10 @@ pub fn incarnate_execute_in_queue(
             environment,
         } => {
             for (k, v) in environment {
-                script.push_str(&format!("{k}={v} export {k}\n"));
+                let _ = writeln!(script, "{k}={v} export {k}");
             }
-            script.push_str(&format!("./{executable}"));
+            script.push_str("./");
+            script.push_str(executable);
             for arg in arguments {
                 script.push(' ');
                 script.push_str(arg);
@@ -170,14 +204,16 @@ pub fn incarnate_execute_in_queue(
             script.push_str(arch.f90_compiler());
             for opt in options {
                 script.push(' ');
-                script.push_str(&table.option(opt));
+                write_translated(&mut script, &table.compiler_options, "-", opt);
             }
             script.push_str(" -c");
             for src in sources {
                 script.push(' ');
                 script.push_str(src);
             }
-            script.push_str(&format!(" -o {output}\n"));
+            script.push_str(" -o ");
+            script.push_str(output);
+            script.push('\n');
         }
         ExecuteKind::Link {
             objects,
@@ -191,9 +227,11 @@ pub fn incarnate_execute_in_queue(
             }
             for lib in libraries {
                 script.push(' ');
-                script.push_str(&table.library(lib));
+                write_translated(&mut script, &table.libraries, "-l", lib);
             }
-            script.push_str(&format!(" -o {output}\n"));
+            script.push_str(" -o ");
+            script.push_str(output);
+            script.push('\n');
         }
     }
     script
