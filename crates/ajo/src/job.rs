@@ -306,49 +306,88 @@ impl AbstractJob {
 /// and afterwards answers from a flattened CSR-style layout: all
 /// predecessor lists live in one `Vec`, sliced per node.
 ///
+/// A node is addressed either by its [`ActionId`] or by its *position* —
+/// its index in [`AbstractJob::nodes`]. The NJS keeps everything it
+/// holds per node in that order and works on positions, so a visit to a
+/// node is an array index; [`DependencyIndex::position`] is the one
+/// lookup where an id arrives from outside.
+///
 /// Orderings are identical to the allocating paths: predecessors appear
 /// in dependency-declaration order, ready sets in node-declaration order.
+/// An edge naming a node this level does not have is ignored (a validated
+/// job has none).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencyIndex {
     /// Node ids in declaration order; `offsets[i]..offsets[i+1]` slices
-    /// `preds` for `ids[i]`.
+    /// `preds` and `pred_positions` for `ids[i]`.
     ids: Vec<ActionId>,
     offsets: Vec<usize>,
     preds: Vec<ActionId>,
+    /// `preds`, each as its position in `ids`.
+    pred_positions: Vec<usize>,
 }
 
 impl DependencyIndex {
     /// Builds the index for one level of `job`.
     pub fn build(job: &AbstractJob) -> Self {
         let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
-        let mut buckets: Vec<Vec<ActionId>> = vec![Vec::new(); ids.len()];
+        let position = |id: ActionId| ids.iter().position(|&n| n == id);
+        let mut buckets: Vec<Vec<(ActionId, usize)>> = vec![Vec::new(); ids.len()];
         for dep in &job.dependencies {
-            if let Some(i) = ids.iter().position(|&id| id == dep.to) {
-                buckets[i].push(dep.from);
+            if let (Some(from), Some(to)) = (position(dep.from), position(dep.to)) {
+                buckets[to].push((dep.from, from));
             }
         }
         let mut offsets = Vec::with_capacity(ids.len() + 1);
         let mut preds = Vec::new();
+        let mut pred_positions = Vec::new();
         offsets.push(0);
         for bucket in buckets {
-            preds.extend(bucket);
+            for (id, pos) in bucket {
+                preds.push(id);
+                pred_positions.push(pos);
+            }
             offsets.push(preds.len());
         }
         DependencyIndex {
             ids,
             offsets,
             preds,
+            pred_positions,
         }
+    }
+
+    /// The position of `id` in the job's node list, if it is a node of
+    /// this level.
+    pub fn position(&self, id: ActionId) -> Option<usize> {
+        self.ids.iter().position(|&n| n == id)
     }
 
     /// Direct predecessors of `id`, in dependency-declaration order —
     /// the same sequence [`AbstractJob::predecessors`] returns, without
     /// the allocation. Unknown ids have no predecessors.
     pub fn predecessors(&self, id: ActionId) -> &[ActionId] {
-        match self.ids.iter().position(|&n| n == id) {
-            Some(i) => &self.preds[self.offsets[i]..self.offsets[i + 1]],
+        match self.position(id) {
+            Some(i) => self.predecessors_at(i),
             None => &[],
         }
+    }
+
+    /// Direct predecessors of the node at `position`, by id.
+    ///
+    /// # Panics
+    /// Panics if `position` is not a node of this level.
+    pub fn predecessors_at(&self, position: usize) -> &[ActionId] {
+        &self.preds[self.offsets[position]..self.offsets[position + 1]]
+    }
+
+    /// Direct predecessors of the node at `position`, by position, in
+    /// the same order as [`DependencyIndex::predecessors_at`].
+    ///
+    /// # Panics
+    /// Panics if `position` is not a node of this level.
+    pub fn predecessor_positions(&self, position: usize) -> &[usize] {
+        &self.pred_positions[self.offsets[position]..self.offsets[position + 1]]
     }
 
     /// Ids of nodes with no unfinished predecessors, in node-declaration
@@ -358,11 +397,7 @@ impl DependencyIndex {
             .iter()
             .enumerate()
             .filter(|(_, id)| !done.contains(id))
-            .filter(|(i, _)| {
-                self.preds[self.offsets[*i]..self.offsets[i + 1]]
-                    .iter()
-                    .all(|p| done.contains(p))
-            })
+            .filter(|(i, _)| self.predecessors_at(*i).iter().all(|p| done.contains(p)))
             .map(|(_, id)| *id)
             .collect()
     }
@@ -562,6 +597,40 @@ mod tests {
             );
         }
         assert!(index.predecessors(ActionId(99)).is_empty());
+    }
+
+    #[test]
+    fn dependency_index_by_position_is_the_same_adjacency() {
+        // Sparse ids out of ascending order: position is declaration
+        // order, nothing else.
+        let mut job = AbstractJob::new("sparse", VsiteAddress::new("FZJ", "T3E"), user());
+        for id in [9, 2, 40] {
+            job.nodes.push((ActionId(id), script_task("t")));
+        }
+        for (from, to) in [(9, 40), (2, 40), (9, 2)] {
+            job.dependencies.push(Dependency {
+                from: ActionId(from),
+                to: ActionId(to),
+                files: vec![],
+            });
+        }
+        let index = job.dependency_index();
+        assert_eq!(index.position(ActionId(40)), Some(2));
+        assert_eq!(index.position(ActionId(0)), None);
+        assert_eq!(index.predecessors_at(2), [ActionId(9), ActionId(2)]);
+        assert_eq!(index.predecessor_positions(2), [0, 1]);
+        assert_eq!(index.predecessor_positions(1), [0]);
+        assert!(index.predecessor_positions(0).is_empty());
+        for (pos, (id, _)) in job.nodes.iter().enumerate() {
+            assert_eq!(index.position(*id), Some(pos));
+            assert_eq!(index.predecessors_at(pos), index.predecessors(*id));
+            let by_position: Vec<ActionId> = index
+                .predecessor_positions(pos)
+                .iter()
+                .map(|&p| job.nodes[p].0)
+                .collect();
+            assert_eq!(by_position, index.predecessors(*id));
+        }
     }
 
     #[test]

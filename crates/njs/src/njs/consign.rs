@@ -104,14 +104,14 @@ impl Njs {
                 usite: self.usite.clone(),
             });
         }
-        if !self.vsites.contains_key(&job.vsite.vsite) {
+        let Some(vsite) = self.vsites.index_of(&job.vsite.vsite) else {
             return Err(NjsError::UnknownVsite {
                 vsite: job.vsite.vsite.clone(),
                 usite: self.usite.clone(),
             });
-        }
+        };
         // Admission: every direct execute task against this job's page.
-        let page = &self.vsites[&job.vsite.vsite].page;
+        let page = &self.vsites[vsite].page;
         for (_, node) in &job.nodes {
             if let GraphNode::Task(task) = node {
                 if task.is_execute() {
@@ -143,11 +143,7 @@ impl Njs {
         let payload: u64 = portfolio.values().map(|d| d.len() as u64).sum::<u64>()
             + staged.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
         let quota = disk_mb * 1_048_576 + payload + (64 << 20);
-        let vspace = &mut self
-            .vsites
-            .get_mut(&job.vsite.vsite)
-            .expect("checked above")
-            .vspace;
+        let vspace = &mut self.vsites[vsite].vspace;
         vspace.create_uspace(id, quota)?;
         for (name, data) in &staged {
             vspace.write_uspace_file(id, name, data.clone(), &user.login)?;
@@ -181,20 +177,18 @@ impl Njs {
             };
             self.pending.push(&event);
             if let Err(e) = store.commit(&mut self.pending) {
-                if let Some(v) = self.vsites.get_mut(&job.vsite.vsite) {
-                    let _ = v.vspace.destroy_uspace(id);
-                }
+                let _ = self.vsites[vsite].vspace.destroy_uspace(id);
                 self.next_job -= self.job_stride;
                 return Err(NjsError::Store(e));
             }
         }
 
-        // Prime the outcome tree and node states.
+        // Prime the outcome tree and node states, both in `job.nodes`
+        // order: from here on a node is its position.
         let mut outcome = JobOutcome {
             status: ActionStatus::Consigned,
             children: Vec::with_capacity(job.nodes.len()),
         };
-        let mut states = HashMap::with_capacity(job.nodes.len());
         for (nid, node) in &job.nodes {
             let child = match node {
                 GraphNode::Task(_) => OutcomeNode::Task(TaskOutcome::pending()),
@@ -204,8 +198,8 @@ impl Njs {
                 }),
             };
             outcome.children.push((*nid, child));
-            states.insert(*nid, NodeState::Waiting);
         }
+        let states = vec![NodeState::Waiting; job.nodes.len()];
 
         // Replayed jobs do not restart spans or recount consigns: their
         // first life already did.
@@ -233,6 +227,7 @@ impl Njs {
             JobRuntime {
                 job,
                 preds,
+                vsite,
                 user,
                 parent,
                 portfolio,

@@ -3,8 +3,7 @@
 use super::{Njs, NodeState};
 use crate::error::NjsError;
 use unicore_ajo::{
-    ActionId, ActionStatus, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, OutcomeNode,
-    TaskOutcome,
+    ActionStatus, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, OutcomeNode, TaskOutcome,
 };
 use unicore_sim::SimTime;
 use unicore_store::StoreEvent;
@@ -76,53 +75,43 @@ impl Njs {
         if rt.done {
             return false;
         }
-        let node_ids: Vec<ActionId> = rt.job.nodes.iter().map(|(n, _)| *n).collect();
         let mut children = Vec::new();
-        for nid in node_ids {
-            let state = self.jobs[&job].states[&nid].clone();
-            match state {
+        for pos in 0..rt.states.len() {
+            match self.jobs[&job].states[pos] {
                 NodeState::InBatch { vsite, batch_id } => {
-                    let v = self.vsites.get_mut(vsite.as_ref()).expect("known vsite");
+                    let v = &mut self.vsites[vsite];
                     v.batch.cancel(batch_id, now);
                     v.batch_owner.remove(&batch_id);
-                    if let Some(idx) = self.vsite_index(&vsite) {
-                        self.batch_touched(idx);
-                    }
+                    self.batch_touched(vsite);
                     let rt = self.jobs.get_mut(&job).expect("job exists");
-                    rt.set_task_outcome(
-                        nid,
-                        TaskOutcome {
-                            status: ActionStatus::Killed,
-                            message: "aborted by user".into(),
-                            ..Default::default()
-                        },
-                    );
-                    self.set_state(job, nid, NodeState::Terminal);
+                    *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
+                        status: ActionStatus::Killed,
+                        message: "aborted by user".into(),
+                        ..Default::default()
+                    });
+                    self.set_state(job, pos, NodeState::Terminal);
                 }
-                NodeState::ChildJob { child } => children.push((nid, child)),
+                NodeState::ChildJob { child } => children.push((pos, child)),
                 NodeState::Waiting | NodeState::Remote => {
                     let rt = self.jobs.get_mut(&job).expect("job exists");
-                    match rt.outcome.child_mut(nid) {
-                        Some(OutcomeNode::Task(t)) => {
+                    match rt.node_outcome_mut(pos) {
+                        OutcomeNode::Task(t) => {
                             t.status = ActionStatus::Killed;
                             t.message = "aborted by user".into();
                         }
-                        Some(OutcomeNode::Job(j)) => j.status = ActionStatus::Killed,
-                        None => {}
+                        OutcomeNode::Job(j) => j.status = ActionStatus::Killed,
                     }
-                    self.set_state(job, nid, NodeState::Terminal);
+                    self.set_state(job, pos, NodeState::Terminal);
                 }
                 NodeState::Terminal => {}
             }
         }
-        for (nid, child) in children {
+        for (pos, child) in children {
             self.abort(child, now);
             let child_outcome = self.jobs[&child].outcome.clone();
             let rt = self.jobs.get_mut(&job).expect("job exists");
-            if let Some(slot) = rt.outcome.child_mut(nid) {
-                *slot = OutcomeNode::Job(child_outcome);
-            }
-            self.set_state(job, nid, NodeState::Terminal);
+            *rt.node_outcome_mut(pos) = OutcomeNode::Job(child_outcome);
+            self.set_state(job, pos, NodeState::Terminal);
         }
         let rt = self.jobs.get_mut(&job).expect("job exists");
         rt.outcome.aggregate_status();
@@ -148,11 +137,8 @@ impl Njs {
                 dn: dn.to_owned(),
             });
         }
-        let v = self
-            .vsites
-            .get(&rt.job.vsite.vsite)
-            .expect("job vsite exists");
-        Ok(v.vspace
+        Ok(self.vsites[rt.vsite]
+            .vspace
             .uspace(job)?
             .list("")
             .into_iter()
@@ -186,7 +172,7 @@ impl Njs {
             let current = to_purge[i];
             i += 1;
             if let Some(rt) = self.jobs.get(&current) {
-                for state in rt.states.values() {
+                for state in &rt.states {
                     if let NodeState::ChildJob { child } = state {
                         to_purge.push(*child);
                     }
@@ -198,9 +184,8 @@ impl Njs {
         for id in to_purge {
             self.flight.forget(id.0);
             if let Some(rt) = self.jobs.remove(&id) {
-                if let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) {
-                    freed += v.vspace.destroy_uspace(id).unwrap_or(0);
-                }
+                let vspace = &mut self.vsites[rt.vsite].vspace;
+                freed += vspace.destroy_uspace(id).unwrap_or(0);
                 // A finished job holds no batch-owner entries: its nodes
                 // all went terminal, which is where entries are dropped.
                 self.wake.remove(&id);
@@ -258,11 +243,8 @@ impl Njs {
                 dn: dn.to_owned(),
             });
         }
-        let v = self
-            .vsites
-            .get(&rt.job.vsite.vsite)
-            .expect("job vsite exists");
-        Ok(v.vspace.read_for_transfer(job, name, &rt.user.login)?)
+        let vspace = &self.vsites[rt.vsite].vspace;
+        Ok(vspace.read_for_transfer(job, name, &rt.user.login)?)
     }
 }
 

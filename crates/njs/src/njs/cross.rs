@@ -159,30 +159,39 @@ impl Njs {
         self.jobs.contains_key(&job)
     }
 
+    /// The boundary lookup for a node named from outside this engine:
+    /// the position of `node` in `job`, if the job is here, has such a
+    /// node, and the node has not terminated yet. A node can only
+    /// terminate once, so every late, duplicate or stray completion stops
+    /// at this `None`.
+    pub(super) fn open_node(&self, job: JobId, node: ActionId) -> Option<usize> {
+        let rt = self.jobs.get(&job)?;
+        let pos = rt.position(node)?;
+        (rt.states[pos] != NodeState::Terminal).then_some(pos)
+    }
+
     /// Whether `node` of `job` has already reached a terminal state.
     /// Unknown jobs count as terminal (nothing left to do).
     pub(crate) fn node_is_terminal(&self, job: JobId, node: ActionId) -> bool {
-        self.jobs
-            .get(&job)
-            .map(|rt| rt.states.get(&node) == Some(&NodeState::Terminal))
-            .unwrap_or(true)
+        self.jobs.get(&job).is_none_or(|rt| {
+            rt.position(node)
+                .is_some_and(|pos| rt.states[pos] == NodeState::Terminal)
+        })
     }
 
     /// Re-marks a non-terminal node as awaiting an external completion
     /// (used when recovery rebuilds cross-shard parent links).
     pub(crate) fn mark_node_remote(&mut self, job: JobId, node: ActionId) {
-        let Some(rt) = self.jobs.get_mut(&job) else {
+        let Some(pos) = self.open_node(job, node) else {
             return;
         };
-        if rt.states.get(&node) == Some(&NodeState::Terminal) {
-            return;
-        }
-        if let Some(OutcomeNode::Job(j)) = rt.outcome.child_mut(node) {
+        let rt = self.jobs.get_mut(&job).expect("open node");
+        if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
             if j.status == ActionStatus::Pending {
                 j.status = ActionStatus::Consigned;
             }
         }
-        self.set_state(job, node, NodeState::Remote);
+        self.set_state(job, pos, NodeState::Remote);
     }
 
     /// `(child, parent job, parent node)` for every job consigned on
@@ -230,9 +239,9 @@ impl Njs {
         now: SimTime,
     ) {
         self.clock = self.clock.max(now);
-        if !self.jobs.contains_key(&job) || self.node_is_terminal(job, node) {
+        let Some(pos) = self.open_node(job, node) else {
             return;
-        }
+        };
         if !outcome.status.is_success() {
             self.flight.record(
                 job.0,
@@ -242,35 +251,31 @@ impl Njs {
             );
             outcome.flight = self.flight.trace(job.0);
         }
-        let rt = self.jobs.get_mut(&job).expect("checked above");
-        rt.set_task_outcome(node, outcome);
-        self.set_state(job, node, NodeState::Terminal);
-        let rt = self.jobs.get_mut(&job).expect("checked above");
+        let rt = self.jobs.get_mut(&job).expect("open node");
+        *rt.node_outcome_mut(pos) = OutcomeNode::Task(outcome);
         // Eager re-aggregation, like `complete_remote_node_with_files`:
         // this runs between steps, so clients polling before the next
         // step must already see the folded status.
         rt.outcome.aggregate_status();
-        let deposited = self.deposited_by_file_task(job, node);
-        self.log_terminal(job, node, deposited.as_slice());
+        self.set_state(job, pos, NodeState::Terminal);
+        let deposited = self.deposited_by_file_task(job, pos);
+        self.log_terminal(job, pos, deposited.as_slice());
         self.flush_events();
     }
 
     /// Fails a sub-job node whose cross-shard consign was rejected,
     /// mirroring the in-shard consign-error arm of `dispatch_subjob`.
     pub(crate) fn fail_subjob_node(&mut self, job: JobId, node: ActionId) {
-        let Some(rt) = self.jobs.get_mut(&job) else {
+        let Some(pos) = self.open_node(job, node) else {
             return;
         };
-        if rt.states.get(&node) == Some(&NodeState::Terminal) {
-            return;
-        }
-        if let Some(OutcomeNode::Job(j)) = rt.outcome.child_mut(node) {
+        let rt = self.jobs.get_mut(&job).expect("open node");
+        if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
             j.status = ActionStatus::NotSuccessful;
         }
-        self.set_state(job, node, NodeState::Terminal);
-        let rt = self.jobs.get_mut(&job).expect("checked above");
         rt.outcome.aggregate_status();
-        self.log_terminal(job, node, &[]);
+        self.set_state(job, pos, NodeState::Terminal);
+        self.log_terminal(job, pos, &[]);
         self.flush_events();
     }
 
@@ -286,19 +291,11 @@ impl Njs {
     ) {
         let outcome = match data {
             Ok(d) => {
-                let Some((vsite, login)) = self
-                    .jobs
-                    .get(&job)
-                    .map(|rt| (rt.job.vsite.vsite.clone(), rt.user.login.clone()))
-                else {
+                let Some(rt) = self.jobs.get(&job) else {
                     return;
                 };
-                let result = self
-                    .vsites
-                    .get_mut(&vsite)
-                    .expect("job's vsite exists")
-                    .vspace
-                    .import_bytes(job, uspace_name, d, &login);
+                let vspace = &mut self.vsites[rt.vsite].vspace;
+                let result = vspace.import_bytes(job, uspace_name, d, &rt.user.login);
                 match result {
                     Ok(n) => TaskOutcome {
                         status: ActionStatus::Successful,

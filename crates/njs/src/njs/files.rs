@@ -2,23 +2,22 @@
 
 use super::cross::CrossShardItem;
 use super::{Njs, OutgoingItem, INCOMING_PREFIX};
-use unicore_ajo::{
-    ActionId, ActionStatus, DataLocation, FileKind, GraphNode, JobId, TaskKind, TaskOutcome,
-};
+use unicore_ajo::{ActionStatus, DataLocation, FileKind, GraphNode, JobId, TaskKind, TaskOutcome};
 
 impl Njs {
     /// What a just-finished file task deposited into the job's Uspace
     /// (successful Imports put one file there; Exports and Transfers
     /// write elsewhere).
-    pub(super) fn deposited_by_file_task(&self, job: JobId, node: ActionId) -> Option<String> {
+    pub(super) fn deposited_by_file_task(&self, job: JobId, pos: usize) -> Option<String> {
         let rt = self.jobs.get(&job)?;
-        let GraphNode::Task(task) = rt.job.node(node)? else {
+        let GraphNode::Task(task) = &rt.job.nodes[pos].1 else {
             return None;
         };
         let TaskKind::File(FileKind::Import { uspace_name, .. }) = &task.kind else {
             return None;
         };
-        rt.node_status(node)
+        rt.node_outcome(pos)
+            .status()
             .is_success()
             .then(|| uspace_name.clone())
     }
@@ -26,12 +25,13 @@ impl Njs {
     pub(super) fn run_file_task(
         &mut self,
         job: JobId,
-        node: ActionId,
+        pos: usize,
         kind: &FileKind,
     ) -> FileTaskResult {
-        let (vsite_name, login) = {
+        let (node, home, vsite_name, login) = {
             let rt = self.jobs.get(&job).expect("job exists");
-            (rt.job.vsite.vsite.clone(), rt.user.login.clone())
+            let vsite_name = rt.job.vsite.vsite.clone();
+            (rt.node_id(pos), rt.vsite, vsite_name, rt.user.login.clone())
         };
         match kind {
             FileKind::Import {
@@ -44,11 +44,12 @@ impl Njs {
                         match rt.portfolio.get(path) {
                             Some(data) => {
                                 let data = data.to_vec();
-                                self.vsites
-                                    .get_mut(&vsite_name)
-                                    .expect("known vsite")
-                                    .vspace
-                                    .import_bytes(job, uspace_name, data, &login)
+                                self.vsites[home].vspace.import_bytes(
+                                    job,
+                                    uspace_name,
+                                    data,
+                                    &login,
+                                )
                             }
                             None => {
                                 return FileTaskResult::Done(TaskOutcome::failure(format!(
@@ -66,11 +67,12 @@ impl Njs {
                             ));
                         }
                         if vsite.vsite == vsite_name {
-                            self.vsites
-                                .get_mut(&vsite_name)
-                                .expect("known vsite")
-                                .vspace
-                                .import_from_xspace(job, path, uspace_name, &login)
+                            self.vsites[home].vspace.import_from_xspace(
+                                job,
+                                path,
+                                uspace_name,
+                                &login,
+                            )
                         } else if let Some(&shard) = self.siblings.get(&vsite.vsite) {
                             // The source Vsite lives on a sibling shard;
                             // the facade's merge phase reads it there and
@@ -100,12 +102,12 @@ impl Njs {
                                 }
                             };
                             match data {
-                                Ok(d) => self
-                                    .vsites
-                                    .get_mut(&vsite_name)
-                                    .expect("known vsite")
-                                    .vspace
-                                    .import_bytes(job, uspace_name, d, &login),
+                                Ok(d) => self.vsites[home].vspace.import_bytes(
+                                    job,
+                                    uspace_name,
+                                    d,
+                                    &login,
+                                ),
                                 Err(e) => {
                                     return FileTaskResult::Done(TaskOutcome::failure(
                                         e.to_string(),
@@ -139,12 +141,10 @@ impl Njs {
                     ));
                 }
                 if vsite.vsite == vsite_name {
-                    let result = self
-                        .vsites
-                        .get_mut(&vsite_name)
-                        .expect("known vsite")
-                        .vspace
-                        .export_to_xspace(job, uspace_name, path, &login);
+                    let result =
+                        self.vsites[home]
+                            .vspace
+                            .export_to_xspace(job, uspace_name, path, &login);
                     FileTaskResult::Done(match result {
                         Ok(n) => TaskOutcome {
                             status: ActionStatus::Successful,
@@ -155,10 +155,7 @@ impl Njs {
                     })
                 } else {
                     // Cross-Vsite export within the Usite.
-                    let data = self
-                        .vsites
-                        .get(&vsite_name)
-                        .expect("known vsite")
+                    let data = self.vsites[home]
                         .vspace
                         .read_for_transfer(job, uspace_name, &login);
                     match data {
@@ -205,12 +202,10 @@ impl Njs {
                 to_vsite,
                 dest_name,
             } => {
-                let entry = self
-                    .vsites
-                    .get(&vsite_name)
-                    .expect("known vsite")
-                    .vspace
-                    .read_entry_for_transfer(job, uspace_name, &login);
+                let entry =
+                    self.vsites[home]
+                        .vspace
+                        .read_entry_for_transfer(job, uspace_name, &login);
                 let (data, world_readable) = match entry {
                     Ok(e) => e,
                     Err(e) => return FileTaskResult::Done(TaskOutcome::failure(e.to_string())),

@@ -35,8 +35,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
-    AbstractJob, ActionId, ActionStatus, DependencyIndex, JobId, JobOutcome, MonitorReport,
-    OutcomeNode, TaskOutcome, VsiteAddress, VsiteHealth,
+    AbstractJob, ActionId, DependencyIndex, JobId, JobOutcome, MonitorReport, OutcomeNode,
+    TaskOutcome, VsiteAddress, VsiteHealth,
 };
 use unicore_batch::{BatchJobId, BatchSystem};
 use unicore_dataplane::{ReceiverState, TransferKey};
@@ -66,6 +66,55 @@ pub struct VsiteRuntime {
     /// drained [`BatchSystem`] status change wakes exactly that job.
     /// Entries live from submit until the node goes terminal.
     batch_owner: HashMap<BatchJobId, JobId>,
+}
+
+/// The Vsites of one NJS in registration order. Inside the engine a
+/// Vsite is its position here (jobs, node states and the batch heap
+/// carry the index); names are looked up once where they arrive from
+/// outside — a consign, a file task naming another Vsite, the
+/// administrator.
+#[derive(Default)]
+struct Vsites {
+    list: Vec<VsiteRuntime>,
+    names: Vec<String>,
+    by_name: HashMap<String, usize>,
+}
+
+impl Vsites {
+    fn push(&mut self, name: String, runtime: VsiteRuntime) {
+        self.by_name.insert(name.clone(), self.list.len());
+        self.names.push(name);
+        self.list.push(runtime);
+    }
+
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
+    fn contains_key(&self, name: &str) -> bool {
+        self.by_name.contains_key(name)
+    }
+
+    fn get(&self, name: &str) -> Option<&VsiteRuntime> {
+        self.index_of(name).map(|i| &self.list[i])
+    }
+
+    fn get_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
+        self.index_of(name).map(|i| &mut self.list[i])
+    }
+}
+
+impl std::ops::Index<usize> for Vsites {
+    type Output = VsiteRuntime;
+    fn index(&self, index: usize) -> &VsiteRuntime {
+        &self.list[index]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Vsites {
+    fn index_mut(&mut self, index: usize) -> &mut VsiteRuntime {
+        &mut self.list[index]
+    }
 }
 
 /// Work the NJS needs the federation layer to carry to a peer Usite.
@@ -150,13 +199,12 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeState {
     Waiting,
-    // The vsite name is shared (`Arc<str>`) so the per-step poll scan can
-    // capture it without allocating a fresh String per poll.
+    /// Submitted to the batch system of the Vsite at index `vsite`.
     InBatch {
-        vsite: Arc<str>,
+        vsite: usize,
         batch_id: BatchJobId,
     },
     ChildJob {
@@ -167,24 +215,35 @@ enum NodeState {
 }
 
 /// One in-flight node found by the per-step state scan, captured so the
-/// polling pass can mutate `self` without re-walking the state map.
+/// polling pass can mutate `self` without re-walking the states.
+#[derive(Clone, Copy)]
 enum PollTarget {
-    Batch {
-        vsite: Arc<str>,
-        batch_id: BatchJobId,
-    },
+    Batch { vsite: usize, batch_id: BatchJobId },
     Child(JobId),
 }
 
+/// A consigned job.
+///
+/// Everything held per node — `states`, `outcome.children`, the
+/// adjacency in `preds` — is in the order of `job.nodes`, and inside the
+/// engine a node *is* its position in that order: a visit indexes three
+/// arrays and hashes nothing. An [`ActionId`] is turned into a position
+/// once, by [`JobRuntime::position`], where it arrives from outside the
+/// engine (a remote or cross-shard completion, recovery), and back into
+/// an id where it leaves (the journal, the flight ring, the outbox).
 struct JobRuntime {
     job: AbstractJob,
-    /// Precomputed predecessor adjacency for `job`'s top level: the step
-    /// loop's dependency check borrows slices instead of allocating.
+    /// Precomputed predecessor adjacency for `job`'s top level, by
+    /// position: the step loop's dependency check borrows slices.
     preds: DependencyIndex,
+    /// Index of `job.vsite` among this NJS's Vsites.
+    vsite: usize,
     user: MappedUser,
     parent: Option<(JobId, ActionId)>,
     portfolio: Arc<HashMap<String, Arc<[u8]>>>,
-    states: HashMap<ActionId, NodeState>,
+    /// Node states, by position.
+    states: Vec<NodeState>,
+    /// The outcome tree; `outcome.children[i]` belongs to `job.nodes[i]`.
     outcome: JobOutcome,
     held: bool,
     done: bool,
@@ -197,25 +256,42 @@ struct JobRuntime {
 }
 
 impl JobRuntime {
-    fn node_status(&self, id: ActionId) -> ActionStatus {
-        self.outcome
-            .child(id)
-            .map(|n| n.status())
-            .unwrap_or(ActionStatus::Pending)
+    /// The position of the node the outside world calls `id`, if this
+    /// job has one.
+    fn position(&self, id: ActionId) -> Option<usize> {
+        self.preds.position(id)
     }
 
-    fn set_task_outcome(&mut self, id: ActionId, outcome: TaskOutcome) {
-        if let Some(node) = self.outcome.child_mut(id) {
-            *node = OutcomeNode::Task(outcome);
+    /// The id the outside world knows the node at `pos` by.
+    fn node_id(&self, pos: usize) -> ActionId {
+        self.job.nodes[pos].0
+    }
+
+    fn node_outcome(&self, pos: usize) -> &OutcomeNode {
+        &self.outcome.children[pos].1
+    }
+
+    fn node_outcome_mut(&mut self, pos: usize) -> &mut OutcomeNode {
+        &mut self.outcome.children[pos].1
+    }
+
+    /// The task outcome at `pos` (`None` for a sub-job node).
+    fn task_outcome_mut(&mut self, pos: usize) -> Option<&mut TaskOutcome> {
+        match self.node_outcome_mut(pos) {
+            OutcomeNode::Task(t) => Some(t),
+            OutcomeNode::Job(_) => None,
         }
+    }
+
+    fn all_terminal(&self) -> bool {
+        self.states.iter().all(|s| *s == NodeState::Terminal)
     }
 }
 
 /// The NJS for one Usite.
 pub struct Njs {
     usite: String,
-    vsites: HashMap<String, VsiteRuntime>,
-    vsite_order: Vec<String>,
+    vsites: Vsites,
     jobs: HashMap<JobId, JobRuntime>,
     /// Live jobs in consign order — which is ascending id order, since
     /// ids are allocated monotonically (and replayed in journal order).
@@ -242,9 +318,9 @@ pub struct Njs {
     pending: EventBatch,
     /// Per-step scratch (in-flight nodes to poll), kept on the NJS so
     /// steady-state stepping allocates nothing.
-    poll_scratch: Vec<(ActionId, PollTarget)>,
+    poll_scratch: Vec<(usize, PollTarget)>,
     /// Per-step scratch (nodes waiting on predecessors).
-    waiting_scratch: Vec<ActionId>,
+    waiting_scratch: Vec<usize>,
     /// True while `recover` replays the journal, so replayed operations
     /// are not journalled a second time.
     recovering: bool,
@@ -332,8 +408,7 @@ impl Njs {
     pub fn with_oracle(usite: impl Into<String>, oracle: Box<dyn WorkOracle>) -> Self {
         Njs {
             usite: usite.into(),
-            vsites: HashMap::new(),
-            vsite_order: Vec::new(),
+            vsites: Vsites::default(),
             jobs: HashMap::new(),
             job_order: Vec::new(),
             wake: BTreeSet::new(),
@@ -398,10 +473,8 @@ impl Njs {
         if let Some(store) = self.store.as_mut() {
             store.set_telemetry(&telemetry);
         }
-        for name in &self.vsite_order {
-            if let Some(v) = self.vsites.get_mut(name) {
-                v.batch.set_telemetry(&telemetry);
-            }
+        for v in &mut self.vsites.list {
+            v.batch.set_telemetry(&telemetry);
         }
         if telemetry.is_enabled() && !self.flight.is_enabled() {
             self.flight = FlightRecorder::bounded(DEFAULT_FLIGHT_CAPACITY);
@@ -432,7 +505,7 @@ impl Njs {
             if now.saturating_sub(rt.consigned_at) <= self.watchdog_threshold {
                 continue;
             }
-            if rt.states.values().all(|s| *s == NodeState::Waiting) {
+            if rt.states.iter().all(|s| *s == NodeState::Waiting) {
                 *stuck.entry(rt.job.vsite.vsite.clone()).or_default() += 1;
             }
         }
@@ -462,17 +535,16 @@ impl Njs {
             .counters
             .insert("store.wal.repairs".into(), self.wal_repairs());
         let vsites = self
-            .vsite_order
+            .vsites
+            .names
             .iter()
-            .map(|name| {
-                let v = &self.vsites[name];
-                VsiteHealth {
-                    vsite: name.clone(),
-                    free_nodes: v.batch.free_nodes() as i64,
-                    queue_length: v.batch.queue_length() as i64,
-                    running: v.batch.running_count() as i64,
-                    stuck_jobs: stuck.get(name).copied().unwrap_or(0),
-                }
+            .zip(&self.vsites.list)
+            .map(|(name, v)| VsiteHealth {
+                vsite: name.clone(),
+                free_nodes: v.batch.free_nodes() as i64,
+                queue_length: v.batch.queue_length() as i64,
+                running: v.batch.running_count() as i64,
+                stuck_jobs: stuck.get(name).copied().unwrap_or(0),
             })
             .collect();
         MonitorReport {
@@ -569,21 +641,19 @@ impl Njs {
     /// Journals a node's terminal outcome plus the files it deposited:
     /// `deposited` names files the caller has just written into the job's
     /// Uspace, and the record borrows their bytes from there.
-    fn log_terminal(&mut self, job: JobId, node: ActionId, deposited: &[String]) {
+    fn log_terminal(&mut self, job: JobId, pos: usize, deposited: &[String]) {
         if !self.journalling() {
             return;
         }
         let Some(rt) = self.jobs.get(&job) else {
             return;
         };
-        let Some(outcome) = rt.outcome.child(node) else {
-            return;
-        };
+        let uspace = self.vsites[rt.vsite].vspace.uspace(job).ok();
         let files = deposited.iter().filter_map(|name| {
-            let vspace = &self.vsites.get(&rt.job.vsite.vsite)?.vspace;
-            let entry = vspace.uspace(job).ok()?.read(name, &rt.user.login).ok()?;
+            let entry = uspace?.read(name, &rt.user.login).ok()?;
             Some((name.as_str(), entry.data.as_slice()))
         });
+        let (node, outcome) = (rt.node_id(pos), rt.node_outcome(pos));
         self.pending
             .push_task_state_changed(job, node, outcome, files, self.clock);
     }
@@ -598,10 +668,7 @@ impl Njs {
         let Some(rt) = self.jobs.get(&job) else {
             return;
         };
-        let uspace = self
-            .vsites
-            .get(&rt.job.vsite.vsite)
-            .and_then(|v| v.vspace.uspace(job).ok());
+        let uspace = self.vsites[rt.vsite].vspace.uspace(job).ok();
         let manifest = uspace.iter().flat_map(|fs| {
             fs.list("").into_iter().filter_map(|name| {
                 let entry = fs.read(name, &rt.user.login).ok()?;
@@ -632,8 +699,10 @@ impl Njs {
         if self.telemetry.is_enabled() {
             batch.set_telemetry(&self.telemetry);
         }
-        self.vsites.insert(
-            name.clone(),
+        self.batch_gen.push(0);
+        self.batch_dirty.push(self.vsites.list.len());
+        self.vsites.push(
+            name,
             VsiteRuntime {
                 batch,
                 vspace: Vspace::new(),
@@ -642,30 +711,20 @@ impl Njs {
                 batch_owner: HashMap::new(),
             },
         );
-        self.batch_gen.push(0);
-        self.batch_dirty.push(self.vsite_order.len());
-        self.vsite_order.push(name);
     }
 
     /// Names of the Vsites served here.
     pub fn vsite_names(&self) -> &[String] {
-        &self.vsite_order
+        &self.vsites.names
     }
 
     /// Access to a Vsite's runtime (tests, site administration).
     pub fn vsite_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
         // External mutation can change the batch timeline; re-key this
         // Vsite in the next-event heap on the next step.
-        if let Some(idx) = self.vsite_index(name) {
-            self.batch_dirty.push(idx);
-        }
-        self.vsites.get_mut(name)
-    }
-
-    /// A Vsite's position in registration order (its index in the batch
-    /// heap bookkeeping).
-    fn vsite_index(&self, name: &str) -> Option<usize> {
-        self.vsite_order.iter().position(|n| n == name)
+        let idx = self.vsites.index_of(name)?;
+        self.batch_dirty.push(idx);
+        Some(&mut self.vsites[idx])
     }
 
     /// Read access to a Vsite's runtime.

@@ -134,21 +134,18 @@ impl Njs {
                         let outcome = OutcomeNode::from_der(outcome_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
                         if let Some(rt) = self.jobs.get_mut(job) {
-                            if let Some(slot) = rt.outcome.child_mut(*node) {
-                                *slot = outcome;
+                            if let Some(pos) = rt.position(*node) {
+                                *rt.node_outcome_mut(pos) = outcome;
+                                rt.states[pos] = NodeState::Terminal;
                             }
-                            rt.states.insert(*node, NodeState::Terminal);
-                            let (vsite, login) =
-                                (rt.job.vsite.vsite.clone(), rt.user.login.clone());
-                            if let Some(v) = self.vsites.get_mut(&vsite) {
-                                for (name, data) in files {
-                                    let _ = v.vspace.write_uspace_file(
-                                        *job,
-                                        name,
-                                        data.clone(),
-                                        &login,
-                                    );
-                                }
+                            let vspace = &mut self.vsites[rt.vsite].vspace;
+                            for (name, data) in files {
+                                let _ = vspace.write_uspace_file(
+                                    *job,
+                                    name,
+                                    data.clone(),
+                                    &rt.user.login,
+                                );
                             }
                         }
                     }
@@ -161,17 +158,14 @@ impl Njs {
                         let outcome = JobOutcome::from_der(outcome_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
                         if let Some(rt) = self.jobs.get_mut(job) {
+                            // A finished job is never addressed by node
+                            // again, so the stored tree is taken as it is.
                             rt.outcome = outcome;
-                            let ids: Vec<ActionId> = rt.states.keys().copied().collect();
-                            for nid in ids {
-                                rt.states.insert(nid, NodeState::Terminal);
-                            }
+                            rt.states.fill(NodeState::Terminal);
                             rt.done = true;
                             rt.finished_at = Some(*at);
                             let login = &rt.user.login;
-                            let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) else {
-                                continue;
-                            };
+                            let v = &mut self.vsites[rt.vsite];
                             for entry in manifest {
                                 match entry {
                                     // Journals from before the by-reference
@@ -276,9 +270,7 @@ impl Njs {
                     }
                     StoreEvent::JobPurged { job, .. } => {
                         if let Some(rt) = self.jobs.remove(job) {
-                            if let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) {
-                                let _ = v.vspace.destroy_uspace(*job);
-                            }
+                            let _ = self.vsites[rt.vsite].vspace.destroy_uspace(*job);
                         }
                         purged.push(*job);
                     }
@@ -302,12 +294,9 @@ impl Njs {
             if !self.jobs.contains_key(&child) {
                 continue;
             }
-            if let Some(parent_rt) = self.jobs.get_mut(&pjob) {
-                if parent_rt.states.get(&pnode) != Some(&NodeState::Terminal) {
-                    parent_rt
-                        .states
-                        .insert(pnode, NodeState::ChildJob { child });
-                }
+            if let Some(pos) = self.open_node(pjob, pnode) {
+                let parent_rt = self.jobs.get_mut(&pjob).expect("open node");
+                parent_rt.states[pos] = NodeState::ChildJob { child };
             }
         }
         // Resume allocation after the highest replayed id, staying in

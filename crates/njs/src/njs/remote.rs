@@ -24,34 +24,29 @@ impl Njs {
         outcome: OutcomeNode,
         files: Vec<(String, Vec<u8>)>,
     ) {
-        let Some(rt) = self.jobs.get_mut(&job) else {
-            return;
-        };
         // A node can only terminate once: a late delivery for a node
         // already completed (aborted locally, or a duplicate/replayed
-        // completion) must not overwrite its recorded outcome.
-        if rt.states.get(&node) == Some(&NodeState::Terminal) {
+        // completion) must not overwrite its recorded outcome — and one
+        // for a node this job does not have lands nowhere.
+        let Some(pos) = self.open_node(job, node) else {
             return;
-        }
-        if let Some(slot) = rt.outcome.child_mut(node) {
-            *slot = outcome;
-        }
-        self.set_state(job, node, NodeState::Terminal);
-        let rt = self.jobs.get_mut(&job).expect("checked above");
+        };
+        let rt = self.jobs.get_mut(&job).expect("open node");
+        *rt.node_outcome_mut(pos) = outcome;
         // Re-aggregate eagerly: `step` only re-aggregates jobs that make
         // progress, so an externally completed node must fold its status
         // into the tree here for clients polling before the next step.
         rt.outcome.aggregate_status();
         let mut deposited: Vec<String> = Vec::new();
-        if let Some(v) = self.vsites.get_mut(&rt.job.vsite.vsite) {
-            for (name, data) in files {
-                let written = v.vspace.write_uspace_file(job, &name, data, &rt.user.login);
-                if written.is_ok() {
-                    deposited.push(name);
-                }
+        let vspace = &mut self.vsites[rt.vsite].vspace;
+        for (name, data) in files {
+            let written = vspace.write_uspace_file(job, &name, data, &rt.user.login);
+            if written.is_ok() {
+                deposited.push(name);
             }
         }
-        self.log_terminal(job, node, &deposited);
+        self.set_state(job, pos, NodeState::Terminal);
+        self.log_terminal(job, pos, &deposited);
         self.flush_events();
     }
 
@@ -62,13 +57,11 @@ impl Njs {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
         };
-        let Some(v) = self.vsites.get(&rt.job.vsite.vsite) else {
-            return Vec::new();
-        };
+        let vspace = &self.vsites[rt.vsite].vspace;
         names
             .iter()
             .filter_map(|n| {
-                v.vspace
+                vspace
                     .read_for_transfer(job, n, &rt.user.login)
                     .ok()
                     .map(|d| (n.clone(), d))
@@ -83,18 +76,18 @@ impl Njs {
         let Some(rt) = self.jobs.get_mut(&job) else {
             return;
         };
-        if rt.states.get(&node) != Some(&NodeState::Remote) {
+        let Some(pos) = rt.position(node) else {
+            return;
+        };
+        if rt.states[pos] != NodeState::Remote {
             return;
         }
-        rt.set_task_outcome(
-            node,
-            TaskOutcome {
-                status: ActionStatus::Running,
-                bytes_staged: bytes,
-                message: format!("streaming {bytes}/{total} bytes"),
-                ..Default::default()
-            },
-        );
+        *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
+            status: ActionStatus::Running,
+            bytes_staged: bytes,
+            message: format!("streaming {bytes}/{total} bytes"),
+            ..Default::default()
+        });
         // The node stays `Remote`, but a parent mirroring this job's
         // outcome has something new to copy.
         self.wake(job);

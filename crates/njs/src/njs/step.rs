@@ -9,8 +9,8 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 use unicore_ajo::{
-    AbstractJob, ActionId, ActionStatus, DataLocation, FileKind, GraphNode, JobId, OutcomeNode,
-    TaskKind, TaskOutcome,
+    AbstractJob, ActionStatus, DataLocation, FileKind, GraphNode, JobId, OutcomeNode, TaskKind,
+    TaskOutcome,
 };
 use unicore_batch::{BatchJobId, BatchJobSpec, BatchStatus};
 use unicore_sim::SimTime;
@@ -29,7 +29,8 @@ impl Njs {
     /// this NJS's Vsites.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.vsites
-            .values()
+            .list
+            .iter()
             .filter_map(|v| v.batch.next_event_time())
             .min()
     }
@@ -44,8 +45,7 @@ impl Njs {
             // Whatever dirtied it (an external `vsite_mut` caller, say)
             // may have changed statuses too.
             self.wake_batch_changes(idx);
-            let name = &self.vsite_order[idx];
-            let batch = &self.vsites[name].batch;
+            let batch = &self.vsites[idx].batch;
             self.batch_gen[idx] += 1;
             if let Some(t) = batch.next_event_time() {
                 self.batch_heap.push(Reverse((t, idx, self.batch_gen[idx])));
@@ -60,8 +60,7 @@ impl Njs {
             if gen != self.batch_gen[idx] {
                 continue; // stale entry, superseded by a re-key
             }
-            let name = &self.vsite_order[idx];
-            let batch = &mut self.vsites.get_mut(name).expect("known vsite").batch;
+            let batch = &mut self.vsites[idx].batch;
             batch.advance_to(now);
             self.batch_gen[idx] += 1;
             if let Some(next) = batch.next_event_time() {
@@ -77,10 +76,7 @@ impl Njs {
     /// after anything that can move the batch tier — `advance_to`,
     /// `submit`, `cancel`, or an external mutation through `vsite_mut`.
     fn wake_batch_changes(&mut self, idx: usize) {
-        let v = self
-            .vsites
-            .get_mut(&self.vsite_order[idx])
-            .expect("known vsite");
+        let v = &mut self.vsites[idx];
         for id in v.batch.drain_changes() {
             if let Some(job) = v.batch_owner.get(&id) {
                 self.wake.insert(*job);
@@ -103,10 +99,11 @@ impl Njs {
     }
 
     /// The one writer of node state outside `step_job`: records the
-    /// transition and wakes the job, so a call site cannot forget to.
-    pub(super) fn set_state(&mut self, job: JobId, node: ActionId, state: NodeState) {
+    /// transition of the node at `pos` and wakes the job, so a call site
+    /// cannot forget to.
+    pub(super) fn set_state(&mut self, job: JobId, pos: usize, state: NodeState) {
         if let Some(rt) = self.jobs.get_mut(&job) {
-            rt.states.insert(node, state);
+            rt.states[pos] = state;
             self.wake(job);
         }
     }
@@ -193,81 +190,66 @@ impl Njs {
     fn step_job(&mut self, id: JobId, now: SimTime) -> bool {
         // One pass over the node states classifies everything; the common
         // no-progress call allocates nothing (the scratch vectors keep
-        // their capacity across steps).
+        // their capacity across steps). Nodes are positions in
+        // `job.nodes` from here down.
         let mut poll = std::mem::take(&mut self.poll_scratch);
         let mut waiting = std::mem::take(&mut self.waiting_scratch);
         poll.clear();
         waiting.clear();
-        let (held, all_terminal) = {
-            let Some(rt) = self.jobs.get(&id) else {
-                self.poll_scratch = poll;
-                self.waiting_scratch = waiting;
-                return false;
-            };
-            if rt.done {
-                self.poll_scratch = poll;
-                self.waiting_scratch = waiting;
-                return false;
-            }
-            let mut all_terminal = true;
-            for (nid, _) in &rt.job.nodes {
-                match rt.states.get(nid) {
-                    Some(NodeState::Terminal) => {}
-                    Some(NodeState::Waiting) => {
-                        waiting.push(*nid);
-                        all_terminal = false;
+        let (held, all_terminal) = match self.jobs.get(&id) {
+            Some(rt) if !rt.done => {
+                let mut all_terminal = true;
+                for (pos, state) in rt.states.iter().enumerate() {
+                    match *state {
+                        NodeState::Terminal => continue,
+                        NodeState::Remote => {}
+                        NodeState::Waiting => waiting.push(pos),
+                        NodeState::InBatch { vsite, batch_id } => {
+                            poll.push((pos, PollTarget::Batch { vsite, batch_id }));
+                        }
+                        NodeState::ChildJob { child } => {
+                            poll.push((pos, PollTarget::Child(child)));
+                        }
                     }
-                    Some(NodeState::InBatch { vsite, batch_id }) => {
-                        poll.push((
-                            *nid,
-                            PollTarget::Batch {
-                                vsite: vsite.clone(),
-                                batch_id: *batch_id,
-                            },
-                        ));
-                        all_terminal = false;
-                    }
-                    Some(NodeState::ChildJob { child }) => {
-                        poll.push((*nid, PollTarget::Child(*child)));
-                        all_terminal = false;
-                    }
-                    Some(NodeState::Remote) | None => all_terminal = false,
+                    all_terminal = false;
                 }
+                (rt.held, all_terminal)
             }
-            (rt.held, all_terminal)
+            _ => {
+                self.poll_scratch = poll;
+                self.waiting_scratch = waiting;
+                return false;
+            }
         };
         let mut progressed = false;
 
         // 1. Poll in-flight batch tasks and children.
-        for (nid, target) in poll.drain(..) {
-            match target {
+        for (pos, target) in poll.drain(..) {
+            progressed |= match target {
                 PollTarget::Batch { vsite, batch_id } => {
-                    progressed |= self.poll_batch_node(id, nid, &vsite, batch_id);
+                    self.poll_batch_node(id, pos, vsite, batch_id)
                 }
-                PollTarget::Child(child) => {
-                    progressed |= self.poll_child_node(id, nid, child);
-                }
-            }
+                PollTarget::Child(child) => self.poll_child_node(id, pos, child),
+            };
         }
 
         // 2. Dispatch ready nodes (unless held). States are re-read live,
         //    so a node whose last predecessor completed in the poll above
         //    dispatches within this same step.
         if !held {
-            for &nid in &waiting {
+            for &pos in &waiting {
                 let rt = self.jobs.get(&id).expect("job exists");
-                if rt.states.get(&nid) != Some(&NodeState::Waiting) {
+                if rt.states[pos] != NodeState::Waiting {
                     continue;
                 }
-                let preds = rt.preds.predecessors(nid);
                 let mut ready = true;
                 let mut any_failed = false;
-                for p in preds {
-                    if rt.states.get(p) != Some(&NodeState::Terminal) {
+                for &p in rt.preds.predecessor_positions(pos) {
+                    if rt.states[p] != NodeState::Terminal {
                         ready = false;
                         break;
                     }
-                    any_failed |= !rt.node_status(*p).is_success();
+                    any_failed |= !rt.node_outcome(p).status().is_success();
                 }
                 if !ready {
                     continue;
@@ -277,23 +259,22 @@ impl Njs {
                         id.0,
                         now,
                         "njs.kill",
-                        format!("node {}: predecessor failed", nid.0),
+                        format!("node {}: predecessor failed", rt.node_id(pos).0),
                     );
                     let rt = self.jobs.get_mut(&id).expect("job exists");
-                    rt.states.insert(nid, NodeState::Terminal);
-                    match rt.outcome.child_mut(nid) {
-                        Some(OutcomeNode::Task(t)) => {
+                    rt.states[pos] = NodeState::Terminal;
+                    match rt.node_outcome_mut(pos) {
+                        OutcomeNode::Task(t) => {
                             t.status = ActionStatus::Killed;
                             t.message = "predecessor failed".into();
                             t.flight = self.flight.trace(id.0);
                         }
-                        Some(OutcomeNode::Job(j)) => j.status = ActionStatus::Killed,
-                        None => {}
+                        OutcomeNode::Job(j) => j.status = ActionStatus::Killed,
                     }
-                    self.log_terminal(id, nid, &[]);
+                    self.log_terminal(id, pos, &[]);
                     progressed = true;
                 } else {
-                    progressed |= self.dispatch_node(id, nid, now);
+                    progressed |= self.dispatch_node(id, pos, now);
                 }
             }
         }
@@ -308,8 +289,7 @@ impl Njs {
         if progressed || all_terminal {
             let rt = self.jobs.get_mut(&id).expect("job exists");
             rt.outcome.aggregate_status();
-            let finished = !rt.done && rt.states.values().all(|s| *s == NodeState::Terminal);
-            if finished {
+            if !rt.done && rt.all_terminal() {
                 let consigned_at = rt.consigned_at;
                 let span = rt.span.take();
                 self.mark_done(id, now);
@@ -330,8 +310,8 @@ impl Njs {
     fn poll_batch_node(
         &mut self,
         job: JobId,
-        node: ActionId,
-        vsite: &str,
+        pos: usize,
+        vsite: usize,
         batch_id: BatchJobId,
     ) -> bool {
         // The overwhelmingly common poll sees a still-queued or running
@@ -344,13 +324,7 @@ impl Njs {
             Cancelled,
             Gone,
         }
-        let seen = match self
-            .vsites
-            .get(vsite)
-            .expect("known vsite")
-            .batch
-            .status(batch_id)
-        {
+        let seen = match self.vsites[vsite].batch.status(batch_id) {
             Some(BatchStatus::Queued) | Some(BatchStatus::Held) => Seen::Queued,
             Some(BatchStatus::Running { .. }) => Seen::Running,
             Some(BatchStatus::Completed(_)) => Seen::Completed,
@@ -361,34 +335,35 @@ impl Njs {
             Seen::Gone => return false,
             Seen::Queued => {
                 let rt = self.jobs.get_mut(&job).expect("job exists");
-                if rt.node_status(node) != ActionStatus::Queued {
-                    if let Some(OutcomeNode::Task(t)) = rt.outcome.child_mut(node) {
+                return match rt.task_outcome_mut(pos) {
+                    Some(t) if t.status != ActionStatus::Queued => {
                         t.status = ActionStatus::Queued;
-                        return true;
+                        true
                     }
-                }
-                return false;
+                    _ => false,
+                };
             }
             Seen::Running => {
                 let rt = self.jobs.get_mut(&job).expect("job exists");
-                if rt.node_status(node) != ActionStatus::Running {
-                    if let Some(OutcomeNode::Task(t)) = rt.outcome.child_mut(node) {
+                let node = rt.node_id(pos);
+                return match rt.task_outcome_mut(pos) {
+                    Some(t) if t.status != ActionStatus::Running => {
                         t.status = ActionStatus::Running;
                         self.flight.record(
                             job.0,
                             self.clock,
                             "batch.running",
-                            format!("node {} on {vsite}", node.0),
+                            format!("node {} on {}", node.0, self.vsites.names[vsite]),
                         );
-                        return true;
+                        true
                     }
-                }
-                return false;
+                    _ => false,
+                };
             }
             Seen::Completed | Seen::Cancelled => {}
         }
         let (status, acct) = {
-            let v = self.vsites.get(vsite).expect("known vsite");
+            let v = &self.vsites[vsite];
             (
                 v.batch.status(batch_id).cloned(),
                 v.batch.accounting_for(batch_id).cloned(),
@@ -396,6 +371,7 @@ impl Njs {
         };
         let tel = self.telemetry.clone();
         let rt = self.jobs.get_mut(&job).expect("job exists");
+        let node = rt.node_id(pos);
         match status {
             Some(BatchStatus::Queued)
             | Some(BatchStatus::Held)
@@ -454,11 +430,11 @@ impl Njs {
                     },
                 };
                 let login = rt.user.login.clone();
-                rt.set_task_outcome(node, outcome);
-                rt.states.insert(node, NodeState::Terminal);
+                *rt.node_outcome_mut(pos) = OutcomeNode::Task(outcome);
+                rt.states[pos] = NodeState::Terminal;
                 // Deposit output files into the job's Uspace.
                 let mut deposited: Vec<String> = Vec::new();
-                let v = self.vsites.get_mut(vsite).expect("known vsite");
+                let v = &mut self.vsites[vsite];
                 v.batch_owner.remove(&batch_id);
                 let vspace = &mut v.vspace;
                 for (name, data) in c.output_files {
@@ -471,7 +447,7 @@ impl Njs {
                             format!("node {}: output {name} exceeded job disk quota", node.0),
                         );
                         let rt = self.jobs.get_mut(&job).expect("job exists");
-                        if let Some(OutcomeNode::Task(t)) = rt.outcome.child_mut(node) {
+                        if let Some(t) = rt.task_outcome_mut(pos) {
                             t.status = ActionStatus::NotSuccessful;
                             t.message = "output exceeded job disk quota".into();
                             t.flight = self.flight.trace(job.0);
@@ -480,7 +456,7 @@ impl Njs {
                         deposited.push(name);
                     }
                 }
-                self.log_terminal(job, node, &deposited);
+                self.log_terminal(job, pos, &deposited);
                 true
             }
             Some(BatchStatus::Cancelled) => {
@@ -488,101 +464,80 @@ impl Njs {
                     job.0,
                     self.clock,
                     "batch.cancelled",
-                    format!("node {} on {vsite}", node.0),
+                    format!("node {} on {}", node.0, self.vsites.names[vsite]),
                 );
-                rt.set_task_outcome(
-                    node,
-                    TaskOutcome {
-                        status: ActionStatus::Killed,
-                        message: "cancelled".into(),
-                        flight: self.flight.trace(job.0),
-                        ..Default::default()
-                    },
-                );
-                rt.states.insert(node, NodeState::Terminal);
-                let v = self.vsites.get_mut(vsite).expect("known vsite");
-                v.batch_owner.remove(&batch_id);
-                self.log_terminal(job, node, &[]);
+                *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
+                    status: ActionStatus::Killed,
+                    message: "cancelled".into(),
+                    flight: self.flight.trace(job.0),
+                    ..Default::default()
+                });
+                rt.states[pos] = NodeState::Terminal;
+                self.vsites[vsite].batch_owner.remove(&batch_id);
+                self.log_terminal(job, pos, &[]);
                 true
             }
             None => false,
         }
     }
 
-    fn poll_child_node(&mut self, job: JobId, node: ActionId, child: JobId) -> bool {
+    fn poll_child_node(&mut self, job: JobId, pos: usize, child: JobId) -> bool {
         let (done, child_outcome) = match self.jobs.get(&child) {
             Some(c) if c.done => (true, c.outcome.clone()),
             Some(c) => (false, c.outcome.clone()),
             None => return false,
         };
         let rt = self.jobs.get_mut(&job).expect("job exists");
-        let changed = match rt.outcome.child(node) {
-            Some(OutcomeNode::Job(j)) => *j != child_outcome,
-            _ => true,
-        };
+        let slot = rt.node_outcome_mut(pos);
+        let changed = !matches!(slot, OutcomeNode::Job(j) if *j == child_outcome);
         if changed {
-            if let Some(slot) = rt.outcome.child_mut(node) {
-                *slot = OutcomeNode::Job(child_outcome);
-            }
+            *slot = OutcomeNode::Job(child_outcome);
         }
         if done {
-            rt.states.insert(node, NodeState::Terminal);
+            rt.states[pos] = NodeState::Terminal;
             // Pull the files named on this node's outgoing edges from the
             // child's Uspace into the parent's, so successors can use them
             // ("UNICORE then guarantees that the specified data sets
             // created by the predecessor are available to the successor").
-            let mut wanted: Vec<String> = Vec::new();
-            for dep in &rt.job.dependencies {
-                if dep.from == node {
-                    for f in &dep.files {
-                        if !wanted.contains(f) {
-                            wanted.push(f.clone());
-                        }
-                    }
-                }
-            }
+            let (node, parent_vsite) = (rt.node_id(pos), rt.vsite);
+            let login = rt.user.login.clone();
+            let wanted = self.edge_return_files(job, node);
             let mut pulled: Vec<String> = Vec::new();
             if !wanted.is_empty() {
-                let parent_vsite = rt.job.vsite.vsite.clone();
-                let login = rt.user.login.clone();
-                let child_vsite = self
-                    .jobs
-                    .get(&child)
-                    .map(|c| c.job.vsite.vsite.clone())
-                    .expect("child exists");
+                let child_vsite = self.jobs.get(&child).expect("child exists").vsite;
                 for name in wanted {
-                    let data = self
-                        .vsites
-                        .get(&child_vsite)
-                        .and_then(|v| v.vspace.read_for_transfer(child, &name, &login).ok());
-                    if let Some(data) = data {
-                        if let Some(v) = self.vsites.get_mut(&parent_vsite) {
-                            if v.vspace.write_uspace_file(job, &name, data, &login).is_ok() {
-                                pulled.push(name);
-                            }
+                    let data = self.vsites[child_vsite]
+                        .vspace
+                        .read_for_transfer(child, &name, &login);
+                    if let Ok(data) = data {
+                        let vspace = &mut self.vsites[parent_vsite].vspace;
+                        if vspace.write_uspace_file(job, &name, data, &login).is_ok() {
+                            pulled.push(name);
                         }
                     }
                 }
             }
-            self.log_terminal(job, node, &pulled);
+            self.log_terminal(job, pos, &pulled);
             return true;
         }
         changed
     }
 
-    fn dispatch_node(&mut self, job: JobId, node: ActionId, now: SimTime) -> bool {
+    fn dispatch_node(&mut self, job: JobId, pos: usize, now: SimTime) -> bool {
         let rt = self.jobs.get(&job).expect("job exists");
         // The node is read where it lies in the job: only a sub-job (which
         // becomes a job of its own) and a file task's few names are copied.
-        match rt.job.node(node).expect("node exists") {
+        let (node, graph_node) = &rt.job.nodes[pos];
+        let node = *node;
+        match graph_node {
             GraphNode::Task(task) => match &task.kind {
                 TaskKind::Execute(kind) => {
-                    let vsite_name = &rt.job.vsite.vsite;
+                    let vsite = rt.vsite;
+                    let vsite_name = &self.vsites.names[vsite];
                     let mut ispan = self.telemetry.span("njs.incarnate", rt.trace, now);
                     ispan.attr("task", &task.name);
                     ispan.attr("vsite", vsite_name);
-                    let vsite_idx = self.vsite_order.iter().position(|n| n == vsite_name);
-                    let v = self.vsites.get_mut(vsite_name).expect("known vsite");
+                    let v = &mut self.vsites.list[vsite];
                     let time_limit = unicore_sim::secs(task.resources.run_time_secs);
                     // Standard site policy: short jobs go express — unless
                     // they are too wide for the express class's width cap.
@@ -616,10 +571,6 @@ impl Njs {
                     match v.batch.submit(spec, now) {
                         Ok(batch_id) => {
                             v.batch_owner.insert(batch_id, job);
-                            let state = NodeState::InBatch {
-                                vsite: vsite_name.as_str().into(),
-                                batch_id,
-                            };
                             let target = format!("{vsite_name}:{}", queue.name());
                             self.flight.record(
                                 job.0,
@@ -628,8 +579,8 @@ impl Njs {
                                 format!("node {} -> {target}", node.0),
                             );
                             let rt = self.jobs.get_mut(&job).expect("job exists");
-                            rt.states.insert(node, state);
-                            if let Some(OutcomeNode::Task(t)) = rt.outcome.child_mut(node) {
+                            rt.states[pos] = NodeState::InBatch { vsite, batch_id };
+                            if let Some(t) = rt.task_outcome_mut(pos) {
                                 t.status = ActionStatus::Queued;
                             }
                             self.log_event(StoreEvent::JobIncarnated {
@@ -645,16 +596,14 @@ impl Njs {
                             let mut failed = TaskOutcome::failure(e.to_string());
                             failed.flight = self.flight.trace(job.0);
                             let rt = self.jobs.get_mut(&job).expect("job exists");
-                            rt.set_task_outcome(node, failed);
-                            rt.states.insert(node, NodeState::Terminal);
-                            self.log_terminal(job, node, &[]);
+                            *rt.node_outcome_mut(pos) = OutcomeNode::Task(failed);
+                            rt.states[pos] = NodeState::Terminal;
+                            self.log_terminal(job, pos, &[]);
                         }
                     }
                     // The submit changed this Vsite's batch timeline (and
                     // may have started other queued jobs by backfill).
-                    if let Some(idx) = vsite_idx {
-                        self.batch_touched(idx);
-                    }
+                    self.batch_touched(vsite);
                     // Incarnation is instantaneous in simulated time; the
                     // span's wall-clock side still measures translation
                     // plus submission cost.
@@ -663,7 +612,7 @@ impl Njs {
                 }
                 TaskKind::File(file_kind) => {
                     let file_kind = file_kind.clone();
-                    let outcome = self.run_file_task(job, node, &file_kind);
+                    let outcome = self.run_file_task(job, pos, &file_kind);
                     match outcome {
                         FileTaskResult::Done(mut o) => {
                             if !o.status.is_success() {
@@ -676,17 +625,17 @@ impl Njs {
                                 o.flight = self.flight.trace(job.0);
                             }
                             let rt = self.jobs.get_mut(&job).expect("job exists");
-                            rt.set_task_outcome(node, o);
-                            rt.states.insert(node, NodeState::Terminal);
-                            let deposited = self.deposited_by_file_task(job, node);
-                            self.log_terminal(job, node, deposited.as_slice());
+                            *rt.node_outcome_mut(pos) = OutcomeNode::Task(o);
+                            rt.states[pos] = NodeState::Terminal;
+                            let deposited = self.deposited_by_file_task(job, pos);
+                            self.log_terminal(job, pos, deposited.as_slice());
                         }
                         FileTaskResult::Remote => {
                             let rt = self.jobs.get_mut(&job).expect("job exists");
-                            if let Some(OutcomeNode::Task(t)) = rt.outcome.child_mut(node) {
+                            if let Some(t) = rt.task_outcome_mut(pos) {
                                 t.status = ActionStatus::Running;
                             }
-                            rt.states.insert(node, NodeState::Remote);
+                            rt.states[pos] = NodeState::Remote;
                         }
                     }
                     true
@@ -694,39 +643,29 @@ impl Njs {
             },
             GraphNode::SubJob(sub) => {
                 let sub = sub.clone();
-                self.dispatch_subjob(job, node, sub, now);
+                self.dispatch_subjob(job, pos, sub, now);
                 true
             }
         }
     }
 
-    fn dispatch_subjob(&mut self, job: JobId, node: ActionId, sub: AbstractJob, now: SimTime) {
+    fn dispatch_subjob(&mut self, job: JobId, pos: usize, sub: AbstractJob, now: SimTime) {
         // Gather edge files from predecessors out of the parent's Uspace.
-        let (staged, user, portfolio, parent_vsite, parent_trace) = {
-            let rt = self.jobs.get(&job).expect("job exists");
-            let mut staged: Vec<(String, Vec<u8>)> = Vec::new();
-            for &pred in rt.preds.predecessors(node) {
-                for file in rt.job.edge_files(pred, node) {
-                    let data = self
-                        .vsites
-                        .get(&rt.job.vsite.vsite)
-                        .expect("known vsite")
+        let rt = self.jobs.get(&job).expect("job exists");
+        let node = rt.node_id(pos);
+        let mut staged: Vec<(String, Vec<u8>)> = Vec::new();
+        for &pred in rt.preds.predecessors_at(pos) {
+            for file in rt.job.edge_files(pred, node) {
+                let data =
+                    self.vsites[rt.vsite]
                         .vspace
                         .read_for_transfer(job, file, &rt.user.login);
-                    if let Ok(data) = data {
-                        staged.push((file.clone(), data));
-                    }
+                if let Ok(data) = data {
+                    staged.push((file.clone(), data));
                 }
             }
-            (
-                staged,
-                rt.user.clone(),
-                rt.portfolio.clone(),
-                rt.job.vsite.vsite.clone(),
-                rt.trace,
-            )
-        };
-        let _ = parent_vsite;
+        }
+        let (user, portfolio, parent_trace) = (rt.user.clone(), rt.portfolio.clone(), rt.trace);
 
         if sub.vsite.usite == self.usite {
             if let Some(&shard) = self.siblings.get(&sub.vsite.vsite) {
@@ -751,14 +690,14 @@ impl Njs {
                     trace: parent_trace,
                 });
                 let rt = self.jobs.get_mut(&job).expect("job exists");
-                if let Some(OutcomeNode::Job(j)) = rt.outcome.child_mut(node) {
+                if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
                     j.status = ActionStatus::Consigned;
                 }
-                rt.states.insert(node, NodeState::Remote);
+                rt.states[pos] = NodeState::Remote;
                 return;
             }
             // Local child at (possibly) another Vsite of this Usite.
-            match self.consign_internal(
+            let consigned = self.consign_internal(
                 sub,
                 user,
                 portfolio,
@@ -769,19 +708,16 @@ impl Njs {
                     trace: parent_trace,
                     ..ConsignMeta::default()
                 },
-            ) {
-                Ok(child) => {
-                    let rt = self.jobs.get_mut(&job).expect("job exists");
-                    rt.states.insert(node, NodeState::ChildJob { child });
-                }
-                Err(e) => {
-                    let rt = self.jobs.get_mut(&job).expect("job exists");
-                    if let Some(OutcomeNode::Job(j)) = rt.outcome.child_mut(node) {
+            );
+            let rt = self.jobs.get_mut(&job).expect("job exists");
+            match consigned {
+                Ok(child) => rt.states[pos] = NodeState::ChildJob { child },
+                Err(_) => {
+                    if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
                         j.status = ActionStatus::NotSuccessful;
                     }
-                    rt.states.insert(node, NodeState::Terminal);
-                    self.log_terminal(job, node, &[]);
-                    let _ = e;
+                    rt.states[pos] = NodeState::Terminal;
+                    self.log_terminal(job, pos, &[]);
                 }
             }
         } else {
@@ -798,20 +734,7 @@ impl Njs {
                     data: data.into(),
                 })
                 .collect();
-            let return_files = {
-                let rt = self.jobs.get(&job).expect("job exists");
-                let mut files: Vec<String> = Vec::new();
-                for dep in &rt.job.dependencies {
-                    if dep.from == node {
-                        for f in &dep.files {
-                            if !files.contains(f) {
-                                files.push(f.clone());
-                            }
-                        }
-                    }
-                }
-                files
-            };
+            let return_files = self.edge_return_files(job, node);
             let dest_usite = ajo.vsite.usite.clone();
             self.flight.record(
                 job.0,
@@ -826,10 +749,10 @@ impl Njs {
                 return_files,
             });
             let rt = self.jobs.get_mut(&job).expect("job exists");
-            if let Some(OutcomeNode::Job(j)) = rt.outcome.child_mut(node) {
+            if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
                 j.status = ActionStatus::Consigned;
             }
-            rt.states.insert(node, NodeState::Remote);
+            rt.states[pos] = NodeState::Remote;
             self.log_event(StoreEvent::JobIncarnated {
                 job,
                 node,
