@@ -12,6 +12,7 @@
 use crate::job::{
     AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, QueueClass,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use unicore_resources::Architecture;
 use unicore_sim::SimTime;
@@ -285,9 +286,26 @@ impl BatchSystem {
         self.changed.drain(..)
     }
 
-    /// Current status of a job (`None` for unknown ids).
+    /// Current status of a job (`None` for unknown ids, and for finished
+    /// jobs already handed over by [`BatchSystem::collect`]).
     pub fn status(&self, id: BatchJobId) -> Option<&BatchStatus> {
         self.statuses.get(&id)
+    }
+
+    /// One look at job `id` for the supervisor that owns it. A job that
+    /// is over — completed or cancelled — is handed over: its status,
+    /// with the captured output and the files it wrote, moves to the
+    /// caller and the machine forgets the job (its accounting record
+    /// stays). A job still queued, held or running stays where it is and
+    /// is reported by value. `None` for ids this machine does not hold.
+    pub fn collect(&mut self, id: BatchJobId) -> Option<BatchStatus> {
+        match self.statuses.entry(id) {
+            Entry::Occupied(held) => match held.get() {
+                BatchStatus::Completed(_) | BatchStatus::Cancelled => Some(held.remove()),
+                live => Some(live.clone()),
+            },
+            Entry::Vacant(_) => None,
+        }
     }
 
     /// Time of the next job completion, if any job is running.
@@ -345,7 +363,7 @@ impl BatchSystem {
         }
     }
 
-    fn finish(&mut self, entry: RunningEntry) {
+    fn finish(&mut self, mut entry: RunningEntry) {
         self.free_nodes += entry.processors;
         let (exit_code, stdout, stderr, outputs) = if entry.crashed {
             (
@@ -369,11 +387,13 @@ impl BatchSystem {
                 Vec::new(),
             )
         } else {
+            // The job is over: what it wrote moves into its result.
+            let work = &mut entry.spec.work;
             (
-                entry.spec.work.exit_code,
-                entry.spec.work.stdout.clone(),
-                entry.spec.work.stderr.clone(),
-                entry.spec.work.output_files.clone(),
+                work.exit_code,
+                std::mem::take(&mut work.stdout),
+                std::mem::take(&mut work.stderr),
+                std::mem::take(&mut work.output_files),
             )
         };
         let completed = CompletedJob {
@@ -394,7 +414,7 @@ impl BatchSystem {
             .record(entry.ends_at.saturating_sub(entry.started_at));
         self.accounting.push(AccountingRecord {
             job: entry.id,
-            owner: entry.spec.owner.clone(),
+            owner: entry.spec.owner,
             queue: entry.spec.queue,
             processors: entry.processors,
             submitted_at: entry.submitted_at,
@@ -625,6 +645,38 @@ mod tests {
 
     fn machine(nodes: u32) -> BatchSystem {
         BatchSystem::new("t3e", Architecture::CrayT3e, nodes)
+    }
+
+    #[test]
+    fn collect_hands_over_finished_jobs_only() {
+        let mut m = machine(4);
+        let mut producing = spec("out", 4, 10 * SEC, 5 * SEC);
+        producing.work.stdout = b"done\n".to_vec();
+        producing.work.output_files = vec![("out.dat".into(), vec![7; 32])];
+        let running = m.submit(producing, 0).unwrap();
+        let queued = m.submit(spec("wait", 4, 10 * SEC, 5 * SEC), 0).unwrap();
+        // Live jobs are reported and stay.
+        assert_eq!(m.collect(running), Some(BatchStatus::Running { since: 0 }));
+        assert_eq!(m.collect(queued), Some(BatchStatus::Queued));
+        assert_eq!(m.status(queued), Some(&BatchStatus::Queued));
+        assert_eq!(m.collect(BatchJobId(99)), None);
+        // A finished job moves out, output and all, exactly once.
+        m.advance_to(5 * SEC);
+        let Some(BatchStatus::Completed(c)) = m.collect(running) else {
+            panic!("not completed");
+        };
+        assert_eq!(c.stdout, b"done\n");
+        assert_eq!(c.output_files, [("out.dat".to_owned(), vec![7; 32])]);
+        assert_eq!(m.status(running), None);
+        assert_eq!(m.collect(running), None);
+        assert_eq!(m.accounting_for(running).unwrap().ended_at, 5 * SEC);
+        // So does one cancelled in the queue.
+        let third = m
+            .submit(spec("never", 4, 10 * SEC, 5 * SEC), 5 * SEC)
+            .unwrap();
+        assert!(m.cancel(third, 6 * SEC));
+        assert_eq!(m.collect(third), Some(BatchStatus::Cancelled));
+        assert_eq!(m.status(third), None);
     }
 
     #[test]

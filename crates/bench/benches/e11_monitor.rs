@@ -211,14 +211,26 @@ fn benches(c: &mut Criterion) {
         let flight = FlightRecorder::bounded(32);
         let mut at = 0u64;
         b.iter(|| {
-            flight.record(black_box(1), at, "njs.dispatch", "node 3 -> V:batch");
+            flight.record(
+                black_box(1),
+                at,
+                "njs.dispatch",
+                format_args!("node {} -> V:batch", black_box(3)),
+            );
             at += 1;
         });
     });
     // The same call with the recorder off — what success paths pay.
     group.bench_function("flight_record_disabled", |b| {
         let flight = FlightRecorder::disabled();
-        b.iter(|| flight.record(black_box(1), 0, "njs.dispatch", "node 3 -> V:batch"));
+        b.iter(|| {
+            flight.record(
+                black_box(1),
+                0,
+                "njs.dispatch",
+                format_args!("node {} -> V:batch", black_box(3)),
+            )
+        });
     });
     group.finish();
 }

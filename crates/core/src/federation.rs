@@ -1502,7 +1502,10 @@ impl Federation {
             let what = if ev.firing { "slo.fire" } else { "slo.clear" };
             self.telemetry.counter("federation.slo.events").inc();
             if let Some(server) = self.servers.get(&root) {
-                server.njs().flight().record(0, t, what, ev.rule.clone());
+                server
+                    .njs()
+                    .flight()
+                    .record(0, t, what, format_args!("{}", ev.rule));
             }
         }
     }

@@ -218,7 +218,7 @@ impl Njs {
                 id.0,
                 now,
                 "njs.consign",
-                format!("vsite {}", job.vsite.vsite),
+                format_args!("vsite {}", job.vsite.vsite),
             );
         }
         let preds = job.dependency_index();

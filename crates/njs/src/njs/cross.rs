@@ -247,7 +247,7 @@ impl Njs {
                 job.0,
                 now,
                 "njs.file.error",
-                format!("node {}: {}", node.0, outcome.message),
+                format_args!("node {}: {}", node.0, outcome.message),
             );
             outcome.flight = self.flight.trace(job.0);
         }

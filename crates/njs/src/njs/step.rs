@@ -6,6 +6,7 @@ use super::files::FileTaskResult;
 use super::{ConsignMeta, Njs, NodeState, OutgoingItem, PollTarget};
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::fmt;
 use std::ops::Bound;
 use std::sync::Arc;
 use unicore_ajo::{
@@ -259,7 +260,7 @@ impl Njs {
                         id.0,
                         now,
                         "njs.kill",
-                        format!("node {}: predecessor failed", rt.node_id(pos).0),
+                        format_args!("node {}: predecessor failed", rt.node_id(pos).0),
                     );
                     let rt = self.jobs.get_mut(&id).expect("job exists");
                     rt.states[pos] = NodeState::Terminal;
@@ -314,87 +315,56 @@ impl Njs {
         vsite: usize,
         batch_id: BatchJobId,
     ) -> bool {
-        // The overwhelmingly common poll sees a still-queued or running
-        // batch job and changes nothing; classify by reference first so
-        // that path clones neither status, accounting, nor telemetry.
-        enum Seen {
-            Queued,
-            Running,
-            Completed,
-            Cancelled,
-            Gone,
-        }
-        let seen = match self.vsites[vsite].batch.status(batch_id) {
-            Some(BatchStatus::Queued) | Some(BatchStatus::Held) => Seen::Queued,
-            Some(BatchStatus::Running { .. }) => Seen::Running,
-            Some(BatchStatus::Completed(_)) => Seen::Completed,
-            Some(BatchStatus::Cancelled) => Seen::Cancelled,
-            None => Seen::Gone,
+        // One look at the batch job. The overwhelmingly common poll sees
+        // it still queued or running and changes nothing; one that is over
+        // is handed to us whole — output and files move, nothing is copied.
+        let v = &mut self.vsites.list[vsite];
+        let vsite_name = &self.vsites.names[vsite];
+        let Some(status) = v.batch.collect(batch_id) else {
+            return false;
         };
-        match seen {
-            Seen::Gone => return false,
-            Seen::Queued => {
-                let rt = self.jobs.get_mut(&job).expect("job exists");
-                return match rt.task_outcome_mut(pos) {
-                    Some(t) if t.status != ActionStatus::Queued => {
-                        t.status = ActionStatus::Queued;
-                        true
-                    }
-                    _ => false,
-                };
-            }
-            Seen::Running => {
-                let rt = self.jobs.get_mut(&job).expect("job exists");
-                let node = rt.node_id(pos);
-                return match rt.task_outcome_mut(pos) {
-                    Some(t) if t.status != ActionStatus::Running => {
-                        t.status = ActionStatus::Running;
-                        self.flight.record(
-                            job.0,
-                            self.clock,
-                            "batch.running",
-                            format!("node {} on {}", node.0, self.vsites.names[vsite]),
-                        );
-                        true
-                    }
-                    _ => false,
-                };
-            }
-            Seen::Completed | Seen::Cancelled => {}
-        }
-        let (status, acct) = {
-            let v = &self.vsites[vsite];
-            (
-                v.batch.status(batch_id).cloned(),
-                v.batch.accounting_for(batch_id).cloned(),
-            )
-        };
-        let tel = self.telemetry.clone();
         let rt = self.jobs.get_mut(&job).expect("job exists");
         let node = rt.node_id(pos);
         match status {
-            Some(BatchStatus::Queued)
-            | Some(BatchStatus::Held)
-            | Some(BatchStatus::Running { .. }) => false,
-            Some(BatchStatus::Completed(c)) => {
+            BatchStatus::Queued | BatchStatus::Held => match rt.task_outcome_mut(pos) {
+                Some(t) if t.status != ActionStatus::Queued => {
+                    t.status = ActionStatus::Queued;
+                    true
+                }
+                _ => false,
+            },
+            BatchStatus::Running { .. } => match rt.task_outcome_mut(pos) {
+                Some(t) if t.status != ActionStatus::Running => {
+                    t.status = ActionStatus::Running;
+                    self.flight.record(
+                        job.0,
+                        self.clock,
+                        "batch.running",
+                        format_args!("node {} on {vsite_name}", node.0),
+                    );
+                    true
+                }
+                _ => false,
+            },
+            BatchStatus::Completed(c) => {
                 // Retroactive spans from the accounting record: the batch
                 // tier is clock-passive, so queue wait and run time are
                 // only knowable once the job has finished.
-                if let Some(a) = &acct {
-                    let parent = rt.trace;
-                    tel.emit("batch.queue", parent, a.submitted_at, a.started_at);
-                    tel.emit("batch.run", parent, a.started_at, a.ended_at);
+                if self.telemetry.is_enabled() {
+                    if let Some(a) = v.batch.accounting_for(batch_id) {
+                        let parent = rt.trace;
+                        self.telemetry
+                            .emit("batch.queue", parent, a.submitted_at, a.started_at);
+                        self.telemetry
+                            .emit("batch.run", parent, a.started_at, a.ended_at);
+                    }
                 }
-                let status = if c.is_success() {
-                    ActionStatus::Successful
-                } else {
-                    ActionStatus::NotSuccessful
-                };
+                let succeeded = c.is_success();
                 self.flight.record(
                     job.0,
                     self.clock,
                     "batch.exit",
-                    format!(
+                    format_args!(
                         "node {} exit code {}{}{}",
                         node.0,
                         c.exit_code,
@@ -403,18 +373,18 @@ impl Njs {
                         } else {
                             ""
                         },
-                        match std::str::from_utf8(&c.stderr) {
-                            Ok(s) if !s.trim().is_empty() =>
-                                format!(": {}", s.lines().next().unwrap_or("")),
-                            _ => String::new(),
-                        },
+                        StderrHead(&c.stderr),
                     ),
                 );
-                let outcome = TaskOutcome {
-                    status,
+                *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
+                    status: if succeeded {
+                        ActionStatus::Successful
+                    } else {
+                        ActionStatus::NotSuccessful
+                    },
                     exit_code: Some(c.exit_code),
-                    stdout: c.stdout.clone(),
-                    stderr: c.stderr.clone(),
+                    stdout: c.stdout,
+                    stderr: c.stderr,
                     bytes_staged: 0,
                     message: if c.timed_out {
                         "wall clock limit exceeded".into()
@@ -423,30 +393,26 @@ impl Njs {
                     },
                     // A failing exit ships the job's recent lifecycle
                     // with the result, so the JMC can explain the red.
-                    flight: if c.is_success() {
+                    flight: if succeeded {
                         Vec::new()
                     } else {
                         self.flight.trace(job.0)
                     },
-                };
-                let login = rt.user.login.clone();
-                *rt.node_outcome_mut(pos) = OutcomeNode::Task(outcome);
+                });
                 rt.states[pos] = NodeState::Terminal;
+                v.batch_owner.remove(&batch_id);
                 // Deposit output files into the job's Uspace.
                 let mut deposited: Vec<String> = Vec::new();
-                let v = &mut self.vsites[vsite];
-                v.batch_owner.remove(&batch_id);
-                let vspace = &mut v.vspace;
                 for (name, data) in c.output_files {
                     // Quota overflow turns the task's result into failure.
-                    if vspace.write_uspace_file(job, &name, data, &login).is_err() {
+                    let written = v.vspace.write_uspace_file(job, &name, data, &rt.user.login);
+                    if written.is_err() {
                         self.flight.record(
                             job.0,
                             self.clock,
                             "njs.quota",
-                            format!("node {}: output {name} exceeded job disk quota", node.0),
+                            format_args!("node {}: output {name} exceeded job disk quota", node.0),
                         );
-                        let rt = self.jobs.get_mut(&job).expect("job exists");
                         if let Some(t) = rt.task_outcome_mut(pos) {
                             t.status = ActionStatus::NotSuccessful;
                             t.message = "output exceeded job disk quota".into();
@@ -459,12 +425,12 @@ impl Njs {
                 self.log_terminal(job, pos, &deposited);
                 true
             }
-            Some(BatchStatus::Cancelled) => {
+            BatchStatus::Cancelled => {
                 self.flight.record(
                     job.0,
                     self.clock,
                     "batch.cancelled",
-                    format!("node {} on {}", node.0, self.vsites.names[vsite]),
+                    format_args!("node {} on {vsite_name}", node.0),
                 );
                 *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
                     status: ActionStatus::Killed,
@@ -473,11 +439,10 @@ impl Njs {
                     ..Default::default()
                 });
                 rt.states[pos] = NodeState::Terminal;
-                self.vsites[vsite].batch_owner.remove(&batch_id);
+                v.batch_owner.remove(&batch_id);
                 self.log_terminal(job, pos, &[]);
                 true
             }
-            None => false,
         }
     }
 
@@ -571,28 +536,34 @@ impl Njs {
                     match v.batch.submit(spec, now) {
                         Ok(batch_id) => {
                             v.batch_owner.insert(batch_id, job);
-                            let target = format!("{vsite_name}:{}", queue.name());
+                            let queue = queue.name();
                             self.flight.record(
                                 job.0,
                                 now,
                                 "njs.dispatch",
-                                format!("node {} -> {target}", node.0),
+                                format_args!("node {} -> {vsite_name}:{queue}", node.0),
                             );
+                            if self.journalling() {
+                                self.pending.push(&StoreEvent::JobIncarnated {
+                                    job,
+                                    node,
+                                    target: format!("{vsite_name}:{queue}"),
+                                    at: self.clock,
+                                });
+                            }
                             let rt = self.jobs.get_mut(&job).expect("job exists");
                             rt.states[pos] = NodeState::InBatch { vsite, batch_id };
                             if let Some(t) = rt.task_outcome_mut(pos) {
                                 t.status = ActionStatus::Queued;
                             }
-                            self.log_event(StoreEvent::JobIncarnated {
-                                job,
-                                node,
-                                target,
-                                at: self.clock,
-                            });
                         }
                         Err(e) => {
-                            self.flight
-                                .record(job.0, now, "njs.dispatch.error", e.to_string());
+                            self.flight.record(
+                                job.0,
+                                now,
+                                "njs.dispatch.error",
+                                format_args!("{e}"),
+                            );
                             let mut failed = TaskOutcome::failure(e.to_string());
                             failed.flight = self.flight.trace(job.0);
                             let rt = self.jobs.get_mut(&job).expect("job exists");
@@ -620,7 +591,7 @@ impl Njs {
                                     job.0,
                                     now,
                                     "njs.file.error",
-                                    format!("node {}: {}", node.0, o.message),
+                                    format_args!("node {}: {}", node.0, o.message),
                                 );
                                 o.flight = self.flight.trace(job.0);
                             }
@@ -677,7 +648,7 @@ impl Njs {
                     job.0,
                     now,
                     "njs.forward",
-                    format!("node {} -> shard {shard}", node.0),
+                    format_args!("node {} -> shard {shard}", node.0),
                 );
                 self.cross_send(CrossShardItem::ConsignChild {
                     parent: job,
@@ -740,7 +711,7 @@ impl Njs {
                 job.0,
                 now,
                 "njs.forward",
-                format!("node {} -> usite {dest_usite}", node.0),
+                format_args!("node {} -> usite {dest_usite}", node.0),
             );
             self.outbox.push(OutgoingItem::SubJob {
                 parent: job,
@@ -759,6 +730,20 @@ impl Njs {
                 target: format!("peer:{dest_usite}"),
                 at: self.clock,
             });
+        }
+    }
+}
+
+/// The first line of a batch job's stderr as it appears in the flight
+/// ring — `": <line>"`, or nothing when the stream is blank or not UTF-8.
+/// Only looked at when the ring is on.
+struct StderrHead<'a>(&'a [u8]);
+
+impl fmt::Display for StderrHead<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match std::str::from_utf8(self.0) {
+            Ok(s) if !s.trim().is_empty() => write!(f, ": {}", s.lines().next().unwrap_or("")),
+            _ => Ok(()),
         }
     }
 }

@@ -8,6 +8,7 @@
 //! log the user cannot reach.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::sync::{Arc, Mutex};
 use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
@@ -95,7 +96,11 @@ impl FlightRecorder {
     }
 
     /// Appends an event to `job`'s ring, evicting the oldest when full.
-    pub fn record(&self, job: u64, at: u64, what: &str, detail: impl Into<String>) {
+    ///
+    /// The detail arrives unformatted (`format_args!`): a disabled
+    /// recorder — every untraced run — returns before anything in it is
+    /// looked at, and an enabled one formats it once, into the event.
+    pub fn record(&self, job: u64, at: u64, what: &str, detail: fmt::Arguments<'_>) {
         if self.inner.capacity == 0 {
             return;
         }
@@ -107,7 +112,7 @@ impl FlightRecorder {
         ring.push_back(FlightEvent {
             at,
             what: what.to_string(),
-            detail: detail.into(),
+            detail: detail.to_string(),
         });
     }
 
@@ -150,7 +155,7 @@ mod tests {
     fn disabled_records_nothing() {
         let fr = FlightRecorder::disabled();
         assert!(!fr.is_enabled());
-        fr.record(1, 0, "njs.consign", "job 1");
+        fr.record(1, 0, "njs.consign", format_args!("job 1"));
         assert!(fr.trace(1).is_empty());
         assert_eq!(fr.jobs_tracked(), 0);
     }
@@ -159,7 +164,7 @@ mod tests {
     fn ring_keeps_most_recent_events() {
         let fr = FlightRecorder::bounded(3);
         for i in 0..5u64 {
-            fr.record(7, i * 10, "step", format!("event {i}"));
+            fr.record(7, i * 10, "step", format_args!("event {i}"));
         }
         let trace = fr.trace(7);
         assert_eq!(trace.len(), 3);
@@ -171,14 +176,162 @@ mod tests {
     #[test]
     fn rings_are_per_job_and_forgettable() {
         let fr = FlightRecorder::bounded(8);
-        fr.record(1, 0, "njs.consign", "a");
-        fr.record(2, 0, "njs.consign", "b");
+        fr.record(1, 0, "njs.consign", format_args!("a"));
+        fr.record(2, 0, "njs.consign", format_args!("b"));
         assert_eq!(fr.jobs_tracked(), 2);
         assert_eq!(fr.trace(1).len(), 1);
         fr.forget(1);
         assert!(fr.trace(1).is_empty());
         assert_eq!(fr.trace(2).len(), 1);
         assert_eq!(fr.jobs_tracked(), 1);
+    }
+
+    /// A value that counts how often it is formatted.
+    struct Counted<'a>(&'a std::cell::Cell<u32>, &'a str);
+
+    impl fmt::Display for Counted<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str(self.1)
+        }
+    }
+
+    #[test]
+    fn disabled_recorder_never_formats_the_detail() {
+        let calls = std::cell::Cell::new(0);
+        let off = FlightRecorder::disabled();
+        off.record(
+            1,
+            0,
+            "njs.dispatch",
+            format_args!("node {}", Counted(&calls, "3")),
+        );
+        assert_eq!(calls.get(), 0, "a disabled recorder looked at its detail");
+        // An enabled one formats it exactly once, into the event.
+        let on = FlightRecorder::bounded(4);
+        on.record(
+            1,
+            0,
+            "njs.dispatch",
+            format_args!("node {}", Counted(&calls, "3")),
+        );
+        assert_eq!(calls.get(), 1);
+        assert_eq!(on.trace(1)[0].detail, "node 3");
+        assert_eq!(on.trace(1).len(), 1);
+        assert_eq!(calls.get(), 1, "reading the ring formats nothing");
+    }
+
+    /// The text of every event the NJS records, spelled the way the NJS
+    /// spells it (`crates/njs/tests/flight_identity.rs` pins the same
+    /// strings through the engine): `what`, `detail`, and the event's DER.
+    #[test]
+    fn njs_event_text_is_pinned() {
+        let fr = FlightRecorder::bounded(DEFAULT_FLIGHT_CAPACITY);
+        let (node, vsite, queue, shard, usite) = (7u64, "T3E", "express", 2usize, "RUS");
+        let stderr = "solver: diverged\nbacktrace\n";
+        let head = stderr.lines().next().unwrap_or("");
+        let error = "submit script does not match this machine's batch dialect";
+        fr.record(9, 0, "njs.consign", format_args!("vsite {vsite}"));
+        fr.record(
+            9,
+            1,
+            "njs.dispatch",
+            format_args!("node {node} -> {vsite}:{queue}"),
+        );
+        fr.record(
+            9,
+            2,
+            "batch.running",
+            format_args!("node {node} on {vsite}"),
+        );
+        fr.record(
+            9,
+            3,
+            "batch.exit",
+            format_args!("node {node} exit code {}{}{}", 0, "", ""),
+        );
+        fr.record(
+            9,
+            4,
+            "batch.exit",
+            format_args!(
+                "node {node} exit code {}{}{}",
+                137,
+                " (wall clock limit exceeded)",
+                format_args!(": {head}")
+            ),
+        );
+        fr.record(
+            9,
+            5,
+            "batch.cancelled",
+            format_args!("node {node} on {vsite}"),
+        );
+        fr.record(
+            9,
+            6,
+            "njs.kill",
+            format_args!("node {node}: predecessor failed"),
+        );
+        fr.record(
+            9,
+            7,
+            "njs.quota",
+            format_args!("node {node}: output {} exceeded job disk quota", "big.dat"),
+        );
+        fr.record(9, 8, "njs.dispatch.error", format_args!("{error}"));
+        fr.record(
+            9,
+            9,
+            "njs.file.error",
+            format_args!("node {node}: {}", "file not found: /x"),
+        );
+        fr.record(
+            9,
+            10,
+            "njs.forward",
+            format_args!("node {node} -> shard {shard}"),
+        );
+        fr.record(
+            9,
+            11,
+            "njs.forward",
+            format_args!("node {node} -> usite {usite}"),
+        );
+        let text: Vec<String> = fr
+            .trace(9)
+            .iter()
+            .map(|e| format!("{} {} | {}", e.at, e.what, e.detail))
+            .collect();
+        assert_eq!(
+            text,
+            [
+                "0 njs.consign | vsite T3E",
+                "1 njs.dispatch | node 7 -> T3E:express",
+                "2 batch.running | node 7 on T3E",
+                "3 batch.exit | node 7 exit code 0",
+                "4 batch.exit | node 7 exit code 137 (wall clock limit exceeded): solver: diverged",
+                "5 batch.cancelled | node 7 on T3E",
+                "6 njs.kill | node 7: predecessor failed",
+                "7 njs.quota | node 7: output big.dat exceeded job disk quota",
+                "8 njs.dispatch.error | submit script does not match this machine's batch dialect",
+                "9 njs.file.error | node 7: file not found: /x",
+                "10 njs.forward | node 7 -> shard 2",
+                "11 njs.forward | node 7 -> usite RUS",
+            ]
+        );
+        // The event's DER is (at, what, detail) as UTF-8 strings, so the
+        // same text is the same outcome bytes.
+        assert_eq!(
+            fr.trace(9)[1].to_der(),
+            [
+                &[0x30, 0x28, 0x02, 0x01, 0x01, 0x0c, 0x0c][..],
+                b"njs.dispatch",
+                &[0x0c, 0x15],
+                b"node 7 -> T3E:express",
+            ]
+            .concat()
+        );
     }
 
     #[test]
