@@ -22,7 +22,7 @@
 use crate::grid::{AggregationTree, PlaneNode};
 use crate::protocol::{Body, Envelope, Request, Response};
 use crate::server::UnicoreServer;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use unicore_ajo::{
     AbstractJob, ControlOp, DetailLevel, GridView, JobId, JobOutcome, ServiceOutcome, SiteHealth,
     SiteStatus, UnreachableReason,
@@ -157,6 +157,97 @@ struct Inflight {
     attempt: u32,
 }
 
+/// The requests awaiting a response, with their retry deadlines also
+/// held as an ordered multiset: "when is the next retry due" and "is any
+/// due now" are asked on every `advance()`, and are answered from the
+/// multiset's minimum instead of a walk over every entry. Every write of
+/// an [`Inflight::deadline`] goes through this table, which is what
+/// keeps the two views equal.
+#[derive(Default)]
+struct InflightTable {
+    entries: HashMap<CorrKey, Inflight>,
+    /// `deadline → number of entries carrying it`.
+    deadlines: BTreeMap<SimTime, usize>,
+}
+
+impl InflightTable {
+    fn note_deadline(&mut self, deadline: SimTime) {
+        *self.deadlines.entry(deadline).or_default() += 1;
+    }
+
+    fn forget_deadline(&mut self, deadline: SimTime) {
+        let count = self.deadlines.get_mut(&deadline).expect("tracked deadline");
+        *count -= 1;
+        if *count == 0 {
+            self.deadlines.remove(&deadline);
+        }
+    }
+
+    fn insert(&mut self, key: CorrKey, entry: Inflight) {
+        self.note_deadline(entry.deadline);
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.forget_deadline(old.deadline);
+        }
+    }
+
+    fn remove(&mut self, key: &CorrKey) -> Option<Inflight> {
+        let entry = self.entries.remove(key)?;
+        self.forget_deadline(entry.deadline);
+        Some(entry)
+    }
+
+    fn get(&self, key: &CorrKey) -> Option<&Inflight> {
+        self.entries.get(key)
+    }
+
+    /// Drops every entry whose owner (the requesting site) fails `keep`.
+    fn retain_owners(&mut self, keep: impl Fn(&str) -> bool) {
+        let mut dropped = Vec::new();
+        self.entries.retain(|(owner, _), entry| {
+            let kept = keep(owner);
+            if !kept {
+                dropped.push(entry.deadline);
+            }
+            kept
+        });
+        for deadline in dropped {
+            self.forget_deadline(deadline);
+        }
+    }
+
+    /// Re-arms `key`: applies `update` to the entry (its retry budget and
+    /// attempt count) and moves its deadline to `deadline`.
+    fn rearm(&mut self, key: &CorrKey, deadline: SimTime, update: impl FnOnce(&mut Inflight)) {
+        let entry = self.entries.get_mut(key).expect("inflight entry");
+        let old = std::mem::replace(&mut entry.deadline, deadline);
+        update(entry);
+        self.forget_deadline(old);
+        self.note_deadline(deadline);
+    }
+
+    /// The earliest retry deadline.
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.deadlines.keys().next().copied()
+    }
+
+    /// Keys whose deadline has passed at `t`, in key order (so the
+    /// network's RNG draws replay identically run to run). Nothing is
+    /// scanned while the earliest deadline is still ahead.
+    fn due(&self, t: SimTime) -> Vec<CorrKey> {
+        if self.next_deadline().is_none_or(|first| first > t) {
+            return Vec::new();
+        }
+        let mut due: Vec<CorrKey> = self
+            .entries
+            .iter()
+            .filter(|(_, f)| f.deadline <= t)
+            .map(|(k, _)| k.clone())
+            .collect();
+        due.sort();
+        due
+    }
+}
+
 /// Receiver-side ledger of the sequence numbers seen from one origin
 /// node, distinguishing fresh deliveries from duplicates and late
 /// (reordered) arrivals, and yielding the cumulative ack piggybacked on
@@ -176,6 +267,15 @@ struct SeqTracker {
 impl SeqTracker {
     /// Records an arrival; returns `true` when the number is fresh.
     fn observe(&mut self, seq: u64) -> bool {
+        // In order with nothing waiting above the prefix — every arrival
+        // on a healthy link: the prefix grows by one, nothing to park.
+        // (`ahead` empty means `max_seen == contiguous`, so this is
+        // neither a duplicate nor a late arrival.)
+        if seq == self.contiguous + 1 && self.ahead.is_empty() {
+            self.contiguous = seq;
+            self.max_seen = seq;
+            return true;
+        }
         if seq <= self.contiguous || self.ahead.contains(&seq) {
             self.duplicates += 1;
             return false;
@@ -265,7 +365,7 @@ pub struct Federation {
     backoff_cap: SimTime,
     quarantine_after: u32,
     probe_interval: SimTime,
-    inflight: HashMap<CorrKey, Inflight>,
+    inflight: InflightTable,
     handled: HashMap<(String, String, u64), Response>,
     client_responses: HashMap<u64, Response>,
     next_client_corr: u64,
@@ -457,7 +557,7 @@ impl Federation {
             backoff_cap: config.backoff_cap,
             quarantine_after: config.quarantine_after,
             probe_interval: config.probe_interval,
-            inflight: HashMap::new(),
+            inflight: InflightTable::default(),
             handled: HashMap::new(),
             client_responses: HashMap::new(),
             next_client_corr: 1,
@@ -729,7 +829,7 @@ impl Federation {
         // The site's own outstanding requests died with its process, and
         // the federation-side response cache must not replay answers the
         // rebooted server will re-derive from its journal.
-        self.inflight.retain(|(owner, _), _| owner != usite);
+        self.inflight.retain_owners(|owner| owner != usite);
         self.push_corrs.retain(|(owner, _)| owner != usite);
         self.grid_relays.retain(|(owner, _), _| owner != usite);
         // The plane node dies with the process: its edge caches and
@@ -1115,9 +1215,7 @@ impl Federation {
         for server in self.servers.values() {
             next = min_opt(next, server.next_event_time());
         }
-        for f in self.inflight.values() {
-            next = min_opt(next, Some(f.deadline));
-        }
+        next = min_opt(next, self.inflight.next_deadline());
         if let Some((t, _)) = self.fault_events.front() {
             next = min_opt(next, Some(*t));
         }
@@ -1318,32 +1416,25 @@ impl Federation {
 
         // Retries, in deterministic key order so the network's RNG draws
         // replay identically run to run.
-        let mut due: Vec<CorrKey> = self
-            .inflight
-            .iter()
-            .filter(|(_, f)| f.deadline <= t)
-            .map(|(k, _)| k.clone())
-            .collect();
-        due.sort();
-        for key in due {
+        for key in self.inflight.due(t) {
             // A client whose grid-view query is still climbing the
             // aggregation tree is *in contact* — the relayed reply is
             // pending, not lost. Refresh its budget instead of erroring;
             // every relay hop has its own bounded budget (falling back
             // to a degraded subtree view), so this terminates.
+            let f = self.inflight.get(&key).expect("just collected");
             if key.0.is_empty()
-                && self.inflight[&key].retries_left == 0
+                && f.retries_left == 0
                 && self
                     .grid_relays
                     .values()
                     .any(|r| r.origin_node == self.workstation && r.origin_corr == key.1)
             {
-                let f = self.inflight.get_mut(&key).expect("just collected");
-                f.retries_left = self.max_retries;
-                f.deadline = t + self.retry_timeout;
+                let budget = self.max_retries;
+                self.inflight
+                    .rearm(&key, t + self.retry_timeout, |f| f.retries_left = budget);
                 continue;
             }
-            let f = self.inflight.get_mut(&key).expect("just collected");
             if f.retries_left == 0 {
                 // Retry budget exhausted: the peer is unreachable. Surface
                 // a synthetic error so the requester is not left hanging
@@ -1382,15 +1473,13 @@ impl Federation {
                 }
                 continue;
             }
-            f.retries_left -= 1;
-            f.attempt += 1;
-            let attempt = f.attempt;
+            let attempt = f.attempt + 1;
             let (src, dst, payload) = (f.src, f.dst, f.payload.clone());
             let delay = self.backoff_delay(&key, attempt);
-            self.inflight
-                .get_mut(&key)
-                .expect("just collected")
-                .deadline = t + delay;
+            self.inflight.rearm(&key, t + delay, |f| {
+                f.retries_left -= 1;
+                f.attempt = attempt;
+            });
             self.retries += 1;
             self.telemetry.counter("federation.retries").inc();
             self.send_with_handshake(src, dst, payload);
@@ -1647,33 +1736,36 @@ impl Federation {
                     self.handle_grid_query(site, origin, env.corr, &env.from_dn, t);
                     return;
                 }
-                let response = if let Some(cached) = self.handled.get(&dedupe_key) {
-                    cached.clone()
-                } else {
-                    let is_sync_consign = self.sync_corrs.contains(&env.corr)
-                        && origin == self.workstation
-                        && matches!(request, Request::Consign { .. });
-                    let resp = self
-                        .servers
-                        .get_mut(site)
-                        .expect("known site")
-                        .handle_request_traced(&env.from_dn, request, t, env.trace);
-                    self.handled.insert(dedupe_key, resp.clone());
-                    if is_sync_consign {
-                        if let Response::Consigned { job } = &resp {
-                            self.sync_watches.push(SyncWatch {
-                                usite: site.to_owned(),
-                                job: *job,
-                                corr: env.corr,
-                                client_node: origin,
-                                owner_dn: env.from_dn.clone(),
-                            });
+                let cached = self.handled.get(&dedupe_key).cloned();
+                let fresh = cached.is_none();
+                let response = match cached {
+                    Some(cached) => cached,
+                    None => {
+                        let is_sync_consign = self.sync_corrs.contains(&env.corr)
+                            && origin == self.workstation
+                            && matches!(request, Request::Consign { .. });
+                        let resp = self
+                            .servers
+                            .get_mut(site)
+                            .expect("known site")
+                            .handle_request_traced(&env.from_dn, request, t, env.trace);
+                        if is_sync_consign {
+                            if let Response::Consigned { job } = &resp {
+                                self.sync_watches.push(SyncWatch {
+                                    usite: site.to_owned(),
+                                    job: *job,
+                                    corr: env.corr,
+                                    client_node: origin,
+                                    owner_dn: env.from_dn.clone(),
+                                });
+                            }
+                            // The synchronous interaction stays open: no
+                            // response until the job finishes.
+                            self.handled.insert(dedupe_key, resp);
+                            return;
                         }
-                        // The synchronous interaction stays open: no
-                        // response until the job finishes.
-                        return;
+                        resp
                     }
-                    resp
                 };
                 let mut reply = Envelope {
                     corr: env.corr,
@@ -1687,6 +1779,12 @@ impl Federation {
                 self.stamp(src, origin, &mut reply);
                 let payload = Self::frame(src, &reply);
                 self.send_with_handshake(src, origin, payload);
+                // A fresh answer (a poll's whole outcome tree, say) goes
+                // into the at-most-once cache by move, now that the reply
+                // has been framed from it.
+                if let (true, Body::Response(response)) = (fresh, reply.body) {
+                    self.handled.insert(dedupe_key, response);
+                }
             }
             Body::Response(response) => {
                 let key = (site.to_owned(), env.corr);
@@ -1898,5 +1996,192 @@ fn min_opt(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, None) => x,
         (None, y) => y,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use unicore_crypto::CryptoRng;
+
+    /// The ledger as it was before the in-order fast path: every arrival
+    /// goes through the set.
+    #[derive(Default)]
+    struct ReferenceTracker {
+        contiguous: u64,
+        ahead: BTreeSet<u64>,
+        max_seen: u64,
+        duplicates: u64,
+        reordered: u64,
+    }
+
+    impl ReferenceTracker {
+        fn observe(&mut self, seq: u64) -> bool {
+            if seq <= self.contiguous || self.ahead.contains(&seq) {
+                self.duplicates += 1;
+                return false;
+            }
+            if seq < self.max_seen {
+                self.reordered += 1;
+            }
+            self.max_seen = self.max_seen.max(seq);
+            self.ahead.insert(seq);
+            while self.ahead.remove(&(self.contiguous + 1)) {
+                self.contiguous += 1;
+            }
+            true
+        }
+    }
+
+    fn ledger(t: &SeqTracker) -> (u64, u64, u64) {
+        (t.contiguous, t.duplicates, t.reordered)
+    }
+
+    #[test]
+    fn seq_tracker_in_order() {
+        let mut t = SeqTracker::default();
+        for seq in 1..=100 {
+            assert!(t.observe(seq));
+            assert!(t.ahead.is_empty(), "an in-order arrival parks nothing");
+        }
+        assert_eq!(ledger(&t), (100, 0, 0));
+        assert_eq!(t.max_seen, 100);
+    }
+
+    #[test]
+    fn seq_tracker_gap_then_fill() {
+        let mut t = SeqTracker::default();
+        assert!(t.observe(1));
+        assert!(t.observe(3));
+        assert!(t.observe(4));
+        assert_eq!(ledger(&t), (1, 0, 0), "the prefix waits for 2");
+        // 2 arrives after 3 and 4 overtook it: fresh, and counted late.
+        assert!(t.observe(2));
+        assert_eq!(ledger(&t), (4, 0, 1));
+        assert!(t.ahead.is_empty());
+        assert!(t.observe(5));
+        assert_eq!(ledger(&t), (5, 0, 1));
+    }
+
+    #[test]
+    fn seq_tracker_duplicates_below_and_above_the_prefix() {
+        let mut t = SeqTracker::default();
+        for seq in [1, 2, 5] {
+            assert!(t.observe(seq));
+        }
+        assert!(!t.observe(2), "below the prefix");
+        assert!(!t.observe(5), "parked above the prefix");
+        assert_eq!(ledger(&t), (2, 2, 0));
+        // The duplicate of a parked number does not fill the gap.
+        assert!(t.observe(3));
+        assert!(t.observe(4));
+        assert_eq!(ledger(&t), (5, 2, 2));
+        assert!(!t.observe(1));
+        assert_eq!(ledger(&t), (5, 3, 2));
+    }
+
+    #[test]
+    fn seq_tracker_matches_the_set_only_ledger_on_random_arrivals() {
+        for seed in 0..200u64 {
+            let mut rng = CryptoRng::from_u64(seed);
+            // 1..=n shuffled by a bounded displacement (how a WAN
+            // reorders), with repeats sprinkled in.
+            let n = 1 + rng.next_u64() % 60;
+            let mut arrivals: Vec<u64> = (1..=n).collect();
+            let reach = 1 + (rng.next_u64() % 8) as usize;
+            for i in 0..arrivals.len() {
+                let j = (i + (rng.next_u64() as usize) % reach).min(arrivals.len() - 1);
+                arrivals.swap(i, j);
+            }
+            for _ in 0..rng.next_u64() % 20 {
+                let at = (rng.next_u64() as usize) % (arrivals.len() + 1);
+                arrivals.insert(at, 1 + rng.next_u64() % (n + 2));
+            }
+            let mut fast = SeqTracker::default();
+            let mut reference = ReferenceTracker::default();
+            for &seq in &arrivals {
+                assert_eq!(
+                    fast.observe(seq),
+                    reference.observe(seq),
+                    "seed {seed}: {seq} in {arrivals:?}"
+                );
+                assert_eq!(
+                    (ledger(&fast), fast.max_seen, &fast.ahead),
+                    (
+                        (
+                            reference.contiguous,
+                            reference.duplicates,
+                            reference.reordered
+                        ),
+                        reference.max_seen,
+                        &reference.ahead
+                    ),
+                    "seed {seed}: after {seq} in {arrivals:?}"
+                );
+            }
+        }
+    }
+
+    fn entry(deadline: SimTime) -> Inflight {
+        Inflight {
+            src: NodeId(0),
+            dst: NodeId(1),
+            dest_site: "B".into(),
+            payload: Vec::new(),
+            deadline,
+            retries_left: 3,
+            attempt: 0,
+        }
+    }
+
+    /// What the multiset must equal: a walk over every entry.
+    fn scanned(table: &InflightTable, t: SimTime) -> (Option<SimTime>, Vec<CorrKey>) {
+        let next = table.entries.values().map(|f| f.deadline).min();
+        let mut due: Vec<CorrKey> = table
+            .entries
+            .iter()
+            .filter(|(_, f)| f.deadline <= t)
+            .map(|(k, _)| k.clone())
+            .collect();
+        due.sort();
+        (next, due)
+    }
+
+    #[test]
+    fn inflight_deadlines_follow_every_writer() {
+        let mut table = InflightTable::default();
+        assert_eq!(table.next_deadline(), None);
+        assert!(table.due(SimTime::MAX).is_empty());
+        let mut rng = CryptoRng::from_u64(7);
+        let owners = ["", "A", "B"];
+        for round in 0..2_000u64 {
+            let key = (
+                owners[(rng.next_u64() % 3) as usize].to_owned(),
+                rng.next_u64() % 12,
+            );
+            // Few distinct deadlines, so the multiset holds real repeats.
+            let deadline = rng.next_u64() % 6;
+            match rng.next_u64() % 5 {
+                0 | 1 => table.insert(key, entry(deadline)), // also replaces
+                2 => {
+                    table.remove(&key);
+                }
+                3 if table.get(&key).is_some() => {
+                    table.rearm(&key, deadline, |f| f.attempt += 1);
+                }
+                3 => {}
+                _ if round % 50 == 0 => table.retain_owners(|owner| owner != key.0),
+                _ => {}
+            }
+            let t = rng.next_u64() % 7;
+            assert_eq!((table.next_deadline(), table.due(t)), scanned(&table, t));
+            assert_eq!(
+                table.deadlines.values().sum::<usize>(),
+                table.entries.len(),
+                "one multiset element per entry"
+            );
+        }
+        table.retain_owners(|_| false);
+        assert!(table.deadlines.is_empty() && table.entries.is_empty());
     }
 }
