@@ -21,8 +21,22 @@ impl fmt::Display for ActionId {
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
+    /// `J` and the number zero-padded to at least eight digits
+    /// (`J00000042`), as `write!(f, "J{:08}", n)` would print it — laid
+    /// out by hand, because every incarnated script names its job and the
+    /// padding machinery costs more than the rest of that line.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "J{:08}", self.0)
+        let mut text = [b'0'; 21]; // 'J' + the 20 digits of u64::MAX
+        let mut at = text.len();
+        let mut n = self.0;
+        while n > 0 {
+            at -= 1;
+            text[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        at = at.min(text.len() - 8) - 1;
+        text[at] = b'J';
+        f.write_str(core::str::from_utf8(&text[at..]).expect("ASCII"))
     }
 }
 
@@ -125,6 +139,19 @@ mod tests {
         assert_eq!(ActionId(3).to_string(), "a3");
         assert_eq!(JobId(42).to_string(), "J00000042");
         assert_eq!(VsiteAddress::new("FZJ", "T3E").to_string(), "FZJ/T3E");
+    }
+
+    #[test]
+    fn job_id_prints_as_the_padded_format_would() {
+        let mut n = 1u64;
+        let mut samples = vec![0, 7, 42, 99_999_999, 100_000_000, u64::MAX];
+        while n < u64::MAX / 11 {
+            samples.extend([n - 1, n, n + 1]);
+            n = n * 10 + n % 7;
+        }
+        for n in samples {
+            assert_eq!(JobId(n).to_string(), format!("J{n:08}"));
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Batch job specifications and results.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use unicore_sim::SimTime;
 
 /// Identifies a job within one batch system.
@@ -11,6 +13,36 @@ impl core::fmt::Display for BatchJobId {
         write!(f, "b{}", self.0)
     }
 }
+
+/// Hasher for maps keyed by ids a process hands out itself — batch job
+/// ids here, job ids in the NJS: one multiply and a fold instead of
+/// SipHash. Such keys are small integers allocated locally, never chosen
+/// by a peer, so there is no flooding to resist, and the supervisor's
+/// step loop looks them up several times per visit.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Strided ids (shard k of N hands out k+1, k+1+N, …) share their
+        // low bits; folding the product's high half in spreads them.
+        let x = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by locally allocated ids (see [`IdHasher`]).
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// What the job *actually* does when it runs — the simulator's stand-in for
 /// real computation. The NJS fills this in during incarnation; the batch
@@ -206,6 +238,29 @@ impl AccountingRecord {
 mod tests {
     use super::*;
     use unicore_sim::SEC;
+
+    #[test]
+    fn id_hasher_spreads_dense_and_strided_ids() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        // A table of 2^10 buckets is addressed by the low 10 bits, the
+        // control bytes by the top 7: both must vary for ids 1, 2, 3, …
+        // and for one shard's stride-8 ids 3, 11, 19, … (1024 random
+        // hashes would land in about 647 distinct buckets).
+        for stride in [1u64, 8, 64] {
+            let hashes: Vec<u64> = (0..1024)
+                .map(|i| build.hash_one(BatchJobId(3 + i * stride)))
+                .collect();
+            let low: std::collections::HashSet<u64> = hashes.iter().map(|h| h & 1023).collect();
+            let top: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            assert!(
+                low.len() > 512,
+                "stride {stride}: {} of 1024 buckets",
+                low.len()
+            );
+            assert_eq!(top.len(), 128, "stride {stride}");
+        }
+    }
 
     #[test]
     fn work_model_constructors() {

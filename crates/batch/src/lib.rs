@@ -21,7 +21,8 @@ pub mod system;
 pub mod workload;
 
 pub use job::{
-    AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, QueueClass, WorkModel,
+    AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, IdHasher, IdMap,
+    QueueClass, WorkModel,
 };
 pub use script::{
     directive_prefix, memory_directive, processors_directive, script_matches_dialect,

@@ -10,10 +10,9 @@
 //! drive many batch systems and a network from a single event loop.
 
 use crate::job::{
-    AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, QueueClass,
+    AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, IdMap, QueueClass,
 };
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use unicore_resources::Architecture;
 use unicore_sim::SimTime;
 use unicore_telemetry::{Counter, Histogram, Telemetry};
@@ -112,7 +111,7 @@ pub struct BatchSystem {
     next_id: u64,
     queue: Vec<QueuedEntry>,
     running: Vec<RunningEntry>,
-    statuses: HashMap<BatchJobId, BatchStatus>,
+    statuses: IdMap<BatchJobId, BatchStatus>,
     /// Ids whose status changed since the last [`BatchSystem::drain_changes`],
     /// in change order (an id appears once per change).
     changed: Vec<BatchJobId>,
@@ -157,7 +156,7 @@ impl BatchSystem {
             next_id: 1,
             queue: Vec::new(),
             running: Vec::new(),
-            statuses: HashMap::new(),
+            statuses: IdMap::default(),
             changed: Vec::new(),
             accounting: Vec::new(),
             busy_node_ticks: 0,

@@ -38,7 +38,7 @@ use unicore_ajo::{
     AbstractJob, ActionId, DependencyIndex, JobId, JobOutcome, MonitorReport, OutcomeNode,
     TaskOutcome, VsiteAddress, VsiteHealth,
 };
-use unicore_batch::{BatchJobId, BatchSystem};
+use unicore_batch::{BatchJobId, BatchSystem, IdMap};
 use unicore_dataplane::{ReceiverState, TransferKey};
 use unicore_gateway::MappedUser;
 use unicore_resources::ResourcePage;
@@ -65,7 +65,7 @@ pub struct VsiteRuntime {
     /// Owner index: which job each in-flight batch job belongs to, so a
     /// drained [`BatchSystem`] status change wakes exactly that job.
     /// Entries live from submit until the node goes terminal.
-    batch_owner: HashMap<BatchJobId, JobId>,
+    batch_owner: IdMap<BatchJobId, JobId>,
 }
 
 /// The Vsites of one NJS in registration order. Inside the engine a
@@ -292,7 +292,7 @@ impl JobRuntime {
 pub struct Njs {
     usite: String,
     vsites: Vsites,
-    jobs: HashMap<JobId, JobRuntime>,
+    jobs: IdMap<JobId, JobRuntime>,
     /// Live jobs in consign order — which is ascending id order, since
     /// ids are allocated monotonically (and replayed in journal order).
     job_order: Vec<JobId>,
@@ -409,7 +409,7 @@ impl Njs {
         Njs {
             usite: usite.into(),
             vsites: Vsites::default(),
-            jobs: HashMap::new(),
+            jobs: IdMap::default(),
             job_order: Vec::new(),
             wake: BTreeSet::new(),
             newly_done: Vec::new(),
@@ -708,7 +708,7 @@ impl Njs {
                 vspace: Vspace::new(),
                 table,
                 page,
-                batch_owner: HashMap::new(),
+                batch_owner: IdMap::default(),
             },
         );
     }

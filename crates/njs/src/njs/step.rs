@@ -447,16 +447,18 @@ impl Njs {
     }
 
     fn poll_child_node(&mut self, job: JobId, pos: usize, child: JobId) -> bool {
-        let (done, child_outcome) = match self.jobs.get(&child) {
-            Some(c) if c.done => (true, c.outcome.clone()),
-            Some(c) => (false, c.outcome.clone()),
-            None => return false,
+        // The child's tree is copied into the parent's only when the
+        // mirror is out of date; a poll that finds it current copies nothing.
+        let Some(c) = self.jobs.get(&child) else {
+            return false;
         };
+        let mirror = self.jobs.get(&job).expect("job exists").node_outcome(pos);
+        let changed = !matches!(mirror, OutcomeNode::Job(j) if *j == c.outcome);
+        let done = c.done;
+        let fresh = changed.then(|| OutcomeNode::Job(c.outcome.clone()));
         let rt = self.jobs.get_mut(&job).expect("job exists");
-        let slot = rt.node_outcome_mut(pos);
-        let changed = !matches!(slot, OutcomeNode::Job(j) if *j == child_outcome);
-        if changed {
-            *slot = OutcomeNode::Job(child_outcome);
+        if let Some(fresh) = fresh {
+            *rt.node_outcome_mut(pos) = fresh;
         }
         if done {
             rt.states[pos] = NodeState::Terminal;

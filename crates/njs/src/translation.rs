@@ -107,15 +107,29 @@ impl TranslationTable {
     }
 
     /// Writes the job's working directory onto `out`: the template with
-    /// every `{job}` replaced by `job` (what `job` prints as is never
-    /// looked at again, so a job name may itself contain `{job}`).
+    /// every `{job}` replaced by `job`, left to right (what `job` prints
+    /// as is never looked at again, so a job name may itself contain
+    /// `{job}`). A placeholder can only start at a `{`, so those are the
+    /// only places examined.
     fn write_workdir(&self, out: &mut String, job: impl Display) {
-        let mut pieces = self.workdir_template.split("{job}");
-        out.push_str(pieces.next().unwrap_or(""));
-        for piece in pieces {
-            let _ = write!(out, "{job}");
-            out.push_str(piece);
+        const PLACEHOLDER: &str = "{job}";
+        let mut rest = self.workdir_template.as_str();
+        while let Some(brace) = rest.find('{') {
+            let (before, from_brace) = rest.split_at(brace);
+            out.push_str(before);
+            match from_brace.strip_prefix(PLACEHOLDER) {
+                Some(after) => {
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(out, "{job}");
+                    rest = after;
+                }
+                None => {
+                    out.push('{');
+                    rest = &from_brace[1..];
+                }
+            }
         }
+        out.push_str(rest);
     }
 }
 
@@ -445,5 +459,31 @@ mod tests {
     fn workdir_substitution() {
         let t = TranslationTable::for_architecture(Architecture::Generic);
         assert_eq!(t.workdir("J00000007"), "/unicore/uspace/J00000007");
+    }
+
+    #[test]
+    fn workdir_substitution_is_str_replace() {
+        let mut t = TranslationTable::for_architecture(Architecture::Generic);
+        for template in [
+            "",
+            "{job}",
+            "{job}{job}",
+            "/a/{job}/b/{job}",
+            "/no/placeholder",
+            "/stray/{x}/{job",
+            "{{job}}",
+            "{jo{job}b}",
+            "/tail/{",
+            "/ünï/{job}/{",
+        ] {
+            t.workdir_template = template.into();
+            for job in ["J1", "{job}", "", "{"] {
+                assert_eq!(
+                    t.workdir(job),
+                    template.replace("{job}", job),
+                    "{template:?}"
+                );
+            }
+        }
     }
 }
