@@ -92,9 +92,9 @@ fn fan16() -> AbstractJob {
     job
 }
 
-/// Steps at every batch event until `job` is done; returns the time.
-fn run(njs: &mut Njs, job: JobId) -> SimTime {
-    let mut now: SimTime = 0;
+/// Steps at every batch event from `now` until `job` is done; returns
+/// the time it finished.
+fn run_from(njs: &mut Njs, job: JobId, mut now: SimTime) -> SimTime {
     njs.step(now);
     while !njs.is_done(job) {
         now = njs.next_event_time().expect("work pending").max(now + 1);
@@ -102,6 +102,10 @@ fn run(njs: &mut Njs, job: JobId) -> SimTime {
         assert!(now < 10 * HOUR, "job {job} never finished");
     }
     now
+}
+
+fn run(njs: &mut Njs, job: JobId) -> SimTime {
+    run_from(njs, job, 0)
 }
 
 /// A producer, a consumer of its file, and a failing task whose
@@ -268,15 +272,6 @@ fn node_ids_the_job_does_not_have_are_refused() {
     assert!(!njs.control(id, ControlOp::Abort, DN, HOUR).unwrap());
     assert!(njs.control(JobId(77), ControlOp::Abort, DN, HOUR).is_err());
     assert_eq!(mem.append_count(), appends);
-}
-
-fn run_from(njs: &mut Njs, job: JobId, mut now: SimTime) {
-    njs.step(now);
-    while !njs.is_done(job) {
-        now = njs.next_event_time().expect("work pending").max(now + 1);
-        njs.step(now);
-        assert!(now < 10 * HOUR, "job {job} never finished");
-    }
 }
 
 #[test]
