@@ -208,8 +208,9 @@ impl Njs {
     }
 
     /// The files named on `node`'s outgoing dependency edges — what a
-    /// finished child must hand back to the parent's Uspace. Mirrors the
-    /// in-shard `poll_child_node` pull set, deduplicated in edge order.
+    /// finished child must hand back to the parent's Uspace, whether the
+    /// child ran in this shard (`poll_child_node` pulls them), on a sibling
+    /// shard or at a peer Usite. Deduplicated in edge order.
     pub(crate) fn edge_return_files(&self, job: JobId, node: ActionId) -> Vec<String> {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
