@@ -60,6 +60,13 @@ impl DerWriter {
         self.out
     }
 
+    /// Makes room for `additional` more bytes, so a caller about to write
+    /// a large body it knows the size of gets one allocation instead of
+    /// the buffer growing under it.
+    pub fn reserve(&mut self, additional: usize) {
+        self.out.reserve(additional);
+    }
+
     /// BOOLEAN.
     pub fn bool(&mut self, b: bool) {
         self.out

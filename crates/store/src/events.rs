@@ -78,10 +78,18 @@ impl DerCodec for ForeignOrigin {
 
 /// SEQUENCE OF `(name, contents)`; the contents are written straight from
 /// wherever the caller holds them (an owned event, or the Uspace itself).
+///
+/// Room for the whole list is made before its first entry is written: a
+/// record carrying megabytes of file contents is then allocated at its
+/// final size. Per entry that is its bytes, under 32 octets of TLV
+/// headers, and a share of what a record writes after the list (a
+/// timestamp, the long-form lengths owed by the enclosing levels).
 pub(crate) fn write_files<'a>(
     w: &mut DerWriter,
-    files: impl IntoIterator<Item = (&'a str, &'a [u8])>,
+    files: impl IntoIterator<Item = (&'a str, &'a [u8]), IntoIter: Clone>,
 ) {
+    let files = files.into_iter();
+    w.reserve(files.clone().map(|(n, d)| n.len() + d.len() + 96).sum());
     w.sequence_of(files, |w, (name, data)| write_file_entry(w, name, data));
 }
 
@@ -93,7 +101,7 @@ fn write_file_entry(w: &mut DerWriter, name: &str, data: &[u8]) {
     });
 }
 
-fn owned_files(files: &[(String, Vec<u8>)]) -> impl Iterator<Item = (&str, &[u8])> {
+fn owned_files(files: &[(String, Vec<u8>)]) -> impl Iterator<Item = (&str, &[u8])> + Clone {
     files.iter().map(|(n, d)| (n.as_str(), d.as_slice()))
 }
 
@@ -330,7 +338,7 @@ pub(crate) fn write_task_state<'a>(
     job: JobId,
     node: ActionId,
     outcome: impl FnOnce(&mut DerWriter),
-    files: impl IntoIterator<Item = (&'a str, &'a [u8])>,
+    files: impl IntoIterator<Item = (&'a str, &'a [u8]), IntoIter: Clone>,
     at: u64,
 ) {
     w.tagged(TAG_TASK_STATE, |w| {
@@ -380,6 +388,7 @@ pub(crate) fn write_transfer_chunk(
             w.u64(origin_job.0);
             w.u64(origin_node.0);
             w.u64(index);
+            w.reserve(data.len() + 64);
             w.bytes(data);
             w.u64(at);
         })

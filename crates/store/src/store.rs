@@ -76,7 +76,7 @@ impl EventBatch {
         job: JobId,
         node: ActionId,
         outcome: &impl DerCodec,
-        files: impl IntoIterator<Item = (&'a str, &'a [u8])>,
+        files: impl IntoIterator<Item = (&'a str, &'a [u8]), IntoIter: Clone>,
         at: u64,
     ) {
         let outcome = |w: &mut DerWriter| w.octets_of(|w| outcome.write_der(w));
@@ -328,7 +328,7 @@ impl EventStore {
             let name = snapshot_name(snap);
             let data = self.backend.read(&name)?;
             for payload in scan_segment(&name, &data, false)?.payloads {
-                events.push(StoreEvent::from_der(&payload)?);
+                events.push(StoreEvent::from_der(payload)?);
             }
         }
         let segments = self.live_segments()?;
@@ -339,7 +339,7 @@ impl EventStore {
             let data = self.backend.read(&name)?;
             let scan = scan_segment(&name, &data, newest)?;
             for payload in scan.payloads {
-                events.push(StoreEvent::from_der(&payload)?);
+                events.push(StoreEvent::from_der(payload)?);
             }
             torn_tail |= scan.torn;
         }

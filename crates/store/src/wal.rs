@@ -86,11 +86,11 @@ pub fn decode_record(buf: &[u8]) -> Decoded<'_> {
     }
 }
 
-/// The payloads recovered from one segment.
+/// The payloads recovered from one segment, borrowed from its bytes.
 #[derive(Debug)]
-pub struct SegmentScan {
+pub struct SegmentScan<'a> {
     /// Verified record payloads, in append order.
-    pub payloads: Vec<Vec<u8>>,
+    pub payloads: Vec<&'a [u8]>,
     /// Whether the segment ended in a torn or corrupt record.
     pub torn: bool,
 }
@@ -100,17 +100,17 @@ pub struct SegmentScan {
 /// `allow_torn_tail` is true only for the newest segment: damage there is
 /// treated as the crash residue and scanning stops cleanly. In any older
 /// segment (or a snapshot) damage is a hard [`StoreError::Corrupt`].
-pub fn scan_segment(
+pub fn scan_segment<'a>(
     name: &str,
-    data: &[u8],
+    data: &'a [u8],
     allow_torn_tail: bool,
-) -> Result<SegmentScan, StoreError> {
+) -> Result<SegmentScan<'a>, StoreError> {
     let mut payloads = Vec::new();
     let mut offset = 0;
     while offset < data.len() {
         match decode_record(&data[offset..]) {
             Decoded::Record { payload, consumed } => {
-                payloads.push(payload.to_vec());
+                payloads.push(payload);
                 offset += consumed;
             }
             Decoded::Incomplete => {
