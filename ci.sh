@@ -48,6 +48,14 @@ cargo test -q --offline --manifest-path gridbench/Cargo.toml
 echo "==> golden journal: WAL segments + outcomes pinned; journal format: a checked-in pre-by-reference journal recovers and compacts, compaction == replay, manifest mismatches fail closed"
 cargo test -q --offline -p unicore-integration-tests --test golden --test journal_format
 
+echo "==> bulk identity: a two-site 1 MiB + 5 B transfer pinned (outcome, delivered file, both journals, append counts); bytes in flight survive an overwrite and a purge; local copies byte-equal; the oracle's byte rule"
+cargo test -q --offline -p unicore-integration-tests --test bulk_identity
+
+echo "==> file contents are shared, not copied: no .data.clone(), .data.to_vec() or read_for_transfer(..).to_vec() in the NJS, the Uspace or the server outside lines tagged '// wire: Vec<u8> field' (offenders are listed)"
+if grep -rnE '\.data\.(clone|to_vec)\(\)|read(_entry)?_for_transfer\(.*\.to_vec\(\)' crates/njs/src crates/uspace/src crates/core/src/server.rs | grep -v '// wire: Vec<u8> field'; then
+    exit 1
+fi
+
 echo "==> incarnation golden: script text pinned for 5 architectures x 5 execute bodies x 2 queues, directive lines == the dialect module's spelling, every script matches its own dialect only"
 cargo test -q --offline -p unicore-njs --test incarnation_golden
 
