@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 use unicore_sim::SimTime;
 
 /// Identifies a job within one batch system.
@@ -59,8 +60,9 @@ pub struct WorkModel {
     /// Standard error produced.
     pub stderr: Vec<u8>,
     /// Files the job writes into its working directory (Uspace), as
-    /// `(name, content)` pairs.
-    pub output_files: Vec<(String, Vec<u8>)>,
+    /// `(name, content)` pairs. The content is allocated once here and
+    /// shared from the result into the Uspace and onwards.
+    pub output_files: Vec<(String, Arc<[u8]>)>,
 }
 
 impl WorkModel {
@@ -187,7 +189,7 @@ pub struct CompletedJob {
     /// Captured stderr.
     pub stderr: Vec<u8>,
     /// Output files declared by the work model (empty if killed).
-    pub output_files: Vec<(String, Vec<u8>)>,
+    pub output_files: Vec<(String, Arc<[u8]>)>,
     /// When it started.
     pub started_at: SimTime,
     /// When it ended.

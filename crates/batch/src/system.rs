@@ -651,7 +651,7 @@ mod tests {
         let mut m = machine(4);
         let mut producing = spec("out", 4, 10 * SEC, 5 * SEC);
         producing.work.stdout = b"done\n".to_vec();
-        producing.work.output_files = vec![("out.dat".into(), vec![7; 32])];
+        producing.work.output_files = vec![("out.dat".into(), vec![7; 32].into())];
         let running = m.submit(producing, 0).unwrap();
         let queued = m.submit(spec("wait", 4, 10 * SEC, 5 * SEC), 0).unwrap();
         // Live jobs are reported and stay.
@@ -665,7 +665,7 @@ mod tests {
             panic!("not completed");
         };
         assert_eq!(c.stdout, b"done\n");
-        assert_eq!(c.output_files, [("out.dat".to_owned(), vec![7; 32])]);
+        assert_eq!(c.output_files, [("out.dat".to_owned(), vec![7; 32].into())]);
         assert_eq!(m.status(running), None);
         assert_eq!(m.collect(running), None);
         assert_eq!(m.accounting_for(running).unwrap().ended_at, 5 * SEC);

@@ -104,7 +104,7 @@ enum TransferPhase {
 /// Sender-side state of one outbound chunked transfer.
 struct OutboundTransfer {
     dest: String,
-    manifest: TransferManifest,
+    /// Holds the file and the transfer's one manifest.
     sender: SenderState,
     phase: TransferPhase,
     attempts: u32,
@@ -932,7 +932,7 @@ impl UnicoreServer {
                     };
                     self.dp.chunks_acked.inc();
                     let to_send = tr.sender.on_ack(upto);
-                    let (bytes, total) = (tr.sender.bytes_acked(), tr.manifest.total_len);
+                    let (bytes, total) = (tr.sender.bytes_acked(), tr.sender.manifest().total_len);
                     self.njs.note_transfer_progress(job, node, bytes, total);
                     if done {
                         self.finish_transfer(job, node, None);
@@ -1119,13 +1119,11 @@ impl UnicoreServer {
                     };
                     span.attr("dest", &manifest.to_vsite.usite);
                     span.attr("file", &manifest.dest_name);
-                    let sender = SenderState::new(manifest.clone(), data, DEFAULT_WINDOW);
                     self.transfers.insert(
                         (from_job, node),
                         OutboundTransfer {
                             dest: manifest.to_vsite.usite.clone(),
-                            manifest,
-                            sender,
+                            sender: SenderState::new(manifest, data, DEFAULT_WINDOW),
                             phase: TransferPhase::Offering,
                             attempts: 0,
                             span,
@@ -1151,7 +1149,11 @@ impl UnicoreServer {
             let outcome = self.njs.outcome(job).cloned().unwrap_or_default();
             let return_files = {
                 let f = self.foreign.get(&job).expect("checked above");
-                self.njs.collect_return_files(job, &f.return_files)
+                self.njs
+                    .collect_return_files(job, &f.return_files)
+                    .into_iter()
+                    .map(|(name, data)| (name, data.to_vec())) // wire: Vec<u8> field
+                    .collect()
             };
             let trace = self.njs.trace_of(job);
             let f = self.foreign.get_mut(&job).expect("checked above");
@@ -1190,7 +1192,7 @@ impl UnicoreServer {
         let Some(tr) = self.transfers.get(&(job, node)) else {
             return;
         };
-        let (dest, manifest) = (tr.dest.clone(), tr.manifest.clone());
+        let (dest, manifest) = (tr.dest.clone(), tr.sender.manifest().clone());
         let corr = self.next_corr;
         self.next_corr += 1;
         self.pending
@@ -1209,9 +1211,9 @@ impl UnicoreServer {
         let Some(tr) = self.transfers.get(&(job, node)) else {
             return;
         };
-        let data = tr.sender.chunk_payload(index);
+        let data = tr.sender.chunk(index).to_vec(); // wire: Vec<u8> field
         let dest = tr.dest.clone();
-        let origin = tr.manifest.origin.clone();
+        let origin = tr.sender.manifest().origin.clone();
         self.dp.chunks_sent.inc();
         self.dp.bytes_sent.add(data.len() as u64);
         let corr = self.next_corr;
@@ -1244,7 +1246,7 @@ impl UnicoreServer {
                 self.dp.transfers_completed.inc();
                 TaskOutcome {
                     status: ActionStatus::Successful,
-                    bytes_staged: tr.manifest.total_len,
+                    bytes_staged: tr.sender.manifest().total_len,
                     ..Default::default()
                 }
             }

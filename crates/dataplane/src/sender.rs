@@ -77,9 +77,14 @@ impl SenderState {
         out
     }
 
-    /// The payload bytes of chunk `index`.
+    /// The payload bytes of chunk `index`, borrowed from the file.
+    pub fn chunk(&self, index: u64) -> &[u8] {
+        &self.data[self.manifest.chunk_range(index)]
+    }
+
+    /// An owned copy of [`Self::chunk`].
     pub fn chunk_payload(&self, index: u64) -> Vec<u8> {
-        self.data[self.manifest.chunk_range(index)].to_vec()
+        self.chunk(index).to_vec()
     }
 
     /// Whether every chunk has been acked.
@@ -164,5 +169,17 @@ mod tests {
     fn payload_matches_range() {
         let s = sender(25, 10, 4);
         assert_eq!(s.chunk_payload(2), vec![20, 21, 22, 23, 24]);
+        assert_eq!(s.chunk(2), [20, 21, 22, 23, 24]);
+    }
+
+    /// The sender slices the allocation it was given: no chunk is a copy.
+    #[test]
+    fn chunks_borrow_the_file() {
+        let s = sender(25, 10, 4);
+        let held = s.data.clone();
+        for i in 0..3 {
+            let range = s.manifest().chunk_range(i);
+            assert!(std::ptr::eq(s.chunk(i), &held[range]));
+        }
     }
 }

@@ -40,7 +40,7 @@ impl Njs {
         let portfolio: HashMap<String, Arc<[u8]>> = job
             .portfolio
             .iter()
-            .map(|p| (p.name.clone(), p.data.clone()))
+            .map(|p| (p.name.clone(), Arc::clone(&p.data)))
             .collect();
         self.consign_internal(job, user, Arc::new(portfolio), Vec::new(), None, now, meta)
     }
@@ -67,21 +67,15 @@ impl Njs {
         // Peer-forwarded job groups carry their staged files as portfolio;
         // stage every portfolio file into the Uspace directly (files flow
         // along dependency edges, not via Import tasks). The payloads are
-        // moved out of the AJO, not copied — one clone remains because the
-        // journal (staged) and the runtime (portfolio) each own the bytes.
+        // moved out of the AJO and shared by the Uspace and the runtime
+        // map; only the journal's staged record takes a copy of its own.
         job.validate()?;
         let mut job = job;
-        let shared: Vec<(String, Arc<[u8]>)> = std::mem::take(&mut job.portfolio)
+        let staged: Vec<(String, Arc<[u8]>)> = std::mem::take(&mut job.portfolio)
             .into_iter()
             .map(|p| (p.name, p.data))
             .collect();
-        // The journal's staged record owns its bytes (the WAL cannot hold
-        // refcounts); the runtime map shares the AJO payloads for free.
-        let staged: Vec<(String, Vec<u8>)> = shared
-            .iter()
-            .map(|(n, d)| (n.clone(), d.to_vec()))
-            .collect();
-        let portfolio: HashMap<String, Arc<[u8]>> = shared.into_iter().collect();
+        let portfolio: HashMap<String, Arc<[u8]>> = staged.iter().cloned().collect();
         self.consign_internal(job, user, Arc::new(portfolio), staged, None, now, meta)
     }
 
@@ -91,7 +85,7 @@ impl Njs {
         job: AbstractJob,
         user: MappedUser,
         portfolio: Arc<HashMap<String, Arc<[u8]>>>,
-        staged: Vec<(String, Vec<u8>)>,
+        staged: Vec<(String, Arc<[u8]>)>,
         parent: Option<(JobId, ActionId)>,
         now: SimTime,
         meta: ConsignMeta,
@@ -146,7 +140,7 @@ impl Njs {
         let vspace = &mut self.vsites[vsite].vspace;
         vspace.create_uspace(id, quota)?;
         for (name, data) in &staged {
-            vspace.write_uspace_file(id, name, data.clone(), &user.login)?;
+            vspace.write_uspace_file(id, name, Arc::clone(data), &user.login)?;
         }
 
         // Write-ahead: the job is only accepted once its consign record
@@ -169,7 +163,11 @@ impl Njs {
                     login: user.login.clone(),
                     account_group: user.account_group.clone(),
                 },
-                staged,
+                // The WAL cannot hold refcounts: the record owns its bytes.
+                staged: staged
+                    .iter()
+                    .map(|(n, d)| (n.clone(), d.to_vec())) // wire: Vec<u8> field
+                    .collect(),
                 idem_key: meta.idem_key,
                 parent,
                 foreign: meta.foreign,

@@ -244,7 +244,8 @@ impl Njs {
             });
         }
         let vspace = &self.vsites[rt.vsite].vspace;
-        Ok(vspace.read_for_transfer(job, name, &rt.user.login)?)
+        let data = vspace.read_for_transfer(job, name, &rt.user.login)?;
+        Ok(data.to_vec()) // wire: Vec<u8> field
     }
 }
 

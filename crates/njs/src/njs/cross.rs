@@ -29,8 +29,8 @@ pub(crate) enum CrossShardItem {
         shard: usize,
         /// The extracted child AJO (boxed: it dwarfs the other variants).
         ajo: Box<AbstractJob>,
-        /// Edge files staged from the parent's Uspace.
-        staged: Vec<(String, Vec<u8>)>,
+        /// Edge files staged from the parent's Uspace, shared with it.
+        staged: Vec<(String, Arc<[u8]>)>,
         /// The consigning user.
         user: MappedUser,
         /// The parent's portfolio, shared by refcount.
@@ -69,8 +69,8 @@ pub(crate) enum CrossShardItem {
         to_vsite: String,
         /// Destination Xspace path.
         path: String,
-        /// File contents.
-        data: Vec<u8>,
+        /// File contents, shared with the Uspace entry they were read from.
+        data: Arc<[u8]>,
         /// Byte count for the task outcome.
         bytes: u64,
         /// Login performing the write.
@@ -90,8 +90,8 @@ pub(crate) enum CrossShardItem {
         to_vsite: String,
         /// Name at the destination.
         dest_name: String,
-        /// File contents.
-        data: Vec<u8>,
+        /// File contents, shared with the Uspace entry they were read from.
+        data: Arc<[u8]>,
         /// Byte count for the task outcome.
         bytes: u64,
         /// Login performing the write.
@@ -287,7 +287,7 @@ impl Njs {
         job: JobId,
         node: ActionId,
         uspace_name: &str,
-        data: Result<Vec<u8>, String>,
+        data: Result<Arc<[u8]>, String>,
         now: SimTime,
     ) {
         let outcome = match data {
@@ -317,13 +317,13 @@ impl Njs {
         vsite: &str,
         path: &str,
         login: &str,
-    ) -> Result<Vec<u8>, String> {
+    ) -> Result<Arc<[u8]>, String> {
         match self.vsites.get(vsite) {
             Some(v) => v
                 .vspace
                 .xspace_ref()
                 .read(path, login)
-                .map(|f| f.data.clone())
+                .map(|f| Arc::clone(&f.data))
                 .map_err(|e| e.to_string()),
             None => Err(format!("unknown Vsite {vsite}")),
         }
@@ -334,7 +334,7 @@ impl Njs {
         &mut self,
         vsite: &str,
         path: &str,
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         login: &str,
     ) -> Result<(), String> {
         match self.vsites.get_mut(vsite) {

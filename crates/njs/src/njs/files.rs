@@ -2,6 +2,7 @@
 
 use super::cross::CrossShardItem;
 use super::{Njs, OutgoingItem, INCOMING_PREFIX};
+use std::sync::Arc;
 use unicore_ajo::{ActionStatus, DataLocation, FileKind, GraphNode, JobId, TaskKind, TaskOutcome};
 
 impl Njs {
@@ -43,7 +44,7 @@ impl Njs {
                         let rt = self.jobs.get(&job).expect("job exists");
                         match rt.portfolio.get(path) {
                             Some(data) => {
-                                let data = data.to_vec();
+                                let data = Arc::clone(data);
                                 self.vsites[home].vspace.import_bytes(
                                     job,
                                     uspace_name,
@@ -94,7 +95,7 @@ impl Njs {
                                     .vspace
                                     .xspace_ref()
                                     .read(path, &login)
-                                    .map(|f| f.data.clone()),
+                                    .map(|f| Arc::clone(&f.data)),
                                 None => {
                                     return FileTaskResult::Done(TaskOutcome::failure(format!(
                                         "unknown Vsite {vsite}"
@@ -250,7 +251,7 @@ impl Njs {
                         node,
                         to_vsite: to_vsite.clone(),
                         dest_name: dest_name.clone(),
-                        data: data.into(),
+                        data,
                         world_readable,
                     });
                     FileTaskResult::Remote

@@ -3,6 +3,7 @@
 
 use super::{IncomingTransfer, Njs, INCOMING_PREFIX};
 use crate::error::NjsError;
+use std::sync::Arc;
 use unicore_ajo::{ActionId, JobId};
 use unicore_codec::DerCodec;
 use unicore_dataplane::{ReceiverState, TransferKey, TransferManifest};
@@ -15,7 +16,7 @@ impl Njs {
         &mut self,
         vsite: &str,
         dest_name: &str,
-        data: Vec<u8>,
+        data: impl Into<Arc<[u8]>>,
         login: &str,
     ) -> Result<(), NjsError> {
         let v = self

@@ -651,7 +651,7 @@ impl Njs {
         let uspace = self.vsites[rt.vsite].vspace.uspace(job).ok();
         let files = deposited.iter().filter_map(|name| {
             let entry = uspace?.read(name, &rt.user.login).ok()?;
-            Some((name.as_str(), entry.data.as_slice()))
+            Some((name.as_str(), &entry.data[..]))
         });
         let (node, outcome) = (rt.node_id(pos), rt.node_outcome(pos));
         self.pending

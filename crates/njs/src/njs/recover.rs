@@ -73,6 +73,12 @@ impl Njs {
                             login: user.login.clone(),
                             account_group: user.account_group.clone(),
                         };
+                        // The record's bytes are copied out of the journal
+                        // once; the Uspace and the portfolio share them.
+                        let staged: Vec<(String, Arc<[u8]>)> = staged
+                            .iter()
+                            .map(|(n, d)| (n.clone(), Arc::from(&d[..])))
+                            .collect();
                         // Child jobs share their parent's portfolio (the
                         // parent was consigned earlier in the log); others
                         // rebuild it from the AJO and the staged files.
@@ -86,11 +92,9 @@ impl Njs {
                                 let mut m: HashMap<String, Arc<[u8]>> = ajo
                                     .portfolio
                                     .iter()
-                                    .map(|p| (p.name.clone(), p.data.clone()))
+                                    .map(|p| (p.name.clone(), Arc::clone(&p.data)))
                                     .collect();
-                                for (name, data) in staged {
-                                    m.insert(name.clone(), data.as_slice().into());
-                                }
+                                m.extend(staged.iter().cloned());
                                 Arc::new(m)
                             }
                         };
@@ -99,7 +103,7 @@ impl Njs {
                             ajo,
                             mapped,
                             portfolio,
-                            staged.clone(),
+                            staged,
                             *parent,
                             *at,
                             ConsignMeta::default(),
@@ -140,12 +144,8 @@ impl Njs {
                             }
                             let vspace = &mut self.vsites[rt.vsite].vspace;
                             for (name, data) in files {
-                                let _ = vspace.write_uspace_file(
-                                    *job,
-                                    name,
-                                    data.clone(),
-                                    &rt.user.login,
-                                );
+                                let _ =
+                                    vspace.write_uspace_file(*job, name, &data[..], &rt.user.login);
                             }
                         }
                     }
@@ -174,7 +174,7 @@ impl Njs {
                                         let _ = v.vspace.write_uspace_file(
                                             *job,
                                             name,
-                                            data.clone(),
+                                            &data[..],
                                             login,
                                         );
                                     }

@@ -2,6 +2,7 @@
 //! drains and the completions it brings back.
 
 use super::{Njs, NodeState, OutgoingItem};
+use std::sync::Arc;
 use unicore_ajo::{ActionId, ActionStatus, JobId, OutcomeNode, TaskOutcome};
 
 impl Njs {
@@ -16,13 +17,14 @@ impl Njs {
     }
 
     /// Completes a remote node, depositing edge files returned by the peer
-    /// into the parent job's Uspace so successors can consume them.
+    /// into the parent job's Uspace so successors can consume them (files
+    /// read from a sibling shard's Uspace are shared with it).
     pub fn complete_remote_node_with_files(
         &mut self,
         job: JobId,
         node: ActionId,
         outcome: OutcomeNode,
-        files: Vec<(String, Vec<u8>)>,
+        files: Vec<(String, Arc<[u8]>)>,
     ) {
         // A node can only terminate once: a late delivery for a node
         // already completed (aborted locally, or a duplicate/replayed
@@ -53,7 +55,7 @@ impl Njs {
     /// Reads edge-result files from a (foreign) job's Uspace for return to
     /// the origin site. Missing files are skipped — the origin's successor
     /// tasks will then fail with file-not-found, mirroring reality.
-    pub fn collect_return_files(&self, job: JobId, names: &[String]) -> Vec<(String, Vec<u8>)> {
+    pub fn collect_return_files(&self, job: JobId, names: &[String]) -> Vec<(String, Arc<[u8]>)> {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
         };

@@ -626,7 +626,7 @@ impl Njs {
         // Gather edge files from predecessors out of the parent's Uspace.
         let rt = self.jobs.get(&job).expect("job exists");
         let node = rt.node_id(pos);
-        let mut staged: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut staged: Vec<(String, Arc<[u8]>)> = Vec::new();
         for &pred in rt.preds.predecessors_at(pos) {
             for file in rt.job.edge_files(pred, node) {
                 let data =
@@ -698,14 +698,11 @@ impl Njs {
             // carries the edge files plus any workstation imports its
             // subtree references.
             let mut ajo = sub;
-            let mut carried: Vec<(String, Vec<u8>)> = staged;
+            let mut carried = staged;
             collect_workstation_imports(&ajo, &portfolio, &mut carried);
             ajo.portfolio = carried
                 .into_iter()
-                .map(|(name, data)| unicore_ajo::PortfolioFile {
-                    name,
-                    data: data.into(),
-                })
+                .map(|(name, data)| unicore_ajo::PortfolioFile { name, data })
                 .collect();
             let return_files = self.edge_return_files(job, node);
             let dest_usite = ajo.vsite.usite.clone();
@@ -755,7 +752,7 @@ impl fmt::Display for StderrHead<'_> {
 fn collect_workstation_imports(
     job: &AbstractJob,
     portfolio: &HashMap<String, Arc<[u8]>>,
-    carried: &mut Vec<(String, Vec<u8>)>,
+    carried: &mut Vec<(String, Arc<[u8]>)>,
 ) {
     for (_, node) in &job.nodes {
         match node {
@@ -767,7 +764,7 @@ fn collect_workstation_imports(
                 {
                     if carried.iter().all(|(n, _)| n != path) {
                         if let Some(data) = portfolio.get(path) {
-                            carried.push((path.clone(), data.to_vec()));
+                            carried.push((path.clone(), Arc::clone(data)));
                         }
                     }
                 }

@@ -18,6 +18,7 @@
 //! tasks get hash-derived runtimes (a fixed fraction band of the request)
 //! and produce their declared outputs.
 
+use std::sync::Arc;
 use unicore_ajo::{AbstractTask, ExecuteKind, ResourceRequest, TaskKind};
 use unicore_batch::WorkModel;
 use unicore_crypto::sha256;
@@ -48,10 +49,20 @@ fn hash_fraction(bytes: &[u8]) -> f64 {
     0.3 + 0.6 * (x as f64 / u64::MAX as f64)
 }
 
-/// Deterministic synthetic file content of `len` bytes seeded by `name`.
-pub fn synthetic_content(name: &str, len: usize) -> Vec<u8> {
+/// Deterministic synthetic file content of `len` bytes seeded by `name`:
+/// byte `i` is `seed[i % 32] ^ (i / 32) as u8`, with `seed` the SHA-256 of
+/// the name. Built in the allocation the file keeps for life, a 32-byte
+/// row (the seed XOR the row number) at a time.
+pub fn synthetic_content(name: &str, len: usize) -> Arc<[u8]> {
     let seed = sha256(name.as_bytes());
-    (0..len).map(|i| seed[i % 32] ^ (i / 32) as u8).collect()
+    let mut content: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let rows = Arc::get_mut(&mut content).expect("not shared yet");
+    for (row, bytes) in rows.chunks_mut(32).enumerate() {
+        for (byte, s) in bytes.iter_mut().zip(&seed) {
+            *byte = s ^ row as u8;
+        }
+    }
+    content
 }
 
 impl WorkOracle for DeterministicOracle {

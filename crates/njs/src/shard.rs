@@ -37,6 +37,7 @@ use crate::njs::cross::CrossShardItem;
 use crate::njs::{ConsignMeta, Njs, OutgoingItem, RecoveryReport, VsiteRuntime};
 use crate::translation::TranslationTable;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionId, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, MonitorReport,
     OutcomeNode, TaskOutcome,
@@ -589,7 +590,8 @@ impl ShardedNjs {
         self.shards[shard].complete_remote_node(job, node, outcome);
     }
 
-    /// Completes a remote node with returned edge files.
+    /// Completes a remote node with the edge files a peer's message
+    /// returned; each is copied out of the message once, here.
     pub fn complete_remote_node_with_files(
         &mut self,
         job: JobId,
@@ -598,11 +600,12 @@ impl ShardedNjs {
         files: Vec<(String, Vec<u8>)>,
     ) {
         let shard = self.shard_of_job(job);
+        let files = files.into_iter().map(|(n, d)| (n, d.into())).collect();
         self.shards[shard].complete_remote_node_with_files(job, node, outcome, files);
     }
 
     /// Reads edge-result files from a job's Uspace.
-    pub fn collect_return_files(&self, job: JobId, names: &[String]) -> Vec<(String, Vec<u8>)> {
+    pub fn collect_return_files(&self, job: JobId, names: &[String]) -> Vec<(String, Arc<[u8]>)> {
         self.shards[self.shard_of_job(job)].collect_return_files(job, names)
     }
 

@@ -37,10 +37,10 @@ impl WorkOracle for Scripted {
             "blank" => WorkModel::fail_after(5 * SEC, 4, "  \n"),
             "hog" => WorkModel {
                 output_files: vec![
-                    ("small.dat".into(), vec![7; 16]),
+                    ("small.dat".into(), vec![7; 16].into()),
                     // One byte more than the Uspace quota: 64 MiB + the
                     // task's 16 MiB of declared temporary disk.
-                    ("huge.dat".into(), vec![0; (80 << 20) + 1]),
+                    ("huge.dat".into(), vec![0; (80 << 20) + 1].into()),
                 ],
                 ..WorkModel::succeed_after(5 * SEC)
             },

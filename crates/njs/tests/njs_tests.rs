@@ -357,6 +357,63 @@ fn transfer_to_local_vsite_lands_in_incoming() {
         .exists(&format!("{INCOMING_PREFIX}big.dat")));
 }
 
+/// A produced file is allocated once: the Uspace entry, a delivery into a
+/// sibling Vsite's incoming area and the item handed to the federation
+/// layer for a peer Usite all hold the same `Arc<[u8]>`.
+#[test]
+fn a_produced_file_is_one_allocation_wherever_it_goes() {
+    use std::sync::Arc;
+    let transfer = |to: VsiteAddress| {
+        GraphNode::Task(AbstractTask {
+            name: "push".into(),
+            resources: ResourceRequest::minimal(),
+            kind: TaskKind::File(FileKind::Transfer {
+                uspace_name: "big.dat".into(),
+                to_vsite: to,
+                dest_name: "big.dat".into(),
+            }),
+        })
+    };
+    let mut njs = fzj();
+    let mut job = AbstractJob::new("xfer", VsiteAddress::new("FZJ", "T3E"), attrs());
+    job.nodes
+        .push((ActionId(1), script_node("make", "produce big.dat 100000\n")));
+    job.nodes
+        .push((ActionId(2), transfer(VsiteAddress::new("FZJ", "SP2"))));
+    job.nodes
+        .push((ActionId(3), transfer(VsiteAddress::new("DWD", "SX4"))));
+    for to in [2, 3] {
+        job.dependencies.push(Dependency {
+            from: ActionId(1),
+            to: ActionId(to),
+            files: vec![],
+        });
+    }
+    let id = njs.consign(job, user(), 0).unwrap();
+    // The remote transfer never completes here; run until it is handed over.
+    let mut outbox = Vec::new();
+    let mut now = 0;
+    while outbox.is_empty() {
+        assert!(now < HOUR, "transfer never dispatched");
+        njs.step(now);
+        outbox = njs.take_outbox();
+        now = njs.next_event_time().unwrap_or(now + SEC).max(now + 1);
+    }
+    let [OutgoingItem::Transfer { data: outgoing, .. }] = &outbox[..] else {
+        panic!("expected exactly the remote transfer");
+    };
+    let uspace = njs.vsite("T3E").unwrap().vspace.uspace(id).unwrap();
+    let produced = &uspace.read("big.dat", "alice1").unwrap().data;
+    let sp2 = njs.vsite("SP2").unwrap().vspace.xspace_ref();
+    let landed = &sp2
+        .read_raw(&format!("{INCOMING_PREFIX}big.dat"))
+        .expect("local delivery landed")
+        .data;
+    assert_eq!(produced.len(), 100_000);
+    assert!(Arc::ptr_eq(produced, outgoing), "outgoing item copied");
+    assert!(Arc::ptr_eq(produced, landed), "local delivery copied");
+}
+
 #[test]
 fn admission_rejects_oversized_request() {
     let mut njs = fzj();
@@ -580,10 +637,14 @@ fn consign_shares_portfolio_payloads_without_copying() {
         std::sync::Arc::strong_count(&data) > before,
         "consign must stage the payload by reference, not by copy"
     );
-    // And the bytes that land in the Uspace are the same bytes.
+    // And the bytes that land in the Uspace are the same bytes — the same
+    // allocation, in fact.
     run_until_done(&mut njs, id, HOUR);
     let fetched = njs.fetch_uspace_file(id, "input.bin", DN).unwrap();
     assert_eq!(fetched.as_slice(), &data[..], "byte identity lost");
+    let uspace = njs.vsite("T3E").unwrap().vspace.uspace(id).unwrap();
+    let imported = &uspace.read("input.bin", "alice1").unwrap().data;
+    assert!(std::sync::Arc::ptr_eq(imported, &data), "import copied");
 }
 
 /// A well-formed offer can claim any length (9 chunk sums at
@@ -667,8 +728,8 @@ fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
             .xspace_ref()
             .read(&path, "alice1")
             .unwrap()
-            .data,
-        data
+            .data[..],
+        data[..]
     );
 }
 

@@ -2,13 +2,16 @@
 
 use crate::error::SpaceError;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use unicore_crypto::sha256;
 
 /// A stored file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileEntry {
-    /// Contents.
-    pub data: Vec<u8>,
+    /// Contents. Shared, never mutated: a write replaces the entry, so
+    /// whoever took the `Arc` before (a transfer in flight, another
+    /// space's copy) keeps the bytes it read.
+    pub data: Arc<[u8]>,
     /// Owning login.
     pub owner: String,
     /// Whether any login may read it.
@@ -27,7 +30,10 @@ impl FileEntry {
 /// file where a reader would find it.
 #[derive(Debug, Clone)]
 struct PartialFile {
-    data: Vec<u8>,
+    /// The file's final allocation: zeroed at `begin_partial`, filled in
+    /// place while this is its only owner, handed to the visible entry at
+    /// commit.
+    data: Arc<[u8]>,
     /// Covered byte ranges, keyed by start, non-overlapping and merged.
     covered: BTreeMap<u64, u64>,
     covered_bytes: u64,
@@ -113,9 +119,16 @@ impl VirtualFs {
         Ok(())
     }
 
-    /// Writes (creates or replaces) a file.
-    pub fn write(&mut self, path: &str, data: Vec<u8>, owner: &str) -> Result<(), SpaceError> {
+    /// Writes (creates or replaces) a file. Bytes already held as
+    /// `Arc<[u8]>` are shared with the caller, not copied.
+    pub fn write(
+        &mut self,
+        path: &str,
+        data: impl Into<Arc<[u8]>>,
+        owner: &str,
+    ) -> Result<(), SpaceError> {
         Self::check_path(path)?;
+        let data: Arc<[u8]> = data.into();
         let old = self
             .files
             .get(path)
@@ -179,7 +192,7 @@ impl VirtualFs {
         self.partials.insert(
             path.to_owned(),
             PartialFile {
-                data: vec![0; len],
+                data: std::iter::repeat_n(0, len).collect(),
                 covered: BTreeMap::new(),
                 covered_bytes: 0,
                 owner: owner.to_owned(),
@@ -232,7 +245,9 @@ impl VirtualFs {
         }
         let covered = partial.cover(offset, end);
         debug_assert_eq!(covered, fresh);
-        partial.data[offset as usize..end as usize].copy_from_slice(data);
+        // Unique until commit, so this writes in place (a clone of the
+        // whole filesystem taken mid-transfer would make it copy first).
+        Arc::make_mut(&mut partial.data)[offset as usize..end as usize].copy_from_slice(data);
         self.used += fresh;
         Ok(fresh)
     }
@@ -402,7 +417,7 @@ mod tests {
         let mut fs = VirtualFs::unlimited();
         fs.write("/home/a/in.dat", vec![1, 2, 3], "alice").unwrap();
         let f = fs.read("/home/a/in.dat", "alice").unwrap();
-        assert_eq!(f.data, vec![1, 2, 3]);
+        assert_eq!(f.data[..], [1, 2, 3]);
         assert_eq!(f.owner, "alice");
     }
 
@@ -509,7 +524,7 @@ mod tests {
         ));
         fs.write_partial("/staged", 5, &[2; 5], "u").unwrap();
         fs.commit_partial("/staged", None, false).unwrap();
-        assert_eq!(fs.read("/staged", "u").unwrap().data, {
+        assert_eq!(fs.read("/staged", "u").unwrap().data[..], {
             let mut v = vec![1; 5];
             v.extend_from_slice(&[2; 5]);
             v
@@ -574,6 +589,33 @@ mod tests {
         assert_eq!(fs.used_bytes(), 16);
     }
 
+    /// The partial assembles in the allocation the committed file keeps.
+    #[test]
+    fn commit_publishes_the_allocation_begin_made() {
+        let mut fs = VirtualFs::unlimited();
+        fs.begin_partial("/f", 10, "u").unwrap();
+        let staged = fs.partials["/f"].data.as_ptr();
+        fs.write_partial("/f", 5, &[2; 5], "u").unwrap();
+        fs.write_partial("/f", 0, &[1; 5], "u").unwrap();
+        fs.commit_partial("/f", Some(sha256(&[1, 1, 1, 1, 1, 2, 2, 2, 2, 2])), false)
+            .unwrap();
+        assert_eq!(fs.read_raw("/f").unwrap().data.as_ptr(), staged);
+    }
+
+    /// Bytes handed in as an `Arc` are shared; a later write replaces the
+    /// entry and leaves whoever holds the old bytes with what they read.
+    #[test]
+    fn write_shares_and_overwrite_replaces() {
+        let mut fs = VirtualFs::with_quota(10);
+        let first: Arc<[u8]> = vec![1; 6].into();
+        fs.write("/a", Arc::clone(&first), "u").unwrap();
+        assert!(Arc::ptr_eq(&fs.read_raw("/a").unwrap().data, &first));
+        fs.write("/a", vec![2; 4], "u").unwrap();
+        assert_eq!(fs.used_bytes(), 4);
+        assert_eq!(first[..], [1; 6]);
+        assert_eq!(fs.read_raw("/a").unwrap().data[..], [2; 4]);
+    }
+
     #[test]
     fn partial_checksum_gate() {
         let mut fs = VirtualFs::unlimited();
@@ -587,7 +629,7 @@ mod tests {
         assert!(fs.has_partial("/f"));
         fs.commit_partial("/f", Some(sha256(b"hello")), false)
             .unwrap();
-        assert_eq!(fs.read("/f", "u").unwrap().data, b"hello");
+        assert_eq!(fs.read("/f", "u").unwrap().data[..], b"hello"[..]);
     }
 
     #[test]
@@ -614,7 +656,7 @@ mod tests {
         fs.commit_partial("/f", None, false).unwrap();
         // Old visible bytes reclaimed at the atomic swap.
         assert_eq!(fs.used_bytes(), 8);
-        assert_eq!(fs.read("/f", "u").unwrap().data, vec![1; 8]);
+        assert_eq!(fs.read("/f", "u").unwrap().data[..], [1; 8]);
     }
 
     #[test]

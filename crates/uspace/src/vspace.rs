@@ -9,13 +9,15 @@
 use crate::error::SpaceError;
 use crate::files::VirtualFs;
 use std::collections::HashMap;
+use std::sync::Arc;
 use unicore_ajo::JobId;
 
 /// One Vsite's storage: the shared Xspace and the job Uspaces.
 pub struct Vspace {
     xspace: VirtualFs,
     uspaces: HashMap<JobId, VirtualFs>,
-    /// Total bytes copied by import/export (accounting for E5).
+    /// Total bytes moved between spaces by import/export (accounting for
+    /// E5).
     bytes_copied: u64,
 }
 
@@ -78,7 +80,8 @@ impl Vspace {
         self.uspaces.get(&job).ok_or(SpaceError::NoSuchUspace(job))
     }
 
-    /// Import: Xspace → Uspace local copy, as `login`. Returns bytes copied.
+    /// Import: Xspace → Uspace, a local operation as `login`; the Uspace
+    /// entry shares the Xspace file's bytes. Returns the byte count.
     pub fn import_from_xspace(
         &mut self,
         job: JobId,
@@ -86,28 +89,28 @@ impl Vspace {
         uspace_name: &str,
         login: &str,
     ) -> Result<u64, SpaceError> {
-        let data = self.xspace.read(xspace_path, login)?.data.clone();
-        let len = data.len() as u64;
-        self.uspace_mut(job)?.write(uspace_name, data, login)?;
-        self.bytes_copied += len;
-        Ok(len)
+        let data = Arc::clone(&self.xspace.read(xspace_path, login)?.data);
+        self.import_bytes(job, uspace_name, data, login)
     }
 
-    /// Import: bytes carried in the AJO portfolio → Uspace.
+    /// Import: bytes carried in the AJO portfolio → Uspace (shared when
+    /// handed in as `Arc<[u8]>`, which the portfolio holds).
     pub fn import_bytes(
         &mut self,
         job: JobId,
         uspace_name: &str,
-        data: Vec<u8>,
+        data: impl Into<Arc<[u8]>>,
         login: &str,
     ) -> Result<u64, SpaceError> {
+        let data: Arc<[u8]> = data.into();
         let len = data.len() as u64;
         self.uspace_mut(job)?.write(uspace_name, data, login)?;
         self.bytes_copied += len;
         Ok(len)
     }
 
-    /// Export: Uspace → Xspace local copy. Returns bytes copied.
+    /// Export: Uspace → Xspace, a local operation; the Xspace entry shares
+    /// the Uspace file's bytes. Returns the byte count.
     pub fn export_to_xspace(
         &mut self,
         job: JobId,
@@ -115,36 +118,35 @@ impl Vspace {
         xspace_path: &str,
         login: &str,
     ) -> Result<u64, SpaceError> {
-        let data = {
-            let fs = self.uspace(job)?;
-            fs.read(uspace_name, login)?.data.clone()
-        };
+        let data = self.read_for_transfer(job, uspace_name, login)?;
         let len = data.len() as u64;
         self.xspace.write(xspace_path, data, login)?;
         self.bytes_copied += len;
         Ok(len)
     }
 
-    /// Takes a copy of a Uspace file for a cross-site transfer.
+    /// Takes a Uspace file's bytes for a transfer: the entry's own
+    /// allocation, shared. A later overwrite or purge of the file replaces
+    /// or drops the entry and leaves these bytes as they were read.
     pub fn read_for_transfer(
         &self,
         job: JobId,
         uspace_name: &str,
         login: &str,
-    ) -> Result<Vec<u8>, SpaceError> {
-        Ok(self.uspace(job)?.read(uspace_name, login)?.data.clone())
+    ) -> Result<Arc<[u8]>, SpaceError> {
+        Ok(self.read_entry_for_transfer(job, uspace_name, login)?.0)
     }
 
-    /// Takes a copy of a Uspace file plus its world-readability flag, for
-    /// a streamed cross-site transfer that must preserve the flag.
+    /// [`Self::read_for_transfer`] plus the file's world-readability flag,
+    /// for a streamed cross-site transfer that must preserve the flag.
     pub fn read_entry_for_transfer(
         &self,
         job: JobId,
         uspace_name: &str,
         login: &str,
-    ) -> Result<(Vec<u8>, bool), SpaceError> {
+    ) -> Result<(Arc<[u8]>, bool), SpaceError> {
         let entry = self.uspace(job)?.read(uspace_name, login)?;
-        Ok((entry.data.clone(), entry.world_readable))
+        Ok((Arc::clone(&entry.data), entry.world_readable))
     }
 
     /// Writes a file into a job's Uspace (task output, received transfer).
@@ -152,14 +154,14 @@ impl Vspace {
         &mut self,
         job: JobId,
         name: &str,
-        data: Vec<u8>,
+        data: impl Into<Arc<[u8]>>,
         login: &str,
     ) -> Result<(), SpaceError> {
         self.uspace_mut(job)?.write(name, data, login)
     }
 
-    /// Copies a file between two job Uspaces on this Vsite (dependency
-    /// file flow between tasks of co-located jobs).
+    /// Gives a file of one job Uspace to another on this Vsite, sharing
+    /// its bytes (dependency file flow between tasks of co-located jobs).
     pub fn copy_between_uspaces(
         &mut self,
         from_job: JobId,
@@ -175,7 +177,10 @@ impl Vspace {
         Ok(len)
     }
 
-    /// Total bytes moved by local copies (accounting).
+    /// Total bytes moved between spaces by local imports, exports and
+    /// Uspace-to-Uspace copies (accounting). It counts what changed
+    /// hands, not what was memcpy'd: two spaces sharing one allocation
+    /// have still each been given the file.
     pub fn bytes_copied(&self) -> u64 {
         self.bytes_copied
     }
@@ -232,8 +237,8 @@ mod tests {
                 .unwrap()
                 .read("input.nc", "alice")
                 .unwrap()
-                .data,
-            vec![7; 100]
+                .data[..],
+            [7; 100]
         );
         // Source still present (it was a copy).
         assert!(v.xspace_ref().exists("/home/alice/input.nc"));
@@ -270,8 +275,8 @@ mod tests {
             .unwrap();
         assert_eq!(n, 42);
         assert_eq!(
-            v.xspace_ref().read_raw("/archive/result.dat").unwrap().data,
-            vec![3; 42]
+            v.xspace_ref().read_raw("/archive/result.dat").unwrap().data[..],
+            [3; 42]
         );
     }
 
@@ -300,6 +305,37 @@ mod tests {
         assert!(v.uspace(JOB).unwrap().exists("fields.dat"));
     }
 
+    /// Import, export, Uspace-to-Uspace copy and a transfer read all hand
+    /// on the entry's allocation, and each still counts as bytes moved.
+    #[test]
+    fn local_moves_share_the_bytes() {
+        let mut v = vspace_with_job();
+        v.create_uspace(OTHER, 1 << 20).unwrap();
+        let source: Arc<[u8]> = vec![7; 100].into();
+        v.xspace()
+            .write("/home/alice/in", Arc::clone(&source), "alice")
+            .unwrap();
+        v.import_from_xspace(JOB, "/home/alice/in", "in", "alice")
+            .unwrap();
+        v.copy_between_uspaces(JOB, OTHER, "in", "in", "alice")
+            .unwrap();
+        v.export_to_xspace(OTHER, "in", "/archive/out", "alice")
+            .unwrap();
+        let taken = v.read_for_transfer(OTHER, "in", "alice").unwrap();
+        let held = [
+            &v.uspace(JOB).unwrap().read_raw("in").unwrap().data,
+            &v.uspace(OTHER).unwrap().read_raw("in").unwrap().data,
+            &v.xspace_ref().read_raw("/archive/out").unwrap().data,
+            &taken,
+        ];
+        assert!(held.iter().all(|d| Arc::ptr_eq(d, &source)));
+        assert_eq!(v.bytes_copied(), 300);
+        // Overwriting the Uspace file does not reach the bytes taken.
+        v.write_uspace_file(OTHER, "in", vec![9; 100], "alice")
+            .unwrap();
+        assert_eq!(taken[..], [7; 100]);
+    }
+
     #[test]
     fn missing_uspace_errors() {
         let mut v = Vspace::new();
@@ -315,7 +351,7 @@ mod tests {
         let mut v = vspace_with_job();
         v.write_uspace_file(JOB, "t", vec![1, 2], "alice").unwrap();
         let data = v.read_for_transfer(JOB, "t", "alice").unwrap();
-        assert_eq!(data, vec![1, 2]);
+        assert_eq!(data[..], [1, 2]);
         assert!(v.uspace(JOB).unwrap().exists("t"));
     }
 }

@@ -450,7 +450,7 @@ fn run_transfer(seed: u64, plan: Option<&FaultPlan>) -> (Vec<u8>, Federation) {
         .read_raw(&format!("{}big.dat", unicore_njs::INCOMING_PREFIX))
         .expect("file at destination")
         .data
-        .clone();
+        .to_vec();
     (delivered, fed)
 }
 
