@@ -5,9 +5,12 @@
 use unicore::ajo::*;
 use unicore::protocol::{outcome_of, Response};
 use unicore::{Federation, FederationConfig, SiteSpec};
+use unicore_codec::DerCodec;
+use unicore_crypto::sha256;
 use unicore_resources::Architecture;
 use unicore_sim::{SimTime, HOUR, MINUTE, SEC};
 use unicore_simnet::FaultPlan;
+use unicore_store::{EventStore, MemoryBackend, StoreEvent};
 
 const DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=alice";
 
@@ -621,4 +624,278 @@ fn duplicated_and_reordered_wire_traffic_is_absorbed() {
     assert!(outcome.status.is_success());
     let (dups, _) = fed.seq_stats();
     assert!(dups > 0, "duplicates should have been observed");
+}
+
+// ---------------------------------------------------------------------
+// The `fed_burst` shape, pinned: what a two-site burst writes may not
+// depend on how its envelopes are packed into network messages.
+// ---------------------------------------------------------------------
+
+const BURST_SITES: [&str; 2] = ["S0", "S1"];
+const BURST_JOBS: usize = 32;
+
+fn chain_edges(job: &mut AbstractJob) {
+    for id in 1..3 {
+        job.dependencies.push(Dependency {
+            from: ActionId(id),
+            to: ActionId(id + 1),
+            files: Vec::new(),
+        });
+    }
+}
+
+/// Three 30 s script tasks in a row at `home`.
+fn chain3(name: &str, home: usize) -> AbstractJob {
+    let mut job = AbstractJob::new(name, VsiteAddress::new(BURST_SITES[home], "V"), attrs());
+    for id in 1..=3 {
+        job.nodes
+            .push(script_node(id, &format!("t{id}"), "sleep 30\n"));
+    }
+    chain_edges(&mut job);
+    job
+}
+
+/// `chain3` with its middle node a job group at the other Usite.
+fn subjob_chain(name: &str, home: usize) -> AbstractJob {
+    let there = VsiteAddress::new(BURST_SITES[1 - home], "V");
+    let mut group = AbstractJob::new(format!("{name}-group"), there, attrs());
+    group.nodes.push(script_node(1, "t2", "sleep 30\n"));
+    let mut job = AbstractJob::new(name, VsiteAddress::new(BURST_SITES[home], "V"), attrs());
+    job.nodes.push(script_node(1, "t1", "sleep 30\n"));
+    job.nodes.push((ActionId(2), GraphNode::SubJob(group)));
+    job.nodes.push(script_node(3, "t3", "sleep 30\n"));
+    chain_edges(&mut job);
+    job
+}
+
+struct BurstRun {
+    /// Terminal outcome DER per job, in submission order.
+    outcomes: Vec<Vec<u8>>,
+    /// Each site's journal, decoded.
+    journals: Vec<Vec<StoreEvent>>,
+    retries: u64,
+    seq_stats: (u64, u64),
+}
+
+/// 16 `chain3` + 16 cross-site sub-job AJOs over two journalled sites:
+/// submitted up front, polled every 30 s at `DetailLevel::Tasks` until
+/// terminal, then purged — the loop gridbench's `fed_burst` runs.
+fn burst_run(seed: u64, plan: Option<&FaultPlan>) -> BurstRun {
+    let specs = BURST_SITES.map(|s| SiteSpec::simple(s, "V", Architecture::Generic));
+    let config = FederationConfig {
+        seed,
+        ..FederationConfig::default()
+    };
+    let mut fed = Federation::new(config, &specs);
+    fed.register_user(DN, "alice");
+    let disks: Vec<MemoryBackend> = BURST_SITES.iter().map(|_| MemoryBackend::new()).collect();
+    for (site, disk) in BURST_SITES.iter().zip(&disks) {
+        let store = EventStore::open(Box::new(disk.clone())).expect("open journal");
+        let server = fed.server_mut(site).expect("listed site");
+        server.njs_mut().attach_stores(vec![store]);
+    }
+    if let Some(plan) = plan {
+        fed.apply_fault_plan(plan);
+    }
+
+    // The seed decides which site each job enters through.
+    let jobs: Vec<(usize, AbstractJob)> = (0..BURST_JOBS)
+        .map(|i| {
+            let home = (i / 2 + seed as usize) % 2;
+            let name = format!("burst-{seed}-{i}");
+            let job = if i % 2 == 1 {
+                subjob_chain(&name, home)
+            } else {
+                chain3(&name, home)
+            };
+            (home, job)
+        })
+        .collect();
+    let deadline = 4 * HOUR;
+    let mut pending: Vec<(usize, u64)> = Vec::new();
+    let mut homes = Vec::new();
+    for (i, (home, job)) in jobs.into_iter().enumerate() {
+        pending.push((i, fed.client_submit(BURST_SITES[home], job, DN)));
+        homes.push(BURST_SITES[home]);
+    }
+    let mut ids = vec![JobId(0); BURST_JOBS];
+    while !pending.is_empty() {
+        assert!(fed.now() < deadline, "consign acks never arrived");
+        fed.run_until(fed.now() + 5 * SEC);
+        pending.retain(|&(i, corr)| match fed.take_client_response(corr) {
+            Some(Response::Consigned { job }) => {
+                ids[i] = job;
+                false
+            }
+            Some(other) => panic!("consign {i} answered {other:?}"),
+            None => true,
+        });
+    }
+
+    let mut outcomes = vec![Vec::new(); BURST_JOBS];
+    let mut outstanding: Vec<usize> = (0..BURST_JOBS).collect();
+    while !outstanding.is_empty() {
+        assert!(fed.now() < deadline, "jobs still running at the deadline");
+        let polls: Vec<(usize, u64)> = outstanding
+            .iter()
+            .map(|&i| (i, fed.client_poll(homes[i], DN, ids[i], DetailLevel::Tasks)))
+            .collect();
+        fed.run_until(fed.now() + 30 * SEC);
+        for (i, corr) in polls {
+            let Some(response) = fed.take_client_response(corr) else {
+                continue;
+            };
+            let outcome = outcome_of(&response).expect("a poll answers with an outcome");
+            if outcome.status.is_terminal() {
+                assert!(outcome.status.is_success(), "job {i}: {outcome:?}");
+                outcomes[i] = outcome.to_der();
+                outstanding.retain(|&j| j != i);
+            }
+        }
+    }
+
+    let purges: Vec<u64> = (0..BURST_JOBS)
+        .map(|i| fed.client_request(homes[i], DN, unicore::Request::Purge { job: ids[i] }))
+        .collect();
+    // A purge answer lost to the plan is retried: give the backoff room.
+    fed.run_until(fed.now() + if plan.is_some() { 10 * MINUTE } else { 5 * SEC });
+    for corr in purges {
+        let response = fed.take_client_response(corr);
+        assert!(
+            matches!(response, Some(Response::Purged { .. })),
+            "purge answered {response:?}"
+        );
+    }
+
+    let journals = disks
+        .iter()
+        .map(|disk| {
+            let store = EventStore::open(Box::new(disk.clone())).expect("reopen journal");
+            store.replay().expect("replay journal").events
+        })
+        .collect();
+    BurstRun {
+        outcomes,
+        journals,
+        retries: fed.retries,
+        seq_stats: fed.seq_stats(),
+    }
+}
+
+/// The event without what the wire's packing decides: *when* it was
+/// written, and which site-local job id the consign drew (ids go by
+/// arrival order, and WAN jitter reorders separately sent consigns).
+/// *What* a site writes for a job must not depend on either.
+fn unplaced(event: &StoreEvent) -> StoreEvent {
+    let mut event = event.clone();
+    match &mut event {
+        StoreEvent::JobConsigned {
+            job,
+            at,
+            parent,
+            foreign,
+            idem_key,
+            ..
+        } => {
+            (*job, *at) = (JobId(0), 0);
+            if let Some((parent_job, _)) = parent {
+                *parent_job = JobId(0);
+            }
+            if let Some(origin) = foreign {
+                // A job group's key names its parent's id at the origin.
+                origin.parent = JobId(0);
+                idem_key.clear();
+            }
+        }
+        StoreEvent::JobIncarnated { job, at, .. }
+        | StoreEvent::TaskStateChanged { job, at, .. }
+        | StoreEvent::OutcomeStored { job, at, .. }
+        | StoreEvent::PlacementDecided { job, at, .. }
+        | StoreEvent::JobPurged { job, at } => (*job, *at) = (JobId(0), 0),
+        other => panic!("a burst writes no {other:?}"),
+    }
+    event
+}
+
+/// SHA-256 over every outcome, then every site's journal as the decoded
+/// event sequence of each job, jobs in AJO-name order — group-commit
+/// boundaries (how many events one append carried) are not part of it.
+fn burst_digest(run: &BurstRun) -> String {
+    let mut buf = Vec::new();
+    let mut put = |bytes: &[u8]| {
+        buf.extend_from_slice(&(bytes.len() as u64).to_be_bytes());
+        buf.extend_from_slice(bytes);
+    };
+    for outcome in &run.outcomes {
+        put(outcome);
+    }
+    for journal in &run.journals {
+        let mut jobs: Vec<(String, Vec<&StoreEvent>)> = unicore_store::events_by_job(journal)
+            .into_values()
+            .map(|events| {
+                let StoreEvent::JobConsigned { ajo_der, .. } = events[0] else {
+                    panic!("a job's history starts at its consign: {:?}", events[0]);
+                };
+                let ajo = AbstractJob::from_der(ajo_der).expect("journalled AJO decodes");
+                (ajo.name, events)
+            })
+            .collect();
+        jobs.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(
+            jobs.len(),
+            24,
+            "16 entered here + 8 job groups of the peer's"
+        );
+        for (name, events) in jobs {
+            put(name.as_bytes());
+            for event in events {
+                put(&unplaced(event).to_der());
+            }
+        }
+    }
+    sha256(&buf).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// `burst_digest` per seed, taken on the commit before envelopes were
+/// coalesced into records.
+const BURST_PINS: [(u64, &str); 3] = [
+    (
+        1,
+        "5e83db48803313f28e9c97e47dae1680e179565a82d5d083f21076ce417a31e9",
+    ),
+    (
+        7,
+        "83a55782715a858bb81c6fee586e08882a6a9c54dd5e7d555d5b86d45aec38b2",
+    ),
+    (
+        23,
+        "393c1255e0b67cd7224cf3fe20cfbc1f05dc8396eb9426bf36ceb6705f114566",
+    ),
+];
+
+#[test]
+fn burst_outcomes_and_journals_are_pinned() {
+    for (seed, pinned) in BURST_PINS {
+        let run = burst_run(seed, None);
+        assert_eq!(run.retries, 0, "seed {seed}: a healthy WAN retries nothing");
+        assert_eq!(run.seq_stats.0, 0, "seed {seed}: nothing arrives twice");
+        assert_eq!(burst_digest(&run), pinned, "seed {seed}");
+    }
+}
+
+#[test]
+fn burst_outcomes_survive_drop_duplicate_reorder() {
+    for (seed, _) in BURST_PINS {
+        let plan = FaultPlan::new(seed)
+            .drop_everywhere(0.1, 0, SimTime::MAX)
+            .duplicate_everywhere(0.2, 0, SimTime::MAX)
+            .reorder_everywhere(0.2, 2 * SEC, 0, SimTime::MAX);
+        let faulty = burst_run(seed, Some(&plan));
+        assert!(faulty.retries > 0, "seed {seed}: the plan dropped nothing");
+        assert_eq!(
+            faulty.outcomes,
+            burst_run(seed, None).outcomes,
+            "seed {seed}"
+        );
+    }
 }
