@@ -158,25 +158,39 @@ impl RecordKeys {
         out.extend_from_slice(&tag);
     }
 
+    /// Walks a `(u32 BE length || frame)*` list — an opened
+    /// [`RecordType::Batch`] payload, or a federation record — yielding
+    /// each frame borrowed from `payload`. The workspace's only parser of
+    /// that grammar. A truncated header or a length past the end yields
+    /// one `Err` and ends the walk; a receiver that must fail closed
+    /// checks the whole list before acting on its first frame.
+    pub fn frames(payload: &[u8]) -> impl Iterator<Item = Result<&[u8], TransportError>> {
+        let mut rest = payload;
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let list = std::mem::take(&mut rest);
+            let Some((header, tail)) = list.split_first_chunk::<4>() else {
+                return Some(Err(TransportError::Protocol(
+                    "truncated batch frame header",
+                )));
+            };
+            let len = u32::from_be_bytes(*header) as usize;
+            if tail.len() < len {
+                return Some(Err(TransportError::Protocol("truncated batch frame")));
+            }
+            let (frame, tail) = tail.split_at(len);
+            rest = tail;
+            Some(Ok(frame))
+        })
+    }
+
     /// Splits an opened [`RecordType::Batch`] payload back into frames.
     pub fn split_frames(payload: &[u8]) -> Result<Vec<Vec<u8>>, TransportError> {
-        let mut frames = Vec::new();
-        let mut at = 0usize;
-        while at < payload.len() {
-            if payload.len() - at < 4 {
-                return Err(TransportError::Protocol("truncated batch frame header"));
-            }
-            let mut len_bytes = [0u8; 4];
-            len_bytes.copy_from_slice(&payload[at..at + 4]);
-            let len = u32::from_be_bytes(len_bytes) as usize;
-            at += 4;
-            if payload.len() - at < len {
-                return Err(TransportError::Protocol("truncated batch frame"));
-            }
-            frames.push(payload[at..at + len].to_vec());
-            at += len;
-        }
-        Ok(frames)
+        Self::frames(payload)
+            .map(|frame| frame.map(<[u8]>::to_vec))
+            .collect()
     }
 
     /// Opens a wire record, enforcing sequence continuity and the MAC.
@@ -366,6 +380,21 @@ mod tests {
         assert!(RecordKeys::split_frames(&[0, 0, 0, 9, 1, 2]).is_err());
         assert!(RecordKeys::split_frames(&[0, 0, 0]).is_err());
         assert!(RecordKeys::split_frames(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn frames_borrow_from_the_payload_and_stop_at_the_first_error() {
+        let payload = [0, 0, 0, 2, 7, 8, 0, 0, 0, 0, 0, 0, 0, 1, 9];
+        let frames: Vec<&[u8]> = RecordKeys::frames(&payload)
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(frames, [&[7u8, 8][..], &[], &[9]]);
+        assert!(std::ptr::eq(frames[0].as_ptr(), &payload[4]));
+        // One good frame, then a length past the end: one Err, then done.
+        let mut walk = RecordKeys::frames(&[0, 0, 0, 1, 5, 0, 0, 0, 9, 1]);
+        assert_eq!(walk.next().unwrap().unwrap(), [5]);
+        assert!(walk.next().unwrap().is_err());
+        assert!(walk.next().is_none());
     }
 
     #[test]
