@@ -20,14 +20,16 @@
 //! experiment E8.
 
 use crate::grid::{AggregationTree, PlaneNode};
+use crate::link::{self, Outbox};
 use crate::protocol::{Body, Envelope, Request, Response};
 use crate::server::UnicoreServer;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ControlOp, DetailLevel, GridView, JobId, JobOutcome, ServiceOutcome, SiteHealth,
     SiteStatus, UnreachableReason,
 };
-use unicore_codec::DerCodec;
+use unicore_codec::{DerCodec, DerWriter};
 use unicore_gateway::{Gateway, UserEntry, Uudb};
 use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture, ResourcePage};
@@ -35,7 +37,7 @@ use unicore_sim::{SimTime, MINUTE, SEC};
 use unicore_simnet::{FaultPlan, Firewall, LinkParams, Network, NodeId};
 use unicore_store::{EventStore, MemoryBackend};
 use unicore_telemetry::{
-    standard_slo_rules, ActiveAlert, ActiveSpan, AlertEngine, AlertEvent, Telemetry,
+    standard_slo_rules, ActiveAlert, ActiveSpan, AlertEngine, AlertEvent, SpanContext, Telemetry,
 };
 
 /// The UNICORE gateway port.
@@ -136,10 +138,18 @@ impl Default for FederationConfig {
     }
 }
 
+/// What the federation keeps per Usite besides its server.
 struct SiteNodes {
+    /// The Usite's name and its server's DN, shared: one or the other is
+    /// named by every envelope the site sends or is sent.
+    name: Arc<str>,
+    dn: Arc<str>,
     gateway: NodeId,
     njs: NodeId,
     split: bool,
+    /// At-most-once reply cache: requester DN → correlation id → the
+    /// answer given, replayed to retransmissions.
+    handled: HashMap<String, HashMap<u64, Response>>,
 }
 
 #[derive(Clone)]
@@ -147,13 +157,15 @@ struct Inflight {
     src: NodeId,
     dst: NodeId,
     /// Destination Usite, for circuit-breaker accounting.
-    dest_site: String,
-    payload: Vec<u8>,
+    dest_site: Arc<str>,
+    /// The frame as first stamped. Retransmissions push these bytes
+    /// through the same outbox, so the envelope's sequence number never
+    /// changes.
+    frame: Vec<u8>,
     deadline: SimTime,
     retries_left: u32,
     /// Transmissions so far (0 = only the original send); drives the
-    /// exponential backoff. Retransmissions resend the cached `payload`
-    /// bytes, so the envelope's sequence number never changes.
+    /// exponential backoff.
     attempt: u32,
 }
 
@@ -354,8 +366,9 @@ pub struct Federation {
     sites: HashMap<String, SiteNodes>,
     site_order: Vec<String>,
     servers: HashMap<String, UnicoreServer>,
-    server_dns: HashMap<String, String>,
     workstation: NodeId,
+    /// Frames written this tick, flushed one record per peer at its end.
+    outbox: Outbox,
     established: HashSet<(NodeId, NodeId)>,
     handshake_bytes: usize,
     seed: u64,
@@ -366,7 +379,6 @@ pub struct Federation {
     quarantine_after: u32,
     probe_interval: SimTime,
     inflight: InflightTable,
-    handled: HashMap<(String, String, u64), Response>,
     client_responses: HashMap<u64, Response>,
     next_client_corr: u64,
     sync_corrs: HashSet<u64>,
@@ -395,8 +407,11 @@ pub struct Federation {
     /// responses' return path are excluded).
     pub grid_query_hops: u64,
     now: SimTime,
-    /// Total protocol messages sent (metrics).
+    /// Messages handed to the network (metrics): one record per peer
+    /// per tick, however many envelopes it carries.
     pub messages_sent: u64,
+    /// Protocol envelopes sent, retransmissions included (metrics).
+    pub envelopes_sent: u64,
     /// Total retries performed (metrics).
     pub retries: u64,
     /// Requests whose full retry budget ran dry (metrics).
@@ -447,12 +462,16 @@ impl Federation {
             let njs_node = net.add_node(format!("{}-njs", spec.name));
             net.set_firewall(gateway, Firewall::AllowList(vec![GATEWAY_PORT]));
             net.add_duplex(gateway, njs_node, LinkParams::lan());
+            let dn = format!("C=DE, O={}, OU=UNICORE, CN={}-server", spec.name, spec.name);
             sites.insert(
                 spec.name.clone(),
                 SiteNodes {
+                    name: spec.name.as_str().into(),
+                    dn: dn.as_str().into(),
                     gateway,
                     njs: njs_node,
                     split: spec.split,
+                    handled: HashMap::new(),
                 },
             );
             site_order.push(spec.name.clone());
@@ -466,7 +485,6 @@ impl Federation {
             }
             let gw = Gateway::new(spec.name.clone(), Uudb::new());
             let server = UnicoreServer::new(gw, njs);
-            let dn = format!("C=DE, O={}, OU=UNICORE, CN={}-server", spec.name, spec.name);
             server_dns.insert(spec.name.clone(), dn);
             servers.insert(spec.name.clone(), server);
         }
@@ -546,8 +564,8 @@ impl Federation {
             sites,
             site_order,
             servers,
-            server_dns,
             workstation,
+            outbox: Outbox::default(),
             established: HashSet::new(),
             handshake_bytes: config.handshake_bytes,
             seed: config.seed,
@@ -558,7 +576,6 @@ impl Federation {
             quarantine_after: config.quarantine_after,
             probe_interval: config.probe_interval,
             inflight: InflightTable::default(),
-            handled: HashMap::new(),
             client_responses: HashMap::new(),
             next_client_corr: 1,
             sync_corrs: HashSet::new(),
@@ -578,6 +595,7 @@ impl Federation {
             grid_query_hops: 0,
             now: 0,
             messages_sent: 0,
+            envelopes_sent: 0,
             retries: 0,
             retry_exhaustions: 0,
             fast_failures: 0,
@@ -825,6 +843,10 @@ impl Federation {
         if self.servers.remove(usite).is_none() {
             return; // already down
         }
+        // Servers' frames leave at the end of the tick that wrote them, so
+        // a crash — at the top of a tick, or between runs — finds nothing
+        // of theirs still waiting: what a site said is on the wire.
+        debug_assert!(self.outbox.only_from(self.workstation));
         self.crashed.insert(usite.to_owned());
         // The site's own outstanding requests died with its process, and
         // the federation-side response cache must not replay answers the
@@ -836,7 +858,11 @@ impl Federation {
         // epochs are RAM. Its parent's cache simply goes stale, and the
         // rebuilt node's epoch-0 state forces fulls on every edge.
         self.plane.remove(usite);
-        self.handled.retain(|(site, _, _), _| site != usite);
+        self.sites
+            .get_mut(usite)
+            .expect("known site")
+            .handled
+            .clear();
         self.sync_watches.retain(|w| w.usite != usite);
         self.telemetry.counter("federation.site.crash").inc();
     }
@@ -866,17 +892,17 @@ impl Federation {
                 .collect(),
         );
         let mut uudb = Uudb::new();
-        for dn in self.server_dns.values() {
-            uudb.add(dn.clone(), UserEntry::new("unicored", "system"));
+        for site in self.sites.values() {
+            uudb.add(&*site.dn, UserEntry::new("unicored", "system"));
         }
         for (dn, login_base) in &self.registered_users {
             let login = format!("{}_{}", login_base, usite.to_lowercase());
             uudb.add(dn.clone(), UserEntry::new(login, "users"));
         }
         let mut server = UnicoreServer::new(Gateway::new(spec.name.clone(), uudb), njs);
-        for (peer_site, dn) in &self.server_dns {
+        for (peer_site, peer) in &self.sites {
             if peer_site != usite {
-                server.add_peer_server(dn.clone());
+                server.add_peer_server(&*peer.dn);
             }
         }
         if let Some(seed) = self.telemetry_seed {
@@ -938,21 +964,86 @@ impl Federation {
             .fold((0, 0), |(d, r), t| (d + t.duplicates, r + t.reordered))
     }
 
-    fn send_with_handshake(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>) {
-        let pair = (src.min(dst), src.max(dst));
-        if self.established.insert(pair) && self.handshake_bytes > 0 {
-            let _ = self
-                .net
-                .send(src, dst, GATEWAY_PORT, vec![0u8; self.handshake_bytes]);
-        }
-        let _ = self.net.send(src, dst, GATEWAY_PORT, payload);
-        self.messages_sent += 1;
+    /// The one way onto the wire. Stamps a distinct outgoing envelope
+    /// with the next sequence number on the `src → dst` channel and the
+    /// cumulative ack of everything `src` has received from `dst`, and
+    /// frames it — origin node, then DER — into the pair's record, which
+    /// leaves at the end of the tick. Returns the frame.
+    fn post(
+        &mut self,
+        (src, dst): (NodeId, NodeId),
+        corr: u64,
+        from_dn: &str,
+        body: &Body,
+        trace: Option<SpanContext>,
+    ) -> &[u8] {
+        let seq = self.next_seq.entry((src, dst)).or_insert(0);
+        *seq += 1;
+        let ack = self
+            .recv_seq
+            .get(&(src, dst))
+            .map(|t| t.contiguous)
+            .filter(|&n| n > 0);
+        let stamps = (Some(*seq), ack);
+        self.envelopes_sent += 1;
+        self.outbox.push(src, dst, |frame| {
+            frame.extend_from_slice(&src.0.to_be_bytes());
+            DerWriter::append_to(frame, |w| {
+                Envelope::write_parts(w, corr, from_dn, body, trace, stamps)
+            });
+        })
     }
 
-    fn frame(origin: NodeId, envelope: &Envelope) -> Vec<u8> {
-        let mut payload = origin.0.to_be_bytes().to_vec();
-        envelope.to_der_into(&mut payload);
-        payload
+    /// Posts `request` to `dest`'s gateway as `from_dn` and arms its retry
+    /// timer. `owner` is the requesting Usite, or "" for the workstation.
+    /// Returns the frame's length.
+    fn request(
+        &mut self,
+        owner: &str,
+        from_dn: &str,
+        dest: &str,
+        corr: u64,
+        request: Request,
+        trace: Option<SpanContext>,
+    ) -> usize {
+        let src = self
+            .sites
+            .get(owner)
+            .map_or(self.workstation, |s| s.gateway);
+        let dest = &self.sites[dest];
+        let (dst, dest_site) = (dest.gateway, dest.name.clone());
+        let body = Body::Request(request);
+        let frame = self.post((src, dst), corr, from_dn, &body, trace).to_vec();
+        let len = frame.len();
+        self.inflight.insert(
+            (owner.to_owned(), corr),
+            Inflight {
+                src,
+                dst,
+                dest_site,
+                frame,
+                deadline: self.now + self.retry_timeout,
+                retries_left: self.max_retries,
+                attempt: 0,
+            },
+        );
+        len
+    }
+
+    /// Hands the tick's records to the network, one message per record.
+    /// First contact between two nodes is charged `handshake_bytes` of
+    /// padding ahead of the record that makes it.
+    fn flush(&mut self) {
+        let (net, established, padding) =
+            (&mut self.net, &mut self.established, self.handshake_bytes);
+        let sent = &mut self.messages_sent;
+        self.outbox.flush(|src, dst, record| {
+            if established.insert((src.min(dst), src.max(dst))) && padding > 0 {
+                let _ = net.send(src, dst, GATEWAY_PORT, vec![0u8; padding]);
+            }
+            let _ = net.send(src, dst, GATEWAY_PORT, record);
+            *sent += 1;
+        });
     }
 
     fn unframe(payload: &[u8]) -> Option<(NodeId, Envelope)> {
@@ -962,21 +1053,6 @@ impl Federation {
         let origin = NodeId(u32::from_be_bytes(payload[..4].try_into().ok()?));
         let env = Envelope::from_der(&payload[4..]).ok()?;
         Some((origin, env))
-    }
-
-    /// Stamps a distinct outgoing envelope with the next sequence number
-    /// on the `src → dst` channel and piggybacks the cumulative ack of
-    /// everything `src` has received from `dst`. Retransmissions resend
-    /// the originally framed bytes, so they keep their original stamp.
-    fn stamp(&mut self, src: NodeId, dst: NodeId, env: &mut Envelope) {
-        let c = self.next_seq.entry((src, dst)).or_insert(0);
-        *c += 1;
-        env.seq = Some(*c);
-        env.ack = self
-            .recv_seq
-            .get(&(src, dst))
-            .map(|t| t.contiguous)
-            .filter(|&n| n > 0);
     }
 
     /// Records an arriving envelope's sequence number at `receiver` and
@@ -1099,30 +1175,7 @@ impl Federation {
             ActiveSpan::noop()
         };
         span.attr("via", via);
-        let mut env = Envelope {
-            corr,
-            from_dn: dn.to_owned(),
-            body: Body::Request(request),
-            trace: span.ctx(),
-            seq: None,
-            ack: None,
-        };
-        let dst = self.sites[via].gateway;
-        self.stamp(self.workstation, dst, &mut env);
-        let payload = Self::frame(self.workstation, &env);
-        self.inflight.insert(
-            (String::new(), corr),
-            Inflight {
-                src: self.workstation,
-                dst,
-                dest_site: via.to_owned(),
-                payload: payload.clone(),
-                deadline: self.now + self.retry_timeout,
-                retries_left: self.max_retries,
-                attempt: 0,
-            },
-        );
-        self.send_with_handshake(self.workstation, dst, payload);
+        self.request("", dn, via, corr, request, span.ctx());
         if span.ctx().is_some() {
             self.client_spans.insert(corr, span);
         }
@@ -1140,19 +1193,10 @@ impl Federation {
         let corr = self.next_client_corr;
         self.next_client_corr += 1;
         self.sync_corrs.insert(corr);
-        let mut env = Envelope {
-            corr,
-            from_dn: dn.to_owned(),
-            body: Body::Request(Request::Consign { ajo }),
-            trace: None,
-            seq: None,
-            ack: None,
-        };
-        let dst = self.sites[via].gateway;
-        self.stamp(self.workstation, dst, &mut env);
-        let payload = Self::frame(self.workstation, &env);
         // No inflight entry: the synchronous variant never retries.
-        self.send_with_handshake(self.workstation, dst, payload);
+        let pair = (self.workstation, self.sites[via].gateway);
+        let body = Body::Request(Request::Consign { ajo });
+        self.post(pair, corr, dn, &body, None);
         corr
     }
 
@@ -1232,6 +1276,9 @@ impl Federation {
 
     /// Runs the federation until `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
+        // What the client asked between runs leaves at the time it was
+        // asked, before the next event is looked for.
+        self.flush();
         while let Some(t) = self.next_event(true).filter(|&t| t <= deadline) {
             let t = t.max(self.now);
             self.advance(t);
@@ -1244,6 +1291,7 @@ impl Federation {
     /// Runs until no work remains (jobs done, queues empty, no retries).
     /// Returns the final time. `limit` bounds runaway simulations.
     pub fn run_until_idle(&mut self, limit: SimTime) -> SimTime {
+        self.flush();
         while let Some(t) = self.next_event(false) {
             if t > limit {
                 break;
@@ -1270,43 +1318,30 @@ impl Federation {
 
         self.net.run_until(t);
 
-        // Deliver messages.
-        let mut deliveries: Vec<(String, Vec<u8>)> = Vec::new();
-        // Workstation first: responses to the client.
+        // Deliver messages. Workstation first: responses to the client.
         for (_, msg) in self.net.drain_inbox(self.workstation) {
-            if let Some((origin, env)) = Self::unframe(&msg.payload) {
-                self.observe_seq(self.workstation, origin, &env);
-                self.note_peer_alive(origin);
-                if let Body::Response(resp) = env.body {
-                    self.inflight.remove(&(String::new(), env.corr));
-                    if let Some(span) = self.client_spans.remove(&env.corr) {
-                        self.telemetry.end(span, t);
-                    }
-                    self.client_responses.insert(env.corr, resp);
-                }
-            }
+            self.deliver_record(None, &msg.payload, t);
         }
-        for i in 0..self.site_order.len() {
-            let site = &self.site_order[i];
+        let mut deliveries: Vec<(Arc<str>, Vec<u8>)> = Vec::new();
+        for site in &self.site_order {
             let nodes = &self.sites[site];
-            let (gw, njs_node, split) = (nodes.gateway, nodes.njs, nodes.split);
             // Gateway inbox.
-            for (_, msg) in self.net.drain_inbox(gw) {
-                if split {
+            for (_, msg) in self.net.drain_inbox(nodes.gateway) {
+                if nodes.split {
                     // Relay over the LAN hop to the interior NJS node.
-                    let _ = self.net.send(gw, njs_node, 9_000, msg.payload);
+                    let _ = self.net.send(nodes.gateway, nodes.njs, 9_000, msg.payload);
                     continue;
                 }
-                deliveries.push((site.clone(), msg.payload));
+                deliveries.push((nodes.name.clone(), msg.payload));
             }
-            if split {
-                for (_, msg) in self.net.drain_inbox(njs_node) {
-                    deliveries.push((site.clone(), msg.payload));
+            if nodes.split {
+                for (_, msg) in self.net.drain_inbox(nodes.njs) {
+                    deliveries.push((nodes.name.clone(), msg.payload));
                 }
             }
         }
-        for (site, payload) in deliveries {
-            self.deliver_to_server(&site, &payload, t);
+        for (site, record) in deliveries {
+            self.deliver_record(Some(&site), &record, t);
         }
 
         // Step servers; route their outbound requests. Crashed sites are
@@ -1347,31 +1382,8 @@ impl Federation {
                     }
                     continue;
                 }
-                let mut env = Envelope {
-                    corr: req.corr,
-                    from_dn: self.server_dns[&site].clone(),
-                    body: Body::Request(req.request),
-                    trace: req.trace,
-                    seq: None,
-                    ack: None,
-                };
-                let src = self.sites[&site].gateway;
-                let dst = self.sites[&req.dest].gateway;
-                self.stamp(src, dst, &mut env);
-                let payload = Self::frame(src, &env);
-                self.inflight.insert(
-                    (site.clone(), req.corr),
-                    Inflight {
-                        src,
-                        dst,
-                        dest_site: req.dest.clone(),
-                        payload: payload.clone(),
-                        deadline: t + self.retry_timeout,
-                        retries_left: self.max_retries,
-                        attempt: 0,
-                    },
-                );
-                self.send_with_handshake(src, dst, payload);
+                let dn = self.sites[&site].dn.clone();
+                self.request(&site, &dn, &req.dest, req.corr, req.request, req.trace);
             }
         }
 
@@ -1398,20 +1410,8 @@ impl Federation {
             let outcome = self.servers[&w.usite]
                 .query(w.job, &w.owner_dn, DetailLevel::Tasks)
                 .unwrap_or_default();
-            let mut env = Envelope {
-                corr: w.corr,
-                from_dn: self.server_dns[&w.usite].clone(),
-                body: Body::Response(Response::Service(unicore_ajo::ServiceOutcome::Query {
-                    outcome,
-                })),
-                trace: None,
-                seq: None,
-                ack: None,
-            };
-            let src = self.sites[&w.usite].gateway;
-            self.stamp(src, w.client_node, &mut env);
-            let payload = Self::frame(src, &env);
-            self.send_with_handshake(src, w.client_node, payload);
+            let outcome = Response::Service(ServiceOutcome::Query { outcome });
+            self.reply_from(&w.usite, w.client_node, w.corr, outcome);
         }
 
         // Retries, in deterministic key order so the network's RNG draws
@@ -1474,7 +1474,6 @@ impl Federation {
                 continue;
             }
             let attempt = f.attempt + 1;
-            let (src, dst, payload) = (f.src, f.dst, f.payload.clone());
             let delay = self.backoff_delay(&key, attempt);
             self.inflight.rearm(&key, t + delay, |f| {
                 f.retries_left -= 1;
@@ -1482,7 +1481,44 @@ impl Federation {
             });
             self.retries += 1;
             self.telemetry.counter("federation.retries").inc();
-            self.send_with_handshake(src, dst, payload);
+            let f = self.inflight.get(&key).expect("just re-armed");
+            self.envelopes_sent += 1;
+            self.outbox
+                .push(f.src, f.dst, |frame| frame.extend_from_slice(&f.frame));
+        }
+
+        self.flush();
+    }
+
+    /// Walks one received network message's frames, in order, through the
+    /// per-envelope path of the workstation (`site` = `None`) or of a
+    /// site's server. A malformed record delivers nothing.
+    fn deliver_record(&mut self, site: Option<&str>, record: &[u8], t: SimTime) {
+        let Ok(frames) = link::frames_of(record) else {
+            self.telemetry.counter("federation.record.malformed").inc();
+            return;
+        };
+        for frame in frames {
+            match site {
+                Some(site) => self.deliver_to_server(site, frame, t),
+                None => self.deliver_to_client(frame, t),
+            }
+        }
+    }
+
+    /// A frame for the workstation: the response to a client request.
+    fn deliver_to_client(&mut self, frame: &[u8], t: SimTime) {
+        let Some((origin, env)) = Self::unframe(frame) else {
+            return;
+        };
+        self.observe_seq(self.workstation, origin, &env);
+        self.note_peer_alive(origin);
+        if let Body::Response(resp) = env.body {
+            self.inflight.remove(&(String::new(), env.corr));
+            if let Some(span) = self.client_spans.remove(&env.corr) {
+                self.telemetry.end(span, t);
+            }
+            self.client_responses.insert(env.corr, resp);
         }
     }
 
@@ -1522,37 +1558,15 @@ impl Federation {
             self.next_push_corr += 1;
             let push = node.build_push(t, self.stale_after, corr);
             let is_full = push.merged.is_full();
-            let mut env = Envelope {
-                corr,
-                from_dn: self.server_dns[&site].clone(),
-                body: Body::Request(Request::MonitorPush { push }),
-                trace: None,
-                seq: None,
-                ack: None,
-            };
-            let src = self.sites[&site].gateway;
-            let dst = self.sites[&parent].gateway;
-            self.stamp(src, dst, &mut env);
-            let payload = Self::frame(src, &env);
+            let dn = self.sites[&site].dn.clone();
+            let request = Request::MonitorPush { push };
+            let bytes = self.request(&site, &dn, &parent, corr, request, None) as u64;
             if is_full {
-                self.grid_push_bytes_full += payload.len() as u64;
+                self.grid_push_bytes_full += bytes;
             } else {
-                self.grid_push_bytes_delta += payload.len() as u64;
+                self.grid_push_bytes_delta += bytes;
             }
-            self.inflight.insert(
-                (site.clone(), corr),
-                Inflight {
-                    src,
-                    dst,
-                    dest_site: parent,
-                    payload: payload.clone(),
-                    deadline: t + self.retry_timeout,
-                    retries_left: self.max_retries,
-                    attempt: 0,
-                },
-            );
-            self.push_corrs.insert((site.clone(), corr));
-            self.send_with_handshake(src, dst, payload);
+            self.push_corrs.insert((site, corr));
         }
     }
 
@@ -1664,27 +1678,37 @@ impl Federation {
     fn answer_grid_relay(&mut self, site: &str, relay: GridRelay, t: SimTime) {
         let view = self.assemble(site, t);
         let response = Response::Service(ServiceOutcome::Grid { view });
-        self.handled.insert(
-            (site.to_owned(), relay.origin_dn.clone(), relay.origin_corr),
-            response.clone(),
-        );
-        self.reply_from(site, relay.origin_node, relay.origin_corr, response);
+        let response = self.reply_from(site, relay.origin_node, relay.origin_corr, response);
+        self.cache_reply(site, &relay.origin_dn, relay.origin_corr, response);
     }
 
-    /// Stamps, frames and sends a response from `site`'s gateway.
-    fn reply_from(&mut self, site: &str, to: NodeId, corr: u64, response: Response) {
-        let mut reply = Envelope {
-            corr,
-            from_dn: self.server_dns[site].clone(),
-            body: Body::Response(response),
-            trace: None,
-            seq: None,
-            ack: None,
+    /// Stamps and frames a response from `site`'s gateway, and hands it
+    /// back for the caller's reply cache.
+    fn reply_from(&mut self, site: &str, to: NodeId, corr: u64, response: Response) -> Response {
+        let from = &self.sites[site];
+        let (src, dn) = (from.gateway, from.dn.clone());
+        let body = Body::Response(response);
+        self.post((src, to), corr, &dn, &body, None);
+        match body {
+            Body::Response(response) => response,
+            Body::Request(_) => unreachable!("built as a response above"),
+        }
+    }
+
+    /// The answer `site` already gave `dn`'s request `corr`, if any.
+    fn cached_reply(&self, site: &str, dn: &str, corr: u64) -> Option<&Response> {
+        self.sites[site].handled.get(dn)?.get(&corr)
+    }
+
+    fn cache_reply(&mut self, site: &str, dn: &str, corr: u64, response: Response) {
+        let handled = &mut self.sites.get_mut(site).expect("known site").handled;
+        match handled.get_mut(dn) {
+            Some(by_corr) => by_corr.insert(corr, response),
+            None => handled
+                .entry(dn.to_owned())
+                .or_default()
+                .insert(corr, response),
         };
-        let src = self.sites[site].gateway;
-        self.stamp(src, to, &mut reply);
-        let payload = Self::frame(src, &reply);
-        self.send_with_handshake(src, to, payload);
     }
 
     fn deliver_to_server(&mut self, site: &str, payload: &[u8], t: SimTime) {
@@ -1701,7 +1725,6 @@ impl Federation {
         self.note_peer_alive(origin);
         match env.body {
             Body::Request(request) => {
-                let dedupe_key = (site.to_owned(), env.from_dn.clone(), env.corr);
                 // Aggregation pushes terminate at the plane node, which
                 // dedupes retransmits by correlation id and answers with
                 // the epoch ack the delta protocol rides on.
@@ -1731,12 +1754,12 @@ impl Federation {
                 // (degrading to its own subtree if the uplink is dead).
                 if matches!(request, Request::Monitor { grid: true })
                     && self.telemetry_seed.is_some()
-                    && !self.handled.contains_key(&dedupe_key)
+                    && self.cached_reply(site, &env.from_dn, env.corr).is_none()
                 {
                     self.handle_grid_query(site, origin, env.corr, &env.from_dn, t);
                     return;
                 }
-                let cached = self.handled.get(&dedupe_key).cloned();
+                let cached = self.cached_reply(site, &env.from_dn, env.corr).cloned();
                 let fresh = cached.is_none();
                 let response = match cached {
                     Some(cached) => cached,
@@ -1761,29 +1784,18 @@ impl Federation {
                             }
                             // The synchronous interaction stays open: no
                             // response until the job finishes.
-                            self.handled.insert(dedupe_key, resp);
+                            self.cache_reply(site, &env.from_dn, env.corr, resp);
                             return;
                         }
                         resp
                     }
                 };
-                let mut reply = Envelope {
-                    corr: env.corr,
-                    from_dn: self.server_dns[site].clone(),
-                    body: Body::Response(response),
-                    trace: None,
-                    seq: None,
-                    ack: None,
-                };
-                let src = self.sites[site].gateway;
-                self.stamp(src, origin, &mut reply);
-                let payload = Self::frame(src, &reply);
-                self.send_with_handshake(src, origin, payload);
                 // A fresh answer (a poll's whole outcome tree, say) goes
-                // into the at-most-once cache by move, now that the reply
-                // has been framed from it.
-                if let (true, Body::Response(response)) = (fresh, reply.body) {
-                    self.handled.insert(dedupe_key, response);
+                // into the at-most-once cache by move, once the reply has
+                // been framed from it.
+                let response = self.reply_from(site, origin, env.corr, response);
+                if fresh {
+                    self.cache_reply(site, &env.from_dn, env.corr, response);
                 }
             }
             Body::Response(response) => {
@@ -1811,11 +1823,9 @@ impl Federation {
                             })
                         }
                     };
-                    self.handled.insert(
-                        (site.to_owned(), relay.origin_dn.clone(), relay.origin_corr),
-                        response.clone(),
-                    );
-                    self.reply_from(site, relay.origin_node, relay.origin_corr, response);
+                    let response =
+                        self.reply_from(site, relay.origin_node, relay.origin_corr, response);
+                    self.cache_reply(site, &relay.origin_dn, relay.origin_corr, response);
                     return;
                 }
                 self.servers
@@ -1837,9 +1847,8 @@ impl Federation {
         if site == self.tree.root() {
             let view = self.assemble(site, t);
             let response = Response::Service(ServiceOutcome::Grid { view });
-            self.handled
-                .insert((site.to_owned(), dn.to_owned(), corr), response.clone());
-            self.reply_from(site, origin, corr, response);
+            let response = self.reply_from(site, origin, corr, response);
+            self.cache_reply(site, dn, corr, response);
             return;
         }
         // A retransmit while the relay is still climbing: the open relay
@@ -1867,33 +1876,11 @@ impl Federation {
         let relay_corr = self.next_relay_corr;
         self.next_relay_corr += 1;
         self.grid_query_hops += 1;
-        let mut env = Envelope {
-            corr: relay_corr,
-            from_dn: self.server_dns[site].clone(),
-            body: Body::Request(Request::Monitor { grid: true }),
-            trace: None,
-            seq: None,
-            ack: None,
-        };
-        let src = self.sites[site].gateway;
-        let dst = self.sites[&parent].gateway;
-        self.stamp(src, dst, &mut env);
-        let payload = Self::frame(src, &env);
-        self.inflight.insert(
-            (site.to_owned(), relay_corr),
-            Inflight {
-                src,
-                dst,
-                dest_site: parent,
-                payload: payload.clone(),
-                deadline: t + self.retry_timeout,
-                retries_left: self.max_retries,
-                attempt: 0,
-            },
-        );
+        let from_dn = self.sites[site].dn.clone();
+        let query = Request::Monitor { grid: true };
+        self.request(site, &from_dn, &parent, relay_corr, query, None);
         self.grid_relays
             .insert((site.to_owned(), relay_corr), relay);
-        self.send_with_handshake(src, dst, payload);
     }
 
     /// The aggregation spanning tree the plane runs over (E17).
@@ -2127,7 +2114,7 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(1),
             dest_site: "B".into(),
-            payload: Vec::new(),
+            frame: Vec::new(),
             deadline,
             retries_left: 3,
             attempt: 0,

@@ -28,6 +28,7 @@ pub mod broker;
 pub mod config;
 pub mod federation;
 pub mod grid;
+pub mod link;
 pub mod protocol;
 pub mod server;
 

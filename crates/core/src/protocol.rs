@@ -650,18 +650,30 @@ fn read_trace(r: &mut DerReader<'_>) -> Result<SpanContext, CodecError> {
     })
 }
 
-impl DerCodec for Envelope {
-    fn write_der(&self, w: &mut DerWriter) {
+impl Envelope {
+    /// Writes an envelope from borrowed parts — the encoding
+    /// [`DerCodec::write_der`] gives the owned value. A sender that holds
+    /// the DN and the body elsewhere (the federation frames thousands of
+    /// envelopes under the same server DN, and keeps a fresh answer for
+    /// its reply cache) encodes without assembling an `Envelope` first.
+    pub(crate) fn write_parts(
+        w: &mut DerWriter,
+        corr: u64,
+        from_dn: &str,
+        body: &Body,
+        trace: Option<SpanContext>,
+        (seq, ack): (Option<u64>, Option<u64>),
+    ) {
         w.sequence(|w| {
-            w.u64(self.corr);
-            w.str(&self.from_dn);
-            match &self.body {
+            w.u64(corr);
+            w.str(from_dn);
+            match body {
                 Body::Request(r) => w.tagged(0, |w| r.write_der(w)),
                 Body::Response(r) => w.tagged(1, |w| r.write_der(w)),
             }
             // Optional trailing fields must appear in ascending tag order:
             // the reader's optional_tagged consumes sequentially.
-            if let Some(ctx) = &self.trace {
+            if let Some(ctx) = trace {
                 w.tagged(TRACE_TAG, |w| {
                     w.sequence(|w| {
                         w.bytes(ctx.trace.as_bytes());
@@ -669,13 +681,20 @@ impl DerCodec for Envelope {
                     })
                 });
             }
-            if let Some(seq) = self.seq {
+            if let Some(seq) = seq {
                 w.tagged(SEQ_TAG, |w| w.u64(seq));
             }
-            if let Some(ack) = self.ack {
+            if let Some(ack) = ack {
                 w.tagged(ACK_TAG, |w| w.u64(ack));
             }
         });
+    }
+}
+
+impl DerCodec for Envelope {
+    fn write_der(&self, w: &mut DerWriter) {
+        let stamps = (self.seq, self.ack);
+        Self::write_parts(w, self.corr, &self.from_dn, &self.body, self.trace, stamps);
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {

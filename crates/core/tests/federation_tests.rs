@@ -7,9 +7,10 @@ use unicore::protocol::{outcome_of, Response};
 use unicore::{Federation, FederationConfig, SiteSpec};
 use unicore_codec::DerCodec;
 use unicore_crypto::sha256;
+use unicore_gateway::RateLimitConfig;
 use unicore_resources::Architecture;
-use unicore_sim::{SimTime, HOUR, MINUTE, SEC};
-use unicore_simnet::FaultPlan;
+use unicore_sim::{SimTime, HOUR, MILLI, MINUTE, SEC};
+use unicore_simnet::{FaultKind, FaultPlan};
 use unicore_store::{EventStore, MemoryBackend, StoreEvent};
 
 const DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=alice";
@@ -898,4 +899,140 @@ fn burst_outcomes_survive_drop_duplicate_reorder() {
             "seed {seed}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// One record per peer per tick.
+// ---------------------------------------------------------------------
+
+const POLLS: usize = 32;
+
+/// Two sites, one job consigned at S0 and, from then on, a budget of
+/// exactly [`POLLS`] user requests at every gateway that never refills:
+/// request number 33 that a *server* handles is refused, so "each poll
+/// was handled exactly once" can be read from outside. `wire_fault`, if
+/// any, is in force on the workstation → S0 link for the next second.
+fn metered(wire_fault: Option<FaultKind>) -> (Federation, JobId) {
+    let specs = BURST_SITES.map(|s| SiteSpec::simple(s, "V", Architecture::Generic));
+    let mut fed = Federation::new(FederationConfig::default(), &specs);
+    fed.register_user(DN, "alice");
+    fed.attach_stores();
+    let corr = fed.client_submit("S0", chain3("metered", 0), DN);
+    fed.run_until(5 * SEC);
+    let Some(Response::Consigned { job }) = fed.take_client_response(corr) else {
+        panic!("no consign ack");
+    };
+    fed.set_rate_limit(RateLimitConfig::new(0, POLLS as u64));
+    if let Some(kind) = wire_fault {
+        let (ws, gw) = (fed.workstation_node(), fed.gateway_node("S0").unwrap());
+        let now = fed.now();
+        fed.apply_fault_plan(&FaultPlan::new(5).on_link(ws, gw, kind, now, now + SEC));
+    }
+    (fed, job)
+}
+
+fn poll_burst(fed: &mut Federation, via: &str, job: JobId, n: usize) -> Vec<u64> {
+    (0..n)
+        .map(|_| fed.client_poll(via, DN, job, DetailLevel::Tasks))
+        .collect()
+}
+
+/// Every poll was answered with the job's outcome, and the budget of
+/// [`POLLS`] handled requests is exactly spent: one more is refused.
+fn assert_each_handled_once(fed: &mut Federation, job: JobId, polls: &[u64]) {
+    for &corr in polls {
+        let response = fed.take_client_response(corr).expect("answered");
+        assert!(outcome_of(&response).is_some(), "{response:?}");
+    }
+    let extra = fed.client_poll("S0", DN, job, DetailLevel::Tasks);
+    fed.run_until(fed.now() + 5 * SEC);
+    let refused = fed.take_client_response(extra);
+    assert!(
+        matches!(&refused, Some(Response::Error(why)) if why.contains("rate limit")),
+        "the server handled fewer than {POLLS}: {refused:?}"
+    );
+}
+
+#[test]
+fn polls_of_one_tick_travel_as_one_record_each_way() {
+    let (mut fed, job) = metered(None);
+    let (records, envelopes) = (fed.messages_sent, fed.envelopes_sent);
+    let polls = poll_burst(&mut fed, "S0", job, POLLS);
+    assert_eq!(fed.messages_sent, records, "nothing leaves before the run");
+    assert_eq!(fed.envelopes_sent, envelopes + 32);
+    // They leave at the time they were asked: a run that advances
+    // nothing already puts the one record on the wire.
+    fed.run_until(fed.now());
+    assert_eq!(fed.messages_sent, records + 1);
+    fed.run_until(fed.now() + 5 * SEC);
+    assert_eq!(fed.messages_sent, records + 2, "and one record of answers");
+    assert_eq!(fed.envelopes_sent, envelopes + 64);
+    assert_eq!((fed.retries, fed.seq_stats()), (0, (0, 0)));
+    assert_each_handled_once(&mut fed, job, &polls);
+}
+
+#[test]
+fn polls_to_two_sites_make_two_records() {
+    let (mut fed, job) = metered(None);
+    let records = fed.messages_sent;
+    let mut polls = poll_burst(&mut fed, "S0", job, POLLS / 2);
+    polls.extend(poll_burst(&mut fed, "S1", job, POLLS / 2));
+    fed.run_until(fed.now());
+    assert_eq!(fed.messages_sent, records + 2);
+    fed.run_until(fed.now() + 5 * SEC);
+    // S1 is contacted for the first time: its padding is not a message.
+    assert_eq!(fed.messages_sent, records + 4);
+    assert!(polls
+        .iter()
+        .all(|&corr| fed.take_client_response(corr).is_some()));
+}
+
+#[test]
+fn a_dropped_record_is_its_envelopes_retried_and_handled_once() {
+    let (mut fed, job) = metered(Some(FaultKind::Drop { probability: 1.0 }));
+    let (records, envelopes) = (fed.messages_sent, fed.envelopes_sent);
+    let polls = poll_burst(&mut fed, "S0", job, POLLS);
+    fed.run_until(fed.now() + 10 * SEC);
+    assert_eq!(fed.retries, 32, "every envelope of the lost record");
+    assert_eq!(fed.envelopes_sent, envelopes + 3 * 32);
+    // Their timers fired in one tick: the retransmissions share a record.
+    assert_eq!(fed.messages_sent, records + 3, "lost, retried, answered");
+    assert_eq!(fed.seq_stats().0, 0, "the server saw each poll once");
+    assert_each_handled_once(&mut fed, job, &polls);
+}
+
+#[test]
+fn a_duplicated_record_is_absorbed_per_envelope() {
+    let (mut fed, job) = metered(Some(FaultKind::Duplicate { probability: 1.0 }));
+    let polls = poll_burst(&mut fed, "S0", job, POLLS);
+    fed.run_until(fed.now() + 5 * SEC);
+    assert_eq!(
+        fed.seq_stats().0,
+        32,
+        "each envelope of the copy is a duplicate"
+    );
+    assert_eq!(fed.retries, 0);
+    // The copy was answered from the reply cache: 32 handled, not 64.
+    assert_each_handled_once(&mut fed, job, &polls);
+}
+
+#[test]
+fn a_crash_loses_nothing_already_on_the_wire() {
+    let (mut fed, job) = metered(None);
+    let polls = poll_burst(&mut fed, "S0", job, POLLS);
+    // One WAN latency and a half: the polls have reached S0 and been
+    // answered, the answers are still crossing.
+    fed.run_until(fed.now() + 25 * MILLI);
+    let sent = (fed.messages_sent, fed.envelopes_sent);
+    let late = fed.client_poll("S0", DN, job, DetailLevel::Tasks);
+    // The crash finds only the workstation's frame waiting (crash_site
+    // asserts it): what S0 said left with the tick that said it.
+    fed.crash_site("S0");
+    fed.run_until(fed.now() + SEC);
+    for corr in polls {
+        assert!(fed.take_client_response(corr).is_some(), "poll {corr}");
+    }
+    assert_eq!(fed.messages_sent, sent.0 + 1, "the late poll still left");
+    assert_eq!(fed.envelopes_sent, sent.1 + 1);
+    assert!(fed.take_client_response(late).is_none(), "nobody home");
 }

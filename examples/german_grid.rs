@@ -155,8 +155,9 @@ fn main() {
         }
     }
     println!(
-        "\n{ok}/{} UNICORE jobs successful; {} protocol messages, {} retries",
+        "\n{ok}/{} UNICORE jobs successful; {} protocol envelopes in {} network messages, {} retries",
         job_ids.len(),
+        fed.envelopes_sent,
         fed.messages_sent,
         fed.retries
     );

@@ -123,7 +123,8 @@ fn main() {
         );
     }
     println!(
-        "\nprotocol: {} messages, {} retries, done at {}",
+        "\nprotocol: {} envelopes in {} network messages, {} retries, done at {}",
+        fed.envelopes_sent,
         fed.messages_sent,
         fed.retries,
         format_time(fed.now())

@@ -9,12 +9,20 @@
 //! decode to a value that re-encodes to exactly the input bytes: an
 //! accepted message is always the canonical one, so signatures,
 //! idempotency keys and journal replay never see two forms of one value.
+//!
+//! The `u32 length | frame` list — a sealed `Batch` record's payload on
+//! the live path, a federation record on the simulated one — has one
+//! parser, attacked here through both of its callers: damaged anywhere,
+//! a record delivers none of its frames.
 
 mod codec_corpus;
 
 use codec_corpus::Visitor;
 use std::fmt::Debug;
+use unicore::link::{frames_of, Outbox};
 use unicore_codec::DerCodec;
+use unicore_simnet::NodeId;
+use unicore_transport::RecordKeys;
 
 /// Encodings up to this size are attacked at every byte; longer ones
 /// (bulk file payloads) in full at both ends and at a stride between.
@@ -148,4 +156,94 @@ fn every_decoder_fails_closed() {
         "corpus shrank to {}",
         attack.attacked
     );
+}
+
+/// What a receiver may act on: every frame of a well-formed list, or
+/// nothing at all. The two callers agree on every list but one that
+/// opens with an empty frame, which a federation record never does — the
+/// link reads that as first-contact padding and delivers nothing.
+fn delivered(list: &[u8]) -> Option<Vec<Vec<u8>>> {
+    let walked = frames_of(list).map(|frames| frames.map(<[u8]>::to_vec).collect::<Vec<_>>());
+    if list.starts_with(&[0; 4]) {
+        assert_eq!(
+            walked.as_deref().ok(),
+            Some(&[][..]),
+            "padding: {list:02x?}"
+        );
+    } else {
+        assert_eq!(
+            walked.as_ref().ok(),
+            RecordKeys::split_frames(list).as_ref().ok()
+        );
+    }
+    walked.ok()
+}
+
+#[test]
+fn a_damaged_frame_list_delivers_nothing() {
+    let frames: [&[u8]; 3] = [b"\x00\x00\x00\x07poll", b"x", &[0xAB; 300]];
+    let mut outbox = Outbox::default();
+    for frame in frames {
+        outbox.push(NodeId(1), NodeId(2), |buf| buf.extend_from_slice(frame));
+    }
+    let mut record = Vec::new();
+    outbox.flush(|_, _, bytes| record = bytes);
+    assert_eq!(delivered(&record).unwrap(), frames);
+
+    // Cut at every byte: whole frames up to a boundary, else nothing.
+    let mut boundaries = vec![0];
+    for frame in frames {
+        boundaries.push(boundaries.last().unwrap() + 4 + frame.len());
+    }
+    for cut in 0..record.len() {
+        match boundaries.iter().position(|&b| b == cut) {
+            Some(whole) => assert_eq!(delivered(&record[..cut]).unwrap(), frames[..whole]),
+            None => assert_eq!(delivered(&record[..cut]), None, "cut at {cut}"),
+        }
+    }
+
+    // The largest length the header can claim, at each frame's header:
+    // refused from the header alone, nothing allocated for it.
+    for &at in &boundaries[..3] {
+        let mut claim = record.clone();
+        claim[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(delivered(&claim), None, "4 GiB claimed at {at}");
+    }
+
+    // Trailing garbage shorter than a header, and a header with no body.
+    for garbage in [&[0xFF][..], &[0, 0, 1], &[0, 0, 0, 9, 1]] {
+        let mut trailing = record.clone();
+        trailing.extend_from_slice(garbage);
+        assert_eq!(delivered(&trailing), None, "{garbage:02x?} appended");
+    }
+
+    // Nothing to deliver is not an error: an empty message, and the
+    // zeros that stand in for a handshake — read as padding from their
+    // first header, not walked as a thousand empty frames.
+    assert_eq!(delivered(&[]).unwrap(), Vec::<Vec<u8>>::new());
+    assert_eq!(frames_of(&[0; 4_096]).unwrap().count(), 0);
+    assert_eq!(RecordKeys::frames(&[0; 4_096]).count(), 1_024);
+
+    // Noise: accepted only if it happens to be a well-formed list, and
+    // then it is exactly the list of what was delivered.
+    let mut noise = Noise(0x5851_f42d_4c95_7f2d);
+    for _ in 0..4_096 {
+        let len = noise.below(24);
+        let mut input = noise.bytes(len);
+        if input.len() >= 4 {
+            input[..3].fill(0); // a plausible first length
+        }
+        if let Some(frames) = delivered(&input) {
+            let respelled: Vec<u8> = frames
+                .iter()
+                .flat_map(|f| {
+                    (f.len() as u32)
+                        .to_be_bytes()
+                        .into_iter()
+                        .chain(f.iter().copied())
+                })
+                .collect();
+            assert!(frames.is_empty() || respelled == input, "{input:02x?}");
+        }
+    }
 }
