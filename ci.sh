@@ -89,6 +89,18 @@ cargo test -q --offline -p unicore-integration-tests --test codec_golden
 echo "==> hostile bytes: every DerCodec decoder fails closed (prefixes, bit flips, noise, terabyte length claims)"
 cargo test -q --offline -p unicore-integration-tests --test hostile_bytes
 
+echo "==> one frame-list grammar: a damaged u32 length | frame list delivers nothing, through the live path's split_frames and the federation's record walker alike"
+cargo test -q --offline -p unicore-integration-tests --test hostile_bytes a_damaged_frame_list_delivers_nothing
+
+echo "==> one record per peer per tick: the link module without a network; a fed_burst-shaped run pinned on seeds 1, 7, 23 (outcomes, journals as decoded events per job) and under drop + duplicate + reorder; 32 polls are one record each way, a lost or duplicated record is 32 envelopes each handled once, a crash finds nothing of a server's unsent"
+cargo test -q --offline -p unicore --lib link
+cargo test -q --offline -p unicore --test federation_tests -- burst_ record a_crash_loses
+
+echo "==> one way onto the wire: in crates/core/src, net.send( appears only in Federation::flush and the split-gateway LAN relay (offenders are listed)"
+if grep -rnE 'net\.send\(' crates/core/src | grep -vE '[^.]net\.send\(src, dst, GATEWAY_PORT, |self\.net\.send\(nodes\.gateway, nodes\.njs, 9_000, '; then
+    exit 1
+fi
+
 echo "==> no DerCodec type goes through the Value tree (offenders are listed)"
 if grep -rnE 'fn (to|from)_value' crates/*/src | grep -v '^crates/codec/'; then
     exit 1
