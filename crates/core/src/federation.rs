@@ -971,7 +971,8 @@ impl Federation {
     /// leaves at the end of the tick. Returns the frame.
     fn post(
         &mut self,
-        (src, dst): (NodeId, NodeId),
+        src: NodeId,
+        dst: NodeId,
         corr: u64,
         from_dn: &str,
         body: &Body,
@@ -984,12 +985,12 @@ impl Federation {
             .get(&(src, dst))
             .map(|t| t.contiguous)
             .filter(|&n| n > 0);
-        let stamps = (Some(*seq), ack);
+        let seq = Some(*seq);
         self.envelopes_sent += 1;
         self.outbox.push(src, dst, |frame| {
             frame.extend_from_slice(&src.0.to_be_bytes());
             DerWriter::append_to(frame, |w| {
-                Envelope::write_parts(w, corr, from_dn, body, trace, stamps)
+                Envelope::write_parts(w, corr, from_dn, body, trace, seq, ack)
             });
         })
     }
@@ -1013,7 +1014,7 @@ impl Federation {
         let dest = &self.sites[dest];
         let (dst, dest_site) = (dest.gateway, dest.name.clone());
         let body = Body::Request(request);
-        let frame = self.post((src, dst), corr, from_dn, &body, trace).to_vec();
+        let frame = self.post(src, dst, corr, from_dn, &body, trace).to_vec();
         let len = frame.len();
         self.inflight.insert(
             (owner.to_owned(), corr),
@@ -1194,9 +1195,9 @@ impl Federation {
         self.next_client_corr += 1;
         self.sync_corrs.insert(corr);
         // No inflight entry: the synchronous variant never retries.
-        let pair = (self.workstation, self.sites[via].gateway);
+        let dst = self.sites[via].gateway;
         let body = Body::Request(Request::Consign { ajo });
-        self.post(pair, corr, dn, &body, None);
+        self.post(self.workstation, dst, corr, dn, &body, None);
         corr
     }
 
@@ -1688,11 +1689,11 @@ impl Federation {
         let from = &self.sites[site];
         let (src, dn) = (from.gateway, from.dn.clone());
         let body = Body::Response(response);
-        self.post((src, to), corr, &dn, &body, None);
-        match body {
-            Body::Response(response) => response,
-            Body::Request(_) => unreachable!("built as a response above"),
-        }
+        self.post(src, to, corr, &dn, &body, None);
+        let Body::Response(response) = body else {
+            unreachable!("built as a response above")
+        };
+        response
     }
 
     /// The answer `site` already gave `dn`'s request `corr`, if any.

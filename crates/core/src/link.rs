@@ -70,9 +70,6 @@ impl Outbox {
         if start > 0 && open.len() > RECORD_BOUND {
             // The frame took the record past the bound: the frames before
             // it leave without it, and it opens the next record.
-            if open.len() - start > RECORD_BOUND {
-                eprintln!("BIGSPLIT {}", open.len() - start);
-            }
             let frame = open.split_off(start);
             records.push(frame);
             start = 0;

@@ -662,7 +662,8 @@ impl Envelope {
         from_dn: &str,
         body: &Body,
         trace: Option<SpanContext>,
-        (seq, ack): (Option<u64>, Option<u64>),
+        seq: Option<u64>,
+        ack: Option<u64>,
     ) {
         w.sequence(|w| {
             w.u64(corr);
@@ -693,8 +694,15 @@ impl Envelope {
 
 impl DerCodec for Envelope {
     fn write_der(&self, w: &mut DerWriter) {
-        let stamps = (self.seq, self.ack);
-        Self::write_parts(w, self.corr, &self.from_dn, &self.body, self.trace, stamps);
+        let Envelope {
+            corr,
+            from_dn,
+            body,
+            trace,
+            seq,
+            ack,
+        } = self;
+        Self::write_parts(w, *corr, from_dn, body, *trace, *seq, *ack);
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {

@@ -669,6 +669,18 @@ fn subjob_chain(name: &str, home: usize) -> AbstractJob {
     job
 }
 
+/// Two single-Vsite Usites, `S0` and `S1`, with the user registered.
+fn two_sites(seed: u64) -> Federation {
+    let specs = BURST_SITES.map(|s| SiteSpec::simple(s, "V", Architecture::Generic));
+    let config = FederationConfig {
+        seed,
+        ..FederationConfig::default()
+    };
+    let mut fed = Federation::new(config, &specs);
+    fed.register_user(DN, "alice");
+    fed
+}
+
 struct BurstRun {
     /// Terminal outcome DER per job, in submission order.
     outcomes: Vec<Vec<u8>>,
@@ -682,13 +694,7 @@ struct BurstRun {
 /// submitted up front, polled every 30 s at `DetailLevel::Tasks` until
 /// terminal, then purged — the loop gridbench's `fed_burst` runs.
 fn burst_run(seed: u64, plan: Option<&FaultPlan>) -> BurstRun {
-    let specs = BURST_SITES.map(|s| SiteSpec::simple(s, "V", Architecture::Generic));
-    let config = FederationConfig {
-        seed,
-        ..FederationConfig::default()
-    };
-    let mut fed = Federation::new(config, &specs);
-    fed.register_user(DN, "alice");
+    let mut fed = two_sites(seed);
     let disks: Vec<MemoryBackend> = BURST_SITES.iter().map(|_| MemoryBackend::new()).collect();
     for (site, disk) in BURST_SITES.iter().zip(&disks) {
         let store = EventStore::open(Box::new(disk.clone())).expect("open journal");
@@ -913,9 +919,7 @@ const POLLS: usize = 32;
 /// was handled exactly once" can be read from outside. `wire_fault`, if
 /// any, is in force on the workstation → S0 link for the next second.
 fn metered(wire_fault: Option<FaultKind>) -> (Federation, JobId) {
-    let specs = BURST_SITES.map(|s| SiteSpec::simple(s, "V", Architecture::Generic));
-    let mut fed = Federation::new(FederationConfig::default(), &specs);
-    fed.register_user(DN, "alice");
+    let mut fed = two_sites(FederationConfig::default().seed);
     fed.attach_stores();
     let corr = fed.client_submit("S0", chain3("metered", 0), DN);
     fed.run_until(5 * SEC);
