@@ -14,6 +14,8 @@
 //! - [`federation`] — [`federation::Federation`]: multiple servers over a
 //!   simulated WAN (Figure 2), with the asynchronous retry protocol and a
 //!   synchronous strawman for the E8 ablation.
+//! - [`link`] — what one network message of the federation is: a record
+//!   of every envelope one node wrote for one peer in one tick.
 //!
 //! The live security path (real mutual-auth handshake, encrypted records)
 //! lives in `unicore-transport` and is exercised by the security example

@@ -885,7 +885,10 @@ fn burst_outcomes_and_journals_are_pinned() {
     for (seed, pinned) in BURST_PINS {
         let run = burst_run(seed, None);
         assert_eq!(run.retries, 0, "seed {seed}: a healthy WAN retries nothing");
-        assert_eq!(run.seq_stats.0, 0, "seed {seed}: nothing arrives twice");
+        // Nothing arrives twice — and nothing late: WAN jitter used to
+        // let separately sent envelopes overtake each other (377, 397
+        // and 384 reorders on these seeds); inside a record they cannot.
+        assert_eq!(run.seq_stats, (0, 0), "seed {seed}");
         assert_eq!(burst_digest(&run), pinned, "seed {seed}");
     }
 }
