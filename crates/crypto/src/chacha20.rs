@@ -168,8 +168,11 @@ only one tip for the future, sunscreen would be it.";
         let mut cipher = ChaCha20::new(&key, &nonce, 1);
         let ct = cipher.apply_copy(plaintext);
         assert_eq!(
-            hex(&ct[..32]),
-            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            hex(&ct),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
+             f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
+             07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
+             5af90bbf74a35be6b40b8eedf2785e42874d"
         );
         // Round trip.
         let mut dec = ChaCha20::new(&key, &nonce, 1);

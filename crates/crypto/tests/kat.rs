@@ -15,8 +15,13 @@
 //! 128) — and 63, whose CAVP message is random — use the counting message
 //! `00 01 02 …`; those answers were computed with two independent
 //! implementations (coreutils `sha256sum`, OpenSSL via Python `hashlib`)
-//! and agree. HMAC: RFC 4231 §4.2–4.8. HKDF: RFC 5869 A.1. The ChaCha20
-//! RFC 8439 vectors live next to the cipher in `src/chacha20.rs`.
+//! and agree. HMAC: RFC 4231 §4.2–4.8. HKDF: RFC 5869 A.1.
+//!
+//! ChaCha20: RFC 8439 §2.3.2 (block function), §2.4.2 (the 114-byte
+//! sunscreen message, every ciphertext byte) and A.1 #1/#2 (the all-zero
+//! key's first two keystream blocks). Each runs through `apply` — one
+//! shot and in uneven pieces — and through a stream built from `block()`
+//! alone.
 //!
 //! RSA: RSASSA-PKCS1-v1_5 over SHA-256 is deterministic, so one fixed
 //! 512-bit and one fixed 1024-bit key (primes written out below, e = 65537)
@@ -24,6 +29,7 @@
 //! signatures were computed outside this crate — Python integers, `pow`
 //! and `hashlib` — from the RFC 8017 §9.2 encoding.
 
+use unicore_crypto::chacha20::{self, ChaCha20};
 use unicore_crypto::sha256::{sha256_scalar, BLOCK_LEN, DIGEST_LEN};
 use unicore_crypto::{hkdf_expand, hkdf_extract, hmac_sha256, sha256, BigUint, RsaKeyPair, Sha256};
 
@@ -268,6 +274,81 @@ fn hkdf_rfc5869_case_1() {
         hex(&hkdf_expand(&prk, &info, 42)),
         "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
          34007208d5b887185865"
+    );
+}
+
+/// Asserts the ciphertext of `plaintext` from block `counter` on: `apply`
+/// in one shot, `apply` in uneven pieces, and `block()` alone.
+fn check_chacha20(
+    key: &[u8; chacha20::KEY_LEN],
+    nonce: &[u8; chacha20::NONCE_LEN],
+    counter: u32,
+    plaintext: &[u8],
+    expected: &str,
+) {
+    let len = plaintext.len();
+    let one_shot = ChaCha20::new(key, nonce, counter).apply_copy(plaintext);
+    assert_eq!(hex(&one_shot), expected, "one shot, {len} bytes");
+
+    let mut cipher = ChaCha20::new(key, nonce, counter);
+    let mut pieces = plaintext.to_vec();
+    for piece in pieces.chunks_mut(37) {
+        cipher.apply(piece);
+    }
+    assert_eq!(hex(&pieces), expected, "pieces, {len} bytes");
+
+    let cipher = ChaCha20::new(key, nonce, counter);
+    let mut by_block = Vec::with_capacity(len);
+    for (i, chunk) in plaintext.chunks(chacha20::BLOCK_LEN).enumerate() {
+        let keystream = cipher.block(counter.wrapping_add(i as u32));
+        by_block.extend(chunk.iter().zip(keystream).map(|(byte, k)| byte ^ k));
+    }
+    assert_eq!(hex(&by_block), expected, "block(), {len} bytes");
+}
+
+#[test]
+fn chacha20_rfc8439_block_function() {
+    let key: [u8; 32] = counting(32).try_into().unwrap();
+    let nonce = [0, 0, 0, 0x09, 0, 0, 0, 0x4a, 0, 0, 0, 0];
+    check_chacha20(
+        &key,
+        &nonce,
+        1,
+        &[0; 64],
+        "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
+         d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e",
+    );
+}
+
+#[test]
+fn chacha20_rfc8439_sunscreen_every_byte() {
+    let key: [u8; 32] = counting(32).try_into().unwrap();
+    let nonce = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
+    check_chacha20(
+        &key,
+        &nonce,
+        1,
+        b"Ladies and Gentlemen of the class of '99: If I could offer you \
+          only one tip for the future, sunscreen would be it.",
+        "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
+         f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
+         07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
+         5af90bbf74a35be6b40b8eedf2785e42874d",
+    );
+}
+
+#[test]
+fn chacha20_rfc8439_zero_key_keystream() {
+    // A.1 test vectors #1 and #2: blocks 0 and 1, back to back.
+    check_chacha20(
+        &[0; 32],
+        &[0; 12],
+        0,
+        &[0; 128],
+        "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7\
+         da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586\
+         9f07e7be5551387a98ba977c732d080dcb0f29a048e3656912c6533e32ee7aed\
+         29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f",
     );
 }
 
