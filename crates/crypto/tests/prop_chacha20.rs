@@ -1,12 +1,31 @@
 //! Pins for the ChaCha20 keystream and everything drawn from it, each also
-//! held to a reference built from the scalar `block()` alone.
+//! held to a reference built from the scalar `block()` alone, and a
+//! differential test: the dispatched `apply` (the AVX2 kernel on CPUs that
+//! have one) against that reference on arbitrary input.
 //!
 //! The golden digests below were produced by the one-block-at-a-time
 //! scalar `apply` this crate started with. A change under `apply` that
-//! claims "same keystream" leaves this file green unedited.
+//! claims "same keystream" leaves them green unedited.
+//!
+//! On a CPU without AVX2 both sides are the scalar code; the tests still
+//! run — they then check `apply`'s buffering alone — and say so once on
+//! stderr.
 
-use unicore_crypto::chacha20::{ChaCha20, BLOCK_LEN, KEY_LEN, NONCE_LEN};
+use proptest::prelude::*;
+use unicore_crypto::chacha20::{kernel_name, ChaCha20, BLOCK_LEN, KEY_LEN, NONCE_LEN};
 use unicore_crypto::{sha256, CryptoRng};
+
+fn note_kernel() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| match kernel_name() {
+        "scalar" => {
+            eprintln!("prop_chacha20: no AVX2 on this CPU — both sides run the scalar code")
+        }
+        kernel => {
+            eprintln!("prop_chacha20: comparing the {kernel} kernel with the block() reference")
+        }
+    });
+}
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -192,6 +211,7 @@ const KEYSTREAM_PINS: [(usize, [&str; 3]); 18] = [
 
 #[test]
 fn apply_over_the_counting_pattern_is_pinned() {
+    note_kernel();
     let key = pin_key();
     for (len, pins) in KEYSTREAM_PINS {
         let data = counting(len);
@@ -251,6 +271,7 @@ const RNG_PINS: [(u64, &str, &str); 3] = [
 
 #[test]
 fn csprng_first_4k_is_pinned() {
+    note_kernel();
     for (seed, root_pin, fork_pin) in RNG_PINS {
         let root = first_4k(CryptoRng::from_u64(seed));
         assert_eq!(hex(&sha256(&root)), root_pin, "seed {seed}");
@@ -262,5 +283,43 @@ fn csprng_first_4k_is_pinned() {
         let mut material = sha256(&seed.to_be_bytes()).to_vec();
         material.extend_from_slice(b"/server");
         assert_eq!(fork, rng_reference(&material), "seed {seed}, fork");
+    }
+}
+
+proptest! {
+    /// Any key, nonce and start counter, any length up to 2 200 bytes at
+    /// any alignment, fed through `apply` in one to five pieces, equals
+    /// the `block()` reference over the same bytes in one piece.
+    #[test]
+    fn pieces_at_any_offset_equal_the_block_reference(
+        key in proptest::array::uniform32(any::<u8>()),
+        nonce in proptest::collection::vec(any::<u8>(), NONCE_LEN),
+        counter in any::<u32>(),
+        near_wrap in any::<bool>(),
+        data in proptest::collection::vec(any::<u8>(), 0..=2_200 + 7),
+        cuts in proptest::collection::vec(any::<Index>(), 0..5),
+    ) {
+        note_kernel();
+        let nonce: [u8; NONCE_LEN] = nonce.try_into().expect("twelve bytes");
+        // Half the cases start within 35 blocks of the 32-bit wrap, which
+        // a uniform counter would never reach.
+        let counter = if near_wrap { u32::MAX - counter % 35 } else { counter };
+        // Every start offset 0..8 moves the slice's alignment under the
+        // same block boundaries.
+        for skip in 0..8.min(data.len() + 1) {
+            let mut buffer = data.clone();
+            let out = &mut buffer[skip..];
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(out.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut cipher = ChaCha20::new(&key, &nonce, counter);
+            let mut at = 0;
+            for cut in cuts {
+                cipher.apply(&mut out[at..cut]);
+                at = cut;
+            }
+            cipher.apply(&mut out[at..]);
+            let expected = reference(&key, &nonce, counter, &data[skip..]);
+            prop_assert_eq!(&*out, &expected[..], "skip {}", skip);
+        }
     }
 }
