@@ -7,7 +7,9 @@ use crate::sha256::{sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    /// The outer hash already fed the opad key block, so a `finalize`
+    /// does not compress that block again for every tag.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -27,10 +29,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Feeds message data.
@@ -40,10 +41,8 @@ impl HmacSha256 {
 
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
