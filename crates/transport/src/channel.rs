@@ -24,6 +24,9 @@ pub struct SecureChannel {
     opened: Counter,
     /// Scratch for outgoing records: one buffer serves every send.
     seal_buf: Vec<u8>,
+    /// Scratch for incoming payloads read in place (batches, handshake
+    /// messages): one buffer serves every such receive.
+    open_buf: Vec<u8>,
 }
 
 impl SecureChannel {
@@ -48,6 +51,7 @@ impl SecureChannel {
             sealed: Counter::detached(),
             opened: Counter::detached(),
             seal_buf: Vec::new(),
+            open_buf: Vec::new(),
         }
     }
 
@@ -109,15 +113,16 @@ impl SecureChannel {
             return Err(TransportError::Closed);
         }
         let raw = self.wire.recv_timeout(timeout)?;
-        let (rtype, payload) = self.rx.open(&raw)?;
+        let rtype = self.rx.open_into(&raw, &mut self.open_buf)?;
         self.opened.inc();
         match rtype {
-            RecordType::Batch => RecordKeys::split_frames(&payload),
-            RecordType::Data => Ok(vec![payload]),
+            RecordType::Batch => RecordKeys::split_frames(&self.open_buf),
+            // The one frame is the whole payload: hand the buffer over.
+            RecordType::Data => Ok(vec![std::mem::take(&mut self.open_buf)]),
             RecordType::Alert => {
                 self.closed = true;
                 Err(TransportError::PeerAlert(
-                    String::from_utf8_lossy(&payload).into_owned(),
+                    String::from_utf8_lossy(&self.open_buf).into_owned(),
                 ))
             }
             RecordType::Handshake => Err(TransportError::Protocol("handshake after establishment")),
@@ -187,12 +192,14 @@ impl SecureChannel {
         Ok(())
     }
 
-    pub(crate) fn recv_handshake(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+    /// The next record's payload, borrowed from the channel's buffer
+    /// until the next receive.
+    pub(crate) fn recv_handshake(&mut self, timeout: Duration) -> Result<&[u8], TransportError> {
         let raw = self.wire.recv_timeout(timeout)?;
-        let (rtype, plain) = self.rx.open(&raw)?;
+        let rtype = self.rx.open_into(&raw, &mut self.open_buf)?;
         self.opened.inc();
         match rtype {
-            RecordType::Handshake => Ok(plain),
+            RecordType::Handshake => Ok(&self.open_buf),
             _ => Err(TransportError::Protocol("expected handshake record")),
         }
     }

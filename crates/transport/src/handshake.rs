@@ -323,13 +323,13 @@ pub fn client_handshake(
         // Server finishes first in the abbreviated flow.
         let their = chan.recv_handshake(ep.timeout)?;
         let expect = finished_value(&rmaster, &transcript, "server finished");
-        if !unicore_crypto::ct_eq(&their, &expect) {
+        if !unicore_crypto::ct_eq(their, &expect) {
             return Err(TransportError::Protocol("bad server Finished"));
         }
         let mine = finished_value(&rmaster, &transcript, "client finished");
         chan.send_handshake(&mine)?;
         // Rotated ticket for the next reconnect.
-        let ticket = ResumptionTicket::from_der(&chan.recv_handshake(ep.timeout)?)
+        let ticket = ResumptionTicket::from_der(chan.recv_handshake(ep.timeout)?)
             .map_err(|_| TransportError::BadMessage("resumption ticket"))?;
         cache.store_validated(
             server_name,
@@ -413,10 +413,10 @@ pub fn client_handshake(
     chan.send_handshake(&mine)?;
     let their = chan.recv_handshake(ep.timeout)?;
     let expect = finished_value(&master, &transcript, "server finished");
-    if !unicore_crypto::ct_eq(&their, &expect) {
+    if !unicore_crypto::ct_eq(their, &expect) {
         return Err(TransportError::Protocol("bad server Finished"));
     }
-    let ticket = ResumptionTicket::from_der(&chan.recv_handshake(ep.timeout)?)
+    let ticket = ResumptionTicket::from_der(chan.recv_handshake(ep.timeout)?)
         .map_err(|_| TransportError::BadMessage("resumption ticket"))?;
 
     cache.store_validated(
@@ -485,7 +485,7 @@ pub fn server_handshake(
         chan.send_handshake(&mine)?;
         let their = chan.recv_handshake(ep.timeout)?;
         let expect = finished_value(&rmaster, &transcript, "client finished");
-        if !unicore_crypto::ct_eq(&their, &expect) {
+        if !unicore_crypto::ct_eq(their, &expect) {
             return Err(TransportError::Protocol("bad client Finished"));
         }
         // Rotate the ticket so the next reconnect carries a fresh window.
@@ -578,7 +578,7 @@ pub fn server_handshake(
 
     let their = chan.recv_handshake(ep.timeout)?;
     let expect = finished_value(&master, &transcript, "client finished");
-    if !unicore_crypto::ct_eq(&their, &expect) {
+    if !unicore_crypto::ct_eq(their, &expect) {
         return Err(TransportError::Protocol("bad client Finished"));
     }
     let mine = finished_value(&master, &transcript, "server finished");

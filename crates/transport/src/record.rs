@@ -266,20 +266,43 @@ mod tests {
         rx.open(&r2).unwrap();
     }
 
+    /// Payloads for the tamper cases: a few bytes, `live_consign`'s mean
+    /// record and one bulk chunk — the last two long enough that the
+    /// cipher's wide kernel, not only its one-block path, is what a
+    /// refused record must not have reached.
+    fn tamper_payloads() -> [Vec<u8>; 3] {
+        [7usize, 774, 65_600].map(|len| (0..len).map(|i| i as u8).collect())
+    }
+
     #[test]
     fn replay_rejected() {
-        let (mut tx, mut rx) = pair();
-        let r1 = tx.seal(RecordType::Data, b"once");
-        rx.open(&r1).unwrap();
-        assert!(rx.open(&r1).is_err());
+        for payload in tamper_payloads() {
+            let (mut tx, mut rx) = pair();
+            let r1 = tx.seal(RecordType::Data, &payload);
+            assert_eq!(rx.open(&r1).unwrap().1, payload);
+            assert!(rx.open(&r1).is_err());
+            assert_eq!(rx.next_seq(), 1);
+        }
     }
 
     #[test]
     fn tampered_ciphertext_rejected() {
-        let (mut tx, mut rx) = pair();
-        let mut rec = tx.seal(RecordType::Data, b"payload");
-        rec[HEADER_LEN] ^= 0x01;
-        assert!(matches!(rx.open(&rec), Err(TransportError::RecordMac)));
+        for payload in tamper_payloads() {
+            let (mut tx, mut rx) = pair();
+            let rec = tx.seal(RecordType::Data, &payload);
+            let mut opened = b"untouched".to_vec();
+            // First, middle and last ciphertext byte.
+            for at in [0, payload.len() / 2, payload.len() - 1] {
+                let mut bad = rec.clone();
+                bad[HEADER_LEN + at] ^= 0x01;
+                let refused = rx.open_into(&bad, &mut opened);
+                assert!(matches!(refused, Err(TransportError::RecordMac)));
+                // Refused on the MAC, before a byte was decrypted.
+                assert_eq!(opened, b"untouched");
+                assert_eq!(rx.next_seq(), 0);
+            }
+            assert_eq!(rx.open(&rec).unwrap().1, payload);
+        }
     }
 
     #[test]
@@ -292,9 +315,21 @@ mod tests {
 
     #[test]
     fn truncated_record_rejected() {
-        let (mut tx, mut rx) = pair();
-        let rec = tx.seal(RecordType::Data, b"payload");
-        assert!(rx.open(&rec[..HEADER_LEN + MAC_LEN - 1]).is_err());
+        for payload in tamper_payloads() {
+            let (mut tx, mut rx) = pair();
+            let rec = tx.seal(RecordType::Data, &payload);
+            // Shorter than any record, one byte short, and one 64-byte
+            // cipher block short.
+            let cuts = [
+                HEADER_LEN + MAC_LEN - 1,
+                rec.len() - 1,
+                rec.len().saturating_sub(64),
+            ];
+            for len in cuts {
+                assert!(rx.open(&rec[..len]).is_err(), "{len} of {}", rec.len());
+            }
+            assert_eq!(rx.open(&rec).unwrap().1, payload);
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! the live path, a federation record on the simulated one — has one
 //! parser, attacked here through both of its callers: damaged anywhere,
 //! a record delivers none of its frames.
+//!
+//! A sealed record is attacked whole as well, at the sizes the live path
+//! and the bulk path send (774 B, 65 600 B): a bit flipped or a byte cut
+//! anywhere is refused on the MAC, before the cipher runs and without
+//! spending the receiver's sequence number.
 
 mod codec_corpus;
 
@@ -22,7 +27,7 @@ use std::fmt::Debug;
 use unicore::link::{frames_of, Outbox};
 use unicore_codec::DerCodec;
 use unicore_simnet::NodeId;
-use unicore_transport::RecordKeys;
+use unicore_transport::{RecordKeys, RecordType, TransportError};
 
 /// Encodings up to this size are attacked at every byte; longer ones
 /// (bulk file payloads) in full at both ends and at a stride between.
@@ -245,5 +250,47 @@ fn a_damaged_frame_list_delivers_nothing() {
                 .collect();
             assert!(frames.is_empty() || respelled == input, "{input:02x?}");
         }
+    }
+}
+
+#[test]
+fn a_damaged_sealed_record_is_refused_before_it_is_decrypted() {
+    for len in [774usize, 65_600] {
+        let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        let mut tx = RecordKeys::derive(b"hostile", "c2s");
+        let mut rx = RecordKeys::derive(b"hostile", "c2s");
+        let mut record = Vec::new();
+        tx.seal_into(RecordType::Data, &payload, &mut record);
+
+        let mut opened = b"untouched".to_vec();
+        let mut refused = |input: &[u8], what: std::fmt::Arguments<'_>| {
+            let result = rx.open_into(input, &mut opened);
+            assert!(result.is_err(), "{len} B record, {what}: accepted");
+            assert_eq!(opened, b"untouched", "{len} B record, {what}: decrypted");
+            assert_eq!(rx.next_seq(), 0, "{len} B record, {what}: sequence spent");
+            result.unwrap_err()
+        };
+        // Each probe of the long record MACs 64 KiB: every fifth offset.
+        let stride = if len > EXHAUSTIVE_BELOW { 5 } else { 1 };
+        for at in attack_offsets(record.len()).into_iter().step_by(stride) {
+            let mut flipped = record.clone();
+            flipped[at] ^= 1 << (at % 8);
+            let error = refused(&flipped, format_args!("bit flipped in byte {at}"));
+            // Past the type and sequence bytes, only the MAC can tell.
+            if at >= 9 {
+                assert!(matches!(error, TransportError::RecordMac), "byte {at}");
+            }
+            refused(&record[..at], format_args!("cut to {at} bytes"));
+        }
+        let mut longer = record.clone();
+        longer.push(0);
+        refused(&longer, format_args!("one byte appended"));
+
+        // None of that cost the receiver the record itself.
+        assert_eq!(
+            rx.open_into(&record, &mut opened).unwrap(),
+            RecordType::Data
+        );
+        assert_eq!(opened, payload);
     }
 }
