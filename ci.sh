@@ -9,8 +9,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> unsafe containment: unsafe only in the two hardware kernels (sha256/x86.rs, crc/x86.rs); their crates deny(unsafe_code), every other forbids it (offenders are listed)"
-if grep -rnE 'unsafe[[:space:]]*(\{|fn|impl|extern)|allow\(unsafe_code\)' crates/*/src | grep -vE '^crates/(crypto/src/sha256|store/src/crc)/x86\.rs:' ||
+echo "==> unsafe containment: unsafe only in the three hardware kernels (crypto/src/sha256/x86.rs, crypto/src/chacha20/x86.rs, store/src/crc/x86.rs); their crates deny(unsafe_code), every other forbids it (offenders are listed)"
+if grep -rnE 'unsafe[[:space:]]*(\{|fn|impl|extern)|allow\(unsafe_code\)' crates/*/src | grep -vE '^crates/(crypto/src/sha256|crypto/src/chacha20|store/src/crc)/x86\.rs:' ||
     grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | grep -vE '^crates/(crypto|store)/src/lib\.rs$' ||
     grep -L '^#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs crates/store/src/lib.rs | grep .; then
     exit 1
@@ -32,6 +32,11 @@ cargo test -q --offline
 
 echo "==> crypto: SHA-256/HMAC/HKDF known answers on the dispatched and the scalar path; RSA PKCS#1 v1.5 signatures pinned for a fixed 512- and 1024-bit key; SHA-NI kernel == scalar differential"
 cargo test -q --offline -p unicore-crypto --test kat --test prop_sha256
+
+echo "==> crypto: ChaCha20 dispatched kernel == scalar differential, keystream / CSPRNG / sealed-record pins"
+cargo test -q --offline -p unicore-crypto --test prop_chacha20
+cargo test -q --offline -p unicore-crypto --test kat chacha20
+cargo test -q --offline -p unicore-transport --test record_pins
 
 echo "==> crypto: Montgomery modpow == plain square-and-multiply (moduli of 1-40 limbs, every base and exponent shape); mont_sqr == mont_mul by self; Oakley group 2 fixed-base public_value == general modpow"
 cargo test -q --offline -p unicore-crypto --test prop_modpow

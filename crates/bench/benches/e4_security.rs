@@ -16,7 +16,7 @@ use unicore_bench::{bench_user_attrs, BENCH_DN};
 use unicore_certs::{
     CertificateAuthority, DistinguishedName, KeyUsage, RequiredUsage, TrustStore, Validity,
 };
-use unicore_crypto::{CryptoRng, DhEphemeral, DhGroup, RsaKeyPair};
+use unicore_crypto::{chacha20, sha256, CryptoRng, DhEphemeral, DhGroup, RsaKeyPair};
 use unicore_gateway::{UserEntry, Uudb};
 use unicore_resources::Architecture;
 use unicore_sim::{format_time, SEC};
@@ -246,16 +246,25 @@ fn benches(c: &mut Criterion) {
     });
     group.finish();
 
-    // Record protection throughput.
+    // Record protection throughput. Each id names the cipher and digest
+    // kernels this process dispatched to, so a rate is never read without
+    // knowing which path produced it.
+    let kernels = format!(
+        "chacha20={},sha256={}",
+        chacha20::kernel_name(),
+        sha256::kernel_name()
+    );
     let mut group = c.benchmark_group("e4_record_layer");
     for size in [1usize << 10, 64 << 10, 1 << 20] {
         let data = vec![0xabu8; size];
         group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::new("seal", size), &data, |b, data| {
+        let id = BenchmarkId::new(format!("seal[{kernels}]"), size);
+        group.bench_with_input(id, &data, |b, data| {
             let mut keys = RecordKeys::derive(b"bench master", "c2s");
             b.iter(|| black_box(keys.seal(RecordType::Data, data)))
         });
-        group.bench_with_input(BenchmarkId::new("seal_open", size), &data, |b, data| {
+        let id = BenchmarkId::new(format!("seal_open[{kernels}]"), size);
+        group.bench_with_input(id, &data, |b, data| {
             b.iter_custom(|iters| {
                 let mut tx = RecordKeys::derive(b"bench master", "c2s");
                 let mut rx = RecordKeys::derive(b"bench master", "c2s");

@@ -23,13 +23,17 @@
 //!   the SHA-NI kernel in the private `sha256::x86` module on x86-64 CPUs
 //!   with `sha` + `sse4.1` + `ssse3`, the portable scalar function
 //!   everywhere else (and as the tests' reference)
-//! - [`chacha20`] — stream cipher for record protection
+//! - [`chacha20`] — stream cipher for record protection. Whole blocks go,
+//!   in place, to a function chosen the same way: the AVX2 kernel in the
+//!   private `chacha20::x86` module on x86-64 CPUs with `avx2`, one scalar
+//!   `block()` per block everywhere else (and as the tests' reference)
 //! - [`rng`] — deterministic ChaCha-based CSPRNG
 //! - [`ct`] — constant-time comparison
 
 #![warn(missing_docs)]
-// `deny`, not the workspace's usual `forbid`: `sha256::x86` — the hardware
-// kernel, the one module allowed `unsafe` — opts out with an inner `allow`.
+// `deny`, not the workspace's usual `forbid`: `sha256::x86` and
+// `chacha20::x86` — the hardware kernels, the two modules allowed `unsafe`
+// — opt out with an inner `allow`.
 #![deny(unsafe_code)]
 
 pub mod bignum;

@@ -12,7 +12,8 @@
 //!
 //! - on x86-64 with the `sha`, `sse4.1` and `ssse3` features (run-time
 //!   `is_x86_feature_detected!`), the SHA-NI kernel in the private `x86`
-//!   module — the crate's only `unsafe` code;
+//!   module (one of the crate's two `unsafe` call sites, with
+//!   `chacha20::x86`);
 //! - everywhere else (other architectures, older x86-64 CPUs), the portable
 //!   [`compress_blocks_scalar`].
 //!

@@ -1,5 +1,5 @@
-//! SHA-NI compression kernel for x86-64 — the one module in the workspace
-//! allowed to contain `unsafe`.
+//! SHA-NI compression kernel for x86-64 — with `chacha20::x86`, one of the
+//! two modules in this crate allowed to contain `unsafe`.
 //!
 //! The kernel itself is safe code: a `#[target_feature]` function built
 //! from value intrinsics only (no pointer loads or stores). The single
