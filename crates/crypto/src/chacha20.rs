@@ -273,11 +273,6 @@ only one tip for the future, sunscreen would be it.";
     }
 
     #[test]
-    fn kernel_is_named() {
-        assert!(["avx2", "scalar"].contains(&kernel_name()));
-    }
-
-    #[test]
     fn chunked_equals_oneshot() {
         let key = test_key();
         let nonce = [7u8; NONCE_LEN];

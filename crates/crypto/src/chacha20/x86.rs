@@ -48,23 +48,15 @@ const PAIR_LEN: usize = 2 * BLOCK_LEN;
 #[target_feature(enable = "avx2")]
 fn xor_blocks_avx2(cipher: &ChaCha20, counter: u32, blocks: &mut [u8]) {
     let mut counter = counter;
-    let mut wide = blocks.chunks_exact_mut(4 * PAIR_LEN);
-    for group in &mut wide {
-        xor_pairs::<4>(cipher, counter, group);
-        counter = counter.wrapping_add(8);
+    let mut rest = blocks;
+    while rest.len() >= 4 * PAIR_LEN {
+        rest = xor_pairs::<4>(cipher, &mut counter, rest);
     }
-    let mut rest = wide.into_remainder();
     if rest.len() >= 2 * PAIR_LEN {
-        let (group, tail) = rest.split_at_mut(2 * PAIR_LEN);
-        xor_pairs::<2>(cipher, counter, group);
-        counter = counter.wrapping_add(4);
-        rest = tail;
+        rest = xor_pairs::<2>(cipher, &mut counter, rest);
     }
     if rest.len() >= PAIR_LEN {
-        let (group, tail) = rest.split_at_mut(PAIR_LEN);
-        xor_pairs::<1>(cipher, counter, group);
-        counter = counter.wrapping_add(2);
-        rest = tail;
+        rest = xor_pairs::<1>(cipher, &mut counter, rest);
     }
     xor_blocks_scalar(cipher, counter, rest);
 }
@@ -146,13 +138,19 @@ fn xor_into(bytes: &mut [u8; 32], keystream: __m256i) {
     bytes[24..].copy_from_slice(&_mm256_extract_epi64::<3>(mixed).to_le_bytes());
 }
 
-/// XORs `2 · N` blocks of keystream, from block `counter` on, into `data`
-/// (`N · 128` bytes). Each block's counter is its own `wrapping_add`, so
-/// the 32-bit wrap falls between the same two blocks as in the scalar
-/// stream, wherever in a group that is.
+/// XORs `2 · N` blocks of keystream, from block `counter` on, into the
+/// first `N · 128` bytes of `data`; advances `counter` past them and
+/// returns the rest of `data`. Each block's counter is its own
+/// `wrapping_add`, so the 32-bit wrap falls between the same two blocks as
+/// in the scalar stream, wherever in a group that is.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn xor_pairs<const N: usize>(cipher: &ChaCha20, counter: u32, data: &mut [u8]) {
+fn xor_pairs<'a, const N: usize>(
+    cipher: &ChaCha20,
+    counter: &mut u32,
+    data: &'a mut [u8],
+) -> &'a mut [u8] {
+    let (data, rest) = data.split_at_mut(N * PAIR_LEN);
     // A row of key material, the same in both blocks of a pair.
     let both = |w: [u32; 4]| {
         let [w0, w1, w2, w3] = w.map(|word| word as i32);
@@ -160,16 +158,17 @@ fn xor_pairs<const N: usize>(cipher: &ChaCha20, counter: u32, data: &mut [u8]) {
     };
     let k = &cipher.key;
     let [n0, n1, n2] = cipher.nonce.map(|word| word as i32);
-    let mut input = [[
+    let (sigma, key_low, key_high) = (
         both(SIGMA),
         both([k[0], k[1], k[2], k[3]]),
         both([k[4], k[5], k[6], k[7]]),
-        both([0; 4]),
-    ]; N];
-    for (pair, rows) in input.iter_mut().enumerate() {
-        let low = counter.wrapping_add(2 * pair as u32);
-        let high = low.wrapping_add(1);
+    );
+    // Row 3 is each block's own counter, then the nonce.
+    let mut input = [[sigma, key_low, key_high, sigma]; N];
+    for rows in &mut input {
+        let (low, high) = (*counter, counter.wrapping_add(1));
         rows[3] = _mm256_set_epi32(n2, n1, n0, high as i32, n2, n1, n0, low as i32);
+        *counter = counter.wrapping_add(2);
     }
 
     let mut pairs = input;
@@ -201,4 +200,5 @@ fn xor_pairs<const N: usize>(cipher: &ChaCha20, counter: u32, data: &mut [u8]) {
         xor_into(&mut out[2], _mm256_permute2x128_si256::<0x31>(a, b));
         xor_into(&mut out[3], _mm256_permute2x128_si256::<0x31>(c, d));
     }
+    rest
 }
