@@ -1043,3 +1043,63 @@ fn a_crash_loses_nothing_already_on_the_wire() {
     assert_eq!(fed.envelopes_sent, sent.1 + 1);
     assert!(fed.take_client_response(late).is_none(), "nobody home");
 }
+
+/// Polls `job` at FZJ once and returns what came back.
+fn poll_fzj(fed: &mut Federation, job: JobId) -> Response {
+    let poll = fed.client_poll("FZJ", DN, job, DetailLevel::JobOnly);
+    fed.run_until(fed.now() + 5 * SEC);
+    fed.take_client_response(poll).expect("answered")
+}
+
+/// A journalled German deployment with one job consigned at FZJ.
+fn german_with_a_job() -> (Federation, JobId) {
+    let mut fed = german();
+    fed.attach_stores();
+    let mut job = AbstractJob::new("kept", VsiteAddress::new("FZJ", "T3E"), attrs());
+    job.nodes.push(script_node(1, "work", "sleep 60\n"));
+    let corr = fed.client_submit("FZJ", job, DN);
+    fed.run_until(5 * SEC);
+    let Some(Response::Consigned { job }) = fed.take_client_response(corr) else {
+        panic!("no consign ack");
+    };
+    (fed, job)
+}
+
+#[test]
+fn a_revoked_dn_stays_revoked_across_a_crash_restart() {
+    // A revocation is operator configuration, not process state: the
+    // rebooted gateway refuses the DN exactly as the crashed one did.
+    let (mut fed, job) = german_with_a_job();
+    fed.revoke_user(DN);
+    fed.crash_site("FZJ");
+    fed.restart_site("FZJ");
+    let refused = poll_fzj(&mut fed, job);
+    assert!(
+        matches!(&refused, Response::Error(why) if why.contains("certificate revoked")),
+        "served a revoked DN after the restart: {refused:?}"
+    );
+    fed.reinstate_user(DN);
+    let served = poll_fzj(&mut fed, job);
+    assert!(outcome_of(&served).is_some(), "{served:?}");
+}
+
+#[test]
+fn the_rate_limit_survives_a_crash_restart() {
+    // The limit is configuration and comes back with the site; the
+    // buckets are process state and come back full.
+    const BUDGET: usize = 3;
+    let (mut fed, job) = german_with_a_job();
+    fed.set_rate_limit(RateLimitConfig::new(0, BUDGET as u64));
+    fed.crash_site("FZJ");
+    fed.restart_site("FZJ");
+    for n in 1..=BUDGET {
+        let served = poll_fzj(&mut fed, job);
+        assert!(outcome_of(&served).is_some(), "request {n}: {served:?}");
+    }
+    let refused = poll_fzj(&mut fed, job);
+    assert!(
+        matches!(&refused, Response::Error(why) if why.contains("rate limit")),
+        "request {} was served: {refused:?}",
+        BUDGET + 1
+    );
+}
