@@ -22,9 +22,6 @@
 //!   starving everyone else.
 //! - [`jain_index`] measures how fair an allocation actually was, for
 //!   the E16 experiment's acceptance gate.
-//!
-//! The legacy seed API ([`choose_vsite`]) is kept verbatim for callers
-//! that predate the broker subsystem.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,10 +29,7 @@
 mod score;
 mod shares;
 
-pub use score::{
-    choose_vsite, rank, BrokerChoice, BrokerPolicy, BrokerRejection, Candidate, LoadSnapshot,
-    RankedOffer,
-};
+pub use score::{rank, BrokerPolicy, Candidate, LoadSnapshot, RankedOffer};
 pub use shares::{FairShare, FairShareConfig, QuotaDenial};
 
 use unicore_ajo::{AbstractJob, GraphNode, ResourceRequest};

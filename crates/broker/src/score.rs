@@ -163,59 +163,6 @@ pub fn rank(
     offers
 }
 
-/// Why the broker rejected a candidate (for user-facing explanations).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BrokerRejection {
-    /// The request violates the page's limits.
-    Inadmissible,
-}
-
-/// The broker's scored pick (legacy seed API).
-#[derive(Debug, Clone)]
-pub struct BrokerChoice {
-    /// The chosen Vsite.
-    pub vsite: VsiteAddress,
-    /// True when the machine can start the request immediately.
-    pub immediate: bool,
-    /// The candidates considered, in preference order (chosen first).
-    pub ranking: Vec<VsiteAddress>,
-}
-
-/// Picks the best Vsite for `request` among `candidates` — the original
-/// seed policy, kept verbatim: admissible pages only; prefer machines
-/// that can start *now*; then shorter queues; then lower utilisation;
-/// then bigger machines; ties break on the Vsite name.
-pub fn choose_vsite(request: &ResourceRequest, candidates: &[Candidate]) -> Option<BrokerChoice> {
-    let mut ranked: Vec<&Candidate> = candidates
-        .iter()
-        .filter(|c| admissible(request, &c.page))
-        .collect();
-    if ranked.is_empty() {
-        return None;
-    }
-    ranked.sort_by(|a, b| {
-        let a_now = a.load.free_nodes >= request.processors;
-        let b_now = b.load.free_nodes >= request.processors;
-        b_now
-            .cmp(&a_now)
-            .then(a.load.queue_length.cmp(&b.load.queue_length))
-            .then(
-                a.load
-                    .utilization
-                    .partial_cmp(&b.load.utilization)
-                    .unwrap_or(core::cmp::Ordering::Equal),
-            )
-            .then(b.load.total_nodes.cmp(&a.load.total_nodes))
-            .then(a.load.vsite.to_string().cmp(&b.load.vsite.to_string()))
-    });
-    let best = ranked[0];
-    Some(BrokerChoice {
-        vsite: best.load.vsite.clone(),
-        immediate: best.load.free_nodes >= request.processors,
-        ranking: ranked.iter().map(|c| c.load.vsite.clone()).collect(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,7 +200,6 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_none() {
-        assert!(choose_vsite(&req(4), &[]).is_none());
         assert!(rank(&BrokerPolicy::default(), &req(4), &[], &[]).is_empty());
     }
 
@@ -264,18 +210,16 @@ mod tests {
             candidate("DWD", "SX4", Architecture::NecSx4, 32, 0, 0.0),
             candidate("FZJ", "T3E", Architecture::CrayT3e, 0, 50, 0.99),
         ];
-        let choice = choose_vsite(&req(100), &cands).unwrap();
-        assert_eq!(choice.vsite.to_string(), "FZJ/T3E");
-        assert!(!choice.immediate);
         let offers = rank(&BrokerPolicy::default(), &req(100), &cands, &[]);
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].vsite.to_string(), "FZJ/T3E");
+        assert!(!offers[0].immediate);
     }
 
     #[test]
     fn all_inadmissible_yields_none() {
         let cands = [candidate("DWD", "SX4", Architecture::NecSx4, 32, 0, 0.0)];
-        assert!(choose_vsite(&req(10_000), &cands).is_none());
+        assert!(rank(&BrokerPolicy::default(), &req(10_000), &cands, &[]).is_empty());
     }
 
     #[test]
@@ -286,11 +230,8 @@ mod tests {
             // ...vs a small idle one that fits.
             candidate("DWD", "SX4", Architecture::NecSx4, 32, 0, 0.1),
         ];
-        let choice = choose_vsite(&req(16), &cands).unwrap();
-        assert_eq!(choice.vsite.to_string(), "DWD/SX4");
-        assert!(choice.immediate);
-        assert_eq!(choice.ranking.len(), 2);
         let offers = rank(&BrokerPolicy::default(), &req(16), &cands, &[]);
+        assert_eq!(offers.len(), 2);
         assert_eq!(offers[0].vsite.to_string(), "DWD/SX4");
         assert!(offers[0].immediate);
     }
@@ -301,8 +242,6 @@ mod tests {
             candidate("FZJ", "T3E", Architecture::CrayT3e, 0, 10, 0.5),
             candidate("ZIB", "T3E", Architecture::CrayT3e, 0, 2, 0.5),
         ];
-        let choice = choose_vsite(&req(64), &cands).unwrap();
-        assert_eq!(choice.vsite.to_string(), "ZIB/T3E");
         let offers = rank(&BrokerPolicy::default(), &req(64), &cands, &[]);
         assert_eq!(offers[0].vsite.to_string(), "ZIB/T3E");
     }
@@ -313,20 +252,27 @@ mod tests {
             candidate("FZJ", "T3E", Architecture::CrayT3e, 0, 2, 0.9),
             candidate("ZIB", "T3E", Architecture::CrayT3e, 0, 2, 0.2),
         ];
-        let choice = choose_vsite(&req(64), &cands).unwrap();
-        assert_eq!(choice.vsite.to_string(), "ZIB/T3E");
+        let offers = rank(&BrokerPolicy::default(), &req(64), &cands, &[]);
+        assert_eq!(offers[0].vsite.to_string(), "ZIB/T3E");
     }
 
     #[test]
     fn deterministic_tie_break() {
-        let cands = [
-            candidate("ZIB", "T3E", Architecture::CrayT3e, 512, 0, 0.0),
-            candidate("FZJ", "T3E", Architecture::CrayT3e, 512, 0, 0.0),
-        ];
-        let a = choose_vsite(&req(8), &cands).unwrap();
-        let b = choose_vsite(&req(8), &cands).unwrap();
-        assert_eq!(a.vsite, b.vsite);
-        assert_eq!(a.vsite.to_string(), "FZJ/T3E"); // name order
+        // Equal scores order by the seeded hash of the Vsite name: the
+        // same whichever way the candidates are listed, and not the same
+        // for every deployment seed.
+        let zib = candidate("ZIB", "T3E", Architecture::CrayT3e, 512, 0, 0.0);
+        let fzj = candidate("FZJ", "T3E", Architecture::CrayT3e, 512, 0, 0.0);
+        let first = |seed, cands: &[Candidate]| {
+            rank(&BrokerPolicy::seeded(seed), &req(8), cands, &[])[0]
+                .vsite
+                .to_string()
+        };
+        let (ab, ba) = ([zib.clone(), fzj.clone()], [fzj, zib]);
+        for seed in 0..16 {
+            assert_eq!(first(seed, &ab), first(seed, &ba), "seed {seed}");
+        }
+        assert!((1..16).any(|seed| first(seed, &ab) != first(0, &ab)));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::server::UnicoreServer;
 use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 // TranslationTable's DerCodec impl lives in `unicore-njs` (orphan rule).
 use unicore_gateway::{Gateway, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::ResourcePage;
 
 /// One Vsite's configured environment.
@@ -38,13 +38,16 @@ pub struct SiteConfig {
 }
 
 impl SiteConfig {
-    /// Boots a ready [`UnicoreServer`] from this configuration.
+    /// Boots a ready [`UnicoreServer`] from this configuration, its NJS
+    /// split into `shards` shards (at least one). This is the one place
+    /// a site's server is built: the federation boots every site through
+    /// it, the first time and after a crash.
     ///
     /// # Panics
     /// Panics when a page's Usite disagrees with `self.usite` (a
     /// configuration authoring error).
-    pub fn boot(&self) -> UnicoreServer {
-        let mut njs = Njs::new(self.usite.clone());
+    pub fn boot(&self, shards: usize) -> UnicoreServer {
+        let mut njs = ShardedNjs::new(self.usite.clone(), shards, 1);
         for v in &self.vsites {
             njs.add_vsite(v.page.clone(), v.table.clone());
         }
@@ -149,7 +152,7 @@ mod tests {
         // Persist, reload, boot — then run a job end to end.
         let der = sample_config().to_der();
         let cfg = SiteConfig::from_der(&der).unwrap();
-        let mut server = cfg.boot();
+        let mut server = cfg.boot(1);
 
         let mut job = unicore_ajo::AbstractJob::new(
             "from-config",
@@ -185,7 +188,7 @@ mod tests {
     #[test]
     fn booted_server_rejects_unknown_peer() {
         let cfg = sample_config();
-        let mut server = cfg.boot();
+        let mut server = cfg.boot(1);
         let resp = server.handle_request(
             "C=DE, O=Nowhere, OU=X, CN=not-a-peer",
             Request::DeliverOutcome {

@@ -10,19 +10,43 @@
 //! the row set of its subtree — bounded payloads, O(log n) edges from
 //! any site to the root.
 //!
-//! The types here are deliberately free of `Federation` internals: the
-//! federation drives the plane (heartbeats, routing, health overlay)
-//! while [`PlaneNode`] owns the per-site protocol state — what the
-//! parent has acked, what each child has pushed — so crash/restart can
-//! drop and rebuild one node without touching the rest of the plane.
+//! [`AggregationTree`], [`GridPush`] and [`PlaneNode`] are free of
+//! `Federation` internals: [`PlaneNode`] owns the per-site protocol
+//! state — what the parent has acked, what each child has pushed — so
+//! crash/restart can drop and rebuild one node without touching the rest
+//! of the plane. `GridPlane` holds a deployment's nodes with the pushes
+//! and query relays in flight, and the `impl Federation` at the end of
+//! this file is the relay that drives them (heartbeats, routing, health
+//! overlay) through the reliability layer.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use unicore_ajo::{SiteHealth, SiteStatus, VsiteHealth, HEADLINE_COUNTERS};
+use crate::federation::Federation;
+use crate::protocol::{Request, Response};
+use crate::reliability::{CorrKey, Sender};
+use unicore_ajo::{
+    GridView, ServiceOutcome, SiteHealth, SiteStatus, UnreachableReason, VsiteHealth,
+    HEADLINE_COUNTERS,
+};
 use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
-use unicore_sim::SimTime;
+use unicore_sim::{SimTime, SEC};
+use unicore_simnet::NodeId;
 use unicore_telemetry::aggregate::{SnapshotDelta, SnapshotPayload};
-use unicore_telemetry::MetricsSnapshot;
+use unicore_telemetry::{
+    standard_slo_rules, ActiveAlert, AlertEngine, AlertEvent, MetricsSnapshot,
+};
+
+/// How long an aggregation edge may go unheard before the whole cached
+/// subtree behind it is marked stale in grid views.
+const STALE_AFTER: SimTime = 90 * SEC;
+/// Fanout of the aggregation spanning tree: every grid-view query climbs
+/// at most `log_fanout(sites)` NJS→NJS hops.
+const TREE_FANOUT: usize = 4;
+/// Relay and push correlation ids live far above any server-assigned id
+/// so the three spaces never collide in the shared `(site, corr)`
+/// inflight namespace.
+const RELAY_CORR_BASE: u64 = 1 << 48;
+const PUSH_CORR_BASE: u64 = 1 << 49;
 
 /// Deterministic complete k-ary spanning tree over the site list.
 ///
@@ -456,6 +480,383 @@ impl PlaneNode {
     /// the next heartbeat simply rebuilds it.
     pub fn abandon_pending(&mut self) {
         self.up.pending = None;
+    }
+}
+
+/// One hop of a grid-view query climbing the aggregation tree: the site
+/// that received it remembers who asked, so the root's answer — or a
+/// degraded subtree view when the uplink is dead — flows back down the
+/// same path.
+pub(crate) struct GridRelay {
+    origin_node: NodeId,
+    origin_corr: u64,
+    origin_dn: String,
+}
+
+/// The aggregation plane of one deployment; a site is its index.
+pub(crate) struct GridPlane {
+    tree: AggregationTree,
+    root: usize,
+    /// Site → its tree parent (`None` at the root).
+    parents: Vec<Option<usize>>,
+    /// Site → its plane node; `None` while the site is down (the edge
+    /// caches and epochs are RAM).
+    nodes: Vec<Option<PlaneNode>>,
+    /// Heartbeat period: how often each site refreshes its own row and
+    /// pushes its subtree snapshot one hop up.
+    push_interval: SimTime,
+    /// In-flight aggregation pushes, so acks and retry exhaustion find
+    /// the owning plane node.
+    pushes: HashSet<CorrKey>,
+    next_push_corr: u64,
+    /// Open grid-view relays, keyed by the upward hop's correlation id.
+    relays: HashMap<CorrKey, GridRelay>,
+    next_relay_corr: u64,
+    /// The root-scope SLO rules engine over the merged grid view.
+    alerts: AlertEngine,
+    next_alert_eval: SimTime,
+}
+
+impl GridPlane {
+    /// The plane over `names` (deployment order).
+    pub(crate) fn new(names: &[String], seed: u64, push_interval: SimTime) -> Self {
+        let tree = AggregationTree::build(names.to_vec(), seed, TREE_FANOUT);
+        let index = |name: &str| names.iter().position(|n| n == name).expect("a tree site");
+        let mut plane = GridPlane {
+            root: index(tree.root()),
+            parents: names.iter().map(|n| tree.parent(n).map(index)).collect(),
+            nodes: names.iter().map(|n| Some(PlaneNode::new(n, 0))).collect(),
+            tree,
+            push_interval,
+            pushes: HashSet::new(),
+            next_push_corr: PUSH_CORR_BASE,
+            relays: HashMap::new(),
+            next_relay_corr: RELAY_CORR_BASE,
+            alerts: AlertEngine::new(standard_slo_rules()),
+            next_alert_eval: 0,
+        };
+        plane.arm(0);
+        plane
+    }
+
+    /// Schedules every node's next heartbeat relative to `now`, staggered
+    /// a quarter second apart so the plane never synchronises into a
+    /// thundering herd.
+    pub(crate) fn arm(&mut self, now: SimTime) {
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if let Some(node) = node {
+                node.next_push_at = now + self.push_interval + (i as SimTime + 1) * (SEC / 4);
+            }
+        }
+        self.next_alert_eval = now + 2 * self.push_interval;
+    }
+
+    /// The next heartbeat or SLO evaluation.
+    pub(crate) fn next_event(&self) -> SimTime {
+        let pushes = self.nodes.iter().flatten().map(|n| n.next_push_at);
+        pushes.fold(self.next_alert_eval, SimTime::min)
+    }
+
+    /// `site`'s process died: its node, its pushes and the relays it held
+    /// open die with it. Its parent's cache simply goes stale.
+    pub(crate) fn crash(&mut self, site: usize) {
+        self.nodes[site] = None;
+        self.pushes.retain(|(owner, _)| *owner != Some(site));
+        self.relays.retain(|(owner, _), _| *owner != Some(site));
+    }
+
+    /// A fresh node re-announces the rebooted site quickly; epoch 0 on
+    /// the uplink means its first push is a full snapshot, and its
+    /// children's deltas are refused once (resync) then resent full.
+    pub(crate) fn restart(&mut self, site: usize, name: &str, now: SimTime) {
+        self.nodes[site] = Some(PlaneNode::new(name, now + SEC));
+    }
+
+    fn node(&self, site: usize) -> &PlaneNode {
+        self.nodes[site].as_ref().expect("a live site has a node")
+    }
+
+    /// A child's push reached `site`; answered with the epoch ack the
+    /// delta protocol rides on.
+    pub(crate) fn on_push(
+        &mut self,
+        site: usize,
+        t: SimTime,
+        corr: u64,
+        push: &GridPush,
+    ) -> Response {
+        let node = self.nodes[site].as_mut().expect("a live site has a node");
+        let ApplyResult { epoch, resync } = node.apply_push(t, corr, push);
+        Response::GridAck { epoch, resync }
+    }
+
+    /// Whether the request `key` — answered with `ack`, or given up on —
+    /// was one of the plane's own pushes; its edge state is settled here.
+    /// The plane is deliberately silent about a push that died on the
+    /// wire (a partitioned child must not quarantine its healthy parent):
+    /// the pending edge state is dropped, the next heartbeat rebuilds it.
+    pub(crate) fn push_settled(&mut self, key: &CorrKey, ack: Option<&Response>) -> bool {
+        if !self.pushes.remove(key) {
+            return false;
+        }
+        if let Some(node) = key.0.and_then(|site| self.nodes[site].as_mut()) {
+            match ack {
+                Some(Response::GridAck { resync, .. }) => drop(node.on_ack(key.1, *resync)),
+                Some(_) => {}
+                None => node.abandon_pending(),
+            }
+        }
+        true
+    }
+
+    /// The relay waiting on the upward hop `key`, if that is what it was.
+    pub(crate) fn take_relay(&mut self, key: &CorrKey) -> Option<GridRelay> {
+        self.relays.remove(key)
+    }
+
+    /// Whether a query `node` sent as `corr` is still climbing the tree.
+    pub(crate) fn is_relaying(&self, node: NodeId, corr: u64) -> bool {
+        let mut open = self.relays.values();
+        open.any(|r| r.origin_node == node && r.origin_corr == corr)
+    }
+}
+
+/// The grid-plane relay.
+impl Federation {
+    /// Why the federation itself knows `site` cannot be reached right
+    /// now: crash outranks partition outranks quarantine.
+    fn unreachable_reason(&self, site: usize) -> Option<UnreachableReason> {
+        let reasons = [
+            (self.sites[site].server.is_none(), UnreachableReason::Crash),
+            (self.sites[site].partitioned, UnreachableReason::Partition),
+            (self.rel.is_quarantined(site), UnreachableReason::Quarantine),
+        ];
+        reasons
+            .into_iter()
+            .find_map(|(holds, why)| holds.then_some(why))
+    }
+
+    /// One row per deployment site, as seen from `site`'s plane node:
+    /// pushed rows from its subtree, synthesized epoch-0 rows for sites
+    /// it has never heard of, and a health overlay from the federation's
+    /// live fault knowledge; otherwise a silent edge or a never-heard
+    /// site shows `Stale`, and fresh rows show `Live`.
+    fn assemble(&self, site: usize, t: SimTime) -> GridView {
+        let node = self.plane.node(site);
+        let rows = node.subtree_rows();
+        let silent = node.silent_sites(t, STALE_AFTER);
+        let mut by_name: Vec<usize> = (0..self.sites.len()).collect();
+        by_name.sort_by_key(|&i| &self.site_names[i]);
+        let status_rows = by_name.into_iter().map(|i| {
+            let name = &self.site_names[i];
+            let mut row = match rows.get(name) {
+                Some(row) => (*row).clone(),
+                None => SiteStatus {
+                    usite: name.clone(),
+                    epoch: 0,
+                    updated_at: 0,
+                    health: SiteHealth::Stale,
+                    vsites: Vec::new(),
+                    headline: Vec::new(),
+                },
+            };
+            row.health = if i == site {
+                SiteHealth::Live
+            } else if let Some(why) = self.unreachable_reason(i) {
+                SiteHealth::Unreachable(why)
+            } else if silent.contains(name) || !rows.contains_key(name) {
+                SiteHealth::Stale
+            } else {
+                SiteHealth::Live
+            };
+            row
+        });
+        let at_root = site == self.plane.root;
+        GridView {
+            root: self.site_names[site].clone(),
+            at: t,
+            sites: status_rows.collect(),
+            merged: node.subtree_merged(),
+            alerts: at_root
+                .then(|| self.plane.alerts.active())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// One tick of the plane (E17). Drives every due aggregation
+    /// heartbeat: the site refreshes its own row from a live monitor
+    /// report, and — unless it is the tree root, or its previous push is
+    /// still in flight — builds the next delta (or full, on an unacked
+    /// edge) push toward its tree parent. Pushes deliberately bypass the
+    /// circuit breaker in both directions: the plane is the thing that
+    /// must keep probing a dark edge, and one bounded push per heartbeat
+    /// cannot storm. Then the root's SLO rules, when they are due.
+    pub(crate) fn plane_tick(&mut self, t: SimTime) {
+        for site in 0..self.sites.len() {
+            let Some(node) = &mut self.plane.nodes[site] else {
+                continue; // crashed: no process, no heartbeat
+            };
+            if t < node.next_push_at {
+                continue;
+            }
+            let server = self.sites[site].server.as_ref();
+            let report = server.expect("a node has a server").monitor_report(t);
+            node.next_push_at = t + self.plane.push_interval;
+            node.refresh_own(t, report.metrics, report.vsites);
+            let Some(parent) = self.plane.parents[site] else {
+                continue; // the root aggregates; it has no uplink
+            };
+            if node.up.pending.is_some() {
+                continue; // at most one push in flight per edge
+            }
+            let corr = self.plane.next_push_corr;
+            self.plane.next_push_corr += 1;
+            let push = node.build_push(t, STALE_AFTER, corr);
+            let is_full = push.merged.is_full();
+            let request = Request::MonitorPush { push };
+            let from = Sender::Site(site);
+            let bytes = self.rel.request(t, from, parent, corr, request, None) as u64;
+            if is_full {
+                self.grid_push_bytes_full += bytes;
+            } else {
+                self.grid_push_bytes_delta += bytes;
+            }
+            self.plane.pushes.insert((Some(site), corr));
+        }
+        if t >= self.plane.next_alert_eval {
+            self.plane.next_alert_eval = t + self.plane.push_interval;
+            self.eval_alerts(t);
+        }
+    }
+
+    /// Evaluates the SLO rules over the root's merged subtree view.
+    /// Firing and clearing are pure functions of simulated time and the
+    /// snapshot, so a replayed chaos run produces a byte-identical
+    /// alert log. Events land in the root NJS's flight recorder (ring 0,
+    /// the grid ring) and in the federation counters.
+    fn eval_alerts(&mut self, t: SimTime) {
+        let root = self.plane.root;
+        let Some(server) = &self.sites[root].server else {
+            return; // the root is down; evaluation resumes on restart
+        };
+        let node = self.plane.node(root);
+        let silent = node.silent_sites(t, STALE_AFTER);
+        let total = self.sites.len();
+        let unreachable = (0..total)
+            .filter(|&i| {
+                i != root
+                    && (self.unreachable_reason(i).is_some()
+                        || silent.contains(&self.site_names[i]))
+            })
+            .count();
+        let merged = node.subtree_merged();
+        let events = self.plane.alerts.evaluate(t, &merged, unreachable, total);
+        for ev in &events {
+            let what = if ev.firing { "slo.fire" } else { "slo.clear" };
+            self.telemetry.counter("federation.slo.events").inc();
+            server
+                .njs()
+                .flight()
+                .record(0, t, what, format_args!("{}", ev.rule));
+        }
+    }
+
+    /// Sends a relayed grid-view query's answer back down the path it
+    /// climbed, and caches it for the asker's retries: the view the
+    /// parent sent, or — the uplink dead or quarantined, or the parent
+    /// having refused — the view `site` can vouch for, its own subtree.
+    pub(crate) fn answer_grid_relay(
+        &mut self,
+        site: usize,
+        relay: GridRelay,
+        from_parent: Option<Response>,
+        t: SimTime,
+    ) {
+        let response = match from_parent {
+            Some(view @ Response::Service(ServiceOutcome::Grid { .. })) => view,
+            _ => {
+                self.telemetry.counter("federation.grid.degraded").inc();
+                let view = self.assemble(site, t);
+                Response::Service(ServiceOutcome::Grid { view })
+            }
+        };
+        let GridRelay {
+            origin_node,
+            origin_corr,
+            origin_dn,
+        } = relay;
+        self.rel
+            .answer_once(site, origin_node, &origin_dn, origin_corr, || response);
+    }
+
+    /// Routes a `Monitor { grid: true }` query arriving at `site`. The
+    /// tree root assembles and answers from its pre-merged caches (O(1)
+    /// on query, the aggregation already happened on push traffic);
+    /// every other site relays the query one hop toward the root —
+    /// O(depth) = O(log sites) hops in total — unless its uplink is
+    /// quarantined, in which case it answers immediately with the
+    /// degraded view of its own subtree.
+    pub(crate) fn handle_grid_query(
+        &mut self,
+        site: usize,
+        origin: NodeId,
+        corr: u64,
+        dn: &str,
+        t: SimTime,
+    ) {
+        let Some(parent) = self.plane.parents[site] else {
+            let view = self.assemble(site, t);
+            let response = Response::Service(ServiceOutcome::Grid { view });
+            self.rel.answer_once(site, origin, dn, corr, || response);
+            return;
+        };
+        // A retransmit while the relay is still climbing: the open relay
+        // will answer; don't open a second one.
+        let mut open = self.plane.relays.iter();
+        if open.any(|((owner, _), r)| {
+            *owner == Some(site) && r.origin_corr == corr && r.origin_dn == dn
+        }) {
+            return;
+        }
+        let relay = GridRelay {
+            origin_node: origin,
+            origin_corr: corr,
+            origin_dn: dn.to_owned(),
+        };
+        if self.rel.blocks(parent, t) {
+            self.fast_failures += 1;
+            self.telemetry.counter("federation.fast_fail").inc();
+            self.answer_grid_relay(site, relay, None, t);
+            return;
+        }
+        let relay_corr = self.plane.next_relay_corr;
+        self.plane.next_relay_corr += 1;
+        self.grid_query_hops += 1;
+        let query = Request::Monitor { grid: true };
+        self.rel
+            .request(t, Sender::Site(site), parent, relay_corr, query, None);
+        self.plane.relays.insert((Some(site), relay_corr), relay);
+    }
+
+    /// The aggregation spanning tree the plane runs over (E17).
+    pub fn grid_tree(&self) -> &AggregationTree {
+        &self.plane.tree
+    }
+
+    /// The SLO alerts currently firing at the tree root.
+    pub fn active_alerts(&self) -> Vec<ActiveAlert> {
+        self.plane.alerts.active()
+    }
+
+    /// Every alert fire/clear event so far, in evaluation order.
+    pub fn alert_log(&self) -> &[AlertEvent] {
+        self.plane.alerts.log()
+    }
+
+    /// The alert log DER-encoded — byte-identical across replays of the
+    /// same seeded scenario, which the chaos suite asserts.
+    pub fn alert_log_der(&self) -> Vec<u8> {
+        self.plane.alerts.log_der()
     }
 }
 

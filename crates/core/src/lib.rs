@@ -16,6 +16,9 @@
 //!   synchronous strawman for the E8 ablation.
 //! - [`link`] — what one network message of the federation is: a record
 //!   of every envelope one node wrote for one peer in one tick.
+//! - `reliability` (private) — sequence stamps, retry timers, circuit
+//!   breakers and the at-most-once reply cache between the two.
+//! - [`grid`] — the aggregation plane (E17) and its relay.
 //!
 //! The live security path (real mutual-auth handshake, encrypted records)
 //! lives in `unicore-transport` and is exercised by the security example
@@ -26,24 +29,25 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod broker;
 pub mod config;
 pub mod federation;
 pub mod grid;
 pub mod link;
 pub mod protocol;
+mod reliability;
 pub mod server;
 
-pub use broker::{choose_vsite, BrokerChoice, Candidate, LoadSnapshot};
 pub use config::{SiteConfig, VsiteConfig};
 pub use federation::{Federation, FederationConfig, SiteSpec, GATEWAY_PORT};
 pub use grid::{AggregationTree, GridPush, PlaneNode};
 pub use protocol::{list_jobs_of, outcome_of, Body, Envelope, Request, Response};
 pub use server::{OutboundRequest, UnicoreServer};
+pub use unicore_broker::{Candidate, LoadSnapshot};
 
 // Re-export the subsystem crates so downstream users need only `unicore`.
 pub use unicore_ajo as ajo;
 pub use unicore_batch as batch;
+pub use unicore_broker as broker;
 pub use unicore_certs as certs;
 pub use unicore_codec as codec;
 pub use unicore_crypto as crypto;

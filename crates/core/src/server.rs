@@ -1286,8 +1286,9 @@ impl UnicoreServer {
         };
     }
 
-    /// Publishes current per-Vsite load (for the resource-broker seed).
-    pub fn load_snapshots(&self, now: SimTime) -> Vec<crate::broker::Candidate> {
+    /// Current load of this server's own Vsites: the one load a broker
+    /// knows live.
+    fn load_snapshots(&self, now: SimTime) -> Vec<crate::broker::Candidate> {
         self.njs
             .vsite_names()
             .iter()

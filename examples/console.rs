@@ -11,7 +11,7 @@
 //! fetch <site> <job> <name>              fetch a file (prints size)
 //! abort <site> <job>                     abort a job
 //! purge <site> <job>                     reclaim the job directory
-//! broker <procs> <secs>                  ask the resource broker
+//! broker <site> <procs> <secs>           ask that site's resource broker
 //! run <sim-seconds>                      advance simulated time
 //! report <site>                          site usage report
 //! quit
@@ -50,7 +50,7 @@ fn main() {
                     "submit <site> <vsite> <procs> <secs> | status <site> <job> | list <site>"
                 );
                 println!("files <site> <job> | fetch <site> <job> <name> | abort <site> <job>");
-                println!("purge <site> <job> | broker <procs> <secs> | run <secs> | report <site> | quit");
+                println!("purge <site> <job> | broker <site> <procs> <secs> | run <secs> | report <site> | quit");
                 println!("sites: FZJ/T3E RUS/VPP RUKA/SP2 LRZ/SP2 ZIB/T3E DWD/SX4");
             }
             ["quit"] | ["exit"] => break,
@@ -189,16 +189,21 @@ fn main() {
                 fed.run_until(fed.now() + MINUTE);
                 println!("{:?}", fed.take_client_response(corr));
             }
-            ["broker", procs, run_secs] => {
+            ["broker", site, procs, run_secs] => {
                 let request = ResourceRequest::minimal()
                     .with_processors(procs.parse().unwrap_or(1))
                     .with_run_time(run_secs.parse().unwrap_or(600));
-                match fed.broker_choose(&request) {
-                    Some(choice) => println!(
-                        "broker suggests {} (immediate start: {})",
-                        choice.vsite, choice.immediate
-                    ),
-                    None => println!("no admissible Vsite"),
+                let corr = fed.client_broker(site, DN, request);
+                fed.run_until(fed.now() + MINUTE);
+                match fed.take_client_response(corr) {
+                    Some(Response::BrokerOffer { offers }) => match offers.first() {
+                        Some(best) => println!(
+                            "broker suggests {} (immediate start: {})",
+                            best.vsite, best.immediate
+                        ),
+                        None => println!("no admissible Vsite"),
+                    },
+                    other => println!("{other:?}"),
                 }
             }
             ["report", site] => match fed.server(site) {

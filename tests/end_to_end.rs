@@ -254,7 +254,13 @@ fn broker_routes_around_load() {
     let request = ResourceRequest::minimal()
         .with_processors(16)
         .with_run_time(3_600);
-    let choice = fed.broker_choose(&request).expect("some site admissible");
+    // Ask DWD's own broker: its load is the one it knows live.
+    let ask = fed.client_broker("DWD", DN, request);
+    fed.run_until(fed.now() + MINUTE);
+    let Some(Response::BrokerOffer { offers }) = fed.take_client_response(ask) else {
+        panic!("no broker offer");
+    };
+    let choice = offers.first().expect("some site admissible");
     assert_ne!(choice.vsite.usite, "DWD", "broker chose the saturated site");
     assert!(choice.immediate);
 
@@ -262,23 +268,20 @@ fn broker_routes_around_load() {
     let mut b = jpa.new_job("brokered", choice.vsite.clone());
     b.script_task("work", "sleep 30\n", request);
     let (_, outcome, _) = fed
-        .submit_and_wait(
-            &choice.vsite.usite.clone(),
-            b.build().unwrap(),
-            DN,
-            5 * SEC,
-            HOUR,
-        )
+        .submit_and_wait(&choice.vsite.usite, b.build().unwrap(), DN, 5 * SEC, HOUR)
         .expect("brokered job completes");
     assert!(outcome.status.is_success());
 }
 
 #[test]
 fn broker_rejects_impossible_requests() {
-    let fed = fed();
+    let mut fed = fed();
     // No machine in the deployment has 10^6 processors.
     let request = ResourceRequest::minimal().with_processors(1_000_000);
-    assert!(fed.broker_choose(&request).is_none());
+    let ask = fed.client_broker("FZJ", DN, request);
+    fed.run_until(MINUTE);
+    let answer = fed.take_client_response(ask);
+    assert_eq!(answer, Some(Response::BrokerOffer { offers: vec![] }));
 }
 
 #[test]
