@@ -101,8 +101,18 @@ echo "==> one record per peer per tick: the link module without a network; a fed
 cargo test -q --offline -p unicore --lib link
 cargo test -q --offline -p unicore --test federation_tests -- burst_ record a_crash_loses
 
-echo "==> one way onto the wire: in crates/core/src, net.send( appears only in Federation::flush and the split-gateway LAN relay (offenders are listed)"
-if grep -rnE 'net\.send\(' crates/core/src | grep -vE '[^.]net\.send\(src, dst, GATEWAY_PORT, |self\.net\.send\(nodes\.gateway, nodes\.njs, 9_000, '; then
+echo "==> the reliability layer without a network or a server: sequence ledger, retry timers in (site name, corr) order, backoff pinned for seed 1, circuit closed -> open -> one probe -> closed, at-most-once reply cache and what a crash forgets"
+cargo test -q --offline -p unicore --lib reliability
+
+echo "==> one way onto the wire: in crates/core/src, net.send( appears only in Federation::flush (federation.rs) and the split-gateway LAN relay, and only link.rs and reliability.rs name the Outbox (offenders are listed)"
+if grep -rnE 'net\.send\(' crates/core/src | grep -vE '^crates/core/src/federation\.rs:.*([^.]net\.send\(src, dst, GATEWAY_PORT, |self\.net\.send\(nodes\.gateway, nodes\.njs, 9_000, )' ||
+    grep -rnE '\bOutbox\b|outbox\.(push|flush)\(' crates/core/src | grep -vE '^crates/core/src/(link|reliability)\.rs:'; then
+    exit 1
+fi
+
+echo "==> one place builds a site's server (SiteConfig::boot): ShardedNjs::new(, Gateway::new( and UnicoreServer::new( do not appear in federation.rs, grid.rs or reliability.rs, and reliability.rs knows neither the Network nor UnicoreServer (offenders are listed)"
+if grep -nE '(ShardedNjs|Gateway|UnicoreServer)::new\(' crates/core/src/federation.rs crates/core/src/grid.rs crates/core/src/reliability.rs ||
+    grep -nE '\b(Network|UnicoreServer)\b' crates/core/src/reliability.rs; then
     exit 1
 fi
 

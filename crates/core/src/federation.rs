@@ -199,6 +199,15 @@ pub struct Federation {
     client_spans: HashMap<u64, ActiveSpan>,
 }
 
+/// One store per shard, each opened on its "disk".
+fn open_journals(disks: &[MemoryBackend]) -> Vec<EventStore> {
+    let open = |disk: &MemoryBackend| EventStore::open(Box::new(disk.clone()));
+    disks
+        .iter()
+        .map(|d| open(d).expect("open journal"))
+        .collect()
+}
+
 impl Federation {
     /// Builds a federation of `specs` over a full-mesh WAN.
     pub fn new(config: FederationConfig, specs: &[SiteSpec]) -> Self {
@@ -307,12 +316,7 @@ impl Federation {
         } = &self.sites[site];
         let mut server = config.boot(self.config.njs_shards);
         if !journals.is_empty() {
-            let open = |disk: &MemoryBackend| {
-                EventStore::open(Box::new(disk.clone())).expect("open journal")
-            };
-            server
-                .njs_mut()
-                .attach_stores(journals.iter().map(open).collect());
+            server.njs_mut().attach_stores(open_journals(journals));
         }
         if let Some(seed) = self.telemetry_seed {
             server.set_telemetry(Telemetry::collecting(seed.wrapping_add(site as u64 + 1)));
@@ -538,12 +542,9 @@ impl Federation {
             let server = site.server.as_mut().expect("running");
             let shards = server.njs().shard_count();
             site.journals = (0..shards).map(|_| MemoryBackend::new()).collect();
-            let stores = site
-                .journals
-                .iter()
-                .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
-                .collect();
-            server.njs_mut().attach_stores(stores);
+            server
+                .njs_mut()
+                .attach_stores(open_journals(&site.journals));
         }
     }
 
@@ -715,8 +716,8 @@ impl Federation {
     /// Queries the monitoring plane via `usite`. With `grid = false` the
     /// entry site answers for itself alone; with `grid = true` (and
     /// telemetry enabled) the query climbs the aggregation tree to the
-    /// root, which answers with the pre-merged [`GridView`] — O(log
-    /// sites) hops, bounded payloads (E17).
+    /// root, which answers with the pre-merged [`unicore_ajo::GridView`]
+    /// — O(log sites) hops, bounded payloads (E17).
     pub fn client_monitor(&mut self, via: &str, dn: &str, grid: bool) -> u64 {
         self.client_request(via, dn, Request::Monitor { grid })
     }

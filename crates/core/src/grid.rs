@@ -626,14 +626,15 @@ impl Federation {
     /// Why the federation itself knows `site` cannot be reached right
     /// now: crash outranks partition outranks quarantine.
     fn unreachable_reason(&self, site: usize) -> Option<UnreachableReason> {
-        let reasons = [
-            (self.sites[site].server.is_none(), UnreachableReason::Crash),
-            (self.sites[site].partitioned, UnreachableReason::Partition),
-            (self.rel.is_quarantined(site), UnreachableReason::Quarantine),
-        ];
-        reasons
-            .into_iter()
-            .find_map(|(holds, why)| holds.then_some(why))
+        if self.sites[site].server.is_none() {
+            Some(UnreachableReason::Crash)
+        } else if self.sites[site].partitioned {
+            Some(UnreachableReason::Partition)
+        } else if self.rel.is_quarantined(site) {
+            Some(UnreachableReason::Quarantine)
+        } else {
+            None
+        }
     }
 
     /// One row per deployment site, as seen from `site`'s plane node:
@@ -671,15 +672,17 @@ impl Federation {
             };
             row
         });
-        let at_root = site == self.plane.root;
+        let alerts = if site == self.plane.root {
+            self.plane.alerts.active()
+        } else {
+            Vec::new()
+        };
         GridView {
             root: self.site_names[site].clone(),
             at: t,
             sites: status_rows.collect(),
             merged: node.subtree_merged(),
-            alerts: at_root
-                .then(|| self.plane.alerts.active())
-                .unwrap_or_default(),
+            alerts,
         }
     }
 

@@ -42,7 +42,6 @@ pub use federation::{Federation, FederationConfig, SiteSpec, GATEWAY_PORT};
 pub use grid::{AggregationTree, GridPush, PlaneNode};
 pub use protocol::{list_jobs_of, outcome_of, Body, Envelope, Request, Response};
 pub use server::{OutboundRequest, UnicoreServer};
-pub use unicore_broker::{Candidate, LoadSnapshot};
 
 // Re-export the subsystem crates so downstream users need only `unicore`.
 pub use unicore_ajo as ajo;

@@ -788,7 +788,7 @@ mod tests {
             for (corr, attempt) in (0..200).flat_map(|c| (0..MAX_RETRIES + 2).map(move |a| (c, a)))
             {
                 let delay = rel.backoff_delay(&(owner, corr), attempt);
-                assert!(delay >= RETRY_TIMEOUT && delay < BACKOFF_CAP + BACKOFF_CAP / 4);
+                assert!((RETRY_TIMEOUT..BACKOFF_CAP + BACKOFF_CAP / 4).contains(&delay));
             }
         }
     }
