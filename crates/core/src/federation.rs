@@ -212,12 +212,14 @@ impl Federation {
     /// Builds a federation of `specs` over a full-mesh WAN.
     pub fn new(config: FederationConfig, specs: &[SiteSpec]) -> Self {
         let mut net = Network::new(config.seed);
-        let server_dn = |site: &str| format!("C=DE, O={site}, OU=UNICORE, CN={site}-server");
+        let site_names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
+        let server_dn = |site| format!("C=DE, O={site}, OU=UNICORE, CN={site}-server");
+        let dns: Vec<String> = site_names.iter().map(server_dn).collect();
         // Every server trusts every other server's DN, and each site's
         // UUDB knows the servers (they map when pushing files).
         let mut uudb = Uudb::new();
-        for spec in specs {
-            uudb.add(server_dn(&spec.name), UserEntry::new("unicored", "system"));
+        for dn in &dns {
+            uudb.add(dn.clone(), UserEntry::new("unicored", "system"));
         }
         let mut sites = Vec::new();
         for spec in specs {
@@ -229,7 +231,10 @@ impl Federation {
                 page: deployment_page(&spec.name, vsite, *arch),
                 table: TranslationTable::for_architecture(*arch),
             });
-            let peers = specs.iter().filter(|peer| peer.name != spec.name);
+            let peers = dns
+                .iter()
+                .zip(specs)
+                .filter(|(_, peer)| peer.name != spec.name);
             sites.push(Site {
                 gateway,
                 njs,
@@ -238,7 +243,7 @@ impl Federation {
                     usite: spec.name.clone(),
                     vsites: vsites.collect(),
                     uudb: uudb.clone(),
-                    peer_servers: peers.map(|peer| server_dn(&peer.name)).collect(),
+                    peer_servers: peers.map(|(dn, _)| dn.clone()).collect(),
                 },
                 journals: Vec::new(),
                 server: None,
@@ -261,14 +266,10 @@ impl Federation {
             net.add_duplex(workstation, site.gateway, wan);
         }
 
-        let site_names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
-        let addresses = sites.iter().map(|s| {
-            (
-                s.config.usite.as_str().into(),
-                server_dn(&s.config.usite).into(),
-                s.gateway,
-            )
-        });
+        let names_and_dns = site_names.iter().zip(&dns);
+        let addresses = names_and_dns
+            .zip(&sites)
+            .map(|((name, dn), s)| (name.as_str().into(), dn.as_str().into(), s.gateway));
         let mut fed = Federation {
             net,
             site_index: site_names.iter().cloned().zip(0..).collect(),
