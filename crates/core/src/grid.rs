@@ -19,7 +19,7 @@
 //! this file is the relay that drives them (heartbeats, routing, health
 //! overlay) through the reliability layer.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::federation::Federation;
 use crate::protocol::{Request, Response};
@@ -505,9 +505,6 @@ pub(crate) struct GridPlane {
     /// Heartbeat period: how often each site refreshes its own row and
     /// pushes its subtree snapshot one hop up.
     push_interval: SimTime,
-    /// In-flight aggregation pushes, so acks and retry exhaustion find
-    /// the owning plane node.
-    pushes: HashSet<CorrKey>,
     next_push_corr: u64,
     /// Open grid-view relays, keyed by the upward hop's correlation id.
     relays: HashMap<CorrKey, GridRelay>,
@@ -528,7 +525,6 @@ impl GridPlane {
             nodes: names.iter().map(|n| Some(PlaneNode::new(n, 0))).collect(),
             tree,
             push_interval,
-            pushes: HashSet::new(),
             next_push_corr: PUSH_CORR_BASE,
             relays: HashMap::new(),
             next_relay_corr: RELAY_CORR_BASE,
@@ -561,7 +557,6 @@ impl GridPlane {
     /// open die with it. Its parent's cache simply goes stale.
     pub(crate) fn crash(&mut self, site: usize) {
         self.nodes[site] = None;
-        self.pushes.retain(|(owner, _)| *owner != Some(site));
         self.relays.retain(|(owner, _), _| *owner != Some(site));
     }
 
@@ -591,20 +586,22 @@ impl GridPlane {
     }
 
     /// Whether the request `key` — answered with `ack`, or given up on —
-    /// was one of the plane's own pushes; its edge state is settled here.
-    /// The plane is deliberately silent about a push that died on the
-    /// wire (a partitioned child must not quarantine its healthy parent):
-    /// the pending edge state is dropped, the next heartbeat rebuilds it.
+    /// was the push its owner's node has in flight; its edge state is
+    /// settled here. The plane is deliberately silent about a push that
+    /// died on the wire (a partitioned child must not quarantine its
+    /// healthy parent): the pending edge state is dropped, the next
+    /// heartbeat rebuilds it.
     pub(crate) fn push_settled(&mut self, key: &CorrKey, ack: Option<&Response>) -> bool {
-        if !self.pushes.remove(key) {
+        let Some(node) = key.0.and_then(|site| self.nodes[site].as_mut()) else {
+            return false;
+        };
+        if node.up.pending.as_ref().is_none_or(|p| p.corr != key.1) {
             return false;
         }
-        if let Some(node) = key.0.and_then(|site| self.nodes[site].as_mut()) {
-            match ack {
-                Some(Response::GridAck { resync, .. }) => drop(node.on_ack(key.1, *resync)),
-                Some(_) => {}
-                None => node.abandon_pending(),
-            }
+        match ack {
+            Some(Response::GridAck { resync, .. }) => drop(node.on_ack(key.1, *resync)),
+            Some(_) => {}
+            None => node.abandon_pending(),
         }
         true
     }
@@ -724,7 +721,6 @@ impl Federation {
             } else {
                 self.grid_push_bytes_delta += bytes;
             }
-            self.plane.pushes.insert((Some(site), corr));
         }
         if t >= self.plane.next_alert_eval {
             self.plane.next_alert_eval = t + self.plane.push_interval;
