@@ -1044,6 +1044,27 @@ fn a_crash_loses_nothing_already_on_the_wire() {
     assert!(fed.take_client_response(late).is_none(), "nobody home");
 }
 
+#[test]
+fn a_duplicated_answer_is_delivered_once() {
+    let (mut fed, job) = metered(None);
+    let (gw, ws) = (fed.gateway_node("S0").unwrap(), fed.workstation_node());
+    let now = fed.now();
+    let duplicate = FaultKind::Duplicate { probability: 1.0 };
+    fed.apply_fault_plan(&FaultPlan::new(5).on_link(gw, ws, duplicate, now, now + SEC));
+    let poll = fed.client_poll("S0", DN, job, DetailLevel::Tasks);
+    let answer = loop {
+        assert!(fed.now() < now + SEC, "the poll was never answered");
+        fed.run_until(fed.now() + MILLI);
+        if let Some(answer) = fed.take_client_response(poll) {
+            break answer;
+        }
+    };
+    assert!(outcome_of(&answer).is_some(), "{answer:?}");
+    fed.run_until(fed.now() + 5 * SEC);
+    assert_eq!(fed.seq_stats().0, 1, "the copy did arrive");
+    assert_eq!(fed.take_client_response(poll), None, "and was dropped");
+}
+
 /// Polls `job` at FZJ once and returns what came back.
 fn poll_fzj(fed: &mut Federation, job: JobId) -> Response {
     let poll = fed.client_poll("FZJ", DN, job, DetailLevel::JobOnly);
