@@ -145,6 +145,30 @@ struct SyncWatch {
     owner_dn: String,
 }
 
+/// Whether the client port may merge `request` into a sweep: the JMC's
+/// job-service requests. Consigns and controls root traces and monitor
+/// queries are intercepted by the federation, so those travel alone.
+fn sweepable(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::Poll { .. }
+            | Request::Purge { .. }
+            | Request::List
+            | Request::ListFiles { .. }
+            | Request::FetchFile { .. }
+    )
+}
+
+/// Sweepable requests the client asked of one Usite under one DN since
+/// the last flush, in call order; the first member's corr names the
+/// envelope they leave in.
+struct OpenSweep {
+    site: usize,
+    dn: String,
+    corrs: Vec<u64>,
+    requests: Vec<Request>,
+}
+
 /// The running federation.
 pub struct Federation {
     net: Network,
@@ -161,7 +185,15 @@ pub struct Federation {
     pub(crate) rel: Reliability,
     /// The aggregation plane (E17).
     pub(crate) plane: GridPlane,
+    /// Answers waiting for [`Federation::take_client_response`]; only
+    /// ever filled from `outstanding`.
     client_responses: HashMap<u64, Response>,
+    /// The client's envelopes on the wire: envelope corr → the member
+    /// corrs its answer goes to. An answer is delivered when its entry
+    /// leaves, so a later copy finds nothing and is dropped.
+    outstanding: HashMap<u64, Vec<u64>>,
+    /// Sweeps still being gathered, in the order they were opened.
+    open_sweeps: Vec<OpenSweep>,
     next_client_corr: u64,
     sync_corrs: HashSet<u64>,
     sync_watches: Vec<SyncWatch>,
@@ -281,6 +313,8 @@ impl Federation {
             site_names,
             sites,
             client_responses: HashMap::new(),
+            outstanding: HashMap::new(),
+            open_sweeps: Vec::new(),
             next_client_corr: 1,
             sync_corrs: HashSet::new(),
             sync_watches: Vec::new(),
@@ -624,10 +658,14 @@ impl Federation {
         self.rel.seq_stats()
     }
 
-    /// Hands the tick's records to the network, one message per record.
+    /// Closes the tick's open sweeps, in the order they were opened, and
+    /// hands the tick's records to the network, one message per record.
     /// First contact between two nodes is charged `handshake_bytes` of
     /// padding ahead of the record that makes it.
     fn flush(&mut self) {
+        for sweep in std::mem::take(&mut self.open_sweeps) {
+            self.post_sweep(sweep);
+        }
         let (net, established, padding) = (
             &mut self.net,
             &mut self.established,
@@ -646,9 +684,34 @@ impl Federation {
 
     /// Submits a request from the workstation as `dn` via `usite`
     /// (asynchronous: retried until acknowledged or the budget runs out).
+    ///
+    /// The JMC's job-service requests to one Usite under one DN in one
+    /// tick leave as one envelope at the next flush: one alone travels
+    /// bare, two or more as a [`Request::Sweep`]. Any other request
+    /// leaves now, after the sweep its `(site, DN)` had open, so frames
+    /// leave in call order.
     pub fn client_request(&mut self, via: &str, dn: &str, request: Request) -> u64 {
         let corr = self.next_client_corr;
         self.next_client_corr += 1;
+        let site = self.site_index[via];
+        if sweepable(&request) {
+            match self.open_sweep(site, dn) {
+                Some(at) => {
+                    let sweep = &mut self.open_sweeps[at];
+                    sweep.corrs.push(corr);
+                    sweep.requests.push(request);
+                }
+                None => self.open_sweeps.push(OpenSweep {
+                    site,
+                    dn: dn.to_owned(),
+                    corrs: vec![corr],
+                    requests: vec![request],
+                }),
+            }
+            return corr;
+        }
+        self.close_sweep(site, dn);
+        self.outstanding.insert(corr, vec![corr]);
         // Head sampling: consigns and control operations root a trace —
         // everything the servers do on their behalf hangs below it via
         // the wire context. High-frequency monitoring (polls, fetches,
@@ -660,15 +723,46 @@ impl Federation {
             ActiveSpan::noop()
         };
         span.attr("via", via);
-        let via = self.site_index[via];
         let from = Sender::Client(dn);
         self.rel
-            .request(self.now, from, via, corr, request, span.ctx());
+            .request(self.now, from, site, corr, request, span.ctx());
         self.envelopes_sent = self.rel.envelopes_sent;
         if span.ctx().is_some() {
             self.client_spans.insert(corr, span);
         }
         corr
+    }
+
+    fn open_sweep(&self, site: usize, dn: &str) -> Option<usize> {
+        let mut open = self.open_sweeps.iter();
+        open.position(|s| s.site == site && s.dn == dn)
+    }
+
+    /// Puts the sweep `(site, dn)` has open, if any, on the wire now.
+    fn close_sweep(&mut self, site: usize, dn: &str) {
+        if let Some(at) = self.open_sweep(site, dn) {
+            let sweep = self.open_sweeps.remove(at);
+            self.post_sweep(sweep);
+        }
+    }
+
+    /// Puts a closed sweep on the wire as one request under its first
+    /// member's corr: one sequence number, one retry timer, one reply.
+    fn post_sweep(&mut self, sweep: OpenSweep) {
+        let OpenSweep {
+            site,
+            dn,
+            corrs,
+            mut requests,
+        } = sweep;
+        let request = match requests.len() {
+            1 => requests.pop().expect("one member"),
+            _ => Request::Sweep { requests },
+        };
+        let (from, corr) = (Sender::Client(&dn), corrs[0]);
+        self.rel.request(self.now, from, site, corr, request, None);
+        self.envelopes_sent = self.rel.envelopes_sent;
+        self.outstanding.insert(corr, corrs);
     }
 
     /// Consigns a job (asynchronous protocol).
@@ -682,8 +776,10 @@ impl Federation {
         let corr = self.next_client_corr;
         self.next_client_corr += 1;
         self.sync_corrs.insert(corr);
+        self.outstanding.insert(corr, vec![corr]);
         // Sent once: the timer is stopped as soon as it is armed.
         let (via, consign) = (self.site_index[via], Request::Consign { ajo });
+        self.close_sweep(via, dn);
         self.rel
             .request(self.now, Sender::Client(dn), via, corr, consign, None);
         self.rel.disarm(&(None, corr));
@@ -951,11 +1047,33 @@ impl Federation {
         }
     }
 
+    /// The answer to the client's envelope `corr` arrived (or its retry
+    /// budget ran dry): its members get their answers, once. A sweep's
+    /// members take a `Swept`'s answers in order; any other answer to a
+    /// sweep — the budget's error, a count that does not match — is an
+    /// error for every member.
     fn client_answered(&mut self, corr: u64, response: Response, t: SimTime) {
-        if let Some(span) = self.client_spans.remove(&corr) {
-            self.telemetry.end(span, t);
+        let Some(members) = self.outstanding.remove(&corr) else {
+            return; // a late copy of an answer already delivered
+        };
+        self.sync_corrs.remove(&corr);
+        let answers = match response {
+            response if members.len() == 1 => vec![response],
+            Response::Swept { responses } if responses.len() == members.len() => responses,
+            other => {
+                let why = match other {
+                    Response::Error(why) => why,
+                    _ => format!("a sweep of {} got a malformed answer", members.len()),
+                };
+                vec![Response::Error(why); members.len()]
+            }
+        };
+        for (member, answer) in members.into_iter().zip(answers) {
+            if let Some(span) = self.client_spans.remove(&member) {
+                self.telemetry.end(span, t);
+            }
+            self.client_responses.insert(member, answer);
         }
-        self.client_responses.insert(corr, response);
     }
 
     fn deliver_to_server(&mut self, site: usize, frame: &[u8], t: SimTime) {

@@ -159,6 +159,15 @@ pub enum Request {
         /// The push payload.
         push: GridPush,
     },
+    /// JMC → server: two or more job-service requests the client asked
+    /// of this Usite under one DN in one tick, in call order, travelling
+    /// as one envelope. Each member is served exactly as if it had come
+    /// alone; the answer is one [`Response::Swept`]. Never empty, never
+    /// nested: the decoder refuses both.
+    Sweep {
+        /// The members, in call order.
+        requests: Vec<Request>,
+    },
 }
 
 /// One entry of a batched [`Request::DeliverOutcomes`].
@@ -286,6 +295,12 @@ pub enum Response {
         /// True when the child's next push must be a full snapshot.
         resync: bool,
     },
+    /// The answer to a [`Request::Sweep`]: one response per member, in
+    /// member order. Never empty, never nested.
+    Swept {
+        /// The members' answers.
+        responses: Vec<Response>,
+    },
 }
 
 /// The wire envelope.
@@ -377,6 +392,24 @@ fn read_delivery(
     })
 }
 
+/// The members of a [`Request::Sweep`] or a [`Response::Swept`]. One
+/// spelling per value: a sweep of none would be a second spelling of
+/// nothing, and a sweep inside a sweep one of its members spliced in.
+fn read_members<T: DerCodec>(
+    r: &mut DerReader<'_>,
+    context: &'static str,
+    is_sweep: impl Fn(&T) -> bool,
+) -> Result<Vec<T>, CodecError> {
+    let members = r.sequence_of(context, |m| match T::read_der(m)? {
+        member if is_sweep(&member) => Err(CodecError::BadValue("sweep inside a sweep")),
+        member => Ok(member),
+    })?;
+    if members.is_empty() {
+        return Err(CodecError::BadValue("empty sweep"));
+    }
+    Ok(members)
+}
+
 impl DerCodec for Request {
     fn write_der(&self, w: &mut DerWriter) {
         match self {
@@ -465,6 +498,9 @@ impl DerCodec for Request {
                 })
             }),
             Request::MonitorPush { push } => w.tagged(16, |w| push.write_der(w)),
+            Request::Sweep { requests } => {
+                w.tagged(17, |w| w.sequence_of(requests, |w, r| r.write_der(w)))
+            }
         }
     }
 
@@ -552,6 +588,9 @@ impl DerCodec for Request {
             16 => Ok(Request::MonitorPush {
                 push: GridPush::read_der(t)?,
             }),
+            17 => Ok(Request::Sweep {
+                requests: read_members(t, "Sweep", |r| matches!(r, Request::Sweep { .. }))?,
+            }),
             _ => Err(CodecError::BadValue("Request variant")),
         })
     }
@@ -584,6 +623,9 @@ impl DerCodec for Response {
                     w.bool(*resync);
                 })
             }),
+            Response::Swept { responses } => {
+                w.tagged(12, |w| w.sequence_of(responses, |w, r| r.write_der(w)))
+            }
         }
     }
 
@@ -620,6 +662,9 @@ impl DerCodec for Response {
                     epoch: f.next_u64()?,
                     resync: f.next_bool()?,
                 })
+            }),
+            12 => Ok(Response::Swept {
+                responses: read_members(t, "Swept", |r| matches!(r, Response::Swept { .. }))?,
             }),
             _ => Err(CodecError::BadValue("Response variant")),
         })
@@ -1078,6 +1123,51 @@ mod tests {
             Response::from_der(&Response::Ack.to_der()),
             Ok(Response::Ack)
         );
+    }
+
+    fn poll(job: u64) -> Request {
+        Request::Poll {
+            job: JobId(job),
+            detail: DetailLevel::Tasks,
+        }
+    }
+
+    #[test]
+    fn sweeps_round_trip_in_member_order() {
+        round_trip_req(Request::Sweep {
+            requests: vec![poll(2), Request::Purge { job: JobId(1) }, poll(1)],
+        });
+        let swept = Response::Swept {
+            responses: vec![Response::Ack, Response::Error("no such job".into())],
+        };
+        assert_eq!(Response::from_der(&swept.to_der()), Ok(swept));
+    }
+
+    #[test]
+    fn an_empty_sweep_is_refused() {
+        let empty = |tag| unicore_codec::encode(&Value::tagged(tag, Value::Sequence(vec![])));
+        let refused = CodecError::BadValue("empty sweep");
+        assert_eq!(Request::from_der(&empty(17)), Err(refused.clone()));
+        assert_eq!(Response::from_der(&empty(12)), Err(refused));
+    }
+
+    #[test]
+    fn a_sweep_inside_a_sweep_is_refused() {
+        let inner = Request::Sweep {
+            requests: vec![poll(1), poll(2)],
+        };
+        let nested = Request::Sweep {
+            requests: vec![poll(3), inner],
+        };
+        let refused = CodecError::BadValue("sweep inside a sweep");
+        assert_eq!(Request::from_der(&nested.to_der()), Err(refused.clone()));
+        let inner = Response::Swept {
+            responses: vec![Response::Ack, Response::Ack],
+        };
+        let nested = Response::Swept {
+            responses: vec![inner, Response::Ack],
+        };
+        assert_eq!(Response::from_der(&nested.to_der()), Err(refused));
     }
 
     #[test]

@@ -217,13 +217,15 @@ fn request_kind(request: &Request) -> &'static str {
         Request::Broker { .. } => "broker",
         Request::DeliverOutcomes { .. } => "deliver_outcomes",
         Request::MonitorPush { .. } => "monitor_push",
+        Request::Sweep { .. } => "sweep",
     }
 }
 
 /// Whether a request is user-class: subject to the gateway's front-door
 /// admission (rate limit, DN revocation). NJS–NJS traffic between
 /// trusted peer servers is exempt — the admission budget protects the
-/// gateway from client storms, not the grid from itself.
+/// gateway from client storms, not the grid from itself. A sweep is not
+/// admitted as such: each of its members is, on its own.
 fn is_user_request(request: &Request) -> bool {
     matches!(
         request,
@@ -858,6 +860,15 @@ impl UnicoreServer {
                 }
                 Response::Ack
             }
+            // Every member takes the path it would take alone — admission,
+            // the rate limit, revocation and the peer-only checks included —
+            // and the answers go back in member order.
+            Request::Sweep { requests } => Response::Swept {
+                responses: requests
+                    .into_iter()
+                    .map(|member| self.dispatch_request(from_dn, member, now, parent))
+                    .collect(),
+            },
         }
     }
 
@@ -1363,6 +1374,120 @@ mod tests {
             Response::Consigned { job } => job,
             other => panic!("consign refused: {other:?}"),
         }
+    }
+
+    const PEER_DN: &str = "C=DE, O=RUS, OU=UNICORE, CN=RUS-server";
+
+    /// FZJ booted from its configuration, without a network, with one
+    /// job of alice's consigned and run to its end: the time it ended.
+    fn fzj_with_a_finished_job() -> (UnicoreServer, JobId, SimTime) {
+        use crate::config::{SiteConfig, VsiteConfig};
+        use unicore_gateway::{UserEntry, Uudb};
+        use unicore_njs::TranslationTable;
+        use unicore_resources::{deployment_page, Architecture};
+        let mut uudb = Uudb::new();
+        uudb.add(DN, UserEntry::new("alice", "users"));
+        let config = SiteConfig {
+            usite: "FZJ".into(),
+            vsites: vec![VsiteConfig {
+                page: deployment_page("FZJ", "T3E", Architecture::CrayT3e),
+                table: TranslationTable::for_architecture(Architecture::CrayT3e),
+            }],
+            uudb,
+            peer_servers: vec![PEER_DN.into()],
+        };
+        let mut server = config.boot(1);
+        let id = consign(&mut server, &job("swept"), 0);
+        let mut now = 0;
+        server.step(now);
+        while !server.is_done(id) {
+            now = server
+                .next_event_time()
+                .expect("a running job has an event");
+            server.step(now);
+        }
+        (server, id, now)
+    }
+
+    fn poll(job: JobId) -> Request {
+        Request::Poll {
+            job,
+            detail: DetailLevel::Tasks,
+        }
+    }
+
+    fn swept(server: &mut UnicoreServer, requests: Vec<Request>, now: SimTime) -> Vec<Response> {
+        match server.handle_request(DN, Request::Sweep { requests }, now) {
+            Response::Swept { responses } => responses,
+            other => panic!("a sweep answered {other:?}"),
+        }
+    }
+
+    fn refused_for(response: &Response, why: &str) -> bool {
+        matches!(response, Response::Error(reason) if reason.contains(why))
+    }
+
+    #[test]
+    fn a_sweep_gets_the_answers_its_members_would_get_alone() {
+        let members = |id| vec![poll(id), Request::Purge { job: id }, poll(JobId(999))];
+        let (mut alone, id, now) = fzj_with_a_finished_job();
+        let lone: Vec<Response> = members(id)
+            .into_iter()
+            .map(|request| alone.handle_request(DN, request, now))
+            .collect();
+        let (mut server, same_id, same_now) = fzj_with_a_finished_job();
+        assert_eq!((same_id, same_now), (id, now));
+        let answers = swept(&mut server, members(id), now);
+        assert_eq!(answers, lone);
+        // What they are, in member order: the outcome, the purge, and the
+        // unknown job refused.
+        assert!(crate::protocol::outcome_of(&answers[0]).is_some_and(|o| o.status.is_success()));
+        assert!(matches!(answers[1], Response::Purged { .. }));
+        assert!(matches!(answers[2], Response::Error(_)));
+    }
+
+    #[test]
+    fn a_sweep_spends_the_rate_limit_per_member() {
+        let (mut server, id, now) = fzj_with_a_finished_job();
+        server
+            .gateway_mut()
+            .set_rate_limit(unicore_gateway::RateLimitConfig::new(0, 2));
+        let answers = swept(&mut server, vec![poll(id), poll(id), poll(id)], now);
+        assert!(answers[..2]
+            .iter()
+            .all(|a| crate::protocol::outcome_of(a).is_some()));
+        assert!(refused_for(&answers[2], "rate limit"), "{:?}", answers[2]);
+    }
+
+    #[test]
+    fn a_sweep_from_a_revoked_dn_has_every_member_refused() {
+        let (mut server, id, now) = fzj_with_a_finished_job();
+        server.gateway_mut().revoke_dn(DN);
+        let members = vec![poll(id), Request::List, Request::Purge { job: id }];
+        let answers = swept(&mut server, members, now);
+        assert_eq!(answers.len(), 3);
+        for answer in &answers {
+            assert!(refused_for(answer, "certificate revoked"), "{answer:?}");
+        }
+        assert!(server.outcome(id).is_some(), "the purge was not done");
+    }
+
+    #[test]
+    fn a_peer_only_request_in_a_users_sweep_is_refused_as_if_alone() {
+        let (mut server, id, now) = fzj_with_a_finished_job();
+        let deliver = || Request::DeliverOutcome {
+            parent: id,
+            node: ActionId(1),
+            outcome: OutcomeNode::Job(JobOutcome::default()),
+            files: vec![],
+        };
+        let lone = server.handle_request(DN, deliver(), now);
+        assert!(refused_for(&lone, "not a trusted peer server"), "{lone:?}");
+        let answers = swept(&mut server, vec![poll(id), deliver()], now);
+        assert!(crate::protocol::outcome_of(&answers[0]).is_some());
+        assert_eq!(answers[1], lone);
+        let outcome = server.outcome(id).expect("still there");
+        assert!(outcome.status.is_success(), "nothing was delivered");
     }
 
     #[test]

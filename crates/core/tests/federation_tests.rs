@@ -965,15 +965,18 @@ fn polls_of_one_tick_travel_as_one_record_each_way() {
     let (mut fed, job) = metered(None);
     let (records, envelopes) = (fed.messages_sent, fed.envelopes_sent);
     let polls = poll_burst(&mut fed, "S0", job, POLLS);
+    // The 32 polls of one tick to one site under one DN are one sweep,
+    // framed as one envelope at the flush, not one each at client_poll.
     assert_eq!(fed.messages_sent, records, "nothing leaves before the run");
-    assert_eq!(fed.envelopes_sent, envelopes + 32);
+    assert_eq!(fed.envelopes_sent, envelopes, "nor is anything framed");
     // They leave at the time they were asked: a run that advances
     // nothing already puts the one record on the wire.
     fed.run_until(fed.now());
     assert_eq!(fed.messages_sent, records + 1);
+    assert_eq!(fed.envelopes_sent, envelopes + 1, "one sweep");
     fed.run_until(fed.now() + 5 * SEC);
     assert_eq!(fed.messages_sent, records + 2, "and one record of answers");
-    assert_eq!(fed.envelopes_sent, envelopes + 64);
+    assert_eq!(fed.envelopes_sent, envelopes + 2, "holding one Swept");
     assert_eq!((fed.retries, fed.seq_stats()), (0, (0, 0)));
     assert_each_handled_once(&mut fed, job, &polls);
 }
@@ -1000,8 +1003,10 @@ fn a_dropped_record_is_its_envelopes_retried_and_handled_once() {
     let (records, envelopes) = (fed.messages_sent, fed.envelopes_sent);
     let polls = poll_burst(&mut fed, "S0", job, POLLS);
     fed.run_until(fed.now() + 10 * SEC);
-    assert_eq!(fed.retries, 32, "every envelope of the lost record");
-    assert_eq!(fed.envelopes_sent, envelopes + 3 * 32);
+    // The lost record held one envelope, the 32 polls' sweep: one timer,
+    // one retry, and the sweep, its retransmission and its answer.
+    assert_eq!(fed.retries, 1, "the one envelope of the lost record");
+    assert_eq!(fed.envelopes_sent, envelopes + 3);
     // Their timers fired in one tick: the retransmissions share a record.
     assert_eq!(fed.messages_sent, records + 3, "lost, retried, answered");
     assert_eq!(fed.seq_stats().0, 0, "the server saw each poll once");
@@ -1013,9 +1018,10 @@ fn a_duplicated_record_is_absorbed_per_envelope() {
     let (mut fed, job) = metered(Some(FaultKind::Duplicate { probability: 1.0 }));
     let polls = poll_burst(&mut fed, "S0", job, POLLS);
     fed.run_until(fed.now() + 5 * SEC);
+    // The copied record held one envelope, the 32 polls' sweep.
     assert_eq!(
         fed.seq_stats().0,
-        32,
+        1,
         "each envelope of the copy is a duplicate"
     );
     assert_eq!(fed.retries, 0);
@@ -1063,6 +1069,36 @@ fn a_duplicated_answer_is_delivered_once() {
     fed.run_until(fed.now() + 5 * SEC);
     assert_eq!(fed.seq_stats().0, 1, "the copy did arrive");
     assert_eq!(fed.take_client_response(poll), None, "and was dropped");
+}
+
+#[test]
+fn requests_of_one_tick_leave_in_call_order() {
+    // A poll, an abort and a poll in one tick: the abort closes the
+    // first poll's sweep, so the server sees the three in call order. A
+    // client port holding every sweepable request until the flush would
+    // answer both polls after the abort.
+    let (mut fed, job) = metered(None);
+    let before = fed.client_poll("S0", DN, job, DetailLevel::JobOnly);
+    let abort = fed.client_control("S0", DN, job, ControlOp::Abort);
+    let after = fed.client_poll("S0", DN, job, DetailLevel::JobOnly);
+    fed.run_until(fed.now() + 5 * SEC);
+    let status = |fed: &mut Federation, corr| {
+        let response = fed.take_client_response(corr).expect("answered");
+        outcome_of(&response).expect("an outcome").status
+    };
+    assert!(!status(&mut fed, before).is_terminal());
+    assert!(matches!(
+        fed.take_client_response(abort),
+        Some(Response::Service(ServiceOutcome::Control {
+            applied: true,
+            ..
+        }))
+    ));
+    let aborted = status(&mut fed, after);
+    assert!(
+        aborted.is_terminal() && !aborted.is_success(),
+        "{aborted:?}"
+    );
 }
 
 /// Polls `job` at FZJ once and returns what came back.

@@ -1065,4 +1065,37 @@ pub fn visit_all(v: &mut impl Visitor) {
             data: vec![9u8; 40],
         },
     );
+    // The client port's sweep and its answer, bare and enveloped.
+    let sweep = Request::Sweep {
+        requests: vec![
+            Request::Poll {
+                job: JobId(3),
+                detail: DetailLevel::Tasks,
+            },
+            Request::Purge { job: JobId(4) },
+            Request::FetchFile {
+                job: JobId(1),
+                name: "out.dat".into(),
+            },
+        ],
+    };
+    v.visit("request/sweep", &sweep);
+    v.visit(
+        "envelope/request/sweep",
+        &envelope(Body::Request(sweep), false),
+    );
+    let swept = Response::Swept {
+        responses: vec![
+            Response::Service(ServiceOutcome::Query {
+                outcome: job_outcome(),
+            }),
+            Response::Purged { bytes: 12_345 },
+            Response::Error("no such file".into()),
+        ],
+    };
+    v.visit("response/swept", &swept);
+    v.visit(
+        "envelope/response/swept",
+        &envelope(Body::Response(swept), false),
+    );
 }
