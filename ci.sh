@@ -97,9 +97,20 @@ cargo test -q --offline -p unicore-integration-tests --test hostile_bytes
 echo "==> one frame-list grammar: a damaged u32 length | frame list delivers nothing, through the live path's split_frames and the federation's record walker alike"
 cargo test -q --offline -p unicore-integration-tests --test hostile_bytes a_damaged_frame_list_delivers_nothing
 
-echo "==> one record per peer per tick: the link module without a network; a fed_burst-shaped run pinned on seeds 1, 7, 23 (outcomes, journals as decoded events per job) and under drop + duplicate + reorder; 32 polls are one record each way, a lost or duplicated record is 32 envelopes each handled once, a crash finds nothing of a server's unsent"
+echo "==> one record per peer per tick, one envelope per sweep: the link module without a network; a fed_burst-shaped run pinned on seeds 1, 7, 23 (outcomes, journals as decoded events per job) and under drop + duplicate + reorder; 32 polls are one sweep in one record each way, a lost or duplicated record is one envelope retried or absorbed with each poll handled once, a crash finds nothing of a server's unsent, a duplicated answer is delivered once, requests of one tick leave in call order"
 cargo test -q --offline -p unicore --lib link
-cargo test -q --offline -p unicore --test federation_tests -- burst_ record a_crash_loses
+cargo test -q --offline -p unicore --test federation_tests -- burst_ record a_crash_loses a_duplicated_answer requests_of_one_tick
+
+echo "==> sweeps without a network: the decoder refuses an empty and a nested sweep (protocol.rs); each member of a sweep is served as if alone — same answers, the rate limit and revocation per member, peer-only requests refused (server.rs)"
+cargo test -q --offline -p unicore --lib sweep
+
+echo "==> Request::Sweep { is constructed only by the client port in federation.rs (and by the decoder); tests and the codec corpus are exempt (offenders are listed)"
+if for f in crates/*/src/*.rs crates/*/src/*/*.rs crates/bench/benches/*.rs examples/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
+done | grep -E 'Request::Sweep \{' | grep -vE 'Request::Sweep \{ (\.\.|requests) \} =>|matches!\(r, Request::Sweep \{ \.\. \}\)' |
+    grep -vE '^crates/core/src/federation\.rs:[0-9]+: +_ => Request::Sweep \{ requests \},$|^crates/core/src/protocol\.rs:[0-9]+: +17 => Ok\(Request::Sweep \{$'; then
+    exit 1
+fi
 
 echo "==> the reliability layer without a network or a server: sequence ledger, retry timers in (site name, corr) order, backoff pinned for seed 1, circuit closed -> open -> one probe -> closed, at-most-once reply cache and what a crash forgets"
 cargo test -q --offline -p unicore --lib reliability
