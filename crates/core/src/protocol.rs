@@ -919,6 +919,9 @@ mod tests {
             ],
         });
         round_trip_req(Request::DeliverOutcomes { deliveries: vec![] });
+        round_trip_req(Request::Sweep {
+            requests: vec![poll(2), Request::Purge { job: JobId(1) }, poll(1)],
+        });
     }
 
     #[test]
@@ -997,6 +1000,9 @@ mod tests {
                 resync: true,
             },
             Response::BrokerOffer { offers: vec![] },
+            Response::Swept {
+                responses: vec![Response::Ack, Response::Error("no such job".into())],
+            },
             Response::BrokerOffer {
                 offers: vec![PlacementOffer {
                     vsite: VsiteAddress::new("FZJ", "T3E"),
@@ -1130,17 +1136,6 @@ mod tests {
             job: JobId(job),
             detail: DetailLevel::Tasks,
         }
-    }
-
-    #[test]
-    fn sweeps_round_trip_in_member_order() {
-        round_trip_req(Request::Sweep {
-            requests: vec![poll(2), Request::Purge { job: JobId(1) }, poll(1)],
-        });
-        let swept = Response::Swept {
-            responses: vec![Response::Ack, Response::Error("no such job".into())],
-        };
-        assert_eq!(Response::from_der(&swept.to_der()), Ok(swept));
     }
 
     #[test]
