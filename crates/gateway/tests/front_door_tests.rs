@@ -8,8 +8,8 @@ use unicore_certs::{
 };
 use unicore_crypto::CryptoRng;
 use unicore_gateway::{
-    decode_frames, encode_frames, FrontDoor, FrontDoorConn, FrontDoorError, MuxFrame,
-    RateLimitConfig,
+    decode_frames, encode_frames, FrontDoor, FrontDoorConn, FrontDoorError, Gateway, MuxFrame,
+    RateLimitConfig, UserEntry, Uudb,
 };
 use unicore_simnet::wire_pair;
 use unicore_telemetry::Telemetry;
@@ -102,6 +102,16 @@ fn accept_resume_and_telemetry() {
     let conn2 = s2.unwrap();
     assert!(c2.unwrap().resumed());
     assert!(conn2.resumed());
+    // A resumed connection still names its user: the DN the door reports
+    // maps to a login through the UUDB exactly as after a full handshake.
+    let alice = user.cert.tbs.subject.to_string();
+    assert_eq!(conn2.dn(), alice);
+    let mut uudb = Uudb::new();
+    uudb.add(alice.as_str(), UserEntry::new("alice", "users"));
+    let mut gateway = Gateway::new("FZJ", uudb);
+    assert!(gateway
+        .authorize_dn(conn2.dn(), "T3E", Some("users"), 101)
+        .is_accepted());
     door.disconnect(conn2);
 
     let snap = telemetry.metrics_snapshot();
