@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: formatting, lints (warnings are errors), tier-1 build + tests.
+# CI gate: formatting, lints (warnings are errors), tier-1 build + tests,
+# structural greps, benches compiled (not run), rustdoc.
 # All cargo invocations run offline; every dependency is vendored or
 # shimmed in-tree (see shims/).
 set -eu
@@ -162,16 +163,8 @@ cargo test -q --offline -p unicore-gateway --test front_door_tests
 echo "==> churn/abuse soak (seeds 1, 7, 23: reconnect storms, expiry, revocation, rate limits)"
 cargo test -q --offline -p unicore-integration-tests --test churn
 
-echo "==> benches compile"
+echo "==> benches compile (none is run here and none is a gate: gridbench measures performance)"
 cargo bench --offline --no-run
-
-echo "==> e12 gates: sharded throughput >= 10k jobs/sec, no federated regression, telemetry overhead < 5% under sharding"
-cargo bench -q --offline -p unicore-bench --bench e12_throughput -- skip_micro_benches
-for gate in sharded federated telemetry; do grep -q "\"verdict_$gate\": \"PASS\"" BENCH_e12_throughput.json; done
-
-echo "==> e17 gate: resumed handshake >= 5x faster than full at p50 (bench exits nonzero on FAIL)"
-cargo bench -q --offline -p unicore-bench --bench e17_churn -- skip_micro_benches
-grep -q '"verdict_resumption": "PASS"' BENCH_e17_churn.json
 
 echo "==> rustdoc (workspace, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace

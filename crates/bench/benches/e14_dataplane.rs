@@ -14,8 +14,8 @@
 //! - *grid time* to the terminal outcome and the retry volume spent;
 //!
 //! plus the wall-clock cost of simulating each regime (criterion shim
-//! percentiles) and the telemetry tax: the same fault-free run with
-//! spans + counters enabled vs disabled, which must stay under 5%.
+//! percentiles). gridbench's `transfer_stream` measures the fault-free
+//! run layer by layer, and its traced twin the telemetry tax.
 //!
 //! Byte-identity of the delivered file under these same fault classes is
 //! pinned by `tests/chaos.rs`; this bench only measures speed.
@@ -237,31 +237,7 @@ fn print_tables() -> (BenchReport, SimTime) {
             .metric(&format!("{name}.retries"), r.retries as f64)
             .metric(&format!("{name}.chunks_sent"), r.chunks_sent as f64);
     }
-
-    // The telemetry tax: the same fault-free run with the span/counter
-    // plane on vs off, best-of-N wall clock.
-    let wall = |telemetry: bool| {
-        (0..5)
-            .map(|_| {
-                let t = std::time::Instant::now();
-                black_box(run(1, None, telemetry));
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let off = wall(false);
-    let on = wall(true);
-    let overhead_pct = (on - off) / off * 100.0;
-    println!(
-        "\ntelemetry tax: {:.1} ms off, {:.1} ms on ({overhead_pct:+.2}% — target < 5%)\n",
-        off * 1e3,
-        on * 1e3
-    );
-    report
-        .metric("telemetry.wall_off_ms", off * 1e3)
-        .metric("telemetry.wall_on_ms", on * 1e3)
-        .metric("telemetry.overhead_pct", overhead_pct)
-        .note("telemetry.target", "< 5% wall-clock overhead");
+    println!();
     (report, stream_start)
 }
 

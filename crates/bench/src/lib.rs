@@ -1,12 +1,14 @@
 #![forbid(unsafe_code)]
 //! # unicore-bench
 //!
-//! Shared fixtures for the experiment benchmarks (E1–E9 in DESIGN.md).
+//! Shared fixtures for the experiment benchmarks (`benches/e*.rs`; the
+//! experiment index is in DESIGN.md).
 //!
-//! Each bench target prints its experiment's *simulated* result table
-//! first (these are the numbers recorded in EXPERIMENTS.md — deterministic
-//! per seed) and then runs Criterion measurements of the *real* CPU cost
-//! of the components involved.
+//! Each bench target prints its experiment's result table (the numbers
+//! recorded in EXPERIMENTS.md; simulated ones are deterministic per seed),
+//! and most then time the components involved with the Criterion shim.
+//! None is a gate: the end-to-end and per-layer performance numbers come
+//! from `gridbench/`.
 
 use unicore_ajo::{
     AbstractJob, AbstractTask, ActionId, Dependency, ExecuteKind, GraphNode, ResourceRequest,
@@ -126,7 +128,7 @@ fn json_escape(s: &str) -> String {
 }
 
 impl BenchReport {
-    /// A report for the experiment `name` (e.g. `"e10_telemetry"`).
+    /// A report for the experiment `name` (e.g. `"e11_monitor"`).
     pub fn new(name: &str) -> Self {
         BenchReport {
             name: name.to_owned(),
