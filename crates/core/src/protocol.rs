@@ -1131,6 +1131,39 @@ mod tests {
         );
     }
 
+    #[test]
+    fn retired_tags_6_and_7_are_refused() {
+        // [6] was one outcome delivery alone, [7] a whole pushed file:
+        // outcomes travel as [15], files as [12] and [13]. Both bodies are
+        // spelled exactly as they were.
+        let mut single_delivery = DerWriter::new();
+        single_delivery.tagged(6, |w| {
+            w.sequence(|w| {
+                w.u64(9);
+                w.u64(2);
+                OutcomeNode::Job(JobOutcome::default()).write_der(w);
+                w.sequence(|_| {});
+            })
+        });
+        let mut whole_file = DerWriter::new();
+        whole_file.tagged(7, |w| {
+            w.sequence(|w| {
+                VsiteAddress::new("DWD", "SX4").write_der(w);
+                w.str("f");
+                w.bytes(&[1, 2, 3]);
+                w.u64(1);
+                w.u64(5);
+                w.str("CN=alice");
+            })
+        });
+        for der in [single_delivery.into_vec(), whole_file.into_vec()] {
+            assert_eq!(
+                Request::from_der(&der),
+                Err(CodecError::BadValue("Request variant"))
+            );
+        }
+    }
+
     fn poll(job: u64) -> Request {
         Request::Poll {
             job: JobId(job),

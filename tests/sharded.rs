@@ -79,6 +79,7 @@ fn file_node(id: u64, name: &str, kind: FileKind) -> (ActionId, GraphNode) {
 /// 4. An export on V2 writing V3's Xspace (cross-shard write).
 /// 5. A same-Usite transfer V3 → V1 (cross-shard incoming delivery).
 /// 6. A job whose sub-job names an unknown Vsite (deterministic failure).
+/// 7. A same-Usite transfer V3 → V1 to a name the Xspace refuses.
 fn workload() -> Vec<AbstractJob> {
     let mut pipeline = AbstractJob::new("pipeline", addr("V0"), attrs());
     pipeline
@@ -179,7 +180,26 @@ fn workload() -> Vec<AbstractJob> {
     doomed.nodes.push((ActionId(1), GraphNode::SubJob(nowhere)));
     doomed.nodes.push(script_node(2, "ok", "sleep 5\n"));
 
-    vec![pipeline, fan, import, export, ship, doomed]
+    let mut misnamed = AbstractJob::new("misnamed", addr("V3"), attrs());
+    misnamed
+        .nodes
+        .push(script_node(1, "make", "sleep 20\nproduce pack.bin 2048\n"));
+    misnamed.nodes.push(file_node(
+        2,
+        "send",
+        FileKind::Transfer {
+            uspace_name: "pack.bin".into(),
+            to_vsite: addr("V1"),
+            dest_name: "a\0b".into(),
+        },
+    ));
+    misnamed.dependencies.push(Dependency {
+        from: ActionId(1),
+        to: ActionId(2),
+        files: vec!["pack.bin".into()],
+    });
+
+    vec![pipeline, fan, import, export, ship, doomed, misnamed]
 }
 
 /// Builds a sharded NJS with the four Vsites and V2's Xspace seeded.
@@ -253,7 +273,7 @@ fn outcomes_byte_identical_across_shard_counts() {
         .iter()
         .map(|der| JobOutcome::from_der(der).unwrap().status.is_success())
         .collect();
-    assert_eq!(statuses, [true, true, true, true, true, false]);
+    assert_eq!(statuses, [true, true, true, true, true, false, false]);
     // 8 is the shape gridbench's `core_step` runs.
     for shards in [1, 2, 3, 4, 8] {
         let mut njs = build(shards);
