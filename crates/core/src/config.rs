@@ -191,11 +191,13 @@ mod tests {
         let mut server = cfg.boot(1);
         let resp = server.handle_request(
             "C=DE, O=Nowhere, OU=X, CN=not-a-peer",
-            Request::DeliverOutcome {
-                parent: unicore_ajo::JobId(1),
-                node: unicore_ajo::ActionId(1),
-                outcome: unicore_ajo::OutcomeNode::Job(Default::default()),
-                files: vec![],
+            Request::DeliverOutcomes {
+                deliveries: vec![crate::protocol::OutcomeDelivery {
+                    parent: unicore_ajo::JobId(1),
+                    node: unicore_ajo::ActionId(1),
+                    outcome: unicore_ajo::OutcomeNode::Job(Default::default()),
+                    files: vec![],
+                }],
             },
             0,
         );

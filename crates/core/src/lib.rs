@@ -7,8 +7,8 @@
 //!
 //! - [`protocol`] — the high-level asynchronous protocol (§5.3): DER
 //!   envelopes carrying consign/poll/control/list/fetch requests between
-//!   JPA/JMC and NJS, and consign-sub-job / deliver-outcome / push-file
-//!   requests between peer NJSs.
+//!   JPA/JMC and NJS, and consign-sub-job / deliver-outcomes /
+//!   transfer-offer / transfer-chunk requests between peer NJSs.
 //! - [`server`] — [`server::UnicoreServer`]: one Usite's gateway + NJS +
 //!   resource pages (Figure 1's middle tier).
 //! - [`federation`] — [`federation::Federation`]: multiple servers over a

@@ -66,12 +66,13 @@ pub enum Request {
     /// information about the available execution systems at the Usite,
     /// which are provided together with the applet to the user", §4.2).
     GetResources,
-    /// JMC → server (or server → peer server): fetch the site's health
-    /// report. With `grid`, the receiving site fans the query out to
-    /// every reachable peer Usite and merges the answers into one
-    /// namespaced grid view.
+    /// JMC → server (or server → tree parent): fetch the site's health
+    /// report. With `grid`, the query climbs the aggregation tree one hop
+    /// at a time and the root answers with the whole grid's view from
+    /// its pre-merged caches; a site whose uplink is quarantined answers
+    /// with its own subtree's view.
     Monitor {
-        /// Fan out to the whole grid instead of answering locally.
+        /// Answer for the whole grid instead of this site alone.
         grid: bool,
     },
     /// NJS → peer NJS: consign a job group on behalf of a user.
@@ -86,34 +87,6 @@ pub enum Request {
         node: ActionId,
         /// Uspace files to return with the outcome (successor edge files).
         return_files: Vec<String>,
-    },
-    /// Peer NJS → origin NJS: a forwarded job group finished.
-    DeliverOutcome {
-        /// Parent job at the origin.
-        parent: JobId,
-        /// The node that finished.
-        node: ActionId,
-        /// Its outcome subtree.
-        outcome: OutcomeNode,
-        /// Edge files produced by the job group, flowing back to the
-        /// parent's Uspace (the paper's predecessor→successor guarantee).
-        files: Vec<(String, Vec<u8>)>,
-    },
-    /// NJS → peer NJS: push a transferred file.
-    PushFile {
-        /// Destination Vsite.
-        to_vsite: VsiteAddress,
-        /// Name at the destination.
-        dest_name: String,
-        /// The bytes.
-        data: Vec<u8>,
-        /// Origin job/node, so the sender can complete its transfer task.
-        origin_job: JobId,
-        /// The transfer task's node.
-        origin_node: ActionId,
-        /// DN of the user on whose behalf the file moves (mapped by the
-        /// receiving gateway for file ownership).
-        user_dn: String,
     },
     /// NJS → peer NJS: open (or resume) a streamed transfer. The receiver
     /// answers [`Response::TransferGo`] with its resume point — `0` for a
@@ -145,9 +118,8 @@ pub enum Request {
         request: ResourceRequest,
     },
     /// Peer NJS → origin NJS: every forwarded job group that finished
-    /// this tick, delivered in one envelope instead of one per outcome
-    /// (the last per-envelope leftover of the E13 fast path). Applied
-    /// per-entry idempotently, exactly like single deliveries.
+    /// this tick, in one envelope. Each entry is applied idempotently, so
+    /// a re-delivered batch is harmless.
     DeliverOutcomes {
         /// The finished sub-jobs bound for this origin.
         deliveries: Vec<OutcomeDelivery>,
@@ -180,7 +152,7 @@ pub struct OutcomeDelivery {
     /// Its outcome subtree.
     pub outcome: OutcomeNode,
     /// Edge files produced by the job group, flowing back to the
-    /// parent's Uspace.
+    /// parent's Uspace (the paper's predecessor→successor guarantee).
     pub files: Vec<(String, Vec<u8>)>,
 }
 
@@ -344,50 +316,33 @@ pub enum Body {
     Response(Response),
 }
 
-/// Files returned with a sub-job outcome: `(name, contents)` pairs.
-fn write_returned_files(w: &mut DerWriter, files: &[(String, Vec<u8>)]) {
-    w.sequence_of(files, |w, (name, data)| {
-        w.sequence(|w| {
-            w.str(name);
-            w.bytes(data);
-        })
-    });
-}
-
-fn read_returned_files(r: &mut DerReader<'_>) -> Result<Vec<(String, Vec<u8>)>, CodecError> {
-    r.sequence_of("returned files", |e| {
-        e.sequence("returned file", |f| {
-            Ok((f.next_string()?, f.next_bytes()?.to_vec()))
-        })
-    })
-}
-
-/// The four fields shared by a single delivery and a batched entry.
-fn write_delivery(
-    w: &mut DerWriter,
-    parent: JobId,
-    node: ActionId,
-    outcome: &OutcomeNode,
-    files: &[(String, Vec<u8>)],
-) {
+/// One entry of a [`Request::DeliverOutcomes`]; its files are
+/// `(name, contents)` pairs.
+fn write_delivery(w: &mut DerWriter, d: &OutcomeDelivery) {
     w.sequence(|w| {
-        w.u64(parent.0);
-        w.u64(node.0);
-        outcome.write_der(w);
-        write_returned_files(w, files);
+        w.u64(d.parent.0);
+        w.u64(d.node.0);
+        d.outcome.write_der(w);
+        w.sequence_of(&d.files, |w, (name, data)| {
+            w.sequence(|w| {
+                w.str(name);
+                w.bytes(data);
+            })
+        });
     });
 }
 
-fn read_delivery(
-    r: &mut DerReader<'_>,
-    context: &'static str,
-) -> Result<OutcomeDelivery, CodecError> {
-    r.sequence(context, |f| {
+fn read_delivery(r: &mut DerReader<'_>) -> Result<OutcomeDelivery, CodecError> {
+    r.sequence("OutcomeDelivery", |f| {
         Ok(OutcomeDelivery {
             parent: JobId(f.next_u64()?),
             node: ActionId(f.next_u64()?),
             outcome: OutcomeNode::read_der(f)?,
-            files: read_returned_files(f)?,
+            files: f.sequence_of("returned files", |e| {
+                e.sequence("returned file", |f| {
+                    Ok((f.next_string()?, f.next_bytes()?.to_vec()))
+                })
+            })?,
         })
     })
 }
@@ -452,29 +407,6 @@ impl DerCodec for Request {
                     w.sequence_of(return_files, |w, f| w.str(f));
                 })
             }),
-            Request::DeliverOutcome {
-                parent,
-                node,
-                outcome,
-                files,
-            } => w.tagged(6, |w| write_delivery(w, *parent, *node, outcome, files)),
-            Request::PushFile {
-                to_vsite,
-                dest_name,
-                data,
-                origin_job,
-                origin_node,
-                user_dn,
-            } => w.tagged(7, |w| {
-                w.sequence(|w| {
-                    to_vsite.write_der(w);
-                    w.str(dest_name);
-                    w.bytes(data);
-                    w.u64(origin_job.0);
-                    w.u64(origin_node.0);
-                    w.str(user_dn);
-                })
-            }),
             Request::TransferOffer { manifest } => w.tagged(12, |w| manifest.write_der(w)),
             Request::TransferChunk {
                 origin,
@@ -492,11 +424,9 @@ impl DerCodec for Request {
                 })
             }),
             Request::Broker { request } => w.tagged(14, |w| request.write_der(w)),
-            Request::DeliverOutcomes { deliveries } => w.tagged(15, |w| {
-                w.sequence_of(deliveries, |w, d| {
-                    write_delivery(w, d.parent, d.node, &d.outcome, &d.files)
-                })
-            }),
+            Request::DeliverOutcomes { deliveries } => {
+                w.tagged(15, |w| w.sequence_of(deliveries, write_delivery))
+            }
             Request::MonitorPush { push } => w.tagged(16, |w| push.write_der(w)),
             Request::Sweep { requests } => {
                 w.tagged(17, |w| w.sequence_of(requests, |w, r| r.write_der(w)))
@@ -537,25 +467,8 @@ impl DerCodec for Request {
                     return_files: f.sequence_of("return files", |n| n.next_string())?,
                 })
             }),
-            6 => {
-                let d = read_delivery(t, "DeliverOutcome")?;
-                Ok(Request::DeliverOutcome {
-                    parent: d.parent,
-                    node: d.node,
-                    outcome: d.outcome,
-                    files: d.files,
-                })
-            }
-            7 => t.sequence("PushFile", |f| {
-                Ok(Request::PushFile {
-                    to_vsite: VsiteAddress::read_der(f)?,
-                    dest_name: f.next_string()?,
-                    data: f.next_bytes()?.to_vec(),
-                    origin_job: JobId(f.next_u64()?),
-                    origin_node: ActionId(f.next_u64()?),
-                    user_dn: f.next_string()?,
-                })
-            }),
+            // 6 and 7 are retired (a lone outcome delivery and a whole
+            // pushed file): they fall through to the refusal below.
             8 => Ok(Request::Purge {
                 job: JobId(t.next_u64()?),
             }),
@@ -582,8 +495,7 @@ impl DerCodec for Request {
                 request: ResourceRequest::read_der(t)?,
             }),
             15 => Ok(Request::DeliverOutcomes {
-                deliveries: t
-                    .sequence_of("DeliverOutcomes", |d| read_delivery(d, "OutcomeDelivery"))?,
+                deliveries: t.sequence_of("DeliverOutcomes", read_delivery)?,
             }),
             16 => Ok(Request::MonitorPush {
                 push: GridPush::read_der(t)?,
@@ -862,20 +774,6 @@ mod tests {
             parent: JobId(9),
             node: ActionId(2),
             return_files: vec!["grid.dat".into()],
-        });
-        round_trip_req(Request::DeliverOutcome {
-            parent: JobId(9),
-            node: ActionId(2),
-            outcome: OutcomeNode::Job(JobOutcome::default()),
-            files: vec![("grid.dat".into(), vec![1, 2, 3])],
-        });
-        round_trip_req(Request::PushFile {
-            to_vsite: VsiteAddress::new("DWD", "SX4"),
-            dest_name: "f".into(),
-            data: vec![1, 2, 3],
-            origin_job: JobId(1),
-            origin_node: ActionId(5),
-            user_dn: "CN=alice".into(),
         });
         round_trip_req(Request::TransferOffer {
             manifest: TransferManifest::for_bytes(

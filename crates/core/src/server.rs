@@ -210,8 +210,6 @@ fn request_kind(request: &Request) -> &'static str {
         Request::GetResources => "get_resources",
         Request::Monitor { .. } => "monitor",
         Request::ConsignSubJob { .. } => "consign_subjob",
-        Request::DeliverOutcome { .. } => "deliver_outcome",
-        Request::PushFile { .. } => "push_file",
         Request::TransferOffer { .. } => "transfer_offer",
         Request::TransferChunk { .. } => "transfer_chunk",
         Request::Broker { .. } => "broker",
@@ -239,6 +237,20 @@ fn is_user_request(request: &Request) -> bool {
             | Request::GetResources
             | Request::Monitor { .. }
             | Request::Broker { .. }
+    )
+}
+
+/// Whether a request is peer-only: NJS–NJS traffic that only a trusted
+/// peer server may send. An aggregation-plane push is not in the class;
+/// the plane consumes it before any server sees it. A sweep is not
+/// checked as such: each of its members is, on its own.
+fn is_peer_request(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::ConsignSubJob { .. }
+            | Request::TransferOffer { .. }
+            | Request::TransferChunk { .. }
+            | Request::DeliverOutcomes { .. }
     )
 }
 
@@ -551,13 +563,17 @@ impl UnicoreServer {
         // without touching the NJS. Open by default — no limiter
         // installed, no DNs revoked — so existing deployments see no
         // behavior change until an operator opts in.
-        if !self.peer_servers.contains(from_dn) && is_user_request(&request) {
+        let trusted_peer = self.peer_servers.contains(from_dn);
+        if !trusted_peer && is_user_request(&request) {
             if let Some(reason) = self
                 .gateway
                 .admit(from_dn, request_kind(&request), now_secs)
             {
                 return Response::Error(reason);
             }
+        }
+        if !trusted_peer && is_peer_request(&request) {
+            return Response::Error(format!("{from_dn} is not a trusted peer server"));
         }
         match request {
             Request::Consign { ajo } => {
@@ -681,9 +697,9 @@ impl UnicoreServer {
                 Err(e) => Response::Error(e.to_string()),
             },
             Request::GetResources => Response::Resources(self.resources.clone()),
-            // The server answers for its own site; grid fan-out across
-            // Usites is orchestrated by the federation layer, which
-            // intercepts grid queries and merges per-site reports.
+            // The server answers for its own site; the federation's
+            // aggregation plane intercepts grid queries and answers them
+            // from the tree root's merged view.
             Request::Monitor { grid: _ } => Response::Service(ServiceOutcome::Monitor {
                 sites: vec![self.monitor_report(now)],
             }),
@@ -700,9 +716,6 @@ impl UnicoreServer {
                 node,
                 return_files,
             } => {
-                if !self.peer_servers.contains(from_dn) {
-                    return Response::Error(format!("{from_dn} is not a trusted peer server"));
-                }
                 // A sub-job is identified for all time by (origin, parent,
                 // node): if the origin re-forwards it — because it crashed
                 // after our Consigned reply was lost, or restarted and
@@ -760,48 +773,7 @@ impl UnicoreServer {
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
-            Request::DeliverOutcome {
-                parent,
-                node,
-                outcome,
-                files,
-            } => {
-                if !self.peer_servers.contains(from_dn) {
-                    return Response::Error(format!("{from_dn} is not a trusted peer server"));
-                }
-                self.njs
-                    .complete_remote_node_with_files(parent, node, outcome, files);
-                Response::Ack
-            }
-            Request::PushFile {
-                to_vsite,
-                dest_name,
-                data,
-                user_dn,
-                ..
-            } => {
-                if !self.peer_servers.contains(from_dn) {
-                    return Response::Error(format!("{from_dn} is not a trusted peer server"));
-                }
-                let decision = self
-                    .gateway
-                    .authorize_dn(&user_dn, &to_vsite.vsite, None, now_secs);
-                let login = match decision {
-                    AuthDecision::Accepted(m) => m.login,
-                    AuthDecision::Refused(reason) => return Response::Error(reason),
-                };
-                match self
-                    .njs
-                    .receive_incoming_file(&to_vsite.vsite, &dest_name, data, &login)
-                {
-                    Ok(()) => Response::Ack,
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
             Request::TransferOffer { manifest } => {
-                if !self.peer_servers.contains(from_dn) {
-                    return Response::Error(format!("{from_dn} is not a trusted peer server"));
-                }
                 // The transfer lands as the *original user*: map their DN
                 // to a local login before staging anything.
                 let decision = self.gateway.authorize_dn(
@@ -825,18 +797,13 @@ impl UnicoreServer {
                 origin_node,
                 index,
                 data,
-            } => {
-                if !self.peer_servers.contains(from_dn) {
-                    return Response::Error(format!("{from_dn} is not a trusted peer server"));
-                }
-                match self
-                    .njs
-                    .transfer_chunk(&origin, origin_job, origin_node, index, &data)
-                {
-                    Ok((upto, done)) => Response::ChunkAck { upto, done },
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
+            } => match self
+                .njs
+                .transfer_chunk(&origin, origin_job, origin_node, index, &data)
+            {
+                Ok((upto, done)) => Response::ChunkAck { upto, done },
+                Err(e) => Response::Error(e.to_string()),
+            },
             // The §6 broker: an abstract request comes in, the ranked
             // placement across the whole known grid goes out. Quotas are
             // enforced at consign, not here — asking is free.
@@ -847,13 +814,10 @@ impl UnicoreServer {
                 }
             }
             Request::DeliverOutcomes { deliveries } => {
-                if !self.peer_servers.contains(from_dn) {
-                    return Response::Error(format!("{from_dn} is not a trusted peer server"));
-                }
-                // The batched form of DeliverOutcome: every sub-job the
-                // peer finished for us this tick, applied in order. Each
-                // application is idempotent, so a re-delivered batch
-                // (lost Ack, peer crash-restart) is harmless.
+                // Every sub-job the peer finished for us this tick,
+                // applied in order. Each application is idempotent, so a
+                // re-delivered batch (lost Ack, peer crash-restart) is
+                // harmless.
                 for d in deliveries {
                     self.njs
                         .complete_remote_node_with_files(d.parent, d.node, d.outcome, d.files);
@@ -861,7 +825,7 @@ impl UnicoreServer {
                 Response::Ack
             }
             // Every member takes the path it would take alone — admission,
-            // the rate limit, revocation and the peer-only checks included —
+            // the rate limit, revocation and the peer-only check included —
             // and the answers go back in member order.
             Request::Sweep { requests } => Response::Swept {
                 responses: requests
@@ -1062,7 +1026,8 @@ impl UnicoreServer {
         // Chunk sends queued by ack handling since the last step.
         let mut out = std::mem::take(&mut self.outq);
 
-        // Forward sub-jobs and file pushes the NJS wants sent away.
+        // Forward sub-jobs and open data-plane transfers for the files
+        // the NJS wants sent away.
         for item in self.njs.take_outbox() {
             match item {
                 OutgoingItem::SubJob {
@@ -1475,11 +1440,13 @@ mod tests {
     #[test]
     fn a_peer_only_request_in_a_users_sweep_is_refused_as_if_alone() {
         let (mut server, id, now) = fzj_with_a_finished_job();
-        let deliver = || Request::DeliverOutcome {
-            parent: id,
-            node: ActionId(1),
-            outcome: OutcomeNode::Job(JobOutcome::default()),
-            files: vec![],
+        let deliver = || Request::DeliverOutcomes {
+            deliveries: vec![OutcomeDelivery {
+                parent: id,
+                node: ActionId(1),
+                outcome: OutcomeNode::Job(JobOutcome::default()),
+                files: vec![],
+            }],
         };
         let lone = server.handle_request(DN, deliver(), now);
         assert!(refused_for(&lone, "not a trusted peer server"), "{lone:?}");

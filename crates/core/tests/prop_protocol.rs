@@ -1,7 +1,7 @@
 //! Property tests: every protocol envelope round-trips its DER wire form.
 
 use proptest::prelude::*;
-use unicore::protocol::{Body, Envelope, Request, Response};
+use unicore::protocol::{Body, Envelope, OutcomeDelivery, Request, Response};
 use unicore_ajo::{
     AbstractJob, AbstractTask, ActionId, ActionStatus, ControlOp, DetailLevel, ExecuteKind,
     GraphNode, JobId, JobOutcome, JobSummary, MonitorReport, OutcomeNode, ResourceRequest,
@@ -182,45 +182,33 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                 node: ActionId(n),
                 return_files,
             }),
-        (
-            id_strategy(),
-            id_strategy(),
-            proptest::collection::vec(
-                (
-                    "[a-z.]{1,10}",
-                    proptest::collection::vec(any::<u8>(), 0..64)
+        proptest::collection::vec(
+            (
+                id_strategy(),
+                id_strategy(),
+                proptest::collection::vec(
+                    (
+                        "[a-z.]{1,10}",
+                        proptest::collection::vec(any::<u8>(), 0..64)
+                    ),
+                    0..3
                 ),
-                0..3
-            ),
-            flight_strategy()
+                flight_strategy()
+            )
+                .prop_map(|(p, n, files, flight)| {
+                    let mut t = TaskOutcome::success_with_exit(0);
+                    t.flight = flight;
+                    OutcomeDelivery {
+                        parent: JobId(p),
+                        node: ActionId(n),
+                        outcome: OutcomeNode::Task(t),
+                        files,
+                    }
+                }),
+            0..3
         )
-            .prop_map(|(p, n, files, flight)| {
-                let mut t = TaskOutcome::success_with_exit(0);
-                t.flight = flight;
-                Request::DeliverOutcome {
-                    parent: JobId(p),
-                    node: ActionId(n),
-                    outcome: OutcomeNode::Task(t),
-                    files,
-                }
-            }),
+        .prop_map(|deliveries| Request::DeliverOutcomes { deliveries }),
         any::<bool>().prop_map(|grid| Request::Monitor { grid }),
-        (
-            name_strategy(),
-            name_strategy(),
-            "[a-z.]{1,12}",
-            proptest::collection::vec(any::<u8>(), 0..256),
-            id_strategy(),
-            id_strategy()
-        )
-            .prop_map(|(u, v, dest_name, data, j, n)| Request::PushFile {
-                to_vsite: VsiteAddress::new(u, v),
-                dest_name,
-                data,
-                origin_job: JobId(j),
-                origin_node: ActionId(n),
-                user_dn: "C=DE, O=p, OU=q, CN=prop".into(),
-            }),
     ]
 }
 

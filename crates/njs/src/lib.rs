@@ -28,6 +28,6 @@ pub mod translation;
 pub use accounting::{usage_report, UsageReport, UsageRow};
 pub use error::NjsError;
 pub use njs::{ConsignMeta, Njs, OutgoingItem, RecoveryReport, VsiteRuntime, INCOMING_PREFIX};
-pub use oracle::{synthetic_content, AmdahlOracle, DeterministicOracle, WorkOracle};
+pub use oracle::{synthetic_content, DeterministicOracle, WorkOracle};
 pub use shard::ShardedNjs;
 pub use translation::{incarnate_execute, incarnate_execute_in_queue, TranslationTable};

@@ -3,8 +3,10 @@
 //! sharded facade's merge phase applies them through.
 //!
 //! The facade applies queued [`CrossShardItem`]s between step rounds
-//! using these entry points. They mirror the corresponding in-shard code
-//! paths exactly so terminal outcomes are byte-identical whether a job's
+//! using these entry points. Each does what the in-shard path does and
+//! fails with the same text — a cross-Vsite Export and a same-Usite
+//! Transfer land through `Njs::xspace_write` on either side of the
+//! boundary — so terminal outcomes are byte-identical whether a job's
 //! neighbours live on the same shard or not.
 
 use super::{Njs, NodeState};
@@ -56,12 +58,13 @@ pub(crate) enum CrossShardItem {
         /// Login performing the read.
         login: String,
     },
-    /// A cross-Vsite Export whose destination Xspace is owned by
-    /// `shard`: write the bytes there, then finish the node.
+    /// A cross-Vsite Export, or a same-Usite Transfer, whose destination
+    /// Xspace is owned by `shard`: write the bytes there (a Transfer's
+    /// path lies in the incoming area), then finish the node.
     DeliverXspace {
-        /// The exporting job.
+        /// The exporting or transferring job.
         job: JobId,
-        /// Its Export node.
+        /// Its Export or Transfer node.
         node: ActionId,
         /// Owning shard of the destination Vsite.
         shard: usize,
@@ -71,29 +74,6 @@ pub(crate) enum CrossShardItem {
         path: String,
         /// File contents, shared with the Uspace entry they were read from.
         data: Arc<[u8]>,
-        /// Byte count for the task outcome.
-        bytes: u64,
-        /// Login performing the write.
-        login: String,
-    },
-    /// A same-Usite Transfer whose destination Vsite is owned by
-    /// `shard`: land the bytes in its incoming area, then finish the
-    /// node.
-    DeliverIncoming {
-        /// The transferring job.
-        job: JobId,
-        /// Its Transfer node.
-        node: ActionId,
-        /// Owning shard of the destination Vsite.
-        shard: usize,
-        /// Destination Vsite name.
-        to_vsite: String,
-        /// Name at the destination.
-        dest_name: String,
-        /// File contents, shared with the Uspace entry they were read from.
-        data: Arc<[u8]>,
-        /// Byte count for the task outcome.
-        bytes: u64,
         /// Login performing the write.
         login: String,
     },
@@ -117,9 +97,6 @@ impl CrossShardItem {
             CrossShardItem::DeliverXspace {
                 shard, job, node, ..
             } => (*shard, job.0, node.0, 2),
-            CrossShardItem::DeliverIncoming {
-                shard, job, node, ..
-            } => (*shard, job.0, node.0, 3),
         }
     }
 }
@@ -329,21 +306,28 @@ impl Njs {
         }
     }
 
-    /// Writes a file into a Vsite's Xspace (cross-shard Export landing).
+    /// Writes a file into a Vsite's Xspace — where a cross-Vsite Export
+    /// or a same-Usite Transfer lands, in-shard or from the merge phase —
+    /// and reports it as the file task's outcome: the bytes written, or
+    /// the write's refusal.
     pub(crate) fn xspace_write(
         &mut self,
         vsite: &str,
         path: &str,
         data: Arc<[u8]>,
         login: &str,
-    ) -> Result<(), String> {
-        match self.vsites.get_mut(vsite) {
-            Some(v) => v
-                .vspace
-                .xspace()
-                .write(path, data, login)
-                .map_err(|e| e.to_string()),
-            None => Err(format!("unknown Vsite {vsite}")),
+    ) -> TaskOutcome {
+        let bytes = data.len() as u64;
+        let Some(v) = self.vsites.get_mut(vsite) else {
+            return TaskOutcome::failure(format!("unknown Vsite {vsite}"));
+        };
+        match v.vspace.xspace().write(path, data, login) {
+            Ok(()) => TaskOutcome {
+                status: ActionStatus::Successful,
+                bytes_staged: bytes,
+                ..Default::default()
+            },
+            Err(e) => TaskOutcome::failure(e.to_string()),
         }
     }
 }

@@ -3,7 +3,10 @@
 use super::cross::CrossShardItem;
 use super::{Njs, OutgoingItem, INCOMING_PREFIX};
 use std::sync::Arc;
-use unicore_ajo::{ActionStatus, DataLocation, FileKind, GraphNode, JobId, TaskKind, TaskOutcome};
+use unicore_ajo::{
+    ActionId, ActionStatus, DataLocation, FileKind, GraphNode, JobId, TaskKind, TaskOutcome,
+    VsiteAddress,
+};
 
 impl Njs {
     /// What a just-finished file task deposited into the job's Uspace
@@ -160,40 +163,7 @@ impl Njs {
                         .vspace
                         .read_for_transfer(job, uspace_name, &login);
                     match data {
-                        Ok(d) => {
-                            let len = d.len() as u64;
-                            if let Some(&shard) = self.siblings.get(&vsite.vsite) {
-                                // Destination Vsite is on a sibling shard:
-                                // queue the bytes; the merge phase
-                                // lands them in that Xspace.
-                                self.cross_send(CrossShardItem::DeliverXspace {
-                                    job,
-                                    node,
-                                    shard,
-                                    to_vsite: vsite.vsite.clone(),
-                                    path: path.clone(),
-                                    data: d,
-                                    bytes: len,
-                                    login: login.clone(),
-                                });
-                                return FileTaskResult::Remote;
-                            }
-                            match self.vsites.get_mut(&vsite.vsite) {
-                                Some(v) => match v.vspace.xspace().write(path, d, &login) {
-                                    Ok(()) => FileTaskResult::Done(TaskOutcome {
-                                        status: ActionStatus::Successful,
-                                        bytes_staged: len,
-                                        ..Default::default()
-                                    }),
-                                    Err(e) => {
-                                        FileTaskResult::Done(TaskOutcome::failure(e.to_string()))
-                                    }
-                                },
-                                None => FileTaskResult::Done(TaskOutcome::failure(format!(
-                                    "unknown Vsite {vsite}"
-                                ))),
-                            }
-                        }
+                        Ok(d) => self.write_other_xspace(job, node, vsite, path.clone(), d, &login),
                         Err(e) => FileTaskResult::Done(TaskOutcome::failure(e.to_string())),
                     }
                 }
@@ -213,38 +183,8 @@ impl Njs {
                 };
                 if to_vsite.usite == self.usite {
                     // Local delivery into the destination Vsite's incoming area.
-                    let len = data.len() as u64;
-                    if let Some(&shard) = self.siblings.get(&to_vsite.vsite) {
-                        // The destination Vsite lives on a sibling shard;
-                        // the merge phase delivers into its incoming area.
-                        self.cross_send(CrossShardItem::DeliverIncoming {
-                            job,
-                            node,
-                            shard,
-                            to_vsite: to_vsite.vsite.clone(),
-                            dest_name: dest_name.clone(),
-                            data,
-                            bytes: len,
-                            login: login.clone(),
-                        });
-                        return FileTaskResult::Remote;
-                    }
-                    match self.vsites.get_mut(&to_vsite.vsite) {
-                        Some(v) => {
-                            let path = format!("{INCOMING_PREFIX}{dest_name}");
-                            match v.vspace.xspace().write(&path, data, &login) {
-                                Ok(()) => FileTaskResult::Done(TaskOutcome {
-                                    status: ActionStatus::Successful,
-                                    bytes_staged: len,
-                                    ..Default::default()
-                                }),
-                                Err(e) => FileTaskResult::Done(TaskOutcome::failure(e.to_string())),
-                            }
-                        }
-                        None => FileTaskResult::Done(TaskOutcome::failure(format!(
-                            "unknown Vsite {to_vsite}"
-                        ))),
-                    }
+                    let path = format!("{INCOMING_PREFIX}{dest_name}");
+                    self.write_other_xspace(job, node, to_vsite, path, data, &login)
                 } else {
                     self.outbox.push(OutgoingItem::Transfer {
                         from_job: job,
@@ -258,6 +198,37 @@ impl Njs {
                 }
             }
         }
+    }
+
+    /// Writes `data` at `path` in the Xspace of `to_vsite`, another Vsite
+    /// of this Usite: a cross-Vsite Export, or a same-Usite Transfer into
+    /// the incoming area. A Vsite on a sibling shard is written by the
+    /// facade's merge phase, through the same [`Njs::xspace_write`].
+    fn write_other_xspace(
+        &mut self,
+        job: JobId,
+        node: ActionId,
+        to_vsite: &VsiteAddress,
+        path: String,
+        data: Arc<[u8]>,
+        login: &str,
+    ) -> FileTaskResult {
+        if let Some(&shard) = self.siblings.get(&to_vsite.vsite) {
+            self.cross_send(CrossShardItem::DeliverXspace {
+                job,
+                node,
+                shard,
+                to_vsite: to_vsite.vsite.clone(),
+                path,
+                data,
+                login: login.to_owned(),
+            });
+            return FileTaskResult::Remote;
+        }
+        if !self.vsites.contains_key(&to_vsite.vsite) {
+            return FileTaskResult::Done(TaskOutcome::failure(format!("unknown Vsite {to_vsite}")));
+        }
+        FileTaskResult::Done(self.xspace_write(&to_vsite.vsite, &path, data, login))
     }
 }
 

@@ -1,36 +1,14 @@
-//! The receiving end of site-to-site transfers: whole files and the
-//! chunked, resumable data plane.
+//! The receiving end of site-to-site transfers: the chunked, resumable
+//! data plane every file from a peer Usite arrives through.
 
 use super::{IncomingTransfer, Njs, INCOMING_PREFIX};
 use crate::error::NjsError;
-use std::sync::Arc;
 use unicore_ajo::{ActionId, JobId};
 use unicore_codec::DerCodec;
 use unicore_dataplane::{ReceiverState, TransferKey, TransferManifest};
 use unicore_store::StoreEvent;
 
 impl Njs {
-    /// Receives a file pushed from a peer Usite into `vsite`'s incoming
-    /// Xspace area.
-    pub fn receive_incoming_file(
-        &mut self,
-        vsite: &str,
-        dest_name: &str,
-        data: impl Into<Arc<[u8]>>,
-        login: &str,
-    ) -> Result<(), NjsError> {
-        let v = self
-            .vsites
-            .get_mut(vsite)
-            .ok_or_else(|| NjsError::UnknownVsite {
-                vsite: vsite.to_owned(),
-                usite: self.usite.clone(),
-            })?;
-        let path = format!("{INCOMING_PREFIX}{dest_name}");
-        v.vspace.xspace().write(&path, data, login)?;
-        Ok(())
-    }
-
     /// Opens (or resumes) an incoming chunked transfer offered by a peer.
     ///
     /// Returns the chunk index the sender should resume from — the

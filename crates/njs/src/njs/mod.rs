@@ -333,9 +333,6 @@ pub struct Njs {
     /// Per-job lifecycle rings, attached to failing outcomes. Enabled
     /// together with telemetry; disabled is free.
     flight: FlightRecorder,
-    /// Slow-dispatch watchdog: a consigned job with nothing dispatched
-    /// after this long is flagged as stuck in the monitor report.
-    watchdog_threshold: SimTime,
     /// Incoming chunked transfers, keyed by the sender's identity. Kept
     /// after completion so late re-offers and retransmitted chunks are
     /// acked as done instead of re-opening the transfer.
@@ -368,7 +365,7 @@ pub struct Njs {
     batch_dirty: Vec<usize>,
 }
 
-/// Default slow-dispatch watchdog threshold: a healthy NJS dispatches a
+/// The slow-dispatch watchdog threshold: a healthy NJS dispatches a
 /// ready node on the very next step, so a minute of sitting fully
 /// undispatched means the site is wedged, not busy.
 pub const DEFAULT_WATCHDOG_THRESHOLD: SimTime = 60 * unicore_sim::SEC;
@@ -427,7 +424,6 @@ impl Njs {
             telemetry: Telemetry::disabled(),
             metrics: NjsMetrics::default(),
             flight: FlightRecorder::disabled(),
-            watchdog_threshold: DEFAULT_WATCHDOG_THRESHOLD,
             incoming: HashMap::new(),
             transfer_resumes: 0,
             job_stride: 1,
@@ -487,22 +483,17 @@ impl Njs {
         &self.flight
     }
 
-    /// Overrides the slow-dispatch watchdog threshold.
-    pub fn set_watchdog_threshold(&mut self, threshold: SimTime) {
-        self.watchdog_threshold = threshold;
-    }
-
     /// Jobs flagged by the slow-dispatch watchdog at `now`, per Vsite:
     /// consigned, not held, and with **no** node dispatched yet after
-    /// the threshold has elapsed — the signature of a wedged site rather
-    /// than a busy one.
+    /// [`DEFAULT_WATCHDOG_THRESHOLD`] has elapsed — the signature of a
+    /// wedged site rather than a busy one.
     pub fn stuck_jobs_by_vsite(&self, now: SimTime) -> HashMap<String, i64> {
         let mut stuck: HashMap<String, i64> = HashMap::new();
         for rt in self.jobs.values() {
             if rt.done || rt.held {
                 continue;
             }
-            if now.saturating_sub(rt.consigned_at) <= self.watchdog_threshold {
+            if now.saturating_sub(rt.consigned_at) <= DEFAULT_WATCHDOG_THRESHOLD {
                 continue;
             }
             if rt.states.iter().all(|s| *s == NodeState::Waiting) {

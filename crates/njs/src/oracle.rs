@@ -314,193 +314,3 @@ mod tests {
         assert_eq!(synthetic_content("x", 0).len(), 0);
     }
 }
-
-/// An oracle that models parallel speedup with Amdahl's law: a user task's
-/// runtime shrinks with its processor request,
-/// `t(p) = t₁ · (s + (1 − s)/p)`, where `s` is the serial fraction.
-///
-/// Useful for broker experiments where the *shape* of the request matters;
-/// the default [`DeterministicOracle`] charges a fixed fraction of the
-/// requested wall time regardless of width.
-pub struct AmdahlOracle {
-    /// Serial fraction `s` (0.0 = perfectly parallel, 1.0 = serial).
-    pub serial_fraction: f64,
-    /// Single-processor runtime as a fraction of the requested wall time.
-    pub base_fraction: f64,
-    /// Fallback for script/compile/link tasks.
-    inner: DeterministicOracle,
-}
-
-impl AmdahlOracle {
-    /// An oracle with the given serial fraction; single-processor runtime
-    /// is 80% of the requested wall time.
-    pub fn new(serial_fraction: f64) -> Self {
-        AmdahlOracle {
-            serial_fraction: serial_fraction.clamp(0.0, 1.0),
-            base_fraction: 0.8,
-            inner: DeterministicOracle::default(),
-        }
-    }
-
-    /// The Amdahl speedup factor for `p` processors.
-    pub fn speedup(&self, p: u32) -> f64 {
-        let s = self.serial_fraction;
-        1.0 / (s + (1.0 - s) / p.max(1) as f64)
-    }
-}
-
-impl WorkOracle for AmdahlOracle {
-    fn work_for(&self, task: &AbstractTask, resources: &ResourceRequest) -> WorkModel {
-        match &task.kind {
-            TaskKind::Execute(ExecuteKind::User { executable, .. }) => {
-                let t1 = resources.run_time_secs as f64 * self.base_fraction;
-                let runtime = t1 / self.speedup(resources.processors);
-                WorkModel {
-                    actual_runtime: secs_f64(runtime).max(secs(1)),
-                    exit_code: 0,
-                    stdout: format!("{executable}: done on {} PEs\n", resources.processors)
-                        .into_bytes(),
-                    stderr: Vec::new(),
-                    output_files: Vec::new(),
-                }
-            }
-            _ => self.inner.work_for(task, resources),
-        }
-    }
-}
-
-#[cfg(test)]
-mod amdahl_tests {
-    use super::*;
-
-    fn user_task() -> AbstractTask {
-        AbstractTask {
-            name: "sim".into(),
-            resources: ResourceRequest::minimal(),
-            kind: TaskKind::Execute(ExecuteKind::User {
-                executable: "model".into(),
-                arguments: vec![],
-                environment: vec![],
-            }),
-        }
-    }
-
-    #[test]
-    fn more_processors_run_faster() {
-        let oracle = AmdahlOracle::new(0.05);
-        let narrow = oracle.work_for(
-            &user_task(),
-            &ResourceRequest::minimal()
-                .with_processors(1)
-                .with_run_time(10_000),
-        );
-        let wide = oracle.work_for(
-            &user_task(),
-            &ResourceRequest::minimal()
-                .with_processors(64)
-                .with_run_time(10_000),
-        );
-        assert!(wide.actual_runtime < narrow.actual_runtime);
-        // ...but bounded by the serial fraction.
-        let very_wide = oracle.work_for(
-            &user_task(),
-            &ResourceRequest::minimal()
-                .with_processors(4096)
-                .with_run_time(10_000),
-        );
-        let serial_floor = secs_f64(10_000.0 * 0.8 * 0.05);
-        assert!(very_wide.actual_runtime >= serial_floor);
-    }
-
-    #[test]
-    fn perfectly_parallel_scales_linearly() {
-        let oracle = AmdahlOracle::new(0.0);
-        assert!((oracle.speedup(64) - 64.0).abs() < 1e-9);
-        let one = oracle.work_for(
-            &user_task(),
-            &ResourceRequest::minimal()
-                .with_processors(1)
-                .with_run_time(6_400),
-        );
-        let sixty_four = oracle.work_for(
-            &user_task(),
-            &ResourceRequest::minimal()
-                .with_processors(64)
-                .with_run_time(6_400),
-        );
-        assert_eq!(one.actual_runtime / 64, sixty_four.actual_runtime);
-    }
-
-    #[test]
-    fn fully_serial_never_speeds_up() {
-        let oracle = AmdahlOracle::new(1.0);
-        assert!((oracle.speedup(1000) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn non_user_tasks_fall_back() {
-        let oracle = AmdahlOracle::new(0.1);
-        let script = AbstractTask {
-            name: "s".into(),
-            resources: ResourceRequest::minimal(),
-            kind: TaskKind::Execute(ExecuteKind::Script {
-                script: "sleep 30\n".into(),
-            }),
-        };
-        let w = oracle.work_for(&script, &ResourceRequest::minimal());
-        assert_eq!(w.actual_runtime, secs(30));
-    }
-
-    #[test]
-    fn works_as_njs_oracle() {
-        use crate::njs::Njs;
-        use crate::translation::TranslationTable;
-        use unicore_ajo::{AbstractJob, ActionId, GraphNode, UserAttributes, VsiteAddress};
-        use unicore_gateway::MappedUser;
-        use unicore_resources::{deployment_page, Architecture};
-
-        let mut njs = Njs::with_oracle("FZJ", Box::new(AmdahlOracle::new(0.05)));
-        njs.add_vsite(
-            deployment_page("FZJ", "T3E", Architecture::CrayT3e),
-            TranslationTable::for_architecture(Architecture::CrayT3e),
-        );
-        let mut job = AbstractJob::new(
-            "amdahl",
-            VsiteAddress::new("FZJ", "T3E"),
-            UserAttributes::new("CN=a, C=DE, O=x, OU=y", "g"),
-        );
-        job.nodes.push((
-            ActionId(1),
-            GraphNode::Task(AbstractTask {
-                name: "wide run".into(),
-                resources: ResourceRequest::minimal()
-                    .with_processors(128)
-                    .with_run_time(7_200),
-                kind: TaskKind::Execute(ExecuteKind::User {
-                    executable: "model".into(),
-                    arguments: vec![],
-                    environment: vec![],
-                }),
-            }),
-        ));
-        let user = MappedUser {
-            dn: "CN=a, C=DE, O=x, OU=y".into(),
-            login: "a".into(),
-            account_group: "g".into(),
-        };
-        let id = njs.consign(job, user, 0).unwrap();
-        let mut now = 0;
-        njs.step(now);
-        while !njs.is_done(id) && now < unicore_sim::HOUR * 4 {
-            now = njs
-                .next_event_time()
-                .unwrap_or(now + unicore_sim::SEC)
-                .max(now + 1);
-            njs.step(now);
-        }
-        assert!(njs.outcome(id).unwrap().status.is_success());
-        // 128-way Amdahl at s=0.05: speedup ≈ 16.9, so ~341 s versus 5760 serial.
-        let t = njs.turnaround(id).unwrap();
-        assert!(t < unicore_sim::secs(600), "turnaround {t}");
-    }
-}

@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionId, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, MonitorReport,
-    OutcomeNode, TaskOutcome,
+    OutcomeNode,
 };
 use unicore_dataplane::TransferManifest;
 use unicore_gateway::MappedUser;
@@ -291,41 +291,9 @@ impl ShardedNjs {
                     to_vsite,
                     path,
                     data,
-                    bytes,
                     login,
                 } => {
-                    let result = self.shards[shard].xspace_write(&to_vsite, &path, data, &login);
-                    let outcome = match result {
-                        Ok(()) => TaskOutcome {
-                            status: unicore_ajo::ActionStatus::Successful,
-                            bytes_staged: bytes,
-                            ..Default::default()
-                        },
-                        Err(e) => TaskOutcome::failure(e),
-                    };
-                    let owner = self.shard_of_job(job);
-                    self.shards[owner].finish_file_node(job, node, outcome, now);
-                }
-                CrossShardItem::DeliverIncoming {
-                    job,
-                    node,
-                    shard,
-                    to_vsite,
-                    dest_name,
-                    data,
-                    bytes,
-                    login,
-                } => {
-                    let result = self.shards[shard]
-                        .receive_incoming_file(&to_vsite, &dest_name, data, &login);
-                    let outcome = match result {
-                        Ok(()) => TaskOutcome {
-                            status: unicore_ajo::ActionStatus::Successful,
-                            bytes_staged: bytes,
-                            ..Default::default()
-                        },
-                        Err(e) => TaskOutcome::failure(e.to_string()),
-                    };
+                    let outcome = self.shards[shard].xspace_write(&to_vsite, &path, data, &login);
                     let owner = self.shard_of_job(job);
                     self.shards[owner].finish_file_node(job, node, outcome, now);
                 }
@@ -630,18 +598,6 @@ impl ShardedNjs {
 
     // ---- data plane (routed by destination Vsite / probed by key) ----
 
-    /// Receives a whole file pushed from a peer Usite.
-    pub fn receive_incoming_file(
-        &mut self,
-        vsite: &str,
-        dest_name: &str,
-        data: Vec<u8>,
-        login: &str,
-    ) -> Result<(), NjsError> {
-        let shard = self.shard_of_vsite(vsite);
-        self.shards[shard].receive_incoming_file(vsite, dest_name, data, login)
-    }
-
     /// Opens (or resumes) an incoming chunked transfer.
     pub fn transfer_offer(
         &mut self,
@@ -721,24 +677,6 @@ impl ShardedNjs {
     /// The shared flight recorder.
     pub fn flight(&self) -> &FlightRecorder {
         self.shards[0].flight()
-    }
-
-    /// Overrides the slow-dispatch watchdog threshold on every shard.
-    pub fn set_watchdog_threshold(&mut self, threshold: SimTime) {
-        for shard in &mut self.shards {
-            shard.set_watchdog_threshold(threshold);
-        }
-    }
-
-    /// Jobs flagged by the slow-dispatch watchdog, merged across shards.
-    pub fn stuck_jobs_by_vsite(&self, now: SimTime) -> HashMap<String, i64> {
-        let mut merged: HashMap<String, i64> = HashMap::new();
-        for shard in &self.shards {
-            for (vsite, n) in shard.stuck_jobs_by_vsite(now) {
-                *merged.entry(vsite).or_default() += n;
-            }
-        }
-        merged
     }
 
     /// WAL tail repairs summed across every shard's segment.

@@ -537,21 +537,6 @@ fn fetch_output_file_on_request() {
 }
 
 #[test]
-fn incoming_file_from_peer() {
-    let mut njs = fzj();
-    njs.receive_incoming_file("T3E", "fields.grb", vec![1; 500], "alice1")
-        .unwrap();
-    let v = njs.vsite("T3E").unwrap();
-    assert!(v
-        .vspace
-        .xspace_ref()
-        .exists(&format!("{INCOMING_PREFIX}fields.grb")));
-    assert!(njs
-        .receive_incoming_file("NOPE", "x", vec![], "alice1")
-        .is_err());
-}
-
-#[test]
 fn turnaround_reported() {
     let mut njs = fzj();
     let mut job = AbstractJob::new("t", VsiteAddress::new("FZJ", "T3E"), attrs());
@@ -650,8 +635,9 @@ fn consign_shares_portfolio_payloads_without_copying() {
 /// A well-formed offer can claim any length (9 chunk sums at
 /// `chunk_size = u32::MAX` is over 32 GiB). One that exceeds the
 /// destination space's whole quota is refused before the staging buffer
-/// is allocated, journals nothing and leaves no receiver state; an offer
-/// that fits is admitted as before.
+/// is allocated, journals nothing and leaves no receiver state, and so is
+/// one addressed to a Vsite this NJS does not serve; an offer that fits
+/// is admitted as before.
 #[test]
 fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
     use unicore_dataplane::TransferManifest;
@@ -683,6 +669,23 @@ fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
             assert_eq!((needed, quota), (9 * u64::from(u32::MAX), 1 << 20));
         }
         other => panic!("hostile offer: {other:?}"),
+    }
+    let nowhere = TransferManifest::for_bytes(
+        "RUS",
+        JobId(9),
+        ActionId(2),
+        VsiteAddress::new("FZJ", "NOPE"),
+        "x",
+        DN,
+        false,
+        &[],
+        65_536,
+    );
+    match njs.transfer_offer(nowhere, "alice1") {
+        Err(NjsError::UnknownVsite { vsite, usite }) => {
+            assert_eq!((vsite.as_str(), usite.as_str()), ("FZJ/NOPE", "FZJ"));
+        }
+        other => panic!("offer to an unknown Vsite: {other:?}"),
     }
     assert_eq!(mem.append_count(), 0, "a refused offer journals nothing");
     assert!(njs

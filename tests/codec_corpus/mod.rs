@@ -428,26 +428,6 @@ fn requests() -> Vec<(&'static str, Request)> {
             },
         ),
         (
-            "deliver_outcome",
-            Request::DeliverOutcome {
-                parent: JobId(9),
-                node: ActionId(2),
-                outcome: OutcomeNode::Job(job_outcome()),
-                files: returned_files(),
-            },
-        ),
-        (
-            "push_file",
-            Request::PushFile {
-                to_vsite: VsiteAddress::new("DWD", "SX4"),
-                dest_name: "f".into(),
-                data: vec![9u8; 130],
-                origin_job: JobId(1),
-                origin_node: ActionId(5),
-                user_dn: DN.into(),
-            },
-        ),
-        (
             "transfer_offer",
             Request::TransferOffer {
                 manifest: manifest(),

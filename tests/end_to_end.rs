@@ -321,8 +321,9 @@ fn list_files_then_fetch_workflow() {
 
 #[test]
 fn standalone_transfer_task_crosses_sites() {
-    // A TransferTask to a *remote* Vsite rides the NJS–NJS PushFile path
-    // and lands in the destination's incoming Xspace area.
+    // A TransferTask to a *remote* Vsite rides the chunked data plane
+    // (TransferOffer, then TransferChunks) and lands in the destination's
+    // incoming Xspace area.
     let mut fed = fed();
     let jpa = jpa();
     let mut b = jpa.new_job("pusher", VsiteAddress::new("FZJ", "T3E"));
