@@ -105,6 +105,13 @@ cargo test -q --offline -p unicore --test federation_tests -- burst_ record a_cr
 echo "==> sweeps without a network: the decoder refuses an empty and a nested sweep (protocol.rs); each member of a sweep is served as if alone — same answers, the rate limit and revocation per member, peer-only requests refused (server.rs)"
 cargo test -q --offline -p unicore --lib sweep
 
+echo "==> the peer-only rule in one place: 'is not a trusted peer server' appears exactly once in crates/core/src/server.rs above #[cfg(test)] (offenders are listed)"
+peer_rule=$(awk '/^#\[cfg\(test\)\]/ { exit } /is not a trusted peer server/ { print FILENAME ":" FNR ":" $0 }' crates/core/src/server.rs)
+if [ "$(printf '%s' "$peer_rule" | grep -c .)" -ne 1 ]; then
+    echo "${peer_rule:-no peer-only check found}"
+    exit 1
+fi
+
 echo "==> Request::Sweep { is constructed only by the client port in federation.rs (and by the decoder); tests and the codec corpus are exempt (offenders are listed)"
 if for f in crates/*/src/*.rs crates/*/src/*/*.rs crates/bench/benches/*.rs examples/*.rs; do
     awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f"
