@@ -98,12 +98,6 @@ impl AbstractJob {
         }
     }
 
-    /// Stamps the abstract request the broker placed this job by.
-    pub fn with_abstract_request(mut self, request: crate::ResourceRequest) -> Self {
-        self.abstract_request = Some(request);
-        self
-    }
-
     /// Looks up a node by id.
     pub fn node(&self, id: ActionId) -> Option<&GraphNode> {
         self.nodes.iter().find(|(n, _)| *n == id).map(|(_, g)| g)

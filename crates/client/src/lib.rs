@@ -25,6 +25,5 @@ pub use jmc::{
 };
 pub use jpa::{JobBuilder, JobPreparationAgent, JpaError, PlacementView};
 pub use monitor::{
-    grid_rows, monitor_rows, render_active_alerts, render_alerts, render_flight, render_grid,
-    render_monitor, MonitorRow,
+    grid_rows, monitor_rows, render_flight, render_grid, render_monitor, MonitorRow,
 };

@@ -9,7 +9,6 @@
 //! flight-recorder trace a failed task carries home in its `Outcome`.
 
 use unicore_ajo::{GridView, MonitorReport, SiteHealth, TaskOutcome, UnreachableReason};
-use unicore_telemetry::{ActiveAlert, AlertEvent};
 
 /// One rendered row of the grid monitor panel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,36 +201,6 @@ pub fn grid_rows(view: &GridView) -> Vec<MonitorRow> {
 /// Renders an aggregated grid view as an indented text panel.
 pub fn render_grid(view: &GridView) -> String {
     indent(grid_rows(view))
-}
-
-/// Renders the SLO alert log the way the JMC's alert drawer would: one
-/// line per fire/clear edge, in evaluation order.
-pub fn render_alerts(log: &[AlertEvent]) -> String {
-    let mut out = String::new();
-    for ev in log {
-        out.push_str(&format!(
-            "[t={:>10.3}s] {} {} (value {})\n",
-            ev.at as f64 / 1e6,
-            if ev.firing { "FIRE " } else { "CLEAR" },
-            ev.rule,
-            ev.value_milli
-        ));
-    }
-    out
-}
-
-/// Renders the currently-firing alerts as a compact banner list.
-pub fn render_active_alerts(alerts: &[ActiveAlert]) -> String {
-    let mut out = String::new();
-    for a in alerts {
-        out.push_str(&format!(
-            "ALERT {} since t={:.0}s (value {})\n",
-            a.rule,
-            a.since as f64 / 1e6,
-            a.value_milli
-        ));
-    }
-    out
 }
 
 /// Renders the flight-recorder trace a failed task carried home — the

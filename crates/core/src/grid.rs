@@ -32,9 +32,7 @@ use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_sim::{SimTime, SEC};
 use unicore_simnet::NodeId;
 use unicore_telemetry::aggregate::{SnapshotDelta, SnapshotPayload};
-use unicore_telemetry::{
-    standard_slo_rules, ActiveAlert, AlertEngine, AlertEvent, MetricsSnapshot,
-};
+use unicore_telemetry::{standard_slo_rules, AlertEngine, AlertEvent, MetricsSnapshot};
 
 /// How long an aggregation edge may go unheard before the whole cached
 /// subtree behind it is marked stale in grid views.
@@ -840,11 +838,6 @@ impl Federation {
     /// The aggregation spanning tree the plane runs over (E17).
     pub fn grid_tree(&self) -> &AggregationTree {
         &self.plane.tree
-    }
-
-    /// The SLO alerts currently firing at the tree root.
-    pub fn active_alerts(&self) -> Vec<ActiveAlert> {
-        self.plane.alerts.active()
     }
 
     /// Every alert fire/clear event so far, in evaluation order.

@@ -53,17 +53,6 @@ impl BigUint {
         }
     }
 
-    /// Builds from a `u128`.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut n = BigUint {
-            limbs: vec![lo, hi],
-        };
-        n.normalize();
-        n
-    }
-
     /// Builds from big-endian bytes (leading zeros permitted).
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
@@ -507,16 +496,6 @@ impl BigUint {
     /// Remainder modulo `m`.
     pub fn rem(&self, m: &BigUint) -> BigUint {
         self.divrem(m).1
-    }
-
-    /// Modular addition: `(self + other) mod m`; both inputs must be `< m`.
-    pub fn add_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
-        let s = self.add(other);
-        if s.cmp_big(m) == Ordering::Less {
-            s
-        } else {
-            s.sub(m)
-        }
     }
 
     /// Modular multiplication via full product + reduction.

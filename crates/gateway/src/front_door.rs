@@ -175,11 +175,6 @@ impl FrontDoor {
         self.limiter = Some(RateLimiter::new(cfg));
     }
 
-    /// Removes the rate limit.
-    pub fn clear_rate_limit(&mut self) {
-        self.limiter = None;
-    }
-
     /// The resumable-session cache (shared with the handshakes).
     pub fn cache(&self) -> &SessionCache {
         &self.cache
@@ -299,20 +294,6 @@ impl FrontDoor {
             killed,
             invalidated,
         })
-    }
-
-    /// Drops every cached session that no longer validates at `now`
-    /// (e.g. after certificates aged out). Returns how many.
-    pub fn sweep_cache(&mut self, now: u64) -> usize {
-        let dropped = self.cache.retain_valid(&self.trust, now);
-        self.metrics.invalidated.add(dropped as u64);
-        dropped
-    }
-
-    /// Invalidates every outstanding resumption ticket (administrative
-    /// flush) without touching live connections.
-    pub fn flush_tickets(&mut self) {
-        self.cache.bump_epoch();
     }
 
     /// DNs of connections killed by revocation but not yet disconnected

@@ -333,11 +333,6 @@ impl Gateway {
         self.limiter = Some(RateLimiter::new(cfg));
     }
 
-    /// Removes the request rate limit.
-    pub fn clear_rate_limit(&mut self) {
-        self.limiter = None;
-    }
-
     /// Marks `dn` as revoked: every subsequent user request is refused
     /// (and audited) until [`reinstate_dn`](Gateway::reinstate_dn).
     pub fn revoke_dn(&mut self, dn: impl Into<String>) {

@@ -86,12 +86,6 @@ impl ResourcePageEditor {
         self
     }
 
-    /// Sets the advertised load hint (percent).
-    pub fn advertised_load(mut self, pct: u32) -> Self {
-        self.page.advertised_load_pct = pct.min(100);
-        self
-    }
-
     /// Sets the limits block.
     pub fn limits(mut self, limits: ResourceLimits) -> Self {
         self.page.limits = limits;

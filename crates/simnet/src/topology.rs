@@ -203,11 +203,6 @@ impl Network {
         self.nodes[node.0 as usize].firewall = firewall;
     }
 
-    /// Node name lookup.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0 as usize].name
-    }
-
     /// Connects `a → b` with `params` (one direction).
     pub fn add_link(&mut self, a: NodeId, b: NodeId, params: LinkParams) {
         self.links.insert(

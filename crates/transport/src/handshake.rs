@@ -81,20 +81,6 @@ impl Endpoint {
         }
     }
 
-    /// Attaches a telemetry handle; handshakes through this endpoint
-    /// count under `transport.handshake.*` and channels it produces
-    /// count records under `transport.records.*`.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Overrides the minted-ticket lifetime.
-    pub fn with_ticket_ttl(mut self, ttl: u64) -> Self {
-        self.ticket_ttl = ttl;
-        self
-    }
-
     fn chain(&self) -> Vec<Certificate> {
         let mut chain = vec![self.identity.cert.clone()];
         chain.extend(self.intermediates.iter().cloned());

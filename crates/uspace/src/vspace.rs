@@ -184,11 +184,6 @@ impl Vspace {
     pub fn bytes_copied(&self) -> u64 {
         self.bytes_copied
     }
-
-    /// Number of live Uspaces.
-    pub fn uspace_count(&self) -> usize {
-        self.uspaces.len()
-    }
 }
 
 #[cfg(test)]
