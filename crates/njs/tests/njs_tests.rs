@@ -536,6 +536,53 @@ fn fetch_output_file_on_request() {
     assert!(njs.fetch_uspace_file(id, "nope.txt", DN).is_err());
 }
 
+/// A file from a peer Usite arrives over the data plane — an offer, then
+/// its chunks — and lands in the Vsite's incoming area. An offer to a
+/// Vsite this NJS does not serve is refused.
+#[test]
+fn incoming_file_from_peer() {
+    use unicore_dataplane::TransferManifest;
+    use unicore_njs::NjsError;
+
+    let mut njs = fzj();
+    let data = vec![1u8; 500];
+    let offer = |vsite: &str| {
+        TransferManifest::for_bytes(
+            "RUS",
+            JobId(9),
+            ActionId(1),
+            VsiteAddress::new("FZJ", vsite),
+            "fields.grb",
+            DN,
+            false,
+            &data,
+            256,
+        )
+    };
+    assert_eq!(njs.transfer_offer(offer("T3E"), "alice1").unwrap(), 0);
+    assert_eq!(
+        njs.transfer_chunk("RUS", JobId(9), ActionId(1), 0, &data[..256])
+            .unwrap(),
+        (1, false)
+    );
+    assert_eq!(
+        njs.transfer_chunk("RUS", JobId(9), ActionId(1), 1, &data[256..])
+            .unwrap(),
+        (2, true)
+    );
+    let v = njs.vsite("T3E").unwrap();
+    assert!(v
+        .vspace
+        .xspace_ref()
+        .exists(&format!("{INCOMING_PREFIX}fields.grb")));
+    match njs.transfer_offer(offer("NOPE"), "alice1") {
+        Err(NjsError::UnknownVsite { vsite, usite }) => {
+            assert_eq!((vsite.as_str(), usite.as_str()), ("FZJ/NOPE", "FZJ"));
+        }
+        other => panic!("offer to an unknown Vsite: {other:?}"),
+    }
+}
+
 #[test]
 fn turnaround_reported() {
     let mut njs = fzj();
@@ -635,9 +682,8 @@ fn consign_shares_portfolio_payloads_without_copying() {
 /// A well-formed offer can claim any length (9 chunk sums at
 /// `chunk_size = u32::MAX` is over 32 GiB). One that exceeds the
 /// destination space's whole quota is refused before the staging buffer
-/// is allocated, journals nothing and leaves no receiver state, and so is
-/// one addressed to a Vsite this NJS does not serve; an offer that fits
-/// is admitted as before.
+/// is allocated, journals nothing and leaves no receiver state; an offer
+/// that fits is admitted as before.
 #[test]
 fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
     use unicore_dataplane::TransferManifest;
@@ -669,23 +715,6 @@ fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
             assert_eq!((needed, quota), (9 * u64::from(u32::MAX), 1 << 20));
         }
         other => panic!("hostile offer: {other:?}"),
-    }
-    let nowhere = TransferManifest::for_bytes(
-        "RUS",
-        JobId(9),
-        ActionId(2),
-        VsiteAddress::new("FZJ", "NOPE"),
-        "x",
-        DN,
-        false,
-        &[],
-        65_536,
-    );
-    match njs.transfer_offer(nowhere, "alice1") {
-        Err(NjsError::UnknownVsite { vsite, usite }) => {
-            assert_eq!((vsite.as_str(), usite.as_str()), ("FZJ/NOPE", "FZJ"));
-        }
-        other => panic!("offer to an unknown Vsite: {other:?}"),
     }
     assert_eq!(mem.append_count(), 0, "a refused offer journals nothing");
     assert!(njs
