@@ -80,6 +80,7 @@ fn file_node(id: u64, name: &str, kind: FileKind) -> (ActionId, GraphNode) {
 /// 5. A same-Usite transfer V3 → V1 (cross-shard incoming delivery).
 /// 6. A job whose sub-job names an unknown Vsite (deterministic failure).
 /// 7. A same-Usite transfer V3 → V1 to a name the Xspace refuses.
+/// 8. An Xspace import on V2 from a Vsite this Usite does not have.
 fn workload() -> Vec<AbstractJob> {
     let mut pipeline = AbstractJob::new("pipeline", addr("V0"), attrs());
     pipeline
@@ -199,7 +200,20 @@ fn workload() -> Vec<AbstractJob> {
         files: vec!["pack.bin".into()],
     });
 
-    vec![pipeline, fan, import, export, ship, doomed, misnamed]
+    let mut stray = AbstractJob::new("stray-import", addr("V2"), attrs());
+    stray.nodes.push(file_node(
+        1,
+        "fetch",
+        FileKind::Import {
+            source: DataLocation::Xspace {
+                vsite: addr("NOPE"),
+                path: "/data/input.dat".into(),
+            },
+            uspace_name: "input.dat".into(),
+        },
+    ));
+
+    vec![pipeline, fan, import, export, ship, doomed, misnamed, stray]
 }
 
 /// Builds a sharded NJS with the four Vsites and V2's Xspace seeded.
@@ -273,7 +287,15 @@ fn outcomes_byte_identical_across_shard_counts() {
         .iter()
         .map(|der| JobOutcome::from_der(der).unwrap().status.is_success())
         .collect();
-    assert_eq!(statuses, [true, true, true, true, true, false, false]);
+    assert_eq!(
+        statuses,
+        [true, true, true, true, true, false, false, false]
+    );
+    let stray = JobOutcome::from_der(&reference[7]).unwrap();
+    let Some(OutcomeNode::Task(fetch)) = stray.child(ActionId(1)) else {
+        panic!("stray import has no task outcome: {stray:?}");
+    };
+    assert_eq!(fetch.message, "unknown Vsite HUB/NOPE");
     // 8 is the shape gridbench's `core_step` runs.
     for shards in [1, 2, 3, 4, 8] {
         let mut njs = build(shards);
@@ -370,9 +392,12 @@ fn wal_replay_is_byte_identical_per_segment() {
 fn crash_restart_mid_step_converges_to_identical_outcomes() {
     let reference = baseline();
     // Crash at several points inside the run — including mid-pipeline,
-    // with cross-shard children alive — and finish after reboot.
-    for crash_at in [10 * SEC, 40 * SEC, 90 * SEC, 3 * MINUTE] {
-        let shards = 4;
+    // with children alive on the parent's shard (1) or another one (4) —
+    // and finish after reboot.
+    for (shards, crash_at) in [1, 4]
+        .into_iter()
+        .flat_map(|s| [10 * SEC, 40 * SEC, 90 * SEC, 3 * MINUTE].map(|t| (s, t)))
+    {
         let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
         let mut njs = build(shards);
         njs.attach_stores(
@@ -408,7 +433,47 @@ fn crash_restart_mid_step_converges_to_identical_outcomes() {
             .collect();
         assert_eq!(
             reference, outcomes,
-            "crash at t={crash_at}: outcomes diverged after restart"
+            "{shards} shards, crash at t={crash_at}: outcomes diverged after restart"
+        );
+    }
+}
+
+/// `fanout` aborted at t = 5 s, while its V1 child runs: the child's node
+/// reads the same whether V1 lives on the parent's shard or another one,
+/// both in a poll before the abort and in the terminal outcome.
+#[test]
+fn a_job_aborted_with_a_running_child_ends_alike_on_every_shard_count() {
+    let run_shape = |shards: usize| -> (Vec<u8>, Vec<u8>) {
+        let mut njs = build(shards);
+        let fan = workload().swap_remove(1);
+        let id = njs.consign(fan, user(), 0).expect("consign");
+        njs.step(0);
+        njs.step(5 * SEC);
+        let polled = njs.query(id, DN, DetailLevel::Tasks).expect("poll");
+        assert!(
+            njs.control(id, ControlOp::Abort, DN, 5 * SEC)
+                .expect("abort"),
+            "{shards} shards: the abort must land on a running job"
+        );
+        drive(&mut njs, &[id], 5 * SEC);
+        let terminal = njs.outcome(id).expect("terminal").to_der();
+        (terminal, polled.to_der())
+    };
+    let decode = |der: &[u8]| JobOutcome::from_der(der).unwrap();
+    let (terminal, polled) = run_shape(1);
+    for shards in [2, 4] {
+        let (t, p) = run_shape(shards);
+        assert!(
+            terminal == t,
+            "terminal outcome, 1 shard: {:?}\n{shards} shards: {:?}",
+            decode(&terminal),
+            decode(&t)
+        );
+        assert!(
+            polled == p,
+            "polled outcome, 1 shard: {:?}\n{shards} shards: {:?}",
+            decode(&polled),
+            decode(&p)
         );
     }
 }
