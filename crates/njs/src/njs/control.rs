@@ -52,7 +52,7 @@ impl Njs {
                     return Ok(false);
                 }
                 rt.held = true;
-                self.wake(job);
+                self.wake.insert(job);
                 Ok(true)
             }
             ControlOp::Resume => {
@@ -61,13 +61,16 @@ impl Njs {
                     return Ok(false);
                 }
                 rt.held = false;
-                self.wake(job);
+                self.wake.insert(job);
                 Ok(true)
             }
             ControlOp::Abort => Ok(self.abort(job, now)),
         }
     }
 
+    /// Kills every node of `job` that is not terminal yet. A sub-job
+    /// node reads `Killed` with no children; the child job itself is
+    /// aborted by [`crate::ShardedNjs::control`] through its link.
     fn abort(&mut self, job: JobId, now: SimTime) -> bool {
         let Some(rt) = self.jobs.get(&job) else {
             return false;
@@ -75,7 +78,6 @@ impl Njs {
         if rt.done {
             return false;
         }
-        let mut children = Vec::new();
         for pos in 0..rt.states.len() {
             match self.jobs[&job].states[pos] {
                 NodeState::InBatch { vsite, batch_id } => {
@@ -91,7 +93,6 @@ impl Njs {
                     });
                     self.set_state(job, pos, NodeState::Terminal);
                 }
-                NodeState::ChildJob { child } => children.push((pos, child)),
                 NodeState::Waiting | NodeState::Remote => {
                     let rt = self.jobs.get_mut(&job).expect("job exists");
                     match rt.node_outcome_mut(pos) {
@@ -106,22 +107,12 @@ impl Njs {
                 NodeState::Terminal => {}
             }
         }
-        for (pos, child) in children {
-            self.abort(child, now);
-            let child_outcome = self.jobs[&child].outcome.clone();
-            let rt = self.jobs.get_mut(&job).expect("job exists");
-            *rt.node_outcome_mut(pos) = OutcomeNode::Job(child_outcome);
-            self.set_state(job, pos, NodeState::Terminal);
-        }
         let rt = self.jobs.get_mut(&job).expect("job exists");
         rt.outcome.aggregate_status();
         if rt.outcome.status == ActionStatus::Successful {
             rt.outcome.status = ActionStatus::Killed;
         }
         self.mark_done(job, now);
-        // The outcome changed even if no node state did (every node was
-        // already terminal): a parent mirroring it must look again.
-        self.wake(job);
         self.clock = self.clock.max(now);
         self.log_job_done(job);
         self.flush_events();
@@ -146,8 +137,9 @@ impl Njs {
             .collect())
     }
 
-    /// Purges a finished job: destroys its Uspace (and its local children's)
-    /// and forgets the runtime. Returns bytes freed.
+    /// Purges a finished job: destroys its Uspace and forgets the runtime.
+    /// Returns bytes freed. Its sub-jobs are jobs of their own;
+    /// [`crate::ShardedNjs::purge`] purges them through its links.
     ///
     /// The JMC calls this once the user has saved what they need — job
     /// directories hold "the data for and created during the job run"
@@ -165,40 +157,22 @@ impl Njs {
                 "job still running (abort it first)".to_owned(),
             )));
         }
-        // Collect the job and its local descendants.
-        let mut to_purge = vec![job];
-        let mut i = 0;
-        while i < to_purge.len() {
-            let current = to_purge[i];
-            i += 1;
-            if let Some(rt) = self.jobs.get(&current) {
-                for state in &rt.states {
-                    if let NodeState::ChildJob { child } = state {
-                        to_purge.push(*child);
-                    }
-                }
-            }
+        self.flight.forget(job.0);
+        let rt = self.jobs.remove(&job).expect("checked above");
+        let freed = self.vsites[rt.vsite]
+            .vspace
+            .destroy_uspace(job)
+            .unwrap_or(0);
+        // A finished job holds no batch-owner entries: its nodes all went
+        // terminal, which is where entries are dropped.
+        self.wake.remove(&job);
+        if let Ok(i) = self.job_order.binary_search(&job) {
+            self.job_order.remove(i);
         }
-        let mut freed = 0;
-        let mut purged: Vec<JobId> = Vec::with_capacity(to_purge.len());
-        for id in to_purge {
-            self.flight.forget(id.0);
-            if let Some(rt) = self.jobs.remove(&id) {
-                let vspace = &mut self.vsites[rt.vsite].vspace;
-                freed += vspace.destroy_uspace(id).unwrap_or(0);
-                // A finished job holds no batch-owner entries: its nodes
-                // all went terminal, which is where entries are dropped.
-                self.wake.remove(&id);
-                purged.push(id);
-                self.log_event(StoreEvent::JobPurged {
-                    job: id,
-                    at: self.clock,
-                });
-            }
-        }
-        // One pass over the order however many descendants went with it.
-        purged.sort_unstable();
-        self.job_order.retain(|j| purged.binary_search(j).is_err());
+        self.log_event(StoreEvent::JobPurged {
+            job,
+            at: self.clock,
+        });
         self.flush_events();
         Ok(freed)
     }

@@ -1,13 +1,14 @@
-//! The shard boundary, in one place: the typed effects a shard queues
-//! for its siblings, their application order, and the entry points the
-//! sharded facade's merge phase applies them through.
+//! The Vsite boundary, in one place: the typed effects a job queues for
+//! another Vsite of its Usite, their application order, and the entry
+//! points the sharded facade's merge phase applies them through.
 //!
-//! The facade applies queued [`CrossShardItem`]s between step rounds
-//! using these entry points. Each does what the in-shard path does and
-//! fails with the same text — a cross-Vsite Export and a same-Usite
-//! Transfer land through `Njs::xspace_write` on either side of the
-//! boundary — so terminal outcomes are byte-identical whether a job's
-//! neighbours live on the same shard or not.
+//! Work on a job's own Vsite happens in place. Everything aimed at
+//! another Vsite of the same Usite — a sub-job, an Import from its
+//! Xspace, an Export or a Transfer into it — is queued as a
+//! [`CrossShardItem`], whichever shard owns that Vsite, and the facade
+//! applies the items between step rounds. There is one path across the
+//! boundary, so terminal outcomes, polls and flight rings are
+//! byte-identical for every shard count.
 
 use super::{Njs, NodeState};
 use std::collections::HashMap;
@@ -17,18 +18,17 @@ use unicore_gateway::MappedUser;
 use unicore_sim::SimTime;
 use unicore_telemetry::SpanContext;
 
-/// A typed cross-shard effect, produced by a shard during a step round
-/// and applied by the facade's deterministic merge phase.
+/// A typed effect aimed at another Vsite of the Usite, produced by a
+/// shard during a step round and applied by the facade's deterministic
+/// merge phase on the shard owning [`CrossShardItem::target_vsite`].
 pub(crate) enum CrossShardItem {
-    /// A sub-job whose target Vsite is owned by `shard`: consign it
-    /// there on behalf of `(parent, node)`.
+    /// A sub-job at this Usite: consign it at its Vsite on behalf of
+    /// `(parent, node)`.
     ConsignChild {
         /// The parent job (on the emitting shard).
         parent: JobId,
         /// The parent's sub-job node.
         node: ActionId,
-        /// Owning shard of the child's Vsite.
-        shard: usize,
         /// The extracted child AJO (boxed: it dwarfs the other variants).
         ajo: Box<AbstractJob>,
         /// Edge files staged from the parent's Uspace, shared with it.
@@ -40,15 +40,13 @@ pub(crate) enum CrossShardItem {
         /// Parent trace context, so the child's span hangs off it.
         trace: Option<SpanContext>,
     },
-    /// A cross-Vsite Import whose source Xspace is owned by `shard`:
-    /// read it there, stage into `job`'s Uspace on the owning shard.
+    /// An Import from another Vsite's Xspace: read it there, stage into
+    /// `job`'s Uspace on the job's shard.
     ImportXspace {
         /// The importing job.
         job: JobId,
         /// Its Import node.
         node: ActionId,
-        /// Owning shard of the source Vsite.
-        shard: usize,
         /// Source Vsite name.
         src_vsite: String,
         /// Source Xspace path.
@@ -58,16 +56,14 @@ pub(crate) enum CrossShardItem {
         /// Login performing the read.
         login: String,
     },
-    /// A cross-Vsite Export, or a same-Usite Transfer, whose destination
-    /// Xspace is owned by `shard`: write the bytes there (a Transfer's
-    /// path lies in the incoming area), then finish the node.
+    /// A cross-Vsite Export, or a same-Usite Transfer: write the bytes
+    /// into the destination Xspace (a Transfer's path lies in the
+    /// incoming area), then finish the node.
     DeliverXspace {
         /// The exporting or transferring job.
         job: JobId,
         /// Its Export or Transfer node.
         node: ActionId,
-        /// Owning shard of the destination Vsite.
-        shard: usize,
         /// Destination Vsite name.
         to_vsite: String,
         /// Destination Xspace path.
@@ -80,36 +76,31 @@ pub(crate) enum CrossShardItem {
 }
 
 impl CrossShardItem {
-    /// Deterministic application order: `(target shard, job, node,
-    /// variant)`. Every `(job, node)` emits at most one item per
-    /// lifetime, so this key is total.
-    pub(crate) fn sort_key(&self) -> (usize, u64, u64, u8) {
+    /// The Vsite the item acts on; the facade applies it on the shard
+    /// owning that Vsite.
+    pub(crate) fn target_vsite(&self) -> &str {
         match self {
-            CrossShardItem::ConsignChild {
-                shard,
-                parent,
-                node,
-                ..
-            } => (*shard, parent.0, node.0, 0),
-            CrossShardItem::ImportXspace {
-                shard, job, node, ..
-            } => (*shard, job.0, node.0, 1),
-            CrossShardItem::DeliverXspace {
-                shard, job, node, ..
-            } => (*shard, job.0, node.0, 2),
+            CrossShardItem::ConsignChild { ajo, .. } => &ajo.vsite.vsite,
+            CrossShardItem::ImportXspace { src_vsite, .. } => src_vsite,
+            CrossShardItem::DeliverXspace { to_vsite, .. } => to_vsite,
+        }
+    }
+
+    /// Deterministic application order after the target shard: `(job,
+    /// node, variant)`. Every `(job, node)` emits at most one item per
+    /// lifetime, so with the shard in front this key is total.
+    pub(crate) fn sort_key(&self) -> (u64, u64, u8) {
+        match self {
+            CrossShardItem::ConsignChild { parent, node, .. } => (parent.0, node.0, 0),
+            CrossShardItem::ImportXspace { job, node, .. } => (job.0, node.0, 1),
+            CrossShardItem::DeliverXspace { job, node, .. } => (job.0, node.0, 2),
         }
     }
 }
 
 impl Njs {
-    /// Registers a Vsite owned by a sibling shard, so work addressed to
-    /// it is queued for the facade's merge phase instead of failing as
-    /// an unknown Vsite.
-    pub(crate) fn register_sibling(&mut self, vsite: impl Into<String>, shard: usize) {
-        self.siblings.insert(vsite.into(), shard);
-    }
-
-    /// Queues a cross-shard effect for the facade's merge phase.
+    /// Queues an effect aimed at another Vsite for the facade's merge
+    /// phase.
     pub(super) fn cross_send(&mut self, item: CrossShardItem) {
         self.cross_out.push(item);
     }
@@ -157,7 +148,7 @@ impl Njs {
     }
 
     /// Re-marks a non-terminal node as awaiting an external completion
-    /// (used when recovery rebuilds cross-shard parent links).
+    /// (used when recovery rebuilds parent links).
     pub(crate) fn mark_node_remote(&mut self, job: JobId, node: ActionId) {
         let Some(pos) = self.open_node(job, node) else {
             return;
@@ -173,7 +164,7 @@ impl Njs {
 
     /// `(child, parent job, parent node)` for every job consigned on
     /// behalf of a parent, in consign order. The facade uses this to
-    /// rebuild its cross-shard link registry after recovery.
+    /// rebuild its link registry after recovery.
     pub(crate) fn parent_links(&self) -> Vec<(JobId, JobId, ActionId)> {
         self.job_order
             .iter()
@@ -185,9 +176,8 @@ impl Njs {
     }
 
     /// The files named on `node`'s outgoing dependency edges — what a
-    /// finished child must hand back to the parent's Uspace, whether the
-    /// child ran in this shard (`poll_child_node` pulls them), on a sibling
-    /// shard or at a peer Usite. Deduplicated in edge order.
+    /// finished child must hand back to the parent's Uspace, whether it
+    /// ran at this Usite or at a peer. Deduplicated in edge order.
     pub(crate) fn edge_return_files(&self, job: JobId, node: ActionId) -> Vec<String> {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
@@ -205,8 +195,9 @@ impl Njs {
         files
     }
 
-    /// Terminates a file-task node with `outcome`, exactly as the
-    /// in-shard `dispatch_node` Done arm would have: failed outcomes get
+    /// Terminates a file-task node with `outcome`, exactly as
+    /// `dispatch_node`'s Done arm does for one on the job's own Vsite:
+    /// failed outcomes get
     /// a flight annotation and trace, the outcome is recorded, deposits
     /// are journalled, and the group commit flushes.
     pub(crate) fn finish_file_node(
@@ -241,8 +232,8 @@ impl Njs {
         self.flush_events();
     }
 
-    /// Fails a sub-job node whose cross-shard consign was rejected,
-    /// mirroring the in-shard consign-error arm of `dispatch_subjob`.
+    /// Fails a sub-job node whose child the merge phase could not consign
+    /// (an unknown Vsite, a refused admission).
     pub(crate) fn fail_subjob_node(&mut self, job: JobId, node: ActionId) {
         let Some(pos) = self.open_node(job, node) else {
             return;
@@ -257,8 +248,8 @@ impl Njs {
         self.flush_events();
     }
 
-    /// Completes a cross-shard Import by staging the fetched bytes into
-    /// the job's Uspace (or failing the node with the read error).
+    /// Completes an Import from another Vsite by staging the fetched bytes
+    /// into the job's Uspace (or failing the node with the read error).
     pub(crate) fn finish_import(
         &mut self,
         job: JobId,
@@ -288,7 +279,8 @@ impl Njs {
         self.finish_file_node(job, node, outcome, now);
     }
 
-    /// Reads a file from a Vsite's Xspace (cross-shard Import source).
+    /// Reads a file from a Vsite's Xspace (the source of an Import from
+    /// another Vsite).
     pub(crate) fn xspace_read(
         &self,
         vsite: &str,
@@ -302,14 +294,13 @@ impl Njs {
                 .read(path, login)
                 .map(|f| Arc::clone(&f.data))
                 .map_err(|e| e.to_string()),
-            None => Err(format!("unknown Vsite {vsite}")),
+            None => Err(format!("unknown Vsite {}/{vsite}", self.usite)),
         }
     }
 
     /// Writes a file into a Vsite's Xspace — where a cross-Vsite Export
-    /// or a same-Usite Transfer lands, in-shard or from the merge phase —
-    /// and reports it as the file task's outcome: the bytes written, or
-    /// the write's refusal.
+    /// or a same-Usite Transfer lands — and reports it as the file task's
+    /// outcome: the bytes written, or the write's refusal.
     pub(crate) fn xspace_write(
         &mut self,
         vsite: &str,
@@ -319,7 +310,7 @@ impl Njs {
     ) -> TaskOutcome {
         let bytes = data.len() as u64;
         let Some(v) = self.vsites.get_mut(vsite) else {
-            return TaskOutcome::failure(format!("unknown Vsite {vsite}"));
+            return TaskOutcome::failure(format!("unknown Vsite {}/{vsite}", self.usite));
         };
         match v.vspace.xspace().write(path, data, login) {
             Ok(()) => TaskOutcome {

@@ -70,55 +70,22 @@ impl Njs {
                                     .to_string(),
                             ));
                         }
-                        if vsite.vsite == vsite_name {
-                            self.vsites[home].vspace.import_from_xspace(
-                                job,
-                                path,
-                                uspace_name,
-                                &login,
-                            )
-                        } else if let Some(&shard) = self.siblings.get(&vsite.vsite) {
-                            // The source Vsite lives on a sibling shard;
-                            // the facade's merge phase reads it there and
-                            // finishes this node.
+                        if vsite.vsite != vsite_name {
+                            // Another Vsite: the facade's merge phase reads
+                            // it there and finishes this node.
                             self.cross_send(CrossShardItem::ImportXspace {
                                 job,
                                 node,
-                                shard,
                                 src_vsite: vsite.vsite.clone(),
                                 path: path.clone(),
                                 uspace_name: uspace_name.clone(),
-                                login: login.clone(),
+                                login,
                             });
                             return FileTaskResult::Remote;
-                        } else {
-                            // Cross-Vsite (same Usite): read there, write here.
-                            let data = match self.vsites.get(&vsite.vsite) {
-                                Some(v) => v
-                                    .vspace
-                                    .xspace_ref()
-                                    .read(path, &login)
-                                    .map(|f| Arc::clone(&f.data)),
-                                None => {
-                                    return FileTaskResult::Done(TaskOutcome::failure(format!(
-                                        "unknown Vsite {vsite}"
-                                    )))
-                                }
-                            };
-                            match data {
-                                Ok(d) => self.vsites[home].vspace.import_bytes(
-                                    job,
-                                    uspace_name,
-                                    d,
-                                    &login,
-                                ),
-                                Err(e) => {
-                                    return FileTaskResult::Done(TaskOutcome::failure(
-                                        e.to_string(),
-                                    ))
-                                }
-                            }
                         }
+                        self.vsites[home]
+                            .vspace
+                            .import_from_xspace(job, path, uspace_name, &login)
                     }
                 };
                 FileTaskResult::Done(match result {
@@ -158,12 +125,11 @@ impl Njs {
                         Err(e) => TaskOutcome::failure(e.to_string()),
                     })
                 } else {
-                    // Cross-Vsite export within the Usite.
                     let data = self.vsites[home]
                         .vspace
                         .read_for_transfer(job, uspace_name, &login);
                     match data {
-                        Ok(d) => self.write_other_xspace(job, node, vsite, path.clone(), d, &login),
+                        Ok(d) => self.write_other_xspace(job, node, vsite, path.clone(), d, login),
                         Err(e) => FileTaskResult::Done(TaskOutcome::failure(e.to_string())),
                     }
                 }
@@ -182,9 +148,9 @@ impl Njs {
                     Err(e) => return FileTaskResult::Done(TaskOutcome::failure(e.to_string())),
                 };
                 if to_vsite.usite == self.usite {
-                    // Local delivery into the destination Vsite's incoming area.
+                    // Delivery into the destination Vsite's incoming area.
                     let path = format!("{INCOMING_PREFIX}{dest_name}");
-                    self.write_other_xspace(job, node, to_vsite, path, data, &login)
+                    self.write_other_xspace(job, node, to_vsite, path, data, login)
                 } else {
                     self.outbox.push(OutgoingItem::Transfer {
                         from_job: job,
@@ -200,10 +166,10 @@ impl Njs {
         }
     }
 
-    /// Writes `data` at `path` in the Xspace of `to_vsite`, another Vsite
-    /// of this Usite: a cross-Vsite Export, or a same-Usite Transfer into
-    /// the incoming area. A Vsite on a sibling shard is written by the
-    /// facade's merge phase, through the same [`Njs::xspace_write`].
+    /// Queues a write of `data` at `path` in the Xspace of `to_vsite`, a
+    /// Vsite of this Usite: a cross-Vsite Export, or a same-Usite Transfer
+    /// into the incoming area. The facade's merge phase writes it there
+    /// and finishes the node.
     fn write_other_xspace(
         &mut self,
         job: JobId,
@@ -211,24 +177,17 @@ impl Njs {
         to_vsite: &VsiteAddress,
         path: String,
         data: Arc<[u8]>,
-        login: &str,
+        login: String,
     ) -> FileTaskResult {
-        if let Some(&shard) = self.siblings.get(&to_vsite.vsite) {
-            self.cross_send(CrossShardItem::DeliverXspace {
-                job,
-                node,
-                shard,
-                to_vsite: to_vsite.vsite.clone(),
-                path,
-                data,
-                login: login.to_owned(),
-            });
-            return FileTaskResult::Remote;
-        }
-        if !self.vsites.contains_key(&to_vsite.vsite) {
-            return FileTaskResult::Done(TaskOutcome::failure(format!("unknown Vsite {to_vsite}")));
-        }
-        FileTaskResult::Done(self.xspace_write(&to_vsite.vsite, &path, data, login))
+        self.cross_send(CrossShardItem::DeliverXspace {
+            job,
+            node,
+            to_vsite: to_vsite.vsite.clone(),
+            path,
+            data,
+            login,
+        });
+        FileTaskResult::Remote
     }
 }
 

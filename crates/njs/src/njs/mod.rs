@@ -17,7 +17,7 @@
 //! wiring; `consign`, `recover`, `step` (wake set, polling, dispatch),
 //! `files` (file tasks), `remote` (peer-Usite outbox and completions),
 //! `incoming` (transfer receiver), `control` (query, control, purge) and
-//! `cross` (the shard boundary) hold the rest.
+//! `cross` (the Vsite boundary) hold the rest.
 
 mod consign;
 mod control;
@@ -207,19 +207,10 @@ enum NodeState {
         vsite: usize,
         batch_id: BatchJobId,
     },
-    ChildJob {
-        child: JobId,
-    },
+    /// Waiting for work done away from the job's Vsite: at a peer Usite
+    /// (the outbox) or at another Vsite of this one (the merge phase).
     Remote,
     Terminal,
-}
-
-/// One in-flight node found by the per-step state scan, captured so the
-/// polling pass can mutate `self` without re-walking the states.
-#[derive(Clone, Copy)]
-enum PollTarget {
-    Batch { vsite: usize, batch_id: BatchJobId },
-    Child(JobId),
 }
 
 /// A consigned job.
@@ -289,6 +280,12 @@ impl JobRuntime {
 }
 
 /// The NJS for one Usite.
+///
+/// A bare engine does the work on a job's own Vsite in place and only
+/// queues what is aimed at another Vsite — a sub-job, an Import, an
+/// Export or a Transfer there — for [`crate::ShardedNjs`]'s merge phase,
+/// which is the one path across a Vsite boundary. Every product path runs
+/// a `ShardedNjs`; `From<Njs>` wraps a configured engine as one shard.
 pub struct Njs {
     usite: String,
     vsites: Vsites,
@@ -316,9 +313,10 @@ pub struct Njs {
     /// purge, remote completion); consign flushes synchronously because
     /// its record is the strict write-ahead one.
     pending: EventBatch,
-    /// Per-step scratch (in-flight nodes to poll), kept on the NJS so
-    /// steady-state stepping allocates nothing.
-    poll_scratch: Vec<(usize, PollTarget)>,
+    /// Per-step scratch (in-flight batch nodes to poll: position, Vsite,
+    /// batch id), kept on the NJS so steady-state stepping allocates
+    /// nothing.
+    poll_scratch: Vec<(usize, usize, BatchJobId)>,
     /// Per-step scratch (nodes waiting on predecessors).
     waiting_scratch: Vec<usize>,
     /// True while `recover` replays the journal, so replayed operations
@@ -345,13 +343,8 @@ pub struct Njs {
     /// k+1+N, k+1+2N… so ids never collide and `(id-1) % N` names the
     /// owning shard.
     job_stride: u64,
-    /// Vsites owned by *sibling shards* of the same sharded NJS, mapped
-    /// to the owning shard index. Work addressed to one of these is not
-    /// remote (same Usite) but must cross a shard boundary, so it is
-    /// queued on `cross_out` instead of being applied in place.
-    siblings: HashMap<String, usize>,
-    /// Cross-shard effects awaiting the sharded facade's merge phase.
-    /// Always empty on a standalone NJS, which has no siblings.
+    /// Effects aimed at another Vsite of this Usite, awaiting the sharded
+    /// facade's merge phase.
     cross_out: Vec<CrossShardItem>,
     /// Next-event heap over Vsite batch systems: `(next event time,
     /// vsite index, generation)`. `step` only advances Vsites whose
@@ -427,7 +420,6 @@ impl Njs {
             incoming: HashMap::new(),
             transfer_resumes: 0,
             job_stride: 1,
-            siblings: HashMap::new(),
             cross_out: Vec::new(),
             batch_heap: BinaryHeap::new(),
             batch_gen: Vec::new(),

@@ -4,7 +4,7 @@ use super::{ConsignMeta, IncomingTransfer, Njs, NodeState, RecoveryReport, INCOM
 use crate::error::NjsError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use unicore_ajo::{AbstractJob, ActionId, JobId, JobOutcome, OutcomeNode};
+use unicore_ajo::{AbstractJob, JobId, JobOutcome, OutcomeNode};
 use unicore_codec::DerCodec;
 use unicore_dataplane::{ReceiverState, TransferKey, TransferManifest};
 use unicore_gateway::MappedUser;
@@ -27,8 +27,10 @@ impl Njs {
     /// * nodes that were in flight (queued or running in batch, which
     ///   died with the machine) reset to `Waiting` and are re-dispatched
     ///   by the next [`Njs::step`];
-    /// * local parent–child links are re-wired so sub-job polling
-    ///   continues where it left off.
+    /// * parent–child links are not re-wired here: every link is the
+    ///   facade's, and [`crate::ShardedNjs::recover`] rebuilds them all
+    ///   from the replayed parent pointers, so a parent waits for its
+    ///   child instead of consigning it again.
     ///
     /// Call after the Vsites are registered and the store is attached,
     /// before the first `step`. A missing store recovers nothing.
@@ -47,8 +49,6 @@ impl Njs {
             torn_tail: replay.torn_tail || store.recovered_torn(),
             ..RecoveryReport::default()
         };
-        // (child, parent job, parent node) links to re-wire afterwards.
-        let mut links: Vec<(JobId, JobId, ActionId)> = Vec::new();
         // Purged ids, dropped from the order and the report in one pass
         // at the end (ids are never reused, so deferring is exact).
         let mut purged: Vec<JobId> = Vec::new();
@@ -116,9 +116,6 @@ impl Njs {
                         }
                         if let Some(f) = foreign {
                             report.foreign.push((*job, f.clone()));
-                        }
-                        if let Some((pjob, pnode)) = parent {
-                            links.push((*job, *pjob, *pnode));
                         }
                     }
                     // Incarnations are informational: in-flight batch work
@@ -288,17 +285,6 @@ impl Njs {
             report.foreign.retain(|(j, _)| !gone(j));
         }
 
-        // Re-wire surviving parent→child links so the parents poll their
-        // children instead of re-consigning them.
-        for (child, pjob, pnode) in links {
-            if !self.jobs.contains_key(&child) {
-                continue;
-            }
-            if let Some(pos) = self.open_node(pjob, pnode) {
-                let parent_rt = self.jobs.get_mut(&pjob).expect("open node");
-                parent_rt.states[pos] = NodeState::ChildJob { child };
-            }
-        }
         // Resume allocation after the highest replayed id, staying in
         // this NJS's id class (replayed ids share its base and stride).
         self.next_job = if max_job == 0 {

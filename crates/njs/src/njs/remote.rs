@@ -18,7 +18,8 @@ impl Njs {
 
     /// Completes a remote node, depositing edge files returned by the peer
     /// into the parent job's Uspace so successors can consume them (files
-    /// read from a sibling shard's Uspace are shared with it).
+    /// the merge phase read from a child's Uspace at this Usite are shared
+    /// with it).
     pub fn complete_remote_node_with_files(
         &mut self,
         job: JobId,
@@ -84,14 +85,13 @@ impl Njs {
         if rt.states[pos] != NodeState::Remote {
             return;
         }
+        // Only what a poll shows changes: the node stays `Remote`, so the
+        // job has no new work and is not woken.
         *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
             status: ActionStatus::Running,
             bytes_staged: bytes,
             message: format!("streaming {bytes}/{total} bytes"),
             ..Default::default()
         });
-        // The node stays `Remote`, but a parent mirroring this job's
-        // outcome has something new to copy.
-        self.wake(job);
     }
 }

@@ -1,9 +1,9 @@
-//! The wake set and the step loop: `step`, `step_job`, batch and child
-//! polling, node dispatch.
+//! The wake set and the step loop: `step`, `step_job`, batch polling,
+//! node dispatch.
 
 use super::cross::CrossShardItem;
 use super::files::FileTaskResult;
-use super::{ConsignMeta, Njs, NodeState, OutgoingItem, PollTarget};
+use super::{Njs, NodeState, OutgoingItem};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
@@ -85,27 +85,13 @@ impl Njs {
         }
     }
 
-    /// Marks `job` as possibly having work, together with the local
-    /// parent that mirrors its outcome (`poll_child_node`).
-    pub(super) fn wake(&mut self, job: JobId) {
-        let Some(rt) = self.jobs.get(&job) else {
-            return;
-        };
-        self.wake.insert(job);
-        if let Some((parent, _)) = rt.parent {
-            if self.jobs.contains_key(&parent) {
-                self.wake.insert(parent);
-            }
-        }
-    }
-
     /// The one writer of node state outside `step_job`: records the
     /// transition of the node at `pos` and wakes the job, so a call site
     /// cannot forget to.
     pub(super) fn set_state(&mut self, job: JobId, pos: usize, state: NodeState) {
         if let Some(rt) = self.jobs.get_mut(&job) {
             rt.states[pos] = state;
-            self.wake(job);
+            self.wake.insert(job);
         }
     }
 
@@ -136,13 +122,12 @@ impl Njs {
     /// **Invariant — the wake sources.** A job's `step_job` can only make
     /// progress after one of these, and each of them wakes it:
     /// * consign, and `recover` (every unfinished job);
-    /// * its own progress in `step_job` (re-woken for the next pass), which
-    ///   also wakes the local parent mirroring its outcome;
+    /// * its own progress in `step_job` (re-woken for the next pass);
     /// * every write to `JobRuntime::states` outside `step_job`, all routed
-    ///   through `set_state`: remote/cross-shard node completion
-    ///   (`complete_remote_node_with_files`, `finish_file_node`,
+    ///   through `set_state`: the completion of a node whose work left the
+    ///   job's Vsite (`complete_remote_node_with_files`, `finish_file_node`,
     ///   `finish_import`, `fail_subjob_node`), `mark_node_remote`, `abort`;
-    /// * `control` Hold/Resume (`held`) and `note_transfer_progress`;
+    /// * `control` Hold/Resume (`held`);
     /// * a [`BatchStatus`] change of one of its batch jobs (start,
     ///   completion, cancel, hold/release), drained from the batch change
     ///   log after every `advance_to` / `submit` / `cancel` and for Vsites
@@ -168,7 +153,7 @@ impl Njs {
                 self.wake.remove(&cursor);
                 self.job_visits += 1;
                 if self.step_job(cursor, now) {
-                    self.wake(cursor);
+                    self.wake.insert(cursor);
                 }
                 let ahead = (Bound::Excluded(cursor), Bound::Excluded(end));
                 match self.wake.range(ahead).next() {
@@ -205,12 +190,7 @@ impl Njs {
                         NodeState::Terminal => continue,
                         NodeState::Remote => {}
                         NodeState::Waiting => waiting.push(pos),
-                        NodeState::InBatch { vsite, batch_id } => {
-                            poll.push((pos, PollTarget::Batch { vsite, batch_id }));
-                        }
-                        NodeState::ChildJob { child } => {
-                            poll.push((pos, PollTarget::Child(child)));
-                        }
+                        NodeState::InBatch { vsite, batch_id } => poll.push((pos, vsite, batch_id)),
                     }
                     all_terminal = false;
                 }
@@ -224,14 +204,9 @@ impl Njs {
         };
         let mut progressed = false;
 
-        // 1. Poll in-flight batch tasks and children.
-        for (pos, target) in poll.drain(..) {
-            progressed |= match target {
-                PollTarget::Batch { vsite, batch_id } => {
-                    self.poll_batch_node(id, pos, vsite, batch_id)
-                }
-                PollTarget::Child(child) => self.poll_child_node(id, pos, child),
-            };
+        // 1. Poll in-flight batch tasks.
+        for (pos, vsite, batch_id) in poll.drain(..) {
+            progressed |= self.poll_batch_node(id, pos, vsite, batch_id);
         }
 
         // 2. Dispatch ready nodes (unless held). States are re-read live,
@@ -446,50 +421,6 @@ impl Njs {
         }
     }
 
-    fn poll_child_node(&mut self, job: JobId, pos: usize, child: JobId) -> bool {
-        // The child's tree is copied into the parent's only when the
-        // mirror is out of date; a poll that finds it current copies nothing.
-        let Some(c) = self.jobs.get(&child) else {
-            return false;
-        };
-        let mirror = self.jobs.get(&job).expect("job exists").node_outcome(pos);
-        let changed = !matches!(mirror, OutcomeNode::Job(j) if *j == c.outcome);
-        let done = c.done;
-        let fresh = changed.then(|| OutcomeNode::Job(c.outcome.clone()));
-        let rt = self.jobs.get_mut(&job).expect("job exists");
-        if let Some(fresh) = fresh {
-            *rt.node_outcome_mut(pos) = fresh;
-        }
-        if done {
-            rt.states[pos] = NodeState::Terminal;
-            // Pull the files named on this node's outgoing edges from the
-            // child's Uspace into the parent's, so successors can use them
-            // ("UNICORE then guarantees that the specified data sets
-            // created by the predecessor are available to the successor").
-            let (node, parent_vsite) = (rt.node_id(pos), rt.vsite);
-            let login = rt.user.login.clone();
-            let wanted = self.edge_return_files(job, node);
-            let mut pulled: Vec<String> = Vec::new();
-            if !wanted.is_empty() {
-                let child_vsite = self.jobs.get(&child).expect("child exists").vsite;
-                for name in wanted {
-                    let data = self.vsites[child_vsite]
-                        .vspace
-                        .read_for_transfer(child, &name, &login);
-                    if let Ok(data) = data {
-                        let vspace = &mut self.vsites[parent_vsite].vspace;
-                        if vspace.write_uspace_file(job, &name, data, &login).is_ok() {
-                            pulled.push(name);
-                        }
-                    }
-                }
-            }
-            self.log_terminal(job, pos, &pulled);
-            return true;
-        }
-        changed
-    }
-
     fn dispatch_node(&mut self, job: JobId, pos: usize, now: SimTime) -> bool {
         let rt = self.jobs.get(&job).expect("job exists");
         // The node is read where it lies in the job: only a sub-job (which
@@ -641,58 +572,17 @@ impl Njs {
         let (user, portfolio, parent_trace) = (rt.user.clone(), rt.portfolio.clone(), rt.trace);
 
         if sub.vsite.usite == self.usite {
-            if let Some(&shard) = self.siblings.get(&sub.vsite.vsite) {
-                // A sibling shard of the same Usite owns the target
-                // Vsite: queue the child as a cross-shard item; the
-                // facade's merge phase consigns it there and wires
-                // the parent link back deterministically.
-                self.flight.record(
-                    job.0,
-                    now,
-                    "njs.forward",
-                    format_args!("node {} -> shard {shard}", node.0),
-                );
-                self.cross_send(CrossShardItem::ConsignChild {
-                    parent: job,
-                    node,
-                    shard,
-                    ajo: Box::new(sub),
-                    staged,
-                    user,
-                    portfolio,
-                    trace: parent_trace,
-                });
-                let rt = self.jobs.get_mut(&job).expect("job exists");
-                if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
-                    j.status = ActionStatus::Consigned;
-                }
-                rt.states[pos] = NodeState::Remote;
-                return;
-            }
-            // Local child at (possibly) another Vsite of this Usite.
-            let consigned = self.consign_internal(
-                sub,
+            // A child at this Usite: the facade's merge phase consigns it
+            // on the shard owning its Vsite and wires the parent link back.
+            self.cross_send(CrossShardItem::ConsignChild {
+                parent: job,
+                node,
+                ajo: Box::new(sub),
+                staged,
                 user,
                 portfolio,
-                staged,
-                Some((job, node)),
-                now,
-                ConsignMeta {
-                    trace: parent_trace,
-                    ..ConsignMeta::default()
-                },
-            );
-            let rt = self.jobs.get_mut(&job).expect("job exists");
-            match consigned {
-                Ok(child) => rt.states[pos] = NodeState::ChildJob { child },
-                Err(_) => {
-                    if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
-                        j.status = ActionStatus::NotSuccessful;
-                    }
-                    rt.states[pos] = NodeState::Terminal;
-                    self.log_terminal(job, pos, &[]);
-                }
-            }
+                trace: parent_trace,
+            });
         } else {
             // Remote job group: extract as a top-level AJO whose portfolio
             // carries the edge files plus any workstation imports its
@@ -718,11 +608,6 @@ impl Njs {
                 ajo,
                 return_files,
             });
-            let rt = self.jobs.get_mut(&job).expect("job exists");
-            if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
-                j.status = ActionStatus::Consigned;
-            }
-            rt.states[pos] = NodeState::Remote;
             self.log_event(StoreEvent::JobIncarnated {
                 job,
                 node,
@@ -730,6 +615,11 @@ impl Njs {
                 at: self.clock,
             });
         }
+        let rt = self.jobs.get_mut(&job).expect("job exists");
+        if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
+            j.status = ActionStatus::Consigned;
+        }
+        rt.states[pos] = NodeState::Remote;
     }
 }
 

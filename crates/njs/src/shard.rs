@@ -9,27 +9,29 @@
 //!
 //! ## Determinism contract
 //!
-//! Shards step in index order, and cross-shard effects — parent→child
-//! sub-job consigns, cross-Vsite Import/Export/Transfer staging — are
-//! never applied from inside a shard's step. A shard that needs to touch
-//! a sibling's state queues a typed `CrossShardItem` instead; between
-//! rounds the facade collects every shard's queue and applies the items
-//! in `sort_key` order, `(target shard, job id, node id)`. Job ids are
-//! strided per shard (shard k of N allocates `k+1, k+1+N, …`). Terminal
-//! [`JobOutcome`] DER contains neither ids nor timestamps, so terminal
-//! outcomes are byte-identical to the one-shard run for every shard
-//! count — the same contract the chaos and broker soaks gate on.
+//! Shards step in index order, and effects that cross a Vsite boundary
+//! — parent→child sub-job consigns, cross-Vsite Import/Export/Transfer
+//! staging — are never applied from inside a shard's step, whether the
+//! target Vsite lives on the same shard or not. The shard queues a typed
+//! `CrossShardItem` instead; between rounds the facade collects every
+//! shard's queue and applies the items in `(target shard, job id, node
+//! id)` order, the target shard resolved from the item's Vsite. Job ids
+//! are strided per shard (shard k of N allocates `k+1, k+1+N, …`).
+//! Terminal [`JobOutcome`] DER contains neither ids nor timestamps, so
+//! terminal outcomes are byte-identical for every shard count — the same
+//! contract the chaos and broker soaks gate on.
 //!
 //! ## Behavioural notes
 //!
-//! * A sub-job whose target Vsite lives on a sibling shard behaves like
-//!   a remote job group: its parent node shows `Consigned` until the
-//!   child finishes (an in-shard child's live status is mirrored every
-//!   step). Terminal outcomes are unaffected.
-//! * `Abort` kills cross-shard children too (the facade forwards the
-//!   abort to each linked child's shard).
-//! * With one shard the facade is a zero-cost pass-through and behaves
-//!   exactly like a bare [`Njs`]; `From<Njs>` wraps existing call sites.
+//! * A sub-job at this Usite behaves like a job group at a peer Usite:
+//!   its parent node shows `Consigned` until the child finishes, then the
+//!   child's whole outcome tree.
+//! * `Abort` reaches children through their links: the facade forwards
+//!   it to each linked child's shard, and the parent's node reads
+//!   `Killed` with no children.
+//! * One shard is the same engine, not a short cut: the merge phase runs
+//!   for it too. `From<Njs>` wraps an already configured [`Njs`] as one
+//!   shard.
 
 use crate::accounting::{usage_report, UsageReport, UsageRow};
 use crate::error::NjsError;
@@ -49,10 +51,10 @@ use unicore_sim::SimTime;
 use unicore_store::EventStore;
 use unicore_telemetry::{FlightRecorder, SpanContext, Telemetry};
 
-/// A cross-shard parent→child link, keyed by `(parent job, parent
-/// node)` in the facade's registry. The merge phase polls the child's
-/// shard and completes the parent node when the child finishes —
-/// the cross-shard analogue of `poll_child_node`.
+/// A parent→child link at this Usite, keyed by `(parent job, parent
+/// node)` in the facade's registry. The merge phase completes the parent
+/// node when the child finishes; this is the only way a child's outcome
+/// reaches its parent.
 #[derive(Debug, Clone)]
 struct Link {
     child: JobId,
@@ -72,8 +74,8 @@ pub struct ShardedNjs {
     vsite_shard: HashMap<String, usize>,
     /// Global Vsite order, as registered (spans all shards).
     vsite_order: Vec<String>,
-    /// Cross-shard parent→child links, sorted by key for deterministic
-    /// merge iteration.
+    /// Parent→child links, sorted by key for deterministic merge
+    /// iteration.
     links: BTreeMap<(JobId, ActionId), Link>,
     /// Jobs (on any shard) that finished since the last
     /// [`ShardedNjs::take_newly_done`].
@@ -82,7 +84,7 @@ pub struct ShardedNjs {
 
 impl ShardedNjs {
     /// A sharded NJS for `usite` with `shards` shards (clamped to at
-    /// least 1; one shard behaves exactly like a bare [`Njs`]).
+    /// least 1; one shard runs the same merge phase as many).
     /// `_workers` is accepted and ignored: one thread steps every shard.
     pub fn new(usite: impl Into<String>, shards: usize, _workers: usize) -> Self {
         let usite = usite.into();
@@ -115,17 +117,11 @@ impl ShardedNjs {
     }
 
     /// Registers a Vsite, assigning it to a shard round-robin in
-    /// registration order (deterministic) and teaching every other
-    /// shard to route work for it across the shard boundary.
+    /// registration order (deterministic).
     pub fn add_vsite(&mut self, page: ResourcePage, table: TranslationTable) {
         let name = page.vsite.vsite.clone();
         let shard = self.vsite_order.len() % self.shards.len();
         self.shards[shard].add_vsite(page, table);
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            if i != shard {
-                s.register_sibling(name.clone(), shard);
-            }
-        }
         self.vsite_shard.insert(name.clone(), shard);
         self.vsite_order.push(name);
     }
@@ -141,7 +137,8 @@ impl ShardedNjs {
 
     /// Owning shard for a Vsite name. Unknown Vsites (and wrong-Usite
     /// addresses) fall back to shard 0, whose own validation then
-    /// produces the correct `UnknownVsite` / `WrongUsite` error.
+    /// produces the correct `UnknownVsite` / `WrongUsite` error (and
+    /// `unknown Vsite …` for a file task's Xspace).
     fn shard_of_vsite(&self, vsite: &str) -> usize {
         self.vsite_shard.get(vsite).copied().unwrap_or(0)
     }
@@ -210,10 +207,10 @@ impl ShardedNjs {
         }
     }
 
-    /// The merge phase: drains every shard's queued cross-shard items,
-    /// applies them in `(shard, job, node)` order, then completes parent
-    /// nodes whose cross-shard children finished. Returns whether
-    /// anything changed (the step loop then runs another round).
+    /// The merge phase: drains every shard's queued cross-Vsite items,
+    /// applies them in `(target shard, job, node)` order, then completes
+    /// parent nodes whose children finished. Returns whether anything
+    /// changed (the step loop then runs another round).
     fn merge(&mut self, now: SimTime) -> bool {
         let mut progressed = false;
 
@@ -221,14 +218,14 @@ impl ShardedNjs {
         for shard in &mut self.shards {
             shard.drain_cross_shard(&mut items);
         }
-        items.sort_by_key(|i| i.sort_key());
+        items.sort_by_cached_key(|i| (self.shard_of_vsite(i.target_vsite()), i.sort_key()));
         for item in items {
             progressed = true;
+            let shard = self.shard_of_vsite(item.target_vsite());
             match item {
                 CrossShardItem::ConsignChild {
                     parent,
                     node,
-                    shard,
                     ajo,
                     staged,
                     user,
@@ -274,7 +271,6 @@ impl ShardedNjs {
                 CrossShardItem::ImportXspace {
                     job,
                     node,
-                    shard,
                     src_vsite,
                     path,
                     uspace_name,
@@ -287,7 +283,6 @@ impl ShardedNjs {
                 CrossShardItem::DeliverXspace {
                     job,
                     node,
-                    shard,
                     to_vsite,
                     path,
                     data,
@@ -300,10 +295,13 @@ impl ShardedNjs {
             }
         }
 
-        // Complete parent nodes whose cross-shard children finished:
-        // each shard names the jobs that just finished, and a finished
-        // child names its own link. Sorted, so this runs in the same
-        // (parent job, node) order a walk of the registry would.
+        // Complete parent nodes whose children finished, with the files
+        // named on the node's outgoing edges ("UNICORE then guarantees
+        // that the specified data sets created by the predecessor are
+        // available to the successor"): each shard names the jobs that
+        // just finished, and a finished child names its own link. Sorted,
+        // so this runs in the same (parent job, node) order a walk of the
+        // registry would.
         let mut due: Vec<(JobId, ActionId)> = Vec::new();
         for shard in &mut self.shards {
             for job in shard.take_newly_done() {
@@ -386,10 +384,10 @@ impl ShardedNjs {
     }
 
     /// Replays every shard's journal, merges the recovery reports, and
-    /// rebuilds the cross-shard link registry so parents resume polling
-    /// children that live on sibling shards. Children whose consign
-    /// never reached the sibling's WAL are simply re-dispatched by the
-    /// parent's next step — the merge-phase dedup keeps that exact-once.
+    /// rebuilds the link registry so parents wait for their children
+    /// again. Children whose consign never reached the WAL are simply
+    /// re-dispatched by the parent's next step — the merge-phase dedup
+    /// keeps that exact-once.
     pub fn recover(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
         let mut merged = RecoveryReport::default();
         for shard in &mut self.shards {
@@ -406,9 +404,8 @@ impl ShardedNjs {
         Ok(merged)
     }
 
-    /// Rebuilds the cross-shard link registry from each shard's
-    /// replayed parent pointers (in-shard links were already re-wired
-    /// by [`Njs::recover`] itself).
+    /// Rebuilds the link registry from each shard's replayed parent
+    /// pointers.
     fn rebuild_links(&mut self) {
         let mut all: Vec<(JobId, JobId, ActionId)> = Vec::new();
         for shard in &self.shards {
@@ -418,9 +415,6 @@ impl ShardedNjs {
         for (child, pjob, pnode) in all {
             let parent_shard = self.shard_of_job(pjob);
             let child_shard = self.shard_of_job(child);
-            if parent_shard == child_shard {
-                continue;
-            }
             if !self.shards[parent_shard].has_job(pjob) {
                 continue; // parent purged; the child is orphaned
             }
@@ -442,8 +436,8 @@ impl ShardedNjs {
         }
     }
 
-    /// The cross-shard links under `parent`, in node order — a range of
-    /// the registry, not a walk over every link the site holds.
+    /// The links under `parent`, in node order — a range of the
+    /// registry, not a walk over every link the site holds.
     fn links_of(&self, parent: JobId) -> impl Iterator<Item = (&(JobId, ActionId), &Link)> {
         self.links
             .range((parent, ActionId(0))..=(parent, ActionId(u64::MAX)))
@@ -456,8 +450,8 @@ impl ShardedNjs {
         self.shards[self.shard_of_job(job)].query(job, dn, detail)
     }
 
-    /// Applies a user control operation. `Abort` also aborts any
-    /// cross-shard children linked under the job (recursively).
+    /// Applies a user control operation. `Abort` also aborts every child
+    /// linked under the job (recursively).
     pub fn control(
         &mut self,
         job: JobId,
@@ -484,8 +478,8 @@ impl ShardedNjs {
         Ok(acted)
     }
 
-    /// Purges a finished job, its local descendants, and (recursively)
-    /// its cross-shard children. Returns bytes freed.
+    /// Purges a finished job and (recursively) its linked children.
+    /// Returns bytes freed.
     pub fn purge(&mut self, job: JobId, dn: &str) -> Result<u64, NjsError> {
         let shard = self.shard_of_job(job);
         let mut freed = self.shards[shard].purge(job, dn)?;
@@ -509,9 +503,6 @@ impl ShardedNjs {
     /// The List service: root jobs owned by `dn`, merged across shards
     /// in job-id order (identical to a single shard's consign order).
     pub fn list_jobs(&self, dn: &str) -> Vec<JobSummary> {
-        if self.shards.len() == 1 {
-            return self.shards[0].list_jobs(dn);
-        }
         let mut jobs: Vec<JobSummary> = self.shards.iter().flat_map(|s| s.list_jobs(dn)).collect();
         jobs.sort_by_key(|j| j.job);
         jobs
@@ -724,9 +715,6 @@ impl ShardedNjs {
     /// The merged per-(Vsite, login) usage report (Vsites are disjoint
     /// across shards, so this is a sorted concatenation).
     pub fn usage_report(&self) -> UsageReport {
-        if self.shards.len() == 1 {
-            return usage_report(&self.shards[0]);
-        }
         let mut agg: BTreeMap<(String, String), UsageRow> = BTreeMap::new();
         for shard in &self.shards {
             for row in usage_report(shard).rows {

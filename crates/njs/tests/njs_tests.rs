@@ -3,7 +3,7 @@
 
 use unicore_ajo::*;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, OutgoingItem, TranslationTable, INCOMING_PREFIX};
+use unicore_njs::{Njs, OutgoingItem, ShardedNjs, TranslationTable, INCOMING_PREFIX};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, SEC};
 
@@ -21,9 +21,10 @@ fn attrs() -> UserAttributes {
     UserAttributes::new(DN, "zam")
 }
 
-/// An NJS for FZJ with a T3E and an SP2 Vsite.
-fn fzj() -> Njs {
-    let mut njs = Njs::new("FZJ");
+/// A one-shard NJS for FZJ with a T3E and an SP2 Vsite: the facade
+/// carries work between the two.
+fn fzj() -> ShardedNjs {
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
@@ -46,7 +47,7 @@ fn script_node(name: &str, script: &str) -> GraphNode {
 }
 
 /// Runs the NJS until the job finishes or `limit` is reached.
-fn run_until_done(njs: &mut Njs, job: JobId, limit: SimTime) -> SimTime {
+fn run_until_done(njs: &mut ShardedNjs, job: JobId, limit: SimTime) -> SimTime {
     let mut now = 0;
     njs.step(now);
     while !njs.is_done(job) && now < limit {

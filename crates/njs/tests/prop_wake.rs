@@ -3,7 +3,7 @@
 //! `Njs::step` visits only woken jobs; in debug builds it ends by
 //! asserting that a scan of *every* job finds nothing left to do. These
 //! tests throw arbitrary interleavings of everything that can change a
-//! job between steps at a plain [`Njs`] and at a 4-shard [`ShardedNjs`],
+//! job between steps at a [`ShardedNjs`] of 1 and of 4 shards,
 //! so a wake source that was forgotten panics inside `step`, and one
 //! that was forgotten *and* masked shows up as a job that never ends.
 
@@ -77,8 +77,8 @@ fn job(shape: u8, v: usize, secs: u64) -> AbstractJob {
                 job.dependencies.push(edge(1, leaf));
             }
         }
-        // task → sub-job at the next Vsite (a local child on a plain NJS,
-        // a cross-shard child on the sharded one) → task.
+        // task → sub-job at the next Vsite (a child on the parent's shard
+        // with 1 shard, on another shard with 4) → task.
         2 | 3 => {
             let target = if shape == 2 {
                 VsiteAddress::new(USITE, VSITES[(v + 1) % 4].0)
@@ -151,57 +151,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     )
 }
 
-/// What the interleaving needs from an engine; `Njs` and `ShardedNjs`
-/// spell every one of these the same way.
-trait Engine {
-    fn consign(&mut self, job: AbstractJob, now: SimTime) -> JobId;
-    fn control(&mut self, job: JobId, op: ControlOp, now: SimTime);
-    fn step(&mut self, now: SimTime);
-    fn take_outbox(&mut self) -> Vec<OutgoingItem>;
-    fn complete_remote_node(&mut self, job: JobId, node: ActionId, outcome: OutcomeNode);
-    fn crash(&mut self, vsite: &str, now: SimTime, downtime: SimTime);
-    fn status(&self, job: JobId) -> ActionStatus;
-    fn is_done(&self, job: JobId) -> bool;
-    fn next_event_time(&self) -> Option<SimTime>;
-}
-
-macro_rules! impl_engine {
-    ($ty:ty) => {
-        impl Engine for $ty {
-            fn consign(&mut self, job: AbstractJob, now: SimTime) -> JobId {
-                <$ty>::consign(self, job, user(), now).expect("consign")
-            }
-            fn control(&mut self, job: JobId, op: ControlOp, now: SimTime) {
-                <$ty>::control(self, job, op, DN, now).expect("owner controls own job");
-            }
-            fn step(&mut self, now: SimTime) {
-                <$ty>::step(self, now)
-            }
-            fn take_outbox(&mut self) -> Vec<OutgoingItem> {
-                <$ty>::take_outbox(self)
-            }
-            fn complete_remote_node(&mut self, job: JobId, node: ActionId, outcome: OutcomeNode) {
-                <$ty>::complete_remote_node(self, job, node, outcome)
-            }
-            fn crash(&mut self, vsite: &str, now: SimTime, downtime: SimTime) {
-                let v = <$ty>::vsite_mut(self, vsite).expect("known vsite");
-                v.batch.crash(now, downtime);
-            }
-            fn status(&self, job: JobId) -> ActionStatus {
-                <$ty>::outcome(self, job).expect("job exists").status
-            }
-            fn is_done(&self, job: JobId) -> bool {
-                <$ty>::is_done(self, job)
-            }
-            fn next_event_time(&self) -> Option<SimTime> {
-                <$ty>::next_event_time(self)
-            }
-        }
-    };
-}
-impl_engine!(Njs);
-impl_engine!(ShardedNjs);
-
 fn plain() -> Njs {
     let mut njs = Njs::new(USITE);
     for (vsite, arch) in VSITES {
@@ -213,8 +162,8 @@ fn plain() -> Njs {
     njs
 }
 
-fn sharded() -> ShardedNjs {
-    let mut njs = ShardedNjs::new(USITE, 4, 2);
+fn sharded(shards: usize) -> ShardedNjs {
+    let mut njs = ShardedNjs::new(USITE, shards, 1);
     for (vsite, arch) in VSITES {
         njs.add_vsite(
             deployment_page(USITE, vsite, arch),
@@ -237,60 +186,69 @@ fn remote_outcome(ok: bool) -> OutcomeNode {
 
 /// Applies `ops`, then lets everything finish. Panics inside `step` on a
 /// lost wake-up, and here if a job does not end.
-fn interleave(engine: &mut impl Engine, ops: &[Op]) {
+fn interleave(njs: &mut ShardedNjs, ops: &[Op]) {
     let mut now: SimTime = 0;
     let mut ids: Vec<JobId> = Vec::new();
     let mut remote: VecDeque<(JobId, ActionId)> = VecDeque::new();
-    let collect = |engine: &mut dyn Engine, remote: &mut VecDeque<(JobId, ActionId)>| {
-        for item in engine.take_outbox() {
+    let collect = |njs: &mut ShardedNjs, remote: &mut VecDeque<(JobId, ActionId)>| {
+        for item in njs.take_outbox() {
             if let OutgoingItem::SubJob { parent, node, .. } = item {
                 remote.push_back((parent, node));
             }
         }
     };
+    let control = |njs: &mut ShardedNjs, job: JobId, op: ControlOp, now: SimTime| {
+        njs.control(job, op, DN, now)
+            .expect("owner controls own job");
+    };
     for op in ops {
         match *op {
             Op::Consign { shape, vsite, secs } => {
-                ids.push(engine.consign(job(shape, vsite, secs), now));
+                let ajo = job(shape, vsite, secs);
+                ids.push(njs.consign(ajo, user(), now).expect("consign"));
             }
             Op::Hold(k) | Op::Resume(k) | Op::Abort(k) if ids.is_empty() => {
                 let _ = k;
             }
-            Op::Hold(k) => engine.control(ids[k % ids.len()], ControlOp::Hold, now),
-            Op::Resume(k) => engine.control(ids[k % ids.len()], ControlOp::Resume, now),
-            Op::Abort(k) => engine.control(ids[k % ids.len()], ControlOp::Abort, now),
+            Op::Hold(k) => control(njs, ids[k % ids.len()], ControlOp::Hold, now),
+            Op::Resume(k) => control(njs, ids[k % ids.len()], ControlOp::Resume, now),
+            Op::Abort(k) => control(njs, ids[k % ids.len()], ControlOp::Abort, now),
             Op::CompleteRemote { ok } => {
                 if let Some((job, node)) = remote.pop_front() {
-                    engine.complete_remote_node(job, node, remote_outcome(ok));
+                    njs.complete_remote_node(job, node, remote_outcome(ok));
                 }
             }
-            Op::Crash { vsite, downtime } => engine.crash(VSITES[vsite].0, now, downtime * SEC),
+            Op::Crash { vsite, downtime } => {
+                let v = njs.vsite_mut(VSITES[vsite].0).expect("known vsite");
+                v.batch.crash(now, downtime * SEC);
+            }
             Op::Step { delta } => {
                 now += delta * SEC;
-                engine.step(now);
-                collect(engine, &mut remote);
+                njs.step(now);
+                collect(njs, &mut remote);
             }
         }
     }
     // Wind down: release every hold, answer every remote group, and run
     // the clock until nothing is left.
     for &id in &ids {
-        engine.control(id, ControlOp::Resume, now);
+        control(njs, id, ControlOp::Resume, now);
     }
     for _ in 0..10_000 {
-        engine.step(now);
-        collect(engine, &mut remote);
+        njs.step(now);
+        collect(njs, &mut remote);
         while let Some((job, node)) = remote.pop_front() {
-            engine.complete_remote_node(job, node, remote_outcome(true));
+            njs.complete_remote_node(job, node, remote_outcome(true));
         }
-        if ids.iter().all(|&id| engine.is_done(id)) {
+        if ids.iter().all(|&id| njs.is_done(id)) {
             break;
         }
-        now = engine.next_event_time().unwrap_or(now + SEC).max(now + SEC);
+        now = njs.next_event_time().unwrap_or(now + SEC).max(now + SEC);
     }
     for &id in &ids {
-        assert!(engine.is_done(id), "job {id} never finished");
-        assert!(engine.status(id).is_terminal(), "job {id} not terminal");
+        assert!(njs.is_done(id), "job {id} never finished");
+        let status = njs.outcome(id).expect("job exists").status;
+        assert!(status.is_terminal(), "job {id} not terminal");
     }
 }
 
@@ -299,8 +257,8 @@ proptest! {
 
     #[test]
     fn no_interleaving_loses_a_wake_up(ops in proptest::collection::vec(arb_op(), 1..60)) {
-        interleave(&mut plain(), &ops);
-        interleave(&mut sharded(), &ops);
+        interleave(&mut sharded(1), &ops);
+        interleave(&mut sharded(4), &ops);
     }
 }
 

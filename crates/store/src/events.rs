@@ -191,7 +191,7 @@ pub enum StoreEvent {
         staged: Vec<(String, Vec<u8>)>,
         /// Idempotency key (hash of consigner identity + AJO bytes).
         idem_key: Vec<u8>,
-        /// Set when the job is a local child of another job here (the
+        /// Set when the job is a child of another job at this Usite (the
         /// parent job and the sub-job node it fills).
         parent: Option<(JobId, ActionId)>,
         /// Set when the job is a sub-job consigned by a peer server.

@@ -25,17 +25,22 @@ const HUB_DN: &str = "C=DE, O=HUB, CN=unicore-server";
 const PEER_DN: &str = "C=DE, O=PEER, CN=unicore-server";
 
 /// Digests in the order [`run`] returns them: HUB shard 0, HUB shard 1,
-/// PEER shard 0, sorted terminal outcomes. The outcome digest is the one
-/// commit 17b855a (full-scan step loop) produced. The three segment
-/// digests were re-pinned once, when `OutcomeStored` manifests went from
-/// inline contents to `(name, length)` references: the segments decode to
-/// the events 17b855a wrote (31, 61 and 4 of them) with those 13 manifest
-/// entries as the only difference.
+/// PEER shard 0, sorted terminal outcomes. The outcome digest was the one
+/// commit 17b855a (full-scan step loop) produced until every same-Usite
+/// sub-job went through the shard merge: since then the aborted `victim`'s
+/// sub-job node reads `Killed` with no children, as a child on another
+/// shard or at a peer Usite always did, and that is the only outcome that
+/// moved. The segment digests were re-pinned twice. First when
+/// `OutcomeStored` manifests went from inline contents to `(name, length)`
+/// references (13 manifest entries, nothing else). Then with the merge:
+/// HUB shard 0 gained the `JobPurged` of `inshard`'s child, which the
+/// in-place purge never found, and both HUB segments write a same-shard
+/// child's consign, completion and abort in merge order.
 const GOLDEN: [&str; 4] = [
-    "6a250abf4d33e105b819fa7deb5a031cdccb2a979c85f557e1f17cdddd68537e",
-    "c92101a932e060a85343d254f9b8fb45314fea76e974dfed53dcc21da863ab7e",
+    "8cce29167270280b2d9ef8e58653b94d8bcf3693e914352f3e44dec6cdae52e3",
+    "004a98a47bb743d4fa3785d43c0a16c8d3d0e2249a9f7b19756cdc6916d0cb9e",
     "ec1b639b6a6127cf4a3eb7f366387f95e48df617d7d7459cedcd04cb30fcb91e",
-    "bfca2497007f39d8304934523f82870a0f153f800f5db1115eb5cf0577829424",
+    "15a7ae71ef71d99caef6954e18f46643488e162d4ffe96f1a371bd0b7f98e79d",
 ];
 
 fn attrs() -> UserAttributes {
