@@ -155,11 +155,6 @@ impl CertificateAuthority {
             &self.keypair.private,
         )
     }
-
-    /// Number of certificates issued so far.
-    pub fn issued_count(&self) -> u64 {
-        self.next_serial - 1
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +194,6 @@ mod tests {
             .unwrap();
         assert_eq!(id.cert.tbs.serial, 1);
         assert!(id.cert.tbs.usage.client_auth);
-        assert_eq!(ca.issued_count(), 1);
     }
 
     #[test]

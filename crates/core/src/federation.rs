@@ -36,7 +36,7 @@ use unicore_ajo::{AbstractJob, ControlOp, DetailLevel, JobId, JobOutcome, Servic
 use unicore_gateway::{RateLimitConfig, UserEntry, Uudb};
 use unicore_njs::TranslationTable;
 use unicore_resources::{deployment_page, Architecture};
-use unicore_sim::{SimTime, MINUTE, SEC};
+use unicore_sim::{SimTime, MINUTE};
 use unicore_simnet::{FaultPlan, Firewall, LinkParams, Network, NodeId};
 use unicore_store::{EventStore, MemoryBackend};
 use unicore_telemetry::{ActiveSpan, Telemetry};
@@ -88,11 +88,6 @@ pub struct FederationConfig {
     /// request through. Any envelope received from the peer closes the
     /// circuit again.
     pub probe_interval: SimTime,
-    /// Heartbeat period of the aggregation plane (E17): how often each
-    /// site refreshes its own status row and pushes its subtree
-    /// snapshot one hop up the spanning tree. Only active once
-    /// [`Federation::enable_telemetry`] has been called.
-    pub push_interval: SimTime,
     /// NJS shards per site (E18): >1 splits each server's job state by
     /// Vsite into independent shards with per-shard WAL segments.
     pub njs_shards: usize,
@@ -105,7 +100,6 @@ impl Default for FederationConfig {
             wan_loss: 0.0,
             handshake_bytes: 4_096,
             probe_interval: MINUTE,
-            push_interval: 30 * SEC,
             njs_shards: 1,
         }
     }
@@ -308,7 +302,7 @@ impl Federation {
             workstation,
             established: HashSet::new(),
             rel: Reliability::new(config.seed, config.probe_interval, workstation, addresses),
-            plane: GridPlane::new(&site_names, config.seed, config.push_interval),
+            plane: GridPlane::new(&site_names, config.seed),
             config,
             site_names,
             sites,

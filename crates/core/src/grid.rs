@@ -37,6 +37,11 @@ use unicore_telemetry::{standard_slo_rules, AlertEngine, AlertEvent, MetricsSnap
 /// How long an aggregation edge may go unheard before the whole cached
 /// subtree behind it is marked stale in grid views.
 const STALE_AFTER: SimTime = 90 * SEC;
+/// Heartbeat period of the aggregation plane (E17): how often each site
+/// refreshes its own status row and pushes its subtree snapshot one hop
+/// up the spanning tree. Only active once
+/// [`crate::Federation::enable_telemetry`] has been called.
+const PUSH_INTERVAL: SimTime = 30 * SEC;
 /// Fanout of the aggregation spanning tree: every grid-view query climbs
 /// at most `log_fanout(sites)` NJS→NJS hops.
 const TREE_FANOUT: usize = 4;
@@ -500,9 +505,6 @@ pub(crate) struct GridPlane {
     /// Site → its plane node; `None` while the site is down (the edge
     /// caches and epochs are RAM).
     nodes: Vec<Option<PlaneNode>>,
-    /// Heartbeat period: how often each site refreshes its own row and
-    /// pushes its subtree snapshot one hop up.
-    push_interval: SimTime,
     next_push_corr: u64,
     /// Open grid-view relays, keyed by the upward hop's correlation id.
     relays: HashMap<CorrKey, GridRelay>,
@@ -514,7 +516,7 @@ pub(crate) struct GridPlane {
 
 impl GridPlane {
     /// The plane over `names` (deployment order).
-    pub(crate) fn new(names: &[String], seed: u64, push_interval: SimTime) -> Self {
+    pub(crate) fn new(names: &[String], seed: u64) -> Self {
         let tree = AggregationTree::build(names.to_vec(), seed, TREE_FANOUT);
         let index = |name: &str| names.iter().position(|n| n == name).expect("a tree site");
         let mut plane = GridPlane {
@@ -522,7 +524,6 @@ impl GridPlane {
             parents: names.iter().map(|n| tree.parent(n).map(index)).collect(),
             nodes: names.iter().map(|n| Some(PlaneNode::new(n, 0))).collect(),
             tree,
-            push_interval,
             next_push_corr: PUSH_CORR_BASE,
             relays: HashMap::new(),
             next_relay_corr: RELAY_CORR_BASE,
@@ -539,10 +540,10 @@ impl GridPlane {
     pub(crate) fn arm(&mut self, now: SimTime) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
             if let Some(node) = node {
-                node.next_push_at = now + self.push_interval + (i as SimTime + 1) * (SEC / 4);
+                node.next_push_at = now + PUSH_INTERVAL + (i as SimTime + 1) * (SEC / 4);
             }
         }
-        self.next_alert_eval = now + 2 * self.push_interval;
+        self.next_alert_eval = now + 2 * PUSH_INTERVAL;
     }
 
     /// The next heartbeat or SLO evaluation.
@@ -699,7 +700,7 @@ impl Federation {
             }
             let server = self.sites[site].server.as_ref();
             let report = server.expect("a node has a server").monitor_report(t);
-            node.next_push_at = t + self.plane.push_interval;
+            node.next_push_at = t + PUSH_INTERVAL;
             node.refresh_own(t, report.metrics, report.vsites);
             let Some(parent) = self.plane.parents[site] else {
                 continue; // the root aggregates; it has no uplink
@@ -721,7 +722,7 @@ impl Federation {
             }
         }
         if t >= self.plane.next_alert_eval {
-            self.plane.next_alert_eval = t + self.plane.push_interval;
+            self.plane.next_alert_eval = t + PUSH_INTERVAL;
             self.eval_alerts(t);
         }
     }

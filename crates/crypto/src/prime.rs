@@ -112,20 +112,6 @@ pub fn generate_prime(bits: usize, rng: &mut CryptoRng) -> BigUint {
     }
 }
 
-/// Generates a "safe prime" `p = 2q + 1` where `q` is also prime.
-///
-/// Used for Diffie-Hellman group generation in tests; slow for large sizes,
-/// so production paths use the fixed well-known group in [`crate::dh`].
-pub fn generate_safe_prime(bits: usize, rng: &mut CryptoRng) -> BigUint {
-    loop {
-        let q = generate_prime(bits - 1, rng);
-        let p = q.shl(1).add(&BigUint::one());
-        if is_probable_prime(&p, rng) {
-            return p;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,14 +184,5 @@ mod tests {
         let a = generate_prime(128, &mut CryptoRng::from_u64(5));
         let b = generate_prime(128, &mut CryptoRng::from_u64(5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn safe_prime_structure() {
-        let mut r = rng();
-        let p = generate_safe_prime(64, &mut r);
-        assert!(is_probable_prime(&p, &mut r));
-        let q = p.sub(&BigUint::one()).shr(1);
-        assert!(is_probable_prime(&q, &mut r));
     }
 }

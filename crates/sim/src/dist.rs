@@ -48,57 +48,6 @@ pub fn standard_normal(rng: &mut CryptoRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Bounded Zipf sampler over `{0, .., n-1}` with exponent `s`.
-///
-/// Used to pick popular destination Vsites (load skew across sites).
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds the sampler.
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "zipf over empty domain");
-        let mut weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        for w in &mut weights {
-            acc += *w / total;
-            *w = acc;
-        }
-        Zipf { cdf: weights }
-    }
-
-    /// Draws a sample.
-    pub fn sample(&self, rng: &mut CryptoRng) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf has no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
-}
-
-/// Weighted choice over arbitrary weights.
-pub fn weighted_choice(rng: &mut CryptoRng, weights: &[f64]) -> usize {
-    assert!(!weights.is_empty(), "weighted_choice over empty domain");
-    let total: f64 = weights.iter().sum();
-    let mut target = rng.next_f64() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        target -= w;
-        if target <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,35 +113,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(lognormal(&mut r, 1.0, 2.0) > 0.0);
         }
-    }
-
-    #[test]
-    fn zipf_prefers_low_ranks() {
-        let z = Zipf::new(10, 1.2);
-        let mut r = rng();
-        let mut counts = [0u32; 10];
-        for _ in 0..10_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[4]);
-        assert!(counts[0] > counts[9]);
-        // All outcomes in range (implicitly checked by indexing).
-    }
-
-    #[test]
-    fn weighted_choice_respects_weights() {
-        let mut r = rng();
-        let mut counts = [0u32; 3];
-        for _ in 0..9_000 {
-            counts[weighted_choice(&mut r, &[1.0, 2.0, 6.0])] += 1;
-        }
-        assert!(counts[2] > counts[1]);
-        assert!(counts[1] > counts[0]);
-    }
-
-    #[test]
-    fn weighted_choice_single() {
-        let mut r = rng();
-        assert_eq!(weighted_choice(&mut r, &[1.0]), 0);
     }
 }

@@ -1,41 +1,17 @@
-//! The six-site German deployment topology of the paper's §5.7.
+//! The six-site German deployment of the paper's §5.7: its sites and
+//! their WAN geography.
 //!
 //! UNICORE ran at Forschungszentrum Jülich (FZJ), the computing centres of
 //! the universities of Stuttgart (RUS) and Karlsruhe (RUKA), the Leibniz
 //! Computing Center Munich (LRZ), the Konrad-Zuse-Zentrum Berlin (ZIB) and
-//! the Deutscher Wetterdienst Offenbach (DWD). This module builds that
-//! topology over a 1999-era B-WiN-style backbone, with each Usite
-//! contributing a gateway node and an interior NJS node joined by a LAN
-//! link (the firewall-split deployment of §5.2).
+//! the Deutscher Wetterdienst Offenbach (DWD). `unicore`'s
+//! `Federation::german_deployment` builds that topology from these names
+//! and latencies.
 
-use crate::topology::{Firewall, LinkParams, Network, NodeId};
 use unicore_sim::SimTime;
 
 /// Canonical site shortnames in the order the paper lists them.
 pub const SITE_NAMES: [&str; 6] = ["FZJ", "RUS", "RUKA", "LRZ", "ZIB", "DWD"];
-
-/// The standard UNICORE gateway port used in the topology.
-pub const GATEWAY_PORT: u16 = 4433;
-
-/// One Usite's nodes within the German topology.
-#[derive(Debug, Clone, Copy)]
-pub struct SiteNodes {
-    /// The gateway host (sits on the firewall, §5.2).
-    pub gateway: NodeId,
-    /// The interior NJS host.
-    pub njs: NodeId,
-}
-
-/// The built topology: network plus per-site node handles and a user
-/// workstation attached to the first site.
-pub struct GermanGrid {
-    /// The underlying simulated network.
-    pub net: Network,
-    /// Per-site nodes, in [`SITE_NAMES`] order.
-    pub sites: Vec<SiteNodes>,
-    /// A user workstation (connected to every gateway).
-    pub workstation: NodeId,
-}
 
 /// Inter-site one-way latencies in milliseconds, roughly proportional to
 /// 1999 German geography (Jülich/Stuttgart/Karlsruhe/Munich/Berlin/
@@ -49,70 +25,10 @@ const LATENCY_MS: [[u64; 6]; 6] = [
     [8, 9, 7, 13, 15, 0],
 ];
 
-/// Builds the German grid with optional message loss on WAN links.
-pub fn build_german_grid(seed: u64, wan_loss: f64) -> GermanGrid {
-    let mut net = Network::new(seed);
-    let mut sites = Vec::with_capacity(SITE_NAMES.len());
-
-    for name in SITE_NAMES {
-        let gateway = net.add_node(format!("{name}-gw"));
-        let njs = net.add_node(format!("{name}-njs"));
-        // Gateway only accepts UNICORE traffic; the NJS host is interior.
-        net.set_firewall(gateway, Firewall::AllowList(vec![GATEWAY_PORT]));
-        net.add_duplex(gateway, njs, LinkParams::lan());
-        sites.push(SiteNodes { gateway, njs });
-    }
-
-    // Full WAN mesh between gateways.
-    for i in 0..sites.len() {
-        for j in 0..sites.len() {
-            if i == j {
-                continue;
-            }
-            let params = LinkParams {
-                latency: LATENCY_MS[i][j] * 1_000,
-                ..LinkParams::wan_1999()
-            }
-            .with_loss(wan_loss);
-            net.add_link(sites[i].gateway, sites[j].gateway, params);
-        }
-    }
-
-    // User workstation with WAN links to every gateway (users may contact
-    // any UNICORE server — Figure 2).
-    let workstation = net.add_node("workstation");
-    for (i, site) in sites.iter().enumerate() {
-        let params = LinkParams {
-            latency: (10 + 2 * i as u64) * 1_000,
-            ..LinkParams::wan_1999()
-        }
-        .with_loss(wan_loss);
-        net.add_duplex(workstation, site.gateway, params);
-    }
-
-    GermanGrid {
-        net,
-        sites,
-        workstation,
-    }
-}
-
 /// One-way WAN latency between two sites (by [`SITE_NAMES`] index), in
 /// ticks — usable by other topology builders wanting the same geography.
 pub fn inter_site_latency(from: usize, to: usize) -> SimTime {
     LATENCY_MS[from][to] * 1_000
-}
-
-impl GermanGrid {
-    /// One-way latency parameter between two sites' gateways in ticks.
-    pub fn wan_latency(&self, from: usize, to: usize) -> SimTime {
-        inter_site_latency(from, to)
-    }
-
-    /// Site index by shortname.
-    pub fn site_index(name: &str) -> Option<usize> {
-        SITE_NAMES.iter().position(|&n| n == name)
-    }
 }
 
 #[cfg(test)]
@@ -120,66 +36,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builds_all_sites() {
-        let grid = build_german_grid(1, 0.0);
-        assert_eq!(grid.sites.len(), 6);
-        // 6 sites × 2 nodes + workstation.
-        assert_eq!(grid.net.node_count(), 13);
-    }
-
-    #[test]
-    fn gateway_firewalled_njs_reachable_via_lan() {
-        let mut grid = build_german_grid(2, 0.0);
-        let fzj = grid.sites[0];
-        let rus = grid.sites[1];
-        // Gateway-to-gateway on the UNICORE port works.
-        grid.net
-            .send(fzj.gateway, rus.gateway, GATEWAY_PORT, vec![1])
-            .unwrap();
-        // Any other port is refused by the firewall.
-        assert!(grid
-            .net
-            .send(fzj.gateway, rus.gateway, 22, vec![1])
-            .is_err());
-        // Gateway reaches its own NJS over the LAN.
-        grid.net.send(fzj.gateway, fzj.njs, 9000, vec![1]).unwrap();
-    }
-
-    #[test]
-    fn njs_hosts_not_directly_connected_across_sites() {
-        let mut grid = build_german_grid(3, 0.0);
-        let fzj = grid.sites[0];
-        let rus = grid.sites[1];
-        assert!(grid.net.send(fzj.njs, rus.njs, 9000, vec![1]).is_err());
-    }
-
-    #[test]
-    fn workstation_reaches_every_gateway() {
-        let mut grid = build_german_grid(4, 0.0);
-        let ws = grid.workstation;
-        for i in 0..6 {
-            let gw = grid.sites[i].gateway;
-            grid.net.send(ws, gw, GATEWAY_PORT, vec![0]).unwrap();
-        }
-        grid.net.run_to_quiescence();
-        for i in 0..6 {
-            let gw = grid.sites[i].gateway;
-            assert_eq!(grid.net.drain_inbox(gw).len(), 1, "site {i}");
-        }
-    }
-
-    #[test]
     fn latencies_match_matrix() {
-        let grid = build_german_grid(5, 0.0);
-        assert_eq!(grid.wan_latency(0, 1), 14_000);
-        assert_eq!(grid.wan_latency(1, 0), 14_000);
-        assert_eq!(grid.wan_latency(4, 3), 17_000);
-    }
-
-    #[test]
-    fn site_index_lookup() {
-        assert_eq!(GermanGrid::site_index("FZJ"), Some(0));
-        assert_eq!(GermanGrid::site_index("DWD"), Some(5));
-        assert_eq!(GermanGrid::site_index("NONE"), None);
+        assert_eq!(inter_site_latency(0, 1), 14_000);
+        assert_eq!(inter_site_latency(1, 0), 14_000);
+        assert_eq!(inter_site_latency(4, 3), 17_000);
     }
 }

@@ -13,8 +13,8 @@
 //! - [`wire`] — live in-process duplex channels with programmable fault
 //!   injection, over which the real `unicore-transport` handshake and
 //!   record protocol run byte-for-byte.
-//! - [`germany`] — the six-site topology of the paper's §5.7 status report
-//!   (FZJ, RUS, RUKA, LRZ, ZIB, DWD) on a B-WiN-era backbone.
+//! - [`germany`] — the six sites of the paper's §5.7 status report (FZJ,
+//!   RUS, RUKA, LRZ, ZIB, DWD) and their B-WiN-era WAN latencies.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,9 +28,7 @@ pub mod wire;
 
 pub use error::NetError;
 pub use faults::{CrashWindow, FaultKind, FaultPlan, LinkFault, PartitionWindow};
-pub use germany::{
-    build_german_grid, inter_site_latency, GermanGrid, SiteNodes, GATEWAY_PORT, SITE_NAMES,
-};
+pub use germany::{inter_site_latency, SITE_NAMES};
 pub use gridgen::{synthetic_latency, synthetic_site_names};
 pub use topology::{Firewall, LinkParams, LinkStats, Message, Network, NodeId};
 pub use wire::{wire_pair, WireEnd, WireFaultPlan, MAX_WIRE_MESSAGE};

@@ -233,11 +233,6 @@ impl Telemetry {
         self.inner.spans.lock().expect("span store").clone()
     }
 
-    /// Removes and returns all finished spans.
-    pub fn take_spans(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *self.inner.spans.lock().expect("span store"))
-    }
-
     /// Per-name aggregation of finished spans, sorted by descending
     /// clock total — the per-tier latency breakdown.
     pub fn breakdown(&self) -> Vec<SpanSummary> {
@@ -330,8 +325,7 @@ mod tests {
         let queue = rows.iter().find(|r| r.name == "batch.queue").unwrap();
         assert_eq!(queue.clock_total, 30);
 
-        assert_eq!(t.take_spans().len(), 4);
-        assert!(t.finished_spans().is_empty());
+        assert_eq!(t.finished_spans().len(), 4);
     }
 
     #[test]

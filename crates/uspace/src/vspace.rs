@@ -160,25 +160,8 @@ impl Vspace {
         self.uspace_mut(job)?.write(name, data, login)
     }
 
-    /// Gives a file of one job Uspace to another on this Vsite, sharing
-    /// its bytes (dependency file flow between tasks of co-located jobs).
-    pub fn copy_between_uspaces(
-        &mut self,
-        from_job: JobId,
-        to_job: JobId,
-        name: &str,
-        dest_name: &str,
-        login: &str,
-    ) -> Result<u64, SpaceError> {
-        let data = self.read_for_transfer(from_job, name, login)?;
-        let len = data.len() as u64;
-        self.write_uspace_file(to_job, dest_name, data, login)?;
-        self.bytes_copied += len;
-        Ok(len)
-    }
-
-    /// Total bytes moved between spaces by local imports, exports and
-    /// Uspace-to-Uspace copies (accounting). It counts what changed
+    /// Total bytes moved between spaces by local imports and exports
+    /// (accounting). It counts what changed
     /// hands, not what was memcpy'd: two spaces sharing one allocation
     /// have still each been given the file.
     pub fn bytes_copied(&self) -> u64 {
@@ -285,23 +268,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn cross_uspace_copy() {
-        let mut v = vspace_with_job();
-        v.create_uspace(OTHER, 1 << 20).unwrap();
-        v.write_uspace_file(JOB, "fields.dat", vec![5; 30], "alice")
-            .unwrap();
-        let n = v
-            .copy_between_uspaces(JOB, OTHER, "fields.dat", "fields.dat", "alice")
-            .unwrap();
-        assert_eq!(n, 30);
-        assert!(v.uspace(OTHER).unwrap().exists("fields.dat"));
-        // Original remains.
-        assert!(v.uspace(JOB).unwrap().exists("fields.dat"));
-    }
-
-    /// Import, export, Uspace-to-Uspace copy and a transfer read all hand
-    /// on the entry's allocation, and each still counts as bytes moved.
+    /// Import, export, a transfer read and the Uspace write it feeds all
+    /// hand on the entry's allocation; import and export still count as
+    /// bytes moved.
     #[test]
     fn local_moves_share_the_bytes() {
         let mut v = vspace_with_job();
@@ -312,8 +281,8 @@ mod tests {
             .unwrap();
         v.import_from_xspace(JOB, "/home/alice/in", "in", "alice")
             .unwrap();
-        v.copy_between_uspaces(JOB, OTHER, "in", "in", "alice")
-            .unwrap();
+        let handed = v.read_for_transfer(JOB, "in", "alice").unwrap();
+        v.write_uspace_file(OTHER, "in", handed, "alice").unwrap();
         v.export_to_xspace(OTHER, "in", "/archive/out", "alice")
             .unwrap();
         let taken = v.read_for_transfer(OTHER, "in", "alice").unwrap();
@@ -324,7 +293,7 @@ mod tests {
             &taken,
         ];
         assert!(held.iter().all(|d| Arc::ptr_eq(d, &source)));
-        assert_eq!(v.bytes_copied(), 300);
+        assert_eq!(v.bytes_copied(), 200);
         // Overwriting the Uspace file does not reach the bytes taken.
         v.write_uspace_file(OTHER, "in", vec![9; 100], "alice")
             .unwrap();

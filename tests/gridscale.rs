@@ -50,7 +50,7 @@ fn hundred_sites_converge_to_a_complete_live_view_in_log_hops() {
         "100 sites at fanout 4 must stay shallow: {depth}"
     );
 
-    // Let rows propagate leaf → root: depth × push_interval plus slack.
+    // Let rows propagate leaf → root: depth × the push interval plus slack.
     fed.run_until(6 * MINUTE);
 
     // Query at the *deepest* site: the answer climbs to the root and
