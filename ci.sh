@@ -72,6 +72,14 @@ cargo test -q --offline -p unicore-telemetry flight
 echo "==> step.rs seam: sparse unordered ActionIds == dense ones, unknown node ids refused, job_visits pinned for chain3/fan16, half-finished fan16 recovers to the uncrashed bytes"
 cargo test -q --offline -p unicore-njs --test step_seam
 
+echo "==> one path across a Vsite boundary: in crates/njs/src, xspace_read( and xspace_write( are called only from shard.rs (the merge phase), and consign_internal( only from consign.rs, recover.rs and shard.rs (offenders are listed)"
+if {
+    grep -rnE '\b(xspace_read|xspace_write)\(' crates/njs/src | grep -vE 'fn (xspace_read|xspace_write)\(|^crates/njs/src/shard\.rs:'
+    grep -rnE '\bconsign_internal\(' crates/njs/src | grep -vE 'fn consign_internal\(|^crates/njs/src/(shard|njs/consign|njs/recover)\.rs:'
+} | grep .; then
+    exit 1
+fi
+
 echo "==> monitoring plane tests"
 cargo test -q --offline -p unicore-integration-tests --test monitor_grid
 cargo test -q --offline -p unicore-client monitor
