@@ -14,12 +14,12 @@ use unicore_bench::{bench_mapped_user, bench_user_attrs, chain_job, BENCH_DN};
 use unicore_client::JobPreparationAgent;
 use unicore_codec::DerCodec;
 use unicore_gateway::{Gateway, UserEntry, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture, ResourceDirectory};
 use unicore_sim::{format_time, HOUR, SEC};
 
 fn make_server() -> UnicoreServer {
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
@@ -155,7 +155,7 @@ fn benches(c: &mut Criterion) {
         b.iter_custom(|iters| {
             let mut total = std::time::Duration::ZERO;
             for _ in 0..iters {
-                let mut njs = Njs::new("FZJ");
+                let mut njs = ShardedNjs::new("FZJ", 1, 1);
                 njs.add_vsite(
                     deployment_page("FZJ", "T3E", Architecture::CrayT3e),
                     TranslationTable::for_architecture(Architecture::CrayT3e),

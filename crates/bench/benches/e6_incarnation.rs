@@ -9,7 +9,7 @@ use std::hint::black_box;
 use unicore_ajo::{ExecuteKind, ResourceRequest};
 use unicore_batch::script_matches_dialect;
 use unicore_bench::{bench_mapped_user, chain_job, fan_job};
-use unicore_njs::{incarnate_execute, Njs, TranslationTable};
+use unicore_njs::{incarnate_execute, ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{format_time, SimTime, HOUR, SEC};
 
@@ -29,7 +29,7 @@ fn resources() -> ResourceRequest {
 }
 
 /// Drives an NJS until `job` completes; returns completion time.
-fn drive(njs: &mut Njs, job: unicore_ajo::JobId) -> SimTime {
+fn drive(njs: &mut ShardedNjs, job: unicore_ajo::JobId) -> SimTime {
     let mut now = 0;
     njs.step(now);
     while !njs.is_done(job) && now < 24 * HOUR {
@@ -66,7 +66,7 @@ fn print_tables() {
         ("chain", chain_job("FZJ", "T3E", 500, 10)),
         ("fan", fan_job("FZJ", "T3E", 500)),
     ] {
-        let mut njs = Njs::new("FZJ");
+        let mut njs = ShardedNjs::new("FZJ", 1, 1);
         njs.add_vsite(
             deployment_page("FZJ", "T3E", Architecture::CrayT3e),
             TranslationTable::for_architecture(Architecture::CrayT3e),
@@ -129,7 +129,7 @@ fn benches(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new("consign_and_run", label), &mk, |b, job| {
             b.iter(|| {
-                let mut njs = Njs::new("FZJ");
+                let mut njs = ShardedNjs::new("FZJ", 1, 1);
                 njs.add_vsite(
                     deployment_page("FZJ", "T3E", Architecture::CrayT3e),
                     TranslationTable::for_architecture(Architecture::CrayT3e),

@@ -12,7 +12,7 @@ use unicore::server::UnicoreServer;
 use unicore_ajo::{ActionId, JobId};
 use unicore_bench::{chain_job, fmt_bytes, BENCH_DN};
 use unicore_gateway::{Gateway, UserEntry, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_store::{EventStore, ManifestEntry, MemoryBackend, OwnerRecord, StoreEvent};
 
@@ -75,12 +75,14 @@ fn build_log(jobs: u64) -> MemoryBackend {
 }
 
 fn recovery_server(mem: &MemoryBackend) -> UnicoreServer {
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
     );
-    njs.attach_store(EventStore::open(Box::new(mem.clone())).expect("open journal"));
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("open journal")
+    ]);
     let mut uudb = Uudb::new();
     uudb.add(BENCH_DN, UserEntry::new("bench", "users"));
     UnicoreServer::new(Gateway::new("FZJ", uudb), njs)

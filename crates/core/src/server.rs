@@ -152,14 +152,6 @@ impl Default for DataplaneMetrics {
     }
 }
 
-struct ForeignJob {
-    origin: String,
-    parent: JobId,
-    node: ActionId,
-    return_files: Vec<String>,
-    delivered: bool,
-}
-
 /// One Usite's UNICORE server.
 pub struct UnicoreServer {
     usite: String,
@@ -168,12 +160,6 @@ pub struct UnicoreServer {
     resources: ResourceDirectory,
     /// DNs of peer UNICORE servers allowed to use the NJS–NJS requests.
     peer_servers: HashSet<String>,
-    /// Jobs running here on behalf of a remote parent.
-    foreign: HashMap<JobId, ForeignJob>,
-    /// A re-delivered Consign (client retry after a lost reply, or a
-    /// peer re-forwarding after a crash) maps to the existing job
-    /// instead of being submitted twice.
-    idem: IdemIndex,
     pending: HashMap<u64, Pending>,
     next_corr: u64,
     telemetry: Telemetry,
@@ -262,36 +248,6 @@ fn decision_label(decision: &AuthDecision) -> &'static str {
     }
 }
 
-/// Idempotency index: consign-request key → the job it created, and
-/// back, so forgetting a purged job's key is two removals instead of a
-/// scan over every live job's entry.
-#[derive(Default)]
-struct IdemIndex {
-    by_key: HashMap<Vec<u8>, JobId>,
-    by_job: HashMap<JobId, Vec<u8>>,
-}
-
-impl IdemIndex {
-    fn get(&self, key: &[u8]) -> Option<JobId> {
-        self.by_key.get(key).copied()
-    }
-
-    fn insert(&mut self, key: Vec<u8>, job: JobId) {
-        self.by_job.insert(job, key.clone());
-        self.by_key.insert(key, job);
-    }
-
-    /// Forgets the key that maps to `job`. A key since re-consigned (its
-    /// job vanished without a purge) maps to the newer job and stays.
-    fn forget(&mut self, job: JobId) {
-        if let Some(key) = self.by_job.remove(&job) {
-            if self.by_key.get(&key) == Some(&job) {
-                self.by_key.remove(&key);
-            }
-        }
-    }
-}
-
 /// Idempotency key for a user Consign: who sent it and the exact AJO —
 /// SHA-256 of `dn ‖ 0x00 ‖ ajo_der`.
 fn consign_key(from_dn: &str, ajo_der: &[u8]) -> Vec<u8> {
@@ -319,8 +275,7 @@ impl UnicoreServer {
     ///
     /// # Panics
     /// Panics when the gateway and NJS disagree about the Usite.
-    pub fn new(gateway: Gateway, njs: impl Into<ShardedNjs>) -> Self {
-        let njs = njs.into();
+    pub fn new(gateway: Gateway, njs: ShardedNjs) -> Self {
         assert_eq!(gateway.usite(), njs.usite(), "gateway/NJS Usite mismatch");
         let mut resources = ResourceDirectory::new();
         for name in njs.vsite_names().to_vec() {
@@ -334,8 +289,6 @@ impl UnicoreServer {
             njs,
             resources,
             peer_servers: HashSet::new(),
-            foreign: HashMap::new(),
-            idem: IdemIndex::default(),
             pending: HashMap::new(),
             next_corr: 1,
             telemetry: Telemetry::disabled(),
@@ -434,11 +387,11 @@ impl UnicoreServer {
     }
 
     /// Rebuilds this server's state from the NJS's journal after a
-    /// restart: the job table (via [`ShardedNjs::recover`]), the idempotency
-    /// index, and the ledger of jobs owed to remote parents. Outcomes of
-    /// foreign jobs that finished are re-delivered on the next
-    /// [`UnicoreServer::step`] (delivery is at-least-once; the origin
-    /// applies it idempotently).
+    /// restart, through [`ShardedNjs::recover`]: the job table, and with
+    /// each job the idempotency key and the peer origin its consign
+    /// journalled. Outcomes of foreign jobs that finished are re-delivered
+    /// on the next [`UnicoreServer::step`] (delivery is at-least-once; the
+    /// origin applies it idempotently).
     pub fn recover(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
         // A rebooted server must not reuse correlation ids: peers'
         // at-most-once caches still hold responses keyed by the previous
@@ -447,23 +400,7 @@ impl UnicoreServer {
         // request. Starting at the recovery timestamp keeps every
         // incarnation's corr range disjoint.
         self.next_corr = self.next_corr.max(now).max(1);
-        let report = self.njs.recover(now)?;
-        for (key, job) in &report.idem {
-            self.idem.insert(key.clone(), *job);
-        }
-        for (job, f) in &report.foreign {
-            self.foreign.insert(
-                *job,
-                ForeignJob {
-                    origin: f.origin.clone(),
-                    parent: f.parent,
-                    node: f.node,
-                    return_files: f.return_files.clone(),
-                    delivered: false,
-                },
-            );
-        }
-        Ok(report)
+        self.njs.recover(now)
     }
 
     /// This server's Usite.
@@ -588,10 +525,8 @@ impl UnicoreServer {
                 // created, and is never submitted to batch a second time.
                 let ajo_der = ajo.to_der();
                 let idem_key = consign_key(from_dn, &ajo_der);
-                if let Some(existing) = self.idem.get(&idem_key) {
-                    if self.njs.outcome(existing).is_some() {
-                        return Response::Consigned { job: existing };
-                    }
+                if let Some(existing) = self.njs.job_for_key(&idem_key) {
+                    return Response::Consigned { job: existing };
                 }
                 // Fair-share admission (after dedup, so the retry of an
                 // already-accepted job is never denied): a tenant holding
@@ -647,7 +582,7 @@ impl UnicoreServer {
                     AuthDecision::Refused(reason) => return Response::Error(reason),
                 };
                 let meta = ConsignMeta {
-                    idem_key: idem_key.clone(),
+                    idem_key,
                     foreign: None,
                     trace: parent,
                     ajo_der,
@@ -655,7 +590,6 @@ impl UnicoreServer {
                 let cost = job_cost(&ajo);
                 match self.njs.consign_with_meta(ajo, mapped, now, meta) {
                     Ok(job) => {
-                        self.idem.insert(idem_key, job);
                         self.shares.charge(from_dn, cost, now);
                         Response::Consigned { job }
                     }
@@ -682,14 +616,10 @@ impl UnicoreServer {
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
+            // A purged job's consign may legitimately be re-sent (a rerun
+            // of the same AJO): the NJS forgets its dedup key with it.
             Request::Purge { job } => match self.njs.purge(job, from_dn) {
-                Ok(bytes) => {
-                    // A purged job's consign may legitimately be re-sent
-                    // (a rerun of the same AJO): forget its dedup key.
-                    self.idem.forget(job);
-                    self.foreign.remove(&job);
-                    Response::Purged { bytes }
-                }
+                Ok(bytes) => Response::Purged { bytes },
                 Err(e) => Response::Error(e.to_string()),
             },
             Request::ListFiles { job } => match self.njs.list_uspace_files(job, from_dn) {
@@ -721,10 +651,8 @@ impl UnicoreServer {
                 // after our Consigned reply was lost, or restarted and
                 // re-dispatched the node — return the job already running.
                 let idem_key = subjob_key(&origin, parent_job, node);
-                if let Some(existing) = self.idem.get(&idem_key) {
-                    if self.njs.outcome(existing).is_some() {
-                        return Response::Consigned { job: existing };
-                    }
+                if let Some(existing) = self.njs.job_for_key(&idem_key) {
+                    return Response::Consigned { job: existing };
                 }
                 // The job runs as the *original user*: map their DN here.
                 let mut auth_span = if parent.is_some() {
@@ -745,31 +673,18 @@ impl UnicoreServer {
                     AuthDecision::Refused(reason) => return Response::Error(reason),
                 };
                 let meta = ConsignMeta {
-                    idem_key: idem_key.clone(),
+                    idem_key,
                     foreign: Some(ForeignOrigin {
-                        origin: origin.clone(),
+                        origin,
                         parent: parent_job,
                         node,
-                        return_files: return_files.clone(),
+                        return_files,
                     }),
                     trace: parent,
                     ajo_der: None,
                 };
                 match self.njs.consign_from_peer_with_meta(ajo, mapped, now, meta) {
-                    Ok(job) => {
-                        self.idem.insert(idem_key, job);
-                        self.foreign.insert(
-                            job,
-                            ForeignJob {
-                                origin,
-                                parent: parent_job,
-                                node,
-                                return_files,
-                                delivered: false,
-                            },
-                        );
-                        Response::Consigned { job }
-                    }
+                    Ok(job) => Response::Consigned { job },
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
@@ -1117,23 +1032,21 @@ impl UnicoreServer {
         // name, so the batch contents are deterministic regardless of
         // map iteration order.
         let mut finished: Vec<JobId> = self.njs.take_newly_done();
-        finished.retain(|job| self.foreign.get(job).is_some_and(|f| !f.delivered));
         finished.sort();
         let mut batches: BTreeMap<String, (Vec<OutcomeDelivery>, Option<SpanContext>)> =
             BTreeMap::new();
         for job in finished {
-            let outcome = self.njs.outcome(job).cloned().unwrap_or_default();
-            let return_files = {
-                let f = self.foreign.get(&job).expect("checked above");
-                self.njs
-                    .collect_return_files(job, &f.return_files)
-                    .into_iter()
-                    .map(|(name, data)| (name, data.to_vec())) // wire: Vec<u8> field
-                    .collect()
+            let Some(f) = self.njs.foreign_of(job) else {
+                continue;
             };
+            let outcome = self.njs.outcome(job).cloned().unwrap_or_default();
+            let return_files = self
+                .njs
+                .collect_return_files(job, &f.return_files)
+                .into_iter()
+                .map(|(name, data)| (name, data.to_vec())) // wire: Vec<u8> field
+                .collect();
             let trace = self.njs.trace_of(job);
-            let f = self.foreign.get_mut(&job).expect("checked above");
-            f.delivered = true;
             let entry = batches.entry(f.origin.clone()).or_default();
             entry.0.push(OutcomeDelivery {
                 parent: f.parent,
@@ -1473,6 +1386,7 @@ mod tests {
     #[test]
     fn purge_forgets_one_key_and_keeps_the_rest() {
         let mut fed = Federation::german_deployment(FederationConfig::default());
+        fed.attach_stores();
         fed.register_user(DN, "alice");
         let ajos: Vec<AbstractJob> = (0..8).map(|i| job(&format!("job-{i}"))).collect();
         let server = fed
@@ -1492,26 +1406,29 @@ mod tests {
         let response = server.handle_request(DN, Request::Purge { job: ids[purged] }, now);
         assert!(matches!(response, Response::Purged { .. }), "{response:?}");
 
-        // The other seven keys still resolve: a re-sent Consign is
+        // The other seven keys still resolve, before and after a restart
+        // that replays the purge from the journal: a re-sent Consign is
         // answered with the job it already created.
-        for (i, ajo) in ajos.iter().enumerate() {
-            let key = consign_key(DN, &ajo.to_der());
-            if i == purged {
-                assert_eq!(server.idem.get(&key), None);
-            } else {
-                assert_eq!(server.idem.get(&key), Some(ids[i]));
-                assert_eq!(consign(server, ajo, now), ids[i]);
+        let keys_resolve = |server: &UnicoreServer| {
+            for (i, ajo) in ajos.iter().enumerate() {
+                let key = consign_key(DN, &ajo.to_der());
+                let live = (i != purged).then_some(ids[i]);
+                assert_eq!(server.njs().job_for_key(&key), live, "job-{i}");
             }
+        };
+        keys_resolve(server);
+        fed.crash_site("FZJ");
+        fed.restart_site("FZJ");
+        let server = fed.server_mut("FZJ").expect("FZJ restarted");
+        keys_resolve(server);
+        for (i, ajo) in ajos.iter().enumerate().filter(|(i, _)| *i != purged) {
+            assert_eq!(consign(server, ajo, now), ids[i]);
         }
-        assert_eq!(server.idem.by_key.len(), ajos.len() - 1);
-        assert_eq!(server.idem.by_job.len(), ajos.len() - 1);
 
         // The purged AJO, re-sent, is a rerun: a new job.
         let rerun = consign(server, &ajos[purged], now);
         assert!(!ids.contains(&rerun), "purged job id {rerun:?} reused");
-        assert_eq!(
-            server.idem.get(&consign_key(DN, &ajos[purged].to_der())),
-            Some(rerun)
-        );
+        let key = consign_key(DN, &ajos[purged].to_der());
+        assert_eq!(server.njs().job_for_key(&key), Some(rerun));
     }
 }

@@ -10,7 +10,7 @@ use unicore::ajo::*;
 use unicore::protocol::{Request, Response};
 use unicore::UnicoreServer;
 use unicore_gateway::{Gateway, UserEntry, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::SEC;
 
@@ -18,7 +18,7 @@ const USER_DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=alice";
 const PEER_DN: &str = "C=DE, O=RUS, OU=RUS, CN=unicored";
 
 fn build_server() -> UnicoreServer {
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),

@@ -75,8 +75,9 @@ impl UsageReport {
     }
 }
 
-/// Builds the usage report from every Vsite's accounting records.
-pub fn usage_report(njs: &Njs) -> UsageReport {
+/// Builds one shard's usage report from its Vsites' accounting records;
+/// [`crate::ShardedNjs::usage_report`] merges the shards'.
+pub(crate) fn usage_report(njs: &Njs) -> UsageReport {
     let mut agg: BTreeMap<(String, String), UsageRow> = BTreeMap::new();
     for vsite in njs.vsite_names() {
         let Some(v) = njs.vsite(vsite) else { continue };
@@ -105,8 +106,8 @@ pub fn usage_report(njs: &Njs) -> UsageReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::translation::TranslationTable;
+    use crate::ShardedNjs;
     use unicore_ajo::{
         AbstractJob, AbstractTask, ActionId, ExecuteKind, GraphNode, ResourceRequest, TaskKind,
         UserAttributes, VsiteAddress,
@@ -115,8 +116,8 @@ mod tests {
     use unicore_resources::{deployment_page, Architecture};
     use unicore_sim::{HOUR, SEC};
 
-    fn run_jobs(logins_and_scripts: &[(&str, &str)]) -> Njs {
-        let mut njs = Njs::new("FZJ");
+    fn run_jobs(logins_and_scripts: &[(&str, &str)]) -> ShardedNjs {
+        let mut njs = ShardedNjs::new("FZJ", 1, 1);
         njs.add_vsite(
             deployment_page("FZJ", "T3E", Architecture::CrayT3e),
             TranslationTable::for_architecture(Architecture::CrayT3e),
@@ -163,7 +164,7 @@ mod tests {
             ("alice", "sleep 50\n"),
             ("bob", "sleep 10\nexit 1\n"),
         ]);
-        let report = usage_report(&njs);
+        let report = njs.usage_report();
         assert_eq!(report.rows.len(), 2);
         let alice = report.row("T3E", "alice").unwrap();
         assert_eq!(alice.jobs, 2);
@@ -179,7 +180,7 @@ mod tests {
     #[test]
     fn render_is_tabular() {
         let njs = run_jobs(&[("alice", "sleep 10\n")]);
-        let text = usage_report(&njs).render();
+        let text = njs.usage_report().render();
         assert!(text.contains("vsite"));
         assert!(text.contains("alice"));
         assert!(text.lines().count() >= 2);
@@ -187,8 +188,8 @@ mod tests {
 
     #[test]
     fn empty_report() {
-        let njs = Njs::new("EMPTY");
-        let report = usage_report(&njs);
+        let njs = ShardedNjs::new("EMPTY", 1, 1);
+        let report = njs.usage_report();
         assert!(report.rows.is_empty());
         assert_eq!(report.total_node_seconds(), 0);
         assert!(report.row("X", "y").is_none());

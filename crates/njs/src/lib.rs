@@ -10,24 +10,24 @@
 //! - [`translation`] — the translation tables and script incarnation
 //! - [`oracle`] — the deterministic work model that stands in for real
 //!   computation in the simulated batch systems
-//! - [`njs`] — the engine itself
-//! - [`shard`] — the sharded facade: N independent shards stepped in
-//!   index order on one thread, with cross-shard effects applied between
-//!   rounds in `sort_key` order
+//! - [`shard`] — the engine, [`ShardedNjs`]: N independent shards stepped
+//!   in index order on one thread, with cross-shard effects applied
+//!   between rounds in `sort_key` order. A shard (the crate-private `njs`
+//!   module) is never handed out on its own.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod accounting;
 pub mod error;
-pub mod njs;
+mod njs;
 pub mod oracle;
 pub mod shard;
 pub mod translation;
 
-pub use accounting::{usage_report, UsageReport, UsageRow};
+pub use accounting::{UsageReport, UsageRow};
 pub use error::NjsError;
-pub use njs::{ConsignMeta, Njs, OutgoingItem, RecoveryReport, VsiteRuntime, INCOMING_PREFIX};
+pub use njs::{ConsignMeta, OutgoingItem, RecoveryReport, VsiteRuntime, INCOMING_PREFIX};
 pub use oracle::{synthetic_content, DeterministicOracle, WorkOracle};
 pub use shard::ShardedNjs;
 pub use translation::{incarnate_execute, incarnate_execute_in_queue, TranslationTable};

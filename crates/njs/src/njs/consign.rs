@@ -15,16 +15,6 @@ use unicore_sim::SimTime;
 use unicore_store::{OwnerRecord, StoreEvent};
 
 impl Njs {
-    /// Consigns a top-level AJO for `user` at `now`.
-    pub fn consign(
-        &mut self,
-        job: AbstractJob,
-        user: MappedUser,
-        now: SimTime,
-    ) -> Result<JobId, NjsError> {
-        self.consign_with_meta(job, user, now, ConsignMeta::default())
-    }
-
     /// Consigns a top-level AJO with journal metadata attached.
     pub fn consign_with_meta(
         &mut self,
@@ -46,17 +36,8 @@ impl Njs {
     }
 
     /// Consigns a job group arriving from a peer NJS (already mapped by
-    /// this site's gateway). The AJO's portfolio carries edge files.
-    pub fn consign_from_peer(
-        &mut self,
-        job: AbstractJob,
-        user: MappedUser,
-        now: SimTime,
-    ) -> Result<JobId, NjsError> {
-        self.consign_from_peer_with_meta(job, user, now, ConsignMeta::default())
-    }
-
-    /// Peer consign with journal metadata (origin bookkeeping, dedup key).
+    /// this site's gateway), with journal metadata (origin bookkeeping,
+    /// dedup key). The AJO's portfolio carries edge files.
     pub fn consign_from_peer_with_meta(
         &mut self,
         job: AbstractJob,
@@ -168,9 +149,9 @@ impl Njs {
                     .iter()
                     .map(|(n, d)| (n.clone(), d.to_vec())) // wire: Vec<u8> field
                     .collect(),
-                idem_key: meta.idem_key,
+                idem_key: meta.idem_key.clone(),
                 parent,
-                foreign: meta.foreign,
+                foreign: meta.foreign.clone(),
                 at: now,
             };
             self.pending.push(&event);
@@ -220,6 +201,9 @@ impl Njs {
             );
         }
         let preds = job.dependency_index();
+        if !meta.idem_key.is_empty() {
+            self.by_key.insert(meta.idem_key.clone(), id);
+        }
         self.jobs.insert(
             id,
             JobRuntime {
@@ -237,6 +221,8 @@ impl Njs {
                 finished_at: None,
                 span,
                 trace,
+                idem_key: meta.idem_key,
+                foreign: meta.foreign,
             },
         );
         debug_assert!(

@@ -6,9 +6,19 @@ use unicore_ajo::{
     ActionStatus, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, OutcomeNode, TaskOutcome,
 };
 use unicore_sim::SimTime;
-use unicore_store::StoreEvent;
+use unicore_store::{ForeignOrigin, StoreEvent};
 
 impl Njs {
+    /// The live job a consign with idempotency key `key` created.
+    pub(crate) fn job_for_key(&self, key: &[u8]) -> Option<JobId> {
+        self.by_key.get(key).copied()
+    }
+
+    /// The peer job `job` runs for, if a peer server consigned it.
+    pub(crate) fn foreign_of(&self, job: JobId) -> Option<&ForeignOrigin> {
+        self.jobs.get(&job)?.foreign.as_ref()
+    }
+
     /// The DN of the user who consigned `job`.
     pub fn owner_dn(&self, job: JobId) -> Option<String> {
         self.jobs.get(&job).map(|rt| rt.user.dn.clone())
@@ -158,11 +168,7 @@ impl Njs {
             )));
         }
         self.flight.forget(job.0);
-        let rt = self.jobs.remove(&job).expect("checked above");
-        let freed = self.vsites[rt.vsite]
-            .vspace
-            .destroy_uspace(job)
-            .unwrap_or(0);
+        let freed = self.forget_job(job);
         // A finished job holds no batch-owner entries: its nodes all went
         // terminal, which is where entries are dropped.
         self.wake.remove(&job);
@@ -175,6 +181,22 @@ impl Njs {
         });
         self.flush_events();
         Ok(freed)
+    }
+
+    /// Drops a purged job's runtime, Uspace and idempotency key — one path
+    /// for a purge and for a replayed `JobPurged`. Returns bytes freed.
+    pub(super) fn forget_job(&mut self, job: JobId) -> u64 {
+        let Some(rt) = self.jobs.remove(&job) else {
+            return 0;
+        };
+        // A key since re-consigned maps to the newer job and stays.
+        if self.by_key.get(&rt.idem_key) == Some(&job) {
+            self.by_key.remove(&rt.idem_key);
+        }
+        self.vsites[rt.vsite]
+            .vspace
+            .destroy_uspace(job)
+            .unwrap_or(0)
     }
 
     /// The List service: root jobs owned by `dn`.

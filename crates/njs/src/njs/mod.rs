@@ -1,4 +1,4 @@
-//! The Network Job Supervisor engine.
+//! One shard of the Network Job Supervisor engine.
 //!
 //! One NJS serves one Usite and "can support multiple destination systems
 //! (Vsites)" (§4.3). Its duties, straight from §5.5: transform the
@@ -8,11 +8,13 @@
 //! stdout/stderr, and initiate all data transfers.
 //!
 //! The NJS is clock-passive like the batch substrate: callers drive it
-//! with [`Njs::step`] as simulated time advances, and drain
-//! [`Njs::take_outbox`] for work addressed to peer Usites (sub-AJOs and
-//! file transfers), which the federation layer in `unicore` routes.
+//! with [`crate::ShardedNjs::step`] as simulated time advances, and drain
+//! [`crate::ShardedNjs::take_outbox`] for work addressed to peer Usites
+//! (sub-AJOs and file transfers), which the federation layer in `unicore`
+//! routes.
 //!
-//! The engine is one type, [`Njs`], whose `impl` is split along its
+//! [`Njs`] is one shard of that engine, crate-private: the facade owns
+//! every shard and is the only way in. Its `impl` is split along its
 //! seams: this file holds the types, construction, telemetry and store
 //! wiring; `consign`, `recover`, `step` (wake set, polling, dispatch),
 //! `files` (file tasks), `remote` (peer-Usite outbox and completions),
@@ -166,9 +168,10 @@ struct IncomingTransfer {
 
 /// Journal metadata a caller (the server layer) attaches to a consign.
 ///
-/// The NJS writes it into the job's `JobConsigned` event so that a
-/// recovered server can rebuild its idempotency index and its map of
-/// jobs owed to remote parents.
+/// The NJS writes it into the job's `JobConsigned` event and keeps the
+/// key and the origin with the job until it is purged; replay hands both
+/// back, so after a restart [`crate::ShardedNjs::job_for_key`] and
+/// [`crate::ShardedNjs::foreign_of`] answer as before the crash.
 #[derive(Debug, Default, Clone)]
 pub struct ConsignMeta {
     /// Idempotency key identifying the consign request (empty = none).
@@ -186,15 +189,11 @@ pub struct ConsignMeta {
     pub ajo_der: Option<Vec<u8>>,
 }
 
-/// What [`Njs::recover`] rebuilt from the journal.
+/// What [`crate::ShardedNjs::recover`] rebuilt from the journal.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Jobs alive again after replay (consigned, not purged).
     pub jobs: Vec<JobId>,
-    /// Idempotency keys of live jobs, for the server's dedup index.
-    pub idem: Vec<(Vec<u8>, JobId)>,
-    /// Live jobs owed to remote parents, with their origin bookkeeping.
-    pub foreign: Vec<(JobId, ForeignOrigin)>,
     /// Whether the newest log segment ended in a torn record.
     pub torn_tail: bool,
 }
@@ -244,6 +243,10 @@ struct JobRuntime {
     span: Option<ActiveSpan>,
     /// This job's trace context; parents all spans emitted on its behalf.
     trace: Option<SpanContext>,
+    /// The consign request's idempotency key (empty = none), as journalled.
+    idem_key: Vec<u8>,
+    /// The peer job this one runs for, as journalled.
+    foreign: Option<ForeignOrigin>,
 }
 
 impl JobRuntime {
@@ -279,17 +282,21 @@ impl JobRuntime {
     }
 }
 
-/// The NJS for one Usite.
+/// One shard of a Usite's NJS.
 ///
-/// A bare engine does the work on a job's own Vsite in place and only
-/// queues what is aimed at another Vsite — a sub-job, an Import, an
-/// Export or a Transfer there — for [`crate::ShardedNjs`]'s merge phase,
-/// which is the one path across a Vsite boundary. Every product path runs
-/// a `ShardedNjs`; `From<Njs>` wraps a configured engine as one shard.
-pub struct Njs {
+/// A shard does the work on a job's own Vsite in place and only queues
+/// what is aimed at another Vsite — a sub-job, an Import, an Export or a
+/// Transfer there — for [`crate::ShardedNjs`]'s merge phase, which is the
+/// one path across a Vsite boundary. A shard alone would leave such work
+/// queued for ever, so only the facade builds one.
+pub(crate) struct Njs {
     usite: String,
     vsites: Vsites,
     jobs: IdMap<JobId, JobRuntime>,
+    /// Idempotency key → the live job it consigned. Entries come and go
+    /// with their jobs (consign, replay, purge, replayed purge), so the
+    /// journal is their only durable copy.
+    by_key: HashMap<Vec<u8>, JobId>,
     /// Live jobs in consign order — which is ascending id order, since
     /// ids are allocated monotonically (and replayed in journal order).
     job_order: Vec<JobId>,
@@ -400,6 +407,7 @@ impl Njs {
             usite: usite.into(),
             vsites: Vsites::default(),
             jobs: IdMap::default(),
+            by_key: HashMap::new(),
             job_order: Vec::new(),
             wake: BTreeSet::new(),
             newly_done: Vec::new(),
@@ -479,7 +487,7 @@ impl Njs {
     /// consigned, not held, and with **no** node dispatched yet after
     /// [`DEFAULT_WATCHDOG_THRESHOLD`] has elapsed — the signature of a
     /// wedged site rather than a busy one.
-    pub fn stuck_jobs_by_vsite(&self, now: SimTime) -> HashMap<String, i64> {
+    fn stuck_jobs_by_vsite(&self, now: SimTime) -> HashMap<String, i64> {
         let mut stuck: HashMap<String, i64> = HashMap::new();
         for rt in self.jobs.values() {
             if rt.done || rt.held {
@@ -660,11 +668,6 @@ impl Njs {
         });
         self.pending
             .push_outcome_stored(job, &rt.outcome, manifest, self.clock);
-    }
-
-    /// This NJS's Usite name.
-    pub fn usite(&self) -> &str {
-        &self.usite
     }
 
     /// Registers a Vsite from its resource page and translation table.

@@ -23,7 +23,8 @@ impl Njs {
     ///   re-submitted to batch**;
     /// * finished jobs come back `done` with their outcome tree and full
     ///   Uspace manifest, ready for the client to poll and fetch;
-    /// * purged jobs stay gone;
+    /// * every live job gets back its idempotency key and peer origin;
+    /// * purged jobs stay gone, keys and origins included;
     /// * nodes that were in flight (queued or running in batch, which
     ///   died with the machine) reset to `Waiting` and are re-dispatched
     ///   by the next [`Njs::step`];
@@ -106,17 +107,15 @@ impl Njs {
                             staged,
                             *parent,
                             *at,
-                            ConsignMeta::default(),
+                            ConsignMeta {
+                                idem_key: idem_key.clone(),
+                                foreign: foreign.clone(),
+                                ..ConsignMeta::default()
+                            },
                         )?;
                         debug_assert_eq!(got, *job, "journal replay must keep job ids");
                         max_job = max_job.max(job.0);
                         report.jobs.push(*job);
-                        if !idem_key.is_empty() {
-                            report.idem.push((idem_key.clone(), *job));
-                        }
-                        if let Some(f) = foreign {
-                            report.foreign.push((*job, f.clone()));
-                        }
                     }
                     // Incarnations are informational: in-flight batch work
                     // died with the machine and is re-dispatched fresh.
@@ -266,9 +265,7 @@ impl Njs {
                         }
                     }
                     StoreEvent::JobPurged { job, .. } => {
-                        if let Some(rt) = self.jobs.remove(job) {
-                            let _ = self.vsites[rt.vsite].vspace.destroy_uspace(*job);
-                        }
+                        self.forget_job(*job);
                         purged.push(*job);
                     }
                 }
@@ -281,8 +278,6 @@ impl Njs {
             let gone = |j: &JobId| purged.binary_search(j).is_ok();
             self.job_order.retain(|j| !gone(j));
             report.jobs.retain(|j| !gone(j));
-            report.idem.retain(|(_, j)| !gone(j));
-            report.foreign.retain(|(j, _)| !gone(j));
         }
 
         // Resume allocation after the highest replayed id, staying in

@@ -11,15 +11,10 @@ impl Njs {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Completes a node whose work happened at a peer Usite.
-    pub fn complete_remote_node(&mut self, job: JobId, node: ActionId, outcome: OutcomeNode) {
-        self.complete_remote_node_with_files(job, node, outcome, Vec::new());
-    }
-
-    /// Completes a remote node, depositing edge files returned by the peer
-    /// into the parent job's Uspace so successors can consume them (files
-    /// the merge phase read from a child's Uspace at this Usite are shared
-    /// with it).
+    /// Completes a node whose work happened at a peer Usite, depositing
+    /// edge files returned by the peer into the parent job's Uspace so
+    /// successors can consume them (files the merge phase read from a
+    /// child's Uspace at this Usite are shared with it).
     pub fn complete_remote_node_with_files(
         &mut self,
         job: JobId,

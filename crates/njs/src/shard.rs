@@ -1,9 +1,9 @@
-//! Sharded NJS (E18).
+//! The NJS engine, sharded (E18).
 //!
 //! [`ShardedNjs`] splits one Usite's job state by Vsite into N
-//! independent [`Njs`] shards, each owning its jobs' runtimes, scratch
-//! vectors, and (optionally) its own WAL segment that still group-commits
-//! once per step. One thread steps the shards in index order to a
+//! independent shards, each owning its jobs' runtimes, scratch vectors,
+//! and (optionally) its own WAL segment that still group-commits once
+//! per step. One thread steps the shards in index order to a
 //! cross-shard fixpoint; consign intake routes straight to the owning
 //! shard.
 //!
@@ -30,13 +30,17 @@
 //!   it to each linked child's shard, and the parent's node reads
 //!   `Killed` with no children.
 //! * One shard is the same engine, not a short cut: the merge phase runs
-//!   for it too. `From<Njs>` wraps an already configured [`Njs`] as one
-//!   shard.
+//!   for it too. `ShardedNjs::new(usite, 1, 1)` is the plain NJS of a
+//!   Usite; a shard is never handed out on its own.
+//! * What a consign journals — the idempotency key and the peer origin —
+//!   lives with the job on its shard and nowhere else, so the journal
+//!   rebuilds it on [`ShardedNjs::recover`] and a purge forgets it.
 
 use crate::accounting::{usage_report, UsageReport, UsageRow};
 use crate::error::NjsError;
 use crate::njs::cross::CrossShardItem;
 use crate::njs::{ConsignMeta, Njs, OutgoingItem, RecoveryReport, VsiteRuntime};
+use crate::oracle::WorkOracle;
 use crate::translation::TranslationTable;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -48,7 +52,7 @@ use unicore_dataplane::TransferManifest;
 use unicore_gateway::MappedUser;
 use unicore_resources::ResourcePage;
 use unicore_sim::SimTime;
-use unicore_store::EventStore;
+use unicore_store::{EventStore, ForeignOrigin};
 use unicore_telemetry::{FlightRecorder, SpanContext, Telemetry};
 
 /// A parent→child link at this Usite, keyed by `(parent job, parent
@@ -66,7 +70,7 @@ struct Link {
     delivered: bool,
 }
 
-/// N independent NJS shards behind the exact API of one [`Njs`].
+/// A Usite's NJS: N independent shards behind one API.
 pub struct ShardedNjs {
     usite: String,
     shards: Vec<Njs>,
@@ -104,6 +108,14 @@ impl ShardedNjs {
             links: BTreeMap::new(),
             newly_done: Vec::new(),
         }
+    }
+
+    /// A one-shard NJS for `usite` whose batch work comes from `oracle`
+    /// instead of the default deterministic oracle.
+    pub fn with_oracle(usite: impl Into<String>, oracle: Box<dyn WorkOracle>) -> Self {
+        let mut njs = Self::new(usite, 1, 1);
+        njs.shards[0] = Njs::with_oracle(njs.usite.clone(), oracle);
+        njs
     }
 
     /// Number of shards.
@@ -152,8 +164,7 @@ impl ShardedNjs {
         user: MappedUser,
         now: SimTime,
     ) -> Result<JobId, NjsError> {
-        let shard = self.shard_of_vsite(&job.vsite.vsite);
-        self.shards[shard].consign(job, user, now)
+        self.consign_with_meta(job, user, now, ConsignMeta::default())
     }
 
     /// Consigns a top-level AJO with journal metadata.
@@ -175,8 +186,7 @@ impl ShardedNjs {
         user: MappedUser,
         now: SimTime,
     ) -> Result<JobId, NjsError> {
-        let shard = self.shard_of_vsite(&job.vsite.vsite);
-        self.shards[shard].consign_from_peer(job, user, now)
+        self.consign_from_peer_with_meta(job, user, now, ConsignMeta::default())
     }
 
     /// Consigns a peer job group with journal metadata.
@@ -341,9 +351,16 @@ impl ShardedNjs {
 
     /// Jobs that finished — by stepping, abort, or journal replay — since
     /// the last call. The server reports finished foreign jobs from this
-    /// list instead of scanning every job it is owed.
+    /// list instead of scanning every job it is owed: it names each one
+    /// once per process life, and once more after a replay.
     pub fn take_newly_done(&mut self) -> Vec<JobId> {
         std::mem::take(&mut self.newly_done)
+    }
+
+    /// Jobs visited by the step loops of every shard so far. An idle
+    /// step — empty wake sets, no batch event due — adds nothing.
+    pub fn job_visits(&self) -> u64 {
+        self.shards.iter().map(|s| s.job_visits()).sum()
     }
 
     /// Earliest future event across every shard's Vsites.
@@ -363,16 +380,6 @@ impl ShardedNjs {
         }
     }
 
-    /// Single-segment compatibility: attaches `store` to the only shard.
-    ///
-    /// # Panics
-    /// Panics on a facade with more than one shard — journalling shard 0
-    /// alone would lose every other shard's jobs at the next crash.
-    pub fn attach_store(&mut self, store: EventStore) {
-        assert_eq!(self.shards.len(), 1, "use attach_stores with >1 shard");
-        self.shards[0].attach_store(store);
-    }
-
     /// Shard 0's event store (single-shard compatibility accessor).
     pub fn store_mut(&mut self) -> Option<&mut EventStore> {
         self.shards[0].store_mut()
@@ -385,21 +392,18 @@ impl ShardedNjs {
 
     /// Replays every shard's journal, merges the recovery reports, and
     /// rebuilds the link registry so parents wait for their children
-    /// again. Children whose consign never reached the WAL are simply
-    /// re-dispatched by the parent's next step — the merge-phase dedup
-    /// keeps that exact-once.
+    /// again. Every live job gets back the idempotency key and the peer
+    /// origin its consign journalled. Children whose consign never reached
+    /// the WAL are simply re-dispatched by the parent's next step — the
+    /// merge-phase dedup keeps that exact-once.
     pub fn recover(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
         let mut merged = RecoveryReport::default();
         for shard in &mut self.shards {
             let report = shard.recover(now)?;
             merged.jobs.extend(report.jobs);
-            merged.idem.extend(report.idem);
-            merged.foreign.extend(report.foreign);
             merged.torn_tail |= report.torn_tail;
         }
         merged.jobs.sort();
-        merged.idem.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
-        merged.foreign.sort_by_key(|(job, _)| *job);
         self.rebuild_links();
         Ok(merged)
     }
@@ -518,6 +522,18 @@ impl ShardedNjs {
         self.shards[self.shard_of_job(job)].is_done(job)
     }
 
+    /// The live job a consign with idempotency key `key` created: a
+    /// re-delivered consign maps to it instead of running twice.
+    pub fn job_for_key(&self, key: &[u8]) -> Option<JobId> {
+        self.shards.iter().find_map(|s| s.job_for_key(key))
+    }
+
+    /// Where `job`'s outcome is owed, if a peer server consigned it on
+    /// behalf of one of its jobs.
+    pub fn foreign_of(&self, job: JobId) -> Option<&ForeignOrigin> {
+        self.shards[self.shard_of_job(job)].foreign_of(job)
+    }
+
     /// The DN of the user who consigned `job`.
     pub fn owner_dn(&self, job: JobId) -> Option<String> {
         self.shards[self.shard_of_job(job)].owner_dn(job)
@@ -545,8 +561,7 @@ impl ShardedNjs {
 
     /// Completes a node whose work happened at a peer Usite.
     pub fn complete_remote_node(&mut self, job: JobId, node: ActionId, outcome: OutcomeNode) {
-        let shard = self.shard_of_job(job);
-        self.shards[shard].complete_remote_node(job, node, outcome);
+        self.complete_remote_node_with_files(job, node, outcome, Vec::new());
     }
 
     /// Completes a remote node with the edge files a peer's message
@@ -671,7 +686,7 @@ impl ShardedNjs {
     }
 
     /// WAL tail repairs summed across every shard's segment.
-    pub fn wal_repairs(&self) -> u64 {
+    fn wal_repairs(&self) -> u64 {
         self.shards.iter().map(|s| s.wal_repairs()).sum()
     }
 
@@ -742,23 +757,5 @@ impl ShardedNjs {
     pub fn vsite_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
         let shard = self.shard_of_vsite(name);
         self.shards[shard].vsite_mut(name)
-    }
-}
-
-impl From<Njs> for ShardedNjs {
-    /// Wraps an already-configured single NJS as a one-shard facade,
-    /// preserving all of its state (jobs, Vsites, store, telemetry).
-    fn from(njs: Njs) -> Self {
-        let usite = njs.usite().to_owned();
-        let vsite_order = njs.vsite_names().to_vec();
-        let vsite_shard = vsite_order.iter().map(|n| (n.clone(), 0)).collect();
-        ShardedNjs {
-            usite,
-            shards: vec![njs],
-            vsite_shard,
-            vsite_order,
-            links: BTreeMap::new(),
-            newly_done: Vec::new(),
-        }
     }
 }

@@ -8,7 +8,7 @@ use unicore_batch::WorkModel;
 use unicore_codec::DerCodec;
 use unicore_crypto::sha256;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, TranslationTable, WorkOracle};
+use unicore_njs::{ShardedNjs, TranslationTable, WorkOracle};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, SEC};
 use unicore_telemetry::{FlightEvent, Telemetry};
@@ -52,8 +52,8 @@ impl WorkOracle for Scripted {
 
 /// FZJ with a T3E, and an "SP2" whose administrator installed the wrong
 /// translation table; the recorder is on.
-fn fzj() -> Njs {
-    let mut njs = Njs::with_oracle("FZJ", Box::new(Scripted));
+fn fzj() -> ShardedNjs {
+    let mut njs = ShardedNjs::with_oracle("FZJ", Box::new(Scripted));
     njs.set_telemetry(Telemetry::collecting(7));
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
@@ -96,7 +96,7 @@ fn job_at(vsite: &str, nodes: Vec<(u64, GraphNode)>, edges: &[(u64, u64)]) -> Ab
 }
 
 /// Steps at every batch event until the job is done.
-fn run(njs: &mut Njs, job: JobId) {
+fn run(njs: &mut ShardedNjs, job: JobId) {
     let mut now: SimTime = 0;
     njs.step(now);
     while !njs.is_done(job) {
@@ -117,7 +117,7 @@ fn lines(events: &[FlightEvent]) -> Vec<String> {
         .collect()
 }
 
-fn task_outcome(njs: &Njs, job: JobId, node: u64) -> TaskOutcome {
+fn task_outcome(njs: &ShardedNjs, job: JobId, node: u64) -> TaskOutcome {
     match njs.outcome(job).unwrap().child(ActionId(node)) {
         Some(OutcomeNode::Task(t)) => t.clone(),
         other => panic!("node {node}: {other:?}"),

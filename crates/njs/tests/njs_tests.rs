@@ -3,7 +3,7 @@
 
 use unicore_ajo::*;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, OutgoingItem, ShardedNjs, TranslationTable, INCOMING_PREFIX};
+use unicore_njs::{OutgoingItem, ShardedNjs, TranslationTable, INCOMING_PREFIX};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, SEC};
 
@@ -598,7 +598,7 @@ fn turnaround_reported() {
 
 #[test]
 fn queued_status_visible_when_machine_busy() {
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     // A tiny 4-node machine so jobs queue.
     let mut page = deployment_page("FZJ", "T3E", Architecture::CrayT3e);
     page.performance.nodes = 4;
@@ -694,7 +694,7 @@ fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
 
     let mem = MemoryBackend::new();
     let mut njs = fzj();
-    njs.attach_store(EventStore::open(Box::new(mem.clone())).unwrap());
+    njs.attach_stores(vec![EventStore::open(Box::new(mem.clone())).unwrap()]);
     *njs.vsite_mut("T3E").unwrap().vspace.xspace() = VirtualFs::with_quota(1 << 20);
 
     let hostile = TransferManifest {
@@ -769,11 +769,76 @@ fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
 /// One store on a two-shard facade would journal shard 0 and lose every
 /// other shard's jobs at the next crash: refused in release builds too.
 #[test]
-#[should_panic(expected = "use attach_stores with >1 shard")]
+#[should_panic(expected = "one WAL segment per shard")]
 fn attach_store_on_a_multi_shard_facade_panics() {
-    use unicore_njs::ShardedNjs;
     use unicore_store::{EventStore, MemoryBackend};
 
     let mut njs = ShardedNjs::new("FZJ", 2, 1);
-    njs.attach_store(EventStore::open(Box::new(MemoryBackend::new())).unwrap());
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(MemoryBackend::new())).unwrap()
+    ]);
+}
+
+/// The idempotency key and the peer origin a consign journals live with
+/// the job: a restart gets both back from the journal, and a purge — live
+/// or replayed — forgets both.
+#[test]
+fn key_and_origin_come_back_with_the_job_and_go_with_its_purge() {
+    use unicore_njs::ConsignMeta;
+    use unicore_store::{EventStore, ForeignOrigin, MemoryBackend};
+
+    let mem = MemoryBackend::new();
+    let journalled = || {
+        let mut njs = fzj();
+        njs.attach_stores(vec![EventStore::open(Box::new(mem.clone())).unwrap()]);
+        njs
+    };
+    let key = vec![0x5a; 32];
+    let origin = ForeignOrigin {
+        origin: "RUS".into(),
+        parent: JobId(41),
+        node: ActionId(2),
+        return_files: vec!["result.dat".into()],
+    };
+    let mut job = AbstractJob::new("for RUS", VsiteAddress::new("FZJ", "T3E"), attrs());
+    job.nodes
+        .push((ActionId(1), script_node("s", "sleep 30\n")));
+    let meta = ConsignMeta {
+        idem_key: key.clone(),
+        foreign: Some(origin.clone()),
+        ..ConsignMeta::default()
+    };
+
+    let mut njs = journalled();
+    let id = njs
+        .consign_from_peer_with_meta(job, user(), 0, meta)
+        .unwrap();
+    let plain = njs
+        .consign(
+            AbstractJob::new("plain", VsiteAddress::new("FZJ", "T3E"), attrs()),
+            user(),
+            0,
+        )
+        .unwrap();
+    run_until_done(&mut njs, id, HOUR);
+    assert_eq!(njs.foreign_of(plain), None);
+    drop(njs);
+
+    mem.reboot();
+    let mut njs = journalled();
+    assert_eq!(njs.recover(HOUR).unwrap().jobs, [id, plain]);
+    assert_eq!(njs.job_for_key(&key), Some(id));
+    assert_eq!(njs.foreign_of(id), Some(&origin));
+    assert_eq!(njs.foreign_of(plain), None);
+
+    njs.purge(id, DN).unwrap();
+    assert_eq!(njs.job_for_key(&key), None);
+    assert_eq!(njs.foreign_of(id), None);
+    drop(njs);
+
+    mem.reboot();
+    let mut njs = journalled();
+    assert_eq!(njs.recover(HOUR).unwrap().jobs, [plain]);
+    assert_eq!(njs.job_for_key(&key), None);
+    assert_eq!(njs.foreign_of(id), None);
 }

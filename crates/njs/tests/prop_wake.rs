@@ -1,6 +1,6 @@
 //! The event-driven step loop never loses a wake-up.
 //!
-//! `Njs::step` visits only woken jobs; in debug builds it ends by
+//! `ShardedNjs::step` visits only woken jobs; in debug builds it ends by
 //! asserting that a scan of *every* job finds nothing left to do. These
 //! tests throw arbitrary interleavings of everything that can change a
 //! job between steps at a [`ShardedNjs`] of 1 and of 4 shards,
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use std::collections::VecDeque;
 use unicore_ajo::*;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, OutgoingItem, ShardedNjs, TranslationTable};
+use unicore_njs::{OutgoingItem, ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, SEC};
 
@@ -151,8 +151,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
     )
 }
 
-fn plain() -> Njs {
-    let mut njs = Njs::new(USITE);
+fn plain() -> ShardedNjs {
+    let mut njs = ShardedNjs::new(USITE, 1, 1);
     for (vsite, arch) in VSITES {
         njs.add_vsite(
             deployment_page(USITE, vsite, arch),

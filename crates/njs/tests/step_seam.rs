@@ -11,7 +11,7 @@
 use unicore_ajo::*;
 use unicore_codec::DerCodec;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, NjsError, TranslationTable};
+use unicore_njs::{NjsError, ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, SEC};
 use unicore_store::{EventStore, MemoryBackend, StoreEvent};
@@ -26,8 +26,8 @@ fn user() -> MappedUser {
     }
 }
 
-fn fzj() -> Njs {
-    let mut njs = Njs::new("FZJ");
+fn fzj() -> ShardedNjs {
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
@@ -35,10 +35,10 @@ fn fzj() -> Njs {
     njs
 }
 
-fn journalled() -> (Njs, MemoryBackend) {
+fn journalled() -> (ShardedNjs, MemoryBackend) {
     let mem = MemoryBackend::new();
     let mut njs = fzj();
-    njs.attach_store(EventStore::open(Box::new(mem.clone())).unwrap());
+    njs.attach_stores(vec![EventStore::open(Box::new(mem.clone())).unwrap()]);
     (njs, mem)
 }
 
@@ -94,7 +94,7 @@ fn fan16() -> AbstractJob {
 
 /// Steps at every batch event from `now` until `job` is done; returns
 /// the time it finished.
-fn run_from(njs: &mut Njs, job: JobId, mut now: SimTime) -> SimTime {
+fn run_from(njs: &mut ShardedNjs, job: JobId, mut now: SimTime) -> SimTime {
     njs.step(now);
     while !njs.is_done(job) {
         now = njs.next_event_time().expect("work pending").max(now + 1);
@@ -104,7 +104,7 @@ fn run_from(njs: &mut Njs, job: JobId, mut now: SimTime) -> SimTime {
     now
 }
 
-fn run(njs: &mut Njs, job: JobId) -> SimTime {
+fn run(njs: &mut ShardedNjs, job: JobId) -> SimTime {
     run_from(njs, job, 0)
 }
 
@@ -343,7 +343,7 @@ fn half_finished_fan16_recovers_to_the_uncrashed_bytes() {
     // A new process over the same journal: the root stays terminal and
     // is not run again, the sixteen leaves are re-dispatched.
     let mut second = fzj();
-    second.attach_store(EventStore::open(Box::new(mem.clone())).unwrap());
+    second.attach_stores(vec![EventStore::open(Box::new(mem.clone())).unwrap()]);
     let report = second.recover(SEC).unwrap();
     assert_eq!(report.jobs, [id]);
     run_from(&mut second, id, SEC);
@@ -354,7 +354,7 @@ fn half_finished_fan16_recovers_to_the_uncrashed_bytes() {
         second.outcome(id).unwrap().to_der(),
         whole.outcome(id).unwrap().to_der()
     );
-    let files = |njs: &Njs| {
+    let files = |njs: &ShardedNjs| {
         let fs = njs.vsite("T3E").unwrap().vspace.uspace(id).unwrap();
         fs.list("")
             .into_iter()
@@ -366,7 +366,7 @@ fn half_finished_fan16_recovers_to_the_uncrashed_bytes() {
     // And once more from the finished journal: everything comes back
     // terminal, nothing is dispatched.
     let mut third = fzj();
-    third.attach_store(EventStore::open(Box::new(mem)).unwrap());
+    third.attach_stores(vec![EventStore::open(Box::new(mem)).unwrap()]);
     third.recover(HOUR).unwrap();
     assert!(third.is_done(id));
     third.step(HOUR);

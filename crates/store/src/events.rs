@@ -174,7 +174,8 @@ impl DerCodec for ManifestEntry {
 /// One durable fact about a job's lifecycle.
 ///
 /// The WAL is the sequence of these events; replaying them rebuilds the
-/// NJS job table and the server's idempotency index exactly.
+/// NJS job table exactly, each job's idempotency key and peer origin
+/// included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreEvent {
     /// A job was accepted (consign path): the full AJO, the resolved

@@ -15,7 +15,7 @@ use unicore::server::UnicoreServer;
 use unicore_ajo::{DetailLevel, ResourceRequest, UserAttributes, VsiteAddress};
 use unicore_client::JobPreparationAgent;
 use unicore_gateway::{Gateway, UserEntry, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture, ResourceDirectory};
 use unicore_sim::{format_time, SimTime, SEC};
 use unicore_store::{EventStore, MemoryBackend};
@@ -25,12 +25,14 @@ const DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=Alice Example";
 /// Builds the FZJ server against (a handle to) the persistent journal.
 /// Rebuilding on the same backend is "rebooting with the disk intact".
 fn boot_server(disk: &MemoryBackend) -> UnicoreServer {
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
     );
-    njs.attach_store(EventStore::open(Box::new(disk.clone())).expect("journal opens"));
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(disk.clone())).expect("journal opens")
+    ]);
     let mut uudb = Uudb::new();
     uudb.add(DN, UserEntry::new("alice1", "users"));
     UnicoreServer::new(Gateway::new("FZJ", uudb), njs)

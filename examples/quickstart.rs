@@ -13,7 +13,7 @@ use unicore::server::UnicoreServer;
 use unicore_ajo::{DetailLevel, UserAttributes, VsiteAddress};
 use unicore_client::{collect_outputs, render, status_rows, JobPreparationAgent};
 use unicore_gateway::{Gateway, UserEntry, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture, ResourceDirectory};
 use unicore_sim::format_time;
 use unicore_telemetry::Telemetry;
@@ -24,7 +24,7 @@ fn main() {
     // ---- Site administration (once per Usite) --------------------------
     // The FZJ site runs a 512-PE Cray T3E; the administrator publishes its
     // resource page and translation table and adds Alice to the UUDB.
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),

@@ -10,7 +10,7 @@ use unicore_ajo::{ResourceRequest, UserAttributes, VsiteAddress};
 use unicore_client::JobPreparationAgent;
 use unicore_codec::DerCodec;
 use unicore_gateway::{Gateway, UserEntry, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{
     Architecture, PerformanceInfo, ResourceDirectory, ResourceLimits, ResourcePageEditor,
     SoftwareKind,
@@ -53,7 +53,7 @@ fn main() {
 
     // ---- 2. Stand up the site --------------------------------------------
     println!("== 2. site bring-up (UUDB + translation tables) ==");
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         page,
         TranslationTable::for_architecture(Architecture::CrayT3e),

@@ -13,7 +13,7 @@ use unicore_ajo::{AbstractJob, DetailLevel, JobId, ResourceRequest, UserAttribut
 use unicore_client::JobPreparationAgent;
 use unicore_crypto::CryptoRng;
 use unicore_gateway::{Gateway, UserEntry, Uudb};
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture, ResourceDirectory};
 use unicore_sim::{SimTime, HOUR, SEC};
 use unicore_store::{EventStore, MemoryBackend};
@@ -25,12 +25,14 @@ const DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=phoenix";
 /// server on the same backend models rebooting the machine with its
 /// disk intact.
 fn build_server(mem: &MemoryBackend) -> UnicoreServer {
-    let mut njs = Njs::new("FZJ");
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
     );
-    njs.attach_store(EventStore::open(Box::new(mem.clone())).expect("open journal"));
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("open journal")
+    ]);
     let mut uudb = Uudb::new();
     uudb.add(DN, UserEntry::new("phoenix", "users"));
     UnicoreServer::new(Gateway::new("FZJ", uudb), njs)

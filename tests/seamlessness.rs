@@ -13,7 +13,7 @@ use unicore_ajo::{
 };
 use unicore_batch::script_matches_dialect;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, SEC};
 
@@ -100,7 +100,7 @@ fn abstract_job(usite: &str, vsite: &str) -> AbstractJob {
     job
 }
 
-fn run_to_done(njs: &mut Njs, job: JobId) -> SimTime {
+fn run_to_done(njs: &mut ShardedNjs, job: JobId) -> SimTime {
     let mut now = 0;
     njs.step(now);
     while !njs.is_done(job) && now < HOUR {
@@ -120,7 +120,7 @@ fn one_abstract_job_runs_on_every_architecture() {
         ("GEN", Architecture::Generic),
     ];
     for (vsite, arch) in cases {
-        let mut njs = Njs::new("SITE");
+        let mut njs = ShardedNjs::new("SITE", 1, 1);
         njs.add_vsite(
             deployment_page("SITE", vsite, arch),
             TranslationTable::for_architecture(arch),
@@ -186,12 +186,12 @@ fn incarnations_differ_but_match_each_dialect() {
 #[test]
 fn same_user_different_logins_per_site_no_uniform_uid() {
     // Two sites, two UUDBs, one DN — the site-autonomy property (§4).
-    let mut fzj = Njs::new("FZJ");
+    let mut fzj = ShardedNjs::new("FZJ", 1, 1);
     fzj.add_vsite(
         deployment_page("FZJ", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
     );
-    let mut rus = Njs::new("RUS");
+    let mut rus = ShardedNjs::new("RUS", 1, 1);
     rus.add_vsite(
         deployment_page("RUS", "VPP", Architecture::FujitsuVpp700),
         TranslationTable::for_architecture(Architecture::FujitsuVpp700),
@@ -231,14 +231,14 @@ fn admission_limits_differ_per_machine() {
     if let GraphNode::Task(t) = &mut big.nodes[3].1 {
         t.resources.processors = 100;
     }
-    let mut t3e = Njs::new("SITE");
+    let mut t3e = ShardedNjs::new("SITE", 1, 1);
     t3e.add_vsite(
         deployment_page("SITE", "T3E", Architecture::CrayT3e),
         TranslationTable::for_architecture(Architecture::CrayT3e),
     );
     assert!(t3e.consign(big.clone(), user("u"), 0).is_ok());
 
-    let mut sx4 = Njs::new("SITE");
+    let mut sx4 = ShardedNjs::new("SITE", 1, 1);
     sx4.add_vsite(
         deployment_page("SITE", "SX4", Architecture::NecSx4),
         TranslationTable::for_architecture(Architecture::NecSx4),

@@ -3,8 +3,8 @@
 //! The contract under test: splitting one Usite's NJS into N shards
 //! changes *nothing observable*. For every shard count — and across
 //! crash-restart with per-shard WAL segments, and under federated chaos
-//! — the terminal job outcomes must be DER-byte-identical to the plain
-//! [`Njs`] run.
+//! — the terminal job outcomes must be DER-byte-identical to the
+//! one-shard run.
 
 use proptest::prelude::*;
 use unicore::protocol::{outcome_of, Response};
@@ -12,7 +12,7 @@ use unicore::{Federation, FederationConfig};
 use unicore_ajo::*;
 use unicore_codec::DerCodec;
 use unicore_gateway::MappedUser;
-use unicore_njs::{Njs, ShardedNjs, TranslationTable};
+use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, MINUTE, SEC};
 use unicore_simnet::FaultPlan;
@@ -260,28 +260,9 @@ fn run(njs: &mut ShardedNjs) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The reference run on a plain [`Njs`].
-fn baseline() -> Vec<Vec<u8>> {
-    let mut njs = Njs::new(USITE);
-    for (vsite, arch) in VSITES {
-        njs.add_vsite(
-            deployment_page(USITE, vsite, arch),
-            TranslationTable::for_architecture(arch),
-        );
-    }
-    njs.vsite_mut("V2")
-        .unwrap()
-        .vspace
-        .xspace()
-        .write("/data/input.dat", vec![7u8; 1536], "alice")
-        .unwrap();
-    let mut facade = ShardedNjs::from(njs);
-    run(&mut facade)
-}
-
 #[test]
 fn outcomes_byte_identical_across_shard_counts() {
-    let reference = baseline();
+    let reference = run(&mut build(1));
     // The doomed job must fail, the rest succeed — in every variant.
     let statuses: Vec<bool> = reference
         .iter()
@@ -297,7 +278,7 @@ fn outcomes_byte_identical_across_shard_counts() {
     };
     assert_eq!(fetch.message, "unknown Vsite HUB/NOPE");
     // 8 is the shape gridbench's `core_step` runs.
-    for shards in [1, 2, 3, 4, 8] {
+    for shards in [2, 3, 4, 8] {
         let mut njs = build(shards);
         let outcomes = run(&mut njs);
         assert_eq!(
@@ -344,7 +325,7 @@ fn cross_shard_files_really_land() {
 
 #[test]
 fn wal_replay_is_byte_identical_per_segment() {
-    let reference = baseline();
+    let reference = run(&mut build(1));
     let shards = 2;
     let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
     let mut njs = build(shards);
@@ -390,7 +371,7 @@ fn wal_replay_is_byte_identical_per_segment() {
 
 #[test]
 fn crash_restart_mid_step_converges_to_identical_outcomes() {
-    let reference = baseline();
+    let reference = run(&mut build(1));
     // Crash at several points inside the run — including mid-pipeline,
     // with children alive on the parent's shard (1) or another one (4) —
     // and finish after reboot.
