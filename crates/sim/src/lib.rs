@@ -1,7 +1,7 @@
 //! # unicore-sim
 //!
 //! Discrete-event simulation core: a deterministic event queue with a
-//! virtual microsecond clock, plus statistics accumulators and workload
+//! virtual microsecond clock, plus log₂ histograms and workload
 //! distributions.
 //!
 //! The UNICORE paper was evaluated on a live deployment of six German
@@ -20,5 +20,5 @@ pub mod stats;
 pub mod time;
 
 pub use queue::{EventId, EventQueue};
-pub use stats::{log2_bucket, log2_bucket_limit, LogHistogram, OnlineStats, Percentiles};
+pub use stats::{log2_bucket, log2_bucket_limit, LogHistogram};
 pub use time::{format_time, millis, secs, secs_f64, SimTime, HOUR, MICRO, MILLI, MINUTE, SEC};

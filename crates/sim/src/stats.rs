@@ -1,148 +1,4 @@
-//! Online statistics and histograms for experiment reporting.
-
-/// Running mean/variance via Welford's algorithm, plus min/max.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (NaN when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (NaN when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.mean = mean;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A sample reservoir with exact percentiles (stores all samples; fine for
-/// the ≤ millions of observations our experiments produce).
-#[derive(Debug, Clone, Default)]
-pub struct Percentiles {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Percentiles {
-    /// An empty reservoir.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The `q`-quantile (0.0 ..= 1.0) by nearest-rank; NaN when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[idx]
-    }
-
-    /// Median shortcut.
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-}
+//! Log₂-bucketed histograms for latency-style values.
 
 /// Index of the power-of-two bucket covering `value` in a 64-bucket
 /// log₂ histogram: bucket 0 holds only 0, bucket `i ≥ 1` holds
@@ -222,93 +78,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.variance() - 4.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.0).abs() < 1e-9);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        let b = OnlineStats::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = OnlineStats::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 1.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let mut p = Percentiles::new();
-        for i in 1..=100 {
-            p.push(i as f64);
-        }
-        assert_eq!(p.quantile(0.0), 1.0);
-        assert_eq!(p.quantile(1.0), 100.0);
-        assert!((p.median() - 50.0).abs() <= 1.0);
-        assert!((p.quantile(0.9) - 90.0).abs() <= 1.0);
-    }
-
-    #[test]
-    fn percentiles_empty_is_nan() {
-        let mut p = Percentiles::new();
-        assert!(p.quantile(0.5).is_nan());
-    }
-
-    #[test]
-    fn percentiles_interleaved_push_and_query() {
-        let mut p = Percentiles::new();
-        p.push(10.0);
-        assert_eq!(p.median(), 10.0);
-        p.push(20.0);
-        p.push(0.0);
-        assert_eq!(p.median(), 10.0);
-    }
 
     #[test]
     fn log_histogram_buckets() {
