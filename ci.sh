@@ -80,6 +80,16 @@ if {
     exit 1
 fi
 
+echo "==> one NJS boundary: crates/core/src/server.rs above #[cfg(test)] holds no HashMap<JobId, and no HashMap<Vec<u8>, (what a consign journals is the NJS's); crates/njs/src has no pub struct Njs, no Njs in lib.rs' pub use and no free pub fn usage_report( (offenders are listed)"
+if {
+    awk '/^#\[cfg\(test\)\]/ { exit } /HashMap<(JobId|Vec<u8>),/ { print FILENAME ":" FNR ":" $0 }' crates/core/src/server.rs
+    grep -rnE 'pub struct Njs\b' crates/njs/src
+    awk '/^pub use/ { u = 1 } u && /(^|[^A-Za-z_])Njs([^A-Za-z_]|$)/ { print FILENAME ":" FNR ":" $0 } /;/ { u = 0 }' crates/njs/src/lib.rs
+    grep -rnE 'pub fn usage_report\(' crates/njs/src | grep -v 'usage_report(&self)'
+} | grep .; then
+    exit 1
+fi
+
 echo "==> monitoring plane tests"
 cargo test -q --offline -p unicore-integration-tests --test monitor_grid
 cargo test -q --offline -p unicore-client monitor
