@@ -1256,9 +1256,8 @@ mod tests {
 
     const PEER_DN: &str = "C=DE, O=RUS, OU=UNICORE, CN=RUS-server";
 
-    /// FZJ booted from its configuration, without a network, with one
-    /// job of alice's consigned and run to its end: the time it ended.
-    fn fzj_with_a_finished_job() -> (UnicoreServer, JobId, SimTime) {
+    /// FZJ booted from its configuration, without a network.
+    fn fzj() -> UnicoreServer {
         use crate::config::{SiteConfig, VsiteConfig};
         use unicore_gateway::{UserEntry, Uudb};
         use unicore_njs::TranslationTable;
@@ -1274,7 +1273,13 @@ mod tests {
             uudb,
             peer_servers: vec![PEER_DN.into()],
         };
-        let mut server = config.boot(1);
+        config.boot(1)
+    }
+
+    /// FZJ with one job of alice's consigned and run to its end: the time
+    /// it ended.
+    fn fzj_with_a_finished_job() -> (UnicoreServer, JobId, SimTime) {
+        let mut server = fzj();
         let id = consign(&mut server, &job("swept"), 0);
         let mut now = 0;
         server.step(now);
@@ -1368,6 +1373,89 @@ mod tests {
         assert_eq!(answers[1], lone);
         let outcome = server.outcome(id).expect("still there");
         assert!(outcome.status.is_success(), "nothing was delivered");
+    }
+
+    /// FZJ at time 0 with four transfers of one file to RUS (nodes 2–5),
+    /// each offer answered with an error: all four stalled until
+    /// `TRANSFER_RETRY`.
+    fn fzj_with_four_stalled_transfers() -> UnicoreServer {
+        use unicore_ajo::{DataLocation, Dependency, FileKind, PortfolioFile};
+        let mut server = fzj();
+        let mut ajo = AbstractJob::new(
+            "fan-out",
+            VsiteAddress::new("FZJ", "T3E"),
+            UserAttributes::new(DN, "users"),
+        );
+        ajo.portfolio.push(PortfolioFile {
+            name: "fields.dat".into(),
+            data: vec![7u8; 1000].into(),
+        });
+        let file_task = |name: &str, kind| {
+            GraphNode::Task(AbstractTask {
+                name: name.into(),
+                resources: ResourceRequest::minimal(),
+                kind: TaskKind::File(kind),
+            })
+        };
+        let import = FileKind::Import {
+            source: DataLocation::Workstation {
+                path: "fields.dat".into(),
+            },
+            uspace_name: "fields.dat".into(),
+        };
+        ajo.nodes.push((ActionId(1), file_task("import", import)));
+        for node in 2..=5 {
+            let ship = FileKind::Transfer {
+                uspace_name: "fields.dat".into(),
+                to_vsite: VsiteAddress::new("RUS", "VPP"),
+                dest_name: format!("fields-{node}.dat"),
+            };
+            ajo.nodes.push((ActionId(node), file_task("ship", ship)));
+            ajo.dependencies.push(Dependency {
+                from: ActionId(1),
+                to: ActionId(node),
+                files: vec![],
+            });
+        }
+        consign(&mut server, &ajo, 0);
+        let offers: Vec<u64> = server
+            .step(0)
+            .into_iter()
+            .filter(|r| matches!(r.request, Request::TransferOffer { .. }))
+            .map(|r| r.corr)
+            .collect();
+        assert_eq!(offers.len(), 4);
+        for corr in offers {
+            server.handle_response(corr, Response::Error("receiver refused".into()));
+        }
+        server
+    }
+
+    /// The nodes whose transfers a step's requests offer, in wire order.
+    fn offered_nodes(requests: &[OutboundRequest]) -> Vec<u64> {
+        requests
+            .iter()
+            .filter_map(|r| match &r.request {
+                Request::TransferOffer { manifest } => Some(manifest.origin_node.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_stalled_transfers_retry_is_the_servers_next_event() {
+        let mut server = fzj_with_four_stalled_transfers();
+        assert_eq!(server.next_event_time(), Some(TRANSFER_RETRY));
+        assert_eq!(offered_nodes(&server.step(TRANSFER_RETRY)).len(), 4);
+        assert_eq!(server.next_event_time(), None, "every transfer re-offered");
+    }
+
+    #[test]
+    fn stalled_transfers_are_re_offered_in_node_order() {
+        for _ in 0..6 {
+            let mut server = fzj_with_four_stalled_transfers();
+            assert_eq!(offered_nodes(&server.step(TRANSFER_RETRY)), [2, 3, 4, 5]);
+        }
     }
 
     #[test]

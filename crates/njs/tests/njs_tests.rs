@@ -842,3 +842,137 @@ fn key_and_origin_come_back_with_the_job_and_go_with_its_purge() {
     assert_eq!(njs.job_for_key(&key), None);
     assert_eq!(njs.foreign_of(id), None);
 }
+
+/// A receiver rebuilt from the journal is the live receiver, at every
+/// event boundary of one transfer's life: an offer, a chunk, the same
+/// chunk again, a chunk out of order, a re-offer that resumes, the same
+/// sender offering new content under the same key and length (a sender
+/// restart), the new content to completion, and a zero-length file.
+/// After each step a second facade recovers from the same journal and
+/// must agree on the receiver's progress, the staged partial's coverage
+/// and the committed bytes.
+#[test]
+fn receiver_replay_matches_live_at_every_event_boundary() {
+    use unicore_dataplane::TransferManifest;
+    use unicore_store::{EventStore, MemoryBackend};
+
+    let mem = MemoryBackend::new();
+    let journalled = || {
+        let mut njs = fzj();
+        njs.attach_stores(vec![EventStore::open(Box::new(mem.clone())).unwrap()]);
+        njs
+    };
+    let manifest = |node: u64, name: &str, data: &[u8]| {
+        TransferManifest::for_bytes(
+            "RUS",
+            JobId(9),
+            ActionId(node),
+            VsiteAddress::new("FZJ", "T3E"),
+            name,
+            DN,
+            false,
+            data,
+            256,
+        )
+    };
+    // Three chunks each (256 + 256 + 188), same length, other content.
+    let (a, b) = (vec![0xA1u8; 700], vec![0xB2u8; 700]);
+    let paths = [
+        format!("{INCOMING_PREFIX}fields.grb"),
+        format!("{INCOMING_PREFIX}empty.dat"),
+    ];
+    let seen = |njs: &ShardedNjs| {
+        let xspace = njs.vsite("T3E").unwrap().vspace.xspace_ref();
+        let files: Vec<_> = paths
+            .iter()
+            .map(|p| {
+                let committed = xspace.read_raw(p).ok().map(|f| f.data.to_vec());
+                (xspace.partial_covered(p), committed)
+            })
+            .collect();
+        let progress = [1, 2].map(|n| njs.incoming_progress("RUS", JobId(9), ActionId(n)));
+        (progress, files)
+    };
+    let check = |live: &ShardedNjs, step: &str| {
+        let mut replayed = journalled();
+        replayed.recover(HOUR).unwrap();
+        assert_eq!(seen(&replayed), seen(live), "after {step}");
+    };
+    let chunk = |data: &[u8], i: usize| data[i * 256..data.len().min((i + 1) * 256)].to_vec();
+
+    let mut live = journalled();
+    assert_eq!(
+        live.transfer_offer(manifest(1, "fields.grb", &a), "alice1")
+            .unwrap(),
+        0
+    );
+    check(&live, "offer A");
+    let ack = live.transfer_chunk("RUS", JobId(9), ActionId(1), 0, &chunk(&a, 0));
+    assert_eq!(ack.unwrap(), (1, false));
+    check(&live, "A chunk 0");
+    let ack = live.transfer_chunk("RUS", JobId(9), ActionId(1), 0, &chunk(&a, 0));
+    assert_eq!(ack.unwrap(), (1, false));
+    check(&live, "A chunk 0 again");
+    let ack = live.transfer_chunk("RUS", JobId(9), ActionId(1), 2, &chunk(&a, 2));
+    assert_eq!(ack.unwrap(), (1, false));
+    check(&live, "A chunk 2 out of order");
+    assert_eq!(
+        live.transfer_offer(manifest(1, "fields.grb", &a), "alice1")
+            .unwrap(),
+        1
+    );
+    check(&live, "A re-offered");
+    assert_eq!(
+        live.transfer_offer(manifest(1, "fields.grb", &b), "alice1")
+            .unwrap(),
+        0
+    );
+    check(&live, "B offered");
+    for i in 0..3 {
+        let ack = live.transfer_chunk("RUS", JobId(9), ActionId(1), i as u64, &chunk(&b, i));
+        assert_eq!(ack.unwrap(), (i as u64 + 1, i == 2));
+        check(&live, &format!("B chunk {i}"));
+    }
+    assert_eq!(
+        live.transfer_offer(manifest(2, "empty.dat", &[]), "alice1")
+            .unwrap(),
+        0
+    );
+    check(&live, "a zero-length offer");
+
+    let (_, files) = seen(&live);
+    assert_eq!(files[0], (None, Some(b)));
+    assert_eq!(files[1], (None, Some(Vec::new())));
+}
+
+/// A Monitor report counts the slow-dispatch watchdog once for the whole
+/// site: on two shards, a job wedged on the second shard's Vsite shows in
+/// that Vsite's row and in the report's `njs.watchdog.stuck` gauge alike.
+#[test]
+fn the_watchdog_gauge_counts_the_stuck_jobs_of_every_shard() {
+    use unicore_telemetry::Telemetry;
+
+    let mut njs = ShardedNjs::new("FZJ", 2, 1);
+    njs.add_vsite(
+        deployment_page("FZJ", "T3E", Architecture::CrayT3e),
+        TranslationTable::for_architecture(Architecture::CrayT3e),
+    );
+    njs.add_vsite(
+        deployment_page("FZJ", "SP2", Architecture::IbmSp2),
+        TranslationTable::for_architecture(Architecture::IbmSp2),
+    );
+    njs.set_telemetry(Telemetry::collecting(1));
+    let mut job = AbstractJob::new("wedged", VsiteAddress::new("FZJ", "SP2"), attrs());
+    job.nodes
+        .push((ActionId(1), script_node("s", "sleep 30\n")));
+    njs.consign(job, user(), 0).unwrap();
+
+    let report = njs.monitor_report(61 * SEC);
+    let rows: Vec<(&str, i64)> = report
+        .vsites
+        .iter()
+        .map(|v| (v.vsite.as_str(), v.stuck_jobs))
+        .collect();
+    assert_eq!(rows, [("T3E", 0), ("SP2", 1)]);
+    assert_eq!(report.metrics.gauge("njs.watchdog.stuck"), 1);
+}
