@@ -126,22 +126,12 @@ pub struct BatchSystem {
 }
 
 /// Queue/run telemetry, fetched once from the registry.
+#[derive(Default)]
 struct BatchMetrics {
     submitted: Counter,
     completed: Counter,
     wait_us: Histogram,
     run_us: Histogram,
-}
-
-impl Default for BatchMetrics {
-    fn default() -> Self {
-        BatchMetrics {
-            submitted: Counter::detached(),
-            completed: Counter::detached(),
-            wait_us: Histogram::detached(),
-            run_us: Histogram::detached(),
-        }
-    }
 }
 
 impl BatchSystem {

@@ -113,23 +113,15 @@ struct OutboundTransfer {
 }
 
 /// Broker counters.
+#[derive(Default)]
 struct BrokerMetrics {
     requests: Counter,
     retargets: Counter,
     quota_denied: Counter,
 }
 
-impl Default for BrokerMetrics {
-    fn default() -> Self {
-        BrokerMetrics {
-            requests: Counter::detached(),
-            retargets: Counter::detached(),
-            quota_denied: Counter::detached(),
-        }
-    }
-}
-
 /// Sender-side data-plane counters.
+#[derive(Default)]
 struct DataplaneMetrics {
     bytes_sent: Counter,
     chunks_sent: Counter,
@@ -137,19 +129,6 @@ struct DataplaneMetrics {
     transfers_completed: Counter,
     transfers_resumed: Counter,
     transfers_failed: Counter,
-}
-
-impl Default for DataplaneMetrics {
-    fn default() -> Self {
-        DataplaneMetrics {
-            bytes_sent: Counter::detached(),
-            chunks_sent: Counter::detached(),
-            chunks_acked: Counter::detached(),
-            transfers_completed: Counter::detached(),
-            transfers_resumed: Counter::detached(),
-            transfers_failed: Counter::detached(),
-        }
-    }
 }
 
 /// One Usite's UNICORE server.

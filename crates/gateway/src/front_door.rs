@@ -87,6 +87,7 @@ struct LiveEntry {
     killed: Arc<AtomicBool>,
 }
 
+#[derive(Default)]
 struct FrontMetrics {
     active: Gauge,
     full: Counter,
@@ -99,19 +100,6 @@ struct FrontMetrics {
 }
 
 impl FrontMetrics {
-    fn detached() -> Self {
-        FrontMetrics {
-            active: Gauge::default(),
-            full: Counter::detached(),
-            resumed: Counter::detached(),
-            failed: Counter::detached(),
-            killed: Counter::detached(),
-            invalidated: Counter::detached(),
-            connect_allowed: Counter::detached(),
-            connect_rejected: Counter::detached(),
-        }
-    }
-
     fn new(t: &Telemetry) -> Self {
         FrontMetrics {
             active: t.gauge("gateway.sessions.active"),
@@ -154,7 +142,7 @@ impl FrontDoor {
             next_conn: 0,
             live: HashMap::new(),
             telemetry: Telemetry::disabled(),
-            metrics: FrontMetrics::detached(),
+            metrics: FrontMetrics::default(),
         }
     }
 

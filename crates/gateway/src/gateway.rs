@@ -61,6 +61,7 @@ struct CachedMapping {
 }
 
 /// Authentication counters, fetched once from the telemetry registry.
+#[derive(Default)]
 struct GatewayMetrics {
     accepted: Counter,
     refused: Counter,
@@ -68,19 +69,6 @@ struct GatewayMetrics {
     ratelimit_allowed: Counter,
     ratelimit_rejected: Counter,
     revoked_rejected: Counter,
-}
-
-impl Default for GatewayMetrics {
-    fn default() -> Self {
-        GatewayMetrics {
-            accepted: Counter::detached(),
-            refused: Counter::detached(),
-            audit_dropped: Counter::detached(),
-            ratelimit_allowed: Counter::detached(),
-            ratelimit_rejected: Counter::detached(),
-            revoked_rejected: Counter::detached(),
-        }
-    }
 }
 
 impl GatewayMetrics {

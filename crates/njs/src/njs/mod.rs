@@ -371,6 +371,7 @@ pub(crate) struct Njs {
 pub const DEFAULT_WATCHDOG_THRESHOLD: SimTime = 60 * unicore_sim::SEC;
 
 /// NJS counters/histograms, fetched once from the registry.
+#[derive(Default)]
 struct NjsMetrics {
     consigned: Counter,
     incarnations: Counter,
@@ -379,20 +380,6 @@ struct NjsMetrics {
     transfer_chunks: Counter,
     transfer_bytes: Counter,
     transfers_received: Counter,
-}
-
-impl Default for NjsMetrics {
-    fn default() -> Self {
-        NjsMetrics {
-            consigned: Counter::detached(),
-            incarnations: Counter::detached(),
-            completed: Counter::detached(),
-            duration_us: Histogram::detached(),
-            transfer_chunks: Counter::detached(),
-            transfer_bytes: Counter::detached(),
-            transfers_received: Counter::detached(),
-        }
-    }
 }
 
 impl Njs {

@@ -144,6 +144,7 @@ pub struct EventStore {
 }
 
 /// WAL health counters, fetched once from the telemetry registry.
+#[derive(Default)]
 struct WalMetrics {
     appends: Counter,
     bytes: Counter,
@@ -152,18 +153,6 @@ struct WalMetrics {
     /// Whether this store's own open-time repair was already counted
     /// (`set_telemetry` may be called more than once).
     repair_reported: bool,
-}
-
-impl Default for WalMetrics {
-    fn default() -> Self {
-        WalMetrics {
-            appends: Counter::detached(),
-            bytes: Counter::detached(),
-            rotations: Counter::detached(),
-            repairs: Counter::detached(),
-            repair_reported: false,
-        }
-    }
 }
 
 impl EventStore {

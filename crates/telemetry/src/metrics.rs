@@ -8,18 +8,14 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use unicore_sim::{log2_bucket, log2_bucket_limit};
 
-/// A monotonically increasing counter. Cloning shares the cell.
+/// A monotonically increasing counter. Cloning shares the cell; a
+/// default one is attached to no registry (and always usable).
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// A counter not attached to any registry (always usable).
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -87,11 +83,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// A histogram not attached to any registry.
-    pub fn detached() -> Histogram {
-        Histogram::default()
-    }
-
     /// Records a non-negative observation.
     pub fn record(&self, value: u64) {
         let c = &self.inner;
@@ -335,12 +326,12 @@ mod tests {
         // Median lands in the bucket covering 3 → upper bound 4.
         assert_eq!(h.approx_quantile(0.5), 4);
         assert!(h.approx_quantile(1.0) >= 1024);
-        assert_eq!(Histogram::detached().approx_quantile(0.5), 0);
+        assert_eq!(Histogram::default().approx_quantile(0.5), 0);
     }
 
     #[test]
     fn histogram_bucket_geometry_matches_sim() {
-        let h = Histogram::detached();
+        let h = Histogram::default();
         let mut reference = unicore_sim::LogHistogram::new();
         let mut x: u64 = 1;
         for _ in 0..1000 {

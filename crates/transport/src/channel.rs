@@ -48,8 +48,8 @@ impl SecureChannel {
             resumed,
             session_id,
             closed: false,
-            sealed: Counter::detached(),
-            opened: Counter::detached(),
+            sealed: Counter::default(),
+            opened: Counter::default(),
             seal_buf: Vec::new(),
             open_buf: Vec::new(),
         }
