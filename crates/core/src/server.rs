@@ -142,8 +142,9 @@ pub struct UnicoreServer {
     pending: HashMap<u64, Pending>,
     next_corr: u64,
     telemetry: Telemetry,
-    /// Outbound chunked transfers by (local job, transfer node).
-    transfers: HashMap<(JobId, ActionId), OutboundTransfer>,
+    /// Outbound chunked transfers by (local job, transfer node), in key
+    /// order so stalled transfers re-offer in the same order every run.
+    transfers: BTreeMap<(JobId, ActionId), OutboundTransfer>,
     /// Requests produced outside [`UnicoreServer::step`] (chunk sends
     /// triggered by acks in `handle_response`), drained by the next step.
     outq: Vec<OutboundRequest>,
@@ -271,7 +272,7 @@ impl UnicoreServer {
             pending: HashMap::new(),
             next_corr: 1,
             telemetry: Telemetry::disabled(),
-            transfers: HashMap::new(),
+            transfers: BTreeMap::new(),
             outq: Vec::new(),
             clock: 0,
             dp: DataplaneMetrics::default(),
@@ -752,18 +753,9 @@ impl UnicoreServer {
                     {
                         self.retarget_subjob(parent, node, *ajo, return_files, tried);
                     }
-                    Response::Error(_) => {
-                        // The peer refused outright, or every admissible
-                        // site has been tried: the node fails.
-                        self.njs.complete_remote_node(
-                            parent,
-                            node,
-                            OutcomeNode::Job(JobOutcome {
-                                status: ActionStatus::NotSuccessful,
-                                children: Vec::new(),
-                            }),
-                        );
-                    }
+                    // The peer refused outright, or every admissible site
+                    // has been tried.
+                    Response::Error(_) => self.fail_subjob(parent, node),
                     // On Consigned{..} the node stays in Remote state
                     // until the outcome is delivered back.
                     _ => {}
@@ -818,17 +810,81 @@ impl UnicoreServer {
         }
     }
 
+    /// Allocates a correlation id, records what its answer resolves and
+    /// builds the request: the one way a request to a peer is made.
+    fn peer_request(
+        &mut self,
+        dest: String,
+        pending: Pending,
+        request: Request,
+        trace: Option<SpanContext>,
+    ) -> OutboundRequest {
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        self.pending.insert(corr, pending);
+        OutboundRequest {
+            dest,
+            corr,
+            request,
+            trace,
+        }
+    }
+
+    /// Forwards a sub-job to the Usite its AJO names, after `tried`. The
+    /// placement is journalled *before* the forward leaves, so a
+    /// crash-restart replay of the same seed shows the identical trail:
+    /// attempt 0 is the AJO's own target, and each retarget continues it
+    /// with the sites already tried excluded.
+    fn forward_subjob(
+        &mut self,
+        parent: JobId,
+        node: ActionId,
+        ajo: AbstractJob,
+        return_files: Vec<String>,
+        mut tried: Vec<String>,
+    ) -> OutboundRequest {
+        let attempt = tried.len() as u32;
+        self.njs
+            .journal_placement(parent, node, &ajo.vsite.to_string(), &tried, attempt);
+        let dest = ajo.vsite.usite.clone();
+        tried.push(dest.clone());
+        let pending = Pending::SubJobConsign {
+            parent,
+            node,
+            ajo: Box::new(ajo.clone()),
+            return_files: return_files.clone(),
+            tried,
+        };
+        let request = Request::ConsignSubJob {
+            ajo,
+            origin: self.usite.clone(),
+            parent,
+            node,
+            return_files,
+        };
+        let trace = self.njs.trace_of(parent);
+        self.peer_request(dest, pending, request, trace)
+    }
+
+    /// Fails a sub-job node no site will run.
+    fn fail_subjob(&mut self, parent: JobId, node: ActionId) {
+        let outcome = JobOutcome {
+            status: ActionStatus::NotSuccessful,
+            children: Vec::new(),
+        };
+        self.njs
+            .complete_remote_node(parent, node, OutcomeNode::Job(outcome));
+    }
+
     /// Retargets a sub-job whose site went dark: re-rank the grid with
-    /// the tried sites excluded, journal the new placement *before* the
-    /// forward leaves (so a crash-restart replay of the same seed shows
-    /// the identical trail), and re-forward the rewritten AJO.
+    /// the tried sites excluded and re-forward the rewritten AJO.
     fn retarget_subjob(
         &mut self,
         parent: JobId,
         node: ActionId,
         mut ajo: AbstractJob,
         return_files: Vec<String>,
-        mut tried: Vec<String>,
+        tried: Vec<String>,
     ) {
         let request = aggregate_request(&ajo);
         let staging = staging_mb(&ajo);
@@ -838,22 +894,12 @@ impl UnicoreServer {
         // runs remotely, and a loop through the local queue would dodge
         // that decision.
         let Some(next) = offers.iter().find(|o| o.vsite.usite != self.usite) else {
-            self.njs.complete_remote_node(
-                parent,
-                node,
-                OutcomeNode::Job(JobOutcome {
-                    status: ActionStatus::NotSuccessful,
-                    children: Vec::new(),
-                }),
-            );
+            self.fail_subjob(parent, node);
             return;
         };
         self.broker_metrics.retargets.inc();
-        let attempt = tried.len() as u32;
         let from = ajo.vsite.to_string();
         ajo.vsite = next.vsite.clone();
-        self.njs
-            .journal_placement(parent, node, &ajo.vsite.to_string(), &tried, attempt);
         if self.telemetry.is_enabled() {
             let mut span =
                 self.telemetry
@@ -862,38 +908,18 @@ impl UnicoreServer {
             span.attr("to", &ajo.vsite.usite);
             self.telemetry.end(span, self.clock);
         }
-        let dest = next.vsite.usite.clone();
-        tried.push(dest.clone());
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        self.pending.insert(
-            corr,
-            Pending::SubJobConsign {
-                parent,
-                node,
-                ajo: Box::new(ajo.clone()),
-                return_files: return_files.clone(),
-                tried,
-            },
-        );
-        let trace = self.njs.trace_of(parent);
-        self.outq.push(OutboundRequest {
-            dest,
-            corr,
-            request: Request::ConsignSubJob {
-                ajo,
-                origin: self.usite.clone(),
-                parent,
-                node,
-                return_files,
-            },
-            trace,
-        });
+        let forward = self.forward_subjob(parent, node, ajo, return_files, tried);
+        self.outq.push(forward);
     }
 
-    /// Earliest pending local event.
+    /// Earliest pending local event: the NJS's next one, or a stalled
+    /// transfer's re-offer.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.njs.next_event_time()
+        let retries = self.transfers.values().filter_map(|tr| match tr.phase {
+            TransferPhase::Stalled { retry_at } => Some(retry_at),
+            _ => None,
+        });
+        retries.chain(self.njs.next_event_time()).min()
     }
 
     /// Advances local work to `now` and returns requests for peers.
@@ -929,38 +955,7 @@ impl UnicoreServer {
                     node,
                     ajo,
                     return_files,
-                } => {
-                    let dest = ajo.vsite.usite.clone();
-                    // Attempt 0: the AJO's own target. Journaled so the
-                    // placement trail starts where the retargets (if
-                    // any) continue.
-                    self.njs
-                        .journal_placement(parent, node, &ajo.vsite.to_string(), &[], 0);
-                    let corr = self.next_corr;
-                    self.next_corr += 1;
-                    self.pending.insert(
-                        corr,
-                        Pending::SubJobConsign {
-                            parent,
-                            node,
-                            ajo: Box::new(ajo.clone()),
-                            return_files: return_files.clone(),
-                            tried: vec![dest.clone()],
-                        },
-                    );
-                    out.push(OutboundRequest {
-                        dest,
-                        corr,
-                        request: Request::ConsignSubJob {
-                            ajo,
-                            origin: self.usite.clone(),
-                            parent,
-                            node,
-                            return_files,
-                        },
-                        trace: self.njs.trace_of(parent),
-                    });
-                }
+                } => out.push(self.forward_subjob(parent, node, ajo, return_files, Vec::new())),
                 OutgoingItem::Transfer {
                     from_job,
                     node,
@@ -1040,15 +1035,8 @@ impl UnicoreServer {
             }
         }
         for (dest, (deliveries, trace)) in batches {
-            let corr = self.next_corr;
-            self.next_corr += 1;
-            self.pending.insert(corr, Pending::OutcomeDelivery);
-            out.push(OutboundRequest {
-                dest,
-                corr,
-                request: Request::DeliverOutcomes { deliveries },
-                trace,
-            });
+            let request = Request::DeliverOutcomes { deliveries };
+            out.push(self.peer_request(dest, Pending::OutcomeDelivery, request, trace));
         }
         // Offers queued while draining the outbox above.
         out.append(&mut self.outq);
@@ -1061,17 +1049,10 @@ impl UnicoreServer {
             return;
         };
         let (dest, manifest) = (tr.dest.clone(), tr.sender.manifest().clone());
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        self.pending
-            .insert(corr, Pending::TransferOffer { job, node });
+        let request = Request::TransferOffer { manifest };
         let trace = self.njs.trace_of(job);
-        self.outq.push(OutboundRequest {
-            dest,
-            corr,
-            request: Request::TransferOffer { manifest },
-            trace,
-        });
+        let offer = self.peer_request(dest, Pending::TransferOffer { job, node }, request, trace);
+        self.outq.push(offer);
     }
 
     /// Queues one chunk send for an in-window index.
@@ -1084,23 +1065,16 @@ impl UnicoreServer {
         let origin = tr.sender.manifest().origin.clone();
         self.dp.chunks_sent.inc();
         self.dp.bytes_sent.add(data.len() as u64);
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        self.pending
-            .insert(corr, Pending::TransferChunk { job, node });
+        let request = Request::TransferChunk {
+            origin,
+            origin_job: job,
+            origin_node: node,
+            index,
+            data,
+        };
         let trace = self.njs.trace_of(job);
-        self.outq.push(OutboundRequest {
-            dest,
-            corr,
-            request: Request::TransferChunk {
-                origin,
-                origin_job: job,
-                origin_node: node,
-                index,
-                data,
-            },
-            trace,
-        });
+        let chunk = self.peer_request(dest, Pending::TransferChunk { job, node }, request, trace);
+        self.outq.push(chunk);
     }
 
     /// Ends a transfer: `None` completes its node with the full byte

@@ -33,8 +33,7 @@ impl Njs {
         if !manifest.well_formed() {
             return Err(NjsError::BadManifest);
         }
-        let key = manifest.key();
-        if let Some(entry) = self.incoming.get(&key) {
+        if let Some(entry) = self.incoming.get(&manifest.key()) {
             if entry.state.manifest() == &manifest {
                 let watermark = entry.state.watermark();
                 if watermark > 0 && !entry.state.is_complete() {
@@ -42,21 +41,36 @@ impl Njs {
                 }
                 return Ok(watermark);
             }
-            // Same sender identity, different manifest: the sender
-            // restarted with new content or geometry. Drop the stale
-            // partial and start over.
-            let (vsite, path) = (entry.vsite.clone(), entry.path.clone());
-            if let Some(v) = self.vsites.get_mut(&vsite) {
-                let _ = v.vspace.xspace().abort_partial(&path);
+        }
+        self.open_incoming(manifest, login)?;
+        self.flush_events();
+        Ok(0)
+    }
+
+    /// Opens a fresh receiver for `manifest`: the one path a live offer
+    /// and a replayed `TransferOpened` both take. A receiver the same
+    /// sender opened before under another manifest — the sender restarted
+    /// with new content or geometry — is dropped with its staged partial.
+    pub(super) fn open_incoming(
+        &mut self,
+        manifest: TransferManifest,
+        login: &str,
+    ) -> Result<(), NjsError> {
+        let key = manifest.key();
+        if let Some(stale) = self.incoming.remove(&key) {
+            if let Some(v) = self.vsites.get_mut(&stale.vsite) {
+                let _ = v.vspace.xspace().abort_partial(&stale.path);
             }
-            self.incoming.remove(&key);
         }
         let path = format!("{INCOMING_PREFIX}{}", manifest.dest_name);
         let vsite = manifest.to_vsite.vsite.clone();
-        self.vsites
-            .get_mut(&vsite)
-            .expect("checked above")
-            .vspace
+        let Some(v) = self.vsites.get_mut(&vsite) else {
+            return Err(NjsError::UnknownVsite {
+                vsite: manifest.to_vsite.to_string(),
+                usite: self.usite.clone(),
+            });
+        };
+        v.vspace
             .xspace()
             .begin_partial(&path, manifest.total_len, login)?;
         self.log_event(StoreEvent::TransferOpened {
@@ -79,10 +93,8 @@ impl Njs {
         // A zero-length file has no chunks to wait for.
         if self.incoming[&key].state.is_complete() {
             self.finalize_incoming(&key)?;
-            self.metrics.transfers_received.inc();
         }
-        self.flush_events();
-        Ok(0)
+        Ok(())
     }
 
     /// Accepts one chunk of an open incoming transfer.
@@ -105,18 +117,36 @@ impl Njs {
             origin_job,
             origin_node,
         };
+        let entry = self.incoming.get(&key).ok_or(NjsError::UnknownTransfer)?;
+        let m = entry.state.manifest();
+        if !entry.state.is_received(index)
+            && (index >= m.num_chunks() || !m.verify_chunk(index, data))
+        {
+            return Err(NjsError::CorruptChunk { index });
+        }
+        let ack = self.store_chunk(&key, index, data)?;
+        self.flush_events();
+        Ok(ack)
+    }
+
+    /// Stores one verified chunk of an open incoming transfer and returns
+    /// the cumulative ack: the one path a live chunk and a replayed
+    /// `TransferChunkStored` both take. A chunk already held is acked
+    /// again without touching storage.
+    pub(super) fn store_chunk(
+        &mut self,
+        key: &TransferKey,
+        index: u64,
+        data: &[u8],
+    ) -> Result<(u64, bool), NjsError> {
         let entry = self
             .incoming
-            .get_mut(&key)
+            .get_mut(key)
             .ok_or(NjsError::UnknownTransfer)?;
         if entry.state.is_received(index) {
             return Ok((entry.state.watermark(), entry.state.is_complete()));
         }
-        let m = entry.state.manifest();
-        if index >= m.num_chunks() || !m.verify_chunk(index, data) {
-            return Err(NjsError::CorruptChunk { index });
-        }
-        let offset = m.chunk_range(index).start as u64;
+        let offset = entry.state.manifest().chunk_range(index).start as u64;
         // Store before marking: a quota failure must leave the chunk
         // unheld so a later retry (after the user frees space) can land.
         self.vsites
@@ -127,26 +157,26 @@ impl Njs {
             .write_partial(&entry.path, offset, data, &entry.login)?;
         entry.state.mark_received(index);
         let (upto, done) = (entry.state.watermark(), entry.state.is_complete());
-        self.metrics.transfer_chunks.inc();
-        self.metrics.transfer_bytes.add(data.len() as u64);
+        if !self.recovering {
+            self.metrics.transfer_chunks.inc();
+            self.metrics.transfer_bytes.add(data.len() as u64);
+        }
         // The journal holds the delivered bytes themselves — Xspace
         // contents are not otherwise durable, so chunk events are the
         // file's write-ahead copy and are retained through compaction.
         if self.journalling() {
             self.pending.push_transfer_chunk_stored(
-                origin,
-                origin_job,
-                origin_node,
+                &key.origin,
+                key.origin_job,
+                key.origin_node,
                 index,
                 data,
                 self.clock,
             );
         }
         if done {
-            self.finalize_incoming(&key)?;
-            self.metrics.transfers_received.inc();
+            self.finalize_incoming(key)?;
         }
-        self.flush_events();
         Ok((upto, done))
     }
 
@@ -165,25 +195,22 @@ impl Njs {
         })
     }
 
-    /// Commits a completed transfer's staged partial, flipping the file
-    /// visible atomically (checksum-gated against the manifest's whole
-    /// file hash). A no-op if the partial was already committed — the
-    /// recovery republish path lands here a second time.
-    pub(super) fn finalize_incoming(&mut self, key: &TransferKey) -> Result<(), NjsError> {
-        let Some(entry) = self.incoming.get(key) else {
-            return Ok(());
-        };
+    /// Commits the staged partial of a transfer that just became
+    /// complete, flipping the file visible atomically (checksum-gated
+    /// against the manifest's whole file hash), and counts it received
+    /// when this is live work, not a replay.
+    fn finalize_incoming(&mut self, key: &TransferKey) -> Result<(), NjsError> {
+        let entry = &self.incoming[key];
         let m = entry.state.manifest();
-        let (sum, world) = (m.file_sum, m.world_readable);
-        let (vsite, path) = (entry.vsite.clone(), entry.path.clone());
-        let Some(v) = self.vsites.get_mut(&vsite) else {
-            return Ok(());
-        };
-        let fs = v.vspace.xspace();
-        if !fs.has_partial(&path) {
-            return Ok(());
+        self.vsites
+            .get_mut(&entry.vsite)
+            .expect("vsite checked at offer")
+            .vspace
+            .xspace()
+            .commit_partial(&entry.path, Some(m.file_sum), m.world_readable)?;
+        if !self.recovering {
+            self.metrics.transfers_received.inc();
         }
-        fs.commit_partial(&path, Some(sum), world)?;
         Ok(())
     }
 

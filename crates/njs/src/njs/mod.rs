@@ -37,8 +37,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
-    AbstractJob, ActionId, DependencyIndex, JobId, JobOutcome, MonitorReport, OutcomeNode,
-    TaskOutcome, VsiteAddress, VsiteHealth,
+    AbstractJob, ActionId, DependencyIndex, JobId, JobOutcome, OutcomeNode, TaskOutcome,
+    VsiteAddress, VsiteHealth,
 };
 use unicore_batch::{BatchJobId, BatchSystem, IdMap};
 use unicore_dataplane::{ReceiverState, TransferKey};
@@ -470,26 +470,6 @@ impl Njs {
         &self.flight
     }
 
-    /// Jobs flagged by the slow-dispatch watchdog at `now`, per Vsite:
-    /// consigned, not held, and with **no** node dispatched yet after
-    /// [`DEFAULT_WATCHDOG_THRESHOLD`] has elapsed — the signature of a
-    /// wedged site rather than a busy one.
-    fn stuck_jobs_by_vsite(&self, now: SimTime) -> HashMap<String, i64> {
-        let mut stuck: HashMap<String, i64> = HashMap::new();
-        for rt in self.jobs.values() {
-            if rt.done || rt.held {
-                continue;
-            }
-            if now.saturating_sub(rt.consigned_at) <= DEFAULT_WATCHDOG_THRESHOLD {
-                continue;
-            }
-            if rt.states.iter().all(|s| *s == NodeState::Waiting) {
-                *stuck.entry(rt.job.vsite.vsite.clone()).or_default() += 1;
-            }
-        }
-        stuck
-    }
-
     /// WAL tail repairs performed by the attached store (0 without one).
     /// Surfaced separately from the metrics registry so the monitor
     /// report shows the repair even when telemetry was never enabled.
@@ -500,38 +480,35 @@ impl Njs {
             .unwrap_or(0)
     }
 
-    /// The Monitor service: this site's health report — a metrics
-    /// snapshot (with the WAL repair counter overlaid), the span
-    /// breakdown, and per-Vsite gauges including the slow-dispatch
-    /// watchdog count.
-    pub fn monitor_report(&self, now: SimTime) -> MonitorReport {
-        let stuck = self.stuck_jobs_by_vsite(now);
-        let total_stuck: i64 = stuck.values().sum();
-        self.telemetry.gauge("njs.watchdog.stuck").set(total_stuck);
-        let mut metrics = self.telemetry.metrics_snapshot();
-        metrics
-            .counters
-            .insert("store.wal.repairs".into(), self.wal_repairs());
-        let vsites = self
-            .vsites
+    /// This shard's rows of the Monitor report, in registration order:
+    /// each Vsite's batch gauges and its slow-dispatch watchdog count —
+    /// jobs consigned, not held, and with **no** node dispatched yet after
+    /// [`DEFAULT_WATCHDOG_THRESHOLD`] has elapsed, the signature of a
+    /// wedged site rather than a busy one.
+    pub(crate) fn vsite_health(&self, now: SimTime) -> Vec<VsiteHealth> {
+        let mut stuck = vec![0i64; self.vsites.list.len()];
+        for rt in self.jobs.values() {
+            if !rt.done
+                && !rt.held
+                && now.saturating_sub(rt.consigned_at) > DEFAULT_WATCHDOG_THRESHOLD
+                && rt.states.iter().all(|s| *s == NodeState::Waiting)
+            {
+                stuck[rt.vsite] += 1;
+            }
+        }
+        self.vsites
             .names
             .iter()
             .zip(&self.vsites.list)
-            .map(|(name, v)| VsiteHealth {
+            .zip(stuck)
+            .map(|((name, v), stuck_jobs)| VsiteHealth {
                 vsite: name.clone(),
                 free_nodes: v.batch.free_nodes() as i64,
                 queue_length: v.batch.queue_length() as i64,
                 running: v.batch.running_count() as i64,
-                stuck_jobs: stuck.get(name).copied().unwrap_or(0),
+                stuck_jobs,
             })
-            .collect();
-        MonitorReport {
-            usite: self.usite.clone(),
-            metrics,
-            spans: self.telemetry.breakdown(),
-            vsites,
-            epoch: None,
-        }
+            .collect()
     }
 
     /// The telemetry handle this NJS reports into.

@@ -1,12 +1,12 @@
 //! Recovery: journal replay back into the job table.
 
-use super::{ConsignMeta, IncomingTransfer, Njs, NodeState, RecoveryReport, INCOMING_PREFIX};
+use super::{ConsignMeta, Njs, NodeState, RecoveryReport};
 use crate::error::NjsError;
 use std::collections::HashMap;
 use std::sync::Arc;
 use unicore_ajo::{AbstractJob, JobId, JobOutcome, OutcomeNode};
 use unicore_codec::DerCodec;
-use unicore_dataplane::{ReceiverState, TransferKey, TransferManifest};
+use unicore_dataplane::{TransferKey, TransferManifest};
 use unicore_gateway::MappedUser;
 use unicore_sim::SimTime;
 use unicore_store::{ManifestEntry, StoreError, StoreEvent};
@@ -201,6 +201,9 @@ impl Njs {
                             }
                         }
                     }
+                    // Transfers replay through the receiver's live path, so
+                    // what it rebuilds is what the live receiver held. A
+                    // step the live receiver refused was never journalled.
                     StoreEvent::TransferOpened {
                         manifest_der,
                         login,
@@ -208,28 +211,7 @@ impl Njs {
                     } => {
                         let manifest = TransferManifest::from_der(manifest_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
-                        let key = manifest.key();
-                        let path = format!("{INCOMING_PREFIX}{}", manifest.dest_name);
-                        let vsite = manifest.to_vsite.vsite.clone();
-                        if let Some(v) = self.vsites.get_mut(&vsite) {
-                            let _ =
-                                v.vspace
-                                    .xspace()
-                                    .begin_partial(&path, manifest.total_len, login);
-                            self.incoming.insert(
-                                key.clone(),
-                                IncomingTransfer {
-                                    state: ReceiverState::new(manifest),
-                                    login: login.clone(),
-                                    vsite,
-                                    path,
-                                },
-                            );
-                            // A zero-length transfer is complete at open.
-                            if self.incoming[&key].state.is_complete() {
-                                let _ = self.finalize_incoming(&key);
-                            }
-                        }
+                        let _ = self.open_incoming(manifest, login);
                     }
                     StoreEvent::TransferChunkStored {
                         origin,
@@ -244,25 +226,9 @@ impl Njs {
                             origin_job: *origin_job,
                             origin_node: *origin_node,
                         };
-                        let Some(entry) = self.incoming.get_mut(&key) else {
-                            continue;
-                        };
-                        if entry.state.is_received(*index) {
-                            continue;
-                        }
-                        let offset = entry.state.manifest().chunk_range(*index).start as u64;
-                        let (vsite, path, login) =
-                            (entry.vsite.clone(), entry.path.clone(), entry.login.clone());
-                        if let Some(v) = self.vsites.get_mut(&vsite) {
-                            // Bytes were verified against the manifest
-                            // before being journalled; replay trusts them.
-                            let _ = v.vspace.xspace().write_partial(&path, offset, data, &login);
-                            let entry = self.incoming.get_mut(&key).expect("inserted above");
-                            entry.state.mark_received(*index);
-                            if entry.state.is_complete() {
-                                let _ = self.finalize_incoming(&key);
-                            }
-                        }
+                        // Bytes were verified against the manifest before
+                        // being journalled; replay does not hash them again.
+                        let _ = self.store_chunk(&key, *index, data);
                     }
                     StoreEvent::JobPurged { job, .. } => {
                         self.forget_job(*job);

@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionId, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, MonitorReport,
-    OutcomeNode,
+    OutcomeNode, VsiteHealth,
 };
 use unicore_dataplane::TransferManifest;
 use unicore_gateway::MappedUser;
@@ -260,18 +260,8 @@ impl ShardedNjs {
                         meta,
                     ) {
                         Ok(child) => {
-                            let return_files =
-                                self.shards[parent_shard].edge_return_files(parent, node);
-                            self.links.insert(
-                                (parent, node),
-                                Link {
-                                    child,
-                                    child_shard: shard,
-                                    parent_shard,
-                                    return_files,
-                                    delivered: false,
-                                },
-                            );
+                            let link = self.link(parent, node, child, false);
+                            self.links.insert((parent, node), link);
                         }
                         Err(_) => {
                             self.shards[parent_shard].fail_subjob_node(parent, node);
@@ -418,25 +408,30 @@ impl ShardedNjs {
         all.sort();
         for (child, pjob, pnode) in all {
             let parent_shard = self.shard_of_job(pjob);
-            let child_shard = self.shard_of_job(child);
             if !self.shards[parent_shard].has_job(pjob) {
                 continue; // parent purged; the child is orphaned
             }
             let delivered = self.shards[parent_shard].node_is_terminal(pjob, pnode);
-            let return_files = self.shards[parent_shard].edge_return_files(pjob, pnode);
             if !delivered {
                 self.shards[parent_shard].mark_node_remote(pjob, pnode);
             }
-            self.links.insert(
-                (pjob, pnode),
-                Link {
-                    child,
-                    child_shard,
-                    parent_shard,
-                    return_files,
-                    delivered,
-                },
-            );
+            let link = self.link(pjob, pnode, child, delivered);
+            self.links.insert((pjob, pnode), link);
+        }
+    }
+
+    /// The link from node `node` of `parent` to its child job `child`,
+    /// with the files the parent node's outgoing edges name: what the
+    /// merge phase records at a child's consign and recovery rebuilds
+    /// from the journal.
+    fn link(&self, parent: JobId, node: ActionId, child: JobId, delivered: bool) -> Link {
+        let parent_shard = self.shard_of_job(parent);
+        Link {
+            child,
+            child_shard: self.shard_of_job(child),
+            parent_shard,
+            return_files: self.shards[parent_shard].edge_return_files(parent, node),
+            delivered,
         }
     }
 
@@ -695,36 +690,32 @@ impl ShardedNjs {
         self.shards.iter().map(|s| s.incarnation_count()).sum()
     }
 
-    /// The Monitor service: one merged health report covering every
-    /// shard's Vsites, in global registration order, with the WAL
-    /// repair counter summed over all segments.
+    /// The Monitor service: this site's health report — one row per
+    /// Vsite in registration order, the slow-dispatch watchdog's total
+    /// set on `njs.watchdog.stuck` before the metrics snapshot is taken,
+    /// the WAL repair counter summed over every segment overlaid on it,
+    /// and the span breakdown.
     pub fn monitor_report(&self, now: SimTime) -> MonitorReport {
-        let mut report = self.shards[0].monitor_report(now);
-        if self.shards.len() > 1 {
-            let mut total_stuck: i64 = report.vsites.iter().map(|v| v.stuck_jobs).sum();
-            for shard in &self.shards[1..] {
-                let r = shard.monitor_report(now);
-                total_stuck += r.vsites.iter().map(|v| v.stuck_jobs).sum::<i64>();
-                report.vsites.extend(r.vsites);
-            }
-            let order: HashMap<&String, usize> = self
-                .vsite_order
-                .iter()
-                .enumerate()
-                .map(|(i, name)| (name, i))
-                .collect();
-            report
-                .vsites
-                .sort_by_key(|v| order.get(&v.vsite).copied().unwrap_or(usize::MAX));
-            report
-                .metrics
-                .counters
-                .insert("store.wal.repairs".into(), self.wal_repairs());
-            self.telemetry()
-                .gauge("njs.watchdog.stuck")
-                .set(total_stuck);
+        let mut vsites: Vec<VsiteHealth> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.vsite_health(now))
+            .collect();
+        vsites.sort_by_cached_key(|v| self.vsite_order.iter().position(|n| *n == v.vsite));
+        let telemetry = self.telemetry();
+        let stuck = vsites.iter().map(|v| v.stuck_jobs).sum();
+        telemetry.gauge("njs.watchdog.stuck").set(stuck);
+        let mut metrics = telemetry.metrics_snapshot();
+        metrics
+            .counters
+            .insert("store.wal.repairs".into(), self.wal_repairs());
+        MonitorReport {
+            usite: self.usite.clone(),
+            metrics,
+            spans: telemetry.breakdown(),
+            vsites,
+            epoch: None,
         }
-        report
     }
 
     /// The merged per-(Vsite, login) usage report (Vsites are disjoint
