@@ -90,6 +90,36 @@ if {
     exit 1
 fi
 
+echo "==> one path per effect: crates/core/src/server.rs above #[cfg(test)] allocates a corr (self.next_corr += 1), constructs Pending::SubJobConsign { (match arms exempt) and names ActionStatus::NotSuccessful once each; crates/njs/src/njs/recover.rs has no begin_partial(, write_partial( or IncomingTransfer {; crates/njs/src/shard.rs constructs Link { once and has no shards.len() > 1; crates/*/src has no detached() (offenders are listed)"
+# Prints its input unless it is exactly one line (none: the label).
+once() {
+    hits=$(cat)
+    if [ "$(printf '%s' "$hits" | grep -c .)" -ne 1 ]; then
+        printf '%s\n' "${hits:-$1: none found}"
+    fi
+}
+if {
+    server=crates/core/src/server.rs
+    for rule in 'self\.next_corr \+= 1' 'ActionStatus::NotSuccessful'; do
+        awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$server" | grep -E "$rule" | once "$server: $rule"
+    done
+    # A construction closes at its own indentation with '}', '},' or '};';
+    # a match arm closes there with '} =>'.
+    awk '/^#\[cfg\(test\)\]/ { exit }
+        open && /^ *\}/ { match($0, /^ */); if (RLENGTH == indent) { if ($0 !~ /^ *\} =>/) print where; open = 0 } }
+        !open && /Pending::SubJobConsign \{/ {
+            where = FILENAME ":" FNR ":" $0
+            if ($0 ~ /Pending::SubJobConsign \{.*\}/) { if ($0 !~ /\} =>/) print where }
+            else { match($0, /^ */); indent = RLENGTH; open = 1 }
+        }' "$server" | once "$server: Pending::SubJobConsign {"
+    grep -HnE 'begin_partial\(|write_partial\(|IncomingTransfer \{' crates/njs/src/njs/recover.rs
+    grep -HnE '\bLink \{' crates/njs/src/shard.rs | grep -vE 'struct Link \{|-> Link \{' | once "crates/njs/src/shard.rs: Link {"
+    grep -HnF 'shards.len() > 1' crates/njs/src/shard.rs
+    grep -rnE '::detached\(\)|fn detached\(' crates/*/src
+} | grep .; then
+    exit 1
+fi
+
 echo "==> monitoring plane tests"
 cargo test -q --offline -p unicore-integration-tests --test monitor_grid
 cargo test -q --offline -p unicore-client monitor
