@@ -37,10 +37,12 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
-    AbstractJob, ActionId, DependencyIndex, JobId, JobOutcome, OutcomeNode, TaskOutcome,
-    VsiteAddress, VsiteHealth,
+    AbstractJob, ActionId, ActionStatus, DependencyIndex, JobId, JobOutcome, OutcomeNode,
+    TaskOutcome, VsiteAddress, VsiteHealth,
 };
 use unicore_batch::{BatchJobId, BatchSystem, IdMap};
+use unicore_codec::DerCodec;
+use unicore_crypto::sha256;
 use unicore_dataplane::{ReceiverState, TransferKey};
 use unicore_gateway::MappedUser;
 use unicore_resources::ResourcePage;
@@ -686,4 +688,94 @@ impl Njs {
     pub fn incarnation_count(&self) -> u64 {
         self.incarnations
     }
+
+    /// Appends shard `shard`'s lines of [`crate::ShardedNjs::durable_state`].
+    /// `linked` says whether a node is the parent end of a facade link.
+    pub(crate) fn durable_state(
+        &self,
+        shard: usize,
+        linked: &dyn Fn(JobId, ActionId) -> bool,
+        out: &mut String,
+    ) {
+        use std::fmt::Write;
+        let _ = writeln!(out, "shard {shard} next job {}", self.next_job);
+        for &id in &self.job_order {
+            let rt = &self.jobs[&id];
+            // In-flight nodes come back pending, which folds a running
+            // job's status back to consigned.
+            let status = match rt.outcome.status {
+                ActionStatus::Running => ActionStatus::Consigned,
+                s => s,
+            };
+            let u = &rt.user;
+            let _ = writeln!(
+                out,
+                "job {id} owner {:?} {:?} {:?} parent {:?} key {} foreign {:?} \
+                 consigned {} done {} finished {:?} status {status:?}",
+                u.dn,
+                u.login,
+                u.account_group,
+                rt.parent,
+                hex(&rt.idem_key),
+                rt.foreign,
+                rt.consigned_at,
+                rt.done,
+                rt.finished_at,
+            );
+            for (pos, state) in rt.states.iter().enumerate() {
+                let node = rt.node_id(pos);
+                let _ = match state {
+                    NodeState::Terminal => {
+                        let der = rt.node_outcome(pos).to_der();
+                        writeln!(out, "job {id} node {} terminal {}", node.0, hex(&der))
+                    }
+                    NodeState::Remote if linked(id, node) => {
+                        let status = rt.node_outcome(pos).status();
+                        writeln!(out, "job {id} node {} linked {status:?}", node.0)
+                    }
+                    _ => writeln!(out, "job {id} node {} open", node.0),
+                };
+            }
+            let mut portfolio: Vec<_> = rt.portfolio.iter().collect();
+            portfolio.sort_unstable_by_key(|(name, _)| *name);
+            for (name, data) in portfolio {
+                let _ = writeln!(out, "job {id} portfolio {name:?} {}", hex(&sha256(data)));
+            }
+            if let Ok(fs) = self.vsites[rt.vsite].vspace.uspace(id) {
+                for name in fs.list("") {
+                    let f = fs.read_raw(name).expect("listed");
+                    let (len, sum) = (f.data.len(), hex(&f.checksum()));
+                    let _ = writeln!(out, "job {id} uspace {name:?} {len} {sum}");
+                }
+            }
+        }
+        let mut receivers: Vec<_> = self.incoming.iter().collect();
+        receivers.sort_unstable_by_key(|(k, _)| (&k.origin, k.origin_job, k.origin_node));
+        for (key, r) in receivers {
+            let m = r.state.manifest();
+            let held: Vec<u64> = (0..m.num_chunks())
+                .filter(|&i| r.state.is_received(i))
+                .collect();
+            let covered = self
+                .vsites
+                .get(&r.vsite)
+                .and_then(|v| v.vspace.xspace_ref().partial_covered(&r.path));
+            let _ = writeln!(
+                out,
+                "receiver {:?} {} {} -> {}:{:?} login {:?} manifest {} chunks {held:?} partial {covered:?}",
+                key.origin,
+                key.origin_job,
+                key.origin_node.0,
+                r.vsite,
+                r.path,
+                r.login,
+                hex(&sha256(&m.to_der())),
+            );
+        }
+    }
+}
+
+/// Lower-case hex, for [`Njs::durable_state`]'s lines.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }

@@ -420,6 +420,37 @@ impl ShardedNjs {
         }
     }
 
+    /// Exactly the state a restart must rebuild, as canonical text with
+    /// one fact per line, so `assert_eq!` shows the first line that
+    /// differs and a digest of it is a digest of the durable state.
+    ///
+    /// Per shard: the next job id. Per live job, in consign order: owner,
+    /// parent, idempotency key, peer origin, consign and finish times,
+    /// `done`, and the status with in-flight nodes read as pending; each
+    /// node as `terminal` with its outcome DER, `linked` (waiting on a
+    /// child under a link) with its status, or `open`; the portfolio's
+    /// names and SHA-256; the Uspace's names, lengths and SHA-256. Then
+    /// each incoming transfer's receiver with its chunk coverage, and the
+    /// links. Everything else is soft state (DESIGN.md, "What a restart
+    /// keeps"): a facade recovered from this one's journal reproduces
+    /// the text line for line.
+    pub fn durable_state(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let linked = |job, node| self.links.contains_key(&(job, node));
+        for (k, shard) in self.shards.iter().enumerate() {
+            shard.durable_state(k, &linked, &mut out);
+        }
+        for ((parent, node), l) in &self.links {
+            let _ = writeln!(
+                out,
+                "link {parent} node {} -> {} shards {} -> {} returns {:?} delivered {}",
+                node.0, l.child, l.parent_shard, l.child_shard, l.return_files, l.delivered,
+            );
+        }
+        out
+    }
+
     /// The link from node `node` of `parent` to its child job `child`,
     /// with the files the parent node's outgoing edges name: what the
     /// merge phase records at a child's consign and recovery rebuilds
