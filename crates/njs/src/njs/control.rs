@@ -122,9 +122,8 @@ impl Njs {
         if rt.outcome.status == ActionStatus::Successful {
             rt.outcome.status = ActionStatus::Killed;
         }
-        self.mark_done(job, now);
         self.clock = self.clock.max(now);
-        self.log_job_done(job);
+        self.mark_done(job, now);
         self.flush_events();
         true
     }

@@ -122,9 +122,18 @@ impl Njs {
         self.jobs.get(&job).and_then(|rt| rt.parent)
     }
 
-    /// Whether this shard currently owns `job`.
-    pub(crate) fn has_job(&self, job: JobId) -> bool {
-        self.jobs.contains_key(&job)
+    /// The portfolio of `job`, if this shard owns it.
+    pub(crate) fn portfolio_of(&self, job: JobId) -> Option<Arc<HashMap<String, Arc<[u8]>>>> {
+        self.jobs.get(&job).map(|rt| Arc::clone(&rt.portfolio))
+    }
+
+    /// Gives `job` the portfolio it shares with its root job (used when
+    /// recovery rebuilds parent links: a child's consign record does not
+    /// carry it).
+    pub(crate) fn set_portfolio(&mut self, job: JobId, portfolio: Arc<HashMap<String, Arc<[u8]>>>) {
+        if let Some(rt) = self.jobs.get_mut(&job) {
+            rt.portfolio = portfolio;
+        }
     }
 
     /// The boundary lookup for a node named from outside this engine:
@@ -197,9 +206,8 @@ impl Njs {
 
     /// Terminates a file-task node with `outcome`, exactly as
     /// `dispatch_node`'s Done arm does for one on the job's own Vsite:
-    /// failed outcomes get
-    /// a flight annotation and trace, the outcome is recorded, deposits
-    /// are journalled, and the group commit flushes.
+    /// failed outcomes get a flight annotation and trace, the node goes
+    /// through `terminate_node`, and the group commit flushes.
     pub(crate) fn finish_file_node(
         &mut self,
         job: JobId,
@@ -220,15 +228,8 @@ impl Njs {
             );
             outcome.flight = self.flight.trace(job.0);
         }
-        let rt = self.jobs.get_mut(&job).expect("open node");
-        *rt.node_outcome_mut(pos) = OutcomeNode::Task(outcome);
-        // Eager re-aggregation, like `complete_remote_node_with_files`:
-        // this runs between steps, so clients polling before the next
-        // step must already see the folded status.
-        rt.outcome.aggregate_status();
-        self.set_state(job, pos, NodeState::Terminal);
-        let deposited = self.deposited_by_file_task(job, pos);
-        self.log_terminal(job, pos, deposited.as_slice());
+        let deposited = self.deposited_by_file_task(job, pos, &outcome);
+        self.terminate_node(job, pos, OutcomeNode::Task(outcome), deposited.as_slice());
         self.flush_events();
     }
 
@@ -238,13 +239,11 @@ impl Njs {
         let Some(pos) = self.open_node(job, node) else {
             return;
         };
-        let rt = self.jobs.get_mut(&job).expect("open node");
-        if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {
+        let mut failed = self.jobs[&job].node_outcome(pos).clone();
+        if let OutcomeNode::Job(j) = &mut failed {
             j.status = ActionStatus::NotSuccessful;
         }
-        rt.outcome.aggregate_status();
-        self.set_state(job, pos, NodeState::Terminal);
-        self.log_terminal(job, pos, &[]);
+        self.terminate_node(job, pos, failed, &[]);
         self.flush_events();
     }
 

@@ -9,10 +9,15 @@ use unicore_ajo::{
 };
 
 impl Njs {
-    /// What a just-finished file task deposited into the job's Uspace
-    /// (successful Imports put one file there; Exports and Transfers
-    /// write elsewhere).
-    pub(super) fn deposited_by_file_task(&self, job: JobId, pos: usize) -> Option<String> {
+    /// What the file task at `pos`, finishing with `outcome`, deposited
+    /// into the job's Uspace (successful Imports put one file there;
+    /// Exports and Transfers write elsewhere).
+    pub(super) fn deposited_by_file_task(
+        &self,
+        job: JobId,
+        pos: usize,
+        outcome: &TaskOutcome,
+    ) -> Option<String> {
         let rt = self.jobs.get(&job)?;
         let GraphNode::Task(task) = &rt.job.nodes[pos].1 else {
             return None;
@@ -20,10 +25,7 @@ impl Njs {
         let TaskKind::File(FileKind::Import { uspace_name, .. }) = &task.kind else {
             return None;
         };
-        rt.node_outcome(pos)
-            .status()
-            .is_success()
-            .then(|| uspace_name.clone())
+        outcome.status.is_success().then(|| uspace_name.clone())
     }
 
     pub(super) fn run_file_task(

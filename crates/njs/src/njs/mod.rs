@@ -595,9 +595,10 @@ impl Njs {
         self.flush_events();
     }
 
-    /// Journals a node's terminal outcome plus the files it deposited:
-    /// `deposited` names files the caller has just written into the job's
-    /// Uspace, and the record borrows their bytes from there.
+    /// Journals a node's terminal outcome plus the files it deposited
+    /// (for `terminate_node`, its one caller): `deposited` names files
+    /// just written into the job's Uspace, and the record borrows their
+    /// bytes from there.
     fn log_terminal(&mut self, job: JobId, pos: usize, deposited: &[String]) {
         if !self.journalling() {
             return;
@@ -616,8 +617,8 @@ impl Njs {
     }
 
     /// Journals a finished job's outcome tree and the manifest of its
-    /// Uspace: names and lengths — the contents are already in the job's
-    /// consign and task records.
+    /// Uspace (for `mark_done`, its one caller): names and lengths — the
+    /// contents are already in the job's consign and task records.
     fn log_job_done(&mut self, job: JobId) {
         if !self.journalling() {
             return;

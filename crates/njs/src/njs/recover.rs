@@ -15,23 +15,31 @@ impl Njs {
     /// Replays the attached journal, rebuilding the job table as it was
     /// at the crash, then resumes dependency-ordered dispatch.
     ///
-    /// Recovery semantics:
-    /// * every `JobConsigned` job is re-admitted under its original
-    ///   [`JobId`], with its Uspace re-created and staged inputs restored;
-    /// * nodes with a journalled terminal outcome come back `Terminal`
-    ///   with their outcome and deposited files intact — they are **never
-    ///   re-submitted to batch**;
-    /// * finished jobs come back `done` with their outcome tree and full
-    ///   Uspace manifest, ready for the client to poll and fetch;
-    /// * every live job gets back its idempotency key and peer origin;
+    /// Every record replays through the live function that journalled
+    /// it, with `recovering` keeping the journal write out:
+    /// * every `JobConsigned` job is re-admitted by `consign_internal`
+    ///   under its original [`JobId`], with its Uspace re-created, staged
+    ///   inputs restored, and its idempotency key and peer origin back;
+    /// * a `TaskStateChanged` node writes its deposited files into the
+    ///   Uspace and terminates through `terminate_node`, which folds it
+    ///   into the job's status — it is **never re-submitted to batch**;
+    /// * an `OutcomeStored` job takes its stored tree and finishes through
+    ///   `mark_done`, ready for the client to poll and fetch; its manifest
+    ///   must match the rebuilt Uspace, or recovery fails closed;
+    /// * transfers replay through the receiver's `open_incoming` and
+    ///   `store_chunk`;
     /// * purged jobs stay gone, keys and origins included;
     /// * nodes that were in flight (queued or running in batch, which
-    ///   died with the machine) reset to `Waiting` and are re-dispatched
+    ///   died with the machine) come back `Waiting` and are re-dispatched
     ///   by the next [`Njs::step`];
     /// * parent–child links are not re-wired here: every link is the
     ///   facade's, and [`crate::ShardedNjs::recover`] rebuilds them all
     ///   from the replayed parent pointers, so a parent waits for its
-    ///   child instead of consigning it again.
+    ///   child instead of consigning it again, and hands each child its
+    ///   root job's portfolio.
+    ///
+    /// What this rebuilds is [`crate::ShardedNjs::durable_state`]; the
+    /// rest is soft state (DESIGN.md, "What a restart keeps").
     ///
     /// Call after the Vsites are registered and the store is attached,
     /// before the first `step`. A missing store recovers nothing.
@@ -43,7 +51,6 @@ impl Njs {
         self.clock = self.clock.max(now);
         self.recovering = true;
         let orig_next = self.next_job;
-        let mut max_job = 0u64;
         let mut report = RecoveryReport {
             // The open() repair already trimmed a torn tail if there was
             // one; surface either signal to the caller.
@@ -80,30 +87,20 @@ impl Njs {
                             .iter()
                             .map(|(n, d)| (n.clone(), Arc::from(&d[..])))
                             .collect();
-                        // Child jobs share their parent's portfolio (the
-                        // parent was consigned earlier in the log); others
-                        // rebuild it from the AJO and the staged files.
-                        let portfolio: Arc<HashMap<String, Arc<[u8]>>> = match parent {
-                            Some((pjob, _)) => self
-                                .jobs
-                                .get(pjob)
-                                .map(|p| p.portfolio.clone())
-                                .unwrap_or_default(),
-                            None => {
-                                let mut m: HashMap<String, Arc<[u8]>> = ajo
-                                    .portfolio
-                                    .iter()
-                                    .map(|p| (p.name.clone(), Arc::clone(&p.data)))
-                                    .collect();
-                                m.extend(staged.iter().cloned());
-                                Arc::new(m)
-                            }
-                        };
+                        // A child's portfolio is its root job's, which
+                        // may live on another shard: the facade hands it
+                        // back when it rebuilds the links.
+                        let mut portfolio: HashMap<String, Arc<[u8]>> = ajo
+                            .portfolio
+                            .iter()
+                            .map(|p| (p.name.clone(), Arc::clone(&p.data)))
+                            .collect();
+                        portfolio.extend(staged.iter().cloned());
                         self.next_job = job.0;
                         let got = self.consign_internal(
                             ajo,
                             mapped,
-                            portfolio,
+                            Arc::new(portfolio),
                             staged,
                             *parent,
                             *at,
@@ -114,7 +111,6 @@ impl Njs {
                             },
                         )?;
                         debug_assert_eq!(got, *job, "journal replay must keep job ids");
-                        max_job = max_job.max(job.0);
                         report.jobs.push(*job);
                     }
                     // Incarnations are informational: in-flight batch work
@@ -133,16 +129,17 @@ impl Njs {
                     } => {
                         let outcome = OutcomeNode::from_der(outcome_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
-                        if let Some(rt) = self.jobs.get_mut(job) {
-                            if let Some(pos) = rt.position(*node) {
-                                *rt.node_outcome_mut(pos) = outcome;
-                                rt.states[pos] = NodeState::Terminal;
-                            }
-                            let vspace = &mut self.vsites[rt.vsite].vspace;
-                            for (name, data) in files {
-                                let _ =
-                                    vspace.write_uspace_file(*job, name, &data[..], &rt.user.login);
-                            }
+                        let Some(rt) = self.jobs.get(job) else {
+                            continue;
+                        };
+                        let pos = rt.position(*node);
+                        let vspace = &mut self.vsites[rt.vsite].vspace;
+                        for (name, data) in files {
+                            let _ = vspace.write_uspace_file(*job, name, &data[..], &rt.user.login);
+                        }
+                        if let Some(pos) = pos {
+                            // `recovering` keeps the record out of the journal.
+                            self.terminate_node(*job, pos, outcome, &[]);
                         }
                     }
                     StoreEvent::OutcomeStored {
@@ -153,53 +150,50 @@ impl Njs {
                     } => {
                         let outcome = JobOutcome::from_der(outcome_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
-                        if let Some(rt) = self.jobs.get_mut(job) {
-                            // A finished job is never addressed by node
-                            // again, so the stored tree is taken as it is.
-                            rt.outcome = outcome;
-                            rt.states.fill(NodeState::Terminal);
-                            rt.done = true;
-                            rt.finished_at = Some(*at);
-                            let login = &rt.user.login;
-                            let v = &mut self.vsites[rt.vsite];
-                            for entry in manifest {
-                                match entry {
-                                    // Journals from before the by-reference
-                                    // form carry the contents themselves.
-                                    ManifestEntry::Inline { name, data } => {
-                                        let _ = v.vspace.write_uspace_file(
-                                            *job,
-                                            name,
-                                            &data[..],
-                                            login,
-                                        );
-                                    }
-                                    // The job's earlier records have just
-                                    // rebuilt the Uspace; a file that is not
-                                    // there as stated means the journal lost
-                                    // bytes, and a silently empty or stale
-                                    // file must not be served in their place.
-                                    ManifestEntry::Stored { name, len } => {
-                                        let found = v
-                                            .vspace
-                                            .uspace(*job)
-                                            .ok()
-                                            .and_then(|fs| fs.read(name, login).ok())
-                                            .map(|f| f.data.len() as u64);
-                                        if found != Some(*len) {
-                                            return Err(NjsError::Store(
-                                                StoreError::ManifestMismatch {
-                                                    job: *job,
-                                                    name: name.clone(),
-                                                    expected: *len,
-                                                    found,
-                                                },
-                                            ));
-                                        }
+                        let Some(rt) = self.jobs.get_mut(job) else {
+                            continue;
+                        };
+                        // A finished job is never addressed by node again,
+                        // so the stored tree is taken as it is (an abort's
+                        // kills were never journalled node by node).
+                        rt.outcome = outcome;
+                        rt.states.fill(NodeState::Terminal);
+                        let login = &rt.user.login;
+                        let v = &mut self.vsites[rt.vsite];
+                        for entry in manifest {
+                            match entry {
+                                // Journals from before the by-reference
+                                // form carry the contents themselves.
+                                ManifestEntry::Inline { name, data } => {
+                                    let _ =
+                                        v.vspace.write_uspace_file(*job, name, &data[..], login);
+                                }
+                                // The job's earlier records have just rebuilt
+                                // the Uspace; a file that is not there as
+                                // stated means the journal lost bytes, and a
+                                // silently empty or stale file must not be
+                                // served in their place.
+                                ManifestEntry::Stored { name, len } => {
+                                    let found = v
+                                        .vspace
+                                        .uspace(*job)
+                                        .ok()
+                                        .and_then(|fs| fs.read(name, login).ok())
+                                        .map(|f| f.data.len() as u64);
+                                    if found != Some(*len) {
+                                        return Err(NjsError::Store(
+                                            StoreError::ManifestMismatch {
+                                                job: *job,
+                                                name: name.clone(),
+                                                expected: *len,
+                                                found,
+                                            },
+                                        ));
                                     }
                                 }
                             }
                         }
+                        self.mark_done(*job, *at);
                     }
                     // Transfers replay through the receiver's live path, so
                     // what it rebuilds is what the live receiver held. A
@@ -246,18 +240,16 @@ impl Njs {
             report.jobs.retain(|j| !gone(j));
         }
 
-        // Resume allocation after the highest replayed id, staying in
-        // this NJS's id class (replayed ids share its base and stride).
-        self.next_job = if max_job == 0 {
-            orig_next
-        } else {
-            orig_next.max(max_job + self.job_stride)
-        };
+        // Each replayed consign allocated its own id, so allocation
+        // resumes after the highest one, in this NJS's id class.
+        self.next_job = orig_next.max(self.next_job);
         self.recovering = false;
         // Every unfinished job may have work (in-flight nodes reset to
-        // `Waiting`); finished ones are announced once more so the layers
-        // above re-deliver what a crash may have swallowed.
+        // `Waiting`); finished ones are announced once more, in consign
+        // order, so the layers above re-deliver what a crash may have
+        // swallowed.
         self.wake.clear();
+        self.newly_done.clear();
         for id in &self.job_order {
             if self.jobs[id].done {
                 self.newly_done.push(*id);

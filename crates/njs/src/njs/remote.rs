@@ -29,12 +29,7 @@ impl Njs {
         let Some(pos) = self.open_node(job, node) else {
             return;
         };
-        let rt = self.jobs.get_mut(&job).expect("open node");
-        *rt.node_outcome_mut(pos) = outcome;
-        // Re-aggregate eagerly: `step` only re-aggregates jobs that make
-        // progress, so an externally completed node must fold its status
-        // into the tree here for clients polling before the next step.
-        rt.outcome.aggregate_status();
+        let rt = &self.jobs[&job];
         let mut deposited: Vec<String> = Vec::new();
         let vspace = &mut self.vsites[rt.vsite].vspace;
         for (name, data) in files {
@@ -43,8 +38,7 @@ impl Njs {
                 deposited.push(name);
             }
         }
-        self.set_state(job, pos, NodeState::Terminal);
-        self.log_terminal(job, pos, &deposited);
+        self.terminate_node(job, pos, outcome, &deposited);
         self.flush_events();
     }
 

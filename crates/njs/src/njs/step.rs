@@ -85,9 +85,9 @@ impl Njs {
         }
     }
 
-    /// The one writer of node state outside `step_job`: records the
-    /// transition of the node at `pos` and wakes the job, so a call site
-    /// cannot forget to.
+    /// The one writer of node state outside `step_job`'s own dispatch:
+    /// records the transition of the node at `pos` and wakes the job, so
+    /// a call site cannot forget to.
     pub(super) fn set_state(&mut self, job: JobId, pos: usize, state: NodeState) {
         if let Some(rt) = self.jobs.get_mut(&job) {
             rt.states[pos] = state;
@@ -95,12 +95,34 @@ impl Njs {
         }
     }
 
-    /// Marks `job` finished at `now` and announces it to the layers above.
+    /// The one way a node becomes terminal, live or replayed: records
+    /// `outcome` at `pos`, folds it into the job's status (clients polling
+    /// before the next step see it), wakes the job and journals the node
+    /// with the files it just `deposited` into the Uspace.
+    pub(super) fn terminate_node(
+        &mut self,
+        job: JobId,
+        pos: usize,
+        outcome: OutcomeNode,
+        deposited: &[String],
+    ) {
+        let Some(rt) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        *rt.node_outcome_mut(pos) = outcome;
+        rt.outcome.aggregate_status();
+        self.set_state(job, pos, NodeState::Terminal);
+        self.log_terminal(job, pos, deposited);
+    }
+
+    /// The one way a job finishes, live or replayed: marks `job` done at
+    /// `now`, announces it to the layers above and journals its outcome.
     pub(super) fn mark_done(&mut self, job: JobId, now: SimTime) {
         let rt = self.jobs.get_mut(&job).expect("job exists");
         rt.done = true;
         rt.finished_at = Some(now);
         self.newly_done.push(job);
+        self.log_job_done(job);
     }
 
     /// Jobs visited by the step loop so far. An idle step — empty wake
@@ -123,10 +145,13 @@ impl Njs {
     /// progress after one of these, and each of them wakes it:
     /// * consign, and `recover` (every unfinished job);
     /// * its own progress in `step_job` (re-woken for the next pass);
-    /// * every write to `JobRuntime::states` outside `step_job`, all routed
-    ///   through `set_state`: the completion of a node whose work left the
-    ///   job's Vsite (`complete_remote_node_with_files`, `finish_file_node`,
-    ///   `finish_import`, `fail_subjob_node`), `mark_node_remote`, `abort`;
+    /// * every write to `JobRuntime::states` outside `step_job`'s own
+    ///   dispatch, all routed through `set_state`: `mark_node_remote`,
+    ///   `abort`, and `terminate_node` — the one way a node becomes
+    ///   terminal, in `step_job`, at the completion of a node whose work
+    ///   left the job's Vsite (`complete_remote_node_with_files`,
+    ///   `finish_file_node`, `finish_import`, `fail_subjob_node`) and in
+    ///   journal replay;
     /// * `control` Hold/Resume (`held`);
     /// * a [`BatchStatus`] change of one of its batch jobs (start,
     ///   completion, cancel, hold/release), drained from the batch change
@@ -237,9 +262,8 @@ impl Njs {
                         "njs.kill",
                         format_args!("node {}: predecessor failed", rt.node_id(pos).0),
                     );
-                    let rt = self.jobs.get_mut(&id).expect("job exists");
-                    rt.states[pos] = NodeState::Terminal;
-                    match rt.node_outcome_mut(pos) {
+                    let mut killed = rt.node_outcome(pos).clone();
+                    match &mut killed {
                         OutcomeNode::Task(t) => {
                             t.status = ActionStatus::Killed;
                             t.message = "predecessor failed".into();
@@ -247,7 +271,7 @@ impl Njs {
                         }
                         OutcomeNode::Job(j) => j.status = ActionStatus::Killed,
                     }
-                    self.log_terminal(id, pos, &[]);
+                    self.terminate_node(id, pos, killed, &[]);
                     progressed = true;
                 } else {
                     progressed |= self.dispatch_node(id, pos, now);
@@ -270,7 +294,6 @@ impl Njs {
                 let span = rt.span.take();
                 self.mark_done(id, now);
                 progressed = true;
-                self.log_job_done(id);
                 self.metrics.completed.inc();
                 self.metrics
                     .duration_us
@@ -351,7 +374,7 @@ impl Njs {
                         StderrHead(&c.stderr),
                     ),
                 );
-                *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
+                let mut outcome = TaskOutcome {
                     status: if succeeded {
                         ActionStatus::Successful
                     } else {
@@ -373,8 +396,7 @@ impl Njs {
                     } else {
                         self.flight.trace(job.0)
                     },
-                });
-                rt.states[pos] = NodeState::Terminal;
+                };
                 v.batch_owner.remove(&batch_id);
                 // Deposit output files into the job's Uspace.
                 let mut deposited: Vec<String> = Vec::new();
@@ -388,16 +410,14 @@ impl Njs {
                             "njs.quota",
                             format_args!("node {}: output {name} exceeded job disk quota", node.0),
                         );
-                        if let Some(t) = rt.task_outcome_mut(pos) {
-                            t.status = ActionStatus::NotSuccessful;
-                            t.message = "output exceeded job disk quota".into();
-                            t.flight = self.flight.trace(job.0);
-                        }
+                        outcome.status = ActionStatus::NotSuccessful;
+                        outcome.message = "output exceeded job disk quota".into();
+                        outcome.flight = self.flight.trace(job.0);
                     } else {
                         deposited.push(name);
                     }
                 }
-                self.log_terminal(job, pos, &deposited);
+                self.terminate_node(job, pos, OutcomeNode::Task(outcome), &deposited);
                 true
             }
             BatchStatus::Cancelled => {
@@ -407,15 +427,14 @@ impl Njs {
                     "batch.cancelled",
                     format_args!("node {} on {vsite_name}", node.0),
                 );
-                *rt.node_outcome_mut(pos) = OutcomeNode::Task(TaskOutcome {
+                let cancelled = TaskOutcome {
                     status: ActionStatus::Killed,
                     message: "cancelled".into(),
                     flight: self.flight.trace(job.0),
                     ..Default::default()
-                });
-                rt.states[pos] = NodeState::Terminal;
+                };
                 v.batch_owner.remove(&batch_id);
-                self.log_terminal(job, pos, &[]);
+                self.terminate_node(job, pos, OutcomeNode::Task(cancelled), &[]);
                 true
             }
         }
@@ -499,10 +518,7 @@ impl Njs {
                             );
                             let mut failed = TaskOutcome::failure(e.to_string());
                             failed.flight = self.flight.trace(job.0);
-                            let rt = self.jobs.get_mut(&job).expect("job exists");
-                            *rt.node_outcome_mut(pos) = OutcomeNode::Task(failed);
-                            rt.states[pos] = NodeState::Terminal;
-                            self.log_terminal(job, pos, &[]);
+                            self.terminate_node(job, pos, OutcomeNode::Task(failed), &[]);
                         }
                     }
                     // The submit changed this Vsite's batch timeline (and
@@ -528,11 +544,13 @@ impl Njs {
                                 );
                                 o.flight = self.flight.trace(job.0);
                             }
-                            let rt = self.jobs.get_mut(&job).expect("job exists");
-                            *rt.node_outcome_mut(pos) = OutcomeNode::Task(o);
-                            rt.states[pos] = NodeState::Terminal;
-                            let deposited = self.deposited_by_file_task(job, pos);
-                            self.log_terminal(job, pos, deposited.as_slice());
+                            let deposited = self.deposited_by_file_task(job, pos, &o);
+                            self.terminate_node(
+                                job,
+                                pos,
+                                OutcomeNode::Task(o),
+                                deposited.as_slice(),
+                            );
                         }
                         FileTaskResult::Remote => {
                             let rt = self.jobs.get_mut(&job).expect("job exists");

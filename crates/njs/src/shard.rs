@@ -399,17 +399,27 @@ impl ShardedNjs {
     }
 
     /// Rebuilds the link registry from each shard's replayed parent
-    /// pointers.
+    /// pointers, and hands each child the portfolio it shared with its
+    /// root job when it was consigned.
     fn rebuild_links(&mut self) {
         let mut all: Vec<(JobId, JobId, ActionId)> = Vec::new();
         for shard in &self.shards {
             all.extend(shard.parent_links());
         }
         all.sort();
+        let parents: HashMap<JobId, JobId> = all.iter().map(|&(c, p, _)| (c, p)).collect();
         for (child, pjob, pnode) in all {
             let parent_shard = self.shard_of_job(pjob);
-            if !self.shards[parent_shard].has_job(pjob) {
+            if self.shards[parent_shard].portfolio_of(pjob).is_none() {
                 continue; // parent purged; the child is orphaned
+            }
+            let mut root = pjob;
+            while let Some(&up) = parents.get(&root) {
+                root = up;
+            }
+            if let Some(portfolio) = self.shards[self.shard_of_job(root)].portfolio_of(root) {
+                let child_shard = self.shard_of_job(child);
+                self.shards[child_shard].set_portfolio(child, portfolio);
             }
             let delivered = self.shards[parent_shard].node_is_terminal(pjob, pnode);
             if !delivered {
@@ -494,11 +504,16 @@ impl ShardedNjs {
         if acted && matches!(op, ControlOp::Abort) {
             let mut stack = vec![job];
             while let Some(parent) = stack.pop() {
-                let children: Vec<(JobId, usize)> = self
-                    .links_of(parent)
-                    .filter(|(_, link)| !link.delivered)
-                    .map(|(_, link)| (link.child, link.child_shard))
-                    .collect();
+                // The abort killed the parent's node: nothing is owed to
+                // it any more, which is what replay reads from the node.
+                let mut children: Vec<(JobId, usize)> = Vec::new();
+                let under = (parent, ActionId(0))..=(parent, ActionId(u64::MAX));
+                for link in self.links.range_mut(under).map(|(_, l)| l) {
+                    if !link.delivered {
+                        link.delivered = true;
+                        children.push((link.child, link.child_shard));
+                    }
+                }
                 for (child, shard) in children {
                     let _ = self.shards[shard].control(child, ControlOp::Abort, dn, now);
                     stack.push(child);

@@ -327,6 +327,7 @@ fn run(shards: usize) -> Vec<Vec<u8>> {
         })
         .collect();
     let (victim, purged) = (ids[2], ids[6]);
+    check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, 0);
 
     let mut now: SimTime = 0;
     let (mut aborted, mut purge_done) = (false, false);
@@ -348,11 +349,13 @@ fn run(shards: usize) -> Vec<Vec<u8>> {
                 "abort: {resp:?}"
             );
             aborted = true;
+            check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, now);
         }
         if !purge_done && hub.is_done(purged) {
             let resp = request(&mut hub, Request::Purge { job: purged }, now);
             assert!(matches!(resp, Response::Purged { .. }), "purge: {resp:?}");
             purge_done = true;
+            check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, now);
         }
         tick(&mut hub, &mut peer, now);
         check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, now);
