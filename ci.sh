@@ -120,6 +120,21 @@ if {
     exit 1
 fi
 
+echo "==> one terminal path: under crates/njs/src/njs/, log_terminal( is called only inside terminate_node and log_job_done( only inside mark_done; step.rs, cross.rs and remote.rs assign no NodeState::Terminal; recover.rs has no states[, node_outcome_mut(, .done = or .finished_at = (offenders are listed)"
+if {
+    awk '/^ *\/\// { next }
+        match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+        /log_terminal\(/ && !/fn log_terminal\(/ && cur != "terminate_node" { print FILENAME ":" FNR ":" $0 }
+        /log_job_done\(/ && !/fn log_job_done\(/ && cur != "mark_done" { print FILENAME ":" FNR ":" $0 }' crates/njs/src/njs/*.rs
+    grep -HnE '[^=!]=[[:space:]]*NodeState::Terminal' crates/njs/src/njs/step.rs crates/njs/src/njs/cross.rs crates/njs/src/njs/remote.rs
+    grep -HnE 'states\[|node_outcome_mut\(|\.done =|\.finished_at =' crates/njs/src/njs/recover.rs
+} | grep .; then
+    exit 1
+fi
+
+echo "==> replay is the live path: a server recovered after every tick of a two-site workload holds the live one's durable state (HUB on 1, 2 and 4 shards)"
+cargo test -q --offline -p unicore-integration-tests --test replay_equiv
+
 echo "==> monitoring plane tests"
 cargo test -q --offline -p unicore-integration-tests --test monitor_grid
 cargo test -q --offline -p unicore-client monitor
