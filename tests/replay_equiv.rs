@@ -88,13 +88,20 @@ fn workstation_import(id: u64, path: &str) -> (ActionId, GraphNode) {
     )
 }
 
-/// `parent` on `home` carries the workstation file `input.dat`; its only
-/// node is a child on `child_vsite` that sleeps, then imports it.
-fn portfolio_job(home: VsiteAddress, child_vsite: VsiteAddress) -> AbstractJob {
-    let mut child = AbstractJob::new("importer", child_vsite, attrs());
+/// `portfolio` on `home` carries the workstation file `input.dat`; its
+/// only node is a chain of same-Usite children on `path`, the last of
+/// which sleeps, then imports the file from the portfolio they share.
+fn portfolio_job(home: VsiteAddress, path: &[VsiteAddress]) -> AbstractJob {
+    let (leaf, via) = path.split_last().expect("at least one child");
+    let mut child = AbstractJob::new("importer", leaf.clone(), attrs());
     child.nodes.push(script(1, "wait", "sleep 20\n"));
     child.nodes.push(workstation_import(2, "input.dat"));
     child.dependencies.push(edge(1, 2, &[]));
+    for vsite in via.iter().rev() {
+        let mut outer = AbstractJob::new("via", vsite.clone(), attrs());
+        outer.nodes.push(sub(1, child));
+        child = outer;
+    }
     let mut parent = AbstractJob::new("portfolio", home, attrs());
     parent.portfolio.push(PortfolioFile {
         name: "input.dat".into(),
@@ -147,7 +154,7 @@ fn workload() -> Vec<AbstractJob> {
     victim.nodes.push(sub(2, victim_child));
 
     // 3: a child on another Vsite imports the parent's workstation file.
-    let portfolio = portfolio_job(hub("V0"), hub("V1"));
+    let portfolio = portfolio_job(hub("V0"), &[hub("V1")]);
 
     // 4: a sub-job forwarded to PEER, files flowing both ways.
     let mut remote = AbstractJob::new("remote-group", VsiteAddress::new("PEER", "P0"), attrs());
@@ -450,33 +457,48 @@ fn run_to(njs: &mut ShardedNjs, until: SimTime) -> SimTime {
     now
 }
 
-/// Consigns `ajo` on `shards` shards, steps to `crash_at`, and restarts
-/// from the journal. Returns the restarted facade, the job and the time.
+/// Consigns `ajos` on `shards` shards, steps to `crash_at`, and restarts
+/// from the journal. Returns the restarted facade, the jobs and the time.
 fn crash_and_recover(
-    ajo: AbstractJob,
+    ajos: Vec<AbstractJob>,
     shards: usize,
     crash_at: SimTime,
-) -> (ShardedNjs, JobId, SimTime) {
+) -> (ShardedNjs, Vec<JobId>, SimTime) {
     let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
     let mut njs = fzj(&mems);
-    let job = njs.consign(ajo, alice(), 0).expect("consign");
+    let jobs = ajos
+        .into_iter()
+        .map(|ajo| njs.consign(ajo, alice(), 0).expect("consign"))
+        .collect();
     let now = run_to(&mut njs, crash_at);
     drop(njs);
     let mut njs = fzj(&mems);
     njs.recover(now).expect("recovery");
-    (njs, job, now)
+    (njs, jobs, now)
 }
 
 /// A same-Usite child on another shard than its parent imports a
 /// workstation file from the portfolio it shares with the parent. Replay
 /// used to look the parent up on the child's own shard, so a restarted
 /// child on 2 shards lost the portfolio and failed with "portfolio file
-/// 'input.dat' missing".
+/// 'input.dat' missing". A grandchild shares its root's portfolio too,
+/// also when its id is lower than its parent's.
 #[test]
 fn a_child_on_another_shard_keeps_its_workstation_portfolio_across_a_restart() {
-    let outcome = |shards| {
-        let ajo = portfolio_job(fzj_addr("T3E"), fzj_addr("SP2"));
-        let (mut njs, job, mut now) = crash_and_recover(ajo, shards, 10 * SEC);
+    let outcome = |shards, path: &[VsiteAddress]| {
+        // Three jobs on SP2 first: on 2 shards SP2's ids then run ahead
+        // of T3E's, so a grandchild on T3E gets a lower id than its
+        // parent on SP2.
+        let mut ajos: Vec<AbstractJob> = (0..3)
+            .map(|i| {
+                let mut job = AbstractJob::new(format!("filler{i}"), fzj_addr("SP2"), attrs());
+                job.nodes.push(script(1, "short", "sleep 1\n"));
+                job
+            })
+            .collect();
+        ajos.push(portfolio_job(fzj_addr("T3E"), path));
+        let (mut njs, jobs, mut now) = crash_and_recover(ajos, shards, 10 * SEC);
+        let job = *jobs.last().expect("consigned");
         while !njs.is_done(job) {
             assert!(now < HOUR, "stalled");
             njs.step(now);
@@ -484,9 +506,18 @@ fn a_child_on_another_shard_keeps_its_workstation_portfolio_across_a_restart() {
         }
         njs.outcome(job).expect("done").clone()
     };
-    let one = outcome(1);
-    assert_eq!(one.status, ActionStatus::Successful);
-    assert_eq!(outcome(2), one, "2 shards after a restart");
+    for path in [
+        vec![fzj_addr("SP2")],
+        vec![fzj_addr("SP2"), fzj_addr("T3E")],
+    ] {
+        let one = outcome(1, &path);
+        assert_eq!(one.status, ActionStatus::Successful, "{path:?}");
+        assert_eq!(
+            outcome(2, &path),
+            one,
+            "{path:?} on 2 shards after a restart"
+        );
+    }
 }
 
 /// A failed node beside a still-running same-Usite child: the job reads
