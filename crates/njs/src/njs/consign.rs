@@ -206,7 +206,7 @@ impl Njs {
         }
         self.jobs.insert(
             id,
-            JobRuntime {
+            Box::new(JobRuntime {
                 job,
                 preds,
                 vsite,
@@ -223,7 +223,7 @@ impl Njs {
                 trace,
                 idem_key: meta.idem_key,
                 foreign: meta.foreign,
-            },
+            }),
         );
         debug_assert!(
             self.job_order.last().is_none_or(|last| *last < id),

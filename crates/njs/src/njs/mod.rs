@@ -294,7 +294,9 @@ impl JobRuntime {
 pub(crate) struct Njs {
     usite: String,
     vsites: Vsites,
-    jobs: IdMap<JobId, JobRuntime>,
+    /// One pointer per job: a `JobRuntime` is hundreds of bytes, and the
+    /// table moves every entry each time it grows.
+    jobs: IdMap<JobId, Box<JobRuntime>>,
     /// Idempotency key → the live job it consigned. Entries come and go
     /// with their jobs (consign, replay, purge, replayed purge), so the
     /// journal is their only durable copy.

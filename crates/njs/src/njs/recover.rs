@@ -9,11 +9,18 @@ use unicore_codec::DerCodec;
 use unicore_dataplane::{TransferKey, TransferManifest};
 use unicore_gateway::MappedUser;
 use unicore_sim::SimTime;
-use unicore_store::{ManifestEntry, StoreError, StoreEvent};
+use unicore_store::{ForeignOriginRef, ManifestEntryRef, StoreError, StoreEventRef};
 
 impl Njs {
     /// Replays the attached journal, rebuilding the job table as it was
     /// at the crash, then resumes dependency-ordered dispatch.
+    ///
+    /// The journal is read once and every record in it CRC-checked and
+    /// decoded before the first is applied, so a damaged record fails
+    /// recovery before anything has changed. The records are borrowed
+    /// from the journal's bytes; what the job table keeps (owner strings,
+    /// idempotency key, peer origin, one shared buffer per file) is copied
+    /// out as it is applied.
     ///
     /// Every record replays through the live function that journalled
     /// it, with `recovering` keeping the journal write out:
@@ -47,14 +54,15 @@ impl Njs {
         let Some(store) = &self.store else {
             return Ok(RecoveryReport::default());
         };
-        let replay = store.replay().map_err(NjsError::Store)?;
+        let journal = store.read_journal().map_err(NjsError::Store)?;
+        let (events, torn_tail) = journal.events().map_err(NjsError::Store)?;
         self.clock = self.clock.max(now);
         self.recovering = true;
         let orig_next = self.next_job;
         let mut report = RecoveryReport {
             // The open() repair already trimmed a torn tail if there was
             // one; surface either signal to the caller.
-            torn_tail: replay.torn_tail || store.recovered_torn(),
+            torn_tail: torn_tail || store.recovered_torn(),
             ..RecoveryReport::default()
         };
         // Purged ids, dropped from the order and the report in one pass
@@ -62,9 +70,9 @@ impl Njs {
         let mut purged: Vec<JobId> = Vec::new();
 
         let result = (|| -> Result<(), NjsError> {
-            for event in &replay.events {
+            for event in events {
                 match event {
-                    StoreEvent::JobConsigned {
+                    StoreEventRef::JobConsigned {
                         job,
                         ajo_der,
                         user,
@@ -77,15 +85,15 @@ impl Njs {
                         let ajo = AbstractJob::from_der(ajo_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
                         let mapped = MappedUser {
-                            dn: user.dn.clone(),
-                            login: user.login.clone(),
-                            account_group: user.account_group.clone(),
+                            dn: user.dn.to_owned(),
+                            login: user.login.to_owned(),
+                            account_group: user.account_group.to_owned(),
                         };
                         // The record's bytes are copied out of the journal
                         // once; the Uspace and the portfolio share them.
                         let staged: Vec<(String, Arc<[u8]>)> = staged
-                            .iter()
-                            .map(|(n, d)| (n.clone(), Arc::from(&d[..])))
+                            .into_iter()
+                            .map(|(n, d)| (n.to_owned(), Arc::from(d)))
                             .collect();
                         // A child's portfolio is its root job's, which
                         // may live on another shard: the facade hands it
@@ -102,25 +110,25 @@ impl Njs {
                             mapped,
                             Arc::new(portfolio),
                             staged,
-                            *parent,
-                            *at,
+                            parent,
+                            at,
                             ConsignMeta {
-                                idem_key: idem_key.clone(),
-                                foreign: foreign.clone(),
+                                idem_key: idem_key.to_vec(),
+                                foreign: foreign.as_ref().map(ForeignOriginRef::to_owned),
                                 ..ConsignMeta::default()
                             },
                         )?;
-                        debug_assert_eq!(got, *job, "journal replay must keep job ids");
-                        report.jobs.push(*job);
+                        debug_assert_eq!(got, job, "journal replay must keep job ids");
+                        report.jobs.push(job);
                     }
                     // Incarnations are informational: in-flight batch work
                     // died with the machine and is re-dispatched fresh.
-                    StoreEvent::JobIncarnated { .. } => {}
+                    StoreEventRef::JobIncarnated { .. } => {}
                     // Placements likewise: a restarted server re-derives
                     // them from the same seed; the journal is the audit
                     // trail the determinism tests compare.
-                    StoreEvent::PlacementDecided { .. } => {}
-                    StoreEvent::TaskStateChanged {
+                    StoreEventRef::PlacementDecided { .. } => {}
+                    StoreEventRef::TaskStateChanged {
                         job,
                         node,
                         outcome_der,
@@ -129,20 +137,20 @@ impl Njs {
                     } => {
                         let outcome = OutcomeNode::from_der(outcome_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
-                        let Some(rt) = self.jobs.get(job) else {
+                        let Some(rt) = self.jobs.get(&job) else {
                             continue;
                         };
-                        let pos = rt.position(*node);
+                        let pos = rt.position(node);
                         let vspace = &mut self.vsites[rt.vsite].vspace;
                         for (name, data) in files {
-                            let _ = vspace.write_uspace_file(*job, name, &data[..], &rt.user.login);
+                            let _ = vspace.write_uspace_file(job, name, data, &rt.user.login);
                         }
                         if let Some(pos) = pos {
                             // `recovering` keeps the record out of the journal.
-                            self.terminate_node(*job, pos, outcome, &[]);
+                            self.terminate_node(job, pos, outcome, &[]);
                         }
                     }
-                    StoreEvent::OutcomeStored {
+                    StoreEventRef::OutcomeStored {
                         job,
                         outcome_der,
                         manifest,
@@ -150,7 +158,7 @@ impl Njs {
                     } => {
                         let outcome = JobOutcome::from_der(outcome_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
-                        let Some(rt) = self.jobs.get_mut(job) else {
+                        let Some(rt) = self.jobs.get_mut(&job) else {
                             continue;
                         };
                         // A finished job is never addressed by node again,
@@ -164,28 +172,27 @@ impl Njs {
                             match entry {
                                 // Journals from before the by-reference
                                 // form carry the contents themselves.
-                                ManifestEntry::Inline { name, data } => {
-                                    let _ =
-                                        v.vspace.write_uspace_file(*job, name, &data[..], login);
+                                ManifestEntryRef::Inline { name, data } => {
+                                    let _ = v.vspace.write_uspace_file(job, name, data, login);
                                 }
                                 // The job's earlier records have just rebuilt
                                 // the Uspace; a file that is not there as
                                 // stated means the journal lost bytes, and a
                                 // silently empty or stale file must not be
                                 // served in their place.
-                                ManifestEntry::Stored { name, len } => {
+                                ManifestEntryRef::Stored { name, len } => {
                                     let found = v
                                         .vspace
-                                        .uspace(*job)
+                                        .uspace(job)
                                         .ok()
                                         .and_then(|fs| fs.read(name, login).ok())
                                         .map(|f| f.data.len() as u64);
-                                    if found != Some(*len) {
+                                    if found != Some(len) {
                                         return Err(NjsError::Store(
                                             StoreError::ManifestMismatch {
-                                                job: *job,
-                                                name: name.clone(),
-                                                expected: *len,
+                                                job,
+                                                name: name.to_owned(),
+                                                expected: len,
                                                 found,
                                             },
                                         ));
@@ -193,12 +200,12 @@ impl Njs {
                                 }
                             }
                         }
-                        self.mark_done(*job, *at);
+                        self.mark_done(job, at);
                     }
                     // Transfers replay through the receiver's live path, so
                     // what it rebuilds is what the live receiver held. A
                     // step the live receiver refused was never journalled.
-                    StoreEvent::TransferOpened {
+                    StoreEventRef::TransferOpened {
                         manifest_der,
                         login,
                         ..
@@ -207,7 +214,7 @@ impl Njs {
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
                         let _ = self.open_incoming(manifest, login);
                     }
-                    StoreEvent::TransferChunkStored {
+                    StoreEventRef::TransferChunkStored {
                         origin,
                         origin_job,
                         origin_node,
@@ -216,17 +223,17 @@ impl Njs {
                         ..
                     } => {
                         let key = TransferKey {
-                            origin: origin.clone(),
-                            origin_job: *origin_job,
-                            origin_node: *origin_node,
+                            origin: origin.to_owned(),
+                            origin_job,
+                            origin_node,
                         };
                         // Bytes were verified against the manifest before
                         // being journalled; replay does not hash them again.
-                        let _ = self.store_chunk(&key, *index, data);
+                        let _ = self.store_chunk(&key, index, data);
                     }
-                    StoreEvent::JobPurged { job, .. } => {
-                        self.forget_job(*job);
-                        purged.push(*job);
+                    StoreEventRef::JobPurged { job, .. } => {
+                        self.forget_job(job);
+                        purged.push(job);
                     }
                 }
             }

@@ -30,13 +30,39 @@ impl DerCodec for OwnerRecord {
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        OwnerRecordRef::read(r).map(|o| o.to_owned())
+    }
+}
+
+/// An [`OwnerRecord`] borrowed from the record it was decoded from.
+#[derive(Debug, PartialEq, Eq)]
+pub struct OwnerRecordRef<'a> {
+    /// Certificate distinguished name.
+    pub dn: &'a str,
+    /// Xlogin at this Vsite.
+    pub login: &'a str,
+    /// Account group billed.
+    pub account_group: &'a str,
+}
+
+impl<'a> OwnerRecordRef<'a> {
+    fn read(r: &mut DerReader<'a>) -> Result<Self, CodecError> {
         r.sequence("OwnerRecord", |f| {
-            Ok(OwnerRecord {
-                dn: f.next_string()?,
-                login: f.next_string()?,
-                account_group: f.next_string()?,
+            Ok(OwnerRecordRef {
+                dn: f.next_str()?,
+                login: f.next_str()?,
+                account_group: f.next_str()?,
             })
         })
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> OwnerRecord {
+        OwnerRecord {
+            dn: self.dn.to_owned(),
+            login: self.login.to_owned(),
+            account_group: self.account_group.to_owned(),
+        }
     }
 }
 
@@ -65,14 +91,43 @@ impl DerCodec for ForeignOrigin {
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        ForeignOriginRef::read(r).map(|o| o.to_owned())
+    }
+}
+
+/// A [`ForeignOrigin`] borrowed from the record it was decoded from.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ForeignOriginRef<'a> {
+    /// Address of the consigning peer server.
+    pub origin: &'a str,
+    /// The parent job at the peer.
+    pub parent: JobId,
+    /// The sub-job node within the parent's AJO.
+    pub node: ActionId,
+    /// Uspace files the peer expects back with the outcome.
+    pub return_files: Vec<&'a str>,
+}
+
+impl<'a> ForeignOriginRef<'a> {
+    fn read(r: &mut DerReader<'a>) -> Result<Self, CodecError> {
         r.sequence("ForeignOrigin", |f| {
-            Ok(ForeignOrigin {
-                origin: f.next_string()?,
+            Ok(ForeignOriginRef {
+                origin: f.next_str()?,
                 parent: JobId(f.next_u64()?),
                 node: ActionId(f.next_u64()?),
-                return_files: f.sequence_of("return files", |n| n.next_string())?,
+                return_files: f.sequence_of("return files", |n| n.next_str())?,
             })
         })
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> ForeignOrigin {
+        ForeignOrigin {
+            origin: self.origin.to_owned(),
+            parent: self.parent,
+            node: self.node,
+            return_files: self.return_files.iter().map(|f| (*f).to_owned()).collect(),
+        }
     }
 }
 
@@ -105,12 +160,20 @@ fn owned_files(files: &[(String, Vec<u8>)]) -> impl Iterator<Item = (&str, &[u8]
     files.iter().map(|(n, d)| (n.as_str(), d.as_slice()))
 }
 
-fn read_files(r: &mut DerReader<'_>) -> Result<Vec<(String, Vec<u8>)>, CodecError> {
+/// A file list as it lies in the record.
+pub type FilesRef<'a> = Vec<(&'a str, &'a [u8])>;
+
+fn read_files<'a>(r: &mut DerReader<'a>) -> Result<FilesRef<'a>, CodecError> {
     r.sequence_of("file list", |e| {
-        e.sequence("file entry", |f| {
-            Ok((f.next_string()?, f.next_bytes()?.to_vec()))
-        })
+        e.sequence("file entry", |f| Ok((f.next_str()?, f.next_bytes()?)))
     })
+}
+
+fn owned_copy(files: &[(&str, &[u8])]) -> Vec<(String, Vec<u8>)> {
+    files
+        .iter()
+        .map(|(n, d)| ((*n).to_owned(), d.to_vec()))
+        .collect()
 }
 
 /// One file of an [`StoreEvent::OutcomeStored`] manifest.
@@ -158,16 +221,55 @@ impl DerCodec for ManifestEntry {
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        ManifestEntryRef::read(r).map(|e| e.to_owned())
+    }
+}
+
+/// A [`ManifestEntry`] borrowed from the record it was decoded from.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ManifestEntryRef<'a> {
+    /// See [`ManifestEntry::Stored`].
+    Stored {
+        /// File name within the job's Uspace.
+        name: &'a str,
+        /// Length in bytes.
+        len: u64,
+    },
+    /// See [`ManifestEntry::Inline`].
+    Inline {
+        /// File name within the job's Uspace.
+        name: &'a str,
+        /// The contents.
+        data: &'a [u8],
+    },
+}
+
+impl<'a> ManifestEntryRef<'a> {
+    fn read(r: &mut DerReader<'a>) -> Result<Self, CodecError> {
         r.sequence("manifest entry", |f| {
-            let name = f.next_string()?;
+            let name = f.next_str()?;
             if f.peek_tag() == Some(tag::INTEGER) {
                 let len = f.next_u64()?;
-                Ok(ManifestEntry::Stored { name, len })
+                Ok(ManifestEntryRef::Stored { name, len })
             } else {
-                let data = f.next_bytes()?.to_vec();
-                Ok(ManifestEntry::Inline { name, data })
+                let data = f.next_bytes()?;
+                Ok(ManifestEntryRef::Inline { name, data })
             }
         })
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> ManifestEntry {
+        match *self {
+            ManifestEntryRef::Stored { name, len } => ManifestEntry::Stored {
+                name: name.to_owned(),
+                len,
+            },
+            ManifestEntryRef::Inline { name, data } => ManifestEntry::Inline {
+                name: name.to_owned(),
+                data: data.to_vec(),
+            },
+        }
     }
 }
 
@@ -521,86 +623,279 @@ impl DerCodec for StoreEvent {
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        StoreEventRef::read(r).map(|e| e.to_owned())
+    }
+}
+
+/// A [`StoreEvent`] decoded in place: every byte string, string and file
+/// list borrows from the record it was read from, so a reader that only
+/// passes the bytes on (recovery re-applying the journal) allocates for
+/// nothing but the lists themselves. The one decoder of a store event:
+/// [`StoreEvent`]'s own `read_der` is this followed by
+/// [`StoreEventRef::to_owned`].
+#[derive(Debug, PartialEq, Eq)]
+#[allow(missing_docs)] // the fields are documented on `StoreEvent`
+pub enum StoreEventRef<'a> {
+    /// See [`StoreEvent::JobConsigned`].
+    JobConsigned {
+        job: JobId,
+        ajo_der: &'a [u8],
+        user: OwnerRecordRef<'a>,
+        staged: FilesRef<'a>,
+        idem_key: &'a [u8],
+        parent: Option<(JobId, ActionId)>,
+        foreign: Option<ForeignOriginRef<'a>>,
+        at: u64,
+    },
+    /// See [`StoreEvent::JobIncarnated`].
+    JobIncarnated {
+        job: JobId,
+        node: ActionId,
+        target: &'a str,
+        at: u64,
+    },
+    /// See [`StoreEvent::TaskStateChanged`].
+    TaskStateChanged {
+        job: JobId,
+        node: ActionId,
+        outcome_der: &'a [u8],
+        files: FilesRef<'a>,
+        at: u64,
+    },
+    /// See [`StoreEvent::OutcomeStored`].
+    OutcomeStored {
+        job: JobId,
+        outcome_der: &'a [u8],
+        manifest: Vec<ManifestEntryRef<'a>>,
+        at: u64,
+    },
+    /// See [`StoreEvent::JobPurged`].
+    JobPurged { job: JobId, at: u64 },
+    /// See [`StoreEvent::TransferOpened`].
+    TransferOpened {
+        origin: &'a str,
+        origin_job: JobId,
+        origin_node: ActionId,
+        manifest_der: &'a [u8],
+        login: &'a str,
+        at: u64,
+    },
+    /// See [`StoreEvent::PlacementDecided`].
+    PlacementDecided {
+        job: JobId,
+        node: ActionId,
+        chosen: &'a str,
+        excluded: Vec<&'a str>,
+        attempt: u32,
+        at: u64,
+    },
+    /// See [`StoreEvent::TransferChunkStored`].
+    TransferChunkStored {
+        origin: &'a str,
+        origin_job: JobId,
+        origin_node: ActionId,
+        index: u64,
+        data: &'a [u8],
+        at: u64,
+    },
+}
+
+impl<'a> StoreEventRef<'a> {
+    /// Decodes one record payload; trailing bytes are an error.
+    pub fn from_der(payload: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = DerReader::new(payload);
+        let event = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(event)
+    }
+
+    fn read(r: &mut DerReader<'a>) -> Result<Self, CodecError> {
         r.tagged(|tag, t| match tag {
             TAG_CONSIGNED => t.sequence("JobConsigned", |f| {
-                Ok(StoreEvent::JobConsigned {
+                Ok(StoreEventRef::JobConsigned {
                     job: JobId(f.next_u64()?),
-                    ajo_der: f.next_bytes()?.to_vec(),
-                    user: OwnerRecord::read_der(f)?,
+                    ajo_der: f.next_bytes()?,
+                    user: OwnerRecordRef::read(f)?,
                     staged: read_files(f)?,
-                    idem_key: f.next_bytes()?.to_vec(),
+                    idem_key: f.next_bytes()?,
                     at: f.next_u64()?,
                     parent: f.optional_tagged(1, |p| {
                         p.sequence("JobConsigned.parent", |pf| {
                             Ok((JobId(pf.next_u64()?), ActionId(pf.next_u64()?)))
                         })
                     })?,
-                    foreign: f.optional_tagged(0, ForeignOrigin::read_der)?,
+                    foreign: f.optional_tagged(0, ForeignOriginRef::read)?,
                 })
             }),
             TAG_INCARNATED => t.sequence("JobIncarnated", |f| {
-                Ok(StoreEvent::JobIncarnated {
+                Ok(StoreEventRef::JobIncarnated {
                     job: JobId(f.next_u64()?),
                     node: ActionId(f.next_u64()?),
-                    target: f.next_string()?,
+                    target: f.next_str()?,
                     at: f.next_u64()?,
                 })
             }),
             TAG_TASK_STATE => t.sequence("TaskStateChanged", |f| {
-                Ok(StoreEvent::TaskStateChanged {
+                Ok(StoreEventRef::TaskStateChanged {
                     job: JobId(f.next_u64()?),
                     node: ActionId(f.next_u64()?),
-                    outcome_der: f.next_bytes()?.to_vec(),
+                    outcome_der: f.next_bytes()?,
                     files: read_files(f)?,
                     at: f.next_u64()?,
                 })
             }),
             TAG_OUTCOME => t.sequence("OutcomeStored", |f| {
-                Ok(StoreEvent::OutcomeStored {
+                Ok(StoreEventRef::OutcomeStored {
                     job: JobId(f.next_u64()?),
-                    outcome_der: f.next_bytes()?.to_vec(),
-                    manifest: f.sequence_of("manifest", ManifestEntry::read_der)?,
+                    outcome_der: f.next_bytes()?,
+                    manifest: f.sequence_of("manifest", ManifestEntryRef::read)?,
                     at: f.next_u64()?,
                 })
             }),
             TAG_PURGED => t.sequence("JobPurged", |f| {
-                Ok(StoreEvent::JobPurged {
+                Ok(StoreEventRef::JobPurged {
                     job: JobId(f.next_u64()?),
                     at: f.next_u64()?,
                 })
             }),
             TAG_TRANSFER_OPENED => t.sequence("TransferOpened", |f| {
-                Ok(StoreEvent::TransferOpened {
-                    origin: f.next_string()?,
+                Ok(StoreEventRef::TransferOpened {
+                    origin: f.next_str()?,
                     origin_job: JobId(f.next_u64()?),
                     origin_node: ActionId(f.next_u64()?),
-                    manifest_der: f.next_bytes()?.to_vec(),
-                    login: f.next_string()?,
+                    manifest_der: f.next_bytes()?,
+                    login: f.next_str()?,
                     at: f.next_u64()?,
                 })
             }),
             TAG_PLACEMENT => t.sequence("PlacementDecided", |f| {
-                Ok(StoreEvent::PlacementDecided {
+                Ok(StoreEventRef::PlacementDecided {
                     job: JobId(f.next_u64()?),
                     node: ActionId(f.next_u64()?),
-                    chosen: f.next_string()?,
-                    excluded: f.sequence_of("excluded Usites", |u| u.next_string())?,
+                    chosen: f.next_str()?,
+                    excluded: f.sequence_of("excluded Usites", |u| u.next_str())?,
                     attempt: f.next_u32()?,
                     at: f.next_u64()?,
                 })
             }),
             TAG_TRANSFER_CHUNK => t.sequence("TransferChunkStored", |f| {
-                Ok(StoreEvent::TransferChunkStored {
-                    origin: f.next_string()?,
+                Ok(StoreEventRef::TransferChunkStored {
+                    origin: f.next_str()?,
                     origin_job: JobId(f.next_u64()?),
                     origin_node: ActionId(f.next_u64()?),
                     index: f.next_u64()?,
-                    data: f.next_bytes()?.to_vec(),
+                    data: f.next_bytes()?,
                     at: f.next_u64()?,
                 })
             }),
             _ => Err(CodecError::BadValue("store event: unknown tag")),
         })
+    }
+
+    /// An owned copy, as [`StoreEvent`]'s `read_der` returns it.
+    pub fn to_owned(&self) -> StoreEvent {
+        match self {
+            StoreEventRef::JobConsigned {
+                job,
+                ajo_der,
+                user,
+                staged,
+                idem_key,
+                parent,
+                foreign,
+                at,
+            } => StoreEvent::JobConsigned {
+                job: *job,
+                ajo_der: ajo_der.to_vec(),
+                user: user.to_owned(),
+                staged: owned_copy(staged),
+                idem_key: idem_key.to_vec(),
+                parent: *parent,
+                foreign: foreign.as_ref().map(ForeignOriginRef::to_owned),
+                at: *at,
+            },
+            StoreEventRef::JobIncarnated {
+                job,
+                node,
+                target,
+                at,
+            } => StoreEvent::JobIncarnated {
+                job: *job,
+                node: *node,
+                target: (*target).to_owned(),
+                at: *at,
+            },
+            StoreEventRef::TaskStateChanged {
+                job,
+                node,
+                outcome_der,
+                files,
+                at,
+            } => StoreEvent::TaskStateChanged {
+                job: *job,
+                node: *node,
+                outcome_der: outcome_der.to_vec(),
+                files: owned_copy(files),
+                at: *at,
+            },
+            StoreEventRef::OutcomeStored {
+                job,
+                outcome_der,
+                manifest,
+                at,
+            } => StoreEvent::OutcomeStored {
+                job: *job,
+                outcome_der: outcome_der.to_vec(),
+                manifest: manifest.iter().map(ManifestEntryRef::to_owned).collect(),
+                at: *at,
+            },
+            StoreEventRef::JobPurged { job, at } => StoreEvent::JobPurged { job: *job, at: *at },
+            StoreEventRef::TransferOpened {
+                origin,
+                origin_job,
+                origin_node,
+                manifest_der,
+                login,
+                at,
+            } => StoreEvent::TransferOpened {
+                origin: (*origin).to_owned(),
+                origin_job: *origin_job,
+                origin_node: *origin_node,
+                manifest_der: manifest_der.to_vec(),
+                login: (*login).to_owned(),
+                at: *at,
+            },
+            StoreEventRef::PlacementDecided {
+                job,
+                node,
+                chosen,
+                excluded,
+                attempt,
+                at,
+            } => StoreEvent::PlacementDecided {
+                job: *job,
+                node: *node,
+                chosen: (*chosen).to_owned(),
+                excluded: excluded.iter().map(|u| (*u).to_owned()).collect(),
+                attempt: *attempt,
+                at: *at,
+            },
+            StoreEventRef::TransferChunkStored {
+                origin,
+                origin_job,
+                origin_node,
+                index,
+                data,
+                at,
+            } => StoreEvent::TransferChunkStored {
+                origin: (*origin).to_owned(),
+                origin_job: *origin_job,
+                origin_node: *origin_node,
+                index: *index,
+                data: data.to_vec(),
+                at: *at,
+            },
+        }
     }
 }
 
@@ -716,6 +1011,33 @@ mod tests {
             assert_eq!(back, ev);
             assert_eq!(back.job(), ev.job());
         }
+    }
+
+    /// The borrowed decode hands out the record's own bytes: a staged
+    /// file's contents are a slice of the payload, not a copy.
+    #[test]
+    fn borrowed_decode_points_into_the_record() {
+        let ev = StoreEvent::JobConsigned {
+            job: JobId(7),
+            ajo_der: vec![0x30, 0x00],
+            user: sample_owner(),
+            staged: vec![("input.dat".into(), vec![1, 2, 3])],
+            idem_key: vec![0xaa; 32],
+            parent: None,
+            foreign: None,
+            at: 1,
+        };
+        let der = ev.to_der();
+        let borrowed = StoreEventRef::from_der(&der).unwrap();
+        assert_eq!(borrowed.to_owned(), ev);
+        let StoreEventRef::JobConsigned { staged, user, .. } = borrowed else {
+            panic!("decoded another variant");
+        };
+        assert!(der.as_ptr_range().contains(&staged[0].1.as_ptr()));
+        assert!(der.as_ptr_range().contains(&user.dn.as_ptr()));
+        let mut trailing = der.clone();
+        trailing.push(0);
+        assert!(StoreEventRef::from_der(&trailing).is_err());
     }
 
     /// The inline manifest form is byte for byte what `OutcomeStored`

@@ -18,7 +18,9 @@
 //! * a typed **event-store API** ([`StoreEvent`]: `JobConsigned`,
 //!   `JobIncarnated`, `TaskStateChanged`, `OutcomeStored`, `JobPurged`),
 //!   with [`EventBatch`] framing bulk records straight from borrowed
-//!   bytes,
+//!   bytes, and [`StoreEventRef`] decoding them in place: recovery reads
+//!   the log once ([`EventStore::read_journal`]) and every record is
+//!   decoded, borrowed from those bytes, before the first is applied,
 //! * pluggable [`StorageBackend`]s: an in-memory backend whose handle
 //!   survives a simulated crash (for deterministic kill-at-any-stage
 //!   tests) and a real filesystem backend.
@@ -57,8 +59,11 @@ pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use error::StoreError;
-pub use events::{ForeignOrigin, ManifestEntry, OwnerRecord, StoreEvent};
+pub use events::{
+    FilesRef, ForeignOrigin, ForeignOriginRef, ManifestEntry, ManifestEntryRef, OwnerRecord,
+    OwnerRecordRef, StoreEvent, StoreEventRef,
+};
 pub use store::{
-    events_by_job, CompactionStats, EventBatch, EventStore, Replay, DEFAULT_ROTATE_AT,
+    events_by_job, CompactionStats, EventBatch, EventStore, Journal, Replay, DEFAULT_ROTATE_AT,
 };
 pub use wal::{decode_record, encode_record, Decoded, RECORD_HEADER_LEN};

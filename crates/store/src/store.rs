@@ -4,6 +4,7 @@ use crate::backend::StorageBackend;
 use crate::error::StoreError;
 use crate::events::{
     write_outcome_stored, write_stored_entry, write_task_state, write_transfer_chunk, StoreEvent,
+    StoreEventRef,
 };
 use crate::wal::{
     encode_record, encode_record_with, parse_segment_name, parse_snapshot_name, scan_segment,
@@ -17,13 +18,53 @@ use unicore_telemetry::{Counter, Telemetry};
 /// Default segment rotation threshold (bytes).
 pub const DEFAULT_ROTATE_AT: usize = 64 * 1024;
 
-/// Everything replayed from the log at startup.
+/// The surviving history as owned events: the view compaction and tests
+/// use. Recovery reads the same history borrowed, through a [`Journal`].
 #[derive(Debug)]
 pub struct Replay {
     /// All surviving events, oldest first (snapshot, then segments).
     pub events: Vec<StoreEvent>,
     /// Whether the newest segment ended in a torn record (crash residue).
     pub torn_tail: bool,
+}
+
+/// The bytes of the surviving history — the snapshot, then every live
+/// segment — each read from the backend once ([`EventStore::read_journal`]).
+/// [`Journal::events`] decodes them in place.
+#[derive(Debug)]
+pub struct Journal {
+    /// `(name, bytes)` of the live snapshot, if any.
+    snapshot: Option<(String, Vec<u8>)>,
+    /// `(name, bytes)` of each live segment, oldest first.
+    segments: Vec<(String, Vec<u8>)>,
+}
+
+impl Journal {
+    /// Every surviving event, oldest first, borrowed from the journal's
+    /// bytes, and whether the newest segment ended in a torn record.
+    ///
+    /// Every record is CRC-checked and decoded before this returns, so a
+    /// caller that applies the events cannot have applied some of them
+    /// when a damaged one turns up: only the newest segment may end torn,
+    /// and damage anywhere else — a bad frame or a record that does not
+    /// decode — is an error.
+    pub fn events(&self) -> Result<(Vec<StoreEventRef<'_>>, bool), StoreError> {
+        let mut events = Vec::new();
+        let mut torn_tail = false;
+        let newest = self.segments.len();
+        let snapshot = self.snapshot.iter().map(|blob| (blob, false));
+        let segments = self.segments.iter().enumerate();
+        let segments = segments.map(|(i, blob)| (blob, i + 1 == newest));
+        for ((name, data), may_tear) in snapshot.chain(segments) {
+            let scan = scan_segment(name, data, may_tear)?;
+            events.reserve(scan.payloads.len());
+            for payload in scan.payloads {
+                events.push(StoreEventRef::from_der(payload)?);
+            }
+            torn_tail |= scan.torn;
+        }
+        Ok((events, torn_tail))
+    }
 }
 
 /// What one [`EventStore::compact`] call accomplished.
@@ -309,29 +350,26 @@ impl EventStore {
         Ok(segments)
     }
 
-    /// Replays the whole surviving history: snapshot first, then every
-    /// segment in order. Only the newest segment may end torn.
+    /// Reads the whole surviving history — the snapshot, then every live
+    /// segment in order — once, for [`Journal::events`] to decode.
+    pub fn read_journal(&self) -> Result<Journal, StoreError> {
+        let read = |name: String| -> Result<(String, Vec<u8>), StoreError> {
+            let data = self.backend.read(&name)?;
+            Ok((name, data))
+        };
+        let snapshot = self.snapshot_seq.map(snapshot_name).map(read).transpose()?;
+        let segments = self.live_segments()?.into_iter().map(segment_name);
+        let segments = segments.map(read).collect::<Result<_, _>>()?;
+        Ok(Journal { snapshot, segments })
+    }
+
+    /// Replays the whole surviving history as owned events: snapshot
+    /// first, then every segment in order. Only the newest segment may
+    /// end torn.
     pub fn replay(&self) -> Result<Replay, StoreError> {
-        let mut events = Vec::new();
-        if let Some(snap) = self.snapshot_seq {
-            let name = snapshot_name(snap);
-            let data = self.backend.read(&name)?;
-            for payload in scan_segment(&name, &data, false)?.payloads {
-                events.push(StoreEvent::from_der(payload)?);
-            }
-        }
-        let segments = self.live_segments()?;
-        let mut torn_tail = false;
-        for (i, &seq) in segments.iter().enumerate() {
-            let newest = i + 1 == segments.len();
-            let name = segment_name(seq);
-            let data = self.backend.read(&name)?;
-            let scan = scan_segment(&name, &data, newest)?;
-            for payload in scan.payloads {
-                events.push(StoreEvent::from_der(payload)?);
-            }
-            torn_tail |= scan.torn;
-        }
+        let journal = self.read_journal()?;
+        let (events, torn_tail) = journal.events()?;
+        let events = events.iter().map(StoreEventRef::to_owned).collect();
         Ok(Replay { events, torn_tail })
     }
 
@@ -732,6 +770,39 @@ mod tests {
         assert!(matches!(
             store.replay().unwrap_err(),
             StoreError::Corrupt { .. }
+        ));
+    }
+
+    /// A record whose frame checks out but whose DER is no event fails
+    /// the whole read — no prefix of events is handed out — unless it is
+    /// the torn tail of the newest segment.
+    #[test]
+    fn journal_events_decode_everything_before_returning_anything() {
+        let shared = MemoryBackend::new();
+        let mut store = EventStore::open_with_rotation(Box::new(shared.clone()), 64).unwrap();
+        for j in 0..4 {
+            store.append(&consigned(j)).unwrap();
+        }
+        let journal = store.read_journal().unwrap();
+        let (events, torn) = journal.events().unwrap();
+        let owned: Vec<StoreEvent> = events.iter().map(StoreEventRef::to_owned).collect();
+        assert_eq!(owned, store.replay().unwrap().events);
+        assert!(!torn);
+
+        let mut w = shared.clone();
+        use crate::backend::StorageBackend as _;
+        let newest = segment_name(store.segment_count().unwrap() as u64 - 1);
+        w.append(&newest, &encode_record(&[0x30, 0x00])[..5])
+            .unwrap();
+        let journal = store.read_journal().unwrap();
+        let (events, torn) = journal.events().unwrap();
+        assert_eq!((events.len(), torn), (4, true));
+
+        w.append(&segment_name(0), &encode_record(&[0x30, 0x00]))
+            .unwrap();
+        assert!(matches!(
+            store.read_journal().unwrap().events(),
+            Err(StoreError::Codec(_))
         ));
     }
 
