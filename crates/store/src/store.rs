@@ -174,6 +174,9 @@ pub struct EventStore {
     backend: Box<dyn StorageBackend>,
     /// Sequence number of the open (append) segment.
     current_seq: u64,
+    /// `segment_name(current_seq)`, formatted when the segment is entered
+    /// rather than on every append.
+    current_name: String,
     /// Bytes already in the open segment.
     current_bytes: usize,
     rotate_at: usize,
@@ -215,6 +218,7 @@ impl EventStore {
         let mut store = EventStore {
             backend,
             current_seq: 0,
+            current_name: String::new(),
             current_bytes: 0,
             rotate_at,
             snapshot_seq: None,
@@ -257,12 +261,18 @@ impl EventStore {
             } else {
                 store.current_bytes = data.len();
             }
-            store.current_seq = newest;
+            store.enter_segment(newest);
         } else {
-            store.current_seq = live_floor;
+            store.enter_segment(live_floor);
             store.current_bytes = 0;
         }
         Ok(store)
+    }
+
+    /// Makes segment `seq` the one appends go to.
+    fn enter_segment(&mut self, seq: u64) {
+        self.current_seq = seq;
+        self.current_name = segment_name(seq);
     }
 
     /// Whether `open` had to discard a torn record tail.
@@ -327,12 +337,11 @@ impl EventStore {
         // One rotation decision for the whole batch keeps it in one
         // segment — the single-write guarantee above.
         if self.current_bytes > 0 && self.current_bytes + bytes > self.rotate_at {
-            self.current_seq += 1;
+            self.enter_segment(self.current_seq + 1);
             self.current_bytes = 0;
             self.metrics.rotations.inc();
         }
-        self.backend
-            .append(&segment_name(self.current_seq), &frames)?;
+        self.backend.append(&self.current_name, &frames)?;
         self.current_bytes += bytes;
         self.metrics.appends.add(events);
         self.metrics.bytes.add(bytes as u64);
@@ -440,7 +449,7 @@ impl EventStore {
             self.backend.remove(&snapshot_name(old))?;
         }
         self.snapshot_seq = Some(new_seq);
-        self.current_seq = new_seq;
+        self.enter_segment(new_seq);
         self.current_bytes = 0;
         Ok(CompactionStats {
             events_before,
