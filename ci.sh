@@ -132,6 +132,15 @@ if {
     exit 1
 fi
 
+echo "==> recovery reads borrowed records, one decoder, one pointer per job: crates/njs/src calls no .replay() and no StoreEvent::from_der; crates/store/src/events.rs has exactly one TAG_CONSIGNED => decode arm; crates/njs/src/njs/mod.rs declares jobs: IdMap<JobId, Box<JobRuntime>> (offenders are listed)"
+if {
+    grep -rnE '\.replay\(\)|StoreEvent::from_der' crates/njs/src
+    grep -HnE 'TAG_CONSIGNED =>' crates/store/src/events.rs | once "crates/store/src/events.rs: TAG_CONSIGNED =>"
+    grep -HnE '^ *jobs: IdMap<JobId, Box<JobRuntime>>,' crates/njs/src/njs/mod.rs | once "crates/njs/src/njs/mod.rs: jobs: IdMap<JobId, Box<JobRuntime>>,"
+} | grep .; then
+    exit 1
+fi
+
 echo "==> replay is the live path: a server recovered after every tick of a two-site workload holds the live one's durable state (HUB on 1, 2 and 4 shards)"
 cargo test -q --offline -p unicore-integration-tests --test replay_equiv
 
