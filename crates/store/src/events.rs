@@ -160,10 +160,7 @@ fn owned_files(files: &[(String, Vec<u8>)]) -> impl Iterator<Item = (&str, &[u8]
     files.iter().map(|(n, d)| (n.as_str(), d.as_slice()))
 }
 
-/// A file list as it lies in the record.
-pub type FilesRef<'a> = Vec<(&'a str, &'a [u8])>;
-
-fn read_files<'a>(r: &mut DerReader<'a>) -> Result<FilesRef<'a>, CodecError> {
+fn read_files<'a>(r: &mut DerReader<'a>) -> Result<Vec<(&'a str, &'a [u8])>, CodecError> {
     r.sequence_of("file list", |e| {
         e.sequence("file entry", |f| Ok((f.next_str()?, f.next_bytes()?)))
     })
@@ -641,7 +638,7 @@ pub enum StoreEventRef<'a> {
         job: JobId,
         ajo_der: &'a [u8],
         user: OwnerRecordRef<'a>,
-        staged: FilesRef<'a>,
+        staged: Vec<(&'a str, &'a [u8])>,
         idem_key: &'a [u8],
         parent: Option<(JobId, ActionId)>,
         foreign: Option<ForeignOriginRef<'a>>,
@@ -659,7 +656,7 @@ pub enum StoreEventRef<'a> {
         job: JobId,
         node: ActionId,
         outcome_der: &'a [u8],
-        files: FilesRef<'a>,
+        files: Vec<(&'a str, &'a [u8])>,
         at: u64,
     },
     /// See [`StoreEvent::OutcomeStored`].
@@ -702,7 +699,7 @@ pub enum StoreEventRef<'a> {
 
 impl<'a> StoreEventRef<'a> {
     /// Decodes one record payload; trailing bytes are an error.
-    pub fn from_der(payload: &'a [u8]) -> Result<Self, CodecError> {
+    pub(crate) fn from_der(payload: &'a [u8]) -> Result<Self, CodecError> {
         let mut r = DerReader::new(payload);
         let event = Self::read(&mut r)?;
         r.finish()?;

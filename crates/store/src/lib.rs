@@ -60,8 +60,8 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use error::StoreError;
 pub use events::{
-    FilesRef, ForeignOrigin, ForeignOriginRef, ManifestEntry, ManifestEntryRef, OwnerRecord,
-    OwnerRecordRef, StoreEvent, StoreEventRef,
+    ForeignOrigin, ForeignOriginRef, ManifestEntry, ManifestEntryRef, OwnerRecord, OwnerRecordRef,
+    StoreEvent, StoreEventRef,
 };
 pub use store::{
     events_by_job, CompactionStats, EventBatch, EventStore, Journal, Replay, DEFAULT_ROTATE_AT,

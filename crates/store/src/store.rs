@@ -49,6 +49,15 @@ impl Journal {
     /// and damage anywhere else — a bad frame or a record that does not
     /// decode — is an error.
     pub fn events(&self) -> Result<(Vec<StoreEventRef<'_>>, bool), StoreError> {
+        self.decode(|event| event)
+    }
+
+    /// Every surviving event as `each` makes it, oldest first; the rules
+    /// of [`Journal::events`].
+    fn decode<'a, T>(
+        &'a self,
+        mut each: impl FnMut(StoreEventRef<'a>) -> T,
+    ) -> Result<(Vec<T>, bool), StoreError> {
         let mut events = Vec::new();
         let mut torn_tail = false;
         let newest = self.segments.len();
@@ -59,7 +68,7 @@ impl Journal {
             let scan = scan_segment(name, data, may_tear)?;
             events.reserve(scan.payloads.len());
             for payload in scan.payloads {
-                events.push(StoreEventRef::from_der(payload)?);
+                events.push(each(StoreEventRef::from_der(payload)?));
             }
             torn_tail |= scan.torn;
         }
@@ -377,8 +386,7 @@ impl EventStore {
     /// end torn.
     pub fn replay(&self) -> Result<Replay, StoreError> {
         let journal = self.read_journal()?;
-        let (events, torn_tail) = journal.events()?;
-        let events = events.iter().map(StoreEventRef::to_owned).collect();
+        let (events, torn_tail) = journal.decode(|event| event.to_owned())?;
         Ok(Replay { events, torn_tail })
     }
 
