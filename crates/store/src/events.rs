@@ -56,8 +56,7 @@ impl<'a> OwnerRecordRef<'a> {
         })
     }
 
-    /// An owned copy.
-    pub fn to_owned(&self) -> OwnerRecord {
+    pub(crate) fn to_owned(&self) -> OwnerRecord {
         OwnerRecord {
             dn: self.dn.to_owned(),
             login: self.login.to_owned(),
@@ -255,8 +254,7 @@ impl<'a> ManifestEntryRef<'a> {
         })
     }
 
-    /// An owned copy.
-    pub fn to_owned(&self) -> ManifestEntry {
+    pub(crate) fn to_owned(&self) -> ManifestEntry {
         match *self {
             ManifestEntryRef::Stored { name, len } => ManifestEntry::Stored {
                 name: name.to_owned(),
@@ -628,8 +626,7 @@ impl DerCodec for StoreEvent {
 /// list borrows from the record it was read from, so a reader that only
 /// passes the bytes on (recovery re-applying the journal) allocates for
 /// nothing but the lists themselves. The one decoder of a store event:
-/// [`StoreEvent`]'s own `read_der` is this followed by
-/// [`StoreEventRef::to_owned`].
+/// [`StoreEvent`]'s own `read_der` is this followed by an owned copy.
 #[derive(Debug, PartialEq, Eq)]
 #[allow(missing_docs)] // the fields are documented on `StoreEvent`
 pub enum StoreEventRef<'a> {
@@ -790,7 +787,7 @@ impl<'a> StoreEventRef<'a> {
     }
 
     /// An owned copy, as [`StoreEvent`]'s `read_der` returns it.
-    pub fn to_owned(&self) -> StoreEvent {
+    pub(crate) fn to_owned(&self) -> StoreEvent {
         match self {
             StoreEventRef::JobConsigned {
                 job,
