@@ -745,6 +745,7 @@ impl Njs {
                 let _ = writeln!(out, "job {id} portfolio {name:?} {}", hex(&sha256(data)));
             }
             if let Ok(fs) = self.vsites[rt.vsite].vspace.uspace(id) {
+                let _ = writeln!(out, "job {id} quota {}", fs.quota_bytes());
                 for name in fs.list("") {
                     let f = fs.read_raw(name).expect("listed");
                     let (len, sum) = (f.data.len(), hex(&f.checksum()));

@@ -439,11 +439,11 @@ impl ShardedNjs {
     /// `done`, and the status with in-flight nodes read as pending; each
     /// node as `terminal` with its outcome DER, `linked` (waiting on a
     /// child under a link) with its status, or `open`; the portfolio's
-    /// names and SHA-256; the Uspace's names, lengths and SHA-256. Then
-    /// each incoming transfer's receiver with its chunk coverage, and the
-    /// links. Everything else is soft state (DESIGN.md, "What a restart
-    /// keeps"): a facade recovered from this one's journal reproduces
-    /// the text line for line.
+    /// names and SHA-256; the Uspace's quota, and its files' names,
+    /// lengths and SHA-256. Then each incoming transfer's receiver with
+    /// its chunk coverage, and the links. Everything else is soft state
+    /// (DESIGN.md, "What a restart keeps"): a facade recovered from this
+    /// one's journal reproduces the text line for line.
     pub fn durable_state(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
