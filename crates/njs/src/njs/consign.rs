@@ -104,20 +104,8 @@ impl Njs {
         let id = JobId(self.next_job);
         self.next_job += self.job_stride;
 
-        // Job directory with a quota covering declared disk + payloads.
-        let disk_mb: u64 = job
-            .nodes
-            .iter()
-            .filter_map(|(_, n)| match n {
-                GraphNode::Task(t) => {
-                    Some(t.resources.disk_permanent_mb + t.resources.disk_temporary_mb)
-                }
-                GraphNode::SubJob(_) => None,
-            })
-            .sum();
-        let payload: u64 = portfolio.values().map(|d| d.len() as u64).sum::<u64>()
-            + staged.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
-        let quota = disk_mb * 1_048_576 + payload + (64 << 20);
+        let staged_bytes = staged.iter().map(|(_, d)| d.len() as u64).sum();
+        let quota = uspace_quota(&job, &portfolio, staged_bytes);
         let vspace = &mut self.vsites[vsite].vspace;
         vspace.create_uspace(id, quota)?;
         for (name, data) in &staged {
@@ -233,4 +221,26 @@ impl Njs {
         self.wake.insert(id);
         Ok(id)
     }
+}
+
+/// A job's Uspace quota, the one rule consign and recovery share: the
+/// disk its tasks declare, the bytes of its portfolio and of its staged
+/// files, and 64 MiB of slack.
+pub(super) fn uspace_quota(
+    job: &AbstractJob,
+    portfolio: &HashMap<String, Arc<[u8]>>,
+    staged_bytes: u64,
+) -> u64 {
+    let disk_mb: u64 = job
+        .nodes
+        .iter()
+        .filter_map(|(_, n)| match n {
+            GraphNode::Task(t) => {
+                Some(t.resources.disk_permanent_mb + t.resources.disk_temporary_mb)
+            }
+            GraphNode::SubJob(_) => None,
+        })
+        .sum();
+    let portfolio_bytes: u64 = portfolio.values().map(|d| d.len() as u64).sum();
+    disk_mb * 1_048_576 + portfolio_bytes + staged_bytes + (64 << 20)
 }

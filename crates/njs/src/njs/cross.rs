@@ -10,6 +10,7 @@
 //! boundary, so terminal outcomes, polls and flight rings are
 //! byte-identical for every shard count.
 
+use super::consign::uspace_quota;
 use super::{Njs, NodeState};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -127,13 +128,21 @@ impl Njs {
         self.jobs.get(&job).map(|rt| Arc::clone(&rt.portfolio))
     }
 
-    /// Gives `job` the portfolio it shares with its root job (used when
-    /// recovery rebuilds parent links: a child's consign record does not
-    /// carry it).
+    /// Gives `job` the portfolio it shares with its root job, and the
+    /// Uspace quota that portfolio earns it at consign (used when
+    /// recovery rebuilds parent links: a child's consign record carries
+    /// neither).
     pub(crate) fn set_portfolio(&mut self, job: JobId, portfolio: Arc<HashMap<String, Arc<[u8]>>>) {
-        if let Some(rt) = self.jobs.get_mut(&job) {
-            rt.portfolio = portfolio;
+        let Some(rt) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        let vspace = &mut self.vsites[rt.vsite].vspace;
+        if let Ok(fs) = vspace.uspace(job) {
+            // What the staged files earned under the portfolio replay gave.
+            let staged = fs.quota_bytes() - uspace_quota(&rt.job, &rt.portfolio, 0);
+            let _ = vspace.set_uspace_quota(job, uspace_quota(&rt.job, &portfolio, staged));
         }
+        rt.portfolio = portfolio;
     }
 
     /// The boundary lookup for a node named from outside this engine:

@@ -93,7 +93,7 @@ pub struct VirtualFs {
     files: BTreeMap<String, FileEntry>,
     partials: BTreeMap<String, PartialFile>,
     used: u64,
-    quota: u64,
+    pub(crate) quota: u64,
 }
 
 impl VirtualFs {

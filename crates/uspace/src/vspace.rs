@@ -69,6 +69,12 @@ impl Vspace {
         self.uspaces.contains_key(&job)
     }
 
+    /// Sets the quota of the job's Uspace.
+    pub fn set_uspace_quota(&mut self, job: JobId, quota_bytes: u64) -> Result<(), SpaceError> {
+        self.uspace_mut(job)?.quota = quota_bytes;
+        Ok(())
+    }
+
     fn uspace_mut(&mut self, job: JobId) -> Result<&mut VirtualFs, SpaceError> {
         self.uspaces
             .get_mut(&job)
