@@ -119,15 +119,6 @@ impl AbstractJob {
             .collect()
     }
 
-    /// Direct predecessors of `id`.
-    pub fn predecessors(&self, id: ActionId) -> Vec<ActionId> {
-        self.dependencies
-            .iter()
-            .filter(|d| d.to == id)
-            .map(|d| d.from)
-            .collect()
-    }
-
     /// Precomputes the predecessor adjacency for this level, so hot
     /// dependency checks borrow slices instead of allocating a `Vec`
     /// per call (the NJS step loop asks for predecessors once per
@@ -294,11 +285,11 @@ impl AbstractJob {
 
 /// Precomputed predecessor adjacency for one job level.
 ///
-/// [`AbstractJob::predecessors`] scans every dependency edge and collects
-/// into a fresh `Vec` on each call; the NJS dependency check does that per
-/// waiting node per step. This index pays the scan once at consign time
-/// and afterwards answers from a flattened CSR-style layout: all
-/// predecessor lists live in one `Vec`, sliced per node.
+/// Finding a node's predecessors means scanning every dependency edge,
+/// and the NJS dependency check asks per waiting node per step. This
+/// index pays the scan once at consign time and afterwards answers from
+/// a flattened CSR-style layout: all predecessor lists live in one `Vec`,
+/// sliced per node.
 ///
 /// A node is addressed either by its [`ActionId`] or by its *position* —
 /// its index in [`AbstractJob::nodes`]. The NJS keeps everything it
@@ -306,8 +297,8 @@ impl AbstractJob {
 /// node is an array index; [`DependencyIndex::position`] is the one
 /// lookup where an id arrives from outside.
 ///
-/// Orderings are identical to the allocating paths: predecessors appear
-/// in dependency-declaration order, ready sets in node-declaration order.
+/// Predecessors appear in dependency-declaration order, ready sets in
+/// node-declaration order (as [`AbstractJob::ready_nodes`] returns them).
 /// An edge naming a node this level does not have is ignored (a validated
 /// job has none).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -355,16 +346,6 @@ impl DependencyIndex {
     /// this level.
     pub fn position(&self, id: ActionId) -> Option<usize> {
         self.ids.iter().position(|&n| n == id)
-    }
-
-    /// Direct predecessors of `id`, in dependency-declaration order —
-    /// the same sequence [`AbstractJob::predecessors`] returns, without
-    /// the allocation. Unknown ids have no predecessors.
-    pub fn predecessors(&self, id: ActionId) -> &[ActionId] {
-        match self.position(id) {
-            Some(i) => self.predecessors_at(i),
-            None => &[],
-        }
     }
 
     /// Direct predecessors of the node at `position`, by id.
@@ -583,14 +564,20 @@ mod tests {
     fn dependency_index_matches_scanning_predecessors() {
         let job = diamond_fan_job();
         let index = job.dependency_index();
-        for (id, _) in &job.nodes {
+        for (pos, (id, _)) in job.nodes.iter().enumerate() {
+            let scanned: Vec<ActionId> = job
+                .dependencies
+                .iter()
+                .filter(|d| d.to == *id)
+                .map(|d| d.from)
+                .collect();
             assert_eq!(
-                index.predecessors(*id),
-                job.predecessors(*id).as_slice(),
+                index.predecessors_at(pos),
+                scanned,
                 "predecessor order diverged for node {id:?}"
             );
         }
-        assert!(index.predecessors(ActionId(99)).is_empty());
+        assert_eq!(index.position(ActionId(99)), None);
     }
 
     #[test]
@@ -617,13 +604,12 @@ mod tests {
         assert!(index.predecessor_positions(0).is_empty());
         for (pos, (id, _)) in job.nodes.iter().enumerate() {
             assert_eq!(index.position(*id), Some(pos));
-            assert_eq!(index.predecessors_at(pos), index.predecessors(*id));
             let by_position: Vec<ActionId> = index
                 .predecessor_positions(pos)
                 .iter()
                 .map(|&p| job.nodes[p].0)
                 .collect();
-            assert_eq!(by_position, index.predecessors(*id));
+            assert_eq!(by_position, index.predecessors_at(pos));
         }
     }
 

@@ -19,6 +19,7 @@
 //! - [`resources::ResourceRequest`] — the abstract resource model (§5.4).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod error;

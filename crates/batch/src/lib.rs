@@ -13,6 +13,7 @@
 //! any other batch job is treated", §5.5).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod job;
@@ -24,9 +25,6 @@ pub use job::{
     AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, IdHasher, IdMap,
     QueueClass, WorkModel,
 };
-pub use script::{
-    directive_prefix, memory_directive, processors_directive, script_matches_dialect,
-    time_directive,
-};
-pub use system::{BatchSystem, SubmitError, EXIT_CANCELLED, EXIT_TIME_LIMIT};
+pub use script::{memory_directive, processors_directive, script_matches_dialect, time_directive};
+pub use system::{BatchSystem, SubmitError};
 pub use workload::{generate_background, Arrival, WorkloadModel};

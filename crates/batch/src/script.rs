@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use unicore_resources::Architecture;
 
 /// The directive prefix each dialect uses (start of a directive line).
-pub fn directive_prefix(arch: Architecture) -> &'static str {
+pub(crate) fn directive_prefix(arch: Architecture) -> &'static str {
     match arch {
         Architecture::CrayT3e => "#QSUB",
         Architecture::FujitsuVpp700 => "#@$",

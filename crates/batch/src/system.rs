@@ -18,11 +18,11 @@ use unicore_sim::SimTime;
 use unicore_telemetry::{Counter, Histogram, Telemetry};
 
 /// Exit code used when the scheduler kills a job at its time limit.
-pub const EXIT_TIME_LIMIT: i32 = 137;
+pub(crate) const EXIT_TIME_LIMIT: i32 = 137;
 /// Exit code used when a running job is cancelled.
-pub const EXIT_CANCELLED: i32 = 130;
+pub(crate) const EXIT_CANCELLED: i32 = 130;
 /// Exit code used when the machine crashes under a running job.
-pub const EXIT_NODE_FAILURE: i32 = 139;
+pub(crate) const EXIT_NODE_FAILURE: i32 = 139;
 
 /// Submission-time rejections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +298,7 @@ impl BatchSystem {
     }
 
     /// Time of the next job completion, if any job is running.
-    pub fn next_completion_time(&self) -> Option<SimTime> {
+    pub(crate) fn next_completion_time(&self) -> Option<SimTime> {
         self.running.iter().map(|r| r.ends_at).min()
     }
 
@@ -526,8 +526,8 @@ impl BatchSystem {
         false
     }
 
-    /// Crashes the machine at `now`: every running job dies with
-    /// [`EXIT_NODE_FAILURE`], queued jobs survive, and nothing dispatches
+    /// Crashes the machine at `now`: every running job dies with exit
+    /// code 139 (node failure), queued jobs survive, and nothing dispatches
     /// until `now + downtime`. Returns the number of jobs killed.
     pub fn crash(&mut self, now: SimTime, downtime: SimTime) -> usize {
         self.advance_to(now);
@@ -542,11 +542,6 @@ impl BatchSystem {
         // offline_until inside schedule().
         self.advance_to(now);
         killed
-    }
-
-    /// When the machine comes back after a crash (0 = online).
-    pub fn offline_until(&self) -> SimTime {
-        self.offline_until
     }
 
     /// Holds a queued job (no-op for running/finished jobs).
@@ -1074,7 +1069,7 @@ mod crash_tests {
     fn crash_with_nothing_running() {
         let mut m = BatchSystem::new("m", Architecture::Generic, 2);
         assert_eq!(m.crash(MINUTE, MINUTE), 0);
-        assert_eq!(m.offline_until(), 2 * MINUTE);
+        assert_eq!(m.offline_until, 2 * MINUTE);
         // Fully recovers.
         let id = m.submit(spec("after", 1, MINUTE), 3 * MINUTE).unwrap();
         m.run_to_completion();

@@ -1,3 +1,4 @@
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 //! # unicore-bench
 //!

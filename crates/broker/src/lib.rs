@@ -24,6 +24,7 @@
 //!   the E16 experiment's acceptance gate.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod score;

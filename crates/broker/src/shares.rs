@@ -135,7 +135,7 @@ impl FairShare {
     /// burst would inflate) is what makes a hog's allowance collapse the
     /// moment it dwarfs everyone else. `None` means unlimited: nobody
     /// else is using the site, so there is nobody to be unfair to.
-    pub fn allowance(&self, dn: &str, now: SimTime) -> Option<u64> {
+    pub(crate) fn allowance(&self, dn: &str, now: SimTime) -> Option<u64> {
         let (total, active) = self.others(dn, now);
         if active == 0 {
             return None;

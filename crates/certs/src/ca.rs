@@ -16,7 +16,7 @@ use unicore_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 
 /// Default RSA modulus size for generated identities (kept small enough for
 /// fast simulation; real deployments would use ≥ 2048).
-pub const DEFAULT_KEY_BITS: usize = 512;
+pub(crate) const DEFAULT_KEY_BITS: usize = 512;
 
 /// A certificate authority with its key pair and revocation state.
 pub struct CertificateAuthority {

@@ -15,6 +15,7 @@
 //! - [`software`] — signed software bundles (the "signed applets")
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod ca;
@@ -25,7 +26,7 @@ pub mod dn;
 pub mod error;
 pub mod software;
 
-pub use ca::{CertificateAuthority, Identity, DEFAULT_KEY_BITS};
+pub use ca::{CertificateAuthority, Identity};
 pub use cert::{Certificate, KeyUsage, TbsCertificate, Validity};
 pub use chain::{RequiredUsage, TrustStore, ValidatedCertificate};
 pub use crl::CertificateRevocationList;

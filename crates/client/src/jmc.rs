@@ -16,7 +16,7 @@ use unicore_ajo::{
 
 /// The icon glyph for each status colour (terminal-friendly stand-ins for
 /// the applet's coloured icons).
-pub fn color_icon(color: StatusColor) -> &'static str {
+pub(crate) fn color_icon(color: StatusColor) -> &'static str {
     match color {
         StatusColor::Green => "[+]",
         StatusColor::Yellow => "[~]",
@@ -144,50 +144,6 @@ pub fn render_offers(offers: &[crate::jpa::PlacementView]) -> String {
     out
 }
 
-/// Counts of actions by display colour — the at-a-glance summary a JMC
-/// header shows ("3 running, 1 failed...").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatusSummary {
-    /// Finished successfully.
-    pub green: usize,
-    /// Running or queued.
-    pub yellow: usize,
-    /// Waiting.
-    pub blue: usize,
-    /// Failed or killed.
-    pub red: usize,
-    /// Held.
-    pub grey: usize,
-}
-
-impl StatusSummary {
-    /// Total actions counted.
-    pub fn total(&self) -> usize {
-        self.green + self.yellow + self.blue + self.red + self.grey
-    }
-
-    /// True when nothing is in progress or waiting any more.
-    pub fn settled(&self) -> bool {
-        self.yellow == 0 && self.blue == 0
-    }
-}
-
-/// Tallies the whole tree (tasks and job groups) by colour.
-pub fn summarize(job: &AbstractJob, outcome: &JobOutcome) -> StatusSummary {
-    let mut summary = StatusSummary::default();
-    for row in status_rows(job, outcome).iter().skip(1) {
-        match row.icon {
-            "[+]" => summary.green += 1,
-            "[~]" => summary.yellow += 1,
-            "[.]" => summary.blue += 1,
-            "[x]" => summary.red += 1,
-            "[=]" => summary.grey += 1,
-            _ => {}
-        }
-    }
-    summary
-}
-
 /// A task's captured outputs ("the standard output and error files can be
 /// listed and/or saved").
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -301,16 +257,6 @@ impl PollBook {
         Some(flow)
     }
 
-    /// The job behind a flow id, if still enrolled.
-    pub fn job_for(&self, flow: u64) -> Option<JobId> {
-        self.flows.get(&flow).copied()
-    }
-
-    /// The flow id a job polls on, if enrolled.
-    pub fn flow_for(&self, job: JobId) -> Option<u64> {
-        self.jobs.get(&job).copied()
-    }
-
     /// Starts a poll sweep: every enrolled flow becomes outstanding and
     /// the `(flow, job)` pairs are returned in flow order, ready to be
     /// framed into one batched record.
@@ -332,11 +278,6 @@ impl PollBook {
     /// Flows still awaiting a reply in the current sweep.
     pub fn outstanding(&self) -> usize {
         self.outstanding.len()
-    }
-
-    /// True when every poll in the current sweep has been answered.
-    pub fn sweep_complete(&self) -> bool {
-        self.outstanding.is_empty()
     }
 
     /// Number of jobs currently enrolled.
@@ -497,8 +438,8 @@ mod tests {
         assert_ne!(f1, f2);
         assert_eq!(book.enroll(JobId(10)), f1, "re-enroll keeps the flow");
         assert_eq!(book.len(), 2);
-        assert_eq!(book.job_for(f2), Some(JobId(20)));
-        assert_eq!(book.flow_for(JobId(10)), Some(f1));
+        assert_eq!(book.flows.get(&f2), Some(&JobId(20)));
+        assert_eq!(book.jobs.get(&JobId(10)), Some(&f1));
     }
 
     #[test]
@@ -511,9 +452,9 @@ mod tests {
         assert_eq!(book.outstanding(), 2);
         assert_eq!(book.settle(f2), Some(JobId(2)));
         assert_eq!(book.settle(f2), None, "duplicate reply dropped");
-        assert!(!book.sweep_complete());
+        assert_eq!(book.outstanding(), 1);
         assert_eq!(book.settle(f1), Some(JobId(1)));
-        assert!(book.sweep_complete());
+        assert_eq!(book.outstanding(), 0);
         assert_eq!(book.settle(999), None, "stray flow dropped");
     }
 
@@ -582,9 +523,6 @@ mod tests {
         assert_eq!(rows[2].name, "group");
         assert_eq!(rows[2].status, "Pending");
         assert_eq!(rows[2].icon, color_icon(StatusColor::Blue));
-        let s = summarize(&job, &outcome);
-        assert_eq!(s.blue, 1);
-        assert!(!s.settled());
     }
 }
 
@@ -622,6 +560,14 @@ mod summary_tests {
         (job, outcome)
     }
 
+    /// Each action's icon, below the job's own row.
+    fn icons(job: &AbstractJob, outcome: &JobOutcome) -> Vec<&'static str> {
+        status_rows(job, outcome)[1..]
+            .iter()
+            .map(|r| r.icon)
+            .collect()
+    }
+
     #[test]
     fn counts_by_color() {
         use ActionStatus::*;
@@ -634,32 +580,24 @@ mod summary_tests {
             NotSuccessful,
             Held,
         ]);
-        let s = summarize(&job, &outcome);
-        assert_eq!(s.green, 2);
-        assert_eq!(s.yellow, 2); // running + queued
-        assert_eq!(s.blue, 1);
-        assert_eq!(s.red, 1);
-        assert_eq!(s.grey, 1);
-        assert_eq!(s.total(), 7);
-        assert!(!s.settled());
+        // Running and queued share yellow.
+        assert_eq!(
+            icons(&job, &outcome),
+            ["[+]", "[+]", "[~]", "[~]", "[.]", "[x]", "[=]"]
+        );
     }
 
     #[test]
     fn settled_when_all_terminal() {
         use ActionStatus::*;
         let (job, outcome) = job_of(&[Successful, NotSuccessful, Killed]);
-        let s = summarize(&job, &outcome);
-        assert!(s.settled());
-        assert_eq!(s.green, 1);
-        assert_eq!(s.red, 2);
+        assert_eq!(icons(&job, &outcome), ["[+]", "[x]", "[x]"]);
     }
 
     #[test]
     fn empty_job_summary() {
         let (job, outcome) = job_of(&[]);
-        let s = summarize(&job, &outcome);
-        assert_eq!(s.total(), 0);
-        assert!(s.settled());
+        assert!(icons(&job, &outcome).is_empty());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! the AJOs the JPA emits, which these APIs build faithfully.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod jmc;
@@ -20,10 +21,8 @@ pub mod jpa;
 pub mod monitor;
 
 pub use jmc::{
-    collect_outputs, color_icon, first_failure, render, render_offers, status_rows, summarize,
-    PollBook, StatusRow, StatusSummary, TaskOutput,
+    collect_outputs, first_failure, render, render_offers, status_rows, PollBook, StatusRow,
+    TaskOutput,
 };
 pub use jpa::{JobBuilder, JobPreparationAgent, JpaError, PlacementView};
-pub use monitor::{
-    grid_rows, monitor_rows, render_flight, render_grid, render_monitor, MonitorRow,
-};
+pub use monitor::{render_flight, render_grid};

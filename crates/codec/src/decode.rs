@@ -79,7 +79,9 @@ mod tests {
         let v = Value::Set(vec![Value::Integer(300), Value::Integer(2)]);
         let dec = decode(&encode(&v)).unwrap();
         // Decoded order is the canonical (sorted-encoding) order.
-        let items = dec.as_set().unwrap();
+        let Value::Set(items) = dec else {
+            panic!("not a SET: {dec:?}");
+        };
         assert_eq!(items.len(), 2);
         assert!(items.contains(&Value::Integer(300)));
         assert!(items.contains(&Value::Integer(2)));

@@ -21,6 +21,7 @@
 //! exactly one accepted encoding (required for signing certificate bodies).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod decode;

@@ -62,22 +62,6 @@ impl Value {
         Value::Tagged(n, Box::new(inner))
     }
 
-    /// Borrows the elements if this is a SEQUENCE.
-    pub fn as_sequence(&self) -> Option<&[Value]> {
-        match self {
-            Value::Sequence(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Borrows the elements if this is a SET.
-    pub fn as_set(&self) -> Option<&[Value]> {
-        match self {
-            Value::Set(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Borrows the string content if this is a UTF8String.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -86,50 +70,10 @@ impl Value {
         }
     }
 
-    /// Returns the integer if this is an INTEGER.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Integer(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the integer as u64 if this is a non-negative INTEGER.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Integer(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
     /// Borrows the bytes if this is an OCTET STRING.
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::OctetString(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Returns the flag if this is a BOOLEAN.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Boolean(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Returns the discriminant if this is an ENUMERATED.
-    pub fn as_enum(&self) -> Option<u32> {
-        match self {
-            Value::Enumerated(e) => Some(*e),
-            _ => None,
-        }
-    }
-
-    /// If this is `[n]`-tagged, returns `(n, inner)`.
-    pub fn as_tagged(&self) -> Option<(u8, &Value)> {
-        match self {
-            Value::Tagged(n, inner) => Some((*n, inner)),
             _ => None,
         }
     }
@@ -152,20 +96,10 @@ mod tests {
 
     #[test]
     fn accessors_match_variants() {
-        assert_eq!(Value::Boolean(true).as_bool(), Some(true));
-        assert_eq!(Value::Integer(-5).as_i64(), Some(-5));
-        assert_eq!(Value::Integer(-5).as_u64(), None);
-        assert_eq!(Value::Integer(5).as_u64(), Some(5));
         assert_eq!(Value::string("hi").as_str(), Some("hi"));
         assert_eq!(Value::bytes(vec![1, 2]).as_bytes(), Some(&[1u8, 2][..]));
-        assert_eq!(Value::Enumerated(3).as_enum(), Some(3));
         assert!(Value::Null.as_str().is_none());
-        let seq = Value::Sequence(vec![Value::Null]);
-        assert_eq!(seq.as_sequence().unwrap().len(), 1);
-        let tagged = Value::tagged(2, Value::Integer(1));
-        let (n, inner) = tagged.as_tagged().unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(inner.as_i64(), Some(1));
+        assert!(Value::Null.as_bytes().is_none());
     }
 
     #[test]

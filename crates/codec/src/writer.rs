@@ -138,7 +138,7 @@ impl DerWriter {
 
     /// SET OF: `element` writes exactly one TLV per item; the elements are
     /// then put in canonical order (ascending encoded bytes) in place.
-    pub fn set_of<T>(
+    pub(crate) fn set_of<T>(
         &mut self,
         items: impl IntoIterator<Item = T>,
         mut element: impl FnMut(&mut DerWriter, T),

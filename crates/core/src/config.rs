@@ -46,7 +46,7 @@ impl SiteConfig {
     /// # Panics
     /// Panics when a page's Usite disagrees with `self.usite` (a
     /// configuration authoring error).
-    pub fn boot(&self, shards: usize) -> UnicoreServer {
+    pub(crate) fn boot(&self, shards: usize) -> UnicoreServer {
         let mut njs = ShardedNjs::new(self.usite.clone(), shards, 1);
         for v in &self.vsites {
             njs.add_vsite(v.page.clone(), v.table.clone());

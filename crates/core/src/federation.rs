@@ -42,7 +42,7 @@ use unicore_store::{EventStore, MemoryBackend};
 use unicore_telemetry::{ActiveSpan, Telemetry};
 
 /// The UNICORE gateway port.
-pub const GATEWAY_PORT: u16 = 4433;
+pub(crate) const GATEWAY_PORT: u16 = 4433;
 
 /// One Usite to build.
 #[derive(Debug, Clone)]

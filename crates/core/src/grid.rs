@@ -272,7 +272,7 @@ pub struct PlaneNode {
 
 /// Outcome of applying a push on the parent side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ApplyResult {
+pub(crate) struct ApplyResult {
     /// Epoch the cache now sits at.
     pub epoch: u64,
     /// True when the child must fall back to a full snapshot.
@@ -296,7 +296,7 @@ impl PlaneNode {
     /// Refresh the node's own row and metrics from a live report.
     /// The row's epoch bumps only when its content changed, so an idle
     /// site's row drops out of delta pushes entirely.
-    pub fn refresh_own(
+    pub(crate) fn refresh_own(
         &mut self,
         now: SimTime,
         metrics: MetricsSnapshot,
@@ -324,7 +324,7 @@ impl PlaneNode {
     }
 
     /// Every row this node can vouch for: its own plus its children's.
-    pub fn subtree_rows(&self) -> BTreeMap<String, &SiteStatus> {
+    pub(crate) fn subtree_rows(&self) -> BTreeMap<String, &SiteStatus> {
         let mut out = BTreeMap::new();
         for cache in self.children.values() {
             for (usite, row) in &cache.rows {
@@ -339,7 +339,7 @@ impl PlaneNode {
 
     /// The subtree-merged metrics snapshot: own metrics folded with
     /// every child's pre-merged cache.
-    pub fn subtree_merged(&self) -> MetricsSnapshot {
+    pub(crate) fn subtree_merged(&self) -> MetricsSnapshot {
         let mut merged = self.own_metrics.clone();
         for cache in self.children.values() {
             merged.merge(&cache.merged);
@@ -351,7 +351,7 @@ impl PlaneNode {
     /// whose edge has not been heard from within `stale_after`
     /// (their whole cached subtree goes stale) plus staleness the
     /// children themselves reported.
-    pub fn silent_sites(&self, now: SimTime, stale_after: SimTime) -> BTreeSet<String> {
+    pub(crate) fn silent_sites(&self, now: SimTime, stale_after: SimTime) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for (child, cache) in &self.children {
             if now.saturating_sub(cache.last_heard) > stale_after {
@@ -367,7 +367,7 @@ impl PlaneNode {
     /// Bumps the push epoch; ships only rows the parent has not acked
     /// (everything on a resync) and a metrics delta against the acked
     /// base (a full snapshot when `acked_epoch` is 0).
-    pub fn build_push(&mut self, now: SimTime, stale_after: SimTime, corr: u64) -> GridPush {
+    pub(crate) fn build_push(&mut self, now: SimTime, stale_after: SimTime, corr: u64) -> GridPush {
         self.epoch += 1;
         let to_epoch = self.epoch;
         let merged = self.subtree_merged();
@@ -408,7 +408,7 @@ impl PlaneNode {
     /// the cached ack; a delta whose base does not match the cache —
     /// e.g. after this node crash-restarted and lost the edge state —
     /// is refused with `resync` so the child falls back to a full.
-    pub fn apply_push(&mut self, now: SimTime, corr: u64, push: &GridPush) -> ApplyResult {
+    pub(crate) fn apply_push(&mut self, now: SimTime, corr: u64, push: &GridPush) -> ApplyResult {
         let cache = self.children.entry(push.origin.clone()).or_default();
         if let Some((last_corr, epoch, resync)) = cache.last_ack {
             if last_corr == corr {
@@ -481,7 +481,7 @@ impl PlaneNode {
 
     /// Drop the pending push (uplink fast-failed or retries exhausted);
     /// the next heartbeat simply rebuilds it.
-    pub fn abandon_pending(&mut self) {
+    pub(crate) fn abandon_pending(&mut self) {
         self.up.pending = None;
     }
 }

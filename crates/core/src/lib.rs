@@ -27,6 +27,7 @@
 //! execution all run for real.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod config;
@@ -38,7 +39,7 @@ mod reliability;
 pub mod server;
 
 pub use config::{SiteConfig, VsiteConfig};
-pub use federation::{Federation, FederationConfig, SiteSpec, GATEWAY_PORT};
+pub use federation::{Federation, FederationConfig, SiteSpec};
 pub use grid::{AggregationTree, GridPush, PlaneNode};
 pub use protocol::{list_jobs_of, outcome_of, Body, Envelope, Request, Response};
 pub use server::{OutboundRequest, UnicoreServer};

@@ -24,7 +24,7 @@ use unicore_transport::{RecordKeys, TransportError};
 /// simulated goodput by a sixth). 32 KiB is well above a tick's worth of
 /// polls, consigns and acks to one peer, and below one chunk: a frame
 /// larger than the bound travels alone.
-pub const RECORD_BOUND: usize = 32 * 1024;
+pub(crate) const RECORD_BOUND: usize = 32 * 1024;
 
 /// Octets of the length that precedes each frame.
 const LEN: usize = 4;
@@ -88,7 +88,7 @@ impl Outbox {
     }
 
     /// Whether every waiting frame was written by `node`.
-    pub fn only_from(&self, node: NodeId) -> bool {
+    pub(crate) fn only_from(&self, node: NodeId) -> bool {
         self.pairs.iter().all(|&(src, _, _)| src == node)
     }
 }

@@ -216,7 +216,7 @@ pub(crate) struct Reliability {
 impl Reliability {
     /// A layer for the workstation and `sites`: `(name, server DN,
     /// gateway node)` in deployment order.
-    pub fn new(
+    pub(crate) fn new(
         seed: u64,
         probe_interval: SimTime,
         workstation: NodeId,
@@ -284,7 +284,7 @@ impl Reliability {
 
     /// Posts `request` to `dest`'s gateway and arms its retry timer.
     /// Returns the frame's length.
-    pub fn request(
+    pub(crate) fn request(
         &mut self,
         now: SimTime,
         from: Sender<'_>,
@@ -322,7 +322,13 @@ impl Reliability {
 
     /// Stamps and frames a response from `site`'s gateway to node `to`,
     /// and hands it back for the caller's reply cache.
-    pub fn reply(&mut self, site: usize, to: NodeId, corr: u64, response: Response) -> Response {
+    pub(crate) fn reply(
+        &mut self,
+        site: usize,
+        to: NodeId,
+        corr: u64,
+        response: Response,
+    ) -> Response {
         let (src, dn) = (self.peers[site].gateway, self.peers[site].dn.clone());
         let body = Body::Response(response);
         self.post(src, to, corr, &dn, &body, None);
@@ -333,12 +339,12 @@ impl Reliability {
     }
 
     /// Hands the tick's records to `send` and leaves nothing waiting.
-    pub fn flush(&mut self, send: impl FnMut(NodeId, NodeId, Vec<u8>)) {
+    pub(crate) fn flush(&mut self, send: impl FnMut(NodeId, NodeId, Vec<u8>)) {
         self.outbox.flush(send);
     }
 
     /// Whether every frame still waiting was written by the workstation.
-    pub fn only_the_client_waits(&self) -> bool {
+    pub(crate) fn only_the_client_waits(&self) -> bool {
         self.outbox.only_from(self.workstation)
     }
 
@@ -346,7 +352,7 @@ impl Reliability {
     /// sequence number in the channel's ledger, and — the sender being
     /// provably alive — closes the sender's circuit and resets its
     /// failure streak. `None`, and nothing recorded, if it does not decode.
-    pub fn receive(&mut self, receiver: NodeId, frame: &[u8]) -> Option<(NodeId, Envelope)> {
+    pub(crate) fn receive(&mut self, receiver: NodeId, frame: &[u8]) -> Option<(NodeId, Envelope)> {
         let origin = NodeId(u32::from_be_bytes(frame.get(..4)?.try_into().ok()?));
         let env = Envelope::from_der(&frame[4..]).ok()?;
         if let Some(seq) = env.seq {
@@ -371,12 +377,12 @@ impl Reliability {
     }
 
     /// The request `key` was answered (or is given up): its timer stops.
-    pub fn disarm(&mut self, key: &CorrKey) {
+    pub(crate) fn disarm(&mut self, key: &CorrKey) {
         self.inflight.remove(key);
     }
 
     /// The earliest retry deadline.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.inflight.next_deadline()
     }
 
@@ -384,7 +390,7 @@ impl Reliability {
     /// then by `(site name, corr)` ascending — name, not index, because
     /// this order decides the order of the network's random draws and
     /// must not depend on how a deployment lists its sites.
-    pub fn due(&self, t: SimTime) -> Vec<CorrKey> {
+    pub(crate) fn due(&self, t: SimTime) -> Vec<CorrKey> {
         self.inflight.due(t, |owner| self.name_of(owner))
     }
 
@@ -392,7 +398,7 @@ impl Reliability {
     /// retransmitted and re-armed one backoff step further: `None`. With
     /// the budget dry nothing is touched and the destination is returned:
     /// the caller [`renew`](Self::renew)s or [`disarm`](Self::disarm)s.
-    pub fn fire(&mut self, key: &CorrKey, t: SimTime) -> Option<usize> {
+    pub(crate) fn fire(&mut self, key: &CorrKey, t: SimTime) -> Option<usize> {
         let f = self.inflight.entries.get(key).expect("a due key");
         if f.retries_left == 0 {
             return Some(f.dest);
@@ -411,7 +417,7 @@ impl Reliability {
     }
 
     /// Gives `key` a whole new budget without retransmitting now.
-    pub fn renew(&mut self, key: &CorrKey, t: SimTime) {
+    pub(crate) fn renew(&mut self, key: &CorrKey, t: SimTime) {
         self.inflight
             .rearm(key, t + RETRY_TIMEOUT, |f| f.retries_left = MAX_RETRIES);
     }
@@ -438,7 +444,7 @@ impl Reliability {
     /// A request to `dest` exhausted its retry budget. After
     /// [`QUARANTINE_AFTER`] consecutive exhaustions the circuit opens:
     /// further requests fast-fail until a half-open probe succeeds.
-    pub fn strike(&mut self, dest: usize, t: SimTime) {
+    pub(crate) fn strike(&mut self, dest: usize, t: SimTime) {
         let peer = &mut self.peers[dest];
         peer.failures += 1;
         if peer.failures >= QUARANTINE_AFTER {
@@ -456,7 +462,7 @@ impl Reliability {
     /// window of an open circuit has arrived, the first caller is let
     /// through as the half-open probe and subsequent callers keep
     /// fast-failing until the probe resolves.
-    pub fn blocks(&mut self, dest: usize, t: SimTime) -> bool {
+    pub(crate) fn blocks(&mut self, dest: usize, t: SimTime) -> bool {
         match &mut self.peers[dest].circuit {
             Circuit::Open { probe_at, probing } if t >= *probe_at && !*probing => {
                 *probing = true;
@@ -468,17 +474,17 @@ impl Reliability {
     }
 
     /// Whether `site`'s circuit is open.
-    pub fn is_quarantined(&self, site: usize) -> bool {
+    pub(crate) fn is_quarantined(&self, site: usize) -> bool {
         self.peers[site].circuit != Circuit::Closed
     }
 
     /// The answer `site` already gave `dn`'s request `corr`, if any.
-    pub fn cached_reply(&self, site: usize, dn: &str, corr: u64) -> Option<&Response> {
+    pub(crate) fn cached_reply(&self, site: usize, dn: &str, corr: u64) -> Option<&Response> {
         self.peers[site].handled.get(dn)?.get(&corr)
     }
 
     /// Remembers what `site` answered `dn`'s request `corr`.
-    pub fn cache_reply(&mut self, site: usize, dn: &str, corr: u64, response: Response) {
+    pub(crate) fn cache_reply(&mut self, site: usize, dn: &str, corr: u64, response: Response) {
         let handled = &mut self.peers[site].handled;
         match handled.get_mut(dn) {
             Some(by_corr) => by_corr.insert(corr, response),
@@ -493,7 +499,7 @@ impl Reliability {
     /// from node `to`, with what `handle` returns — framed first, then
     /// cached by move (a poll's answer is a whole outcome tree). A
     /// retransmission gets the cached answer and `handle` is not called.
-    pub fn answer_once(
+    pub(crate) fn answer_once(
         &mut self,
         site: usize,
         to: NodeId,
@@ -514,13 +520,13 @@ impl Reliability {
     /// its reply cache must not replay answers the rebooted server will
     /// re-derive from its journal. Sequence counters belong to the
     /// channel, not the process, and carry on.
-    pub fn forget(&mut self, site: usize) {
+    pub(crate) fn forget(&mut self, site: usize) {
         self.inflight.retain_owners(|owner| owner != Some(site));
         self.peers[site].handled.clear();
     }
 
     /// Aggregate `(duplicates, reorders)` seen across every channel.
-    pub fn seq_stats(&self) -> (u64, u64) {
+    pub(crate) fn seq_stats(&self) -> (u64, u64) {
         self.recv_seq
             .values()
             .fold((0, 0), |(d, r), t| (d + t.duplicates, r + t.reordered))

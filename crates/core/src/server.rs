@@ -309,13 +309,13 @@ impl UnicoreServer {
     /// wiring at deployment time): the broker ranks these alongside the
     /// live local snapshots when answering [`Request::Broker`] and when
     /// retargeting around a dead site.
-    pub fn install_grid_directory(&mut self, pages: Vec<ResourcePage>) {
+    pub(crate) fn install_grid_directory(&mut self, pages: Vec<ResourcePage>) {
         self.grid_pages = pages;
     }
 
     /// Seeds the broker's tie-break policy (one seed per deployment, so
     /// replays of the same seed re-derive identical placements).
-    pub fn set_broker_seed(&mut self, seed: u64) {
+    pub(crate) fn set_broker_seed(&mut self, seed: u64) {
         self.broker_policy = BrokerPolicy::seeded(seed);
     }
 

@@ -91,7 +91,7 @@ impl BigUint {
     /// Serialises to exactly `len` big-endian bytes, left-padding with zeros.
     ///
     /// Returns `None` if the value does not fit.
-    pub fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
+    pub(crate) fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
         let raw = self.to_bytes_be();
         if raw.len() > len {
             return None;
@@ -146,7 +146,7 @@ impl BigUint {
     }
 
     /// True when the low bit is clear (zero counts as even).
-    pub fn is_even(&self) -> bool {
+    pub(crate) fn is_even(&self) -> bool {
         self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
@@ -171,7 +171,7 @@ impl BigUint {
     }
 
     /// Sets bit `i`, growing as needed.
-    pub fn set_bit(&mut self, i: usize, value: bool) {
+    pub(crate) fn set_bit(&mut self, i: usize, value: bool) {
         let limb = i / 64;
         let off = i % 64;
         if limb >= self.limbs.len() {
@@ -256,15 +256,6 @@ impl BigUint {
         let mut n = BigUint { limbs: out };
         n.normalize();
         n
-    }
-
-    /// Checked subtraction: `None` when `other > self`.
-    pub fn checked_sub(&self, other: &BigUint) -> Option<BigUint> {
-        if self.cmp_big(other) == Ordering::Less {
-            None
-        } else {
-            Some(self.sub(other))
-        }
     }
 
     /// Total-order comparison.
@@ -479,7 +470,7 @@ impl BigUint {
     }
 
     /// Division by a single limb.
-    pub fn divrem_u64(&self, divisor: u64) -> (BigUint, u64) {
+    pub(crate) fn divrem_u64(&self, divisor: u64) -> (BigUint, u64) {
         assert!(divisor != 0, "division by zero");
         let mut out = vec![0u64; self.limbs.len()];
         let mut rem = 0u128;
@@ -922,17 +913,6 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn sub_underflow_panics() {
         BigUint::one().sub(&BigUint::from_u64(2));
-    }
-
-    #[test]
-    fn checked_sub_none_on_underflow() {
-        assert!(BigUint::one().checked_sub(&BigUint::from_u64(2)).is_none());
-        assert_eq!(
-            BigUint::from_u64(5)
-                .checked_sub(&BigUint::from_u64(2))
-                .unwrap(),
-            BigUint::from_u64(3)
-        );
     }
 
     #[test]

@@ -124,7 +124,8 @@ impl DhGroup {
     }
 
     /// A tiny toy group (p = 23, g = 5) — fast and NOT secure, unit tests only.
-    pub fn test_group() -> Self {
+    #[cfg(test)]
+    fn test_group() -> Self {
         DhGroup {
             p: BigUint::from_u64(23),
             g: BigUint::from_u64(5),
@@ -146,7 +147,7 @@ impl DhGroup {
     }
 
     /// Samples a private exponent in `[2, p-2]`.
-    pub fn sample_private(&self, rng: &mut CryptoRng) -> BigUint {
+    pub(crate) fn sample_private(&self, rng: &mut CryptoRng) -> BigUint {
         let bits = self.p.bit_len().max(16);
         let p_minus_1 = self.p_minus_1();
         loop {
@@ -168,7 +169,7 @@ impl DhGroup {
     }
 
     /// Computes the shared secret `peer^x mod p`, validating the peer value.
-    pub fn shared_secret(
+    pub(crate) fn shared_secret(
         &self,
         private: &BigUint,
         peer_public: &BigUint,

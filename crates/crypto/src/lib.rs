@@ -31,6 +31,7 @@
 //! - [`ct`] — constant-time comparison
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // `deny`, not the workspace's usual `forbid`: `sha256::x86` and
 // `chacha20::x86` — the hardware kernels, the two modules allowed `unsafe`
 // — opt out with an inner `allow`.
@@ -53,7 +54,6 @@ pub use ct::ct_eq;
 pub use dh::{DhEphemeral, DhGroup};
 pub use error::CryptoError;
 pub use hmac::{hkdf_expand, hkdf_extract, hmac_sha256, HmacSha256};
-pub use prime::{generate_prime, is_probable_prime};
 pub use rng::CryptoRng;
 pub use rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 pub use sha256::{sha256, Sha256};

@@ -19,7 +19,7 @@ const MR_ROUNDS: usize = 24;
 /// Deterministically correct for all inputs below 2^64 thanks to trial
 /// division plus fixed small witnesses; probabilistic (Miller–Rabin with
 /// `rng`-drawn witnesses) above.
-pub fn is_probable_prime(n: &BigUint, rng: &mut CryptoRng) -> bool {
+pub(crate) fn is_probable_prime(n: &BigUint, rng: &mut CryptoRng) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
@@ -95,7 +95,7 @@ fn random_in_range(low: &BigUint, high: &BigUint, rng: &mut CryptoRng) -> BigUin
 ///
 /// # Panics
 /// Panics when `bits < 8`.
-pub fn generate_prime(bits: usize, rng: &mut CryptoRng) -> BigUint {
+pub(crate) fn generate_prime(bits: usize, rng: &mut CryptoRng) -> BigUint {
     assert!(bits >= 8, "prime size too small");
     loop {
         let mut bytes = rng.bytes(bits.div_ceil(8));

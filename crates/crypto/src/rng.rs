@@ -45,7 +45,7 @@ impl CryptoRng {
     }
 
     /// Fills `out` with random bytes.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
+    pub(crate) fn fill_bytes(&mut self, out: &mut [u8]) {
         self.cipher.keystream(out);
     }
 

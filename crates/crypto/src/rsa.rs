@@ -74,7 +74,7 @@ impl RsaKeyPair {
     /// The key pair over `n = p · q` with public exponent F4, CRT parameters
     /// included. `None` when `p == q` or 65537 has no inverse modulo
     /// `(p − 1)(q − 1)`. The primality of `p` and `q` is the caller's word:
-    /// key generation draws them from [`generate_prime`]; known-answer tests
+    /// key generation draws them from `generate_prime`; known-answer tests
     /// write a fixed key out.
     pub fn from_primes(p: BigUint, q: BigUint) -> Option<Self> {
         if p == q {
@@ -105,7 +105,7 @@ impl RsaKeyPair {
 
 impl RsaPublicKey {
     /// Modulus size in bytes.
-    pub fn modulus_len(&self) -> usize {
+    pub(crate) fn modulus_len(&self) -> usize {
         self.n.bit_len().div_ceil(8)
     }
 

@@ -24,6 +24,7 @@
 //! Usite resumes mid-stream instead of restarting.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod manifest;

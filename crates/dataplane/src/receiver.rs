@@ -95,7 +95,8 @@ impl ReceiverState {
     }
 
     /// Chunks held (contiguous or not).
-    pub fn chunks_received(&self) -> u64 {
+    #[cfg(test)]
+    fn chunks_received(&self) -> u64 {
         self.received.iter().filter(|r| **r).count() as u64
     }
 

@@ -92,11 +92,6 @@ impl SenderState {
         self.acked >= self.manifest.num_chunks()
     }
 
-    /// Chunks acked so far (the resume point if we stall here).
-    pub fn acked_chunks(&self) -> u64 {
-        self.acked
-    }
-
     /// Bytes covered by the acked prefix.
     pub fn bytes_acked(&self) -> u64 {
         (self.acked * self.manifest.chunk_size as u64).min(self.manifest.total_len)
@@ -144,7 +139,7 @@ mod tests {
         s.begin(0);
         // Receiver reports 7 chunks stored; re-offer resumes from there.
         assert_eq!(s.begin(7), vec![7, 8, 9]);
-        assert_eq!(s.acked_chunks(), 7);
+        assert_eq!(s.acked, 7);
         assert_eq!(s.bytes_acked(), 70);
     }
 
@@ -155,7 +150,7 @@ mod tests {
         s.on_ack(5);
         // A late, smaller ack must not move the window backwards.
         assert!(s.on_ack(3).is_empty());
-        assert_eq!(s.acked_chunks(), 5);
+        assert_eq!(s.acked, 5);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl FrontDoorConn {
         &self.dn
     }
 
-    /// The door-local connection id.
-    pub fn conn_id(&self) -> u64 {
-        self.conn_id
-    }
-
     /// Whether this session resumed a cached one.
     pub fn resumed(&self) -> bool {
         self.chan.resumed()

@@ -46,7 +46,7 @@ pub type SiteAuthHook =
     Box<dyn Fn(&Certificate, Option<&[u8]>) -> Result<(), String> + Send + Sync>;
 
 /// Default bound of the audit ring buffer.
-pub const DEFAULT_AUDIT_CAPACITY: usize = 10_000;
+pub(crate) const DEFAULT_AUDIT_CAPACITY: usize = 10_000;
 
 /// One memoized successful mapping. Valid only while its epoch matches
 /// the gateway's current UUDB epoch.

@@ -12,15 +12,16 @@
 
 //!
 //! At connection scale the gateway is also the *front door*
-//! ([`front_door`]): resumable secure sessions, JMC poll multiplexing
+//! ([`FrontDoor`]): resumable secure sessions, JMC poll multiplexing
 //! ([`mux`]), per-DN token-bucket rate limiting ([`ratelimit`]), and
 //! live CRL enforcement that kills cached sessions and in-flight
 //! connections, not just new handshakes.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod front_door;
+mod front_door;
 pub mod gateway;
 pub mod mux;
 pub mod ratelimit;
@@ -29,5 +30,5 @@ pub mod uudb;
 pub use front_door::{FrontDoor, FrontDoorConn, FrontDoorError, RevocationSweep};
 pub use gateway::{AuditRecord, AuthDecision, Gateway, SiteAuthHook};
 pub use mux::{decode_frames, encode_frames, MuxFrame};
-pub use ratelimit::{RateLimitConfig, RateLimiter};
+pub use ratelimit::RateLimitConfig;
 pub use uudb::{MappedUser, MappingError, UserEntry, Uudb};

@@ -54,29 +54,24 @@ struct Bucket {
 }
 
 /// A token-bucket limiter with one bucket per DN.
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     cfg: RateLimitConfig,
     buckets: HashMap<String, Bucket>,
 }
 
 impl RateLimiter {
     /// A limiter enforcing `cfg`.
-    pub fn new(cfg: RateLimitConfig) -> Self {
+    pub(crate) fn new(cfg: RateLimitConfig) -> Self {
         RateLimiter {
             cfg,
             buckets: HashMap::new(),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &RateLimitConfig {
-        &self.cfg
-    }
-
     /// Charges one request for `dn` at time `now` (simulation seconds).
     /// Returns whether the request is admitted. Time moving backwards is
     /// treated as no elapsed time (no refill), never a panic.
-    pub fn check(&mut self, dn: &str, now: u64) -> bool {
+    pub(crate) fn check(&mut self, dn: &str, now: u64) -> bool {
         let burst_mt = self.cfg.burst_for(dn).saturating_mul(1_000);
         let rate_mt = self.cfg.rate_per_sec.saturating_mul(1_000);
         let bucket = self.buckets.entry(dn.to_owned()).or_insert(Bucket {
@@ -99,7 +94,8 @@ impl RateLimiter {
 
     /// Remaining whole tokens for `dn` without charging (0 for an unseen
     /// DN means "full burst available", reported as the burst budget).
-    pub fn available(&self, dn: &str, now: u64) -> u64 {
+    #[cfg(test)]
+    fn available(&self, dn: &str, now: u64) -> u64 {
         match self.buckets.get(dn) {
             None => self.cfg.burst_for(dn),
             Some(b) => {
@@ -112,11 +108,6 @@ impl RateLimiter {
                     / 1_000
             }
         }
-    }
-
-    /// Drops all per-DN state (e.g. after a config change).
-    pub fn reset(&mut self) {
-        self.buckets.clear();
     }
 }
 

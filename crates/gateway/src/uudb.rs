@@ -44,7 +44,7 @@ impl UserEntry {
     }
 
     /// The login effective at `vsite`.
-    pub fn login_for(&self, vsite: &str) -> &str {
+    pub(crate) fn login_for(&self, vsite: &str) -> &str {
         self.vsite_logins
             .get(vsite)
             .map(String::as_str)

@@ -29,7 +29,7 @@ pub struct UsageRow {
 
 impl UsageRow {
     /// Mean queue wait per job in ticks (0 when no jobs).
-    pub fn mean_wait(&self) -> SimTime {
+    pub(crate) fn mean_wait(&self) -> SimTime {
         self.total_wait.checked_div(self.jobs).unwrap_or(0)
     }
 }
@@ -47,11 +47,6 @@ impl UsageReport {
         self.rows
             .iter()
             .find(|r| r.vsite == vsite && r.login == login)
-    }
-
-    /// Total node-seconds across the Usite.
-    pub fn total_node_seconds(&self) -> u64 {
-        self.rows.iter().map(|r| r.node_seconds).sum()
     }
 
     /// Renders the report as an aligned text table.
@@ -174,7 +169,7 @@ mod tests {
         let bob = report.row("T3E", "bob").unwrap();
         assert_eq!(bob.jobs, 1);
         assert_eq!(bob.failed, 1);
-        assert_eq!(report.total_node_seconds(), 300 + 20);
+        assert_eq!(bob.node_seconds, 20);
     }
 
     #[test]
@@ -191,7 +186,6 @@ mod tests {
         let njs = ShardedNjs::new("EMPTY", 1, 1);
         let report = njs.usage_report();
         assert!(report.rows.is_empty());
-        assert_eq!(report.total_node_seconds(), 0);
         assert!(report.row("X", "y").is_none());
     }
 }

@@ -16,6 +16,7 @@
 //!   module) is never handed out on its own.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod accounting;
@@ -28,6 +29,6 @@ pub mod translation;
 pub use accounting::{UsageReport, UsageRow};
 pub use error::NjsError;
 pub use njs::{ConsignMeta, OutgoingItem, RecoveryReport, VsiteRuntime, INCOMING_PREFIX};
-pub use oracle::{synthetic_content, DeterministicOracle, WorkOracle};
+pub use oracle::{synthetic_content, WorkOracle};
 pub use shard::ShardedNjs;
 pub use translation::{incarnate_execute, incarnate_execute_in_queue, TranslationTable};

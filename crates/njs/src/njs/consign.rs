@@ -16,7 +16,7 @@ use unicore_store::{OwnerRecord, StoreEvent};
 
 impl Njs {
     /// Consigns a top-level AJO with journal metadata attached.
-    pub fn consign_with_meta(
+    pub(crate) fn consign_with_meta(
         &mut self,
         job: AbstractJob,
         user: MappedUser,
@@ -38,7 +38,7 @@ impl Njs {
     /// Consigns a job group arriving from a peer NJS (already mapped by
     /// this site's gateway), with journal metadata (origin bookkeeping,
     /// dedup key). The AJO's portfolio carries edge files.
-    pub fn consign_from_peer_with_meta(
+    pub(crate) fn consign_from_peer_with_meta(
         &mut self,
         job: AbstractJob,
         user: MappedUser,

@@ -20,28 +20,28 @@ impl Njs {
     }
 
     /// The DN of the user who consigned `job`.
-    pub fn owner_dn(&self, job: JobId) -> Option<String> {
+    pub(crate) fn owner_dn(&self, job: JobId) -> Option<String> {
         self.jobs.get(&job).map(|rt| rt.user.dn.clone())
     }
 
     /// Whether a job has finished (successfully or not).
-    pub fn is_done(&self, job: JobId) -> bool {
+    pub(crate) fn is_done(&self, job: JobId) -> bool {
         self.jobs.get(&job).map(|j| j.done).unwrap_or(false)
     }
 
     /// The job's current outcome tree.
-    pub fn outcome(&self, job: JobId) -> Option<&JobOutcome> {
+    pub(crate) fn outcome(&self, job: JobId) -> Option<&JobOutcome> {
         self.jobs.get(&job).map(|j| &j.outcome)
     }
 
     /// Consign → finish duration, once finished.
-    pub fn turnaround(&self, job: JobId) -> Option<SimTime> {
+    pub(crate) fn turnaround(&self, job: JobId) -> Option<SimTime> {
         let rt = self.jobs.get(&job)?;
         Some(rt.finished_at? - rt.consigned_at)
     }
 
     /// Applies a user control operation (ownership enforced by DN).
-    pub fn control(
+    pub(crate) fn control(
         &mut self,
         job: JobId,
         op: ControlOp,
@@ -129,7 +129,7 @@ impl Njs {
     }
 
     /// Lists the files in a job's Uspace (the JMC's save-output browser).
-    pub fn list_uspace_files(&self, job: JobId, dn: &str) -> Result<Vec<String>, NjsError> {
+    pub(crate) fn list_uspace_files(&self, job: JobId, dn: &str) -> Result<Vec<String>, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {
@@ -153,7 +153,7 @@ impl Njs {
     /// The JMC calls this once the user has saved what they need — job
     /// directories hold "the data for and created during the job run"
     /// (§5.5) and are reclaimed afterwards.
-    pub fn purge(&mut self, job: JobId, dn: &str) -> Result<u64, NjsError> {
+    pub(crate) fn purge(&mut self, job: JobId, dn: &str) -> Result<u64, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {
@@ -199,7 +199,7 @@ impl Njs {
     }
 
     /// The List service: root jobs owned by `dn`.
-    pub fn list_jobs(&self, dn: &str) -> Vec<JobSummary> {
+    pub(crate) fn list_jobs(&self, dn: &str) -> Vec<JobSummary> {
         self.job_order
             .iter()
             .filter_map(|id| {
@@ -217,7 +217,12 @@ impl Njs {
     }
 
     /// The Query service: the outcome tree at the requested detail level.
-    pub fn query(&self, job: JobId, dn: &str, detail: DetailLevel) -> Result<JobOutcome, NjsError> {
+    pub(crate) fn query(
+        &self,
+        job: JobId,
+        dn: &str,
+        detail: DetailLevel,
+    ) -> Result<JobOutcome, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {
@@ -230,7 +235,12 @@ impl Njs {
 
     /// Fetches a file from a finished job's Uspace (JMC "save output",
     /// §5.6: data goes back to the workstation only on user request).
-    pub fn fetch_uspace_file(&self, job: JobId, name: &str, dn: &str) -> Result<Vec<u8>, NjsError> {
+    pub(crate) fn fetch_uspace_file(
+        &self,
+        job: JobId,
+        name: &str,
+        dn: &str,
+    ) -> Result<Vec<u8>, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {

@@ -17,7 +17,7 @@ impl Njs {
     /// bytes actually got to instead of restarting. A return equal to
     /// the manifest's chunk count means the file is already fully
     /// delivered and committed.
-    pub fn transfer_offer(
+    pub(crate) fn transfer_offer(
         &mut self,
         manifest: TransferManifest,
         login: &str,
@@ -104,7 +104,7 @@ impl Njs {
     /// again without touching storage, so the operation is idempotent
     /// even though the federation layer's response cache does not
     /// survive a receiver crash.
-    pub fn transfer_chunk(
+    pub(crate) fn transfer_chunk(
         &mut self,
         origin: &str,
         origin_job: JobId,
@@ -216,12 +216,12 @@ impl Njs {
 
     /// Times an incoming offer resumed from a non-zero journaled
     /// watermark instead of restarting at chunk zero.
-    pub fn transfer_resumes(&self) -> u64 {
+    pub(crate) fn transfer_resumes(&self) -> u64 {
         self.transfer_resumes
     }
 
     /// Progress of an incoming transfer: `(bytes_received, total_len)`.
-    pub fn incoming_progress(
+    pub(crate) fn incoming_progress(
         &self,
         origin: &str,
         origin_job: JobId,

@@ -372,7 +372,7 @@ pub(crate) struct Njs {
 /// The slow-dispatch watchdog threshold: a healthy NJS dispatches a
 /// ready node on the very next step, so a minute of sitting fully
 /// undispatched means the site is wedged, not busy.
-pub const DEFAULT_WATCHDOG_THRESHOLD: SimTime = 60 * unicore_sim::SEC;
+pub(crate) const DEFAULT_WATCHDOG_THRESHOLD: SimTime = 60 * unicore_sim::SEC;
 
 /// NJS counters/histograms, fetched once from the registry.
 #[derive(Default)]
@@ -388,12 +388,12 @@ struct NjsMetrics {
 
 impl Njs {
     /// An NJS for `usite` with the default deterministic work oracle.
-    pub fn new(usite: impl Into<String>) -> Self {
+    pub(crate) fn new(usite: impl Into<String>) -> Self {
         Self::with_oracle(usite, Box::new(DeterministicOracle::default()))
     }
 
     /// An NJS with a custom work oracle.
-    pub fn with_oracle(usite: impl Into<String>, oracle: Box<dyn WorkOracle>) -> Self {
+    pub(crate) fn with_oracle(usite: impl Into<String>, oracle: Box<dyn WorkOracle>) -> Self {
         Njs {
             usite: usite.into(),
             vsites: Vsites::default(),
@@ -447,7 +447,7 @@ impl Njs {
     /// telemetry handle. Jobs consigned from now on get `njs.job` spans;
     /// counters land in `telemetry`'s registry under `njs.*`,
     /// `store.wal.*`, and `batch.*`.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.metrics = NjsMetrics {
             consigned: telemetry.counter("njs.consigned"),
             incarnations: telemetry.counter("njs.incarnations"),
@@ -470,14 +470,14 @@ impl Njs {
     }
 
     /// The flight recorder holding recent per-job lifecycle events.
-    pub fn flight(&self) -> &FlightRecorder {
+    pub(crate) fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
 
     /// WAL tail repairs performed by the attached store (0 without one).
     /// Surfaced separately from the metrics registry so the monitor
     /// report shows the repair even when telemetry was never enabled.
-    pub fn wal_repairs(&self) -> u64 {
+    pub(crate) fn wal_repairs(&self) -> u64 {
         self.store
             .as_ref()
             .map(|s| s.recovered_torn() as u64)
@@ -516,21 +516,21 @@ impl Njs {
     }
 
     /// The telemetry handle this NJS reports into.
-    pub fn telemetry(&self) -> &Telemetry {
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
     /// The trace context of a consigned job, if tracing was enabled when
     /// it arrived. The server stamps this onto outbound peer requests so
     /// remote sub-jobs continue the same trace.
-    pub fn trace_of(&self, job: JobId) -> Option<SpanContext> {
+    pub(crate) fn trace_of(&self, job: JobId) -> Option<SpanContext> {
         self.jobs.get(&job).and_then(|rt| rt.trace)
     }
 
     /// Attaches a durable event store. From now on every consign, node
     /// completion, job completion, and purge is journalled, and
     /// [`Njs::recover`] can rebuild the job table after a restart.
-    pub fn attach_store(&mut self, mut store: EventStore) {
+    pub(crate) fn attach_store(&mut self, mut store: EventStore) {
         // Only wire a live handle: attaching under the default disabled
         // telemetry would consume the store's once-only torn-tail repair
         // signal into a registry nobody reads.
@@ -541,7 +541,7 @@ impl Njs {
     }
 
     /// The attached event store, for compaction and inspection.
-    pub fn store_mut(&mut self) -> Option<&mut EventStore> {
+    pub(crate) fn store_mut(&mut self) -> Option<&mut EventStore> {
         self.store.as_mut()
     }
 
@@ -578,7 +578,7 @@ impl Njs {
     /// commits it at once: the decision must be durable *before* the
     /// forward leaves, so two runs of the same seed leave byte-identical
     /// placement trails even when one of them crashes mid-campaign.
-    pub fn journal_placement(
+    pub(crate) fn journal_placement(
         &mut self,
         job: JobId,
         node: ActionId,
@@ -643,7 +643,7 @@ impl Njs {
     ///
     /// # Panics
     /// Panics if the page's Usite does not match this NJS.
-    pub fn add_vsite(&mut self, page: ResourcePage, table: TranslationTable) {
+    pub(crate) fn add_vsite(&mut self, page: ResourcePage, table: TranslationTable) {
         assert_eq!(page.vsite.usite, self.usite, "page Usite mismatch");
         let name = page.vsite.vsite.clone();
         let mut batch = BatchSystem::new(name.clone(), page.architecture, page.performance.nodes);
@@ -669,12 +669,12 @@ impl Njs {
     }
 
     /// Names of the Vsites served here.
-    pub fn vsite_names(&self) -> &[String] {
+    pub(crate) fn vsite_names(&self) -> &[String] {
         &self.vsites.names
     }
 
     /// Access to a Vsite's runtime (tests, site administration).
-    pub fn vsite_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
+    pub(crate) fn vsite_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
         // External mutation can change the batch timeline; re-key this
         // Vsite in the next-event heap on the next step.
         let idx = self.vsites.index_of(name)?;
@@ -683,12 +683,12 @@ impl Njs {
     }
 
     /// Read access to a Vsite's runtime.
-    pub fn vsite(&self, name: &str) -> Option<&VsiteRuntime> {
+    pub(crate) fn vsite(&self, name: &str) -> Option<&VsiteRuntime> {
         self.vsites.get(name)
     }
 
     /// Total incarnations performed.
-    pub fn incarnation_count(&self) -> u64 {
+    pub(crate) fn incarnation_count(&self) -> u64 {
         self.incarnations
     }
 

@@ -50,7 +50,7 @@ impl Njs {
     ///
     /// Call after the Vsites are registered and the store is attached,
     /// before the first `step`. A missing store recovers nothing.
-    pub fn recover(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
+    pub(crate) fn recover(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
         let Some(store) = &self.store else {
             return Ok(RecoveryReport::default());
         };

@@ -7,7 +7,7 @@ use unicore_ajo::{ActionId, ActionStatus, JobId, OutcomeNode, TaskOutcome};
 
 impl Njs {
     /// Takes everything waiting for the federation layer.
-    pub fn take_outbox(&mut self) -> Vec<OutgoingItem> {
+    pub(crate) fn take_outbox(&mut self) -> Vec<OutgoingItem> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -15,7 +15,7 @@ impl Njs {
     /// edge files returned by the peer into the parent job's Uspace so
     /// successors can consume them (files the merge phase read from a
     /// child's Uspace at this Usite are shared with it).
-    pub fn complete_remote_node_with_files(
+    pub(crate) fn complete_remote_node_with_files(
         &mut self,
         job: JobId,
         node: ActionId,
@@ -45,7 +45,11 @@ impl Njs {
     /// Reads edge-result files from a (foreign) job's Uspace for return to
     /// the origin site. Missing files are skipped — the origin's successor
     /// tasks will then fail with file-not-found, mirroring reality.
-    pub fn collect_return_files(&self, job: JobId, names: &[String]) -> Vec<(String, Arc<[u8]>)> {
+    pub(crate) fn collect_return_files(
+        &self,
+        job: JobId,
+        names: &[String],
+    ) -> Vec<(String, Arc<[u8]>)> {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
         };
@@ -64,7 +68,13 @@ impl Njs {
     /// Sender-side progress note: records streamed bytes on a `Remote`
     /// transfer node so JMC status polls show the data plane moving
     /// before the task completes.
-    pub fn note_transfer_progress(&mut self, job: JobId, node: ActionId, bytes: u64, total: u64) {
+    pub(crate) fn note_transfer_progress(
+        &mut self,
+        job: JobId,
+        node: ActionId,
+        bytes: u64,
+        total: u64,
+    ) {
         let Some(rt) = self.jobs.get_mut(&job) else {
             return;
         };

@@ -28,7 +28,7 @@ impl Njs {
 
     /// Earliest future event (batch completion or crash recovery) across
     /// this NJS's Vsites.
-    pub fn next_event_time(&self) -> Option<SimTime> {
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
         self.vsites
             .list
             .iter()
@@ -127,7 +127,7 @@ impl Njs {
 
     /// Jobs visited by the step loop so far. An idle step — empty wake
     /// set, no batch event due — adds nothing.
-    pub fn job_visits(&self) -> u64 {
+    pub(crate) fn job_visits(&self) -> u64 {
         self.job_visits
     }
 
@@ -161,7 +161,7 @@ impl Njs {
     /// Code that changes what `step_job` would see must wake the job. In
     /// debug builds every step ends by asserting that one more scan of
     /// every job finds nothing to do, so a forgotten wake fails tier-1.
-    pub fn step(&mut self, now: SimTime) {
+    pub(crate) fn step(&mut self, now: SimTime) {
         self.clock = self.clock.max(now);
         self.advance_batches(now);
         // Instantaneous operations (staging, dispatch of freed nodes) can

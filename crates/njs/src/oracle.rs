@@ -31,7 +31,7 @@ pub trait WorkOracle: Send {
 }
 
 /// The standard deterministic oracle described in the module docs.
-pub struct DeterministicOracle {
+pub(crate) struct DeterministicOracle {
     /// Base cost charged per plain script line, seconds.
     pub per_line_secs: f64,
 }

@@ -99,13 +99,6 @@ impl TranslationTable {
         flag
     }
 
-    /// The working directory for a job.
-    pub fn workdir(&self, job: &str) -> String {
-        let mut dir = String::new();
-        self.write_workdir(&mut dir, job);
-        dir
-    }
-
     /// Writes the job's working directory onto `out`: the template with
     /// every `{job}` replaced by `job`, left to right (what `job` prints
     /// as is never looked at again, so a job name may itself contain
@@ -455,10 +448,16 @@ mod tests {
         assert!(TranslationTable::from_der(&encode(&Value::Sequence(fields))).is_err());
     }
 
+    fn workdir(t: &TranslationTable, job: &str) -> String {
+        let mut dir = String::new();
+        t.write_workdir(&mut dir, job);
+        dir
+    }
+
     #[test]
     fn workdir_substitution() {
         let t = TranslationTable::for_architecture(Architecture::Generic);
-        assert_eq!(t.workdir("J00000007"), "/unicore/uspace/J00000007");
+        assert_eq!(workdir(&t, "J00000007"), "/unicore/uspace/J00000007");
     }
 
     #[test]
@@ -479,7 +478,7 @@ mod tests {
             t.workdir_template = template.into();
             for job in ["J1", "{job}", "", "{"] {
                 assert_eq!(
-                    t.workdir(job),
+                    workdir(&t, job),
                     template.replace("{job}", job),
                     "{template:?}"
                 );

@@ -7,6 +7,7 @@
 //! build admissible jobs) and the NJS (to re-check on arrival).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod arch;

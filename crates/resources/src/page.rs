@@ -32,7 +32,7 @@ pub struct ResourceLimits {
 
 impl ResourceLimits {
     /// Sanity: every min must not exceed its max.
-    pub fn is_consistent(&self) -> bool {
+    pub(crate) fn is_consistent(&self) -> bool {
         self.min_processors <= self.max_processors
             && self.min_run_time_secs <= self.max_run_time_secs
     }
@@ -100,7 +100,8 @@ pub struct ResourcePage {
 
 impl ResourcePage {
     /// Whether the page advertises `name` of the given kind.
-    pub fn has_software(&self, kind: SoftwareKind, name: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_software(&self, kind: SoftwareKind, name: &str) -> bool {
         self.software
             .iter()
             .any(|s| s.kind == kind && s.name == name)

@@ -37,7 +37,7 @@ pub fn lognormal(rng: &mut CryptoRng, mu: f64, sigma: f64) -> f64 {
 }
 
 /// Standard normal via Box–Muller.
-pub fn standard_normal(rng: &mut CryptoRng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut CryptoRng) -> f64 {
     let u1 = loop {
         let u = rng.next_f64();
         if u > 0.0 {

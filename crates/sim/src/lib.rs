@@ -12,6 +12,7 @@
 //! its seed.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod dist;
@@ -21,4 +22,4 @@ pub mod time;
 
 pub use queue::{EventId, EventQueue};
 pub use stats::{log2_bucket, log2_bucket_limit, LogHistogram};
-pub use time::{format_time, millis, secs, secs_f64, SimTime, HOUR, MICRO, MILLI, MINUTE, SEC};
+pub use time::{format_time, secs, secs_f64, SimTime, HOUR, MILLI, MINUTE, SEC};

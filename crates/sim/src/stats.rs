@@ -52,11 +52,6 @@ impl LogHistogram {
         self.total
     }
 
-    /// Observations in the bucket covering `value`.
-    pub fn bucket_count(&self, value: u64) -> u64 {
-        self.buckets[log2_bucket(value)]
-    }
-
     /// Upper bound (exclusive) of the smallest bucket that makes the
     /// cumulative count reach `q` of the total; 0 when empty.
     pub fn approx_quantile(&self, q: f64) -> u64 {
@@ -88,10 +83,10 @@ mod tests {
         h.record(3);
         h.record(1000);
         assert_eq!(h.count(), 5);
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(2), 2); // 2 and 3 share a bucket
-        assert_eq!(h.bucket_count(1000), 1);
+        assert_eq!(h.buckets[log2_bucket(0)], 1);
+        assert_eq!(h.buckets[log2_bucket(1)], 1);
+        assert_eq!(h.buckets[log2_bucket(2)], 2); // 2 and 3 share a bucket
+        assert_eq!(h.buckets[log2_bucket(1000)], 1);
     }
 
     #[test]

@@ -6,9 +6,6 @@
 
 /// A point in simulated time, in microseconds since simulation start.
 pub type SimTime = u64;
-
-/// One microsecond.
-pub const MICRO: SimTime = 1;
 /// One millisecond in ticks.
 pub const MILLI: SimTime = 1_000;
 /// One second in ticks.
@@ -21,11 +18,6 @@ pub const HOUR: SimTime = 60 * MINUTE;
 /// Converts whole seconds to ticks.
 pub const fn secs(s: u64) -> SimTime {
     s * SEC
-}
-
-/// Converts milliseconds to ticks.
-pub const fn millis(ms: u64) -> SimTime {
-    ms * MILLI
 }
 
 /// Converts fractional seconds to ticks (rounding down).
@@ -56,7 +48,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(secs(2), 2_000_000);
-        assert_eq!(millis(3), 3_000);
         assert_eq!(secs_f64(0.5), 500_000);
         assert_eq!(secs_f64(0.0), 0);
     }

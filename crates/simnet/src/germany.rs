@@ -11,7 +11,7 @@
 use unicore_sim::SimTime;
 
 /// Canonical site shortnames in the order the paper lists them.
-pub const SITE_NAMES: [&str; 6] = ["FZJ", "RUS", "RUKA", "LRZ", "ZIB", "DWD"];
+pub(crate) const SITE_NAMES: [&str; 6] = ["FZJ", "RUS", "RUKA", "LRZ", "ZIB", "DWD"];
 
 /// Inter-site one-way latencies in milliseconds, roughly proportional to
 /// 1999 German geography (Jülich/Stuttgart/Karlsruhe/Munich/Berlin/
@@ -25,8 +25,8 @@ const LATENCY_MS: [[u64; 6]; 6] = [
     [8, 9, 7, 13, 15, 0],
 ];
 
-/// One-way WAN latency between two sites (by [`SITE_NAMES`] index), in
-/// ticks — usable by other topology builders wanting the same geography.
+/// One-way WAN latency between two sites (by index into FZJ, RUS, RUKA,
+/// LRZ, ZIB, DWD), in ticks — usable by other topology builders wanting the same geography.
 pub fn inter_site_latency(from: usize, to: usize) -> SimTime {
     LATENCY_MS[from][to] * 1_000
 }

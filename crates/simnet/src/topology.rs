@@ -113,23 +113,12 @@ struct Node {
 struct Link {
     params: LinkParams,
     busy_until: SimTime,
-    delivered: u64,
-    dropped: u64,
 }
 
 /// Delivery event carried in the event queue.
 struct InFlight {
     message: Message,
     lost: bool,
-}
-
-/// Aggregate statistics for one link direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Messages lost.
-    pub dropped: u64,
 }
 
 /// Installed link-fault rules with their dedicated RNG (kept apart from
@@ -147,10 +136,6 @@ pub struct Network {
     queue: EventQueue<InFlight>,
     rng: CryptoRng,
     faults: Option<InstalledFaults>,
-    /// Messages injected by fault rules (duplicates scheduled so far).
-    duplicated: u64,
-    /// Messages held back by reorder rules so far.
-    reordered: u64,
 }
 
 impl Network {
@@ -162,8 +147,6 @@ impl Network {
             queue: EventQueue::new(),
             rng: CryptoRng::from_u64(seed).fork("simnet"),
             faults: None,
-            duplicated: 0,
-            reordered: 0,
         }
     }
 
@@ -175,11 +158,6 @@ impl Network {
             rules,
             rng: CryptoRng::from_u64(seed).fork("simnet-faults"),
         });
-    }
-
-    /// Messages duplicated / reordered by installed fault rules so far.
-    pub fn fault_stats(&self) -> (u64, u64) {
-        (self.duplicated, self.reordered)
     }
 
     /// Current simulated time.
@@ -210,8 +188,6 @@ impl Network {
             Link {
                 params,
                 busy_until: 0,
-                delivered: 0,
-                dropped: 0,
             },
         );
     }
@@ -265,7 +241,6 @@ impl Network {
         // the plan's own RNG, so the base loss/jitter stream above is
         // untouched whether or not a plan is installed.
         let mut duplicate_at = None;
-        let mut reorders = 0u64;
         if let Some(f) = &mut self.faults {
             let now = self.queue.now();
             for rule in &f.rules {
@@ -290,23 +265,13 @@ impl Network {
                     } => {
                         if f.rng.next_f64() < probability {
                             deliver_at += 1 + f.rng.next_below(max_delay.max(1));
-                            reorders += 1;
                         }
                     }
                 }
             }
         }
-        self.reordered += reorders;
-
-        let link = self.links.get_mut(&(src, dst)).expect("link exists");
-        if lost {
-            link.dropped += 1;
-        } else {
-            link.delivered += 1;
-        }
         if let Some(at) = duplicate_at {
             if !lost {
-                self.duplicated += 1;
                 self.queue.schedule_at(
                     at,
                     InFlight {
@@ -365,7 +330,8 @@ impl Network {
     }
 
     /// Runs until no messages remain in flight; returns the final time.
-    pub fn run_to_quiescence(&mut self) -> SimTime {
+    #[cfg(test)]
+    fn run_to_quiescence(&mut self) -> SimTime {
         while let Some((time, event)) = self.queue.pop() {
             if !event.lost {
                 self.nodes[event.message.dst.0 as usize]
@@ -405,14 +371,6 @@ impl Network {
             }
             None => false,
         }
-    }
-
-    /// Statistics for the `a → b` link.
-    pub fn link_stats(&self, a: NodeId, b: NodeId) -> Option<LinkStats> {
-        self.links.get(&(a, b)).map(|l| LinkStats {
-            delivered: l.delivered,
-            dropped: l.dropped,
-        })
     }
 
     /// Number of nodes.
@@ -515,9 +473,6 @@ mod tests {
         net.send(a, b, 80, vec![1]).unwrap();
         net.run_to_quiescence();
         assert!(net.drain_inbox(b).is_empty());
-        let stats = net.link_stats(a, b).unwrap();
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.delivered, 0);
     }
 
     #[test]
@@ -528,10 +483,9 @@ mod tests {
             net.send(a, b, 80, vec![0]).unwrap();
         }
         net.run_to_quiescence();
-        let stats = net.link_stats(a, b).unwrap();
-        assert_eq!(stats.delivered + stats.dropped, 1000);
+        let dropped = 1000 - net.drain_inbox(b).len();
         // Within generous bounds of the 50% loss rate.
-        assert!(stats.dropped > 350 && stats.dropped < 650, "{stats:?}");
+        assert!(dropped > 350 && dropped < 650, "{dropped} dropped");
     }
 
     #[test]
@@ -565,7 +519,7 @@ mod tests {
                 times.push(net.send(a, b, 1, vec![i as u8; 100]).unwrap());
             }
             net.run_to_quiescence();
-            (times, net.link_stats(a, b).unwrap())
+            (times, net.drain_inbox(b))
         };
         assert_eq!(mk(), mk());
     }
@@ -597,8 +551,6 @@ mod tests {
         net.send(a, b, 80, vec![2]).unwrap(); // window closed: delivered
         net.run_to_quiescence();
         assert_eq!(net.drain_inbox(b).len(), 1);
-        let stats = net.link_stats(a, b).unwrap();
-        assert_eq!((stats.dropped, stats.delivered), (1, 1));
     }
 
     #[test]
@@ -614,7 +566,6 @@ mod tests {
         assert_eq!(inbox.len(), 2);
         assert_eq!(inbox[0].1.payload, inbox[1].1.payload);
         assert!(inbox[0].0 < inbox[1].0, "copy arrives strictly later");
-        assert_eq!(net.fault_stats().0, 1);
     }
 
     #[test]
@@ -651,7 +602,6 @@ mod tests {
             "second send overtook the first"
         );
         assert_eq!(inbox[1].1.payload, vec![1]);
-        assert_eq!(net.fault_stats().1, 1);
     }
 
     #[test]
@@ -688,12 +638,10 @@ mod tests {
                 net.send(a, b, 1, vec![i; 64]).unwrap();
             }
             net.run_to_quiescence();
-            let inbox: Vec<(SimTime, Vec<u8>)> = net
-                .drain_inbox(b)
+            net.drain_inbox(b)
                 .into_iter()
                 .map(|(t, m)| (t, m.payload))
-                .collect();
-            (inbox, net.link_stats(a, b).unwrap(), net.fault_stats())
+                .collect::<Vec<(SimTime, Vec<u8>)>>()
         };
         assert_eq!(mk(), mk());
     }
@@ -709,12 +657,10 @@ mod tests {
                 net.send(a, b, 1, vec![i; 32]).unwrap();
             }
             net.run_to_quiescence();
-            let inbox: Vec<(SimTime, Vec<u8>)> = net
-                .drain_inbox(b)
+            net.drain_inbox(b)
                 .into_iter()
                 .map(|(t, m)| (t, m.payload))
-                .collect();
-            (inbox, net.link_stats(a, b).unwrap())
+                .collect::<Vec<(SimTime, Vec<u8>)>>()
         };
         assert_eq!(run(false), run(true));
     }

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 /// Maximum message size accepted by a wire (matches the transport record
 /// limit with headroom).
-pub const MAX_WIRE_MESSAGE: usize = 1 << 24;
+pub(crate) const MAX_WIRE_MESSAGE: usize = 1 << 24;
 
 /// A message-oriented, reliable-by-default duplex endpoint.
 pub struct WireEnd {
@@ -105,11 +105,6 @@ impl WireEnd {
         self.rx.recv().map_err(|_| NetError::Disconnected)
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.rx.try_recv().ok()
-    }
-
     /// Messages sent so far (including dropped ones).
     pub fn sent_count(&self) -> u64 {
         self.sent
@@ -192,7 +187,7 @@ mod tests {
         a.send(b"lost").unwrap();
         a.send(b"also lost").unwrap();
         assert_eq!(b.recv().unwrap(), b"gets through");
-        assert!(b.try_recv().is_none());
+        assert!(b.rx.try_recv().is_err());
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! anywhere else is reported as an error, never silently skipped.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // `deny`, not the workspace's usual `forbid`: `crc::x86` — the
 // carry-less-multiply CRC kernel, the one module here allowed `unsafe` —
 // opts out with an inner `allow`.
@@ -63,7 +64,5 @@ pub use events::{
     ForeignOrigin, ForeignOriginRef, ManifestEntry, ManifestEntryRef, OwnerRecord, OwnerRecordRef,
     StoreEvent, StoreEventRef,
 };
-pub use store::{
-    events_by_job, CompactionStats, EventBatch, EventStore, Journal, Replay, DEFAULT_ROTATE_AT,
-};
+pub use store::{events_by_job, CompactionStats, EventBatch, EventStore, Journal, Replay};
 pub use wal::{decode_record, encode_record, Decoded, RECORD_HEADER_LEN};

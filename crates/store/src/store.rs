@@ -16,7 +16,7 @@ use unicore_codec::{DerCodec, DerWriter};
 use unicore_telemetry::{Counter, Telemetry};
 
 /// Default segment rotation threshold (bytes).
-pub const DEFAULT_ROTATE_AT: usize = 64 * 1024;
+pub(crate) const DEFAULT_ROTATE_AT: usize = 64 * 1024;
 
 /// The surviving history as owned events: the view compaction and tests
 /// use. Recovery reads the same history borrowed, through a [`Journal`].
@@ -468,11 +468,6 @@ impl EventStore {
         })
     }
 
-    /// Number of live log segments (excluding the snapshot).
-    pub fn segment_count(&self) -> Result<usize, StoreError> {
-        Ok(self.live_segments()?.len())
-    }
-
     /// Total bytes across segments and snapshot.
     pub fn total_bytes(&self) -> Result<u64, StoreError> {
         let mut total = 0;
@@ -605,7 +600,7 @@ mod tests {
         for j in 0..20 {
             store.append(&consigned(j)).unwrap();
         }
-        assert!(store.segment_count().unwrap() > 1);
+        assert!(store.live_segments().unwrap().len() > 1);
         let replay = store.replay().unwrap();
         assert_eq!(replay.events.len(), 20);
         // Re-open continues into the newest segment.
@@ -750,7 +745,7 @@ mod tests {
         assert!(snap.counter("store.wal.bytes") > 0);
         assert_eq!(
             snap.counter("store.wal.rotations") as usize,
-            store.segment_count().unwrap() - 1
+            store.live_segments().unwrap().len() - 1
         );
         assert_eq!(snap.counter("store.wal.repairs"), 0);
 
@@ -774,7 +769,7 @@ mod tests {
         for j in 0..10 {
             store.append(&consigned(j)).unwrap();
         }
-        assert!(store.segment_count().unwrap() > 1);
+        assert!(store.live_segments().unwrap().len() > 1);
         drop(store);
         // Flip a byte inside the oldest segment's first record payload.
         let mut w = shared.clone();
@@ -808,7 +803,7 @@ mod tests {
 
         let mut w = shared.clone();
         use crate::backend::StorageBackend as _;
-        let newest = segment_name(store.segment_count().unwrap() as u64 - 1);
+        let newest = segment_name(store.live_segments().unwrap().len() as u64 - 1);
         w.append(&newest, &encode_record(&[0x30, 0x00])[..5])
             .unwrap();
         let journal = store.read_journal().unwrap();

@@ -31,7 +31,7 @@ pub fn encode_record(payload: &[u8]) -> Vec<u8> {
 /// over the finished payload, so the payload is never copied — a
 /// group-committed batch accumulates all its frames in one buffer for one
 /// backend write.
-pub fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+pub(crate) fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     let header = out.len();
     out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     write(out);
@@ -88,7 +88,7 @@ pub fn decode_record(buf: &[u8]) -> Decoded<'_> {
 
 /// The payloads recovered from one segment, borrowed from its bytes.
 #[derive(Debug)]
-pub struct SegmentScan<'a> {
+pub(crate) struct SegmentScan<'a> {
     /// Verified record payloads, in append order.
     pub payloads: Vec<&'a [u8]>,
     /// Whether the segment ended in a torn or corrupt record.
@@ -100,7 +100,7 @@ pub struct SegmentScan<'a> {
 /// `allow_torn_tail` is true only for the newest segment: damage there is
 /// treated as the crash residue and scanning stops cleanly. In any older
 /// segment (or a snapshot) damage is a hard [`StoreError::Corrupt`].
-pub fn scan_segment<'a>(
+pub(crate) fn scan_segment<'a>(
     name: &str,
     data: &'a [u8],
     allow_torn_tail: bool,
@@ -148,17 +148,17 @@ pub fn scan_segment<'a>(
 }
 
 /// Formats the name of log segment `seq`.
-pub fn segment_name(seq: u64) -> String {
+pub(crate) fn segment_name(seq: u64) -> String {
     format!("wal-{seq:08}.seg")
 }
 
 /// Formats the name of the snapshot covering segments `< seq`.
-pub fn snapshot_name(seq: u64) -> String {
+pub(crate) fn snapshot_name(seq: u64) -> String {
     format!("snap-{seq:08}.der")
 }
 
 /// Parses a blob name as a log segment, yielding its sequence number.
-pub fn parse_segment_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
     name.strip_prefix("wal-")?
         .strip_suffix(".seg")?
         .parse()
@@ -166,7 +166,7 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// Parses a blob name as a snapshot, yielding its sequence number.
-pub fn parse_snapshot_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_snapshot_name(name: &str) -> Option<u64> {
     name.strip_prefix("snap-")?
         .strip_suffix(".der")?
         .parse()

@@ -137,14 +137,6 @@ impl FlightRecorder {
         }
         self.inner.rings.lock().expect("flight rings").remove(&job);
     }
-
-    /// Number of jobs with live rings.
-    pub fn jobs_tracked(&self) -> usize {
-        if self.inner.capacity == 0 {
-            return 0;
-        }
-        self.inner.rings.lock().expect("flight rings").len()
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +149,6 @@ mod tests {
         assert!(!fr.is_enabled());
         fr.record(1, 0, "njs.consign", format_args!("job 1"));
         assert!(fr.trace(1).is_empty());
-        assert_eq!(fr.jobs_tracked(), 0);
     }
 
     #[test]
@@ -178,12 +169,12 @@ mod tests {
         let fr = FlightRecorder::bounded(8);
         fr.record(1, 0, "njs.consign", format_args!("a"));
         fr.record(2, 0, "njs.consign", format_args!("b"));
-        assert_eq!(fr.jobs_tracked(), 2);
+        assert_eq!(fr.inner.rings.lock().unwrap().len(), 2);
         assert_eq!(fr.trace(1).len(), 1);
         fr.forget(1);
         assert!(fr.trace(1).is_empty());
         assert_eq!(fr.trace(2).len(), 1);
-        assert_eq!(fr.jobs_tracked(), 1);
+        assert_eq!(fr.inner.rings.lock().unwrap().len(), 1);
     }
 
     /// A value that counts how often it is formatted.

@@ -26,6 +26,7 @@
 //!    (`telemetry.overhead_pct`, `telemetry.spans_per_job`).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod aggregate;

@@ -84,7 +84,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Duration on the caller-supplied clock (saturating).
-    pub fn clock_duration(&self) -> u64 {
+    pub(crate) fn clock_duration(&self) -> u64 {
         self.end.saturating_sub(self.start)
     }
 }

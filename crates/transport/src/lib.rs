@@ -21,6 +21,7 @@
 //! - [`channel`] — the established [`SecureChannel`]
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod channel;

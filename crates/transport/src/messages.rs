@@ -6,7 +6,7 @@ use unicore_certs::Certificate;
 use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// Length of hello randoms.
-pub const RANDOM_LEN: usize = 32;
+pub(crate) const RANDOM_LEN: usize = 32;
 
 /// The handshake messages of the UNICORE secure transport.
 ///

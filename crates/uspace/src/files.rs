@@ -108,7 +108,7 @@ impl VirtualFs {
     }
 
     /// An unlimited filesystem (for Xspaces).
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         Self::with_quota(u64::MAX)
     }
 

@@ -12,6 +12,7 @@
 //!   read-out used by cross-site transfers.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod error;

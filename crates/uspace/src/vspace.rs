@@ -16,9 +16,6 @@ use unicore_ajo::JobId;
 pub struct Vspace {
     xspace: VirtualFs,
     uspaces: HashMap<JobId, VirtualFs>,
-    /// Total bytes moved between spaces by import/export (accounting for
-    /// E5).
-    bytes_copied: u64,
 }
 
 impl Default for Vspace {
@@ -33,7 +30,6 @@ impl Vspace {
         Vspace {
             xspace: VirtualFs::unlimited(),
             uspaces: HashMap::new(),
-            bytes_copied: 0,
         }
     }
 
@@ -62,11 +58,6 @@ impl Vspace {
             .remove(&job)
             .map(|fs| fs.used_bytes())
             .ok_or(SpaceError::NoSuchUspace(job))
-    }
-
-    /// Whether a Uspace exists for `job`.
-    pub fn has_uspace(&self, job: JobId) -> bool {
-        self.uspaces.contains_key(&job)
     }
 
     /// Sets the quota of the job's Uspace.
@@ -111,7 +102,6 @@ impl Vspace {
         let data: Arc<[u8]> = data.into();
         let len = data.len() as u64;
         self.uspace_mut(job)?.write(uspace_name, data, login)?;
-        self.bytes_copied += len;
         Ok(len)
     }
 
@@ -127,7 +117,6 @@ impl Vspace {
         let data = self.read_for_transfer(job, uspace_name, login)?;
         let len = data.len() as u64;
         self.xspace.write(xspace_path, data, login)?;
-        self.bytes_copied += len;
         Ok(len)
     }
 
@@ -165,14 +154,6 @@ impl Vspace {
     ) -> Result<(), SpaceError> {
         self.uspace_mut(job)?.write(name, data, login)
     }
-
-    /// Total bytes moved between spaces by local imports and exports
-    /// (accounting). It counts what changed
-    /// hands, not what was memcpy'd: two spaces sharing one allocation
-    /// have still each been given the file.
-    pub fn bytes_copied(&self) -> u64 {
-        self.bytes_copied
-    }
 }
 
 #[cfg(test)]
@@ -191,9 +172,9 @@ mod tests {
     #[test]
     fn uspace_lifecycle() {
         let mut v = Vspace::new();
-        assert!(!v.has_uspace(JOB));
+        assert!(v.uspace(JOB).is_err());
         v.create_uspace(JOB, 100).unwrap();
-        assert!(v.has_uspace(JOB));
+        assert!(v.uspace(JOB).is_ok());
         assert!(matches!(
             v.create_uspace(JOB, 100),
             Err(SpaceError::UspaceExists(_))
@@ -226,7 +207,6 @@ mod tests {
         );
         // Source still present (it was a copy).
         assert!(v.xspace_ref().exists("/home/alice/input.nc"));
-        assert_eq!(v.bytes_copied(), 100);
     }
 
     #[test]
@@ -299,7 +279,6 @@ mod tests {
             &taken,
         ];
         assert!(held.iter().all(|d| Arc::ptr_eq(d, &source)));
-        assert_eq!(v.bytes_copied(), 200);
         // Overwriting the Uspace file does not reach the bytes taken.
         v.write_uspace_file(OTHER, "in", vec![9; 100], "alice")
             .unwrap();
