@@ -155,7 +155,84 @@ pub fn render_flight(name: &str, outcome: &TaskOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unicore_telemetry::FlightEvent;
+    use unicore_ajo::{SiteStatus, VsiteHealth};
+    use unicore_telemetry::{FlightEvent, MetricsSnapshot};
+
+    fn site(usite: &str, health: SiteHealth) -> SiteStatus {
+        SiteStatus {
+            usite: usite.into(),
+            epoch: 1,
+            updated_at: 0,
+            health,
+            vsites: vec![VsiteHealth {
+                vsite: "T3E".into(),
+                free_nodes: 12,
+                queue_length: 3,
+                running: 2,
+                stuck_jobs: 1,
+            }],
+            headline: vec![("njs.consigned".into(), 4)],
+        }
+    }
+
+    fn view(sites: Vec<SiteStatus>) -> GridView {
+        let mut merged = MetricsSnapshot::default();
+        merged.counters.insert("njs.consigned".into(), 8);
+        merged.counters.insert("obscure.counter".into(), 9);
+        GridView {
+            root: "FZJ".into(),
+            at: 0,
+            sites,
+            merged,
+            alerts: vec![],
+        }
+    }
+
+    #[test]
+    fn grid_view_is_namespaced_per_site() {
+        let text = render_grid(&view(vec![
+            site("FZJ", SiteHealth::Live),
+            site("RUS", SiteHealth::Live),
+        ]));
+        assert!(text.contains("Usite FZJ"));
+        assert!(text.contains("Usite RUS"));
+        assert!(text.contains("vsite T3E: 12 free, 3 queued, 2 running, 1 stuck"));
+        assert!(text.contains("njs.consigned = 4"));
+        assert!(text.contains("njs.consigned = 8"));
+        // Non-headline counters stay out of the panel.
+        assert!(!text.contains("obscure.counter"));
+    }
+
+    #[test]
+    fn dead_site_renders_unreachable_banner() {
+        let text = render_grid(&view(vec![
+            site("FZJ", SiteHealth::Live),
+            site(
+                "RUS",
+                SiteHealth::Unreachable(UnreachableReason::Quarantine),
+            ),
+        ]));
+        assert!(text.contains("Usite RUS"));
+        assert!(text.contains("UNREACHABLE (quarantined by the federation)"));
+        // The live site renders normally alongside the dead one, whose
+        // last-known gauges are not shown.
+        assert_eq!(text.matches("vsite T3E").count(), 1);
+    }
+
+    #[test]
+    fn dead_site_banner_explains_why() {
+        let text = render_grid(&view(vec![
+            site("ZIB", SiteHealth::Unreachable(UnreachableReason::Crash)),
+            site("LRZ", SiteHealth::Unreachable(UnreachableReason::Partition)),
+            site(
+                "RUS",
+                SiteHealth::Unreachable(UnreachableReason::Quarantine),
+            ),
+        ]));
+        assert!(text.contains("UNREACHABLE (server crashed)"));
+        assert!(text.contains("UNREACHABLE (network partition)"));
+        assert!(text.contains("UNREACHABLE (quarantined by the federation)"));
+    }
 
     #[test]
     fn flight_rendering() {
