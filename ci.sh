@@ -17,6 +17,78 @@ if grep -rnE 'unsafe[[:space:]]*(\{|fn|impl|extern)|allow\(unsafe_code\)' crates
     exit 1
 fi
 
+echo "==> a public surface no bigger than its callers: every pub item under crates/*/src (crates/bench is test support) is named by another crate's code outside #[cfg(test)], by examples/ or by gridbench/src, or is on the allowlist below with a reason; items only tests name are listed as test-only public and may not grow past test_only_public_max (offenders are listed)"
+# One line per entry: crate, item name, reason. A pub item here needs no
+# caller in the tree.
+public_allow='
+gateway set_site_hook       the paper s 4.2 interface for additional site-specific authentication, which a site installs
+gateway disable             the site administrator suspends a UUDB entry without deleting it (4.2 site autonomy)
+gateway is_dn_revoked       an operator asks whether the gateway is enforcing a revocation for a DN
+gateway set_audit_capacity  an operator bounds the audit trail the gateway keeps (4.2)
+store   FileBackend         the directory-backed journal a deployed site writes; the simulation and the tests journal to MemoryBackend
+'
+# Test-only public items: integration-test harness API (FaultPlan's
+# builders, Federation::apply_fault_plan, Telemetry::finished_spans, ...)
+# and the reference models property tests compare against. Lower this
+# when the count falls.
+test_only_public_max=179
+scan=$(mktemp -d)
+trap 'rm -rf "$scan"' EXIT
+# The lines of the given files outside (code) or inside (test) their
+# #[cfg(test)] modules, with // comments cut off.
+part() {
+    p=$1
+    shift
+    awk -v p="$p" '/^#\[cfg\(test\)\]$/ { t = 1 } (t ? "test" : "code") == p { sub(/\/\/.*/, ""); print } t && /^\}/ { t = 0 }' "$@"
+}
+idents() { grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u; }
+rs() { find "$@" -name '*.rs' | sort; }
+crates=$(ls -d crates/*/src | cut -d/ -f2 | grep -vx bench)
+for c in $crates; do
+    part code $(rs "crates/$c/src") | idents >"$scan/$c.code"
+    part test $(rs "crates/$c/src") | idents >"$scan/$c.test"
+    # A type a public signature of the crate names (pub fn headers, pub
+    # fields, pub enum and trait bodies) is reachable without being named.
+    part code $(rs "crates/$c/src") | awk '
+        sig { print; if (/[{;]/) sig = 0; next }
+        body { print; if (match($0, /^ *\}/) && RLENGTH - 1 == indent) body = 0; next }
+        /^ *pub ((const|async|unsafe) )*fn / { print; if (!/[{;]/) sig = 1; next }
+        /^ *pub (enum|trait) [A-Za-z_0-9]+.*\{$/ { match($0, /^ */); indent = RLENGTH; body = 1; sub(/pub (enum|trait) [A-Za-z_0-9]+/, ""); print; next }
+        /^ *pub (struct|type|const|static) / { sub(/pub (struct|type|const|static) [A-Za-z_0-9]+/, ""); print; next }
+        /^ *pub [a-z_0-9]+: / { print }' | grep -oE '\b[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*' | sort -u >"$scan/$c.sigs"
+    awk '/^#\[cfg\(test\)\]$/ { t = 1 }
+        !t && match($0, /^ *pub ((const|async|unsafe) )*(fn|struct|enum|trait|type|const|static|mod|union) [A-Za-z_0-9]+/) {
+            n = split(substr($0, RSTART, RLENGTH), w, " "); print w[n] "\t" FILENAME ":" FNR
+        }
+        t && /^\}/ { t = 0 }' $(rs "crates/$c/src") | sort >"$scan/$c.defs"
+done
+part code $(rs examples gridbench/src) | idents >"$scan/outside.code"
+cat $(rs tests crates/*/tests crates/*/benches crates/bench/src) | idents >"$scan/outside.test"
+printf '%s\n' "$public_allow" | awk 'NF' >"$scan/allow"
+: >"$scan/dead"
+: >"$scan/testonly"
+tab=$(printf '\t')
+for c in $crates; do
+    others() { for o in $crates; do [ "$o" = "$c" ] || echo "$scan/$o.$1"; done; }
+    { awk -v c="$c" '$1 == c { print $2 }' "$scan/allow"; cat $(others code) "$scan/outside.code" "$scan/$c.sigs"; } | sort -u >"$scan/used"
+    sort -mu $(others test) "$scan/outside.test" >"$scan/tested"
+    cut -f1 "$scan/$c.defs" | sort -u | comm -23 - "$scan/used" >"$scan/unused"
+    comm -12 "$scan/unused" "$scan/tested" | join -t "$tab" - "$scan/$c.defs" >>"$scan/testonly"
+    comm -23 "$scan/unused" "$scan/tested" | join -t "$tab" - "$scan/$c.defs" >>"$scan/dead"
+done
+test_only=$(wc -l <"$scan/testonly")
+echo "test-only public: $test_only items (at most $test_only_public_max)"
+awk -F'\t' '{ print "  " $2 ": pub " $1 }' "$scan/testonly"
+if {
+    awk 'NF < 3 { print "allowlist entry without a reason: " $0 }' "$scan/allow"
+    awk -F'\t' '{ print $2 ": pub " $1 " is named by no caller outside its crate" }' "$scan/dead"
+    [ "$test_only" -le "$test_only_public_max" ] || echo "test-only public items rose to $test_only (at most $test_only_public_max)"
+} | grep .; then
+    exit 1
+fi
+rm -rf "$scan"
+trap - EXIT
+
 echo "==> one NJS engine on one thread: no crossbeam and no thread::scope in product code, shims or the workspace manifest (offenders are listed)"
 if grep -rnE 'crossbeam|thread::scope' crates/*/src shims Cargo.toml; then
     exit 1
