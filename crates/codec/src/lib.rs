@@ -14,7 +14,9 @@
 //! cursor) own every TLV rule. [`DerCodec`] types write and read themselves
 //! through them directly; [`Value`] with [`encode()`]/[`decode()`] is the
 //! dynamic model for hand-built structures and tests, a generic walk over
-//! the same two primitives.
+//! the same two primitives. No product code goes through it: it is the
+//! reference model that `prop_stream_equiv` holds the streaming
+//! primitives to.
 //!
 //! Strictness matters here: the decoder rejects non-minimal integers and
 //! lengths, trailing bytes, and over-deep nesting, so a byte stream has

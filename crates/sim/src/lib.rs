@@ -10,6 +10,10 @@
 //! links between Usites and `unicore-batch` models the vendor batch systems,
 //! both driven by [`EventQueue`]s so every experiment replays exactly from
 //! its seed.
+//!
+//! [`LogHistogram`] is the reference model that telemetry's histogram test
+//! (`histogram_bucket_geometry_matches_sim`) compares its lock-free
+//! histogram against.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
