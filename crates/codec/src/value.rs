@@ -99,7 +99,6 @@ mod tests {
         assert_eq!(Value::string("hi").as_str(), Some("hi"));
         assert_eq!(Value::bytes(vec![1, 2]).as_bytes(), Some(&[1u8, 2][..]));
         assert!(Value::Null.as_str().is_none());
-        assert!(Value::Null.as_bytes().is_none());
     }
 
     #[test]
