@@ -15,7 +15,8 @@
 //! Module map:
 //! - [`bignum`] — `BigUint` with Knuth division, and the in-place
 //!   `Montgomery` kernel under `modpow`
-//! - [`prime`] — Miller–Rabin and prime generation
+//! - `prime` — Miller–Rabin and prime generation (crate-private: RSA key
+//!   generation is its one caller)
 //! - [`rsa`] — key generation, PKCS#1-style sign/verify
 //! - [`dh`] — classic Diffie-Hellman (Oakley Group 2)
 //! - [`mod@sha256`], [`hmac`] — digest, MAC, HKDF. The digest's compression
@@ -43,7 +44,7 @@ pub mod ct;
 pub mod dh;
 pub mod error;
 pub mod hmac;
-pub mod prime;
+mod prime;
 pub mod rng;
 pub mod rsa;
 pub mod sha256;

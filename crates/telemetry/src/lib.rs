@@ -35,7 +35,7 @@ pub mod flight;
 pub mod metrics;
 pub mod span;
 pub mod telemetry;
-pub mod wire;
+mod wire;
 
 pub use aggregate::{HistogramDelta, SnapshotDelta, SnapshotPayload};
 pub use alerts::{standard_slo_rules, ActiveAlert, AlertEngine, AlertEvent, AlertKind, AlertRule};
