@@ -473,6 +473,8 @@ mod tests {
     use super::*;
     use crate::resources::ResourceRequest;
     use crate::task::ExecuteKind;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use unicore_codec::Value;
 
     fn user() -> UserAttributes {
@@ -801,5 +803,233 @@ mod tests {
         assert_eq!(job.edge_files(ActionId(1), ActionId(2)), ["mid.dat"]);
         assert!(job.edge_files(ActionId(2), ActionId(3)).is_empty());
         assert!(job.edge_files(ActionId(1), ActionId(3)).is_empty());
+    }
+
+    /// The hashing validation, topological order and index build the
+    /// one-pass walk replaced, kept as the model it is held to.
+    mod reference {
+        use super::super::*;
+        use std::collections::{HashMap, HashSet};
+
+        pub(super) fn topological_order(job: &AbstractJob) -> Result<Vec<ActionId>, AjoError> {
+            let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
+            let mut in_degree: HashMap<ActionId, usize> = ids.iter().map(|&id| (id, 0)).collect();
+            for dep in &job.dependencies {
+                if let Some(d) = in_degree.get_mut(&dep.to) {
+                    *d += 1;
+                }
+            }
+            let mut queue: VecDeque<ActionId> = ids
+                .iter()
+                .filter(|id| in_degree[id] == 0)
+                .copied()
+                .collect();
+            let mut order = Vec::with_capacity(ids.len());
+            while let Some(id) = queue.pop_front() {
+                order.push(id);
+                for dep in job.dependencies.iter().filter(|d| d.from == id) {
+                    let d = in_degree.get_mut(&dep.to).expect("validated edge");
+                    *d -= 1;
+                    if *d == 0 {
+                        queue.push_back(dep.to);
+                    }
+                }
+            }
+            if order.len() != ids.len() {
+                return Err(AjoError::CyclicGraph {
+                    job: job.name.clone(),
+                });
+            }
+            Ok(order)
+        }
+
+        pub(super) fn validate(job: &AbstractJob) -> Result<(), AjoError> {
+            let portfolio_names: HashSet<&str> =
+                job.portfolio.iter().map(|p| p.name.as_str()).collect();
+            if portfolio_names.len() != job.portfolio.len() {
+                return Err(AjoError::DuplicatePortfolioEntry {
+                    job: job.name.clone(),
+                });
+            }
+            validate_level(job, &portfolio_names)
+        }
+
+        fn validate_level(job: &AbstractJob, portfolio: &HashSet<&str>) -> Result<(), AjoError> {
+            let mut seen = HashSet::new();
+            for (id, _) in &job.nodes {
+                if !seen.insert(*id) {
+                    return Err(AjoError::DuplicateActionId {
+                        job: job.name.clone(),
+                        id: *id,
+                    });
+                }
+            }
+            for dep in &job.dependencies {
+                if dep.from == dep.to {
+                    return Err(AjoError::SelfDependency {
+                        job: job.name.clone(),
+                        id: dep.from,
+                    });
+                }
+                for end in [dep.from, dep.to] {
+                    if !seen.contains(&end) {
+                        return Err(AjoError::UnknownActionId {
+                            job: job.name.clone(),
+                            id: end,
+                        });
+                    }
+                }
+            }
+            topological_order(job)?;
+            for (_, node) in &job.nodes {
+                match node {
+                    GraphNode::Task(task) => {
+                        if let TaskKind::File(FileKind::Import {
+                            source: DataLocation::Workstation { path },
+                            ..
+                        }) = &task.kind
+                        {
+                            if !portfolio.contains(path.as_str()) {
+                                return Err(AjoError::MissingPortfolioFile {
+                                    job: job.name.clone(),
+                                    file: path.clone(),
+                                });
+                            }
+                        }
+                    }
+                    GraphNode::SubJob(sub) => {
+                        if !sub.portfolio.is_empty() {
+                            return Err(AjoError::NestedPortfolio {
+                                job: sub.name.clone(),
+                            });
+                        }
+                        validate_level(sub, portfolio)?;
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        pub(super) fn dependency_index(job: &AbstractJob) -> DependencyIndex {
+            let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
+            let position = |id: ActionId| ids.iter().position(|&n| n == id);
+            let mut buckets: Vec<Vec<(ActionId, usize)>> = vec![Vec::new(); ids.len()];
+            for dep in &job.dependencies {
+                if let (Some(from), Some(to)) = (position(dep.from), position(dep.to)) {
+                    buckets[to].push((dep.from, from));
+                }
+            }
+            let mut offsets = Vec::with_capacity(ids.len() + 1);
+            let mut preds = Vec::new();
+            let mut pred_positions = Vec::new();
+            offsets.push(0);
+            for bucket in buckets {
+                for (id, pos) in bucket {
+                    preds.push(id);
+                    pred_positions.push(pos);
+                }
+                offsets.push(preds.len());
+            }
+            DependencyIndex {
+                ids,
+                offsets,
+                preds,
+                pred_positions,
+            }
+        }
+    }
+
+    /// A random job tree that breaks every validation rule now and then:
+    /// repeated ids, self-loops, edges to unknown ids, cycles, imports
+    /// the portfolio lacks, repeated portfolio names, and portfolios on
+    /// sub-jobs. Most edges run forward, so many trees are valid.
+    fn random_job(rng: &mut TestRng, depth: u32, top: bool) -> AbstractJob {
+        const FILES: [&str; 4] = ["a", "b", "c", "d"];
+        let mut job = AbstractJob::new(
+            format!("j{depth}-{}", rng.below(4)),
+            VsiteAddress::new("FZJ", "T3E"),
+            user(),
+        );
+        let most = if rng.below(8) == 0 { 24 } else { 7 };
+        let n = rng.below(most) as usize;
+        for pos in 0..n {
+            let id = if rng.below(10) == 0 {
+                rng.below(6)
+            } else {
+                2 * pos as u64
+            };
+            let node = match rng.below(8) {
+                0 => import_task(FILES[rng.below(4) as usize]),
+                1 if depth < 2 => GraphNode::SubJob(random_job(rng, depth + 1, false)),
+                _ => script_task("t"),
+            };
+            job.nodes.push((ActionId(id), node));
+        }
+        let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
+        for _ in 0..rng.below(2 * n as u64 + 2) {
+            let (from, to) = match rng.below(16) {
+                0..=11 if n >= 2 => {
+                    let i = rng.below(n as u64 - 1) as usize;
+                    let j = i + 1 + rng.below((n - i - 1) as u64) as usize;
+                    (ids[i], ids[j])
+                }
+                12..=14 if n >= 1 => (
+                    ids[rng.below(n as u64) as usize],
+                    ids[rng.below(n as u64) as usize],
+                ),
+                _ => (ActionId(rng.below(14)), ActionId(rng.below(14))),
+            };
+            job.dependencies.push(Dependency {
+                from,
+                to,
+                files: vec![],
+            });
+        }
+        let entries = if top {
+            rng.below(4)
+        } else {
+            u64::from(rng.below(8) == 0)
+        };
+        for _ in 0..entries {
+            job.portfolio.push(PortfolioFile {
+                name: FILES[rng.below(4) as usize].into(),
+                data: vec![].into(),
+            });
+        }
+        job
+    }
+
+    /// Every level of `job`, top first.
+    fn levels(job: &AbstractJob) -> Vec<&AbstractJob> {
+        let mut out = vec![job];
+        for (_, node) in &job.nodes {
+            if let GraphNode::SubJob(sub) = node {
+                out.extend(levels(sub));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn one_pass_walk_matches_the_hashing_model(seed in any::<u64>()) {
+            let job = random_job(&mut TestRng::from_seed(seed), 0, true);
+            let verdict = job.validate();
+            prop_assert_eq!(&verdict, &reference::validate(&job), "{:#?}", job);
+            for level in levels(&job) {
+                prop_assert_eq!(level.dependency_index(), reference::dependency_index(level));
+                // The model's order is defined where every edge resolves.
+                let ids: Vec<ActionId> = level.nodes.iter().map(|(id, _)| *id).collect();
+                let unique = ids.iter().all(|a| ids.iter().filter(|b| *b == a).count() == 1);
+                let resolved = level
+                    .dependencies
+                    .iter()
+                    .all(|d| ids.contains(&d.from) && ids.contains(&d.to));
+                if unique && resolved {
+                    prop_assert_eq!(level.topological_order(), reference::topological_order(level));
+                }
+            }
+        }
     }
 }

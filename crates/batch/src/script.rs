@@ -156,6 +156,46 @@ mod tests {
     }
 
     #[test]
+    fn only_comment_lines_can_be_directives() {
+        assert!(Architecture::ALL
+            .iter()
+            .all(|a| directive_prefix(*a).starts_with('#')));
+        // The verdict of the scan over every line, for scripts mixing
+        // plain, indented, commented and directive lines of each dialect.
+        let every_line = |script: &str, arch: Architecture| {
+            let mut saw_own = false;
+            for line in script.lines().map(str::trim_start) {
+                let best = Architecture::ALL
+                    .iter()
+                    .filter(|a| line.starts_with(directive_prefix(**a)))
+                    .max_by_key(|a| directive_prefix(**a).len());
+                match best {
+                    Some(&a) if a == arch => saw_own = true,
+                    Some(_) => return false,
+                    None => {}
+                }
+            }
+            saw_own
+        };
+        for own in Architecture::ALL {
+            for other in Architecture::ALL {
+                let script = format!(
+                    "#!/bin/sh\n  {}\n\t# comment\n./a.out  #$ not a directive\n {}\n",
+                    processors_directive(own, 4),
+                    time_directive(other, 60)
+                );
+                for arch in Architecture::ALL {
+                    assert_eq!(
+                        script_matches_dialect(&script, arch),
+                        every_line(&script, arch),
+                        "{script:?} on {arch:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn vpp_script_not_misread_as_sp2() {
         // VPP's "#@$" starts with SP-2's "#@": a VPP script must not be
         // accepted by the VPP check *because of* the SP-2 prefix rules,
