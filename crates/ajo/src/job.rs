@@ -11,7 +11,7 @@
 use crate::error::AjoError;
 use crate::ids::{ActionId, UserAttributes, VsiteAddress};
 use crate::task::{AbstractTask, DataLocation, FileKind, TaskKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 
 /// A file carried inside the AJO from the user's workstation (§5.6).
@@ -105,7 +105,7 @@ impl AbstractJob {
 
     /// Ids of nodes with no unfinished predecessors, given the set of
     /// already-completed nodes.
-    pub fn ready_nodes(&self, done: &HashSet<ActionId>) -> Vec<ActionId> {
+    pub fn ready_nodes(&self, done: &BTreeSet<ActionId>) -> Vec<ActionId> {
         self.nodes
             .iter()
             .filter(|(id, _)| !done.contains(id))
@@ -122,9 +122,11 @@ impl AbstractJob {
     /// Precomputes the predecessor adjacency for this level, so hot
     /// dependency checks borrow slices instead of allocating a `Vec`
     /// per call (the NJS step loop asks for predecessors once per
-    /// waiting node per step).
+    /// waiting node per step). An edge naming a node the level does not
+    /// have is left out; [`AbstractJob::validated_index`] refuses it.
     pub fn dependency_index(&self) -> DependencyIndex {
-        DependencyIndex::build(self)
+        let mut scratch = Scratch::new(self.nodes.len());
+        Level::walk(self, &mut scratch).into_index()
     }
 
     /// The files promised along the `from → to` edge.
@@ -136,34 +138,32 @@ impl AbstractJob {
             .unwrap_or(&[])
     }
 
-    /// A topological order of this level's nodes (Kahn's algorithm).
+    /// A topological order of this level's nodes (Kahn's algorithm:
+    /// sources in node order, each node's successors in dependency
+    /// order).
     ///
     /// Returns an error when the graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<ActionId>, AjoError> {
-        let ids: Vec<ActionId> = self.nodes.iter().map(|(id, _)| *id).collect();
-        let mut in_degree: HashMap<ActionId, usize> = ids.iter().map(|&id| (id, 0)).collect();
-        for dep in &self.dependencies {
-            if let Some(d) = in_degree.get_mut(&dep.to) {
-                *d += 1;
-            }
-        }
-        let mut queue: VecDeque<ActionId> = ids
-            .iter()
-            .filter(|id| in_degree[id] == 0)
-            .copied()
+        let mut scratch = Scratch::new(self.nodes.len());
+        let level = Level::walk(self, &mut scratch);
+        let n = level.ids.len();
+        let (succ_offsets, succs) = group_by_bucket(n, level.edges());
+        let index = level.into_index();
+        let mut in_degree: Vec<usize> = (0..n)
+            .map(|p| index.predecessor_positions(p).len())
             .collect();
-        let mut order = Vec::with_capacity(ids.len());
-        while let Some(id) = queue.pop_front() {
-            order.push(id);
-            for dep in self.dependencies.iter().filter(|d| d.from == id) {
-                let d = in_degree.get_mut(&dep.to).expect("validated edge");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(dep.to);
+        let mut queue: VecDeque<usize> = (0..n).filter(|&p| in_degree[p] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(p) = queue.pop_front() {
+            order.push(index.ids[p]);
+            for &to in &succs[succ_offsets[p]..succ_offsets[p + 1]] {
+                in_degree[to] -= 1;
+                if in_degree[to] == 0 {
+                    queue.push_back(to);
                 }
             }
         }
-        if order.len() != ids.len() {
+        if order.len() != n {
             return Err(AjoError::CyclicGraph {
                 job: self.name.clone(),
             });
@@ -174,28 +174,41 @@ impl AbstractJob {
     /// Validates the whole job tree: unique ids per level, well-formed
     /// edges, acyclicity, and resolvable workstation imports.
     pub fn validate(&self) -> Result<(), AjoError> {
-        let portfolio_names: HashSet<&str> =
-            self.portfolio.iter().map(|p| p.name.as_str()).collect();
-        if portfolio_names.len() != self.portfolio.len() {
+        self.validated_index().map(drop)
+    }
+
+    /// Validates the whole job tree as [`AbstractJob::validate`] does
+    /// and returns the top level's [`DependencyIndex`], which the same
+    /// walk builds: the graph is read once, and nothing is hashed.
+    ///
+    /// Errors come in a fixed order: a duplicate portfolio entry; then,
+    /// level by level from the top, the first duplicate node id, the
+    /// first bad edge (a self-loop before an unknown end, `from` before
+    /// `to`), a cycle, and the nodes in order — a workstation import
+    /// the portfolio lacks, or a sub-job with a portfolio or an error of
+    /// its own.
+    pub fn validated_index(&self) -> Result<DependencyIndex, AjoError> {
+        let mut names: Vec<&str> = self.portfolio.iter().map(|p| p.name.as_str()).collect();
+        names.sort_unstable();
+        if names.windows(2).any(|w| w[0] == w[1]) {
             return Err(AjoError::DuplicatePortfolioEntry {
                 job: self.name.clone(),
             });
         }
-        self.validate_level(&portfolio_names)
+        self.validate_level(&names)
     }
 
-    fn validate_level(&self, portfolio: &HashSet<&str>) -> Result<(), AjoError> {
-        // Unique node ids at this level.
-        let mut seen = HashSet::new();
-        for (id, _) in &self.nodes {
-            if !seen.insert(*id) {
-                return Err(AjoError::DuplicateActionId {
-                    job: self.name.clone(),
-                    id: *id,
-                });
-            }
+    /// One level of [`AbstractJob::validated_index`]; `portfolio` holds
+    /// the top job's file names, sorted.
+    fn validate_level(&self, portfolio: &[&str]) -> Result<DependencyIndex, AjoError> {
+        let mut scratch = Scratch::new(self.nodes.len());
+        let level = Level::walk(self, &mut scratch);
+        if let Some(pos) = level.first_duplicate() {
+            return Err(AjoError::DuplicateActionId {
+                job: self.name.clone(),
+                id: level.ids[pos],
+            });
         }
-        // Edges reference existing nodes and are not self-loops.
         for dep in &self.dependencies {
             if dep.from == dep.to {
                 return Err(AjoError::SelfDependency {
@@ -204,7 +217,7 @@ impl AbstractJob {
                 });
             }
             for end in [dep.from, dep.to] {
-                if !seen.contains(&end) {
+                if level.position(end).is_none() {
                     return Err(AjoError::UnknownActionId {
                         job: self.name.clone(),
                         id: end,
@@ -212,8 +225,13 @@ impl AbstractJob {
                 }
             }
         }
-        // Acyclic.
-        self.topological_order()?;
+        let index = level.into_index();
+        let (out_degree, stack) = scratch.cycle_check(index.ids.len());
+        if !index.is_acyclic(out_degree, stack) {
+            return Err(AjoError::CyclicGraph {
+                job: self.name.clone(),
+            });
+        }
         // Workstation imports must resolve against the portfolio; sub-jobs
         // inherit the top-level portfolio.
         for (_, node) in &self.nodes {
@@ -224,7 +242,7 @@ impl AbstractJob {
                         ..
                     }) = &task.kind
                     {
-                        if !portfolio.contains(path.as_str()) {
+                        if portfolio.binary_search(&path.as_str()).is_err() {
                             return Err(AjoError::MissingPortfolioFile {
                                 job: self.name.clone(),
                                 file: path.clone(),
@@ -242,7 +260,7 @@ impl AbstractJob {
                 }
             }
         }
-        Ok(())
+        Ok(index)
     }
 
     /// Total number of actions in the tree (this job included).
@@ -271,8 +289,8 @@ impl AbstractJob {
     }
 
     /// Distinct Usites referenced anywhere in the tree (for routing).
-    pub fn referenced_usites(&self) -> HashSet<String> {
-        let mut out = HashSet::new();
+    pub fn referenced_usites(&self) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
         out.insert(self.vsite.usite.clone());
         for (_, node) in &self.nodes {
             if let GraphNode::SubJob(sub) = node {
@@ -281,6 +299,135 @@ impl AbstractJob {
         }
         out
     }
+}
+
+/// Room for the working arrays of one level's walk, three per node: the
+/// positions sorted by id, then the out-degrees and the stack of the
+/// cycle check. A level of up to [`Scratch::INLINE`] / 3 nodes keeps them
+/// on the stack.
+struct Scratch {
+    inline: [usize; Scratch::INLINE],
+    heap: Vec<usize>,
+}
+
+impl Scratch {
+    const INLINE: usize = 48;
+
+    fn new(nodes: usize) -> Self {
+        let heap = if 3 * nodes > Self::INLINE {
+            vec![0; 3 * nodes]
+        } else {
+            Vec::new()
+        };
+        Scratch {
+            inline: [0; Self::INLINE],
+            heap,
+        }
+    }
+
+    fn slots(&mut self, n: usize) -> &mut [usize] {
+        if self.heap.is_empty() {
+            &mut self.inline[..3 * n]
+        } else {
+            &mut self.heap[..3 * n]
+        }
+    }
+
+    /// Room for the positions of a level of `n` nodes.
+    fn positions(&mut self, n: usize) -> &mut [usize] {
+        &mut self.slots(n)[..n]
+    }
+
+    /// The out-degree and stack arrays of a level of `n` nodes.
+    fn cycle_check(&mut self, n: usize) -> (&mut [usize], &mut [usize]) {
+        self.slots(n)[n..].split_at_mut(n)
+    }
+}
+
+/// One level of a job graph, walked once: its node ids, and its
+/// positions sorted by id, so that an id resolves to its first position
+/// by binary search and a duplicate shows as two neighbours.
+struct Level<'a> {
+    job: &'a AbstractJob,
+    ids: Vec<ActionId>,
+    by_id: &'a [usize],
+}
+
+impl<'a> Level<'a> {
+    fn walk(job: &'a AbstractJob, scratch: &'a mut Scratch) -> Self {
+        let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
+        let by_id = scratch.positions(ids.len());
+        for (p, slot) in by_id.iter_mut().enumerate() {
+            *slot = p;
+        }
+        by_id.sort_unstable_by_key(|&p| (ids[p], p));
+        Level { job, ids, by_id }
+    }
+
+    /// The first position of `id` at this level.
+    fn position(&self, id: ActionId) -> Option<usize> {
+        let k = self.by_id.partition_point(|&p| self.ids[p] < id);
+        self.by_id.get(k).copied().filter(|&p| self.ids[p] == id)
+    }
+
+    /// The first position whose id an earlier node already has.
+    fn first_duplicate(&self) -> Option<usize> {
+        self.by_id
+            .windows(2)
+            .filter(|w| self.ids[w[0]] == self.ids[w[1]])
+            .map(|w| w[1])
+            .min()
+    }
+
+    /// Every edge both of whose ends are nodes of this level, as
+    /// `(from, to)` positions, in dependency order.
+    fn edges(&self) -> impl DoubleEndedIterator<Item = (usize, usize)> + Clone + '_ {
+        self.job
+            .dependencies
+            .iter()
+            .filter_map(|d| Some((self.position(d.from)?, self.position(d.to)?)))
+    }
+
+    /// The level's [`DependencyIndex`].
+    fn into_index(self) -> DependencyIndex {
+        let (offsets, pred_positions) =
+            group_by_bucket(self.ids.len(), self.edges().map(|(from, to)| (to, from)));
+        let preds = pred_positions.iter().map(|&p| self.ids[p]).collect();
+        DependencyIndex {
+            ids: self.ids,
+            offsets,
+            preds,
+            pred_positions,
+        }
+    }
+}
+
+/// Groups the `(bucket, item)` pairs `pairs` yields by bucket, keeping
+/// their order within each: `offsets[b]..offsets[b + 1]` slices the
+/// returned items of bucket `b`. Two passes over `pairs` (count, then
+/// place), no per-bucket `Vec`.
+fn group_by_bucket(
+    buckets: usize,
+    pairs: impl DoubleEndedIterator<Item = (usize, usize)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    // offsets[b] counts bucket b, then becomes its end, then (placing
+    // from the back) its start.
+    let mut offsets = vec![0; buckets + 1];
+    for (b, _) in pairs.clone() {
+        offsets[b] += 1;
+    }
+    let mut end = 0;
+    for slot in &mut offsets[..buckets] {
+        end += *slot;
+        *slot = end;
+    }
+    offsets[buckets] = end;
+    let mut items = vec![0; end];
+    for (b, item) in pairs.rev() {
+        offsets[b] -= 1;
+        items[offsets[b]] = item;
+    }
+    (offsets, items)
 }
 
 /// Precomputed predecessor adjacency for one job level.
@@ -297,10 +444,9 @@ impl AbstractJob {
 /// node is an array index; [`DependencyIndex::position`] is the one
 /// lookup where an id arrives from outside.
 ///
-/// Predecessors appear in dependency-declaration order, ready sets in
-/// node-declaration order (as [`AbstractJob::ready_nodes`] returns them).
-/// An edge naming a node this level does not have is ignored (a validated
-/// job has none).
+/// Predecessors appear in dependency-declaration order. An edge naming a
+/// node this level does not have is ignored (a validated job has none);
+/// an id two nodes share resolves to the first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencyIndex {
     /// Node ids in declaration order; `offsets[i]..offsets[i+1]` slices
@@ -315,31 +461,7 @@ pub struct DependencyIndex {
 impl DependencyIndex {
     /// Builds the index for one level of `job`.
     pub fn build(job: &AbstractJob) -> Self {
-        let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
-        let position = |id: ActionId| ids.iter().position(|&n| n == id);
-        let mut buckets: Vec<Vec<(ActionId, usize)>> = vec![Vec::new(); ids.len()];
-        for dep in &job.dependencies {
-            if let (Some(from), Some(to)) = (position(dep.from), position(dep.to)) {
-                buckets[to].push((dep.from, from));
-            }
-        }
-        let mut offsets = Vec::with_capacity(ids.len() + 1);
-        let mut preds = Vec::new();
-        let mut pred_positions = Vec::new();
-        offsets.push(0);
-        for bucket in buckets {
-            for (id, pos) in bucket {
-                preds.push(id);
-                pred_positions.push(pos);
-            }
-            offsets.push(preds.len());
-        }
-        DependencyIndex {
-            ids,
-            offsets,
-            preds,
-            pred_positions,
-        }
+        job.dependency_index()
     }
 
     /// The position of `id` in the job's node list, if it is a node of
@@ -365,16 +487,33 @@ impl DependencyIndex {
         &self.pred_positions[self.offsets[position]..self.offsets[position + 1]]
     }
 
-    /// Ids of nodes with no unfinished predecessors, in node-declaration
-    /// order — identical to [`AbstractJob::ready_nodes`].
-    pub fn ready_nodes(&self, done: &HashSet<ActionId>) -> Vec<ActionId> {
-        self.ids
-            .iter()
-            .enumerate()
-            .filter(|(_, id)| !done.contains(id))
-            .filter(|(i, _)| self.predecessors_at(*i).iter().all(|p| done.contains(p)))
-            .map(|(_, id)| *id)
-            .collect()
+    /// Whether the level has no cycle: Kahn's algorithm run backwards
+    /// over the predecessor lists, from the nodes nothing depends on.
+    /// `out_degree` and `stack` have room for every node.
+    fn is_acyclic(&self, out_degree: &mut [usize], stack: &mut [usize]) -> bool {
+        out_degree.fill(0);
+        for &p in &self.pred_positions {
+            out_degree[p] += 1;
+        }
+        let mut top = 0;
+        for (p, _) in out_degree.iter().enumerate().filter(|(_, &d)| d == 0) {
+            stack[top] = p;
+            top += 1;
+        }
+        let mut removed = 0;
+        while top > 0 {
+            top -= 1;
+            let p = stack[top];
+            removed += 1;
+            for &q in self.predecessor_positions(p) {
+                out_degree[q] -= 1;
+                if out_degree[q] == 0 {
+                    stack[top] = q;
+                    top += 1;
+                }
+            }
+        }
+        removed == self.ids.len()
     }
 }
 
@@ -534,7 +673,7 @@ mod tests {
     #[test]
     fn ready_nodes_progress() {
         let job = chain_job();
-        let mut done = HashSet::new();
+        let mut done = BTreeSet::new();
         assert_eq!(job.ready_nodes(&done), vec![ActionId(1)]);
         done.insert(ActionId(1));
         assert_eq!(job.ready_nodes(&done), vec![ActionId(2)]);
@@ -622,7 +761,7 @@ mod tests {
         // dispatch order.
         let job = diamond_fan_job();
         let index = job.dependency_index();
-        let mut done = HashSet::new();
+        let mut done = BTreeSet::new();
         for step in job.topological_order().unwrap() {
             assert_eq!(
                 index.ready_nodes(&done),
@@ -803,6 +942,21 @@ mod tests {
         assert_eq!(job.edge_files(ActionId(1), ActionId(2)), ["mid.dat"]);
         assert!(job.edge_files(ActionId(2), ActionId(3)).is_empty());
         assert!(job.edge_files(ActionId(1), ActionId(3)).is_empty());
+    }
+
+    impl DependencyIndex {
+        /// Ids of nodes with no unfinished predecessors, in
+        /// node-declaration order — identical to
+        /// [`AbstractJob::ready_nodes`].
+        fn ready_nodes(&self, done: &BTreeSet<ActionId>) -> Vec<ActionId> {
+            self.ids
+                .iter()
+                .enumerate()
+                .filter(|(_, id)| !done.contains(id))
+                .filter(|(i, _)| self.predecessors_at(*i).iter().all(|p| done.contains(p)))
+                .map(|(_, id)| *id)
+                .collect()
+        }
     }
 
     /// The hashing validation, topological order and index build the
@@ -1017,6 +1171,13 @@ mod tests {
             let job = random_job(&mut TestRng::from_seed(seed), 0, true);
             let verdict = job.validate();
             prop_assert_eq!(&verdict, &reference::validate(&job), "{:#?}", job);
+            match job.validated_index() {
+                Ok(index) => {
+                    prop_assert!(verdict.is_ok());
+                    prop_assert_eq!(index, reference::dependency_index(&job));
+                }
+                Err(e) => prop_assert_eq!(Err(e), verdict),
+            }
             for level in levels(&job) {
                 prop_assert_eq!(level.dependency_index(), reference::dependency_index(level));
                 // The model's order is defined where every edge resolves.

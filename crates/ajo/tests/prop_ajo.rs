@@ -1,7 +1,7 @@
 //! Property tests: AJO wire round-trips and job-graph invariants.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use unicore_ajo::*;
 use unicore_codec::DerCodec;
 
@@ -113,7 +113,7 @@ proptest! {
     fn ready_nodes_simulation_completes(job in job_strategy()) {
         // Repeatedly completing all ready nodes must drain the graph in at
         // most n rounds.
-        let mut done = HashSet::new();
+        let mut done = BTreeSet::new();
         for _ in 0..job.nodes.len() {
             let ready = job.ready_nodes(&done);
             if ready.is_empty() {

@@ -41,9 +41,19 @@ impl DerWriter {
     /// Appends what `write` emits to `out`, which may already hold bytes
     /// (a reused buffer, a record header the encoding goes behind).
     pub fn append_to(out: &mut Vec<u8>, write: impl FnOnce(&mut DerWriter)) {
-        let mut w = Self::from_vec(std::mem::take(out));
-        write(&mut w);
-        *out = w.into_vec();
+        Self::default().append_into(out, write);
+    }
+
+    /// [`DerWriter::append_to`] through this writer, which keeps its
+    /// long-form bookkeeping for the next call: a caller that encodes
+    /// many values into its own buffers (a journal batch, record after
+    /// record) allocates that once instead of once per long value.
+    pub fn append_into(&mut self, out: &mut Vec<u8>, write: impl FnOnce(&mut DerWriter)) {
+        debug_assert!(self.out.is_empty() && self.owed.is_empty());
+        std::mem::swap(&mut self.out, out);
+        write(self);
+        self.splice_owed_from(0);
+        std::mem::swap(&mut self.out, out);
     }
 
     fn from_vec(out: Vec<u8>) -> Self {
@@ -93,6 +103,15 @@ impl DerWriter {
     /// UTF8String.
     pub fn str(&mut self, s: &str) {
         self.leaf(tag::UTF8_STRING, s.as_bytes());
+    }
+
+    /// UTF8String of `parts` one after another: a joined name written
+    /// without joining it first.
+    pub fn str_concat(&mut self, parts: &[&str]) {
+        self.header(tag::UTF8_STRING, parts.iter().map(|p| p.len()).sum());
+        for part in parts {
+            self.out.extend_from_slice(part.as_bytes());
+        }
     }
 
     /// OCTET STRING.
@@ -158,15 +177,20 @@ impl DerWriter {
     }
 
     fn leaf(&mut self, t: u8, content: &[u8]) {
+        self.header(t, content.len());
+        self.out.extend_from_slice(content);
+    }
+
+    /// The tag and length octets of a primitive value of `len` bytes.
+    fn header(&mut self, t: u8, len: usize) {
         self.out.push(t);
-        if content.len() < 0x80 {
-            self.out.push(content.len() as u8);
+        if len < 0x80 {
+            self.out.push(len as u8);
         } else {
-            let (bytes, skip) = len_bytes(content.len());
+            let (bytes, skip) = len_bytes(len);
             self.out.push(0x80 | (8 - skip) as u8);
             self.out.extend_from_slice(&bytes[skip..]);
         }
-        self.out.extend_from_slice(content);
     }
 
     fn int_tlv(&mut self, t: u8, v: i64) {
@@ -386,6 +410,32 @@ mod tests {
     fn set_of_sorts_by_encoded_bytes() {
         let enc = written(|w| w.set_of([2i64, 1], |w, v| w.int(v)));
         assert_eq!(enc, [0x31, 0x06, 0x02, 0x01, 0x01, 0x02, 0x01, 0x02]);
+    }
+
+    #[test]
+    fn str_concat_is_the_joined_string() {
+        for parts in [&["V0", ":", "batch"][..], &[], &["x"; 130]] {
+            let joined: String = parts.concat();
+            assert_eq!(
+                written(|w| w.str_concat(parts)),
+                written(|w| w.str(&joined))
+            );
+        }
+    }
+
+    #[test]
+    fn a_reused_writer_keeps_its_bookkeeping_and_writes_the_same_bytes() {
+        let payload = vec![3u8; 300];
+        let write = |w: &mut DerWriter| w.tagged(1, |w| w.sequence(|w| w.bytes(&payload)));
+        let mut w = DerWriter::default();
+        let mut out = vec![0xee];
+        w.append_into(&mut out, write);
+        let owed = w.owed.capacity();
+        assert!(owed >= 3);
+        w.append_into(&mut out, write);
+        assert_eq!(w.owed.capacity(), owed);
+        let once = written(write);
+        assert_eq!(out, [&[0xee][..], &once, &once].concat());
     }
 
     #[test]

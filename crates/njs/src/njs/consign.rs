@@ -6,13 +6,14 @@ use crate::error::NjsError;
 use std::collections::HashMap;
 use std::sync::Arc;
 use unicore_ajo::{
-    AbstractJob, ActionId, ActionStatus, GraphNode, JobId, JobOutcome, OutcomeNode, TaskOutcome,
+    AbstractJob, ActionId, ActionStatus, DependencyIndex, GraphNode, JobId, JobOutcome,
+    OutcomeNode, TaskOutcome,
 };
 use unicore_codec::DerCodec;
 use unicore_gateway::MappedUser;
 use unicore_resources::check_request;
 use unicore_sim::SimTime;
-use unicore_store::{OwnerRecord, StoreEvent};
+use unicore_store::OwnerRecordRef;
 
 impl Njs {
     /// Consigns a top-level AJO with journal metadata attached.
@@ -23,16 +24,17 @@ impl Njs {
         now: SimTime,
         meta: ConsignMeta,
     ) -> Result<JobId, NjsError> {
-        job.validate()?;
+        let preds = job.validated_index()?;
         // The payload bytes are shared with the AJO: building the staged
         // map is a refcount bump per file, not a copy (the last full copy
         // on the consign admission path — now gone).
-        let portfolio: HashMap<String, Arc<[u8]>> = job
-            .portfolio
-            .iter()
-            .map(|p| (p.name.clone(), Arc::clone(&p.data)))
-            .collect();
-        self.consign_internal(job, user, Arc::new(portfolio), Vec::new(), None, now, meta)
+        let portfolio = self.share_portfolio(
+            job.portfolio
+                .iter()
+                .map(|p| (p.name.clone(), Arc::clone(&p.data)))
+                .collect(),
+        );
+        self.consign_internal(job, preds, user, portfolio, Vec::new(), None, now, meta)
     }
 
     /// Consigns a job group arriving from a peer NJS (already mapped by
@@ -49,21 +51,38 @@ impl Njs {
         // stage every portfolio file into the Uspace directly (files flow
         // along dependency edges, not via Import tasks). The payloads are
         // moved out of the AJO and shared by the Uspace and the runtime
-        // map; only the journal's staged record takes a copy of its own.
-        job.validate()?;
+        // map; the journal record is written from them by reference.
+        let preds = job.validated_index()?;
         let mut job = job;
         let staged: Vec<(String, Arc<[u8]>)> = std::mem::take(&mut job.portfolio)
             .into_iter()
             .map(|p| (p.name, p.data))
             .collect();
-        let portfolio: HashMap<String, Arc<[u8]>> = staged.iter().cloned().collect();
-        self.consign_internal(job, user, Arc::new(portfolio), staged, None, now, meta)
+        let portfolio = self.share_portfolio(staged.iter().cloned().collect());
+        self.consign_internal(job, preds, user, portfolio, staged, None, now, meta)
     }
 
+    /// The portfolio map a job keeps; every job without files shares one
+    /// empty map.
+    pub(crate) fn share_portfolio(
+        &self,
+        files: HashMap<String, Arc<[u8]>>,
+    ) -> Arc<HashMap<String, Arc<[u8]>>> {
+        if files.is_empty() {
+            Arc::clone(&self.no_portfolio)
+        } else {
+            Arc::new(files)
+        }
+    }
+
+    /// Admits `job`, whose top-level dependency index `preds` the caller
+    /// built (validating, unless the job is a replayed or a child one),
+    /// journals its `JobConsigned` record and primes its runtime.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn consign_internal(
         &mut self,
         job: AbstractJob,
+        preds: DependencyIndex,
         user: MappedUser,
         portfolio: Arc<HashMap<String, Arc<[u8]>>>,
         staged: Vec<(String, Arc<[u8]>)>,
@@ -118,31 +137,30 @@ impl Njs {
         // the same group commit, keeping the journal in program order.
         let recovering = self.recovering;
         if let Some(store) = self.store.as_mut().filter(|_| !recovering) {
-            let ajo_der = meta.ajo_der.unwrap_or_else(|| job.to_der());
-            debug_assert_eq!(
-                ajo_der,
-                job.to_der(),
+            let carried = meta.ajo_der.as_deref();
+            debug_assert!(
+                carried.is_none_or(|der| der == job.to_der()),
                 "carried AJO bytes must encode this job"
             );
-            let event = StoreEvent::JobConsigned {
-                job: id,
-                ajo_der,
-                user: OwnerRecord {
-                    dn: user.dn.clone(),
-                    login: user.login.clone(),
-                    account_group: user.account_group.clone(),
-                },
-                // The WAL cannot hold refcounts: the record owns its bytes.
-                staged: staged
-                    .iter()
-                    .map(|(n, d)| (n.clone(), d.to_vec())) // wire: Vec<u8> field
-                    .collect(),
-                idem_key: meta.idem_key.clone(),
-                parent,
-                foreign: meta.foreign.clone(),
-                at: now,
+            // The record is written from the parts where they live: the
+            // AJO encoded in place (or its carried DER copied), the owner,
+            // staged files, key and origin by reference.
+            let owner = OwnerRecordRef {
+                dn: &user.dn,
+                login: &user.login,
+                account_group: &user.account_group,
             };
-            self.pending.push(&event);
+            self.pending.push_job_consigned(
+                id,
+                &job,
+                carried,
+                &owner,
+                staged.iter().map(|(n, d)| (n.as_str(), &d[..])),
+                &meta.idem_key,
+                parent,
+                meta.foreign.as_ref(),
+                now,
+            );
             if let Err(e) = store.commit(&mut self.pending) {
                 let _ = self.vsites[vsite].vspace.destroy_uspace(id);
                 self.next_job -= self.job_stride;
@@ -188,7 +206,6 @@ impl Njs {
                 format_args!("vsite {}", job.vsite.vsite),
             );
         }
-        let preds = job.dependency_index();
         if !meta.idem_key.is_empty() {
             self.by_key.insert(meta.idem_key.clone(), id);
         }

@@ -324,6 +324,8 @@ pub(crate) struct Njs {
     /// purge, remote completion); consign flushes synchronously because
     /// its record is the strict write-ahead one.
     pending: EventBatch,
+    /// The one empty portfolio every job without files shares.
+    no_portfolio: Arc<HashMap<String, Arc<[u8]>>>,
     /// Per-step scratch (in-flight batch nodes to poll: position, Vsite,
     /// batch id), kept on the NJS so steady-state stepping allocates
     /// nothing.
@@ -409,6 +411,7 @@ impl Njs {
             incarnations: 0,
             store: None,
             pending: EventBatch::new(),
+            no_portfolio: Arc::default(),
             poll_scratch: Vec::new(),
             waiting_scratch: Vec::new(),
             recovering: false,

@@ -105,10 +105,13 @@ impl Njs {
                             .collect();
                         portfolio.extend(staged.iter().cloned());
                         self.next_job = job.0;
+                        let preds = ajo.dependency_index();
+                        let portfolio = self.share_portfolio(portfolio);
                         let got = self.consign_internal(
                             ajo,
+                            preds,
                             mapped,
-                            Arc::new(portfolio),
+                            portfolio,
                             staged,
                             parent,
                             at,

@@ -15,7 +15,6 @@ use unicore_ajo::{
 };
 use unicore_batch::{BatchJobId, BatchJobSpec, BatchStatus};
 use unicore_sim::SimTime;
-use unicore_store::StoreEvent;
 
 impl Njs {
     /// After this NJS changed Vsite `idx`'s batch state (submit, cancel):
@@ -496,12 +495,12 @@ impl Njs {
                                 format_args!("node {} -> {vsite_name}:{queue}", node.0),
                             );
                             if self.journalling() {
-                                self.pending.push(&StoreEvent::JobIncarnated {
+                                self.pending.push_job_incarnated(
                                     job,
                                     node,
-                                    target: format!("{vsite_name}:{queue}"),
-                                    at: self.clock,
-                                });
+                                    (vsite_name, queue),
+                                    self.clock,
+                                );
                             }
                             let rt = self.jobs.get_mut(&job).expect("job exists");
                             rt.states[pos] = NodeState::InBatch { vsite, batch_id };
@@ -626,12 +625,10 @@ impl Njs {
                 ajo,
                 return_files,
             });
-            self.log_event(StoreEvent::JobIncarnated {
-                job,
-                node,
-                target: format!("peer:{dest_usite}"),
-                at: self.clock,
-            });
+            if self.journalling() {
+                self.pending
+                    .push_job_incarnated(job, node, ("peer", &dest_usite), self.clock);
+            }
         }
         let rt = self.jobs.get_mut(&job).expect("job exists");
         if let OutcomeNode::Job(j) = rt.node_outcome_mut(pos) {

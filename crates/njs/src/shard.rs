@@ -250,8 +250,10 @@ impl ShardedNjs {
                         trace,
                         ..ConsignMeta::default()
                     };
+                    let preds = ajo.dependency_index();
                     match self.shards[shard].consign_internal(
                         *ajo,
+                        preds,
                         user,
                         portfolio,
                         staged,

@@ -148,11 +148,14 @@ impl StorageBackend for MemoryBackend {
             }
             inner.appends_until_crash = Some(remaining - 1);
         }
-        inner
-            .blobs
-            .entry(name.to_owned())
-            .or_default()
-            .extend_from_slice(data);
+        // Looked up by `&str`: a name is allocated on a blob's first
+        // append only.
+        match inner.blobs.get_mut(name) {
+            Some(blob) => blob.extend_from_slice(data),
+            None => {
+                inner.blobs.insert(name.to_owned(), data.to_vec());
+            }
+        }
         inner.appends += 1;
         Ok(())
     }

@@ -22,11 +22,12 @@ pub struct OwnerRecord {
 
 impl DerCodec for OwnerRecord {
     fn write_der(&self, w: &mut DerWriter) {
-        w.sequence(|w| {
-            w.str(&self.dn);
-            w.str(&self.login);
-            w.str(&self.account_group);
-        });
+        OwnerRecordRef {
+            dn: &self.dn,
+            login: &self.login,
+            account_group: &self.account_group,
+        }
+        .write(w);
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
@@ -54,6 +55,14 @@ impl<'a> OwnerRecordRef<'a> {
                 account_group: f.next_str()?,
             })
         })
+    }
+
+    pub(crate) fn write(&self, w: &mut DerWriter) {
+        w.sequence(|w| {
+            w.str(self.dn);
+            w.str(self.login);
+            w.str(self.account_group);
+        });
     }
 
     pub(crate) fn to_owned(&self) -> OwnerRecord {
@@ -429,6 +438,62 @@ const TAG_TRANSFER_OPENED: u8 = 5;
 const TAG_TRANSFER_CHUNK: u8 = 6;
 const TAG_PLACEMENT: u8 = 7;
 
+/// Body of a `JobConsigned` record; `ajo` writes the OCTET STRING holding
+/// the AJO's DER.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn write_job_consigned<'a>(
+    w: &mut DerWriter,
+    job: JobId,
+    ajo: impl FnOnce(&mut DerWriter),
+    user: &OwnerRecordRef<'_>,
+    staged: impl IntoIterator<Item = (&'a str, &'a [u8]), IntoIter: Clone>,
+    idem_key: &[u8],
+    parent: Option<(JobId, ActionId)>,
+    foreign: Option<&ForeignOrigin>,
+    at: u64,
+) {
+    w.tagged(TAG_CONSIGNED, |w| {
+        w.sequence(|w| {
+            w.u64(job.0);
+            ajo(w);
+            user.write(w);
+            write_files(w, staged);
+            w.bytes(idem_key);
+            w.u64(at);
+            if let Some((pjob, pnode)) = parent {
+                w.tagged(1, |w| {
+                    w.sequence(|w| {
+                        w.u64(pjob.0);
+                        w.u64(pnode.0);
+                    })
+                });
+            }
+            if let Some(origin) = foreign {
+                w.tagged(0, |w| origin.write_der(w));
+            }
+        })
+    });
+}
+
+/// Body of a `JobIncarnated` record; the target is `target`'s parts
+/// joined.
+pub(crate) fn write_job_incarnated(
+    w: &mut DerWriter,
+    job: JobId,
+    node: ActionId,
+    target: &[&str],
+    at: u64,
+) {
+    w.tagged(TAG_INCARNATED, |w| {
+        w.sequence(|w| {
+            w.u64(job.0);
+            w.u64(node.0);
+            w.str_concat(target);
+            w.u64(at);
+        })
+    });
+}
+
 /// Body of a `TaskStateChanged` record; `outcome` writes the OCTET STRING
 /// holding the node's outcome DER.
 pub(crate) fn write_task_state<'a>(
@@ -505,40 +570,27 @@ impl DerCodec for StoreEvent {
                 parent,
                 foreign,
                 at,
-            } => w.tagged(TAG_CONSIGNED, |w| {
-                w.sequence(|w| {
-                    w.u64(job.0);
-                    w.bytes(ajo_der);
-                    user.write_der(w);
-                    write_files(w, owned_files(staged));
-                    w.bytes(idem_key);
-                    w.u64(*at);
-                    if let Some((pjob, pnode)) = parent {
-                        w.tagged(1, |w| {
-                            w.sequence(|w| {
-                                w.u64(pjob.0);
-                                w.u64(pnode.0);
-                            })
-                        });
-                    }
-                    if let Some(origin) = foreign {
-                        w.tagged(0, |w| origin.write_der(w));
-                    }
-                })
-            }),
+            } => write_job_consigned(
+                w,
+                *job,
+                |w| w.bytes(ajo_der),
+                &OwnerRecordRef {
+                    dn: &user.dn,
+                    login: &user.login,
+                    account_group: &user.account_group,
+                },
+                owned_files(staged),
+                idem_key,
+                *parent,
+                foreign.as_ref(),
+                *at,
+            ),
             StoreEvent::JobIncarnated {
                 job,
                 node,
                 target,
                 at,
-            } => w.tagged(TAG_INCARNATED, |w| {
-                w.sequence(|w| {
-                    w.u64(job.0);
-                    w.u64(node.0);
-                    w.str(target);
-                    w.u64(*at);
-                })
-            }),
+            } => write_job_incarnated(w, *job, *node, &[target], *at),
             StoreEvent::TaskStateChanged {
                 job,
                 node,

@@ -3,7 +3,8 @@
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
 use crate::events::{
-    write_outcome_stored, write_stored_entry, write_task_state, write_transfer_chunk, StoreEvent,
+    write_job_consigned, write_job_incarnated, write_outcome_stored, write_stored_entry,
+    write_task_state, write_transfer_chunk, ForeignOrigin, OwnerRecordRef, StoreEvent,
     StoreEventRef,
 };
 use crate::wal::{
@@ -91,12 +92,23 @@ pub struct CompactionStats {
     pub segments_removed: usize,
 }
 
+/// Capacity an [`EventBatch`] keeps for the next group commit. A server
+/// commits a few hundred bytes at a time, so its batch stops allocating
+/// after the first few; a batch that carried more (file contents, a
+/// transfer's chunks) gives its buffer back instead of holding it.
+const RETAINED_CAPACITY: usize = 64 * 1024;
+
 /// A group commit being assembled: the framed records of every event
 /// pushed so far, each encoded in place behind its record header.
-/// [`EventStore::commit`] hands them to the backend in one write.
+/// [`EventStore::commit`] hands them to the backend in one write and
+/// empties the batch, which keeps its buffer up to
+/// [`RETAINED_CAPACITY`] bytes for the next one.
 #[derive(Debug, Default)]
 pub struct EventBatch {
     frames: Vec<u8>,
+    /// Every record is encoded through this writer, which keeps its
+    /// long-form bookkeeping from record to record.
+    writer: DerWriter,
     events: u64,
 }
 
@@ -114,6 +126,45 @@ impl EventBatch {
     /// Frames `event` as the next record.
     pub fn push(&mut self, event: &StoreEvent) {
         self.push_with(|w| event.write_der(w));
+    }
+
+    /// Frames a [`StoreEvent::JobConsigned`] record from the parts where
+    /// the caller holds them — the same bytes as pushing the event built
+    /// from owned copies. The AJO is `ajo_der` when the caller has its
+    /// canonical DER, and is otherwise encoded in place from `ajo`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn push_job_consigned<'a>(
+        &mut self,
+        job: JobId,
+        ajo: &impl DerCodec,
+        ajo_der: Option<&[u8]>,
+        user: &OwnerRecordRef<'_>,
+        staged: impl IntoIterator<Item = (&'a str, &'a [u8]), IntoIter: Clone>,
+        idem_key: &[u8],
+        parent: Option<(JobId, ActionId)>,
+        foreign: Option<&ForeignOrigin>,
+        at: u64,
+    ) {
+        let ajo = |w: &mut DerWriter| match ajo_der {
+            Some(der) => w.bytes(der),
+            None => w.octets_of(|w| ajo.write_der(w)),
+        };
+        self.push_with(|w| {
+            write_job_consigned(w, job, ajo, user, staged, idem_key, parent, foreign, at)
+        });
+    }
+
+    /// Frames a [`StoreEvent::JobIncarnated`] record whose target is
+    /// `place:name` (a Vsite and its queue, or `peer` and a Usite),
+    /// written without joining the two first.
+    pub fn push_job_incarnated(
+        &mut self,
+        job: JobId,
+        node: ActionId,
+        (place, name): (&str, &str),
+        at: u64,
+    ) {
+        self.push_with(|w| write_job_incarnated(w, job, node, &[place, ":", name], at));
     }
 
     /// Frames a [`StoreEvent::TaskStateChanged`] record with the outcome
@@ -168,8 +219,20 @@ impl EventBatch {
 
     /// Frames the next record from the one event TLV `write` emits.
     fn push_with(&mut self, write: impl FnOnce(&mut DerWriter)) {
-        encode_record_with(&mut self.frames, |out| DerWriter::append_to(out, write));
+        let writer = &mut self.writer;
+        encode_record_with(&mut self.frames, |out| writer.append_into(out, write));
         self.events += 1;
+    }
+
+    /// Drops every pushed record, keeping the buffer unless it grew past
+    /// [`RETAINED_CAPACITY`].
+    fn clear(&mut self) {
+        if self.frames.capacity() > RETAINED_CAPACITY {
+            self.frames = Vec::new();
+        } else {
+            self.frames.clear();
+        }
+        self.events = 0;
     }
 }
 
@@ -329,7 +392,8 @@ impl EventStore {
     /// every event was framed into a single buffer as it was pushed, so a
     /// burst of events on the consign path pays one fsync instead of one
     /// per event. The batch is left empty whether or not the write
-    /// succeeded.
+    /// succeeded, with its buffer kept for the next commit (up to
+    /// [`RETAINED_CAPACITY`]).
     ///
     /// Crash semantics are unchanged from frame-at-a-time appends: the
     /// durable unit is the backend write, so a crash mid-batch leaves an
@@ -339,9 +403,14 @@ impl EventStore {
         if batch.is_empty() {
             return Ok(());
         }
-        // The buffer is given back either way: a batch may have carried
-        // megabytes of file content.
-        let EventBatch { frames, events } = std::mem::take(batch);
+        let written = self.write_frames(&batch.frames, batch.events);
+        batch.clear();
+        written
+    }
+
+    /// The one backend write of [`EventStore::commit`]: `events` framed
+    /// records in `frames`.
+    fn write_frames(&mut self, frames: &[u8], events: u64) -> Result<(), StoreError> {
         let bytes = frames.len();
         // One rotation decision for the whole batch keeps it in one
         // segment — the single-write guarantee above.
@@ -350,7 +419,7 @@ impl EventStore {
             self.current_bytes = 0;
             self.metrics.rotations.inc();
         }
-        self.backend.append(&self.current_name, &frames)?;
+        self.backend.append(&self.current_name, frames)?;
         self.current_bytes += bytes;
         self.metrics.appends.add(events);
         self.metrics.bytes.add(bytes as u64);
@@ -495,6 +564,8 @@ mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
     use crate::events::{ManifestEntry, OwnerRecord};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn owner() -> OwnerRecord {
         OwnerRecord {
@@ -558,6 +629,150 @@ mod tests {
         });
         assert_eq!(in_place.frames, owned.frames);
         assert_eq!(in_place.events, 3);
+    }
+
+    /// A length near one of the DER length-form boundaries a record
+    /// crosses (127/128 bytes, 64 KiB), or a small one.
+    fn boundary_len(rng: &mut TestRng) -> usize {
+        let base = [0, 127, 128, 255, 256, 65_535, 65_536][rng.below(7) as usize];
+        (base + rng.below(9) as usize).saturating_sub(4)
+    }
+
+    fn bytes_of(len: usize, rng: &mut TestRng) -> Vec<u8> {
+        let fill = rng.below(256) as u8;
+        vec![fill; len]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn borrowed_consign_and_incarnation_pushes_frame_the_owned_events(seed in any::<u64>()) {
+            let rng = &mut TestRng::from_seed(seed);
+            // Any DerCodec value stands in for the AJO; its long DN puts
+            // the AJO's OCTET STRING on either side of each boundary.
+            let ajo = OwnerRecord {
+                dn: "d".repeat(boundary_len(rng)),
+                login: "l".into(),
+                account_group: "g".into(),
+            };
+            let user = OwnerRecord {
+                dn: "u".repeat(boundary_len(rng)),
+                login: "login".into(),
+                account_group: "group".into(),
+            };
+            let staged: Vec<(String, Vec<u8>)> = (0..rng.below(3))
+                .map(|i| (format!("in{i}.dat"), bytes_of(boundary_len(rng), rng)))
+                .collect();
+            let idem_key = if rng.gen_bool() { vec![0x5a; 32] } else { vec![] };
+            let parent = rng.gen_bool().then(|| (JobId(rng.below(1 << 40)), ActionId(rng.below(300))));
+            let foreign = rng.gen_bool().then(|| ForeignOrigin {
+                origin: "p".repeat(boundary_len(rng)),
+                parent: JobId(rng.below(1 << 20)),
+                node: ActionId(rng.below(9)),
+                return_files: (0..rng.below(3)).map(|i| format!("out{i}")).collect(),
+            });
+            let job = JobId(rng.below(1 << 40));
+            let at = rng.next_u64() >> 2;
+            let carried = rng.gen_bool().then(|| ajo.to_der());
+            let target = ("v".repeat(boundary_len(rng)), "q".repeat(rng.below(140) as usize));
+
+            let mut borrowed = EventBatch::new();
+            borrowed.push_job_consigned(
+                job,
+                &ajo,
+                carried.as_deref(),
+                &OwnerRecordRef {
+                    dn: &user.dn,
+                    login: &user.login,
+                    account_group: &user.account_group,
+                },
+                staged.iter().map(|(n, d)| (n.as_str(), d.as_slice())),
+                &idem_key,
+                parent,
+                foreign.as_ref(),
+                at,
+            );
+            borrowed.push_job_incarnated(job, ActionId(3), (&target.0, &target.1), at + 1);
+            let mut owned = EventBatch::new();
+            owned.push(&StoreEvent::JobConsigned {
+                job,
+                ajo_der: ajo.to_der(),
+                user,
+                staged,
+                idem_key,
+                parent,
+                foreign,
+                at,
+            });
+            owned.push(&StoreEvent::JobIncarnated {
+                job,
+                node: ActionId(3),
+                target: format!("{}:{}", target.0, target.1),
+                at: at + 1,
+            });
+            prop_assert!(borrowed.frames == owned.frames, "seed {seed}");
+            prop_assert_eq!(borrowed.events, 2);
+        }
+    }
+
+    fn small_batch(store: &mut EventStore, batch: &mut EventBatch, job: u64) {
+        batch.push(&consigned(job));
+        batch.push(&incarnated(job));
+        store.commit(batch).unwrap();
+    }
+
+    #[test]
+    fn a_committed_batch_keeps_its_buffer_for_the_next_commit() {
+        let mut store = EventStore::open(Box::new(MemoryBackend::new())).unwrap();
+        let mut batch = EventBatch::new();
+        small_batch(&mut store, &mut batch, 1);
+        assert!(batch.is_empty() && batch.frames.is_empty());
+        let (capacity, at) = (batch.frames.capacity(), batch.frames.as_ptr());
+        assert!(capacity > 0);
+        for job in 2..50 {
+            small_batch(&mut store, &mut batch, job);
+            assert_eq!(batch.frames.capacity(), capacity);
+            assert_eq!(batch.frames.as_ptr(), at);
+        }
+        let replay = store.replay().unwrap();
+        assert_eq!(replay.events.len(), 2 * 49);
+    }
+
+    #[test]
+    fn a_batch_above_the_cap_gives_its_buffer_back() {
+        let mut store = EventStore::open(Box::new(MemoryBackend::new())).unwrap();
+        let mut batch = EventBatch::new();
+        batch.push_transfer_chunk_stored("FZJ", JobId(1), ActionId(1), 0, &[7; 100_000], 1);
+        assert!(batch.frames.capacity() > RETAINED_CAPACITY);
+        store.commit(&mut batch).unwrap();
+        assert!(batch.is_empty());
+        assert_eq!(batch.frames.capacity(), 0);
+        small_batch(&mut store, &mut batch, 2);
+        assert!(batch.frames.capacity() > 0);
+    }
+
+    #[test]
+    fn a_failed_commit_still_leaves_the_batch_empty() {
+        let shared = MemoryBackend::new();
+        let mut store = EventStore::open(Box::new(shared.clone())).unwrap();
+        let mut batch = EventBatch::new();
+        small_batch(&mut store, &mut batch, 1);
+        shared.crash_after_appends(0, 3);
+        batch.push(&consigned(2));
+        assert!(store.commit(&mut batch).is_err());
+        assert!(batch.is_empty() && batch.frames.is_empty());
+        // What was pushed before the failure does not ride the next commit.
+        shared.reboot();
+        let mut store = EventStore::open(Box::new(shared)).unwrap();
+        small_batch(&mut store, &mut batch, 3);
+        let jobs: Vec<u64> = store
+            .replay()
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| e.job().0)
+            .collect();
+        assert_eq!(jobs, [1, 1, 3, 3]);
     }
 
     fn incarnated(job: u64) -> StoreEvent {
