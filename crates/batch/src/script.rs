@@ -91,6 +91,11 @@ pub fn script_matches_dialect(script: &str, arch: Architecture) -> bool {
     let mut saw_own = false;
     for line in script.lines() {
         let line = line.trim_start();
+        // Every dialect prefix starts with '#': a line that does not is a
+        // plain script line, and needs no prefix compared.
+        if !line.starts_with('#') {
+            continue;
+        }
         // Prefix collisions matter ("#@$" for the VPP starts with the
         // SP-2's "#@"), so classify each directive line by its *longest*
         // matching dialect prefix.
