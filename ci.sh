@@ -213,6 +213,21 @@ if {
     exit 1
 fi
 
+echo "==> a consign writes its AJO once: crates/njs/src builds no StoreEvent::JobConsigned { or StoreEvent::JobIncarnated { outside #[cfg(test)] (EventBatch::push_job_consigned / push_job_incarnated write them from borrowed parts); crates/njs/src/njs/consign.rs calls .to_der() only inside debug_assert; crates/ajo/src/job.rs names no HashMap or HashSet outside #[cfg(test)] (one position-indexed walk); EventStore::commit does not mem::take the batch (its buffer outlives the commit) (offenders are listed)"
+# The lines of the given files outside their #[cfg(test)] items, with
+# // comment lines dropped, as FILE:LINE:TEXT.
+untested() {
+    awk '/^#\[cfg\(test\)\]$/ { t = 1 } !t && !/^ *\/\// { print FILENAME ":" FNR ":" $0 } t && /^\}/ { t = 0 }' "$@"
+}
+if {
+    untested $(find crates/njs/src -name '*.rs' | sort) | grep -E 'StoreEvent::Job(Consigned|Incarnated) \{' | grep -v '=>'
+    untested crates/njs/src/njs/consign.rs | awk '/debug_assert/ { d = 1 } !d && /\.to_der\(\)/ { print } d && /\);[[:space:]]*$/ { d = 0 }'
+    untested crates/ajo/src/job.rs | grep -E 'Hash(Map|Set)'
+    awk '/ fn commit\(/ { c = 1 } c && /mem::take/ { print FILENAME ":" FNR ":" $0 } c && /^    \}/ { c = 0 }' crates/store/src/store.rs
+} | grep .; then
+    exit 1
+fi
+
 echo "==> replay is the live path: a server recovered after every tick of a two-site workload holds the live one's durable state (HUB on 1, 2 and 4 shards)"
 cargo test -q --offline -p unicore-integration-tests --test replay_equiv
 
