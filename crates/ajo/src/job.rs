@@ -226,7 +226,7 @@ impl AbstractJob {
             }
         }
         let index = level.into_index();
-        let (out_degree, stack) = scratch.cycle_check(index.ids.len());
+        let (out_degree, stack) = scratch.cycle_check();
         if !index.is_acyclic(out_degree, stack) {
             return Err(AjoError::CyclicGraph {
                 job: self.name.clone(),
@@ -306,6 +306,7 @@ impl AbstractJob {
 /// cycle check. A level of up to [`Scratch::INLINE`] / 3 nodes keeps them
 /// on the stack.
 struct Scratch {
+    nodes: usize,
     inline: [usize; Scratch::INLINE],
     heap: Vec<usize>,
 }
@@ -320,27 +321,30 @@ impl Scratch {
             Vec::new()
         };
         Scratch {
+            nodes,
             inline: [0; Self::INLINE],
             heap,
         }
     }
 
-    fn slots(&mut self, n: usize) -> &mut [usize] {
+    fn slots(&mut self) -> &mut [usize] {
         if self.heap.is_empty() {
-            &mut self.inline[..3 * n]
+            &mut self.inline[..3 * self.nodes]
         } else {
-            &mut self.heap[..3 * n]
+            &mut self.heap
         }
     }
 
-    /// Room for the positions of a level of `n` nodes.
-    fn positions(&mut self, n: usize) -> &mut [usize] {
-        &mut self.slots(n)[..n]
+    /// Room for the positions sorted by id.
+    fn positions(&mut self) -> &mut [usize] {
+        let n = self.nodes;
+        &mut self.slots()[..n]
     }
 
-    /// The out-degree and stack arrays of a level of `n` nodes.
-    fn cycle_check(&mut self, n: usize) -> (&mut [usize], &mut [usize]) {
-        self.slots(n)[n..].split_at_mut(n)
+    /// The cycle check's out-degree and stack arrays.
+    fn cycle_check(&mut self) -> (&mut [usize], &mut [usize]) {
+        let n = self.nodes;
+        self.slots()[n..].split_at_mut(n)
     }
 }
 
@@ -356,7 +360,7 @@ struct Level<'a> {
 impl<'a> Level<'a> {
     fn walk(job: &'a AbstractJob, scratch: &'a mut Scratch) -> Self {
         let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
-        let by_id = scratch.positions(ids.len());
+        let by_id = scratch.positions();
         for (p, slot) in by_id.iter_mut().enumerate() {
             *slot = p;
         }
@@ -459,11 +463,6 @@ pub struct DependencyIndex {
 }
 
 impl DependencyIndex {
-    /// Builds the index for one level of `job`.
-    pub fn build(job: &AbstractJob) -> Self {
-        job.dependency_index()
-    }
-
     /// The position of `id` in the job's node list, if it is a node of
     /// this level.
     pub fn position(&self, id: ActionId) -> Option<usize> {
