@@ -31,7 +31,7 @@ store   FileBackend         the directory-backed journal a deployed site writes;
 # builders, Federation::apply_fault_plan, Telemetry::finished_spans, ...)
 # and the reference models property tests compare against. Lower this
 # when the count falls.
-test_only_public_max=178
+test_only_public_max=176
 scan=$(mktemp -d)
 trap 'rm -rf "$scan"' EXIT
 # The lines of the given files outside (code) or inside (test) their
