@@ -17,8 +17,10 @@
 //!   a minimal equivalent event sequence,
 //! * a typed **event-store API** ([`StoreEvent`]: `JobConsigned`,
 //!   `JobIncarnated`, `TaskStateChanged`, `OutcomeStored`, `JobPurged`),
-//!   with [`EventBatch`] framing bulk records straight from borrowed
-//!   bytes, and [`StoreEventRef`] decoding them in place: recovery reads
+//!   with [`EventBatch`] framing records straight from borrowed parts
+//!   (file contents, a consigned AJO encoded in place) into a buffer
+//!   that outlives the group commit, and [`StoreEventRef`] decoding them
+//!   in place: recovery reads
 //!   the log once ([`EventStore::read_journal`]) and every record is
 //!   decoded, borrowed from those bytes, before the first is applied,
 //! * pluggable [`StorageBackend`]s: an in-memory backend whose handle

@@ -101,8 +101,8 @@ const RETAINED_CAPACITY: usize = 64 * 1024;
 /// A group commit being assembled: the framed records of every event
 /// pushed so far, each encoded in place behind its record header.
 /// [`EventStore::commit`] hands them to the backend in one write and
-/// empties the batch, which keeps its buffer up to
-/// [`RETAINED_CAPACITY`] bytes for the next one.
+/// empties the batch, which keeps its buffer for the next one unless it
+/// grew past 64 KiB.
 #[derive(Debug, Default)]
 pub struct EventBatch {
     frames: Vec<u8>,
@@ -392,8 +392,7 @@ impl EventStore {
     /// every event was framed into a single buffer as it was pushed, so a
     /// burst of events on the consign path pays one fsync instead of one
     /// per event. The batch is left empty whether or not the write
-    /// succeeded, with its buffer kept for the next commit (up to
-    /// [`RETAINED_CAPACITY`]).
+    /// succeeded, with its buffer kept for the next commit (up to 64 KiB).
     ///
     /// Crash semantics are unchanged from frame-at-a-time appends: the
     /// durable unit is the backend write, so a crash mid-batch leaves an
