@@ -211,4 +211,137 @@ mod tests {
         );
         assert!(script_matches_dialect(&vpp, Architecture::FujitsuVpp700));
     }
+
+    /// The dialect module as it was written with `write!` and a
+    /// longest-prefix search over every dialect: the writers and the
+    /// classifier above must agree with it byte for byte and verdict for
+    /// verdict.
+    mod reference {
+        use super::*;
+
+        pub(super) fn processors(arch: Architecture, n: u32) -> String {
+            match arch {
+                Architecture::CrayT3e => format!("#QSUB -l mpp_p={n}"),
+                Architecture::FujitsuVpp700 => format!("#@$-q vpp -eo -lP {n}"),
+                Architecture::IbmSp2 => format!("#@ node = {n}"),
+                Architecture::NecSx4 => format!("#PBS -l cpunum_job={n}"),
+                Architecture::Generic => format!("#$ -pe mpi {n}"),
+            }
+        }
+
+        pub(super) fn time(arch: Architecture, secs: u64) -> String {
+            match arch {
+                Architecture::CrayT3e => format!("#QSUB -l mpp_t={secs}"),
+                Architecture::FujitsuVpp700 => format!("#@$-lT {secs}"),
+                Architecture::IbmSp2 => {
+                    let (h, m, s) = (secs / 3600, (secs % 3600) / 60, secs % 60);
+                    format!("#@ wall_clock_limit = {h:02}:{m:02}:{s:02}")
+                }
+                Architecture::NecSx4 => format!("#PBS -l elapstim_req={secs}"),
+                Architecture::Generic => format!("#$ -l h_rt={secs}"),
+            }
+        }
+
+        pub(super) fn memory(arch: Architecture, mb: u64) -> String {
+            match arch {
+                Architecture::CrayT3e => format!("#QSUB -l mpp_m={mb}mw"),
+                Architecture::FujitsuVpp700 => format!("#@$-lM {mb}mb"),
+                Architecture::IbmSp2 => format!("#@ requirements = (Memory >= {mb})"),
+                Architecture::NecSx4 => format!("#PBS -l memsz_job={mb}mb"),
+                Architecture::Generic => format!("#$ -l mem_free={mb}M"),
+            }
+        }
+
+        pub(super) fn matches_dialect(script: &str, arch: Architecture) -> bool {
+            let mut saw_own = false;
+            for line in script.lines() {
+                let line = line.trim_start();
+                let best = Architecture::ALL
+                    .iter()
+                    .filter(|a| line.starts_with(directive_prefix(**a)))
+                    .max_by_key(|a| directive_prefix(**a).len());
+                match best {
+                    Some(&a) if a == arch => saw_own = true,
+                    Some(_) => return false,
+                    None => {}
+                }
+            }
+            saw_own
+        }
+    }
+
+    #[test]
+    fn writers_match_write_macro_byte_for_byte() {
+        let mut values: Vec<u64> = vec![0, 1, 9, 10, 99, 100, 101, 999_999, u32::MAX as u64];
+        values.extend([u32::MAX as u64 + 1, u64::MAX / 10, u64::MAX - 1, u64::MAX]);
+        values.extend(
+            (0..20)
+                .map(|k| 10u64.pow(k))
+                .chain((1..20).map(|k| 10u64.pow(k) - 1)),
+        );
+        for arch in Architecture::ALL {
+            for &v in &values {
+                assert_eq!(
+                    memory_directive(arch, v),
+                    reference::memory(arch, v),
+                    "{arch:?}"
+                );
+                assert_eq!(
+                    time_directive(arch, v),
+                    reference::time(arch, v),
+                    "{arch:?}"
+                );
+                let n = v.min(u32::MAX as u64) as u32;
+                let got = processors_directive(arch, n);
+                assert_eq!(got, reference::processors(arch, n), "{arch:?}");
+                // The writers append: what was already there stays.
+                let mut line = String::from("#!/bin/sh\n");
+                write_processors_directive(&mut line, arch, n);
+                assert_eq!(line, format!("#!/bin/sh\n{got}"));
+            }
+        }
+        // The SP-2's hh:mm:ss across minute and hour boundaries, and
+        // hours past two digits.
+        for secs in (0..7_300).chain([35_999, 36_000, 359_999, 360_000, 86_399, 86_400]) {
+            let arch = Architecture::IbmSp2;
+            assert_eq!(
+                time_directive(arch, secs),
+                reference::time(arch, secs),
+                "{secs}"
+            );
+        }
+    }
+
+    #[test]
+    fn classifier_matches_longest_prefix_reference() {
+        // Lines built from every prefix, its neighbours and their
+        // truncations, with blanks and non-ASCII around them.
+        let mut pieces: Vec<&str> = Architecture::ALL
+            .iter()
+            .map(|a| directive_prefix(*a))
+            .collect();
+        pieces.extend([
+            "#", "#@", "#@$", "#Q", "#QSU", "#PB", "#$", "#@ $", "$", "@", "ü", "#ü",
+        ]);
+        pieces.extend([
+            "", " ", "\t", "x", "#!", "##", "# ", "\u{a0}", "\u{2003}", "#@$$",
+        ]);
+        let mut rng = proptest::test_runner::TestRng::from_seed(7);
+        for _ in 0..20_000 {
+            let mut script = String::new();
+            for _ in 0..rng.below(5) {
+                for _ in 0..rng.below(4) {
+                    script.push_str(pieces[rng.below(pieces.len() as u64) as usize]);
+                }
+                script.push_str(["\n", "\r\n", " run\n"][rng.below(3) as usize]);
+            }
+            for arch in Architecture::ALL {
+                assert_eq!(
+                    script_matches_dialect(&script, arch),
+                    reference::matches_dialect(&script, arch),
+                    "{script:?} on {arch:?}"
+                );
+            }
+        }
+    }
 }

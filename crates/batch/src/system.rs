@@ -1119,3 +1119,514 @@ mod dialect_tests {
         m.submit(spec_with("whatever\n".into()), 0).unwrap();
     }
 }
+
+/// The scheduler as it was before the queue became a ring and backfill
+/// learned to skip a full machine: a `Vec` queue whose head start moves
+/// every entry behind it, a backfill scan on every submit and completion,
+/// and the jobs ending at one instant collected before they finish. The
+/// differential test below drives it and [`BatchSystem`] with the same
+/// operations and requires the same observable schedule.
+#[cfg(test)]
+mod reference {
+    use super::{EXIT_CANCELLED, EXIT_NODE_FAILURE, EXIT_TIME_LIMIT};
+    use crate::job::{
+        AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, QueueClass,
+    };
+    use std::collections::HashMap;
+    use unicore_sim::SimTime;
+
+    struct Queued {
+        id: BatchJobId,
+        spec: BatchJobSpec,
+        submitted_at: SimTime,
+        held: bool,
+    }
+
+    struct Running {
+        id: BatchJobId,
+        started_at: SimTime,
+        ends_at: SimTime,
+        guaranteed_end: SimTime,
+        timed_out: bool,
+        submitted_at: SimTime,
+        spec: BatchJobSpec,
+        cancelled: bool,
+        crashed: bool,
+    }
+
+    pub(super) struct ReferenceSystem {
+        total_nodes: u32,
+        free_nodes: u32,
+        next_id: u64,
+        queue: Vec<Queued>,
+        running: Vec<Running>,
+        statuses: HashMap<BatchJobId, BatchStatus>,
+        changed: Vec<BatchJobId>,
+        pub(super) accounting: Vec<AccountingRecord>,
+        last_advance: SimTime,
+        offline_until: SimTime,
+    }
+
+    impl ReferenceSystem {
+        pub(super) fn new(nodes: u32) -> Self {
+            ReferenceSystem {
+                total_nodes: nodes,
+                free_nodes: nodes,
+                next_id: 1,
+                queue: Vec::new(),
+                running: Vec::new(),
+                statuses: HashMap::new(),
+                changed: Vec::new(),
+                accounting: Vec::new(),
+                last_advance: 0,
+                offline_until: 0,
+            }
+        }
+
+        /// Submits, or returns `None` where [`super::BatchSystem::submit`]
+        /// refuses the spec (the test compares the refusal itself).
+        pub(super) fn submit(&mut self, spec: BatchJobSpec, now: SimTime) -> Option<BatchJobId> {
+            if spec.processors == 0 || spec.processors > self.total_nodes {
+                return None;
+            }
+            if spec.queue == QueueClass::Express
+                && (spec.time_limit > unicore_sim::HOUR
+                    || spec.processors > (self.total_nodes / 4).max(1))
+            {
+                return None;
+            }
+            self.advance_to(now);
+            let id = BatchJobId(self.next_id);
+            self.next_id += 1;
+            self.set_status(id, BatchStatus::Queued);
+            let key = (spec.queue.rank(), id.0);
+            let pos = self
+                .queue
+                .partition_point(|q| (q.spec.queue.rank(), q.id.0) <= key);
+            self.queue.insert(
+                pos,
+                Queued {
+                    id,
+                    spec,
+                    submitted_at: now,
+                    held: false,
+                },
+            );
+            self.schedule(now);
+            Some(id)
+        }
+
+        fn set_status(&mut self, id: BatchJobId, status: BatchStatus) {
+            self.statuses.insert(id, status);
+            self.changed.push(id);
+        }
+
+        pub(super) fn drain_changes(&mut self) -> Vec<BatchJobId> {
+            std::mem::take(&mut self.changed)
+        }
+
+        pub(super) fn status(&self, id: BatchJobId) -> Option<&BatchStatus> {
+            self.statuses.get(&id)
+        }
+
+        pub(super) fn next_event_time(&self) -> Option<SimTime> {
+            let completion = self.running.iter().map(|r| r.ends_at).min();
+            let recovery = (self.offline_until > self.last_advance && !self.queue.is_empty())
+                .then_some(self.offline_until);
+            match (completion, recovery) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, None) => a,
+                (None, b) => b,
+            }
+        }
+
+        pub(super) fn advance_to(&mut self, now: SimTime) {
+            loop {
+                let next_end = match self.running.iter().map(|r| r.ends_at).min() {
+                    Some(t) if t <= now => t,
+                    _ => break,
+                };
+                self.last_advance = self.last_advance.max(next_end);
+                let ending: Vec<usize> = self
+                    .running
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.ends_at == next_end)
+                    .map(|(i, _)| i)
+                    .collect();
+                for idx in ending.into_iter().rev() {
+                    let entry = self.running.swap_remove(idx);
+                    self.finish(entry);
+                }
+                self.schedule(next_end);
+            }
+            self.last_advance = self.last_advance.max(now);
+            if self.offline_until > 0 && now >= self.offline_until {
+                self.schedule(now);
+            }
+        }
+
+        fn finish(&mut self, mut entry: Running) {
+            self.free_nodes += entry.spec.processors;
+            let (exit_code, stdout, stderr, output_files) = if entry.crashed {
+                (
+                    EXIT_NODE_FAILURE,
+                    Vec::new(),
+                    b"node failure".to_vec(),
+                    Vec::new(),
+                )
+            } else if entry.cancelled {
+                (
+                    EXIT_CANCELLED,
+                    Vec::new(),
+                    b"cancelled".to_vec(),
+                    Vec::new(),
+                )
+            } else if entry.timed_out {
+                let stderr = b"job killed: wall clock limit exceeded".to_vec();
+                (EXIT_TIME_LIMIT, Vec::new(), stderr, Vec::new())
+            } else {
+                let work = &mut entry.spec.work;
+                (
+                    work.exit_code,
+                    std::mem::take(&mut work.stdout),
+                    std::mem::take(&mut work.stderr),
+                    std::mem::take(&mut work.output_files),
+                )
+            };
+            self.accounting.push(AccountingRecord {
+                job: entry.id,
+                owner: entry.spec.owner,
+                queue: entry.spec.queue,
+                processors: entry.spec.processors,
+                submitted_at: entry.submitted_at,
+                started_at: entry.started_at,
+                ended_at: entry.ends_at,
+                exit_code,
+            });
+            let completed = CompletedJob {
+                exit_code,
+                timed_out: entry.timed_out,
+                stdout,
+                stderr,
+                output_files,
+                started_at: entry.started_at,
+                ended_at: entry.ends_at,
+            };
+            self.set_status(entry.id, BatchStatus::Completed(completed));
+        }
+
+        fn start(&mut self, entry: Queued, now: SimTime) {
+            let (actual, limit) = (entry.spec.work.actual_runtime, entry.spec.time_limit);
+            self.free_nodes -= entry.spec.processors;
+            self.set_status(entry.id, BatchStatus::Running { since: now });
+            self.running.push(Running {
+                id: entry.id,
+                started_at: now,
+                ends_at: now + actual.min(limit),
+                guaranteed_end: now + limit,
+                timed_out: actual > limit,
+                submitted_at: entry.submitted_at,
+                spec: entry.spec,
+                cancelled: false,
+                crashed: false,
+            });
+        }
+
+        fn schedule(&mut self, now: SimTime) {
+            if now < self.offline_until {
+                return;
+            }
+            loop {
+                let Some(head_pos) = self.queue.iter().position(|q| !q.held) else {
+                    return;
+                };
+                if self.queue[head_pos].spec.processors <= self.free_nodes {
+                    let entry = self.queue.remove(head_pos);
+                    self.start(entry, now);
+                } else {
+                    break;
+                }
+            }
+            let head_pos = self
+                .queue
+                .iter()
+                .position(|q| !q.held)
+                .expect("blocked head");
+            let head_procs = self.queue[head_pos].spec.processors;
+            let mut ends: Vec<(SimTime, u32)> = self
+                .running
+                .iter()
+                .map(|r| (r.guaranteed_end, r.spec.processors))
+                .collect();
+            ends.sort_unstable();
+            let mut avail = self.free_nodes;
+            let mut shadow_time = SimTime::MAX;
+            let mut extra = 0u32;
+            for (t, procs) in ends {
+                avail += procs;
+                if avail >= head_procs {
+                    shadow_time = t;
+                    extra = avail - head_procs;
+                    break;
+                }
+            }
+            let mut i = head_pos + 1;
+            while i < self.queue.len() {
+                let q = &self.queue[i];
+                if q.held || q.spec.processors > self.free_nodes {
+                    i += 1;
+                    continue;
+                }
+                let fits_before_shadow = now.saturating_add(q.spec.time_limit) <= shadow_time;
+                let fits_beside_head = q.spec.processors <= extra;
+                if fits_before_shadow || fits_beside_head {
+                    if !fits_before_shadow {
+                        extra -= q.spec.processors;
+                    }
+                    let entry = self.queue.remove(i);
+                    self.start(entry, now);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        pub(super) fn cancel(&mut self, id: BatchJobId, now: SimTime) -> bool {
+            self.advance_to(now);
+            if let Some(pos) = self.queue.iter().position(|q| q.id == id) {
+                self.queue.remove(pos);
+                self.set_status(id, BatchStatus::Cancelled);
+                self.schedule(now);
+                return true;
+            }
+            if let Some(r) = self.running.iter_mut().find(|r| r.id == id) {
+                r.cancelled = true;
+                r.timed_out = false;
+                r.ends_at = now;
+                self.advance_to(now);
+                return true;
+            }
+            false
+        }
+
+        pub(super) fn crash(&mut self, now: SimTime, downtime: SimTime) -> usize {
+            self.advance_to(now);
+            let killed = self.running.len();
+            for r in &mut self.running {
+                r.crashed = true;
+                r.timed_out = false;
+                r.ends_at = now;
+            }
+            self.offline_until = now.saturating_add(downtime);
+            self.advance_to(now);
+            killed
+        }
+
+        pub(super) fn hold(&mut self, id: BatchJobId) -> bool {
+            let Some(q) = self.queue.iter_mut().find(|q| q.id == id) else {
+                return false;
+            };
+            q.held = true;
+            self.set_status(id, BatchStatus::Held);
+            true
+        }
+
+        pub(super) fn release(&mut self, id: BatchJobId, now: SimTime) -> bool {
+            let Some(q) = self.queue.iter_mut().find(|q| q.id == id && q.held) else {
+                return false;
+            };
+            q.held = false;
+            self.set_status(id, BatchStatus::Queued);
+            self.schedule(now);
+            true
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference_tests {
+    use super::reference::ReferenceSystem;
+    use super::*;
+    use crate::job::{QueueClass, WorkModel};
+    use proptest::prelude::*;
+    use unicore_sim::MINUTE;
+
+    /// One operation on both machines; the `u32`s pick a width, a job or a
+    /// length, each reduced to its range where it is applied.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Submit {
+            class: u8,
+            width: u32,
+            limit: u32,
+            actual: u32,
+            exit: u8,
+        },
+        Advance,
+        Cancel(u32),
+        Hold(u32),
+        Release(u32),
+        Crash(u32),
+    }
+
+    fn submit() -> impl Strategy<Value = Op> {
+        (0u8..3, any::<u32>(), 1u32..8, 1u32..10, 0u8..4).prop_map(
+            |(class, width, limit, actual, exit)| Op::Submit {
+                class,
+                width,
+                limit,
+                actual,
+                exit,
+            },
+        )
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            // Submits twice as often as anything else, so queues fill.
+            submit(),
+            submit(),
+            Just(Op::Advance),
+            any::<u32>().prop_map(Op::Cancel),
+            any::<u32>().prop_map(Op::Hold),
+            any::<u32>().prop_map(Op::Release),
+            (0u32..40).prop_map(Op::Crash),
+        ]
+    }
+
+    fn spec(class: u8, procs: u32, limit: SimTime, actual: SimTime, exit: u8) -> BatchJobSpec {
+        let queue = [QueueClass::Express, QueueClass::Batch, QueueClass::Long][class as usize];
+        let mut work = WorkModel::succeed_after(actual);
+        if exit == 3 {
+            work = WorkModel::fail_after(actual, 2, "segfault");
+        }
+        work.stdout = vec![exit; exit as usize];
+        BatchJobSpec {
+            name: "diff".into(),
+            owner: format!("u{exit}"),
+            script: "#$ -pe mpi 1\nrun\n".into(),
+            processors: procs,
+            time_limit: limit,
+            memory_mb: 1,
+            queue,
+            work,
+        }
+    }
+
+    /// Runs `ops` (each after a step of `gaps` minutes, 0 for a tie) on a
+    /// machine of `nodes` and on the reference, comparing every
+    /// observable after each operation.
+    fn run(nodes: u32, ops: &[(u8, Op)]) {
+        let mut m = BatchSystem::new("m", Architecture::Generic, nodes);
+        let mut r = ReferenceSystem::new(nodes);
+        let mut ids: Vec<BatchJobId> = Vec::new();
+        let mut now: SimTime = 0;
+        let pick = |ids: &[BatchJobId], k: u32| ids.get(k as usize % ids.len().max(1)).copied();
+        for &(gap, op) in ops {
+            now += SimTime::from(gap) * MINUTE;
+            match op {
+                Op::Submit {
+                    class,
+                    width,
+                    limit,
+                    actual,
+                    exit,
+                } => {
+                    let procs = 1 + width % nodes;
+                    // Lengths in whole ten-minute steps, so ends tie often.
+                    let (limit, actual) = (
+                        u64::from(limit) * 10 * MINUTE,
+                        u64::from(actual) * 10 * MINUTE,
+                    );
+                    let got = m.submit(spec(class, procs, limit, actual, exit), now).ok();
+                    assert_eq!(got, r.submit(spec(class, procs, limit, actual, exit), now));
+                    ids.extend(got);
+                }
+                Op::Advance => {
+                    m.advance_to(now);
+                    r.advance_to(now);
+                }
+                Op::Cancel(k) => {
+                    if let Some(id) = pick(&ids, k) {
+                        assert_eq!(m.cancel(id, now), r.cancel(id, now));
+                    }
+                }
+                Op::Hold(k) => {
+                    if let Some(id) = pick(&ids, k) {
+                        assert_eq!(m.hold(id), r.hold(id));
+                    }
+                }
+                Op::Release(k) => {
+                    if let Some(id) = pick(&ids, k) {
+                        assert_eq!(m.release(id, now), r.release(id, now));
+                    }
+                }
+                Op::Crash(down) => {
+                    let down = SimTime::from(down) * MINUTE;
+                    assert_eq!(m.crash(now, down), r.crash(now, down));
+                }
+            }
+            let changes: Vec<BatchJobId> = m.drain_changes().collect();
+            assert_eq!(changes, r.drain_changes(), "{op:?} at {now}");
+            for &id in &ids {
+                assert_eq!(m.status(id), r.status(id), "{id:?} after {op:?} at {now}");
+            }
+            assert_eq!(m.accounting(), &r.accounting[..]);
+            assert_eq!(m.next_event_time(), r.next_event_time());
+        }
+        // Run both dry: every remaining completion, in the same order.
+        while let Some(t) = m.next_event_time() {
+            assert_eq!(Some(t), r.next_event_time());
+            m.advance_to(t);
+            r.advance_to(t);
+            let changes: Vec<BatchJobId> = m.drain_changes().collect();
+            assert_eq!(changes, r.drain_changes());
+        }
+        assert_eq!(r.next_event_time(), None);
+        assert_eq!(m.accounting(), &r.accounting[..]);
+        for &id in &ids {
+            assert_eq!(m.status(id), r.status(id));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn scheduler_matches_the_vec_queue_reference(
+            nodes in 1u32..17,
+            ops in proptest::collection::vec((0u8..4, op()), 1..120),
+        ) {
+            run(nodes, &ops);
+        }
+    }
+
+    #[test]
+    fn a_saturated_machine_matches_the_reference() {
+        // Full machines, many narrow jobs, ends tied to the minute: the
+        // shape where backfill is skipped and several jobs end together.
+        let mut ops = Vec::new();
+        for k in 0..200u32 {
+            let submit = Op::Submit {
+                class: (k % 3) as u8,
+                width: k % 5,
+                limit: 1 + k % 3,
+                actual: 1 + k % 4,
+                exit: (k % 4) as u8,
+            };
+            ops.push(((k % 7 == 0) as u8 * 10, submit));
+            if k % 11 == 0 {
+                ops.push((0, Op::Hold(k)));
+            }
+            if k % 13 == 0 {
+                ops.push((1, Op::Release(k / 2)));
+            }
+            if k % 17 == 0 {
+                ops.push((0, Op::Cancel(k)));
+            }
+        }
+        ops.push((5, Op::Crash(3)));
+        run(8, &ops);
+    }
+}
