@@ -7,18 +7,22 @@
 //! batch simulator can *validate* that a submitted script matches the
 //! machine it was sent to.
 
-use std::fmt::Write as _;
 use unicore_resources::Architecture;
 
-/// The directive prefix each dialect uses (start of a directive line).
-pub(crate) fn directive_prefix(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::CrayT3e => "#QSUB",
-        Architecture::FujitsuVpp700 => "#@$",
-        Architecture::IbmSp2 => "#@",
-        Architecture::NecSx4 => "#PBS",
-        Architecture::Generic => "#$",
+/// Writes `n` in decimal onto `out`, zero-padded to at least `width`
+/// digits — what `{n:0width$}` prints, without the formatting machinery
+/// (every incarnated script carries three or five of these numbers).
+fn push_decimal(out: &mut String, n: u64, width: usize) {
+    let mut digits = [b'0'; 20]; // the 20 digits of u64::MAX
+    let mut at = digits.len();
+    let mut rest = n;
+    while rest > 0 {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
     }
+    at = at.min(digits.len() - width.clamp(1, digits.len()));
+    out.push_str(core::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Writes the dialect's processor request for `n` processor elements
@@ -26,41 +30,48 @@ pub(crate) fn directive_prefix(arch: Architecture) -> &'static str {
 /// tables incarnate through these writers; the `*_directive` functions
 /// return the same text as a fresh `String`.
 pub fn write_processors_directive(out: &mut String, arch: Architecture, n: u32) {
-    // Writing to a `String` cannot fail.
-    let _ = match arch {
-        Architecture::CrayT3e => write!(out, "#QSUB -l mpp_p={n}"),
-        Architecture::FujitsuVpp700 => write!(out, "#@$-q vpp -eo -lP {n}"),
-        Architecture::IbmSp2 => write!(out, "#@ node = {n}"),
-        Architecture::NecSx4 => write!(out, "#PBS -l cpunum_job={n}"),
-        Architecture::Generic => write!(out, "#$ -pe mpi {n}"),
-    };
+    out.push_str(match arch {
+        Architecture::CrayT3e => "#QSUB -l mpp_p=",
+        Architecture::FujitsuVpp700 => "#@$-q vpp -eo -lP ",
+        Architecture::IbmSp2 => "#@ node = ",
+        Architecture::NecSx4 => "#PBS -l cpunum_job=",
+        Architecture::Generic => "#$ -pe mpi ",
+    });
+    push_decimal(out, u64::from(n), 1);
 }
 
 /// Writes the dialect's wall-clock limit of `secs` seconds onto `out`.
 pub fn write_time_directive(out: &mut String, arch: Architecture, secs: u64) {
-    let _ = match arch {
-        Architecture::CrayT3e => write!(out, "#QSUB -l mpp_t={secs}"),
-        Architecture::FujitsuVpp700 => write!(out, "#@$-lT {secs}"),
+    out.push_str(match arch {
+        Architecture::CrayT3e => "#QSUB -l mpp_t=",
+        Architecture::FujitsuVpp700 => "#@$-lT ",
         Architecture::IbmSp2 => {
-            let h = secs / 3600;
-            let m = (secs % 3600) / 60;
-            let s = secs % 60;
-            write!(out, "#@ wall_clock_limit = {h:02}:{m:02}:{s:02}")
+            out.push_str("#@ wall_clock_limit = ");
+            push_decimal(out, secs / 3600, 2);
+            out.push(':');
+            push_decimal(out, (secs % 3600) / 60, 2);
+            out.push(':');
+            push_decimal(out, secs % 60, 2);
+            return;
         }
-        Architecture::NecSx4 => write!(out, "#PBS -l elapstim_req={secs}"),
-        Architecture::Generic => write!(out, "#$ -l h_rt={secs}"),
-    };
+        Architecture::NecSx4 => "#PBS -l elapstim_req=",
+        Architecture::Generic => "#$ -l h_rt=",
+    });
+    push_decimal(out, secs, 1);
 }
 
 /// Writes the dialect's memory request of `mb` MB onto `out`.
 pub fn write_memory_directive(out: &mut String, arch: Architecture, mb: u64) {
-    let _ = match arch {
-        Architecture::CrayT3e => write!(out, "#QSUB -l mpp_m={mb}mw"),
-        Architecture::FujitsuVpp700 => write!(out, "#@$-lM {mb}mb"),
-        Architecture::IbmSp2 => write!(out, "#@ requirements = (Memory >= {mb})"),
-        Architecture::NecSx4 => write!(out, "#PBS -l memsz_job={mb}mb"),
-        Architecture::Generic => write!(out, "#$ -l mem_free={mb}M"),
+    let (before, after) = match arch {
+        Architecture::CrayT3e => ("#QSUB -l mpp_m=", "mw"),
+        Architecture::FujitsuVpp700 => ("#@$-lM ", "mb"),
+        Architecture::IbmSp2 => ("#@ requirements = (Memory >= ", ")"),
+        Architecture::NecSx4 => ("#PBS -l memsz_job=", "mb"),
+        Architecture::Generic => ("#$ -l mem_free=", "M"),
     };
+    out.push_str(before);
+    push_decimal(out, mb, 1);
+    out.push_str(after);
 }
 
 /// How the dialect spells a processor request.
@@ -84,27 +95,30 @@ pub fn memory_directive(arch: Architecture, mb: u64) -> String {
     line
 }
 
+/// The dialect whose directive `line` (already left-trimmed) is, by its
+/// *longest* matching directive prefix — `#QSUB` (T3E), `#@$` (VPP),
+/// `#@` (SP-2), `#PBS` (SX-4), `#$` (Generic). Prefixes collide ("#@$"
+/// for the VPP starts with the SP-2's "#@"), so "#@$" is tried before
+/// "#@". `None` for a plain script line.
+fn directive_dialect(line: &str) -> Option<Architecture> {
+    match line.as_bytes() {
+        [b'#', b'Q', b'S', b'U', b'B', ..] => Some(Architecture::CrayT3e),
+        [b'#', b'@', b'$', ..] => Some(Architecture::FujitsuVpp700),
+        [b'#', b'@', ..] => Some(Architecture::IbmSp2),
+        [b'#', b'P', b'B', b'S', ..] => Some(Architecture::NecSx4),
+        [b'#', b'$', ..] => Some(Architecture::Generic),
+        _ => None,
+    }
+}
+
 /// Checks that `script` plausibly targets `arch`: it must contain at least
 /// one directive line with the machine's own prefix and no directive lines
 /// from a different dialect.
 pub fn script_matches_dialect(script: &str, arch: Architecture) -> bool {
     let mut saw_own = false;
     for line in script.lines() {
-        let line = line.trim_start();
-        // Every dialect prefix starts with '#': a line that does not is a
-        // plain script line, and needs no prefix compared.
-        if !line.starts_with('#') {
-            continue;
-        }
-        // Prefix collisions matter ("#@$" for the VPP starts with the
-        // SP-2's "#@"), so classify each directive line by its *longest*
-        // matching dialect prefix.
-        let best = Architecture::ALL
-            .iter()
-            .filter(|a| line.starts_with(directive_prefix(**a)))
-            .max_by_key(|a| directive_prefix(**a).len());
-        match best {
-            Some(&a) if a == arch => saw_own = true,
+        match directive_dialect(line.trim_start()) {
+            Some(a) if a == arch => saw_own = true,
             Some(_) => return false, // foreign directive: mistranslation
             None => {}               // plain script line
         }
@@ -115,6 +129,17 @@ pub fn script_matches_dialect(script: &str, arch: Architecture) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The directive prefix each dialect uses (start of a directive line).
+    fn directive_prefix(arch: Architecture) -> &'static str {
+        match arch {
+            Architecture::CrayT3e => "#QSUB",
+            Architecture::FujitsuVpp700 => "#@$",
+            Architecture::IbmSp2 => "#@",
+            Architecture::NecSx4 => "#PBS",
+            Architecture::Generic => "#$",
+        }
+    }
 
     #[test]
     fn prefixes_are_distinct() {

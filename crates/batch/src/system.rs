@@ -13,6 +13,7 @@ use crate::job::{
     AccountingRecord, BatchJobId, BatchJobSpec, BatchStatus, CompletedJob, IdMap, QueueClass,
 };
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use unicore_resources::Architecture;
 use unicore_sim::SimTime;
 use unicore_telemetry::{Counter, Histogram, Telemetry};
@@ -109,8 +110,13 @@ pub struct BatchSystem {
     total_nodes: u32,
     free_nodes: u32,
     next_id: u64,
-    queue: Vec<QueuedEntry>,
+    /// Waiting jobs in dispatch order. A ring, so the head starts in O(1)
+    /// instead of moving every entry behind it.
+    queue: VecDeque<QueuedEntry>,
     running: Vec<RunningEntry>,
+    /// Scratch for backfill's shadow time (`(guaranteed end, processors)`
+    /// of every running job), kept so a schedule allocates nothing.
+    ends_scratch: Vec<(SimTime, u32)>,
     statuses: IdMap<BatchJobId, BatchStatus>,
     /// Ids whose status changed since the last [`BatchSystem::drain_changes`],
     /// in change order (an id appears once per change).
@@ -144,8 +150,9 @@ impl BatchSystem {
             total_nodes: nodes,
             free_nodes: nodes,
             next_id: 1,
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             running: Vec::new(),
+            ends_scratch: Vec::new(),
             statuses: IdMap::default(),
             changed: Vec::new(),
             accounting: Vec::new(),
@@ -324,17 +331,14 @@ impl BatchSystem {
                 _ => break,
             };
             self.accumulate_busy(next_end);
-            // Complete every job ending exactly at next_end.
-            let ending: Vec<usize> = self
-                .running
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.ends_at == next_end)
-                .map(|(i, _)| i)
-                .collect();
-            for idx in ending.into_iter().rev() {
-                let entry = self.running.swap_remove(idx);
-                self.finish(entry);
+            // Complete every job ending exactly at next_end, from the
+            // highest index down: a `swap_remove` only moves an entry
+            // already looked at (and not ending) into the hole.
+            for idx in (0..self.running.len()).rev() {
+                if self.running[idx].ends_at == next_end {
+                    let entry = self.running.swap_remove(idx);
+                    self.finish(entry);
+                }
             }
             self.schedule(next_end);
         }
@@ -446,14 +450,18 @@ impl BatchSystem {
                 return;
             };
             if self.queue[head_pos].spec.processors <= self.free_nodes {
-                let entry = self.queue.remove(head_pos);
+                let entry = self.queue.remove(head_pos).expect("head is queued");
                 self.start(entry, now);
             } else {
                 break;
             }
         }
 
-        // Phase 2: EASY backfill around the blocked head.
+        // Phase 2: EASY backfill around the blocked head. Every job asks
+        // for at least one node, so a full machine can backfill nothing.
+        if self.free_nodes == 0 {
+            return;
+        }
         let head_pos = self
             .queue
             .iter()
@@ -463,16 +471,18 @@ impl BatchSystem {
 
         // Shadow time: when enough nodes free up for the head, assuming
         // running jobs hold nodes until their guaranteed end.
-        let mut ends: Vec<(SimTime, u32)> = self
-            .running
-            .iter()
-            .map(|r| (r.guaranteed_end, r.processors))
-            .collect();
+        let ends = &mut self.ends_scratch;
+        ends.clear();
+        ends.extend(
+            self.running
+                .iter()
+                .map(|r| (r.guaranteed_end, r.processors)),
+        );
         ends.sort_unstable();
         let mut avail = self.free_nodes;
         let mut shadow_time = SimTime::MAX;
         let mut extra = 0u32;
-        for (t, procs) in ends {
+        for &(t, procs) in ends.iter() {
             avail += procs;
             if avail >= head_procs {
                 shadow_time = t;
@@ -495,7 +505,7 @@ impl BatchSystem {
                 if !fits_before_shadow {
                     extra -= q.spec.processors;
                 }
-                let entry = self.queue.remove(i);
+                let entry = self.queue.remove(i).expect("candidate is queued");
                 self.start(entry, now);
                 // A start may have freed… no: starts consume nodes. Head
                 // still blocked; continue scanning at the same index.

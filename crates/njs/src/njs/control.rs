@@ -170,7 +170,7 @@ impl Njs {
         let freed = self.forget_job(job);
         // A finished job holds no batch-owner entries: its nodes all went
         // terminal, which is where entries are dropped.
-        self.wake.remove(&job);
+        self.wake.remove(job);
         if let Ok(i) = self.job_order.binary_search(&job) {
             self.job_order.remove(i);
         }

@@ -34,7 +34,7 @@ use crate::oracle::{DeterministicOracle, WorkOracle};
 use crate::translation::TranslationTable;
 use cross::CrossShardItem;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionId, ActionStatus, DependencyIndex, JobId, JobOutcome, OutcomeNode,
@@ -306,7 +306,7 @@ pub(crate) struct Njs {
     job_order: Vec<JobId>,
     /// The wake set: jobs that may have work. `step` visits only these
     /// (see its doc for the wake sources that keep this complete).
-    wake: BTreeSet<JobId>,
+    wake: step::WakeSet,
     /// Jobs that finished since the last [`Njs::take_newly_done`].
     newly_done: Vec<JobId>,
     /// Jobs visited by the step loop so far (metrics).
@@ -402,7 +402,7 @@ impl Njs {
             jobs: IdMap::default(),
             by_key: HashMap::new(),
             job_order: Vec::new(),
-            wake: BTreeSet::new(),
+            wake: step::WakeSet::new(1, 1),
             newly_done: Vec::new(),
             job_visits: 0,
             next_job: 1,
@@ -437,6 +437,7 @@ impl Njs {
         debug_assert!(stride >= 1 && base >= 1 && base <= stride);
         self.next_job = base;
         self.job_stride = stride;
+        self.wake = step::WakeSet::new(base, stride);
     }
 
     /// Replaces the flight recorder. The sharded facade points every

@@ -5,9 +5,8 @@ use super::cross::CrossShardItem;
 use super::files::FileTaskResult;
 use super::{Njs, NodeState, OutgoingItem};
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::ops::Bound;
 use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionStatus, DataLocation, FileKind, GraphNode, JobId, OutcomeNode, TaskKind,
@@ -15,6 +14,103 @@ use unicore_ajo::{
 };
 use unicore_batch::{BatchJobId, BatchJobSpec, BatchStatus};
 use unicore_sim::SimTime;
+
+/// The wake set: the jobs of one shard that may have work, one bit per
+/// job slot. A shard allocates ids `base, base + stride, …`
+/// ([`Njs::set_id_allocation`]), so job `id` is slot
+/// `(id − base) / stride`. The words cover only the span from the lowest
+/// to the highest set bit — a removal trims empty words at either end —
+/// so the set's memory follows the live jobs it holds, not the id
+/// counter.
+pub(super) struct WakeSet {
+    base: u64,
+    stride: u64,
+    /// Bit `b` of `words[k]` is slot `64 · (first_word + k) + b`. The
+    /// first and the last word are never zero.
+    words: VecDeque<u64>,
+    first_word: u64,
+}
+
+impl WakeSet {
+    pub(super) fn new(base: u64, stride: u64) -> Self {
+        WakeSet {
+            base,
+            stride,
+            words: VecDeque::new(),
+            first_word: 0,
+        }
+    }
+
+    fn slot(&self, id: JobId) -> u64 {
+        debug_assert!(
+            id.0 >= self.base && (id.0 - self.base) % self.stride == 0,
+            "job {id} is not in this shard's id class"
+        );
+        (id.0 - self.base) / self.stride
+    }
+
+    fn job(&self, slot: u64) -> JobId {
+        JobId(self.base + slot * self.stride)
+    }
+
+    pub(super) fn insert(&mut self, id: JobId) {
+        let slot = self.slot(id);
+        let word = slot / 64;
+        if self.words.is_empty() {
+            self.first_word = word;
+        }
+        while word < self.first_word {
+            self.words.push_front(0);
+            self.first_word -= 1;
+        }
+        let k = (word - self.first_word) as usize;
+        if k >= self.words.len() {
+            self.words.resize(k + 1, 0);
+        }
+        self.words[k] |= 1 << (slot % 64);
+    }
+
+    pub(super) fn remove(&mut self, id: JobId) {
+        let slot = self.slot(id);
+        let Some(k) = (slot / 64).checked_sub(self.first_word) else {
+            return;
+        };
+        let Some(word) = self.words.get_mut(k as usize) else {
+            return;
+        };
+        *word &= !(1 << (slot % 64));
+        while self.words.front() == Some(&0) {
+            self.words.pop_front();
+            self.first_word += 1;
+        }
+        while self.words.back() == Some(&0) {
+            self.words.pop_back();
+        }
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    /// The lowest job in the set.
+    pub(super) fn first(&self) -> Option<JobId> {
+        let word = *self.words.front()?;
+        Some(self.job(64 * self.first_word + u64::from(word.trailing_zeros())))
+    }
+
+    /// The lowest job in the set above `cursor` and below `end`.
+    pub(super) fn next_after(&self, cursor: JobId, end: JobId) -> Option<JobId> {
+        let from = (self.slot(cursor) + 1).max(64 * self.first_word);
+        let mut k = (from / 64 - self.first_word) as usize;
+        let mut word = *self.words.get(k)? & (u64::MAX << (from % 64));
+        while word == 0 {
+            k += 1;
+            word = *self.words.get(k)?;
+        }
+        let slot = 64 * (self.first_word + k as u64) + u64::from(word.trailing_zeros());
+        Some(self.job(slot)).filter(|&id| id < end)
+    }
+}
 
 impl Njs {
     /// After this NJS changed Vsite `idx`'s batch state (submit, cancel):
@@ -78,8 +174,8 @@ impl Njs {
     fn wake_batch_changes(&mut self, idx: usize) {
         let v = &mut self.vsites[idx];
         for id in v.batch.drain_changes() {
-            if let Some(job) = v.batch_owner.get(&id) {
-                self.wake.insert(*job);
+            if let Some(&job) = v.batch_owner.get(&id) {
+                self.wake.insert(job);
             }
         }
     }
@@ -170,18 +266,17 @@ impl Njs {
             // pass lands at or above `end` and waits for the next one.
             let end = JobId(self.next_job);
             let mut cursor = match self.wake.first() {
-                Some(&first) if first < end => first,
+                Some(first) if first < end => first,
                 _ => break,
             };
             loop {
-                self.wake.remove(&cursor);
+                self.wake.remove(cursor);
                 self.job_visits += 1;
                 if self.step_job(cursor, now) {
                     self.wake.insert(cursor);
                 }
-                let ahead = (Bound::Excluded(cursor), Bound::Excluded(end));
-                match self.wake.range(ahead).next() {
-                    Some(&next) => cursor = next,
+                match self.wake.next_after(cursor, end) {
+                    Some(next) => cursor = next,
                     None => break,
                 }
             }
@@ -675,6 +770,86 @@ fn collect_workstation_imports(
                 }
             }
             GraphNode::SubJob(sub) => collect_workstation_imports(sub, portfolio, carried),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::WakeSet;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::ops::Bound;
+    use unicore_ajo::JobId;
+
+    /// Applies `ops` to a [`WakeSet`] and to the `BTreeSet<JobId>` it
+    /// replaced, comparing `first` and every `next_after` after each one.
+    /// An op is `(insert?, slot)`; `spread` scales slots so the ids land
+    /// in few or in many words.
+    fn check(base: u64, stride: u64, spread: u64, ops: &[(bool, u64)]) {
+        let mut set = WakeSet::new(base, stride);
+        let mut model = BTreeSet::new();
+        let id = |slot: u64| JobId(base + slot * spread * stride);
+        for &(insert, slot) in ops {
+            if insert {
+                set.insert(id(slot));
+                model.insert(id(slot));
+            } else {
+                set.remove(id(slot));
+                model.remove(&id(slot));
+            }
+            assert_eq!(set.first(), model.first().copied());
+            // Memory follows the set's span: no empty word at either end.
+            assert!(set.words.front() != Some(&0) && set.words.back() != Some(&0));
+            let ends = [id(0), id(40), id(200), id(u16::MAX as u64), JobId(u64::MAX)];
+            for &cursor in model.iter().chain([id(0), id(63), id(64), id(130)].iter()) {
+                for end in ends {
+                    let ahead = (Bound::Excluded(cursor), Bound::Excluded(end));
+                    let want = (cursor < end)
+                        .then(|| model.range(ahead).next().copied())
+                        .flatten();
+                    assert_eq!(set.next_after(cursor, end), want, "{cursor} .. {end}");
+                }
+            }
+        }
+        for &id in &model {
+            set.remove(id);
+        }
+        assert!(set.words.is_empty() && set.first().is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn wake_set_matches_a_btreeset(
+            stride in prop_oneof![Just(1u64), Just(8u64), 2u64..12],
+            base_pick in any::<u64>(),
+            spread in prop_oneof![Just(1u64), Just(7u64), Just(64u64), 1u64..200],
+            ops in proptest::collection::vec((prop_oneof![Just(true), Just(true), Just(false)], 0u64..300), 1..80),
+        ) {
+            check(1 + base_pick % stride, stride, spread, &ops);
+        }
+    }
+
+    #[test]
+    fn trims_to_empty_and_regrows_below_its_first_word() {
+        for stride in [1, 8] {
+            for base in 1..=stride {
+                // High slots first, then lower and lower words, then all
+                // removed, then regrown below where the set started.
+                let mut ops: Vec<(bool, u64)> =
+                    [700, 650, 300, 64, 63, 0].map(|s| (true, s)).to_vec();
+                ops.extend([0, 63, 64, 300, 650, 700].map(|s| (false, s)));
+                ops.extend([
+                    (true, 500),
+                    (true, 3),
+                    (false, 500),
+                    (true, 128),
+                    (false, 3),
+                ]);
+                check(base, stride, 1, &ops);
+            }
         }
     }
 }

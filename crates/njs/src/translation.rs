@@ -175,8 +175,9 @@ pub fn incarnate_execute_in_queue(
     write_time_directive(&mut script, arch, resources.run_time_secs);
     script.push('\n');
     write_memory_directive(&mut script, arch, resources.memory_mb);
-    // Writing to a `String` cannot fail.
-    let _ = write!(script, "\n# queue: {queue}  user: {login}\ncd ");
+    for piece in ["\n# queue: ", queue, "  user: ", login, "\ncd "] {
+        script.push_str(piece);
+    }
     table.write_workdir(&mut script, job_name);
     script.push('\n');
 
@@ -187,7 +188,9 @@ pub fn incarnate_execute_in_queue(
             environment,
         } => {
             for (k, v) in environment {
-                let _ = writeln!(script, "{k}={v} export {k}");
+                for piece in [k.as_str(), "=", v, " export ", k, "\n"] {
+                    script.push_str(piece);
+                }
             }
             script.push_str("./");
             script.push_str(executable);
