@@ -530,8 +530,11 @@ impl ShardedNjs {
     pub fn purge(&mut self, job: JobId, dn: &str) -> Result<u64, NjsError> {
         let shard = self.shard_of_job(job);
         let mut freed = self.shards[shard].purge(job, dn)?;
-        let mut stack = vec![job];
-        while let Some(parent) = stack.pop() {
+        // A job without links (the common case) allocates nothing here:
+        // an empty `collect` and an empty stack hold no buffer.
+        let mut stack = Vec::new();
+        let mut parent = job;
+        loop {
             let children: Vec<((JobId, ActionId), JobId, usize)> = self
                 .links_of(parent)
                 .map(|(key, link)| (*key, link.child, link.child_shard))
@@ -543,8 +546,11 @@ impl ShardedNjs {
                 }
                 stack.push(child);
             }
+            match stack.pop() {
+                Some(next) => parent = next,
+                None => return Ok(freed),
+            }
         }
-        Ok(freed)
     }
 
     /// The List service: root jobs owned by `dn`, merged across shards

@@ -2,6 +2,7 @@
 
 use crate::error::SpaceError;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 use unicore_crypto::sha256;
 
@@ -386,7 +387,7 @@ impl VirtualFs {
     /// Paths starting with `prefix`, in order.
     pub fn list(&self, prefix: &str) -> Vec<&str> {
         self.files
-            .range(prefix.to_owned()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, _)| k.as_str())
             .collect()
