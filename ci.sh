@@ -228,6 +228,16 @@ if {
     exit 1
 fi
 
+echo "==> a step pays per transition: crates/njs/src/njs/ names no BTreeSet outside #[cfg(test)] (the wake set is bits over job slots); crates/batch/src/system.rs keeps no Vec<QueuedEntry> (the queue is a ring) and collects nothing inside advance_to or schedule; script.rs's write_*_directive functions use no write! (offenders are listed)"
+if {
+    untested crates/njs/src/njs/*.rs | grep -E 'BTreeSet'
+    untested crates/batch/src/system.rs | grep -E '\bVec<QueuedEntry>'
+    untested crates/batch/src/system.rs | awk '/[ :]fn [a-z_0-9]+/ { f = ($0 ~ /[ :]fn (advance_to|schedule)\(/) } f && /\.collect\(/'
+    untested crates/batch/src/script.rs | awk '/[ :]fn [a-z_0-9]+/ { f = ($0 ~ /[ :]fn write_[a-z]+_directive\(/) } f && /write!/'
+} | grep .; then
+    exit 1
+fi
+
 echo "==> replay is the live path: a server recovered after every tick of a two-site workload holds the live one's durable state (HUB on 1, 2 and 4 shards)"
 cargo test -q --offline -p unicore-integration-tests --test replay_equiv
 
