@@ -192,21 +192,6 @@ mod tests {
             .all(|a| directive_prefix(*a).starts_with('#')));
         // The verdict of the scan over every line, for scripts mixing
         // plain, indented, commented and directive lines of each dialect.
-        let every_line = |script: &str, arch: Architecture| {
-            let mut saw_own = false;
-            for line in script.lines().map(str::trim_start) {
-                let best = Architecture::ALL
-                    .iter()
-                    .filter(|a| line.starts_with(directive_prefix(**a)))
-                    .max_by_key(|a| directive_prefix(**a).len());
-                match best {
-                    Some(&a) if a == arch => saw_own = true,
-                    Some(_) => return false,
-                    None => {}
-                }
-            }
-            saw_own
-        };
         for own in Architecture::ALL {
             for other in Architecture::ALL {
                 let script = format!(
@@ -217,7 +202,7 @@ mod tests {
                 for arch in Architecture::ALL {
                     assert_eq!(
                         script_matches_dialect(&script, arch),
-                        every_line(&script, arch),
+                        reference::matches_dialect(&script, arch),
                         "{script:?} on {arch:?}"
                     );
                 }

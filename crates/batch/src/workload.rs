@@ -43,7 +43,8 @@ impl WorkloadModel {
     }
 
     /// A heavily loaded centre.
-    pub fn heavy() -> Self {
+    #[cfg(test)]
+    pub(crate) fn heavy() -> Self {
         WorkloadModel {
             mean_interarrival_secs: 30.0,
             ..Self::moderate()

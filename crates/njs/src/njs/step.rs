@@ -43,7 +43,7 @@ impl WakeSet {
 
     fn slot(&self, id: JobId) -> u64 {
         debug_assert!(
-            id.0 >= self.base && (id.0 - self.base) % self.stride == 0,
+            id.0 >= self.base && (id.0 - self.base).is_multiple_of(self.stride),
             "job {id} is not in this shard's id class"
         );
         (id.0 - self.base) / self.stride
