@@ -144,6 +144,9 @@ cargo test -q --offline -p unicore-telemetry flight
 echo "==> step.rs seam: sparse unordered ActionIds == dense ones, unknown node ids refused, job_visits pinned for chain3/fan16, half-finished fan16 recovers to the uncrashed bytes"
 cargo test -q --offline -p unicore-njs --test step_seam
 
+echo "==> cost pins, release column: allocations in consign, step and query + purge, job visits, journal appends and bytes per chain3 job on one Usite with 8 Vsites (cargo test checks the debug column)"
+cargo test -q --release --offline -p unicore-integration-tests --test cost_pins
+
 echo "==> one path across a Vsite boundary: in crates/njs/src, xspace_read( and xspace_write( are called only from shard.rs (the merge phase), and consign_internal( only from consign.rs, recover.rs and shard.rs (offenders are listed)"
 if {
     grep -rnE '\b(xspace_read|xspace_write)\(' crates/njs/src | grep -vE 'fn (xspace_read|xspace_write)\(|^crates/njs/src/shard\.rs:'

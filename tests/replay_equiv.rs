@@ -15,6 +15,7 @@ use unicore::protocol::{Request, Response};
 use unicore::server::UnicoreServer;
 use unicore_ajo::*;
 use unicore_codec::DerCodec;
+use unicore_crypto::sha256;
 use unicore_gateway::{Gateway, MappedUser, UserEntry, Uudb};
 use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
@@ -404,9 +405,19 @@ fn run(shards: usize) -> Vec<Vec<u8>> {
     outcomes.iter().map(|o| o.to_der()).collect()
 }
 
+/// SHA-256 of HUB's sorted root outcomes' DER, as lower-case hex.
+const HUB_OUTCOMES: &str = "38306d48445a48e487cc30146a24899e3a60ebf14a9d63d1a54408bcaed20d21";
+
 #[test]
 fn replay_matches_live_after_every_tick_on_1_2_and_4_shards() {
     let reference = run(1);
+    let mut sorted = reference.clone();
+    sorted.sort();
+    let digest: String = sha256(&sorted.concat())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(digest, HUB_OUTCOMES, "HUB's outcomes moved");
     for shards in [2, 4] {
         assert_eq!(run(shards), reference, "{shards} shards: outcomes moved");
     }

@@ -11,6 +11,7 @@ use unicore::protocol::{outcome_of, Response};
 use unicore::{Federation, FederationConfig};
 use unicore_ajo::*;
 use unicore_codec::DerCodec;
+use unicore_crypto::sha256;
 use unicore_gateway::MappedUser;
 use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
@@ -258,6 +259,28 @@ fn run(njs: &mut ShardedNjs) -> Vec<Vec<u8>> {
     ids.iter()
         .map(|&id| njs.outcome(id).expect("terminal").to_der())
         .collect()
+}
+
+/// SHA-256 of the sorted terminal-outcome DER, as lower-case hex.
+fn outcome_digest(outcomes: &[Vec<u8>]) -> String {
+    let mut sorted = outcomes.to_vec();
+    sorted.sort();
+    sha256(&sorted.concat())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// [`outcome_digest`] of [`workload`] run to completion.
+const WORKLOAD_OUTCOMES: &str = "d88856ceae581da856719f1f2f899c5955014bf5a3bb617fbb2f68d036d06426";
+
+/// [`outcome_digest`] of the federated chaos soak: the same on every
+/// seed, since outcome DER holds neither ids nor timestamps.
+const FED_OUTCOMES: &str = "9dcb9eb09ecb7fab082e5aed19d6a45fed8980c72419a4ed1142791f1bdfb446";
+
+#[test]
+fn workload_outcomes_match_their_pin() {
+    assert_eq!(outcome_digest(&run(&mut build(1))), WORKLOAD_OUTCOMES);
 }
 
 #[test]
@@ -604,6 +627,7 @@ fn run_fed(seed: u64, shards: usize, plan: Option<&FaultPlan>) -> Vec<Vec<u8>> {
 fn chaos_soak_sharded_sites_byte_identical_across_seeds() {
     for seed in SEEDS {
         let reference = run_fed(seed, 1, None);
+        assert_eq!(outcome_digest(&reference), FED_OUTCOMES, "seed {seed}");
         // Sharding alone must not change the bytes...
         let sharded = run_fed(seed, 2, None);
         assert_eq!(reference, sharded, "seed {seed}: sharding changed bytes");
