@@ -241,7 +241,7 @@ if {
     exit 1
 fi
 
-echo "==> replay is the live path: a server recovered after every tick of a two-site workload holds the live one's durable state (HUB on 1, 2 and 4 shards)"
+echo "==> replay is the live path: a server recovered after every tick of a two-site workload holds the live one's durable state (HUB with four Vsites, outcomes pinned)"
 cargo test -q --offline -p unicore-integration-tests --test replay_equiv
 
 echo "==> monitoring plane tests"
@@ -332,8 +332,8 @@ cargo test -q --offline -p unicore-resources --test prop_page
 echo "==> broker: chaos retarget soak (seeds 1, 7, 23 x quarantined/dark)"
 cargo test -q --offline -p unicore-integration-tests --test broker
 
-echo "==> sharded NJS: determinism suite (byte-identity across shard counts 1/2/3/4/8, WAL replay, crash mid-step, chaos seeds)"
-cargo test -q --offline -p unicore-integration-tests --test sharded
+echo "==> cross-Vsite effects: files that cross a Vsite boundary land, outcomes pinned and byte-identical across WAL replay, a crash mid-step, an abort with a running child and chaos seeds"
+cargo test -q --offline -p unicore-integration-tests --test cross_vsite
 
 echo "==> transport resumption ticket/cache properties; gateway front door: resumption, rate limiting, revocation, mux"
 cargo test -q --offline -p unicore-transport --test prop_resumption

@@ -3,7 +3,7 @@
 //! `ShardedNjs::step` visits only woken jobs; in debug builds it ends by
 //! asserting that a scan of *every* job finds nothing left to do. These
 //! tests throw arbitrary interleavings of everything that can change a
-//! job between steps at a [`ShardedNjs`] of 1 and of 4 shards,
+//! job between steps at a [`ShardedNjs`] with four Vsites,
 //! so a wake source that was forgotten panics inside `step`, and one
 //! that was forgotten *and* masked shows up as a job that never ends.
 
@@ -77,8 +77,8 @@ fn job(shape: u8, v: usize, secs: u64) -> AbstractJob {
                 job.dependencies.push(edge(1, leaf));
             }
         }
-        // task → sub-job at the next Vsite (a child on the parent's shard
-        // with 1 shard, on another shard with 4) → task.
+        // task → sub-job at the next Vsite (through the merge phase)
+        // → task.
         2 | 3 => {
             let target = if shape == 2 {
                 VsiteAddress::new(USITE, VSITES[(v + 1) % 4].0)
@@ -153,17 +153,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 fn plain() -> ShardedNjs {
     let mut njs = ShardedNjs::new(USITE, 1, 1);
-    for (vsite, arch) in VSITES {
-        njs.add_vsite(
-            deployment_page(USITE, vsite, arch),
-            TranslationTable::for_architecture(arch),
-        );
-    }
-    njs
-}
-
-fn sharded(shards: usize) -> ShardedNjs {
-    let mut njs = ShardedNjs::new(USITE, shards, 1);
     for (vsite, arch) in VSITES {
         njs.add_vsite(
             deployment_page(USITE, vsite, arch),
@@ -257,8 +246,7 @@ proptest! {
 
     #[test]
     fn no_interleaving_loses_a_wake_up(ops in proptest::collection::vec(arb_op(), 1..60)) {
-        interleave(&mut sharded(1), &ops);
-        interleave(&mut sharded(4), &ops);
+        interleave(&mut plain(), &ops);
     }
 }
 

@@ -83,27 +83,24 @@ fn edge(from: u64, to: u64, files: &[&str]) -> Dependency {
 fn build_server(
     usite: &str,
     vsites: &[(&str, Architecture)],
-    shards: usize,
     peer_dn: &str,
-) -> (UnicoreServer, Vec<MemoryBackend>) {
-    let mut njs = ShardedNjs::new(usite, shards, 1);
+) -> (UnicoreServer, MemoryBackend) {
+    let mut njs = ShardedNjs::new(usite, 1, 1);
     for (vsite, arch) in vsites {
         njs.add_vsite(
             deployment_page(usite, vsite, *arch),
             TranslationTable::for_architecture(*arch),
         );
     }
-    let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
-            .collect(),
-    );
+    let mem = MemoryBackend::new();
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("open journal")
+    ]);
     let mut uudb = Uudb::new();
     uudb.add(DN, UserEntry::new(LOGIN, "users"));
     let mut server = UnicoreServer::new(Gateway::new(usite, uudb), njs);
     server.add_peer_server(peer_dn);
-    (server, mems)
+    (server, mem)
 }
 
 fn consign(server: &mut UnicoreServer, ajo: AbstractJob) -> JobId {
@@ -174,8 +171,8 @@ struct TwoSites {
 /// Runs [`transfer_job`] over two directly wired servers, each request
 /// carried to its peer synchronously, until the file is visible at DWD.
 fn two_site_transfer(meddle: Meddle) -> TwoSites {
-    let (mut fzj, fzj_mems) = build_server("FZJ", &[("T3E", Architecture::CrayT3e)], 1, DWD_DN);
-    let (mut dwd, dwd_mems) = build_server("DWD", &[("SX4", Architecture::NecSx4)], 1, FZJ_DN);
+    let (mut fzj, fzj_mem) = build_server("FZJ", &[("T3E", Architecture::CrayT3e)], DWD_DN);
+    let (mut dwd, dwd_mem) = build_server("DWD", &[("SX4", Architecture::NecSx4)], FZJ_DN);
     let job = consign(&mut fzj, transfer_job());
     let landed = format!("{INCOMING_PREFIX}big.dat");
     let visible = |dwd: &UnicoreServer| {
@@ -255,8 +252,8 @@ fn two_site_transfer(meddle: Meddle) -> TwoSites {
     TwoSites {
         outcome_der,
         delivered,
-        fzj: fzj_mems[0].clone(),
-        dwd: dwd_mems[0].clone(),
+        fzj: fzj_mem,
+        dwd: dwd_mem,
     }
 }
 
@@ -295,132 +292,124 @@ fn bytes_in_flight_do_not_see_an_overwrite_or_a_purge() {
     }
 }
 
-/// One FZJ site with two Vsites, on one shard and on two (so the bytes
-/// also cross the merge phase): a same-Usite Transfer, an Import from the
-/// portfolio, Exports to the home and to the sibling Xspace and an Import
-/// from the sibling Xspace all read back byte-equal.
+/// One FZJ site with two Vsites (so the bytes also cross the merge
+/// phase): a same-Usite Transfer, an Import from the portfolio, Exports
+/// to the home and to the sibling Xspace and an Import from the sibling
+/// Xspace all read back byte-equal.
 #[test]
 fn local_copies_read_back_byte_equal() {
     let home = || VsiteAddress::new("FZJ", "T3E");
     let sibling = || VsiteAddress::new("FZJ", "SP2");
     let carried: Arc<[u8]> = expected_content("carried", 70_001).into();
     let archived = expected_content("archived", 3 * 65_536);
-    for shards in [1, 2] {
-        let vsites = [
-            ("T3E", Architecture::CrayT3e),
-            ("SP2", Architecture::IbmSp2),
-        ];
-        let (mut fzj, _) = build_server("FZJ", &vsites, shards, DWD_DN);
-        fzj.njs_mut()
-            .vsite_mut("SP2")
-            .unwrap()
-            .vspace
-            .xspace()
-            .write("/archive/old.dat", archived.clone(), LOGIN)
-            .unwrap();
+    let vsites = [
+        ("T3E", Architecture::CrayT3e),
+        ("SP2", Architecture::IbmSp2),
+    ];
+    let (mut fzj, _) = build_server("FZJ", &vsites, DWD_DN);
+    fzj.njs_mut()
+        .vsite_mut("SP2")
+        .unwrap()
+        .vspace
+        .xspace()
+        .write("/archive/old.dat", archived.clone(), LOGIN)
+        .unwrap();
 
-        let mut job = AbstractJob::new("copies", home(), attrs());
-        job.portfolio.push(PortfolioFile {
-            name: "carried.dat".into(),
-            data: carried.clone(),
-        });
-        job.nodes
-            .push(script(1, "make", "sleep 5\nproduce made.dat 200003\n"));
-        job.nodes.push(file_task(
-            2,
-            "to sibling incoming",
-            FileKind::Transfer {
-                uspace_name: "made.dat".into(),
-                to_vsite: sibling(),
-                dest_name: "made.dat".into(),
+    let mut job = AbstractJob::new("copies", home(), attrs());
+    job.portfolio.push(PortfolioFile {
+        name: "carried.dat".into(),
+        data: carried.clone(),
+    });
+    job.nodes
+        .push(script(1, "make", "sleep 5\nproduce made.dat 200003\n"));
+    job.nodes.push(file_task(
+        2,
+        "to sibling incoming",
+        FileKind::Transfer {
+            uspace_name: "made.dat".into(),
+            to_vsite: sibling(),
+            dest_name: "made.dat".into(),
+        },
+    ));
+    job.nodes.push(file_task(
+        3,
+        "from workstation",
+        FileKind::Import {
+            source: DataLocation::Workstation {
+                path: "carried.dat".into(),
             },
-        ));
-        job.nodes.push(file_task(
-            3,
-            "from workstation",
-            FileKind::Import {
-                source: DataLocation::Workstation {
-                    path: "carried.dat".into(),
-                },
-                uspace_name: "carried.dat".into(),
+            uspace_name: "carried.dat".into(),
+        },
+    ));
+    job.nodes.push(file_task(
+        4,
+        "to home xspace",
+        FileKind::Export {
+            uspace_name: "made.dat".into(),
+            destination: DataLocation::Xspace {
+                vsite: home(),
+                path: "/results/made.dat".into(),
             },
-        ));
-        job.nodes.push(file_task(
-            4,
-            "to home xspace",
-            FileKind::Export {
-                uspace_name: "made.dat".into(),
-                destination: DataLocation::Xspace {
-                    vsite: home(),
-                    path: "/results/made.dat".into(),
-                },
+        },
+    ));
+    job.nodes.push(file_task(
+        5,
+        "to sibling xspace",
+        FileKind::Export {
+            uspace_name: "carried.dat".into(),
+            destination: DataLocation::Xspace {
+                vsite: sibling(),
+                path: "/results/carried.dat".into(),
             },
-        ));
-        job.nodes.push(file_task(
-            5,
-            "to sibling xspace",
-            FileKind::Export {
-                uspace_name: "carried.dat".into(),
-                destination: DataLocation::Xspace {
-                    vsite: sibling(),
-                    path: "/results/carried.dat".into(),
-                },
+        },
+    ));
+    job.nodes.push(file_task(
+        6,
+        "from sibling xspace",
+        FileKind::Import {
+            source: DataLocation::Xspace {
+                vsite: sibling(),
+                path: "/archive/old.dat".into(),
             },
-        ));
-        job.nodes.push(file_task(
-            6,
-            "from sibling xspace",
-            FileKind::Import {
-                source: DataLocation::Xspace {
-                    vsite: sibling(),
-                    path: "/archive/old.dat".into(),
-                },
-                uspace_name: "old.dat".into(),
-            },
-        ));
-        job.dependencies.push(edge(1, 2, &["made.dat"]));
-        job.dependencies.push(edge(1, 4, &["made.dat"]));
-        job.dependencies.push(edge(3, 5, &["carried.dat"]));
-        let id = consign(&mut fzj, job);
+            uspace_name: "old.dat".into(),
+        },
+    ));
+    job.dependencies.push(edge(1, 2, &["made.dat"]));
+    job.dependencies.push(edge(1, 4, &["made.dat"]));
+    job.dependencies.push(edge(3, 5, &["carried.dat"]));
+    let id = consign(&mut fzj, job);
 
-        let mut now: SimTime = 0;
-        while !fzj.is_done(id) {
-            assert!(fzj.step(now).is_empty(), "nothing leaves the Usite");
-            assert!(now < HOUR, "job stalled at t={now}");
-            now = fzj
-                .next_event_time()
-                .unwrap_or(now + SEC)
-                .clamp(now + SEC, now + 5 * SEC);
-        }
-        let outcome = fzj.njs().outcome(id).expect("terminal");
-        assert_eq!(outcome.status, ActionStatus::Successful, "{outcome:?}");
-
-        let made = expected_content("made.dat", 200_003);
-        let njs = fzj.njs();
-        let uspace = |name: &str| {
-            let fs = njs.vsite("T3E").unwrap().vspace.uspace(id).unwrap();
-            fs.read(name, LOGIN).unwrap().data[..].to_vec()
-        };
-        let xspace = |vsite: &str, path: &str| {
-            let fs = njs.vsite(vsite).unwrap().vspace.xspace_ref();
-            fs.read_raw(path).unwrap().data[..].to_vec()
-        };
-        assert!(uspace("made.dat") == made, "{shards} shard(s)");
-        assert!(uspace("carried.dat") == carried[..], "{shards} shard(s)");
-        assert!(uspace("old.dat") == archived, "{shards} shard(s)");
-        let landed = format!("{INCOMING_PREFIX}made.dat");
-        assert!(xspace("SP2", &landed) == made, "{shards} shard(s)");
-        assert!(
-            xspace("T3E", "/results/made.dat") == made,
-            "{shards} shard(s)"
-        );
-        assert!(
-            xspace("SP2", "/results/carried.dat") == carried[..],
-            "{shards} shard(s)"
-        );
-        // The source of the sibling import is still what it was.
-        assert!(xspace("SP2", "/archive/old.dat") == archived);
+    let mut now: SimTime = 0;
+    while !fzj.is_done(id) {
+        assert!(fzj.step(now).is_empty(), "nothing leaves the Usite");
+        assert!(now < HOUR, "job stalled at t={now}");
+        now = fzj
+            .next_event_time()
+            .unwrap_or(now + SEC)
+            .clamp(now + SEC, now + 5 * SEC);
     }
+    let outcome = fzj.njs().outcome(id).expect("terminal");
+    assert_eq!(outcome.status, ActionStatus::Successful, "{outcome:?}");
+
+    let made = expected_content("made.dat", 200_003);
+    let njs = fzj.njs();
+    let uspace = |name: &str| {
+        let fs = njs.vsite("T3E").unwrap().vspace.uspace(id).unwrap();
+        fs.read(name, LOGIN).unwrap().data[..].to_vec()
+    };
+    let xspace = |vsite: &str, path: &str| {
+        let fs = njs.vsite(vsite).unwrap().vspace.xspace_ref();
+        fs.read_raw(path).unwrap().data[..].to_vec()
+    };
+    assert!(uspace("made.dat") == made);
+    assert!(uspace("carried.dat") == carried[..]);
+    assert!(uspace("old.dat") == archived);
+    let landed = format!("{INCOMING_PREFIX}made.dat");
+    assert!(xspace("SP2", &landed) == made);
+    assert!(xspace("T3E", "/results/made.dat") == made);
+    assert!(xspace("SP2", "/results/carried.dat") == carried[..]);
+    // The source of the sibling import is still what it was.
+    assert!(xspace("SP2", "/archive/old.dat") == archived);
 }
 
 /// `synthetic_content` is `seed[i % 32] ^ (i / 32) as u8` with `seed` the

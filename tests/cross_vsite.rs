@@ -1,12 +1,12 @@
-//! E18 — sharded NJS determinism suite.
+//! Effects that cross a Vsite boundary of one Usite: same-Usite
+//! sub-jobs, Xspace imports and exports between Vsites, and same-Usite
+//! transfers, all applied by the NJS's merge phase.
 //!
-//! The contract under test: splitting one Usite's NJS into N shards
-//! changes *nothing observable*. For every shard count — and across
-//! crash-restart with per-shard WAL segments, and under federated chaos
-//! — the terminal job outcomes must be DER-byte-identical to the
-//! one-shard run.
+//! The terminal outcomes of a workload that takes every such path are
+//! pinned by digest, and must come back byte-identical across a WAL
+//! replay, across a crash at any point of the run, and under federated
+//! chaos.
 
-use proptest::prelude::*;
 use unicore::protocol::{outcome_of, Response};
 use unicore::{Federation, FederationConfig};
 use unicore_ajo::*;
@@ -22,8 +22,7 @@ use unicore_store::{EventStore, MemoryBackend};
 const USITE: &str = "HUB";
 const DN: &str = "C=DE, O=HUB, OU=ZAM, CN=shard";
 
-/// Four Vsites on one Usite; with 2 shards they split 2+2, with 4 every
-/// Vsite gets its own shard, with 8 four shards own no Vsite.
+/// Four Vsites on one Usite.
 const VSITES: [(&str, Architecture); 4] = [
     ("V0", Architecture::CrayT3e),
     ("V1", Architecture::FujitsuVpp700),
@@ -71,14 +70,14 @@ fn file_node(id: u64, name: &str, kind: FileKind) -> (ActionId, GraphNode) {
     )
 }
 
-/// The workload: every cross-shard code path plus plain local work.
+/// The workload: every cross-Vsite code path plus plain local work.
 ///
-/// 1. A two-task pipeline on V0 (purely in-shard).
+/// 1. A two-task pipeline on V0 (one Vsite only).
 /// 2. A fan-out job on V0 with sub-jobs at V1 and V3 and files flowing
-///    across both edges (cross-shard consign + return files).
-/// 3. An Xspace import on V1 reading V2's Xspace (cross-shard read).
-/// 4. An export on V2 writing V3's Xspace (cross-shard write).
-/// 5. A same-Usite transfer V3 → V1 (cross-shard incoming delivery).
+///    across both edges (cross-Vsite consign + return files).
+/// 3. An Xspace import on V1 reading V2's Xspace (cross-Vsite read).
+/// 4. An export on V2 writing V3's Xspace (cross-Vsite write).
+/// 5. A same-Usite transfer V3 → V1 (cross-Vsite incoming delivery).
 /// 6. A job whose sub-job names an unknown Vsite (deterministic failure).
 /// 7. A same-Usite transfer V3 → V1 to a name the Xspace refuses.
 /// 8. An Xspace import on V2 from a Vsite this Usite does not have.
@@ -217,9 +216,9 @@ fn workload() -> Vec<AbstractJob> {
     vec![pipeline, fan, import, export, ship, doomed, misnamed, stray]
 }
 
-/// Builds a sharded NJS with the four Vsites and V2's Xspace seeded.
-fn build(shards: usize) -> ShardedNjs {
-    let mut njs = ShardedNjs::new(USITE, shards, 1);
+/// Builds the Usite's NJS with the four Vsites and V2's Xspace seeded.
+fn build() -> ShardedNjs {
+    let mut njs = ShardedNjs::new(USITE, 1, 1);
     for (vsite, arch) in VSITES {
         njs.add_vsite(
             deployment_page(USITE, vsite, arch),
@@ -280,13 +279,10 @@ const FED_OUTCOMES: &str = "9dcb9eb09ecb7fab082e5aed19d6a45fed8980c72419a4ed1142
 
 #[test]
 fn workload_outcomes_match_their_pin() {
-    assert_eq!(outcome_digest(&run(&mut build(1))), WORKLOAD_OUTCOMES);
-}
-
-#[test]
-fn outcomes_byte_identical_across_shard_counts() {
-    let reference = run(&mut build(1));
-    // The doomed job must fail, the rest succeed — in every variant.
+    let reference = run(&mut build());
+    assert_eq!(outcome_digest(&reference), WORKLOAD_OUTCOMES);
+    // The three jobs aimed at a Vsite that is not there, or at a name
+    // the Xspace refuses, fail; the rest succeed.
     let statuses: Vec<bool> = reference
         .iter()
         .map(|der| JobOutcome::from_der(der).unwrap().status.is_success())
@@ -300,26 +296,17 @@ fn outcomes_byte_identical_across_shard_counts() {
         panic!("stray import has no task outcome: {stray:?}");
     };
     assert_eq!(fetch.message, "unknown Vsite HUB/NOPE");
-    // 8 is the shape gridbench's `core_step` runs.
-    for shards in [2, 3, 4, 8] {
-        let mut njs = build(shards);
-        let outcomes = run(&mut njs);
-        assert_eq!(
-            reference, outcomes,
-            "outcomes diverged with {shards} shards"
-        );
-    }
 }
 
 #[test]
-fn cross_shard_files_really_land() {
-    let mut njs = build(4);
+fn cross_vsite_files_really_land() {
+    let mut njs = build();
     let ids: Vec<JobId> = workload()
         .into_iter()
         .map(|ajo| njs.consign(ajo, user(), 0).expect("consign"))
         .collect();
     drive(&mut njs, &ids, 0);
-    // Export wrote into V3's Xspace across the shard boundary.
+    // Export wrote into V3's Xspace across the Vsite boundary.
     let archived = njs
         .vsite("V3")
         .unwrap()
@@ -328,7 +315,7 @@ fn cross_shard_files_really_land() {
         .read_raw("/archive/res.dat")
         .expect("export landed");
     assert_eq!(archived.data.len(), 1024);
-    // Transfer landed in V1's incoming area across the shard boundary.
+    // Transfer landed in V1's incoming area across the Vsite boundary.
     let incoming = njs
         .vsite("V1")
         .unwrap()
@@ -342,21 +329,16 @@ fn cross_shard_files_really_land() {
     let files = njs.list_uspace_files(ids[1], DN).expect("parent uspace");
     assert!(
         files.iter().any(|f| f == "grid.dat"),
-        "cross-shard return file missing: {files:?}"
+        "cross-Vsite return file missing: {files:?}"
     );
 }
 
 #[test]
-fn wal_replay_is_byte_identical_per_segment() {
-    let reference = run(&mut build(1));
-    let shards = 2;
-    let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-    let mut njs = build(shards);
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("open"))
-            .collect(),
-    );
+fn wal_replay_is_byte_identical() {
+    let reference = run(&mut build());
+    let mem = MemoryBackend::new();
+    let mut njs = build();
+    njs.attach_stores(vec![EventStore::open(Box::new(mem.clone())).expect("open")]);
     let ids: Vec<JobId> = workload()
         .into_iter()
         .map(|ajo| njs.consign(ajo, user(), 0).expect("consign"))
@@ -366,20 +348,16 @@ fn wal_replay_is_byte_identical_per_segment() {
         .iter()
         .map(|&id| njs.outcome(id).expect("terminal").to_der())
         .collect();
-    assert_eq!(reference, outcomes, "sharded run with WAL diverged");
+    assert_eq!(reference, outcomes, "the run with a WAL diverged");
     drop(njs);
 
-    // Reboot on the same two segments: every job must come back
-    // terminal with the exact same outcome bytes.
-    for mem in &mems {
-        mem.reboot();
-    }
-    let mut njs = build(shards);
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("reopen"))
-            .collect(),
-    );
+    // Reboot on the same journal: every job must come back terminal
+    // with the exact same outcome bytes.
+    mem.reboot();
+    let mut njs = build();
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("reopen")
+    ]);
     let report = njs.recover(2 * HOUR).expect("recovery");
     assert_eq!(report.jobs.len(), ids.len() + 2, "roots + 2 live children");
     let replayed: Vec<Vec<u8>> = ids
@@ -394,21 +372,13 @@ fn wal_replay_is_byte_identical_per_segment() {
 
 #[test]
 fn crash_restart_mid_step_converges_to_identical_outcomes() {
-    let reference = run(&mut build(1));
+    let reference = run(&mut build());
     // Crash at several points inside the run — including mid-pipeline,
-    // with children alive on the parent's shard (1) or another one (4) —
-    // and finish after reboot.
-    for (shards, crash_at) in [1, 4]
-        .into_iter()
-        .flat_map(|s| [10 * SEC, 40 * SEC, 90 * SEC, 3 * MINUTE].map(|t| (s, t)))
-    {
-        let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-        let mut njs = build(shards);
-        njs.attach_stores(
-            mems.iter()
-                .map(|m| EventStore::open(Box::new(m.clone())).expect("open"))
-                .collect(),
-        );
+    // with children alive on other Vsites — and finish after reboot.
+    for crash_at in [10 * SEC, 40 * SEC, 90 * SEC, 3 * MINUTE] {
+        let mem = MemoryBackend::new();
+        let mut njs = build();
+        njs.attach_stores(vec![EventStore::open(Box::new(mem.clone())).expect("open")]);
         let ids: Vec<JobId> = workload()
             .into_iter()
             .map(|ajo| njs.consign(ajo, user(), 0).expect("consign"))
@@ -420,15 +390,11 @@ fn crash_restart_mid_step_converges_to_identical_outcomes() {
         }
         drop(njs); // the crash: all RAM state gone, only the WAL survives
 
-        for mem in &mems {
-            mem.reboot();
-        }
-        let mut njs = build(shards);
-        njs.attach_stores(
-            mems.iter()
-                .map(|m| EventStore::open(Box::new(m.clone())).expect("reopen"))
-                .collect(),
-        );
+        mem.reboot();
+        let mut njs = build();
+        njs.attach_stores(vec![
+            EventStore::open(Box::new(mem.clone())).expect("reopen")
+        ]);
         njs.recover(now).expect("recovery");
         drive(&mut njs, &ids, now);
         let outcomes: Vec<Vec<u8>> = ids
@@ -437,108 +403,42 @@ fn crash_restart_mid_step_converges_to_identical_outcomes() {
             .collect();
         assert_eq!(
             reference, outcomes,
-            "{shards} shards, crash at t={crash_at}: outcomes diverged after restart"
+            "crash at t={crash_at}: outcomes diverged after restart"
         );
     }
 }
 
-/// `fanout` aborted at t = 5 s, while its V1 child runs: the child's node
-/// reads the same whether V1 lives on the parent's shard or another one,
-/// both in a poll before the abort and in the terminal outcome.
+/// `fanout` aborted at t = 5 s, while its V1 child runs: before the
+/// abort a poll shows the child's node consigned, and after it the node
+/// reads `Killed` with no children, as a child at a peer Usite does.
 #[test]
-fn a_job_aborted_with_a_running_child_ends_alike_on_every_shard_count() {
-    let run_shape = |shards: usize| -> (Vec<u8>, Vec<u8>) {
-        let mut njs = build(shards);
-        let fan = workload().swap_remove(1);
-        let id = njs.consign(fan, user(), 0).expect("consign");
-        njs.step(0);
-        njs.step(5 * SEC);
-        let polled = njs.query(id, DN, DetailLevel::Tasks).expect("poll");
-        assert!(
-            njs.control(id, ControlOp::Abort, DN, 5 * SEC)
-                .expect("abort"),
-            "{shards} shards: the abort must land on a running job"
-        );
-        drive(&mut njs, &[id], 5 * SEC);
-        let terminal = njs.outcome(id).expect("terminal").to_der();
-        (terminal, polled.to_der())
+fn a_job_aborted_with_a_running_child_kills_the_childs_node() {
+    let mut njs = build();
+    let fan = workload().swap_remove(1);
+    let id = njs.consign(fan, user(), 0).expect("consign");
+    njs.step(0);
+    njs.step(5 * SEC);
+    let polled = njs.query(id, DN, DetailLevel::Tasks).expect("poll");
+    assert!(
+        njs.control(id, ControlOp::Abort, DN, 5 * SEC)
+            .expect("abort"),
+        "the abort must land on a running job"
+    );
+    drive(&mut njs, &[id], 5 * SEC);
+    let terminal = njs.outcome(id).expect("terminal");
+    let child = |o: &JobOutcome| match o.child(ActionId(1)) {
+        Some(OutcomeNode::Job(j)) => (j.status, j.children.len()),
+        other => panic!("node 1 is no sub-job: {other:?}"),
     };
-    let decode = |der: &[u8]| JobOutcome::from_der(der).unwrap();
-    let (terminal, polled) = run_shape(1);
-    for shards in [2, 4] {
-        let (t, p) = run_shape(shards);
-        assert!(
-            terminal == t,
-            "terminal outcome, 1 shard: {:?}\n{shards} shards: {:?}",
-            decode(&terminal),
-            decode(&t)
-        );
-        assert!(
-            polled == p,
-            "polled outcome, 1 shard: {:?}\n{shards} shards: {:?}",
-            decode(&polled),
-            decode(&p)
-        );
-    }
+    assert_eq!(child(&polled), (ActionStatus::Consigned, 0), "{polled:?}");
+    assert_eq!(child(terminal), (ActionStatus::Killed, 0), "{terminal:?}");
+    assert_eq!(terminal.status, ActionStatus::NotSuccessful);
 }
 
 // --------------------------------------------------------------------
-// Property: arbitrary small workloads behave identically sharded.
-
-/// One randomly-shaped job: a Vsite, a couple of tasks, optionally a
-/// sub-job on another Vsite with a file edge.
-fn arb_job() -> impl Strategy<Value = AbstractJob> {
-    (0usize..4, 1u64..60, 0usize..5, any::<bool>()).prop_map(|(v, sleep, sub_v, with_sub)| {
-        let mut job = AbstractJob::new(format!("p{v}-{sleep}"), addr(VSITES[v].0), attrs());
-        job.nodes.push(script_node(
-            1,
-            "work",
-            &format!("sleep {sleep}\nproduce a.dat 256\n"),
-        ));
-        if with_sub {
-            // sub_v == 4 targets an unknown Vsite (the failure path).
-            let target = if sub_v < 4 { VSITES[sub_v].0 } else { "NOPE" };
-            let mut sub = AbstractJob::new(format!("s{sub_v}"), addr(target), attrs());
-            sub.nodes.push(script_node(1, "sub", "sleep 7\n"));
-            job.nodes.push((ActionId(2), GraphNode::SubJob(sub)));
-            job.dependencies.push(Dependency {
-                from: ActionId(1),
-                to: ActionId(2),
-                files: vec!["a.dat".into()],
-            });
-        }
-        job
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn prop_sharded_outcomes_match_single_threaded(
-        jobs in proptest::collection::vec(arb_job(), 1..6),
-        shards in 1usize..5,
-    ) {
-        let run_with = |njs: &mut ShardedNjs| -> Vec<Vec<u8>> {
-            let ids: Vec<JobId> = jobs
-                .iter()
-                .map(|ajo| njs.consign(ajo.clone(), user(), 0).expect("consign"))
-                .collect();
-            drive(njs, &ids, 0);
-            ids.iter().map(|&id| njs.outcome(id).unwrap().to_der()).collect()
-        };
-        let mut single = build(1);
-        let reference = run_with(&mut single);
-        let mut sharded = build(shards);
-        let outcomes = run_with(&mut sharded);
-        prop_assert_eq!(reference, outcomes);
-    }
-}
-
-// --------------------------------------------------------------------
-// Federated chaos soak: every site's NJS runs 2 shards, the
-// fault plan kills and reboots a site mid-workload, and the terminal
-// outcomes must still match the single-shard fault-free run bytes.
+// Federated chaos soak: the fault plan kills and reboots a site
+// mid-workload, and the terminal outcomes must still match the
+// fault-free run's bytes.
 
 const SEEDS: [u64; 3] = [1, 7, 23];
 const FED_DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=shard-chaos";
@@ -572,10 +472,9 @@ fn fed_workload() -> Vec<(&'static str, AbstractJob)> {
     vec![("FZJ", pipeline), ("FZJ", multi), ("ZIB", solo)]
 }
 
-fn run_fed(seed: u64, shards: usize, plan: Option<&FaultPlan>) -> Vec<Vec<u8>> {
+fn run_fed(seed: u64, plan: Option<&FaultPlan>) -> Vec<Vec<u8>> {
     let mut fed = Federation::german_deployment(FederationConfig {
         seed,
-        njs_shards: shards,
         ..FederationConfig::default()
     });
     fed.register_user(FED_DN, "alice");
@@ -624,20 +523,14 @@ fn run_fed(seed: u64, shards: usize, plan: Option<&FaultPlan>) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn chaos_soak_sharded_sites_byte_identical_across_seeds() {
+fn chaos_soak_outcomes_byte_identical_across_seeds() {
     for seed in SEEDS {
-        let reference = run_fed(seed, 1, None);
+        let reference = run_fed(seed, None);
         assert_eq!(outcome_digest(&reference), FED_OUTCOMES, "seed {seed}");
-        // Sharding alone must not change the bytes...
-        let sharded = run_fed(seed, 2, None);
-        assert_eq!(reference, sharded, "seed {seed}: sharding changed bytes");
-        // ...nor sharding plus a crash-restart landing mid-workload on
-        // the site holding the multi-site parent (per-shard WAL replay).
+        // A crash-restart landing mid-workload on the site holding the
+        // multi-site parent (WAL replay) must not change the bytes.
         let plan = FaultPlan::new(seed ^ 0x55).crash_restart("FZJ", 40 * SEC, 2 * MINUTE);
-        let faulted = run_fed(seed, 2, Some(&plan));
-        assert_eq!(
-            reference, faulted,
-            "seed {seed}: crash-restart under sharding diverged"
-        );
+        let faulted = run_fed(seed, Some(&plan));
+        assert_eq!(reference, faulted, "seed {seed}: crash-restart diverged");
     }
 }

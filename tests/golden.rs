@@ -2,12 +2,12 @@
 //! what it writes.
 //!
 //! One fixed scenario — every path that can wake a job — is run over two
-//! directly wired [`UnicoreServer`]s with a WAL segment per NJS shard.
-//! The SHA-256 of every segment and of the sorted terminal-outcome DER is
+//! directly wired [`UnicoreServer`]s, each journalling into one WAL.
+//! The SHA-256 of each journal and of the sorted terminal-outcome DER is
 //! pinned to what the every-job-every-step scan (the commit before the
 //! wake set) produced. A lost, late or reordered wake-up moves a journal
 //! byte and fails here; a lost one also trips the debug quiescence
-//! assertion inside `Njs::step`.
+//! assertion at the end of every step.
 
 use unicore::protocol::{Request, Response};
 use unicore::server::UnicoreServer;
@@ -24,8 +24,8 @@ const DN: &str = "C=DE, O=HUB, OU=ZAM, CN=golden";
 const HUB_DN: &str = "C=DE, O=HUB, CN=unicore-server";
 const PEER_DN: &str = "C=DE, O=PEER, CN=unicore-server";
 
-/// Digests in the order [`run`] returns them: HUB shard 0, HUB shard 1,
-/// PEER shard 0, sorted terminal outcomes. The outcome digest was the one
+/// Digests in the order [`run`] returns them: HUB's journal, PEER's
+/// journal, sorted terminal outcomes. The outcome digest was the one
 /// commit 17b855a (full-scan step loop) produced until every same-Usite
 /// sub-job went through the shard merge: since then the aborted `victim`'s
 /// sub-job node reads `Killed` with no children, as a child on another
@@ -35,11 +35,17 @@ const PEER_DN: &str = "C=DE, O=PEER, CN=unicore-server";
 /// references (13 manifest entries, nothing else). Then with the merge:
 /// HUB shard 0 gained the `JobPurged` of `inshard`'s child, which the
 /// in-place purge never found, and both HUB segments write a same-shard
-/// child's consign, completion and abort in merge order.
-const GOLDEN: [&str; 4] = [
-    "8cce29167270280b2d9ef8e58653b94d8bcf3693e914352f3e44dec6cdae52e3",
-    "004a98a47bb743d4fa3785d43c0a16c8d3d0e2249a9f7b19756cdc6916d0cb9e",
-    "ec1b639b6a6127cf4a3eb7f366387f95e48df617d7d7459cedcd04cb30fcb91e",
+/// child's consign, completion and abort in merge order. The journals
+/// were re-pinned a third time when HUB's two shard segments became one
+/// engine's one journal: job ids are dense instead of strided, every
+/// job's decoded events are the same, and PEER's record of the forwarded
+/// `xusite` group names HUB's new id for `xusite` (its peer origin and
+/// the idempotency key derived from it). The job names `xshard` and
+/// `inshard` are the old shard layout's, kept because they are in the
+/// pinned bytes.
+const GOLDEN: [&str; 3] = [
+    "bb7b0bc05b7f64779ad89f64ed3039213cf8ab17740b7bb89935e052b8ecfa93",
+    "c30f619032e9e00469fea76a1a3c2e295054b1bbf7463edc89748f31fc0c6d2e",
     "15a7ae71ef71d99caef6954e18f46643488e162d4ffe96f1a371bd0b7f98e79d",
 ];
 
@@ -83,8 +89,7 @@ fn around_subjob(name: &str, home: VsiteAddress, remote: VsiteAddress) -> Abstra
     job
 }
 
-/// The scenario's jobs, in consign order. HUB has two shards: V0 and V2
-/// live on shard 0, V1 and V3 on shard 1.
+/// The scenario's jobs, in consign order, on HUB's four Vsites.
 fn scenario() -> Vec<AbstractJob> {
     let hub = |v: &str| VsiteAddress::new("HUB", v);
 
@@ -111,7 +116,7 @@ fn scenario() -> Vec<AbstractJob> {
         fan16.dependencies.push(edge(1, i + 2, &[]));
     }
 
-    // 2: cross-shard child (V0 → V1); 3: in-shard child (V0 → V2);
+    // 2, 3: same-Usite children on other Vsites (V0 → V1, V0 → V2);
     // 4: cross-Usite sub-job (V1 → PEER).
     let xshard = around_subjob("xshard", hub("V0"), hub("V1"));
     let inshard = around_subjob("inshard", hub("V0"), hub("V2"));
@@ -134,7 +139,7 @@ fn scenario() -> Vec<AbstractJob> {
     victim.nodes.push(script(3, "never", "sleep 10\n"));
     victim.dependencies.push(edge(1, 3, &[]));
 
-    // 7: cross-shard Xspace import (V1 reads V2's Xspace), then a task.
+    // 7: cross-Vsite Xspace import (V1 reads V2's Xspace), then a task.
     let mut import = AbstractJob::new("import", hub("V1"), attrs());
     import.nodes.push((
         ActionId(1),
@@ -165,25 +170,22 @@ fn uudb() -> Uudb {
 fn build_server(
     usite: &str,
     vsites: &[(&str, Architecture)],
-    shards: usize,
     peer_dn: &str,
-) -> (UnicoreServer, Vec<MemoryBackend>) {
-    let mut njs = ShardedNjs::new(usite, shards, shards);
+) -> (UnicoreServer, MemoryBackend) {
+    let mut njs = ShardedNjs::new(usite, 1, 1);
     for (vsite, arch) in vsites {
         njs.add_vsite(
             deployment_page(usite, vsite, *arch),
             TranslationTable::for_architecture(*arch),
         );
     }
-    let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
-            .collect(),
-    );
+    let mem = MemoryBackend::new();
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("open journal")
+    ]);
     let mut server = UnicoreServer::new(Gateway::new(usite, uudb()), njs);
     server.add_peer_server(peer_dn);
-    (server, mems)
+    (server, mem)
 }
 
 /// Steps both servers at `now` and carries every outbound request to
@@ -212,9 +214,9 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// SHA-256 over a journal segment: every file the backend holds, in
-/// name order, each framed by its name and length.
-fn segment_digest(mem: &MemoryBackend) -> String {
+/// SHA-256 over a journal: every file the backend holds, in name order,
+/// each framed by its name and length.
+fn journal_digest(mem: &MemoryBackend) -> String {
     let mut names = mem.list().expect("list segment");
     names.sort();
     let mut buf = Vec::new();
@@ -229,15 +231,15 @@ fn segment_digest(mem: &MemoryBackend) -> String {
 
 /// Runs the scenario; returns the digests in [`GOLDEN`]'s order and each
 /// root job's terminal status in consign order.
-fn run() -> ([String; 4], Vec<ActionStatus>) {
+fn run() -> ([String; 3], Vec<ActionStatus>) {
     let hub_vsites = [
         ("V0", Architecture::CrayT3e),
         ("V1", Architecture::FujitsuVpp700),
         ("V2", Architecture::IbmSp2),
         ("V3", Architecture::NecSx4),
     ];
-    let (mut hub, hub_mems) = build_server("HUB", &hub_vsites, 2, PEER_DN);
-    let (mut peer, peer_mems) = build_server("PEER", &[("P0", Architecture::CrayT3e)], 1, HUB_DN);
+    let (mut hub, hub_mem) = build_server("HUB", &hub_vsites, PEER_DN);
+    let (mut peer, peer_mem) = build_server("PEER", &[("P0", Architecture::CrayT3e)], HUB_DN);
     hub.njs_mut()
         .vsite_mut("V2")
         .unwrap()
@@ -319,9 +321,8 @@ fn run() -> ([String; 4], Vec<ActionStatus>) {
 
     outcomes.sort();
     let digests = [
-        segment_digest(&hub_mems[0]),
-        segment_digest(&hub_mems[1]),
-        segment_digest(&peer_mems[0]),
+        journal_digest(&hub_mem),
+        journal_digest(&peer_mem),
         hex(&sha256(&outcomes.concat())),
     ];
     (digests, statuses)

@@ -6,7 +6,7 @@
 //!   and a live segment, checked in below) recovers to the Uspaces and
 //!   outcomes that commit reported, stays writable, and compacts;
 //! * compaction never changes what replay rebuilds for finished jobs
-//!   whose files were staged, overwritten or imported across shards;
+//!   whose files were staged, overwritten or imported from another Vsite;
 //! * a crash at every journal append across a file-carrying job recovers
 //!   to the same final Uspace;
 //! * a by-reference entry whose file is missing or has another length is
@@ -37,11 +37,10 @@ fn t3e() -> VsiteAddress {
     VsiteAddress::new("FZJ", "T3E")
 }
 
-/// FZJ with a T3E and an SP2 Vsite over one journal per shard (T3E on
-/// shard 0; SP2 on shard 1 when there are two). Rebuilding it on the same
-/// backends is a reboot with the disks intact.
-fn site(mems: &[MemoryBackend]) -> ShardedNjs {
-    let mut njs = ShardedNjs::new("FZJ", mems.len(), mems.len());
+/// FZJ with a T3E and an SP2 Vsite over one journal. Rebuilding it on
+/// the same backend is a reboot with the disk intact.
+fn site(mem: &MemoryBackend) -> ShardedNjs {
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     for (vsite, arch) in [
         ("T3E", Architecture::CrayT3e),
         ("SP2", Architecture::IbmSp2),
@@ -51,11 +50,9 @@ fn site(mems: &[MemoryBackend]) -> ShardedNjs {
             TranslationTable::for_architecture(arch),
         );
     }
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
-            .collect(),
-    );
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("open journal")
+    ]);
     njs
 }
 
@@ -234,7 +231,7 @@ fn v1_journal_recovers_stays_writable_and_compacts() {
     );
 
     // Recover: both jobs finished, files and outcomes as they were.
-    let mut njs = site(std::slice::from_ref(&mem));
+    let mut njs = site(&mem);
     let report = njs.recover(30 * SEC).expect("v1 journal recovers");
     assert_eq!(report.jobs, [JobId(1), JobId(2)]);
     assert!(!report.torn_tail);
@@ -275,7 +272,7 @@ fn v1_journal_recovers_stays_writable_and_compacts() {
     // c: consign + two file-carrying task records + outcome.
     assert_eq!(stats.events_after, 2 + 4 + 4);
     drop(njs);
-    let mut njs = site(std::slice::from_ref(&mem));
+    let mut njs = site(&mem);
     njs.recover(now).expect("compacted v1 journal recovers");
     let after: Vec<Observed> = [JobId(1), JobId(2)].map(|j| observe(&njs, j)).to_vec();
     assert_eq!(after, before);
@@ -286,8 +283,8 @@ fn v1_journal_recovers_stays_writable_and_compacts() {
 // ---- compact() then replay == replay ---------------------------------------
 
 /// A T3E job whose first task imports from the SP2 Vsite's Xspace — a
-/// read on the other shard — and whose second overwrites the import.
-fn cross_shard_import_job() -> AbstractJob {
+/// read on another Vsite — and whose second overwrites the import.
+fn cross_vsite_import_job() -> AbstractJob {
     let mut job = AbstractJob::new("import", t3e(), UserAttributes::new(DN, "zam"));
     job.nodes.push((
         ActionId(1),
@@ -318,8 +315,8 @@ fn cross_shard_import_job() -> AbstractJob {
 
 #[test]
 fn compaction_does_not_change_what_replay_rebuilds() {
-    let mems = [MemoryBackend::new(), MemoryBackend::new()];
-    let mut njs = site(&mems);
+    let mem = MemoryBackend::new();
+    let mut njs = site(&mem);
     njs.vsite_mut("SP2")
         .unwrap()
         .vspace
@@ -331,14 +328,14 @@ fn compaction_does_not_change_what_replay_rebuilds() {
     let jobs = [
         njs.consign_from_peer(staged_job("staged"), user(), 0)
             .unwrap(),
-        njs.consign(cross_shard_import_job(), user(), 0).unwrap(),
+        njs.consign(cross_vsite_import_job(), user(), 0).unwrap(),
         njs.consign_from_peer(sp2_job, user(), 0).unwrap(),
     ];
     let now = run_until_done(&mut njs, &jobs, 0);
     let observe_all = |njs: &ShardedNjs| jobs.map(|j| observe(njs, j));
     let live = observe_all(&njs);
     // The scenario holds what it claims to: an overwritten staged file,
-    // an overwritten cross-shard import, a plain deposit.
+    // an overwritten cross-Vsite import, a plain deposit.
     assert_eq!(
         live[0].files[0],
         ("in.dat".to_owned(), live[2].files[0].1.clone())
@@ -354,19 +351,17 @@ fn compaction_does_not_change_what_replay_rebuilds() {
     drop(njs);
 
     // Replay of the full history.
-    let mut njs = site(&mems);
+    let mut njs = site(&mem);
     njs.recover(now).expect("recover full history");
     assert_eq!(observe_all(&njs), live);
 
-    // Compact every shard (twice: a snapshot must fold like a segment),
-    // reboot, replay the snapshots.
+    // Compact the journal (twice: a snapshot must fold like a segment),
+    // reboot, replay the snapshot.
     for round in 0..2 {
-        for shard in 0..2 {
-            let stats = njs.shard_store_mut(shard).unwrap().compact().unwrap();
-            assert!(stats.events_after <= stats.events_before, "round {round}");
-        }
+        let stats = njs.store_mut().unwrap().compact().unwrap();
+        assert!(stats.events_after <= stats.events_before, "round {round}");
         drop(njs);
-        njs = site(&mems);
+        njs = site(&mem);
         njs.recover(now).expect("recover compacted history");
         assert_eq!(observe_all(&njs), live, "round {round}");
     }
@@ -382,7 +377,7 @@ fn compaction_does_not_change_what_replay_rebuilds() {
 #[test]
 fn kill_at_every_append_across_a_file_carrying_job() {
     let mem = MemoryBackend::new();
-    let mut njs = site(std::slice::from_ref(&mem));
+    let mut njs = site(&mem);
     let id = njs
         .consign_from_peer(staged_job("victim"), user(), 0)
         .unwrap();
@@ -396,7 +391,7 @@ fn kill_at_every_append_across_a_file_carrying_job() {
         let torn = (k as usize * 5) % 11;
         let mem = MemoryBackend::new();
         mem.crash_after_appends(k, torn);
-        let mut njs = site(std::slice::from_ref(&mem));
+        let mut njs = site(&mem);
         let consigned = njs.consign_from_peer(staged_job("victim"), user(), 0).ok();
         let mut now: SimTime = 0;
         if let Some(id) = consigned {
@@ -411,7 +406,7 @@ fn kill_at_every_append_across_a_file_carrying_job() {
         drop(njs);
 
         mem.reboot();
-        let mut njs = site(std::slice::from_ref(&mem));
+        let mut njs = site(&mem);
         let report = njs.recover(now).expect("recovery");
         // Write-ahead: an accepted consign is never lost; a refused one
         // left nothing behind and is simply sent again.
@@ -437,7 +432,7 @@ fn kill_at_every_append_across_a_file_carrying_job() {
 
         // Reboot once more: now the whole job comes back from its
         // records, the manifest checked against the rebuilt Uspace.
-        let mut njs = site(std::slice::from_ref(&mem));
+        let mut njs = site(&mem);
         njs.recover(end).expect("second recovery");
         assert_eq!(
             observe(&njs, id),
@@ -499,7 +494,7 @@ fn recover_with(
         ])
         .unwrap();
     drop(store);
-    let mut njs = site(std::slice::from_ref(&mem));
+    let mut njs = site(&mem);
     njs.recover(3).map(|_| njs)
 }
 

@@ -2,7 +2,7 @@
 //! server recovered from the live one's journal holds the same durable
 //! state, line for line ([`ShardedNjs::durable_state`]).
 //!
-//! HUB runs on 1, 2 and 4 shards, PEER on 1. The workload covers every
+//! HUB has four Vsites, PEER one. The workload covers every
 //! record a site journals: a DAG with edge files, a failed node and the
 //! successor it kills, a same-Usite child still running beside that
 //! failure, an abort with a node in batch and a live child, a same-Usite
@@ -238,25 +238,23 @@ fn uudb() -> Uudb {
     uudb
 }
 
-/// A server for `usite` journalling into `mems`, one segment per shard.
+/// A server for `usite` journalling into `mem`.
 fn server(
     usite: &str,
     vsites: &[(&str, Architecture)],
-    mems: &[MemoryBackend],
+    mem: &MemoryBackend,
     peer_dn: &str,
 ) -> UnicoreServer {
-    let mut njs = ShardedNjs::new(usite, mems.len(), 1);
+    let mut njs = ShardedNjs::new(usite, 1, 1);
     for (vsite, arch) in vsites {
         njs.add_vsite(
             deployment_page(usite, vsite, *arch),
             TranslationTable::for_architecture(*arch),
         );
     }
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
-            .collect(),
-    );
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("open journal")
+    ]);
     let mut server = UnicoreServer::new(Gateway::new(usite, uudb()), njs);
     server.add_peer_server(peer_dn);
     server
@@ -282,13 +280,13 @@ fn assert_same_state(live: &str, replayed: &str, what: &str) {
 fn check_replay(
     live: &UnicoreServer,
     vsites: &[(&str, Architecture)],
-    mems: &[MemoryBackend],
+    mem: &MemoryBackend,
     peer_dn: &str,
     now: SimTime,
 ) {
-    let mut replayed = server(live.usite(), vsites, mems, peer_dn);
+    let mut replayed = server(live.usite(), vsites, mem, peer_dn);
     replayed.recover(now).expect("recovery");
-    let what = format!("{} on {} shards at t={now}", live.usite(), mems.len());
+    let what = format!("{} at t={now}", live.usite());
     assert_same_state(
         &live.njs().durable_state(),
         &replayed.njs().durable_state(),
@@ -313,13 +311,12 @@ fn request(server: &mut UnicoreServer, request: Request, now: SimTime) -> Respon
     server.handle_request(DN, request, now)
 }
 
-/// Runs the workload with HUB on `shards` shards, checking both sites'
-/// replay after every tick. Returns HUB's root outcomes.
-fn run(shards: usize) -> Vec<Vec<u8>> {
-    let hub_mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-    let peer_mems = vec![MemoryBackend::new()];
-    let mut hub = server("HUB", &HUB_VSITES, &hub_mems, PEER_DN);
-    let mut peer = server("PEER", &PEER_VSITES, &peer_mems, HUB_DN);
+/// Runs the workload, checking both sites' replay after every tick.
+/// Returns HUB's root outcomes.
+fn run() -> Vec<Vec<u8>> {
+    let (hub_mem, peer_mem) = (MemoryBackend::new(), MemoryBackend::new());
+    let mut hub = server("HUB", &HUB_VSITES, &hub_mem, PEER_DN);
+    let mut peer = server("PEER", &PEER_VSITES, &peer_mem, HUB_DN);
     hub.njs_mut()
         .vsite_mut("V3")
         .unwrap()
@@ -335,7 +332,7 @@ fn run(shards: usize) -> Vec<Vec<u8>> {
         })
         .collect();
     let (victim, purged) = (ids[2], ids[6]);
-    check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, 0);
+    check_replay(&hub, &HUB_VSITES, &hub_mem, PEER_DN, 0);
 
     let mut now: SimTime = 0;
     let (mut aborted, mut purge_done) = (false, false);
@@ -357,17 +354,17 @@ fn run(shards: usize) -> Vec<Vec<u8>> {
                 "abort: {resp:?}"
             );
             aborted = true;
-            check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, now);
+            check_replay(&hub, &HUB_VSITES, &hub_mem, PEER_DN, now);
         }
         if !purge_done && hub.is_done(purged) {
             let resp = request(&mut hub, Request::Purge { job: purged }, now);
             assert!(matches!(resp, Response::Purged { .. }), "purge: {resp:?}");
             purge_done = true;
-            check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, now);
+            check_replay(&hub, &HUB_VSITES, &hub_mem, PEER_DN, now);
         }
         tick(&mut hub, &mut peer, now);
-        check_replay(&hub, &HUB_VSITES, &hub_mems, PEER_DN, now);
-        check_replay(&peer, &PEER_VSITES, &peer_mems, HUB_DN, now);
+        check_replay(&hub, &HUB_VSITES, &hub_mem, PEER_DN, now);
+        check_replay(&peer, &PEER_VSITES, &peer_mem, HUB_DN, now);
         if aborted && purge_done && ids.iter().all(|&j| j == purged || hub.is_done(j)) {
             break;
         }
@@ -409,18 +406,14 @@ fn run(shards: usize) -> Vec<Vec<u8>> {
 const HUB_OUTCOMES: &str = "38306d48445a48e487cc30146a24899e3a60ebf14a9d63d1a54408bcaed20d21";
 
 #[test]
-fn replay_matches_live_after_every_tick_on_1_2_and_4_shards() {
-    let reference = run(1);
-    let mut sorted = reference.clone();
+fn replay_matches_live_after_every_tick() {
+    let mut sorted = run();
     sorted.sort();
     let digest: String = sha256(&sorted.concat())
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect();
     assert_eq!(digest, HUB_OUTCOMES, "HUB's outcomes moved");
-    for shards in [2, 4] {
-        assert_eq!(run(shards), reference, "{shards} shards: outcomes moved");
-    }
 }
 
 const FZJ_DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=alice";
@@ -437,9 +430,9 @@ fn fzj_addr(vsite: &str) -> VsiteAddress {
     VsiteAddress::new("FZJ", vsite)
 }
 
-/// FZJ's T3E and SP2 on `shards` shards, journalling into `mems`.
-fn fzj(mems: &[MemoryBackend]) -> ShardedNjs {
-    let mut njs = ShardedNjs::new("FZJ", mems.len(), 1);
+/// FZJ's T3E and SP2, journalling into `mem`.
+fn fzj(mem: &MemoryBackend) -> ShardedNjs {
+    let mut njs = ShardedNjs::new("FZJ", 1, 1);
     for (vsite, arch) in [
         ("T3E", Architecture::CrayT3e),
         ("SP2", Architecture::IbmSp2),
@@ -449,11 +442,9 @@ fn fzj(mems: &[MemoryBackend]) -> ShardedNjs {
             TranslationTable::for_architecture(arch),
         );
     }
-    njs.attach_stores(
-        mems.iter()
-            .map(|m| EventStore::open(Box::new(m.clone())).expect("open journal"))
-            .collect(),
-    );
+    njs.attach_stores(vec![
+        EventStore::open(Box::new(mem.clone())).expect("open journal")
+    ]);
     njs
 }
 
@@ -468,48 +459,37 @@ fn run_to(njs: &mut ShardedNjs, until: SimTime) -> SimTime {
     now
 }
 
-/// Consigns `ajos` on `shards` shards, steps to `crash_at`, and restarts
-/// from the journal. Returns the restarted facade, the jobs and the time.
+/// Consigns `ajos`, steps to `crash_at`, and restarts from the journal
+/// (with `crash_at` past the end, the journal is replayed after a run
+/// that never crashed). Returns the restarted NJS, the jobs and the time.
 fn crash_and_recover(
     ajos: Vec<AbstractJob>,
-    shards: usize,
     crash_at: SimTime,
 ) -> (ShardedNjs, Vec<JobId>, SimTime) {
-    let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-    let mut njs = fzj(&mems);
+    let mem = MemoryBackend::new();
+    let mut njs = fzj(&mem);
     let jobs = ajos
         .into_iter()
         .map(|ajo| njs.consign(ajo, alice(), 0).expect("consign"))
         .collect();
     let now = run_to(&mut njs, crash_at);
     drop(njs);
-    let mut njs = fzj(&mems);
+    let mut njs = fzj(&mem);
     njs.recover(now).expect("recovery");
     (njs, jobs, now)
 }
 
-/// A same-Usite child on another shard than its parent imports a
+/// A same-Usite child on another Vsite than its parent imports a
 /// workstation file from the portfolio it shares with the parent. Replay
-/// used to look the parent up on the child's own shard, so a restarted
-/// child on 2 shards lost the portfolio and failed with "portfolio file
-/// 'input.dat' missing". A grandchild shares its root's portfolio too,
-/// also when its id is lower than its parent's.
+/// used to look the parent up where the child lived, so a restarted
+/// child lost the portfolio and failed with "portfolio file 'input.dat'
+/// missing". A grandchild shares its root's portfolio too.
 #[test]
-fn a_child_on_another_shard_keeps_its_workstation_portfolio_across_a_restart() {
-    let outcome = |shards, path: &[VsiteAddress]| {
-        // Three jobs on SP2 first: on 2 shards SP2's ids then run ahead
-        // of T3E's, so a grandchild on T3E gets a lower id than its
-        // parent on SP2.
-        let mut ajos: Vec<AbstractJob> = (0..3)
-            .map(|i| {
-                let mut job = AbstractJob::new(format!("filler{i}"), fzj_addr("SP2"), attrs());
-                job.nodes.push(script(1, "short", "sleep 1\n"));
-                job
-            })
-            .collect();
-        ajos.push(portfolio_job(fzj_addr("T3E"), path));
-        let (mut njs, jobs, mut now) = crash_and_recover(ajos, shards, 10 * SEC);
-        let job = *jobs.last().expect("consigned");
+fn a_child_on_another_vsite_keeps_its_workstation_portfolio_across_a_restart() {
+    let outcome = |path: &[VsiteAddress], crash_at| {
+        let ajos = vec![portfolio_job(fzj_addr("T3E"), path)];
+        let (mut njs, jobs, mut now) = crash_and_recover(ajos, crash_at);
+        let job = jobs[0];
         while !njs.is_done(job) {
             assert!(now < HOUR, "stalled");
             njs.step(now);
@@ -521,12 +501,12 @@ fn a_child_on_another_shard_keeps_its_workstation_portfolio_across_a_restart() {
         vec![fzj_addr("SP2")],
         vec![fzj_addr("SP2"), fzj_addr("T3E")],
     ] {
-        let one = outcome(1, &path);
-        assert_eq!(one.status, ActionStatus::Successful, "{path:?}");
+        let uncrashed = outcome(&path, HOUR);
+        assert_eq!(uncrashed.status, ActionStatus::Successful, "{path:?}");
         assert_eq!(
-            outcome(2, &path),
-            one,
-            "{path:?} on 2 shards after a restart"
+            outcome(&path, 10 * SEC),
+            uncrashed,
+            "{path:?} after a restart"
         );
     }
 }
@@ -536,21 +516,19 @@ fn a_child_on_another_shard_keeps_its_workstation_portfolio_across_a_restart() {
 /// place until some later step made progress.
 #[test]
 fn a_recovered_job_reports_the_status_the_live_one_did() {
-    for shards in [1, 2] {
-        let ajo = failing_beside_child(fzj_addr("T3E"), fzj_addr("SP2"), 500);
-        let mems: Vec<MemoryBackend> = (0..shards).map(|_| MemoryBackend::new()).collect();
-        let mut live = fzj(&mems);
-        let job = live.consign(ajo, alice(), 0).expect("consign");
-        let now = run_to(&mut live, 100 * SEC);
-        let seen = live.query(job, FZJ_DN, DetailLevel::Tasks).expect("query");
-        assert_eq!(seen.status, ActionStatus::NotSuccessful);
+    let ajo = failing_beside_child(fzj_addr("T3E"), fzj_addr("SP2"), 500);
+    let mem = MemoryBackend::new();
+    let mut live = fzj(&mem);
+    let job = live.consign(ajo, alice(), 0).expect("consign");
+    let now = run_to(&mut live, 100 * SEC);
+    let seen = live.query(job, FZJ_DN, DetailLevel::Tasks).expect("query");
+    assert_eq!(seen.status, ActionStatus::NotSuccessful);
 
-        let mut replayed = fzj(&mems);
-        replayed.recover(now).expect("recovery");
-        replayed.step(now);
-        let after = replayed
-            .query(job, FZJ_DN, DetailLevel::Tasks)
-            .expect("query");
-        assert_eq!(after, seen, "{shards} shards: recovered status");
-    }
+    let mut replayed = fzj(&mem);
+    replayed.recover(now).expect("recovery");
+    replayed.step(now);
+    let after = replayed
+        .query(job, FZJ_DN, DetailLevel::Tasks)
+        .expect("query");
+    assert_eq!(after, seen, "recovered status");
 }
