@@ -31,7 +31,7 @@ store   FileBackend         the directory-backed journal a deployed site writes;
 # builders, Federation::apply_fault_plan, Telemetry::finished_spans, ...)
 # and the reference models property tests compare against. Lower this
 # when the count falls.
-test_only_public_max=176
+test_only_public_max=174
 scan=$(mktemp -d)
 trap 'rm -rf "$scan"' EXIT
 # The lines of the given files outside (code) or inside (test) their
@@ -94,6 +94,14 @@ if grep -rnE 'crossbeam|thread::scope' crates/*/src shims Cargo.toml; then
     exit 1
 fi
 
+echo "==> one engine: crates/njs/src has no shards: Vec<, job_stride, set_id_allocation, shard_of_job, vsite_shard or shard_store_mut, and crates/*/src no njs_shards (offenders are listed)"
+if {
+    grep -rnE 'shards: Vec<|job_stride|set_id_allocation|shard_of_job|vsite_shard|shard_store_mut' crates/njs/src
+    grep -rn 'njs_shards' crates/*/src
+} | grep .; then
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -147,10 +155,10 @@ cargo test -q --offline -p unicore-njs --test step_seam
 echo "==> cost pins, release column: allocations in consign, step and query + purge, job visits, journal appends and bytes per chain3 job on one Usite with 8 Vsites (cargo test checks the debug column)"
 cargo test -q --release --offline -p unicore-integration-tests --test cost_pins
 
-echo "==> one path across a Vsite boundary: in crates/njs/src, xspace_read( and xspace_write( are called only from shard.rs (the merge phase), and consign_internal( only from consign.rs, recover.rs and shard.rs (offenders are listed)"
+echo "==> one path across a Vsite boundary: in crates/njs/src, xspace_read( and xspace_write( are called only from njs/cross.rs (the merge phase), and consign_internal( only from consign.rs, recover.rs and cross.rs (offenders are listed)"
 if {
-    grep -rnE '\b(xspace_read|xspace_write)\(' crates/njs/src | grep -vE 'fn (xspace_read|xspace_write)\(|^crates/njs/src/shard\.rs:'
-    grep -rnE '\bconsign_internal\(' crates/njs/src | grep -vE 'fn consign_internal\(|^crates/njs/src/(shard|njs/consign|njs/recover)\.rs:'
+    grep -rnE '\b(xspace_read|xspace_write)\(' crates/njs/src | grep -vE 'fn (xspace_read|xspace_write)\(|^crates/njs/src/njs/cross\.rs:'
+    grep -rnE '\bconsign_internal\(' crates/njs/src | grep -vE 'fn consign_internal\(|^crates/njs/src/njs/(consign|recover|cross)\.rs:'
 } | grep .; then
     exit 1
 fi
@@ -165,7 +173,7 @@ if {
     exit 1
 fi
 
-echo "==> one path per effect: crates/core/src/server.rs above #[cfg(test)] allocates a corr (self.next_corr += 1), constructs Pending::SubJobConsign { (match arms exempt) and names ActionStatus::NotSuccessful once each; crates/njs/src/njs/recover.rs has no begin_partial(, write_partial( or IncomingTransfer {; crates/njs/src/shard.rs constructs Link { once and has no shards.len() > 1; crates/*/src has no detached() (offenders are listed)"
+echo "==> one path per effect: crates/core/src/server.rs above #[cfg(test)] allocates a corr (self.next_corr += 1), constructs Pending::SubJobConsign { (match arms exempt) and names ActionStatus::NotSuccessful once each; crates/njs/src/njs/recover.rs has no begin_partial(, write_partial( or IncomingTransfer {; crates/njs/src/njs/cross.rs constructs Link { once; crates/*/src has no detached() (offenders are listed)"
 # Prints its input unless it is exactly one line (none: the label).
 once() {
     hits=$(cat)
@@ -188,8 +196,7 @@ if {
             else { match($0, /^ */); indent = RLENGTH; open = 1 }
         }' "$server" | once "$server: Pending::SubJobConsign {"
     grep -HnE 'begin_partial\(|write_partial\(|IncomingTransfer \{' crates/njs/src/njs/recover.rs
-    grep -HnE '\bLink \{' crates/njs/src/shard.rs | grep -vE 'struct Link \{|-> Link \{' | once "crates/njs/src/shard.rs: Link {"
-    grep -HnF 'shards.len() > 1' crates/njs/src/shard.rs
+    grep -HnE '\bLink \{' crates/njs/src/njs/cross.rs | grep -vE 'struct Link \{|-> Link \{' | once "crates/njs/src/njs/cross.rs: Link {"
     grep -rnE '::detached\(\)|fn detached\(' crates/*/src
 } | grep .; then
     exit 1

@@ -31,8 +31,9 @@ impl Hasher for IdHasher {
     }
 
     fn write_u64(&mut self, n: u64) {
-        // Strided ids (shard k of N hands out k+1, k+1+N, …) share their
-        // low bits; folding the product's high half in spreads them.
+        // The multiply spreads consecutive ids over the top bits; ids a
+        // power of two apart share their low bits, and folding the
+        // product's high half in spreads them there too.
         let x = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = x ^ (x >> 32);
     }
@@ -247,7 +248,7 @@ mod tests {
         let build = BuildHasherDefault::<IdHasher>::default();
         // A table of 2^10 buckets is addressed by the low 10 bits, the
         // control bytes by the top 7: both must vary for ids 1, 2, 3, …
-        // and for one shard's stride-8 ids 3, 11, 19, … (1024 random
+        // and for ids a power of two apart, 3, 11, 19, … (1024 random
         // hashes would land in about 647 distinct buckets).
         for stride in [1u64, 8, 64] {
             let hashes: Vec<u64> = (0..1024)

@@ -38,16 +38,15 @@ pub struct SiteConfig {
 }
 
 impl SiteConfig {
-    /// Boots a ready [`UnicoreServer`] from this configuration, its NJS
-    /// split into `shards` shards (at least one). This is the one place
-    /// a site's server is built: the federation boots every site through
-    /// it, the first time and after a crash.
+    /// Boots a ready [`UnicoreServer`] from this configuration. This is
+    /// the one place a site's server is built: the federation boots every
+    /// site through it, the first time and after a crash.
     ///
     /// # Panics
     /// Panics when a page's Usite disagrees with `self.usite` (a
     /// configuration authoring error).
-    pub(crate) fn boot(&self, shards: usize) -> UnicoreServer {
-        let mut njs = ShardedNjs::new(self.usite.clone(), shards, 1);
+    pub(crate) fn boot(&self) -> UnicoreServer {
+        let mut njs = ShardedNjs::new(self.usite.clone(), 1, 1);
         for v in &self.vsites {
             njs.add_vsite(v.page.clone(), v.table.clone());
         }
@@ -152,7 +151,7 @@ mod tests {
         // Persist, reload, boot — then run a job end to end.
         let der = sample_config().to_der();
         let cfg = SiteConfig::from_der(&der).unwrap();
-        let mut server = cfg.boot(1);
+        let mut server = cfg.boot();
 
         let mut job = unicore_ajo::AbstractJob::new(
             "from-config",
@@ -188,7 +187,7 @@ mod tests {
     #[test]
     fn booted_server_rejects_unknown_peer() {
         let cfg = sample_config();
-        let mut server = cfg.boot(1);
+        let mut server = cfg.boot();
         let resp = server.handle_request(
             "C=DE, O=Nowhere, OU=X, CN=not-a-peer",
             Request::DeliverOutcomes {

@@ -88,9 +88,6 @@ pub struct FederationConfig {
     /// request through. Any envelope received from the peer closes the
     /// circuit again.
     pub probe_interval: SimTime,
-    /// NJS shards per site (E18): >1 splits each server's job state by
-    /// Vsite into independent shards with per-shard WAL segments.
-    pub njs_shards: usize,
 }
 
 impl Default for FederationConfig {
@@ -100,7 +97,6 @@ impl Default for FederationConfig {
             wan_loss: 0.0,
             handshake_bytes: 4_096,
             probe_interval: MINUTE,
-            njs_shards: 1,
         }
     }
 }
@@ -114,9 +110,9 @@ pub(crate) struct Site {
     split: bool,
     /// What [`Federation::boot`] boots the server from.
     config: SiteConfig,
-    /// The disk: one journal backend per NJS shard, once
+    /// The disk: the NJS's journal backend, once
     /// [`Federation::attach_stores`] ran.
-    journals: Vec<MemoryBackend>,
+    journal: Option<MemoryBackend>,
     /// The running server; `None` while the site is crashed.
     pub(crate) server: Option<UnicoreServer>,
     /// Cut off by a network partition right now.
@@ -225,15 +221,6 @@ pub struct Federation {
     client_spans: HashMap<u64, ActiveSpan>,
 }
 
-/// One store per shard, each opened on its "disk".
-fn open_journals(disks: &[MemoryBackend]) -> Vec<EventStore> {
-    let open = |disk: &MemoryBackend| EventStore::open(Box::new(disk.clone()));
-    disks
-        .iter()
-        .map(|d| open(d).expect("open journal"))
-        .collect()
-}
-
 impl Federation {
     /// Builds a federation of `specs` over a full-mesh WAN.
     pub fn new(config: FederationConfig, specs: &[SiteSpec]) -> Self {
@@ -271,7 +258,7 @@ impl Federation {
                     uudb: uudb.clone(),
                     peer_servers: peers.map(|(dn, _)| dn.clone()).collect(),
                 },
-                journals: Vec::new(),
+                journal: None,
                 server: None,
                 partitioned: false,
             });
@@ -341,11 +328,12 @@ impl Federation {
     /// the operator's revocations and rate limit.
     fn boot(&self, site: usize) -> UnicoreServer {
         let Site {
-            config, journals, ..
+            config, journal, ..
         } = &self.sites[site];
-        let mut server = config.boot(self.config.njs_shards);
-        if !journals.is_empty() {
-            server.njs_mut().attach_stores(open_journals(journals));
+        let mut server = config.boot();
+        if let Some(disk) = journal {
+            let store = EventStore::open(Box::new(disk.clone())).expect("open journal");
+            server.njs_mut().attach_stores(vec![store]);
         }
         if let Some(seed) = self.telemetry_seed {
             server.set_telemetry(Telemetry::collecting(seed.wrapping_add(site as u64 + 1)));
@@ -569,11 +557,9 @@ impl Federation {
     pub fn attach_stores(&mut self) {
         for site in &mut self.sites {
             let server = site.server.as_mut().expect("running");
-            let shards = server.njs().shard_count();
-            site.journals = (0..shards).map(|_| MemoryBackend::new()).collect();
-            server
-                .njs_mut()
-                .attach_stores(open_journals(&site.journals));
+            let disk = site.journal.insert(MemoryBackend::new());
+            let store = EventStore::open(Box::new(disk.clone())).expect("open journal");
+            server.njs_mut().attach_stores(vec![store]);
         }
     }
 
@@ -590,7 +576,7 @@ impl Federation {
 
     fn crash(&mut self, site: usize) {
         assert!(
-            !self.sites[site].journals.is_empty(),
+            self.sites[site].journal.is_some(),
             "crash_site without attach_stores would lose accepted jobs"
         );
         if self.sites[site].server.take().is_none() {
@@ -619,7 +605,7 @@ impl Federation {
         if self.sites[site].server.is_some() {
             return;
         }
-        for disk in &self.sites[site].journals {
+        if let Some(disk) = &self.sites[site].journal {
             disk.reboot();
         }
         let mut server = self.boot(site);

@@ -1226,7 +1226,7 @@ mod tests {
             uudb,
             peer_servers: vec![PEER_DN.into()],
         };
-        config.boot(1)
+        config.boot()
     }
 
     /// FZJ with one job of alice's consigned and run to its end: the time

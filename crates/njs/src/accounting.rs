@@ -6,7 +6,7 @@
 //! into the per-user, per-Vsite usage report a site administrator (or a
 //! future broker) consumes.
 
-use crate::njs::Njs;
+use crate::ShardedNjs;
 use std::collections::BTreeMap;
 use unicore_sim::SimTime;
 
@@ -70,9 +70,9 @@ impl UsageReport {
     }
 }
 
-/// Builds one shard's usage report from its Vsites' accounting records;
-/// [`crate::ShardedNjs::usage_report`] merges the shards'.
-pub(crate) fn usage_report(njs: &Njs) -> UsageReport {
+/// Builds the usage report of `njs` from its Vsites' accounting records
+/// (for [`ShardedNjs::usage_report`]).
+pub(crate) fn usage_report(njs: &ShardedNjs) -> UsageReport {
     let mut agg: BTreeMap<(String, String), UsageRow> = BTreeMap::new();
     for vsite in njs.vsite_names() {
         let Some(v) = njs.vsite(vsite) else { continue };

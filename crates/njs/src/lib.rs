@@ -10,10 +10,12 @@
 //! - [`translation`] — the translation tables and script incarnation
 //! - [`oracle`] — the deterministic work model that stands in for real
 //!   computation in the simulated batch systems
-//! - [`shard`] — the engine, [`ShardedNjs`]: N independent shards stepped
-//!   in index order on one thread, with cross-shard effects applied
-//!   between rounds in `sort_key` order. A shard (the crate-private `njs`
-//!   module) is never handed out on its own.
+//! - [`ShardedNjs`] — the engine (the crate-private `njs` module): one
+//!   per Usite, driving every Vsite of it on one thread. Each step is
+//!   rounds of its event-driven job loop, each ended by a merge phase
+//!   that applies the effects crossing a Vsite boundary in a fixed order
+//!   (`njs/cross.rs`).
+//! - [`accounting`] — the per-(Vsite, login) usage report
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -23,12 +25,12 @@ pub mod accounting;
 pub mod error;
 mod njs;
 pub mod oracle;
-pub mod shard;
 pub mod translation;
 
 pub use accounting::{UsageReport, UsageRow};
 pub use error::NjsError;
-pub use njs::{ConsignMeta, OutgoingItem, RecoveryReport, VsiteRuntime, INCOMING_PREFIX};
+pub use njs::{
+    ConsignMeta, OutgoingItem, RecoveryReport, ShardedNjs, VsiteRuntime, INCOMING_PREFIX,
+};
 pub use oracle::{synthetic_content, WorkOracle};
-pub use shard::ShardedNjs;
 pub use translation::{incarnate_execute, incarnate_execute_in_queue, TranslationTable};

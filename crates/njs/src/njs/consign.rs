@@ -1,7 +1,7 @@
 //! Consign: admission, the Uspace, the write-ahead `JobConsigned` record,
 //! and the primed job runtime.
 
-use super::{ConsignMeta, JobRuntime, Njs, NodeState};
+use super::{ConsignMeta, JobRuntime, NodeState, ShardedNjs};
 use crate::error::NjsError;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,9 +15,19 @@ use unicore_resources::check_request;
 use unicore_sim::SimTime;
 use unicore_store::OwnerRecordRef;
 
-impl Njs {
+impl ShardedNjs {
+    /// Consigns a top-level AJO.
+    pub fn consign(
+        &mut self,
+        job: AbstractJob,
+        user: MappedUser,
+        now: SimTime,
+    ) -> Result<JobId, NjsError> {
+        self.consign_with_meta(job, user, now, ConsignMeta::default())
+    }
+
     /// Consigns a top-level AJO with journal metadata attached.
-    pub(crate) fn consign_with_meta(
+    pub fn consign_with_meta(
         &mut self,
         job: AbstractJob,
         user: MappedUser,
@@ -38,9 +48,20 @@ impl Njs {
     }
 
     /// Consigns a job group arriving from a peer NJS (already mapped by
+    /// this site's gateway).
+    pub fn consign_from_peer(
+        &mut self,
+        job: AbstractJob,
+        user: MappedUser,
+        now: SimTime,
+    ) -> Result<JobId, NjsError> {
+        self.consign_from_peer_with_meta(job, user, now, ConsignMeta::default())
+    }
+
+    /// Consigns a job group arriving from a peer NJS (already mapped by
     /// this site's gateway), with journal metadata (origin bookkeeping,
     /// dedup key). The AJO's portfolio carries edge files.
-    pub(crate) fn consign_from_peer_with_meta(
+    pub fn consign_from_peer_with_meta(
         &mut self,
         job: AbstractJob,
         user: MappedUser,
@@ -64,7 +85,7 @@ impl Njs {
 
     /// The portfolio map a job keeps; every job without files shares one
     /// empty map.
-    pub(crate) fn share_portfolio(
+    pub(super) fn share_portfolio(
         &self,
         files: HashMap<String, Arc<[u8]>>,
     ) -> Arc<HashMap<String, Arc<[u8]>>> {
@@ -79,7 +100,7 @@ impl Njs {
     /// built (validating, unless the job is a replayed or a child one),
     /// journals its `JobConsigned` record and primes its runtime.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn consign_internal(
+    pub(super) fn consign_internal(
         &mut self,
         job: AbstractJob,
         preds: DependencyIndex,
@@ -121,7 +142,7 @@ impl Njs {
         }
 
         let id = JobId(self.next_job);
-        self.next_job += self.job_stride;
+        self.next_job += 1;
 
         let staged_bytes = staged.iter().map(|(_, d)| d.len() as u64).sum();
         let quota = uspace_quota(&job, &portfolio, staged_bytes);
@@ -163,7 +184,7 @@ impl Njs {
             );
             if let Err(e) = store.commit(&mut self.pending) {
                 let _ = self.vsites[vsite].vspace.destroy_uspace(id);
-                self.next_job -= self.job_stride;
+                self.next_job -= 1;
                 return Err(NjsError::Store(e));
             }
         }

@@ -1,47 +1,83 @@
-//! The Query, List and Control services, Uspace browsing, and purge.
+//! The Query, List and Control services, Uspace browsing, and purge —
+//! an abort and a purge follow a job's links to its children.
 
-use super::{Njs, NodeState};
+use super::{NodeState, ShardedNjs};
 use crate::error::NjsError;
 use unicore_ajo::{
-    ActionStatus, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, OutcomeNode, TaskOutcome,
+    ActionId, ActionStatus, ControlOp, DetailLevel, JobId, JobOutcome, JobSummary, OutcomeNode,
+    TaskOutcome,
 };
 use unicore_sim::SimTime;
 use unicore_store::{ForeignOrigin, StoreEvent};
 
-impl Njs {
-    /// The live job a consign with idempotency key `key` created.
-    pub(crate) fn job_for_key(&self, key: &[u8]) -> Option<JobId> {
+impl ShardedNjs {
+    /// The live job a consign with idempotency key `key` created: a
+    /// re-delivered consign maps to it instead of running twice.
+    pub fn job_for_key(&self, key: &[u8]) -> Option<JobId> {
         self.by_key.get(key).copied()
     }
 
-    /// The peer job `job` runs for, if a peer server consigned it.
-    pub(crate) fn foreign_of(&self, job: JobId) -> Option<&ForeignOrigin> {
+    /// Where `job`'s outcome is owed, if a peer server consigned it on
+    /// behalf of one of its jobs.
+    pub fn foreign_of(&self, job: JobId) -> Option<&ForeignOrigin> {
         self.jobs.get(&job)?.foreign.as_ref()
     }
 
     /// The DN of the user who consigned `job`.
-    pub(crate) fn owner_dn(&self, job: JobId) -> Option<String> {
+    pub fn owner_dn(&self, job: JobId) -> Option<String> {
         self.jobs.get(&job).map(|rt| rt.user.dn.clone())
     }
 
     /// Whether a job has finished (successfully or not).
-    pub(crate) fn is_done(&self, job: JobId) -> bool {
+    pub fn is_done(&self, job: JobId) -> bool {
         self.jobs.get(&job).map(|j| j.done).unwrap_or(false)
     }
 
     /// The job's current outcome tree.
-    pub(crate) fn outcome(&self, job: JobId) -> Option<&JobOutcome> {
+    pub fn outcome(&self, job: JobId) -> Option<&JobOutcome> {
         self.jobs.get(&job).map(|j| &j.outcome)
     }
 
     /// Consign → finish duration, once finished.
-    pub(crate) fn turnaround(&self, job: JobId) -> Option<SimTime> {
+    pub fn turnaround(&self, job: JobId) -> Option<SimTime> {
         let rt = self.jobs.get(&job)?;
         Some(rt.finished_at? - rt.consigned_at)
     }
 
     /// Applies a user control operation (ownership enforced by DN).
-    pub(crate) fn control(
+    /// `Abort` also aborts every child linked under the job
+    /// (recursively).
+    pub fn control(
+        &mut self,
+        job: JobId,
+        op: ControlOp,
+        dn: &str,
+        now: SimTime,
+    ) -> Result<bool, NjsError> {
+        let acted = self.control_job(job, op, dn, now)?;
+        if acted && matches!(op, ControlOp::Abort) {
+            let mut stack = vec![job];
+            while let Some(parent) = stack.pop() {
+                // The abort killed the parent's node: nothing is owed to
+                // it any more, which is what replay reads from the node.
+                let mut children: Vec<JobId> = Vec::new();
+                for (_, link) in self.links_of(parent) {
+                    if !link.delivered {
+                        link.delivered = true;
+                        children.push(link.child);
+                    }
+                }
+                for child in children {
+                    let _ = self.control_job(child, ControlOp::Abort, dn, now);
+                    stack.push(child);
+                }
+            }
+        }
+        Ok(acted)
+    }
+
+    /// Applies a control operation to `job` alone.
+    fn control_job(
         &mut self,
         job: JobId,
         op: ControlOp,
@@ -80,7 +116,7 @@ impl Njs {
 
     /// Kills every node of `job` that is not terminal yet. A sub-job
     /// node reads `Killed` with no children; the child job itself is
-    /// aborted by [`crate::ShardedNjs::control`] through its link.
+    /// aborted by [`ShardedNjs::control`] through its link.
     fn abort(&mut self, job: JobId, now: SimTime) -> bool {
         let Some(rt) = self.jobs.get(&job) else {
             return false;
@@ -129,7 +165,7 @@ impl Njs {
     }
 
     /// Lists the files in a job's Uspace (the JMC's save-output browser).
-    pub(crate) fn list_uspace_files(&self, job: JobId, dn: &str) -> Result<Vec<String>, NjsError> {
+    pub fn list_uspace_files(&self, job: JobId, dn: &str) -> Result<Vec<String>, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {
@@ -146,14 +182,40 @@ impl Njs {
             .collect())
     }
 
-    /// Purges a finished job: destroys its Uspace and forgets the runtime.
-    /// Returns bytes freed. Its sub-jobs are jobs of their own;
-    /// [`crate::ShardedNjs::purge`] purges them through its links.
+    /// Purges a finished job and (recursively) the children linked
+    /// under it: destroys their Uspaces and forgets their runtimes.
+    /// Returns bytes freed.
     ///
     /// The JMC calls this once the user has saved what they need — job
     /// directories hold "the data for and created during the job run"
     /// (§5.5) and are reclaimed afterwards.
-    pub(crate) fn purge(&mut self, job: JobId, dn: &str) -> Result<u64, NjsError> {
+    pub fn purge(&mut self, job: JobId, dn: &str) -> Result<u64, NjsError> {
+        let mut freed = self.purge_job(job, dn)?;
+        // A job without links (the common case) allocates nothing here:
+        // an empty `collect` and an empty stack hold no buffer.
+        let mut stack = Vec::new();
+        let mut parent = job;
+        loop {
+            let children: Vec<((JobId, ActionId), JobId)> = self
+                .links_of(parent)
+                .map(|(key, link)| (*key, link.child))
+                .collect();
+            for (key, child) in children {
+                self.links.remove(&key);
+                if let Ok(n) = self.purge_job(child, dn) {
+                    freed += n;
+                }
+                stack.push(child);
+            }
+            match stack.pop() {
+                Some(next) => parent = next,
+                None => return Ok(freed),
+            }
+        }
+    }
+
+    /// Purges `job` alone; its sub-jobs are jobs of their own.
+    fn purge_job(&mut self, job: JobId, dn: &str) -> Result<u64, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {
@@ -198,8 +260,8 @@ impl Njs {
             .unwrap_or(0)
     }
 
-    /// The List service: root jobs owned by `dn`.
-    pub(crate) fn list_jobs(&self, dn: &str) -> Vec<JobSummary> {
+    /// The List service: root jobs owned by `dn`, in consign order.
+    pub fn list_jobs(&self, dn: &str) -> Vec<JobSummary> {
         self.job_order
             .iter()
             .filter_map(|id| {
@@ -216,13 +278,9 @@ impl Njs {
             .collect()
     }
 
-    /// The Query service: the outcome tree at the requested detail level.
-    pub(crate) fn query(
-        &self,
-        job: JobId,
-        dn: &str,
-        detail: DetailLevel,
-    ) -> Result<JobOutcome, NjsError> {
+    /// The Query service: the outcome tree at the requested detail level
+    /// (ownership enforced by DN).
+    pub fn query(&self, job: JobId, dn: &str, detail: DetailLevel) -> Result<JobOutcome, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {
@@ -235,12 +293,7 @@ impl Njs {
 
     /// Fetches a file from a finished job's Uspace (JMC "save output",
     /// §5.6: data goes back to the workstation only on user request).
-    pub(crate) fn fetch_uspace_file(
-        &self,
-        job: JobId,
-        name: &str,
-        dn: &str,
-    ) -> Result<Vec<u8>, NjsError> {
+    pub fn fetch_uspace_file(&self, job: JobId, name: &str, dn: &str) -> Result<Vec<u8>, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {

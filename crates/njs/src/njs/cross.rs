@@ -1,17 +1,33 @@
 //! The Vsite boundary, in one place: the typed effects a job queues for
-//! another Vsite of its Usite, their application order, and the entry
-//! points the sharded facade's merge phase applies them through.
+//! another Vsite of its Usite, the merge phase that applies them, and
+//! the link registry through which a same-Usite child's outcome reaches
+//! its parent.
+//!
+//! ## Determinism contract
 //!
 //! Work on a job's own Vsite happens in place. Everything aimed at
 //! another Vsite of the same Usite — a sub-job, an Import from its
-//! Xspace, an Export or a Transfer into it — is queued as a
-//! [`CrossShardItem`], whichever shard owns that Vsite, and the facade
-//! applies the items between step rounds. There is one path across the
-//! boundary, so terminal outcomes, polls and flight rings are
-//! byte-identical for every shard count.
+//! Xspace, an Export or a Transfer into it — is never applied from
+//! inside a step round: the round queues a typed [`CrossVsiteItem`], and
+//! the merge phase that ends the round applies the queued items in
+//! [`CrossVsiteItem::sort_key`] order, then completes the parent nodes
+//! whose children finished, in `(parent job, node)` order. Rounds and
+//! merges alternate until a merge changes nothing. There is one path
+//! across the boundary, and terminal [`unicore_ajo::JobOutcome`] DER
+//! contains neither ids nor timestamps, so terminal outcomes, polls and
+//! flight rings do not depend on which Vsite a job's relatives live on —
+//! the same contract the chaos and broker soaks gate on.
+//!
+//! ## Behavioural notes
+//!
+//! * A sub-job at this Usite behaves like a job group at a peer Usite:
+//!   its parent node shows `Consigned` until the child finishes, then the
+//!   child's whole outcome tree.
+//! * `Abort` reaches children through their links, and the parent's node
+//!   reads `Killed` with no children.
 
 use super::consign::uspace_quota;
-use super::{Njs, NodeState};
+use super::{ConsignMeta, NodeState, ShardedNjs};
 use std::collections::HashMap;
 use std::sync::Arc;
 use unicore_ajo::{AbstractJob, ActionId, ActionStatus, JobId, OutcomeNode, TaskOutcome};
@@ -19,14 +35,26 @@ use unicore_gateway::MappedUser;
 use unicore_sim::SimTime;
 use unicore_telemetry::SpanContext;
 
-/// A typed effect aimed at another Vsite of the Usite, produced by a
-/// shard during a step round and applied by the facade's deterministic
-/// merge phase on the shard owning [`CrossShardItem::target_vsite`].
-pub(crate) enum CrossShardItem {
+/// A parent→child link at this Usite, keyed by `(parent job, parent
+/// node)` in the registry. The merge phase completes the parent node when
+/// the child finishes; this is the only way a child's outcome reaches its
+/// parent.
+#[derive(Debug)]
+pub(super) struct Link {
+    pub(super) child: JobId,
+    /// Files named on the parent node's outgoing edges, pulled from the
+    /// child's Uspace into the parent's on completion.
+    pub(super) return_files: Vec<String>,
+    pub(super) delivered: bool,
+}
+
+/// A typed effect aimed at another Vsite of the Usite, produced during a
+/// step round and applied by the deterministic merge phase.
+pub(super) enum CrossVsiteItem {
     /// A sub-job at this Usite: consign it at its Vsite on behalf of
     /// `(parent, node)`.
     ConsignChild {
-        /// The parent job (on the emitting shard).
+        /// The parent job.
         parent: JobId,
         /// The parent's sub-job node.
         node: ActionId,
@@ -42,7 +70,7 @@ pub(crate) enum CrossShardItem {
         trace: Option<SpanContext>,
     },
     /// An Import from another Vsite's Xspace: read it there, stage into
-    /// `job`'s Uspace on the job's shard.
+    /// `job`'s Uspace.
     ImportXspace {
         /// The importing job.
         job: JobId,
@@ -76,55 +104,155 @@ pub(crate) enum CrossShardItem {
     },
 }
 
-impl CrossShardItem {
-    /// The Vsite the item acts on; the facade applies it on the shard
-    /// owning that Vsite.
-    pub(crate) fn target_vsite(&self) -> &str {
+impl CrossVsiteItem {
+    /// Deterministic application order: `(job, node, variant)`. Every
+    /// `(job, node)` emits at most one item per lifetime, so this key is
+    /// total.
+    fn sort_key(&self) -> (u64, u64, u8) {
         match self {
-            CrossShardItem::ConsignChild { ajo, .. } => &ajo.vsite.vsite,
-            CrossShardItem::ImportXspace { src_vsite, .. } => src_vsite,
-            CrossShardItem::DeliverXspace { to_vsite, .. } => to_vsite,
-        }
-    }
-
-    /// Deterministic application order after the target shard: `(job,
-    /// node, variant)`. Every `(job, node)` emits at most one item per
-    /// lifetime, so with the shard in front this key is total.
-    pub(crate) fn sort_key(&self) -> (u64, u64, u8) {
-        match self {
-            CrossShardItem::ConsignChild { parent, node, .. } => (parent.0, node.0, 0),
-            CrossShardItem::ImportXspace { job, node, .. } => (job.0, node.0, 1),
-            CrossShardItem::DeliverXspace { job, node, .. } => (job.0, node.0, 2),
+            CrossVsiteItem::ConsignChild { parent, node, .. } => (parent.0, node.0, 0),
+            CrossVsiteItem::ImportXspace { job, node, .. } => (job.0, node.0, 1),
+            CrossVsiteItem::DeliverXspace { job, node, .. } => (job.0, node.0, 2),
         }
     }
 }
 
-impl Njs {
-    /// Queues an effect aimed at another Vsite for the facade's merge
-    /// phase.
-    pub(super) fn cross_send(&mut self, item: CrossShardItem) {
+impl ShardedNjs {
+    /// Queues an effect aimed at another Vsite for the merge phase.
+    pub(super) fn cross_send(&mut self, item: CrossVsiteItem) {
         self.cross_out.push(item);
     }
 
-    /// Moves the queued cross-shard effects onto the end of `into`.
-    pub(crate) fn drain_cross_shard(&mut self, into: &mut Vec<CrossShardItem>) {
-        into.append(&mut self.cross_out);
+    /// The merge phase: applies the queued cross-Vsite items in
+    /// [`CrossVsiteItem::sort_key`] order, then completes parent nodes
+    /// whose children finished. Returns whether anything changed (the
+    /// step then runs another round).
+    pub(super) fn merge(&mut self, now: SimTime) -> bool {
+        let mut progressed = false;
+
+        let mut items = std::mem::take(&mut self.cross_out);
+        items.sort_by_key(CrossVsiteItem::sort_key);
+        for item in items {
+            progressed = true;
+            match item {
+                CrossVsiteItem::ConsignChild {
+                    parent,
+                    node,
+                    ajo,
+                    staged,
+                    user,
+                    portfolio,
+                    trace,
+                } => {
+                    if self.links.contains_key(&(parent, node)) {
+                        continue; // duplicate emission (e.g. around a replay)
+                    }
+                    let meta = ConsignMeta {
+                        trace,
+                        ..ConsignMeta::default()
+                    };
+                    let preds = ajo.dependency_index();
+                    match self.consign_internal(
+                        *ajo,
+                        preds,
+                        user,
+                        portfolio,
+                        staged,
+                        Some((parent, node)),
+                        now,
+                        meta,
+                    ) {
+                        Ok(child) => {
+                            let link = self.link(parent, node, child, false);
+                            self.links.insert((parent, node), link);
+                        }
+                        Err(_) => self.fail_subjob_node(parent, node),
+                    }
+                }
+                CrossVsiteItem::ImportXspace {
+                    job,
+                    node,
+                    src_vsite,
+                    path,
+                    uspace_name,
+                    login,
+                } => {
+                    let data = self.xspace_read(&src_vsite, &path, &login);
+                    self.finish_import(job, node, &uspace_name, data, now);
+                }
+                CrossVsiteItem::DeliverXspace {
+                    job,
+                    node,
+                    to_vsite,
+                    path,
+                    data,
+                    login,
+                } => {
+                    let outcome = self.xspace_write(&to_vsite, &path, data, &login);
+                    self.finish_file_node(job, node, outcome, now);
+                }
+            }
+        }
+
+        // Complete parent nodes whose children finished, with the files
+        // named on the node's outgoing edges ("UNICORE then guarantees
+        // that the specified data sets created by the predecessor are
+        // available to the successor"): a finished child names its own
+        // link. Sorted, so this runs in the same (parent job, node) order
+        // a walk of the registry would.
+        let mut due: Vec<(JobId, ActionId)> = Vec::new();
+        for job in &self.finished {
+            let parent = self.jobs.get(job).and_then(|rt| rt.parent);
+            if let Some(key) = parent {
+                if self.links.get(&key).is_some_and(|l| !l.delivered) {
+                    due.push(key);
+                }
+            }
+        }
+        self.newly_done.append(&mut self.finished);
+        due.sort_unstable();
+        for key in due {
+            let link = &self.links[&key];
+            let outcome = self.outcome(link.child).cloned().unwrap_or_default();
+            let files = self.collect_return_files(link.child, &link.return_files);
+            let (pjob, pnode) = key;
+            self.complete_node_with_files(pjob, pnode, OutcomeNode::Job(outcome), files);
+            self.links.get_mut(&key).expect("present").delivered = true;
+            progressed = true;
+        }
+        progressed
     }
 
-    /// Jobs that finished (by stepping, abort, or journal replay) since
-    /// the last call, in finish order. The sharded facade and the server
-    /// consume this instead of scanning their link / foreign-job tables.
-    pub(crate) fn take_newly_done(&mut self) -> Vec<JobId> {
-        std::mem::take(&mut self.newly_done)
+    /// The link from node `node` of `parent` to its child job `child`,
+    /// with the files the parent node's outgoing edges name: what the
+    /// merge phase records at a child's consign and recovery rebuilds
+    /// from the journal.
+    pub(super) fn link(
+        &self,
+        parent: JobId,
+        node: ActionId,
+        child: JobId,
+        delivered: bool,
+    ) -> Link {
+        Link {
+            child,
+            return_files: self.edge_return_files(parent, node),
+            delivered,
+        }
     }
 
-    /// The `(parent job, parent node)` a job was consigned on behalf of.
-    pub(crate) fn parent_of(&self, job: JobId) -> Option<(JobId, ActionId)> {
-        self.jobs.get(&job).and_then(|rt| rt.parent)
+    /// The links under `parent`, in node order — a range of the
+    /// registry, not a walk over every link the site holds.
+    pub(super) fn links_of(
+        &mut self,
+        parent: JobId,
+    ) -> impl Iterator<Item = (&(JobId, ActionId), &mut Link)> {
+        self.links
+            .range_mut((parent, ActionId(0))..=(parent, ActionId(u64::MAX)))
     }
 
-    /// The portfolio of `job`, if this shard owns it.
-    pub(crate) fn portfolio_of(&self, job: JobId) -> Option<Arc<HashMap<String, Arc<[u8]>>>> {
+    /// The portfolio of `job`, if it is here.
+    pub(super) fn portfolio_of(&self, job: JobId) -> Option<Arc<HashMap<String, Arc<[u8]>>>> {
         self.jobs.get(&job).map(|rt| Arc::clone(&rt.portfolio))
     }
 
@@ -132,7 +260,7 @@ impl Njs {
     /// Uspace quota that portfolio earns it at consign (used when
     /// recovery rebuilds parent links: a child's consign record carries
     /// neither).
-    pub(crate) fn set_portfolio(&mut self, job: JobId, portfolio: Arc<HashMap<String, Arc<[u8]>>>) {
+    pub(super) fn set_portfolio(&mut self, job: JobId, portfolio: Arc<HashMap<String, Arc<[u8]>>>) {
         let Some(rt) = self.jobs.get_mut(&job) else {
             return;
         };
@@ -158,7 +286,7 @@ impl Njs {
 
     /// Whether `node` of `job` has already reached a terminal state.
     /// Unknown jobs count as terminal (nothing left to do).
-    pub(crate) fn node_is_terminal(&self, job: JobId, node: ActionId) -> bool {
+    pub(super) fn node_is_terminal(&self, job: JobId, node: ActionId) -> bool {
         self.jobs.get(&job).is_none_or(|rt| {
             rt.position(node)
                 .is_some_and(|pos| rt.states[pos] == NodeState::Terminal)
@@ -167,7 +295,7 @@ impl Njs {
 
     /// Re-marks a non-terminal node as awaiting an external completion
     /// (used when recovery rebuilds parent links).
-    pub(crate) fn mark_node_remote(&mut self, job: JobId, node: ActionId) {
+    pub(super) fn mark_node_remote(&mut self, job: JobId, node: ActionId) {
         let Some(pos) = self.open_node(job, node) else {
             return;
         };
@@ -181,9 +309,9 @@ impl Njs {
     }
 
     /// `(child, parent job, parent node)` for every job consigned on
-    /// behalf of a parent, in consign order. The facade uses this to
-    /// rebuild its link registry after recovery.
-    pub(crate) fn parent_links(&self) -> Vec<(JobId, JobId, ActionId)> {
+    /// behalf of a parent, in consign order: what recovery rebuilds the
+    /// link registry from.
+    pub(super) fn parent_links(&self) -> Vec<(JobId, JobId, ActionId)> {
         self.job_order
             .iter()
             .filter_map(|id| {
@@ -196,7 +324,7 @@ impl Njs {
     /// The files named on `node`'s outgoing dependency edges — what a
     /// finished child must hand back to the parent's Uspace, whether it
     /// ran at this Usite or at a peer. Deduplicated in edge order.
-    pub(crate) fn edge_return_files(&self, job: JobId, node: ActionId) -> Vec<String> {
+    pub(super) fn edge_return_files(&self, job: JobId, node: ActionId) -> Vec<String> {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
         };
@@ -217,7 +345,7 @@ impl Njs {
     /// `dispatch_node`'s Done arm does for one on the job's own Vsite:
     /// failed outcomes get a flight annotation and trace, the node goes
     /// through `terminate_node`, and the group commit flushes.
-    pub(crate) fn finish_file_node(
+    fn finish_file_node(
         &mut self,
         job: JobId,
         node: ActionId,
@@ -244,7 +372,7 @@ impl Njs {
 
     /// Fails a sub-job node whose child the merge phase could not consign
     /// (an unknown Vsite, a refused admission).
-    pub(crate) fn fail_subjob_node(&mut self, job: JobId, node: ActionId) {
+    fn fail_subjob_node(&mut self, job: JobId, node: ActionId) {
         let Some(pos) = self.open_node(job, node) else {
             return;
         };
@@ -258,7 +386,7 @@ impl Njs {
 
     /// Completes an Import from another Vsite by staging the fetched bytes
     /// into the job's Uspace (or failing the node with the read error).
-    pub(crate) fn finish_import(
+    fn finish_import(
         &mut self,
         job: JobId,
         node: ActionId,
@@ -289,12 +417,7 @@ impl Njs {
 
     /// Reads a file from a Vsite's Xspace (the source of an Import from
     /// another Vsite).
-    pub(crate) fn xspace_read(
-        &self,
-        vsite: &str,
-        path: &str,
-        login: &str,
-    ) -> Result<Arc<[u8]>, String> {
+    fn xspace_read(&self, vsite: &str, path: &str, login: &str) -> Result<Arc<[u8]>, String> {
         match self.vsites.get(vsite) {
             Some(v) => v
                 .vspace
@@ -309,7 +432,7 @@ impl Njs {
     /// Writes a file into a Vsite's Xspace — where a cross-Vsite Export
     /// or a same-Usite Transfer lands — and reports it as the file task's
     /// outcome: the bytes written, or the write's refusal.
-    pub(crate) fn xspace_write(
+    fn xspace_write(
         &mut self,
         vsite: &str,
         path: &str,

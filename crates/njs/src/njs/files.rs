@@ -1,14 +1,14 @@
 //! File tasks: Import, Export and Transfer.
 
-use super::cross::CrossShardItem;
-use super::{Njs, OutgoingItem, INCOMING_PREFIX};
+use super::cross::CrossVsiteItem;
+use super::{OutgoingItem, ShardedNjs, INCOMING_PREFIX};
 use std::sync::Arc;
 use unicore_ajo::{
     ActionId, ActionStatus, DataLocation, FileKind, GraphNode, JobId, TaskKind, TaskOutcome,
     VsiteAddress,
 };
 
-impl Njs {
+impl ShardedNjs {
     /// What the file task at `pos`, finishing with `outcome`, deposited
     /// into the job's Uspace (successful Imports put one file there;
     /// Exports and Transfers write elsewhere).
@@ -73,9 +73,9 @@ impl Njs {
                             ));
                         }
                         if vsite.vsite != vsite_name {
-                            // Another Vsite: the facade's merge phase reads
-                            // it there and finishes this node.
-                            self.cross_send(CrossShardItem::ImportXspace {
+                            // Another Vsite: the merge phase reads it there
+                            // and finishes this node.
+                            self.cross_send(CrossVsiteItem::ImportXspace {
                                 job,
                                 node,
                                 src_vsite: vsite.vsite.clone(),
@@ -170,8 +170,8 @@ impl Njs {
 
     /// Queues a write of `data` at `path` in the Xspace of `to_vsite`, a
     /// Vsite of this Usite: a cross-Vsite Export, or a same-Usite Transfer
-    /// into the incoming area. The facade's merge phase writes it there
-    /// and finishes the node.
+    /// into the incoming area. The merge phase writes it there and
+    /// finishes the node.
     fn write_other_xspace(
         &mut self,
         job: JobId,
@@ -181,7 +181,7 @@ impl Njs {
         data: Arc<[u8]>,
         login: String,
     ) -> FileTaskResult {
-        self.cross_send(CrossShardItem::DeliverXspace {
+        self.cross_send(CrossVsiteItem::DeliverXspace {
             job,
             node,
             to_vsite: to_vsite.vsite.clone(),

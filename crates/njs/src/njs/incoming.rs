@@ -1,14 +1,14 @@
 //! The receiving end of site-to-site transfers: the chunked, resumable
 //! data plane every file from a peer Usite arrives through.
 
-use super::{IncomingTransfer, Njs, INCOMING_PREFIX};
+use super::{IncomingTransfer, ShardedNjs, INCOMING_PREFIX};
 use crate::error::NjsError;
 use unicore_ajo::{ActionId, JobId};
 use unicore_codec::DerCodec;
 use unicore_dataplane::{ReceiverState, TransferKey, TransferManifest};
 use unicore_store::StoreEvent;
 
-impl Njs {
+impl ShardedNjs {
     /// Opens (or resumes) an incoming chunked transfer offered by a peer.
     ///
     /// Returns the chunk index the sender should resume from — the
@@ -17,7 +17,7 @@ impl Njs {
     /// bytes actually got to instead of restarting. A return equal to
     /// the manifest's chunk count means the file is already fully
     /// delivered and committed.
-    pub(crate) fn transfer_offer(
+    pub fn transfer_offer(
         &mut self,
         manifest: TransferManifest,
         login: &str,
@@ -104,7 +104,7 @@ impl Njs {
     /// again without touching storage, so the operation is idempotent
     /// even though the federation layer's response cache does not
     /// survive a receiver crash.
-    pub(crate) fn transfer_chunk(
+    pub fn transfer_chunk(
         &mut self,
         origin: &str,
         origin_job: JobId,
@@ -180,21 +180,6 @@ impl Njs {
         Ok((upto, done))
     }
 
-    /// Whether this shard holds the receiver state for an incoming
-    /// transfer (the sharded facade probes shards to route chunks).
-    pub(crate) fn has_incoming(
-        &self,
-        origin: &str,
-        origin_job: JobId,
-        origin_node: ActionId,
-    ) -> bool {
-        self.incoming.contains_key(&TransferKey {
-            origin: origin.to_owned(),
-            origin_job,
-            origin_node,
-        })
-    }
-
     /// Commits the staged partial of a transfer that just became
     /// complete, flipping the file visible atomically (checksum-gated
     /// against the manifest's whole file hash), and counts it received
@@ -216,12 +201,12 @@ impl Njs {
 
     /// Times an incoming offer resumed from a non-zero journaled
     /// watermark instead of restarting at chunk zero.
-    pub(crate) fn transfer_resumes(&self) -> u64 {
+    pub fn transfer_resumes(&self) -> u64 {
         self.transfer_resumes
     }
 
     /// Progress of an incoming transfer: `(bytes_received, total_len)`.
-    pub(crate) fn incoming_progress(
+    pub fn incoming_progress(
         &self,
         origin: &str,
         origin_job: JobId,

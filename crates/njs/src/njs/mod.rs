@@ -1,4 +1,4 @@
-//! One shard of the Network Job Supervisor engine.
+//! The Network Job Supervisor engine.
 //!
 //! One NJS serves one Usite and "can support multiple destination systems
 //! (Vsites)" (§4.3). Its duties, straight from §5.5: transform the
@@ -8,22 +8,22 @@
 //! stdout/stderr, and initiate all data transfers.
 //!
 //! The NJS is clock-passive like the batch substrate: callers drive it
-//! with [`crate::ShardedNjs::step`] as simulated time advances, and drain
-//! [`crate::ShardedNjs::take_outbox`] for work addressed to peer Usites
+//! with [`ShardedNjs::step`] as simulated time advances, and drain
+//! [`ShardedNjs::take_outbox`] for work addressed to peer Usites
 //! (sub-AJOs and file transfers), which the federation layer in `unicore`
 //! routes.
 //!
-//! [`Njs`] is one shard of that engine, crate-private: the facade owns
-//! every shard and is the only way in. Its `impl` is split along its
-//! seams: this file holds the types, construction, telemetry and store
-//! wiring; `consign`, `recover`, `step` (wake set, polling, dispatch),
-//! `files` (file tasks), `remote` (peer-Usite outbox and completions),
-//! `incoming` (transfer receiver), `control` (query, control, purge) and
-//! `cross` (the Vsite boundary) hold the rest.
+//! [`ShardedNjs`]'s `impl` is split along its seams: this file holds the
+//! types, construction, telemetry, store wiring and the durable state;
+//! `consign`, `recover` (journal replay and the link registry's rebuild),
+//! `step` (wake set, polling, dispatch), `files` (file tasks), `remote`
+//! (peer-Usite outbox and completions), `incoming` (transfer receiver),
+//! `control` (query, control, purge) and `cross` (the Vsite boundary and
+//! the merge phase) hold the rest.
 
 mod consign;
 mod control;
-pub(crate) mod cross;
+mod cross;
 mod files;
 mod incoming;
 mod recover;
@@ -32,13 +32,13 @@ mod step;
 
 use crate::oracle::{DeterministicOracle, WorkOracle};
 use crate::translation::TranslationTable;
-use cross::CrossShardItem;
+use cross::{CrossVsiteItem, Link};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 use unicore_ajo::{
-    AbstractJob, ActionId, ActionStatus, DependencyIndex, JobId, JobOutcome, OutcomeNode,
-    TaskOutcome, VsiteAddress, VsiteHealth,
+    AbstractJob, ActionId, ActionStatus, DependencyIndex, JobId, JobOutcome, MonitorReport,
+    OutcomeNode, TaskOutcome, VsiteAddress, VsiteHealth,
 };
 use unicore_batch::{BatchJobId, BatchSystem, IdMap};
 use unicore_codec::DerCodec;
@@ -172,8 +172,8 @@ struct IncomingTransfer {
 ///
 /// The NJS writes it into the job's `JobConsigned` event and keeps the
 /// key and the origin with the job until it is purged; replay hands both
-/// back, so after a restart [`crate::ShardedNjs::job_for_key`] and
-/// [`crate::ShardedNjs::foreign_of`] answer as before the crash.
+/// back, so after a restart [`ShardedNjs::job_for_key`] and
+/// [`ShardedNjs::foreign_of`] answer as before the crash.
 #[derive(Debug, Default, Clone)]
 pub struct ConsignMeta {
     /// Idempotency key identifying the consign request (empty = none).
@@ -191,7 +191,7 @@ pub struct ConsignMeta {
     pub ajo_der: Option<Vec<u8>>,
 }
 
-/// What [`crate::ShardedNjs::recover`] rebuilt from the journal.
+/// What [`ShardedNjs::recover`] rebuilt from the journal.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Jobs alive again after replay (consigned, not purged).
@@ -221,7 +221,7 @@ enum NodeState {
 /// engine a node *is* its position in that order: a visit indexes three
 /// arrays and hashes nothing. An [`ActionId`] is turned into a position
 /// once, by [`JobRuntime::position`], where it arrives from outside the
-/// engine (a remote or cross-shard completion, recovery), and back into
+/// engine (a remote or cross-Vsite completion, recovery), and back into
 /// an id where it leaves (the journal, the flight ring, the outbox).
 struct JobRuntime {
     job: AbstractJob,
@@ -284,14 +284,15 @@ impl JobRuntime {
     }
 }
 
-/// One shard of a Usite's NJS.
+/// A Usite's NJS: one engine for every Vsite of the Usite.
 ///
-/// A shard does the work on a job's own Vsite in place and only queues
+/// A step does the work on a job's own Vsite in place and only queues
 /// what is aimed at another Vsite — a sub-job, an Import, an Export or a
-/// Transfer there — for [`crate::ShardedNjs`]'s merge phase, which is the
-/// one path across a Vsite boundary. A shard alone would leave such work
-/// queued for ever, so only the facade builds one.
-pub(crate) struct Njs {
+/// Transfer there — for the merge phase that ends each of its rounds,
+/// which is the one path across a Vsite boundary (`cross.rs`). The name
+/// is kept from when the engine was split into shards: gridbench names
+/// it.
+pub struct ShardedNjs {
     usite: String,
     vsites: Vsites,
     /// One pointer per job: a `JobRuntime` is hundreds of bytes, and the
@@ -307,7 +308,11 @@ pub(crate) struct Njs {
     /// The wake set: jobs that may have work. `step` visits only these
     /// (see its doc for the wake sources that keep this complete).
     wake: step::WakeSet,
-    /// Jobs that finished since the last [`Njs::take_newly_done`].
+    /// Jobs that finished — by stepping, abort, or journal replay — and
+    /// that the merge phase has not looked at yet.
+    finished: Vec<JobId>,
+    /// Jobs the merge phase passed on since the last
+    /// [`ShardedNjs::take_newly_done`].
     newly_done: Vec<JobId>,
     /// Jobs visited by the step loop so far (metrics).
     job_visits: u64,
@@ -351,14 +356,13 @@ pub(crate) struct Njs {
     /// Times an incoming offer resumed from a non-zero journaled
     /// watermark instead of restarting at chunk zero.
     transfer_resumes: u64,
-    /// Job-id allocation stride. A standalone NJS allocates 1, 2, 3…;
-    /// shard k of an N-shard [`crate::ShardedNjs`] allocates k+1,
-    /// k+1+N, k+1+2N… so ids never collide and `(id-1) % N` names the
-    /// owning shard.
-    job_stride: u64,
-    /// Effects aimed at another Vsite of this Usite, awaiting the sharded
-    /// facade's merge phase.
-    cross_out: Vec<CrossShardItem>,
+    /// Effects aimed at another Vsite of this Usite, awaiting the merge
+    /// phase.
+    cross_out: Vec<CrossVsiteItem>,
+    /// Parent→child links at this Usite, keyed by `(parent job, parent
+    /// node)` and sorted by key, so the merge phase completes parents in
+    /// one deterministic order.
+    links: BTreeMap<(JobId, ActionId), Link>,
     /// Next-event heap over Vsite batch systems: `(next event time,
     /// vsite index, generation)`. `step` only advances Vsites whose
     /// next event is due, so idle Vsites cost nothing per tick.
@@ -388,21 +392,26 @@ struct NjsMetrics {
     transfers_received: Counter,
 }
 
-impl Njs {
-    /// An NJS for `usite` with the default deterministic work oracle.
-    pub(crate) fn new(usite: impl Into<String>) -> Self {
+impl ShardedNjs {
+    /// The NJS of `usite`, with the default deterministic work oracle.
+    ///
+    /// Both counts are ignored: there is one engine on one thread. They
+    /// stay only because gridbench names this signature.
+    pub fn new(usite: impl Into<String>, _shards: usize, _workers: usize) -> Self {
         Self::with_oracle(usite, Box::new(DeterministicOracle::default()))
     }
 
-    /// An NJS with a custom work oracle.
-    pub(crate) fn with_oracle(usite: impl Into<String>, oracle: Box<dyn WorkOracle>) -> Self {
-        Njs {
+    /// The NJS of `usite`, whose batch work comes from `oracle` instead
+    /// of the default deterministic oracle.
+    pub fn with_oracle(usite: impl Into<String>, oracle: Box<dyn WorkOracle>) -> Self {
+        ShardedNjs {
             usite: usite.into(),
             vsites: Vsites::default(),
             jobs: IdMap::default(),
             by_key: HashMap::new(),
             job_order: Vec::new(),
-            wake: step::WakeSet::new(1, 1),
+            wake: step::WakeSet::new(1),
+            finished: Vec::new(),
             newly_done: Vec::new(),
             job_visits: 0,
             next_job: 1,
@@ -421,37 +430,30 @@ impl Njs {
             flight: FlightRecorder::disabled(),
             incoming: HashMap::new(),
             transfer_resumes: 0,
-            job_stride: 1,
             cross_out: Vec::new(),
+            links: BTreeMap::new(),
             batch_heap: BinaryHeap::new(),
             batch_gen: Vec::new(),
             batch_dirty: Vec::new(),
         }
     }
 
-    /// Configures strided job-id allocation: this NJS hands out
-    /// `base, base+stride, base+2·stride, …`. Used by the sharded facade
-    /// so shards allocate from disjoint id classes; a standalone NJS
-    /// keeps the default `(1, 1)`.
-    pub(crate) fn set_id_allocation(&mut self, base: u64, stride: u64) {
-        debug_assert!(stride >= 1 && base >= 1 && base <= stride);
-        self.next_job = base;
-        self.job_stride = stride;
-        self.wake = step::WakeSet::new(base, stride);
+    /// Always 1: the engine is not split. Kept only because gridbench
+    /// names it.
+    pub fn shard_count(&self) -> usize {
+        1
     }
 
-    /// Replaces the flight recorder. The sharded facade points every
-    /// shard at one shared recorder so cross-shard job traces land in a
-    /// single ring.
-    pub(crate) fn set_flight(&mut self, flight: FlightRecorder) {
-        self.flight = flight;
+    /// This Usite's name.
+    pub fn usite(&self) -> &str {
+        &self.usite
     }
 
     /// Wires this NJS (and its attached store and batch systems) to a
     /// telemetry handle. Jobs consigned from now on get `njs.job` spans;
     /// counters land in `telemetry`'s registry under `njs.*`,
     /// `store.wal.*`, and `batch.*`.
-    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.metrics = NjsMetrics {
             consigned: telemetry.counter("njs.consigned"),
             incarnations: telemetry.counter("njs.incarnations"),
@@ -474,26 +476,52 @@ impl Njs {
     }
 
     /// The flight recorder holding recent per-job lifecycle events.
-    pub(crate) fn flight(&self) -> &FlightRecorder {
+    pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
 
     /// WAL tail repairs performed by the attached store (0 without one).
     /// Surfaced separately from the metrics registry so the monitor
     /// report shows the repair even when telemetry was never enabled.
-    pub(crate) fn wal_repairs(&self) -> u64 {
+    fn wal_repairs(&self) -> u64 {
         self.store
             .as_ref()
             .map(|s| s.recovered_torn() as u64)
             .unwrap_or(0)
     }
 
-    /// This shard's rows of the Monitor report, in registration order:
-    /// each Vsite's batch gauges and its slow-dispatch watchdog count —
-    /// jobs consigned, not held, and with **no** node dispatched yet after
+    /// The Monitor service: this site's health report — one row per
+    /// Vsite in registration order, the slow-dispatch watchdog's total
+    /// set on `njs.watchdog.stuck` before the metrics snapshot is taken,
+    /// the WAL repair counter overlaid on it, and the span breakdown.
+    pub fn monitor_report(&self, now: SimTime) -> MonitorReport {
+        let vsites = self.vsite_health(now);
+        let stuck = vsites.iter().map(|v| v.stuck_jobs).sum();
+        self.telemetry.gauge("njs.watchdog.stuck").set(stuck);
+        let mut metrics = self.telemetry.metrics_snapshot();
+        metrics
+            .counters
+            .insert("store.wal.repairs".into(), self.wal_repairs());
+        MonitorReport {
+            usite: self.usite.clone(),
+            metrics,
+            spans: self.telemetry.breakdown(),
+            vsites,
+            epoch: None,
+        }
+    }
+
+    /// The per-(Vsite, login) usage report.
+    pub fn usage_report(&self) -> crate::UsageReport {
+        crate::accounting::usage_report(self)
+    }
+
+    /// The Monitor report's rows, in registration order: each Vsite's
+    /// batch gauges and its slow-dispatch watchdog count — jobs
+    /// consigned, not held, and with **no** node dispatched yet after
     /// [`DEFAULT_WATCHDOG_THRESHOLD`] has elapsed, the signature of a
     /// wedged site rather than a busy one.
-    pub(crate) fn vsite_health(&self, now: SimTime) -> Vec<VsiteHealth> {
+    fn vsite_health(&self, now: SimTime) -> Vec<VsiteHealth> {
         let mut stuck = vec![0i64; self.vsites.list.len()];
         for rt in self.jobs.values() {
             if !rt.done
@@ -520,21 +548,28 @@ impl Njs {
     }
 
     /// The telemetry handle this NJS reports into.
-    pub(crate) fn telemetry(&self) -> &Telemetry {
+    pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
     /// The trace context of a consigned job, if tracing was enabled when
     /// it arrived. The server stamps this onto outbound peer requests so
     /// remote sub-jobs continue the same trace.
-    pub(crate) fn trace_of(&self, job: JobId) -> Option<SpanContext> {
+    pub fn trace_of(&self, job: JobId) -> Option<SpanContext> {
         self.jobs.get(&job).and_then(|rt| rt.trace)
     }
 
-    /// Attaches a durable event store. From now on every consign, node
-    /// completion, job completion, and purge is journalled, and
-    /// [`Njs::recover`] can rebuild the job table after a restart.
-    pub(crate) fn attach_store(&mut self, mut store: EventStore) {
+    /// Attaches the NJS's journal: `stores` must hold exactly one store
+    /// (a `Vec` only because gridbench names this signature). From now
+    /// on every consign, node completion, job completion, and purge is
+    /// journalled, and [`ShardedNjs::recover`] can rebuild the job table
+    /// after a restart.
+    ///
+    /// # Panics
+    /// Panics unless `stores` holds exactly one store.
+    pub fn attach_stores(&mut self, mut stores: Vec<EventStore>) {
+        assert_eq!(stores.len(), 1, "one journal per NJS");
+        let mut store = stores.pop().expect("one store");
         // Only wire a live handle: attaching under the default disabled
         // telemetry would consume the store's once-only torn-tail repair
         // signal into a registry nobody reads.
@@ -545,14 +580,14 @@ impl Njs {
     }
 
     /// The attached event store, for compaction and inspection.
-    pub(crate) fn store_mut(&mut self) -> Option<&mut EventStore> {
+    pub fn store_mut(&mut self) -> Option<&mut EventStore> {
         self.store.as_mut()
     }
 
     /// Journals an event (best-effort: a dead backend means the machine
     /// is going down anyway; consign's own write is the strict one).
     ///
-    /// The event is buffered, not written: [`Njs::flush_events`] group
+    /// The event is buffered, not written: [`ShardedNjs::flush_events`] group
     /// commits everything an operation produced in one backend write.
     /// A crash before the flush loses the buffered tail as a unit —
     /// recovery then sees the same prefix a crash mid-write would leave,
@@ -582,7 +617,7 @@ impl Njs {
     /// commits it at once: the decision must be durable *before* the
     /// forward leaves, so two runs of the same seed leave byte-identical
     /// placement trails even when one of them crashes mid-campaign.
-    pub(crate) fn journal_placement(
+    pub fn journal_placement(
         &mut self,
         job: JobId,
         node: ActionId,
@@ -647,7 +682,7 @@ impl Njs {
     ///
     /// # Panics
     /// Panics if the page's Usite does not match this NJS.
-    pub(crate) fn add_vsite(&mut self, page: ResourcePage, table: TranslationTable) {
+    pub fn add_vsite(&mut self, page: ResourcePage, table: TranslationTable) {
         assert_eq!(page.vsite.usite, self.usite, "page Usite mismatch");
         let name = page.vsite.vsite.clone();
         let mut batch = BatchSystem::new(name.clone(), page.architecture, page.performance.nodes);
@@ -672,13 +707,13 @@ impl Njs {
         );
     }
 
-    /// Names of the Vsites served here.
-    pub(crate) fn vsite_names(&self) -> &[String] {
+    /// Names of the Vsites served here, in registration order.
+    pub fn vsite_names(&self) -> &[String] {
         &self.vsites.names
     }
 
     /// Access to a Vsite's runtime (tests, site administration).
-    pub(crate) fn vsite_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
+    pub fn vsite_mut(&mut self, name: &str) -> Option<&mut VsiteRuntime> {
         // External mutation can change the batch timeline; re-key this
         // Vsite in the next-event heap on the next step.
         let idx = self.vsites.index_of(name)?;
@@ -687,25 +722,33 @@ impl Njs {
     }
 
     /// Read access to a Vsite's runtime.
-    pub(crate) fn vsite(&self, name: &str) -> Option<&VsiteRuntime> {
+    pub fn vsite(&self, name: &str) -> Option<&VsiteRuntime> {
         self.vsites.get(name)
     }
 
     /// Total incarnations performed.
-    pub(crate) fn incarnation_count(&self) -> u64 {
+    pub fn incarnation_count(&self) -> u64 {
         self.incarnations
     }
 
-    /// Appends shard `shard`'s lines of [`crate::ShardedNjs::durable_state`].
-    /// `linked` says whether a node is the parent end of a facade link.
-    pub(crate) fn durable_state(
-        &self,
-        shard: usize,
-        linked: &dyn Fn(JobId, ActionId) -> bool,
-        out: &mut String,
-    ) {
+    /// Exactly the state a restart must rebuild, as canonical text with
+    /// one fact per line, so `assert_eq!` shows the first line that
+    /// differs and a digest of it is a digest of the durable state.
+    ///
+    /// The next job id. Per live job, in consign order: owner, parent,
+    /// idempotency key, peer origin, consign and finish times, `done`,
+    /// and the status with in-flight nodes read as pending; each node as
+    /// `terminal` with its outcome DER, `linked` (waiting on a child
+    /// under a link) with its status, or `open`; the portfolio's names
+    /// and SHA-256; the Uspace's quota, and its files' names, lengths and
+    /// SHA-256. Then each incoming transfer's receiver with its chunk
+    /// coverage, and the links. Everything else is soft state (DESIGN.md,
+    /// "What a restart keeps"): an NJS recovered from this one's journal
+    /// reproduces the text line for line.
+    pub fn durable_state(&self) -> String {
         use std::fmt::Write;
-        let _ = writeln!(out, "shard {shard} next job {}", self.next_job);
+        let mut out = String::new();
+        let _ = writeln!(out, "next job {}", self.next_job);
         for &id in &self.job_order {
             let rt = &self.jobs[&id];
             // In-flight nodes come back pending, which folds a running
@@ -736,7 +779,7 @@ impl Njs {
                         let der = rt.node_outcome(pos).to_der();
                         writeln!(out, "job {id} node {} terminal {}", node.0, hex(&der))
                     }
-                    NodeState::Remote if linked(id, node) => {
+                    NodeState::Remote if self.links.contains_key(&(id, node)) => {
                         let status = rt.node_outcome(pos).status();
                         writeln!(out, "job {id} node {} linked {status:?}", node.0)
                     }
@@ -780,10 +823,18 @@ impl Njs {
                 hex(&sha256(&m.to_der())),
             );
         }
+        for ((parent, node), l) in &self.links {
+            let _ = writeln!(
+                out,
+                "link {parent} node {} -> {} returns {:?} delivered {}",
+                node.0, l.child, l.return_files, l.delivered,
+            );
+        }
+        out
     }
 }
 
-/// Lower-case hex, for [`Njs::durable_state`]'s lines.
+/// Lower-case hex, for [`ShardedNjs::durable_state`]'s lines.
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }

@@ -1,17 +1,58 @@
-//! Recovery: journal replay back into the job table.
+//! Recovery: journal replay back into the job table, and the link
+//! registry rebuilt from the replayed parent pointers.
 
-use super::{ConsignMeta, Njs, NodeState, RecoveryReport};
+use super::{ConsignMeta, NodeState, RecoveryReport, ShardedNjs};
 use crate::error::NjsError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use unicore_ajo::{AbstractJob, JobId, JobOutcome, OutcomeNode};
+use unicore_ajo::{AbstractJob, ActionId, JobId, JobOutcome, OutcomeNode};
 use unicore_codec::DerCodec;
 use unicore_dataplane::{TransferKey, TransferManifest};
 use unicore_gateway::MappedUser;
 use unicore_sim::SimTime;
 use unicore_store::{ForeignOriginRef, ManifestEntryRef, StoreError, StoreEventRef};
 
-impl Njs {
+impl ShardedNjs {
+    /// Replays the attached journal and rebuilds the link registry so
+    /// parents wait for their children again. Every live job gets back
+    /// the idempotency key and the peer origin its consign journalled.
+    /// Children whose consign never reached the WAL are simply
+    /// re-dispatched by the parent's next step — the merge-phase dedup
+    /// keeps that exact-once.
+    pub fn recover(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
+        let mut report = self.replay_journal(now)?;
+        report.jobs.sort_unstable();
+        self.rebuild_links();
+        Ok(report)
+    }
+
+    /// Rebuilds the link registry from the replayed parent pointers, and
+    /// hands each child the portfolio it shared with its root job when it
+    /// was consigned.
+    fn rebuild_links(&mut self) {
+        let mut all: Vec<(JobId, JobId, ActionId)> = self.parent_links();
+        all.sort();
+        let parents: HashMap<JobId, JobId> = all.iter().map(|&(c, p, _)| (c, p)).collect();
+        for (child, pjob, pnode) in all {
+            if self.portfolio_of(pjob).is_none() {
+                continue; // parent purged; the child is orphaned
+            }
+            let mut root = pjob;
+            while let Some(&up) = parents.get(&root) {
+                root = up;
+            }
+            if let Some(portfolio) = self.portfolio_of(root) {
+                self.set_portfolio(child, portfolio);
+            }
+            let delivered = self.node_is_terminal(pjob, pnode);
+            if !delivered {
+                self.mark_node_remote(pjob, pnode);
+            }
+            let link = self.link(pjob, pnode, child, delivered);
+            self.links.insert((pjob, pnode), link);
+        }
+    }
+
     /// Replays the attached journal, rebuilding the job table as it was
     /// at the crash, then resumes dependency-ordered dispatch.
     ///
@@ -38,19 +79,18 @@ impl Njs {
     /// * purged jobs stay gone, keys and origins included;
     /// * nodes that were in flight (queued or running in batch, which
     ///   died with the machine) come back `Waiting` and are re-dispatched
-    ///   by the next [`Njs::step`];
-    /// * parent–child links are not re-wired here: every link is the
-    ///   facade's, and [`crate::ShardedNjs::recover`] rebuilds them all
-    ///   from the replayed parent pointers, so a parent waits for its
-    ///   child instead of consigning it again, and hands each child its
-    ///   root job's portfolio.
+    ///   by the next [`ShardedNjs::step`];
+    /// * parent–child links are not re-wired here: `rebuild_links` does
+    ///   that afterwards from the replayed parent pointers, so a parent
+    ///   waits for its child instead of consigning it again, and hands
+    ///   each child its root job's portfolio.
     ///
-    /// What this rebuilds is [`crate::ShardedNjs::durable_state`]; the
-    /// rest is soft state (DESIGN.md, "What a restart keeps").
+    /// What `recover` rebuilds is [`ShardedNjs::durable_state`]; the rest
+    /// is soft state (DESIGN.md, "What a restart keeps").
     ///
     /// Call after the Vsites are registered and the store is attached,
     /// before the first `step`. A missing store recovers nothing.
-    pub(crate) fn recover(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
+    fn replay_journal(&mut self, now: SimTime) -> Result<RecoveryReport, NjsError> {
         let Some(store) = &self.store else {
             return Ok(RecoveryReport::default());
         };
@@ -96,8 +136,8 @@ impl Njs {
                             .map(|(n, d)| (n.to_owned(), Arc::from(d)))
                             .collect();
                         // A child's portfolio is its root job's, which
-                        // may live on another shard: the facade hands it
-                        // back when it rebuilds the links.
+                        // `rebuild_links` hands back once every job is
+                        // replayed.
                         let mut portfolio: HashMap<String, Arc<[u8]>> = ajo
                             .portfolio
                             .iter()
@@ -251,7 +291,7 @@ impl Njs {
         }
 
         // Each replayed consign allocated its own id, so allocation
-        // resumes after the highest one, in this NJS's id class.
+        // resumes after the highest one.
         self.next_job = orig_next.max(self.next_job);
         self.recovering = false;
         // Every unfinished job may have work (in-flight nodes reset to
@@ -259,10 +299,10 @@ impl Njs {
         // order, so the layers above re-deliver what a crash may have
         // swallowed.
         self.wake.clear();
-        self.newly_done.clear();
+        self.finished.clear();
         for id in &self.job_order {
             if self.jobs[id].done {
-                self.newly_done.push(*id);
+                self.finished.push(*id);
             } else {
                 self.wake.insert(*id);
             }

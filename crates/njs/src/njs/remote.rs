@@ -1,21 +1,39 @@
 //! Work that happens at a peer Usite: the outbox the federation layer
 //! drains and the completions it brings back.
 
-use super::{Njs, NodeState, OutgoingItem};
+use super::{NodeState, OutgoingItem, ShardedNjs};
 use std::sync::Arc;
 use unicore_ajo::{ActionId, ActionStatus, JobId, OutcomeNode, TaskOutcome};
 
-impl Njs {
+impl ShardedNjs {
     /// Takes everything waiting for the federation layer.
-    pub(crate) fn take_outbox(&mut self) -> Vec<OutgoingItem> {
+    pub fn take_outbox(&mut self) -> Vec<OutgoingItem> {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Completes a node whose work happened at a peer Usite, depositing
-    /// edge files returned by the peer into the parent job's Uspace so
+    /// Completes a node whose work happened at a peer Usite.
+    pub fn complete_remote_node(&mut self, job: JobId, node: ActionId, outcome: OutcomeNode) {
+        self.complete_node_with_files(job, node, outcome, Vec::new());
+    }
+
+    /// Completes a remote node with the edge files a peer's message
+    /// returned; each is copied out of the message once, here.
+    pub fn complete_remote_node_with_files(
+        &mut self,
+        job: JobId,
+        node: ActionId,
+        outcome: OutcomeNode,
+        files: Vec<(String, Vec<u8>)>,
+    ) {
+        let files = files.into_iter().map(|(n, d)| (n, d.into())).collect();
+        self.complete_node_with_files(job, node, outcome, files);
+    }
+
+    /// Completes a node whose work happened away from its job's Vsite,
+    /// depositing the edge files that came back into the job's Uspace so
     /// successors can consume them (files the merge phase read from a
     /// child's Uspace at this Usite are shared with it).
-    pub(crate) fn complete_remote_node_with_files(
+    pub(super) fn complete_node_with_files(
         &mut self,
         job: JobId,
         node: ActionId,
@@ -45,11 +63,7 @@ impl Njs {
     /// Reads edge-result files from a (foreign) job's Uspace for return to
     /// the origin site. Missing files are skipped — the origin's successor
     /// tasks will then fail with file-not-found, mirroring reality.
-    pub(crate) fn collect_return_files(
-        &self,
-        job: JobId,
-        names: &[String],
-    ) -> Vec<(String, Arc<[u8]>)> {
+    pub fn collect_return_files(&self, job: JobId, names: &[String]) -> Vec<(String, Arc<[u8]>)> {
         let Some(rt) = self.jobs.get(&job) else {
             return Vec::new();
         };
@@ -68,13 +82,7 @@ impl Njs {
     /// Sender-side progress note: records streamed bytes on a `Remote`
     /// transfer node so JMC status polls show the data plane moving
     /// before the task completes.
-    pub(crate) fn note_transfer_progress(
-        &mut self,
-        job: JobId,
-        node: ActionId,
-        bytes: u64,
-        total: u64,
-    ) {
+    pub fn note_transfer_progress(&mut self, job: JobId, node: ActionId, bytes: u64, total: u64) {
         let Some(rt) = self.jobs.get_mut(&job) else {
             return;
         };

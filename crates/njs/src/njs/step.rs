@@ -1,9 +1,9 @@
 //! The wake set and the step loop: `step`, `step_job`, batch polling,
 //! node dispatch.
 
-use super::cross::CrossShardItem;
+use super::cross::CrossVsiteItem;
 use super::files::FileTaskResult;
-use super::{Njs, NodeState, OutgoingItem};
+use super::{NodeState, OutgoingItem, ShardedNjs};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -15,16 +15,13 @@ use unicore_ajo::{
 use unicore_batch::{BatchJobId, BatchJobSpec, BatchStatus};
 use unicore_sim::SimTime;
 
-/// The wake set: the jobs of one shard that may have work, one bit per
-/// job slot. A shard allocates ids `base, base + stride, …`
-/// ([`Njs::set_id_allocation`]), so job `id` is slot
-/// `(id − base) / stride`. The words cover only the span from the lowest
-/// to the highest set bit — a removal trims empty words at either end —
-/// so the set's memory follows the live jobs it holds, not the id
-/// counter.
+/// The wake set: the jobs that may have work, one bit per job slot. Ids
+/// are allocated upwards from `base`, so job `id` is slot `id − base`.
+/// The words cover only the span from the lowest to the highest set bit
+/// — a removal trims empty words at either end — so the set's memory
+/// follows the live jobs it holds, not the id counter.
 pub(super) struct WakeSet {
     base: u64,
-    stride: u64,
     /// Bit `b` of `words[k]` is slot `64 · (first_word + k) + b`. The
     /// first and the last word are never zero.
     words: VecDeque<u64>,
@@ -32,25 +29,21 @@ pub(super) struct WakeSet {
 }
 
 impl WakeSet {
-    pub(super) fn new(base: u64, stride: u64) -> Self {
+    pub(super) fn new(base: u64) -> Self {
         WakeSet {
             base,
-            stride,
             words: VecDeque::new(),
             first_word: 0,
         }
     }
 
     fn slot(&self, id: JobId) -> u64 {
-        debug_assert!(
-            id.0 >= self.base && (id.0 - self.base).is_multiple_of(self.stride),
-            "job {id} is not in this shard's id class"
-        );
-        (id.0 - self.base) / self.stride
+        debug_assert!(id.0 >= self.base, "job {id} is below the first id");
+        id.0 - self.base
     }
 
     fn job(&self, slot: u64) -> JobId {
-        JobId(self.base + slot * self.stride)
+        JobId(self.base + slot)
     }
 
     pub(super) fn insert(&mut self, id: JobId) {
@@ -112,7 +105,7 @@ impl WakeSet {
     }
 }
 
-impl Njs {
+impl ShardedNjs {
     /// After this NJS changed Vsite `idx`'s batch state (submit, cancel):
     /// marks its next-event heap entry stale and wakes the jobs whose
     /// batch jobs changed status as a result.
@@ -123,7 +116,7 @@ impl Njs {
 
     /// Earliest future event (batch completion or crash recovery) across
     /// this NJS's Vsites.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.vsites
             .list
             .iter()
@@ -216,19 +209,38 @@ impl Njs {
         let rt = self.jobs.get_mut(&job).expect("job exists");
         rt.done = true;
         rt.finished_at = Some(now);
-        self.newly_done.push(job);
+        self.finished.push(job);
         self.log_job_done(job);
     }
 
     /// Jobs visited by the step loop so far. An idle step — empty wake
     /// set, no batch event due — adds nothing.
-    pub(crate) fn job_visits(&self) -> u64 {
+    pub fn job_visits(&self) -> u64 {
         self.job_visits
+    }
+
+    /// Jobs that finished — by stepping, abort, or journal replay — since
+    /// the last call. The server reports finished foreign jobs from this
+    /// list instead of scanning every job it is owed: it names each one
+    /// once per process life, and once more after a replay.
+    pub fn take_newly_done(&mut self) -> Vec<JobId> {
+        std::mem::take(&mut self.newly_done)
     }
 
     /// Drives all jobs forward to `now`. Call repeatedly as time advances.
     ///
-    /// The loop is event-driven: it visits only the jobs in the wake set,
+    /// A step is rounds of the loop below, each ended by the merge phase
+    /// (`cross.rs`), until a merge changes nothing.
+    pub fn step(&mut self, now: SimTime) {
+        loop {
+            self.step_round(now);
+            if !self.merge(now) {
+                break;
+            }
+        }
+    }
+
+    /// One round of the step: the loop is event-driven: it visits only the jobs in the wake set,
     /// so an idle step is O(1) and a busy one O(jobs that change). Woken
     /// jobs are visited in passes, each in consign order over the jobs
     /// that existed when the pass started; a job woken behind the cursor
@@ -256,7 +268,7 @@ impl Njs {
     /// Code that changes what `step_job` would see must wake the job. In
     /// debug builds every step ends by asserting that one more scan of
     /// every job finds nothing to do, so a forgotten wake fails tier-1.
-    pub(crate) fn step(&mut self, now: SimTime) {
+    fn step_round(&mut self, now: SimTime) {
         self.clock = self.clock.max(now);
         self.advance_batches(now);
         // Instantaneous operations (staging, dispatch of freed nodes) can
@@ -684,9 +696,9 @@ impl Njs {
         let (user, portfolio, parent_trace) = (rt.user.clone(), rt.portfolio.clone(), rt.trace);
 
         if sub.vsite.usite == self.usite {
-            // A child at this Usite: the facade's merge phase consigns it
-            // on the shard owning its Vsite and wires the parent link back.
-            self.cross_send(CrossShardItem::ConsignChild {
+            // A child at this Usite: the merge phase consigns it at its
+            // Vsite and wires the parent link back.
+            self.cross_send(CrossVsiteItem::ConsignChild {
                 parent: job,
                 node,
                 ajo: Box::new(sub),
@@ -786,10 +798,10 @@ mod tests {
     /// replaced, comparing `first` and every `next_after` after each one.
     /// An op is `(insert?, slot)`; `spread` scales slots so the ids land
     /// in few or in many words.
-    fn check(base: u64, stride: u64, spread: u64, ops: &[(bool, u64)]) {
-        let mut set = WakeSet::new(base, stride);
+    fn check(base: u64, spread: u64, ops: &[(bool, u64)]) {
+        let mut set = WakeSet::new(base);
         let mut model = BTreeSet::new();
-        let id = |slot: u64| JobId(base + slot * spread * stride);
+        let id = |slot: u64| JobId(base + slot * spread);
         for &(insert, slot) in ops {
             if insert {
                 set.insert(id(slot));
@@ -823,33 +835,29 @@ mod tests {
 
         #[test]
         fn wake_set_matches_a_btreeset(
-            stride in prop_oneof![Just(1u64), Just(8u64), 2u64..12],
-            base_pick in any::<u64>(),
+            base in prop_oneof![Just(1u64), 1u64..200],
             spread in prop_oneof![Just(1u64), Just(7u64), Just(64u64), 1u64..200],
             ops in proptest::collection::vec((prop_oneof![Just(true), Just(true), Just(false)], 0u64..300), 1..80),
         ) {
-            check(1 + base_pick % stride, stride, spread, &ops);
+            check(base, spread, &ops);
         }
     }
 
     #[test]
     fn trims_to_empty_and_regrows_below_its_first_word() {
-        for stride in [1, 8] {
-            for base in 1..=stride {
-                // High slots first, then lower and lower words, then all
-                // removed, then regrown below where the set started.
-                let mut ops: Vec<(bool, u64)> =
-                    [700, 650, 300, 64, 63, 0].map(|s| (true, s)).to_vec();
-                ops.extend([0, 63, 64, 300, 650, 700].map(|s| (false, s)));
-                ops.extend([
-                    (true, 500),
-                    (true, 3),
-                    (false, 500),
-                    (true, 128),
-                    (false, 3),
-                ]);
-                check(base, stride, 1, &ops);
-            }
+        for base in [1, 5] {
+            // High slots first, then lower and lower words, then all
+            // removed, then regrown below where the set started.
+            let mut ops: Vec<(bool, u64)> = [700, 650, 300, 64, 63, 0].map(|s| (true, s)).to_vec();
+            ops.extend([0, 63, 64, 300, 650, 700].map(|s| (false, s)));
+            ops.extend([
+                (true, 500),
+                (true, 3),
+                (false, 500),
+                (true, 128),
+                (false, 3),
+            ]);
+            check(base, 1, &ops);
         }
     }
 }

@@ -21,8 +21,8 @@ fn attrs() -> UserAttributes {
     UserAttributes::new(DN, "zam")
 }
 
-/// A one-shard NJS for FZJ with a T3E and an SP2 Vsite: the facade
-/// carries work between the two.
+/// The NJS of FZJ with a T3E and an SP2 Vsite: the merge phase carries
+/// work between the two.
 fn fzj() -> ShardedNjs {
     let mut njs = ShardedNjs::new("FZJ", 1, 1);
     njs.add_vsite(
@@ -766,17 +766,16 @@ fn offer_beyond_the_destination_quota_is_refused_and_leaves_nothing() {
     );
 }
 
-/// One store on a two-shard facade would journal shard 0 and lose every
-/// other shard's jobs at the next crash: refused in release builds too.
+/// An NJS journals into one store: a second one would be written by
+/// nobody, so two are refused, in release builds too.
 #[test]
-#[should_panic(expected = "one WAL segment per shard")]
-fn attach_store_on_a_multi_shard_facade_panics() {
+#[should_panic(expected = "one journal per NJS")]
+fn two_stores_are_refused() {
     use unicore_store::{EventStore, MemoryBackend};
 
-    let mut njs = ShardedNjs::new("FZJ", 2, 1);
-    njs.attach_stores(vec![
-        EventStore::open(Box::new(MemoryBackend::new())).unwrap()
-    ]);
+    let mut njs = fzj();
+    let open = || EventStore::open(Box::new(MemoryBackend::new())).unwrap();
+    njs.attach_stores(vec![open(), open()]);
 }
 
 /// The idempotency key and the peer origin a consign journals live with
@@ -946,21 +945,13 @@ fn receiver_replay_matches_live_at_every_event_boundary() {
 }
 
 /// A Monitor report counts the slow-dispatch watchdog once for the whole
-/// site: on two shards, a job wedged on the second shard's Vsite shows in
-/// that Vsite's row and in the report's `njs.watchdog.stuck` gauge alike.
+/// site: a job wedged on the second Vsite shows in that Vsite's row and
+/// in the report's `njs.watchdog.stuck` gauge alike.
 #[test]
-fn the_watchdog_gauge_counts_the_stuck_jobs_of_every_shard() {
+fn the_watchdog_gauge_counts_the_stuck_jobs_of_every_vsite() {
     use unicore_telemetry::Telemetry;
 
-    let mut njs = ShardedNjs::new("FZJ", 2, 1);
-    njs.add_vsite(
-        deployment_page("FZJ", "T3E", Architecture::CrayT3e),
-        TranslationTable::for_architecture(Architecture::CrayT3e),
-    );
-    njs.add_vsite(
-        deployment_page("FZJ", "SP2", Architecture::IbmSp2),
-        TranslationTable::for_architecture(Architecture::IbmSp2),
-    );
+    let mut njs = fzj();
     njs.set_telemetry(Telemetry::collecting(1));
     let mut job = AbstractJob::new("wedged", VsiteAddress::new("FZJ", "SP2"), attrs());
     job.nodes

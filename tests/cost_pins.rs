@@ -94,9 +94,9 @@ const PINS: [Pin; 6] = [
     },
     Pin {
         what: "step allocations",
-        debug: 9.224,
-        release: 9.224,
-        why: "first pinned",
+        debug: 9.1458,
+        release: 9.1458,
+        why: "one engine: the merge phase keeps its finished-jobs buffer",
     },
     Pin {
         what: "query + purge allocations",
