@@ -70,32 +70,34 @@ impl UsageReport {
     }
 }
 
-/// Builds the usage report of `njs` from its Vsites' accounting records
-/// (for [`ShardedNjs::usage_report`]).
-pub(crate) fn usage_report(njs: &ShardedNjs) -> UsageReport {
-    let mut agg: BTreeMap<(String, String), UsageRow> = BTreeMap::new();
-    for vsite in njs.vsite_names() {
-        let Some(v) = njs.vsite(vsite) else { continue };
-        for rec in v.batch.accounting() {
-            let key = (vsite.clone(), rec.owner.clone());
-            let row = agg.entry(key).or_insert_with(|| UsageRow {
-                vsite: vsite.clone(),
-                login: rec.owner.clone(),
-                jobs: 0,
-                failed: 0,
-                node_seconds: 0,
-                total_wait: 0,
-            });
-            row.jobs += 1;
-            if rec.exit_code != 0 {
-                row.failed += 1;
+impl ShardedNjs {
+    /// The per-(Vsite, login) usage report, from the Vsites' accounting
+    /// records.
+    pub fn usage_report(&self) -> UsageReport {
+        let mut agg: BTreeMap<(String, String), UsageRow> = BTreeMap::new();
+        for vsite in self.vsite_names() {
+            let Some(v) = self.vsite(vsite) else { continue };
+            for rec in v.batch.accounting() {
+                let key = (vsite.clone(), rec.owner.clone());
+                let row = agg.entry(key).or_insert_with(|| UsageRow {
+                    vsite: vsite.clone(),
+                    login: rec.owner.clone(),
+                    jobs: 0,
+                    failed: 0,
+                    node_seconds: 0,
+                    total_wait: 0,
+                });
+                row.jobs += 1;
+                if rec.exit_code != 0 {
+                    row.failed += 1;
+                }
+                row.node_seconds += rec.node_seconds();
+                row.total_wait += rec.wait_time();
             }
-            row.node_seconds += rec.node_seconds();
-            row.total_wait += rec.wait_time();
         }
-    }
-    UsageReport {
-        rows: agg.into_values().collect(),
+        UsageReport {
+            rows: agg.into_values().collect(),
+        }
     }
 }
 

@@ -511,11 +511,6 @@ impl ShardedNjs {
         }
     }
 
-    /// The per-(Vsite, login) usage report.
-    pub fn usage_report(&self) -> crate::UsageReport {
-        crate::accounting::usage_report(self)
-    }
-
     /// The Monitor report's rows, in registration order: each Vsite's
     /// batch gauges and its slow-dispatch watchdog count — jobs
     /// consigned, not held, and with **no** node dispatched yet after
