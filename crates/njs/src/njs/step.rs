@@ -240,13 +240,14 @@ impl ShardedNjs {
         }
     }
 
-    /// One round of the step: the loop is event-driven: it visits only the jobs in the wake set,
-    /// so an idle step is O(1) and a busy one O(jobs that change). Woken
-    /// jobs are visited in passes, each in consign order over the jobs
-    /// that existed when the pass started; a job woken behind the cursor
-    /// (or consigned mid-pass) waits for the next pass — exactly the
-    /// order a scan of every job to a fixpoint would produce, which is
-    /// what keeps journal bytes independent of how the set was reached.
+    /// One round of the step. The loop is event-driven: it visits only
+    /// the jobs in the wake set, so an idle step is O(1) and a busy one
+    /// O(jobs that change). Woken jobs are visited in passes, each in
+    /// consign order over the jobs that existed when the pass started; a
+    /// job woken behind the cursor (or consigned mid-pass) waits for the
+    /// next pass — exactly the order a scan of every job to a fixpoint
+    /// would produce, which is what keeps journal bytes independent of
+    /// how the set was reached.
     ///
     /// **Invariant — the wake sources.** A job's `step_job` can only make
     /// progress after one of these, and each of them wakes it:
@@ -266,7 +267,7 @@ impl ShardedNjs {
     ///   handed out by `vsite_mut`, mapped back through the owner index.
     ///
     /// Code that changes what `step_job` would see must wake the job. In
-    /// debug builds every step ends by asserting that one more scan of
+    /// debug builds every round ends by asserting that one more scan of
     /// every job finds nothing to do, so a forgotten wake fails tier-1.
     fn step_round(&mut self, now: SimTime) {
         self.clock = self.clock.max(now);
