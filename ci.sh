@@ -153,7 +153,7 @@ echo "==> step.rs seam: sparse unordered ActionIds == dense ones, unknown node i
 cargo test -q --offline -p unicore-njs --test step_seam
 
 echo "==> cost pins, release column: allocations in consign, step and query + purge, job visits, journal appends and bytes per chain3 job on one Usite with 8 Vsites (cargo test checks the debug column)"
-cargo test -q --release --offline -p unicore-integration-tests --test cost_pins
+cargo test -q --release --offline -p unicore-integration-tests --test cost_pins -- --nocapture
 
 echo "==> one path across a Vsite boundary: in crates/njs/src, xspace_read( and xspace_write( are called only from njs/cross.rs (the merge phase), and consign_internal( only from consign.rs, recover.rs and cross.rs (offenders are listed)"
 if {

@@ -1,12 +1,19 @@
 //! Cost pins: what one job costs the NJS, counted exactly.
 //!
-//! The shape is gridbench's `core_step`, small and untraced: one Usite
-//! with 8 Generic Vsites journalling into a [`MemoryBackend`], batches
-//! of 64 `chain3` jobs consigned, stepped to terminal, queried and
-//! purged. The first batch warms the tables and is not counted. For the
-//! batches after it the test counts, per job, the heap allocations made
-//! inside `consign`, inside the step loop and inside query + purge, the
-//! step loop's job visits, and the journal's appends and bytes.
+//! The shape is gridbench's `core_step`, small: one Usite with 8
+//! Generic Vsites journalling into a [`MemoryBackend`], batches of 64
+//! jobs consigned, stepped to terminal, queried and purged. The first
+//! batch warms the tables and is not counted. For the batches after it
+//! the test counts, per job, the heap allocations made inside `consign`,
+//! inside the step loop and inside query + purge, the step loop's job
+//! visits, the journal's appends and bytes, and the spans the NJS
+//! finished.
+//!
+//! Three runs are counted: `chain3` jobs untraced (every number),
+//! `fan16` jobs untraced (a wide shape, where per-node costs show:
+//! consign and step allocations, visits) and `chain3` jobs with
+//! telemetry and the flight recorder on (spans per job, and the
+//! allocations above the untraced `chain3` run).
 //!
 //! Allocations are counted by this binary's own `#[global_allocator]`
 //! in a thread-local counter, so the harness's other threads do not
@@ -27,6 +34,7 @@ use unicore_njs::{ShardedNjs, TranslationTable};
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, HOUR, SEC};
 use unicore_store::{EventStore, MemoryBackend};
+use unicore_telemetry::Telemetry;
 
 /// Counts every allocation and reallocation of the thread that makes it.
 struct Counting;
@@ -85,7 +93,7 @@ struct Pin {
     why: &'static str,
 }
 
-const PINS: [Pin; 6] = [
+const PINS: [Pin; 11] = [
     Pin {
         what: "consign allocations",
         debug: 7.0104,
@@ -120,6 +128,36 @@ const PINS: [Pin; 6] = [
         what: "journal bytes",
         debug: 702.8906,
         release: 702.8906,
+        why: "first pinned",
+    },
+    Pin {
+        what: "fan16 consign allocations",
+        debug: 8.1615,
+        release: 8.1615,
+        why: "first pinned",
+    },
+    Pin {
+        what: "fan16 step allocations",
+        debug: 51.2865,
+        release: 51.2865,
+        why: "first pinned",
+    },
+    Pin {
+        what: "fan16 job visits",
+        debug: 10.875,
+        release: 10.875,
+        why: "first pinned",
+    },
+    Pin {
+        what: "traced spans",
+        debug: 10.0,
+        release: 10.0,
+        why: "first pinned",
+    },
+    Pin {
+        what: "traced allocations over untraced",
+        debug: 35.0104,
+        release: 35.0104,
         why: "first pinned",
     },
 ];
@@ -158,14 +196,62 @@ fn chain3(name: String, vsite: usize) -> AbstractJob {
     job
 }
 
-/// Totals over the counted batches, in [`PINS`]' order.
-#[derive(Default)]
-struct Totals([u64; 6]);
+/// gridbench's `fan16`: a one-second root and sixteen two-second leaves.
+fn fan16(name: String, vsite: usize) -> AbstractJob {
+    let attrs = UserAttributes::new(DN, "users");
+    let mut job = AbstractJob::new(name, VsiteAddress::new(USITE, format!("V{vsite}")), attrs);
+    for i in 0..17u64 {
+        let (name, secs) = if i == 0 {
+            ("root".to_owned(), 1)
+        } else {
+            (format!("leaf{i}"), 2)
+        };
+        job.nodes.push((
+            ActionId(i + 1),
+            GraphNode::Task(AbstractTask {
+                name,
+                resources: ResourceRequest::minimal().with_run_time(3_600),
+                kind: TaskKind::Execute(ExecuteKind::Script {
+                    script: format!("sleep {secs}\n"),
+                }),
+            }),
+        ));
+        if i > 0 {
+            job.dependencies.push(Dependency {
+                from: ActionId(1),
+                to: ActionId(i + 1),
+                files: Vec::new(),
+            });
+        }
+    }
+    job
+}
 
-/// Runs the warm-up batch and the counted ones; returns the totals of
-/// the counted batches.
-fn measure() -> Totals {
+/// Totals over the counted batches: consign, step and query + purge
+/// allocations, job visits, journal appends and bytes, spans finished.
+#[derive(Default)]
+struct Totals([u64; 7]);
+
+impl Totals {
+    /// Allocations of every kind.
+    fn allocations(&self) -> u64 {
+        self.0[..3].iter().sum()
+    }
+}
+
+/// Spans the NJS's telemetry has finished so far.
+fn spans(njs: &ShardedNjs) -> u64 {
+    njs.telemetry().breakdown().iter().map(|s| s.count).sum()
+}
+
+/// Runs the warm-up batch and the counted ones of jobs built by `shape`,
+/// with telemetry (and so the flight recorder) on when `traced`; returns
+/// the totals of the counted batches.
+fn measure(shape: fn(String, usize) -> AbstractJob, traced: bool) -> Totals {
     let mut njs = ShardedNjs::new(USITE, 1, 1);
+    if traced {
+        njs.set_telemetry(Telemetry::collecting(7));
+    }
     for i in 0..VSITES {
         njs.add_vsite(
             deployment_page(USITE, &format!("V{i}"), Architecture::Generic),
@@ -182,9 +268,10 @@ fn measure() -> Totals {
     let mut ids: Vec<JobId> = Vec::with_capacity(BATCH_JOBS);
     for batch in 0..=COUNTED_BATCHES {
         let jobs: Vec<(AbstractJob, MappedUser)> = (0..BATCH_JOBS)
-            .map(|i| (chain3(format!("cp-{batch}-{i}"), i % VSITES), user()))
+            .map(|i| (shape(format!("cp-{batch}-{i}"), i % VSITES), user()))
             .collect();
         let (visits, appends, bytes) = (njs.job_visits(), disk.append_count(), disk.total_bytes());
+        let spans_before = spans(&njs);
         let mut spent = [0u64; 3];
 
         ids.clear();
@@ -224,6 +311,7 @@ fn measure() -> Totals {
                 njs.job_visits() - visits,
                 disk.append_count() - appends,
                 disk.total_bytes() - bytes,
+                spans(&njs) - spans_before,
             ];
             for (total, n) in totals.0.iter_mut().zip(spent.into_iter().chain(rest)) {
                 *total += n;
@@ -235,11 +323,29 @@ fn measure() -> Totals {
 
 #[test]
 fn a_jobs_cost_matches_its_pins() {
-    let totals = measure();
+    let chain = measure(chain3, false);
+    let fan = measure(fan16, false);
+    let traced = measure(chain3, true);
+    // In `PINS`' order. The allocator counts the traced run's extra
+    // allocations exactly, so the difference cannot go below zero.
+    let [c, f, t] = [&chain.0, &fan.0, &traced.0];
+    let rows = [
+        c[0],
+        c[1],
+        c[2],
+        c[3],
+        c[4],
+        c[5],
+        f[0],
+        f[1],
+        f[3],
+        t[6],
+        traced.allocations() - chain.allocations(),
+    ];
     let jobs = (COUNTED_BATCHES * BATCH_JOBS) as f64;
     let mut report = String::new();
     let mut failed = false;
-    for (pin, total) in PINS.iter().zip(totals.0) {
+    for (pin, total) in PINS.iter().zip(rows) {
         let measured = total as f64 / jobs;
         let pinned = if cfg!(debug_assertions) {
             pin.debug
@@ -258,7 +364,7 @@ fn a_jobs_cost_matches_its_pins() {
             "FELL: edit its pin with a one-line reason"
         };
         report += &format!(
-            "{:<26} {measured:>10.4} per job (pinned {pinned:.4}; {}) {verdict}\n",
+            "{:<32} {measured:>10.4} per job (pinned {pinned:.4}; {}) {verdict}\n",
             pin.what, pin.why
         );
     }
