@@ -789,11 +789,17 @@ fn collect_workstation_imports(
 
 #[cfg(test)]
 mod tests {
+    use super::super::{NodeState, ShardedNjs};
     use super::WakeSet;
+    use crate::TranslationTable;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
     use std::ops::Bound;
-    use unicore_ajo::JobId;
+    use unicore_ajo::*;
+    use unicore_batch::{BatchJobId, BatchStatus};
+    use unicore_gateway::MappedUser;
+    use unicore_resources::{deployment_page, Architecture};
+    use unicore_sim::SEC;
 
     /// Applies `ops` to a [`WakeSet`] and to the `BTreeSet<JobId>` it
     /// replaced, comparing `first` and every `next_after` after each one.
@@ -859,6 +865,175 @@ mod tests {
                 (false, 3),
             ]);
             check(base, 1, &ops);
+        }
+    }
+
+    const DN: &str = "C=DE, O=HUB, OU=ZAM, CN=status";
+    const VSITES: [(&str, Architecture); 2] =
+        [("V0", Architecture::CrayT3e), ("V1", Architecture::IbmSp2)];
+
+    /// After a step every task in batch reads its batch job's status:
+    /// queued or held as `Queued`, running as `Running`. A batch job
+    /// that is over has been handed to its node, which is then no longer
+    /// in batch.
+    fn assert_in_batch_statuses_match(njs: &ShardedNjs, after: &str) {
+        for (&id, rt) in njs.jobs.iter() {
+            for (pos, state) in rt.states.iter().enumerate() {
+                let NodeState::InBatch { vsite, batch_id } = *state else {
+                    continue;
+                };
+                let want = match njs.vsites[vsite].batch.status(batch_id) {
+                    Some(BatchStatus::Queued | BatchStatus::Held) => Some(ActionStatus::Queued),
+                    Some(BatchStatus::Running { .. }) => Some(ActionStatus::Running),
+                    _ => None,
+                };
+                let got = rt.node_outcome(pos).status();
+                assert_eq!(Some(got), want, "job {id} node {pos} ({batch_id}) after {after}");
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A job of `width` tasks at Vsite `vsite`, in a chain or side by
+        /// side, each asking for `share` quarters of the machine.
+        Consign {
+            vsite: usize,
+            width: u64,
+            chain: bool,
+            share: u32,
+            secs: u64,
+        },
+        /// An operator's hold, release or cancel of batch job `k`.
+        HoldBatch(usize, u64),
+        ReleaseBatch(usize, u64),
+        CancelBatch(usize, u64),
+        Crash(usize),
+        /// The user holds or resumes job `k`.
+        Hold(usize),
+        Resume(usize),
+        Step(u64),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..12, 0usize..2, 1u64..5, 1u32..5, 1u64..40).prop_map(
+            |(kind, v, n, share, secs)| match kind {
+                0..=2 => Op::Consign {
+                    vsite: v,
+                    width: n,
+                    chain: share % 2 == 0,
+                    share,
+                    secs,
+                },
+                3 => Op::HoldBatch(v, secs % 12 + 1),
+                4 => Op::ReleaseBatch(v, secs % 12 + 1),
+                5 => Op::CancelBatch(v, secs % 12 + 1),
+                6 => Op::Crash(v),
+                7 => Op::Hold(secs as usize),
+                8 => Op::Resume(secs as usize),
+                _ => Op::Step(secs % 20),
+            },
+        )
+    }
+
+    fn drive(ops: &[Op]) {
+        let mut njs = ShardedNjs::new("HUB", 1, 1);
+        for (name, arch) in VSITES {
+            njs.add_vsite(
+                deployment_page("HUB", name, arch),
+                TranslationTable::for_architecture(arch),
+            );
+        }
+        let user = MappedUser {
+            dn: DN.into(),
+            login: "alice".into(),
+            account_group: "users".into(),
+        };
+        let mut ids = Vec::new();
+        let mut now = 0;
+        for op in ops {
+            match *op {
+                Op::Consign {
+                    vsite,
+                    width,
+                    chain,
+                    share,
+                    secs,
+                } => {
+                    let (name, arch) = VSITES[vsite];
+                    let all = deployment_page("HUB", name, arch).performance.nodes;
+                    let home = VsiteAddress::new("HUB", name);
+                    let mut job = AbstractJob::new("s", home, UserAttributes::new(DN, "users"));
+                    for i in 1..=width {
+                        let resources = ResourceRequest::minimal()
+                            .with_run_time(3_600)
+                            .with_processors((all * share / 4).max(1));
+                        job.nodes.push((
+                            ActionId(i),
+                            GraphNode::Task(AbstractTask {
+                                name: format!("t{i}"),
+                                resources,
+                                kind: TaskKind::Execute(ExecuteKind::Script {
+                                    script: format!("sleep {}\n", secs + i),
+                                }),
+                            }),
+                        ));
+                        if chain && i > 1 {
+                            job.dependencies.push(Dependency {
+                                from: ActionId(i - 1),
+                                to: ActionId(i),
+                                files: vec![],
+                            });
+                        }
+                    }
+                    ids.push(njs.consign(job, user.clone(), now).expect("consign"));
+                }
+                Op::HoldBatch(v, k) | Op::ReleaseBatch(v, k) | Op::CancelBatch(v, k) => {
+                    let batch = &mut njs.vsite_mut(VSITES[v].0).expect("vsite").batch;
+                    let _ = match op {
+                        Op::HoldBatch(..) => batch.hold(BatchJobId(k)),
+                        Op::ReleaseBatch(..) => batch.release(BatchJobId(k), now),
+                        _ => batch.cancel(BatchJobId(k), now),
+                    };
+                }
+                Op::Crash(v) => {
+                    let batch = &mut njs.vsite_mut(VSITES[v].0).expect("vsite").batch;
+                    batch.crash(now, 7 * SEC);
+                }
+                Op::Hold(k) | Op::Resume(k) if !ids.is_empty() => {
+                    let control = match op {
+                        Op::Hold(_) => ControlOp::Hold,
+                        _ => ControlOp::Resume,
+                    };
+                    let _ = njs.control(ids[k % ids.len()], control, DN, now);
+                }
+                Op::Hold(_) | Op::Resume(_) => {}
+                Op::Step(delta) => {
+                    now += delta * SEC;
+                    njs.step(now);
+                    assert_in_batch_statuses_match(&njs, &format!("step({now})"));
+                }
+            }
+        }
+        // Run out the clock: every later step holds the rule too.
+        for _ in 0..200 {
+            let Some(next) = njs.next_event_time() else {
+                break;
+            };
+            now = next.max(now + SEC);
+            njs.step(now);
+            assert_in_batch_statuses_match(&njs, &format!("step({now})"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn in_batch_statuses_match_the_batch_tier_after_every_step(
+            ops in proptest::collection::vec(arb_op(), 1..50),
+        ) {
+            drive(&ops);
         }
     }
 }

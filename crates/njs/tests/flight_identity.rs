@@ -45,6 +45,7 @@ impl WorkOracle for Scripted {
                 ..WorkModel::succeed_after(5 * SEC)
             },
             "slow" => WorkModel::succeed_after(2 * HOUR),
+            "late" => WorkModel::fail_after(10 * SEC, 5, "late: gave up\n"),
             _ => WorkModel::succeed_after(5 * SEC),
         }
     }
@@ -231,6 +232,86 @@ fn cancelled_in_the_queue() {
         ]
     );
     run(&mut njs, blocker);
+}
+
+/// `task(name, 3_600)` asking for `processors` of the T3E's.
+fn wide(name: &str, processors: u32) -> GraphNode {
+    let mut node = task(name, 3_600);
+    if let GraphNode::Task(t) = &mut node {
+        t.resources = t.resources.with_processors(processors);
+    }
+    node
+}
+
+/// A queued node of a job starts in the same batch advance that ends
+/// another node of the same job: each ring holds the start and the end
+/// in the order of the nodes' positions, so a failing outcome shipped
+/// at the end sees the start only when the starting node comes first.
+#[test]
+fn a_queued_sibling_starts_as_another_node_ends() {
+    let all = deployment_page("FZJ", "T3E", Architecture::CrayT3e)
+        .performance
+        .nodes;
+
+    // The node that ends comes first: node 2 waits for node 1's
+    // processors and starts when node 1 fails.
+    let mut njs = fzj();
+    let nodes = vec![(1, wide("noisy", all)), (2, wide("blank", all))];
+    let id = njs.consign(job_at("T3E", nodes, &[]), user(), 0).unwrap();
+    run(&mut njs, id);
+    assert_eq!(
+        lines(&task_outcome(&njs, id, 1).flight),
+        [
+            "0 njs.consign | vsite T3E",
+            "0 njs.dispatch | node 1 -> T3E:batch",
+            "0 njs.dispatch | node 2 -> T3E:batch",
+            "0 batch.running | node 1 on T3E",
+            "5000000 batch.exit | node 1 exit code 3: solver: diverged at step 41",
+        ]
+    );
+    assert_eq!(
+        lines(&task_outcome(&njs, id, 2).flight)[4..],
+        [
+            "5000000 batch.exit | node 1 exit code 3: solver: diverged at step 41",
+            "5000000 batch.running | node 2 on T3E",
+            "10000000 batch.exit | node 2 exit code 4",
+        ]
+    );
+
+    // The node that starts comes first: node 3 runs after node 4 and
+    // needs the processors node 5 holds until it fails.
+    let mut njs = fzj();
+    let nodes = vec![
+        (3, wide("blank", all)),
+        (4, wide("ok", 1)),
+        (5, wide("late", all - 1)),
+    ];
+    let id = njs
+        .consign(job_at("T3E", nodes, &[(4, 3)]), user(), 0)
+        .unwrap();
+    run(&mut njs, id);
+    assert_eq!(
+        lines(&task_outcome(&njs, id, 5).flight),
+        [
+            "0 njs.consign | vsite T3E",
+            "0 njs.dispatch | node 4 -> T3E:batch",
+            "0 njs.dispatch | node 5 -> T3E:batch",
+            "0 batch.running | node 4 on T3E",
+            "0 batch.running | node 5 on T3E",
+            "5000000 batch.exit | node 4 exit code 0",
+            "5000000 njs.dispatch | node 3 -> T3E:batch",
+            "10000000 batch.running | node 3 on T3E",
+            "10000000 batch.exit | node 5 exit code 5: late: gave up",
+        ]
+    );
+    assert_eq!(
+        lines(&task_outcome(&njs, id, 3).flight)[7..],
+        [
+            "10000000 batch.running | node 3 on T3E",
+            "10000000 batch.exit | node 5 exit code 5: late: gave up",
+            "15000000 batch.exit | node 3 exit code 4",
+        ]
+    );
 }
 
 #[test]
