@@ -144,11 +144,8 @@ impl AbstractJob {
     ///
     /// Returns an error when the graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<ActionId>, AjoError> {
-        let mut scratch = Scratch::new(self.nodes.len());
-        let level = Level::walk(self, &mut scratch);
-        let n = level.ids.len();
-        let (succ_offsets, succs) = group_by_bucket(n, level.edges());
-        let index = level.into_index();
+        let index = self.dependency_index();
+        let n = index.ids.len();
         let mut in_degree: Vec<usize> = (0..n)
             .map(|p| index.predecessor_positions(p).len())
             .collect();
@@ -156,7 +153,7 @@ impl AbstractJob {
         let mut order = Vec::with_capacity(n);
         while let Some(p) = queue.pop_front() {
             order.push(index.ids[p]);
-            for &to in &succs[succ_offsets[p]..succ_offsets[p + 1]] {
+            for &to in index.successor_positions(p) {
                 in_degree[to] -= 1;
                 if in_degree[to] == 0 {
                     queue.push_back(to);
@@ -392,16 +389,23 @@ impl<'a> Level<'a> {
             .filter_map(|d| Some((self.position(d.from)?, self.position(d.to)?)))
     }
 
-    /// The level's [`DependencyIndex`].
+    /// The level's [`DependencyIndex`]: node `p`'s predecessors are
+    /// bucket `p`, its successors bucket `n + p`, so one grouping pass
+    /// builds both lists in one pair of buffers.
     fn into_index(self) -> DependencyIndex {
-        let (offsets, pred_positions) =
-            group_by_bucket(self.ids.len(), self.edges().map(|(from, to)| (to, from)));
-        let preds = pred_positions.iter().map(|&p| self.ids[p]).collect();
+        let n = self.ids.len();
+        let preds = self.edges().map(|(from, to)| (to, from));
+        let succs = self.edges().map(|(from, to)| (n + from, to));
+        let (offsets, positions) = group_by_bucket(2 * n, preds.chain(succs));
+        let preds = positions[..offsets[n]]
+            .iter()
+            .map(|&p| self.ids[p])
+            .collect();
         DependencyIndex {
             ids: self.ids,
             offsets,
             preds,
-            pred_positions,
+            positions,
         }
     }
 }
@@ -453,13 +457,16 @@ fn group_by_bucket(
 /// an id two nodes share resolves to the first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencyIndex {
-    /// Node ids in declaration order; `offsets[i]..offsets[i+1]` slices
-    /// `preds` and `pred_positions` for `ids[i]`.
+    /// Node ids in declaration order; for `ids[i]`,
+    /// `offsets[i]..offsets[i+1]` slices `preds` and `positions` (its
+    /// predecessors) and `offsets[n+i]..offsets[n+i+1]` slices
+    /// `positions` (its successors), `n` being the number of nodes.
     ids: Vec<ActionId>,
     offsets: Vec<usize>,
     preds: Vec<ActionId>,
-    /// `preds`, each as its position in `ids`.
-    pred_positions: Vec<usize>,
+    /// Every node's predecessors, each as its position in `ids`, then
+    /// every node's successors.
+    positions: Vec<usize>,
 }
 
 impl DependencyIndex {
@@ -483,7 +490,17 @@ impl DependencyIndex {
     /// # Panics
     /// Panics if `position` is not a node of this level.
     pub fn predecessor_positions(&self, position: usize) -> &[usize] {
-        &self.pred_positions[self.offsets[position]..self.offsets[position + 1]]
+        &self.positions[self.offsets[position]..self.offsets[position + 1]]
+    }
+
+    /// Direct successors of the node at `position`, by position, in
+    /// dependency-declaration order.
+    ///
+    /// # Panics
+    /// Panics if `position` is not a node of this level.
+    pub fn successor_positions(&self, position: usize) -> &[usize] {
+        let n = self.ids.len();
+        &self.positions[self.offsets[n + position]..self.offsets[n + position + 1]]
     }
 
     /// Whether the level has no cycle: Kahn's algorithm run backwards
@@ -491,7 +508,7 @@ impl DependencyIndex {
     /// `out_degree` and `stack` have room for every node.
     fn is_acyclic(&self, out_degree: &mut [usize], stack: &mut [usize]) -> bool {
         out_degree.fill(0);
-        for &p in &self.pred_positions {
+        for &p in &self.positions[..self.preds.len()] {
             out_degree[p] += 1;
         }
         let mut top = 0;
@@ -1067,27 +1084,33 @@ mod tests {
             let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
             let position = |id: ActionId| ids.iter().position(|&n| n == id);
             let mut buckets: Vec<Vec<(ActionId, usize)>> = vec![Vec::new(); ids.len()];
+            let mut successors: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
             for dep in &job.dependencies {
                 if let (Some(from), Some(to)) = (position(dep.from), position(dep.to)) {
                     buckets[to].push((dep.from, from));
+                    successors[from].push(to);
                 }
             }
-            let mut offsets = Vec::with_capacity(ids.len() + 1);
+            let mut offsets = Vec::with_capacity(2 * ids.len() + 1);
             let mut preds = Vec::new();
-            let mut pred_positions = Vec::new();
+            let mut positions = Vec::new();
             offsets.push(0);
             for bucket in buckets {
                 for (id, pos) in bucket {
                     preds.push(id);
-                    pred_positions.push(pos);
+                    positions.push(pos);
                 }
                 offsets.push(preds.len());
+            }
+            for list in successors {
+                positions.extend(list);
+                offsets.push(positions.len());
             }
             DependencyIndex {
                 ids,
                 offsets,
                 preds,
-                pred_positions,
+                positions,
             }
         }
     }

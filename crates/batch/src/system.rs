@@ -121,6 +121,9 @@ pub struct BatchSystem {
     /// Ids whose status changed since the last [`BatchSystem::drain_changes`],
     /// in change order (an id appears once per change).
     changed: Vec<BatchJobId>,
+    /// The name and script buffers of accepted submits, emptied, until
+    /// [`BatchSystem::recycled_text`] hands them out again.
+    spare_text: (String, String),
     accounting: Vec<AccountingRecord>,
     busy_node_ticks: u128,
     last_advance: SimTime,
@@ -155,6 +158,7 @@ impl BatchSystem {
             ends_scratch: Vec::new(),
             statuses: IdMap::default(),
             changed: Vec::new(),
+            spare_text: (String::new(), String::new()),
             accounting: Vec::new(),
             busy_node_ticks: 0,
             last_advance: 0,
@@ -213,7 +217,14 @@ impl BatchSystem {
     }
 
     /// Submits a job at `now`; it may start immediately.
-    pub fn submit(&mut self, spec: BatchJobSpec, now: SimTime) -> Result<BatchJobId, SubmitError> {
+    ///
+    /// Nothing reads a spec's name or script once it is accepted: both
+    /// buffers are kept, emptied, for [`BatchSystem::recycled_text`].
+    pub fn submit(
+        &mut self,
+        mut spec: BatchJobSpec,
+        now: SimTime,
+    ) -> Result<BatchJobId, SubmitError> {
         if spec.processors == 0 {
             return Err(SubmitError::ZeroProcessors);
         }
@@ -243,6 +254,13 @@ impl BatchSystem {
                     what: "more than a quarter of the machine",
                 });
             }
+        }
+        for (spare, text) in [
+            (&mut self.spare_text.0, &mut spec.name),
+            (&mut self.spare_text.1, &mut spec.script),
+        ] {
+            *spare = std::mem::take(text);
+            spare.clear();
         }
         self.advance_to(now);
         let id = BatchJobId(self.next_id);
@@ -276,10 +294,24 @@ impl BatchSystem {
     }
 
     /// Drains the ids whose [`BatchStatus`] changed since the last call,
-    /// in change order. A supervisor that polls only these ids sees every
-    /// transition without scanning the jobs it holds.
-    pub fn drain_changes(&mut self) -> std::vec::Drain<'_, BatchJobId> {
-        self.changed.drain(..)
+    /// in change order, each with its status now (`None` once
+    /// [`BatchSystem::collect`] has handed the job over). A supervisor
+    /// that looks only at these sees every transition without scanning
+    /// the jobs it holds.
+    pub fn drain_changes(
+        &mut self,
+    ) -> impl Iterator<Item = (BatchJobId, Option<&BatchStatus>)> + '_ {
+        let statuses = &self.statuses;
+        self.changed
+            .drain(..)
+            .map(move |id| (id, statuses.get(&id)))
+    }
+
+    /// A name and a script buffer for the next [`BatchJobSpec`], both
+    /// empty: the ones the last accepted submits left, so a supervisor
+    /// that writes each spec into them allocates no text per submit.
+    pub fn recycled_text(&mut self) -> (String, String) {
+        std::mem::take(&mut self.spare_text)
     }
 
     /// Current status of a job (`None` for unknown ids, and for finished
@@ -1108,6 +1140,33 @@ mod dialect_tests {
         }
     }
 
+    /// An accepted submit keeps its name and script buffers, emptied,
+    /// for the next spec; a refused one keeps nothing.
+    #[test]
+    fn accepted_submits_hand_their_text_buffers_back() {
+        let mut m = BatchSystem::new("t3e", Architecture::CrayT3e, 8);
+        m.set_strict_dialect(true);
+        let (name, script) = m.recycled_text();
+        assert_eq!((name.capacity(), script.capacity()), (0, 0));
+
+        let native = format!("{}\nrun\n", processors_directive(Architecture::CrayT3e, 1));
+        let foreign = format!("{}\nrun\n", processors_directive(Architecture::IbmSp2, 1));
+        assert!(m.submit(spec_with(foreign), 0).is_err());
+        let (name, script) = m.recycled_text();
+        assert_eq!((name.capacity(), script.capacity()), (0, 0));
+
+        let mut spec = spec_with(native);
+        spec.name = String::with_capacity(40);
+        spec.name.push_str("long enough");
+        let script_at = spec.script.as_ptr();
+        m.submit(spec, 0).expect("native script");
+        let (name, script) = m.recycled_text();
+        assert!(name.is_empty() && name.capacity() == 40);
+        assert!(script.is_empty() && script.as_ptr() == script_at);
+        // Handed out once: the next call finds nothing until a submit.
+        assert_eq!(m.recycled_text().1.capacity(), 0);
+    }
+
     #[test]
     fn strict_mode_rejects_foreign_dialect() {
         let mut m = BatchSystem::new("t3e", Architecture::CrayT3e, 8);
@@ -1577,7 +1636,7 @@ mod reference_tests {
                     assert_eq!(m.crash(now, down), r.crash(now, down));
                 }
             }
-            let changes: Vec<BatchJobId> = m.drain_changes().collect();
+            let changes: Vec<BatchJobId> = m.drain_changes().map(|(id, _)| id).collect();
             assert_eq!(changes, r.drain_changes(), "{op:?} at {now}");
             for &id in &ids {
                 assert_eq!(m.status(id), r.status(id), "{id:?} after {op:?} at {now}");
@@ -1590,7 +1649,7 @@ mod reference_tests {
             assert_eq!(Some(t), r.next_event_time());
             m.advance_to(t);
             r.advance_to(t);
-            let changes: Vec<BatchJobId> = m.drain_changes().collect();
+            let changes: Vec<BatchJobId> = m.drain_changes().map(|(id, _)| id).collect();
             assert_eq!(changes, r.drain_changes());
         }
         assert_eq!(r.next_event_time(), None);

@@ -205,7 +205,11 @@ impl ShardedNjs {
             };
             outcome.children.push((*nid, child));
         }
-        let states = vec![NodeState::Waiting; job.nodes.len()];
+        let states: Vec<NodeState> = (0..job.nodes.len())
+            .map(|pos| NodeState::Waiting {
+                unmet: preds.predecessor_positions(pos).len() as u32,
+            })
+            .collect();
 
         // Replayed jobs do not restart spans or recount consigns: their
         // first life already did.
@@ -239,6 +243,7 @@ impl ShardedNjs {
                 user,
                 parent,
                 portfolio,
+                open: states.len(),
                 states,
                 outcome,
                 held: false,
@@ -251,11 +256,7 @@ impl ShardedNjs {
                 foreign: meta.foreign,
             }),
         );
-        debug_assert!(
-            self.job_order.last().is_none_or(|last| *last < id),
-            "job_order must stay in ascending id order"
-        );
-        self.job_order.push(id);
+        self.live.insert(id);
         self.wake.insert(id);
         Ok(id)
     }

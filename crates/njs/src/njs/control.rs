@@ -139,7 +139,7 @@ impl ShardedNjs {
                     });
                     self.set_state(job, pos, NodeState::Terminal);
                 }
-                NodeState::Waiting | NodeState::Remote => {
+                NodeState::Waiting { .. } | NodeState::Remote => {
                     let rt = self.jobs.get_mut(&job).expect("job exists");
                     match rt.node_outcome_mut(pos) {
                         OutcomeNode::Task(t) => {
@@ -233,9 +233,7 @@ impl ShardedNjs {
         // A finished job holds no batch-owner entries: its nodes all went
         // terminal, which is where entries are dropped.
         self.wake.remove(job);
-        if let Ok(i) = self.job_order.binary_search(&job) {
-            self.job_order.remove(i);
-        }
+        self.live.remove(job);
         self.log_event(StoreEvent::JobPurged {
             job,
             at: self.clock,
@@ -262,15 +260,15 @@ impl ShardedNjs {
 
     /// The List service: root jobs owned by `dn`, in consign order.
     pub fn list_jobs(&self, dn: &str) -> Vec<JobSummary> {
-        self.job_order
+        self.live
             .iter()
             .filter_map(|id| {
-                let rt = self.jobs.get(id)?;
+                let rt = self.jobs.get(&id)?;
                 if rt.parent.is_some() || rt.user.dn != dn {
                     return None;
                 }
                 Some(JobSummary {
-                    job: *id,
+                    job: id,
                     name: rt.job.name.clone(),
                     status: rt.outcome.status,
                 })

@@ -312,11 +312,11 @@ impl ShardedNjs {
     /// behalf of a parent, in consign order: what recovery rebuilds the
     /// link registry from.
     pub(super) fn parent_links(&self) -> Vec<(JobId, JobId, ActionId)> {
-        self.job_order
+        self.live
             .iter()
             .filter_map(|id| {
-                let rt = self.jobs.get(id)?;
-                rt.parent.map(|(pjob, pnode)| (*id, pjob, pnode))
+                let rt = self.jobs.get(&id)?;
+                rt.parent.map(|(pjob, pnode)| (id, pjob, pnode))
             })
             .collect()
     }

@@ -66,10 +66,11 @@ pub struct VsiteRuntime {
     pub table: TranslationTable,
     /// Published resource page.
     pub page: ResourcePage,
-    /// Owner index: which job each in-flight batch job belongs to, so a
-    /// drained [`BatchSystem`] status change wakes exactly that job.
-    /// Entries live from submit until the node goes terminal.
-    batch_owner: IdMap<BatchJobId, JobId>,
+    /// Owner index: the job, and the node's position in it, each
+    /// in-flight batch job belongs to, so a drained [`BatchSystem`]
+    /// status change lands on exactly that task. Entries live from submit
+    /// until the node goes terminal.
+    batch_owner: IdMap<BatchJobId, (JobId, usize)>,
 }
 
 /// The Vsites of one NJS in registration order. Inside the engine a
@@ -202,7 +203,10 @@ pub struct RecoveryReport {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeState {
-    Waiting,
+    /// Not dispatched yet; `unmet` of its predecessors are not terminal.
+    Waiting {
+        unmet: u32,
+    },
     /// Submitted to the batch system of the Vsite at index `vsite`.
     InBatch {
         vsite: usize,
@@ -235,6 +239,8 @@ struct JobRuntime {
     portfolio: Arc<HashMap<String, Arc<[u8]>>>,
     /// Node states, by position.
     states: Vec<NodeState>,
+    /// Nodes not terminal yet: the job can finish at 0.
+    open: usize,
     /// The outcome tree; `outcome.children[i]` belongs to `job.nodes[i]`.
     outcome: JobOutcome,
     held: bool,
@@ -278,10 +284,6 @@ impl JobRuntime {
             OutcomeNode::Job(_) => None,
         }
     }
-
-    fn all_terminal(&self) -> bool {
-        self.states.iter().all(|s| *s == NodeState::Terminal)
-    }
 }
 
 /// A Usite's NJS: one engine for every Vsite of the Usite.
@@ -302,12 +304,16 @@ pub struct ShardedNjs {
     /// with their jobs (consign, replay, purge, replayed purge), so the
     /// journal is their only durable copy.
     by_key: HashMap<Vec<u8>, JobId>,
-    /// Live jobs in consign order — which is ascending id order, since
-    /// ids are allocated monotonically (and replayed in journal order).
-    job_order: Vec<JobId>,
+    /// Live jobs, iterated in consign order — which is ascending id
+    /// order, since ids are allocated monotonically (and replayed in
+    /// journal order).
+    live: step::JobSet,
     /// The wake set: jobs that may have work. `step` visits only these
     /// (see its doc for the wake sources that keep this complete).
-    wake: step::WakeSet,
+    wake: step::JobSet,
+    /// The job the step loop is visiting, whose own transitions do not
+    /// wake it (`set_state`).
+    visiting: Option<JobId>,
     /// Jobs that finished — by stepping, abort, or journal replay — and
     /// that the merge phase has not looked at yet.
     finished: Vec<JobId>,
@@ -331,12 +337,6 @@ pub struct ShardedNjs {
     pending: EventBatch,
     /// The one empty portfolio every job without files shares.
     no_portfolio: Arc<HashMap<String, Arc<[u8]>>>,
-    /// Per-step scratch (in-flight batch nodes to poll: position, Vsite,
-    /// batch id), kept on the NJS so steady-state stepping allocates
-    /// nothing.
-    poll_scratch: Vec<(usize, usize, BatchJobId)>,
-    /// Per-step scratch (nodes waiting on predecessors).
-    waiting_scratch: Vec<usize>,
     /// True while `recover` replays the journal, so replayed operations
     /// are not journalled a second time.
     recovering: bool,
@@ -371,8 +371,10 @@ pub struct ShardedNjs {
     /// generation) are skipped on pop.
     batch_gen: Vec<u64>,
     /// Vsite indices whose batch state changed outside the heap's view
-    /// (submit, cancel, external mutation) and need re-keying.
+    /// (submit, cancel, external mutation) and need re-keying, each once.
     batch_dirty: Vec<usize>,
+    /// Per Vsite: whether it is in `batch_dirty`.
+    batch_is_dirty: Vec<bool>,
 }
 
 /// The slow-dispatch watchdog threshold: a healthy NJS dispatches a
@@ -409,8 +411,9 @@ impl ShardedNjs {
             vsites: Vsites::default(),
             jobs: IdMap::default(),
             by_key: HashMap::new(),
-            job_order: Vec::new(),
-            wake: step::WakeSet::new(1),
+            live: step::JobSet::new(1),
+            wake: step::JobSet::new(1),
+            visiting: None,
             finished: Vec::new(),
             newly_done: Vec::new(),
             job_visits: 0,
@@ -421,8 +424,6 @@ impl ShardedNjs {
             store: None,
             pending: EventBatch::new(),
             no_portfolio: Arc::default(),
-            poll_scratch: Vec::new(),
-            waiting_scratch: Vec::new(),
             recovering: false,
             clock: 0,
             telemetry: Telemetry::disabled(),
@@ -435,6 +436,7 @@ impl ShardedNjs {
             batch_heap: BinaryHeap::new(),
             batch_gen: Vec::new(),
             batch_dirty: Vec::new(),
+            batch_is_dirty: Vec::new(),
         }
     }
 
@@ -522,7 +524,10 @@ impl ShardedNjs {
             if !rt.done
                 && !rt.held
                 && now.saturating_sub(rt.consigned_at) > DEFAULT_WATCHDOG_THRESHOLD
-                && rt.states.iter().all(|s| *s == NodeState::Waiting)
+                && rt
+                    .states
+                    .iter()
+                    .all(|s| matches!(s, NodeState::Waiting { .. }))
             {
                 stuck[rt.vsite] += 1;
             }
@@ -689,7 +694,8 @@ impl ShardedNjs {
             batch.set_telemetry(&self.telemetry);
         }
         self.batch_gen.push(0);
-        self.batch_dirty.push(self.vsites.list.len());
+        self.batch_is_dirty.push(false);
+        self.mark_batch_dirty(self.vsites.list.len());
         self.vsites.push(
             name,
             VsiteRuntime {
@@ -712,7 +718,7 @@ impl ShardedNjs {
         // External mutation can change the batch timeline; re-key this
         // Vsite in the next-event heap on the next step.
         let idx = self.vsites.index_of(name)?;
-        self.batch_dirty.push(idx);
+        self.mark_batch_dirty(idx);
         Some(&mut self.vsites[idx])
     }
 
@@ -744,7 +750,7 @@ impl ShardedNjs {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "next job {}", self.next_job);
-        for &id in &self.job_order {
+        for id in self.live.iter() {
             let rt = &self.jobs[&id];
             // In-flight nodes come back pending, which folds a running
             // job's status back to consigned.

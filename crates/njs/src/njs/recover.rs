@@ -105,8 +105,8 @@ impl ShardedNjs {
             torn_tail: torn_tail || store.recovered_torn(),
             ..RecoveryReport::default()
         };
-        // Purged ids, dropped from the order and the report in one pass
-        // at the end (ids are never reused, so deferring is exact).
+        // Purged ids, dropped from the report in one pass at the end (ids
+        // are never reused, so deferring is exact).
         let mut purged: Vec<JobId> = Vec::new();
 
         let result = (|| -> Result<(), NjsError> {
@@ -209,6 +209,7 @@ impl ShardedNjs {
                         // kills were never journalled node by node).
                         rt.outcome = outcome;
                         rt.states.fill(NodeState::Terminal);
+                        rt.open = 0;
                         let login = &rt.user.login;
                         let v = &mut self.vsites[rt.vsite];
                         for entry in manifest {
@@ -276,6 +277,7 @@ impl ShardedNjs {
                     }
                     StoreEventRef::JobPurged { job, .. } => {
                         self.forget_job(job);
+                        self.live.remove(job);
                         purged.push(job);
                     }
                 }
@@ -285,9 +287,7 @@ impl ShardedNjs {
 
         if !purged.is_empty() {
             purged.sort_unstable();
-            let gone = |j: &JobId| purged.binary_search(j).is_ok();
-            self.job_order.retain(|j| !gone(j));
-            report.jobs.retain(|j| !gone(j));
+            report.jobs.retain(|j| purged.binary_search(j).is_err());
         }
 
         // Each replayed consign allocated its own id, so allocation
@@ -300,11 +300,11 @@ impl ShardedNjs {
         // swallowed.
         self.wake.clear();
         self.finished.clear();
-        for id in &self.job_order {
-            if self.jobs[id].done {
-                self.finished.push(*id);
+        for id in self.live.iter() {
+            if self.jobs[&id].done {
+                self.finished.push(id);
             } else {
-                self.wake.insert(*id);
+                self.wake.insert(id);
             }
         }
         result?;

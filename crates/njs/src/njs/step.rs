@@ -15,12 +15,14 @@ use unicore_ajo::{
 use unicore_batch::{BatchJobId, BatchJobSpec, BatchStatus};
 use unicore_sim::SimTime;
 
-/// The wake set: the jobs that may have work, one bit per job slot. Ids
-/// are allocated upwards from `base`, so job `id` is slot `id − base`.
-/// The words cover only the span from the lowest to the highest set bit
-/// — a removal trims empty words at either end — so the set's memory
-/// follows the live jobs it holds, not the id counter.
-pub(super) struct WakeSet {
+/// A set of jobs, one bit per job slot: the wake set (the jobs that may
+/// have work) and the live jobs. Ids are allocated upwards from `base`,
+/// so job `id` is slot `id − base`, and the set iterates in ascending id
+/// order, which is consign order. The words cover only the span from the
+/// lowest to the highest set bit — a removal trims empty words at either
+/// end — so the set's memory follows the jobs it holds, not the id
+/// counter.
+pub(super) struct JobSet {
     base: u64,
     /// Bit `b` of `words[k]` is slot `64 · (first_word + k) + b`. The
     /// first and the last word are never zero.
@@ -28,9 +30,9 @@ pub(super) struct WakeSet {
     first_word: u64,
 }
 
-impl WakeSet {
+impl JobSet {
     pub(super) fn new(base: u64) -> Self {
-        WakeSet {
+        JobSet {
             base,
             words: VecDeque::new(),
             first_word: 0,
@@ -103,15 +105,35 @@ impl WakeSet {
         let slot = 64 * (self.first_word + k as u64) + u64::from(word.trailing_zeros());
         Some(self.job(slot)).filter(|&id| id < end)
     }
+
+    /// Every job in the set, in ascending id order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.words
+            .iter()
+            .zip(self.first_word..)
+            .flat_map(move |(&word, k)| {
+                (0..64)
+                    .filter(move |b| word >> b & 1 == 1)
+                    .map(move |b| self.job(64 * k + b))
+            })
+    }
 }
 
 impl ShardedNjs {
     /// After this NJS changed Vsite `idx`'s batch state (submit, cancel):
-    /// marks its next-event heap entry stale and wakes the jobs whose
-    /// batch jobs changed status as a result.
+    /// marks its next-event heap entry stale and drains the status
+    /// changes that followed.
     pub(super) fn batch_touched(&mut self, idx: usize) {
-        self.batch_dirty.push(idx);
-        self.wake_batch_changes(idx);
+        self.mark_batch_dirty(idx);
+        self.drain_batch_changes(idx);
+    }
+
+    /// Marks Vsite `idx` for re-keying in the next-event heap at the next
+    /// round; a Vsite is held once however often it is marked.
+    pub(super) fn mark_batch_dirty(&mut self, idx: usize) {
+        if !std::mem::replace(&mut self.batch_is_dirty[idx], true) {
+            self.batch_dirty.push(idx);
+        }
     }
 
     /// Earliest future event (batch completion or crash recovery) across
@@ -131,9 +153,10 @@ impl ShardedNjs {
     fn advance_batches(&mut self, now: SimTime) {
         // Re-key Vsites whose batch state changed since the last step.
         while let Some(idx) = self.batch_dirty.pop() {
+            self.batch_is_dirty[idx] = false;
             // Whatever dirtied it (an external `vsite_mut` caller, say)
             // may have changed statuses too.
-            self.wake_batch_changes(idx);
+            self.drain_batch_changes(idx);
             let batch = &self.vsites[idx].batch;
             self.batch_gen[idx] += 1;
             if let Some(t) = batch.next_event_time() {
@@ -156,29 +179,68 @@ impl ShardedNjs {
                 self.batch_heap
                     .push(Reverse((next, idx, self.batch_gen[idx])));
             }
-            self.wake_batch_changes(idx);
+            self.drain_batch_changes(idx);
         }
     }
 
-    /// Drains Vsite `idx`'s batch change log into the wake set: every
-    /// batch job whose status changed wakes the job that owns it. Called
-    /// after anything that can move the batch tier — `advance_to`,
-    /// `submit`, `cancel`, or an external mutation through `vsite_mut`.
-    fn wake_batch_changes(&mut self, idx: usize) {
-        let v = &mut self.vsites[idx];
-        for id in v.batch.drain_changes() {
-            if let Some(&job) = v.batch_owner.get(&id) {
-                self.wake.insert(job);
+    /// Drains Vsite `idx`'s batch change log, each change mapped back to
+    /// its task through the owner index. Called after anything that can
+    /// move the batch tier — `advance_to`, `submit`, `cancel`, or an
+    /// external mutation through `vsite_mut`.
+    ///
+    /// A batch job still queued, held or running changes only its task's
+    /// status, written here, and wakes nobody: a visit would find nothing
+    /// to do. (Queued and running both read as active, so the job's own
+    /// status cannot move.) A batch job that is over wakes its job, whose
+    /// visit collects it. With the flight recorder on, a start wakes its
+    /// job too and is left to the visit, which writes its `batch.running`
+    /// record in position order among the job's other batch events.
+    fn drain_batch_changes(&mut self, idx: usize) {
+        let traced = self.flight.is_enabled();
+        let v = &mut self.vsites.list[idx];
+        for (batch_id, status) in v.batch.drain_changes() {
+            let Some(&(job, pos)) = v.batch_owner.get(&batch_id) else {
+                continue;
+            };
+            let status = match status {
+                Some(BatchStatus::Queued | BatchStatus::Held) => ActionStatus::Queued,
+                Some(BatchStatus::Running { .. }) if !traced => ActionStatus::Running,
+                _ => {
+                    self.wake.insert(job);
+                    continue;
+                }
+            };
+            if let Some(t) = self
+                .jobs
+                .get_mut(&job)
+                .and_then(|rt| rt.task_outcome_mut(pos))
+            {
+                t.status = status;
             }
         }
     }
 
     /// The one writer of node state outside `step_job`'s own dispatch:
     /// records the transition of the node at `pos` and wakes the job, so
-    /// a call site cannot forget to.
+    /// a call site cannot forget to. A node turning terminal leaves the
+    /// job's open count and its successors' counts of unmet
+    /// predecessors. The job a visit is on is not woken: what the visit
+    /// leaves decides whether it gets another (`wants_visit`).
     pub(super) fn set_state(&mut self, job: JobId, pos: usize, state: NodeState) {
-        if let Some(rt) = self.jobs.get_mut(&job) {
-            rt.states[pos] = state;
+        let Some(rt) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        let rt = &mut **rt;
+        let was = std::mem::replace(&mut rt.states[pos], state);
+        if state == NodeState::Terminal && was != NodeState::Terminal {
+            rt.open -= 1;
+            for &next in rt.preds.successor_positions(pos) {
+                if let NodeState::Waiting { unmet } = &mut rt.states[next] {
+                    *unmet -= 1;
+                }
+            }
+        }
+        if self.visiting != Some(job) {
             self.wake.insert(job);
         }
     }
@@ -285,9 +347,11 @@ impl ShardedNjs {
             loop {
                 self.wake.remove(cursor);
                 self.job_visits += 1;
-                if self.step_job(cursor, now) {
+                self.visiting = Some(cursor);
+                if self.step_job(cursor, now) && self.wants_visit(cursor) {
                     self.wake.insert(cursor);
                 }
+                self.visiting = None;
                 match self.wake.next_after(cursor, end) {
                     Some(next) => cursor = next,
                     None => break,
@@ -295,73 +359,66 @@ impl ShardedNjs {
             }
         }
         #[cfg(debug_assertions)]
-        for i in 0..self.job_order.len() {
-            let id = self.job_order[i];
-            assert!(
-                !self.step_job(id, now),
-                "lost wake-up: job {id} had work after step({now}) went quiet"
-            );
+        {
+            let mut next = self.live.first();
+            while let Some(id) = next {
+                assert!(
+                    !self.step_job(id, now),
+                    "lost wake-up: job {id} had work after step({now}) went quiet"
+                );
+                next = self.live.next_after(id, JobId(u64::MAX));
+            }
         }
         self.flush_events();
     }
 
+    /// Whether job `id`, just visited, needs another visit: a node is
+    /// ready to dispatch (and the job is not held), or every node is
+    /// terminal — which holds too once the job has finished, and one more
+    /// visit then finds it quiet.
+    fn wants_visit(&self, id: JobId) -> bool {
+        self.jobs.get(&id).is_some_and(|rt| {
+            rt.open == 0
+                || !rt.held
+                    && rt
+                        .states
+                        .iter()
+                        .any(|s| *s == NodeState::Waiting { unmet: 0 })
+        })
+    }
+
+    /// One visit to job `id`: collects its batch jobs that are over,
+    /// dispatches its ready nodes and finishes it when no node is left
+    /// open. Returns whether anything changed. Nodes are positions in
+    /// `job.nodes` from here down.
     fn step_job(&mut self, id: JobId, now: SimTime) -> bool {
-        // One pass over the node states classifies everything; the common
-        // no-progress call allocates nothing (the scratch vectors keep
-        // their capacity across steps). Nodes are positions in
-        // `job.nodes` from here down.
-        let mut poll = std::mem::take(&mut self.poll_scratch);
-        let mut waiting = std::mem::take(&mut self.waiting_scratch);
-        poll.clear();
-        waiting.clear();
-        let (held, all_terminal) = match self.jobs.get(&id) {
-            Some(rt) if !rt.done => {
-                let mut all_terminal = true;
-                for (pos, state) in rt.states.iter().enumerate() {
-                    match *state {
-                        NodeState::Terminal => continue,
-                        NodeState::Remote => {}
-                        NodeState::Waiting => waiting.push(pos),
-                        NodeState::InBatch { vsite, batch_id } => poll.push((pos, vsite, batch_id)),
-                    }
-                    all_terminal = false;
-                }
-                (rt.held, all_terminal)
-            }
-            _ => {
-                self.poll_scratch = poll;
-                self.waiting_scratch = waiting;
-                return false;
-            }
+        let (held, nodes) = match self.jobs.get(&id) {
+            Some(rt) if !rt.done => (rt.held, rt.states.len()),
+            _ => return false,
         };
         let mut progressed = false;
 
-        // 1. Poll in-flight batch tasks.
-        for (pos, vsite, batch_id) in poll.drain(..) {
-            progressed |= self.poll_batch_node(id, pos, vsite, batch_id);
+        // 1. Poll in-flight batch tasks, in position order.
+        for pos in 0..nodes {
+            if let NodeState::InBatch { vsite, batch_id } = self.jobs[&id].states[pos] {
+                progressed |= self.poll_batch_node(id, pos, vsite, batch_id);
+            }
         }
 
-        // 2. Dispatch ready nodes (unless held). States are re-read live,
-        //    so a node whose last predecessor completed in the poll above
-        //    dispatches within this same step.
+        // 2. Dispatch ready nodes (unless held), in position order. States
+        //    are read live, so a node whose last predecessor completed in
+        //    the poll above dispatches within this same visit.
         if !held {
-            for &pos in &waiting {
-                let rt = self.jobs.get(&id).expect("job exists");
-                if rt.states[pos] != NodeState::Waiting {
+            for pos in 0..nodes {
+                let rt = &self.jobs[&id];
+                if rt.states[pos] != (NodeState::Waiting { unmet: 0 }) {
                     continue;
                 }
-                let mut ready = true;
-                let mut any_failed = false;
-                for &p in rt.preds.predecessor_positions(pos) {
-                    if rt.states[p] != NodeState::Terminal {
-                        ready = false;
-                        break;
-                    }
-                    any_failed |= !rt.node_outcome(p).status().is_success();
-                }
-                if !ready {
-                    continue;
-                }
+                let any_failed = rt
+                    .preds
+                    .predecessor_positions(pos)
+                    .iter()
+                    .any(|&p| !rt.node_outcome(p).status().is_success());
                 if any_failed {
                     self.flight.record(
                         id.0,
@@ -385,18 +442,15 @@ impl ShardedNjs {
                 }
             }
         }
-        waiting.clear();
-        self.poll_scratch = poll;
-        self.waiting_scratch = waiting;
 
-        // 3. Completion check — only when something changed this step or
-        //    every node was already terminal (a node finished externally,
-        //    e.g. a remote completion, between steps); an idle job's
-        //    aggregate cannot have changed.
-        if progressed || all_terminal {
-            let rt = self.jobs.get_mut(&id).expect("job exists");
+        // 3. Completion check — only when something changed in this visit
+        //    or every node was already terminal (a node finished
+        //    externally, e.g. a remote completion, between steps); an idle
+        //    job's aggregate cannot have changed.
+        let rt = self.jobs.get_mut(&id).expect("job exists");
+        if progressed || rt.open == 0 {
             rt.outcome.aggregate_status();
-            if !rt.done && rt.all_terminal() {
+            if rt.open == 0 {
                 let consigned_at = rt.consigned_at;
                 let span = rt.span.take();
                 self.mark_done(id, now);
@@ -431,13 +485,10 @@ impl ShardedNjs {
         let rt = self.jobs.get_mut(&job).expect("job exists");
         let node = rt.node_id(pos);
         match status {
-            BatchStatus::Queued | BatchStatus::Held => match rt.task_outcome_mut(pos) {
-                Some(t) if t.status != ActionStatus::Queued => {
-                    t.status = ActionStatus::Queued;
-                    true
-                }
-                _ => false,
-            },
+            // The drain wrote it.
+            BatchStatus::Queued | BatchStatus::Held => false,
+            // Written here only with the flight recorder on: the drain
+            // left the start to this visit (see `drain_batch_changes`).
             BatchStatus::Running { .. } => match rt.task_outcome_mut(pos) {
                 Some(t) if t.status != ActionStatus::Running => {
                     t.status = ActionStatus::Running;
@@ -572,7 +623,12 @@ impl ShardedNjs {
                     {
                         queue = unicore_batch::QueueClass::Batch;
                     }
-                    let script = crate::translation::incarnate_execute_in_queue(
+                    // The name and the script are written into the buffers
+                    // the last submit handed back.
+                    let (mut name, mut script) = v.batch.recycled_text();
+                    name.push_str(&task.name);
+                    crate::translation::write_execute_in_queue(
+                        &mut script,
                         &v.table,
                         kind,
                         &task.resources,
@@ -583,7 +639,7 @@ impl ShardedNjs {
                     self.incarnations += 1;
                     self.metrics.incarnations.inc();
                     let spec = BatchJobSpec {
-                        name: task.name.clone(),
+                        name,
                         owner: rt.user.login.clone(),
                         script,
                         processors: task.resources.processors,
@@ -594,7 +650,7 @@ impl ShardedNjs {
                     };
                     match v.batch.submit(spec, now) {
                         Ok(batch_id) => {
-                            v.batch_owner.insert(batch_id, job);
+                            v.batch_owner.insert(batch_id, (job, pos));
                             let queue = queue.name();
                             self.flight.record(
                                 job.0,
@@ -790,7 +846,7 @@ fn collect_workstation_imports(
 #[cfg(test)]
 mod tests {
     use super::super::{NodeState, ShardedNjs};
-    use super::WakeSet;
+    use super::JobSet;
     use crate::TranslationTable;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -801,12 +857,13 @@ mod tests {
     use unicore_resources::{deployment_page, Architecture};
     use unicore_sim::SEC;
 
-    /// Applies `ops` to a [`WakeSet`] and to the `BTreeSet<JobId>` it
-    /// replaced, comparing `first` and every `next_after` after each one.
+    /// Applies `ops` to a [`JobSet`] and to the `BTreeSet<JobId>` it
+    /// replaced, comparing `first`, every `next_after` and `iter` after
+    /// each one.
     /// An op is `(insert?, slot)`; `spread` scales slots so the ids land
     /// in few or in many words.
     fn check(base: u64, spread: u64, ops: &[(bool, u64)]) {
-        let mut set = WakeSet::new(base);
+        let mut set = JobSet::new(base);
         let mut model = BTreeSet::new();
         let id = |slot: u64| JobId(base + slot * spread);
         for &(insert, slot) in ops {
@@ -818,6 +875,7 @@ mod tests {
                 model.remove(&id(slot));
             }
             assert_eq!(set.first(), model.first().copied());
+            assert!(set.iter().eq(model.iter().copied()));
             // Memory follows the set's span: no empty word at either end.
             assert!(set.words.front() != Some(&0) && set.words.back() != Some(&0));
             let ends = [id(0), id(40), id(200), id(u16::MAX as u64), JobId(u64::MAX)];
@@ -888,7 +946,11 @@ mod tests {
                     _ => None,
                 };
                 let got = rt.node_outcome(pos).status();
-                assert_eq!(Some(got), want, "job {id} node {pos} ({batch_id}) after {after}");
+                assert_eq!(
+                    Some(got),
+                    want,
+                    "job {id} node {pos} ({batch_id}) after {after}"
+                );
             }
         }
     }
@@ -916,8 +978,8 @@ mod tests {
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
-        (0u8..12, 0usize..2, 1u64..5, 1u32..5, 1u64..40).prop_map(
-            |(kind, v, n, share, secs)| match kind {
+        (0u8..12, 0usize..2, 1u64..5, 1u32..5, 1u64..40).prop_map(|(kind, v, n, share, secs)| {
+            match kind {
                 0..=2 => Op::Consign {
                     vsite: v,
                     width: n,
@@ -932,8 +994,8 @@ mod tests {
                 7 => Op::Hold(secs as usize),
                 8 => Op::Resume(secs as usize),
                 _ => Op::Step(secs % 20),
-            },
-        )
+            }
+        })
     }
 
     fn drive(ops: &[Op]) {

@@ -167,18 +167,33 @@ pub fn incarnate_execute_in_queue(
     job_name: impl Display,
     queue: &str,
 ) -> String {
-    let arch = table.arch;
     let mut script = String::with_capacity(512);
+    write_execute_in_queue(&mut script, table, kind, resources, login, job_name, queue);
+    script
+}
+
+/// [`incarnate_execute_in_queue`], appended to `script` (the NJS writes
+/// into the buffer its batch system handed back from the last submit).
+pub(crate) fn write_execute_in_queue(
+    script: &mut String,
+    table: &TranslationTable,
+    kind: &ExecuteKind,
+    resources: &ResourceRequest,
+    login: &str,
+    job_name: impl Display,
+    queue: &str,
+) {
+    let arch = table.arch;
     script.push_str("#!/bin/sh\n");
-    write_processors_directive(&mut script, arch, resources.processors);
+    write_processors_directive(script, arch, resources.processors);
     script.push('\n');
-    write_time_directive(&mut script, arch, resources.run_time_secs);
+    write_time_directive(script, arch, resources.run_time_secs);
     script.push('\n');
-    write_memory_directive(&mut script, arch, resources.memory_mb);
+    write_memory_directive(script, arch, resources.memory_mb);
     for piece in ["\n# queue: ", queue, "  user: ", login, "\ncd "] {
         script.push_str(piece);
     }
-    table.write_workdir(&mut script, job_name);
+    table.write_workdir(script, job_name);
     script.push('\n');
 
     match kind {
@@ -214,7 +229,7 @@ pub fn incarnate_execute_in_queue(
             script.push_str(arch.f90_compiler());
             for opt in options {
                 script.push(' ');
-                write_translated(&mut script, &table.compiler_options, "-", opt);
+                write_translated(script, &table.compiler_options, "-", opt);
             }
             script.push_str(" -c");
             for src in sources {
@@ -237,14 +252,13 @@ pub fn incarnate_execute_in_queue(
             }
             for lib in libraries {
                 script.push(' ');
-                write_translated(&mut script, &table.libraries, "-l", lib);
+                write_translated(script, &table.libraries, "-l", lib);
             }
             script.push_str(" -o ");
             script.push_str(output);
             script.push('\n');
         }
     }
-    script
 }
 
 /// Writes a name → native-spelling map as key-sorted pairs.

@@ -102,9 +102,9 @@ const PINS: [Pin; 11] = [
     },
     Pin {
         what: "step allocations",
-        debug: 9.1458,
-        release: 9.1458,
-        why: "one engine: the merge phase keeps its finished-jobs buffer",
+        debug: 3.1458,
+        release: 3.1458,
+        why: "a task's name and script go into buffers its batch system handed back",
     },
     Pin {
         what: "query + purge allocations",
@@ -114,9 +114,9 @@ const PINS: [Pin; 11] = [
     },
     Pin {
         what: "job visits",
-        debug: 11.0,
-        release: 11.0,
-        why: "first pinned",
+        debug: 5.0,
+        release: 5.0,
+        why: "a batch start wakes nobody; a visit re-wakes its job only for a ready node or to finish",
     },
     Pin {
         what: "journal appends",
@@ -138,15 +138,15 @@ const PINS: [Pin; 11] = [
     },
     Pin {
         what: "fan16 step allocations",
-        debug: 51.2865,
-        release: 51.2865,
-        why: "first pinned",
+        debug: 17.2865,
+        release: 17.2865,
+        why: "a task's name and script go into buffers its batch system handed back",
     },
     Pin {
         what: "fan16 job visits",
-        debug: 10.875,
-        release: 10.875,
-        why: "first pinned",
+        debug: 5.0,
+        release: 5.0,
+        why: "a batch start wakes nobody; a visit re-wakes its job only for a ready node or to finish",
     },
     Pin {
         what: "traced spans",
