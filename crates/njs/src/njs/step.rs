@@ -1,5 +1,5 @@
-//! The wake set and the step loop: `step`, `step_job`, batch polling,
-//! node dispatch.
+//! The job sets and the step loop: `step`, `step_job`, the batch change
+//! drain, batch polling, node dispatch.
 
 use super::cross::CrossVsiteItem;
 use super::files::FileTaskResult;
@@ -311,22 +311,33 @@ impl ShardedNjs {
     /// would produce, which is what keeps journal bytes independent of
     /// how the set was reached.
     ///
-    /// **Invariant — the wake sources.** A job's `step_job` can only make
-    /// progress after one of these, and each of them wakes it:
+    /// **Invariant — the wake sources.** A job's `step_job` has work —
+    /// a batch job of its that is over, a node ready to dispatch, or no
+    /// node left open — only after one of these, and each of them wakes
+    /// it:
     /// * consign, and `recover` (every unfinished job);
-    /// * its own progress in `step_job` (re-woken for the next pass);
+    /// * its own visit, when it leaves a node ready (one whose last
+    ///   predecessor ended after the dispatch loop passed it) or no node
+    ///   open (`wants_visit`; re-woken for the next pass). A visit that
+    ///   dispatched its ready nodes and left the rest waiting is not
+    ///   re-woken;
     /// * every write to `JobRuntime::states` outside `step_job`'s own
     ///   dispatch, all routed through `set_state`: `mark_node_remote`,
     ///   `abort`, and `terminate_node` — the one way a node becomes
     ///   terminal, in `step_job`, at the completion of a node whose work
     ///   left the job's Vsite (`complete_remote_node_with_files`,
     ///   `finish_file_node`, `finish_import`, `fail_subjob_node`) and in
-    ///   journal replay;
+    ///   journal replay. A node turning terminal counts down its
+    ///   successors' unmet predecessors there, so readiness is a count,
+    ///   not a walk;
     /// * `control` Hold/Resume (`held`);
-    /// * a [`BatchStatus`] change of one of its batch jobs (start,
-    ///   completion, cancel, hold/release), drained from the batch change
-    ///   log after every `advance_to` / `submit` / `cancel` and for Vsites
-    ///   handed out by `vsite_mut`, mapped back through the owner index.
+    /// * the end of one of its batch jobs (completion, cancel), drained
+    ///   from the batch change log after every `advance_to` / `submit` /
+    ///   `cancel` and for Vsites handed out by `vsite_mut`, mapped back
+    ///   through the owner index. A start, a hold or a release only moves
+    ///   the task's status, which the drain writes itself and which wakes
+    ///   nobody — except a start with the flight recorder on, whose
+    ///   record the job's next visit writes.
     ///
     /// Code that changes what `step_job` would see must wake the job. In
     /// debug builds every round ends by asserting that one more scan of
@@ -378,12 +389,7 @@ impl ShardedNjs {
     /// visit then finds it quiet.
     fn wants_visit(&self, id: JobId) -> bool {
         self.jobs.get(&id).is_some_and(|rt| {
-            rt.open == 0
-                || !rt.held
-                    && rt
-                        .states
-                        .iter()
-                        .any(|s| *s == NodeState::Waiting { unmet: 0 })
+            rt.open == 0 || !rt.held && rt.states.contains(&NodeState::Waiting { unmet: 0 })
         })
     }
 
