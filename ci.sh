@@ -149,7 +149,7 @@ echo "==> flight identity: what/detail of every event the NJS records, a failed 
 cargo test -q --offline -p unicore-njs --test flight_identity
 cargo test -q --offline -p unicore-telemetry flight
 
-echo "==> step.rs seam: sparse unordered ActionIds == dense ones, unknown node ids refused, job_visits pinned for chain3/fan16, half-finished fan16 recovers to the uncrashed bytes"
+echo "==> step.rs seam: sparse unordered ActionIds == dense ones, unknown node ids refused, job_visits pinned for chain3/fan16, a node ready behind the dispatch loop goes out in the same step, half-finished fan16 recovers to the uncrashed bytes"
 cargo test -q --offline -p unicore-njs --test step_seam
 
 echo "==> cost pins, release column (the table is printed): allocations in consign, step and query + purge, job visits, journal appends and bytes per chain3 job on one Usite with 8 Vsites; consign and step allocations and visits per fan16 job; spans and allocations over untraced per traced chain3 job (cargo test checks the debug column)"

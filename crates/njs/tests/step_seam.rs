@@ -327,6 +327,37 @@ fn job_visits_are_pinned_for_chain3_and_fan16() {
     );
 }
 
+/// A node whose last predecessor ends after the visit's dispatch loop
+/// has passed it — declared before that predecessor, which finishes the
+/// moment it is dispatched — goes out in the next pass of the same step.
+#[test]
+fn a_node_ready_behind_the_dispatch_loop_goes_out_in_the_same_step() {
+    let mut njs = fzj();
+    let mut job = new_job("behind");
+    job.portfolio.push(PortfolioFile {
+        name: "in.dat".into(),
+        data: b"input".to_vec().into(),
+    });
+    let import = GraphNode::Task(AbstractTask {
+        name: "stage".into(),
+        resources: ResourceRequest::minimal(),
+        kind: TaskKind::File(FileKind::Import {
+            source: DataLocation::Workstation {
+                path: "in.dat".into(),
+            },
+            uspace_name: "in.dat".into(),
+        }),
+    });
+    job.nodes.push((ActionId(1), script("run", "sleep 5\n")));
+    job.nodes.push((ActionId(2), import));
+    job.dependencies.push(edge(2, 1, &[]));
+    let id = njs.consign(job, user(), 0).unwrap();
+    njs.step(0);
+    assert_eq!((njs.job_visits(), njs.incarnation_count()), (2, 1));
+    run(&mut njs, id);
+    assert_eq!(njs.outcome(id).unwrap().status, ActionStatus::Successful);
+}
+
 #[test]
 fn half_finished_fan16_recovers_to_the_uncrashed_bytes() {
     // The uncrashed run.
