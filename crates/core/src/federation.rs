@@ -33,6 +33,7 @@ use crate::reliability::{Reliability, Sender};
 use crate::server::UnicoreServer;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use unicore_ajo::{AbstractJob, ControlOp, DetailLevel, JobId, JobOutcome, ServiceOutcome};
+use unicore_batch::IdMap;
 use unicore_gateway::{RateLimitConfig, UserEntry, Uudb};
 use unicore_njs::TranslationTable;
 use unicore_resources::{deployment_page, Architecture};
@@ -176,12 +177,14 @@ pub struct Federation {
     /// The aggregation plane (E17).
     pub(crate) plane: GridPlane,
     /// Answers waiting for [`Federation::take_client_response`]; only
-    /// ever filled from `outstanding`.
-    client_responses: HashMap<u64, Response>,
+    /// ever filled from `outstanding`. This and the other tables keyed by
+    /// the client's own corrs hash with [`IdMap`]'s fixed hasher, so
+    /// they grow at the same insert in every run.
+    client_responses: IdMap<u64, Response>,
     /// The client's envelopes on the wire: envelope corr → the member
     /// corrs its answer goes to. An answer is delivered when its entry
     /// leaves, so a later copy finds nothing and is dropped.
-    outstanding: HashMap<u64, Vec<u64>>,
+    outstanding: IdMap<u64, Vec<u64>>,
     /// Sweeps still being gathered, in the order they were opened.
     open_sweeps: Vec<OpenSweep>,
     next_client_corr: u64,
@@ -218,7 +221,7 @@ pub struct Federation {
     /// [`Federation::enable_telemetry`] is called.
     pub(crate) telemetry: Telemetry,
     /// Open `client.request` spans, ended when the response arrives.
-    client_spans: HashMap<u64, ActiveSpan>,
+    client_spans: IdMap<u64, ActiveSpan>,
 }
 
 impl Federation {
@@ -293,8 +296,8 @@ impl Federation {
             config,
             site_names,
             sites,
-            client_responses: HashMap::new(),
-            outstanding: HashMap::new(),
+            client_responses: IdMap::default(),
+            outstanding: IdMap::default(),
             open_sweeps: Vec::new(),
             next_client_corr: 1,
             sync_corrs: HashSet::new(),
@@ -313,7 +316,7 @@ impl Federation {
             rate_limit: None,
             telemetry_seed: None,
             telemetry: Telemetry::disabled(),
-            client_spans: HashMap::new(),
+            client_spans: IdMap::default(),
         };
         for site in 0..fed.sites.len() {
             fed.sites[site].server = Some(fed.boot(site));

@@ -16,6 +16,7 @@ use crate::link::Outbox;
 use crate::protocol::{Body, Envelope, Request, Response};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use unicore_batch::IdMap;
 use unicore_codec::{DerCodec, DerWriter};
 use unicore_sim::{SimTime, SEC};
 use unicore_simnet::NodeId;
@@ -67,7 +68,9 @@ struct Inflight {
 /// the two views equal.
 #[derive(Default)]
 struct InflightTable {
-    entries: HashMap<CorrKey, Inflight>,
+    /// Keyed by the requesters' own corrs: [`IdMap`]'s fixed hasher
+    /// makes the table grow at the same insert in every run.
+    entries: IdMap<CorrKey, Inflight>,
     /// `(deadline, key)` of every entry.
     deadlines: BTreeSet<(SimTime, CorrKey)>,
 }

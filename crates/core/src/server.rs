@@ -7,11 +7,12 @@
 //! forwards job groups to.
 
 use crate::protocol::{OutcomeDelivery, PlacementOffer, Request, Response};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use unicore_ajo::{
     AbstractJob, ActionId, ActionStatus, DetailLevel, JobId, JobOutcome, MonitorReport,
     OutcomeNode, ServiceOutcome, TaskOutcome,
 };
+use unicore_batch::IdMap;
 use unicore_broker::{
     aggregate_request, job_cost, rank, staging_mb, BrokerPolicy, Candidate, FairShare,
     LoadSnapshot, RankedOffer,
@@ -139,7 +140,10 @@ pub struct UnicoreServer {
     resources: ResourceDirectory,
     /// DNs of peer UNICORE servers allowed to use the NJS–NJS requests.
     peer_servers: HashSet<String>,
-    pending: HashMap<u64, Pending>,
+    /// Outbound requests awaiting their answer, by this server's own
+    /// corr ([`IdMap`]'s fixed hasher: the table grows at the same insert
+    /// in every run).
+    pending: IdMap<u64, Pending>,
     next_corr: u64,
     telemetry: Telemetry,
     /// Outbound chunked transfers by (local job, transfer node), in key
@@ -269,7 +273,7 @@ impl UnicoreServer {
             njs,
             resources,
             peer_servers: HashSet::new(),
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             next_corr: 1,
             telemetry: Telemetry::disabled(),
             transfers: BTreeMap::new(),

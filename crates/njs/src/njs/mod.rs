@@ -35,6 +35,7 @@ use crate::translation::TranslationTable;
 use cross::{CrossVsiteItem, Link};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 use unicore_ajo::{
     AbstractJob, ActionId, ActionStatus, DependencyIndex, JobId, JobOutcome, MonitorReport,
@@ -302,8 +303,10 @@ pub struct ShardedNjs {
     jobs: IdMap<JobId, Box<JobRuntime>>,
     /// Idempotency key → the live job it consigned. Entries come and go
     /// with their jobs (consign, replay, purge, replayed purge), so the
-    /// journal is their only durable copy.
-    by_key: HashMap<Vec<u8>, JobId>,
+    /// journal is their only durable copy. SipHash with fixed keys (the
+    /// keys are SHA-256 digests): where the table's deleted slots lie —
+    /// so at which insert it grows — is then the same in every run.
+    by_key: HashMap<Vec<u8>, JobId, BuildHasherDefault<DefaultHasher>>,
     /// Live jobs, iterated in consign order — which is ascending id
     /// order, since ids are allocated monotonically (and replayed in
     /// journal order).
@@ -410,7 +413,7 @@ impl ShardedNjs {
             usite: usite.into(),
             vsites: Vsites::default(),
             jobs: IdMap::default(),
-            by_key: HashMap::new(),
+            by_key: HashMap::default(),
             live: step::JobSet::new(1),
             wake: step::JobSet::new(1),
             visiting: None,

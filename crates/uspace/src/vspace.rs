@@ -9,13 +9,18 @@
 use crate::error::SpaceError;
 use crate::files::VirtualFs;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 use unicore_ajo::JobId;
 
 /// One Vsite's storage: the shared Xspace and the job Uspaces.
 pub struct Vspace {
     xspace: VirtualFs,
-    uspaces: HashMap<JobId, VirtualFs>,
+    /// SipHash with fixed keys: Uspaces are created and destroyed all
+    /// the time, and where a table's deleted slots lie — so at which
+    /// insert it grows — follows the hashes; fixed keys make that the
+    /// same in every run.
+    uspaces: HashMap<JobId, VirtualFs, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl Default for Vspace {
@@ -29,7 +34,7 @@ impl Vspace {
     pub fn new() -> Self {
         Vspace {
             xspace: VirtualFs::unlimited(),
-            uspaces: HashMap::new(),
+            uspaces: HashMap::default(),
         }
     }
 

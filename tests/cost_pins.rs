@@ -15,9 +15,20 @@
 //! telemetry and the flight recorder on (spans per job, and the
 //! allocations above the untraced `chain3` run).
 //!
+//! A fourth run is gridbench's `fed_burst`, small: a two-site
+//! `Federation` (S0 and S1, one Generic Vsite each, journalling into
+//! `MemoryBackend`s) taking bursts of 32 jobs — half `chain3`, half with
+//! their middle node a sub-job at the other Usite — from submission to
+//! terminal, polled every 30 s of simulated time, then purged. The first
+//! burst is not counted. Per job it pins every allocation the burst
+//! makes, the envelopes and network messages the federation sent, and
+//! the heap bytes still live once the burst is purged: what the
+//! federation keeps for the life of a site.
+//!
 //! Allocations are counted by this binary's own `#[global_allocator]`
-//! in a thread-local counter, so the harness's other threads do not
-//! mix in. Every number is exact and repeats from run to run.
+//! in thread-local counters, so the harness's other threads do not
+//! mix in; the same allocator sums the bytes allocated, reallocated and
+//! freed. Every number is exact and repeats from run to run.
 //!
 //! A pin fails when its number rises, and also when it falls: a win is
 //! recorded by editing the pin's line, with a one-line reason. A debug
@@ -28,6 +39,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use unicore::protocol::outcome_of;
+use unicore::{Federation, FederationConfig, Request, Response, SiteSpec};
 use unicore_ajo::*;
 use unicore_gateway::MappedUser;
 use unicore_njs::{ShardedNjs, TranslationTable};
@@ -36,40 +49,54 @@ use unicore_sim::{SimTime, HOUR, SEC};
 use unicore_store::{EventStore, MemoryBackend};
 use unicore_telemetry::Telemetry;
 
-/// Counts every allocation and reallocation of the thread that makes it.
+/// Counts every allocation and reallocation of the thread that makes it,
+/// and the heap bytes the thread holds.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// One allocation or reallocation, growing the thread's heap by `grown`
+/// bytes (negative for a shrinking reallocation).
+fn count_one(grown: i64) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    count_bytes(grown);
+}
+
+fn count_bytes(grown: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + grown));
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
 // SAFETY: every method forwards to `System` with the caller's arguments;
-// the counter is a thread-local `Cell` that never allocates.
+// the counters are thread-local `Cell`s that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -93,7 +120,7 @@ struct Pin {
     why: &'static str,
 }
 
-const PINS: [Pin; 11] = [
+const PINS: [Pin; 15] = [
     Pin {
         what: "consign allocations",
         debug: 7.0104,
@@ -160,7 +187,36 @@ const PINS: [Pin; 11] = [
         release: 35.0104,
         why: "first pinned",
     },
+    Pin {
+        what: "fed_burst allocations",
+        debug: 119.8646,
+        release: 117.3646,
+        why: "first pinned",
+    },
+    Pin {
+        what: "fed_burst envelopes sent",
+        debug: 4.25,
+        release: 4.25,
+        why: "first pinned (E29: a poll round is one sweep per site)",
+    },
+    Pin {
+        what: "fed_burst messages sent",
+        debug: 1.625,
+        release: 1.625,
+        why: "first pinned (untraced: no plane heartbeats)",
+    },
+    Pin {
+        what: "fed_burst bytes retained",
+        debug: 8941.8438,
+        release: 8941.8438,
+        why: "first pinned: the reply cache holds every answer as a Response tree",
+    },
 ];
+
+/// The two Usites of the `fed_burst` row, one Vsite each.
+const FED_SITES: [&str; 2] = ["S0", "S1"];
+const FED_VSITE: &str = "V";
+const BURST_JOBS: usize = 32;
 
 fn user() -> MappedUser {
     MappedUser {
@@ -321,6 +377,148 @@ fn measure(shape: fn(String, usize) -> AbstractJob, traced: bool) -> Totals {
     totals
 }
 
+/// A 30-second script task.
+fn sleep30(id: u64, name: &str) -> (ActionId, GraphNode) {
+    (
+        ActionId(id),
+        GraphNode::Task(AbstractTask {
+            name: name.into(),
+            resources: ResourceRequest::minimal().with_run_time(3_600),
+            kind: TaskKind::Execute(ExecuteKind::Script {
+                script: "sleep 30\n".into(),
+            }),
+        }),
+    )
+}
+
+/// A `fed_burst` job entering at `FED_SITES[home]`: `chain3`, or, with
+/// `cross_site`, `chain3` with its middle node a job group at the other
+/// Usite.
+fn burst_job(name: String, home: usize, cross_site: bool) -> AbstractJob {
+    let attrs = UserAttributes::new(DN, "users");
+    let here = VsiteAddress::new(FED_SITES[home], FED_VSITE);
+    let mut job = AbstractJob::new(name.clone(), here, attrs.clone());
+    job.nodes.push(sleep30(1, "t1"));
+    job.nodes.push(if cross_site {
+        let there = VsiteAddress::new(FED_SITES[1 - home], FED_VSITE);
+        let mut group = AbstractJob::new(format!("{name}-group"), there, attrs);
+        group.nodes.push(sleep30(1, "t2"));
+        (ActionId(2), GraphNode::SubJob(group))
+    } else {
+        sleep30(2, "t2")
+    });
+    job.nodes.push(sleep30(3, "t3"));
+    for id in 1..3 {
+        job.dependencies.push(Dependency {
+            from: ActionId(id),
+            to: ActionId(id + 1),
+            files: Vec::new(),
+        });
+    }
+    job
+}
+
+/// Takes one burst from submission to terminal outcomes and purges it:
+/// consign acks are awaited 5 s of simulated time at a time, then every
+/// outstanding job is polled each 30 s.
+fn run_burst(fed: &mut Federation, jobs: Vec<(usize, AbstractJob)>) {
+    let deadline = fed.now() + 4 * HOUR;
+    let mut pending: Vec<(usize, &str, u64)> = Vec::with_capacity(jobs.len());
+    for (i, (home, job)) in jobs.into_iter().enumerate() {
+        let via = FED_SITES[home];
+        pending.push((i, via, fed.client_submit(via, job, DN)));
+    }
+    let mut consigned: Vec<(&str, JobId)> = Vec::with_capacity(pending.len());
+    while !pending.is_empty() {
+        assert!(fed.now() < deadline, "consign acks never arrived");
+        fed.run_until(fed.now() + 5 * SEC);
+        pending.retain(|&(i, via, corr)| match fed.take_client_response(corr) {
+            Some(Response::Consigned { job }) => {
+                consigned.push((via, job));
+                false
+            }
+            Some(other) => panic!("consign {i} answered {other:?}"),
+            None => true,
+        });
+    }
+    let mut outstanding = consigned.clone();
+    while !outstanding.is_empty() {
+        assert!(fed.now() < deadline, "jobs still running at the deadline");
+        let polls: Vec<u64> = outstanding
+            .iter()
+            .map(|&(via, job)| fed.client_poll(via, DN, job, DetailLevel::Tasks))
+            .collect();
+        fed.run_until(fed.now() + 30 * SEC);
+        let mut answers = polls.into_iter();
+        outstanding.retain(|_| {
+            let corr = answers.next().expect("one poll per job");
+            let Some(response) = fed.take_client_response(corr) else {
+                return true;
+            };
+            let outcome = outcome_of(&response).expect("a poll answers with an outcome");
+            assert!(!outcome.status.is_terminal() || outcome.status.is_success());
+            !outcome.status.is_terminal()
+        });
+    }
+    let purges: Vec<u64> = consigned
+        .iter()
+        .map(|&(via, job)| fed.client_request(via, DN, Request::Purge { job }))
+        .collect();
+    fed.run_until(fed.now() + 5 * SEC);
+    for corr in purges {
+        let response = fed.take_client_response(corr);
+        assert!(
+            matches!(response, Some(Response::Purged { .. })),
+            "purge answered {response:?}"
+        );
+    }
+}
+
+/// The `fed_burst` row's totals over the counted bursts: allocations,
+/// envelopes and messages sent, and heap bytes still live after the
+/// last purge that were not before the first counted burst.
+fn measure_burst() -> [u64; 4] {
+    let specs = FED_SITES.map(|s| SiteSpec::simple(s, FED_VSITE, Architecture::Generic));
+    let config = FederationConfig {
+        seed: 7,
+        ..FederationConfig::default()
+    };
+    let mut fed = Federation::new(config, &specs);
+    fed.register_user(DN, "bench");
+    for site in FED_SITES {
+        let store = EventStore::open(Box::new(MemoryBackend::new())).expect("open journal");
+        let server = fed.server_mut(site).expect("listed site");
+        server.njs_mut().attach_stores(vec![store]);
+    }
+
+    let mut totals = [0u64; 4];
+    let mut live_before = 0;
+    for burst in 0..=COUNTED_BATCHES {
+        if burst == 1 {
+            live_before = live_bytes();
+        }
+        // The burst alternates plain and cross-site jobs, entering at S0
+        // and S1 in pairs.
+        let jobs: Vec<(usize, AbstractJob)> = (0..BURST_JOBS)
+            .map(|i| {
+                let home = (i / 2 + burst) % 2;
+                (home, burst_job(format!("fb-{burst}-{i}"), home, i % 2 == 1))
+            })
+            .collect();
+        let (envelopes, messages) = (fed.envelopes_sent, fed.messages_sent);
+        let before = allocations();
+        run_burst(&mut fed, jobs);
+        if burst > 0 {
+            totals[0] += allocations() - before;
+            totals[1] += fed.envelopes_sent - envelopes;
+            totals[2] += fed.messages_sent - messages;
+        }
+    }
+    totals[3] =
+        u64::try_from(live_bytes() - live_before).expect("a burst frees no more than it held");
+    totals
+}
+
 #[test]
 fn a_jobs_cost_matches_its_pins() {
     let chain = measure(chain3, false);
@@ -329,7 +527,8 @@ fn a_jobs_cost_matches_its_pins() {
     // In `PINS`' order. The allocator counts the traced run's extra
     // allocations exactly, so the difference cannot go below zero.
     let [c, f, t] = [&chain.0, &fan.0, &traced.0];
-    let rows = [
+    let burst = measure_burst();
+    let njs_rows = [
         c[0],
         c[1],
         c[2],
@@ -342,10 +541,15 @@ fn a_jobs_cost_matches_its_pins() {
         t[6],
         traced.allocations() - chain.allocations(),
     ];
-    let jobs = (COUNTED_BATCHES * BATCH_JOBS) as f64;
+    let njs_jobs = (COUNTED_BATCHES * BATCH_JOBS) as f64;
+    let burst_jobs = (COUNTED_BATCHES * BURST_JOBS) as f64;
+    let rows = njs_rows
+        .map(|total| (total, njs_jobs))
+        .into_iter()
+        .chain(burst.map(|total| (total, burst_jobs)));
     let mut report = String::new();
     let mut failed = false;
-    for (pin, total) in PINS.iter().zip(rows) {
+    for (pin, (total, jobs)) in PINS.iter().zip(rows) {
         let measured = total as f64 / jobs;
         let pinned = if cfg!(debug_assertions) {
             pin.debug
@@ -353,7 +557,7 @@ fn a_jobs_cost_matches_its_pins() {
             pin.release
         };
         // One unit more or less over the counted jobs moves a number by
-        // 1/192 ≈ 0.0052.
+        // 1/192 ≈ 0.0052 (1/96 ≈ 0.0104 on the `fed_burst` row).
         let verdict = if (measured - pinned).abs() < 0.001 {
             "ok"
         } else if measured > pinned {
