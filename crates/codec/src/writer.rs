@@ -119,6 +119,14 @@ impl DerWriter {
         self.leaf(tag::OCTET_STRING, b);
     }
 
+    /// A value encoded earlier, appended as it is: `der` must be whole
+    /// TLVs — the bytes [`crate::DerReader::next_raw`] returns, or a
+    /// [`crate::DerCodec::to_der`] — so a stored encoding is framed again
+    /// without being decoded or re-encoded.
+    pub fn raw(&mut self, der: &[u8]) {
+        self.out.extend_from_slice(der);
+    }
+
     /// NULL.
     pub fn null(&mut self) {
         self.out.extend_from_slice(&[tag::NULL, 0]);
@@ -318,6 +326,26 @@ mod tests {
         assert_eq!(written(|w| w.str("hi")), [0x0c, 0x02, b'h', b'i']);
         assert_eq!(written(|w| w.bytes(&[9, 8])), [0x04, 0x02, 9, 8]);
         assert_eq!(written(|w| w.enumerated(200)), [0x0a, 0x02, 0x00, 0xc8]);
+    }
+
+    #[test]
+    fn a_raw_value_is_framed_as_the_value_it_encodes() {
+        for len in [0, 5, 127, 128, 300, 70_000] {
+            let payload = vec![7u8; len];
+            let der = written(|w| w.bytes(&payload));
+            let around = |w: &mut DerWriter, value: &dyn Fn(&mut DerWriter)| {
+                w.tagged(1, |w| {
+                    w.sequence(|w| {
+                        w.u64(9);
+                        value(w);
+                        w.bool(true);
+                    })
+                })
+            };
+            let direct = written(|w| around(w, &|w| w.bytes(&payload)));
+            let framed = written(|w| around(w, &|w| w.raw(&der)));
+            assert_eq!(framed, direct, "{len}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::config::{SiteConfig, VsiteConfig};
 use crate::grid::GridPlane;
 use crate::link;
-use crate::protocol::{Body, Request, Response};
+use crate::protocol::{Body, Envelope, Request, Response};
 use crate::reliability::{Reliability, Sender};
 use crate::server::UnicoreServer;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -662,7 +662,7 @@ impl Federation {
             let _ = net.send(src, dst, GATEWAY_PORT, record);
             *sent += 1;
         });
-        self.envelopes_sent = self.rel.envelopes_sent;
+        self.envelopes_sent = self.rel.envelopes_sent();
     }
 
     /// Submits a request from the workstation as `dn` via `usite`
@@ -709,7 +709,7 @@ impl Federation {
         let from = Sender::Client(dn);
         self.rel
             .request(self.now, from, site, corr, request, span.ctx());
-        self.envelopes_sent = self.rel.envelopes_sent;
+        self.envelopes_sent = self.rel.envelopes_sent();
         if span.ctx().is_some() {
             self.client_spans.insert(corr, span);
         }
@@ -744,7 +744,7 @@ impl Federation {
         };
         let (from, corr) = (Sender::Client(&dn), corrs[0]);
         self.rel.request(self.now, from, site, corr, request, None);
-        self.envelopes_sent = self.rel.envelopes_sent;
+        self.envelopes_sent = self.rel.envelopes_sent();
         self.outstanding.insert(corr, corrs);
     }
 
@@ -766,7 +766,7 @@ impl Federation {
         self.rel
             .request(self.now, Sender::Client(dn), via, corr, consign, None);
         self.rel.disarm(&(None, corr));
-        self.envelopes_sent = self.rel.envelopes_sent;
+        self.envelopes_sent = self.rel.envelopes_sent();
         corr
     }
 
@@ -956,7 +956,7 @@ impl Federation {
                 .query(w.job, &w.owner_dn, DetailLevel::Tasks)
                 .unwrap_or_default();
             let outcome = Response::Service(ServiceOutcome::Query { outcome });
-            self.rel.reply(w.site, self.workstation, w.corr, outcome);
+            self.rel.reply(w.site, self.workstation, w.corr, &outcome);
         }
 
         // Retries, in the reliability layer's deterministic order so the
@@ -1090,26 +1090,37 @@ impl Federation {
         // Aggregation pushes terminate at the plane node.
         if let Request::MonitorPush { push } = &request {
             let ack = self.plane.on_push(site, t, corr, push);
-            self.rel.reply(site, origin, corr, ack);
+            self.rel.reply(site, origin, corr, &ack);
+            return;
+        }
+        // At most once: a request answered before gets that answer
+        // again, whatever it asks; the server never sees it twice.
+        if self.rel.replay(site, origin, &dn, corr) {
             return;
         }
         // Grid-view queries climb the aggregation tree instead of
         // fanning out: the root answers from its pre-merged caches,
         // every other site relays the query one hop up (degrading to
         // its own subtree if the uplink is dead).
-        let fresh = self.rel.cached_reply(site, &dn, corr).is_none();
-        if fresh && self.telemetry_seed.is_some() && request == (Request::Monitor { grid: true }) {
+        if self.telemetry_seed.is_some() && request == (Request::Monitor { grid: true }) {
             self.handle_grid_query(site, origin, corr, &dn, t);
             return;
         }
-        if fresh
-            && origin == self.workstation
+        // A consign's AJO goes to the server as the bytes it arrived in,
+        // for its idempotency key and journal record.
+        let ajo_der = match request {
+            Request::Consign { .. } | Request::ConsignSubJob { .. } => {
+                Envelope::consigned_ajo_der(&frame[4..])
+            }
+            _ => None,
+        };
+        if origin == self.workstation
             && self.sync_corrs.contains(&corr)
             && matches!(request, Request::Consign { .. })
         {
             // The synchronous interaction stays open: no response until
             // the job finishes.
-            let resp = server.handle_request_traced(&dn, request, t, env.trace);
+            let resp = server.serve(&dn, request, ajo_der, t, env.trace);
             if let Response::Consigned { job } = &resp {
                 self.sync_watches.push(SyncWatch {
                     site,
@@ -1118,12 +1129,11 @@ impl Federation {
                     owner_dn: dn.clone(),
                 });
             }
-            self.rel.cache_reply(site, &dn, corr, resp);
+            self.rel.remember(site, &dn, corr, &resp);
             return;
         }
-        self.rel.answer_once(site, origin, &dn, corr, || {
-            server.handle_request_traced(&dn, request, t, env.trace)
-        });
+        let response = server.serve(&dn, request, ajo_der, t, env.trace);
+        self.rel.answer(site, origin, &dn, corr, response);
     }
 
     /// High-level helper: submit, then poll until the job reaches a

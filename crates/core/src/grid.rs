@@ -805,7 +805,8 @@ impl Federation {
         let Some(parent) = self.plane.parents[site] else {
             let view = self.assemble(site, t);
             let response = Response::Service(ServiceOutcome::Grid { view });
-            self.rel.answer_once(site, origin, dn, corr, || response);
+            // The caller found no earlier answer to replay.
+            self.rel.answer(site, origin, dn, corr, response);
             return;
         };
         // A retransmit while the relay is still climbing: the open relay

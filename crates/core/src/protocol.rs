@@ -607,17 +607,28 @@ fn read_trace(r: &mut DerReader<'_>) -> Result<SpanContext, CodecError> {
     })
 }
 
+/// An envelope's body as [`Envelope::write_parts`] takes it: borrowed,
+/// or — a response given before — the DER it was framed in then.
+#[derive(Clone, Copy)]
+pub(crate) enum BodyRef<'a> {
+    Request(&'a Request),
+    Response(&'a Response),
+    /// A response's DER (what [`Envelope::response_der`] found in the
+    /// frame that first carried it), written as it is.
+    ResponseDer(&'a [u8]),
+}
+
 impl Envelope {
     /// Writes an envelope from borrowed parts — the encoding
     /// [`DerCodec::write_der`] gives the owned value. A sender that holds
     /// the DN and the body elsewhere (the federation frames thousands of
-    /// envelopes under the same server DN, and keeps a fresh answer for
-    /// its reply cache) encodes without assembling an `Envelope` first.
+    /// envelopes under the same server DN, and replays answers it keeps
+    /// as bytes) encodes without assembling an `Envelope` first.
     pub(crate) fn write_parts(
         w: &mut DerWriter,
         corr: u64,
         from_dn: &str,
-        body: &Body,
+        body: BodyRef<'_>,
         trace: Option<SpanContext>,
         seq: Option<u64>,
         ack: Option<u64>,
@@ -626,8 +637,9 @@ impl Envelope {
             w.u64(corr);
             w.str(from_dn);
             match body {
-                Body::Request(r) => w.tagged(0, |w| r.write_der(w)),
-                Body::Response(r) => w.tagged(1, |w| r.write_der(w)),
+                BodyRef::Request(r) => w.tagged(0, |w| r.write_der(w)),
+                BodyRef::Response(r) => w.tagged(1, |w| r.write_der(w)),
+                BodyRef::ResponseDer(der) => w.tagged(1, |w| w.raw(der)),
             }
             // Optional trailing fields must appear in ascending tag order:
             // the reader's optional_tagged consumes sequentially.
@@ -647,6 +659,56 @@ impl Envelope {
             }
         });
     }
+
+    /// The DER of the response an encoded envelope carries, borrowed from
+    /// `der`: what a reply cache keeps, and
+    /// [`BodyRef::ResponseDer`] frames again. `None` for a request.
+    pub(crate) fn response_der(der: &[u8]) -> Option<&[u8]> {
+        Self::find_in_body(der, |tag, body| match tag {
+            1 => body.next_raw(),
+            _ => Err(CodecError::BadValue("not a response")),
+        })
+    }
+
+    /// The AJO a [`Request::Consign`] or [`Request::ConsignSubJob`]
+    /// envelope carries, as the bytes it arrived in — the `to_der()` of
+    /// the decoded job, without encoding it again. `None` for any other
+    /// body.
+    pub(crate) fn consigned_ajo_der(der: &[u8]) -> Option<&[u8]> {
+        Self::find_in_body(der, |tag, body| match tag {
+            0 => body.tagged(|tag, request| match tag {
+                0 => request.next_raw(),
+                5 => request.sequence("ConsignSubJob", |f| {
+                    let ajo = f.next_raw()?;
+                    while !f.is_empty() {
+                        f.next_raw()?;
+                    }
+                    Ok(ajo)
+                }),
+                _ => Err(CodecError::BadValue("not a consign")),
+            }),
+            _ => Err(CodecError::BadValue("not a request")),
+        })
+    }
+
+    /// Walks an encoded envelope to its body, where `find` (given the
+    /// body's tag) picks out a slice of it; the envelope's other fields
+    /// are stepped over, not decoded.
+    fn find_in_body<'a>(
+        der: &'a [u8],
+        find: impl FnOnce(u8, &mut DerReader<'a>) -> Result<&'a [u8], CodecError>,
+    ) -> Option<&'a [u8]> {
+        let found = DerReader::new(der).sequence("Envelope", |f| {
+            f.next_u64()?;
+            f.next_str()?;
+            let found = f.tagged(find)?;
+            while !f.is_empty() {
+                f.next_raw()?;
+            }
+            Ok(found)
+        });
+        found.ok()
+    }
 }
 
 impl DerCodec for Envelope {
@@ -659,6 +721,10 @@ impl DerCodec for Envelope {
             seq,
             ack,
         } = self;
+        let body = match body {
+            Body::Request(r) => BodyRef::Request(r),
+            Body::Response(r) => BodyRef::Response(r),
+        };
         Self::write_parts(w, *corr, from_dn, body, *trace, *seq, *ack);
     }
 
@@ -723,7 +789,11 @@ pub fn broker_offers_of(response: &Response) -> Option<&[PlacementOffer]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unicore_ajo::UserAttributes;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use unicore_ajo::{
+        AbstractTask, Dependency, ExecuteKind, GraphNode, PortfolioFile, TaskKind, UserAttributes,
+    };
     use unicore_codec::Value;
 
     fn sample_job() -> AbstractJob {
@@ -860,7 +930,23 @@ mod tests {
 
     #[test]
     fn response_round_trips() {
-        for r in [
+        for r in sample_responses() {
+            let env = Envelope {
+                corr: 1,
+                from_dn: "CN=s".into(),
+                body: Body::Response(r),
+                trace: None,
+                seq: None,
+                ack: None,
+            };
+            assert_eq!(Envelope::from_der(&env.to_der()).unwrap(), env);
+        }
+    }
+
+    /// One response of every kind, one of them long enough for long-form
+    /// lengths.
+    fn sample_responses() -> [Response; 17] {
+        [
             Response::Consigned { job: JobId(7) },
             Response::Service(ServiceOutcome::Control {
                 applied: true,
@@ -911,16 +997,124 @@ mod tests {
                     price_per_node_hour_milli: 900,
                 }],
             },
-        ] {
+            Response::FileData(vec![3; 70_000]),
+        ]
+    }
+
+    #[test]
+    fn a_stored_answer_is_framed_byte_for_byte_as_its_tree() {
+        for r in sample_responses() {
             let env = Envelope {
-                corr: 1,
+                corr: 9,
                 from_dn: "CN=s".into(),
-                body: Body::Response(r),
+                body: Body::Response(r.clone()),
                 trace: None,
                 seq: None,
                 ack: None,
             };
-            assert_eq!(Envelope::from_der(&env.to_der()).unwrap(), env);
+            let framed = env.to_der();
+            let der = Envelope::response_der(&framed).expect("a response");
+            assert_eq!(der, r.to_der());
+            for (seq, ack) in [(None, None), (Some(1), None), (Some(300), Some(70_000))] {
+                let write = |body| {
+                    let mut w = DerWriter::new();
+                    Envelope::write_parts(&mut w, 9, "CN=s", body, None, seq, ack);
+                    w.into_vec()
+                };
+                let tree = write(BodyRef::Response(&r));
+                assert_eq!(write(BodyRef::ResponseDer(der)), tree, "{r:?}");
+                assert_eq!(Envelope::response_der(&tree), Some(der));
+            }
+        }
+        let request = Envelope {
+            corr: 9,
+            from_dn: "CN=s".into(),
+            body: Body::Request(Request::List),
+            trace: None,
+            seq: Some(1),
+            ack: None,
+        };
+        assert_eq!(Envelope::response_der(&request.to_der()), None);
+    }
+
+    /// A job of up to `2^depth` levels: script tasks of any length (long
+    /// ones need long-form lengths), sub-jobs, edges carrying files, a
+    /// portfolio at the top.
+    fn random_job(rng: &mut TestRng, depth: u32, top: bool) -> AbstractJob {
+        let text = |rng: &mut TestRng, max: u64| "x".repeat(rng.below(max + 1) as usize);
+        let mut job = AbstractJob::new(
+            format!("job{}", rng.next_u32()),
+            VsiteAddress::new(text(rng, 8), text(rng, 8)),
+            UserAttributes::new("C=DE, O=p, OU=q, CN=prop", "grp"),
+        );
+        for id in 1..=rng.below(5) {
+            let node = if depth > 0 && rng.below(4) == 0 {
+                GraphNode::SubJob(random_job(rng, depth - 1, false))
+            } else {
+                GraphNode::Task(AbstractTask {
+                    name: format!("t{id}"),
+                    resources: ResourceRequest::minimal().with_run_time(rng.below(7_200)),
+                    kind: TaskKind::Execute(ExecuteKind::Script {
+                        script: text(rng, 300),
+                    }),
+                })
+            };
+            job.nodes.push((ActionId(id), node));
+            if id > 1 && rng.gen_bool() {
+                job.dependencies.push(Dependency {
+                    from: ActionId(id - 1),
+                    to: ActionId(id),
+                    files: (0..rng.below(3)).map(|f| format!("f{f}")).collect(),
+                });
+            }
+        }
+        if top {
+            for i in 0..rng.below(3) {
+                job.portfolio.push(PortfolioFile {
+                    name: format!("in{i}"),
+                    data: vec![i as u8; rng.below(200) as usize].into(),
+                });
+            }
+        }
+        job
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn a_consigned_ajo_is_found_as_the_bytes_it_encodes_to(seed in any::<u64>()) {
+            let rng = &mut TestRng::from_seed(seed);
+            let ajo = random_job(rng, 2, true);
+            let der = ajo.to_der();
+            let consign = Request::Consign { ajo: ajo.clone() };
+            let subjob = Request::ConsignSubJob {
+                ajo,
+                origin: "FZJ".into(),
+                parent: JobId(rng.below(1 << 40)),
+                node: ActionId(rng.below(9)),
+                return_files: vec!["out".into(); rng.below(3) as usize],
+            };
+            for request in [consign, subjob, Request::List] {
+                let found = matches!(request, Request::Consign { .. } | Request::ConsignSubJob { .. });
+                let env = Envelope {
+                    corr: rng.below(1 << 40),
+                    from_dn: "CN=alice".into(),
+                    body: Body::Request(request),
+                    trace: None,
+                    seq: Some(rng.below(1 << 20)),
+                    ack: rng.gen_bool().then(|| rng.below(1 << 20)),
+                };
+                let framed = env.to_der();
+                // What the receiver decodes from those bytes encodes to them.
+                let decoded = match Envelope::from_der(&framed).unwrap().body {
+                    Body::Request(Request::Consign { ajo }) => Some(ajo.to_der()),
+                    Body::Request(Request::ConsignSubJob { ajo, .. }) => Some(ajo.to_der()),
+                    _ => None,
+                };
+                let located = Envelope::consigned_ajo_der(&framed);
+                prop_assert_eq!(located, found.then_some(&der[..]));
+                prop_assert_eq!(located.map(<[u8]>::to_vec), decoded);
+            }
         }
     }
 

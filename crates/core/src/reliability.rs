@@ -1,19 +1,20 @@
 //! The federation's reliability layer: what makes §5.3's asynchronous
 //! protocol "protect against any unreliability" of the network under it.
 //!
-//! Every envelope leaves through [`Reliability::post`], which stamps it
-//! with its channel's next sequence number and the reverse channel's
-//! cumulative ack and frames it into the tick's record ([`crate::link`]).
-//! Around that one door: a retry timer per request (backoff with a
+//! Every envelope leaves through [`Wire::post`], which stamps it with its
+//! channel's next sequence number and the reverse channel's cumulative
+//! ack and frames it into the tick's record ([`crate::link`]). Around
+//! that one door: a retry timer per request (backoff with a
 //! deterministic jitter, a fixed budget), a circuit breaker per peer
 //! Usite, a sequence ledger per channel (duplicates and late arrivals are
-//! counted, never acted on), and the at-most-once reply cache per site.
+//! counted, never acted on), and the at-most-once reply cache per site,
+//! which keeps each answer as the DER it was first framed in.
 //!
 //! A site is its index in the deployment. Nothing here knows the
 //! simulated network or a server, so all of it is tested without either.
 
 use crate::link::Outbox;
-use crate::protocol::{Body, Envelope, Request, Response};
+use crate::protocol::{BodyRef, Envelope, Request, Response};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use unicore_batch::IdMap;
@@ -192,8 +193,72 @@ struct Peer {
     failures: u32,
     circuit: Circuit,
     /// At-most-once reply cache: requester DN → correlation id → the
-    /// answer given, replayed to retransmissions.
-    handled: HashMap<String, HashMap<u64, Response>>,
+    /// answer given, as the DER of the `Response` it was framed in (a
+    /// poll round's answer is a whole sweep of outcome trees; its bytes
+    /// are a fraction of the tree). Replayed to retransmissions as it is.
+    handled: HashMap<String, HashMap<u64, Box<[u8]>>>,
+}
+
+/// Remembers `der` as the answer to `dn`'s request `corr`.
+fn keep(
+    handled: &mut HashMap<String, HashMap<u64, Box<[u8]>>>,
+    dn: &str,
+    corr: u64,
+    der: Box<[u8]>,
+) {
+    match handled.get_mut(dn) {
+        Some(by_corr) => by_corr.insert(corr, der),
+        None => handled.entry(dn.to_owned()).or_default().insert(corr, der),
+    };
+}
+
+/// What putting an envelope on the wire touches: the channels' sequence
+/// counters and receive ledgers (the latter for the piggybacked ack) and
+/// the tick's outbox. Apart from the rest of the layer, so a stored
+/// answer can be framed while it is borrowed from its cache.
+#[derive(Default)]
+struct Wire {
+    /// Frames written this tick, flushed one record per peer at its end.
+    outbox: Outbox,
+    /// Per-channel sequence stamping for distinct outgoing envelopes.
+    next_seq: HashMap<(NodeId, NodeId), u64>,
+    /// Receiver-side sequence ledgers, keyed `(receiver, sender)`.
+    recv_seq: HashMap<(NodeId, NodeId), SeqTracker>,
+    /// Envelopes framed so far, retransmissions included.
+    envelopes_sent: u64,
+}
+
+impl Wire {
+    /// The one way onto the wire. Stamps a distinct outgoing envelope
+    /// with the next sequence number on the `src → dst` channel and the
+    /// cumulative ack of everything `src` has received from `dst`, and
+    /// frames it — origin node, then DER — into the pair's record, which
+    /// leaves at the next [`Reliability::flush`]. Returns the frame.
+    fn post(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        corr: u64,
+        from_dn: &str,
+        body: BodyRef<'_>,
+        trace: Option<SpanContext>,
+    ) -> &[u8] {
+        let seq = self.next_seq.entry((src, dst)).or_insert(0);
+        *seq += 1;
+        let ack = self
+            .recv_seq
+            .get(&(src, dst))
+            .map(|t| t.contiguous)
+            .filter(|&n| n > 0);
+        let seq = Some(*seq);
+        self.envelopes_sent += 1;
+        self.outbox.push(src, dst, |frame| {
+            frame.extend_from_slice(&src.0.to_be_bytes());
+            DerWriter::append_to(frame, |w| {
+                Envelope::write_parts(w, corr, from_dn, body, trace, seq, ack)
+            });
+        })
+    }
 }
 
 /// The reliability layer of one federation.
@@ -202,15 +267,8 @@ pub(crate) struct Reliability {
     probe_interval: SimTime,
     workstation: NodeId,
     peers: Vec<Peer>,
-    /// Frames written this tick, flushed one record per peer at its end.
-    outbox: Outbox,
-    /// Per-channel sequence stamping for distinct outgoing envelopes.
-    next_seq: HashMap<(NodeId, NodeId), u64>,
-    /// Receiver-side sequence ledgers, keyed `(receiver, sender)`.
-    recv_seq: HashMap<(NodeId, NodeId), SeqTracker>,
+    wire: Wire,
     inflight: InflightTable,
-    /// Envelopes framed so far, retransmissions included.
-    pub envelopes_sent: u64,
     /// Where the ledger and circuit counters (`federation.seq.*`,
     /// `federation.site.quarantined` / `.circuit_closed`) are reported.
     pub telemetry: Telemetry,
@@ -241,11 +299,8 @@ impl Reliability {
             probe_interval,
             workstation,
             peers,
-            outbox: Outbox::default(),
-            next_seq: HashMap::new(),
-            recv_seq: HashMap::new(),
+            wire: Wire::default(),
             inflight: InflightTable::default(),
-            envelopes_sent: 0,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -254,35 +309,9 @@ impl Reliability {
         owner.map_or("", |site| &self.peers[site].name)
     }
 
-    /// The one way onto the wire. Stamps a distinct outgoing envelope
-    /// with the next sequence number on the `src → dst` channel and the
-    /// cumulative ack of everything `src` has received from `dst`, and
-    /// frames it — origin node, then DER — into the pair's record, which
-    /// leaves at the next [`flush`](Self::flush). Returns the frame.
-    fn post(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        corr: u64,
-        from_dn: &str,
-        body: &Body,
-        trace: Option<SpanContext>,
-    ) -> &[u8] {
-        let seq = self.next_seq.entry((src, dst)).or_insert(0);
-        *seq += 1;
-        let ack = self
-            .recv_seq
-            .get(&(src, dst))
-            .map(|t| t.contiguous)
-            .filter(|&n| n > 0);
-        let seq = Some(*seq);
-        self.envelopes_sent += 1;
-        self.outbox.push(src, dst, |frame| {
-            frame.extend_from_slice(&src.0.to_be_bytes());
-            DerWriter::append_to(frame, |w| {
-                Envelope::write_parts(w, corr, from_dn, body, trace, seq, ack)
-            });
-        })
+    /// Envelopes framed so far, retransmissions included.
+    pub(crate) fn envelopes_sent(&self) -> u64 {
+        self.wire.envelopes_sent
     }
 
     /// Posts `request` to `dest`'s gateway and arms its retry timer.
@@ -296,17 +325,16 @@ impl Reliability {
         request: Request,
         trace: Option<SpanContext>,
     ) -> usize {
-        let site_dn;
         let (owner, src, from_dn) = match from {
             Sender::Client(dn) => (None, self.workstation, dn),
-            Sender::Site(site) => {
-                site_dn = self.peers[site].dn.clone();
-                (Some(site), self.peers[site].gateway, &*site_dn)
-            }
+            Sender::Site(site) => (Some(site), self.peers[site].gateway, &*self.peers[site].dn),
         };
         let dst = self.peers[dest].gateway;
-        let body = Body::Request(request);
-        let frame = self.post(src, dst, corr, from_dn, &body, trace).to_vec();
+        let body = BodyRef::Request(&request);
+        let frame = self
+            .wire
+            .post(src, dst, corr, from_dn, body, trace)
+            .to_vec();
         let len = frame.len();
         self.inflight.insert(
             (owner, corr),
@@ -323,32 +351,23 @@ impl Reliability {
         len
     }
 
-    /// Stamps and frames a response from `site`'s gateway to node `to`,
-    /// and hands it back for the caller's reply cache.
-    pub(crate) fn reply(
-        &mut self,
-        site: usize,
-        to: NodeId,
-        corr: u64,
-        response: Response,
-    ) -> Response {
-        let (src, dn) = (self.peers[site].gateway, self.peers[site].dn.clone());
-        let body = Body::Response(response);
-        self.post(src, to, corr, &dn, &body, None);
-        let Body::Response(response) = body else {
-            unreachable!("built as a response above")
-        };
-        response
+    /// Stamps and frames a response from `site`'s gateway to node `to`
+    /// that no retransmission will ask for again (an aggregation push's
+    /// ack, a synchronous consign's outcome): nothing is cached.
+    pub(crate) fn reply(&mut self, site: usize, to: NodeId, corr: u64, response: &Response) {
+        let peer = &self.peers[site];
+        let body = BodyRef::Response(response);
+        self.wire.post(peer.gateway, to, corr, &peer.dn, body, None);
     }
 
     /// Hands the tick's records to `send` and leaves nothing waiting.
     pub(crate) fn flush(&mut self, send: impl FnMut(NodeId, NodeId, Vec<u8>)) {
-        self.outbox.flush(send);
+        self.wire.outbox.flush(send);
     }
 
     /// Whether every frame still waiting was written by the workstation.
     pub(crate) fn only_the_client_waits(&self) -> bool {
-        self.outbox.only_from(self.workstation)
+        self.wire.outbox.only_from(self.workstation)
     }
 
     /// One frame arrived at node `receiver`. Decodes it, enters its
@@ -359,7 +378,7 @@ impl Reliability {
         let origin = NodeId(u32::from_be_bytes(frame.get(..4)?.try_into().ok()?));
         let env = Envelope::from_der(&frame[4..]).ok()?;
         if let Some(seq) = env.seq {
-            let tracker = self.recv_seq.entry((receiver, origin)).or_default();
+            let tracker = self.wire.recv_seq.entry((receiver, origin)).or_default();
             let late_before = tracker.reordered;
             if !tracker.observe(seq) {
                 self.telemetry.counter("federation.seq.duplicate").inc();
@@ -413,8 +432,9 @@ impl Reliability {
             f.attempt = attempt;
         });
         let f = &self.inflight.entries[key];
-        self.envelopes_sent += 1;
-        self.outbox
+        self.wire.envelopes_sent += 1;
+        self.wire
+            .outbox
             .push(f.src, f.dst, |frame| frame.extend_from_slice(&f.frame));
         None
     }
@@ -481,27 +501,48 @@ impl Reliability {
         self.peers[site].circuit != Circuit::Closed
     }
 
-    /// The answer `site` already gave `dn`'s request `corr`, if any.
-    pub(crate) fn cached_reply(&self, site: usize, dn: &str, corr: u64) -> Option<&Response> {
-        self.peers[site].handled.get(dn)?.get(&corr)
+    /// At most once, the repeat: if `site` already answered `dn`'s
+    /// request `corr`, frames that answer again — its stored DER as it is,
+    /// nothing decoded or re-encoded — for node `to`, and says so.
+    pub(crate) fn replay(&mut self, site: usize, to: NodeId, dn: &str, corr: u64) -> bool {
+        let peer = &self.peers[site];
+        let Some(der) = peer.handled.get(dn).and_then(|by_corr| by_corr.get(&corr)) else {
+            return false;
+        };
+        let body = BodyRef::ResponseDer(der);
+        self.wire.post(peer.gateway, to, corr, &peer.dn, body, None);
+        true
     }
 
-    /// Remembers what `site` answered `dn`'s request `corr`.
-    pub(crate) fn cache_reply(&mut self, site: usize, dn: &str, corr: u64, response: Response) {
-        let handled = &mut self.peers[site].handled;
-        match handled.get_mut(dn) {
-            Some(by_corr) => by_corr.insert(corr, response),
-            None => handled
-                .entry(dn.to_owned())
-                .or_default()
-                .insert(corr, response),
-        };
+    /// At most once, the first time: frames `site`'s answer to `dn`'s
+    /// request `corr` for node `to`, and keeps the `Response` DER just
+    /// written — copied out of the frame into an exact-size box — for
+    /// [`replay`](Self::replay). The tree is dropped here.
+    pub(crate) fn answer(
+        &mut self,
+        site: usize,
+        to: NodeId,
+        dn: &str,
+        corr: u64,
+        response: Response,
+    ) {
+        let peer = &mut self.peers[site];
+        let body = BodyRef::Response(&response);
+        let frame = self.wire.post(peer.gateway, to, corr, &peer.dn, body, None);
+        let der = Envelope::response_der(&frame[4..]).expect("a response was just framed");
+        keep(&mut peer.handled, dn, corr, Box::from(der));
+    }
+
+    /// Remembers what `site` answered `dn`'s request `corr` without
+    /// sending it (a synchronous consign answers at the job's end).
+    pub(crate) fn remember(&mut self, site: usize, dn: &str, corr: u64, response: &Response) {
+        let der = response.to_der().into_boxed_slice();
+        keep(&mut self.peers[site].handled, dn, corr, der);
     }
 
     /// At most once: answers `dn`'s request `corr`, which reached `site`
-    /// from node `to`, with what `handle` returns — framed first, then
-    /// cached by move (a poll's answer is a whole outcome tree). A
-    /// retransmission gets the cached answer and `handle` is not called.
+    /// from node `to`, with what `handle` returns — or, for a
+    /// retransmission, with the stored answer, and `handle` is not called.
     pub(crate) fn answer_once(
         &mut self,
         site: usize,
@@ -510,12 +551,8 @@ impl Reliability {
         corr: u64,
         handle: impl FnOnce() -> Response,
     ) {
-        match self.cached_reply(site, dn, corr).cloned() {
-            Some(said) => drop(self.reply(site, to, corr, said)),
-            None => {
-                let response = self.reply(site, to, corr, handle());
-                self.cache_reply(site, dn, corr, response);
-            }
+        if !self.replay(site, to, dn, corr) {
+            self.answer(site, to, dn, corr, handle());
         }
     }
 
@@ -530,7 +567,8 @@ impl Reliability {
 
     /// Aggregate `(duplicates, reorders)` seen across every channel.
     pub(crate) fn seq_stats(&self) -> (u64, u64) {
-        self.recv_seq
+        self.wire
+            .recv_seq
             .values()
             .fold((0, 0), |(d, r), t| (d + t.duplicates, r + t.reordered))
     }
@@ -539,6 +577,8 @@ impl Reliability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Body;
+    use unicore_ajo::ActionStatus;
     use unicore_crypto::CryptoRng;
     use unicore_sim::MINUTE;
 
@@ -822,7 +862,7 @@ mod tests {
         }
         let sent = (1 + MAX_RETRIES as u64) * QUARANTINE_AFTER as u64;
         assert_eq!(
-            (rel.envelopes_sent, flushed(&mut rel).len() as u64),
+            (rel.envelopes_sent(), flushed(&mut rel).len() as u64),
             (sent, sent)
         );
         assert!(rel.is_quarantined(RUS) && !rel.is_quarantined(0));
@@ -842,6 +882,39 @@ mod tests {
         assert!(!rel.is_quarantined(RUS), "one more exhaustion is not two");
     }
 
+    /// The answer `site` keeps for alice's request `corr`.
+    fn cached(rel: &Reliability, site: usize, corr: u64) -> Option<&[u8]> {
+        rel.peers[site]
+            .handled
+            .get("alice")?
+            .get(&corr)
+            .map(|der| &**der)
+    }
+
+    /// The `Response` DER a frame carries.
+    fn answer_der(frame: &[u8]) -> &[u8] {
+        Envelope::response_der(&frame[4..]).expect("a response frame")
+    }
+
+    /// A poll round's answer: a sweep of outcome trees.
+    fn swept() -> Response {
+        use unicore_ajo::{ActionId, JobOutcome, OutcomeNode, ServiceOutcome, TaskOutcome};
+        let outcome = |n: u64| JobOutcome {
+            status: ActionStatus::Running,
+            children: (1..=n)
+                .map(|id| (ActionId(id), OutcomeNode::Task(TaskOutcome::pending())))
+                .collect(),
+        };
+        let query = |n| {
+            Response::Service(ServiceOutcome::Query {
+                outcome: outcome(n),
+            })
+        };
+        Response::Swept {
+            responses: vec![query(3), Response::Error("no such job".into()), query(1)],
+        }
+    }
+
     #[test]
     fn a_retransmitted_request_is_answered_from_the_cache_and_a_crash_empties_only_its_own() {
         let mut rel = german();
@@ -849,7 +922,10 @@ mod tests {
         let serve = |rel: &mut Reliability, site, corr| {
             rel.answer_once(site, WORKSTATION, "alice", corr, || {
                 handled.set(handled.get() + 1);
-                Response::Error(format!("answer {corr} from {site}"))
+                match corr {
+                    10 => swept(),
+                    _ => Response::Error(format!("answer {corr} from {site}")),
+                }
             })
         };
         serve(&mut rel, 0, 1);
@@ -857,7 +933,8 @@ mod tests {
         serve(&mut rel, 0, 2);
         serve(&mut rel, RUS, 1);
         assert_eq!(handled.get(), 3, "the server saw each request once");
-        let answers: Vec<(u64, Option<u64>, Body)> = flushed(&mut rel)
+        let first = flushed(&mut rel);
+        let answers: Vec<(u64, Option<u64>, Body)> = first
             .iter()
             .map(|frame| rel.receive(WORKSTATION, frame).expect("decodes").1)
             .map(|env| (env.corr, env.seq, env.body))
@@ -872,18 +949,55 @@ mod tests {
             (1, Some(1), said(RUS, 1)),
         ];
         assert_eq!(answers, expected);
+        assert_eq!(answer_der(&first[1]), answer_der(&first[0]));
+        assert_eq!(cached(&rel, 0, 1), Some(answer_der(&first[0])));
+
+        // A poll round's sweep, answered once and received.
+        serve(&mut rel, 0, 10);
+        let sweep = flushed(&mut rel);
+        rel.receive(WORKSTATION, &sweep[0]).expect("decodes");
+        assert_eq!(handled.get(), 4);
+        assert_eq!(answer_der(&sweep[0]), swept().to_der());
+
+        // The workstation's next envelope to FZJ acks every answer FZJ
+        // gave; then request 1 and the sweep arrive once more.
+        rel.request(0, ALICE, 0, 11, poll(), None);
+        let acking = flushed(&mut rel);
+        let (_, env) = rel.receive(NodeId(0), &acking[0]).expect("decodes");
+        assert_eq!(env.ack, Some(4), "the ack has passed both answers");
+        rel.disarm(&(None, 11));
+        serve(&mut rel, 0, 1);
+        serve(&mut rel, 0, 10);
+        assert_eq!(
+            handled.get(),
+            4,
+            "past the ack, still answered from the cache"
+        );
+        let late = flushed(&mut rel);
+        assert_eq!(answer_der(&late[0]), answer_der(&first[0]));
+        assert_eq!(answer_der(&late[1]), answer_der(&sweep[0]));
+        let replayed = rel.receive(WORKSTATION, &late[1]).expect("decodes").1;
+        assert_eq!((replayed.corr, replayed.seq), (10, Some(6)));
+        assert_eq!(replayed.body, Body::Response(swept()));
 
         // FZJ crashes with a request of its own outstanding.
         rel.request(0, Sender::Site(0), RUS, 5, poll(), None);
         rel.request(0, Sender::Site(RUS), 0, 5, poll(), None);
         rel.forget(0);
-        assert!(
-            rel.cached_reply(0, "alice", 1).is_none() && rel.cached_reply(0, "alice", 2).is_none()
-        );
-        assert!(rel.cached_reply(RUS, "alice", 1).is_some());
+        assert!([1, 2, 10]
+            .iter()
+            .all(|&corr| cached(&rel, 0, corr).is_none()));
+        assert_eq!(cached(&rel, RUS, 1), Some(answer_der(&first[3])));
         assert_eq!(rel.due(SimTime::MAX), [(Some(RUS), 5)]);
-        // The rebooted server is asked again and answers afresh.
-        serve(&mut rel, 0, 1);
+        flushed(&mut rel);
+        // RUS still replays; the rebooted FZJ is asked again and answers
+        // afresh.
+        serve(&mut rel, RUS, 1);
         assert_eq!(handled.get(), 4);
+        serve(&mut rel, 0, 1);
+        assert_eq!(handled.get(), 5);
+        let after = flushed(&mut rel);
+        assert_eq!(answer_der(&after[0]), answer_der(&first[3]));
+        assert_eq!(answer_der(&after[1]), answer_der(&first[0]));
     }
 }

@@ -455,6 +455,20 @@ impl UnicoreServer {
         now: SimTime,
         trace: Option<SpanContext>,
     ) -> Response {
+        self.serve(from_dn, request, None, now, trace)
+    }
+
+    /// [`handle_request_traced`](Self::handle_request_traced) for a
+    /// request decoded from a frame: `ajo_der` is the slice of that frame
+    /// a consigned AJO was decoded from, if the request carries one.
+    pub(crate) fn serve(
+        &mut self,
+        from_dn: &str,
+        request: Request,
+        ajo_der: Option<&[u8]>,
+        now: SimTime,
+        trace: Option<SpanContext>,
+    ) -> Response {
         let tel = self.telemetry.clone();
         let mut span = if trace.is_some() {
             tel.span("server.request", trace, now)
@@ -466,15 +480,21 @@ impl UnicoreServer {
         // When telemetry is off locally, still thread the wire context
         // through so a consign forwarded onward keeps its trace.
         let parent = span.ctx().or(trace);
-        let response = self.dispatch_request(from_dn, request, now, parent);
+        let response = self.dispatch_request(from_dn, request, ajo_der, now, parent);
         tel.end(span, now);
         response
     }
 
+    /// Admits and dispatches one request. `ajo_der`, when `request` is a
+    /// `Consign` or `ConsignSubJob` and the caller holds the DER its AJO
+    /// was decoded from (a received frame), is the idempotency key's
+    /// input and the journal record's AJO, instead of an encoding of the
+    /// decoded job.
     fn dispatch_request(
         &mut self,
         from_dn: &str,
         request: Request,
+        ajo_der: Option<&[u8]>,
         now: SimTime,
         parent: Option<SpanContext>,
     ) -> Response {
@@ -507,8 +527,18 @@ impl UnicoreServer {
                 // lost reply, or replays after a crash): the identical
                 // request from the same DN maps to the job it already
                 // created, and is never submitted to batch a second time.
-                let ajo_der = ajo.to_der();
-                let idem_key = consign_key(from_dn, &ajo_der);
+                let encoded;
+                let ajo_der = match ajo_der {
+                    Some(der) => {
+                        debug_assert_eq!(der, ajo.to_der(), "carried AJO bytes encode the job");
+                        der
+                    }
+                    None => {
+                        encoded = ajo.to_der();
+                        &encoded[..]
+                    }
+                };
+                let idem_key = consign_key(from_dn, ajo_der);
                 if let Some(existing) = self.njs.job_for_key(&idem_key) {
                     return Response::Consigned { job: existing };
                 }
@@ -656,6 +686,14 @@ impl UnicoreServer {
                     AuthDecision::Accepted(m) => m,
                     AuthDecision::Refused(reason) => return Response::Error(reason),
                 };
+                debug_assert!(
+                    ajo_der.is_none_or(|der| der == ajo.to_der()),
+                    "carried AJO bytes encode the sub-job"
+                );
+                // The NJS journals a sub-job without its portfolio (the
+                // edge files go in as staged files): the bytes it arrived
+                // in are that record's AJO only when it carries none.
+                let ajo_der = ajo_der.filter(|_| ajo.portfolio.is_empty());
                 let meta = ConsignMeta {
                     idem_key,
                     foreign: Some(ForeignOrigin {
@@ -665,7 +703,7 @@ impl UnicoreServer {
                         return_files,
                     }),
                     trace: parent,
-                    ajo_der: None,
+                    ajo_der,
                 };
                 match self.njs.consign_from_peer_with_meta(ajo, mapped, now, meta) {
                     Ok(job) => Response::Consigned { job },
@@ -729,7 +767,7 @@ impl UnicoreServer {
             Request::Sweep { requests } => Response::Swept {
                 responses: requests
                     .into_iter()
-                    .map(|member| self.dispatch_request(from_dn, member, now, parent))
+                    .map(|member| self.dispatch_request(from_dn, member, None, now, parent))
                     .collect(),
             },
         }

@@ -32,7 +32,7 @@ impl ShardedNjs {
         job: AbstractJob,
         user: MappedUser,
         now: SimTime,
-        meta: ConsignMeta,
+        meta: ConsignMeta<'_>,
     ) -> Result<JobId, NjsError> {
         let preds = job.validated_index()?;
         // The payload bytes are shared with the AJO: building the staged
@@ -66,7 +66,7 @@ impl ShardedNjs {
         job: AbstractJob,
         user: MappedUser,
         now: SimTime,
-        meta: ConsignMeta,
+        meta: ConsignMeta<'_>,
     ) -> Result<JobId, NjsError> {
         // Peer-forwarded job groups carry their staged files as portfolio;
         // stage every portfolio file into the Uspace directly (files flow
@@ -109,7 +109,7 @@ impl ShardedNjs {
         staged: Vec<(String, Arc<[u8]>)>,
         parent: Option<(JobId, ActionId)>,
         now: SimTime,
-        meta: ConsignMeta,
+        meta: ConsignMeta<'_>,
     ) -> Result<JobId, NjsError> {
         self.clock = self.clock.max(now);
         let parent_ctx = meta.trace;
@@ -158,7 +158,7 @@ impl ShardedNjs {
         // the same group commit, keeping the journal in program order.
         let recovering = self.recovering;
         if let Some(store) = self.store.as_mut().filter(|_| !recovering) {
-            let carried = meta.ajo_der.as_deref();
+            let carried = meta.ajo_der;
             debug_assert!(
                 carried.is_none_or(|der| der == job.to_der()),
                 "carried AJO bytes must encode this job"

@@ -177,7 +177,7 @@ struct IncomingTransfer {
 /// back, so after a restart [`ShardedNjs::job_for_key`] and
 /// [`ShardedNjs::foreign_of`] answer as before the crash.
 #[derive(Debug, Default, Clone)]
-pub struct ConsignMeta {
+pub struct ConsignMeta<'a> {
     /// Idempotency key identifying the consign request (empty = none).
     pub idem_key: Vec<u8>,
     /// Set when the job was consigned by a peer server on behalf of a
@@ -188,9 +188,10 @@ pub struct ConsignMeta {
     /// a recovered job starts a fresh trace.
     pub trace: Option<SpanContext>,
     /// Canonical DER of exactly the job being consigned, when the caller
-    /// already holds it (the server encodes the AJO for its idempotency
-    /// key); the journal record reuses it instead of encoding again.
-    pub ajo_der: Option<Vec<u8>>,
+    /// already holds it (the bytes a consign arrived in, or the server's
+    /// encoding for its idempotency key); the journal record copies it
+    /// instead of encoding again.
+    pub ajo_der: Option<&'a [u8]>,
 }
 
 /// What [`ShardedNjs::recover`] rebuilt from the journal.
