@@ -31,7 +31,7 @@ store   FileBackend         the directory-backed journal a deployed site writes;
 # builders, Federation::apply_fault_plan, Telemetry::finished_spans, ...)
 # and the reference models property tests compare against. Lower this
 # when the count falls.
-test_only_public_max=174
+test_only_public_max=173
 scan=$(mktemp -d)
 trap 'rm -rf "$scan"' EXIT
 # The lines of the given files outside (code) or inside (test) their
@@ -299,7 +299,7 @@ done | grep -E 'Request::Sweep \{' | grep -vE 'Request::Sweep \{ (\.\.|requests)
     exit 1
 fi
 
-echo "==> the reliability layer without a network or a server: sequence ledger, retry timers in (site name, corr) order, backoff pinned for seed 1, circuit closed -> open -> one probe -> closed, at-most-once reply cache and what a crash forgets"
+echo "==> the reliability layer without a network or a server: sequence ledger, retry timers in (site name, corr) order, backoff pinned for seed 1, circuit closed -> open -> one probe -> closed, at-most-once reply cache (answers kept as the DER they were framed in, a duplicate past the requester's ack replayed byte for byte, the handler run once) and what a crash forgets"
 cargo test -q --offline -p unicore --lib reliability
 
 echo "==> one way onto the wire: in crates/core/src, net.send( appears only in Federation::flush (federation.rs) and the split-gateway LAN relay, and only link.rs and reliability.rs name the Outbox (offenders are listed)"

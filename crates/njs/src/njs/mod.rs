@@ -304,9 +304,11 @@ pub struct ShardedNjs {
     jobs: IdMap<JobId, Box<JobRuntime>>,
     /// Idempotency key → the live job it consigned. Entries come and go
     /// with their jobs (consign, replay, purge, replayed purge), so the
-    /// journal is their only durable copy. SipHash with fixed keys (the
-    /// keys are SHA-256 digests): where the table's deleted slots lie —
-    /// so at which insert it grows — is then the same in every run.
+    /// journal is their only durable copy. SipHash with fixed keys:
+    /// where the table's deleted slots lie — so at which insert it grows
+    /// — is then the same in every run. The keys are SHA-256 digests the
+    /// server computes, so a sender steers one into a chosen bucket only
+    /// by a preimage search of its own per key.
     by_key: HashMap<Vec<u8>, JobId, BuildHasherDefault<DefaultHasher>>,
     /// Live jobs, iterated in consign order — which is ascending id
     /// order, since ids are allocated monotonically (and replayed in
