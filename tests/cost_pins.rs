@@ -23,7 +23,10 @@
 //! burst is not counted. Per job it pins every allocation the burst
 //! makes, the envelopes and network messages the federation sent, and
 //! the heap bytes still live once the burst is purged: what the
-//! federation keeps for the life of a site.
+//! federation keeps for the life of a site. The burst's allocations are
+//! also pinned by phase — while consign acks are awaited, while the jobs
+//! are polled, and in the purge — beside the polls each job took and the
+//! journal content both sites wrote for it (part of what stays live).
 //!
 //! Allocations are counted by this binary's own `#[global_allocator]`
 //! in thread-local counters, so the harness's other threads do not
@@ -120,7 +123,7 @@ struct Pin {
     why: &'static str,
 }
 
-const PINS: [Pin; 15] = [
+const PINS: [Pin; 20] = [
     Pin {
         what: "consign allocations",
         debug: 7.0104,
@@ -210,6 +213,36 @@ const PINS: [Pin; 15] = [
         debug: 3974.8438,
         release: 3974.8438,
         why: "the reply cache keeps each answer as the DER it was framed in, not a Response tree",
+    },
+    Pin {
+        what: "fed_burst consign allocations",
+        debug: 48.7083,
+        release: 43.7083,
+        why: "first pinned (the phase while consign acks are awaited)",
+    },
+    Pin {
+        what: "fed_burst poll allocations",
+        debug: 71.9062,
+        release: 70.9062,
+        why: "first pinned (6.5 polls; each answer is a pruned clone of the outcome tree)",
+    },
+    Pin {
+        what: "fed_burst purge allocations",
+        debug: 2.375,
+        release: 2.375,
+        why: "first pinned",
+    },
+    Pin {
+        what: "fed_burst polls",
+        debug: 6.5,
+        release: 6.5,
+        why: "first pinned (one per 30 s while a job runs, and the one that sees it end)",
+    },
+    Pin {
+        what: "fed_burst journal bytes",
+        debug: 1002.375,
+        release: 1002.375,
+        why: "first pinned (both sites' journal content; the rest of the bytes retained is not journal)",
     },
 ];
 
@@ -420,8 +453,11 @@ fn burst_job(name: String, home: usize, cross_site: bool) -> AbstractJob {
 
 /// Takes one burst from submission to terminal outcomes and purges it:
 /// consign acks are awaited 5 s of simulated time at a time, then every
-/// outstanding job is polled each 30 s.
-fn run_burst(fed: &mut Federation, jobs: Vec<(usize, AbstractJob)>) {
+/// outstanding job is polled each 30 s. Returns the allocations made
+/// while consign acks were awaited, while the jobs were polled and in the
+/// purge, and the polls sent.
+fn run_burst(fed: &mut Federation, jobs: Vec<(usize, AbstractJob)>) -> [u64; 4] {
+    let start = allocations();
     let deadline = fed.now() + 4 * HOUR;
     let mut pending: Vec<(usize, &str, u64)> = Vec::with_capacity(jobs.len());
     for (i, (home, job)) in jobs.into_iter().enumerate() {
@@ -441,6 +477,8 @@ fn run_burst(fed: &mut Federation, jobs: Vec<(usize, AbstractJob)>) {
             None => true,
         });
     }
+    let acked = allocations();
+    let mut polls_sent = 0;
     let mut outstanding = consigned.clone();
     while !outstanding.is_empty() {
         assert!(fed.now() < deadline, "jobs still running at the deadline");
@@ -448,6 +486,7 @@ fn run_burst(fed: &mut Federation, jobs: Vec<(usize, AbstractJob)>) {
             .iter()
             .map(|&(via, job)| fed.client_poll(via, DN, job, DetailLevel::Tasks))
             .collect();
+        polls_sent += polls.len() as u64;
         fed.run_until(fed.now() + 30 * SEC);
         let mut answers = polls.into_iter();
         outstanding.retain(|_| {
@@ -460,6 +499,7 @@ fn run_burst(fed: &mut Federation, jobs: Vec<(usize, AbstractJob)>) {
             !outcome.status.is_terminal()
         });
     }
+    let polled = allocations();
     let purges: Vec<u64> = consigned
         .iter()
         .map(|&(via, job)| fed.client_request(via, DN, Request::Purge { job }))
@@ -472,12 +512,20 @@ fn run_burst(fed: &mut Federation, jobs: Vec<(usize, AbstractJob)>) {
             "purge answered {response:?}"
         );
     }
+    [
+        acked - start,
+        polled - acked,
+        allocations() - polled,
+        polls_sent,
+    ]
 }
 
-/// The `fed_burst` row's totals over the counted bursts: allocations,
-/// envelopes and messages sent, and heap bytes still live after the
-/// last purge that were not before the first counted burst.
-fn measure_burst() -> [u64; 4] {
+/// The `fed_burst` rows' totals over the counted bursts, in `PINS`'
+/// order: allocations, envelopes and messages sent, heap bytes still
+/// live after the last purge that were not before the first counted
+/// burst; the allocations by phase (consign acks awaited, polling,
+/// purge), polls sent, and the bytes both sites' journals grew by.
+fn measure_burst() -> [u64; 9] {
     let specs = FED_SITES.map(|s| SiteSpec::simple(s, FED_VSITE, Architecture::Generic));
     let config = FederationConfig {
         seed: 7,
@@ -485,13 +533,15 @@ fn measure_burst() -> [u64; 4] {
     };
     let mut fed = Federation::new(config, &specs);
     fed.register_user(DN, "bench");
-    for site in FED_SITES {
-        let store = EventStore::open(Box::new(MemoryBackend::new())).expect("open journal");
+    let disks = FED_SITES.map(|_| MemoryBackend::new());
+    for (site, disk) in FED_SITES.into_iter().zip(&disks) {
+        let store = EventStore::open(Box::new(disk.clone())).expect("open journal");
         let server = fed.server_mut(site).expect("listed site");
         server.njs_mut().attach_stores(vec![store]);
     }
+    let journal_bytes = || disks.iter().map(MemoryBackend::total_bytes).sum::<u64>();
 
-    let mut totals = [0u64; 4];
+    let mut totals = [0u64; 9];
     let mut live_before = 0;
     for burst in 0..=COUNTED_BATCHES {
         if burst == 1 {
@@ -505,13 +555,18 @@ fn measure_burst() -> [u64; 4] {
                 (home, burst_job(format!("fb-{burst}-{i}"), home, i % 2 == 1))
             })
             .collect();
-        let (envelopes, messages) = (fed.envelopes_sent, fed.messages_sent);
+        let (envelopes, messages, journal) =
+            (fed.envelopes_sent, fed.messages_sent, journal_bytes());
         let before = allocations();
-        run_burst(&mut fed, jobs);
+        let phases = run_burst(&mut fed, jobs);
         if burst > 0 {
             totals[0] += allocations() - before;
             totals[1] += fed.envelopes_sent - envelopes;
             totals[2] += fed.messages_sent - messages;
+            for (total, n) in totals[4..8].iter_mut().zip(phases) {
+                *total += n;
+            }
+            totals[8] += journal_bytes() - journal;
         }
     }
     totals[3] =
