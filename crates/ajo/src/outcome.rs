@@ -5,6 +5,7 @@
 //! each subclass of AbstractAction" (§5.3).
 
 use crate::ids::{ActionId, JobId};
+use crate::service::DetailLevel;
 use unicore_codec::{CodecError, DerCodec, DerReader, DerWriter};
 use unicore_telemetry::{ActiveAlert, FlightEvent, MetricsSnapshot, SpanSummary};
 
@@ -187,6 +188,32 @@ impl JobOutcome {
             .iter_mut()
             .find(|(i, _)| *i == id)
             .map(|(_, n)| n)
+    }
+
+    /// This tree as a status query at `detail` returns it: the job's
+    /// status alone, with its job groups (recursively, without their
+    /// tasks), or all of it.
+    pub fn pruned(&self, detail: DetailLevel) -> JobOutcome {
+        match detail {
+            DetailLevel::JobOnly => JobOutcome {
+                status: self.status,
+                children: Vec::new(),
+            },
+            DetailLevel::Groups => JobOutcome {
+                status: self.status,
+                children: self
+                    .children
+                    .iter()
+                    .filter_map(|(id, node)| match node {
+                        OutcomeNode::Job(j) => {
+                            Some((*id, OutcomeNode::Job(j.pruned(DetailLevel::Groups))))
+                        }
+                        OutcomeNode::Task(_) => None,
+                    })
+                    .collect(),
+            },
+            DetailLevel::Tasks => self.clone(),
+        }
     }
 
     /// Recomputes this job's aggregate status from its children:
@@ -448,12 +475,20 @@ impl DerCodec for TaskOutcome {
     }
 }
 
-impl DerCodec for OutcomeNode {
-    fn write_der(&self, w: &mut DerWriter) {
+impl OutcomeNode {
+    /// The node's DER, a job group's pruned to `detail` (a task is written
+    /// whole: its parent decides whether it is written at all).
+    fn write_pruned_der(&self, w: &mut DerWriter, detail: DetailLevel) {
         match self {
             OutcomeNode::Task(t) => w.tagged(0, |w| t.write_der(w)),
-            OutcomeNode::Job(j) => w.tagged(1, |w| j.write_der(w)),
+            OutcomeNode::Job(j) => w.tagged(1, |w| j.write_pruned_der(w, detail)),
         }
+    }
+}
+
+impl DerCodec for OutcomeNode {
+    fn write_der(&self, w: &mut DerWriter) {
+        self.write_pruned_der(w, DetailLevel::Tasks);
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
@@ -465,17 +500,36 @@ impl DerCodec for OutcomeNode {
     }
 }
 
-impl DerCodec for JobOutcome {
-    fn write_der(&self, w: &mut DerWriter) {
+impl JobOutcome {
+    /// Writes the DER of [`pruned`](Self::pruned)`(detail)` from this
+    /// tree, without building the pruned copy: a poll's answer goes from
+    /// the NJS's own tree into the frame. At [`DetailLevel::Tasks`] this
+    /// is the tree's own encoding.
+    pub fn write_pruned_der(&self, w: &mut DerWriter, detail: DetailLevel) {
         w.sequence(|w| {
             w.enumerated(self.status.to_enum());
-            w.sequence_of(&self.children, |w, (id, node)| {
-                w.sequence(|w| {
-                    w.u64(id.0);
-                    node.write_der(w);
-                })
+            w.sequence(|w| {
+                for (id, node) in &self.children {
+                    let kept = match detail {
+                        DetailLevel::JobOnly => false,
+                        DetailLevel::Groups => matches!(node, OutcomeNode::Job(_)),
+                        DetailLevel::Tasks => true,
+                    };
+                    if kept {
+                        w.sequence(|w| {
+                            w.u64(id.0);
+                            node.write_pruned_der(w, detail);
+                        });
+                    }
+                }
             });
         });
+    }
+}
+
+impl DerCodec for JobOutcome {
+    fn write_der(&self, w: &mut DerWriter) {
+        self.write_pruned_der(w, DetailLevel::Tasks);
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
@@ -624,6 +678,15 @@ impl DerCodec for GridView {
     }
 }
 
+impl ServiceOutcome {
+    /// Writes the DER of `ServiceOutcome::Query` with
+    /// [`JobOutcome::pruned`]`(detail)` of `outcome`, from the borrowed
+    /// tree ([`JobOutcome::write_pruned_der`]).
+    pub fn write_query_der(w: &mut DerWriter, outcome: &JobOutcome, detail: DetailLevel) {
+        w.tagged(2, |w| outcome.write_pruned_der(w, detail));
+    }
+}
+
 impl DerCodec for ServiceOutcome {
     fn write_der(&self, w: &mut DerWriter) {
         match self {
@@ -642,7 +705,9 @@ impl DerCodec for ServiceOutcome {
                     })
                 })
             }),
-            ServiceOutcome::Query { outcome } => w.tagged(2, |w| outcome.write_der(w)),
+            ServiceOutcome::Query { outcome } => {
+                Self::write_query_der(w, outcome, DetailLevel::Tasks)
+            }
             ServiceOutcome::Monitor { sites } => {
                 w.tagged(3, |w| w.sequence_of(sites, |w, s| s.write_der(w)))
             }

@@ -28,11 +28,11 @@
 use crate::config::{SiteConfig, VsiteConfig};
 use crate::grid::GridPlane;
 use crate::link;
-use crate::protocol::{Body, Envelope, Request, Response};
+use crate::protocol::{AnswerSink, Body, Envelope, Request, Response};
 use crate::reliability::{Reliability, Sender};
 use crate::server::UnicoreServer;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use unicore_ajo::{AbstractJob, ControlOp, DetailLevel, JobId, JobOutcome, ServiceOutcome};
+use unicore_ajo::{AbstractJob, ControlOp, DetailLevel, JobId, JobOutcome};
 use unicore_batch::IdMap;
 use unicore_gateway::{RateLimitConfig, UserEntry, Uudb};
 use unicore_njs::TranslationTable;
@@ -150,6 +150,15 @@ fn sweepable(request: &Request) -> bool {
     )
 }
 
+/// The client corrs an envelope's answer goes to.
+enum Members {
+    /// A request that left alone: its answer is its own, under the
+    /// envelope's corr.
+    Lone,
+    /// A sweep's members, in order; the first is the envelope's corr.
+    Sweep(Vec<u64>),
+}
+
 /// Sweepable requests the client asked of one Usite under one DN since
 /// the last flush, in call order; the first member's corr names the
 /// envelope they leave in.
@@ -184,7 +193,7 @@ pub struct Federation {
     /// The client's envelopes on the wire: envelope corr → the member
     /// corrs its answer goes to. An answer is delivered when its entry
     /// leaves, so a later copy finds nothing and is dropped.
-    outstanding: IdMap<u64, Vec<u64>>,
+    outstanding: IdMap<u64, Members>,
     /// Sweeps still being gathered, in the order they were opened.
     open_sweeps: Vec<OpenSweep>,
     next_client_corr: u64,
@@ -694,7 +703,7 @@ impl Federation {
             return corr;
         }
         self.close_sweep(site, dn);
-        self.outstanding.insert(corr, vec![corr]);
+        self.outstanding.insert(corr, Members::Lone);
         // Head sampling: consigns and control operations root a trace —
         // everything the servers do on their behalf hangs below it via
         // the wire context. High-frequency monitoring (polls, fetches,
@@ -738,14 +747,14 @@ impl Federation {
             corrs,
             mut requests,
         } = sweep;
-        let request = match requests.len() {
-            1 => requests.pop().expect("one member"),
-            _ => Request::Sweep { requests },
-        };
         let (from, corr) = (Sender::Client(&dn), corrs[0]);
+        let (request, members) = match requests.len() {
+            1 => (requests.pop().expect("one member"), Members::Lone),
+            _ => (Request::Sweep { requests }, Members::Sweep(corrs)),
+        };
         self.rel.request(self.now, from, site, corr, request, None);
         self.envelopes_sent = self.rel.envelopes_sent();
-        self.outstanding.insert(corr, corrs);
+        self.outstanding.insert(corr, members);
     }
 
     /// Consigns a job (asynchronous protocol).
@@ -759,7 +768,7 @@ impl Federation {
         let corr = self.next_client_corr;
         self.next_client_corr += 1;
         self.sync_corrs.insert(corr);
-        self.outstanding.insert(corr, vec![corr]);
+        self.outstanding.insert(corr, Members::Lone);
         // Sent once: the timer is stopped as soon as it is armed.
         let (via, consign) = (self.site_index[via], Request::Consign { ajo });
         self.close_sweep(via, dn);
@@ -952,11 +961,12 @@ impl Federation {
         for i in fired.into_iter().rev() {
             let w = self.sync_watches.remove(i);
             let server = self.sites[w.site].server.as_ref().expect("just asked");
-            let outcome = server
-                .query(w.job, &w.owner_dn, DetailLevel::Tasks)
-                .unwrap_or_default();
-            let outcome = Response::Service(ServiceOutcome::Query { outcome });
-            self.rel.reply(w.site, self.workstation, w.corr, &outcome);
+            let empty = JobOutcome::default();
+            let outcome = server.njs().query_tree(w.job, &w.owner_dn);
+            let outcome = outcome.unwrap_or(&empty);
+            self.rel.reply(w.site, self.workstation, w.corr, |frame| {
+                frame.query(outcome, DetailLevel::Tasks)
+            });
         }
 
         // Retries, in the reliability layer's deterministic order so the
@@ -1040,23 +1050,34 @@ impl Federation {
             return; // a late copy of an answer already delivered
         };
         self.sync_corrs.remove(&corr);
-        let answers = match response {
-            response if members.len() == 1 => vec![response],
-            Response::Swept { responses } if responses.len() == members.len() => responses,
+        let members = match members {
+            Members::Lone => return self.file_answer(corr, response, t),
+            Members::Sweep(members) => members,
+        };
+        match response {
+            Response::Swept { responses } if responses.len() == members.len() => {
+                for (member, answer) in members.into_iter().zip(responses) {
+                    self.file_answer(member, answer, t);
+                }
+            }
             other => {
                 let why = match other {
                     Response::Error(why) => why,
                     _ => format!("a sweep of {} got a malformed answer", members.len()),
                 };
-                vec![Response::Error(why); members.len()]
+                for member in members {
+                    self.file_answer(member, Response::Error(why.clone()), t);
+                }
             }
-        };
-        for (member, answer) in members.into_iter().zip(answers) {
-            if let Some(span) = self.client_spans.remove(&member) {
-                self.telemetry.end(span, t);
-            }
-            self.client_responses.insert(member, answer);
         }
+    }
+
+    /// Files `answer` for the client's request `member` and ends its span.
+    fn file_answer(&mut self, member: u64, answer: Response, t: SimTime) {
+        if let Some(span) = self.client_spans.remove(&member) {
+            self.telemetry.end(span, t);
+        }
+        self.client_responses.insert(member, answer);
     }
 
     fn deliver_to_server(&mut self, site: usize, frame: &[u8], t: SimTime) {
@@ -1090,7 +1111,8 @@ impl Federation {
         // Aggregation pushes terminate at the plane node.
         if let Request::MonitorPush { push } = &request {
             let ack = self.plane.on_push(site, t, corr, push);
-            self.rel.reply(site, origin, corr, &ack);
+            self.rel
+                .reply(site, origin, corr, |frame| frame.response(ack));
             return;
         }
         // At most once: a request answered before gets that answer
@@ -1120,7 +1142,9 @@ impl Federation {
         {
             // The synchronous interaction stays open: no response until
             // the job finishes.
-            let resp = server.serve(&dn, request, ajo_der, t, env.trace);
+            let mut resp = None;
+            server.serve(&dn, request, ajo_der, t, env.trace, &mut resp);
+            let resp = resp.expect("every request is answered");
             if let Response::Consigned { job } = &resp {
                 self.sync_watches.push(SyncWatch {
                     site,
@@ -1132,8 +1156,12 @@ impl Federation {
             self.rel.remember(site, &dn, corr, &resp);
             return;
         }
-        let response = server.serve(&dn, request, ajo_der, t, env.trace);
-        self.rel.answer(site, origin, &dn, corr, response);
+        // The answer is written into the frame that carries it back as the
+        // server gives it: a poll's outcome from the NJS's own tree, a
+        // sweep's members one by one.
+        self.rel.answer(site, origin, &dn, corr, |frame| {
+            server.serve(&dn, request, ajo_der, t, env.trace, frame)
+        });
     }
 
     /// High-level helper: submit, then poll until the job reaches a

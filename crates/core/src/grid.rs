@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::federation::Federation;
-use crate::protocol::{Request, Response};
+use crate::protocol::{AnswerSink, Request, Response};
 use crate::reliability::{CorrKey, Sender};
 use unicore_ajo::{
     GridView, ServiceOutcome, SiteHealth, SiteStatus, UnreachableReason, VsiteHealth,
@@ -806,7 +806,8 @@ impl Federation {
             let view = self.assemble(site, t);
             let response = Response::Service(ServiceOutcome::Grid { view });
             // The caller found no earlier answer to replay.
-            self.rel.answer(site, origin, dn, corr, response);
+            self.rel
+                .answer(site, origin, dn, corr, |frame| frame.response(response));
             return;
         };
         // A retransmit while the relay is still climbing: the open relay

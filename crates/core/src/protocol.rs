@@ -508,11 +508,18 @@ impl DerCodec for Request {
     }
 }
 
+/// The tag of [`Response::Service`], which [`AnswerSink`]'s frame writer
+/// also writes around a poll's outcome.
+const SERVICE_TAG: u8 = 1;
+/// The tag of [`Response::Swept`], which the frame writer also writes
+/// around a sweep's members.
+const SWEPT_TAG: u8 = 12;
+
 impl DerCodec for Response {
     fn write_der(&self, w: &mut DerWriter) {
         match self {
             Response::Consigned { job } => w.tagged(0, |w| w.u64(job.0)),
-            Response::Service(s) => w.tagged(1, |w| s.write_der(w)),
+            Response::Service(s) => w.tagged(SERVICE_TAG, |w| s.write_der(w)),
             Response::FileData(d) => w.tagged(2, |w| w.bytes(d)),
             Response::Ack => w.tagged(3, |w| w.null()),
             Response::Purged { bytes } => w.tagged(5, |w| w.u64(*bytes)),
@@ -535,9 +542,9 @@ impl DerCodec for Response {
                     w.bool(*resync);
                 })
             }),
-            Response::Swept { responses } => {
-                w.tagged(12, |w| w.sequence_of(responses, |w, r| r.write_der(w)))
-            }
+            Response::Swept { responses } => w.tagged(SWEPT_TAG, |w| {
+                w.sequence_of(responses, |w, r| r.write_der(w))
+            }),
         }
     }
 
@@ -546,7 +553,7 @@ impl DerCodec for Response {
             0 => Ok(Response::Consigned {
                 job: JobId(t.next_u64()?),
             }),
-            1 => Ok(Response::Service(ServiceOutcome::read_der(t)?)),
+            SERVICE_TAG => Ok(Response::Service(ServiceOutcome::read_der(t)?)),
             2 => Ok(Response::FileData(t.next_bytes()?.to_vec())),
             3 => t.next_null().map(|()| Response::Ack),
             4 => Ok(Response::Error(t.next_string()?)),
@@ -575,11 +582,89 @@ impl DerCodec for Response {
                     resync: f.next_bool()?,
                 })
             }),
-            12 => Ok(Response::Swept {
+            SWEPT_TAG => Ok(Response::Swept {
                 responses: read_members(t, "Swept", |r| matches!(r, Response::Swept { .. }))?,
             }),
             _ => Err(CodecError::BadValue("Response variant")),
         })
+    }
+}
+
+/// Where a server writes its answer to one request: one dispatch path
+/// for two kinds of answer. The public door takes an owned [`Response`]
+/// (`Option<Response>`, a sweep's members a `Vec<Response>`); the
+/// federation hands the [`DerWriter`] of the frame it is writing, so a
+/// poll's answer goes from the NJS's own outcome tree into the frame and
+/// a sweep's members are written one by one as they are answered. Both
+/// give the same bytes: the frame holds what the owned answer encodes to.
+pub(crate) trait AnswerSink {
+    /// Where a sweep's members answer.
+    type Members: AnswerSink;
+
+    /// The answer, as a value.
+    fn response(&mut self, response: Response);
+
+    /// A poll's answer, `Response::Service(ServiceOutcome::Query { .. })`
+    /// with `outcome` pruned to `detail`: for an owned answer, a pruned
+    /// copy of the tree.
+    fn query(&mut self, outcome: &JobOutcome, detail: DetailLevel) {
+        self.response(Response::Service(ServiceOutcome::Query {
+            outcome: outcome.pruned(detail),
+        }));
+    }
+
+    /// A sweep's answer, [`Response::Swept`]: `answer` answers each of
+    /// its `members` members, in order.
+    fn swept(&mut self, members: usize, answer: impl FnOnce(&mut Self::Members));
+}
+
+/// The public door's answer.
+impl AnswerSink for Option<Response> {
+    type Members = Vec<Response>;
+
+    fn response(&mut self, response: Response) {
+        debug_assert!(self.is_none(), "one answer per request");
+        *self = Some(response);
+    }
+
+    fn swept(&mut self, members: usize, answer: impl FnOnce(&mut Vec<Response>)) {
+        let mut responses = Vec::with_capacity(members);
+        answer(&mut responses);
+        self.response(Response::Swept { responses });
+    }
+}
+
+/// A sweep's owned answers, in member order.
+impl AnswerSink for Vec<Response> {
+    type Members = Vec<Response>;
+
+    fn response(&mut self, response: Response) {
+        self.push(response);
+    }
+
+    fn swept(&mut self, members: usize, answer: impl FnOnce(&mut Vec<Response>)) {
+        let mut responses = Vec::with_capacity(members);
+        answer(&mut responses);
+        self.push(Response::Swept { responses });
+    }
+}
+
+/// The frame's answer: the `Response` DER, written in place.
+impl AnswerSink for DerWriter {
+    type Members = DerWriter;
+
+    fn response(&mut self, response: Response) {
+        response.write_der(self);
+    }
+
+    fn query(&mut self, outcome: &JobOutcome, detail: DetailLevel) {
+        self.tagged(SERVICE_TAG, |w| {
+            ServiceOutcome::write_query_der(w, outcome, detail)
+        });
+    }
+
+    fn swept(&mut self, _members: usize, answer: impl FnOnce(&mut DerWriter)) {
+        self.tagged(SWEPT_TAG, |w| w.sequence(answer));
     }
 }
 
@@ -608,27 +693,30 @@ fn read_trace(r: &mut DerReader<'_>) -> Result<SpanContext, CodecError> {
 }
 
 /// An envelope's body as [`Envelope::write_parts`] takes it: borrowed,
-/// or — a response given before — the DER it was framed in then.
-#[derive(Clone, Copy)]
-pub(crate) enum BodyRef<'a> {
+/// the DER a response given before was framed in, or — a response being
+/// given now — a writer of its DER ([`AnswerSink`] on the frame).
+pub(crate) enum BodyRef<'a, F = fn(&mut DerWriter)> {
     Request(&'a Request),
     Response(&'a Response),
     /// A response's DER (what [`Envelope::response_der`] found in the
     /// frame that first carried it), written as it is.
     ResponseDer(&'a [u8]),
+    /// A response whose DER the function writes.
+    ResponseWith(F),
 }
 
 impl Envelope {
     /// Writes an envelope from borrowed parts — the encoding
     /// [`DerCodec::write_der`] gives the owned value. A sender that holds
     /// the DN and the body elsewhere (the federation frames thousands of
-    /// envelopes under the same server DN, and replays answers it keeps
-    /// as bytes) encodes without assembling an `Envelope` first.
-    pub(crate) fn write_parts(
+    /// envelopes under the same server DN, replays answers it keeps as
+    /// bytes, and writes a server's answer as the server gives it)
+    /// encodes without assembling an `Envelope` first.
+    pub(crate) fn write_parts<F: FnOnce(&mut DerWriter)>(
         w: &mut DerWriter,
         corr: u64,
         from_dn: &str,
-        body: BodyRef<'_>,
+        body: BodyRef<'_, F>,
         trace: Option<SpanContext>,
         seq: Option<u64>,
         ack: Option<u64>,
@@ -640,6 +728,7 @@ impl Envelope {
                 BodyRef::Request(r) => w.tagged(0, |w| r.write_der(w)),
                 BodyRef::Response(r) => w.tagged(1, |w| r.write_der(w)),
                 BodyRef::ResponseDer(der) => w.tagged(1, |w| w.raw(der)),
+                BodyRef::ResponseWith(write) => w.tagged(1, write),
             }
             // Optional trailing fields must appear in ascending tag order:
             // the reader's optional_tagged consumes sequentially.
@@ -721,7 +810,7 @@ impl DerCodec for Envelope {
             seq,
             ack,
         } = self;
-        let body = match body {
+        let body: BodyRef = match body {
             Body::Request(r) => BodyRef::Request(r),
             Body::Response(r) => BodyRef::Response(r),
         };
@@ -1016,7 +1105,7 @@ mod tests {
             let der = Envelope::response_der(&framed).expect("a response");
             assert_eq!(der, r.to_der());
             for (seq, ack) in [(None, None), (Some(1), None), (Some(300), Some(70_000))] {
-                let write = |body| {
+                let write = |body: BodyRef| {
                     let mut w = DerWriter::new();
                     Envelope::write_parts(&mut w, 9, "CN=s", body, None, seq, ack);
                     w.into_vec()
@@ -1024,6 +1113,10 @@ mod tests {
                 let tree = write(BodyRef::Response(&r));
                 assert_eq!(write(BodyRef::ResponseDer(der)), tree, "{r:?}");
                 assert_eq!(Envelope::response_der(&tree), Some(der));
+                let mut w = DerWriter::new();
+                let body = BodyRef::ResponseWith(|w: &mut DerWriter| w.response(r.clone()));
+                Envelope::write_parts(&mut w, 9, "CN=s", body, None, seq, ack);
+                assert_eq!(w.into_vec(), tree, "{r:?}");
             }
         }
         let request = Envelope {
@@ -1035,6 +1128,115 @@ mod tests {
             ack: None,
         };
         assert_eq!(Envelope::response_der(&request.to_der()), None);
+    }
+
+    /// An outcome tree with up to `depth` levels of job groups below the
+    /// top: tasks in every status, with output and messages of any length
+    /// (long ones need long-form lengths), exit codes and flight traces
+    /// now and then.
+    fn random_outcome(rng: &mut TestRng, depth: u32) -> JobOutcome {
+        use unicore_ajo::{ActionStatus, TaskOutcome};
+        use unicore_telemetry::FlightEvent;
+        const STATUSES: [ActionStatus; 8] = [
+            ActionStatus::Pending,
+            ActionStatus::Consigned,
+            ActionStatus::Queued,
+            ActionStatus::Running,
+            ActionStatus::Held,
+            ActionStatus::Successful,
+            ActionStatus::NotSuccessful,
+            ActionStatus::Killed,
+        ];
+        let status = |rng: &mut TestRng| STATUSES[rng.below(8) as usize];
+        let bytes = |rng: &mut TestRng, max: u64| vec![b'o'; rng.below(max + 1) as usize];
+        let children = (1..=rng.below(6))
+            .map(|_| {
+                let node = if depth > 0 && rng.below(3) == 0 {
+                    OutcomeNode::Job(random_outcome(rng, depth - 1))
+                } else {
+                    OutcomeNode::Task(TaskOutcome {
+                        status: status(rng),
+                        exit_code: rng.gen_bool().then(|| rng.next_u32() as i32),
+                        stdout: bytes(rng, 300),
+                        stderr: bytes(rng, 20),
+                        bytes_staged: rng.below(1 << 30),
+                        message: "m".repeat(rng.below(40) as usize),
+                        flight: (0..rng.below(3))
+                            .map(|at| FlightEvent {
+                                at,
+                                what: "njs.dispatch".into(),
+                                detail: "d".repeat(rng.below(150) as usize),
+                            })
+                            .collect(),
+                    })
+                };
+                (ActionId(rng.below(1 << 20)), node)
+            })
+            .collect();
+        JobOutcome {
+            status: status(rng),
+            children,
+        }
+    }
+
+    const DETAILS: [DetailLevel; 3] = [
+        DetailLevel::JobOnly,
+        DetailLevel::Groups,
+        DetailLevel::Tasks,
+    ];
+
+    /// The owned answer to a poll at `detail`: what the public door gives.
+    fn owned_query(outcome: &JobOutcome, detail: DetailLevel) -> Response {
+        Response::Service(ServiceOutcome::Query {
+            outcome: outcome.pruned(detail),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn a_poll_written_from_the_tree_is_the_pruned_answers_der(seed in any::<u64>()) {
+            let rng = &mut TestRng::from_seed(seed);
+            let outcome = random_outcome(rng, 3);
+            for detail in DETAILS {
+                let owned = owned_query(&outcome, detail);
+                let mut frame = DerWriter::new();
+                frame.query(&outcome, detail);
+                prop_assert_eq!(frame.into_vec(), owned.to_der());
+                let mut answer = None;
+                answer.query(&outcome, detail);
+                prop_assert_eq!(answer, Some(owned));
+            }
+            // A sweep of polls at every level, between an error member and
+            // a purge: written member by member, it is the `Swept`'s DER.
+            let error = Response::Error("unknown job 7".into());
+            let purged = Response::Purged { bytes: rng.below(1 << 30) };
+            let mut frame = DerWriter::new();
+            let mut answer = None;
+            let owned = Response::Swept {
+                responses: [error.clone()]
+                    .into_iter()
+                    .chain(DETAILS.map(|detail| owned_query(&outcome, detail)))
+                    .chain([purged.clone()])
+                    .collect(),
+            };
+            frame.swept(5, |members| {
+                members.response(error.clone());
+                for detail in DETAILS {
+                    members.query(&outcome, detail);
+                }
+                members.response(purged.clone());
+            });
+            answer.swept(5, |members| {
+                members.response(error);
+                for detail in DETAILS {
+                    members.query(&outcome, detail);
+                }
+                members.response(purged);
+            });
+            prop_assert_eq!(frame.into_vec(), owned.to_der());
+            prop_assert_eq!(answer, Some(owned));
+        }
     }
 
     /// A job of up to `2^depth` levels: script tasks of any length (long

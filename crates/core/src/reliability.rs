@@ -234,13 +234,13 @@ impl Wire {
     /// cumulative ack of everything `src` has received from `dst`, and
     /// frames it — origin node, then DER — into the pair's record, which
     /// leaves at the next [`Reliability::flush`]. Returns the frame.
-    fn post(
+    fn post<F: FnOnce(&mut DerWriter)>(
         &mut self,
         src: NodeId,
         dst: NodeId,
         corr: u64,
         from_dn: &str,
-        body: BodyRef<'_>,
+        body: BodyRef<'_, F>,
         trace: Option<SpanContext>,
     ) -> &[u8] {
         let seq = self.next_seq.entry((src, dst)).or_insert(0);
@@ -330,7 +330,7 @@ impl Reliability {
             Sender::Site(site) => (Some(site), self.peers[site].gateway, &*self.peers[site].dn),
         };
         let dst = self.peers[dest].gateway;
-        let body = BodyRef::Request(&request);
+        let body: BodyRef = BodyRef::Request(&request);
         let frame = self
             .wire
             .post(src, dst, corr, from_dn, body, trace)
@@ -351,12 +351,19 @@ impl Reliability {
         len
     }
 
-    /// Stamps and frames a response from `site`'s gateway to node `to`
-    /// that no retransmission will ask for again (an aggregation push's
-    /// ack, a synchronous consign's outcome): nothing is cached.
-    pub(crate) fn reply(&mut self, site: usize, to: NodeId, corr: u64, response: &Response) {
+    /// Stamps and frames a response, whose DER `response` writes, from
+    /// `site`'s gateway to node `to` that no retransmission will ask for
+    /// again (an aggregation push's ack, a synchronous consign's outcome):
+    /// nothing is cached.
+    pub(crate) fn reply(
+        &mut self,
+        site: usize,
+        to: NodeId,
+        corr: u64,
+        response: impl FnOnce(&mut DerWriter),
+    ) {
         let peer = &self.peers[site];
-        let body = BodyRef::Response(response);
+        let body = BodyRef::ResponseWith(response);
         self.wire.post(peer.gateway, to, corr, &peer.dn, body, None);
     }
 
@@ -509,25 +516,27 @@ impl Reliability {
         let Some(der) = peer.handled.get(dn).and_then(|by_corr| by_corr.get(&corr)) else {
             return false;
         };
-        let body = BodyRef::ResponseDer(der);
+        let body: BodyRef = BodyRef::ResponseDer(der);
         self.wire.post(peer.gateway, to, corr, &peer.dn, body, None);
         true
     }
 
     /// At most once, the first time: frames `site`'s answer to `dn`'s
-    /// request `corr` for node `to`, and keeps the `Response` DER just
-    /// written — copied out of the frame into an exact-size box — for
-    /// [`replay`](Self::replay). The tree is dropped here.
+    /// request `corr` for node `to` — `response` writes its DER into the
+    /// frame (a server answering through
+    /// [`AnswerSink`](crate::protocol::AnswerSink)) — and keeps the
+    /// `Response` DER just written, copied out of the frame into an
+    /// exact-size box, for [`replay`](Self::replay).
     pub(crate) fn answer(
         &mut self,
         site: usize,
         to: NodeId,
         dn: &str,
         corr: u64,
-        response: Response,
+        response: impl FnOnce(&mut DerWriter),
     ) {
         let peer = &mut self.peers[site];
-        let body = BodyRef::Response(&response);
+        let body = BodyRef::ResponseWith(response);
         let frame = self.wire.post(peer.gateway, to, corr, &peer.dn, body, None);
         let der = Envelope::response_der(&frame[4..]).expect("a response was just framed");
         keep(&mut peer.handled, dn, corr, Box::from(der));
@@ -552,7 +561,7 @@ impl Reliability {
         handle: impl FnOnce() -> Response,
     ) {
         if !self.replay(site, to, dn, corr) {
-            self.answer(site, to, dn, corr, handle());
+            self.answer(site, to, dn, corr, |w| handle().write_der(w));
         }
     }
 

@@ -6,7 +6,7 @@
 //! *server* towards JPA/JMC and a *client* towards the peer NJS it
 //! forwards job groups to.
 
-use crate::protocol::{OutcomeDelivery, PlacementOffer, Request, Response};
+use crate::protocol::{AnswerSink, OutcomeDelivery, PlacementOffer, Request, Response};
 use std::collections::{BTreeMap, HashSet};
 use unicore_ajo::{
     AbstractJob, ActionId, ActionStatus, DetailLevel, JobId, JobOutcome, MonitorReport,
@@ -455,20 +455,24 @@ impl UnicoreServer {
         now: SimTime,
         trace: Option<SpanContext>,
     ) -> Response {
-        self.serve(from_dn, request, None, now, trace)
+        let mut answer = None;
+        self.serve(from_dn, request, None, now, trace, &mut answer);
+        answer.expect("every request is answered")
     }
 
     /// [`handle_request_traced`](Self::handle_request_traced) for a
-    /// request decoded from a frame: `ajo_der` is the slice of that frame
-    /// a consigned AJO was decoded from, if the request carries one.
-    pub(crate) fn serve(
+    /// request decoded from a frame, answered into `sink`: `ajo_der` is
+    /// the slice of that frame a consigned AJO was decoded from, if the
+    /// request carries one.
+    pub(crate) fn serve<S: AnswerSink>(
         &mut self,
         from_dn: &str,
         request: Request,
         ajo_der: Option<&[u8]>,
         now: SimTime,
         trace: Option<SpanContext>,
-    ) -> Response {
+        sink: &mut S,
+    ) {
         let tel = self.telemetry.clone();
         let mut span = if trace.is_some() {
             tel.span("server.request", trace, now)
@@ -480,48 +484,53 @@ impl UnicoreServer {
         // When telemetry is off locally, still thread the wire context
         // through so a consign forwarded onward keeps its trace.
         let parent = span.ctx().or(trace);
-        let response = self.dispatch_request(from_dn, request, ajo_der, now, parent);
+        // Whether the sender is a trusted peer server is asked once per
+        // request, also for a sweep of many.
+        let trusted_peer = self.peer_servers.contains(from_dn);
+        self.dispatch_request(from_dn, trusted_peer, request, ajo_der, now, parent, sink);
         tel.end(span, now);
-        response
     }
 
-    /// Admits and dispatches one request. `ajo_der`, when `request` is a
-    /// `Consign` or `ConsignSubJob` and the caller holds the DER its AJO
-    /// was decoded from (a received frame), is the idempotency key's
-    /// input and the journal record's AJO, instead of an encoding of the
-    /// decoded job.
-    fn dispatch_request(
+    /// Admits and dispatches one request, answering into `sink`.
+    /// `ajo_der`, when `request` is a `Consign` or `ConsignSubJob` and the
+    /// caller holds the DER its AJO was decoded from (a received frame),
+    /// is the idempotency key's input and the journal record's AJO,
+    /// instead of an encoding of the decoded job.
+    #[allow(clippy::too_many_arguments)] // one request's context, passed down a sweep
+    fn dispatch_request<S: AnswerSink>(
         &mut self,
         from_dn: &str,
+        trusted_peer: bool,
         request: Request,
         ajo_der: Option<&[u8]>,
         now: SimTime,
         parent: Option<SpanContext>,
-    ) -> Response {
+        sink: &mut S,
+    ) {
         let now_secs = now / SEC;
         // Front-door admission before any dispatch: revoked DNs and
         // rate-limit overruns are refused (and audited by the gateway)
         // without touching the NJS. Open by default — no limiter
         // installed, no DNs revoked — so existing deployments see no
         // behavior change until an operator opts in.
-        let trusted_peer = self.peer_servers.contains(from_dn);
         if !trusted_peer && is_user_request(&request) {
             if let Some(reason) = self
                 .gateway
                 .admit(from_dn, request_kind(&request), now_secs)
             {
-                return Response::Error(reason);
+                return sink.response(Response::Error(reason));
             }
         }
         if !trusted_peer && is_peer_request(&request) {
-            return Response::Error(format!("{from_dn} is not a trusted peer server"));
+            let refusal = format!("{from_dn} is not a trusted peer server");
+            return sink.response(Response::Error(refusal));
         }
-        match request {
+        let response = match request {
             Request::Consign { ajo } => {
                 if ajo.user.dn != from_dn {
-                    return Response::Error(format!(
+                    return sink.response(Response::Error(format!(
                         "AJO user DN does not match authenticated DN {from_dn}"
-                    ));
+                    )));
                 }
                 // Deduplicate re-delivered Consigns (client retry after a
                 // lost reply, or replays after a crash): the identical
@@ -540,7 +549,7 @@ impl UnicoreServer {
                 };
                 let idem_key = consign_key(from_dn, ajo_der);
                 if let Some(existing) = self.njs.job_for_key(&idem_key) {
-                    return Response::Consigned { job: existing };
+                    return sink.response(Response::Consigned { job: existing });
                 }
                 // Fair-share admission (after dedup, so the retry of an
                 // already-accepted job is never denied): a tenant holding
@@ -548,7 +557,7 @@ impl UnicoreServer {
                 // behind its own backlog instead of starving everyone.
                 if let Err(denial) = self.shares.admit(from_dn, now) {
                     self.broker_metrics.quota_denied.inc();
-                    return Response::Error(denial.to_string());
+                    return sink.response(Response::Error(denial.to_string()));
                 }
                 // Figure 2: "the user [may] contact any UNICORE server".
                 // A job destined for another Usite is wrapped in a local
@@ -558,10 +567,10 @@ impl UnicoreServer {
                 // when the job consigned is the one those bytes encode.
                 let (ajo, ajo_der) = if ajo.vsite.usite != self.usite {
                     let Some(host_vsite) = self.njs.vsite_names().first().cloned() else {
-                        return Response::Error(format!(
+                        return sink.response(Response::Error(format!(
                             "Usite {} has no Vsites to host routed jobs",
                             self.usite
-                        ));
+                        )));
                     };
                     let mut inner = ajo;
                     let mut wrapper = unicore_ajo::AbstractJob::new(
@@ -593,7 +602,7 @@ impl UnicoreServer {
                 self.telemetry.end(auth_span, now);
                 let mapped = match decision {
                     AuthDecision::Accepted(m) => m,
-                    AuthDecision::Refused(reason) => return Response::Error(reason),
+                    AuthDecision::Refused(reason) => return sink.response(Response::Error(reason)),
                 };
                 let meta = ConsignMeta {
                     idem_key,
@@ -610,8 +619,10 @@ impl UnicoreServer {
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
-            Request::Poll { job, detail } => match self.njs.query(job, from_dn, detail) {
-                Ok(outcome) => Response::Service(ServiceOutcome::Query { outcome }),
+            // The answer is written from the job's own tree: a frame takes
+            // it pruned as it is written, an owned answer as a pruned copy.
+            Request::Poll { job, detail } => match self.njs.query_tree(job, from_dn) {
+                Ok(outcome) => return sink.query(outcome, detail),
                 Err(e) => Response::Error(e.to_string()),
             },
             Request::Control { job, op } => match self.njs.control(job, op, from_dn, now) {
@@ -666,7 +677,7 @@ impl UnicoreServer {
                 // re-dispatched the node — return the job already running.
                 let idem_key = subjob_key(&origin, parent_job, node);
                 if let Some(existing) = self.njs.job_for_key(&idem_key) {
-                    return Response::Consigned { job: existing };
+                    return sink.response(Response::Consigned { job: existing });
                 }
                 // The job runs as the *original user*: map their DN here.
                 let mut auth_span = if parent.is_some() {
@@ -684,7 +695,7 @@ impl UnicoreServer {
                 self.telemetry.end(auth_span, now);
                 let mapped = match decision {
                     AuthDecision::Accepted(m) => m,
-                    AuthDecision::Refused(reason) => return Response::Error(reason),
+                    AuthDecision::Refused(reason) => return sink.response(Response::Error(reason)),
                 };
                 debug_assert!(
                     ajo_der.is_none_or(|der| der == ajo.to_der()),
@@ -721,7 +732,7 @@ impl UnicoreServer {
                 );
                 let login = match decision {
                     AuthDecision::Accepted(m) => m.login,
-                    AuthDecision::Refused(reason) => return Response::Error(reason),
+                    AuthDecision::Refused(reason) => return sink.response(Response::Error(reason)),
                 };
                 match self.njs.transfer_offer(manifest, &login) {
                     Ok(resume_from) => Response::TransferGo { resume_from },
@@ -763,14 +774,19 @@ impl UnicoreServer {
             }
             // Every member takes the path it would take alone — admission,
             // the rate limit, revocation and the peer-only check included —
-            // and the answers go back in member order.
-            Request::Sweep { requests } => Response::Swept {
-                responses: requests
-                    .into_iter()
-                    .map(|member| self.dispatch_request(from_dn, member, None, now, parent))
-                    .collect(),
-            },
-        }
+            // and is answered before the next one runs, so a member sees
+            // what the members before it did. The answers go back in
+            // member order.
+            Request::Sweep { requests } => {
+                return sink.swept(requests.len(), |members| {
+                    for member in requests {
+                        let trusted = trusted_peer;
+                        self.dispatch_request(from_dn, trusted, member, None, now, parent, members);
+                    }
+                })
+            }
+        };
+        sink.response(response);
     }
 
     /// Handles a response to one of this server's own outbound requests.
@@ -1218,6 +1234,7 @@ mod tests {
         AbstractJob, AbstractTask, ExecuteKind, GraphNode, ResourceRequest, TaskKind,
         UserAttributes, VsiteAddress,
     };
+    use unicore_codec::DerWriter;
     use unicore_crypto::sha256;
     use unicore_sim::{HOUR, MINUTE};
 
@@ -1294,10 +1311,49 @@ mod tests {
         }
     }
 
-    fn swept(server: &mut UnicoreServer, requests: Vec<Request>, now: SimTime) -> Vec<Response> {
-        match server.handle_request(DN, Request::Sweep { requests }, now) {
+    /// The two ways a request reaches the one dispatch path: the public
+    /// door, answered with an owned `Response`, and the federation's frame
+    /// path, answered into the frame's writer (decoded here).
+    #[derive(Clone, Copy, Debug)]
+    enum Door {
+        Owned,
+        Frame,
+    }
+
+    const DOORS: [Door; 2] = [Door::Owned, Door::Frame];
+
+    /// `request` from `dn` through `door`, with the answer's DER.
+    fn ask(
+        server: &mut UnicoreServer,
+        door: Door,
+        dn: &str,
+        request: Request,
+        now: SimTime,
+    ) -> (Response, Vec<u8>) {
+        match door {
+            Door::Owned => {
+                let answer = server.handle_request(dn, request, now);
+                let der = answer.to_der();
+                (answer, der)
+            }
+            Door::Frame => {
+                let mut frame = DerWriter::new();
+                server.serve(dn, request, None, now, None, &mut frame);
+                let der = frame.into_vec();
+                (Response::from_der(&der).expect("a Response"), der)
+            }
+        }
+    }
+
+    fn swept(
+        server: &mut UnicoreServer,
+        door: Door,
+        requests: Vec<Request>,
+        now: SimTime,
+    ) -> Vec<Response> {
+        match ask(server, door, DN, Request::Sweep { requests }, now).0 {
             Response::Swept { responses } => responses,
-            other => panic!("a sweep answered {other:?}"),
+            other => panic!("a sweep answered {other:?} through {door:?}"),
         }
     }
 
@@ -1313,61 +1369,138 @@ mod tests {
             .into_iter()
             .map(|request| alone.handle_request(DN, request, now))
             .collect();
-        let (mut server, same_id, same_now) = fzj_with_a_finished_job();
-        assert_eq!((same_id, same_now), (id, now));
-        let answers = swept(&mut server, members(id), now);
-        assert_eq!(answers, lone);
-        // What they are, in member order: the outcome, the purge, and the
-        // unknown job refused.
-        assert!(crate::protocol::outcome_of(&answers[0]).is_some_and(|o| o.status.is_success()));
-        assert!(matches!(answers[1], Response::Purged { .. }));
-        assert!(matches!(answers[2], Response::Error(_)));
+        for door in DOORS {
+            let (mut server, same_id, same_now) = fzj_with_a_finished_job();
+            assert_eq!((same_id, same_now), (id, now));
+            let answers = swept(&mut server, door, members(id), now);
+            assert_eq!(answers, lone, "{door:?}");
+            // What they are, in member order: the outcome, the purge, and
+            // the unknown job refused.
+            let outcome = crate::protocol::outcome_of(&answers[0]);
+            assert!(outcome.is_some_and(|o| o.status.is_success()));
+            assert!(matches!(answers[1], Response::Purged { .. }));
+            assert!(matches!(answers[2], Response::Error(_)));
+        }
     }
 
     #[test]
     fn a_sweep_spends_the_rate_limit_per_member() {
-        let (mut server, id, now) = fzj_with_a_finished_job();
-        server
-            .gateway_mut()
-            .set_rate_limit(unicore_gateway::RateLimitConfig::new(0, 2));
-        let answers = swept(&mut server, vec![poll(id), poll(id), poll(id)], now);
-        assert!(answers[..2]
-            .iter()
-            .all(|a| crate::protocol::outcome_of(a).is_some()));
-        assert!(refused_for(&answers[2], "rate limit"), "{:?}", answers[2]);
+        for door in DOORS {
+            let (mut server, id, now) = fzj_with_a_finished_job();
+            server
+                .gateway_mut()
+                .set_rate_limit(unicore_gateway::RateLimitConfig::new(0, 2));
+            let answers = swept(&mut server, door, vec![poll(id), poll(id), poll(id)], now);
+            assert!(answers[..2]
+                .iter()
+                .all(|a| crate::protocol::outcome_of(a).is_some()));
+            assert!(refused_for(&answers[2], "rate limit"), "{:?}", answers[2]);
+        }
     }
 
     #[test]
     fn a_sweep_from_a_revoked_dn_has_every_member_refused() {
-        let (mut server, id, now) = fzj_with_a_finished_job();
-        server.gateway_mut().revoke_dn(DN);
-        let members = vec![poll(id), Request::List, Request::Purge { job: id }];
-        let answers = swept(&mut server, members, now);
-        assert_eq!(answers.len(), 3);
-        for answer in &answers {
-            assert!(refused_for(answer, "certificate revoked"), "{answer:?}");
+        for door in DOORS {
+            let (mut server, id, now) = fzj_with_a_finished_job();
+            server.gateway_mut().revoke_dn(DN);
+            let members = vec![poll(id), Request::List, Request::Purge { job: id }];
+            let answers = swept(&mut server, door, members, now);
+            assert_eq!(answers.len(), 3);
+            for answer in &answers {
+                assert!(refused_for(answer, "certificate revoked"), "{answer:?}");
+            }
+            assert!(server.outcome(id).is_some(), "the purge was not done");
         }
-        assert!(server.outcome(id).is_some(), "the purge was not done");
     }
 
     #[test]
     fn a_peer_only_request_in_a_users_sweep_is_refused_as_if_alone() {
-        let (mut server, id, now) = fzj_with_a_finished_job();
-        let deliver = || Request::DeliverOutcomes {
-            deliveries: vec![OutcomeDelivery {
-                parent: id,
-                node: ActionId(1),
-                outcome: OutcomeNode::Job(JobOutcome::default()),
-                files: vec![],
-            }],
+        for door in DOORS {
+            let (mut server, id, now) = fzj_with_a_finished_job();
+            let deliver = || Request::DeliverOutcomes {
+                deliveries: vec![OutcomeDelivery {
+                    parent: id,
+                    node: ActionId(1),
+                    outcome: OutcomeNode::Job(JobOutcome::default()),
+                    files: vec![],
+                }],
+            };
+            let lone = server.handle_request(DN, deliver(), now);
+            assert!(refused_for(&lone, "not a trusted peer server"), "{lone:?}");
+            let answers = swept(&mut server, door, vec![poll(id), deliver()], now);
+            assert!(crate::protocol::outcome_of(&answers[0]).is_some());
+            assert_eq!(answers[1], lone);
+            let outcome = server.outcome(id).expect("still there");
+            assert!(outcome.status.is_success(), "nothing was delivered");
+        }
+    }
+
+    #[test]
+    fn the_frame_path_answers_byte_for_byte_as_the_public_door() {
+        const MALLORY: &str = "C=DE, O=FZJ, OU=ZAM, CN=mallory";
+        let at = |detail| move |job| Request::Poll { job, detail };
+        let (job_only, groups) = (at(DetailLevel::JobOnly), at(DetailLevel::Groups));
+        // Lone polls at every level, an unknown job, another user's job.
+        let lone = |id: JobId| {
+            [
+                (DN, job_only(id)),
+                (DN, groups(id)),
+                (DN, poll(id)),
+                (DN, poll(JobId(999))),
+                (MALLORY, poll(id)),
+            ]
         };
-        let lone = server.handle_request(DN, deliver(), now);
-        assert!(refused_for(&lone, "not a trusted peer server"), "{lone:?}");
-        let answers = swept(&mut server, vec![poll(id), deliver()], now);
-        assert!(crate::protocol::outcome_of(&answers[0]).is_some());
-        assert_eq!(answers[1], lone);
-        let outcome = server.outcome(id).expect("still there");
-        assert!(outcome.status.is_success(), "nothing was delivered");
+        // A sweep of polls, purges and listings, with the job polled and
+        // listed again after its purge, and a purge of what is gone.
+        let mixed = |id: JobId| {
+            vec![
+                job_only(id),
+                Request::List,
+                groups(id),
+                Request::Purge { job: id },
+                poll(id),
+                Request::List,
+                Request::Purge { job: id },
+                poll(JobId(999)),
+            ]
+        };
+        let ders = DOORS.map(|door| {
+            let (mut server, id, now) = fzj_with_a_finished_job();
+            let mut ders: Vec<Vec<u8>> = lone(id)
+                .into_iter()
+                .map(|(dn, request)| ask(&mut server, door, dn, request, now).1)
+                .collect();
+            let (answer, der) = ask(
+                &mut server,
+                door,
+                DN,
+                Request::Sweep {
+                    requests: mixed(id),
+                },
+                now,
+            );
+            let Response::Swept { responses } = answer else {
+                panic!("the sweep answered {answer:?}");
+            };
+            // The poll after the purge saw it: the job is gone.
+            assert!(
+                refused_for(&responses[4], "unknown job"),
+                "{door:?}: {responses:?}"
+            );
+            assert!(matches!(responses[3], Response::Purged { .. }));
+            ders.push(der);
+            assert!(server.outcome(id).is_none(), "{door:?}: the purge was done");
+            ders
+        });
+        let [owned, frame] = &ders;
+        assert_eq!(owned.len(), 6);
+        assert_eq!(frame, owned);
+        let refusals = owned[3..5]
+            .iter()
+            .map(|der| Response::from_der(der).expect("a Response"));
+        for (refusal, why) in refusals.zip(["unknown job", "does not own"]) {
+            assert!(refused_for(&refusal, why), "{refusal:?}");
+        }
     }
 
     /// FZJ at time 0 with four transfers of one file to RUS (nodes 2–5),

@@ -279,6 +279,14 @@ impl ShardedNjs {
     /// The Query service: the outcome tree at the requested detail level
     /// (ownership enforced by DN).
     pub fn query(&self, job: JobId, dn: &str, detail: DetailLevel) -> Result<JobOutcome, NjsError> {
+        Ok(self.query_tree(job, dn)?.pruned(detail))
+    }
+
+    /// The Query service, borrowed: the job's own outcome tree, for a
+    /// caller that writes the answer at its detail level itself
+    /// ([`JobOutcome::write_pruned_der`]) instead of taking a pruned copy
+    /// (ownership enforced by DN).
+    pub fn query_tree(&self, job: JobId, dn: &str) -> Result<&JobOutcome, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
             return Err(NjsError::NotOwner {
@@ -286,7 +294,7 @@ impl ShardedNjs {
                 dn: dn.to_owned(),
             });
         }
-        Ok(prune_outcome(&rt.outcome, detail))
+        Ok(&rt.outcome)
     }
 
     /// Fetches a file from a finished job's Uspace (JMC "save output",
@@ -302,29 +310,5 @@ impl ShardedNjs {
         let vspace = &self.vsites[rt.vsite].vspace;
         let data = vspace.read_for_transfer(job, name, &rt.user.login)?;
         Ok(data.to_vec()) // wire: Vec<u8> field
-    }
-}
-
-/// Prunes an outcome tree to the requested detail level.
-fn prune_outcome(outcome: &JobOutcome, detail: DetailLevel) -> JobOutcome {
-    match detail {
-        DetailLevel::JobOnly => JobOutcome {
-            status: outcome.status,
-            children: Vec::new(),
-        },
-        DetailLevel::Groups => JobOutcome {
-            status: outcome.status,
-            children: outcome
-                .children
-                .iter()
-                .filter_map(|(id, node)| match node {
-                    OutcomeNode::Job(j) => {
-                        Some((*id, OutcomeNode::Job(prune_outcome(j, DetailLevel::Groups))))
-                    }
-                    OutcomeNode::Task(_) => None,
-                })
-                .collect(),
-        },
-        DetailLevel::Tasks => outcome.clone(),
     }
 }

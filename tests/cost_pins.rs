@@ -192,9 +192,9 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst allocations",
-        debug: 122.9896,
-        release: 116.9896,
-        why: "a consign keeps the AJO bytes it arrived in; a cached answer is one boxed slice (debug re-encodes to check)",
+        debug: 112.4896,
+        release: 106.4896,
+        why: "a poll is answered from the NJS's tree into the frame; a lone request keeps no corr or answer vector (debug re-encodes to check)",
     },
     Pin {
         what: "fed_burst envelopes sent",
@@ -216,21 +216,21 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst consign allocations",
-        debug: 48.7083,
-        release: 43.7083,
-        why: "first pinned (the phase while consign acks are awaited)",
+        debug: 46.7083,
+        release: 41.7083,
+        why: "a lone consign keeps no corr vector and its answer no answer vector",
     },
     Pin {
         what: "fed_burst poll allocations",
-        debug: 71.9062,
-        release: 70.9062,
-        why: "first pinned (6.5 polls; each answer is a pruned clone of the outcome tree)",
+        debug: 63.4688,
+        release: 62.4688,
+        why: "a poll is written from the NJS's tree (no pruned clone), a sweep's answers into the frame (no vector)",
     },
     Pin {
         what: "fed_burst purge allocations",
-        debug: 2.375,
-        release: 2.375,
-        why: "first pinned",
+        debug: 2.3125,
+        release: 2.3125,
+        why: "a sweep of purges writes its answers into the frame (no vector)",
     },
     Pin {
         what: "fed_burst polls",
