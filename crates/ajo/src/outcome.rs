@@ -502,10 +502,9 @@ impl DerCodec for OutcomeNode {
 
 impl JobOutcome {
     /// Writes the DER of [`pruned`](Self::pruned)`(detail)` from this
-    /// tree, without building the pruned copy: a poll's answer goes from
-    /// the NJS's own tree into the frame. At [`DetailLevel::Tasks`] this
-    /// is the tree's own encoding.
-    pub fn write_pruned_der(&self, w: &mut DerWriter, detail: DetailLevel) {
+    /// tree, without building the pruned copy. At [`DetailLevel::Tasks`]
+    /// this is the tree's own encoding.
+    fn write_pruned_der(&self, w: &mut DerWriter, detail: DetailLevel) {
         w.sequence(|w| {
             w.enumerated(self.status.to_enum());
             w.sequence(|w| {
@@ -681,7 +680,8 @@ impl DerCodec for GridView {
 impl ServiceOutcome {
     /// Writes the DER of `ServiceOutcome::Query` with
     /// [`JobOutcome::pruned`]`(detail)` of `outcome`, from the borrowed
-    /// tree ([`JobOutcome::write_pruned_der`]).
+    /// tree: a poll's answer goes from the NJS's own tree into the frame,
+    /// with no pruned copy.
     pub fn write_query_der(w: &mut DerWriter, outcome: &JobOutcome, detail: DetailLevel) {
         w.tagged(2, |w| outcome.write_pruned_der(w, detail));
     }

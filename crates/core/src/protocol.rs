@@ -628,9 +628,7 @@ impl AnswerSink for Option<Response> {
     }
 
     fn swept(&mut self, members: usize, answer: impl FnOnce(&mut Vec<Response>)) {
-        let mut responses = Vec::with_capacity(members);
-        answer(&mut responses);
-        self.response(Response::Swept { responses });
+        self.response(owned_sweep(members, answer));
     }
 }
 
@@ -643,10 +641,15 @@ impl AnswerSink for Vec<Response> {
     }
 
     fn swept(&mut self, members: usize, answer: impl FnOnce(&mut Vec<Response>)) {
-        let mut responses = Vec::with_capacity(members);
-        answer(&mut responses);
-        self.push(Response::Swept { responses });
+        self.push(owned_sweep(members, answer));
     }
+}
+
+/// An owned sweep's answer: the `members` answers `answer` gives, in order.
+fn owned_sweep(members: usize, answer: impl FnOnce(&mut Vec<Response>)) -> Response {
+    let mut responses = Vec::with_capacity(members);
+    answer(&mut responses);
+    Response::Swept { responses }
 }
 
 /// The frame's answer: the `Response` DER, written in place.

@@ -14,7 +14,7 @@
 //! simulated network or a server, so all of it is tested without either.
 
 use crate::link::Outbox;
-use crate::protocol::{BodyRef, Envelope, Request, Response};
+use crate::protocol::{AnswerSink, BodyRef, Envelope, Request, Response};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use unicore_batch::IdMap;
@@ -561,7 +561,7 @@ impl Reliability {
         handle: impl FnOnce() -> Response,
     ) {
         if !self.replay(site, to, dn, corr) {
-            self.answer(site, to, dn, corr, |w| handle().write_der(w));
+            self.answer(site, to, dn, corr, |w| w.response(handle()));
         }
     }
 

@@ -259,6 +259,23 @@ fn sync_protocol_breaks_under_loss_where_async_survives() {
 }
 
 #[test]
+fn a_synchronous_consign_ends_with_the_outcome_a_poll_reads_at_task_detail() {
+    let mut fed = german();
+    let mut job = AbstractJob::new("sync", VsiteAddress::new("FZJ", "T3E"), attrs());
+    job.nodes.push(script_node(1, "t", "echo hi\nsleep 60\n"));
+    let corr = fed.client_submit_sync("FZJ", job, DN);
+    fed.run_until(HOUR);
+    let answer = fed.take_client_response(corr).expect("the job ended");
+    let server = fed.server("FZJ").expect("FZJ runs");
+    let id = server.njs().list_jobs(DN)[0].job;
+    let outcome = server
+        .query(id, DN, DetailLevel::Tasks)
+        .expect("alice's job");
+    assert!(outcome.status.is_success() && !outcome.children.is_empty());
+    assert_eq!(answer, Response::Service(ServiceOutcome::Query { outcome }));
+}
+
+#[test]
 fn firewall_split_site_still_works() {
     let specs = vec![
         SiteSpec::simple("FZJ", "T3E", Architecture::CrayT3e).with_split(),

@@ -284,8 +284,8 @@ impl ShardedNjs {
 
     /// The Query service, borrowed: the job's own outcome tree, for a
     /// caller that writes the answer at its detail level itself
-    /// ([`JobOutcome::write_pruned_der`]) instead of taking a pruned copy
-    /// (ownership enforced by DN).
+    /// ([`unicore_ajo::ServiceOutcome::write_query_der`]) instead of
+    /// taking a pruned copy (ownership enforced by DN).
     pub fn query_tree(&self, job: JobId, dn: &str) -> Result<&JobOutcome, NjsError> {
         let rt = self.jobs.get(&job).ok_or(NjsError::UnknownJob(job))?;
         if rt.user.dn != dn {
