@@ -747,10 +747,14 @@ impl Federation {
             corrs,
             mut requests,
         } = sweep;
+        let request = match requests.len() {
+            1 => requests.pop().expect("one member"),
+            _ => Request::Sweep { requests },
+        };
         let (from, corr) = (Sender::Client(&dn), corrs[0]);
-        let (request, members) = match requests.len() {
-            1 => (requests.pop().expect("one member"), Members::Lone),
-            _ => (Request::Sweep { requests }, Members::Sweep(corrs)),
+        let members = match corrs.len() {
+            1 => Members::Lone,
+            _ => Members::Sweep(corrs),
         };
         self.rel.request(self.now, from, site, corr, request, None);
         self.envelopes_sent = self.rel.envelopes_sent();
