@@ -91,10 +91,14 @@ impl FairShare {
 
     /// Charges `cost` node-seconds to `dn` at `now`.
     pub fn charge(&mut self, dn: &str, cost: u64, now: SimTime) {
-        let cell = self.cells.entry(dn.to_owned()).or_insert(Cell {
-            charged: 0,
-            at: now,
-        });
+        // The DN is copied on a tenant's first charge only.
+        let cell = match self.cells.get_mut(dn) {
+            Some(cell) => cell,
+            None => self.cells.entry(dn.to_owned()).or_insert(Cell {
+                charged: 0,
+                at: now,
+            }),
+        };
         let prior = decayed(
             cell.charged,
             now.saturating_sub(cell.at),

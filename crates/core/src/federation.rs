@@ -38,7 +38,7 @@ use unicore_gateway::{RateLimitConfig, UserEntry, Uudb};
 use unicore_njs::TranslationTable;
 use unicore_resources::{deployment_page, Architecture};
 use unicore_sim::{SimTime, MINUTE};
-use unicore_simnet::{FaultPlan, Firewall, LinkParams, Network, NodeId};
+use unicore_simnet::{FaultPlan, Firewall, LinkParams, Message, Network, NodeId};
 use unicore_store::{EventStore, MemoryBackend};
 use unicore_telemetry::{ActiveSpan, Telemetry};
 
@@ -196,6 +196,10 @@ pub struct Federation {
     outstanding: IdMap<u64, Members>,
     /// Sweeps still being gathered, in the order they were opened.
     open_sweeps: Vec<OpenSweep>,
+    /// The lists a tick drains its inboxes into and delivers from, empty
+    /// between ticks and kept for their capacity.
+    inbox: Vec<(SimTime, Message)>,
+    deliveries: Vec<(usize, Vec<u8>)>,
     next_client_corr: u64,
     sync_corrs: HashSet<u64>,
     sync_watches: Vec<SyncWatch>,
@@ -308,6 +312,8 @@ impl Federation {
             client_responses: IdMap::default(),
             outstanding: IdMap::default(),
             open_sweeps: Vec::new(),
+            inbox: Vec::new(),
+            deliveries: Vec::new(),
             next_client_corr: 1,
             sync_corrs: HashSet::new(),
             sync_watches: Vec::new(),
@@ -717,7 +723,7 @@ impl Federation {
         span.attr("via", via);
         let from = Sender::Client(dn);
         self.rel
-            .request(self.now, from, site, corr, request, span.ctx());
+            .request(self.now, from, site, corr, &request, span.ctx());
         self.envelopes_sent = self.rel.envelopes_sent();
         if span.ctx().is_some() {
             self.client_spans.insert(corr, span);
@@ -756,7 +762,7 @@ impl Federation {
             1 => Members::Lone,
             _ => Members::Sweep(corrs),
         };
-        self.rel.request(self.now, from, site, corr, request, None);
+        self.rel.request(self.now, from, site, corr, &request, None);
         self.envelopes_sent = self.rel.envelopes_sent();
         self.outstanding.insert(corr, members);
     }
@@ -777,7 +783,7 @@ impl Federation {
         let (via, consign) = (self.site_index[via], Request::Consign { ajo });
         self.close_sweep(via, dn);
         self.rel
-            .request(self.now, Sender::Client(dn), via, corr, consign, None);
+            .request(self.now, Sender::Client(dn), via, corr, &consign, None);
         self.rel.disarm(&(None, corr));
         self.envelopes_sent = self.rel.envelopes_sent();
         corr
@@ -895,13 +901,20 @@ impl Federation {
         self.net.run_until(t);
 
         // Deliver messages. Workstation first: responses to the client.
-        for (_, msg) in self.net.drain_inbox(self.workstation) {
+        // A record's buffer goes back to the outbox once it is read.
+        let (mut inbox, mut deliveries) = (
+            std::mem::take(&mut self.inbox),
+            std::mem::take(&mut self.deliveries),
+        );
+        self.net.drain_inbox_into(self.workstation, &mut inbox);
+        for (_, msg) in inbox.drain(..) {
             self.deliver_record(None, &msg.payload, t);
+            self.rel.recycle(msg.payload);
         }
-        let mut deliveries: Vec<(usize, Vec<u8>)> = Vec::new();
         for (site, nodes) in self.sites.iter().enumerate() {
             // Gateway inbox.
-            for (_, msg) in self.net.drain_inbox(nodes.gateway) {
+            self.net.drain_inbox_into(nodes.gateway, &mut inbox);
+            for (_, msg) in inbox.drain(..) {
                 if nodes.split {
                     // Relay over the LAN hop to the interior NJS node.
                     let _ = self.net.send(nodes.gateway, nodes.njs, 9_000, msg.payload);
@@ -910,14 +923,15 @@ impl Federation {
                 deliveries.push((site, msg.payload));
             }
             if nodes.split {
-                for (_, msg) in self.net.drain_inbox(nodes.njs) {
-                    deliveries.push((site, msg.payload));
-                }
+                self.net.drain_inbox_into(nodes.njs, &mut inbox);
+                deliveries.extend(inbox.drain(..).map(|(_, msg)| (site, msg.payload)));
             }
         }
-        for (site, record) in deliveries {
+        for (site, record) in deliveries.drain(..) {
             self.deliver_record(Some(site), &record, t);
+            self.rel.recycle(record);
         }
+        (self.inbox, self.deliveries) = (inbox, deliveries);
 
         // Step servers; route their outbound requests. Crashed sites
         // neither step nor send.
@@ -939,11 +953,14 @@ impl Federation {
                     Some(&dest) => {
                         let from = Sender::Site(site);
                         self.rel
-                            .request(t, from, dest, req.corr, req.request, req.trace);
+                            .request(t, from, dest, req.corr, &req.request, req.trace);
+                        server.sent(req);
                         continue;
                     }
                 };
-                server.handle_response(req.corr, Response::Error(refusal));
+                let corr = req.corr;
+                server.sent(req);
+                server.handle_response(corr, Response::Error(refusal));
             }
         }
 
@@ -1121,7 +1138,7 @@ impl Federation {
         }
         // At most once: a request answered before gets that answer
         // again, whatever it asks; the server never sees it twice.
-        if self.rel.replay(site, origin, &dn, corr) {
+        if self.rel.replay(site, origin, dn, corr) {
             return;
         }
         // Grid-view queries climb the aggregation tree instead of
@@ -1129,7 +1146,7 @@ impl Federation {
         // every other site relays the query one hop up (degrading to
         // its own subtree if the uplink is dead).
         if self.telemetry_seed.is_some() && request == (Request::Monitor { grid: true }) {
-            self.handle_grid_query(site, origin, corr, &dn, t);
+            self.handle_grid_query(site, origin, corr, dn, t);
             return;
         }
         // A consign's AJO goes to the server as the bytes it arrived in,
@@ -1147,24 +1164,24 @@ impl Federation {
             // The synchronous interaction stays open: no response until
             // the job finishes.
             let mut resp = None;
-            server.serve(&dn, request, ajo_der, t, env.trace, &mut resp);
+            server.serve(dn, request, ajo_der, t, env.trace, &mut resp);
             let resp = resp.expect("every request is answered");
             if let Response::Consigned { job } = &resp {
                 self.sync_watches.push(SyncWatch {
                     site,
                     job: *job,
                     corr,
-                    owner_dn: dn.clone(),
+                    owner_dn: dn.to_owned(),
                 });
             }
-            self.rel.remember(site, &dn, corr, &resp);
+            self.rel.remember(site, dn, corr, &resp);
             return;
         }
         // The answer is written into the frame that carries it back as the
         // server gives it: a poll's outcome from the NJS's own tree, a
         // sweep's members one by one.
-        self.rel.answer(site, origin, &dn, corr, |frame| {
-            server.serve(&dn, request, ajo_der, t, env.trace, frame)
+        self.rel.answer(site, origin, dn, corr, |frame| {
+            server.serve(dn, request, ajo_der, t, env.trace, frame)
         });
     }
 
@@ -1204,5 +1221,145 @@ impl Federation {
                 return None;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+    use unicore_ajo::{
+        AbstractTask, ActionId, ExecuteKind, GraphNode, ResourceRequest, TaskKind, UserAttributes,
+        VsiteAddress,
+    };
+    use unicore_codec::DerCodec;
+    use unicore_sim::{HOUR, SEC};
+    use unicore_store::StoreEvent;
+
+    const DN: &str = "C=DE, O=FZJ, OU=ZAM, CN=retarget";
+
+    fn sleep5(id: u64, name: &str) -> (ActionId, GraphNode) {
+        let kind = TaskKind::Execute(ExecuteKind::Script {
+            script: "sleep 5\n".into(),
+        });
+        let task = AbstractTask {
+            name: name.into(),
+            resources: ResourceRequest::minimal().with_run_time(3_600),
+            kind,
+        };
+        (ActionId(id), GraphNode::Task(task))
+    }
+
+    /// The job group job `i` forwards to RUS.
+    fn group(i: usize) -> AbstractJob {
+        let attrs = UserAttributes::new(DN, "users");
+        let mut sub =
+            AbstractJob::new(format!("remote{i}"), VsiteAddress::new("RUS", "VPP"), attrs);
+        sub.nodes.push(sleep5(1, "r"));
+        sub
+    }
+
+    /// The AJOs peer servers consigned at `usite`, as the bytes they
+    /// arrived in.
+    fn consigned_from_peers(fed: &mut Federation, usite: &str) -> Vec<Vec<u8>> {
+        let njs = fed.server_mut(usite).expect("a site").njs_mut();
+        let events = njs
+            .store_mut()
+            .expect("journalled")
+            .replay()
+            .expect("replays");
+        let foreign = events.events.into_iter().filter_map(|e| match e {
+            StoreEvent::JobConsigned {
+                ajo_der,
+                foreign: Some(_),
+                ..
+            } => Some(ajo_der),
+            _ => None,
+        });
+        foreign.collect()
+    }
+
+    /// RUS is dark from the start. Three jobs at FZJ, one after the other,
+    /// each forward a job group to it: the first two burn their retry
+    /// budgets (the second opens RUS's circuit) and the third fast-fails
+    /// before it reaches the wire. Every group is retargeted from the one
+    /// copy the server filed when its request was sent, and leaves again
+    /// as the bytes of its first forward with only the Vsite changed.
+    #[test]
+    fn a_retargeted_sub_job_leaves_as_its_first_forward_with_a_new_vsite() {
+        let config = FederationConfig {
+            seed: 7,
+            ..FederationConfig::default()
+        };
+        let mut fed = Federation::german_deployment(config);
+        fed.register_user(DN, "alice");
+        fed.attach_stores();
+        fed.apply_fault_plan(&FaultPlan::new(7).partition("RUS", 0, SimTime::MAX));
+        let fzj = fed.site_index["FZJ"];
+
+        // What FZJ put on the wire towards RUS, by request.
+        let mut to_rus: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for i in 0..3 {
+            let attrs = UserAttributes::new(DN, "users");
+            let mut job =
+                AbstractJob::new(format!("job{i}"), VsiteAddress::new("FZJ", "T3E"), attrs);
+            job.nodes.push((ActionId(1), GraphNode::SubJob(group(i))));
+            job.nodes.push(sleep5(2, "local"));
+            let corr = fed.client_submit("FZJ", job, DN);
+            let deadline = fed.now() + HOUR;
+            let mut id = None;
+            while id.is_none_or(|id| !fed.server("FZJ").expect("FZJ").is_done(id)) {
+                assert!(fed.now() < deadline, "job {i} never finished");
+                fed.run_until(fed.now() + SEC);
+                for ((owner, corr), frame) in fed.rel.inflight_frames() {
+                    let Some(der) = Envelope::consigned_ajo_der(&frame[4..]) else {
+                        continue;
+                    };
+                    assert_eq!(owner, Some(fzj));
+                    let ajo = AbstractJob::from_der(der).expect("an AJO");
+                    if ajo.vsite.usite == "RUS" {
+                        to_rus.entry(corr).or_insert_with(|| der.to_vec());
+                    }
+                }
+                if let Some(Response::Consigned { job }) = fed.take_client_response(corr) {
+                    id = Some(job);
+                }
+            }
+        }
+        assert_eq!(fed.retry_exhaustions, 2, "two forwards ran out of retries");
+        assert_eq!(fed.fast_failures, 1, "one forward met the open circuit");
+
+        // The first forwards: each group as the job carried it.
+        let first: BTreeMap<String, Vec<u8>> = to_rus
+            .into_values()
+            .map(|der| (AbstractJob::from_der(&der).expect("an AJO").name, der))
+            .collect();
+        assert_eq!(first.len(), 2, "the fast-failed forward never left");
+        for (i, der) in [group(0), group(1)].iter().enumerate() {
+            assert_eq!(first[&format!("remote{i}")], der.to_der());
+        }
+
+        // The second forwards, as they arrived where the broker sent them.
+        let mut retargeted = 0;
+        for usite in fed.site_names().to_vec() {
+            if usite == "FZJ" || usite == "RUS" {
+                continue;
+            }
+            for der in consigned_from_peers(&mut fed, &usite) {
+                let ajo = AbstractJob::from_der(&der).expect("an AJO");
+                assert_eq!(ajo.vsite.usite, usite);
+                let i: usize = ajo.name["remote".len()..].parse().expect("a group");
+                // Byte for byte the first forward (the group itself for the
+                // one that never left), with the Vsite the broker chose.
+                let mut expected = match first.get(&ajo.name) {
+                    Some(first) => AbstractJob::from_der(first).expect("an AJO"),
+                    None => group(i),
+                };
+                expected.vsite = ajo.vsite.clone();
+                assert_eq!(der, expected.to_der(), "group {i} at {usite}");
+                retargeted += 1;
+            }
+        }
+        assert_eq!(retargeted, 3, "every group ran off RUS");
     }
 }

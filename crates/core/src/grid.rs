@@ -714,7 +714,7 @@ impl Federation {
             let is_full = push.merged.is_full();
             let request = Request::MonitorPush { push };
             let from = Sender::Site(site);
-            let bytes = self.rel.request(t, from, parent, corr, request, None) as u64;
+            let bytes = self.rel.request(t, from, parent, corr, &request, None) as u64;
             if is_full {
                 self.grid_push_bytes_full += bytes;
             } else {
@@ -834,7 +834,7 @@ impl Federation {
         self.grid_query_hops += 1;
         let query = Request::Monitor { grid: true };
         self.rel
-            .request(t, Sender::Site(site), parent, relay_corr, query, None);
+            .request(t, Sender::Site(site), parent, relay_corr, &query, None);
         self.plane.relays.insert((Some(site), relay_corr), relay);
     }
 

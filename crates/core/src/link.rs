@@ -29,6 +29,16 @@ pub(crate) const RECORD_BOUND: usize = 32 * 1024;
 /// Octets of the length that precedes each frame.
 const LEN: usize = 4;
 
+/// Delivered record buffers an outbox keeps for later records: enough for
+/// the records of a tick between two sites and the workstation.
+const SPARES: usize = 8;
+
+/// The largest buffer capacity kept as a spare. A record closes once it
+/// reaches [`RECORD_BOUND`], so its buffer ends below twice that unless a
+/// frame above the bound travels in it: a transfer's 64 KiB chunk is
+/// dropped after delivery, never kept.
+const SPARE_CAP: usize = 2 * RECORD_BOUND;
+
 /// Frames waiting for the end of the tick, packed into records as they
 /// are written.
 #[derive(Debug, Default)]
@@ -36,6 +46,12 @@ pub struct Outbox {
     /// `(src, dst, records)` in first-use order of the pair. A pair's
     /// last record is its open one until it reaches [`RECORD_BOUND`].
     pairs: Vec<(NodeId, NodeId, Vec<Vec<u8>>)>,
+    /// Empty record lists of pairs flushed before, for the next pairs.
+    lists: Vec<Vec<Vec<u8>>>,
+    /// Empty buffers of delivered records ([`recycle`](Self::recycle)),
+    /// at most [`SPARES`], none above [`SPARE_CAP`]: a record opens in
+    /// one of these before a new buffer is allocated.
+    spares: Vec<Vec<u8>>,
 }
 
 impl Outbox {
@@ -52,12 +68,13 @@ impl Outbox {
             .iter()
             .position(|&(s, d, _)| (s, d) == (src, dst))
             .unwrap_or_else(|| {
-                self.pairs.push((src, dst, Vec::new()));
+                let records = self.lists.pop().unwrap_or_default();
+                self.pairs.push((src, dst, records));
                 self.pairs.len() - 1
             });
         let records = &mut self.pairs[at].2;
         if records.last().is_none_or(|open| open.len() >= RECORD_BOUND) {
-            records.push(Vec::new());
+            records.push(self.spares.pop().unwrap_or_default());
         }
         let open = records.last_mut().expect("an open record");
         let mut start = open.len();
@@ -80,10 +97,21 @@ impl Outbox {
     /// Hands every record to `send` — pairs in first-use order, a pair's
     /// records in the order they closed — and leaves the outbox empty.
     pub fn flush(&mut self, mut send: impl FnMut(NodeId, NodeId, Vec<u8>)) {
-        for (src, dst, records) in self.pairs.drain(..) {
-            for record in records {
+        for (src, dst, mut records) in self.pairs.drain(..) {
+            for record in records.drain(..) {
                 send(src, dst, record);
             }
+            self.lists.push(records);
+        }
+    }
+
+    /// Takes back the buffer of a record that was delivered and read, for
+    /// a later record: emptied, unless [`SPARES`] are kept already or its
+    /// capacity is above [`SPARE_CAP`], when it is dropped.
+    pub(crate) fn recycle(&mut self, mut record: Vec<u8>) {
+        if self.spares.len() < SPARES && record.capacity() <= SPARE_CAP {
+            record.clear();
+            self.spares.push(record);
         }
     }
 
@@ -218,6 +246,84 @@ mod tests {
         let sent = flushed(&mut outbox);
         assert_eq!(walked(&sent[0].2), [b"small, before"]);
         assert_eq!(walked(&sent[1].2), [&chunk[..]]);
+    }
+
+    /// The frames of the three record shapes — small frames split at the
+    /// bound, a frame over the bound behind small ones, and frames from
+    /// three pairs interleaved — pushed in order, then flushed.
+    fn every_shape(outbox: &mut Outbox) -> Vec<(NodeId, NodeId, Vec<u8>)> {
+        for i in 0..40u8 {
+            push_bytes(outbox, A, B, &[i + 1; 1024 - LEN]);
+        }
+        push_bytes(outbox, B, A, b"small, before");
+        push_bytes(outbox, B, A, &[0xC5; 64 * 1024 + 120]);
+        push_bytes(outbox, B, A, b"small, after");
+        for (i, src) in [C, A, C, B].into_iter().enumerate() {
+            push_bytes(outbox, src, C, &[i as u8 + 1; 300]);
+        }
+        flushed(outbox)
+    }
+
+    #[test]
+    fn a_record_built_in_a_recycled_buffer_is_the_fresh_ones_bytes() {
+        let fresh = every_shape(&mut Outbox::default());
+        let mut outbox = Outbox::default();
+        // Spares that held first-contact padding, garbage, and every
+        // record of an earlier tick.
+        outbox.recycle(vec![0; 4_096]);
+        outbox.recycle(vec![0xFF; RECORD_BOUND + 7]);
+        for (_, _, record) in every_shape(&mut Outbox::default()) {
+            outbox.recycle(record);
+        }
+        assert!(!outbox.spares.is_empty());
+        assert!(outbox.spares.iter().all(Vec::is_empty), "kept emptied");
+        for round in 0..3 {
+            let sent = every_shape(&mut outbox);
+            assert_eq!(sent, fresh, "round {round}");
+            for (_, _, record) in sent {
+                outbox.recycle(record);
+            }
+        }
+        // Padding opens a list with an empty frame: a recycled buffer that
+        // held it carries no stale zeros into the record built in it.
+        let mut outbox = Outbox::default();
+        outbox.recycle(vec![0; 64]);
+        push_bytes(&mut outbox, A, B, b"x");
+        assert_eq!(flushed(&mut outbox)[0].2, b"\0\0\0\x01x");
+    }
+
+    #[test]
+    fn the_spare_list_is_bounded_and_keeps_no_chunk_buffer() {
+        let mut outbox = Outbox::default();
+        for _ in 0..3 * SPARES {
+            outbox.recycle(Vec::with_capacity(1_024));
+        }
+        assert_eq!(outbox.spares.len(), SPARES);
+        let mut outbox = Outbox::default();
+        outbox.recycle(Vec::with_capacity(SPARE_CAP + 1));
+        assert!(
+            outbox.spares.is_empty(),
+            "a buffer above the cap is dropped"
+        );
+        outbox.recycle(Vec::with_capacity(SPARE_CAP));
+        assert_eq!(outbox.spares.len(), 1);
+        // A record carrying a 64 KiB chunk is never kept.
+        let mut outbox = Outbox::default();
+        push_bytes(&mut outbox, A, B, &[0xC5; 64 * 1024 + 120]);
+        for (_, _, record) in flushed(&mut outbox) {
+            assert!(record.capacity() > SPARE_CAP);
+            outbox.recycle(record);
+        }
+        assert!(outbox.spares.is_empty());
+        // Whatever a tick delivers, the list stays within its bound and
+        // under the cap.
+        for _ in 0..4 {
+            for (_, _, record) in every_shape(&mut outbox) {
+                outbox.recycle(record);
+                assert!(outbox.spares.len() <= SPARES);
+                assert!(outbox.spares.iter().all(|b| b.capacity() <= SPARE_CAP));
+            }
+        }
     }
 
     #[test]

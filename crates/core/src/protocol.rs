@@ -821,10 +821,41 @@ impl DerCodec for Envelope {
     }
 
     fn read_der(r: &mut DerReader<'_>) -> Result<Self, CodecError> {
+        EnvelopeView::read_der(r).map(EnvelopeView::into_owned)
+    }
+}
+
+/// A received envelope whose DN is borrowed from the bytes it was read
+/// from. The federation's receive path only reads the DN (to look up the
+/// reply cache, the gateway mapping, the trusted peers), so it decodes
+/// into this view and allocates no copy of it per envelope. Its reader
+/// is the one [`Envelope::read_der`] takes the owned value from.
+#[derive(Debug)]
+pub(crate) struct EnvelopeView<'a> {
+    pub(crate) corr: u64,
+    pub(crate) from_dn: &'a str,
+    pub(crate) body: Body,
+    pub(crate) trace: Option<SpanContext>,
+    pub(crate) seq: Option<u64>,
+    pub(crate) ack: Option<u64>,
+}
+
+impl<'a> EnvelopeView<'a> {
+    /// Reads one envelope, whole: what [`DerCodec::from_der`] reads for an
+    /// [`Envelope`], trailing bytes refused alike.
+    pub(crate) fn from_der(der: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = DerReader::new(der);
+        let env = Self::read_der(&mut r)?;
+        r.finish()?;
+        Ok(env)
+    }
+
+    /// The envelope's fields, in wire order.
+    fn read_der(r: &mut DerReader<'a>) -> Result<Self, CodecError> {
         r.sequence("Envelope", |f| {
-            Ok(Envelope {
+            Ok(EnvelopeView {
                 corr: f.next_u64()?,
-                from_dn: f.next_string()?,
+                from_dn: f.next_str()?,
                 body: f.tagged(|tag, t| match tag {
                     0 => Ok(Body::Request(Request::read_der(t)?)),
                     1 => Ok(Body::Response(Response::read_der(t)?)),
@@ -835,6 +866,26 @@ impl DerCodec for Envelope {
                 ack: f.optional_tagged(ACK_TAG, |t| t.next_u64())?,
             })
         })
+    }
+
+    /// The owned envelope: the DN copied, the rest moved.
+    fn into_owned(self) -> Envelope {
+        let EnvelopeView {
+            corr,
+            from_dn,
+            body,
+            trace,
+            seq,
+            ack,
+        } = self;
+        Envelope {
+            corr,
+            from_dn: from_dn.to_owned(),
+            body,
+            trace,
+            seq,
+            ack,
+        }
     }
 }
 
@@ -909,79 +960,88 @@ mod tests {
         assert_eq!(back, env);
     }
 
+    /// One request of every kind that a client or a peer sends.
+    fn sample_requests() -> Vec<Request> {
+        vec![
+            Request::Consign { ajo: sample_job() },
+            Request::Poll {
+                job: JobId(3),
+                detail: DetailLevel::Tasks,
+            },
+            Request::Control {
+                job: JobId(3),
+                op: ControlOp::Abort,
+            },
+            Request::List,
+            Request::FetchFile {
+                job: JobId(1),
+                name: "out.dat".into(),
+            },
+            Request::Purge { job: JobId(4) },
+            Request::ListFiles { job: JobId(4) },
+            Request::GetResources,
+            Request::Monitor { grid: false },
+            Request::Monitor { grid: true },
+            Request::ConsignSubJob {
+                ajo: sample_job(),
+                origin: "RUS".into(),
+                parent: JobId(9),
+                node: ActionId(2),
+                return_files: vec!["grid.dat".into()],
+            },
+            Request::TransferOffer {
+                manifest: TransferManifest::for_bytes(
+                    "FZJ",
+                    JobId(3),
+                    ActionId(4),
+                    VsiteAddress::new("RUS", "VPP"),
+                    "fields.grb",
+                    "CN=alice",
+                    true,
+                    &[7u8; 1000],
+                    256,
+                ),
+            },
+            Request::TransferChunk {
+                origin: "FZJ".into(),
+                origin_job: JobId(3),
+                origin_node: ActionId(4),
+                index: 2,
+                data: vec![7u8; 256],
+            },
+            Request::Broker {
+                request: ResourceRequest::minimal()
+                    .with_processors(64)
+                    .with_run_time(7_200),
+            },
+            Request::DeliverOutcomes {
+                deliveries: vec![
+                    OutcomeDelivery {
+                        parent: JobId(9),
+                        node: ActionId(2),
+                        outcome: OutcomeNode::Job(JobOutcome::default()),
+                        files: vec![("grid.dat".into(), vec![1, 2, 3])],
+                    },
+                    OutcomeDelivery {
+                        parent: JobId(9),
+                        node: ActionId(3),
+                        outcome: OutcomeNode::Job(JobOutcome::default()),
+                        files: vec![],
+                    },
+                ],
+            },
+            Request::DeliverOutcomes { deliveries: vec![] },
+            Request::Sweep {
+                requests: vec![poll(2), Request::Purge { job: JobId(1) }, poll(1)],
+            },
+        ]
+    }
+
     #[test]
     fn request_round_trips() {
-        round_trip_req(Request::Consign { ajo: sample_job() });
-        round_trip_req(Request::Poll {
-            job: JobId(3),
-            detail: DetailLevel::Tasks,
-        });
-        round_trip_req(Request::Control {
-            job: JobId(3),
-            op: ControlOp::Abort,
-        });
-        round_trip_req(Request::List);
-        round_trip_req(Request::FetchFile {
-            job: JobId(1),
-            name: "out.dat".into(),
-        });
-        round_trip_req(Request::Purge { job: JobId(4) });
-        round_trip_req(Request::ListFiles { job: JobId(4) });
-        round_trip_req(Request::GetResources);
-        round_trip_req(Request::Monitor { grid: false });
-        round_trip_req(Request::Monitor { grid: true });
-        round_trip_req(Request::ConsignSubJob {
-            ajo: sample_job(),
-            origin: "RUS".into(),
-            parent: JobId(9),
-            node: ActionId(2),
-            return_files: vec!["grid.dat".into()],
-        });
-        round_trip_req(Request::TransferOffer {
-            manifest: TransferManifest::for_bytes(
-                "FZJ",
-                JobId(3),
-                ActionId(4),
-                VsiteAddress::new("RUS", "VPP"),
-                "fields.grb",
-                "CN=alice",
-                true,
-                &[7u8; 1000],
-                256,
-            ),
-        });
-        round_trip_req(Request::TransferChunk {
-            origin: "FZJ".into(),
-            origin_job: JobId(3),
-            origin_node: ActionId(4),
-            index: 2,
-            data: vec![7u8; 256],
-        });
-        round_trip_req(Request::Broker {
-            request: ResourceRequest::minimal()
-                .with_processors(64)
-                .with_run_time(7_200),
-        });
-        round_trip_req(Request::DeliverOutcomes {
-            deliveries: vec![
-                OutcomeDelivery {
-                    parent: JobId(9),
-                    node: ActionId(2),
-                    outcome: OutcomeNode::Job(JobOutcome::default()),
-                    files: vec![("grid.dat".into(), vec![1, 2, 3])],
-                },
-                OutcomeDelivery {
-                    parent: JobId(9),
-                    node: ActionId(3),
-                    outcome: OutcomeNode::Job(JobOutcome::default()),
-                    files: vec![],
-                },
-            ],
-        });
-        round_trip_req(Request::DeliverOutcomes { deliveries: vec![] });
-        round_trip_req(Request::Sweep {
-            requests: vec![poll(2), Request::Purge { job: JobId(1) }, poll(1)],
-        });
+        for request in sample_requests() {
+            round_trip_req(request);
+        }
     }
 
     #[test]
@@ -1319,6 +1379,63 @@ mod tests {
                 let located = Envelope::consigned_ajo_der(&framed);
                 prop_assert_eq!(located, found.then_some(&der[..]));
                 prop_assert_eq!(located.map(<[u8]>::to_vec), decoded);
+            }
+        }
+    }
+
+    /// Both decoders read `der` alike: the same fields, or both refuse.
+    fn decoded_alike(der: &[u8]) -> Option<Envelope> {
+        match (Envelope::from_der(der), EnvelopeView::from_der(der)) {
+            (Ok(owned), Ok(view)) => {
+                assert_eq!(view.from_dn, owned.from_dn);
+                assert_eq!(view.into_owned(), owned);
+                Some(owned)
+            }
+            (Err(_), Err(_)) => None,
+            (owned, view) => panic!("the decoders disagree: {owned:?} against {view:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn the_borrowed_receive_decodes_as_the_owned_envelope(
+            corr in 0..=i64::MAX as u64,
+            trace in (any::<u64>(), any::<u64>(), any::<u64>()),
+            seq in 1..=i64::MAX as u64,
+            ack in 1..=i64::MAX as u64,
+            dn in "[ -~]{0,40}",
+        ) {
+            let (high, low, span) = trace;
+            let id = (u128::from(high) << 64 | u128::from(low)).to_be_bytes();
+            let trace = SpanContext { trace: TraceId(id), span: SpanId(span) };
+            let bodies = sample_requests()
+                .into_iter()
+                .map(Body::Request)
+                .chain(sample_responses().map(Body::Response));
+            for body in bodies {
+                // Trace, seq and ack each present or absent.
+                for present in 0..8u8 {
+                    let env = Envelope {
+                        corr,
+                        from_dn: dn.clone(),
+                        body: body.clone(),
+                        trace: (present & 1 != 0).then_some(trace),
+                        seq: (present & 2 != 0).then_some(seq),
+                        ack: (present & 4 != 0).then_some(ack),
+                    };
+                    let der = env.to_der();
+                    prop_assert_eq!(decoded_alike(&der), Some(env));
+                    for cut in 0..der.len() {
+                        prop_assert_eq!(decoded_alike(&der[..cut]), None, "cut at {}", cut);
+                    }
+                    let mut longer = der.clone();
+                    longer.push(0);
+                    for byte in 0..=u8::MAX {
+                        *longer.last_mut().expect("one byte on") = byte;
+                        prop_assert_eq!(decoded_alike(&longer), None, "trailing {:#04x}", byte);
+                    }
+                }
             }
         }
     }

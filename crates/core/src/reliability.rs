@@ -14,7 +14,7 @@
 //! simulated network or a server, so all of it is tested without either.
 
 use crate::link::Outbox;
-use crate::protocol::{AnswerSink, BodyRef, Envelope, Request, Response};
+use crate::protocol::{AnswerSink, BodyRef, Envelope, EnvelopeView, Request, Response};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use unicore_batch::IdMap;
@@ -322,7 +322,7 @@ impl Reliability {
         from: Sender<'_>,
         dest: usize,
         corr: u64,
-        request: Request,
+        request: &Request,
         trace: Option<SpanContext>,
     ) -> usize {
         let (owner, src, from_dn) = match from {
@@ -330,7 +330,7 @@ impl Reliability {
             Sender::Site(site) => (Some(site), self.peers[site].gateway, &*self.peers[site].dn),
         };
         let dst = self.peers[dest].gateway;
-        let body: BodyRef = BodyRef::Request(&request);
+        let body: BodyRef = BodyRef::Request(request);
         let frame = self
             .wire
             .post(src, dst, corr, from_dn, body, trace)
@@ -372,6 +372,11 @@ impl Reliability {
         self.wire.outbox.flush(send);
     }
 
+    /// Takes back a delivered record's buffer for a later record.
+    pub(crate) fn recycle(&mut self, record: Vec<u8>) {
+        self.wire.outbox.recycle(record);
+    }
+
     /// Whether every frame still waiting was written by the workstation.
     pub(crate) fn only_the_client_waits(&self) -> bool {
         self.wire.outbox.only_from(self.workstation)
@@ -381,9 +386,13 @@ impl Reliability {
     /// sequence number in the channel's ledger, and — the sender being
     /// provably alive — closes the sender's circuit and resets its
     /// failure streak. `None`, and nothing recorded, if it does not decode.
-    pub(crate) fn receive(&mut self, receiver: NodeId, frame: &[u8]) -> Option<(NodeId, Envelope)> {
+    pub(crate) fn receive<'f>(
+        &mut self,
+        receiver: NodeId,
+        frame: &'f [u8],
+    ) -> Option<(NodeId, EnvelopeView<'f>)> {
         let origin = NodeId(u32::from_be_bytes(frame.get(..4)?.try_into().ok()?));
-        let env = Envelope::from_der(&frame[4..]).ok()?;
+        let env = EnvelopeView::from_der(&frame[4..]).ok()?;
         if let Some(seq) = env.seq {
             let tracker = self.wire.recv_seq.entry((receiver, origin)).or_default();
             let late_before = tracker.reordered;
@@ -403,6 +412,14 @@ impl Reliability {
             peer.circuit = Circuit::Closed;
         }
         Some((origin, env))
+    }
+
+    /// Every request awaiting its answer, with the frame it was first
+    /// stamped in.
+    #[cfg(test)]
+    pub(crate) fn inflight_frames(&self) -> impl Iterator<Item = (CorrKey, &[u8])> {
+        let entries = self.inflight.entries.iter();
+        entries.map(|(key, f)| (*key, &f.frame[..]))
     }
 
     /// The request `key` was answered (or is given up): its timer stops.
@@ -810,10 +827,10 @@ mod tests {
         // last and sorts first. The workstation precedes every site.
         let mut rel = german();
         for site in 0..GERMAN.len() {
-            rel.request(0, Sender::Site(site), (site + 1) % 6, 7, poll(), None);
+            rel.request(0, Sender::Site(site), (site + 1) % 6, 7, &poll(), None);
         }
-        rel.request(0, Sender::Site(RUS), 0, 3, poll(), None);
-        rel.request(0, ALICE, 0, 9, poll(), None);
+        rel.request(0, Sender::Site(RUS), 0, 3, &poll(), None);
+        rel.request(0, ALICE, 0, 9, &poll(), None);
         assert_eq!(rel.next_deadline(), Some(RETRY_TIMEOUT));
         assert!(rel.due(RETRY_TIMEOUT - 1).is_empty());
         let due = rel.due(RETRY_TIMEOUT);
@@ -857,7 +874,7 @@ mod tests {
         let mut t = 0;
         for strike in 1..=QUARANTINE_AFTER as u64 {
             assert!(!rel.is_quarantined(RUS) && !rel.blocks(RUS, t));
-            rel.request(t, ALICE, RUS, strike, poll(), None);
+            rel.request(t, ALICE, RUS, strike, &poll(), None);
             // Every retransmission, then the fire that finds the budget dry.
             let dest = loop {
                 t = rel.next_deadline().expect("armed");
@@ -882,7 +899,7 @@ mod tests {
         assert!(rel.blocks(RUS, t + MINUTE) && rel.blocks(RUS, t + 2 * MINUTE));
         // Anything at all from RUS — here a request of its own to FZJ —
         // proves it alive, and the streak restarts from zero.
-        rel.request(t, Sender::Site(RUS), 0, 77, poll(), None);
+        rel.request(t, Sender::Site(RUS), 0, 77, &poll(), None);
         let frames = flushed(&mut rel);
         let (origin, env) = rel.receive(NodeId(0), &frames[0]).expect("decodes");
         assert_eq!((origin, env.corr, env.seq), (NodeId(2), 77, Some(1)));
@@ -970,7 +987,7 @@ mod tests {
 
         // The workstation's next envelope to FZJ acks every answer FZJ
         // gave; then request 1 and the sweep arrive once more.
-        rel.request(0, ALICE, 0, 11, poll(), None);
+        rel.request(0, ALICE, 0, 11, &poll(), None);
         let acking = flushed(&mut rel);
         let (_, env) = rel.receive(NodeId(0), &acking[0]).expect("decodes");
         assert_eq!(env.ack, Some(4), "the ack has passed both answers");
@@ -990,8 +1007,8 @@ mod tests {
         assert_eq!(replayed.body, Body::Response(swept()));
 
         // FZJ crashes with a request of its own outstanding.
-        rel.request(0, Sender::Site(0), RUS, 5, poll(), None);
-        rel.request(0, Sender::Site(RUS), 0, 5, poll(), None);
+        rel.request(0, Sender::Site(0), RUS, 5, &poll(), None);
+        rel.request(0, Sender::Site(RUS), 0, 5, &poll(), None);
         rel.forget(0);
         assert!([1, 2, 10]
             .iter()

@@ -46,10 +46,12 @@ enum Pending {
     SubJobConsign {
         parent: JobId,
         node: ActionId,
-        /// The forwarded AJO, kept so a dead-peer error can retarget it
-        /// to the next admissible site instead of failing the node.
-        ajo: Box<AbstractJob>,
-        return_files: Vec<String>,
+        /// The forwarded AJO and the files to return with its outcome,
+        /// taken back out of the request once it was sent
+        /// ([`UnicoreServer::sent`]), so a dead-peer error can retarget
+        /// them to the next admissible site instead of failing the node.
+        /// The request carries the one copy until then.
+        sent: Option<Box<(AbstractJob, Vec<String>)>>,
         /// Usites already tried for this node, original target first.
         tried: Vec<String>,
     },
@@ -798,22 +800,23 @@ impl UnicoreServer {
             Pending::SubJobConsign {
                 parent,
                 node,
-                ajo,
-                return_files,
+                sent,
                 tried,
             } => {
-                match response {
+                match (response, sent) {
                     // The target site is unreachable (quarantined or
                     // dark): ask the broker for the next admissible site
                     // instead of failing the node.
-                    Response::Error(msg)
+                    (Response::Error(msg), Some(sent))
                         if is_dead_peer(&msg) && tried.len() < MAX_PLACEMENT_ATTEMPTS =>
                     {
-                        self.retarget_subjob(parent, node, *ajo, return_files, tried);
+                        let (ajo, return_files) = *sent;
+                        self.retarget_subjob(parent, node, ajo, return_files, tried);
                     }
                     // The peer refused outright, or every admissible site
-                    // has been tried.
-                    Response::Error(_) => self.fail_subjob(parent, node),
+                    // has been tried (or the request never came back to
+                    // be retargeted).
+                    (Response::Error(_), _) => self.fail_subjob(parent, node),
                     // On Consigned{..} the node stays in Remote state
                     // until the outcome is delivered back.
                     _ => {}
@@ -903,14 +906,13 @@ impl UnicoreServer {
     ) -> OutboundRequest {
         let attempt = tried.len() as u32;
         self.njs
-            .journal_placement(parent, node, &ajo.vsite.to_string(), &tried, attempt);
+            .journal_placement(parent, node, &ajo.vsite, &tried, attempt);
         let dest = ajo.vsite.usite.clone();
         tried.push(dest.clone());
         let pending = Pending::SubJobConsign {
             parent,
             node,
-            ajo: Box::new(ajo.clone()),
-            return_files: return_files.clone(),
+            sent: None,
             tried,
         };
         let request = Request::ConsignSubJob {
@@ -922,6 +924,31 @@ impl UnicoreServer {
         };
         let trace = self.njs.trace_of(parent);
         self.peer_request(dest, pending, request, trace)
+    }
+
+    /// A request [`step`](Self::step) gave out was sent, or refused before
+    /// it reached the wire, and comes back before its answer is handled:
+    /// a forwarded sub-job's AJO and return files are filed with its
+    /// pending entry for a retarget. Any other request is dropped. A
+    /// sub-job whose request does not come back fails its node on a
+    /// dead-peer error instead of being retargeted.
+    pub(crate) fn sent(&mut self, request: OutboundRequest) {
+        let Request::ConsignSubJob {
+            ajo, return_files, ..
+        } = request.request
+        else {
+            return;
+        };
+        let Some(pending) = self.pending.get_mut(&request.corr) else {
+            return;
+        };
+        match pending {
+            Pending::SubJobConsign { sent, .. } => *sent = Some(Box::new((ajo, return_files))),
+            // Only a sub-job's consign is ever retargeted.
+            Pending::TransferOffer { .. }
+            | Pending::TransferChunk { .. }
+            | Pending::OutcomeDelivery => {}
+        }
     }
 
     /// Fails a sub-job node no site will run.

@@ -4,7 +4,11 @@
 
 use crate::ratelimit::{RateLimitConfig, RateLimiter};
 use crate::uudb::{MappedUser, MappingError, Uudb};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 use unicore_certs::Certificate;
 use unicore_telemetry::{Counter, Telemetry};
 
@@ -24,19 +28,96 @@ impl AuthDecision {
     }
 }
 
+/// Text the gateway writes into many audit records: the memo of a
+/// mapping holds the DN, the Vsite and the audit detail once, and every
+/// request it accepts shares them. It reads as a `str` (through `Deref`,
+/// and `Display` / `Debug` print the text), and compares equal to a `str`
+/// or a `String` with the same text, from either side.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SharedStr(Arc<str>);
+
+impl Deref for SharedStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for SharedStr {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for SharedStr {
+    fn from(text: &str) -> Self {
+        SharedStr(Arc::from(text))
+    }
+}
+
+impl From<String> for SharedStr {
+    fn from(text: String) -> Self {
+        SharedStr(Arc::from(text))
+    }
+}
+
+impl fmt::Display for SharedStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Debug for SharedStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+/// `SharedStr == T` and `T == SharedStr` for each text type `T`.
+macro_rules! eq_text {
+    ($($text:ty),*) => {$(
+        impl PartialEq<$text> for SharedStr {
+            fn eq(&self, other: &$text) -> bool {
+                *self.0 == **other
+            }
+        }
+
+        impl PartialEq<SharedStr> for $text {
+            fn eq(&self, other: &SharedStr) -> bool {
+                **self == *other.0
+            }
+        }
+    )*};
+}
+
+eq_text!(&str, String);
+
+impl PartialEq<str> for SharedStr {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<SharedStr> for str {
+    fn eq(&self, other: &SharedStr) -> bool {
+        *self == *other.0
+    }
+}
+
 /// One audit line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditRecord {
     /// Simulation time of the decision (seconds).
     pub at: u64,
     /// The presented DN.
-    pub dn: String,
+    pub dn: SharedStr,
     /// The target Vsite.
-    pub vsite: String,
+    pub vsite: SharedStr,
     /// What was decided.
     pub accepted: bool,
     /// Detail (mapped login or refusal reason).
-    pub detail: String,
+    pub detail: SharedStr,
 }
 
 /// Site-specific additional authentication ("for sites that require the
@@ -52,12 +133,12 @@ pub(crate) const DEFAULT_AUDIT_CAPACITY: usize = 10_000;
 /// the gateway's current UUDB epoch.
 struct CachedMapping {
     epoch: u64,
-    vsite: String,
+    vsite: SharedStr,
     account_group: Option<String>,
     mapped: MappedUser,
     /// Pre-rendered audit detail (`mapped to <login>`), so the hot path
-    /// clones instead of formatting.
-    detail: String,
+    /// shares it instead of formatting.
+    detail: SharedStr,
 }
 
 /// Authentication counters, fetched once from the telemetry registry.
@@ -107,8 +188,9 @@ pub struct Gateway {
     /// DN → memoized mappings, consulted before walking the UUDB. An
     /// entry is live only while its epoch equals `map_epoch`;
     /// [`Gateway::uudb_mut`] bumps the epoch, invalidating the whole
-    /// memo in O(1) without tracking individual edits.
-    map_cache: HashMap<String, Vec<CachedMapping>>,
+    /// memo in O(1) without tracking individual edits. The key is the DN
+    /// every accepted audit record of that DN shares.
+    map_cache: HashMap<SharedStr, Vec<CachedMapping>>,
     map_epoch: u64,
     /// Per-DN request rate limiter; `None` means unlimited (the default,
     /// so existing deployments are unaffected until opted in).
@@ -195,38 +277,56 @@ impl Gateway {
         &self.uudb
     }
 
-    /// DN → login through the mapping memo: a hit at the current epoch
-    /// skips the UUDB walk, the group resolution, and the audit-detail
-    /// `format!`; a miss maps normally and memoizes. Only successes are
-    /// cached — refusals are cold and their reasons vary.
+    /// DN → login through the mapping memo, with the audit record of the
+    /// acceptance at `now`: a hit at the current epoch skips the UUDB
+    /// walk, the group resolution, and the audit-detail `format!`, and
+    /// its record shares the memo's strings; a miss maps normally and
+    /// memoizes. Only successes are cached — refusals are cold and their
+    /// reasons vary.
     fn map_cached(
         &mut self,
         dn: &str,
         vsite: &str,
         account_group: Option<&str>,
-    ) -> Result<(MappedUser, String), MappingError> {
-        if let Some(slots) = self.map_cache.get(dn) {
+        now: u64,
+    ) -> Result<(MappedUser, AuditRecord), MappingError> {
+        let accepted = |dn: &SharedStr, c: &CachedMapping| {
+            let record = AuditRecord {
+                at: now,
+                dn: dn.clone(),
+                vsite: c.vsite.clone(),
+                accepted: true,
+                detail: c.detail.clone(),
+            };
+            (c.mapped.clone(), record)
+        };
+        if let Some((key, slots)) = self.map_cache.get_key_value(dn) {
             for c in slots {
                 if c.epoch == self.map_epoch
-                    && c.vsite == vsite
+                    && *c.vsite == *vsite
                     && c.account_group.as_deref() == account_group
                 {
-                    return Ok((c.mapped.clone(), c.detail.clone()));
+                    return Ok(accepted(key, c));
                 }
             }
         }
         let mapped = self.uudb.map(dn, vsite, account_group)?;
         let detail = format!("mapped to {}", mapped.login);
-        let slots = self.map_cache.entry(dn.to_owned()).or_default();
-        slots.retain(|c| c.epoch == self.map_epoch);
+        let epoch = self.map_epoch;
+        let key = match self.map_cache.get_key_value(dn) {
+            Some((key, _)) => key.clone(),
+            None => SharedStr::from(dn),
+        };
+        let slots = self.map_cache.entry(key.clone()).or_default();
+        slots.retain(|c| c.epoch == epoch);
         slots.push(CachedMapping {
-            epoch: self.map_epoch,
-            vsite: vsite.to_owned(),
+            epoch,
+            vsite: vsite.into(),
             account_group: account_group.map(str::to_owned),
-            mapped: mapped.clone(),
-            detail: detail.clone(),
+            mapped,
+            detail: detail.into(),
         });
-        Ok((mapped, detail))
+        Ok(accepted(&key, slots.last().expect("just pushed")))
     }
 
     /// Authenticates an already-transport-validated peer for `vsite`,
@@ -258,16 +358,10 @@ impl Gateway {
             }
         }
         // UUDB mapping.
-        match self.map_cached(&dn, vsite, account_group) {
-            Ok((mapped, detail)) => {
+        match self.map_cached(&dn, vsite, account_group, now) {
+            Ok((mapped, record)) => {
                 self.metrics.accepted.inc();
-                self.push_audit(AuditRecord {
-                    at: now,
-                    dn: dn.clone(),
-                    vsite: vsite.to_owned(),
-                    accepted: true,
-                    detail,
-                });
+                self.push_audit(record);
                 AuthDecision::Accepted(mapped)
             }
             Err(e) => {
@@ -297,16 +391,10 @@ impl Gateway {
         account_group: Option<&str>,
         now: u64,
     ) -> AuthDecision {
-        match self.map_cached(dn, vsite, account_group) {
-            Ok((mapped, detail)) => {
+        match self.map_cached(dn, vsite, account_group, now) {
+            Ok((mapped, record)) => {
                 self.metrics.accepted.inc();
-                self.push_audit(AuditRecord {
-                    at: now,
-                    dn: dn.to_owned(),
-                    vsite: vsite.to_owned(),
-                    accepted: true,
-                    detail,
-                });
+                self.push_audit(record);
                 AuthDecision::Accepted(mapped)
             }
             Err(e) => {
@@ -370,10 +458,10 @@ impl Gateway {
         self.metrics.refused.inc();
         self.push_audit(AuditRecord {
             at: now,
-            dn: dn.to_owned(),
-            vsite: vsite.to_owned(),
+            dn: dn.into(),
+            vsite: vsite.into(),
             accepted: false,
-            detail: reason.to_owned(),
+            detail: reason.into(),
         });
         AuthDecision::Refused(reason.to_owned())
     }
@@ -578,6 +666,37 @@ mod tests {
             .audit()
             .iter()
             .all(|r| r.accepted && r.detail == "mapped to alice1"));
+    }
+
+    #[test]
+    fn accepted_records_share_the_memos_text() {
+        let mut fx = fixture();
+        let dn = fx.alice.cert.tbs.subject.to_string();
+        for t in 0..2 {
+            assert!(fx
+                .gw
+                .authorize(&fx.alice.cert, "T3E", None, None, t)
+                .is_accepted());
+            assert!(fx.gw.authorize_dn(&dn, "T3E", None, t).is_accepted());
+        }
+        let trail = fx.gw.audit();
+        assert_eq!(trail.len(), 4);
+        for r in trail {
+            // The text reads and compares as the `String`s it replaced.
+            assert_eq!((r.dn == dn.as_str(), r.vsite == "T3E"), (true, true));
+            assert_eq!(
+                format!("{} {:?}", r.detail, r.vsite),
+                "mapped to alice1 \"T3E\""
+            );
+            for (a, b) in [(&r.dn, &trail[0].dn), (&r.vsite, &trail[0].vsite)] {
+                assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "one copy of the text");
+            }
+            assert!(std::ptr::eq(r.detail.as_ptr(), trail[0].detail.as_ptr()));
+        }
+        // A refusal writes its own text.
+        fx.gw.authorize_dn("CN=nobody", "T3E", None, 9);
+        let refused = fx.gw.audit().back().expect("a record");
+        assert_eq!((refused.accepted, refused.dn == "CN=nobody"), (false, true));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod ratelimit;
 pub mod uudb;
 
 pub use front_door::{FrontDoor, FrontDoorConn, FrontDoorError, RevocationSweep};
-pub use gateway::{AuditRecord, AuthDecision, Gateway, SiteAuthHook};
+pub use gateway::{AuditRecord, AuthDecision, Gateway, SharedStr, SiteAuthHook};
 pub use mux::{decode_frames, encode_frames, MuxFrame};
 pub use ratelimit::RateLimitConfig;
 pub use uudb::{MappedUser, MappingError, UserEntry, Uudb};

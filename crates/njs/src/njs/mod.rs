@@ -627,18 +627,16 @@ impl ShardedNjs {
         &mut self,
         job: JobId,
         node: ActionId,
-        chosen: &str,
+        chosen: &VsiteAddress,
         excluded: &[String],
         attempt: u32,
     ) {
-        self.log_event(StoreEvent::PlacementDecided {
-            job,
-            node,
-            chosen: chosen.to_owned(),
-            excluded: excluded.to_vec(),
-            attempt,
-            at: self.clock,
-        });
+        if self.journalling() {
+            let chosen = (chosen.usite.as_str(), chosen.vsite.as_str());
+            let at = self.clock;
+            self.pending
+                .push_placement_decided(job, node, chosen, excluded, attempt, at);
+        }
         self.flush_events();
     }
 

@@ -756,11 +756,12 @@ impl ShardedNjs {
                 }
             }
         }
-        let (user, portfolio, parent_trace) = (rt.user.clone(), rt.portfolio.clone(), rt.trace);
+        let portfolio = rt.portfolio.clone();
 
         if sub.vsite.usite == self.usite {
             // A child at this Usite: the merge phase consigns it at its
-            // Vsite and wires the parent link back.
+            // Vsite, as the parent's user, and wires the parent link back.
+            let (user, trace) = (rt.user.clone(), rt.trace);
             self.cross_send(CrossVsiteItem::ConsignChild {
                 parent: job,
                 node,
@@ -768,7 +769,7 @@ impl ShardedNjs {
                 staged,
                 user,
                 portfolio,
-                trace: parent_trace,
+                trace,
             });
         } else {
             // Remote job group: extract as a top-level AJO whose portfolio

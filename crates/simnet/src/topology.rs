@@ -342,10 +342,20 @@ impl Network {
         self.queue.now()
     }
 
-    /// Drains the inbox of `node`, returning `(delivery_time, message)`
-    /// pairs in delivery order.
-    pub fn drain_inbox(&mut self, node: NodeId) -> Vec<(SimTime, Message)> {
-        std::mem::take(&mut self.nodes[node.0 as usize].inbox)
+    /// Moves the inbox of `node` onto the end of `out` as
+    /// `(delivery_time, message)` pairs in delivery order. Both lists keep
+    /// their capacity, so a caller that drains every tick into the same
+    /// list allocates for neither.
+    pub fn drain_inbox_into(&mut self, node: NodeId, out: &mut Vec<(SimTime, Message)>) {
+        out.append(&mut self.nodes[node.0 as usize].inbox);
+    }
+
+    /// The inbox of `node`, drained into a new list.
+    #[cfg(test)]
+    fn drain_inbox(&mut self, node: NodeId) -> Vec<(SimTime, Message)> {
+        let mut out = Vec::new();
+        self.drain_inbox_into(node, &mut out);
+        out
     }
 
     /// Replaces the parameters of the `a → b` link entirely. Returns false

@@ -494,6 +494,29 @@ pub(crate) fn write_job_incarnated(
     });
 }
 
+/// A `PlacementDecided` record whose chosen Vsite is `chosen`'s parts
+/// written as one string.
+pub(crate) fn write_placement(
+    w: &mut DerWriter,
+    job: JobId,
+    node: ActionId,
+    chosen: &[&str],
+    excluded: &[String],
+    attempt: u32,
+    at: u64,
+) {
+    w.tagged(TAG_PLACEMENT, |w| {
+        w.sequence(|w| {
+            w.u64(job.0);
+            w.u64(node.0);
+            w.str_concat(chosen);
+            w.sequence_of(excluded, |w, u| w.str(u));
+            w.u64(attempt as u64);
+            w.u64(at);
+        })
+    });
+}
+
 /// Body of a `TaskStateChanged` record; `outcome` writes the OCTET STRING
 /// holding the node's outcome DER.
 pub(crate) fn write_task_state<'a>(
@@ -648,16 +671,7 @@ impl DerCodec for StoreEvent {
                 excluded,
                 attempt,
                 at,
-            } => w.tagged(TAG_PLACEMENT, |w| {
-                w.sequence(|w| {
-                    w.u64(job.0);
-                    w.u64(node.0);
-                    w.str(chosen);
-                    w.sequence_of(excluded, |w, u| w.str(u));
-                    w.u64(*attempt as u64);
-                    w.u64(*at);
-                })
-            }),
+            } => write_placement(w, *job, *node, &[chosen], excluded, *attempt, *at),
             StoreEvent::TransferChunkStored {
                 origin,
                 origin_job,

@@ -3,9 +3,9 @@
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
 use crate::events::{
-    write_job_consigned, write_job_incarnated, write_outcome_stored, write_stored_entry,
-    write_task_state, write_transfer_chunk, ForeignOrigin, OwnerRecordRef, StoreEvent,
-    StoreEventRef,
+    write_job_consigned, write_job_incarnated, write_outcome_stored, write_placement,
+    write_stored_entry, write_task_state, write_transfer_chunk, ForeignOrigin, OwnerRecordRef,
+    StoreEvent, StoreEventRef,
 };
 use crate::wal::{
     encode_record, encode_record_with, parse_segment_name, parse_snapshot_name, scan_segment,
@@ -165,6 +165,21 @@ impl EventBatch {
         at: u64,
     ) {
         self.push_with(|w| write_job_incarnated(w, job, node, &[place, ":", name], at));
+    }
+
+    /// Frames a [`StoreEvent::PlacementDecided`] record whose chosen Vsite
+    /// is `usite/vsite`, written without joining the two first.
+    pub fn push_placement_decided(
+        &mut self,
+        job: JobId,
+        node: ActionId,
+        (usite, vsite): (&str, &str),
+        excluded: &[String],
+        attempt: u32,
+        at: u64,
+    ) {
+        let chosen = [usite, "/", vsite];
+        self.push_with(|w| write_placement(w, job, node, &chosen, excluded, attempt, at));
     }
 
     /// Frames a [`StoreEvent::TaskStateChanged`] record with the outcome

@@ -192,9 +192,9 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst allocations",
-        debug: 112.4896,
-        release: 106.4896,
-        why: "a poll is answered from the NJS's tree into the frame; a lone request keeps no corr or answer vector (debug re-encodes to check)",
+        debug: 81.1354,
+        release: 75.1354,
+        why: "record buffers cycle, a received DN is borrowed, a forwarded sub-job is copied once, accepted audit records share strings (debug re-encodes to check)",
     },
     Pin {
         what: "fed_burst envelopes sent",
@@ -210,27 +210,27 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst bytes retained",
-        debug: 3974.8438,
-        release: 3974.8438,
-        why: "the reply cache keeps each answer as the DER it was framed in, not a Response tree",
+        debug: 3928.1771,
+        release: 3928.1771,
+        why: "accepted audit records share the mapping memo's DN, Vsite and detail (spare record buffers add back part of it)",
     },
     Pin {
         what: "fed_burst consign allocations",
-        debug: 46.7083,
-        release: 41.7083,
-        why: "a lone consign keeps no corr vector and its answer no answer vector",
+        debug: 39.2917,
+        release: 34.2917,
+        why: "consign records open in recycled buffers; the envelope's DN is borrowed; accepted audit records share strings",
     },
     Pin {
         what: "fed_burst poll allocations",
-        debug: 63.4688,
-        release: 62.4688,
-        why: "a poll is written from the NJS's tree (no pruned clone), a sweep's answers into the frame (no vector)",
+        debug: 40.5938,
+        release: 39.5938,
+        why: "sweep and sub-job records cycle their buffers; a sub-job's AJO is copied once and its placement journalled from borrowed parts",
     },
     Pin {
         what: "fed_burst purge allocations",
-        debug: 2.3125,
-        release: 2.3125,
-        why: "a sweep of purges writes its answers into the frame (no vector)",
+        debug: 1.25,
+        release: 1.25,
+        why: "the purge sweep's records open in recycled buffers",
     },
     Pin {
         what: "fed_burst polls",
