@@ -707,6 +707,10 @@ mod tests {
                 at,
             );
             borrowed.push_job_incarnated(job, ActionId(3), (&target.0, &target.1), at + 1);
+            // A placement's chosen Vsite is written from its two parts too.
+            let excluded: Vec<String> = (0..rng.below(3)).map(|i| format!("U{i}")).collect();
+            let attempt = rng.below(4) as u32;
+            borrowed.push_placement_decided(job, ActionId(2), (&target.0, &target.1), &excluded, attempt, at + 2);
             let mut owned = EventBatch::new();
             owned.push(&StoreEvent::JobConsigned {
                 job,
@@ -724,8 +728,16 @@ mod tests {
                 target: format!("{}:{}", target.0, target.1),
                 at: at + 1,
             });
+            owned.push(&StoreEvent::PlacementDecided {
+                job,
+                node: ActionId(2),
+                chosen: format!("{}/{}", target.0, target.1),
+                excluded,
+                attempt,
+                at: at + 2,
+            });
             prop_assert!(borrowed.frames == owned.frames, "seed {seed}");
-            prop_assert_eq!(borrowed.events, 2);
+            prop_assert_eq!(borrowed.events, 3);
         }
     }
 
