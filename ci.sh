@@ -152,7 +152,7 @@ cargo test -q --offline -p unicore-telemetry flight
 echo "==> step.rs seam: sparse unordered ActionIds == dense ones, unknown node ids refused, job_visits pinned for chain3/fan16, a node ready behind the dispatch loop goes out in the same step, half-finished fan16 recovers to the uncrashed bytes"
 cargo test -q --offline -p unicore-njs --test step_seam
 
-echo "==> cost pins, release column (the table is printed): allocations in consign, step and query + purge, job visits, journal appends and bytes per chain3 job on one Usite with 8 Vsites; consign and step allocations and visits per fan16 job; spans and allocations over untraced per traced chain3 job; allocations, envelopes, messages and heap bytes retained after the purge per job of a two-site fed_burst burst, its allocations by phase (consign acks awaited, polling, purge), its polls, and the journal bytes both sites wrote per job; last moved (E37: record buffers cycle, a received DN is borrowed, a forwarded sub-job is copied once, audit strings shared): the fed_burst allocations, bytes retained and the three phase rows (cargo test checks the debug column)"
+echo "==> cost pins, release column (the table is printed): allocations in consign, step and query + purge, job visits, journal appends and bytes per chain3 job on one Usite with 8 Vsites; consign and step allocations and visits per fan16 job; spans and allocations over untraced per traced chain3 job; allocations, envelopes, messages and heap bytes retained after the purge per job of a two-site fed_burst burst, its allocations by phase (consign acks awaited, polling, purge), its polls, and the journal bytes both sites wrote per job; last moved (E38: a two-buffer dependency index, a kept frame writer and kept sweep lists, a shared user mapping, inline idempotency keys): the chain3 and fan16 consign rows, the fed_burst allocations, bytes retained and the three phase rows (cargo test checks the debug column)"
 cargo test -q --release --offline -p unicore-integration-tests --test cost_pins -- --nocapture
 
 echo "==> one path across a Vsite boundary: in crates/njs/src, xspace_read( and xspace_write( are called only from njs/cross.rs (the merge phase), and consign_internal( only from consign.rs, recover.rs and cross.rs (offenders are listed)"

@@ -145,7 +145,7 @@ impl AbstractJob {
     /// Returns an error when the graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<ActionId>, AjoError> {
         let index = self.dependency_index();
-        let n = index.ids.len();
+        let n = index.nodes;
         let mut in_degree: Vec<usize> = (0..n)
             .map(|p| index.predecessor_positions(p).len())
             .collect();
@@ -356,7 +356,9 @@ struct Level<'a> {
 
 impl<'a> Level<'a> {
     fn walk(job: &'a AbstractJob, scratch: &'a mut Scratch) -> Self {
-        let ids: Vec<ActionId> = job.nodes.iter().map(|(id, _)| *id).collect();
+        // Room for the predecessor ids the index appends behind the nodes.
+        let mut ids = Vec::with_capacity(job.nodes.len() + job.dependencies.len());
+        ids.extend(job.nodes.iter().map(|(id, _)| *id));
         let by_id = scratch.positions();
         for (p, slot) in by_id.iter_mut().enumerate() {
             *slot = p;
@@ -391,51 +393,55 @@ impl<'a> Level<'a> {
 
     /// The level's [`DependencyIndex`]: node `p`'s predecessors are
     /// bucket `p`, its successors bucket `n + p`, so one grouping pass
-    /// builds both lists in one pair of buffers.
+    /// builds both lists behind the offsets in one buffer, and the
+    /// predecessors' ids go behind the node ids in the other.
     fn into_index(self) -> DependencyIndex {
         let n = self.ids.len();
+        let mut slots = Vec::with_capacity(2 * n + 1 + 2 * self.job.dependencies.len());
         let preds = self.edges().map(|(from, to)| (to, from));
         let succs = self.edges().map(|(from, to)| (n + from, to));
-        let (offsets, positions) = group_by_bucket(2 * n, preds.chain(succs));
-        let preds = positions[..offsets[n]]
-            .iter()
-            .map(|&p| self.ids[p])
-            .collect();
+        group_by_bucket(2 * n, preds.chain(succs), &mut slots);
+        let mut ids = self.ids;
+        let first = 2 * n + 1;
+        for &p in &slots[first..first + slots[n]] {
+            ids.push(ids[p]);
+        }
         DependencyIndex {
-            ids: self.ids,
-            offsets,
-            preds,
-            positions,
+            nodes: n,
+            ids,
+            slots,
         }
     }
 }
 
 /// Groups the `(bucket, item)` pairs `pairs` yields by bucket, keeping
-/// their order within each: `offsets[b]..offsets[b + 1]` slices the
-/// returned items of bucket `b`. Two passes over `pairs` (count, then
+/// their order within each, into the empty `out`: `buckets + 1` offsets,
+/// then the items, `out[b]..out[b + 1]` slicing bucket `b`'s items
+/// counted from `buckets + 1`. Two passes over `pairs` (count, then
 /// place), no per-bucket `Vec`.
 fn group_by_bucket(
     buckets: usize,
     pairs: impl DoubleEndedIterator<Item = (usize, usize)> + Clone,
-) -> (Vec<usize>, Vec<usize>) {
+    out: &mut Vec<usize>,
+) {
     // offsets[b] counts bucket b, then becomes its end, then (placing
     // from the back) its start.
-    let mut offsets = vec![0; buckets + 1];
+    out.resize(buckets + 1, 0);
     for (b, _) in pairs.clone() {
-        offsets[b] += 1;
+        out[b] += 1;
     }
     let mut end = 0;
-    for slot in &mut offsets[..buckets] {
+    for slot in &mut out[..buckets] {
         end += *slot;
         *slot = end;
     }
-    offsets[buckets] = end;
-    let mut items = vec![0; end];
+    out[buckets] = end;
+    out.resize(buckets + 1 + end, 0);
+    let (offsets, items) = out.split_at_mut(buckets + 1);
     for (b, item) in pairs.rev() {
         offsets[b] -= 1;
         items[offsets[b]] = item;
     }
-    (offsets, items)
 }
 
 /// Precomputed predecessor adjacency for one job level.
@@ -443,8 +449,9 @@ fn group_by_bucket(
 /// Finding a node's predecessors means scanning every dependency edge,
 /// and the NJS dependency check asks per waiting node per step. This
 /// index pays the scan once at consign time and afterwards answers from
-/// a flattened CSR-style layout: all predecessor lists live in one `Vec`,
-/// sliced per node.
+/// a flattened CSR-style layout in two buffers: the node ids with every
+/// predecessor list by id behind them, and the offsets with every
+/// predecessor and successor list by position behind them.
 ///
 /// A node is addressed either by its [`ActionId`] or by its *position* —
 /// its index in [`AbstractJob::nodes`]. The NJS keeps everything it
@@ -457,23 +464,34 @@ fn group_by_bucket(
 /// an id two nodes share resolves to the first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependencyIndex {
-    /// Node ids in declaration order; for `ids[i]`,
-    /// `offsets[i]..offsets[i+1]` slices `preds` and `positions` (its
-    /// predecessors) and `offsets[n+i]..offsets[n+i+1]` slices
-    /// `positions` (its successors), `n` being the number of nodes.
+    /// The number of nodes, `n`.
+    nodes: usize,
+    /// The node ids in declaration order, then every node's predecessors
+    /// by id: node `i`'s are `ids[n + offsets[i]..n + offsets[i + 1]]`.
     ids: Vec<ActionId>,
-    offsets: Vec<usize>,
-    preds: Vec<ActionId>,
-    /// Every node's predecessors, each as its position in `ids`, then
-    /// every node's successors.
-    positions: Vec<usize>,
+    /// The `2n + 1` offsets, then every node's predecessors by position,
+    /// then every node's successors by position. Counted from `2n + 1`,
+    /// `offsets[i]..offsets[i + 1]` slices node `i`'s predecessors and
+    /// `offsets[n + i]..offsets[n + i + 1]` its successors.
+    slots: Vec<usize>,
 }
 
 impl DependencyIndex {
+    /// The node ids, in declaration order.
+    fn node_ids(&self) -> &[ActionId] {
+        &self.ids[..self.nodes]
+    }
+
+    /// Bucket `b`'s range of the positions behind the offsets.
+    fn bucket(&self, b: usize) -> std::ops::Range<usize> {
+        let first = 2 * self.nodes + 1;
+        first + self.slots[b]..first + self.slots[b + 1]
+    }
+
     /// The position of `id` in the job's node list, if it is a node of
     /// this level.
     pub fn position(&self, id: ActionId) -> Option<usize> {
-        self.ids.iter().position(|&n| n == id)
+        self.node_ids().iter().position(|&n| n == id)
     }
 
     /// Direct predecessors of the node at `position`, by id.
@@ -481,7 +499,8 @@ impl DependencyIndex {
     /// # Panics
     /// Panics if `position` is not a node of this level.
     pub fn predecessors_at(&self, position: usize) -> &[ActionId] {
-        &self.preds[self.offsets[position]..self.offsets[position + 1]]
+        let n = self.nodes;
+        &self.ids[n + self.slots[position]..n + self.slots[position + 1]]
     }
 
     /// Direct predecessors of the node at `position`, by position, in
@@ -490,7 +509,7 @@ impl DependencyIndex {
     /// # Panics
     /// Panics if `position` is not a node of this level.
     pub fn predecessor_positions(&self, position: usize) -> &[usize] {
-        &self.positions[self.offsets[position]..self.offsets[position + 1]]
+        &self.slots[self.bucket(position)]
     }
 
     /// Direct successors of the node at `position`, by position, in
@@ -499,8 +518,7 @@ impl DependencyIndex {
     /// # Panics
     /// Panics if `position` is not a node of this level.
     pub fn successor_positions(&self, position: usize) -> &[usize] {
-        let n = self.ids.len();
-        &self.positions[self.offsets[n + position]..self.offsets[n + position + 1]]
+        &self.slots[self.bucket(self.nodes + position)]
     }
 
     /// Whether the level has no cycle: Kahn's algorithm run backwards
@@ -508,7 +526,8 @@ impl DependencyIndex {
     /// `out_degree` and `stack` have room for every node.
     fn is_acyclic(&self, out_degree: &mut [usize], stack: &mut [usize]) -> bool {
         out_degree.fill(0);
-        for &p in &self.positions[..self.preds.len()] {
+        let first = 2 * self.nodes + 1;
+        for &p in &self.slots[first..first + self.slots[self.nodes]] {
             out_degree[p] += 1;
         }
         let mut top = 0;
@@ -529,7 +548,7 @@ impl DependencyIndex {
                 }
             }
         }
-        removed == self.ids.len()
+        removed == self.nodes
     }
 }
 
@@ -965,7 +984,7 @@ mod tests {
         /// node-declaration order — identical to
         /// [`AbstractJob::ready_nodes`].
         fn ready_nodes(&self, done: &BTreeSet<ActionId>) -> Vec<ActionId> {
-            self.ids
+            self.node_ids()
                 .iter()
                 .enumerate()
                 .filter(|(_, id)| !done.contains(id))
@@ -1091,26 +1110,28 @@ mod tests {
                     successors[from].push(to);
                 }
             }
-            let mut offsets = Vec::with_capacity(2 * ids.len() + 1);
-            let mut preds = Vec::new();
+            // The layout: node ids then predecessor ids; offsets then
+            // predecessor positions then successor positions.
+            let nodes = ids.len();
+            let mut all_ids = ids;
+            let mut offsets = vec![0];
             let mut positions = Vec::new();
-            offsets.push(0);
             for bucket in buckets {
                 for (id, pos) in bucket {
-                    preds.push(id);
+                    all_ids.push(id);
                     positions.push(pos);
                 }
-                offsets.push(preds.len());
+                offsets.push(positions.len());
             }
             for list in successors {
                 positions.extend(list);
                 offsets.push(positions.len());
             }
+            offsets.extend(positions);
             DependencyIndex {
-                ids,
-                offsets,
-                preds,
-                positions,
+                nodes,
+                ids: all_ids,
+                slots: offsets,
             }
         }
     }
@@ -1184,6 +1205,42 @@ mod tests {
             }
         }
         out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn the_two_buffer_index_answers_as_a_scan_of_the_edges(seed in any::<u64>()) {
+            let job = random_job(&mut TestRng::from_seed(seed), 0, true);
+            for level in levels(&job) {
+                let index = level.dependency_index();
+                let ids: Vec<ActionId> = level.nodes.iter().map(|(id, _)| *id).collect();
+                let first = |id: ActionId| ids.iter().position(|&n| n == id);
+                // Every edge both of whose ends resolve, as positions.
+                let edges: Vec<(ActionId, usize, usize)> = level
+                    .dependencies
+                    .iter()
+                    .filter_map(|d| Some((d.from, first(d.from)?, first(d.to)?)))
+                    .collect();
+                for probe in (0..16).map(ActionId).chain(ids.iter().copied()) {
+                    prop_assert_eq!(index.position(probe), first(probe));
+                }
+                for pos in 0..ids.len() {
+                    let preds = edges.iter().filter(|e| e.2 == pos);
+                    let by_id: Vec<ActionId> = preds.clone().map(|e| e.0).collect();
+                    let by_pos: Vec<usize> = preds.map(|e| e.1).collect();
+                    let succs: Vec<usize> =
+                        edges.iter().filter(|e| e.1 == pos).map(|e| e.2).collect();
+                    prop_assert_eq!(index.predecessors_at(pos), &by_id[..]);
+                    prop_assert_eq!(index.predecessor_positions(pos), &by_pos[..]);
+                    prop_assert_eq!(index.successor_positions(pos), &succs[..]);
+                }
+                let unique = ids.iter().all(|a| ids.iter().filter(|b| *b == a).count() == 1);
+                if unique && edges.len() == level.dependencies.len() {
+                    prop_assert_eq!(level.topological_order(), reference::topological_order(level));
+                }
+            }
+        }
     }
 
     proptest! {

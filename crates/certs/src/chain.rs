@@ -17,7 +17,7 @@ use crate::crl::CertificateRevocationList;
 use crate::dn::DistinguishedName;
 use crate::error::CertError;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use unicore_crypto::rsa::RsaPublicKey;
 
 /// What the verifier requires the end-entity key to be allowed to do.
@@ -59,12 +59,25 @@ struct Proof {
     certificate: Certificate,
     /// The key `certificate.signature` was verified under.
     issuer_key: RsaPublicKey,
+    /// `certificate.fingerprint()`, computed on first use and then kept
+    /// with the certificate for every clone.
+    fingerprint: OnceLock<String>,
 }
 
 impl ValidatedCertificate {
     /// The validated end-entity certificate.
     pub fn certificate(&self) -> &Certificate {
         &self.0.certificate
+    }
+
+    /// The certificate's [`Certificate::fingerprint`], computed once for
+    /// this validation and all its clones: a session cache that checks a
+    /// resumption ticket and mints the next one for the same certificate
+    /// encodes and hashes it once, not on every reconnect.
+    pub fn fingerprint(&self) -> &str {
+        self.0
+            .fingerprint
+            .get_or_init(|| self.0.certificate.fingerprint())
     }
 }
 
@@ -143,6 +156,7 @@ impl TrustStore {
         Ok(ValidatedCertificate(Arc::new(Proof {
             certificate: chain[0].clone(),
             issuer_key: issuer_key.clone(),
+            fingerprint: OnceLock::new(),
         })))
     }
 
@@ -316,6 +330,31 @@ mod tests {
         fx.store
             .validate(&[id.cert], 50, RequiredUsage::ClientAuth)
             .unwrap();
+    }
+
+    #[test]
+    fn a_validation_and_its_clones_share_one_fingerprint() {
+        let mut fx = fixture(30);
+        let id = fx
+            .ca
+            .issue_identity(
+                dn("alice"),
+                KeyUsage::user(),
+                Validity::starting_at(0, 100),
+                &mut fx.rng,
+            )
+            .unwrap();
+        let validated = fx
+            .store
+            .validate(
+                std::slice::from_ref(&id.cert),
+                50,
+                RequiredUsage::ClientAuth,
+            )
+            .unwrap();
+        let clone = validated.clone();
+        assert_eq!(clone.fingerprint(), id.cert.fingerprint());
+        assert!(std::ptr::eq(validated.fingerprint(), clone.fingerprint()));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub trait DerCodec: Sized {
     /// Appends the DER bytes to `out`, so a caller can reuse one buffer or
     /// encode behind a header it has already written.
     fn to_der_into(&self, out: &mut Vec<u8>) {
-        DerWriter::append_to(out, |w| self.write_der(w));
+        DerWriter::default().append_into(out, |w| self.write_der(w));
     }
 
     /// Parses from DER bytes; trailing bytes are an error.

@@ -39,15 +39,11 @@ impl DerWriter {
     }
 
     /// Appends what `write` emits to `out`, which may already hold bytes
-    /// (a reused buffer, a record header the encoding goes behind).
-    pub fn append_to(out: &mut Vec<u8>, write: impl FnOnce(&mut DerWriter)) {
-        Self::default().append_into(out, write);
-    }
-
-    /// [`DerWriter::append_to`] through this writer, which keeps its
-    /// long-form bookkeeping for the next call: a caller that encodes
-    /// many values into its own buffers (a journal batch, record after
-    /// record) allocates that once instead of once per long value.
+    /// (a reused buffer, a record header the encoding goes behind). The
+    /// writer keeps its long-form bookkeeping for the next call: a caller
+    /// that encodes many values into its own buffers (a journal batch,
+    /// record after record, frame after frame) allocates that once
+    /// instead of once per long value.
     pub fn append_into(&mut self, out: &mut Vec<u8>, write: impl FnOnce(&mut DerWriter)) {
         debug_assert!(self.out.is_empty() && self.owed.is_empty());
         std::mem::swap(&mut self.out, out);
@@ -470,7 +466,7 @@ mod tests {
     fn appends_behind_existing_bytes() {
         let mut out = vec![0xde, 0xad];
         let payload = vec![1u8; 200];
-        DerWriter::append_to(&mut out, |w| w.sequence(|w| w.bytes(&payload)));
+        DerWriter::default().append_into(&mut out, |w| w.sequence(|w| w.bytes(&payload)));
         assert_eq!(&out[..2], &[0xde, 0xad]);
         assert_eq!(&out[2..5], &[0x30, 0x81, 0xcb]);
         assert_eq!(out.len(), 2 + 3 + 3 + 200);

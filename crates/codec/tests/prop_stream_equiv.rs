@@ -89,7 +89,7 @@ proptest! {
         prefix in proptest::collection::vec(any::<u8>(), 0..200),
     ) {
         let mut out = prefix.clone();
-        DerWriter::append_to(&mut out, |w| {
+        DerWriter::default().append_into(&mut out, |w| {
             w.sequence_of(&sizes, |w, &n| w.tagged(1, |w| w.bytes(&vec![0xa5; n])))
         });
         let v = Value::Sequence(

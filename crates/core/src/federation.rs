@@ -27,7 +27,7 @@
 
 use crate::config::{SiteConfig, VsiteConfig};
 use crate::grid::GridPlane;
-use crate::link;
+use crate::link::{self, Spares};
 use crate::protocol::{AnswerSink, Body, Envelope, Request, Response};
 use crate::reliability::{Reliability, Sender};
 use crate::server::UnicoreServer;
@@ -169,6 +169,10 @@ struct OpenSweep {
     requests: Vec<Request>,
 }
 
+/// The most members a kept sweep list has room for: above a poll round
+/// of every job a burst keeps at one site.
+const SWEEP_CAP: usize = 256;
+
 /// The running federation.
 pub struct Federation {
     net: Network,
@@ -196,6 +200,11 @@ pub struct Federation {
     outstanding: IdMap<u64, Members>,
     /// Sweeps still being gathered, in the order they were opened.
     open_sweeps: Vec<OpenSweep>,
+    /// Lists of sweeps closed before, for the next sweeps to open in:
+    /// the member corrs come back when the sweep is answered, the
+    /// requests once it is framed.
+    spare_corrs: Spares<u64, SWEEP_CAP>,
+    spare_requests: Spares<Request, SWEEP_CAP>,
     /// The lists a tick drains its inboxes into and delivers from, empty
     /// between ticks and kept for their capacity.
     inbox: Vec<(SimTime, Message)>,
@@ -312,6 +321,8 @@ impl Federation {
             client_responses: IdMap::default(),
             outstanding: IdMap::default(),
             open_sweeps: Vec::new(),
+            spare_corrs: Spares::default(),
+            spare_requests: Spares::default(),
             inbox: Vec::new(),
             deliveries: Vec::new(),
             next_client_corr: 1,
@@ -661,9 +672,11 @@ impl Federation {
     /// First contact between two nodes is charged `handshake_bytes` of
     /// padding ahead of the record that makes it.
     fn flush(&mut self) {
-        for sweep in std::mem::take(&mut self.open_sweeps) {
+        let mut sweeps = std::mem::take(&mut self.open_sweeps);
+        for sweep in sweeps.drain(..) {
             self.post_sweep(sweep);
         }
+        self.open_sweeps = sweeps;
         let (net, established, padding) = (
             &mut self.net,
             &mut self.established,
@@ -699,12 +712,18 @@ impl Federation {
                     sweep.corrs.push(corr);
                     sweep.requests.push(request);
                 }
-                None => self.open_sweeps.push(OpenSweep {
-                    site,
-                    dn: dn.to_owned(),
-                    corrs: vec![corr],
-                    requests: vec![request],
-                }),
+                None => {
+                    let (mut corrs, mut requests) =
+                        (self.spare_corrs.take(), self.spare_requests.take());
+                    corrs.push(corr);
+                    requests.push(request);
+                    self.open_sweeps.push(OpenSweep {
+                        site,
+                        dn: dn.to_owned(),
+                        corrs,
+                        requests,
+                    });
+                }
             }
             return corr;
         }
@@ -746,6 +765,8 @@ impl Federation {
 
     /// Puts a closed sweep on the wire as one request under its first
     /// member's corr: one sequence number, one retry timer, one reply.
+    /// Its lists are kept for later sweeps: the requests once framed, the
+    /// corrs once answered.
     fn post_sweep(&mut self, sweep: OpenSweep) {
         let OpenSweep {
             site,
@@ -754,17 +775,29 @@ impl Federation {
             mut requests,
         } = sweep;
         let request = match requests.len() {
-            1 => requests.pop().expect("one member"),
+            1 => {
+                let request = requests.pop().expect("one member");
+                self.spare_requests.give(requests);
+                request
+            }
             _ => Request::Sweep { requests },
         };
         let (from, corr) = (Sender::Client(&dn), corrs[0]);
         let members = match corrs.len() {
-            1 => Members::Lone,
+            1 => {
+                self.spare_corrs.give(corrs);
+                Members::Lone
+            }
             _ => Members::Sweep(corrs),
         };
         self.rel.request(self.now, from, site, corr, &request, None);
         self.envelopes_sent = self.rel.envelopes_sent();
         self.outstanding.insert(corr, members);
+        let framed = match request {
+            Request::Sweep { requests } => requests,
+            _ => return,
+        };
+        self.spare_requests.give(framed);
     }
 
     /// Consigns a job (asynchronous protocol).
@@ -1077,7 +1110,7 @@ impl Federation {
         };
         match response {
             Response::Swept { responses } if responses.len() == members.len() => {
-                for (member, answer) in members.into_iter().zip(responses) {
+                for (&member, answer) in members.iter().zip(responses) {
                     self.file_answer(member, answer, t);
                 }
             }
@@ -1086,11 +1119,12 @@ impl Federation {
                     Response::Error(why) => why,
                     _ => format!("a sweep of {} got a malformed answer", members.len()),
                 };
-                for member in members {
+                for &member in &members {
                     self.file_answer(member, Response::Error(why.clone()), t);
                 }
             }
         }
+        self.spare_corrs.give(members);
     }
 
     /// Files `answer` for the client's request `member` and ends its span.
@@ -1361,5 +1395,89 @@ mod tests {
             }
         }
         assert_eq!(retargeted, 3, "every group ran off RUS");
+    }
+
+    /// Three ticks, each with a consign whose AJO needs long-form lengths
+    /// and a poll sweep that grows past 16 members. Every frame the kept
+    /// writer wrote is the bytes a fresh writer writes for its envelope;
+    /// every sweep carries exactly its own tick's members, though its
+    /// lists were kept from the tick before; every member gets its own
+    /// answer.
+    #[test]
+    fn a_kept_writer_and_kept_sweep_lists_frame_as_fresh_ones() {
+        let mut fed = Federation::german_deployment(FederationConfig::default());
+        fed.register_user(DN, "alice");
+        // The client's frame for `corr`, decoded, after checking that a
+        // fresh writer encodes its envelope to the same bytes.
+        let sent = |fed: &Federation, corr: u64| {
+            let mut frames = fed.rel.inflight_frames();
+            let (_, frame) = frames
+                .find(|&(key, _)| key == (None, corr))
+                .expect("the frame is in flight");
+            let der = &frame[4..];
+            let envelope = Envelope::from_der(der).expect("an envelope");
+            assert_eq!(envelope.to_der(), der, "request {corr}");
+            match envelope.body {
+                Body::Request(request) => request,
+                other => panic!("{other:?}"),
+            }
+        };
+        let mut largest = 0;
+        for tick in 0..3u64 {
+            let attrs = UserAttributes::new(DN, "users");
+            let mut ajo =
+                AbstractJob::new(format!("big{tick}"), VsiteAddress::new("FZJ", "T3E"), attrs);
+            ajo.nodes.push(sleep5(1, "s"));
+            ajo.portfolio.push(unicore_ajo::PortfolioFile {
+                name: "in.dat".into(),
+                data: vec![tick as u8; 300].into(),
+            });
+            let consign = fed.client_submit("FZJ", ajo.clone(), DN);
+            let polled: Vec<JobId> = (0..17 + 2 * tick).map(|k| JobId(1000 + k)).collect();
+            let members: Vec<u64> = polled
+                .iter()
+                .map(|&job| fed.client_poll("FZJ", DN, job, DetailLevel::JobOnly))
+                .collect();
+            largest = largest.max(members.len());
+            fed.flush();
+
+            assert_eq!(sent(&fed, consign), Request::Consign { ajo });
+            let Request::Sweep { requests } = sent(&fed, members[0]) else {
+                panic!("tick {tick}: the polls left as one sweep")
+            };
+            let swept: Vec<JobId> = requests
+                .iter()
+                .map(|request| match request {
+                    Request::Poll { job, .. } => *job,
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            assert_eq!(swept, polled, "tick {tick}");
+
+            fed.run_until(fed.now() + MINUTE);
+            assert!(matches!(
+                fed.take_client_response(consign),
+                Some(Response::Consigned { .. })
+            ));
+            for (member, job) in members.into_iter().zip(polled) {
+                let answer = fed.take_client_response(member);
+                let unknown = format!("unknown job {job}");
+                assert!(
+                    matches!(&answer, Some(Response::Error(why)) if *why == unknown),
+                    "member {member}: {answer:?}"
+                );
+            }
+        }
+        // The lists went back for the next sweeps, grown to the largest.
+        assert!(fed
+            .spare_requests
+            .kept()
+            .iter()
+            .any(|l| l.capacity() >= largest));
+        assert!(fed
+            .spare_corrs
+            .kept()
+            .iter()
+            .any(|l| l.capacity() >= largest));
     }
 }

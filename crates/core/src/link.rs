@@ -30,7 +30,8 @@ pub(crate) const RECORD_BOUND: usize = 32 * 1024;
 const LEN: usize = 4;
 
 /// Delivered record buffers an outbox keeps for later records: enough for
-/// the records of a tick between two sites and the workstation.
+/// the records of a tick between two sites and the workstation. Kept
+/// sweep lists are bounded alike.
 const SPARES: usize = 8;
 
 /// The largest buffer capacity kept as a spare. A record closes once it
@@ -49,9 +50,43 @@ pub struct Outbox {
     /// Empty record lists of pairs flushed before, for the next pairs.
     lists: Vec<Vec<Vec<u8>>>,
     /// Empty buffers of delivered records ([`recycle`](Self::recycle)),
-    /// at most [`SPARES`], none above [`SPARE_CAP`]: a record opens in
-    /// one of these before a new buffer is allocated.
-    spares: Vec<Vec<u8>>,
+    /// none above [`SPARE_CAP`]: a record opens in one of these before a
+    /// new buffer is allocated.
+    spares: Spares<u8, SPARE_CAP>,
+}
+
+/// Emptied lists kept for reuse: at most [`SPARES`], none with room for
+/// more than `CAP` items, so a list that once held an outsized load is
+/// dropped rather than kept.
+#[derive(Debug)]
+pub(crate) struct Spares<T, const CAP: usize>(Vec<Vec<T>>);
+
+impl<T, const CAP: usize> Default for Spares<T, CAP> {
+    fn default() -> Self {
+        Spares(Vec::new())
+    }
+}
+
+impl<T, const CAP: usize> Spares<T, CAP> {
+    /// A kept list, or a new one.
+    pub(crate) fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Keeps `list` emptied, unless [`SPARES`] are kept already or its
+    /// capacity is above `CAP` (or nothing), when it is dropped.
+    pub(crate) fn give(&mut self, mut list: Vec<T>) {
+        if self.0.len() < SPARES && (1..=CAP).contains(&list.capacity()) {
+            list.clear();
+            self.0.push(list);
+        }
+    }
+
+    /// The lists kept, for tests.
+    #[cfg(test)]
+    pub(crate) fn kept(&self) -> &[Vec<T>] {
+        &self.0
+    }
 }
 
 impl Outbox {
@@ -74,7 +109,7 @@ impl Outbox {
             });
         let records = &mut self.pairs[at].2;
         if records.last().is_none_or(|open| open.len() >= RECORD_BOUND) {
-            records.push(self.spares.pop().unwrap_or_default());
+            records.push(self.spares.take());
         }
         let open = records.last_mut().expect("an open record");
         let mut start = open.len();
@@ -108,11 +143,8 @@ impl Outbox {
     /// Takes back the buffer of a record that was delivered and read, for
     /// a later record: emptied, unless [`SPARES`] are kept already or its
     /// capacity is above [`SPARE_CAP`], when it is dropped.
-    pub(crate) fn recycle(&mut self, mut record: Vec<u8>) {
-        if self.spares.len() < SPARES && record.capacity() <= SPARE_CAP {
-            record.clear();
-            self.spares.push(record);
-        }
+    pub(crate) fn recycle(&mut self, record: Vec<u8>) {
+        self.spares.give(record);
     }
 
     /// Whether every waiting frame was written by `node`.
@@ -275,8 +307,11 @@ mod tests {
         for (_, _, record) in every_shape(&mut Outbox::default()) {
             outbox.recycle(record);
         }
-        assert!(!outbox.spares.is_empty());
-        assert!(outbox.spares.iter().all(Vec::is_empty), "kept emptied");
+        assert!(!outbox.spares.kept().is_empty());
+        assert!(
+            outbox.spares.kept().iter().all(Vec::is_empty),
+            "kept emptied"
+        );
         for round in 0..3 {
             let sent = every_shape(&mut outbox);
             assert_eq!(sent, fresh, "round {round}");
@@ -298,15 +333,15 @@ mod tests {
         for _ in 0..3 * SPARES {
             outbox.recycle(Vec::with_capacity(1_024));
         }
-        assert_eq!(outbox.spares.len(), SPARES);
+        assert_eq!(outbox.spares.kept().len(), SPARES);
         let mut outbox = Outbox::default();
         outbox.recycle(Vec::with_capacity(SPARE_CAP + 1));
         assert!(
-            outbox.spares.is_empty(),
+            outbox.spares.kept().is_empty(),
             "a buffer above the cap is dropped"
         );
         outbox.recycle(Vec::with_capacity(SPARE_CAP));
-        assert_eq!(outbox.spares.len(), 1);
+        assert_eq!(outbox.spares.kept().len(), 1);
         // A record carrying a 64 KiB chunk is never kept.
         let mut outbox = Outbox::default();
         push_bytes(&mut outbox, A, B, &[0xC5; 64 * 1024 + 120]);
@@ -314,14 +349,18 @@ mod tests {
             assert!(record.capacity() > SPARE_CAP);
             outbox.recycle(record);
         }
-        assert!(outbox.spares.is_empty());
+        assert!(outbox.spares.kept().is_empty());
         // Whatever a tick delivers, the list stays within its bound and
         // under the cap.
         for _ in 0..4 {
             for (_, _, record) in every_shape(&mut outbox) {
                 outbox.recycle(record);
-                assert!(outbox.spares.len() <= SPARES);
-                assert!(outbox.spares.iter().all(|b| b.capacity() <= SPARE_CAP));
+                assert!(outbox.spares.kept().len() <= SPARES);
+                assert!(outbox
+                    .spares
+                    .kept()
+                    .iter()
+                    .all(|b| b.capacity() <= SPARE_CAP));
             }
         }
     }

@@ -226,6 +226,9 @@ struct Wire {
     recv_seq: HashMap<(NodeId, NodeId), SeqTracker>,
     /// Envelopes framed so far, retransmissions included.
     envelopes_sent: u64,
+    /// The writer every frame is encoded through, kept for its long-form
+    /// bookkeeping: a frame with a long body allocates that once.
+    writer: DerWriter,
 }
 
 impl Wire {
@@ -252,9 +255,10 @@ impl Wire {
             .filter(|&n| n > 0);
         let seq = Some(*seq);
         self.envelopes_sent += 1;
+        let writer = &mut self.writer;
         self.outbox.push(src, dst, |frame| {
             frame.extend_from_slice(&src.0.to_be_bytes());
-            DerWriter::append_to(frame, |w| {
+            writer.append_into(frame, |w| {
                 Envelope::write_parts(w, corr, from_dn, body, trace, seq, ack)
             });
         })

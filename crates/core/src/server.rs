@@ -21,7 +21,7 @@ use unicore_codec::DerCodec;
 use unicore_crypto::Sha256;
 use unicore_dataplane::{SenderState, TransferManifest, DEFAULT_CHUNK_SIZE, DEFAULT_WINDOW};
 use unicore_gateway::{AuthDecision, Gateway};
-use unicore_njs::{ConsignMeta, NjsError, OutgoingItem, RecoveryReport, ShardedNjs};
+use unicore_njs::{ConsignMeta, IdemKey, NjsError, OutgoingItem, RecoveryReport, ShardedNjs};
 use unicore_resources::{ResourceDirectory, ResourcePage};
 use unicore_sim::{SimTime, SEC};
 use unicore_store::ForeignOrigin;
@@ -236,24 +236,24 @@ fn decision_label(decision: &AuthDecision) -> &'static str {
 
 /// Idempotency key for a user Consign: who sent it and the exact AJO —
 /// SHA-256 of `dn ‖ 0x00 ‖ ajo_der`.
-fn consign_key(from_dn: &str, ajo_der: &[u8]) -> Vec<u8> {
+fn consign_key(from_dn: &str, ajo_der: &[u8]) -> IdemKey {
     let mut h = Sha256::new();
     h.update(from_dn.as_bytes());
     h.update(&[0]);
     h.update(ajo_der);
-    h.finalize().to_vec()
+    h.finalize().into()
 }
 
 /// Idempotency key for a peer ConsignSubJob: the sub-job's identity at
 /// its origin (origin server, parent job, node) is unique for all time —
 /// SHA-256 of `origin ‖ 0x00 ‖ parent ‖ node` (big-endian ids).
-fn subjob_key(origin: &str, parent: JobId, node: ActionId) -> Vec<u8> {
+fn subjob_key(origin: &str, parent: JobId, node: ActionId) -> IdemKey {
     let mut h = Sha256::new();
     h.update(origin.as_bytes());
     h.update(&[0]);
     h.update(&parent.0.to_be_bytes());
     h.update(&node.0.to_be_bytes());
-    h.finalize().to_vec()
+    h.finalize().into()
 }
 
 impl UnicoreServer {
@@ -732,11 +732,11 @@ impl UnicoreServer {
                     None,
                     now_secs,
                 );
-                let login = match decision {
-                    AuthDecision::Accepted(m) => m.login,
+                let mapped = match decision {
+                    AuthDecision::Accepted(m) => m,
                     AuthDecision::Refused(reason) => return sink.response(Response::Error(reason)),
                 };
-                match self.njs.transfer_offer(manifest, &login) {
+                match self.njs.transfer_offer(manifest, &mapped.login) {
                     Ok(resume_from) => Response::TransferGo { resume_from },
                     Err(e) => Response::Error(e.to_string()),
                 }
@@ -1617,13 +1617,13 @@ mod tests {
     fn streamed_keys_equal_the_digest_of_the_concatenation() {
         let der = job("keyed").to_der();
         let concatenated = [DN.as_bytes(), &[0], &der].concat();
-        assert_eq!(consign_key(DN, &der), sha256(&concatenated));
+        assert_eq!(*consign_key(DN, &der), sha256(&concatenated));
 
         let (parent, node) = (JobId(0x0102_0304_0506_0708), ActionId(9));
         let mut concatenated = b"RUS\0".to_vec();
         concatenated.extend_from_slice(&parent.0.to_be_bytes());
         concatenated.extend_from_slice(&node.0.to_be_bytes());
-        assert_eq!(subjob_key("RUS", parent, node), sha256(&concatenated));
+        assert_eq!(*subjob_key("RUS", parent, node), sha256(&concatenated));
     }
 
     #[test]

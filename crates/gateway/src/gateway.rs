@@ -15,8 +15,9 @@ use unicore_telemetry::{Counter, Telemetry};
 /// Outcome of an authentication + mapping attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuthDecision {
-    /// Accepted: the user is mapped.
-    Accepted(MappedUser),
+    /// Accepted: the user is mapped. The mapping memo and every request
+    /// it accepted share the one `MappedUser`, until the UUDB changes.
+    Accepted(Arc<MappedUser>),
     /// Refused with a reason.
     Refused(String),
 }
@@ -135,7 +136,7 @@ struct CachedMapping {
     epoch: u64,
     vsite: SharedStr,
     account_group: Option<String>,
-    mapped: MappedUser,
+    mapped: Arc<MappedUser>,
     /// Pre-rendered audit detail (`mapped to <login>`), so the hot path
     /// shares it instead of formatting.
     detail: SharedStr,
@@ -280,8 +281,8 @@ impl Gateway {
     /// DN → login through the mapping memo, with the audit record of the
     /// acceptance at `now`: a hit at the current epoch skips the UUDB
     /// walk, the group resolution, and the audit-detail `format!`, and
-    /// its record shares the memo's strings; a miss maps normally and
-    /// memoizes. Only successes are cached — refusals are cold and their
+    /// hands out the memo's `MappedUser` and strings, shared; a miss maps
+    /// normally and memoizes. Only successes are cached — refusals are cold and their
     /// reasons vary.
     fn map_cached(
         &mut self,
@@ -289,7 +290,7 @@ impl Gateway {
         vsite: &str,
         account_group: Option<&str>,
         now: u64,
-    ) -> Result<(MappedUser, AuditRecord), MappingError> {
+    ) -> Result<(Arc<MappedUser>, AuditRecord), MappingError> {
         let accepted = |dn: &SharedStr, c: &CachedMapping| {
             let record = AuditRecord {
                 at: now,
@@ -323,7 +324,7 @@ impl Gateway {
             epoch,
             vsite: vsite.into(),
             account_group: account_group.map(str::to_owned),
-            mapped,
+            mapped: Arc::new(mapped),
             detail: detail.into(),
         });
         Ok(accepted(&key, slots.last().expect("just pushed")))
@@ -697,6 +698,29 @@ mod tests {
         fx.gw.authorize_dn("CN=nobody", "T3E", None, 9);
         let refused = fx.gw.audit().back().expect("a record");
         assert_eq!((refused.accepted, refused.dn == "CN=nobody"), (false, true));
+    }
+
+    #[test]
+    fn accepted_mappings_share_one_user_until_the_uudb_changes() {
+        let mut fx = fixture();
+        let dn = fx.alice.cert.tbs.subject.to_string();
+        let accept = |gw: &mut Gateway, t| match gw.authorize_dn(&dn, "T3E", None, t) {
+            AuthDecision::Accepted(m) => m,
+            d => panic!("{d:?}"),
+        };
+        let (first, second) = (accept(&mut fx.gw, 1), accept(&mut fx.gw, 2));
+        assert!(Arc::ptr_eq(&first, &second), "one MappedUser for both");
+        let by_cert = fx.gw.authorize(&fx.alice.cert, "T3E", None, None, 3);
+        assert!(matches!(by_cert, AuthDecision::Accepted(m) if Arc::ptr_eq(&m, &first)));
+        // A new UUDB epoch maps afresh, even to the same login.
+        fx.gw.uudb_mut();
+        let fresh = accept(&mut fx.gw, 4);
+        assert!(
+            !Arc::ptr_eq(&fresh, &first),
+            "a stale mapping was handed out"
+        );
+        assert_eq!(*fresh, *first);
+        assert!(Arc::ptr_eq(&fresh, &accept(&mut fx.gw, 5)));
     }
 
     #[test]

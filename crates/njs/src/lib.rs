@@ -16,6 +16,7 @@
 //!   that applies the effects crossing a Vsite boundary in a fixed order
 //!   (`njs/cross.rs`).
 //! - [`accounting`] — the per-(Vsite, login) usage report
+//! - [`IdemKey`] — the idempotency key a consign is remembered by
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -23,12 +24,14 @@
 
 pub mod accounting;
 pub mod error;
+mod key;
 mod njs;
 pub mod oracle;
 pub mod translation;
 
 pub use accounting::{UsageReport, UsageRow};
 pub use error::NjsError;
+pub use key::IdemKey;
 pub use njs::{
     ConsignMeta, OutgoingItem, RecoveryReport, ShardedNjs, VsiteRuntime, INCOMING_PREFIX,
 };

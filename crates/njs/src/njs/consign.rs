@@ -16,11 +16,12 @@ use unicore_sim::SimTime;
 use unicore_store::OwnerRecordRef;
 
 impl ShardedNjs {
-    /// Consigns a top-level AJO.
+    /// Consigns a top-level AJO as `user`, owned or shared with the
+    /// gateway's mapping memo.
     pub fn consign(
         &mut self,
         job: AbstractJob,
-        user: MappedUser,
+        user: impl Into<Arc<MappedUser>>,
         now: SimTime,
     ) -> Result<JobId, NjsError> {
         self.consign_with_meta(job, user, now, ConsignMeta::default())
@@ -30,7 +31,7 @@ impl ShardedNjs {
     pub fn consign_with_meta(
         &mut self,
         job: AbstractJob,
-        user: MappedUser,
+        user: impl Into<Arc<MappedUser>>,
         now: SimTime,
         meta: ConsignMeta<'_>,
     ) -> Result<JobId, NjsError> {
@@ -44,6 +45,7 @@ impl ShardedNjs {
                 .map(|p| (p.name.clone(), Arc::clone(&p.data)))
                 .collect(),
         );
+        let user = user.into();
         self.consign_internal(job, preds, user, portfolio, Vec::new(), None, now, meta)
     }
 
@@ -52,7 +54,7 @@ impl ShardedNjs {
     pub fn consign_from_peer(
         &mut self,
         job: AbstractJob,
-        user: MappedUser,
+        user: impl Into<Arc<MappedUser>>,
         now: SimTime,
     ) -> Result<JobId, NjsError> {
         self.consign_from_peer_with_meta(job, user, now, ConsignMeta::default())
@@ -64,7 +66,7 @@ impl ShardedNjs {
     pub fn consign_from_peer_with_meta(
         &mut self,
         job: AbstractJob,
-        user: MappedUser,
+        user: impl Into<Arc<MappedUser>>,
         now: SimTime,
         meta: ConsignMeta<'_>,
     ) -> Result<JobId, NjsError> {
@@ -80,6 +82,7 @@ impl ShardedNjs {
             .map(|p| (p.name, p.data))
             .collect();
         let portfolio = self.share_portfolio(staged.iter().cloned().collect());
+        let user = user.into();
         self.consign_internal(job, preds, user, portfolio, staged, None, now, meta)
     }
 
@@ -104,7 +107,7 @@ impl ShardedNjs {
         &mut self,
         job: AbstractJob,
         preds: DependencyIndex,
-        user: MappedUser,
+        user: Arc<MappedUser>,
         portfolio: Arc<HashMap<String, Arc<[u8]>>>,
         staged: Vec<(String, Arc<[u8]>)>,
         parent: Option<(JobId, ActionId)>,

@@ -62,8 +62,8 @@ pub(super) enum CrossVsiteItem {
         ajo: Box<AbstractJob>,
         /// Edge files staged from the parent's Uspace, shared with it.
         staged: Vec<(String, Arc<[u8]>)>,
-        /// The consigning user.
-        user: MappedUser,
+        /// The consigning user, shared with the parent.
+        user: Arc<MappedUser>,
         /// The parent's portfolio, shared by refcount.
         portfolio: Arc<HashMap<String, Arc<[u8]>>>,
         /// Parent trace context, so the child's span hangs off it.

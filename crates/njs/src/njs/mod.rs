@@ -32,6 +32,7 @@ mod step;
 
 use crate::oracle::{DeterministicOracle, WorkOracle};
 use crate::translation::TranslationTable;
+use crate::IdemKey;
 use cross::{CrossVsiteItem, Link};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -179,7 +180,7 @@ struct IncomingTransfer {
 #[derive(Debug, Default, Clone)]
 pub struct ConsignMeta<'a> {
     /// Idempotency key identifying the consign request (empty = none).
-    pub idem_key: Vec<u8>,
+    pub idem_key: IdemKey,
     /// Set when the job was consigned by a peer server on behalf of a
     /// remote parent job.
     pub foreign: Option<ForeignOrigin>,
@@ -236,7 +237,8 @@ struct JobRuntime {
     preds: DependencyIndex,
     /// Index of `job.vsite` among this NJS's Vsites.
     vsite: usize,
-    user: MappedUser,
+    /// Whom the job runs as: the gateway's mapping, shared.
+    user: Arc<MappedUser>,
     parent: Option<(JobId, ActionId)>,
     portfolio: Arc<HashMap<String, Arc<[u8]>>>,
     /// Node states, by position.
@@ -254,7 +256,7 @@ struct JobRuntime {
     /// This job's trace context; parents all spans emitted on its behalf.
     trace: Option<SpanContext>,
     /// The consign request's idempotency key (empty = none), as journalled.
-    idem_key: Vec<u8>,
+    idem_key: IdemKey,
     /// The peer job this one runs for, as journalled.
     foreign: Option<ForeignOrigin>,
 }
@@ -309,7 +311,7 @@ pub struct ShardedNjs {
     /// — is then the same in every run. The keys are SHA-256 digests the
     /// server computes, so a sender steers one into a chosen bucket only
     /// by a preimage search of its own per key.
-    by_key: HashMap<Vec<u8>, JobId, BuildHasherDefault<DefaultHasher>>,
+    by_key: HashMap<IdemKey, JobId, BuildHasherDefault<DefaultHasher>>,
     /// Live jobs, iterated in consign order — which is ascending id
     /// order, since ids are allocated monotonically (and replayed in
     /// journal order).

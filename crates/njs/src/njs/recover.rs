@@ -3,6 +3,7 @@
 
 use super::{ConsignMeta, NodeState, RecoveryReport, ShardedNjs};
 use crate::error::NjsError;
+use crate::IdemKey;
 use std::collections::HashMap;
 use std::sync::Arc;
 use unicore_ajo::{AbstractJob, ActionId, JobId, JobOutcome, OutcomeNode};
@@ -124,11 +125,11 @@ impl ShardedNjs {
                     } => {
                         let ajo = AbstractJob::from_der(ajo_der)
                             .map_err(|e| NjsError::Store(StoreError::Codec(e)))?;
-                        let mapped = MappedUser {
+                        let mapped = Arc::new(MappedUser {
                             dn: user.dn.to_owned(),
                             login: user.login.to_owned(),
                             account_group: user.account_group.to_owned(),
-                        };
+                        });
                         // The record's bytes are copied out of the journal
                         // once; the Uspace and the portfolio share them.
                         let staged: Vec<(String, Arc<[u8]>)> = staged
@@ -156,7 +157,7 @@ impl ShardedNjs {
                             parent,
                             at,
                             ConsignMeta {
-                                idem_key: idem_key.to_vec(),
+                                idem_key: IdemKey::from(idem_key),
                                 foreign: foreign.as_ref().map(ForeignOriginRef::to_owned),
                                 ..ConsignMeta::default()
                             },

@@ -803,7 +803,7 @@ fn key_and_origin_come_back_with_the_job_and_go_with_its_purge() {
     job.nodes
         .push((ActionId(1), script_node("s", "sleep 30\n")));
     let meta = ConsignMeta {
-        idem_key: key.clone(),
+        idem_key: key[..].into(),
         foreign: Some(origin.clone()),
         ..ConsignMeta::default()
     };
@@ -840,6 +840,70 @@ fn key_and_origin_come_back_with_the_job_and_go_with_its_purge() {
     assert_eq!(njs.recover(HOUR).unwrap().jobs, [plain]);
     assert_eq!(njs.job_for_key(&key), None);
     assert_eq!(njs.foreign_of(id), None);
+}
+
+/// A key of any length a journal holds comes back with its job and goes
+/// with its purge: a server's 32-byte digest, an 8-byte key, the empty
+/// key of a consign that had none, and a 40-byte key, the one length held
+/// on the heap. A restart reproduces the durable state, keys included,
+/// line for line.
+#[test]
+fn keys_of_every_length_replay_and_purge() {
+    use unicore_njs::{ConsignMeta, IdemKey};
+    use unicore_store::{EventStore, MemoryBackend};
+
+    let mem = MemoryBackend::new();
+    let journalled = || {
+        let mut njs = fzj();
+        njs.attach_stores(vec![EventStore::open(Box::new(mem.clone())).unwrap()]);
+        njs
+    };
+    let restart = |njs: ShardedNjs| {
+        let before = njs.durable_state();
+        drop(njs);
+        mem.reboot();
+        let mut njs = journalled();
+        let jobs = njs.recover(2 * HOUR).unwrap().jobs;
+        assert_eq!(njs.durable_state(), before);
+        (njs, jobs)
+    };
+    let keys: [&[u8]; 4] = [&[0x5a; 32], b"8 bytes!", b"", &[0xc3; 40]];
+
+    let mut njs = journalled();
+    let ids: Vec<JobId> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let vsite = VsiteAddress::new("FZJ", "T3E");
+            let mut job = AbstractJob::new(format!("keyed {i}"), vsite, attrs());
+            job.nodes
+                .push((ActionId(1), script_node("s", "sleep 30\n")));
+            let meta = ConsignMeta {
+                idem_key: IdemKey::from(*key),
+                ..ConsignMeta::default()
+            };
+            njs.consign_with_meta(job, user(), 0, meta).unwrap()
+        })
+        .collect();
+    for &id in &ids {
+        run_until_done(&mut njs, id, HOUR);
+    }
+    let resolved = |njs: &ShardedNjs| keys.map(|key| njs.job_for_key(key));
+    let all = [Some(ids[0]), Some(ids[1]), None, Some(ids[3])];
+    assert_eq!(resolved(&njs), all);
+
+    let (mut njs, jobs) = restart(njs);
+    assert_eq!(jobs, ids);
+    assert_eq!(resolved(&njs), all, "every key maps to its job again");
+
+    for &id in &ids[1..] {
+        njs.purge(id, DN).unwrap();
+    }
+    let kept = [Some(ids[0]), None, None, None];
+    assert_eq!(resolved(&njs), kept);
+    let (njs, jobs) = restart(njs);
+    assert_eq!(jobs, ids[..1]);
+    assert_eq!(resolved(&njs), kept, "a replayed purge forgets its key");
 }
 
 /// A receiver rebuilt from the journal is the live receiver, at every

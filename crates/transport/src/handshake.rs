@@ -213,7 +213,7 @@ fn validate_resumption(
     if ticket
         .verify(
             &session.master,
-            &session.peer.certificate().fingerprint(),
+            session.peer.fingerprint(),
             ep.now,
             cache.epoch(),
         )
@@ -478,7 +478,7 @@ pub fn server_handshake(
         let next = ResumptionTicket::mint(
             &session.master,
             &session.session_id,
-            &session.peer.certificate().fingerprint(),
+            session.peer.fingerprint(),
             ep.now,
             ep.ticket_ttl,
             cache.epoch(),
@@ -573,7 +573,7 @@ pub fn server_handshake(
     let next = ResumptionTicket::mint(
         &master,
         &session_id,
-        &client_cert.fingerprint(),
+        client.fingerprint(),
         ep.now,
         ep.ticket_ttl,
         cache.epoch(),

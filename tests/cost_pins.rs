@@ -126,9 +126,9 @@ struct Pin {
 const PINS: [Pin; 20] = [
     Pin {
         what: "consign allocations",
-        debug: 7.0104,
-        release: 7.0104,
-        why: "first pinned",
+        debug: 6.0104,
+        release: 6.0104,
+        why: "the dependency index is two buffers, not four; the owned user goes into one shared Arc",
     },
     Pin {
         what: "step allocations",
@@ -162,9 +162,9 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fan16 consign allocations",
-        debug: 8.1615,
-        release: 8.1615,
-        why: "first pinned",
+        debug: 7.1615,
+        release: 7.1615,
+        why: "the dependency index is two buffers, not four; the owned user goes into one shared Arc",
     },
     Pin {
         what: "fan16 step allocations",
@@ -192,9 +192,9 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst allocations",
-        debug: 81.1354,
-        release: 75.1354,
-        why: "record buffers cycle, a received DN is borrowed, a forwarded sub-job is copied once, accepted audit records share strings (debug re-encodes to check)",
+        debug: 63.8854,
+        release: 57.8854,
+        why: "two-buffer dependency index, a kept frame writer and kept sweep lists, a shared user mapping, inline idempotency keys (debug re-encodes to check)",
     },
     Pin {
         what: "fed_burst envelopes sent",
@@ -210,27 +210,27 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst bytes retained",
-        debug: 3928.1771,
-        release: 3928.1771,
-        why: "accepted audit records share the mapping memo's DN, Vsite and detail (spare record buffers add back part of it)",
+        debug: 3837.8438,
+        release: 3837.8438,
+        why: "the mapping memo's MappedUser is shared, not cloned per job; keys are inline (kept sweep lists add back part of it)",
     },
     Pin {
         what: "fed_burst consign allocations",
-        debug: 39.2917,
-        release: 34.2917,
-        why: "consign records open in recycled buffers; the envelope's DN is borrowed; accepted audit records share strings",
+        debug: 30.2917,
+        release: 25.2917,
+        why: "two-buffer dependency index; a kept frame writer; the accepted mapping is shared; the consign key is inline",
     },
     Pin {
         what: "fed_burst poll allocations",
-        debug: 40.5938,
-        release: 39.5938,
-        why: "sweep and sub-job records cycle their buffers; a sub-job's AJO is copied once and its placement journalled from borrowed parts",
+        debug: 33.0,
+        release: 32.0,
+        why: "poll sweeps open in kept lists; a kept frame writer; a sub-job's index, mapping and key as at consign",
     },
     Pin {
         what: "fed_burst purge allocations",
-        debug: 1.25,
-        release: 1.25,
-        why: "the purge sweep's records open in recycled buffers",
+        debug: 0.5938,
+        release: 0.5938,
+        why: "the purge sweep opens in kept lists",
     },
     Pin {
         what: "fed_burst polls",
