@@ -173,6 +173,9 @@ struct OpenSweep {
 /// of every job a burst keeps at one site.
 const SWEEP_CAP: usize = 256;
 
+/// The longest DN whose buffer a closed sweep hands back for the next.
+const DN_CAP: usize = 256;
+
 /// The running federation.
 pub struct Federation {
     net: Network,
@@ -205,6 +208,8 @@ pub struct Federation {
     /// requests once it is framed.
     spare_corrs: Spares<u64, SWEEP_CAP>,
     spare_requests: Spares<Request, SWEEP_CAP>,
+    /// The DN buffers of sweeps posted before, refilled by the next ones.
+    spare_dns: Spares<u8, DN_CAP>,
     /// The lists a tick drains its inboxes into and delivers from, empty
     /// between ticks and kept for their capacity.
     inbox: Vec<(SimTime, Message)>,
@@ -323,6 +328,7 @@ impl Federation {
             open_sweeps: Vec::new(),
             spare_corrs: Spares::default(),
             spare_requests: Spares::default(),
+            spare_dns: Spares::default(),
             inbox: Vec::new(),
             deliveries: Vec::new(),
             next_client_corr: 1,
@@ -717,9 +723,12 @@ impl Federation {
                         (self.spare_corrs.take(), self.spare_requests.take());
                     corrs.push(corr);
                     requests.push(request);
+                    let mut name = self.spare_dns.take();
+                    name.extend_from_slice(dn.as_bytes());
+                    let dn = String::from_utf8(name).expect("a str's bytes");
                     self.open_sweeps.push(OpenSweep {
                         site,
-                        dn: dn.to_owned(),
+                        dn,
                         corrs,
                         requests,
                     });
@@ -765,8 +774,8 @@ impl Federation {
 
     /// Puts a closed sweep on the wire as one request under its first
     /// member's corr: one sequence number, one retry timer, one reply.
-    /// Its lists are kept for later sweeps: the requests once framed, the
-    /// corrs once answered.
+    /// Its lists are kept for later sweeps: the DN and the requests once
+    /// framed, the corrs once answered.
     fn post_sweep(&mut self, sweep: OpenSweep) {
         let OpenSweep {
             site,
@@ -791,6 +800,7 @@ impl Federation {
             _ => Members::Sweep(corrs),
         };
         self.rel.request(self.now, from, site, corr, &request, None);
+        self.spare_dns.give(dn.into_bytes());
         self.envelopes_sent = self.rel.envelopes_sent();
         self.outstanding.insert(corr, members);
         let framed = match request {

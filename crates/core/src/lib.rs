@@ -22,9 +22,9 @@
 //!
 //! The live security path (real mutual-auth handshake, encrypted records)
 //! lives in `unicore-transport` and is exercised by the security example
-//! and the E4 benchmarks; the federation charges the handshake's wire cost
-//! in simulated time while job routing, translation, staging and batch
-//! execution all run for real.
+//! and gridbench's `live_consign` and `churn_poll`; the federation charges
+//! the handshake's wire cost in simulated time while job routing,
+//! translation, staging and batch execution all run for real.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]

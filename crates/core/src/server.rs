@@ -357,7 +357,7 @@ impl UnicoreServer {
     }
 
     /// Ranked placement for `request` across the whole known grid.
-    pub fn broker_rank(
+    fn broker_rank(
         &mut self,
         request: &unicore_ajo::ResourceRequest,
         now: SimTime,

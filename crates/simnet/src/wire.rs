@@ -4,12 +4,12 @@
 //! Where the discrete-event [`crate::topology::Network`] models *timing*,
 //! these wires carry *real* bytes between real threads — the secure
 //! transport's handshake and record protocol run over them unchanged, which
-//! is how the E4 security benchmarks measure genuine cryptographic cost.
+//! is how gridbench's `live_consign` and the transport tests pay genuine
+//! cryptographic cost.
 
 use crate::error::NetError;
-use parking_lot::Mutex;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Maximum message size accepted by a wire (matches the transport record
@@ -20,6 +20,8 @@ pub(crate) const MAX_WIRE_MESSAGE: usize = 1 << 24;
 pub struct WireEnd {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
+    /// Replaced whole and only read otherwise, so a lock poisoned by a
+    /// panicking thread still guards a whole plan and is taken anyway.
     faults: Arc<Mutex<WireFaultPlan>>,
     sent: u64,
 }
@@ -58,7 +60,7 @@ pub fn wire_pair() -> (WireEnd, WireEnd) {
 impl WireEnd {
     /// Installs a fault plan on this endpoint's outgoing traffic.
     pub fn set_faults(&self, plan: WireFaultPlan) {
-        *self.faults.lock() = plan;
+        *self.faults.lock().unwrap_or_else(PoisonError::into_inner) = plan;
     }
 
     /// Sends one message.
@@ -73,7 +75,7 @@ impl WireEnd {
         let seq = self.sent;
         let mut payload = data.to_vec();
         {
-            let plan = self.faults.lock();
+            let plan = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(cut) = plan.cut_after {
                 if seq > cut {
                     return Ok(()); // silently dropped: the link is down

@@ -9,7 +9,7 @@ pub struct TraceId(pub [u8; 16]);
 
 impl TraceId {
     /// The all-zero id used by disabled telemetry.
-    pub const ZERO: TraceId = TraceId([0; 16]);
+    pub(crate) const ZERO: TraceId = TraceId([0; 16]);
 
     /// Builds a trace id from two RNG words.
     pub fn from_words(hi: u64, lo: u64) -> TraceId {
@@ -40,7 +40,7 @@ pub struct SpanId(pub u64);
 
 impl SpanId {
     /// The zero id used by disabled telemetry.
-    pub const ZERO: SpanId = SpanId(0);
+    pub(crate) const ZERO: SpanId = SpanId(0);
 }
 
 impl fmt::Display for SpanId {

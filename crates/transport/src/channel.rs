@@ -131,33 +131,21 @@ impl SecureChannel {
 
     /// Receives an application message, waiting up to `timeout`.
     pub fn recv(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let mut buf = Vec::new();
-        self.recv_into(timeout, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// [`recv`](Self::recv) into a caller-owned buffer (cleared first) —
-    /// loops receiving many messages amortise one allocation.
-    pub fn recv_into(
-        &mut self,
-        timeout: Duration,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), TransportError> {
         if self.closed {
             return Err(TransportError::Closed);
         }
         let raw = self.wire.recv_timeout(timeout)?;
-        let rtype = self.rx.open_into(&raw, buf)?;
+        let (rtype, buf) = self.rx.open(&raw)?;
         self.opened.inc();
         match rtype {
-            RecordType::Data => Ok(()),
+            RecordType::Data => Ok(buf),
             RecordType::Batch => Err(TransportError::Protocol(
                 "batched record on plain recv (use recv_frames)",
             )),
             RecordType::Alert => {
                 self.closed = true;
                 Err(TransportError::PeerAlert(
-                    String::from_utf8_lossy(buf).into_owned(),
+                    String::from_utf8_lossy(&buf).into_owned(),
                 ))
             }
             RecordType::Handshake => Err(TransportError::Protocol("handshake after establishment")),

@@ -1,9 +1,9 @@
 //! Session caching for abbreviated (resumed) handshakes.
 
 use crate::ticket::ResumptionTicket;
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use unicore_certs::{RequiredUsage, TrustStore, ValidatedCertificate};
 
 /// A cached session: master secret plus the authenticated peer.
@@ -103,6 +103,13 @@ impl SessionCache {
         }
     }
 
+    /// The tables, even after a thread panicked while holding them: an
+    /// update cut short leaves at most a stale queue entry or peer link,
+    /// which eviction and the lookups already skip.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current cache epoch (stamped into minted tickets).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
@@ -121,7 +128,7 @@ impl SessionCache {
     ///
     /// [`store_validated`]: SessionCache::store_validated
     pub fn store(&self, peer_name: &str, session: CachedSession) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.by_id.len() >= self.capacity && !inner.by_id.contains_key(&session.session_id) {
             inner.evict_oldest();
         }
@@ -161,12 +168,12 @@ impl SessionCache {
 
     /// Server-side lookup by session id.
     pub fn lookup_id(&self, session_id: &[u8]) -> Option<CachedSession> {
-        self.inner.lock().by_id.get(session_id).cloned()
+        self.lock().by_id.get(session_id).cloned()
     }
 
     /// Client-side lookup by peer name.
     pub fn lookup_peer(&self, peer_name: &str) -> Option<CachedSession> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let id = inner.by_peer.get(peer_name)?;
         inner.by_id.get(id).cloned()
     }
@@ -174,7 +181,7 @@ impl SessionCache {
     /// Removes a session (e.g. after it fails to resume). The queue slot
     /// is reclaimed lazily by eviction or `compact`.
     pub fn invalidate(&self, session_id: &[u8]) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.remove(session_id);
         inner.compact();
     }
@@ -183,7 +190,7 @@ impl SessionCache {
     /// authenticated by a newly revoked certificate). Returns how many
     /// were dropped.
     pub fn invalidate_matching(&self, pred: impl Fn(&CachedSession) -> bool) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let doomed: Vec<Vec<u8>> = inner
             .by_id
             .values()
@@ -206,7 +213,7 @@ impl SessionCache {
 
     /// Number of cached sessions.
     pub fn len(&self) -> usize {
-        self.inner.lock().by_id.len()
+        self.lock().by_id.len()
     }
 
     /// True when empty.

@@ -192,9 +192,9 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst allocations",
-        debug: 63.8854,
-        release: 57.8854,
-        why: "two-buffer dependency index, a kept frame writer and kept sweep lists, a shared user mapping, inline idempotency keys (debug re-encodes to check)",
+        debug: 63.3854,
+        release: 57.3854,
+        why: "two-buffer dependency index, a kept frame writer and kept sweep lists, a shared user mapping, inline idempotency keys (debug re-encodes to check); an opened sweep refills a kept DN buffer",
     },
     Pin {
         what: "fed_burst envelopes sent",
@@ -222,15 +222,15 @@ const PINS: [Pin; 20] = [
     },
     Pin {
         what: "fed_burst poll allocations",
-        debug: 33.0,
-        release: 32.0,
-        why: "poll sweeps open in kept lists; a kept frame writer; a sub-job's index, mapping and key as at consign",
+        debug: 32.5625,
+        release: 31.5625,
+        why: "poll sweeps open in kept lists and a kept DN buffer; a kept frame writer; a sub-job's index, mapping and key as at consign",
     },
     Pin {
         what: "fed_burst purge allocations",
-        debug: 0.5938,
-        release: 0.5938,
-        why: "the purge sweep opens in kept lists",
+        debug: 0.5312,
+        release: 0.5312,
+        why: "the purge sweep opens in kept lists and a kept DN buffer",
     },
     Pin {
         what: "fed_burst polls",
